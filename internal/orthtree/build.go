@@ -1,15 +1,22 @@
 package orthtree
 
 import (
+	"sync/atomic"
+
 	"repro/internal/geom"
 	"repro/internal/parallel"
 )
 
 // build implements BuildOrth (Alg. 1): construct a subtree over pts, whose
-// assigned region is region. pts and buf are same-length scratch slices
-// that the sieve ping-pongs between; leaves copy their points out, so both
-// scratch slices are dead once build returns.
-func (t *Tree) build(pts, buf []geom.Point, region geom.Box) *node {
+// assigned region is region. The sieve moves the points from pts to buf,
+// which has the same length, and the recursion ping-pongs between the two;
+// leaves copy their points out, so both are dead once build returns.
+//
+// input marks Build's own call, whose pts is the caller's slice: it is
+// only read, every point is checked against region (the universe) in the
+// pass that sieves it, and each bucket gets scratch of its own to
+// ping-pong with.
+func (t *Tree) build(pts, buf []geom.Point, region geom.Box, input bool) *node {
 	n := len(pts)
 	if n == 0 {
 		return nil
@@ -19,39 +26,49 @@ func (t *Tree) build(pts, buf []geom.Point, region geom.Box) *node {
 	// the height by O(log Δ): an unsplittable region (all duplicates)
 	// becomes an oversized leaf.
 	if n <= t.opts.LeafWrap || !region.Splittable(dims) {
+		if input {
+			t.checkInside(pts)
+		}
 		return t.newLeaf(pts)
 	}
 
-	// Lines 4-5: "build" the λ-level skeleton. The skeleton is implicit —
-	// a bucket is identified by the λ·D quadrant bits of the walk from
-	// region, and bucket sub-regions are enumerated recursively.
+	// Lines 4-5: "build" the λ-level skeleton. Nothing of it exists but
+	// the midpoints of its splits, tabulated per dimension.
 	lam := t.effLambda(n)
 	nb := 1 << (lam * dims)
-	regions := make([]geom.Box, nb)
-	fillRegions(regions, region, lam, dims)
+	g := t.newGrid(region, lam)
 
 	// Line 6: sieve the points into the buckets. This one pass of data
 	// movement is the paper's whole trick: it replaces the per-level
 	// distribution of naive orth-tree construction (and the code
 	// computation + sort of SFC-based construction).
-	offsets := parallel.Sieve(pts, buf, nb, func(p geom.Point) int {
-		b := 0
-		box := region
-		for l := 0; l < lam; l++ {
-			q := box.Quadrant(p, dims)
-			box = box.Child(q, dims)
-			b = b<<dims | q
+	bucketOf := g.bucket
+	var outside atomic.Bool
+	if input {
+		bucketOf = func(p geom.Point) int {
+			if !region.Contains(p, dims) {
+				outside.Store(true)
+			}
+			return g.bucket(p)
 		}
-		return b
-	})
+	}
+	offsets := parallel.Sieve(pts, buf, nb, bucketOf)
+	if outside.Load() {
+		panic(errOutside)
+	}
 
 	// Lines 7-9: recurse on every non-empty bucket in parallel.
 	subs := make([]*node, nb)
 	rec := func(i int) {
 		lo, hi := offsets[i], offsets[i+1]
-		if lo < hi {
-			subs[i] = t.build(buf[lo:hi], pts[lo:hi], regions[i])
+		if lo == hi {
+			return
 		}
+		spare := pts[lo:hi]
+		if input {
+			spare = make([]geom.Point, hi-lo)
+		}
+		subs[i] = t.build(buf[lo:hi], spare, g.region(i), false)
 	}
 	if n >= seqCutoff {
 		parallel.ForEach(nb, 1, rec)
@@ -67,28 +84,18 @@ func (t *Tree) build(pts, buf []geom.Point, region geom.Box) *node {
 	return t.assemble(subs, 0, 0, lam, region)
 }
 
-// effLambda shrinks the skeleton height for small inputs so the bucket
-// count never dwarfs the point count. The final structure is unchanged
-// (assemble canonicalizes); only the sieve fan-out varies.
+// effLambda shrinks the skeleton height for small inputs: a level is
+// dropped while the shallower skeleton's buckets would still hold a
+// leaf's worth of points or fewer on average, because sieving a leaf's
+// points apart only for assemble to flatten them again is wasted
+// movement. The final structure is unchanged (assemble canonicalizes);
+// only the sieve fan-out varies.
 func (t *Tree) effLambda(n int) int {
 	lam := t.opts.SkeletonLevels
-	for lam > 1 && 1<<(lam*t.opts.Dims) > n {
+	for lam > 1 && t.opts.LeafWrap<<((lam-1)*t.opts.Dims) >= n {
 		lam--
 	}
 	return lam
-}
-
-// fillRegions enumerates the sub-regions of all 2^(λD) skeleton buckets in
-// bucket-index order (level-major quadrant bits).
-func fillRegions(out []geom.Box, region geom.Box, lam, dims int) {
-	if lam == 0 {
-		out[0] = region
-		return
-	}
-	step := len(out) >> dims
-	for q := 0; q < 1<<dims; q++ {
-		fillRegions(out[q*step:(q+1)*step], region.Child(q, dims), lam-1, dims)
-	}
 }
 
 // assemble turns the per-bucket subtrees back into λ levels of interior

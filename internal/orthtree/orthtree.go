@@ -29,9 +29,10 @@ import (
 // Tree is a P-Orth tree. Not safe for concurrent mutation; queries are
 // read-only and may run concurrently with each other.
 type Tree struct {
-	opts core.Options
-	nway int // 2^dims children per interior node
-	root *node
+	opts   core.Options
+	nway   int                   // 2^dims children per interior node
+	spread [][geom.MaxDims][]int // spread[λ] is grid.spread for λ levels
+	root   *node
 }
 
 var _ core.Index = (*Tree)(nil)
@@ -58,7 +59,11 @@ func New(opts core.Options) *Tree {
 	if opts.Universe.IsEmpty() {
 		panic("orthtree: Universe box required")
 	}
-	return &Tree{opts: opts, nway: 1 << opts.Dims}
+	t := &Tree{opts: opts, nway: 1 << opts.Dims}
+	for lam := 0; lam <= opts.SkeletonLevels; lam++ {
+		t.spread = append(t.spread, spreadTables(lam, opts.Dims))
+	}
+	return t
 }
 
 // NewDefault returns a P-Orth tree with the paper's parameters for the
@@ -84,13 +89,11 @@ func (t *Tree) Size() int {
 // Options returns the tree's configuration.
 func (t *Tree) Options() core.Options { return t.opts }
 
-// Build implements core.Index (Alg. 1). The input slice is not modified.
+// Build implements core.Index (Alg. 1). The input slice is not modified:
+// the first sieve reads the points straight out of it, checking each
+// against the universe as it goes.
 func (t *Tree) Build(pts []geom.Point) {
-	t.checkInside(pts)
-	work := make([]geom.Point, len(pts))
-	copy(work, pts)
-	buf := make([]geom.Point, len(pts))
-	t.root = t.build(work, buf, t.opts.Universe)
+	t.root = t.build(pts, make([]geom.Point, len(pts)), t.opts.Universe, true)
 }
 
 // BatchInsert implements core.Index (Alg. 2). The input slice is not
@@ -127,9 +130,11 @@ func (t *Tree) checkInside(pts []geom.Point) {
 		func(i int) bool { return !u.Contains(pts[i], t.opts.Dims) },
 		func(a, b bool) bool { return a || b })
 	if bad {
-		panic("orthtree: point outside universe box")
+		panic(errOutside)
 	}
 }
+
+const errOutside = "orthtree: point outside universe box"
 
 // seqCutoff is the subtree size below which recursion stops forking.
 const seqCutoff = 2048

@@ -25,16 +25,16 @@ import (
 const smallBatch = 128
 
 // skeleton is the top-λ-levels view of an existing subtree used by large
-// batch updates (Alg. 2 line 5). nodes/regions hold the existing interior
-// nodes in preorder; slots are the skeleton's external positions; table is
-// the flat dispatch (stride nway): entry >= 1 names the next internal
-// node, entry < 0 encodes ^slotIndex.
+// batch updates (Alg. 2 line 5). nodes holds the existing interior nodes
+// in preorder and mids the split point of each; slots are the skeleton's
+// external positions; table is the flat dispatch (stride nway): entry >= 1
+// names the next internal node, entry < 0 encodes ^slotIndex.
 type skeleton struct {
-	nodes   []skelNode
-	regions []geom.Box
-	slots   []slot
-	table   []int32
-	nway    int
+	nodes []skelNode
+	mids  []geom.Point
+	slots []slot
+	table []int32
+	nway  int
 }
 
 type skelNode struct {
@@ -59,11 +59,11 @@ func (t *Tree) retrieve(nd *node, region geom.Box, lam int) *skeleton {
 	}
 	maxNodes := (maxSlots - 1) / (t.nway - 1)
 	sk := &skeleton{
-		nodes:   make([]skelNode, 0, maxNodes),
-		regions: make([]geom.Box, 0, maxNodes),
-		slots:   make([]slot, 0, maxSlots),
-		table:   make([]int32, 0, maxNodes*t.nway),
-		nway:    t.nway,
+		nodes: make([]skelNode, 0, maxNodes),
+		mids:  make([]geom.Point, 0, maxNodes),
+		slots: make([]slot, 0, maxSlots),
+		table: make([]int32, 0, maxNodes*t.nway),
+		nway:  t.nway,
 	}
 	sk.enumerate(t, nd, region, 0, lam, -1, 0)
 	return sk
@@ -72,10 +72,10 @@ func (t *Tree) retrieve(nd *node, region geom.Box, lam int) *skeleton {
 func (sk *skeleton) enumerate(t *Tree, nd *node, region geom.Box, level, lam int, parentSkel, childIdx int32) int32 {
 	idx := int32(len(sk.nodes))
 	sk.nodes = append(sk.nodes, skelNode{tn: nd, parentSkel: parentSkel, childIdx: childIdx})
-	sk.regions = append(sk.regions, region)
+	dims := t.opts.Dims
+	sk.mids = append(sk.mids, mids(region, dims))
 	row := len(sk.table)
 	sk.table = append(sk.table, make([]int32, sk.nway)...)
-	dims := t.opts.Dims
 	for q := 0; q < t.nway; q++ {
 		child := nd.kids[q]
 		cregion := region.Child(q, dims)
@@ -89,12 +89,12 @@ func (sk *skeleton) enumerate(t *Tree, nd *node, region geom.Box, level, lam int
 	return idx
 }
 
-// route walks a point to its slot. Regions are stored per skeleton node,
-// so each level costs one Quadrant evaluation and a table lookup.
+// route walks a point to its slot. Split points are stored per skeleton
+// node, so each level costs D compares and a table lookup.
 func (sk *skeleton) route(dims int, p geom.Point) int {
 	i := int32(0)
 	for {
-		q := sk.regions[i].Quadrant(p, dims)
+		q := quadrant(sk.mids[i], p, dims)
 		next := sk.table[int(i)*sk.nway+q]
 		if next < 0 {
 			return int(^next)
@@ -110,7 +110,7 @@ func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 		return nd
 	}
 	if nd == nil {
-		return t.build(pts, buf, region)
+		return t.build(pts, buf, region, false)
 	}
 	dims := t.opts.Dims
 	if nd.isLeaf() {
@@ -128,7 +128,7 @@ func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 		combined = append(combined, nd.pts...)
 		combined = append(combined, pts...)
 		cbuf := make([]geom.Point, len(combined))
-		return t.build(combined, cbuf, region)
+		return t.build(combined, cbuf, region, false)
 	}
 	if len(pts) < smallBatch {
 		return t.insertSmall(nd, pts, buf, region)
@@ -166,20 +166,21 @@ func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	return nd
 }
 
-// insertSmall is the depth-1 fast path: partition the batch across the
-// node's children with stack-allocated counters and recurse.
-func (t *Tree) insertSmall(nd *node, pts, buf []geom.Point, region geom.Box) *node {
+// splitSmall is the depth-1 skeleton of the small-batch paths: it
+// partitions pts (fewer than smallBatch points) into buf by quadrant of
+// region with stack-allocated counters; quadrant q lands in
+// buf[offs[q]:offs[q+1]].
+func (t *Tree) splitSmall(pts, buf []geom.Point, region geom.Box) (offs [9]int) {
 	dims := t.opts.Dims
+	mid := mids(region, dims)
 	var qb [smallBatch]uint8
-	var counts [8]int
 	for i, p := range pts {
-		q := region.Quadrant(p, dims)
+		q := quadrant(mid, p, dims)
 		qb[i] = uint8(q)
-		counts[q]++
+		offs[q+1]++
 	}
-	var offs [9]int
 	for q := 0; q < t.nway; q++ {
-		offs[q+1] = offs[q] + counts[q]
+		offs[q+1] += offs[q]
 	}
 	pos := offs
 	for i, p := range pts {
@@ -187,6 +188,14 @@ func (t *Tree) insertSmall(nd *node, pts, buf []geom.Point, region geom.Box) *no
 		buf[pos[q]] = p
 		pos[q]++
 	}
+	return offs
+}
+
+// insertSmall is the depth-1 fast path: partition the batch across the
+// node's children and recurse.
+func (t *Tree) insertSmall(nd *node, pts, buf []geom.Point, region geom.Box) *node {
+	dims := t.opts.Dims
+	offs := t.splitSmall(pts, buf, region)
 	for q := 0; q < t.nway; q++ {
 		lo, hi := offs[q], offs[q+1]
 		if lo < hi {
@@ -264,23 +273,7 @@ func (t *Tree) delete(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 // deleteSmall mirrors insertSmall with the §3.2 collapse step.
 func (t *Tree) deleteSmall(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	dims := t.opts.Dims
-	var qb [smallBatch]uint8
-	var counts [8]int
-	for i, p := range pts {
-		q := region.Quadrant(p, dims)
-		qb[i] = uint8(q)
-		counts[q]++
-	}
-	var offs [9]int
-	for q := 0; q < t.nway; q++ {
-		offs[q+1] = offs[q] + counts[q]
-	}
-	pos := offs
-	for i, p := range pts {
-		q := qb[i]
-		buf[pos[q]] = p
-		pos[q]++
-	}
+	offs := t.splitSmall(pts, buf, region)
 	for q := 0; q < t.nway; q++ {
 		lo, hi := offs[q], offs[q+1]
 		if lo < hi {

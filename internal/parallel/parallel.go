@@ -3,8 +3,15 @@
 // (§2.1): Do forks two tasks, For runs a parallel loop (simulated by
 // logarithmic forking in theory; implemented with a dynamic chunk queue
 // here), Scan is a two-pass parallel prefix sum, Sieve is the stable
-// parallel counting sort the paper adopts from the Pkd-tree work [43], and
-// Sort is a parallel sample sort in the spirit of IPS4o [9].
+// parallel counting sort the paper adopts from the Pkd-tree work [43].
+// There are two sorts, both sample sorts in the spirit of IPS4o [9] that
+// scatter with Sieve. SortByKey orders elements by a uint64 key — the
+// space-filling-curve code of every SPaC, CPAM and Zd-tree build and batch
+// — and compares nothing: splitters are searched branch-free, buckets are
+// radix-sorted, and the caller's comparator runs only inside runs of equal
+// keys. Sort takes an arbitrary comparator and sorts its buckets with the
+// standard library; what is left for it are sorts that have no key, such
+// as the workload generator's sort by coordinate.
 //
 // All primitives degrade gracefully to sequential execution below a grain
 // size, so the library has sensible single-core behavior (the paper's

@@ -5,15 +5,16 @@ import (
 	"sort"
 )
 
-// seqSortThreshold is the size below which Sort falls back to the stdlib
-// pattern-defeating quicksort.
+// seqSortThreshold is the size below which Sort and SortByKey run on the
+// calling goroutine.
 const seqSortThreshold = 1 << 13
 
-// Sort sorts a in parallel with a sample sort (the same family as the
-// super-scalar samplesort [9] used by the paper's HybridSort): sample,
-// pick pivots, classify every element to a bucket with a branch-light
-// binary search, Sieve-scatter into bucket order, then sort buckets in
-// parallel. The sort is not stable.
+// Sort sorts a in parallel under an arbitrary comparator with a sample
+// sort: sample, pick pivots, classify every element to a bucket by binary
+// search, Sieve-scatter into bucket order, then sort the buckets in
+// parallel with the standard library. The sort is not stable. Data that
+// is ordered by an integer key belongs to SortByKey, which never calls a
+// comparator on elements whose keys differ.
 func Sort[T any](a []T, cmp func(x, y T) int) {
 	n := len(a)
 	if n < seqSortThreshold || maxProcs() == 1 {

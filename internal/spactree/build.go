@@ -15,8 +15,9 @@ type pair struct {
 }
 
 // buildHybrid is the SPaC-tree construction (Alg. 3): the SFC code of each
-// point is computed when the sorter first touches it, ⟨code, id⟩ pairs are
-// sample-sorted, and BuildSorted gathers coordinates into leaves.
+// point is computed once, ⟨code, id⟩ pairs are sorted by code alone
+// (coordinates are read only to order points whose codes collide), and
+// BuildSorted gathers coordinates into leaves.
 func (t *Tree) buildHybrid(pts []geom.Point) *node {
 	n := len(pts)
 	if n == 0 {
@@ -28,15 +29,10 @@ func (t *Tree) buildHybrid(pts []geom.Point) *node {
 			pairs[i] = pair{code: t.encode(pts[i]).Code, id: int32(i)}
 		}
 	})
-	parallel.Sort(pairs, func(a, b pair) int {
-		switch {
-		case a.code < b.code:
-			return -1
-		case a.code > b.code:
-			return 1
-		}
-		// Tie-break by coordinates so the total order matches cmpEntry.
-		return cmpEntry(Entry{a.code, pts[a.id]}, Entry{b.code, pts[b.id]})
+	// Equal codes tie-break by coordinates, so the total order matches
+	// cmpEntry.
+	parallel.SortByKey(pairs, func(pr pair) uint64 { return pr.code }, func(a, b pair) int {
+		return cmpPoint(pts[a.id], pts[b.id])
 	})
 	return t.buildSortedPairs(pts, pairs)
 }
@@ -79,7 +75,7 @@ func (t *Tree) buildPlain(pts []geom.Point) *node {
 	parallel.For(n, 4096, func(i int) {
 		ents[i] = t.encode(pts[i])
 	})
-	parallel.Sort(ents, cmpEntry)
+	sortEntries(ents)
 	return t.buildSortedEnts(ents)
 }
 
@@ -108,6 +104,6 @@ func (t *Tree) encodeAndSort(pts []geom.Point) []Entry {
 	parallel.For(len(pts), 4096, func(i int) {
 		ents[i] = t.encode(pts[i])
 	})
-	parallel.Sort(ents, cmpEntry)
+	sortEntries(ents)
 	return ents
 }

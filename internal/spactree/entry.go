@@ -25,6 +25,7 @@ package spactree
 
 import (
 	"repro/internal/geom"
+	"repro/internal/parallel"
 	"repro/internal/sfc"
 )
 
@@ -44,15 +45,30 @@ func cmpEntry(a, b Entry) int {
 	case a.Code > b.Code:
 		return 1
 	}
+	return cmpPoint(a.P, b.P)
+}
+
+// cmpPoint orders points lexicographically: the order of entries whose
+// codes are equal.
+func cmpPoint(p, q geom.Point) int {
 	for d := 0; d < geom.MaxDims; d++ {
 		switch {
-		case a.P[d] < b.P[d]:
+		case p[d] < q[d]:
 			return -1
-		case a.P[d] > b.P[d]:
+		case p[d] > q[d]:
 			return 1
 		}
 	}
 	return 0
+}
+
+// sortEntries sorts ents into the tree's total order: by code with the
+// keyed sort, by coordinates only among entries of one code. Batches, CPAM
+// construction and lazily restored leaves all sort through here.
+func sortEntries(ents []Entry) {
+	parallel.SortByKey(ents, func(e Entry) uint64 { return e.Code }, func(a, b Entry) int {
+		return cmpPoint(a.P, b.P)
+	})
 }
 
 // encode computes the entry for a point under the tree's curve.

@@ -147,10 +147,6 @@ func isNonDecreasing(ents []Entry) bool {
 	return true
 }
 
-func sortEntries(ents []Entry) {
-	slices.SortFunc(ents, cmpEntry)
-}
-
 // expose opens a tree into (left, pivot, right) (Alg. 4 lines 32-37). A
 // leaf is split around its middle entry — restoring the in-leaf order
 // first if it was relaxed (line 34); this lazy sort is where the SPaC-tree

@@ -1,16 +1,17 @@
 // Package zdtree implements the Zd-tree baseline of Blelloch & Dobson [16]
 // as described by the paper (§2.3, §5 "Baselines"): a parallel orth-tree
 // built over Morton codes. Construction computes the Morton code of every
-// point, comparison-sorts the ⟨code, point⟩ pairs, and builds the quadtree
+// point, sorts the ⟨code, point⟩ pairs by code, and builds the quadtree
 // recursively by splitting the sorted array at code-prefix boundaries
 // (binary search). Batch updates sort the batch and merge it into the tree
 // by the same prefix routing.
 //
 // The paper re-implemented the Zd-tree for the same reason we do — the
 // original artifact's updates are buggy — and notes its construction cost
-// is dominated by the Morton sort. Keeping the sort comparison-based (as
-// the paper's implementation does) is what gives the P-Orth tree its edge:
-// the sieve avoids computing, storing and comparing codes entirely.
+// is dominated by the Morton sort. It shares the keyed sort of the SPaC
+// family (parallel.SortByKey), moving whole 32-byte entries through it;
+// the P-Orth tree's edge is that its sieve computes, stores and sorts no
+// codes at all.
 //
 // Like the P-Orth tree, the Zd-tree is history-independent: its hierarchy
 // is the fixed power-of-two Morton grid.
@@ -104,16 +105,11 @@ func (t *Tree) encodeAll(pts []geom.Point) []Entry {
 	return ents
 }
 
+// sortEntries sorts by code alone: a Morton code is its point (the
+// interleave is a bijection at the precision New admits), so equal codes
+// need no tie-break.
 func sortEntries(ents []Entry) {
-	parallel.Sort(ents, func(a, b Entry) int {
-		switch {
-		case a.Code < b.Code:
-			return -1
-		case a.Code > b.Code:
-			return 1
-		}
-		return 0
-	})
+	parallel.SortByKey(ents, func(e Entry) uint64 { return e.Code }, nil)
 }
 
 // Build implements core.Index: encode, sort, recursive prefix-split build.
