@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "fig3", "experiment: fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|concurrent|shard|fleet|service|alloc|churn|obs|wal|all")
+	exp := flag.String("exp", "fig3", "experiment: fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|concurrent|shard|fleet|service|churn|obs|wal|all")
 	n := flag.Int("n", 1_000_000, "dataset size (paper: 1e9)")
 	knnq := flag.Int("knnq", 0, "number of kNN queries (default n/100)")
 	rangeq := flag.Int("rangeq", 200, "number of range queries")
@@ -75,7 +75,6 @@ func main() {
 		"shard":      bench.Shard,
 		"fleet":      bench.Fleet,
 		"service":    bench.Service,
-		"alloc":      bench.Alloc,
 		"churn":      bench.Churn,
 		"obs":        bench.Obs,
 		"wal":        bench.WAL,
@@ -84,7 +83,7 @@ func main() {
 		bench.StartJSON(*exp, cfg)
 	}
 	if *exp == "all" {
-		for _, name := range []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "concurrent", "shard", "fleet", "service", "alloc", "churn", "obs", "wal"} {
+		for _, name := range []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "concurrent", "shard", "fleet", "service", "churn", "obs", "wal"} {
 			run[name](cfg)
 		}
 	} else if f, ok := run[*exp]; ok {

@@ -48,7 +48,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/service"
+	"repro/internal/loadgen"
 )
 
 func main() {
@@ -92,7 +92,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "psiload: parsing %s: %v\n", *verifyPath, err)
 			os.Exit(1)
 		}
-		if err := service.VerifyFinal(*addr, final); err != nil {
+		if err := loadgen.VerifyFinal(*addr, final); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(1)
 		}
@@ -132,14 +132,14 @@ func main() {
 	var before map[string]float64
 	if *scrape != "" {
 		var err error
-		before, err = service.ScrapeMetrics(*scrape)
+		before, err = loadgen.ScrapeMetrics(*scrape)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "psiload: scraping %s: %v\n", *scrape, err)
 			os.Exit(1)
 		}
 	}
 
-	rep, err := service.RunLoad(service.LoadOptions{
+	rep, err := loadgen.RunLoad(loadgen.LoadOptions{
 		Addr:       *addr,
 		Conns:      *conns,
 		Objects:    *objects,
@@ -161,12 +161,12 @@ func main() {
 		os.Exit(1)
 	}
 	if *scrape != "" {
-		after, err := service.ScrapeMetrics(*scrape)
+		after, err := loadgen.ScrapeMetrics(*scrape)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "psiload: scraping %s: %v\n", *scrape, err)
 			os.Exit(1)
 		}
-		rep.Server = service.MetricsDelta(before, after)
+		rep.Server = loadgen.MetricsDelta(before, after)
 	}
 	rep.Format(os.Stdout)
 	if *csvPath != "" {
@@ -216,7 +216,7 @@ func failoverMix(psidBin string, nodes, handovers int, roundDur time.Duration, c
 		return 1
 	}
 	defer os.RemoveAll(base)
-	rep, err := service.RunFailover(service.FailoverOptions{
+	rep, err := loadgen.RunFailover(loadgen.FailoverOptions{
 		PsidBin:   psidBin,
 		BaseDir:   base,
 		Nodes:     nodes,

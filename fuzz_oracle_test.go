@@ -10,12 +10,16 @@ import (
 // FuzzIndexOracle is the library-wide differential fuzzer: the input
 // bytes are decoded into an operation tape (Build / BatchInsert /
 // BatchDelete / BatchDiff) that is applied identically to all 11 ByName
-// indexes and to a BruteForce oracle, cross-checking sizes after every
-// op and the full query suite (KNN at several k, RangeCount, RangeList)
-// at checkpoints and at the end of the tape. Deletions are biased toward
-// stored points so multiset-delete paths are actually exercised, and the
-// coordinate domain is kept tiny so duplicate points and same-cell
-// collisions are routine. Seed corpus lives in
+// indexes, to four Store stacks (locked and snapshot reads, over a raw
+// SPaC-H tree and over a Sharded) and to a BruteForce oracle,
+// cross-checking sizes after every op and the full query suite (KNN at
+// several k, RangeCount, RangeList) at checkpoints and at the end of the
+// tape. The Stores are only read at checkpoints, so every op between two
+// checkpoints lands in one coalescing window and the order-aware
+// multiset netting is fuzzed against sequential execution. Deletions are
+// biased toward stored points so multiset-delete paths are actually
+// exercised, and the coordinate domain is kept tiny so duplicate points,
+// same-cell collisions and equal-distance KNN ties are routine. Seed corpus lives in
 // testdata/fuzz/FuzzIndexOracle; CI smoke-runs the target for 10s and
 // the Testing section of README.md documents longer local runs.
 func FuzzIndexOracle(f *testing.F) {
@@ -39,6 +43,12 @@ var fuzzSeeds = []string{
 	"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09",
 	"kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk",
 	"~}|{zyxwvutsrqponmlkjihgfedcba`_^]\\[ZYXWVUTSRQPONMLKJIHGFEDCBA@?",
+	// 2D; Build the four neighbours of (16,16), each twice; query (16,16)
+	// so every k cuts through an eight-way distance tie; delete two live
+	// duplicates and re-insert one inside the same Store window; verify.
+	"\x00\x00\x07\x01\x00\x00\x01\x01\x02\x02\x01\x01\x00\x00\x01\x01\x02\x02\x01" +
+		"\x04\x01\x01\x01\x01\x00\x00\x00\x00\x02\x02\x01\x01\x01\x01" +
+		"\x02\x01\x01\x02\x01\x00\x01\x00\x04\x01\x01\x01\x01\x02\x01",
 }
 
 // fuzzSide bounds the fuzz coordinate domain: byte-derived coordinates
@@ -121,11 +131,17 @@ func (tp *fuzzTape) deleteBatch(oracle *core.BruteForce, dims, max int) []geom.P
 	return pts
 }
 
-// verifyAll cross-checks every index against the oracle on the standard
-// query suite; query points and boxes are part of the decoded tape so
-// the fuzzer can steer them toward discrepancies.
+// verifyAll cross-checks every index against the oracle on size (which
+// also flushes the Stores' pending window) and on the standard query
+// suite; query points and boxes are part of the decoded tape so the
+// fuzzer can steer them toward discrepancies.
 func verifyAll(t *testing.T, idxs []core.Index, oracle *core.BruteForce, tp *fuzzTape, dims int) {
 	t.Helper()
+	for _, idx := range idxs {
+		if idx.Size() != oracle.Size() {
+			t.Fatalf("%s: size %d, oracle %d", idx.Name(), idx.Size(), oracle.Size())
+		}
+	}
 	queries := []geom.Point{{}, geom.UniverseBox(dims, fuzzSide).Hi}
 	for i := 0; i < 3; i++ {
 		if q, ok := tp.point(dims); ok {
@@ -175,6 +191,21 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 			t.Fatalf("ByName(%q) = nil", name)
 		}
 	}
+	// The Store stacks follow the raw indexes. The small MaxBatch makes
+	// threshold flushes split windows mid-op; the large one lets a window
+	// span every op between two checkpoints.
+	for i, inner := range []core.Index{
+		NewSPaCH(dims, universe), NewSPaCH(dims, universe),
+		NewSharded(NewSPaCH, dims, universe, 3), NewSharded(NewSPaCH, dims, universe, 3),
+	} {
+		opts := StoreOptions{MaxBatch: []int{48, 1 << 20}[i/2]}
+		if i%2 == 1 {
+			opts.Snapshot = inner.(core.Replicator).NewReplica
+		}
+		st := NewStore(inner, opts)
+		defer st.Close()
+		idxs = append(idxs, st)
+	}
 	oracle := core.NewBruteForce(dims)
 
 	apply := func(op func(core.Index)) {
@@ -213,9 +244,9 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 		case 4:
 			verifyAll(t, idxs, oracle, tp, dims)
 		}
-		for i, idx := range idxs {
-			if idx.Size() != oracle.Size() {
-				t.Fatalf("%s: size %d after op %d, oracle %d", names[i], idx.Size(), opCount, oracle.Size())
+		for i, name := range names { // the Stores' Size would flush their window
+			if idxs[i].Size() != oracle.Size() {
+				t.Fatalf("%s: size %d after op %d, oracle %d", name, idxs[i].Size(), opCount, oracle.Size())
 			}
 		}
 	}

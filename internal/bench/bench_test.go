@@ -133,7 +133,12 @@ func TestChurnSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
 	cfg.N = 2000
+	StartJSON("churn", cfg)
 	Churn(cfg)
+	var jsonBuf bytes.Buffer
+	if err := WriteJSON(&jsonBuf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"reader latency under flush churn", "reader tail latency vs flush path",
@@ -141,6 +146,24 @@ func TestChurnSmoke(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Churn output missing %q\n%s", want, out)
+		}
+	}
+	// The machine-readable mirror CI gates on: a psibench/v1 document
+	// carrying the cells the churn jq gate reads.
+	var doc JSONDoc
+	if err := json.Unmarshal(jsonBuf.Bytes(), &doc); err != nil {
+		t.Fatalf("psibench JSON does not parse: %v", err)
+	}
+	if doc.Schema != "psibench/v1" || doc.Experiment != "churn" {
+		t.Fatalf("JSON doc malformed: %+v", doc)
+	}
+	cells := map[[2]string]bool{}
+	for _, r := range doc.Results {
+		cells[[2]string{r.Index, r.Column}] = true
+	}
+	for _, c := range [][2]string{{"locked", "rd-p99-us"}, {"snapshot", "rd-p99-us"}, {"locked", "mut-kops/s"}, {"snapshot", "mut-kops/s"}} {
+		if !cells[c] {
+			t.Fatalf("JSON missing cell %s/%s", c[0], c[1])
 		}
 	}
 }
@@ -160,52 +183,6 @@ func TestServiceSmoke(t *testing.T) {
 	}
 	if strings.Contains(out, "service: ") {
 		t.Fatalf("Service run reported an error:\n%s", out)
-	}
-}
-
-func TestAllocSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	cfg.N = 2000
-	StartJSON("alloc", cfg)
-	Alloc(cfg)
-	var jsonBuf bytes.Buffer
-	if err := WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"scratch reuse before/after", "Store.Flush warm window",
-		"Collection move-window", "Sharded.BatchDiff move",
-		"psid serve NEARBY(10)", "psid NEARBY round trip",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Alloc output missing %q\n%s", want, out)
-		}
-	}
-	var doc JSONDoc
-	if err := json.Unmarshal(jsonBuf.Bytes(), &doc); err != nil {
-		t.Fatalf("psibench JSON does not parse: %v", err)
-	}
-	if doc.Schema != "psibench/v1" || doc.Experiment != "alloc" || len(doc.Results) == 0 {
-		t.Fatalf("JSON doc malformed: %+v", doc)
-	}
-	// The headline wins must hold even at smoke scale: the isolated warm
-	// Store flush drops to (near) zero, and the serving round trip halves.
-	val := func(index, column string) float64 {
-		for _, r := range doc.Results {
-			if r.Index == index && r.Column == column {
-				return r.Value
-			}
-		}
-		t.Fatalf("JSON missing cell %s/%s", index, column)
-		return 0
-	}
-	if before, after := val("Store.Flush warm window", "before"), val("Store.Flush warm window", "after"); after > before/2 {
-		t.Fatalf("warm Store flush allocs: before %.2f after %.2f (want >= 50%% reduction)", before, after)
-	}
-	if before, after := val("psid NEARBY round trip", "before"), val("psid NEARBY round trip", "after"); after > before/2 {
-		t.Fatalf("NEARBY round trip allocs: before %.2f after %.2f (want >= 50%% reduction)", before, after)
 	}
 }
 

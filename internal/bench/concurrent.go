@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/store"
+	"repro/internal/window"
 	"repro/internal/workload"
 )
 
@@ -48,7 +49,7 @@ func Concurrent(cfg Config) {
 		cfg.N, writers, readers, nMut, nMut)
 	fmt.Fprintf(cfg.Out, "(columns are Mops/s; higher is better; '*' marks are not meaningful here)\n")
 
-	tb := newTable(fmt.Sprintf("(a) throughput by index (MaxBatch=%d)", store.DefaultMaxBatch),
+	tb := newTable(fmt.Sprintf("(a) throughput by index (MaxBatch=%d)", window.DefaultMaxBatch),
 		"mut-Mops/s", "qry-Mops/s", "allocs/mut", "KB/mut").
 		setUnits("Mops/s", "Mops/s", "allocs/op", "KB/op")
 	for _, name := range parallelIndexes {

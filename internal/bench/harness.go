@@ -313,26 +313,3 @@ func measureMem(f func()) memDelta {
 	runtime.ReadMemStats(&m1)
 	return memDelta{allocs: m1.Mallocs - m0.Mallocs, bytes: m1.TotalAlloc - m0.TotalAlloc}
 }
-
-// allocsPerOp measures the steady-state allocation and time cost of f:
-// one untimed warm-up call (pools fill, buffers grow to their high-water
-// mark), then iters measured calls on a single P so no concurrent
-// bookkeeping pollutes the counters. Returns allocations/op, bytes/op
-// and ns/op.
-func allocsPerOp(iters int, f func()) (allocs, bytes, ns float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		f()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	n := float64(iters)
-	return float64(m1.Mallocs-m0.Mallocs) / n,
-		float64(m1.TotalAlloc-m0.TotalAlloc) / n,
-		float64(elapsed.Nanoseconds()) / n
-}

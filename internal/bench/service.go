@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/loadgen"
 	"repro/internal/service"
 	"repro/internal/workload"
 
@@ -60,7 +61,7 @@ func Service(cfg Config) {
 			fmt.Fprintf(cfg.Out, "service: %v\n", err)
 			return
 		}
-		rep, err := service.RunLoad(service.LoadOptions{
+		rep, err := loadgen.RunLoad(loadgen.LoadOptions{
 			Addr:     srv.Addr().String(),
 			Conns:    conns,
 			Objects:  objects,

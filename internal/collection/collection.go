@@ -22,12 +22,13 @@
 // boundary, as one versioned triple. Queries (NearbyIDs, WithinIDs) run
 // the geometric query and resolve every hit through the reverse multimap
 // of the same triple — they can never observe an index point without its
-// owner or vice versa. In the default locked mode the triple sits behind
-// a read/write lock; with Options.Snapshot set the Collection keeps two
-// triples and publishes them through an epoch manager (internal/epoch),
-// so queries pin the published epoch and never wait on a flush
-// (ARCHITECTURE.md "Epochs & snapshot reads"). Get is the exception
-// either way: it reads the caller's own pending tail (read-your-writes),
+// owner or vice versa. How readers are kept off the flush writer is the
+// version cell's job (epoch.Cell): in the default locked mode the triple
+// sits behind a read/write lock; with Options.Snapshot set the cell keeps
+// two triples, so queries pin the published epoch and never wait on a
+// flush (ARCHITECTURE.md "Epochs & snapshot reads"). The pending tape and
+// its flushing are the window engine's (internal/window). Get is the
+// exception either way: it reads the caller's own pending tail (read-your-writes),
 // so Get(id) after Set(id, p) returns p even before the flush makes p
 // visible to geometric queries.
 //
@@ -42,6 +43,7 @@ package collection
 import (
 	"fmt"
 	"iter"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,64 +53,18 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/wal"
+	"repro/internal/window"
 )
 
-// DefaultMaxBatch is the coalescing threshold used when Options.MaxBatch
-// is unset, matching store.DefaultMaxBatch: the pending-op count at which
-// the enqueuing goroutine flushes synchronously.
-const DefaultMaxBatch = 1024
-
-// Options tunes a Collection. The zero value is usable: DefaultMaxBatch
-// coalescing, no background flusher.
-type Options struct {
-	// MaxBatch is the pending-op count that triggers a synchronous flush
-	// by the enqueuing goroutine (built-in backpressure). <= 0 selects
-	// DefaultMaxBatch.
-	MaxBatch int
-	// FlushInterval, when positive, starts a background goroutine that
-	// flushes every interval, bounding how far geometric queries lag
-	// behind Set calls under light write traffic. Stop it with Close.
-	FlushInterval time.Duration
-	// DisableScratch turns off the flush- and query-path buffer recycling
-	// (op tape, netting map, diff buffers, reverse-multimap freelist,
-	// query scratch), so every window and query allocates fresh — the
-	// pre-reuse behavior. It exists so -exp alloc can measure the
-	// before/after of scratch reuse; production configurations leave it
-	// false.
-	DisableScratch bool
-	// Snapshot, when set, switches the Collection to epoch-pinned
-	// snapshot reads: it must return a fresh, EMPTY index configured
-	// identically to the wrapped one (core.Replicator semantics — most
-	// callers pass the same constructor they built idx with, and the
-	// service layer derives this automatically from core.Replicator).
-	// The Collection then versions the whole committed triple — index,
-	// forward table, reverse multimap — keeping two copies, applying
-	// every committed window to both (the off-line one first), and
-	// publishing through an atomic epoch pointer; NearbyIDs/WithinIDs/Get
-	// pin the published version instead of taking the read lock, so a
-	// reader never waits on a flush. The wrapped index must be empty at
-	// New. Leave nil for the classic single-copy RWMutex mode.
-	Snapshot func() core.Index
-	// Obs, when set, registers the Collection's metrics (flush counters,
-	// flush duration histogram, live-object and epoch gauges, all labeled
-	// layer="collection") and records a flush-pipeline span per flush
-	// into the registry's trace ring. Recording is atomics into
-	// preallocated storage — the zero-alloc flush guarantee holds with a
-	// live registry. Leave nil to pay nothing.
-	Obs *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	return o
-}
+// Options tunes a Collection: the coalescing trigger (MaxBatch), the
+// background flusher (FlushInterval), snapshot reads (Snapshot — the
+// whole committed triple is then versioned, and NearbyIDs/WithinIDs/Get
+// pin the published one) and metrics (Obs). The zero value is usable.
+type Options = window.Options
 
 // Stats is a snapshot of a Collection's lifetime counters. It is
-// assembled from atomics, the pending lock, and (in snapshot mode) a
-// pinned epoch — never the writer lock — so sampling it during a large
-// flush does not block.
+// assembled from atomics and the pending lock only — never the writer
+// lock — so sampling it during a large flush does not block.
 type Stats struct {
 	Flushes   uint64 // batches applied to the index
 	Inserted  uint64 // objects that entered the index (first Set)
@@ -138,92 +94,42 @@ type Entry[ID comparable] struct {
 // one with New; the zero value is not usable. All methods are safe for
 // concurrent use by any number of goroutines.
 type Collection[ID comparable] struct {
-	opts Options
-	idx  core.Index
+	name string
 	dims int
+	// inner lists the wrapped index of every copy (one, or two in
+	// snapshot mode) for Close, which the Collection owns.
+	inner []core.Index
 
-	// pend guards the ID-keyed coalescing log: the ordered op tape plus
-	// an overlay holding the latest pending op per ID (what Get reads).
-	// It is held only for appends, overlay lookups, and the post-commit
-	// purge — never while a batch is applied.
-	pend struct {
-		sync.Mutex
-		seq     uint64
-		ops     []op[ID]
-		overlay map[ID]tailOp
-	}
+	// eng owns the ordered op tape, the flush triggers and the flush
+	// lock. Its pending lock also guards seq and overlay — the latest
+	// pending op per ID, what Get reads — so the overlay always agrees
+	// with the tape order; it is held only for appends, overlay lookups
+	// and the post-commit purge, never while a batch is applied.
+	eng     window.Engine[op[ID]]
+	seq     uint64
+	overlay map[ID]tailOp
 
-	// flushMu serializes flushes, so the committed state always reflects
-	// a prefix of the enqueue history. In locked mode rw guards the
-	// committed triple live (inner index, fwd, rev): queries share read
-	// locks, a flush commits under the write lock. In snapshot mode live
-	// is nil and the triple is versioned through snap instead.
-	flushMu sync.Mutex
-	rw      sync.RWMutex
-	live    *collState[ID]
-
-	// snap is the snapshot-read state, active when Options.Snapshot is
-	// set: the epoch manager publishing the current triple, the standby
-	// twin the next flush writes, and the previously committed window
-	// (guarded by flushMu) — its netted ops plus the planned index diff —
-	// replayed on the standby as catch-up before the new window applies,
-	// so both twins see the same history one window apart. The two
-	// Version structs and the saved buffers live for the Collection's
-	// lifetime, preserving the zero-alloc flush.
-	snap struct {
-		enabled            bool
-		mgr                epoch.Manager[*collState[ID]]
-		standby            *epoch.Version[*collState[ID]]
-		savedOps           []op[ID]
-		savedIns, savedDel []geom.Point
-	}
-
-	// scratch is the flush-path buffer set (guarded by flushMu): the
-	// recycled op tape, the last-write-wins netting map, and the diff
-	// buffers handed to BatchDiff. revFree (guarded by rw's write side)
+	// cell owns the committed triples and how queries are kept off the
+	// flush writer; win is the netted window being committed (guarded by
+	// the flush lock). revFree (guarded by the cell's writer side)
 	// recycles the reverse multimap's small per-point ID slices, so a
 	// steady stream of moves churns no fresh slices. queryPool recycles
 	// per-query hit-resolution scratch across concurrent readers.
-	scratch   collScratch[ID]
+	cell      epoch.Cell[*collState[ID], *collWindow[ID]]
+	win       collWindow[ID]
 	revFree   [][]ID
 	queryPool sync.Pool
 
 	// journal is the durability commit hook (SetJournal), called under
-	// flushMu with every committed netted window before it is applied.
-	// journalErrs counts hook failures (the hook itself keeps the first
-	// error sticky; see wal.Log).
+	// the flush lock with every committed netted window before it is
+	// applied. journalErrs counts hook failures (the hook itself keeps
+	// the first error sticky; see wal.Log).
 	journal     func(ops []wal.Op[ID]) error
 	journalErrs atomic.Uint64
 
-	flushes   atomic.Uint64
-	inserted  atomic.Uint64
-	moved     atomic.Uint64
-	removed   atomic.Uint64
-	cancelled atomic.Uint64
-	rawOps    atomic.Uint64
-	applied   atomic.Uint64
-
-	// met is the observability hook set, nil unless Options.Obs was
-	// given. met.span is the persistent flush-span scratch, guarded by
-	// flushMu like the rest of the flush state, so recording a span never
-	// allocates.
-	met *collMetrics
-
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	// flusher tracks the background flush goroutine so it can be stopped
-	// and restarted at runtime (a replication role flip turns interval
-	// flushing off for a follower and back on at promotion). stop is the
-	// running flusher's private stop channel, nil while no flusher runs;
-	// closed latches once Close begins so a racing StartFlusher can never
-	// add to wg after Close's Wait.
-	flusher struct {
-		sync.Mutex
-		stop   chan struct{}
-		closed bool
-	}
+	inserted atomic.Uint64
+	moved    atomic.Uint64
+	removed  atomic.Uint64
 }
 
 // op is one logged mutation: Set (del=false) or Remove (del=true) of id.
@@ -244,8 +150,9 @@ type tailOp struct {
 }
 
 // collState is one committed triple: the geometric index, the forward
-// table, and the reverse multimap, always advanced together. Locked mode
-// has a single instance; snapshot mode ping-pongs between two.
+// table, and the reverse multimap, always advanced together. The cell
+// holds one instance in locked mode and ping-pongs between two in
+// snapshot mode.
 type collState[ID comparable] struct {
 	idx core.Index
 	// costed is idx's cost-reporting query interface when it has one
@@ -267,14 +174,16 @@ func newCollState[ID comparable](idx core.Index) *collState[ID] {
 	}
 }
 
-// collScratch is the recycled flush state. Everything grows to the window
-// high-water mark and is then reused.
-type collScratch[ID comparable] struct {
-	spare    []op[ID]
-	final    map[ID]op[ID]
+// collWindow is one netted window and the recycled flush scratch behind
+// it. Everything grows to the window high-water mark and is then reused.
+type collWindow[ID comparable] struct {
+	// final is the tape netted by last-write-wins: at most one op per ID.
+	final map[ID]op[ID]
+	// ins and del are the index diff planned from final against the
+	// committed forward table.
 	ins, del []geom.Point
-	// jops is the journal hook's window buffer, rebuilt from the
-	// netting map each flush so journaling allocates nothing warm.
+	// jops is the journal hook's window buffer, rebuilt from final each
+	// flush so journaling allocates nothing warm.
 	jops []wal.Op[ID]
 }
 
@@ -296,31 +205,24 @@ const maxRevFree = 1 << 16
 // immediately; pair New with Close to stop it.
 func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	c := &Collection[ID]{
-		opts: opts.withDefaults(),
-		idx:  idx,
-		dims: idx.Dims(),
-		stop: make(chan struct{}),
+		name:    fmt.Sprintf("Collection(%s)", idx.Name()),
+		dims:    idx.Dims(),
+		inner:   epoch.Copies("collection", idx, opts.Snapshot),
+		overlay: make(map[ID]tailOp),
 	}
-	c.pend.overlay = make(map[ID]tailOp)
+	c.win.final = make(map[ID]op[ID])
 	c.queryPool.New = func() any { return new(queryScratch) }
-	if c.opts.Snapshot != nil {
-		if idx.Size() != 0 {
-			panic("collection: Options.Snapshot requires an initially empty index")
-		}
-		mirror := c.opts.Snapshot()
-		if mirror == nil || mirror.Size() != 0 {
-			panic("collection: Options.Snapshot must return a fresh, empty index")
-		}
-		c.snap.enabled = true
-		c.snap.mgr.Init(epoch.NewVersion(newCollState[ID](idx)))
-		c.snap.standby = epoch.NewVersion(newCollState[ID](mirror))
-	} else {
-		c.live = newCollState[ID](idx)
+	states := make([]*collState[ID], len(c.inner))
+	for i, inner := range c.inner {
+		states[i] = newCollState[ID](inner)
 	}
-	if c.opts.Obs != nil {
-		c.met = newCollMetrics(c.opts.Obs, c)
-	}
-	c.StartFlusher(c.opts.FlushInterval)
+	c.cell.Init(c.applyWindow, states...)
+	layer := obs.Label{Key: "layer", Value: "collection"}
+	c.cell.Register(opts.Obs, layer)
+	opts.Obs.GaugeFunc("psi_objects",
+		"Live objects in the committed (published) state.",
+		func() float64 { return float64(c.Stats().Objects) }, layer)
+	c.eng.Init("collection", opts, c.net, c.commit)
 	return c
 }
 
@@ -329,100 +231,36 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 // contract). A replication follower runs without one — windows apply
 // only on the leader's schedule — and promotion calls StartFlusher to
 // restore normal serving behavior in place.
-func (c *Collection[ID]) StartFlusher(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.flusher.Lock()
-	defer c.flusher.Unlock()
-	if c.flusher.closed || c.flusher.stop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	c.flusher.stop = stop
-	c.wg.Add(1)
-	go c.flushLoop(d, stop)
-}
+func (c *Collection[ID]) StartFlusher(d time.Duration) { c.eng.StartFlusher(d) }
 
 // StopFlusher stops the background flusher and waits for it to exit (no
 // tick-driven Flush is in flight on return). A no-op when none runs.
-func (c *Collection[ID]) StopFlusher() {
-	c.flusher.Lock()
-	stop := c.flusher.stop
-	c.flusher.stop = nil
-	c.flusher.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	c.wg.Wait()
-}
+func (c *Collection[ID]) StopFlusher() { c.eng.StopFlusher() }
 
 // SetMaxBatch changes the pending-op count that triggers a synchronous
-// flush (n <= 0 restores DefaultMaxBatch). A follower effectively
+// flush (n <= 0 restores the default). A follower effectively
 // disables count-triggered flushes with a huge bound — only replicated
 // windows may commit — and promotion restores the configured one.
-func (c *Collection[ID]) SetMaxBatch(n int) {
-	if n <= 0 {
-		n = DefaultMaxBatch
-	}
-	c.pend.Lock()
-	c.opts.MaxBatch = n
-	c.pend.Unlock()
-}
-
-func (c *Collection[ID]) flushLoop(d time.Duration, stop chan struct{}) {
-	defer c.wg.Done()
-	t := time.NewTicker(d)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			c.Flush()
-		case <-stop:
-			return
-		case <-c.stop:
-			return
-		}
-	}
-}
+func (c *Collection[ID]) SetMaxBatch(n int) { c.eng.SetMaxBatch(n) }
 
 // Close stops the background flusher (if any), applies all pending ops
 // as a final flush (journaled like any other window when a hook is
-// installed), and closes the inner index when it has a Close method of
-// its own (a wrapped Store's background flusher, for example — the
-// Collection owns idx, so nobody else can stop it). The whole sequence
-// runs exactly once: the ticker goroutine is fully stopped before the
-// final flush, and the inner close happens under the flush lock, so no
-// flush — ticker tick, concurrent Close, or a racing Set-triggered
-// flush — can apply to a half-closed index. Close is idempotent; the
-// Collection remains queryable afterwards (only the periodic flushing
-// ends — a wrapped Store stays usable after its own Close, per its
-// contract).
+// installed), and closes the inner index of every copy when it has a
+// Close method of its own (a wrapped Store's background flusher, for
+// example — the Collection owns idx, so nobody else can stop it). The
+// whole sequence runs exactly once, in the engine's Close order: the
+// ticker goroutine is fully stopped before the final flush, and the
+// inner close happens under the flush lock, so no flush — ticker tick,
+// concurrent Close, or a racing Set-triggered flush — can apply to a
+// half-closed index. Close is idempotent; the Collection remains
+// queryable afterwards (only the periodic flushing ends — a wrapped
+// Store stays usable after its own Close, per its contract).
 func (c *Collection[ID]) Close() {
-	c.closeOnce.Do(func() {
-		c.flusher.Lock()
-		c.flusher.closed = true // no StartFlusher can add to wg past this point
-		c.flusher.Unlock()
-		close(c.stop)
-		// The ticker goroutine has exited before the final flush below:
-		// a tick can never flush after the inner index is closed.
-		c.wg.Wait()
-		c.Flush()
-		c.flushMu.Lock()
-		defer c.flushMu.Unlock()
-		if c.snap.enabled {
-			// Both twins may wrap closable layers; flushMu keeps the
-			// current/standby pair stable while they are closed.
-			for _, st := range []*collState[ID]{c.snap.mgr.Current().Data, c.snap.standby.Data} {
-				if cl, ok := st.idx.(interface{ Close() }); ok {
-					cl.Close()
-				}
+	c.eng.Close(func() {
+		for _, idx := range c.inner {
+			if cl, ok := idx.(interface{ Close() }); ok {
+				cl.Close()
 			}
-			return
-		}
-		if cl, ok := c.idx.(interface{ Close() }); ok {
-			cl.Close()
 		}
 	})
 }
@@ -438,9 +276,7 @@ func (c *Collection[ID]) Close() {
 // errors are counted in Stats.JournalErrors; see Flush for why they do
 // not abort the commit.
 func (c *Collection[ID]) SetJournal(fn func(ops []wal.Op[ID]) error) {
-	c.flushMu.Lock()
-	c.journal = fn
-	c.flushMu.Unlock()
+	c.eng.Exclusive(func() { c.journal = fn })
 }
 
 // Checkpoint runs fn while the flush pipeline is quiescent: no window
@@ -454,27 +290,17 @@ func (c *Collection[ID]) SetJournal(fn func(ops []wal.Op[ID]) error) {
 // iterator past its return. Pending (unflushed, unjournaled) ops are
 // deliberately excluded.
 func (c *Collection[ID]) Checkpoint(fn func(objects int, entries iter.Seq2[ID, geom.Point])) {
-	c.flushMu.Lock()
-	defer c.flushMu.Unlock()
-	st := c.live
-	if c.snap.enabled {
-		st = c.snap.mgr.Current().Data
-	}
-	// Only flushes write fwd and flushMu excludes them all; concurrent
-	// readers share fwd without a lock in snapshot mode and under
-	// RLocks (which do not exclude us) in locked mode — either way a
-	// read-only walk here is race-free.
-	fn(len(st.fwd), func(yield func(ID, geom.Point) bool) {
-		for id, p := range st.fwd {
-			if !yield(id, p) {
-				return
-			}
-		}
+	c.eng.Exclusive(func() {
+		// The flush lock already excludes every writer of fwd; acquiring
+		// is just the uniform way to reach the published triple.
+		v := c.cell.Acquire()
+		defer c.cell.Release(v)
+		fn(len(v.Data.fwd), maps.All(v.Data.fwd))
 	})
 }
 
 // Name labels the Collection after its inner index.
-func (c *Collection[ID]) Name() string { return fmt.Sprintf("Collection(%s)", c.idx.Name()) }
+func (c *Collection[ID]) Name() string { return c.name }
 
 // Dims returns the dimensionality of the inner index.
 func (c *Collection[ID]) Dims() int { return c.dims }
@@ -489,42 +315,32 @@ func (c *Collection[ID]) Set(id ID, p geom.Point) { c.enqueue(id, p, false) }
 func (c *Collection[ID]) Remove(id ID) { c.enqueue(id, geom.Point{}, true) }
 
 func (c *Collection[ID]) enqueue(id ID, p geom.Point, del bool) {
-	c.pend.Lock()
-	c.pend.seq++
-	c.pend.ops = append(c.pend.ops, op[ID]{id: id, p: p, del: del, seq: c.pend.seq})
-	c.pend.overlay[id] = tailOp{p: p, del: del, seq: c.pend.seq}
-	full := len(c.pend.ops) >= c.opts.MaxBatch
-	c.pend.Unlock()
-	if full {
-		c.Flush()
-	}
+	c.eng.Lock()
+	c.seq++
+	c.eng.Append(op[ID]{id: id, p: p, del: del, seq: c.seq})
+	c.overlay[id] = tailOp{p: p, del: del, seq: c.seq}
+	c.eng.Unlock() // flushes when this op filled the window
 }
 
 // Get returns id's position. It observes the caller's latest enqueued op
 // for id even before a flush (read-your-writes): the pending overlay is
 // consulted first, the committed table second. The overlay is purged
-// only after its window commits (under the writer lock in locked mode,
-// after publish in snapshot mode), so a Get that misses the overlay is
-// guaranteed to see a committed state at least as new as every purged op.
+// only after its window is visible to every reader, so a Get that misses
+// the overlay is guaranteed to see a committed state at least as new as
+// every purged op.
 func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
-	c.pend.Lock()
-	tail, ok := c.pend.overlay[id]
-	c.pend.Unlock()
+	c.eng.Lock()
+	tail, ok := c.overlay[id]
+	c.eng.Unlock()
 	if ok {
 		if tail.del {
 			return geom.Point{}, false
 		}
 		return tail.p, true
 	}
-	if c.snap.enabled {
-		v := c.snap.mgr.Pin()
-		p, live := v.Data.fwd[id]
-		c.snap.mgr.Unpin(v)
-		return p, live
-	}
-	c.rw.RLock()
-	p, live := c.live.fwd[id]
-	c.rw.RUnlock()
+	v := c.cell.Acquire()
+	p, live := v.Data.fwd[id]
+	c.cell.Release(v)
 	return p, live
 }
 
@@ -532,72 +348,41 @@ func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
 // answer reflects every enqueue that happened before the call.
 func (c *Collection[ID]) Len() int {
 	c.Flush()
-	if c.snap.enabled {
-		v := c.snap.mgr.Pin()
-		defer c.snap.mgr.Unpin(v)
-		return len(v.Data.fwd)
-	}
-	c.rw.RLock()
-	defer c.rw.RUnlock()
-	return len(c.live.fwd)
+	v := c.cell.Acquire()
+	defer c.cell.Release(v)
+	return len(v.Data.fwd)
 }
 
 // Epoch returns the snapshot epoch of the currently published version —
 // it advances by exactly one per committed window — or 0 in locked mode.
 // The fuzz harness uses it to correlate concurrent pinned reads with the
 // flush history.
-func (c *Collection[ID]) Epoch() uint64 { return c.snap.mgr.Epoch() }
+func (c *Collection[ID]) Epoch() uint64 { return c.cell.Epoch() }
 
 // Flush nets every pending op by last-write-wins per ID, applies the
 // resulting diff to the index as one BatchDiff, and advances the
-// forward/reverse tables under the same writer lock. It returns the
-// number of index mutations applied (inserts + deletes). Flush is a
+// forward/reverse tables in the same commit. It returns the number of
+// index mutations applied (inserts + deletes). Flush is a
 // synchronization barrier: on return, every op enqueued before the call
 // is visible to geometric queries.
-func (c *Collection[ID]) Flush() int {
-	c.flushMu.Lock()
-	defer c.flushMu.Unlock()
-	sc := &c.scratch
-	if c.opts.DisableScratch {
-		sc = new(collScratch[ID])
-	}
-	c.pend.Lock()
-	if len(c.pend.ops) == 0 {
-		c.pend.Unlock()
-		return 0
-	}
-	ops := c.pend.ops
-	// Hand the previous window's emptied tape to the enqueuers: the op
-	// log double-buffers instead of re-growing from nil every window.
-	c.pend.ops = sc.spare
-	sc.spare = nil
-	c.pend.Unlock()
+func (c *Collection[ID]) Flush() int { return c.eng.Flush() }
 
-	m := c.met
-	var clk time.Time
-	if m != nil {
-		clk = time.Now()
-		m.span = obs.FlushSpan{Layer: "collection", Start: clk.UnixNano()}
-	}
-
-	// Net the window: the last op per ID wins, every earlier op on that
-	// ID is superseded. Identity makes this exact — no order-aware
-	// matching needed.
-	// sc.final is empty here: every completed flush clears it on the way
-	// out (so retained capacity never pins ID values while idle).
-	if sc.final == nil {
-		sc.final = make(map[ID]op[ID], len(ops))
-	}
-	final := sc.final
+// net is the engine's netting step: the last op per ID wins, every
+// earlier op on that ID is superseded. Identity makes this exact — no
+// order-aware matching needed. final is empty on entry: every commit
+// clears it on the way out.
+func (c *Collection[ID]) net(ops []op[ID]) (cancelled int) {
+	final := c.win.final
 	for _, o := range ops {
 		final[o.id] = o
 	}
-	cancelled := len(ops) - len(final)
-	c.cancelled.Add(uint64(cancelled))
-	if m != nil {
-		clk = m.span.Stamp(obs.StageNet, clk)
-	}
+	return len(ops) - len(final)
+}
 
+// commit is the engine's apply step for the window net just produced:
+// journal it, plan the index diff, and commit both through the cell.
+func (c *Collection[ID]) commit(sp *obs.FlushSpan, clk time.Time) (applied int) {
+	w := &c.win
 	// Journal the committed window before applying it (write-ahead):
 	// under the always-fsync policy a caller's Flush returns — and the
 	// service acknowledges — only after the window is on disk. A hook
@@ -606,64 +391,46 @@ func (c *Collection[ID]) Flush() int {
 	// decides whether to keep acknowledging (it does not; see
 	// internal/service).
 	if c.journal != nil {
-		jops := sc.jops[:0]
-		for _, o := range final {
+		jops := w.jops[:0]
+		for _, o := range w.final {
 			jops = append(jops, wal.Op[ID]{ID: o.id, P: o.p, Del: o.del})
 		}
 		if err := c.journal(jops); err != nil {
 			c.journalErrs.Add(1)
 		}
 		clear(jops) // drop ID values so recycled capacity pins nothing
-		sc.jops = jops[:0]
-		if m != nil {
-			clk = m.span.Stamp(obs.StageLog, clk)
-		}
+		w.jops = jops[:0]
+		clk = sp.Stamp(obs.StageLog, clk)
 	}
-
-	var applied int
-	var nIns, nMove, nDel uint64
-	if c.snap.enabled {
-		applied, nIns, nMove, nDel = c.commitSnapshot(sc, final, clk)
-	} else {
-		applied, nIns, nMove, nDel = c.commitLocked(sc, final, clk)
-	}
-
-	// The netted tape and the ins/del buffers are dead: the index must
-	// not have retained the batch slices (the core.Index contract), so
-	// everything is reusable next window. Clear the tape and the netting
-	// map before retiring them so recycled capacity never pins the
-	// window's ID values (strings, typically) while the collection idles.
-	clear(ops)
-	clear(final)
-	sc.spare = ops[:0]
-
-	c.flushes.Add(1)
+	// Plan against the copy the cell writes first — its forward table
+	// equals the published one, and only flushes write it. Planning
+	// counts toward the net stage.
+	nIns, nMove, nDel := c.planDiff(w, c.cell.Writable())
+	clk = sp.Stamp(obs.StageNet, clk)
+	clk = c.cell.Commit(w, sp, clk)
+	// Purge the overlay only now that every reader sees the window: a Get
+	// that misses the overlay then reads a committed state that already
+	// includes every purged op. Doing it last also leaves the overlay's
+	// buckets warm for the enqueues that follow the flush.
+	c.purgeOverlay(w)
+	sp.Stamp(obs.StageApply, clk)
 	c.inserted.Add(nIns)
 	c.moved.Add(nMove)
 	c.removed.Add(nDel)
-	c.rawOps.Add(uint64(len(ops)))
-	c.applied.Add(uint64(applied))
-	if m != nil {
-		m.span.RawOps = len(ops)
-		m.span.NettedOps = applied
-		m.span.Cancelled = cancelled
-		if c.snap.enabled {
-			m.span.Epoch = c.snap.mgr.Epoch()
-		}
-		m.flushDur.Record(m.span.Dur())
-		m.trace.Record(m.span)
-	}
-	return applied
+	// The index must not have retained the batch slices (the core.Index
+	// contract), so everything is reusable next window. Clear the netting
+	// map so recycled capacity never pins the window's ID values
+	// (strings, typically) while the collection idles.
+	clear(w.final)
+	return len(w.ins) + len(w.del)
 }
 
-// planDiff turns one netted window into the (ins, del) index batches by
-// comparing against st's forward table (callers hold flushMu; only
-// flushes write fwd, so no reader lock is needed). The returned slices
-// alias the scratch.
-func (c *Collection[ID]) planDiff(sc *collScratch[ID], st *collState[ID], final map[ID]op[ID]) (ins, del []geom.Point, nIns, nMove, nDel uint64) {
-	ins = sc.ins[:0]
-	del = sc.del[:0]
-	for id, o := range final {
+// planDiff turns the netted window into its (ins, del) index batches by
+// comparing against st's forward table (callers hold the flush lock;
+// only flushes write fwd, so no reader lock is needed).
+func (c *Collection[ID]) planDiff(w *collWindow[ID], st *collState[ID]) (nIns, nMove, nDel uint64) {
+	ins, del := w.ins[:0], w.del[:0]
+	for id, o := range w.final {
 		old, live := st.fwd[id]
 		switch {
 		case o.del && live:
@@ -682,19 +449,21 @@ func (c *Collection[ID]) planDiff(sc *collScratch[ID], st *collState[ID], final 
 			nIns++
 		}
 	}
-	return ins, del, nIns, nMove, nDel
+	w.ins, w.del = ins, del
+	return nIns, nMove, nDel
 }
 
-// applyDiff applies one planned window to st: the index batch (flushing
-// any inner deferring layer inside the commit so the triple never
-// disagrees at a read boundary) and then every netted op through the
-// forward/reverse tables.
-func (c *Collection[ID]) applyDiff(st *collState[ID], ins, del []geom.Point, final map[ID]op[ID]) {
-	st.idx.BatchDiff(ins, del)
+// applyWindow is the cell's apply step: it advances one triple by one
+// planned window — the index batch (flushing any inner deferring layer
+// inside the commit so the triple never disagrees at a read boundary)
+// and then every netted op through the forward/reverse tables. The plan
+// is valid for every copy because the copies agree between commits.
+func (c *Collection[ID]) applyWindow(st *collState[ID], w *collWindow[ID]) {
+	st.idx.BatchDiff(w.ins, w.del)
 	if f, ok := st.idx.(interface{ Flush() int }); ok {
 		f.Flush()
 	}
-	for _, o := range final {
+	for _, o := range w.final {
 		c.applyOp(st, o)
 	}
 }
@@ -722,106 +491,22 @@ func (c *Collection[ID]) applyOp(st *collState[ID], o op[ID]) {
 // purgeOverlay drops overlay entries the committed window supersedes.
 // Ops enqueued after the tape swap carry higher sequence numbers and
 // survive.
-func (c *Collection[ID]) purgeOverlay(final map[ID]op[ID]) {
-	c.pend.Lock()
-	for id, o := range final {
-		if tail, ok := c.pend.overlay[id]; ok && tail.seq <= o.seq {
-			delete(c.pend.overlay, id)
+func (c *Collection[ID]) purgeOverlay(w *collWindow[ID]) {
+	c.eng.Lock()
+	for id, o := range w.final {
+		if tail, ok := c.overlay[id]; ok && tail.seq <= o.seq {
+			delete(c.overlay, id)
 		}
 	}
-	c.pend.Unlock()
+	c.eng.Unlock()
 }
 
-// commitLocked applies one netted window in locked mode: plan against
-// the single committed triple, commit under the writer lock, and purge
-// the overlay before releasing it — after a Get misses the overlay, the
-// committed state it then reads must already include every purged op.
-// clk is the flush-span clock (only read when metrics are attached);
-// planning counts toward the net stage, the locked commit toward apply.
-func (c *Collection[ID]) commitLocked(sc *collScratch[ID], final map[ID]op[ID], clk time.Time) (applied int, nIns, nMove, nDel uint64) {
-	m := c.met
-	st := c.live
-	ins, del, nIns, nMove, nDel := c.planDiff(sc, st, final)
-	if m != nil {
-		clk = m.span.Stamp(obs.StageNet, clk)
-	}
-	c.rw.Lock()
-	c.applyDiff(st, ins, del, final)
-	c.purgeOverlay(final)
-	c.rw.Unlock()
-	if m != nil {
-		m.span.Stamp(obs.StageApply, clk)
-	}
-	sc.ins, sc.del = ins[:0], del[:0]
-	return len(ins) + len(del), nIns, nMove, nDel
-}
-
-// commitSnapshot applies one netted window in snapshot mode (callers
-// hold flushMu). The standby triple is first caught up with the
-// previously committed window — the saved index diff plus the saved
-// netted ops, replayed in the same order the published twin saw them —
-// then the new window is planned against the standby's (now current)
-// forward table, applied, recorded as the next saved window, and
-// published. Queries running concurrently pin whichever version is
-// current and never block; the overlay purge happens after publish, so a
-// Get that misses the overlay pins a version that already includes every
-// purged op. The flush returns only after the displaced version drains,
-// at which point it becomes the next standby.
-func (c *Collection[ID]) commitSnapshot(sc *collScratch[ID], final map[ID]op[ID], clk time.Time) (applied int, nIns, nMove, nDel uint64) {
-	m := c.met
-	st := c.snap.standby.Data
-	st.idx.BatchDiff(c.snap.savedIns, c.snap.savedDel)
-	if f, ok := st.idx.(interface{ Flush() int }); ok {
-		f.Flush()
-	}
-	for _, o := range c.snap.savedOps {
-		c.applyOp(st, o)
-	}
-	clear(c.snap.savedOps) // do not pin the replayed window's ID values
-	if m != nil {
-		clk = m.span.Stamp(obs.StageReplay, clk)
-	}
-
-	ins, del, nIns, nMove, nDel := c.planDiff(sc, st, final)
-	if m != nil {
-		clk = m.span.Stamp(obs.StageNet, clk)
-	}
-	c.applyDiff(st, ins, del, final)
-
-	// Save the window for the next catch-up: ins/del alias the netting
-	// scratch and final is cleared by the caller, so both are copied
-	// into buffers that persist across flushes.
-	saved := c.snap.savedOps[:0]
-	for _, o := range final {
-		saved = append(saved, o)
-	}
-	c.snap.savedOps = saved
-	c.snap.savedIns = append(c.snap.savedIns[:0], ins...)
-	c.snap.savedDel = append(c.snap.savedDel[:0], del...)
-	sc.ins, sc.del = ins[:0], del[:0]
-	if m != nil {
-		clk = m.span.Stamp(obs.StageApply, clk)
-	}
-
-	prev := c.snap.mgr.Publish(c.snap.standby)
-	c.purgeOverlay(final)
-	if m != nil {
-		clk = m.span.Stamp(obs.StagePublish, clk)
-	}
-	c.snap.mgr.WaitDrained(prev)
-	if m != nil {
-		m.span.Stamp(obs.StageDrain, clk)
-	}
-	c.snap.standby = prev
-	return len(ins) + len(del), nIns, nMove, nDel
-}
-
-// revRemove drops one occurrence of id from st's rev[p] (callers hold
-// the flush mutex, plus rw's write side in locked mode). Emptied ID
-// slices go to the freelist so the next revAdd of a fresh point reuses
-// them instead of allocating. The freelist is shared across both
-// snapshot twins — a slice lives in at most one rev map at a time, so
-// recycling between them is safe.
+// revRemove drops one occurrence of id from st's rev[p] (it runs inside
+// the cell's commit, on the copy being written). Emptied ID slices go to
+// the freelist so the next revAdd of a fresh point reuses them instead
+// of allocating. The freelist is shared across both snapshot twins — a
+// slice lives in at most one rev map at a time, so recycling between
+// them is safe.
 func (c *Collection[ID]) revRemove(st *collState[ID], p geom.Point, id ID) {
 	ids := st.rev[p]
 	for i, got := range ids {
@@ -833,7 +518,7 @@ func (c *Collection[ID]) revRemove(st *collState[ID], p geom.Point, id ID) {
 	}
 	if len(ids) == 0 {
 		delete(st.rev, p)
-		if cap(ids) > 0 && len(c.revFree) < maxRevFree && !c.opts.DisableScratch {
+		if cap(ids) > 0 && len(c.revFree) < maxRevFree {
 			clear(ids[:cap(ids)]) // drop stale ID values so nothing is pinned
 			c.revFree = append(c.revFree, ids)
 		}
@@ -877,35 +562,12 @@ func (c *Collection[ID]) NearbyIDsAppend(q geom.Point, k int, dst []Entry[ID]) [
 // one shard and every geometric hit as a candidate. The slow-query log
 // is the intended caller.
 func (c *Collection[ID]) NearbyIDsAppendCost(q geom.Point, k int, dst []Entry[ID], cost *obs.QueryCost) []Entry[ID] {
-	sc := c.getQueryScratch()
-	var st *collState[ID]
-	if c.snap.enabled {
-		// Pin the published epoch: wait-free against flushes. The Unpin
-		// is deferred so a panicking inner index never wedges the
-		// writer's drain.
-		v := c.snap.mgr.Pin()
-		defer c.snap.mgr.Unpin(v)
-		st = v.Data
-		if cost != nil {
-			cost.Epoch = v.Epoch()
+	return c.query(dst, cost, func(st *collState[ID], pts []geom.Point) []geom.Point {
+		if cost != nil && st.costed != nil {
+			return st.costed.KNNCost(q, k, pts, cost)
 		}
-	} else {
-		c.rw.RLock()
-		defer c.rw.RUnlock() // deferred so a panicking inner index never wedges writers
-		st = c.live
-	}
-	if cost != nil && st.costed != nil {
-		sc.pts = st.costed.KNNCost(q, k, sc.pts[:0], cost)
-	} else {
-		sc.pts = st.idx.KNN(q, k, sc.pts[:0])
-		if cost != nil {
-			cost.Shards++
-			cost.Candidates += len(sc.pts)
-		}
-	}
-	dst = c.resolveAppend(st, sc, dst)
-	c.putQueryScratch(sc)
-	return dst
+		return st.idx.KNN(q, k, pts)
+	})
 }
 
 // WithinIDs returns every object inside box (order unspecified),
@@ -923,50 +585,39 @@ func (c *Collection[ID]) WithinIDsAppend(box geom.Box, dst []Entry[ID]) []Entry[
 // WithinIDsAppendCost is WithinIDsAppend with query-cost accounting
 // (see NearbyIDsAppendCost for the contract).
 func (c *Collection[ID]) WithinIDsAppendCost(box geom.Box, dst []Entry[ID], cost *obs.QueryCost) []Entry[ID] {
-	sc := c.getQueryScratch()
-	var st *collState[ID]
-	if c.snap.enabled {
-		v := c.snap.mgr.Pin()
-		defer c.snap.mgr.Unpin(v)
-		st = v.Data
-		if cost != nil {
-			cost.Epoch = v.Epoch()
+	return c.query(dst, cost, func(st *collState[ID], pts []geom.Point) []geom.Point {
+		if cost != nil && st.costed != nil {
+			return st.costed.RangeListCost(box, pts, cost)
 		}
-	} else {
-		c.rw.RLock()
-		defer c.rw.RUnlock() // deferred so a panicking inner index never wedges writers
-		st = c.live
-	}
-	if cost != nil && st.costed != nil {
-		sc.pts = st.costed.RangeListCost(box, sc.pts[:0], cost)
-	} else {
-		sc.pts = st.idx.RangeList(box, sc.pts[:0])
-		if cost != nil {
+		return st.idx.RangeList(box, pts)
+	})
+}
+
+// query is the shared body of the geometric queries: run the index query
+// against the acquired triple — pinned in snapshot mode (wait-free
+// against flushes), read-locked otherwise — into pooled scratch, and
+// resolve the hits through the same triple. The Release is deferred so a
+// panicking inner index never wedges the flush writer.
+func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(st *collState[ID], pts []geom.Point) []geom.Point) []Entry[ID] {
+	sc := c.queryPool.Get().(*queryScratch)
+	defer c.queryPool.Put(sc)
+	v := c.cell.Acquire()
+	defer c.cell.Release(v)
+	st := v.Data
+	sc.pts = run(st, sc.pts[:0])
+	if cost != nil {
+		cost.Epoch = v.Epoch()
+		if st.costed == nil {
 			cost.Shards++
 			cost.Candidates += len(sc.pts)
 		}
 	}
-	dst = c.resolveAppend(st, sc, dst)
-	c.putQueryScratch(sc)
-	return dst
-}
-
-func (c *Collection[ID]) getQueryScratch() *queryScratch {
-	if c.opts.DisableScratch {
-		return new(queryScratch)
-	}
-	return c.queryPool.Get().(*queryScratch)
-}
-
-func (c *Collection[ID]) putQueryScratch(sc *queryScratch) {
-	if !c.opts.DisableScratch {
-		c.queryPool.Put(sc)
-	}
+	return c.resolveAppend(st, sc, dst)
 }
 
 // resolveAppend maps the scratch's hit multiset to entries through st's
-// reverse multimap, appending to dst (callers hold rw or a pin on st's
-// version). A point stored once per object at it means hits and rev
+// reverse multimap, appending to dst (callers hold st's version
+// acquired). A point stored once per object at it means hits and rev
 // lists have equal multiplicity; for the rare points owned by several
 // objects, a cursor walks the ID list so duplicate hits resolve to
 // distinct objects. Single-owner points — the common case — never touch
@@ -1001,38 +652,29 @@ func (c *Collection[ID]) resolveAppend(st *collState[ID], sc *queryScratch, dst 
 }
 
 // Pending returns the number of enqueued, not-yet-flushed ops.
-func (c *Collection[ID]) Pending() int {
-	c.pend.Lock()
-	defer c.pend.Unlock()
-	return len(c.pend.ops)
-}
+func (c *Collection[ID]) Pending() int { return c.eng.Pending() }
 
 // Stats returns a snapshot of the Collection's counters. Counters are
 // updated after each flush, so a snapshot racing a flush may lag by that
 // one batch. Stats never takes the writer lock, so it does not block
-// behind an in-flight flush: in snapshot mode Objects is the published
-// epoch's live-object count, in locked mode it is derived from the
-// lifetime counters (identical at every flush boundary).
+// behind an in-flight flush: Objects is derived from the lifetime
+// counters, which equal the committed forward table's size at every
+// flush boundary.
 func (c *Collection[ID]) Stats() Stats {
+	es := c.eng.Stats()
 	st := Stats{
-		Flushes:       c.flushes.Load(),
+		Flushes:       es.Flushes,
 		Inserted:      c.inserted.Load(),
 		Moved:         c.moved.Load(),
 		Removed:       c.removed.Load(),
-		Cancelled:     c.cancelled.Load(),
+		Cancelled:     es.Cancelled,
 		JournalErrors: c.journalErrs.Load(),
-		Pending:       c.Pending(),
-		Versions:      1,
+		Pending:       es.Pending,
+		Epoch:         c.cell.Epoch(),
+		Versions:      c.cell.Versions(),
+		RetireLag:     c.cell.RetireLag(),
 	}
 	st.Objects = int(st.Inserted) - int(st.Removed)
-	if c.snap.enabled {
-		v := c.snap.mgr.Pin()
-		st.Objects = len(v.Data.fwd)
-		c.snap.mgr.Unpin(v)
-		st.Epoch = c.snap.mgr.Epoch()
-		st.Versions = 2
-		st.RetireLag = c.snap.mgr.RetireLag()
-	}
 	return st
 }
 
@@ -1042,14 +684,9 @@ func (c *Collection[ID]) Stats() Stats {
 // inverses. Tests and the fuzz harness call it after every tape.
 func (c *Collection[ID]) Validate() error {
 	c.Flush()
-	if c.snap.enabled {
-		v := c.snap.mgr.Pin()
-		defer c.snap.mgr.Unpin(v)
-		return v.Data.validate()
-	}
-	c.rw.RLock()
-	defer c.rw.RUnlock()
-	return c.live.validate()
+	v := c.cell.Acquire()
+	defer c.cell.Release(v)
+	return v.Data.validate()
 }
 
 func (st *collState[ID]) validate() error {

@@ -76,6 +76,25 @@ func TestGetReadsOwnWritesBeforeFlush(t *testing.T) {
 	}
 }
 
+// TestMaxBatchMakesWindowVisible pins the first clause of the visibility
+// contract at this layer: Options.MaxBatch reaches the engine, and the Set
+// that fills the window applies it — no Flush call. (The trigger itself
+// is the engine's and is tested in internal/window.)
+func TestMaxBatchMakesWindowVisible(t *testing.T) {
+	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 8})
+	defer c.Close()
+	for i := 0; i < 7; i++ {
+		c.Set(i, geom.Pt2(int64(i), 1))
+	}
+	if st := c.Stats(); st.Flushes != 0 || st.Pending != 7 || len(c.WithinIDs(universe())) != 0 {
+		t.Fatalf("below MaxBatch: %+v, want nothing applied", st)
+	}
+	c.Set(7, geom.Pt2(7, 1))
+	if st := c.Stats(); st.Flushes != 1 || st.Pending != 0 || len(c.WithinIDs(universe())) != 8 {
+		t.Fatalf("the filling Set did not flush: %+v", st)
+	}
+}
+
 func TestMoveChainNetsToOneDiff(t *testing.T) {
 	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
 	defer c.Close()
@@ -445,31 +464,6 @@ func TestLenFlushesAndStats(t *testing.T) {
 	}
 	if c.Dims() != 2 {
 		t.Fatalf("Dims = %d", c.Dims())
-	}
-}
-
-func TestMaxBatchTriggersFlush(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 8})
-	defer c.Close()
-	for i := 0; i < 8; i++ {
-		c.Set(i, geom.Pt2(int64(i), 0))
-	}
-	if st := c.Stats(); st.Flushes != 1 || st.Inserted != 8 || st.Pending != 0 {
-		t.Fatalf("after filling one batch: %+v", st)
-	}
-}
-
-func TestBackgroundFlusher(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20, FlushInterval: time.Millisecond})
-	defer c.Close()
-	p := geom.Pt2(3, 4)
-	c.Set(7, p)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.WithinIDs(geom.BoxOf(p, p))) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never applied the pending Set")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -209,9 +209,7 @@ func TestJournalFlushZeroAllocWarm(t *testing.T) {
 }
 
 // closeTrackIndex wraps an index, recording Close calls and flagging any
-// mutation that arrives after Close — the bug TestCloseFlushRace guards
-// against (a background-flusher tick racing Close used to be able to
-// flush into a closed index).
+// mutation that arrives after Close.
 type closeTrackIndex struct {
 	core.Index
 	closes atomic.Int32
@@ -220,55 +218,30 @@ type closeTrackIndex struct {
 
 func (x *closeTrackIndex) Close() { x.closes.Add(1) }
 
-func (x *closeTrackIndex) check() {
+func (x *closeTrackIndex) BatchDiff(ins, del []geom.Point) {
 	if x.closes.Load() > 0 {
 		x.late.Store(true)
 	}
-}
-
-func (x *closeTrackIndex) BatchInsert(pts []geom.Point) { x.check(); x.Index.BatchInsert(pts) }
-func (x *closeTrackIndex) BatchDelete(pts []geom.Point) { x.check(); x.Index.BatchDelete(pts) }
-func (x *closeTrackIndex) BatchDiff(ins, del []geom.Point) {
-	x.check()
 	x.Index.BatchDiff(ins, del)
 }
 
-// TestCloseFlushRace hammers concurrent Close calls against live write
-// traffic and a fast background flusher, asserting the Close contract:
-// the ticker goroutine is fully stopped before the final flush, the
-// inner index is closed exactly once, and no flush ever applies to the
-// index after its Close ran. Run under -race this also checks the
-// shutdown sequencing itself.
-func TestCloseFlushRace(t *testing.T) {
-	for range 20 {
-		inner := &closeTrackIndex{Index: core.NewBruteForce(2)}
-		// Large MaxBatch: only the ticker and Close itself may flush, so
-		// writers can legally keep enqueueing across the Close.
-		c := New[int](inner, Options{MaxBatch: 1 << 20, FlushInterval: 50 * time.Microsecond})
-
-		stopWriters := make(chan struct{})
-		var writers sync.WaitGroup
-		for w := range 4 {
-			writers.Add(1)
-			go func() {
-				defer writers.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stopWriters:
-						return
-					default:
-					}
-					id := w*1000 + i%100
-					c.Set(id, geom.Pt2(int64(i), int64(w)))
-					if i%7 == 0 {
-						c.Remove(id)
-					}
-					c.Get(id)
-				}
-			}()
+// TestCloseClosesEveryInnerCopyOnce checks what the Collection adds to
+// the engine's Close sequence (window.TestCloseFlushRace pins the
+// sequence itself): the close hook closes the inner index of every copy
+// — one in locked mode, both twins in snapshot mode — exactly once,
+// after the final flush has applied the pending ops to it.
+func TestCloseClosesEveryInnerCopyOnce(t *testing.T) {
+	for _, twin := range []bool{false, true} {
+		copies := []*closeTrackIndex{{Index: core.NewBruteForce(2)}}
+		opts := Options{MaxBatch: 1 << 20, FlushInterval: 50 * time.Microsecond}
+		if twin {
+			copies = append(copies, &closeTrackIndex{Index: core.NewBruteForce(2)})
+			opts.Snapshot = func() core.Index { return copies[1] }
 		}
-
-		time.Sleep(200 * time.Microsecond)
+		c := New[int](copies[0], opts)
+		for i := range 100 {
+			c.Set(i, geom.Pt2(int64(i), 1))
+		}
 		var closers sync.WaitGroup
 		for range 3 {
 			closers.Add(1)
@@ -278,15 +251,17 @@ func TestCloseFlushRace(t *testing.T) {
 			}()
 		}
 		closers.Wait()
-		close(stopWriters)
-		writers.Wait()
 		c.Close() // idempotent after the concurrent trio
-
-		if n := inner.closes.Load(); n != 1 {
-			t.Fatalf("inner index closed %d times, want exactly 1", n)
-		}
-		if inner.late.Load() {
-			t.Fatal("a flush mutated the inner index after it was closed")
+		for i, x := range copies {
+			if n := x.closes.Load(); n != 1 {
+				t.Fatalf("twin=%t: copy %d closed %d times, want exactly 1", twin, i, n)
+			}
+			if x.late.Load() {
+				t.Fatalf("twin=%t: copy %d was mutated after it was closed", twin, i)
+			}
+			if got := x.Size(); got != 100 {
+				t.Fatalf("twin=%t: copy %d holds %d points at close, want the final flush's 100", twin, i, got)
+			}
 		}
 	}
 }

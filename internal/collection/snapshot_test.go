@@ -124,8 +124,8 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 		close(flushed)
 	}()
 	// After the preload flush the twin built from idx (the gated g) is the
-	// standby, so the second flush blocks inside g's catch-up BatchDiff —
-	// before it can publish. Wait until it is held at the gate.
+	// standby, so the second flush blocks inside g's BatchDiff — before
+	// it can publish. Wait until it is held at the gate.
 	<-g.entered
 
 	done := make(chan struct{})
@@ -265,10 +265,9 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 }
 
 // TestSnapshotFlushZeroAllocWarm extends the PR-5 zero-alloc guard to
-// snapshot mode: warm same-position windows — catch-up replay, plan,
-// apply, window save, publish, drain — run with zero steady-state
-// allocations; the two Version structs and the saved-window buffers are
-// permanent.
+// snapshot mode: warm same-position windows — plan, apply, publish,
+// drain, catch-up — run with zero steady-state allocations; the two
+// Version structs are permanent.
 func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 	const n = 512
 	pos := make([]geom.Point, n)

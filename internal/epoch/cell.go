@@ -1,0 +1,178 @@
+package epoch
+
+import (
+	"sync"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/obs"
+)
+
+// Cell is the version cell: the one place the library decides how readers
+// are kept off the writer. A layer (Store, Collection, each shard of a
+// Sharded) holds a Cell over the state its queries read and never looks at
+// the policy again — it acquires a version to read, and commits windows.
+//
+// Over one copy the Cell is a read/write lock: readers share it, a commit
+// excludes them for the duration of one apply. Over two copies it is the
+// left-right twin: readers pin the published copy through the Manager and
+// never wait; a commit applies the window to the off-line copy, publishes
+// it, waits out the readers of the displaced copy, and applies the same
+// window to that copy too. Both copies are therefore identical whenever
+// no commit is in flight, a window never has to outlive its commit, and
+// the layers keep no saved-window buffers. This file is the only caller
+// of Manager.Publish and Manager.WaitDrained.
+//
+// T is the state type, W the window type: apply advances one copy by one
+// window and runs once per copy per commit, so it must be deterministic
+// in (copy contents, window). The zero Cell is not usable; call Init.
+type Cell[T, W any] struct {
+	// mu serializes Commit and Rebuild. Over a single copy it is also
+	// the readers' lock; over twins readers never touch it.
+	mu      sync.RWMutex
+	mgr     Manager[T]
+	twin    bool        // two copies; fixed at Init
+	standby *Version[T] // the off-line twin, written only under mu
+	apply   func(T, W)
+}
+
+// Init installs apply and the copies: one selects the lock path, two the
+// twin path (the copies must start with identical contents).
+func (c *Cell[T, W]) Init(apply func(T, W), copies ...T) {
+	if len(copies) != 1 && len(copies) != 2 {
+		panic("epoch: a Cell holds one copy (locked reads) or two (snapshot reads)")
+	}
+	c.apply = apply
+	c.mgr.Init(NewVersion(copies[0]))
+	if len(copies) == 2 {
+		c.twin, c.standby = true, NewVersion(copies[1])
+	}
+}
+
+// Acquire returns the version to read, held against the writer until
+// Release: pinned over twins (wait-free), read-locked over one copy.
+// Callers defer the Release so a panicking query never wedges a commit.
+func (c *Cell[T, W]) Acquire() *Version[T] {
+	if !c.twin {
+		c.mu.RLock()
+		return c.mgr.Current()
+	}
+	return c.mgr.Pin()
+}
+
+// Release ends a read started by Acquire.
+func (c *Cell[T, W]) Release(v *Version[T]) {
+	if !c.twin {
+		c.mu.RUnlock()
+		return
+	}
+	c.mgr.Unpin(v)
+}
+
+// Writable returns the copy the next Commit applies to first, whose
+// contents equal the published state. It is for a writer that must plan
+// a window against the state it will change: the caller must exclude
+// Commit and Rebuild (the layers' flush lock does) and only read.
+func (c *Cell[T, W]) Writable() T {
+	if !c.twin {
+		return c.mgr.Current().Data
+	}
+	return c.standby.Data
+}
+
+// Commit advances every copy by window w and returns once no reader can
+// still see the state before it. sp and clk thread the caller's flush
+// span through the stages (apply over one copy; apply, publish, drain,
+// replay over twins); a nil sp records nothing.
+func (c *Cell[T, W]) Commit(w W, sp *obs.FlushSpan, clk time.Time) time.Time {
+	return c.advance(c.apply, w, sp, clk)
+}
+
+// Rebuild replaces the contents of every copy by running build on each,
+// under the same protocol as Commit: readers see the old contents or the
+// new, never a copy mid-build.
+func (c *Cell[T, W]) Rebuild(build func(T)) {
+	var none W
+	c.advance(func(st T, _ W) { build(st) }, none, nil, time.Time{})
+}
+
+func (c *Cell[T, W]) advance(step func(T, W), w W, sp *obs.FlushSpan, clk time.Time) time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.twin {
+		step(c.mgr.Current().Data, w)
+		return sp.Stamp(obs.StageApply, clk)
+	}
+	step(c.standby.Data, w)
+	clk = sp.Stamp(obs.StageApply, clk)
+	prev := c.mgr.Publish(c.standby)
+	if sp != nil {
+		sp.Epoch = c.standby.epoch
+	}
+	clk = sp.Stamp(obs.StagePublish, clk)
+	c.mgr.WaitDrained(prev)
+	clk = sp.Stamp(obs.StageDrain, clk)
+	// The displaced copy is ours now: catch it up so both copies agree
+	// again before the next window arrives.
+	step(prev.Data, w)
+	c.standby = prev
+	return sp.Stamp(obs.StageReplay, clk)
+}
+
+// Epoch returns the published epoch: the number of commits and rebuilds
+// so far over twins, always 0 over a single copy.
+func (c *Cell[T, W]) Epoch() uint64 { return c.mgr.Epoch() }
+
+// RetireLag returns the published epochs whose displaced copy has not
+// drained yet (see Manager.RetireLag); always 0 over a single copy.
+func (c *Cell[T, W]) RetireLag() uint64 { return c.mgr.RetireLag() }
+
+// Versions returns the number of live copies, 1 or 2.
+func (c *Cell[T, W]) Versions() int {
+	if c.twin {
+		return 2
+	}
+	return 1
+}
+
+// Register exposes the epoch gauges under labels; a nil registry is a no-op.
+func (c *Cell[T, W]) Register(r *obs.Registry, labels ...obs.Label) {
+	r.GaugeFunc("psi_epoch",
+		"Published snapshot epoch (0 in locked mode).",
+		func() float64 { return float64(c.Epoch()) }, labels...)
+	r.GaugeFunc("psi_epoch_retire_lag",
+		"Published epochs whose displaced version has not drained.",
+		func() float64 { return float64(c.RetireLag()) }, labels...)
+}
+
+// IndexCell is a Cell over a point index advanced by Diffs: what a Store
+// and each shard of a Sharded hold. Init it with ApplyDiff.
+type IndexCell = Cell[core.Index, Diff]
+
+// Diff is one netted window over a point index: the batches of one
+// BatchDiff. The slices may alias the committer's recycled scratch — a
+// commit is done with its window on return, and core.Index
+// implementations must not retain batch slices (the Index contract).
+type Diff struct{ Ins, Del []geom.Point }
+
+// ApplyDiff is an IndexCell's apply step.
+func ApplyDiff(idx core.Index, d Diff) { idx.BatchDiff(d.Ins, d.Del) }
+
+// Copies returns the index copies a front-end's cell is built over: idx
+// alone, or idx and the twin that snapshot (a constructor of fresh, empty,
+// identically configured indexes; nil for locked reads) returns. This is
+// where the read mode is chosen; nothing downstream tests it again.
+func Copies(layer string, idx core.Index, snapshot func() core.Index) []core.Index {
+	if snapshot == nil {
+		return []core.Index{idx}
+	}
+	if idx.Size() != 0 {
+		panic(layer + ": Options.Snapshot requires an initially empty index")
+	}
+	twin := snapshot()
+	if twin == nil || twin.Size() != 0 {
+		panic(layer + ": Options.Snapshot must return a fresh, empty index")
+	}
+	return []core.Index{idx, twin}
+}

@@ -8,16 +8,17 @@
 // writer pays one bounded wait (for stragglers still inside the retired
 // version) per publish.
 //
-// The intended shape is double-buffering: a layer keeps exactly two
-// Versions and ping-pongs between them. Each flush catches the standby up
-// with the previously committed window, applies the new window, publishes
-// the standby, waits for the old current to drain, and keeps it as the
-// next standby. Both Version structs live for the lifetime of the layer,
-// so steady-state publishing allocates nothing — the property the
-// Store/Collection zero-alloc guards pin. Parallel Batch-Dynamic kd-Trees
-// (Yesantharao et al.) is the license for this design: batch diff-apply
-// on the paper's structures is cheap enough that applying every window
-// twice costs less than stalling all readers once.
+// The intended shape is double-buffering, and Cell (cell.go) is its one
+// implementation: a layer keeps exactly two Versions and ping-pongs
+// between them. Each commit applies the window to the standby, publishes
+// it, waits for the old current to drain, applies the same window to it
+// and keeps it as the next standby. Both Version structs live for the
+// lifetime of the layer, so steady-state publishing allocates nothing —
+// the property the Store/Collection zero-alloc guards pin. Parallel
+// Batch-Dynamic kd-Trees (Yesantharao et al.) is the license for this
+// design: batch diff-apply on the paper's structures is cheap enough
+// that applying every window twice costs less than stalling all readers
+// once.
 //
 // Memory model: Publish is an atomic pointer store and Pin an atomic load,
 // so everything the writer did to a version's data before Publish is
@@ -51,7 +52,7 @@ func (v *Version[T]) Epoch() uint64 { return v.epoch }
 // value is not usable: call Init with the initial version first. Pin,
 // Unpin, Epoch, RetireLag and Current are safe for any number of
 // goroutines; Publish and WaitDrained must be serialized by the caller
-// (layers hold their flush mutex across both).
+// (Cell holds its writer lock across both).
 type Manager[T any] struct {
 	cur       atomic.Pointer[Version[T]]
 	published atomic.Uint64
@@ -82,8 +83,8 @@ func (m *Manager[T]) Pin() *Version[T] {
 func (m *Manager[T]) Unpin(v *Version[T]) { v.refs.Add(-1) }
 
 // Current returns the current version without pinning it. Callers may
-// only touch its Data if they otherwise exclude Publish (the layers'
-// flush mutexes do); it exists for stats and tests.
+// only touch its Data if they otherwise exclude Publish (Cell's writer
+// lock does).
 func (m *Manager[T]) Current() *Version[T] { return m.cur.Load() }
 
 // Publish makes next the current version under a new epoch number and

@@ -198,7 +198,7 @@ func TestBoxDist2IsLowerBound(t *testing.T) {
 }
 
 func TestKNNHeapBasic(t *testing.T) {
-	h := NewKNNHeap(3)
+	h := GetKNNHeap(3)
 	pts := []Point{Pt2(0, 9), Pt2(0, 2), Pt2(0, 7), Pt2(0, 1), Pt2(0, 5)}
 	q := Pt2(0, 0)
 	for _, p := range pts {
@@ -223,7 +223,7 @@ func TestKNNHeapBasic(t *testing.T) {
 }
 
 func TestKNNHeapUnderfull(t *testing.T) {
-	h := NewKNNHeap(10)
+	h := GetKNNHeap(10)
 	h.Push(Pt2(1, 0), 1)
 	h.Push(Pt2(2, 0), 4)
 	if h.Full() {
@@ -246,7 +246,7 @@ func TestKNNHeapMatchesSort(t *testing.T) {
 		q := Pt2(rng.Int63n(1000), rng.Int63n(1000))
 		pts := make([]Point, n)
 		dists := make([]int64, n)
-		h := NewKNNHeap(k)
+		h := GetKNNHeap(k)
 		for i := range pts {
 			pts[i] = Pt2(rng.Int63n(1000), rng.Int63n(1000))
 			dists[i] = Dist2(pts[i], q, 2)
@@ -270,9 +270,9 @@ func TestKNNHeapMatchesSort(t *testing.T) {
 }
 
 func TestKNNHeapReset(t *testing.T) {
-	h := NewKNNHeap(2)
+	h := GetKNNHeap(2)
 	h.Push(Pt2(1, 1), 2)
-	h.Reset()
+	h.ResetK(2)
 	if h.Len() != 0 || h.Full() {
 		t.Fatal("Reset failed")
 	}
@@ -319,7 +319,7 @@ func TestKNNHeapPoolReuse(t *testing.T) {
 	PutKNNHeap(h)
 
 	// ResetK down then up again reuses capacity.
-	h = NewKNNHeap(8)
+	h = GetKNNHeap(8)
 	h.ResetK(3)
 	h.Push(Pt2(1, 1), 1)
 	if h.Bound() != int64(1<<63-1) {

@@ -7,25 +7,16 @@ import "sync"
 // the library threads one KNNHeap through its traversal; the current worst
 // distance (Bound) is the pruning radius.
 //
-// The zero value is not usable; call NewKNNHeap — or, on a query hot path,
-// borrow one from the shared pool with GetKNNHeap/PutKNNHeap so that warm
-// steady-state queries allocate nothing. The heap is intentionally
-// allocation-free after construction so that query benchmarks measure tree
-// traversal, not GC.
+// The zero value is not usable; borrow one from the shared pool with
+// GetKNNHeap/PutKNNHeap so that warm steady-state queries allocate
+// nothing. The heap is intentionally allocation-free once armed so that
+// query benchmarks measure tree traversal, not GC.
 type KNNHeap struct {
 	k    int
 	n    int
 	dist []int64
 	pts  []Point
 }
-
-// NewKNNHeap returns a heap that retains the k closest candidates.
-func NewKNNHeap(k int) *KNNHeap {
-	return &KNNHeap{k: k, dist: make([]int64, k), pts: make([]Point, k)}
-}
-
-// Reset clears the heap for reuse with the same k.
-func (h *KNNHeap) Reset() { h.n = 0 }
 
 // ResetK clears the heap and re-arms it for a (possibly different) k,
 // growing the candidate arrays only when k exceeds their capacity.
@@ -44,24 +35,11 @@ func (h *KNNHeap) ResetK(k int) {
 // (no pointers into any index), so recycling one can never pin tree data.
 var knnHeapPool = sync.Pool{New: func() any { return new(KNNHeap) }}
 
-// heapPooling can be switched off so benchmarks can measure the
-// pre-pooling allocation behavior (see SetHeapPooling).
-var heapPooling = true
-
-// SetHeapPooling enables or disables the shared heap pool. It exists for
-// the allocation benchmarks (-exp alloc measures the before/after of
-// query-path scratch reuse) and is not safe to flip while queries are in
-// flight; production code never calls it.
-func SetHeapPooling(on bool) { heapPooling = on }
-
 // GetKNNHeap returns an empty heap armed for k, reusing a pooled one when
 // available. Pair with PutKNNHeap once the result has been consumed
 // (typically right after Append). In the steady state this allocates
 // nothing.
 func GetKNNHeap(k int) *KNNHeap {
-	if !heapPooling {
-		return NewKNNHeap(k)
-	}
 	h := knnHeapPool.Get().(*KNNHeap)
 	h.ResetK(k)
 	return h
@@ -70,7 +48,7 @@ func GetKNNHeap(k int) *KNNHeap {
 // PutKNNHeap returns a heap to the pool. The caller must not use h after
 // the call.
 func PutKNNHeap(h *KNNHeap) {
-	if heapPooling && h != nil {
+	if h != nil {
 		knnHeapPool.Put(h)
 	}
 }

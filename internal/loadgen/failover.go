@@ -1,4 +1,4 @@
-package service
+package loadgen
 
 // Failover chaos harness: RunFailover spawns a real psid cluster —
 // a leader plus hot standbys, each its own OS process with its own WAL
@@ -47,6 +47,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/service"
 )
 
 // FailoverOptions configures one failover chaos run. Zero fields take
@@ -261,11 +263,11 @@ func (n *failNode) kill() {
 }
 
 // failoverAwait polls a node's STATS until ok accepts the payload.
-func failoverAwait(addr string, timeout time.Duration, what string, ok func(*StatsPayload) bool) error {
+func failoverAwait(addr string, timeout time.Duration, what string, ok func(*service.StatsPayload) bool) error {
 	deadline := time.Now().Add(timeout)
 	var lastErr error
 	for {
-		c, err := Dial(addr)
+		c, err := service.Dial(addr)
 		if err == nil {
 			st, serr := c.Stats()
 			c.Close()
@@ -283,8 +285,8 @@ func failoverAwait(addr string, timeout time.Duration, what string, ok func(*Sta
 }
 
 // failoverAdmin runs one admin exchange on a fresh connection.
-func failoverAdmin(addr string, fn func(*Client) error) error {
-	c, err := Dial(addr)
+func failoverAdmin(addr string, fn func(*service.Client) error) error {
+	c, err := service.Dial(addr)
 	if err != nil {
 		return err
 	}
@@ -370,7 +372,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 	if err := nodes[0].spawn(o.PsidBin, "", out); err != nil {
 		return nil, err
 	}
-	if err := failoverAwait(nodes[0].cmdAddr, readyTimeout, "leader boot", func(st *StatsPayload) bool {
+	if err := failoverAwait(nodes[0].cmdAddr, readyTimeout, "leader boot", func(st *service.StatsPayload) bool {
 		return st.Repl != nil && st.Repl.Role == "leader"
 	}); err != nil {
 		return nil, err
@@ -381,7 +383,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 		}
 	}
 	for _, n := range nodes[1:] {
-		if err := failoverAwait(n.cmdAddr, readyTimeout, "standby boot", func(st *StatsPayload) bool {
+		if err := failoverAwait(n.cmdAddr, readyTimeout, "standby boot", func(st *service.StatsPayload) bool {
 			return st.Repl != nil && st.Repl.Follower != nil && st.Repl.Follower.Connected
 		}); err != nil {
 			return nil, err
@@ -407,7 +409,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 			defer wg.Done()
 			st := &wstats[w]
 			st.final = make(map[string][]int64, o.IDsPerWriter)
-			var c *Client
+			var c *service.Client
 			var winStart time.Time
 			for i := 0; !stop.Load(); i++ {
 				gate.RLock()
@@ -416,15 +418,15 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 				del := i%7 == 3
 				ok := false
 				if c == nil {
-					c, _ = Dial(leaderAddr.Load().(string))
+					c, _ = service.Dial(leaderAddr.Load().(string))
 				}
 				if c != nil {
-					var resp Response
+					var resp service.Response
 					var err error
 					if del {
-						resp, err = c.Do(Request{Op: OpDel, ID: id})
+						resp, err = c.Do(service.Request{Op: service.OpDel, ID: id})
 					} else {
-						resp, err = c.Do(Request{Op: OpSet, ID: id, P: p})
+						resp, err = c.Do(service.Request{Op: service.OpSet, ID: id, P: p})
 					}
 					switch {
 					case err != nil: // transport: the conn is dead, redial next try
@@ -458,7 +460,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 		go func() {
 			defer wg.Done()
 			st := &rstats[r]
-			var c *Client
+			var c *service.Client
 			var connAddr string
 			var winStart time.Time
 			for i := 0; !stop.Load(); i++ {
@@ -473,12 +475,12 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 				}
 				ok := false
 				if c == nil {
-					c, _ = Dial(target)
+					c, _ = service.Dial(target)
 					connAddr = target
 				}
 				if c != nil {
 					q := []int64{int64((i % 1000) * 1000), int64(r * 100)}
-					resp, err := c.Do(Request{Op: OpNearby, P: q, K: 10})
+					resp, err := c.Do(service.Request{Op: service.OpNearby, P: q, K: 10})
 					if err != nil {
 						c.Close()
 						c = nil
@@ -517,7 +519,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 		// precondition of PROMOTE.
 		gate.Lock()
 		var head uint64
-		err := failoverAdmin(nodes[leaderIdx].cmdAddr, func(c *Client) error {
+		err := failoverAdmin(nodes[leaderIdx].cmdAddr, func(c *service.Client) error {
 			st, err := c.Stats()
 			if err != nil {
 				return err
@@ -532,7 +534,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 			gate.Unlock()
 			return fail(err)
 		}
-		if err := failoverAwait(nodes[next].cmdAddr, readyTimeout, "standby catch-up", func(st *StatsPayload) bool {
+		if err := failoverAwait(nodes[next].cmdAddr, readyTimeout, "standby catch-up", func(st *service.StatsPayload) bool {
 			f := st.Repl.Follower
 			return f != nil && f.AppliedSeq == head && f.LagWindows == 0
 		}); err != nil {
@@ -545,7 +547,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 		leaderAddr.Store(nodes[next].cmdAddr)
 		gate.Unlock() // writers resume against a still-follower: the window opens
 
-		if err := failoverAdmin(nodes[next].cmdAddr, func(c *Client) error {
+		if err := failoverAdmin(nodes[next].cmdAddr, func(c *service.Client) error {
 			return c.Promote("")
 		}); err != nil {
 			return fail(fmt.Errorf("handover %d: PROMOTE node%d: %w", round, next, err))
@@ -554,7 +556,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 			if i == next || i == leaderIdx {
 				continue
 			}
-			if err := failoverAdmin(n.cmdAddr, func(c *Client) error {
+			if err := failoverAdmin(n.cmdAddr, func(c *service.Client) error {
 				return c.Follow(nodes[next].replAddr)
 			}); err != nil {
 				return fail(fmt.Errorf("handover %d: FOLLOW node%d -> node%d: %w", round, i, next, err))
@@ -565,7 +567,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 		if err := nodes[leaderIdx].spawn(o.PsidBin, nodes[next].replAddr, out); err != nil {
 			return fail(err)
 		}
-		if err := failoverAwait(nodes[leaderIdx].cmdAddr, readyTimeout, "victim rejoin", func(st *StatsPayload) bool {
+		if err := failoverAwait(nodes[leaderIdx].cmdAddr, readyTimeout, "victim rejoin", func(st *service.StatsPayload) bool {
 			return st.Repl != nil && st.Repl.Follower != nil && st.Repl.Follower.Connected
 		}); err != nil {
 			return fail(fmt.Errorf("handover %d: %w", round, err))
@@ -608,7 +610,7 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 	// the exact acknowledged position, and sits at one term per
 	// handover.
 	finalLeader := nodes[leaderIdx]
-	err = failoverAdmin(finalLeader.cmdAddr, func(c *Client) error {
+	err = failoverAdmin(finalLeader.cmdAddr, func(c *service.Client) error {
 		st, err := c.Stats()
 		if err != nil {
 			return err

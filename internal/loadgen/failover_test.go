@@ -1,4 +1,4 @@
-package service
+package loadgen
 
 import (
 	"bytes"

@@ -1,4 +1,11 @@
-package service
+// Package loadgen is psid's load and chaos tooling, behind cmd/psiload
+// and psibench -exp service: the load generator (this file: N client
+// connections through a mover/query mix, client-observed p50/p99 and
+// ops/sec per op), the kill -9 / PROMOTE failover harness and the
+// /metrics differ. It reaches a server only the way any client does —
+// service.Client and the exposition — so it sits beside the server
+// package, not in it.
+package loadgen
 
 import (
 	"encoding/csv"
@@ -9,14 +16,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
-
-// Load generation: drive a psid server with N concurrent client
-// connections through a mover/query mix and measure client-observed
-// latency and throughput. This is the serving-path analogue of the
-// psibench experiments — the same numbers (p50/p99 per op, ops/sec)
-// either printed by cmd/psiload with a CSV mirror, or folded into the
-// psibench tables by -exp service.
 
 // LoadOptions configures one load run. Zero fields take defaults.
 type LoadOptions struct {
@@ -143,7 +144,7 @@ type LoadReport struct {
 }
 
 // loadOps are the command classes the generator issues.
-var loadOps = [...]string{OpSet, OpNearby, OpWithin}
+var loadOps = [...]string{service.OpSet, service.OpNearby, service.OpWithin}
 
 // RunLoad drives the server at opts.Addr. It dials opts.Conns
 // connections, issues the SET/NEARBY/WITHIN mix from one goroutine per
@@ -159,8 +160,8 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	if o.Addr == "" {
 		return nil, fmt.Errorf("psiload: no server address")
 	}
-	clients := make([]*Client, o.Conns)
-	queriers := make([]*Client, o.Conns) // where this conn's NEARBY/WITHIN go
+	clients := make([]*service.Client, o.Conns)
+	queriers := make([]*service.Client, o.Conns) // where this conn's NEARBY/WITHIN go
 	closeAll := func() {
 		for i := range clients {
 			if clients[i] != nil {
@@ -172,7 +173,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		}
 	}
 	for i := range clients {
-		c, err := Dial(o.Addr)
+		c, err := service.Dial(o.Addr)
 		if err != nil {
 			closeAll()
 			return nil, err
@@ -180,7 +181,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		clients[i] = c
 		queriers[i] = c
 		if len(o.Followers) > 0 {
-			q, err := Dial(o.Followers[i%len(o.Followers)])
+			q, err := service.Dial(o.Followers[i%len(o.Followers)])
 			if err != nil {
 				closeAll()
 				return nil, fmt.Errorf("psiload: follower %s: %w", o.Followers[i%len(o.Followers)], err)
@@ -205,7 +206,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	begin := time.Now()
 	for i, c := range clients {
 		wg.Add(1)
-		go func(i int, c, qc *Client) {
+		go func(i int, c, qc *service.Client) {
 			defer wg.Done()
 			st := &stats[i]
 			rng := rand.New(rand.NewSource(o.Seed + int64(i)))
@@ -290,7 +291,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 				st.lat[op].Record(time.Since(t0))
 				if err != nil {
 					st.errs[op]++
-					if _, proto := err.(*ServerError); !proto {
+					if _, proto := err.(*service.ServerError); !proto {
 						st.err = err // transport error: this connection is done
 						return
 					}
@@ -347,7 +348,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 // kill and restart it, then VerifyFinal proves no acknowledged write
 // was lost (psiload -verify; the CI crash smoke is exactly this).
 func VerifyFinal(addr string, final map[string][]int64) error {
-	c, err := Dial(addr)
+	c, err := service.Dial(addr)
 	if err != nil {
 		return err
 	}

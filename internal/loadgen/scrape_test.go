@@ -1,8 +1,10 @@
-package service
+package loadgen
 
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/service"
 )
 
 // TestMetricsDelta pins the scrape-diff arithmetic: counter deltas,
@@ -56,13 +58,17 @@ func TestMetricsDelta(t *testing.T) {
 // TestScrapeMetricsLive scrapes a running server's /metrics end to end —
 // the exact path psiload -scrape uses — and diffs around real traffic.
 func TestScrapeMetricsLive(t *testing.T) {
-	s, _ := newObsStack(t, Options{})
+	s := startStack(t, 0)
 	url := "http://" + s.HTTPAddr().String() + "/metrics"
 	before, err := ScrapeMetrics(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := dialT(t, s)
+	c, err := service.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	for i := 0; i < 8; i++ {
 		if err := c.Set(string(rune('a'+i)), []int64{int64(i) * 100, int64(i) * 100}); err != nil {
 			t.Fatal(err)

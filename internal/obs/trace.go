@@ -28,11 +28,11 @@ const (
 	// into the write-ahead log and (policy permitting) fsyncing it —
 	// zero when the layer runs without a WAL.
 	StageLog
-	// StageReplay is the standby catch-up: re-applying the previously
-	// committed window to the off-line twin (snapshot mode only).
+	// StageReplay is the twin catch-up: re-applying the window to the
+	// displaced copy once its readers have drained (snapshot mode only).
 	StageReplay
 	// StageApply is the new window's index application (plus, for the
-	// Collection, the forward/reverse table advance and window save).
+	// Collection, the forward/reverse table advance).
 	StageApply
 	// StagePublish is the epoch publish: the atomic version swing.
 	StagePublish
@@ -65,8 +65,12 @@ type FlushSpan struct {
 
 // Stamp accumulates the wall time since t into Stages[stage] and returns
 // the current time, so a recorder threads one clock through consecutive
-// stage boundaries.
+// stage boundaries. A nil span records nothing and reads no clock, so
+// flush code stamps unconditionally and pays nothing without a registry.
 func (sp *FlushSpan) Stamp(stage int, t time.Time) time.Time {
+	if sp == nil {
+		return t
+	}
 	now := time.Now()
 	sp.Stages[stage] += now.Sub(t).Nanoseconds()
 	return now

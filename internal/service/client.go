@@ -21,21 +21,22 @@ type Client struct {
 	br      *bufio.Reader
 	lineBuf []byte // long-line accumulation scratch, guarded by mu
 
-	// reuse-mode state (SetReuse): the request encode buffer and the
-	// response struct whose slice fields are recycled across calls.
+	wbuf []byte // request encode buffer, guarded by mu
+	// reuse-mode state (SetReuse): the response struct whose slice
+	// fields are recycled across calls.
 	reuse bool
-	wbuf  []byte
 	resp  Response
 }
 
-// SetReuse switches the client into buffer-reuse mode: requests are
-// encoded append-style into a retained buffer and responses are decoded
-// into a retained Response whose Hits/P backing arrays are recycled, so
-// a warm request loop allocates only the decoded strings. The trade-off:
-// in reuse mode the data returned by Do (and the helpers built on it —
-// Nearby/Within hit slices, Get coordinates) is valid only until the
-// next call on this client; callers that retain results must copy them
-// first. Off by default.
+// SetReuse switches the client into buffer-reuse mode: responses are
+// decoded into a retained Response whose Hits/P backing arrays are
+// recycled, so a warm request loop allocates only the decoded strings.
+// (Requests always go through the append encoder into a retained buffer;
+// it differs from json.Marshal only in not \u-escaping <, > and &, which
+// JSON does not require.) The trade-off: in reuse mode the data returned
+// by Do (and the helpers built on it — Nearby/Within hit slices, Get
+// coordinates) is valid only until the next call on this client; callers
+// that retain results must copy them first. Off by default.
 func (c *Client) SetReuse(on bool) {
 	c.mu.Lock()
 	c.reuse = on
@@ -65,25 +66,22 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) Do(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var payload []byte
-	if c.reuse {
-		c.wbuf = appendRequest(c.wbuf[:0], &req)
-		payload = c.wbuf
-	} else {
-		payload = marshalLine(req)
-	}
-	if _, err := c.conn.Write(payload); err != nil {
-		return Response{}, fmt.Errorf("psid: write: %w", err)
-	}
-	line, tooLong, err := readLine(c.br, clientMaxLine, &c.lineBuf)
-	// One huge WITHIN response must not pin its accumulation buffer for
-	// the connection's lifetime: drop oversized scratch once the line has
-	// been decoded (the capacity cap keeps steady-state reads recycling).
+	// One huge request (a long ID) or WITHIN response must not pin its
+	// buffer for the connection's lifetime: drop oversized scratch once the
+	// call is over (the capacity cap keeps steady-state calls recycling).
 	defer func() {
+		if cap(c.wbuf) > 1<<20 {
+			c.wbuf = nil
+		}
 		if cap(c.lineBuf) > 1<<20 {
 			c.lineBuf = nil
 		}
 	}()
+	c.wbuf = appendRequest(c.wbuf[:0], &req)
+	if _, err := c.conn.Write(c.wbuf); err != nil {
+		return Response{}, fmt.Errorf("psid: write: %w", err)
+	}
+	line, tooLong, err := readLine(c.br, clientMaxLine, &c.lineBuf)
 	if err != nil {
 		return Response{}, fmt.Errorf("psid: read: %w", err)
 	}

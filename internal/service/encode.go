@@ -18,14 +18,14 @@ import (
 // Response (field order and omitempty behavior match; the only spec-level
 // difference is that json.Marshal additionally escapes <, >, & for HTML
 // embedding, which the protocol never relied on). TestEncodeMatchesJSON
-// pins the equivalence.
+// and TestLineConnMatchesJSON pin the equivalence against the
+// json.Marshal rendering kept in the tests as the oracle.
 
 // result is one dispatched command's outcome, in pre-wire form: hits stay
 // as resolved collection entries (aliasing the connection's scratch, valid
 // until the next dispatch on that connection) and points stay as
 // geom.Point, so nothing is allocated between the Collection and the
-// socket. response() converts to the public Response when the legacy
-// (allocating) path is requested.
+// socket.
 type result struct {
 	ok         bool
 	code       string
@@ -53,29 +53,6 @@ func errResult(code, msg string) result {
 // so the formatting allocation is irrelevant).
 func errResultf(code, format string, args ...any) result {
 	return result{ok: false, code: code, err: fmt.Sprintf(format, args...)}
-}
-
-// response converts a result to the public wire struct (the legacy
-// json.Marshal path and the tests use it; the hot path never does).
-func (r *result) response(dims int) Response {
-	resp := Response{OK: r.ok, Code: r.code, Err: r.err, Leader: r.leader, Found: r.found, Stats: r.stats}
-	if r.hasSlow {
-		resp.Slow = r.slow
-	}
-	if r.hasApplied {
-		resp.Applied = r.applied
-	}
-	if r.hasP {
-		resp.P = coords(r.p, dims)
-	}
-	if r.hasHits {
-		hits := make([]Hit, len(r.entries))
-		for i, e := range r.entries {
-			hits[i] = Hit{ID: e.ID, P: coords(e.Point, dims)}
-		}
-		resp.Hits = hits
-	}
-	return resp
 }
 
 // appendResult renders r as one newline-terminated JSON response line into
@@ -125,26 +102,20 @@ func appendResult(buf []byte, r *result, dims int) []byte {
 	}
 	if r.stats != nil {
 		buf = append(buf, `,"stats":`...)
-		buf = append(buf, marshalStats(r.stats)...)
+		buf = append(buf, marshalNested(r.stats)...)
 	}
 	if r.hasSlow && len(r.slow) > 0 { // omitempty: an empty slow log is omitted
 		buf = append(buf, `,"slow":`...)
-		buf = append(buf, marshalSlow(r.slow)...)
+		buf = append(buf, marshalNested(r.slow)...)
 	}
 	return append(buf, '}', '\n')
 }
 
-// marshalStats renders the STATS body through encoding/json — STATS is a
-// probe command, not a hot path, and the payload is deeply structured.
-func marshalStats(st *StatsPayload) []byte {
-	b := marshalLine(st)
-	return b[:len(b)-1] // strip marshalLine's newline; it nests here
-}
-
-// marshalSlow renders the SLOWLOG body through encoding/json (a probe
-// command, like STATS).
-func marshalSlow(slow []obs.SlowQuery) []byte {
-	b := marshalLine(slow)
+// marshalNested renders a STATS or SLOWLOG body through encoding/json —
+// these are probe commands, not a hot path, and the payloads are deeply
+// structured.
+func marshalNested(v any) []byte {
+	b := marshalLine(v)
 	return b[:len(b)-1] // strip marshalLine's newline; it nests here
 }
 
@@ -154,8 +125,9 @@ func appendCoords(buf []byte, p geom.Point, dims int) []byte {
 }
 
 // appendRequest renders req as one newline-terminated JSON request line,
-// matching json.Marshal's field order and omitempty behavior for Request.
-// The reuse-mode Client encodes with it instead of reflective marshalling.
+// matching json.Marshal's field order and omitempty behavior for Request
+// (TestAppendRequestMatchesJSON). The Client encodes with it instead of
+// reflective marshalling.
 func appendRequest(buf []byte, req *Request) []byte {
 	buf = append(buf, `{"op":`...)
 	buf = appendJSONString(buf, req.Op)

@@ -79,7 +79,7 @@ func TestEncodeMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestAppendRequestMatchesJSON pins the reuse-mode client's request
+// TestAppendRequestMatchesJSON pins the client's request
 // encoder to json.Marshal of the same Request.
 func TestAppendRequestMatchesJSON(t *testing.T) {
 	cases := []Request{
@@ -120,19 +120,45 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLineConnMatchesScratchModes drives identical command sequences
-// through a scratch-reuse server and a DisableScratch (legacy
-// json.Marshal) server via LineConn, asserting byte-identical response
-// lines — the wire format must not depend on the encoding path.
-func TestLineConnMatchesScratchModes(t *testing.T) {
-	mk := func(disable bool) *LineConn {
-		srv := New(newTestIndex(), Options{
-			FlushInterval:  -1,
-			DisableScratch: disable,
-		})
-		return srv.NewLineConn()
+// response renders a result as the public wire struct — the reflective
+// json.Marshal form of a response line. The server only ever uses the
+// append encoder; this is the oracle it is checked against.
+func (r *result) response(dims int) Response {
+	resp := Response{OK: r.ok, Code: r.code, Err: r.err, Leader: r.leader, Found: r.found, Stats: r.stats}
+	if r.hasSlow {
+		resp.Slow = r.slow
 	}
-	fast, legacy := mk(false), mk(true)
+	if r.hasApplied {
+		resp.Applied = r.applied
+	}
+	if r.hasP {
+		resp.P = coords(r.p, dims)
+	}
+	if r.hasHits {
+		hits := make([]Hit, len(r.entries))
+		for i, e := range r.entries {
+			hits[i] = Hit{ID: e.ID, P: coords(e.Point, dims)}
+		}
+		resp.Hits = hits
+	}
+	return resp
+}
+
+// coords flattens the first dims coordinates of p for the wire struct.
+func coords(p geom.Point, dims int) []int64 {
+	return append([]int64(nil), p[:dims]...)
+}
+
+// TestLineConnMatchesJSON drives identical command sequences through two
+// servers in lockstep: one serves the lines through LineConn (the append
+// encoder, as every connection does), the other only dispatches them and
+// renders each result with json.Marshal. The response lines must be
+// byte-identical — the append encoder is json.Marshal for every shape
+// the protocol produces.
+func TestLineConnMatchesJSON(t *testing.T) {
+	mk := func() *Server { return New(newTestIndex(), Options{FlushInterval: -1}) }
+	fast, oracle := mk().NewLineConn(), mk()
+	var cs connState
 	lines := []string{
 		`{"op":"SET","id":"a","p":[10,10]}`,
 		`{"op":"SET","id":"b","p":[20,20]}`,
@@ -153,10 +179,11 @@ func TestLineConnMatchesScratchModes(t *testing.T) {
 		`{"op":"NEARBY","p":[1],"k":3}`,
 	}
 	for i, line := range lines {
-		got := append([]byte(nil), fast.Serve([]byte(line))...)
-		want := legacy.Serve([]byte(line))
+		got := fast.Serve([]byte(line))
+		_, res := oracle.dispatch([]byte(line), &cs, nil)
+		want := marshalLine(res.response(oracle.dims))
 		if !bytes.Equal(got, want) {
-			t.Errorf("line %d (%s):\n fast:   %s legacy: %s", i, line, got, want)
+			t.Errorf("line %d (%s):\n append: %s json:   %s", i, line, got, want)
 		}
 	}
 }

@@ -155,11 +155,6 @@ type Response struct {
 	Slow []obs.SlowQuery `json:"slow,omitempty"`
 }
 
-// errResp builds an error response.
-func errResp(code, format string, args ...any) Response {
-	return Response{OK: false, Code: code, Err: fmt.Sprintf(format, args...)}
-}
-
 // AsError converts an error response into a *ServerError (nil when OK).
 func (r Response) AsError() error {
 	if r.OK {
@@ -270,13 +265,6 @@ type OpCounters struct {
 	P99Us  float64 `json:"p99_us"`
 }
 
-// coords flattens the first dims coordinates of p for the wire.
-func coords(p geom.Point, dims int) []int64 {
-	out := make([]int64, dims)
-	copy(out, p[:dims])
-	return out
-}
-
 // point parses exactly dims wire coordinates into a geom.Point (unused
 // slots zero, the library-wide convention that makes point equality value
 // equality).
@@ -295,7 +283,7 @@ func marshalLine(v any) []byte {
 	if err != nil {
 		// Wire types marshal by construction; a failure is a programming
 		// error surfaced as a protocol error line rather than a panic.
-		b, _ = json.Marshal(errResp(CodeBadRequest, "marshal: %v", err))
+		b, _ = json.Marshal(Response{Code: CodeBadRequest, Err: fmt.Sprintf("marshal: %v", err)})
 	}
 	return append(b, '\n')
 }

@@ -39,7 +39,7 @@ type Options struct {
 	// coalescing log: MaxBatch is the pending-op count that makes the
 	// enqueuing connection flush synchronously, FlushInterval bounds how
 	// long a SET can stay invisible to NEARBY/WITHIN under light write
-	// traffic. Defaults: collection.DefaultMaxBatch, and 2ms when zero —
+	// traffic. Defaults: window.DefaultMaxBatch, and 2ms when zero —
 	// a server with no background flusher would leave a trickle of SETs
 	// invisible indefinitely, which is never what a network caller wants.
 	// Set FlushInterval negative to disable the background flusher (tests
@@ -57,13 +57,6 @@ type Options struct {
 	// endpoints can stall the world and do not belong on an unguarded
 	// production port.
 	EnablePprof bool
-	// DisableScratch turns off the per-connection buffer reuse and the
-	// append-style response encoder, restoring the per-line
-	// json.Marshal + fresh-buffer behavior (and the inner Collection's
-	// allocating paths). It exists so -exp alloc can measure the
-	// before/after of the serving-path scratch reuse; production
-	// configurations leave it false.
-	DisableScratch bool
 	// DisableSnapshot keeps the Collection on the classic locked read
 	// path even when the wrapped index supports snapshot reads. By
 	// default, when idx implements core.Replicator (every psi tree
@@ -409,7 +402,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // struct (slice fields keep their capacity across parses), the
 // resolved-hit scratch the Collection appends into, and the response
 // encode buffer (the long-line accumulation scratch stays a handleConn
-// local, shared by both scratch modes). One goroutine owns each conn, so
+// local). One goroutine owns each conn, so
 // nothing here is locked; a warm connection serves GET/NEARBY/WITHIN
 // round trips with no per-line buffer allocations at all.
 type connState struct {
@@ -430,10 +423,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	var cs *connState
-	if !s.opts.DisableScratch {
-		cs = new(connState)
-	}
+	cs := new(connState)
 	var cost *obs.QueryCost
 	if s.slow != nil {
 		// One cost recorder per connection (dispatch resets it per line):
@@ -451,13 +441,15 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		if s.closing.Load() {
-			bw.Write(marshalLine(errResp(CodeShutdown, "server is shutting down")))
+			res := errResult(CodeShutdown, "server is shutting down")
+			bw.Write(appendResult(cs.out[:0], &res, s.dims))
 			bw.Flush()
 			return
 		}
 		if tooLong {
 			s.met.badLines.Add(1)
-			bw.Write(marshalLine(errResp(CodeTooLarge, "line exceeds %d bytes", s.opts.MaxLineBytes)))
+			res := errResultf(CodeTooLarge, "line exceeds %d bytes", s.opts.MaxLineBytes)
+			bw.Write(appendResult(cs.out[:0], &res, s.dims))
 			if bw.Flush() != nil {
 				return
 			}
@@ -471,20 +463,16 @@ func (s *Server) handleConn(conn net.Conn) {
 		d := time.Since(t0)
 		s.met.record(op, d, res.ok)
 		s.recordSlow(op, line, d, cost)
-		if cs != nil {
-			cs.out = appendResult(cs.out[:0], &res, s.dims)
-			bw.Write(cs.out)
-			// One huge WITHIN must not pin its buffers for the
-			// connection's lifetime (mirrors the client-side lineBuf
-			// cap): steady-state responses stay far below these.
-			if cap(cs.out) > maxRetainedOut {
-				cs.out = nil
-			}
-			if cap(cs.entries) > maxRetainedEntries {
-				cs.entries = nil
-			}
-		} else {
-			bw.Write(marshalLine(res.response(s.dims)))
+		cs.out = appendResult(cs.out[:0], &res, s.dims)
+		bw.Write(cs.out)
+		// One huge WITHIN must not pin its buffers for the connection's
+		// lifetime (mirrors the client-side lineBuf cap): steady-state
+		// responses stay far below these.
+		if cap(cs.out) > maxRetainedOut {
+			cs.out = nil
+		}
+		if cap(cs.entries) > maxRetainedEntries {
+			cs.entries = nil
 		}
 		if bw.Flush() != nil {
 			return
@@ -557,28 +545,20 @@ func discardLine(br *bufio.Reader) error {
 }
 
 // dispatch parses and executes one command line, returning the metrics
-// slot (-1 for protocol-level rejects) and the pre-wire result. With a
-// connState the parse reuses the connection's Request (slice fields keep
-// their capacity) and query hits land in the connection's entry scratch;
-// result.entries then aliases cs.entries and is valid until the next
-// dispatch on the same connection. A nil cs allocates fresh everywhere
-// (the DisableScratch path). cost, when non-nil, is reset and filled
+// slot (-1 for protocol-level rejects) and the pre-wire result. The parse
+// reuses the connection's Request (slice fields keep their capacity) and
+// query hits land in the connection's entry scratch; result.entries then
+// aliases cs.entries and is valid until the next dispatch on the same
+// connection. cost, when non-nil, is reset and filled
 // with the query's work accounting (slow-query log connections pass a
 // per-connection recorder; everything else passes nil).
 func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int, result) {
 	if cost != nil {
 		*cost = obs.QueryCost{}
 	}
-	var req *Request
-	if cs != nil {
-		cs.req.Op, cs.req.ID, cs.req.K = "", "", 0
-		cs.req.P = cs.req.P[:0]
-		cs.req.Lo = cs.req.Lo[:0]
-		cs.req.Hi = cs.req.Hi[:0]
-		req = &cs.req
-	} else {
-		req = new(Request)
-	}
+	req := &cs.req
+	req.Op, req.ID, req.K = "", "", 0
+	req.P, req.Lo, req.Hi = req.P[:0], req.Lo[:0], req.Hi[:0]
 	if err := json.Unmarshal(line, req); err != nil {
 		return -1, errResultf(CodeBadRequest, "parse: %v", err)
 	}
@@ -639,11 +619,8 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		if req.K > MaxNearbyK {
 			return idx, errResultf(CodeBadRequest, "NEARBY: k %d exceeds the maximum %d", req.K, MaxNearbyK)
 		}
-		entries := s.coll.NearbyIDsAppendCost(p, req.K, s.entryScratch(cs), cost)
-		if cs != nil {
-			cs.entries = entries
-		}
-		return idx, result{ok: true, hasHits: true, entries: entries}
+		cs.entries = s.coll.NearbyIDsAppendCost(p, req.K, cs.entries[:0], cost)
+		return idx, result{ok: true, hasHits: true, entries: cs.entries}
 	case OpWithin:
 		lo, err := point(req.Lo, s.dims)
 		if err != nil {
@@ -658,11 +635,8 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 				return idx, errResultf(CodeBadRequest, "WITHIN: inverted box on dim %d (%d > %d)", d, lo[d], hi[d])
 			}
 		}
-		entries := s.coll.WithinIDsAppendCost(geom.BoxOf(lo, hi), s.entryScratch(cs), cost)
-		if cs != nil {
-			cs.entries = entries
-		}
-		return idx, result{ok: true, hasHits: true, entries: entries}
+		cs.entries = s.coll.WithinIDsAppendCost(geom.BoxOf(lo, hi), cs.entries[:0], cost)
+		return idx, result{ok: true, hasHits: true, entries: cs.entries}
 	case OpStats:
 		st := s.Stats()
 		return idx, result{ok: true, stats: &st}
@@ -710,15 +684,6 @@ func (s *Server) recordSlow(op int, line []byte, d time.Duration, cost *obs.Quer
 		return
 	}
 	s.slow.Record(opOrder[op], line, d, *cost)
-}
-
-// entryScratch returns the connection's reusable hit buffer (nil for the
-// DisableScratch path, which lets the Collection allocate fresh).
-func (s *Server) entryScratch(cs *connState) []collection.Entry[string] {
-	if cs == nil {
-		return nil
-	}
-	return cs.entries[:0]
 }
 
 // Stats snapshots the serving and collection counters (the STATS command
@@ -792,7 +757,7 @@ func (s *Server) Stats() StatsPayload {
 // connection; open one per serving goroutine.
 type LineConn struct {
 	s    *Server
-	cs   *connState
+	cs   connState
 	cost *obs.QueryCost // non-nil when the slow-query log is enabled
 }
 
@@ -800,9 +765,6 @@ type LineConn struct {
 // does not need to be Started.
 func (s *Server) NewLineConn() *LineConn {
 	lc := &LineConn{s: s}
-	if !s.opts.DisableScratch {
-		lc.cs = new(connState)
-	}
 	if s.slow != nil {
 		lc.cost = new(obs.QueryCost)
 	}
@@ -814,15 +776,12 @@ func (s *Server) NewLineConn() *LineConn {
 // this LineConn; callers that retain it must copy.
 func (lc *LineConn) Serve(line []byte) []byte {
 	t0 := time.Now()
-	op, res := lc.s.dispatch(line, lc.cs, lc.cost)
+	op, res := lc.s.dispatch(line, &lc.cs, lc.cost)
 	d := time.Since(t0)
 	lc.s.met.record(op, d, res.ok)
 	lc.s.recordSlow(op, line, d, lc.cost)
-	if lc.cs != nil {
-		lc.cs.out = appendResult(lc.cs.out[:0], &res, lc.s.dims)
-		return lc.cs.out
-	}
-	return marshalLine(res.response(lc.s.dims))
+	lc.cs.out = appendResult(lc.cs.out[:0], &res, lc.s.dims)
+	return lc.cs.out
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -53,10 +53,9 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 		return nil, err
 	}
 	copts := collection.Options{
-		MaxBatch:       opts.MaxBatch,
-		FlushInterval:  opts.FlushInterval,
-		DisableScratch: opts.DisableScratch,
-		Obs:            opts.Obs,
+		MaxBatch:      opts.MaxBatch,
+		FlushInterval: opts.FlushInterval,
+		Obs:           opts.Obs,
 	}
 	if r, ok := idx.(core.Replicator); ok && !opts.DisableSnapshot {
 		copts.Snapshot = r.NewReplica

@@ -31,19 +31,6 @@ type knnEntry struct {
 	dist2 int64
 }
 
-func (s *Sharded) getQueryScratch() *queryScratch {
-	if s.opts.DisableScratch {
-		return new(queryScratch)
-	}
-	return s.queryPool.Get().(*queryScratch)
-}
-
-func (s *Sharded) putQueryScratch(sc *queryScratch) {
-	if !s.opts.DisableScratch {
-		s.queryPool.Put(sc)
-	}
-}
-
 // overlapping appends the ids of shards whose region intersects box.
 // Soundness of the pruning: points are assigned to shards by location, so
 // every point of shard i lies inside regions[i]; a shard whose region
@@ -62,24 +49,19 @@ func (p *partition) overlapping(box geom.Box, dst []int) []int {
 func (s *Sharded) RangeCount(box geom.Box) int {
 	s.epoch.RLock()
 	defer s.epoch.RUnlock()
-	sc := s.getQueryScratch()
+	sc := s.queryPool.Get().(*queryScratch)
 	ids := s.part.overlapping(box, sc.ids[:0])
 	s.met.recordQuery(ids)
 	n := parallel.Reduce(len(ids), 1, 0,
 		func(i int) int {
-			sh := &s.shards[ids[i]]
-			if s.opts.Snapshot {
-				v := sh.mgr.Pin()
-				defer sh.mgr.Unpin(v)
-				return v.Data.RangeCount(box)
-			}
-			sh.mu.RLock()
-			defer sh.mu.RUnlock()
-			return sh.idx.RangeCount(box)
+			cell := &s.shards[ids[i]]
+			v := cell.Acquire()
+			defer cell.Release(v)
+			return v.Data.RangeCount(box)
 		},
 		func(a, b int) int { return a + b })
 	sc.ids = ids[:0]
-	s.putQueryScratch(sc)
+	s.queryPool.Put(sc)
 	return n
 }
 
@@ -96,8 +78,8 @@ func (s *Sharded) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
 func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryCost) []geom.Point {
 	s.epoch.RLock()
 	defer s.epoch.RUnlock()
-	sc := s.getQueryScratch()
-	defer s.putQueryScratch(sc)
+	sc := s.queryPool.Get().(*queryScratch)
+	defer s.queryPool.Put(sc)
 	ids := s.part.overlapping(box, sc.ids[:0])
 	sc.ids = ids[:0]
 	s.met.recordQuery(ids)
@@ -131,32 +113,22 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 	return dst
 }
 
-// shardRangeList runs one shard's range report: against the pinned
-// published version in snapshot mode (wait-free behind sub-batches),
+// shardRangeList runs one shard's range report against the version its
+// cell hands out: pinned in snapshot mode (wait-free behind sub-batches),
 // under the shard read lock otherwise.
 func (s *Sharded) shardRangeList(id int, box geom.Box, dst []geom.Point) []geom.Point {
-	sh := &s.shards[id]
-	if s.opts.Snapshot {
-		v := sh.mgr.Pin()
-		defer sh.mgr.Unpin(v)
-		return v.Data.RangeList(box, dst)
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.idx.RangeList(box, dst)
+	cell := &s.shards[id]
+	v := cell.Acquire()
+	defer cell.Release(v)
+	return v.Data.RangeList(box, dst)
 }
 
-// shardKNN runs one shard's local KNN (same locking as shardRangeList).
+// shardKNN runs one shard's local KNN (same isolation as shardRangeList).
 func (s *Sharded) shardKNN(id int, q geom.Point, k int, dst []geom.Point) []geom.Point {
-	sh := &s.shards[id]
-	if s.opts.Snapshot {
-		v := sh.mgr.Pin()
-		defer sh.mgr.Unpin(v)
-		return v.Data.KNN(q, k, dst)
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.idx.KNN(q, k, dst)
+	cell := &s.shards[id]
+	v := cell.Acquire()
+	defer cell.Release(v)
+	return v.Data.KNN(q, k, dst)
 }
 
 // KNN implements core.Index with best-first expansion over shard regions:
@@ -180,8 +152,8 @@ func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.Query
 	part := s.part
 	dims := part.dims
 
-	sc := s.getQueryScratch()
-	defer s.putQueryScratch(sc)
+	sc := s.queryPool.Get().(*queryScratch)
+	defer s.queryPool.Put(sc)
 
 	// Frontier: shard ids ordered by squared min-distance from q to the
 	// region. Regions left empty by a degenerate partition are skipped

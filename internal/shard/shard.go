@@ -54,11 +54,6 @@ type Options struct {
 	// after a rebalance, and space-partitioning children need the
 	// universe fixed for history independence).
 	New func(dims int, universe geom.Box) core.Index
-	// DisableScratch turns off the batch-partitioner and query scratch
-	// pools, so every BatchDiff and query allocates fresh buffers. It
-	// exists so -exp alloc can measure the before/after of scratch reuse;
-	// production configurations leave it false.
-	DisableScratch bool
 	// Snapshot switches every shard to epoch-pinned snapshot reads: each
 	// shard keeps two copies of its index (built with New), applies every
 	// sub-batch to both — the off-line one first — and publishes through
@@ -110,10 +105,11 @@ func (o Options) validate() {
 }
 
 // Sharded partitions the universe into S regions, each owning an
-// independent core.Index behind its own lock. It implements core.Index,
-// and — unlike the raw indexes — is safe for fully concurrent use: batch
-// updates lock only the shards they touch, so mutations of different
-// regions never contend, and queries take per-shard read locks.
+// independent core.Index behind its own version cell (epoch.Cell). It
+// implements core.Index, and — unlike the raw indexes — is safe for fully
+// concurrent use: batch updates commit only to the shards they touch, so
+// mutations of different regions never contend, and queries acquire each
+// shard they visit for reading.
 //
 // Consistency is per shard: a query running concurrently with a batch
 // update observes each shard either before or after its sub-batch, never
@@ -131,9 +127,15 @@ type Sharded struct {
 	// epoch serializes partition swaps against everything else: Build
 	// (which may rebalance region boundaries) takes the write side; all
 	// other operations read-lock it and then synchronize per shard.
-	epoch  sync.RWMutex
-	part   *partition
-	shards []shardSlot
+	epoch sync.RWMutex
+	part  *partition
+	// shards holds each region's index behind its version cell: one copy
+	// under a read/write lock by default, twin copies with pinned readers
+	// under Options.Snapshot. Either way the cell serializes the
+	// sub-batches that land on the shard.
+	shards []epoch.IndexCell
+	// childName is the shard index family's name, for Name.
+	childName string
 
 	// diffPool and queryPool recycle the batch-partitioning and query
 	// fan-out scratch across operations (concurrent callers each borrow
@@ -145,22 +147,6 @@ type Sharded struct {
 	// given. Replicas share their original's met (NewReplica), so one
 	// logical index registers its per-shard series exactly once.
 	met *shardMetrics
-}
-
-// shardSlot is one region's index and its lock. In locked mode idx holds
-// the single copy: writers take mu exclusively, readers share it. In
-// snapshot mode idx is nil and the copy pair lives in mgr/standby — mu
-// then only serializes writers (sub-batch appliers), readers pin the
-// published version instead. savedIns/savedDel (guarded by mu) hold the
-// shard's previously committed sub-batch, replayed on the standby as
-// catch-up before the next sub-batch applies.
-type shardSlot struct {
-	mu  sync.RWMutex
-	idx core.Index
-
-	mgr                epoch.Manager[core.Index]
-	standby            *epoch.Version[core.Index]
-	savedIns, savedDel []geom.Point
 }
 
 var _ core.Index = (*Sharded)(nil)
@@ -184,18 +170,17 @@ func newSharded(opts Options) *Sharded {
 	s := &Sharded{
 		opts:   opts,
 		part:   newPartition(opts.Dims, opts.Universe, opts.Shards, opts.Strategy, opts.CellsPerShard),
-		shards: make([]shardSlot, opts.Shards),
+		shards: make([]epoch.IndexCell, opts.Shards),
 	}
 	s.diffPool.New = func() any { return new(diffScratch) }
 	s.queryPool.New = func() any { return new(queryScratch) }
 	for i := range s.shards {
-		sh := &s.shards[i]
-		if opts.Snapshot {
-			sh.mgr.Init(epoch.NewVersion(opts.New(opts.Dims, opts.Universe)))
-			sh.standby = epoch.NewVersion(opts.New(opts.Dims, opts.Universe))
-		} else {
-			sh.idx = opts.New(opts.Dims, opts.Universe)
+		copies := []core.Index{opts.New(opts.Dims, opts.Universe)}
+		if opts.Snapshot { // the one place the read mode is chosen
+			copies = append(copies, opts.New(opts.Dims, opts.Universe))
 		}
+		s.shards[i].Init(epoch.ApplyDiff, copies...)
+		s.childName = copies[0].Name() // the same for every shard
 	}
 	return s
 }
@@ -213,18 +198,9 @@ func (s *Sharded) NewReplica() core.Index {
 	return r
 }
 
-// child returns shard i's index for metadata reads (Name): the published
-// version in snapshot mode, the single copy otherwise.
-func (s *Sharded) child(i int) core.Index {
-	if s.opts.Snapshot {
-		return s.shards[i].mgr.Current().Data
-	}
-	return s.shards[i].idx
-}
-
 // Name implements core.Index.
 func (s *Sharded) Name() string {
-	return fmt.Sprintf("Sharded[%d%s](%s)", s.opts.Shards, s.opts.Strategy, s.child(0).Name())
+	return fmt.Sprintf("Sharded[%d%s](%s)", s.opts.Shards, s.opts.Strategy, s.childName)
 }
 
 // Dims implements core.Index.
@@ -233,19 +209,12 @@ func (s *Sharded) Dims() int { return s.opts.Dims }
 // Shards returns the shard count S.
 func (s *Sharded) Shards() int { return s.opts.Shards }
 
-// shardSize reads one shard's point count: from the pinned published
-// version in snapshot mode (never waits behind a sub-batch), under the
-// shard read lock otherwise.
+// shardSize reads one shard's point count off its acquired version (in
+// snapshot mode that never waits behind a sub-batch).
 func (s *Sharded) shardSize(i int) int {
-	sh := &s.shards[i]
-	if s.opts.Snapshot {
-		v := sh.mgr.Pin()
-		defer sh.mgr.Unpin(v)
-		return v.Data.Size()
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.idx.Size()
+	v := s.shards[i].Acquire()
+	defer s.shards[i].Release(v)
+	return v.Data.Size()
 }
 
 // Size implements core.Index.
@@ -288,19 +257,11 @@ type Stats struct {
 func (s *Sharded) Stats() Stats {
 	s.epoch.RLock()
 	defer s.epoch.RUnlock()
-	st := Stats{Shards: s.opts.Shards, Versions: 1}
+	st := Stats{Shards: s.opts.Shards, Versions: s.shards[0].Versions()}
 	for i := range s.shards {
 		st.Size += s.shardSize(i)
-		if s.opts.Snapshot {
-			sh := &s.shards[i]
-			if e := sh.mgr.Epoch(); e > st.Epoch {
-				st.Epoch = e
-			}
-			st.RetireLag += sh.mgr.RetireLag()
-		}
-	}
-	if s.opts.Snapshot {
-		st.Versions = 2
+		st.Epoch = max(st.Epoch, s.shards[i].Epoch())
+		st.RetireLag += s.shards[i].RetireLag()
 	}
 	return st
 }
@@ -321,22 +282,10 @@ func (s *Sharded) Build(pts []geom.Point) {
 	offsets := parallel.Sieve(pts, scratch, part.shards, part.shardOf)
 	parallel.ForEach(part.shards, 1, func(i int) {
 		sub := scratch[offsets[i]:offsets[i+1]]
-		sh := &s.shards[i]
-		if s.opts.Snapshot {
-			// Rebuild both twins and clear the saved sub-batch: the new
-			// epoch starts from identical contents on both sides.
-			// Concurrent readers are excluded by the partition-swap lock,
-			// so the drain is immediate.
-			sh.standby.Data.Build(sub)
-			prev := sh.mgr.Publish(sh.standby)
-			sh.mgr.WaitDrained(prev)
-			prev.Data.Build(sub)
-			sh.standby = prev
-			sh.savedIns = sh.savedIns[:0]
-			sh.savedDel = sh.savedDel[:0]
-			return
-		}
-		sh.idx.Build(sub)
+		// Every copy of the shard is rebuilt. Concurrent readers are
+		// excluded by the partition-swap lock, so a twin cell's drain is
+		// immediate.
+		s.shards[i].Rebuild(func(idx core.Index) { idx.Build(sub) })
 	})
 }
 
@@ -413,21 +362,18 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 	defer s.epoch.RUnlock()
 	part := s.part
 	m := s.met
-	var span obs.FlushSpan
+	var sp *obs.FlushSpan
 	var clk time.Time
 	if m != nil {
 		clk = time.Now()
 		// The shard layer nets nothing — its window was already netted a
 		// layer up — so raw equals netted; StageNet is the parallel
 		// partitioning of the batch into per-shard sub-batches.
-		span = obs.FlushSpan{
-			Layer:     "shard",
-			Start:     clk.UnixNano(),
-			RawOps:    len(ins) + len(del),
-			NettedOps: len(ins) + len(del),
-		}
+		sp = &obs.FlushSpan{Layer: "shard", Start: clk.UnixNano(), RawOps: len(ins) + len(del), NettedOps: len(ins) + len(del)}
 	}
-	sc := s.getDiffScratch()
+	// BatchDiff may run from many goroutines at once, so the scratch is
+	// borrowed from a pool rather than kept unguarded on the struct.
+	sc := s.diffPool.Get().(*diffScratch)
 	sc.ins = grown(sc.ins, len(ins))
 	sc.del = grown(sc.del, len(del))
 	var insOff, delOff []int
@@ -435,61 +381,25 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 		func() { insOff = parallel.SieveWith(&sc.insSieve, ins, sc.ins, part.shards, part.shardOf) },
 		func() { delOff = parallel.SieveWith(&sc.delSieve, del, sc.del, part.shards, part.shardOf) },
 	)
-	if m != nil {
-		clk = span.Stamp(obs.StageNet, clk)
-	}
+	clk = sp.Stamp(obs.StageNet, clk)
 	parallel.ForEach(part.shards, 1, func(i int) {
-		subIns := sc.ins[insOff[i]:insOff[i+1]]
-		subDel := sc.del[delOff[i]:delOff[i+1]]
-		if len(subIns) == 0 && len(subDel) == 0 {
-			// Snapshot mode: an untouched shard publishes nothing — its
-			// published version is already current, and its saved
-			// sub-batch stays pending for the next catch-up.
-			return
+		// The sub-batch aliases the pooled scratch; see epoch.Diff.
+		sub := epoch.Diff{Ins: sc.ins[insOff[i]:insOff[i+1]], Del: sc.del[delOff[i]:delOff[i+1]]}
+		if len(sub.Ins) == 0 && len(sub.Del) == 0 {
+			return // an untouched shard commits (and publishes) nothing
 		}
 		if m != nil {
-			m.ops[i].Add(uint64(len(subIns) + len(subDel)))
+			m.ops[i].Add(uint64(len(sub.Ins) + len(sub.Del)))
 		}
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if s.opts.Snapshot {
-			// Catch the standby up with the shard's previous sub-batch,
-			// apply the new one, and publish. subIns/subDel alias the
-			// pooled sieve scratch, so the window is copied into the
-			// per-shard saved buffers before the scratch is recycled.
-			st := sh.standby.Data
-			st.BatchDiff(sh.savedIns, sh.savedDel)
-			st.BatchDiff(subIns, subDel)
-			sh.savedIns = append(sh.savedIns[:0], subIns...)
-			sh.savedDel = append(sh.savedDel[:0], subDel...)
-			prev := sh.mgr.Publish(sh.standby)
-			sh.mgr.WaitDrained(prev)
-			sh.standby = prev
-		} else {
-			sh.idx.BatchDiff(subIns, subDel)
-		}
-		sh.mu.Unlock()
+		// The shared span is stamped once for all shards below, not per
+		// cell: the shards commit in parallel.
+		s.shards[i].Commit(sub, nil, time.Time{})
 	})
 	if m != nil {
-		span.Stamp(obs.StageApply, clk)
+		sp.Stamp(obs.StageApply, clk)
 		m.flushes.Add(1)
-		m.flushDur.Record(span.Dur())
-		m.trace.Record(span)
+		m.flushDur.Record(sp.Dur())
+		m.trace.Record(*sp)
 	}
-	s.putDiffScratch(sc)
-}
-
-// getDiffScratch hands out a pooled scratch (BatchDiff may run from many
-// goroutines at once, so the scratch cannot live unguarded on the struct).
-func (s *Sharded) getDiffScratch() *diffScratch {
-	if s.opts.DisableScratch {
-		return new(diffScratch)
-	}
-	return s.diffPool.Get().(*diffScratch)
-}
-
-func (s *Sharded) putDiffScratch(sc *diffScratch) {
-	if !s.opts.DisableScratch {
-		s.diffPool.Put(sc)
-	}
+	s.diffPool.Put(sc)
 }

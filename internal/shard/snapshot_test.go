@@ -3,7 +3,6 @@ package shard
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -160,80 +159,5 @@ func TestSnapshotReplica(t *testing.T) {
 	}
 	if twin.Name() != s.Name() {
 		t.Fatalf("NewReplica Name = %q, original %q", twin.Name(), s.Name())
-	}
-}
-
-// gatedIndex blocks BatchDiff until released (armed via channel), to
-// hold a sub-batch apply open.
-type gatedIndex struct {
-	core.Index
-	armed   chan struct{}
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (g *gatedIndex) BatchDiff(ins, del []geom.Point) {
-	select {
-	case <-g.armed:
-		select {
-		case g.entered <- struct{}{}:
-		default:
-		}
-		<-g.release
-	default:
-	}
-	g.Index.BatchDiff(ins, del)
-}
-
-// TestSnapshotReadDuringSubBatchDoesNotStall holds one shard's sub-batch
-// apply open and requires queries over that shard to complete against
-// its still-published version. (Locked mode would block RangeCount on
-// the shard's read lock here.)
-func TestSnapshotReadDuringSubBatchDoesNotStall(t *testing.T) {
-	armed := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	opts := testOptions(2, 1, HilbertRange, func(dims int, _ geom.Box) core.Index {
-		return &gatedIndex{Index: core.NewBruteForce(dims), armed: armed, entered: entered, release: release}
-	})
-	opts.Snapshot = true
-	s := New(opts)
-	p0 := geom.Pt2(10, 10)
-	s.BatchInsert([]geom.Point{p0})
-
-	close(armed)
-	applied := make(chan struct{})
-	go func() {
-		s.BatchInsert([]geom.Point{geom.Pt2(20, 20)})
-		close(applied)
-	}()
-	<-entered
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if got := s.Size(); got != 1 {
-			t.Errorf("Size during sub-batch = %d, want 1 (previous shard epoch)", got)
-		}
-		if got := s.KNN(p0, 1, nil); len(got) != 1 || got[0] != p0 {
-			t.Errorf("KNN during sub-batch = %v, want [%v]", got, p0)
-		}
-		if st := s.Stats(); st.Epoch != 1 {
-			t.Errorf("Stats during sub-batch = %+v, want published epoch 1", st)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("queries stalled behind the held-open sub-batch")
-	}
-	close(release)
-	select {
-	case <-applied:
-	case <-time.After(10 * time.Second):
-		t.Fatal("sub-batch never completed after release")
-	}
-	if got := s.Size(); got != 2 {
-		t.Fatalf("Size after sub-batch = %d, want 2", got)
 	}
 }

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"fmt"
-
-	"repro/internal/geom"
-)
+import "fmt"
 
 // Validate checks the sharding invariants and returns the first
 // violation (tests run it after every mutation round):
@@ -44,20 +40,11 @@ func (s *Sharded) Validate() error {
 		}
 	}
 	for i := range s.shards {
-		sh := &s.shards[i]
-		var pts []geom.Point
-		var size int
-		if s.opts.Snapshot {
-			v := sh.mgr.Pin()
-			pts = v.Data.RangeList(s.opts.Universe, nil)
-			size = v.Data.Size()
-			sh.mgr.Unpin(v)
-		} else {
-			sh.mu.RLock()
-			pts = sh.idx.RangeList(s.opts.Universe, nil)
-			size = sh.idx.Size()
-			sh.mu.RUnlock()
-		}
+		cell := &s.shards[i]
+		v := cell.Acquire()
+		pts := v.Data.RangeList(s.opts.Universe, nil)
+		size := v.Data.Size()
+		cell.Release(v)
 		if len(pts) != size {
 			return fmt.Errorf("shard %d: %d points in universe, Size() %d (point outside universe?)",
 				i, len(pts), size)

@@ -58,22 +58,15 @@ func TestSnapshotSequentialEquivalence(t *testing.T) {
 	}
 }
 
-// gate blocks BatchDiff on an index until released, so tests can hold a
-// flush open mid-apply and probe what readers can still do.
+// gate blocks BatchDiff on an index once armed, until released, so a
+// test can hold a flush open mid-apply and probe what readers can do.
 type gate struct {
 	core.Index
-	armed   chan struct{}
-	entered chan struct{}
-	release chan struct{}
+	armed, entered, release chan struct{}
 }
 
 func newGate(inner core.Index) *gate {
-	return &gate{
-		Index:   inner,
-		armed:   make(chan struct{}),
-		entered: make(chan struct{}, 1),
-		release: make(chan struct{}),
-	}
+	return &gate{Index: inner, armed: make(chan struct{}), entered: make(chan struct{}, 1), release: make(chan struct{})}
 }
 
 func (g *gate) BatchDiff(ins, del []geom.Point) {
@@ -89,65 +82,71 @@ func (g *gate) BatchDiff(ins, del []geom.Point) {
 	g.Index.BatchDiff(ins, del)
 }
 
-// TestSnapshotReadDuringFlushDoesNotStall holds a flush open inside the
-// standby twin's BatchDiff and requires KNN, RangeCount, RangeList, and
-// Stats to complete against the still-published previous epoch.
+// TestSnapshotReadDuringFlushDoesNotStall is the Store's wiring check for the
+// cell's reader policy (the protocol itself is tested in internal/epoch):
+// with a flush held open inside BatchDiff, Stats completes in both modes
+// — it never takes the writer lock — and in snapshot mode so do the
+// queries, against the still-published previous epoch.
 func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
-	g := newGate(core.NewBruteForce(2))
-	s := New(g, Options{
-		MaxBatch: 1 << 20,
-		Snapshot: func() core.Index { return newGate(core.NewBruteForce(2)) },
-	})
-	defer s.Close()
-	p0 := geom.Pt2(10, 10)
-	s.Insert(p0)
-	s.Flush()
-
-	close(g.armed) // g is the standby after the first flush; its next BatchDiff blocks
-	flushed := make(chan struct{})
-	go func() {
-		s.Insert(geom.Pt2(20, 20))
+	for _, snapshot := range []bool{false, true} {
+		g := newGate(core.NewBruteForce(2))
+		opts := Options{MaxBatch: 1 << 20}
+		if snapshot {
+			opts.Snapshot = func() core.Index { return core.NewBruteForce(2) }
+		}
+		s := New(g, opts)
+		p0 := geom.Pt2(10, 10)
+		s.Insert(p0)
 		s.Flush()
-		close(flushed)
-	}()
-	<-g.entered
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if got := s.KNN(p0, 1, nil); len(got) != 1 || got[0] != p0 {
-			t.Errorf("KNN during flush = %v, want [%v]", got, p0)
+		close(g.armed) // in snapshot mode g is the standby now: the next window lands on it first
+		flushed := make(chan struct{})
+		go func() {
+			defer close(flushed)
+			s.Insert(geom.Pt2(20, 20))
+			s.Flush()
+		}()
+		<-g.entered
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if st := s.Stats(); st.Flushes != 1 || st.Pending != 0 {
+				t.Errorf("snapshot=%t: Stats during flush = %+v, want 1 flush, 0 pending", snapshot, st)
+			}
+			if !snapshot {
+				return
+			}
+			if got := s.KNN(p0, 1, nil); len(got) != 1 || got[0] != p0 {
+				t.Errorf("KNN during flush = %v, want [%v]", got, p0)
+			}
+			if got := s.RangeCount(universe()); got != 1 {
+				t.Errorf("RangeCount during flush = %d, want 1 (previous epoch)", got)
+			}
+			if got := s.RangeList(universe(), nil); len(got) != 1 {
+				t.Errorf("RangeList during flush = %v, want one point", got)
+			}
+			if st := s.Stats(); st.Epoch != 1 {
+				t.Errorf("Stats during flush = %+v, want published epoch 1", st)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("snapshot=%t: reads stalled behind the held-open flush", snapshot)
 		}
-		if got := s.RangeCount(universe()); got != 1 {
-			t.Errorf("RangeCount during flush = %d, want 1 (previous epoch)", got)
+		close(g.release)
+		<-flushed
+		if got := s.RangeCount(universe()); got != 2 {
+			t.Fatalf("snapshot=%t: RangeCount after flush = %d, want 2", snapshot, got)
 		}
-		if got := s.RangeList(universe(), nil); len(got) != 1 {
-			t.Errorf("RangeList during flush = %v, want one point", got)
-		}
-		if st := s.Stats(); st.Epoch != 1 {
-			t.Errorf("Stats during flush = %+v, want published epoch 1", st)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("reads stalled behind the held-open flush")
-	}
-	close(g.release)
-	select {
-	case <-flushed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("flush never completed after release")
-	}
-	if got := s.RangeCount(universe()); got != 2 {
-		t.Fatalf("RangeCount after flush = %d, want 2", got)
+		s.Close()
 	}
 }
 
 // TestSnapshotFlushZeroAllocWarm extends the zero-alloc flush guard to
-// snapshot mode: warm windows — catch-up, apply, window save, publish,
-// drain — allocate nothing; the two Versions and the saved-window
-// buffers are permanent.
+// snapshot mode: warm windows — apply, publish, drain, catch-up —
+// allocate nothing; the two Versions are permanent.
 func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 	pts := uniquePoints(512, 7)
 	s := New(core.NewNull(2), Options{

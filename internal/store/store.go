@@ -8,11 +8,13 @@
 // batch-update machinery is amortized across callers instead of being
 // driven one mutation at a time. Queries always observe a consistent
 // view: either all of a flushed batch or none of it, never a half-applied
-// update. In the default locked mode they share a read lock with the
-// flush writer; with Options.Snapshot set the Store double-buffers the
-// index through an epoch manager instead (internal/epoch), and queries
+// update. Reader isolation is the version cell's job (epoch.Cell): in the
+// default locked mode queries share a read lock with the flush writer;
+// with Options.Snapshot set the cell double-buffers the index and queries
 // pin the published version — wait-free against even the largest commit
-// window (ARCHITECTURE.md "Epochs & snapshot reads").
+// window (ARCHITECTURE.md "Epochs & snapshot reads"). The pending log and
+// its flushing are the window engine's (internal/window); this package
+// adds the order-aware multiset netting.
 //
 // Visibility contract: a mutation becomes visible to queries atomically at
 // the flush that applies it — on the enqueue that fills the batch to
@@ -38,7 +40,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,57 +47,13 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/window"
 )
 
-// DefaultMaxBatch is the coalescing threshold used when Options.MaxBatch
-// is unset: the pending-mutation count at which the enqueuing goroutine
-// flushes synchronously. The default matches parallel.DefaultGrain, the
-// size below which the indexes' batch operations stop forking.
-const DefaultMaxBatch = 1024
-
-// Options tunes a Store. The zero value is usable: DefaultMaxBatch
-// coalescing, no background flusher.
-type Options struct {
-	// MaxBatch is the pending-mutation count that triggers a synchronous
-	// flush by the enqueuing goroutine (built-in backpressure: the caller
-	// that fills the batch pays for applying it). <= 0 selects
-	// DefaultMaxBatch.
-	MaxBatch int
-	// FlushInterval, when positive, starts a background goroutine that
-	// flushes pending mutations every interval, bounding the staleness of
-	// the queried view under light write traffic. Stop it with Close.
-	FlushInterval time.Duration
-	// DisableScratch turns off the flush-path buffer recycling, so every
-	// flush allocates a fresh op log and netting buffers (the pre-reuse
-	// behavior). It exists so -exp alloc can measure the before/after of
-	// scratch reuse; production configurations leave it false.
-	DisableScratch bool
-	// Snapshot, when set, switches the Store to epoch-pinned snapshot
-	// reads: it must return a fresh, EMPTY index configured identically
-	// to the wrapped one (core.Replicator semantics — most callers pass
-	// the same constructor they built idx with). The Store then keeps two
-	// versions of the index, applies every committed window to both (the
-	// off-line one first), publishes through an atomic epoch pointer, and
-	// queries pin the published version instead of taking the read lock —
-	// a reader never waits on a flush, no matter how large the window.
-	// The wrapped index must be empty at New. Leave nil for the classic
-	// single-copy RWMutex mode.
-	Snapshot func() core.Index
-	// Obs, when set, registers the Store's metrics (flush counters, flush
-	// duration histogram, epoch gauges, all labeled layer="store") and
-	// records a flush-pipeline span per flush into the registry's trace
-	// ring. Recording is atomics into preallocated storage — the
-	// zero-alloc flush guarantee holds with a live registry. Leave nil to
-	// pay nothing.
-	Obs *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	return o
-}
+// Options tunes a Store: the coalescing trigger (MaxBatch), the
+// background flusher (FlushInterval), snapshot reads (Snapshot) and
+// metrics (Obs). The zero value is usable.
+type Options = window.Options
 
 // Stats is a snapshot of a Store's lifetime counters. It is assembled
 // from atomics and the pending lock only — never the writer lock — so
@@ -117,60 +74,25 @@ type Stats struct {
 // is a drop-in replacement anywhere an index is consumed — with the added
 // guarantee that every method may be called from any number of goroutines.
 type Store struct {
-	opts Options
-	idx  core.Index
+	name string
+	dims int
 
-	// pend guards the coalescing log. It is held only for appends and
-	// swaps — never while a batch is applied — so enqueueing stays cheap
-	// under contention. The log is ordered: netting at flush time needs to
-	// know whether a delete preceded or followed an insert of its point.
-	pend struct {
-		sync.Mutex
-		ops []pendOp
-	}
+	// eng owns the ordered pending log (netting at flush time needs to
+	// know whether a delete preceded or followed an insert of its point),
+	// the flush triggers and the flush lock. cell owns the index copies
+	// and how queries are kept off the flush writer.
+	eng  window.Engine[pendOp]
+	cell epoch.IndexCell
 
-	// flushMu serializes flushes: batches are swapped out and applied in a
-	// single order, so the index always reflects a prefix of the enqueue
-	// history. rw guards the wrapped index: queries share read locks,
-	// batch application takes the write lock.
-	flushMu sync.Mutex
-	rw      sync.RWMutex
+	// scratch is the netting buffer set and netted the window it last
+	// produced, both guarded by the engine's flush lock. Everything grows
+	// to the window high-water mark and is then reused verbatim, so a
+	// warm Store flushes with zero allocations.
+	scratch netScratch
+	netted  epoch.Diff
 
-	// scratch is the flush-path buffer set, guarded by flushMu. The op
-	// log double-buffers through spare: each flush swaps the live log out
-	// and hands the previous window's (emptied) buffer back to the
-	// enqueuers, so a warm Store flushes with zero allocations.
-	scratch flushScratch
-
-	// snap is the snapshot-read state, active when Options.Snapshot is
-	// set: the epoch manager publishing the current version, the standby
-	// twin the next flush writes, and a copy of the previously committed
-	// window (guarded by flushMu) replayed on the standby as catch-up
-	// before the new window applies — both twins see the same history,
-	// one window apart. The two Version structs and the saved buffers
-	// live for the Store's lifetime, preserving the zero-alloc flush.
-	snap struct {
-		enabled            bool
-		mgr                epoch.Manager[core.Index]
-		standby            *epoch.Version[core.Index]
-		savedIns, savedDel []geom.Point
-	}
-
-	flushes   atomic.Uint64
-	inserted  atomic.Uint64
-	deleted   atomic.Uint64
-	cancelled atomic.Uint64
-	rawOps    atomic.Uint64
-
-	// met is the observability hook set, nil unless Options.Obs was
-	// given. met.span is the persistent flush-span scratch, guarded by
-	// flushMu like the rest of the flush state, so recording a span never
-	// allocates.
-	met *storeMetrics
-
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	inserted atomic.Uint64
+	deleted  atomic.Uint64
 }
 
 // pendOp is one logged mutation request.
@@ -185,212 +107,78 @@ var _ core.Index = (*Store)(nil)
 // touch idx directly afterwards. If opts.FlushInterval is positive the
 // background flusher starts immediately; pair New with Close to stop it.
 func New(idx core.Index, opts Options) *Store {
-	s := &Store{opts: opts.withDefaults(), idx: idx, stop: make(chan struct{})}
-	if s.opts.Snapshot != nil {
-		if idx.Size() != 0 {
-			panic("store: Options.Snapshot requires an initially empty index")
-		}
-		mirror := s.opts.Snapshot()
-		if mirror == nil || mirror.Size() != 0 {
-			panic("store: Options.Snapshot must return a fresh, empty index")
-		}
-		s.snap.enabled = true
-		s.snap.mgr.Init(epoch.NewVersion(idx))
-		s.snap.standby = epoch.NewVersion(mirror)
-	}
-	if s.opts.Obs != nil {
-		s.met = newStoreMetrics(s.opts.Obs, s)
-	}
-	if s.opts.FlushInterval > 0 {
-		s.wg.Add(1)
-		go s.flushLoop()
-	}
+	s := &Store{name: fmt.Sprintf("Store(%s)", idx.Name()), dims: idx.Dims()}
+	s.cell.Init(epoch.ApplyDiff, epoch.Copies("store", idx, opts.Snapshot)...)
+	s.cell.Register(opts.Obs, obs.Label{Key: "layer", Value: "store"})
+	s.eng.Init("store", opts,
+		func(ops []pendOp) (cancelled int) {
+			s.netted.Ins, s.netted.Del, cancelled = s.scratch.net(ops)
+			return cancelled
+		},
+		func(sp *obs.FlushSpan, clk time.Time) int {
+			s.cell.Commit(s.netted, sp, clk)
+			s.inserted.Add(uint64(len(s.netted.Ins)))
+			s.deleted.Add(uint64(len(s.netted.Del)))
+			return len(s.netted.Ins) + len(s.netted.Del)
+		})
 	return s
-}
-
-func (s *Store) flushLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.opts.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.Flush()
-		case <-s.stop:
-			return
-		}
-	}
 }
 
 // Close stops the background flusher (if any) and applies all pending
 // mutations. The Store remains usable after Close — only the periodic
 // flushing ends. Close is idempotent.
 func (s *Store) Close() {
-	s.closeOnce.Do(func() {
-		close(s.stop)
-		s.wg.Wait()
-	})
-	s.Flush()
+	s.eng.Close(nil)
+	s.eng.Flush()
 }
 
 // Name implements core.Index.
-func (s *Store) Name() string { return fmt.Sprintf("Store(%s)", s.idx.Name()) }
+func (s *Store) Name() string { return s.name }
 
 // Dims implements core.Index.
-func (s *Store) Dims() int { return s.idx.Dims() }
+func (s *Store) Dims() int { return s.dims }
 
 // Insert enqueues one point for insertion.
-func (s *Store) Insert(p geom.Point) { s.enqueue(p, false) }
+func (s *Store) Insert(p geom.Point) { s.BatchDiff([]geom.Point{p}, nil) }
 
 // Delete enqueues the removal of one occurrence of p. As with
 // core.Index.BatchDelete, a request matching no stored point is ignored
 // when its batch applies.
-func (s *Store) Delete(p geom.Point) { s.enqueue(p, true) }
-
-func (s *Store) enqueue(p geom.Point, del bool) {
-	s.pend.Lock()
-	s.pend.ops = append(s.pend.ops, pendOp{p: p, del: del})
-	full := len(s.pend.ops) >= s.opts.MaxBatch
-	s.pend.Unlock()
-	if full {
-		s.Flush()
-	}
-}
+func (s *Store) Delete(p geom.Point) { s.BatchDiff(nil, []geom.Point{p}) }
 
 // BatchInsert implements core.Index: the whole batch is enqueued as a unit
 // and will be applied by a single flush.
-func (s *Store) BatchInsert(pts []geom.Point) { s.enqueueBatch(pts, nil) }
+func (s *Store) BatchInsert(pts []geom.Point) { s.BatchDiff(pts, nil) }
 
 // BatchDelete implements core.Index.
-func (s *Store) BatchDelete(pts []geom.Point) { s.enqueueBatch(nil, pts) }
+func (s *Store) BatchDelete(pts []geom.Point) { s.BatchDiff(nil, pts) }
 
-// BatchDiff implements core.Index.
-func (s *Store) BatchDiff(ins, del []geom.Point) { s.enqueueBatch(ins, del) }
-
-// enqueueBatch logs the deletes before the inserts, matching the
-// core.Index BatchDiff contract ("the del points leave, the ins points
-// enter") for a same-call overlap.
-func (s *Store) enqueueBatch(ins, del []geom.Point) {
-	if len(ins) == 0 && len(del) == 0 {
-		return
-	}
-	s.pend.Lock()
+// BatchDiff implements core.Index and is every mutation's enqueue path.
+// It logs the deletes before the inserts, matching the core.Index
+// BatchDiff contract ("the del points leave, the ins points enter") for a
+// same-call overlap; the engine's Unlock flushes when the log reached
+// MaxBatch.
+func (s *Store) BatchDiff(ins, del []geom.Point) {
+	s.eng.Lock()
 	for _, p := range del {
-		s.pend.ops = append(s.pend.ops, pendOp{p: p, del: true})
+		s.eng.Append(pendOp{p: p, del: true})
 	}
 	for _, p := range ins {
-		s.pend.ops = append(s.pend.ops, pendOp{p: p})
+		s.eng.Append(pendOp{p: p})
 	}
-	full := len(s.pend.ops) >= s.opts.MaxBatch
-	s.pend.Unlock()
-	if full {
-		s.Flush()
-	}
+	s.eng.Unlock()
 }
 
 // Flush applies every pending mutation as one batch and returns the number
-// applied. Each enqueued mutation is applied by exactly one flush: the
-// buffers are swapped out under the pending lock, so concurrent flushes
-// and enqueues never double-apply or drop a request. Flush is a
-// synchronization barrier — on return, every mutation enqueued before the
-// call is visible to queries.
-func (s *Store) Flush() int {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	sc := &s.scratch
-	if s.opts.DisableScratch {
-		sc = new(flushScratch)
-	}
-	s.pend.Lock()
-	if len(s.pend.ops) == 0 {
-		s.pend.Unlock()
-		return 0
-	}
-	ops := s.pend.ops
-	// Hand the previous window's emptied buffer to the enqueuers: the op
-	// log double-buffers instead of re-growing from nil every window.
-	s.pend.ops = sc.spare
-	sc.spare = nil
-	s.pend.Unlock()
-	m := s.met
-	var clk time.Time
-	if m != nil {
-		clk = time.Now()
-		m.span = obs.FlushSpan{Layer: "store", Start: clk.UnixNano()}
-	}
-	ins, del, cancelled := sc.net(ops)
-	if m != nil {
-		clk = m.span.Stamp(obs.StageNet, clk)
-	}
-	if s.snap.enabled {
-		s.commitSnapshot(ins, del, clk)
-	} else {
-		s.rw.Lock()
-		s.idx.BatchDiff(ins, del)
-		s.rw.Unlock()
-		if m != nil {
-			m.span.Stamp(obs.StageApply, clk)
-		}
-	}
-	// ins/del alias sc buffers; the index must not have retained them
-	// (the core.Index batch contract), so they are reusable next flush —
-	// as is the swapped-out op log.
-	sc.spare = ops[:0]
-	s.flushes.Add(1)
-	s.cancelled.Add(uint64(cancelled))
-	s.inserted.Add(uint64(len(ins)))
-	s.deleted.Add(uint64(len(del)))
-	s.rawOps.Add(uint64(len(ops)))
-	if m != nil {
-		m.span.RawOps = len(ops)
-		m.span.NettedOps = len(ins) + len(del)
-		m.span.Cancelled = cancelled
-		if s.snap.enabled {
-			m.span.Epoch = s.snap.mgr.Epoch()
-		}
-		m.flushDur.Record(m.span.Dur())
-		m.trace.Record(m.span)
-	}
-	return len(ins) + len(del)
-}
+// applied. Each enqueued mutation is applied by exactly one flush, so
+// concurrent flushes and enqueues never double-apply or drop a request.
+// Flush is a synchronization barrier — on return, every mutation enqueued
+// before the call is visible to queries.
+func (s *Store) Flush() int { return s.eng.Flush() }
 
-// commitSnapshot applies one netted window in snapshot mode (callers
-// hold flushMu): catch the standby up with the previously committed
-// window (the published twin already holds it), apply the new window,
-// publish, and wait out readers of the displaced version, which becomes
-// the next standby. Readers running concurrently pin whichever version
-// is current and never block. ins/del alias the netting scratch, so the
-// window is copied into the saved buffers before the scratch is reused.
-// clk is the flush-span clock (only read when metrics are attached).
-func (s *Store) commitSnapshot(ins, del []geom.Point, clk time.Time) {
-	m := s.met
-	st := s.snap.standby
-	st.Data.BatchDiff(s.snap.savedIns, s.snap.savedDel)
-	if m != nil {
-		clk = m.span.Stamp(obs.StageReplay, clk)
-	}
-	st.Data.BatchDiff(ins, del)
-	s.snap.savedIns = append(s.snap.savedIns[:0], ins...)
-	s.snap.savedDel = append(s.snap.savedDel[:0], del...)
-	if m != nil {
-		clk = m.span.Stamp(obs.StageApply, clk)
-	}
-	prev := s.snap.mgr.Publish(st)
-	if m != nil {
-		clk = m.span.Stamp(obs.StagePublish, clk)
-	}
-	s.snap.mgr.WaitDrained(prev)
-	if m != nil {
-		m.span.Stamp(obs.StageDrain, clk)
-	}
-	s.snap.standby = prev
-}
-
-// flushScratch is the per-Store flush buffer set (guarded by flushMu):
-// the recycled op log plus the netting buffers. Everything grows to the
-// window high-water mark and is then reused verbatim.
-type flushScratch struct {
-	spare       []pendOp
+// netScratch is the per-Store netting buffer set (guarded by the flush
+// lock).
+type netScratch struct {
 	ins, del    []geom.Point
 	avail, skip map[geom.Point]int
 }
@@ -408,7 +196,7 @@ type flushScratch struct {
 // The returned slices alias the scratch: they are valid until the next
 // net call, and callers hand them to BatchDiff, which must not retain
 // them (the core.Index batch contract).
-func (sc *flushScratch) net(ops []pendOp) (ins, del []geom.Point, cancelled int) {
+func (sc *netScratch) net(ops []pendOp) (ins, del []geom.Point, cancelled int) {
 	nDel := 0
 	for _, op := range ops {
 		if op.del {
@@ -470,107 +258,63 @@ func (sc *flushScratch) net(ops []pendOp) (ins, del []geom.Point, cancelled int)
 // pts. Mutations enqueued before Build and not yet flushed are discarded —
 // Build defines a new epoch, matching the bulk-construction contract.
 func (s *Store) Build(pts []geom.Point) {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.pend.Lock()
-	s.pend.ops = nil
-	s.pend.Unlock()
-	if s.snap.enabled {
-		// Build both twins and clear the saved window — the new epoch
-		// starts from identical contents on both sides.
-		st := s.snap.standby
-		st.Data.Build(pts)
-		prev := s.snap.mgr.Publish(st)
-		s.snap.mgr.WaitDrained(prev)
-		prev.Data.Build(pts)
-		s.snap.standby = prev
-		s.snap.savedIns = s.snap.savedIns[:0]
-		s.snap.savedDel = s.snap.savedDel[:0]
-		return
-	}
-	s.rw.Lock()
-	s.idx.Build(pts)
-	s.rw.Unlock()
+	s.eng.Exclusive(func() {
+		s.eng.Discard()
+		s.cell.Rebuild(func(idx core.Index) { idx.Build(pts) })
+	})
 }
 
 // Size implements core.Index. It first flushes pending mutations so the
 // answer reflects every enqueue that happened before the call.
 func (s *Store) Size() int {
 	s.Flush()
-	if s.snap.enabled {
-		v := s.snap.mgr.Pin()
-		defer s.snap.mgr.Unpin(v)
-		return v.Data.Size()
-	}
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	return s.idx.Size()
+	v := s.cell.Acquire()
+	defer s.cell.Release(v)
+	return v.Data.Size()
 }
 
 // KNN implements core.Index. Queries always observe a whole number of
-// flushed batches, never a half-applied one: in snapshot mode they pin
-// the published epoch's version (wait-free against flushes — the Unpin is
-// deferred so a panicking inner index never wedges the writer's drain);
-// in locked mode they share the read lock.
+// flushed batches, never a half-applied one: they read the version the
+// cell hands out — pinned in snapshot mode (wait-free against flushes),
+// under the shared read lock otherwise. The Release is deferred so a
+// panicking inner index never wedges the flush writer.
 func (s *Store) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
-	if s.snap.enabled {
-		v := s.snap.mgr.Pin()
-		defer s.snap.mgr.Unpin(v)
-		return v.Data.KNN(q, k, dst)
-	}
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	return s.idx.KNN(q, k, dst)
+	v := s.cell.Acquire()
+	defer s.cell.Release(v)
+	return v.Data.KNN(q, k, dst)
 }
 
 // RangeCount implements core.Index.
 func (s *Store) RangeCount(box geom.Box) int {
-	if s.snap.enabled {
-		v := s.snap.mgr.Pin()
-		defer s.snap.mgr.Unpin(v)
-		return v.Data.RangeCount(box)
-	}
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	return s.idx.RangeCount(box)
+	v := s.cell.Acquire()
+	defer s.cell.Release(v)
+	return v.Data.RangeCount(box)
 }
 
 // RangeList implements core.Index.
 func (s *Store) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
-	if s.snap.enabled {
-		v := s.snap.mgr.Pin()
-		defer s.snap.mgr.Unpin(v)
-		return v.Data.RangeList(box, dst)
-	}
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	return s.idx.RangeList(box, dst)
+	v := s.cell.Acquire()
+	defer s.cell.Release(v)
+	return v.Data.RangeList(box, dst)
 }
 
 // Pending returns the number of enqueued, not-yet-flushed mutations.
-func (s *Store) Pending() int {
-	s.pend.Lock()
-	defer s.pend.Unlock()
-	return len(s.pend.ops)
-}
+func (s *Store) Pending() int { return s.eng.Pending() }
 
 // Stats returns a snapshot of the Store's counters. The counters are
 // updated after each flush, so a snapshot taken concurrently with a flush
 // may lag by that one batch. Stats never takes the writer lock, so it
 // does not block behind an in-flight flush.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		Flushes:   s.flushes.Load(),
+	es := s.eng.Stats()
+	return Stats{
+		Flushes:   es.Flushes,
 		Inserted:  s.inserted.Load(),
 		Deleted:   s.deleted.Load(),
-		Cancelled: s.cancelled.Load(),
-		Pending:   s.Pending(),
-		Versions:  1,
+		Cancelled: es.Cancelled,
+		Pending:   es.Pending,
+		Epoch:     s.cell.Epoch(),
+		Versions:  s.cell.Versions(),
+		RetireLag: s.cell.RetireLag(),
 	}
-	if s.snap.enabled {
-		st.Epoch = s.snap.mgr.Epoch()
-		st.Versions = 2
-		st.RetireLag = s.snap.mgr.RetireLag()
-	}
-	return st
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/sfc"
 	"repro/internal/spactree"
 	"repro/internal/workload"
@@ -79,6 +78,24 @@ func TestVisibilityAtFlush(t *testing.T) {
 	}
 }
 
+// TestMaxBatchMakesWindowVisible pins the first clause of the visibility
+// contract at this layer: Options.MaxBatch reaches the engine, and the
+// enqueue that fills the window applies it — no Flush call. (The trigger
+// itself is the engine's and is tested in internal/window.)
+func TestMaxBatchMakesWindowVisible(t *testing.T) {
+	s := New(core.NewBruteForce(2), Options{MaxBatch: 8})
+	defer s.Close()
+	pts := uniquePoints(8, 1)
+	s.BatchInsert(pts[:7])
+	if st := s.Stats(); st.Flushes != 0 || st.Pending != 7 || s.RangeCount(universe()) != 0 {
+		t.Fatalf("below MaxBatch: %+v, want nothing applied", st)
+	}
+	s.Insert(pts[7])
+	if st := s.Stats(); st.Flushes != 1 || st.Pending != 0 || s.RangeCount(universe()) != 8 {
+		t.Fatalf("the filling enqueue did not flush: %+v", st)
+	}
+}
+
 // TestMoveChainInOneWindow is the serving regression that motivated
 // pair cancellation: a vehicle moved twice before a flush (delete p0,
 // insert p1, delete p1, insert p2) must net to one relocation. Raw
@@ -110,32 +127,6 @@ func TestMoveChainInOneWindow(t *testing.T) {
 	}
 }
 
-func TestMaxBatchTriggersFlush(t *testing.T) {
-	s := New(core.NewBruteForce(2), Options{MaxBatch: 8})
-	defer s.Close()
-	pts := uniquePoints(8, 1)
-	for _, p := range pts {
-		s.Insert(p)
-	}
-	if st := s.Stats(); st.Flushes != 1 || st.Inserted != 8 || st.Pending != 0 {
-		t.Fatalf("after filling one batch: %+v", st)
-	}
-}
-
-func TestBackgroundFlusher(t *testing.T) {
-	s := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20, FlushInterval: time.Millisecond})
-	defer s.Close()
-	p := geom.Pt2(3, 4)
-	s.Insert(p)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.RangeCount(geom.BoxOf(p, p)) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never applied the pending insert")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestBuildDiscardsPending(t *testing.T) {
 	s := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
 	defer s.Close()
@@ -150,40 +141,6 @@ func TestBuildDiscardsPending(t *testing.T) {
 	}
 	if got := s.RangeCount(geom.BoxOf(geom.Pt2(1, 1), geom.Pt2(1, 1))); got != 0 {
 		t.Fatal("pre-Build pending insert survived the rebuild")
-	}
-}
-
-// TestFlushExactlyOnce hammers one Store with concurrent inserts of
-// duplicate points, explicit flushes, and threshold flushes racing each
-// other; every enqueued insert must be applied by exactly one flush.
-func TestFlushExactlyOnce(t *testing.T) {
-	const (
-		writers = 8
-		perG    = 400
-	)
-	p := geom.Pt2(123, 456)
-	s := New(core.NewBruteForce(2), Options{MaxBatch: 64})
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				s.Insert(p)
-				if i%97 == 0 {
-					s.Flush()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	s.Close()
-	want := writers * perG
-	if got := s.RangeCount(geom.BoxOf(p, p)); got != want {
-		t.Fatalf("duplicate point applied %d times, want exactly %d", got, want)
-	}
-	if st := s.Stats(); st.Inserted != uint64(want) || st.Pending != 0 {
-		t.Fatalf("stats after close: %+v", st)
 	}
 }
 
@@ -410,15 +367,4 @@ func TestFlushZeroAllocWarm(t *testing.T) {
 			t.Fatalf("warm netted flush allocates %.2f/op, want 0", allocs)
 		}
 	})
-}
-
-// TestDefaultMaxBatchMatchesGrain pins the documented linkage: the
-// DefaultMaxBatch doc promises it matches parallel.DefaultGrain (the
-// size below which the indexes' batch operations stop forking), so a
-// change to either constant must revisit the other.
-func TestDefaultMaxBatchMatchesGrain(t *testing.T) {
-	if DefaultMaxBatch != parallel.DefaultGrain {
-		t.Fatalf("DefaultMaxBatch (%d) no longer matches parallel.DefaultGrain (%d); update the constant or its comment",
-			DefaultMaxBatch, parallel.DefaultGrain)
-	}
 }

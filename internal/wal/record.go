@@ -33,20 +33,20 @@ import (
 //	uvarint term | uvarint seq | uvarint n | n × (codec-encoded ID | 3 × varint coord)
 //	u32le crc32(everything after the magic)
 //
-// The v1 snapshot magic ("PSISNP1\n") is still read — its body starts
-// directly at the seq, and recovery assigns it term 0. Writers always
-// emit v2: the leader term is journaled with every snapshot, which is
-// how a promotion's new term survives a restart.
+// The leader term is journaled with every snapshot, which is how a
+// promotion's new term survives a restart. The digit in the magic is the
+// format version: a snapshot of any other version (the term-less v1 that
+// nothing has written since the term was added) fails Open with an
+// "unsupported snapshot version" error rather than being misread.
 //
 // The snapshot is replaced atomically (write-temp, fsync, rename), so a
 // reader never sees a partial one; a checksum mismatch therefore means
 // bit rot, which fails Open rather than being silently truncated.
 const (
-	logMagic    = "PSIWAL1\n"
-	snapMagicV1 = "PSISNP1\n"
-	snapMagic   = "PSISNP2\n"
-	magicLen    = 8
-	frameLen    = 8 // u32le payload length + u32le payload CRC
+	logMagic  = "PSIWAL1\n"
+	snapMagic = "PSISNP2\n"
+	magicLen  = 8
+	frameLen  = 8 // u32le payload length + u32le payload CRC
 )
 
 // Op is one entry of a committed window: a last-write-wins Set of ID to

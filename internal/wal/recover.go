@@ -3,6 +3,7 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,7 +29,7 @@ type Recovery[ID comparable] struct {
 	SnapshotSeq     uint64
 	SnapshotObjects int
 	// Term is the leader term the snapshot journaled (zero when none
-	// existed or the snapshot predates terms). Replication fencing
+	// existed). Replication fencing
 	// persists the term here so a restarted node rejoins with the term
 	// it last held.
 	Term uint64
@@ -42,6 +43,10 @@ type Recovery[ID comparable] struct {
 	// acknowledged.
 	TruncatedBytes int64
 }
+
+// ErrSnapshotVersion is wrapped by the error Open returns for a wal.snap
+// written in a snapshot format version this build does not read.
+var ErrSnapshotVersion = errors.New("unsupported snapshot version")
 
 // readSnapshot loads the snapshot file into rec, if one exists. The
 // file is rename-atomic, so any validation failure here is bit rot or
@@ -57,22 +62,24 @@ func readSnapshot[ID comparable](path string, codec Codec[ID], rec *Recovery[ID]
 	if len(b) < magicLen+4 {
 		return fmt.Errorf("wal: %s: bad snapshot header", path)
 	}
-	magic := string(b[:magicLen])
-	if magic != snapMagic && magic != snapMagicV1 {
+	if magic := string(b[:magicLen]); magic != snapMagic {
+		// Same family, other version digit: a real snapshot this build
+		// cannot read — never a foreign file, let alone a tear.
+		if family := len(snapMagic) - 2; magic[:family] == snapMagic[:family] {
+			return fmt.Errorf("wal: %s: %w %q", path, ErrSnapshotVersion, magic[:family+1])
+		}
 		return fmt.Errorf("wal: %s: bad snapshot header", path)
 	}
 	body, trailer := b[magicLen:len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
 		return fmt.Errorf("wal: %s: snapshot checksum mismatch", path)
 	}
-	if magic == snapMagic { // v2 journals the leader term before the seq
-		term, n := binary.Uvarint(body)
-		if n <= 0 {
-			return fmt.Errorf("wal: %s: truncated snapshot term", path)
-		}
-		body = body[n:]
-		rec.Term = term
+	term, n := binary.Uvarint(body)
+	if n <= 0 {
+		return fmt.Errorf("wal: %s: truncated snapshot term", path)
 	}
+	body = body[n:]
+	rec.Term = term
 	seq, n := binary.Uvarint(body)
 	if n <= 0 {
 		return fmt.Errorf("wal: %s: truncated snapshot seq", path)

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"maps"
 	"os"
@@ -680,13 +682,21 @@ func TestTermPersistence(t *testing.T) {
 	closeT(t, l2)
 }
 
-// TestTermV1Snapshot builds a v1 snapshot by hand (no term field) and
-// checks recovery reads it with term 0 — old WAL directories keep
-// working across the format bump.
-func TestTermV1Snapshot(t *testing.T) {
+// TestV1SnapshotRejected builds a v1 snapshot by hand (the term-less
+// format nothing writes any more) next to a log holding one later window,
+// and checks that Open refuses the directory with the distinct
+// unsupported-version error — not the foreign-file error, and never by
+// treating anything as a tear: both files must survive byte for byte, so
+// the operator can still recover them with a build that reads v1.
+func TestV1SnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{})
+	if err := l.AppendWindow([]Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+		t.Fatalf("AppendWindow: %v", err)
+	}
+	closeT(t, l)
 	var body []byte
-	body = binary.AppendUvarint(body, 3) // seq
+	body = binary.AppendUvarint(body, 0) // seq
 	body = binary.AppendUvarint(body, 1) // count
 	body = StringCodec{}.AppendID(body, "a")
 	for d := 0; d < geom.MaxDims; d++ {
@@ -694,15 +704,26 @@ func TestTermV1Snapshot(t *testing.T) {
 	}
 	snap := append([]byte("PSISNP1\n"), body...)
 	snap = binary.LittleEndian.AppendUint32(snap, crc32.ChecksumIEEE(body))
-	if err := os.WriteFile(filepath.Join(dir, "wal.snap"), snap, 0o644); err != nil {
+	snapPath, logPath := filepath.Join(dir, "wal.snap"), filepath.Join(dir, "wal.log")
+	if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, rec := openT(t, dir, Options{})
-	defer closeT(t, l)
-	if rec.Term != 0 || rec.Seq != 3 || rec.SnapshotObjects != 1 {
-		t.Fatalf("v1 snapshot recovery: %+v", rec)
+	logBefore, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p, ok := rec.Entries["a"]; !ok || p != geom.Pt3(1, 2, 3) {
-		t.Fatalf("v1 snapshot entries: %v", rec.Entries)
+
+	_, _, err = Open[string](dir, StringCodec{}, Options{})
+	if !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("Open over a v1 snapshot: err = %v, want ErrSnapshotVersion", err)
+	}
+	if !strings.Contains(err.Error(), `"PSISNP1"`) {
+		t.Fatalf("error does not name the version found: %v", err)
+	}
+	if got, _ := os.ReadFile(snapPath); !bytes.Equal(got, snap) {
+		t.Fatal("rejected snapshot was modified")
+	}
+	if got, _ := os.ReadFile(logPath); !bytes.Equal(got, logBefore) {
+		t.Fatal("log was modified while rejecting the snapshot")
 	}
 }

@@ -1,0 +1,367 @@
+package window
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/parallel"
+)
+
+// The pipeline lifecycle — flush triggers, the flusher, exactly-once
+// application, the Close ordering — is tested here, once, against a
+// client with a trivial op type. Store and Collection test what they
+// add on top: their netting semantics, oracles and allocation guards.
+
+// tally is the trivial client: ops are ints, netting drops negative ones,
+// apply records every surviving op. Its fields are only touched under the
+// engine's flush lock, except through the atomics.
+type tally struct {
+	eng     Engine[int]
+	window  []int       // the netted window between Net and Apply
+	applied map[int]int // op -> times applied
+	windows [][]int     // every applied window, in order
+	total   atomic.Int64
+	closed  atomic.Bool // set by the Close hook
+	late    atomic.Bool // an Apply ran after the Close hook
+}
+
+func newTally(opts Options) *tally {
+	c := &tally{applied: make(map[int]int)}
+	net := func(ops []int) (cancelled int) {
+		c.window = c.window[:0]
+		for _, o := range ops {
+			if o < 0 {
+				cancelled++
+				continue
+			}
+			c.window = append(c.window, o)
+		}
+		return cancelled
+	}
+	apply := func(sp *obs.FlushSpan, clk time.Time) int {
+		if c.closed.Load() {
+			c.late.Store(true)
+		}
+		// A client may guard state of its own with the pending lock from
+		// inside a flush (Collection purges its overlay this way): a
+		// section without an Append must never flush, however full the
+		// log has grown meanwhile — here it would self-deadlock.
+		c.eng.Lock()
+		c.eng.Unlock()
+		for _, o := range c.window {
+			c.applied[o]++
+		}
+		c.windows = append(c.windows, append([]int(nil), c.window...))
+		c.total.Add(int64(len(c.window)))
+		sp.Stamp(obs.StageApply, clk)
+		return len(c.window)
+	}
+	c.eng.Init("tally", opts, net, apply)
+	return c
+}
+
+// enqueue is a client's whole enqueue path: the MaxBatch flush is the
+// engine's, inside Unlock.
+func (c *tally) enqueue(op int) {
+	c.eng.Lock()
+	c.eng.Append(op)
+	c.eng.Unlock()
+}
+
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+func TestMaxBatchTriggersFlush(t *testing.T) {
+	c := newTally(Options{MaxBatch: 8})
+	defer c.eng.Close(nil)
+	for i := 0; i < 7; i++ {
+		c.enqueue(i)
+	}
+	if st := c.eng.Stats(); st.Flushes != 0 || st.Pending != 7 {
+		t.Fatalf("below the trigger: %+v, want no flush and 7 pending", st)
+	}
+	c.enqueue(7)
+	if st := c.eng.Stats(); st.Flushes != 1 || st.Pending != 0 || c.total.Load() != 8 {
+		t.Fatalf("after filling one batch: %+v, %d applied", st, c.total.Load())
+	}
+	// A multi-op section flushes once, when it ends, with every op in.
+	c.eng.Lock()
+	for i := 0; i < 20; i++ {
+		c.eng.Append(50 + i)
+	}
+	c.eng.Unlock()
+	if st := c.eng.Stats(); st.Flushes != 2 || st.Pending != 0 || c.total.Load() != 28 {
+		t.Fatalf("after a 20-op section: %+v, %d applied", st, c.total.Load())
+	}
+	// SetMaxBatch moves the trigger; <= 0 restores the default.
+	// Only an Append triggers: a bare Lock/Unlock over an already
+	// over-full log leaves it alone.
+	c.enqueue(8)
+	c.enqueue(9)
+	c.eng.SetMaxBatch(2)
+	c.eng.Lock()
+	c.eng.Unlock()
+	if st := c.eng.Stats(); st.Flushes != 2 || st.Pending != 2 {
+		t.Fatalf("bare Lock/Unlock after SetMaxBatch(2): %+v, want no flush", st)
+	}
+	c.enqueue(10)
+	if st := c.eng.Stats(); st.Flushes != 3 || st.Pending != 0 {
+		t.Fatalf("after SetMaxBatch(2): %+v", st)
+	}
+	c.eng.SetMaxBatch(0)
+	for i := 0; i < DefaultMaxBatch-1; i++ {
+		c.enqueue(100 + i)
+	}
+	if st := c.eng.Stats(); st.Flushes != 3 || st.Pending != DefaultMaxBatch-1 {
+		t.Fatalf("after SetMaxBatch(0): %+v, want the default trigger", st)
+	}
+}
+
+func TestWindowOrderNettingAndCounters(t *testing.T) {
+	reg := obs.New()
+	c := newTally(Options{MaxBatch: 1 << 20, Obs: reg})
+	defer c.eng.Close(nil)
+	if c.eng.Flush() != 0 || c.eng.Stats().Flushes != 0 {
+		t.Fatal("flushing an empty log must be a no-op, not a window")
+	}
+	for _, o := range []int{3, -1, 1, -1, 2} {
+		c.enqueue(o)
+	}
+	if got := c.eng.Flush(); got != 3 {
+		t.Fatalf("Flush applied %d, want the 3 surviving ops", got)
+	}
+	if w := c.windows[0]; len(w) != 3 || w[0] != 3 || w[1] != 1 || w[2] != 2 {
+		t.Fatalf("window = %v, want enqueue order [3 1 2]", w)
+	}
+	if st := c.eng.Stats(); st.Flushes != 1 || st.Cancelled != 2 || st.Pending != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	spans := reg.FlushTrace().Snapshot()
+	if len(spans) != 1 {
+		t.Fatalf("%d spans recorded, want 1", len(spans))
+	}
+	sp := spans[0]
+	if sp.Layer != "tally" || sp.RawOps != 5 || sp.NettedOps != 3 || sp.Cancelled != 2 || sp.Start == 0 {
+		t.Fatalf("span = %+v", sp)
+	}
+}
+
+func TestBackgroundFlusher(t *testing.T) {
+	c := newTally(Options{MaxBatch: 1 << 20, FlushInterval: time.Millisecond})
+	defer c.eng.Close(nil)
+	c.enqueue(1)
+	waitFor(t, "the background flusher to apply the pending op", func() bool { return c.total.Load() == 1 })
+}
+
+// TestFlushExactlyOnce races enqueues, explicit flushes and threshold
+// flushes: every enqueued op must be applied by exactly one window.
+func TestFlushExactlyOnce(t *testing.T) {
+	const (
+		writers = 8
+		perG    = 400
+	)
+	c := newTally(Options{MaxBatch: 64})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				c.enqueue(w*perG + i)
+				if i%97 == 0 {
+					c.eng.Flush()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.eng.Close(nil)
+	if len(c.applied) != writers*perG {
+		t.Fatalf("%d distinct ops applied, want %d", len(c.applied), writers*perG)
+	}
+	for op, n := range c.applied {
+		if n != 1 {
+			t.Fatalf("op %d applied %d times", op, n)
+		}
+	}
+	// Each writer's ops appear in its program order across the windows.
+	last := make([]int, writers)
+	for i := range last {
+		last[i] = -1
+	}
+	for _, w := range c.windows {
+		for _, op := range w {
+			if g := op / perG; op <= last[g] {
+				t.Fatalf("writer %d: op %d applied after %d", g, op, last[g])
+			} else {
+				last[g] = op
+			}
+		}
+	}
+	if st := c.eng.Stats(); st.Pending != 0 {
+		t.Fatalf("stats after close: %+v", st)
+	}
+}
+
+// TestCloseFlushRace hammers concurrent Close calls against live enqueue
+// traffic and a fast background flusher, asserting the Close contract:
+// the ticker goroutine is fully stopped before the final flush, the hook
+// runs exactly once, and no window — ticker tick, concurrent Close —
+// applies after it ran. (A tick racing Close used to be able to flush
+// into an index Close had already closed.) Run under -race this also
+// checks the shutdown sequencing itself.
+func TestCloseFlushRace(t *testing.T) {
+	for range 20 {
+		// Unreachable MaxBatch: only the ticker and Close itself may
+		// flush, so writers can legally keep enqueueing across the Close.
+		c := newTally(Options{MaxBatch: 1 << 30, FlushInterval: 50 * time.Microsecond})
+		var hooks atomic.Int32
+		hook := func() { hooks.Add(1); c.closed.Store(true) }
+
+		stopWriters := make(chan struct{})
+		var writers sync.WaitGroup
+		for w := range 4 {
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stopWriters:
+						return
+					default:
+					}
+					c.enqueue(w*1_000_000 + i)
+					// Yield: unthrottled writers outrun the flusher's
+					// apply and every window grows with the last one.
+					runtime.Gosched()
+				}
+			}()
+		}
+		time.Sleep(200 * time.Microsecond)
+		var closers sync.WaitGroup
+		for range 3 {
+			closers.Add(1)
+			go func() {
+				defer closers.Done()
+				c.eng.Close(hook)
+			}()
+		}
+		closers.Wait()
+		close(stopWriters)
+		writers.Wait()
+		c.eng.Close(hook) // idempotent after the concurrent trio
+		c.eng.StartFlusher(50 * time.Microsecond)
+		time.Sleep(500 * time.Microsecond) // a flusher started after Close would tick here
+
+		if n := hooks.Load(); n != 1 {
+			t.Fatalf("close hook ran %d times, want exactly 1", n)
+		}
+		if c.late.Load() {
+			t.Fatal("a window was applied after the close hook ran")
+		}
+	}
+}
+
+// TestFlusherStopRestart drives the flusher handle the way a replication
+// role flip does: stop it (a follower applies only replicated windows),
+// restart it (promotion), and check each state by what happens to a
+// pending op.
+func TestFlusherStopRestart(t *testing.T) {
+	c := newTally(Options{MaxBatch: 1 << 20, FlushInterval: 100 * time.Microsecond})
+	c.eng.StartFlusher(time.Hour) // already running: ignored, the cadence stays fast
+	c.enqueue(1)
+	waitFor(t, "the initial flusher", func() bool { return c.total.Load() == 1 })
+
+	c.eng.StopFlusher()
+	c.eng.StopFlusher() // no-op when none runs
+	c.enqueue(2)
+	time.Sleep(2 * time.Millisecond) // twenty periods of the stopped flusher
+	if c.total.Load() != 1 || c.eng.Pending() != 1 {
+		t.Fatalf("a stopped flusher still flushed: applied %d, pending %d", c.total.Load(), c.eng.Pending())
+	}
+
+	c.eng.StartFlusher(100 * time.Microsecond)
+	waitFor(t, "the restarted flusher", func() bool { return c.total.Load() == 2 })
+
+	c.enqueue(3)
+	c.eng.Close(nil) // final flush
+	if c.total.Load() != 3 {
+		t.Fatalf("Close left %d applied, want 3", c.total.Load())
+	}
+	c.eng.StartFlusher(100 * time.Microsecond) // latched out
+	c.enqueue(4)
+	time.Sleep(2 * time.Millisecond)
+	if c.eng.Pending() != 1 {
+		t.Fatal("a flusher started after Close and flushed")
+	}
+	if c.eng.Flush() != 1 { // the engine itself stays usable
+		t.Fatal("explicit Flush after Close did not apply the pending op")
+	}
+}
+
+func TestExclusiveAndDiscard(t *testing.T) {
+	c := newTally(Options{MaxBatch: 1 << 20})
+	defer c.eng.Close(nil)
+	c.enqueue(1)
+	flushed := make(chan int)
+	c.eng.Exclusive(func() {
+		go func() { flushed <- c.eng.Flush() }()
+		select {
+		case <-flushed:
+			t.Error("a flush ran inside an Exclusive section")
+		case <-time.After(2 * time.Millisecond):
+		}
+		c.eng.Discard()
+	})
+	if n := <-flushed; n != 0 || c.total.Load() != 0 {
+		t.Fatalf("discarded op was applied (flush returned %d)", n)
+	}
+}
+
+// TestFlushZeroAllocWarm is the engine's allocation guard: a warm
+// enqueue/flush cycle — log swap, hand-back, span recording with a live
+// registry — allocates nothing of its own.
+func TestFlushZeroAllocWarm(t *testing.T) {
+	var sink int
+	var e Engine[int]
+	e.Init("guard", Options{MaxBatch: 1 << 20, Obs: obs.New()},
+		func(ops []int) int { sink = len(ops); return 0 },
+		func(sp *obs.FlushSpan, clk time.Time) int { sp.Stamp(obs.StageApply, clk); return sink })
+	defer e.Close(nil)
+	window := func() {
+		e.Lock()
+		for i := 0; i < 512; i++ {
+			e.Append(i)
+		}
+		e.Unlock()
+		e.Flush()
+	}
+	window()
+	window() // both halves of the double-buffered log are grown
+	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+		t.Fatalf("warm engine flush allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestDefaultMaxBatchMatchesGrain pins the documented linkage: the
+// DefaultMaxBatch doc promises it matches parallel.DefaultGrain (the
+// size below which the indexes' batch operations stop forking), so a
+// change to either constant must revisit the other.
+func TestDefaultMaxBatchMatchesGrain(t *testing.T) {
+	if DefaultMaxBatch != parallel.DefaultGrain {
+		t.Fatalf("DefaultMaxBatch (%d) no longer matches parallel.DefaultGrain (%d); update the constant or its comment",
+			DefaultMaxBatch, parallel.DefaultGrain)
+	}
+}
