@@ -80,7 +80,10 @@ func runWAL(on bool, policy wal.FsyncPolicy, side int64, ids []string, ptsA, pts
 			panic(err)
 		}
 		defer l.Close()
-		c.SetJournal(l.AppendWindow)
+		c.SetJournal(func(seq uint64, ops []wal.Op[string]) error {
+			_, err := l.AppendWindowAt(seq, ops)
+			return err
+		})
 		defer func() {
 			// Cold recovery: close the generation and time a fresh Open
 			// replaying the whole log (no snapshot was ever taken).

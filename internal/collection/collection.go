@@ -32,6 +32,12 @@
 // so Get(id) after Set(id, p) returns p even before the flush makes p
 // visible to geometric queries.
 //
+// Committed state has two more ways in, both writer-side and both beside
+// the tape rather than through it: CommitWindow applies a window that is
+// already netted (a replicated one) through the commit body Flush uses,
+// and Load replaces the whole triple by bulk construction (recovery, a
+// follower's bootstrap).
+//
 // Composition: the inner index may be a raw tree (Collection adds the
 // concurrency safety), a shard.Sharded (each flush fans out across
 // shards in parallel — the recommended high-churn stack), or a
@@ -110,13 +116,16 @@ type Collection[ID comparable] struct {
 	overlay map[ID]tailOp
 
 	// cell owns the committed triples and how queries are kept off the
-	// flush writer; win is the netted window being committed (guarded by
-	// the flush lock). revFree (guarded by the cell's writer side)
-	// recycles the reverse multimap's small per-point ID slices, so a
-	// steady stream of moves churns no fresh slices. queryPool recycles
+	// flush writer; win is the netted window being committed, netAt and
+	// netOps the netting scratch behind a flushed one (all guarded by the
+	// flush lock). revFree (guarded by the cell's writer side) recycles
+	// the reverse multimap's small per-point ID slices, so a steady
+	// stream of moves churns no fresh slices. queryPool recycles
 	// per-query hit-resolution scratch across concurrent readers.
 	cell      epoch.Cell[*collState[ID], *collWindow[ID]]
 	win       collWindow[ID]
+	netAt     map[ID]int
+	netOps    []wal.Op[ID]
 	revFree   [][]ID
 	queryPool sync.Pool
 
@@ -124,7 +133,7 @@ type Collection[ID comparable] struct {
 	// the flush lock with every committed netted window before it is
 	// applied. journalErrs counts hook failures (the hook itself keeps
 	// the first error sticky; see wal.Log).
-	journal     func(ops []wal.Op[ID]) error
+	journal     func(seq uint64, ops []wal.Op[ID]) error
 	journalErrs atomic.Uint64
 
 	inserted atomic.Uint64
@@ -174,17 +183,20 @@ func newCollState[ID comparable](idx core.Index) *collState[ID] {
 	}
 }
 
-// collWindow is one netted window and the recycled flush scratch behind
-// it. Everything grows to the window high-water mark and is then reused.
+// collWindow is one netted window on its way through the commit body.
 type collWindow[ID comparable] struct {
-	// final is the tape netted by last-write-wins: at most one op per ID.
-	final map[ID]op[ID]
-	// ins and del are the index diff planned from final against the
-	// committed forward table.
+	// ops is the window: at most one op per ID — the tape netted by
+	// last-write-wins, or a replicated window that arrived that way.
+	ops []wal.Op[ID]
+	// upTo is the enqueue sequence of the newest tape op netted into
+	// ops: pending-overlay entries up to it are superseded once the
+	// window is visible. Zero for a window that did not come off the
+	// tape, which supersedes none.
+	upTo uint64
+	// ins and del are the index diff planned from ops against the
+	// committed forward table (recycled scratch, grown to the window
+	// high-water mark).
 	ins, del []geom.Point
-	// jops is the journal hook's window buffer, rebuilt from final each
-	// flush so journaling allocates nothing warm.
-	jops []wal.Op[ID]
 }
 
 // queryScratch is one query's resolution state: the raw geometric hits
@@ -209,8 +221,8 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 		dims:    idx.Dims(),
 		inner:   epoch.Copies("collection", idx, opts.Snapshot),
 		overlay: make(map[ID]tailOp),
+		netAt:   make(map[ID]int),
 	}
-	c.win.final = make(map[ID]op[ID])
 	c.queryPool.New = func() any { return new(queryScratch) }
 	states := make([]*collState[ID], len(c.inner))
 	for i, inner := range c.inner {
@@ -222,26 +234,9 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	opts.Obs.GaugeFunc("psi_objects",
 		"Live objects in the committed (published) state.",
 		func() float64 { return float64(c.Stats().Objects) }, layer)
-	c.eng.Init("collection", opts, c.net, c.commit)
+	c.eng.Init("collection", opts, c.net, c.commitTape)
 	return c
 }
-
-// StartFlusher starts the background interval flusher at cadence d, if
-// none is running (d <= 0 is a no-op, matching Options.FlushInterval's
-// contract). A replication follower runs without one — windows apply
-// only on the leader's schedule — and promotion calls StartFlusher to
-// restore normal serving behavior in place.
-func (c *Collection[ID]) StartFlusher(d time.Duration) { c.eng.StartFlusher(d) }
-
-// StopFlusher stops the background flusher and waits for it to exit (no
-// tick-driven Flush is in flight on return). A no-op when none runs.
-func (c *Collection[ID]) StopFlusher() { c.eng.StopFlusher() }
-
-// SetMaxBatch changes the pending-op count that triggers a synchronous
-// flush (n <= 0 restores the default). A follower effectively
-// disables count-triggered flushes with a huge bound — only replicated
-// windows may commit — and promotion restores the configured one.
-func (c *Collection[ID]) SetMaxBatch(n int) { c.eng.SetMaxBatch(n) }
 
 // Close stops the background flusher (if any), applies all pending ops
 // as a final flush (journaled like any other window when a hook is
@@ -266,16 +261,15 @@ func (c *Collection[ID]) Close() {
 }
 
 // SetJournal installs (or, with nil, removes) the durability commit
-// hook: every subsequent flush calls fn under the flush lock with the
+// hook: every subsequent window calls fn under the flush lock with the
 // committed netted window — at most one op per ID — before the window
-// is applied or published. wal.Log.AppendWindow is the intended hook;
-// the slice is reused across flushes and must not be retained. Install
-// it before the ops that need journaling are flushed — the service
-// layer installs it between crash-recovery replay (whose windows are
-// already on disk and must not be re-journaled) and serving. Hook
-// errors are counted in Stats.JournalErrors; see Flush for why they do
-// not abort the commit.
-func (c *Collection[ID]) SetJournal(fn func(ops []wal.Op[ID]) error) {
+// is applied or published. seq is 0 for a window Flush netted off the
+// tape (the journal assigns the next sequence) and the caller's
+// sequence for a CommitWindow; wal.Log.AppendWindowAt is the intended
+// hook. The slice is reused across windows and must not be retained.
+// Load journals nothing. Hook errors are counted in
+// Stats.JournalErrors; see commit for why they do not abort the commit.
+func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error) {
 	c.eng.Exclusive(func() { c.journal = fn })
 }
 
@@ -369,41 +363,74 @@ func (c *Collection[ID]) Flush() int { return c.eng.Flush() }
 
 // net is the engine's netting step: the last op per ID wins, every
 // earlier op on that ID is superseded. Identity makes this exact — no
-// order-aware matching needed. final is empty on entry: every commit
-// clears it on the way out.
+// order-aware matching needed. The window keeps first-appearance order,
+// so the same tape always nets to the same window.
 func (c *Collection[ID]) net(ops []op[ID]) (cancelled int) {
-	final := c.win.final
+	at, netted := c.netAt, c.netOps[:0]
 	for _, o := range ops {
-		final[o.id] = o
+		w := wal.Op[ID]{ID: o.id, P: o.p, Del: o.del}
+		if i, seen := at[o.id]; seen {
+			netted[i] = w
+		} else {
+			at[o.id] = len(netted)
+			netted = append(netted, w)
+		}
 	}
-	return len(ops) - len(final)
+	// Clear the scratch map now it has done its work, so recycled capacity
+	// never pins the window's ID values (strings, typically) while the
+	// collection idles; commitTape does the same for the slice.
+	clear(at)
+	c.netOps = netted
+	c.win.ops, c.win.upTo = netted, ops[len(ops)-1].seq
+	return len(ops) - len(netted)
 }
 
-// commit is the engine's apply step for the window net just produced:
-// journal it, plan the index diff, and commit both through the cell.
-func (c *Collection[ID]) commit(sp *obs.FlushSpan, clk time.Time) (applied int) {
+// commitTape is the engine's apply step for the window net just produced.
+func (c *Collection[ID]) commitTape(sp *obs.FlushSpan, clk time.Time) int {
+	applied, _ := c.commit(0, sp, clk) // a hook failure is counted; see commit
+	clear(c.netOps)
+	return applied
+}
+
+// CommitWindow applies one window that is already netted — at most one
+// op per ID, the invariant of a WAL record and of a replication frame —
+// under sequence seq: the journal hook is called with seq, and its error
+// is returned. It is Flush from the netting step on (same flush lock,
+// same commit body, same counters and spans); the pending tape is
+// neither consulted nor flushed, so a follower's state advances by
+// exactly the leader's windows whatever else is going on. ops is not
+// retained.
+func (c *Collection[ID]) CommitWindow(seq uint64, ops []wal.Op[ID]) (err error) {
+	c.eng.Apply(len(ops), func(sp *obs.FlushSpan, clk time.Time) (applied int) {
+		c.win.ops, c.win.upTo = ops, 0
+		applied, err = c.commit(seq, sp, clk)
+		c.win.ops = nil
+		return applied
+	})
+	return err
+}
+
+// commit is the one commit body, run under the flush lock on c.win:
+// journal the window, plan the index diff, and commit both through the
+// cell. It returns the number of index mutations applied and the journal
+// hook's error.
+func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (applied int, err error) {
 	w := &c.win
 	// Journal the committed window before applying it (write-ahead):
 	// under the always-fsync policy a caller's Flush returns — and the
 	// service acknowledges — only after the window is on disk. A hook
-	// failure is counted, not fatal here: the in-memory commit proceeds
-	// so the triple stays consistent, and the durable-ack layer above
-	// decides whether to keep acknowledging (it does not; see
+	// failure is counted and reported, not fatal here: the in-memory
+	// commit proceeds so the triple stays consistent, and the layer above
+	// decides whether to keep acknowledging or applying (it does not; see
 	// internal/service).
 	if c.journal != nil {
-		jops := w.jops[:0]
-		for _, o := range w.final {
-			jops = append(jops, wal.Op[ID]{ID: o.id, P: o.p, Del: o.del})
-		}
-		if err := c.journal(jops); err != nil {
+		if err = c.journal(seq, w.ops); err != nil {
 			c.journalErrs.Add(1)
 		}
-		clear(jops) // drop ID values so recycled capacity pins nothing
-		w.jops = jops[:0]
 		clk = sp.Stamp(obs.StageLog, clk)
 	}
 	// Plan against the copy the cell writes first — its forward table
-	// equals the published one, and only flushes write it. Planning
+	// equals the published one, and only commits write it. Planning
 	// counts toward the net stage.
 	nIns, nMove, nDel := c.planDiff(w, c.cell.Writable())
 	clk = sp.Stamp(obs.StageNet, clk)
@@ -418,11 +445,44 @@ func (c *Collection[ID]) commit(sp *obs.FlushSpan, clk time.Time) (applied int) 
 	c.moved.Add(nMove)
 	c.removed.Add(nDel)
 	// The index must not have retained the batch slices (the core.Index
-	// contract), so everything is reusable next window. Clear the netting
-	// map so recycled capacity never pins the window's ID values
-	// (strings, typically) while the collection idles.
-	clear(w.final)
-	return len(w.ins) + len(w.del)
+	// contract), so everything is reusable next window.
+	return len(w.ins) + len(w.del), err
+}
+
+// Load replaces the whole committed state with entries — n of them, a
+// later entry for an ID winning over an earlier one — by bulk
+// construction: every copy's index is rebuilt once with Index.Build (a
+// Sharded rebalances its regions to the loaded data) and its tables are
+// refilled. Pending ops, and what Get remembered of them, are discarded;
+// nothing is journaled — the caller loads what is already durable
+// (recovery) or makes it so itself (a follower's bootstrap snapshot). In
+// snapshot mode readers keep the old state until the new one is
+// published whole.
+func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
+	c.eng.Exclusive(func() {
+		c.eng.Lock()
+		c.eng.Discard()
+		clear(c.overlay)
+		c.eng.Unlock()
+		was := len(c.cell.Writable().fwd)
+		var pts []geom.Point // the deduplicated point set, shared by the copies
+		c.cell.Rebuild(func(st *collState[ID]) {
+			st.fwd = make(map[ID]geom.Point, n)
+			st.rev = make(map[geom.Point][]ID, n)
+			for id, p := range entries {
+				c.applyOp(st, &wal.Op[ID]{ID: id, P: p})
+			}
+			if pts == nil {
+				pts = make([]geom.Point, 0, len(st.fwd))
+				for _, p := range st.fwd {
+					pts = append(pts, p)
+				}
+			}
+			st.idx.Build(pts)
+		})
+		c.inserted.Add(uint64(len(pts)))
+		c.removed.Add(uint64(was))
+	})
 }
 
 // planDiff turns the netted window into its (ins, del) index batches by
@@ -430,22 +490,23 @@ func (c *Collection[ID]) commit(sp *obs.FlushSpan, clk time.Time) (applied int) 
 // only flushes write fwd, so no reader lock is needed).
 func (c *Collection[ID]) planDiff(w *collWindow[ID], st *collState[ID]) (nIns, nMove, nDel uint64) {
 	ins, del := w.ins[:0], w.del[:0]
-	for id, o := range w.final {
-		old, live := st.fwd[id]
+	for i := range w.ops {
+		o := &w.ops[i]
+		old, live := st.fwd[o.ID]
 		switch {
-		case o.del && live:
+		case o.Del && live:
 			del = append(del, old)
 			nDel++
-		case o.del:
+		case o.Del:
 			// Remove of an absent ID: nothing to do.
-		case live && old == o.p:
+		case live && old == o.P:
 			// Same-position Set: the index is already right.
 		case live:
 			del = append(del, old)
-			ins = append(ins, o.p)
+			ins = append(ins, o.P)
 			nMove++
 		default:
-			ins = append(ins, o.p)
+			ins = append(ins, o.P)
 			nIns++
 		}
 	}
@@ -463,38 +524,39 @@ func (c *Collection[ID]) applyWindow(st *collState[ID], w *collWindow[ID]) {
 	if f, ok := st.idx.(interface{ Flush() int }); ok {
 		f.Flush()
 	}
-	for _, o := range w.final {
-		c.applyOp(st, o)
+	for i := range w.ops {
+		c.applyOp(st, &w.ops[i])
 	}
 }
 
 // applyOp advances st's forward/reverse tables by one netted op.
-func (c *Collection[ID]) applyOp(st *collState[ID], o op[ID]) {
-	old, live := st.fwd[o.id]
-	if o.del {
+func (c *Collection[ID]) applyOp(st *collState[ID], o *wal.Op[ID]) {
+	old, live := st.fwd[o.ID]
+	if o.Del {
 		if live {
-			delete(st.fwd, o.id)
-			c.revRemove(st, old, o.id)
+			delete(st.fwd, o.ID)
+			c.revRemove(st, old, o.ID)
 		}
 		return
 	}
 	if live {
-		if old == o.p {
+		if old == o.P {
 			return
 		}
-		c.revRemove(st, old, o.id)
+		c.revRemove(st, old, o.ID)
 	}
-	st.fwd[o.id] = o.p
-	c.revAdd(st, o.p, o.id)
+	st.fwd[o.ID] = o.P
+	c.revAdd(st, o.P, o.ID)
 }
 
-// purgeOverlay drops overlay entries the committed window supersedes.
-// Ops enqueued after the tape swap carry higher sequence numbers and
-// survive.
+// purgeOverlay drops overlay entries the committed window supersedes:
+// the tape ops netted into it. Ops enqueued after the tape swap carry
+// higher sequence numbers and survive.
 func (c *Collection[ID]) purgeOverlay(w *collWindow[ID]) {
 	c.eng.Lock()
-	for id, o := range w.final {
-		if tail, ok := c.overlay[id]; ok && tail.seq <= o.seq {
+	for i := range w.ops {
+		id := w.ops[i].ID
+		if tail, ok := c.overlay[id]; ok && tail.seq <= w.upTo {
 			delete(c.overlay, id)
 		}
 	}

@@ -1,11 +1,13 @@
 package collection
 
 import (
+	"maps"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/wal"
 )
 
 // FuzzCollectionMoves is the identity-layer differential fuzzer: the
@@ -15,7 +17,10 @@ import (
 // Get must equal the oracle at all times, flushed or not); at every
 // Flush checkpoint and at the end of the tape the full read suite —
 // Len, WithinIDs, NearbyIDs distance sequences — and the
-// index/fwd/rev consistency invariant (Validate) are verified.
+// index/fwd/rev consistency invariant (Validate) are verified. Op bytes
+// from 0xF0 up are the two entry points beside the tape: CommitWindow
+// (a netted window lands under whatever is pending) and Load (everything
+// is replaced, pending ops included).
 //
 // The high bit of the second input byte additionally turns on snapshot
 // reads and a concurrent epoch-pinned reader: the writer records the
@@ -45,6 +50,10 @@ var collectionSeeds = []string{
 	// with epoch-pinned reads and the concurrent per-epoch reader.
 	"\x01\x83snapshot tape with concurrent epoch reader 123",
 	"\x02\xffsharded snapshot tape, tiny batches \x01\x01\x01\x01",
+	// 0xF0..0xF7 commit a netted window beside the tape, 0xF8..0xFF load.
+	"\x01\x3fset some\xf0\x03abcdefghi then\xf1\x02jklmnop flush\x01\x01 more sets",
+	"\x02\x85pending ops\xf8\x04loaded entries \xf2\x01xyz\xff\x00\x01\x01tail",
+	"\x03\x07store stack\xfa\x07aaabbbcccdddeeefffggg\xf3\x04qrstuvwxyz01",
 }
 
 const fuzzIDs = 16
@@ -73,7 +82,32 @@ func runCollectionTape(t *testing.T, data []byte) {
 	}
 	c := New[int](mk(), opts)
 	defer c.Close()
+	// committed mirrors the flushed state, tape the ops pending on top of
+	// it, oracle their fold — what Get must answer at all times.
+	committed := make(map[int]geom.Point)
 	oracle := make(map[int]geom.Point)
+	var tape []wal.Op[int]
+	apply := func(m map[int]geom.Point, ops []wal.Op[int]) {
+		for _, o := range ops {
+			if o.Del {
+				delete(m, o.ID)
+			} else {
+				m[o.ID] = o.P
+			}
+		}
+	}
+	flushed := func() { // the tape has just been applied, by Flush or by MaxBatch
+		apply(committed, tape)
+		tape = tape[:0]
+	}
+	enqueued := func(o wal.Op[int]) {
+		tape = append(tape, o)
+		apply(oracle, tape[len(tape)-1:])
+		if len(tape) >= maxBatch {
+			flushed()
+		}
+	}
+	var winSeq uint64
 
 	// In snapshot mode, record the oracle contents at every published
 	// epoch and race a reader against the tape. The writer can only
@@ -88,11 +122,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 		e := c.Epoch()
 		mu.Lock()
 		if _, ok := byEpoch[e]; !ok {
-			snap := make(map[int]geom.Point, len(oracle))
-			for id, p := range oracle {
-				snap[id] = p
-			}
-			byEpoch[e] = snap
+			byEpoch[e] = maps.Clone(committed)
 		}
 		mu.Unlock()
 	}
@@ -158,28 +188,79 @@ func runCollectionTape(t *testing.T, data []byte) {
 			break
 		}
 		id := int(idb) % fuzzIDs
-		switch b % 8 {
-		case 0:
-			c.Remove(id)
-			delete(oracle, id)
-		case 1:
-			c.Flush()
-			verifyAgainstOracle(t, c, oracle, fuzzIDs)
-		default:
+		// point decodes one coarse position: %32 keeps the domain small so
+		// distinct IDs routinely share a point.
+		point := func() (geom.Point, bool) {
 			xb, ok1 := next()
 			yb, ok2 := next()
-			if !ok1 || !ok2 {
+			return geom.Pt2(int64(xb%32)*(side/32), int64(yb%32)*(side/32)), ok1 && ok2
+		}
+		switch {
+		case b >= 0xF0:
+			// idb is a count here: that many (id, x, y) triples follow, for
+			// a window (at most one op per ID; a zero x byte deletes) or a
+			// full load (a repeated ID: the later entry wins).
+			var ops []wal.Op[int]
+			seen := make(map[int]bool)
+			for n := int(idb) % 8; n > 0; n-- {
+				eb, ok := next()
+				if !ok {
+					break
+				}
+				o := wal.Op[int]{ID: int(eb) % fuzzIDs}
+				if o.P, ok = point(); !ok {
+					break
+				}
+				if b < 0xF8 {
+					if seen[o.ID] {
+						continue
+					}
+					seen[o.ID] = true
+					o.Del = o.P[0] == 0
+				}
+				ops = append(ops, o)
+			}
+			if b < 0xF8 {
+				winSeq++
+				if err := c.CommitWindow(winSeq, ops); err != nil {
+					t.Fatalf("CommitWindow: %v", err)
+				}
+				apply(committed, ops)
+			} else {
+				c.Load(len(ops), func(yield func(int, geom.Point) bool) {
+					for _, o := range ops {
+						if !yield(o.ID, o.P) {
+							return
+						}
+					}
+				})
+				clear(committed)
+				apply(committed, ops)
+				tape = tape[:0]
+			}
+			oracle = maps.Clone(committed)
+			apply(oracle, tape)
+			if len(tape) == 0 {
+				verifyAgainstOracle(t, c, oracle, fuzzIDs) // flushes: a no-op here
+			}
+		case b%8 == 0:
+			c.Remove(id)
+			enqueued(wal.Op[int]{ID: id, Del: true})
+		case b%8 == 1:
+			c.Flush()
+			flushed()
+			verifyAgainstOracle(t, c, oracle, fuzzIDs)
+		default:
+			p, ok := point()
+			if !ok {
 				return
 			}
-			// Scale byte coordinates across the universe; %32 keeps the
-			// domain coarse so distinct IDs routinely share a point.
-			p := geom.Pt2(int64(xb%32)*(side/32), int64(yb%32)*(side/32))
 			c.Set(id, p)
-			oracle[id] = p
+			enqueued(wal.Op[int]{ID: id, P: p})
 		}
 		if snapshot {
 			// Any op can step the epoch (MaxBatch-triggered flushes fire
-			// inside Set/Remove), and the oracle mirrors the flushed state
+			// inside Set/Remove), and committed mirrors the flushed state
 			// whenever it does.
 			record()
 		}
@@ -192,6 +273,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 		}
 	}
 	c.Flush()
+	flushed()
 	if snapshot {
 		record()
 	}

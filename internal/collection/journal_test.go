@@ -39,7 +39,10 @@ func TestJournalReceivesNettedWindow(t *testing.T) {
 	defer c.Close()
 	var calls int
 	var got map[string]wal.Op[string]
-	c.SetJournal(func(ops []wal.Op[string]) error {
+	c.SetJournal(func(seq uint64, ops []wal.Op[string]) error {
+		if seq != 0 {
+			t.Errorf("a Flush journaled under seq %d, want 0 (the journal assigns the next one)", seq)
+		}
 		calls++
 		got = make(map[string]wal.Op[string], len(ops))
 		for _, o := range ops {
@@ -82,7 +85,7 @@ func TestJournalReceivesNettedWindow(t *testing.T) {
 	}
 
 	// Hook errors are counted, and the in-memory commit still happens.
-	c.SetJournal(func([]wal.Op[string]) error { return errors.New("disk on fire") })
+	c.SetJournal(func(uint64, []wal.Op[string]) error { return errors.New("disk on fire") })
 	c.Set("c", geom.Pt2(7, 7))
 	c.Flush()
 	if errs := c.Stats().JournalErrors; errs != 1 {
@@ -168,7 +171,10 @@ func TestJournalFlushZeroAllocWarm(t *testing.T) {
 		}
 		t.Cleanup(func() { l.Close() })
 		c := New[int](core.NewNull(2), Options{MaxBatch: 1 << 20})
-		c.SetJournal(l.AppendWindow)
+		c.SetJournal(func(seq uint64, ops []wal.Op[int]) error {
+			_, err := l.AppendWindowAt(seq, ops)
+			return err
+		})
 		t.Cleanup(c.Close)
 		return c
 	}

@@ -97,8 +97,15 @@ type Follower[ID comparable] struct {
 	conn net.Conn // live session's conn, closed by Stop to interrupt reads
 	err  string   // last session error
 
-	connected  atomic.Bool
-	leaderSeq  atomic.Uint64
+	connected atomic.Bool
+	leaderSeq atomic.Uint64
+	// applied is the position this follower reports (Status, the lag
+	// gauges): the last window whose ApplyWindow or Bootstrap has
+	// RETURNED, so it never runs ahead of what a read can see. The
+	// Applier's own AppliedSeq is its journal position, which moves
+	// before the window it journals is applied; only the session
+	// goroutine, between windows, may take that for the applied one.
+	applied    atomic.Uint64
 	sessions   atomic.Uint64
 	bootstraps atomic.Uint64
 	windows    atomic.Uint64
@@ -130,6 +137,7 @@ func NewFollower[ID comparable](app Applier[ID], opts FollowerOptions[ID]) *Foll
 		opts.BackoffMax = 2 * time.Second
 	}
 	f := &Follower[ID]{opts: opts, app: app, stop: make(chan struct{})}
+	f.applied.Store(app.AppliedSeq())
 	f.registerMetrics(opts.Obs)
 	return f
 }
@@ -148,7 +156,7 @@ func (f *Follower[ID]) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("psi_repl_leader_seq", "Leader head sequence as of the last HELLO or PING.",
 		func() float64 { return float64(f.leaderSeq.Load()) })
 	reg.GaugeFunc("psi_repl_applied_seq", "Last leader window applied locally.",
-		func() float64 { return float64(f.app.AppliedSeq()) })
+		func() float64 { return float64(f.applied.Load()) })
 	reg.GaugeFunc("psi_repl_lag_windows", "Leader head minus applied sequence.",
 		func() float64 { return float64(f.lag()) })
 	reg.CounterFunc("psi_repl_reconnects_total", "Sessions re-established after the first.", func() uint64 {
@@ -164,7 +172,7 @@ func (f *Follower[ID]) registerMetrics(reg *obs.Registry) {
 
 func (f *Follower[ID]) lag() uint64 {
 	head := f.leaderSeq.Load()
-	if applied := f.app.AppliedSeq(); head > applied {
+	if applied := f.applied.Load(); head > applied {
 		return head - applied
 	}
 	return 0
@@ -219,7 +227,7 @@ func (f *Follower[ID]) Status() FollowerStatus {
 		Connected:  f.connected.Load(),
 		Leader:     f.addr(),
 		LeaderSeq:  f.leaderSeq.Load(),
-		AppliedSeq: f.app.AppliedSeq(),
+		AppliedSeq: f.applied.Load(),
 		LagWindows: f.lag(),
 		Bootstraps: f.bootstraps.Load(),
 		Windows:    f.windows.Load(),
@@ -432,6 +440,7 @@ func (f *Follower[ID]) stream(r io.Reader, w io.Writer) error {
 			if err := f.app.Bootstrap(snap.seq, sessionTerm, snap.entries); err != nil {
 				return fmt.Errorf("repl: bootstrap: %w", err)
 			}
+			f.applied.Store(snap.seq)
 			f.bootstraps.Add(1)
 			f.logf("repl: bootstrapped %d objects at seq %d (term %d)", len(snap.entries), snap.seq, sessionTerm)
 			if err := f.ack(w, snap.seq); err != nil {
@@ -471,6 +480,7 @@ func (f *Follower[ID]) stream(r io.Reader, w io.Writer) error {
 			if err := f.app.ApplyWindow(seq, ops); err != nil {
 				return fmt.Errorf("repl: apply window %d: %w", seq, err)
 			}
+			f.applied.Store(seq)
 			f.windows.Add(1)
 			if seq > f.leaderSeq.Load() {
 				f.leaderSeq.Store(seq)

@@ -1,10 +1,6 @@
 package repl
 
-import (
-	"sync"
-
-	"repro/internal/wal"
-)
+import "sync"
 
 // Retention defaults for the hub's in-memory window ring. The ring is
 // the incremental catch-up horizon: a follower whose resume point has
@@ -17,8 +13,9 @@ const (
 )
 
 // Hub is the leader-side fan-out point: the Collection's journal hook
-// publishes every committed window (already encoded in the wal record
-// payload format) and per-follower writers read the retained tail.
+// publishes every committed window as the record payload the WAL just
+// framed for it (wal.Log.AppendWindow hands it back, so a window is
+// encoded once) and per-follower writers read the retained tail.
 // Retention is bounded by window count and total encoded bytes;
 // eviction only moves the snapshot/tail decision, never correctness.
 //
@@ -26,9 +23,7 @@ const (
 // makes the hub's head sequence consistent with the committed state: a
 // Checkpoint (held for snapshot capture) and the hub can never disagree
 // about which windows the state contains.
-type Hub[ID comparable] struct {
-	codec wal.Codec[ID]
-
+type Hub struct {
 	mu      sync.Mutex
 	wins    []hubWin // retained tail, ascending contiguous seqs
 	bytes   int
@@ -47,15 +42,14 @@ type hubWin struct {
 // NewHub returns a hub whose head starts at lastSeq — the leader WAL's
 // recovered sequence, so a follower already at that point needs
 // nothing. retainWindows/retainBytes <= 0 select the defaults.
-func NewHub[ID comparable](codec wal.Codec[ID], lastSeq uint64, retainWindows, retainBytes int) *Hub[ID] {
+func NewHub(lastSeq uint64, retainWindows, retainBytes int) *Hub {
 	if retainWindows <= 0 {
 		retainWindows = DefaultRetainWindows
 	}
 	if retainBytes <= 0 {
 		retainBytes = DefaultRetainBytes
 	}
-	return &Hub[ID]{
-		codec:      codec,
+	return &Hub{
 		lastSeq:    lastSeq,
 		pulse:      make(chan struct{}),
 		maxWindows: retainWindows,
@@ -63,12 +57,14 @@ func NewHub[ID comparable](codec wal.Codec[ID], lastSeq uint64, retainWindows, r
 	}
 }
 
-// Publish appends one committed window to the ring and wakes every
-// waiting writer. seq must advance by exactly one per call (the WAL
-// append it mirrors enforces monotonicity; the hub's tail must stay
-// contiguous for TailFrom's gap logic to be exact).
-func (h *Hub[ID]) Publish(seq uint64, ops []wal.Op[ID]) {
-	payload := wal.EncodeWindowPayload(nil, h.codec, seq, ops)
+// Publish appends one committed window — its wal record payload, which
+// carries seq — to the ring and wakes every waiting writer. The hub
+// keeps a copy: payload is typically the log's encode buffer. seq must
+// advance by exactly one per call (the WAL append it mirrors enforces
+// monotonicity; the hub's tail must stay contiguous for TailFrom's gap
+// logic to be exact).
+func (h *Hub) Publish(seq uint64, payload []byte) {
+	payload = append([]byte(nil), payload...)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if seq != h.lastSeq+1 {
@@ -90,7 +86,7 @@ func (h *Hub[ID]) Publish(seq uint64, ops []wal.Op[ID]) {
 
 // LastSeq returns the newest published sequence (the recovered seq
 // before any publish).
-func (h *Hub[ID]) LastSeq() uint64 {
+func (h *Hub) LastSeq() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.lastSeq
@@ -99,14 +95,14 @@ func (h *Hub[ID]) LastSeq() uint64 {
 // Pulse returns a channel closed at the next publish. Grab it BEFORE
 // TailFrom: a publish between the two closes the returned channel, so
 // the waiter wakes instead of sleeping through the window.
-func (h *Hub[ID]) Pulse() <-chan struct{} {
+func (h *Hub) Pulse() <-chan struct{} {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.pulse
 }
 
 // Stats reports the ring occupancy for /stats.
-func (h *Hub[ID]) Stats() (windows int, bytes int, lastSeq uint64) {
+func (h *Hub) Stats() (windows int, bytes int, lastSeq uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.wins), h.bytes, h.lastSeq
@@ -119,7 +115,7 @@ func (h *Hub[ID]) Stats() (windows int, bytes int, lastSeq uint64) {
 // either way the caller must re-bootstrap the follower from a snapshot.
 // The returned payloads are immutable and safe to write without the
 // hub lock.
-func (h *Hub[ID]) TailFrom(after uint64, dst [][]byte) (wins [][]byte, last uint64, gap bool) {
+func (h *Hub) TailFrom(after uint64, dst [][]byte) (wins [][]byte, last uint64, gap bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if after == h.lastSeq {

@@ -23,7 +23,7 @@ type SnapshotFunc[ID comparable] func() (seq uint64, entries []wal.Op[ID], err e
 // required; everything else defaults sensibly.
 type LeaderOptions[ID comparable] struct {
 	Codec    wal.Codec[ID]
-	Hub      *Hub[ID]
+	Hub      *Hub
 	Snapshot SnapshotFunc[ID]
 	// MaxFrameBytes bounds one received frame (followers only send tiny
 	// FOLLOW/ACK frames, so this is an abuse guard); <= 0 selects

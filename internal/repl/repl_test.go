@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,13 +105,19 @@ func (m *modelApplier) counts() (applies, bootstraps int) {
 type leaderModel struct {
 	mu    sync.Mutex
 	state map[string]geom.Point
-	hub   *Hub[string]
+	hub   *Hub
+}
+
+// publish hands the hub one window the way the service's journal hook
+// does: as the record payload the WAL framed for it.
+func publish(h *Hub, seq uint64, ops []wal.Op[string]) {
+	h.Publish(seq, wal.EncodeWindowPayload(nil, wal.StringCodec{}, seq, ops))
 }
 
 func newLeaderModel(retainWindows, retainBytes int) *leaderModel {
 	return &leaderModel{
 		state: make(map[string]geom.Point),
-		hub:   NewHub[string](wal.StringCodec{}, 0, retainWindows, retainBytes),
+		hub:   NewHub(0, retainWindows, retainBytes),
 	}
 }
 
@@ -124,7 +131,7 @@ func (lm *leaderModel) commit(ops []wal.Op[string]) {
 			lm.state[o.ID] = o.P
 		}
 	}
-	lm.hub.Publish(lm.hub.LastSeq()+1, ops)
+	publish(lm.hub, lm.hub.LastSeq()+1, ops)
 }
 
 func (lm *leaderModel) snapshot() (uint64, []wal.Op[string], error) {
@@ -197,6 +204,59 @@ func checkConverged(t *testing.T, lm *leaderModel, app *modelApplier) {
 	}
 	if v := app.violationStr(); v != "" {
 		t.Fatalf("ordering violation: %s", v)
+	}
+}
+
+// journalFirstApplier is the service's applier in miniature: its
+// position is its journal's, which moves BEFORE the window it journals
+// is applied (write-ahead), and the apply itself can be held open.
+type journalFirstApplier struct {
+	*modelApplier
+	journaled atomic.Uint64
+	entered   chan uint64   // receives seq once the window is journaled
+	release   chan struct{} // the apply half waits here
+}
+
+func (a *journalFirstApplier) AppliedSeq() uint64 { return a.journaled.Load() }
+
+func (a *journalFirstApplier) ApplyWindow(seq uint64, ops []wal.Op[string]) error {
+	a.journaled.Store(seq)
+	a.entered <- seq
+	<-a.release
+	return a.modelApplier.ApplyWindow(seq, ops)
+}
+
+// TestStatusTrailsVisibility pins the contract behind "wait for
+// applied_seq == the leader's head, then read the follower": the
+// position a follower reports must never run ahead of what its reads can
+// see. The applier's journal position does — it advances before the
+// window is applied — so reporting it would make a follower look caught
+// up one window early (cmd/psid's chaos oracles wait exactly this way).
+func TestStatusTrailsVisibility(t *testing.T) {
+	lm := newLeaderModel(0, 0)
+	_, addr := startTestLeader(t, lm)
+	app := &journalFirstApplier{modelApplier: newModelApplier(), entered: make(chan uint64), release: make(chan struct{})}
+	f := startTestFollower(t, addr, "f1", app)
+	release := sync.OnceFunc(func() { close(app.release) })
+	t.Cleanup(release) // before the follower's Stop, which waits for the apply
+	waitFor(t, "session", func() bool { return f.Status().Connected })
+
+	lm.commit([]wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})
+	if seq := <-app.entered; seq != 1 {
+		t.Fatalf("first window applied under seq %d, want 1", seq)
+	}
+	// Journaled, not yet applied: nothing of window 1 is readable.
+	if st := f.Status(); st.AppliedSeq != 0 {
+		t.Fatalf("Status reports applied_seq %d while window 1 is still being applied (journal at %d)",
+			st.AppliedSeq, app.AppliedSeq())
+	}
+	if _, state := app.snapshot(); len(state) != 0 {
+		t.Fatalf("model applied %v before release", state)
+	}
+	release()
+	waitFor(t, "window 1 reported applied", func() bool { return f.Status().AppliedSeq == 1 })
+	if _, state := app.snapshot(); state["a"] != geom.Pt2(1, 1) {
+		t.Fatalf("applied_seq 1 reported, state is %v", state)
 	}
 }
 
@@ -326,7 +386,7 @@ func TestEmptyLeaderBootstrap(t *testing.T) {
 
 // TestHubTailFrom pins the snapshot-or-tail decision logic.
 func TestHubTailFrom(t *testing.T) {
-	h := NewHub[string](wal.StringCodec{}, 5, 3, 0)
+	h := NewHub(5, 3, 0)
 	if _, _, gap := h.TailFrom(5, nil); gap {
 		t.Fatal("caught-up follower on a fresh hub reported a gap")
 	}
@@ -337,7 +397,7 @@ func TestHubTailFrom(t *testing.T) {
 		t.Fatal("follower ahead of the head must need a snapshot")
 	}
 	for seq := uint64(6); seq <= 10; seq++ {
-		h.Publish(seq, []wal.Op[string]{{ID: "x", P: geom.Pt2(int64(seq), 0)}})
+		publish(h, seq, []wal.Op[string]{{ID: "x", P: geom.Pt2(int64(seq), 0)}})
 	}
 	// Retention 3: ring holds 8, 9, 10.
 	wins, last, gap := h.TailFrom(7, nil)
@@ -354,15 +414,24 @@ func TestHubTailFrom(t *testing.T) {
 	if wins, _, gap := h.TailFrom(10, nil); gap || len(wins) != 0 {
 		t.Fatalf("caught-up TailFrom: %d wins, gap %t", len(wins), gap)
 	}
+	// The hub keeps its own copy: a publisher hands it the WAL's encode
+	// buffer, which the next append overwrites.
+	buf := wal.EncodeWindowPayload(nil, wal.StringCodec{}, 11, []wal.Op[string]{{ID: "y", P: geom.Pt2(1, 1)}})
+	want := bytes.Clone(buf)
+	h.Publish(11, buf)
+	clear(buf)
+	if wins, _, _ := h.TailFrom(10, nil); len(wins) != 1 || !bytes.Equal(wins[0], want) {
+		t.Fatal("the hub retained the publisher's buffer instead of a copy")
+	}
 }
 
 // TestHubByteRetention: the byte bound evicts like the window bound but
 // always keeps the newest window.
 func TestHubByteRetention(t *testing.T) {
-	h := NewHub[string](wal.StringCodec{}, 0, 1<<20, 64)
+	h := NewHub(0, 1<<20, 64)
 	big := []wal.Op[string]{{ID: "padding-padding-padding", P: geom.Pt2(1, 2)}}
 	for seq := uint64(1); seq <= 10; seq++ {
-		h.Publish(seq, big)
+		publish(h, seq, big)
 	}
 	windows, bytes, last := h.Stats()
 	if last != 10 || windows == 0 || bytes > 64+len(big[0].ID)+16 {

@@ -12,35 +12,16 @@ import (
 // request/response in flight at a time. Methods are safe for concurrent
 // use (a mutex serializes the wire exchange); open several Clients for
 // parallelism — the server is one goroutine per connection, so
-// connections are the unit of serving concurrency. Exception: a client
-// switched into buffer-reuse mode (SetReuse) must be owned by a single
-// goroutine, because returned data is only valid until its next call.
+// connections are the unit of serving concurrency. Requests go through
+// the append encoder into a retained buffer (it differs from
+// json.Marshal only in not \u-escaping <, > and &, which JSON does not
+// require); every response is decoded into fresh memory the caller owns.
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
 	lineBuf []byte // long-line accumulation scratch, guarded by mu
-
-	wbuf []byte // request encode buffer, guarded by mu
-	// reuse-mode state (SetReuse): the response struct whose slice
-	// fields are recycled across calls.
-	reuse bool
-	resp  Response
-}
-
-// SetReuse switches the client into buffer-reuse mode: responses are
-// decoded into a retained Response whose Hits/P backing arrays are
-// recycled, so a warm request loop allocates only the decoded strings.
-// (Requests always go through the append encoder into a retained buffer;
-// it differs from json.Marshal only in not \u-escaping <, > and &, which
-// JSON does not require.) The trade-off: in reuse mode the data returned
-// by Do (and the helpers built on it — Nearby/Within hit slices, Get
-// coordinates) is valid only until the next call on this client; callers
-// that retain results must copy them first. Off by default.
-func (c *Client) SetReuse(on bool) {
-	c.mu.Lock()
-	c.reuse = on
-	c.mu.Unlock()
+	wbuf    []byte // request encode buffer, guarded by mu
 }
 
 // clientMaxLine bounds one response line client-side. WITHIN over a huge
@@ -87,21 +68,6 @@ func (c *Client) Do(req Request) (Response, error) {
 	}
 	if tooLong {
 		return Response{}, fmt.Errorf("psid: response line exceeds %d bytes", clientMaxLine)
-	}
-	if c.reuse {
-		// Reset scalar fields but keep the slice capacity: absent JSON
-		// fields are left untouched by Unmarshal, so stale data must be
-		// cleared here, while present array fields decode into the
-		// recycled backing arrays.
-		c.resp.OK, c.resp.Code, c.resp.Err = false, "", ""
-		c.resp.Leader = ""
-		c.resp.Found, c.resp.Applied, c.resp.Stats = false, 0, nil
-		c.resp.P = c.resp.P[:0]
-		c.resp.Hits = c.resp.Hits[:0]
-		if err := json.Unmarshal(line, &c.resp); err != nil {
-			return Response{}, fmt.Errorf("psid: decode response: %w", err)
-		}
-		return c.resp, nil
 	}
 	var resp Response
 	if err := json.Unmarshal(line, &resp); err != nil {

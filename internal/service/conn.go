@@ -1,0 +1,197 @@
+package service
+
+// The connection loop: one goroutine per client reads request lines,
+// dispatches them and writes the replies in order. LineConn is the same
+// loop body without the socket.
+
+import (
+	"bufio"
+	"bytes"
+	"net"
+	"time"
+
+	"repro/internal/collection"
+	"repro/internal/obs"
+)
+
+// connState is one connection's reusable serving buffers: the request
+// struct (slice fields keep their capacity across parses), the
+// resolved-hit scratch the Collection appends into, and the response
+// encode buffer (the long-line accumulation scratch stays a handleConn
+// local). One goroutine owns each conn, so
+// nothing here is locked; a warm connection serves GET/NEARBY/WITHIN
+// round trips with no per-line buffer allocations at all.
+type connState struct {
+	req     Request
+	entries []collection.Entry[string]
+	out     []byte
+}
+
+// handleConn serves one client: read a line, dispatch, write the reply,
+// in order, until the client disconnects or the server drains.
+func (s *Server) handleConn(conn net.Conn) {
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		s.wg.Done()
+	}()
+	br := bufio.NewReaderSize(conn, 64<<10)
+	bw := bufio.NewWriterSize(conn, 64<<10)
+	cs := new(connState)
+	var cost *obs.QueryCost
+	if s.slow != nil {
+		// One cost recorder per connection (dispatch resets it per line):
+		// the slow-query path never allocates per command.
+		cost = new(obs.QueryCost)
+	}
+	var lineScratch []byte
+	for {
+		line, tooLong, err := readLine(br, s.opts.MaxLineBytes, &lineScratch)
+		if err != nil {
+			// Client disconnect, mid-line EOF, or the Shutdown read
+			// deadline. A client that vanishes mid-batch leaves its
+			// already-enqueued ops in the coalescing log — they commit at
+			// the next flush like any acknowledged write.
+			return
+		}
+		if s.closing.Load() {
+			res := errResult(CodeShutdown, "server is shutting down")
+			bw.Write(appendResult(cs.out[:0], &res, s.dims))
+			bw.Flush()
+			return
+		}
+		if tooLong {
+			s.met.badLines.Add(1)
+			res := errResultf(CodeTooLarge, "line exceeds %d bytes", s.opts.MaxLineBytes)
+			bw.Write(appendResult(cs.out[:0], &res, s.dims))
+			if bw.Flush() != nil {
+				return
+			}
+			continue
+		}
+		// Empty lines flow through dispatch and fail JSON parsing: the
+		// protocol promises exactly one response per request line, so a
+		// blank line gets its bad_request rather than silence.
+		t0 := time.Now()
+		op, res := s.dispatch(line, cs, cost)
+		d := time.Since(t0)
+		s.met.record(op, d, res.ok)
+		s.recordSlow(op, line, d, cost)
+		cs.out = appendResult(cs.out[:0], &res, s.dims)
+		bw.Write(cs.out)
+		// One huge WITHIN must not pin its buffers for the connection's
+		// lifetime (mirrors the client-side lineBuf cap): steady-state
+		// responses stay far below these.
+		if cap(cs.out) > maxRetainedOut {
+			cs.out = nil
+		}
+		if cap(cs.entries) > maxRetainedEntries {
+			cs.entries = nil
+		}
+		if bw.Flush() != nil {
+			return
+		}
+	}
+}
+
+// maxRetainedOut and maxRetainedEntries cap the per-connection scratch
+// kept between requests: buffers grown past these by one broad query are
+// dropped rather than pinned for the connection's lifetime.
+const (
+	maxRetainedOut     = 1 << 20
+	maxRetainedEntries = 1 << 14
+)
+
+// readLine reads one \n-terminated line of at most max bytes. Oversized
+// lines are discarded through their newline and reported as tooLong so
+// the protocol stays line-synchronized. The trailing \n (and optional
+// \r) are stripped.
+//
+// The returned line aliases either the bufio buffer (common case: the
+// whole line fits) or *scratch, and is valid only until the next readLine
+// call with the same reader — the serving loop fully consumes each line
+// before reading the next, so no copy is ever needed.
+func readLine(br *bufio.Reader, max int, scratch *[]byte) (line []byte, tooLong bool, err error) {
+	frag, err := br.ReadSlice('\n')
+	if err == nil {
+		// Fast path: the whole line is in the reader's buffer.
+		if len(frag) > max+1 { // +1: the newline itself is free
+			return nil, true, nil
+		}
+		return bytes.TrimRight(frag, "\r\n"), false, nil
+	}
+	if err != bufio.ErrBufferFull {
+		return nil, false, err
+	}
+	buf := (*scratch)[:0]
+	for {
+		buf = append(buf, frag...)
+		if len(buf) > max {
+			*scratch = buf[:0]
+			return nil, true, discardLine(br)
+		}
+		frag, err = br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if err != nil {
+			*scratch = buf[:0]
+			return nil, false, err
+		}
+		buf = append(buf, frag...)
+		*scratch = buf[:0] // recycled next call; the caller is done with line by then
+		if len(buf) > max+1 {
+			return nil, true, nil
+		}
+		return bytes.TrimRight(buf, "\r\n"), false, nil
+	}
+}
+
+// discardLine consumes input through the next newline.
+func discardLine(br *bufio.Reader) error {
+	for {
+		_, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		return err
+	}
+}
+
+// LineConn is a virtual connection: it serves protocol lines in process,
+// through exactly the per-connection parse/dispatch/encode path (and
+// metrics recording) a socket connection uses, minus the TCP round trip.
+// It exists for embedders that want protocol semantics at function-call
+// speed and for the allocation benchmarks that measure the serving path
+// in isolation. A LineConn is owned by one goroutine, like a socket
+// connection; open one per serving goroutine.
+type LineConn struct {
+	s    *Server
+	cs   connState
+	cost *obs.QueryCost // non-nil when the slow-query log is enabled
+}
+
+// NewLineConn returns a virtual connection on the server. The server
+// does not need to be Started.
+func (s *Server) NewLineConn() *LineConn {
+	lc := &LineConn{s: s}
+	if s.slow != nil {
+		lc.cost = new(obs.QueryCost)
+	}
+	return lc
+}
+
+// Serve executes one protocol line and returns the newline-terminated
+// response line. The returned slice is reused by the next Serve call on
+// this LineConn; callers that retain it must copy.
+func (lc *LineConn) Serve(line []byte) []byte {
+	t0 := time.Now()
+	op, res := lc.s.dispatch(line, &lc.cs, lc.cost)
+	d := time.Since(t0)
+	lc.s.met.record(op, d, res.ok)
+	lc.s.recordSlow(op, line, d, lc.cost)
+	lc.cs.out = appendResult(lc.cs.out[:0], &res, lc.s.dims)
+	return lc.cs.out
+}

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -185,74 +184,5 @@ func TestLineConnMatchesJSON(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("line %d (%s):\n append: %s json:   %s", i, line, got, want)
 		}
-	}
-}
-
-// TestClientReuse runs the full client API in reuse mode against a live
-// server and cross-checks every answer against a fresh-buffer client on
-// a second connection.
-func TestClientReuse(t *testing.T) {
-	srv := startServer(t, newTestIndex(), Options{})
-	reuse := dialT(t, srv)
-	plain := dialT(t, srv)
-	reuse.SetReuse(true)
-
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("veh-%d", i)
-		if err := reuse.Set(id, []int64{int64(i * 10), int64(i * 10)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := reuse.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("veh-%d", i)
-		gp, gok, err := reuse.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wp, wok, err := plain.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Copy before the next reuse-mode call invalidates gp.
-		gpCopy := append([]int64(nil), gp...)
-		if gok != wok || !reflect.DeepEqual(gpCopy, wp) {
-			t.Fatalf("GET %s: reuse (%v,%v) vs plain (%v,%v)", id, gpCopy, gok, wp, wok)
-		}
-	}
-	for _, k := range []int{1, 5, 20, 50} {
-		gh, err := reuse.Nearby([]int64{42, 42}, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ghCopy := append([]Hit(nil), gh...)
-		for i := range ghCopy {
-			ghCopy[i].P = append([]int64(nil), ghCopy[i].P...)
-		}
-		wh, err := plain.Nearby([]int64{42, 42}, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ghCopy) != len(wh) {
-			t.Fatalf("NEARBY k=%d: reuse %d hits, plain %d", k, len(ghCopy), len(wh))
-		}
-		for i := range wh {
-			if ghCopy[i].ID != wh[i].ID || !reflect.DeepEqual(ghCopy[i].P, wh[i].P) {
-				t.Fatalf("NEARBY k=%d hit %d: reuse %+v plain %+v", k, i, ghCopy[i], wh[i])
-			}
-		}
-	}
-	gw, err := reuse.Within([]int64{0, 0}, []int64{1000, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ww, err := plain.Within([]int64{0, 0}, []int64{1000, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gw) != len(ww) {
-		t.Fatalf("WITHIN: reuse %d hits, plain %d", len(gw), len(ww))
 	}
 }

@@ -16,13 +16,13 @@ package service
 // Follower bootstraps read the state through Collection.Checkpoint with
 // the hub sequence captured inside, the same lock-consistency trick.
 //
-// Follower: the repl.Follower session goroutine is the only writer.
-// The background flusher is disabled and the batch trigger pushed out
-// of reach, so flushes happen exactly when the applier calls them: one
-// per received window, journaled under the LEADER's sequence
-// (wal.Log.AppendWindowAt). Client SET/DEL/FLUSH are refused with
-// CodeReadonly; GET/NEARBY/WITHIN serve the replicated state through
-// the usual epoch-pinned snapshot path.
+// Follower: the repl.Follower session goroutine is the only writer, and
+// it never touches the client tape: each received window is one
+// Collection.CommitWindow under the LEADER's sequence (journaled by
+// wal.Log.AppendWindowAt), a bootstrap is one Collection.Load. Client
+// SET/DEL/FLUSH are refused with CodeReadonly, so the tape stays empty
+// and the interval flusher ticks over nothing; GET/NEARBY/WITHIN serve
+// the replicated state through the usual epoch-pinned snapshot path.
 //
 // Roles are a tiny state machine, driven by operators (and tested as a
 // table in repl_failover_test.go):
@@ -138,36 +138,24 @@ func (s *Server) rejectWrite(op string) *result {
 	return nil
 }
 
-// journalHook builds the durability hook installed on the Collection
-// (see openWAL for the install-after-replay ordering). One closure
-// serves every role — PROMOTE and FOLLOW flip the role at runtime, and
-// the hook re-reads it per flush: a follower journals under the
-// leader's sequence, a leader journals then fans out, everything else
-// just journals. The hub read is safe lockless: it is written before
-// the leader role is stored, and only read after the role is observed.
-func (s *Server) journalHook(l *wal.Log[string]) func(ops []wal.Op[string]) error {
-	return func(ops []wal.Op[string]) error {
-		// replSkipJournal/replPendingSeq are plain fields: the hook runs
-		// synchronously inside the flush that the replication applier
-		// (the only writer while a follower) itself invoked.
-		if s.replSkipJournal {
-			return nil
-		}
-		if s.roleIs(roleFollower) {
-			if err := l.AppendWindowAt(s.replPendingSeq, ops); err != nil {
-				s.walFail(err)
-				return err
-			}
-			return nil
-		}
-		if err := l.AppendWindow(ops); err != nil {
+// journalHook builds the durability hook installed on the Collection.
+// One closure serves every role: the window is journaled under the
+// sequence the Collection passes (a follower's CommitWindow passes the
+// leader's; a Flush passes 0, "the next one"), and a leader then fans
+// out the very bytes the log framed. The hub read is safe lockless: it
+// is written before the leader role is stored, and only read after the
+// role is observed.
+func (s *Server) journalHook(l *wal.Log[string]) func(seq uint64, ops []wal.Op[string]) error {
+	return func(seq uint64, ops []wal.Op[string]) error {
+		payload, err := l.AppendWindowAt(seq, ops)
+		if err != nil {
 			s.walFail(err)
 			return err
 		}
 		if s.roleIs(roleLeader) {
 			// Still under the flush lock: the hub head advances in lockstep
 			// with the WAL, so a concurrent Checkpoint sees both or neither.
-			s.hub.Publish(l.LastSeq(), ops)
+			s.hub.Publish(l.LastSeq(), payload)
 		}
 		return nil
 	}
@@ -176,9 +164,8 @@ func (s *Server) journalHook(l *wal.Log[string]) func(ops []wal.Op[string]) erro
 // newHub builds the leader's catch-up ring with its head at the WAL's
 // recovered sequence, so a follower already there resumes with an empty
 // tail instead of a snapshot.
-func (s *Server) newHub() *repl.Hub[string] {
-	return repl.NewHub[string](wal.StringCodec{}, s.wal.LastSeq(),
-		s.opts.ReplRetainWindows, s.opts.ReplRetainBytes)
+func (s *Server) newHub() *repl.Hub {
+	return repl.NewHub(s.wal.LastSeq(), s.opts.ReplRetainWindows, s.opts.ReplRetainBytes)
 }
 
 // newLeader builds the leader endpoint over the current hub. reg is the
@@ -218,7 +205,7 @@ func (s *Server) newFollower(addr string, withObs bool) *repl.Follower[string] {
 // startRepl binds the boot-time replication role during Start, after
 // openWAL has recovered state: the leader listener starts accepting
 // followers, or the follower starts dialing its leader.
-func (s *Server) startRepl(logf func(format string, args ...any)) error {
+func (s *Server) startRepl() error {
 	switch replRole(s.role.Load()) {
 	case roleLeader:
 		ln, err := net.Listen("tcp", s.opts.ReplListen)
@@ -237,12 +224,11 @@ func (s *Server) startRepl(logf func(format string, args ...any)) error {
 // Promote flips a running follower into the replication leader, in
 // place: stop the session against the old leader, bump and journal the
 // leader term (the WAL snapshot is the durability of the promotion),
-// seed the catch-up hub from the recovered sequence, start accepting
-// followers on addr (or Options.ReplListen when addr is empty), and
-// re-arm the Collection's leader-style flush triggers. On return the
-// server accepts writes; acknowledged windows from the follower life
-// are all present — they were applied and journaled before the old
-// session stopped.
+// seed the catch-up hub from the recovered sequence, and start accepting
+// followers on addr (or Options.ReplListen when addr is empty). On
+// return the server accepts writes; acknowledged windows from the
+// follower life are all present — they were applied and journaled
+// before the old session stopped.
 //
 // Errors leave the server's role untouched, with one documented
 // exception: a failed term snapshot aborts the promotion after the
@@ -286,11 +272,6 @@ func (s *Server) Promote(addr string) error {
 	lead := s.newLeader(false)
 	lead.Serve(ln)
 	s.replLead = lead
-	// Back to leader-style flushing: client-triggered batches and the
-	// background cadence (both were parked while the applier was the
-	// only writer).
-	s.coll.SetMaxBatch(s.opts.MaxBatch)
-	s.coll.StartFlusher(s.opts.FlushInterval)
 	s.leaderHint.Store("")
 	s.role.Store(int32(roleLeader))
 	s.roleChanges.Add(1)
@@ -342,9 +323,11 @@ func (s *Server) deposed(term uint64) {
 // Follow re-points this server's replication at addr. On a follower it
 // severs the current session and redials (the handshake resumes, or
 // bootstraps across a term boundary). On a fenced ex-leader it shuts
-// the leader machinery and joins the promoted timeline as a follower —
-// the first session's snapshot bootstrap is what discards any
-// unreplicated tail the old timeline had and adopts the new term. On an
+// the leader machinery, commits what the old timeline still had pending
+// (so that no op of it can surface beside a replicated window) and
+// joins the promoted timeline as a follower — the first session's
+// snapshot bootstrap is what discards any unreplicated tail the old
+// timeline had and adopts the new term. On an
 // active leader it errors: DEMOTE first, so stepping a leader down is
 // always an explicit, logged decision.
 func (s *Server) Follow(addr string) error {
@@ -368,15 +351,12 @@ func (s *Server) Follow(addr string) error {
 		s.replLead.Close()
 		s.replLead = nil
 	}
-	// Park the leader-style flush triggers again: from here the
-	// replication applier is the only writer.
-	s.coll.StopFlusher()
-	s.coll.SetMaxBatch(1 << 30)
+	// The tape has taken nothing since the fence; whatever it took before
+	// belongs to the old timeline and commits there, now.
+	s.coll.Flush()
 	f := s.newFollower(addr, false)
 	s.replFoll = f
 	s.leaderHint.Store(addr)
-	// Role first: the applier's flushes must see roleFollower in the
-	// journal hook before the first window can arrive.
 	s.role.Store(int32(roleFollower))
 	s.roleChanges.Add(1)
 	f.Start()
@@ -433,9 +413,9 @@ func (s *Server) replSnapshot() (uint64, []wal.Op[string], error) {
 }
 
 // replApplier adapts the Server to repl.Applier: the follower session
-// goroutine drives the Collection's flush commit with the leader's
-// windows, journaling each under the leader's sequence so the WAL's
-// recovered sequence doubles as the replication resume point.
+// goroutine commits the leader's windows into the Collection, each
+// journaled under the leader's sequence so the WAL's recovered sequence
+// doubles as the replication resume point.
 type replApplier struct{ s *Server }
 
 // AppliedSeq is the follower's durable position: the last leader window
@@ -449,91 +429,46 @@ func (a replApplier) AppliedSeq() uint64 { return a.s.wal.LastSeq() }
 // are refused.
 func (a replApplier) Term() uint64 { return a.s.wal.Term() }
 
-// ApplyWindow commits one leader window: enqueue the netted ops, flush
-// (journal under seq + apply + publish epoch), and verify the journal
-// landed. The repl.Follower guarantees seq == AppliedSeq()+1.
+// ApplyWindow commits one leader window as it arrived: journal under
+// seq, apply, publish the epoch. A failed journal append is returned —
+// the session is severed and AppliedSeq has not moved. The
+// repl.Follower guarantees seq == AppliedSeq()+1.
 func (a replApplier) ApplyWindow(seq uint64, ops []wal.Op[string]) error {
-	s := a.s
-	if s.walFailed.Load() {
+	if a.s.walFailed.Load() {
 		return errors.New("local wal failed; refusing to advance the replicated state")
 	}
-	if len(ops) == 0 {
-		// Nothing to flush, but the position must still advance durably or
-		// the resume handshake would re-request this window forever.
-		if err := s.wal.AppendWindowAt(seq, nil); err != nil {
-			s.walFail(err)
-			return err
-		}
-		return nil
-	}
-	s.replPendingSeq = seq
-	for _, op := range ops {
-		if op.Del {
-			s.coll.Remove(op.ID)
-		} else {
-			s.coll.Set(op.ID, op.P)
-		}
-	}
-	s.coll.Flush()
-	// The journal hook's error is counted, not returned, by Flush; the
-	// sequence check catches it exactly (the append either moved LastSeq
-	// to seq or failed).
-	if got := s.wal.LastSeq(); got != seq {
-		return fmt.Errorf("window %d did not journal (wal at %d)", seq, got)
-	}
-	return nil
+	return a.s.coll.CommitWindow(seq, ops)
 }
 
-// Bootstrap replaces the full local state with the leader's snapshot:
-// remove everything the snapshot lacks, set everything it has, commit
-// as one un-journaled flush, then persist the new baseline — and the
-// leader term it belongs to — as a WAL snapshot at the leader's
-// sequence, which may regress below the local one (a rebuilt or wiped
-// leader), all the way to zero. Adopting the term here, atomically with
-// the state it governs, is the follower's only term transition: after
-// this snapshot lands, a restart recovers both together and stale
-// pre-promotion leaders are refused from the first handshake.
+// Bootstrap replaces the full local state with the leader's snapshot —
+// one Load, pending ops of an earlier life discarded with it — then
+// persists the new baseline, and the leader term it belongs to, as a
+// WAL snapshot at the leader's sequence, which may regress below the
+// local one (a rebuilt or wiped leader), all the way to zero. Adopting
+// the term here, atomically with the state it governs, is the
+// follower's only term transition: after this snapshot lands, a restart
+// recovers both together and stale pre-promotion leaders are refused
+// from the first handshake.
 func (a replApplier) Bootstrap(seq, term uint64, entries []wal.Op[string]) error {
 	s := a.s
 	if s.walFailed.Load() {
 		return errors.New("local wal failed; refusing to bootstrap")
 	}
-	keep := make(map[string]geom.Point, len(entries))
-	for _, e := range entries {
-		keep[e.ID] = e.P
-	}
-	var stale []string
-	s.coll.Checkpoint(func(objects int, it iter.Seq2[string, geom.Point]) {
-		for id := range it {
-			if _, ok := keep[id]; !ok {
-				stale = append(stale, id)
-			}
-		}
-	})
-	for _, id := range stale {
-		s.coll.Remove(id)
-	}
-	for _, e := range entries {
-		s.coll.Set(e.ID, e.P)
-	}
-	// The snapshot below persists this state wholesale; journaling the
-	// diff too would append windows at a stale (possibly higher) sequence.
-	s.replSkipJournal = true
-	s.coll.Flush()
-	s.replSkipJournal = false
-	s.wal.SetTerm(term)
-	err := s.wal.WriteSnapshotAt(seq, len(keep), func(yield func(string, geom.Point) bool) {
-		for id, p := range keep {
-			if !yield(id, p) {
+	s.coll.Load(len(entries), func(yield func(string, geom.Point) bool) {
+		for _, e := range entries {
+			if !yield(e.ID, e.P) {
 				return
 			}
 		}
 	})
+	s.wal.SetTerm(term)
+	err := s.checkpoint(func(objects int, it iter.Seq2[string, geom.Point]) error {
+		return s.wal.WriteSnapshotAt(seq, objects, it)
+	})
 	if err != nil {
 		s.walFail(err)
-		return err
 	}
-	return nil
+	return err
 }
 
 // ReplPayload is the replication block of /stats: the role, the adopted

@@ -7,11 +7,9 @@ package service
 
 import (
 	"fmt"
-	"iter"
 	"testing"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/wal"
 )
 
@@ -37,10 +35,9 @@ func startFollowerOf(t *testing.T, dir string, leader *Server, id string) *Serve
 }
 
 // waitConverged polls until the follower's applied sequence reaches the
-// leader's replication head (and its lag drains to zero). The applied
-// sequence advances at the journal step of the window's flush — a
-// moment before the apply publishes — so a Checkpoint barrier at the
-// end waits out any in-flight flush before callers inspect state.
+// leader's replication head (and its lag drains to zero). The follower
+// reports a window applied only once its commit has returned, so callers
+// may inspect state right away.
 func waitConverged(t *testing.T, leader, follower *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -48,7 +45,6 @@ func waitConverged(t *testing.T, leader, follower *Server) {
 		want := leader.Stats().Repl.Leader.LastSeq
 		st := follower.Stats().Repl.Follower
 		if st.AppliedSeq == want && st.LagWindows == 0 {
-			follower.coll.Checkpoint(func(int, iter.Seq2[string, geom.Point]) {})
 			return
 		}
 		if time.Now().After(deadline) {

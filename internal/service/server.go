@@ -1,23 +1,18 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/wal"
@@ -120,10 +115,10 @@ type Options struct {
 	ReplRetainBytes   int
 	// ReplicaOf, when non-empty, makes this server a read-only follower
 	// of the leader's replication listener at this host:port: it
-	// bootstraps or resumes over the wire, applies committed windows
-	// through the normal flush pipeline (journaling them to its own WAL
-	// under the leader's sequence numbers), and refuses client
-	// SET/DEL/FLUSH with CodeReadonly. Requires WALDir.
+	// bootstraps or resumes over the wire, commits each of the leader's
+	// windows as it arrived (journaling it to its own WAL under the
+	// leader's sequence number), and refuses client SET/DEL/FLUSH with
+	// CodeReadonly. Requires WALDir.
 	ReplicaOf string
 	// ReplID is the follower's stable identity in the FOLLOW handshake;
 	// the leader keys its per-follower /stats and metric series by it.
@@ -214,7 +209,7 @@ type Server struct {
 	// is the exception: the journal hook reads it locklessly, gated on
 	// role == leader, which is stored only after hub is in place).
 	replMu   sync.Mutex             // serializes PROMOTE/DEMOTE/FOLLOW role transitions
-	hub      *repl.Hub[string]      // leader: committed-window fan-out ring
+	hub      *repl.Hub              // leader: committed-window fan-out ring
 	replLead *repl.Leader[string]   // leader: follower listener
 	replFoll *repl.Follower[string] // follower: session loop against the leader
 	// role is the replication role (replRole); roleChanges counts its
@@ -223,11 +218,6 @@ type Server struct {
 	role        atomic.Int32
 	roleChanges atomic.Uint64
 	leaderHint  atomic.Value
-	// replPendingSeq/replSkipJournal parameterize the follower's journal
-	// hook for the flush in flight; plain fields, written only by the
-	// follower session goroutine whose own Flush call runs the hook.
-	replPendingSeq  uint64
-	replSkipJournal bool
 }
 
 // New wraps idx (which must start empty) in a Server. Like
@@ -292,7 +282,7 @@ func (s *Server) Start(addr, httpAddr string) error {
 		s.http = &http.Server{Handler: mux}
 		go s.http.Serve(hln)
 	}
-	if err := s.startRepl(s.opts.Logf); err != nil {
+	if err := s.startRepl(); err != nil {
 		ln.Close()
 		if s.httpLn != nil {
 			s.httpLn.Close()
@@ -398,294 +388,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// connState is one connection's reusable serving buffers: the request
-// struct (slice fields keep their capacity across parses), the
-// resolved-hit scratch the Collection appends into, and the response
-// encode buffer (the long-line accumulation scratch stays a handleConn
-// local). One goroutine owns each conn, so
-// nothing here is locked; a warm connection serves GET/NEARBY/WITHIN
-// round trips with no per-line buffer allocations at all.
-type connState struct {
-	req     Request
-	entries []collection.Entry[string]
-	out     []byte
-}
-
-// handleConn serves one client: read a line, dispatch, write the reply,
-// in order, until the client disconnects or the server drains.
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.wg.Done()
-	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	cs := new(connState)
-	var cost *obs.QueryCost
-	if s.slow != nil {
-		// One cost recorder per connection (dispatch resets it per line):
-		// the slow-query path never allocates per command.
-		cost = new(obs.QueryCost)
-	}
-	var lineScratch []byte
-	for {
-		line, tooLong, err := readLine(br, s.opts.MaxLineBytes, &lineScratch)
-		if err != nil {
-			// Client disconnect, mid-line EOF, or the Shutdown read
-			// deadline. A client that vanishes mid-batch leaves its
-			// already-enqueued ops in the coalescing log — they commit at
-			// the next flush like any acknowledged write.
-			return
-		}
-		if s.closing.Load() {
-			res := errResult(CodeShutdown, "server is shutting down")
-			bw.Write(appendResult(cs.out[:0], &res, s.dims))
-			bw.Flush()
-			return
-		}
-		if tooLong {
-			s.met.badLines.Add(1)
-			res := errResultf(CodeTooLarge, "line exceeds %d bytes", s.opts.MaxLineBytes)
-			bw.Write(appendResult(cs.out[:0], &res, s.dims))
-			if bw.Flush() != nil {
-				return
-			}
-			continue
-		}
-		// Empty lines flow through dispatch and fail JSON parsing: the
-		// protocol promises exactly one response per request line, so a
-		// blank line gets its bad_request rather than silence.
-		t0 := time.Now()
-		op, res := s.dispatch(line, cs, cost)
-		d := time.Since(t0)
-		s.met.record(op, d, res.ok)
-		s.recordSlow(op, line, d, cost)
-		cs.out = appendResult(cs.out[:0], &res, s.dims)
-		bw.Write(cs.out)
-		// One huge WITHIN must not pin its buffers for the connection's
-		// lifetime (mirrors the client-side lineBuf cap): steady-state
-		// responses stay far below these.
-		if cap(cs.out) > maxRetainedOut {
-			cs.out = nil
-		}
-		if cap(cs.entries) > maxRetainedEntries {
-			cs.entries = nil
-		}
-		if bw.Flush() != nil {
-			return
-		}
-	}
-}
-
-// maxRetainedOut and maxRetainedEntries cap the per-connection scratch
-// kept between requests: buffers grown past these by one broad query are
-// dropped rather than pinned for the connection's lifetime.
-const (
-	maxRetainedOut     = 1 << 20
-	maxRetainedEntries = 1 << 14
-)
-
-// readLine reads one \n-terminated line of at most max bytes. Oversized
-// lines are discarded through their newline and reported as tooLong so
-// the protocol stays line-synchronized. The trailing \n (and optional
-// \r) are stripped.
-//
-// The returned line aliases either the bufio buffer (common case: the
-// whole line fits) or *scratch, and is valid only until the next readLine
-// call with the same reader — the serving loop fully consumes each line
-// before reading the next, so no copy is ever needed.
-func readLine(br *bufio.Reader, max int, scratch *[]byte) (line []byte, tooLong bool, err error) {
-	frag, err := br.ReadSlice('\n')
-	if err == nil {
-		// Fast path: the whole line is in the reader's buffer.
-		if len(frag) > max+1 { // +1: the newline itself is free
-			return nil, true, nil
-		}
-		return bytes.TrimRight(frag, "\r\n"), false, nil
-	}
-	if err != bufio.ErrBufferFull {
-		return nil, false, err
-	}
-	buf := (*scratch)[:0]
-	for {
-		buf = append(buf, frag...)
-		if len(buf) > max {
-			*scratch = buf[:0]
-			return nil, true, discardLine(br)
-		}
-		frag, err = br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
-			*scratch = buf[:0]
-			return nil, false, err
-		}
-		buf = append(buf, frag...)
-		*scratch = buf[:0] // recycled next call; the caller is done with line by then
-		if len(buf) > max+1 {
-			return nil, true, nil
-		}
-		return bytes.TrimRight(buf, "\r\n"), false, nil
-	}
-}
-
-// discardLine consumes input through the next newline.
-func discardLine(br *bufio.Reader) error {
-	for {
-		_, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		return err
-	}
-}
-
-// dispatch parses and executes one command line, returning the metrics
-// slot (-1 for protocol-level rejects) and the pre-wire result. The parse
-// reuses the connection's Request (slice fields keep their capacity) and
-// query hits land in the connection's entry scratch; result.entries then
-// aliases cs.entries and is valid until the next dispatch on the same
-// connection. cost, when non-nil, is reset and filled
-// with the query's work accounting (slow-query log connections pass a
-// per-connection recorder; everything else passes nil).
-func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int, result) {
-	if cost != nil {
-		*cost = obs.QueryCost{}
-	}
-	req := &cs.req
-	req.Op, req.ID, req.K = "", "", 0
-	req.P, req.Lo, req.Hi = req.P[:0], req.Lo[:0], req.Hi[:0]
-	if err := json.Unmarshal(line, req); err != nil {
-		return -1, errResultf(CodeBadRequest, "parse: %v", err)
-	}
-	op := strings.ToUpper(req.Op)
-	idx := opIndex(op)
-	if idx < 0 {
-		return -1, errResultf(CodeBadRequest, "unknown op %q", req.Op)
-	}
-	switch op {
-	case OpSet:
-		if r := s.rejectWrite(op); r != nil {
-			return idx, *r
-		}
-		if req.ID == "" {
-			return idx, errResult(CodeBadRequest, "SET: missing id")
-		}
-		p, err := point(req.P, s.dims)
-		if err != nil {
-			return idx, errResultf(CodeBadRequest, "SET %q: %v", req.ID, err)
-		}
-		s.coll.Set(req.ID, p)
-		if r := s.commitDurable(); r != nil {
-			return idx, *r
-		}
-		return idx, result{ok: true}
-	case OpDel:
-		if r := s.rejectWrite(op); r != nil {
-			return idx, *r
-		}
-		if req.ID == "" {
-			return idx, errResult(CodeBadRequest, "DEL: missing id")
-		}
-		s.coll.Remove(req.ID)
-		if r := s.commitDurable(); r != nil {
-			return idx, *r
-		}
-		return idx, result{ok: true}
-	case OpGet:
-		if req.ID == "" {
-			return idx, errResult(CodeBadRequest, "GET: missing id")
-		}
-		p, found := s.coll.Get(req.ID)
-		res := result{ok: true, found: found}
-		if found {
-			res.p, res.hasP = p, true
-		}
-		return idx, res
-	case OpNearby:
-		p, err := point(req.P, s.dims)
-		if err != nil {
-			return idx, errResultf(CodeBadRequest, "NEARBY: %v", err)
-		}
-		if req.K <= 0 {
-			return idx, errResultf(CodeBadRequest, "NEARBY: k must be positive, got %d", req.K)
-		}
-		// k comes off the wire and the KNN machinery allocates O(k)
-		// up front; an uncapped value is a one-line remote OOM/panic.
-		if req.K > MaxNearbyK {
-			return idx, errResultf(CodeBadRequest, "NEARBY: k %d exceeds the maximum %d", req.K, MaxNearbyK)
-		}
-		cs.entries = s.coll.NearbyIDsAppendCost(p, req.K, cs.entries[:0], cost)
-		return idx, result{ok: true, hasHits: true, entries: cs.entries}
-	case OpWithin:
-		lo, err := point(req.Lo, s.dims)
-		if err != nil {
-			return idx, errResultf(CodeBadRequest, "WITHIN lo: %v", err)
-		}
-		hi, err := point(req.Hi, s.dims)
-		if err != nil {
-			return idx, errResultf(CodeBadRequest, "WITHIN hi: %v", err)
-		}
-		for d := 0; d < s.dims; d++ {
-			if lo[d] > hi[d] {
-				return idx, errResultf(CodeBadRequest, "WITHIN: inverted box on dim %d (%d > %d)", d, lo[d], hi[d])
-			}
-		}
-		cs.entries = s.coll.WithinIDsAppendCost(geom.BoxOf(lo, hi), cs.entries[:0], cost)
-		return idx, result{ok: true, hasHits: true, entries: cs.entries}
-	case OpStats:
-		st := s.Stats()
-		return idx, result{ok: true, stats: &st}
-	case OpFlush:
-		// A follower's flushes belong to the replication applier alone:
-		// a client-triggered flush would journal a window under a stale
-		// leader sequence.
-		if r := s.rejectWrite(op); r != nil {
-			return idx, *r
-		}
-		return idx, result{ok: true, applied: s.coll.Flush(), hasApplied: true}
-	case OpSlowlog:
-		if s.slow == nil {
-			return idx, errResult(CodeBadRequest, "slow-query log disabled (start the server with a -slowlog threshold)")
-		}
-		return idx, result{ok: true, hasSlow: true, slow: s.slow.Snapshot()}
-	case OpPromote:
-		if err := s.Promote(req.Addr); err != nil {
-			return idx, errResultf(CodeBadRequest, "PROMOTE: %v", err)
-		}
-		return idx, result{ok: true}
-	case OpDemote:
-		if err := s.Demote(req.Addr); err != nil {
-			return idx, errResultf(CodeBadRequest, "DEMOTE: %v", err)
-		}
-		return idx, result{ok: true}
-	case OpFollow:
-		if req.Addr == "" {
-			return idx, errResult(CodeBadRequest, "FOLLOW: missing addr")
-		}
-		if err := s.Follow(req.Addr); err != nil {
-			return idx, errResultf(CodeBadRequest, "FOLLOW: %v", err)
-		}
-		return idx, result{ok: true}
-	}
-	return -1, errResultf(CodeBadRequest, "unknown op %q", req.Op) // unreachable
-}
-
-// recordSlow captures one served command into the slow-query ring when
-// the log is enabled and the command crossed the threshold. Protocol
-// rejects (op < 0) are not queries and are skipped; cost is non-nil
-// whenever the log is enabled (the connection allocates one recorder).
-func (s *Server) recordSlow(op int, line []byte, d time.Duration, cost *obs.QueryCost) {
-	if s.slow == nil || op < 0 || d < s.opts.SlowLog {
-		return
-	}
-	s.slow.Record(opOrder[op], line, d, *cost)
-}
-
 // Stats snapshots the serving and collection counters (the STATS command
 // and HTTP /stats body). It does not flush, and it never takes the
 // flush writer's lock — the counts come from the published epoch (or the
@@ -746,169 +448,4 @@ func (s *Server) Stats() StatsPayload {
 		}
 	}
 	return st
-}
-
-// LineConn is a virtual connection: it serves protocol lines in process,
-// through exactly the per-connection parse/dispatch/encode path (and
-// metrics recording) a socket connection uses, minus the TCP round trip.
-// It exists for embedders that want protocol semantics at function-call
-// speed and for the allocation benchmarks that measure the serving path
-// in isolation. A LineConn is owned by one goroutine, like a socket
-// connection; open one per serving goroutine.
-type LineConn struct {
-	s    *Server
-	cs   connState
-	cost *obs.QueryCost // non-nil when the slow-query log is enabled
-}
-
-// NewLineConn returns a virtual connection on the server. The server
-// does not need to be Started.
-func (s *Server) NewLineConn() *LineConn {
-	lc := &LineConn{s: s}
-	if s.slow != nil {
-		lc.cost = new(obs.QueryCost)
-	}
-	return lc
-}
-
-// Serve executes one protocol line and returns the newline-terminated
-// response line. The returned slice is reused by the next Serve call on
-// this LineConn; callers that retain it must copy.
-func (lc *LineConn) Serve(line []byte) []byte {
-	t0 := time.Now()
-	op, res := lc.s.dispatch(line, &lc.cs, lc.cost)
-	d := time.Since(t0)
-	lc.s.met.record(op, d, res.ok)
-	lc.s.recordSlow(op, line, d, lc.cost)
-	lc.cs.out = appendResult(lc.cs.out[:0], &res, lc.s.dims)
-	return lc.cs.out
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.closing.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write(marshalLine(map[string]any{"ok": false, "state": "draining"}))
-		return
-	}
-	// A failed WAL means acknowledged writes may no longer be durable:
-	// the server is up but should be rotated out, so health goes red.
-	if s.walFailed.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write(marshalLine(map[string]any{"ok": false, "state": "wal_failed"}))
-		return
-	}
-	body := map[string]any{"ok": true, "uptime_s": time.Since(s.start).Seconds()}
-	// Replication position rides on health so an orchestrator (and the
-	// CI smoke) can gate on lag with one probe. By default a disconnected
-	// or lagging follower stays green: it serves reads from its
-	// last-applied state and reconnects on its own — staleness is visible
-	// in lag_windows, and whether to route around it is the balancer's
-	// policy call. Options.MaxLagWindows opts into making that call here:
-	// past the threshold (or while disconnected) the probe goes 503 so
-	// stale reads are routed away.
-	status := http.StatusOK
-	s.replMu.Lock()
-	foll := s.replFoll
-	s.replMu.Unlock()
-	switch replRole(s.role.Load()) {
-	case roleLeader:
-		body["role"] = "leader"
-		body["repl_seq"] = s.hub.LastSeq()
-		body["term"] = s.wal.Term()
-	case roleFollower:
-		st := foll.Status()
-		body["role"] = "follower"
-		body["repl_connected"] = st.Connected
-		body["applied_seq"] = st.AppliedSeq
-		body["lag_windows"] = st.LagWindows
-		body["term"] = s.wal.Term()
-		if max := s.opts.MaxLagWindows; max > 0 && (!st.Connected || st.LagWindows > uint64(max)) {
-			body["ok"] = false
-			body["state"] = "lagging"
-			body["lag"] = st.LagWindows
-			status = http.StatusServiceUnavailable
-		}
-	case roleFenced:
-		body["role"] = "fenced"
-		body["term"] = s.wal.Term()
-	}
-	if status != http.StatusOK {
-		w.WriteHeader(status)
-	}
-	w.Write(marshalLine(body))
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(marshalLine(s.Stats()))
-}
-
-// handleMetrics serves the Prometheus text exposition of the server's
-// registry: per-command latency histograms, flush counters and stage
-// timings, per-shard load series, epoch gauges (docs/observability.md
-// has the catalog).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
-}
-
-// flushSpanJSON is the /debug/flushtrace wire form of one obs.FlushSpan,
-// with the stage array unrolled into named fields.
-type flushSpanJSON struct {
-	Seq           uint64 `json:"seq"`
-	Layer         string `json:"layer"`
-	StartUnixNano int64  `json:"start_unix_nano"`
-	NetNs         int64  `json:"net_ns"`
-	LogNs         int64  `json:"log_ns"`
-	ReplayNs      int64  `json:"replay_ns"`
-	ApplyNs       int64  `json:"apply_ns"`
-	PublishNs     int64  `json:"publish_ns"`
-	DrainNs       int64  `json:"drain_ns"`
-	RawOps        int    `json:"raw_ops"`
-	NettedOps     int    `json:"netted_ops"`
-	Cancelled     int    `json:"cancelled"`
-	Epoch         uint64 `json:"epoch"`
-}
-
-// handleFlushTrace serves the retained flush spans, oldest first, as a
-// JSON array (empty array, never null, when nothing has flushed).
-func (s *Server) handleFlushTrace(w http.ResponseWriter, r *http.Request) {
-	spans := s.reg.FlushTrace().Snapshot()
-	out := make([]flushSpanJSON, 0, len(spans))
-	for _, sp := range spans {
-		out = append(out, flushSpanJSON{
-			Seq:           sp.Seq,
-			Layer:         sp.Layer,
-			StartUnixNano: sp.Start,
-			NetNs:         sp.Stages[obs.StageNet],
-			LogNs:         sp.Stages[obs.StageLog],
-			ReplayNs:      sp.Stages[obs.StageReplay],
-			ApplyNs:       sp.Stages[obs.StageApply],
-			PublishNs:     sp.Stages[obs.StagePublish],
-			DrainNs:       sp.Stages[obs.StageDrain],
-			RawOps:        sp.RawOps,
-			NettedOps:     sp.NettedOps,
-			Cancelled:     sp.Cancelled,
-			Epoch:         sp.Epoch,
-		})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(marshalLine(out))
-}
-
-// slowEntries returns the retained slow queries, newest first (empty,
-// never nil, so the endpoint always serves a JSON array).
-func (s *Server) slowEntries() []obs.SlowQuery {
-	if sn := s.slow.Snapshot(); sn != nil {
-		return sn
-	}
-	return []obs.SlowQuery{}
-}
-
-// handleSlowlog serves the slow-query ring as a JSON array (empty when
-// the log is disabled or nothing has crossed the threshold).
-func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(marshalLine(s.slowEntries()))
 }

@@ -2,7 +2,7 @@ package service
 
 // Durable serving: the wiring between the Collection's flush pipeline
 // and the write-ahead log (internal/wal). With Options.WALDir set, the
-// Server opens the WAL before taking traffic, replays the recovered
+// Server opens the WAL before taking traffic, loads the recovered
 // state into the Collection, and installs the journal hook so every
 // committed flush window hits disk before it is applied. Under
 // -fsync always the dispatch path flushes before acknowledging SET/DEL,
@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
 	"net"
 	"time"
 
@@ -60,15 +61,6 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 	if r, ok := idx.(core.Replicator); ok && !opts.DisableSnapshot {
 		copts.Snapshot = r.NewReplica
 	}
-	if opts.ReplicaOf != "" {
-		// A follower's only writer is the replication applier, which
-		// flushes each leader window itself: no background flusher, and a
-		// batch trigger no real window can reach — any other flush would
-		// split a window across two local sequences. (PROMOTE re-arms
-		// both from Options; see Server.Promote.)
-		copts.FlushInterval = 0
-		copts.MaxBatch = 1 << 30
-	}
 	s := &Server{
 		opts:  opts,
 		dims:  idx.Dims(),
@@ -94,11 +86,10 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// openWAL opens the log, replays the recovered state into the (empty)
-// Collection, and installs the journal hook. Ordering matters: the
-// replayed windows are already on disk, so the hook goes in only after
-// the replay flush — re-journaling them would double the log on every
-// restart.
+// openWAL opens the log, loads the recovered state into the Collection
+// by bulk construction (Collection.Load: nothing is journaled, and a
+// Sharded index rebalances its regions to the recovered data), and
+// installs the journal hook.
 func (s *Server) openWAL() error {
 	opts := s.opts
 	l, rec, err := wal.Open[string](opts.WALDir, wal.StringCodec{}, wal.Options{
@@ -110,10 +101,7 @@ func (s *Server) openWAL() error {
 	if err != nil {
 		return fmt.Errorf("psid: wal: %w", err)
 	}
-	for id, p := range rec.Entries {
-		s.coll.Set(id, p)
-	}
-	s.coll.Flush()
+	s.coll.Load(len(rec.Entries), maps.All(rec.Entries))
 	s.wal = l
 	s.recovered = WALRecovery{
 		Objects:        len(rec.Entries),
@@ -194,9 +182,14 @@ func (s *Server) SnapshotWAL() error {
 	if s.wal == nil {
 		return errors.New("psid: no write-ahead log configured")
 	}
-	var err error
+	return s.checkpoint(s.wal.WriteSnapshot)
+}
+
+// checkpoint hands write the committed state under the Collection's
+// flush lock — the one way a WAL snapshot is taken.
+func (s *Server) checkpoint(write func(objects int, entries iter.Seq2[string, geom.Point]) error) (err error) {
 	s.coll.Checkpoint(func(objects int, entries iter.Seq2[string, geom.Point]) {
-		err = s.wal.WriteSnapshot(objects, entries)
+		err = write(objects, entries)
 	})
 	return err
 }

@@ -47,10 +47,6 @@ func newShardMetrics(r *obs.Registry, s *Sharded) *shardMetrics {
 			"Queries that touched each shard.", lbl)
 		m.knnExp[i] = r.Counter("psi_shard_knn_expansions_total",
 			"KNN best-first expansions per shard.", lbl)
-		cell := &s.shards[i]
-		r.GaugeFunc("psi_shard_epoch",
-			"Published epoch per shard (0 in locked mode).",
-			func() float64 { return float64(cell.Epoch()) }, lbl)
 	}
 	return m
 }

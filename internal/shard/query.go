@@ -113,9 +113,7 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 	return dst
 }
 
-// shardRangeList runs one shard's range report against the version its
-// cell hands out: pinned in snapshot mode (wait-free behind sub-batches),
-// under the shard read lock otherwise.
+// shardRangeList runs one shard's range report under its read lock.
 func (s *Sharded) shardRangeList(id int, box geom.Box, dst []geom.Point) []geom.Point {
 	cell := &s.shards[id]
 	v := cell.Acquire()

@@ -54,20 +54,8 @@ type Options struct {
 	// after a rebalance, and space-partitioning children need the
 	// universe fixed for history independence).
 	New func(dims int, universe geom.Box) core.Index
-	// Snapshot switches every shard to epoch-pinned snapshot reads: each
-	// shard keeps two copies of its index (built with New), applies every
-	// sub-batch to both — the off-line one first — and publishes through
-	// an atomic per-shard epoch pointer; queries pin the published
-	// version per shard instead of taking the shard read lock, so a
-	// reader never waits behind a sub-batch. Consistency remains per
-	// shard, exactly as in locked mode: each shard's snapshot is a
-	// committed prefix of that shard's sub-batches. Memory for the shard
-	// indexes doubles. Off by default — a Sharded serving under a
-	// snapshot-mode Collection/Store is already read off a published
-	// version, so shard-level snapshots are for standalone Sharded use.
-	Snapshot bool
 	// Obs, when set, registers per-shard load metrics (batch ops applied,
-	// queries touched, KNN expansions, published epoch — all labeled
+	// queries touched, KNN expansions — all labeled
 	// shard="i"), the query fan-out histogram, and records a
 	// flush-pipeline span per batch into the registry's trace ring.
 	// Replicas made by NewReplica share the originals' series (physical
@@ -117,9 +105,9 @@ func (o Options) validate() {
 // Callers that need whole-batch atomicity across shards wrap the Sharded
 // in a store.Store, whose global read/write lock restores it (see the
 // "Scaling out" section of the README for the composition guidance).
-// With Options.Snapshot set, queries pin per-shard published epochs
-// instead of taking the shard read locks — same per-shard consistency,
-// but readers never wait behind a sub-batch (ARCHITECTURE.md "Epochs &
+// Readers that must never wait behind a sub-batch get that one layer up:
+// a snapshot-mode Store/Collection/Server keeps two whole Shardeds
+// (NewReplica) and reads the published one (ARCHITECTURE.md "Epochs &
 // snapshot reads").
 type Sharded struct {
 	opts Options
@@ -129,10 +117,9 @@ type Sharded struct {
 	// other operations read-lock it and then synchronize per shard.
 	epoch sync.RWMutex
 	part  *partition
-	// shards holds each region's index behind its version cell: one copy
-	// under a read/write lock by default, twin copies with pinned readers
-	// under Options.Snapshot. Either way the cell serializes the
-	// sub-batches that land on the shard.
+	// shards holds each region's index behind its version cell — one copy
+	// under a read/write lock, which serializes the sub-batches that land
+	// on the shard against its readers.
 	shards []epoch.IndexCell
 	// childName is the shard index family's name, for Name.
 	childName string
@@ -175,12 +162,9 @@ func newSharded(opts Options) *Sharded {
 	s.diffPool.New = func() any { return new(diffScratch) }
 	s.queryPool.New = func() any { return new(queryScratch) }
 	for i := range s.shards {
-		copies := []core.Index{opts.New(opts.Dims, opts.Universe)}
-		if opts.Snapshot { // the one place the read mode is chosen
-			copies = append(copies, opts.New(opts.Dims, opts.Universe))
-		}
-		s.shards[i].Init(epoch.ApplyDiff, copies...)
-		s.childName = copies[0].Name() // the same for every shard
+		child := opts.New(opts.Dims, opts.Universe)
+		s.shards[i].Init(epoch.ApplyDiff, child)
+		s.childName = child.Name() // the same for every shard
 	}
 	return s
 }
@@ -209,8 +193,7 @@ func (s *Sharded) Dims() int { return s.opts.Dims }
 // Shards returns the shard count S.
 func (s *Sharded) Shards() int { return s.opts.Shards }
 
-// shardSize reads one shard's point count off its acquired version (in
-// snapshot mode that never waits behind a sub-batch).
+// shardSize reads one shard's point count under its read lock.
 func (s *Sharded) shardSize(i int) int {
 	v := s.shards[i].Acquire()
 	defer s.shards[i].Release(v)
@@ -239,33 +222,6 @@ func (s *Sharded) ShardSizes(dst []int) []int {
 	return dst
 }
 
-// Stats aggregates the per-shard epoch state. In locked mode Epoch and
-// RetireLag are 0 and Versions is 1; in snapshot mode Epoch is the
-// highest per-shard published epoch (shards advance independently —
-// a shard whose sub-batches were all empty stays behind) and RetireLag
-// sums the per-shard lags.
-type Stats struct {
-	Shards    int    // shard count S
-	Size      int    // total stored points (published view)
-	Epoch     uint64 // highest per-shard published epoch (0 in locked mode)
-	Versions  int    // live index versions per shard: 2 in snapshot mode, 1 locked
-	RetireLag uint64 // summed per-shard undrained publishes
-}
-
-// Stats samples the epoch counters without blocking behind in-flight
-// sub-batches (snapshot mode reads published versions only).
-func (s *Sharded) Stats() Stats {
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
-	st := Stats{Shards: s.opts.Shards, Versions: s.shards[0].Versions()}
-	for i := range s.shards {
-		st.Size += s.shardSize(i)
-		st.Epoch = max(st.Epoch, s.shards[i].Epoch())
-		st.RetireLag += s.shards[i].RetireLag()
-	}
-	return st
-}
-
 // Build implements core.Index: it replaces the contents with pts. Unless
 // Options.Static is set, Build first rebalances the region boundaries so
 // every shard receives ~len(pts)/S points (equi-depth over the cell
@@ -282,9 +238,6 @@ func (s *Sharded) Build(pts []geom.Point) {
 	offsets := parallel.Sieve(pts, scratch, part.shards, part.shardOf)
 	parallel.ForEach(part.shards, 1, func(i int) {
 		sub := scratch[offsets[i]:offsets[i+1]]
-		// Every copy of the shard is rebuilt. Concurrent readers are
-		// excluded by the partition-swap lock, so a twin cell's drain is
-		// immediate.
 		s.shards[i].Rebuild(func(idx core.Index) { idx.Build(sub) })
 	})
 }

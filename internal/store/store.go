@@ -259,7 +259,9 @@ func (sc *netScratch) net(ops []pendOp) (ins, del []geom.Point, cancelled int) {
 // Build defines a new epoch, matching the bulk-construction contract.
 func (s *Store) Build(pts []geom.Point) {
 	s.eng.Exclusive(func() {
+		s.eng.Lock()
 		s.eng.Discard()
+		s.eng.Unlock()
 		s.cell.Rebuild(func(idx core.Index) { idx.Build(pts) })
 	})
 }

@@ -64,7 +64,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// The truncated log must be append-clean, and the append must
 		// survive yet another recovery.
-		if err := l2.AppendWindow([]Op[string]{{ID: "post", P: geom.Pt2(1, 2)}}); err != nil {
+		if _, err := l2.AppendWindow([]Op[string]{{ID: "post", P: geom.Pt2(1, 2)}}); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := l2.Close(); err != nil {

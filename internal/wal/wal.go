@@ -248,10 +248,13 @@ func (l *Log[ID]) SetTerm(t uint64) { l.term.Store(t) }
 // consecutive sequence numbers; replay applies them in order, so the
 // caller must append windows in commit order (the Collection's flush
 // lock already guarantees this). The ops slice is not retained.
-func (l *Log[ID]) AppendWindow(ops []Op[ID]) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(l.seq.Load()+1, ops)
+//
+// The returned payload is the record payload just framed — exactly
+// EncodeWindowPayload's bytes — so a replication leader ships what it
+// journaled without encoding the window again. It aliases the log's
+// encode buffer: valid until the next append, copy to keep.
+func (l *Log[ID]) AppendWindow(ops []Op[ID]) (payload []byte, err error) {
+	return l.AppendWindowAt(0, ops)
 }
 
 // AppendWindowAt is AppendWindow with a caller-assigned sequence number:
@@ -259,25 +262,24 @@ func (l *Log[ID]) AppendWindow(ops []Op[ID]) error {
 // leader's seq, so its recovered LastSeq is directly the resume point
 // for the next FOLLOW handshake. seq must exceed LastSeq — replay
 // requires strictly increasing seqs (gaps are legal in the file; the
-// follower's stream protocol rejects them earlier).
-func (l *Log[ID]) AppendWindowAt(seq uint64, ops []Op[ID]) error {
+// follower's stream protocol rejects them earlier) — or be 0, which
+// assigns the next one: the shape of Collection.SetJournal's hook.
+func (l *Log[ID]) AppendWindowAt(seq uint64, ops []Op[ID]) (payload []byte, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq <= l.seq.Load() {
-		return fmt.Errorf("wal: AppendWindowAt seq %d not above last seq %d", seq, l.seq.Load())
+	switch last := l.seq.Load(); {
+	case seq == 0:
+		seq = last + 1
+	case seq <= last:
+		return nil, fmt.Errorf("wal: AppendWindowAt seq %d not above last seq %d", seq, last)
 	}
-	return l.appendLocked(seq, ops)
-}
-
-// appendLocked writes one framed window record under mu.
-func (l *Log[ID]) appendLocked(seq uint64, ops []Op[ID]) error {
 	if l.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if l.err != nil {
 		// A previous write or fsync failed: the tail of the log is in an
 		// unknown state, so no further append may claim durability.
-		return l.err
+		return nil, l.err
 	}
 	buf := l.buf
 	if cap(buf) < frameLen {
@@ -286,7 +288,7 @@ func (l *Log[ID]) appendLocked(seq uint64, ops []Op[ID]) error {
 		buf = buf[:frameLen] // putFrame overwrites all 8 bytes below
 	}
 	buf = encodeWindow(buf, l.codec, seq, ops)
-	payload := buf[frameLen:]
+	payload = buf[frameLen:]
 	if len(payload) > l.opts.MaxRecordBytes {
 		// Sticky like any other append failure: this window's ops will
 		// never reach the log, so letting later windows append would
@@ -294,12 +296,12 @@ func (l *Log[ID]) appendLocked(seq uint64, ops []Op[ID]) error {
 		// detect the missing window).
 		l.fail(fmt.Errorf("window of %d ops encodes to %d bytes, above the %d-byte record bound",
 			len(ops), len(payload), l.opts.MaxRecordBytes))
-		return l.err
+		return nil, l.err
 	}
 	putFrame(buf[:frameLen], payload)
 	if _, err := l.f.Write(buf); err != nil {
 		l.fail(err)
-		return l.err
+		return nil, l.err
 	}
 	if cap(buf) <= maxRetainedBuf {
 		l.buf = buf[:0]
@@ -313,12 +315,12 @@ func (l *Log[ID]) appendLocked(seq uint64, ops []Op[ID]) error {
 	switch l.opts.Fsync {
 	case FsyncAlways:
 		if err := l.syncLocked(); err != nil {
-			return err
+			return nil, err
 		}
 	case FsyncInterval:
 		l.dirty.Store(true)
 	}
-	return nil
+	return payload, nil
 }
 
 // Sync forces appended windows to disk regardless of policy (graceful

@@ -56,7 +56,7 @@ func TestRoundTrip(t *testing.T) {
 		{}, // an empty window must round-trip too
 	}
 	for _, w := range windows {
-		if err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindow(w); err != nil {
 			t.Fatalf("AppendWindow: %v", err)
 		}
 		fold(want, w)
@@ -75,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("recovery accounting: %+v", rec2)
 	}
 	// Appends continue the sequence.
-	if err := l2.AppendWindow(windows[0]); err != nil {
+	if _, err := l2.AppendWindow(windows[0]); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	if got := l2.Stats().Seq; got != 5 {
@@ -100,7 +100,7 @@ func TestTornTail(t *testing.T) {
 	states := []map[string]geom.Point{{}}
 	model := map[string]geom.Point{}
 	for _, w := range windows {
-		if err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindow(w); err != nil {
 			t.Fatal(err)
 		}
 		fold(model, w)
@@ -135,7 +135,7 @@ func TestTornTail(t *testing.T) {
 			t.Fatalf("cut %d: truncated %d bytes, want %d", cut, rec.TruncatedBytes, wantTrunc)
 		}
 		// The tear is gone: appending and re-recovering must be clean.
-		if err := l2.AppendWindow([]Op[string]{{ID: "z", P: geom.Pt2(9, 9)}}); err != nil {
+		if _, err := l2.AppendWindow([]Op[string]{{ID: "z", P: geom.Pt2(9, 9)}}); err != nil {
 			t.Fatalf("cut %d: append after truncation: %v", cut, err)
 		}
 		closeT(t, l2)
@@ -161,7 +161,7 @@ func TestCorruptMidRecord(t *testing.T) {
 		{{ID: "b", P: geom.Pt2(2, 2)}},
 		{{ID: "c", P: geom.Pt2(3, 3)}},
 	} {
-		if err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindow(w); err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}
 	}
@@ -201,7 +201,7 @@ func TestCorruptFinalRecord(t *testing.T) {
 		{{ID: "a", P: geom.Pt2(1, 1)}},
 		{{ID: "b", P: geom.Pt2(2, 2)}},
 	} {
-		if err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindow(w); err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestSnapshotRotation(t *testing.T) {
 	model := map[string]geom.Point{}
 	w1 := []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}, {ID: "b", P: geom.Pt2(3, 4)}}
 	w2 := []Op[string]{{ID: "b", Del: true}, {ID: "c", P: geom.Pt2(5, 6)}}
-	if err := l.AppendWindow(w1); err != nil {
+	if _, err := l.AppendWindow(w1); err != nil {
 		t.Fatal(err)
 	}
 	fold(model, w1)
@@ -276,7 +276,7 @@ func TestSnapshotRotation(t *testing.T) {
 	if got := l.AppendsSinceSnapshot(); got != 0 {
 		t.Fatalf("AppendsSinceSnapshot = %d after snapshot", got)
 	}
-	if err := l.AppendWindow(w2); err != nil {
+	if _, err := l.AppendWindow(w2); err != nil {
 		t.Fatal(err)
 	}
 	fold(model, w2)
@@ -302,7 +302,7 @@ func TestSnapshotLogOverlap(t *testing.T) {
 	w1 := []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}
 	w2 := []Op[string]{{ID: "a", P: geom.Pt2(2, 2)}, {ID: "b", P: geom.Pt2(3, 3)}}
 	for _, w := range [][]Op[string]{w1, w2} {
-		if err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindow(w); err != nil {
 			t.Fatal(err)
 		}
 		fold(model, w)
@@ -316,7 +316,7 @@ func TestSnapshotLogOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	w3 := []Op[string]{{ID: "c", P: geom.Pt2(4, 4)}}
-	if err := l.AppendWindow(w3); err != nil {
+	if _, err := l.AppendWindow(w3); err != nil {
 		t.Fatal(err)
 	}
 	fold(model, w3)
@@ -364,7 +364,7 @@ func TestBadHeaders(t *testing.T) {
 		dir := t.TempDir()
 		l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 		m := map[string]geom.Point{"a": geom.Pt2(1, 2)}
-		if err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+		if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.WriteSnapshot(1, maps.All(m)); err != nil {
@@ -392,7 +392,7 @@ func TestBadHeaders(t *testing.T) {
 func TestFsyncInterval(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncInterval, Interval: time.Millisecond})
-	if err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+	if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -414,7 +414,7 @@ func TestClosed(t *testing.T) {
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 	closeT(t, l)
 	closeT(t, l) // idempotent
-	if err := l.AppendWindow(nil); err != ErrClosed {
+	if _, err := l.AppendWindow(nil); err != ErrClosed {
 		t.Fatalf("append after close: %v", err)
 	}
 	if err := l.WriteSnapshot(0, maps.All(map[string]geom.Point{})); err != ErrClosed {
@@ -454,10 +454,10 @@ func TestOversizedWindowFailStop(t *testing.T) {
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever, MaxRecordBytes: 32})
 	defer closeT(t, l)
 	big := []Op[string]{{ID: strings.Repeat("x", 64), P: geom.Pt2(1, 1)}}
-	if err := l.AppendWindow(big); err == nil {
+	if _, err := l.AppendWindow(big); err == nil {
 		t.Fatal("oversized window accepted")
 	}
-	if err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}); err == nil {
+	if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}); err == nil {
 		t.Fatal("append after an unjournalable window succeeded: silent seq gap")
 	}
 	if got := l.Stats().Errors; got == 0 {
@@ -477,11 +477,11 @@ func TestWALAppendZeroAllocWarm(t *testing.T) {
 		{ID: "obj-0000002", P: geom.Pt2(345678, 901234)},
 		{ID: "obj-0000003", Del: true},
 	}
-	if err := l.AppendWindow(ops); err != nil { // warm the encode buffer
+	if _, err := l.AppendWindow(ops); err != nil { // warm the encode buffer
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := l.AppendWindow(ops); err != nil {
+		if _, err := l.AppendWindow(ops); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -504,7 +504,7 @@ func BenchmarkAppendWindow(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := l.AppendWindow(ops); err != nil {
+				if _, err := l.AppendWindow(ops); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -522,7 +522,7 @@ func TestLastSeq(t *testing.T) {
 		t.Fatalf("fresh LastSeq = %d, want 0", got)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(int64(i), 0)}}); err != nil {
+		if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(int64(i), 0)}}); err != nil {
 			t.Fatal(err)
 		}
 		if got := l.LastSeq(); got != uint64(i) {
@@ -544,23 +544,30 @@ func TestLastSeq(t *testing.T) {
 func TestAppendWindowAt(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if err := l.AppendWindowAt(7, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+	if _, err := l.AppendWindowAt(7, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 		t.Fatalf("AppendWindowAt(7): %v", err)
 	}
-	if err := l.AppendWindowAt(12, []Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+	if _, err := l.AppendWindowAt(12, []Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
 		t.Fatalf("AppendWindowAt(12) across a gap: %v", err)
 	}
-	for _, seq := range []uint64{12, 5, 0} {
-		if err := l.AppendWindowAt(seq, nil); err == nil {
+	for _, seq := range []uint64{12, 5} {
+		if _, err := l.AppendWindowAt(seq, nil); err == nil {
 			t.Fatalf("AppendWindowAt(%d) after seq 12 succeeded", seq)
 		}
 	}
 	if got := l.LastSeq(); got != 12 {
 		t.Fatalf("LastSeq = %d, want 12", got)
 	}
-	// Plain AppendWindow continues from the imposed seq.
-	if err := l.AppendWindow([]Op[string]{{ID: "c", P: geom.Pt2(5, 6)}}); err != nil {
+	// Plain AppendWindow (seq 0: "the next one") continues from the
+	// imposed seq, and hands back exactly the payload it framed — what a
+	// leader ships to its followers.
+	c := []Op[string]{{ID: "c", P: geom.Pt2(5, 6)}}
+	payload, err := l.AppendWindow(c)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := EncodeWindowPayload(nil, StringCodec{}, 13, c); !bytes.Equal(payload, want) {
+		t.Fatalf("AppendWindow returned payload %x, want the seq-13 record payload %x", payload, want)
 	}
 	closeT(t, l)
 	l2, rec := openT(t, dir, Options{})
@@ -583,7 +590,7 @@ func TestWriteSnapshotAt(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	for i := 0; i < 5; i++ {
-		if err := l.AppendWindow([]Op[string]{{ID: "old", P: geom.Pt2(int64(i), 0)}}); err != nil {
+		if _, err := l.AppendWindow([]Op[string]{{ID: "old", P: geom.Pt2(int64(i), 0)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -595,7 +602,7 @@ func TestWriteSnapshotAt(t *testing.T) {
 	if got := l.LastSeq(); got != 2 {
 		t.Fatalf("LastSeq after regression = %d, want 2", got)
 	}
-	if err := l.AppendWindowAt(3, []Op[string]{{ID: "y", P: geom.Pt2(1, 1)}}); err != nil {
+	if _, err := l.AppendWindowAt(3, []Op[string]{{ID: "y", P: geom.Pt2(1, 1)}}); err != nil {
 		t.Fatalf("AppendWindowAt(3) after regression: %v", err)
 	}
 	closeT(t, l)
@@ -621,7 +628,7 @@ func TestWriteSnapshotAt(t *testing.T) {
 	if len(rec3.Entries) != 0 || rec3.Seq != 0 {
 		t.Fatalf("recovery after empty bootstrap: %+v", rec3)
 	}
-	if err := l3.AppendWindowAt(1, []Op[string]{{ID: "z", P: geom.Pt2(2, 2)}}); err != nil {
+	if _, err := l3.AppendWindowAt(1, []Op[string]{{ID: "z", P: geom.Pt2(2, 2)}}); err != nil {
 		t.Fatalf("AppendWindowAt(1) from empty bootstrap: %v", err)
 	}
 }
@@ -655,7 +662,7 @@ func TestTermPersistence(t *testing.T) {
 	if got := l.Term(); got != 0 {
 		t.Fatalf("fresh log term = %d, want 0", got)
 	}
-	if err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+	if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 		t.Fatalf("AppendWindow: %v", err)
 	}
 	l.SetTerm(7)
@@ -664,7 +671,7 @@ func TestTermPersistence(t *testing.T) {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	// Windows appended after the snapshot must not disturb the term.
-	if err := l.AppendWindow([]Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+	if _, err := l.AppendWindow([]Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
 		t.Fatalf("AppendWindow: %v", err)
 	}
 	if got := l.Stats().Term; got != 7 {
@@ -691,7 +698,7 @@ func TestTermPersistence(t *testing.T) {
 func TestV1SnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if err := l.AppendWindow([]Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+	if _, err := l.AppendWindow([]Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
 		t.Fatalf("AppendWindow: %v", err)
 	}
 	closeT(t, l)

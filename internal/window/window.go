@@ -7,7 +7,8 @@
 // emptied buffer back, a size trigger, an optional interval flusher, and
 // the counters and spans that make the pipeline observable. The Engine is
 // that machine, written once; a layer supplies only its op type and a
-// net/apply pair (see Init).
+// net/apply pair (see Init). A window that arrives already netted — a
+// replicated one — enters the same pipeline at its apply half (Apply).
 //
 // Ordering: the log order is the order Appends take the pending lock,
 // which is consistent with every goroutine's program order. Flushes are
@@ -109,16 +110,10 @@ type Engine[O any] struct {
 	flushDur *obs.Hist
 	span     obs.FlushSpan
 
-	// flusher is the background flush goroutine's handle: stop/done are
-	// the running flusher's private channels (nil while none runs), and
-	// closed latches when Close begins so that no flusher can start — or
-	// tick — once the final flush has run.
-	flusher struct {
-		sync.Mutex
-		stop, done chan struct{}
-		closed     bool
-	}
-	closeOnce sync.Once
+	// stop and done are the interval flusher's channels (nil when
+	// Options.FlushInterval is unset): Init starts it, Close stops it.
+	stop, done chan struct{}
+	closeOnce  sync.Once
 }
 
 // Init sets up the engine of the named layer ("store", "collection": the
@@ -134,7 +129,10 @@ type Engine[O any] struct {
 // from clk onward.
 func (e *Engine[O]) Init(layer string, opts Options, net func(ops []O) int, apply func(sp *obs.FlushSpan, clk time.Time) int) {
 	e.layer, e.net, e.apply = layer, net, apply
-	e.SetMaxBatch(opts.MaxBatch)
+	e.maxBatch = opts.MaxBatch
+	if e.maxBatch <= 0 {
+		e.maxBatch = DefaultMaxBatch
+	}
 	r, label := opts.Obs, obs.Label{Key: "layer", Value: layer} // a nil registry registers nothing
 	r.CounterFunc("psi_flush_total",
 		"Flush windows applied to the index.", e.flushes.Load, label)
@@ -147,7 +145,26 @@ func (e *Engine[O]) Init(layer string, opts Options, net func(ops []O) int, appl
 	e.flushDur = r.Histogram("psi_flush_duration_ns",
 		"Flush wall time in nanoseconds, summed over pipeline stages.", label)
 	e.trace = r.FlushTrace()
-	e.StartFlusher(opts.FlushInterval)
+	if opts.FlushInterval > 0 {
+		e.stop, e.done = make(chan struct{}), make(chan struct{})
+		go e.flusher(opts.FlushInterval)
+	}
+}
+
+// flusher is the interval flush loop: it bounds how long an op stays
+// pending under light traffic.
+func (e *Engine[O]) flusher(d time.Duration) {
+	defer close(e.done)
+	t := time.NewTicker(d)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			e.Flush()
+		case <-e.stop:
+			return
+		}
+	}
 }
 
 // Lock takes the pending-log lock. Hold it only for Appends and reads or
@@ -174,18 +191,6 @@ func (e *Engine[O]) Unlock() {
 	}
 }
 
-// SetMaxBatch changes the flush trigger (n <= 0 restores
-// DefaultMaxBatch). A replication follower parks it at a bound no window
-// reaches, so that only replicated windows commit.
-func (e *Engine[O]) SetMaxBatch(n int) {
-	if n <= 0 {
-		n = DefaultMaxBatch
-	}
-	e.pend.Lock()
-	e.maxBatch = n
-	e.pend.Unlock()
-}
-
 // Pending returns the number of enqueued, not-yet-flushed ops.
 func (e *Engine[O]) Pending() int {
 	e.pend.Lock()
@@ -210,22 +215,43 @@ func (e *Engine[O]) Flush() int {
 	e.log, e.spare = e.spare, nil
 	e.pend.Unlock()
 
-	var sp *obs.FlushSpan
-	var clk time.Time
-	if e.trace != nil {
-		clk = time.Now()
-		e.span = obs.FlushSpan{Layer: e.layer, Start: clk.UnixNano()}
-		sp = &e.span
-	}
+	sp, clk := e.begin()
 	cancelled := e.net(ops)
 	clk = sp.Stamp(obs.StageNet, clk)
-	applied := e.apply(sp, clk)
-
+	applied := e.finish(sp, clk, len(ops), cancelled, e.apply)
 	// Clear the log before recycling it, so idle capacity never pins the
 	// window's values (ID strings, typically).
-	raw := len(ops)
 	clear(ops)
 	e.spare = ops[:0]
+	return applied
+}
+
+// Apply commits one window that arrives already netted (a replicated
+// one: raw ops, none of them cancelled). It is Flush from the net/apply
+// seam on — the same flush lock, span, counters and metric series — with
+// the pending log left alone; apply has Init's contract and may carry
+// the window and its outcome in its closure.
+func (e *Engine[O]) Apply(raw int, apply func(sp *obs.FlushSpan, clk time.Time) int) int {
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	sp, clk := e.begin()
+	return e.finish(sp, clk, raw, 0, apply)
+}
+
+// begin opens a window's span (nil without a registry); the flush lock
+// is held.
+func (e *Engine[O]) begin() (sp *obs.FlushSpan, clk time.Time) {
+	if e.trace == nil {
+		return nil, clk
+	}
+	clk = time.Now()
+	e.span = obs.FlushSpan{Layer: e.layer, Start: clk.UnixNano()}
+	return &e.span, clk
+}
+
+// finish is the apply half of every window: apply it, then account it.
+func (e *Engine[O]) finish(sp *obs.FlushSpan, clk time.Time, raw, cancelled int, apply func(*obs.FlushSpan, time.Time) int) int {
+	applied := apply(sp, clk)
 	e.flushes.Add(1)
 	e.rawOps.Add(uint64(raw))
 	e.applied.Add(uint64(applied))
@@ -246,71 +272,29 @@ func (e *Engine[O]) Exclusive(fn func()) {
 	fn()
 }
 
-// Discard drops every pending op unapplied. A client whose contents are
-// replaced wholesale calls it inside the same Exclusive section.
+// Discard drops every pending op unapplied; the caller holds the lock
+// (so its own per-op state is dropped in the same section). A client
+// whose contents are replaced wholesale calls it inside the same
+// Exclusive section.
 func (e *Engine[O]) Discard() {
-	e.pend.Lock()
 	clear(e.log)
 	e.log = e.log[:0]
-	e.pend.Unlock()
-}
-
-// StartFlusher starts the background flusher at cadence d if none is
-// running (d <= 0 is a no-op, matching Options.FlushInterval). It bounds
-// how long an op stays pending under light traffic. After Close it does
-// nothing.
-func (e *Engine[O]) StartFlusher(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	e.flusher.Lock()
-	defer e.flusher.Unlock()
-	if e.flusher.closed || e.flusher.stop != nil {
-		return
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	e.flusher.stop, e.flusher.done = stop, done
-	go func() {
-		defer close(done)
-		t := time.NewTicker(d)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				e.Flush()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// StopFlusher stops the background flusher and waits for it to exit: no
-// tick-driven Flush is in flight on return. A no-op when none runs.
-func (e *Engine[O]) StopFlusher() {
-	e.flusher.Lock()
-	stop, done := e.flusher.stop, e.flusher.done
-	e.flusher.stop, e.flusher.done = nil, nil
-	e.flusher.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
+	e.full = false
 }
 
 // Close shuts the pipeline down, exactly once however many goroutines
-// call it: latch out StartFlusher, stop the flusher and wait for it, run
-// the final flush, then run after (if non-nil) under the flush lock. The
-// order is the contract: the ticker has fully exited before the final
-// flush, and no flush of any origin overlaps after — the place to close
-// what the windows were applied to. The engine stays usable afterwards;
-// only interval flushing has ended.
+// call it: stop the interval flusher and wait for it, run the final
+// flush, then run after (if non-nil) under the flush lock. The order is
+// the contract: the ticker has fully exited before the final flush, and
+// no flush of any origin overlaps after — the place to close what the
+// windows were applied to. The engine stays usable afterwards; only
+// interval flushing has ended.
 func (e *Engine[O]) Close(after func()) {
 	e.closeOnce.Do(func() {
-		e.flusher.Lock()
-		e.flusher.closed = true
-		e.flusher.Unlock()
-		e.StopFlusher()
+		if e.stop != nil {
+			close(e.stop)
+			<-e.done
+		}
 		e.Flush()
 		if after != nil {
 			e.Exclusive(after)

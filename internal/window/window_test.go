@@ -105,27 +105,25 @@ func TestMaxBatchTriggersFlush(t *testing.T) {
 	if st := c.eng.Stats(); st.Flushes != 2 || st.Pending != 0 || c.total.Load() != 28 {
 		t.Fatalf("after a 20-op section: %+v, %d applied", st, c.total.Load())
 	}
-	// SetMaxBatch moves the trigger; <= 0 restores the default.
-	// Only an Append triggers: a bare Lock/Unlock over an already
-	// over-full log leaves it alone.
+	// Only an Append triggers: a section without one leaves the log alone.
 	c.enqueue(8)
-	c.enqueue(9)
-	c.eng.SetMaxBatch(2)
 	c.eng.Lock()
 	c.eng.Unlock()
-	if st := c.eng.Stats(); st.Flushes != 2 || st.Pending != 2 {
-		t.Fatalf("bare Lock/Unlock after SetMaxBatch(2): %+v, want no flush", st)
+	if st := c.eng.Stats(); st.Flushes != 2 || st.Pending != 1 {
+		t.Fatalf("bare Lock/Unlock: %+v, want no flush", st)
 	}
-	c.enqueue(10)
-	if st := c.eng.Stats(); st.Flushes != 3 || st.Pending != 0 {
-		t.Fatalf("after SetMaxBatch(2): %+v", st)
-	}
-	c.eng.SetMaxBatch(0)
+	// An unset MaxBatch is the default trigger.
+	d := newTally(Options{})
+	defer d.eng.Close(nil)
 	for i := 0; i < DefaultMaxBatch-1; i++ {
-		c.enqueue(100 + i)
+		d.enqueue(i)
 	}
-	if st := c.eng.Stats(); st.Flushes != 3 || st.Pending != DefaultMaxBatch-1 {
-		t.Fatalf("after SetMaxBatch(0): %+v, want the default trigger", st)
+	if st := d.eng.Stats(); st.Flushes != 0 || st.Pending != DefaultMaxBatch-1 {
+		t.Fatalf("one below the default trigger: %+v", st)
+	}
+	d.enqueue(DefaultMaxBatch)
+	if st := d.eng.Stats(); st.Flushes != 1 || st.Pending != 0 {
+		t.Fatalf("at the default trigger: %+v", st)
 	}
 }
 
@@ -262,8 +260,8 @@ func TestCloseFlushRace(t *testing.T) {
 		close(stopWriters)
 		writers.Wait()
 		c.eng.Close(hook) // idempotent after the concurrent trio
-		c.eng.StartFlusher(50 * time.Microsecond)
-		time.Sleep(500 * time.Microsecond) // a flusher started after Close would tick here
+		c.enqueue(-1)
+		time.Sleep(500 * time.Microsecond) // a flusher that survived Close would tick here
 
 		if n := hooks.Load(); n != 1 {
 			t.Fatalf("close hook ran %d times, want exactly 1", n)
@@ -274,39 +272,55 @@ func TestCloseFlushRace(t *testing.T) {
 	}
 }
 
-// TestFlusherStopRestart drives the flusher handle the way a replication
-// role flip does: stop it (a follower applies only replicated windows),
-// restart it (promotion), and check each state by what happens to a
-// pending op.
-func TestFlusherStopRestart(t *testing.T) {
+// TestApplyEntersAtTheSeam pins the second way into the pipeline: a
+// window that arrives already netted is applied under the flush lock
+// with a Flush's accounting — one flush, raw ops, none cancelled, one
+// span — and the pending log is neither netted nor flushed by it.
+func TestApplyEntersAtTheSeam(t *testing.T) {
+	reg := obs.New()
+	c := newTally(Options{MaxBatch: 1 << 20, Obs: reg})
+	defer c.eng.Close(nil)
+	c.enqueue(7) // stays pending throughout
+	locked := false
+	n := c.eng.Apply(3, func(sp *obs.FlushSpan, clk time.Time) int {
+		if locked = !c.eng.flushMu.TryLock(); !locked {
+			c.eng.flushMu.Unlock()
+		}
+		sp.Stamp(obs.StageApply, clk)
+		return 3
+	})
+	if n != 3 || !locked {
+		t.Fatalf("Apply returned %d, flush lock held: %t; want 3 applied under the lock", n, locked)
+	}
+	if st := c.eng.Stats(); st.Flushes != 1 || st.Cancelled != 0 || st.Pending != 1 || c.total.Load() != 0 {
+		t.Fatalf("after Apply: %+v, %d tape ops applied; want one window and the tape untouched", st, c.total.Load())
+	}
+	spans := reg.FlushTrace().Snapshot()
+	if len(spans) != 1 || spans[0].Layer != "tally" || spans[0].RawOps != 3 || spans[0].NettedOps != 3 || spans[0].Cancelled != 0 {
+		t.Fatalf("spans = %+v, want one tally span of 3 raw, 3 netted ops", spans)
+	}
+	if c.eng.Flush() != 1 || c.eng.Stats().Flushes != 2 {
+		t.Fatal("the pending op did not flush as its own window afterwards")
+	}
+}
+
+// TestCloseEndsIntervalFlushing: the flusher runs from Init to Close and
+// no longer; the engine itself stays usable.
+func TestCloseEndsIntervalFlushing(t *testing.T) {
 	c := newTally(Options{MaxBatch: 1 << 20, FlushInterval: 100 * time.Microsecond})
-	c.eng.StartFlusher(time.Hour) // already running: ignored, the cadence stays fast
 	c.enqueue(1)
-	waitFor(t, "the initial flusher", func() bool { return c.total.Load() == 1 })
-
-	c.eng.StopFlusher()
-	c.eng.StopFlusher() // no-op when none runs
+	waitFor(t, "the flusher", func() bool { return c.total.Load() == 1 })
 	c.enqueue(2)
-	time.Sleep(2 * time.Millisecond) // twenty periods of the stopped flusher
-	if c.total.Load() != 1 || c.eng.Pending() != 1 {
-		t.Fatalf("a stopped flusher still flushed: applied %d, pending %d", c.total.Load(), c.eng.Pending())
-	}
-
-	c.eng.StartFlusher(100 * time.Microsecond)
-	waitFor(t, "the restarted flusher", func() bool { return c.total.Load() == 2 })
-
-	c.enqueue(3)
 	c.eng.Close(nil) // final flush
-	if c.total.Load() != 3 {
-		t.Fatalf("Close left %d applied, want 3", c.total.Load())
+	if c.total.Load() != 2 {
+		t.Fatalf("Close left %d applied, want 2", c.total.Load())
 	}
-	c.eng.StartFlusher(100 * time.Microsecond) // latched out
-	c.enqueue(4)
-	time.Sleep(2 * time.Millisecond)
+	c.enqueue(3)
+	time.Sleep(2 * time.Millisecond) // twenty periods of the stopped flusher
 	if c.eng.Pending() != 1 {
-		t.Fatal("a flusher started after Close and flushed")
+		t.Fatal("the flusher outlived Close and flushed")
 	}
-	if c.eng.Flush() != 1 { // the engine itself stays usable
+	if c.eng.Flush() != 1 {
 		t.Fatal("explicit Flush after Close did not apply the pending op")
 	}
 }
@@ -323,7 +337,9 @@ func TestExclusiveAndDiscard(t *testing.T) {
 			t.Error("a flush ran inside an Exclusive section")
 		case <-time.After(2 * time.Millisecond):
 		}
+		c.eng.Lock()
 		c.eng.Discard()
+		c.eng.Unlock()
 	})
 	if n := <-flushed; n != 0 || c.total.Load() != 0 {
 		t.Fatalf("discarded op was applied (flush returned %d)", n)
