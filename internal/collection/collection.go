@@ -19,18 +19,21 @@
 //
 // Consistency: the geometric index, the forward table (ID → point), and
 // the reverse multimap (point → IDs) all advance together at the flush
-// boundary, as one versioned triple. Queries (NearbyIDs, WithinIDs) run
-// the geometric query and resolve every hit through the reverse multimap
-// of the same triple — they can never observe an index point without its
-// owner or vice versa. How readers are kept off the flush writer is the
-// version cell's job (epoch.Cell): in the default locked mode the triple
-// sits behind a read/write lock; with Options.Snapshot set the cell keeps
-// two triples, so queries pin the published epoch and never wait on a
-// flush (ARCHITECTURE.md "Epochs & snapshot reads"). The pending tape and
-// its flushing are the window engine's (internal/window). Get is the
-// exception either way: it reads the caller's own pending tail (read-your-writes),
-// so Get(id) after Set(id, p) returns p even before the flush makes p
-// visible to geometric queries.
+// boundary, as one versioned triple. The two tables are one dense slot
+// table (table.go): flat ID and point arrays found through open-addressed
+// slot indexes, a few dozen pointer-free bytes per object rather than two
+// Go maps. Queries (NearbyIDs, WithinIDs) run the geometric query and
+// resolve every hit through the reverse multimap of the same triple —
+// they can never observe an index point without its owner or vice versa.
+// How readers are kept off the flush writer is the version cell's job
+// (epoch.Cell): in the default locked mode the triple sits behind a
+// read/write lock; with Options.Snapshot set the cell keeps two triples,
+// so queries pin the published epoch and never wait on a flush
+// (ARCHITECTURE.md "Epochs & snapshot reads"). The pending tape and its
+// flushing are the window engine's (internal/window). Get is the
+// exception either way: it reads the caller's own pending tail
+// (read-your-writes), so Get(id) after Set(id, p) returns p even before
+// the flush makes p visible to geometric queries.
 //
 // Committed state has two more ways in, both writer-side and both beside
 // the tape rather than through it: CommitWindow applies a window that is
@@ -49,7 +52,6 @@ package collection
 import (
 	"fmt"
 	"iter"
-	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,15 +120,12 @@ type Collection[ID comparable] struct {
 	// cell owns the committed triples and how queries are kept off the
 	// flush writer; win is the netted window being committed, netAt and
 	// netOps the netting scratch behind a flushed one (all guarded by the
-	// flush lock). revFree (guarded by the cell's writer side) recycles
-	// the reverse multimap's small per-point ID slices, so a steady
-	// stream of moves churns no fresh slices. queryPool recycles
-	// per-query hit-resolution scratch across concurrent readers.
+	// flush lock). queryPool recycles per-query hit-resolution scratch
+	// across concurrent readers.
 	cell      epoch.Cell[*collState[ID], *collWindow[ID]]
 	win       collWindow[ID]
 	netAt     map[ID]int
 	netOps    []wal.Op[ID]
-	revFree   [][]ID
 	queryPool sync.Pool
 
 	// journal is the durability commit hook (SetJournal), called under
@@ -139,6 +138,10 @@ type Collection[ID comparable] struct {
 	inserted atomic.Uint64
 	moved    atomic.Uint64
 	removed  atomic.Uint64
+	// slots and freeSlots mirror the committed table's slot count (live
+	// plus free) and its free share at the last commit, for the gauges:
+	// like Stats, they never take a lock.
+	slots, freeSlots atomic.Int64
 }
 
 // op is one logged mutation: Set (del=false) or Remove (del=true) of id.
@@ -158,10 +161,10 @@ type tailOp struct {
 	seq uint64
 }
 
-// collState is one committed triple: the geometric index, the forward
-// table, and the reverse multimap, always advanced together. The cell
-// holds one instance in locked mode and ping-pongs between two in
-// snapshot mode.
+// collState is one committed triple: the geometric index and the slot
+// table that is both forward table and reverse multimap, always advanced
+// together. The cell holds one instance in locked mode and ping-pongs
+// between two in snapshot mode.
 type collState[ID comparable] struct {
 	idx core.Index
 	// costed is idx's cost-reporting query interface when it has one
@@ -169,8 +172,7 @@ type collState[ID comparable] struct {
 	// shards visited and candidates scanned, falling back to whole-index
 	// counts otherwise.
 	costed obs.CostedIndex
-	fwd    map[ID]geom.Point
-	rev    map[geom.Point][]ID
+	tab    table[ID]
 }
 
 func newCollState[ID comparable](idx core.Index) *collState[ID] {
@@ -178,8 +180,7 @@ func newCollState[ID comparable](idx core.Index) *collState[ID] {
 	return &collState[ID]{
 		idx:    idx,
 		costed: costed,
-		fwd:    make(map[ID]geom.Point),
-		rev:    make(map[geom.Point][]ID),
+		tab:    newTable[ID](0),
 	}
 }
 
@@ -193,22 +194,30 @@ type collWindow[ID comparable] struct {
 	// window is visible. Zero for a window that did not come off the
 	// tape, which supersedes none.
 	upTo uint64
-	// ins and del are the index diff planned from ops against the
-	// committed forward table (recycled scratch, grown to the window
-	// high-water mark).
+	// at, ins and del are planned from ops against the committed table
+	// (recycled scratch, grown to the window high-water mark): at[i] is
+	// where ops[i]'s ID was found, ins and del the index diff.
+	at       []resolved
 	ins, del []geom.Point
 }
 
-// queryScratch is one query's resolution state: the raw geometric hits
-// and the duplicate-point cursor (only touched for multi-owner points).
-type queryScratch struct {
-	pts    []geom.Point
-	cursor map[geom.Point]int
+// resolved is one op's ID looked up in the committed table before its
+// window is applied: the slot it owns (0 when it is not live) and its
+// hash. The copies agree slot for slot, and a window holds an ID once (net
+// makes it so, CommitWindow refuses one that does not), so what planDiff
+// resolved holds for every copy's applyWindow.
+type resolved struct {
+	hash uint64
+	slot uint32
 }
 
-// maxRevFree caps the reverse-multimap slice freelist so a collection
-// that shrinks dramatically does not hold spare slices forever.
-const maxRevFree = 1 << 16
+// queryScratch is one query's resolution state: the raw geometric hits
+// and, per multi-owner point, the slot its next hit resolves to (never
+// touched for single-owner points).
+type queryScratch struct {
+	pts    []geom.Point
+	cursor map[geom.Point]uint32
+}
 
 // New wraps idx in a Collection. The Collection takes ownership of idx:
 // the caller must not touch it directly afterwards (in particular, the
@@ -234,6 +243,12 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	opts.Obs.GaugeFunc("psi_objects",
 		"Live objects in the committed (published) state.",
 		func() float64 { return float64(c.Stats().Objects) }, layer)
+	opts.Obs.GaugeFunc("psi_collection_slots",
+		"Slots of the committed object table: live objects plus free slots awaiting reuse.",
+		func() float64 { return float64(c.slots.Load()) }, layer)
+	opts.Obs.GaugeFunc("psi_collection_free_slots",
+		"Free slots of the committed object table (its high-water mark less the live objects).",
+		func() float64 { return float64(c.freeSlots.Load()) }, layer)
 	c.eng.Init("collection", opts, c.net, c.commitTape)
 	return c
 }
@@ -275,8 +290,8 @@ func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error)
 
 // Checkpoint runs fn while the flush pipeline is quiescent: no window
 // can commit (or be journaled) until fn returns. fn receives the
-// committed object count and an iterator over the committed forward
-// table — exactly the fold of every journaled window — which is what a
+// committed object count and an iterator over the committed table —
+// exactly the fold of every journaled window — which is what a
 // WAL snapshot must capture for its seq to line up with the log
 // (internal/service pairs Checkpoint with wal.Log.WriteSnapshot). fn
 // must not call back into the Collection (Flush, Set-triggered
@@ -285,11 +300,11 @@ func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error)
 // deliberately excluded.
 func (c *Collection[ID]) Checkpoint(fn func(objects int, entries iter.Seq2[ID, geom.Point])) {
 	c.eng.Exclusive(func() {
-		// The flush lock already excludes every writer of fwd; acquiring
-		// is just the uniform way to reach the published triple.
+		// The flush lock already excludes every writer of the table;
+		// acquiring is just the uniform way to reach the published triple.
 		v := c.cell.Acquire()
 		defer c.cell.Release(v)
-		fn(len(v.Data.fwd), maps.All(v.Data.fwd))
+		fn(v.Data.tab.live, v.Data.tab.all())
 	})
 }
 
@@ -333,7 +348,7 @@ func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
 		return tail.p, true
 	}
 	v := c.cell.Acquire()
-	p, live := v.Data.fwd[id]
+	p, live := v.Data.tab.get(id)
 	c.cell.Release(v)
 	return p, live
 }
@@ -344,7 +359,7 @@ func (c *Collection[ID]) Len() int {
 	c.Flush()
 	v := c.cell.Acquire()
 	defer c.cell.Release(v)
-	return len(v.Data.fwd)
+	return v.Data.tab.live
 }
 
 // Epoch returns the snapshot epoch of the currently published version —
@@ -354,11 +369,11 @@ func (c *Collection[ID]) Len() int {
 func (c *Collection[ID]) Epoch() uint64 { return c.cell.Epoch() }
 
 // Flush nets every pending op by last-write-wins per ID, applies the
-// resulting diff to the index as one BatchDiff, and advances the
-// forward/reverse tables in the same commit. It returns the number of
-// index mutations applied (inserts + deletes). Flush is a
-// synchronization barrier: on return, every op enqueued before the call
-// is visible to geometric queries.
+// resulting diff to the index as one BatchDiff, and advances the object
+// table in the same commit. It returns the number of index mutations
+// applied (inserts + deletes). Flush is a synchronization barrier: on
+// return, every op enqueued before the call is visible to geometric
+// queries.
 func (c *Collection[ID]) Flush() int { return c.eng.Flush() }
 
 // net is the engine's netting step: the last op per ID wins, every
@@ -400,14 +415,37 @@ func (c *Collection[ID]) commitTape(sp *obs.FlushSpan, clk time.Time) int {
 // neither consulted nor flushed, so a follower's state advances by
 // exactly the leader's windows whatever else is going on. ops is not
 // retained.
+//
+// The window is untrusted input (a follower hands over whatever frame its
+// leader sent), and the commit body relies on the invariant: one that
+// repeats an ID is refused whole — an error, nothing journaled, nothing
+// applied.
 func (c *Collection[ID]) CommitWindow(seq uint64, ops []wal.Op[ID]) (err error) {
 	c.eng.Apply(len(ops), func(sp *obs.FlushSpan, clk time.Time) (applied int) {
+		if id, repeated := c.repeatedID(ops); repeated {
+			err = fmt.Errorf("collection: window %d is not netted: it repeats ID %v", seq, id)
+			return 0
+		}
 		c.win.ops, c.win.upTo = ops, 0
 		applied, err = c.commit(seq, sp, clk)
 		c.win.ops = nil
 		return applied
 	})
 	return err
+}
+
+// repeatedID reports an ID that ops holds more than once, if there is one
+// (the flush lock is held: netAt is the netting scratch).
+func (c *Collection[ID]) repeatedID(ops []wal.Op[ID]) (id ID, repeated bool) {
+	at := c.netAt
+	for i := range ops {
+		if at[ops[i].ID] = i; len(at) <= i {
+			id, repeated = ops[i].ID, true
+			break
+		}
+	}
+	clear(at)
+	return id, repeated
 }
 
 // commit is the one commit body, run under the flush lock on c.win:
@@ -429,12 +467,14 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 		}
 		clk = sp.Stamp(obs.StageLog, clk)
 	}
-	// Plan against the copy the cell writes first — its forward table
-	// equals the published one, and only commits write it. Planning
-	// counts toward the net stage.
-	nIns, nMove, nDel := c.planDiff(w, c.cell.Writable())
+	// Plan against the copy the cell writes first — its table equals the
+	// published one, and only commits write it. Planning counts toward
+	// the net stage.
+	st := c.cell.Writable()
+	nIns, nMove, nDel := c.planDiff(w, st)
 	clk = sp.Stamp(obs.StageNet, clk)
 	clk = c.cell.Commit(w, sp, clk)
+	c.noteSlots(&st.tab)
 	// Purge the overlay only now that every reader sees the window: a Get
 	// that misses the overlay then reads a committed state that already
 	// includes every purged op. Doing it last also leaves the overlay's
@@ -451,48 +491,67 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 
 // Load replaces the whole committed state with entries — n of them, a
 // later entry for an ID winning over an earlier one — by bulk
-// construction: every copy's index is rebuilt once with Index.Build (a
-// Sharded rebalances its regions to the loaded data) and its tables are
-// refilled. Pending ops, and what Get remembered of them, are discarded;
-// nothing is journaled — the caller loads what is already durable
-// (recovery) or makes it so itself (a follower's bootstrap snapshot). In
-// snapshot mode readers keep the old state until the new one is
-// published whole.
+// construction: the table is filled once and cloned into the other copy
+// (entries is ranged exactly once, so a single-use iterator is fine, and
+// the copies come out slot-identical whatever order it yields), and every
+// copy's index is rebuilt once with Index.Build (a Sharded rebalances its
+// regions to the loaded data). Pending ops, and what Get remembered of
+// them, are discarded; nothing is journaled — the caller loads what is
+// already durable (recovery) or makes it so itself (a follower's
+// bootstrap snapshot). In snapshot mode readers keep the old state until
+// the new one is published whole.
 func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	c.eng.Exclusive(func() {
 		c.eng.Lock()
 		c.eng.Discard()
 		clear(c.overlay)
 		c.eng.Unlock()
-		was := len(c.cell.Writable().fwd)
-		var pts []geom.Point // the deduplicated point set, shared by the copies
-		c.cell.Rebuild(func(st *collState[ID]) {
-			st.fwd = make(map[ID]geom.Point, n)
-			st.rev = make(map[geom.Point][]ID, n)
-			for id, p := range entries {
-				c.applyOp(st, &wal.Op[ID]{ID: id, P: p})
+		was := c.cell.Writable().tab.live
+		tab := newTable[ID](n)
+		for id, p := range entries {
+			if slot, hash := tab.lookup(id); slot != 0 {
+				tab.move(slot, p)
+			} else {
+				tab.insert(id, hash, p)
 			}
-			if pts == nil {
-				pts = make([]geom.Point, 0, len(st.fwd))
-				for _, p := range st.fwd {
-					pts = append(pts, p)
-				}
+		}
+		pts := make([]geom.Point, 0, tab.live) // one point per live ID, shared by the copies
+		for _, p := range tab.all() {
+			pts = append(pts, p)
+		}
+		placed := false
+		c.cell.Rebuild(func(st *collState[ID]) {
+			if placed {
+				st.tab = tab.clone()
+			} else {
+				st.tab, placed = tab, true
 			}
 			st.idx.Build(pts)
 		})
+		c.noteSlots(&tab)
 		c.inserted.Add(uint64(len(pts)))
 		c.removed.Add(uint64(was))
 	})
 }
 
-// planDiff turns the netted window into its (ins, del) index batches by
-// comparing against st's forward table (callers hold the flush lock;
-// only flushes write fwd, so no reader lock is needed).
+// noteSlots publishes t's slot counts to the gauges; t is the committed
+// table and the flush lock is held.
+func (c *Collection[ID]) noteSlots(t *table[ID]) {
+	c.slots.Store(int64(t.slots()))
+	c.freeSlots.Store(int64(t.slots() - t.live))
+}
+
+// planDiff resolves every op of the netted window against st's table
+// (callers hold the flush lock; only flushes write it, so no reader lock
+// is needed) and turns the window into its (ins, del) index batches.
 func (c *Collection[ID]) planDiff(w *collWindow[ID], st *collState[ID]) (nIns, nMove, nDel uint64) {
-	ins, del := w.ins[:0], w.del[:0]
+	t := &st.tab
+	at, ins, del := w.at[:0], w.ins[:0], w.del[:0]
 	for i := range w.ops {
 		o := &w.ops[i]
-		old, live := st.fwd[o.ID]
+		slot, hash := t.lookup(o.ID)
+		at = append(at, resolved{hash: hash, slot: slot})
+		old, live := t.pos[slot], slot != 0
 		switch {
 		case o.Del && live:
 			del = append(del, old)
@@ -510,43 +569,35 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID], st *collState[ID]) (nIns, n
 			nIns++
 		}
 	}
-	w.ins, w.del = ins, del
+	w.at, w.ins, w.del = at, ins, del
 	return nIns, nMove, nDel
 }
 
 // applyWindow is the cell's apply step: it advances one triple by one
 // planned window — the index batch (flushing any inner deferring layer
 // inside the commit so the triple never disagrees at a read boundary)
-// and then every netted op through the forward/reverse tables. The plan
-// is valid for every copy because the copies agree between commits.
+// and then every netted op through the table, by the slots planDiff
+// resolved. The plan is valid for every copy because the copies agree
+// between commits.
 func (c *Collection[ID]) applyWindow(st *collState[ID], w *collWindow[ID]) {
 	st.idx.BatchDiff(w.ins, w.del)
 	if f, ok := st.idx.(interface{ Flush() int }); ok {
 		f.Flush()
 	}
+	t := &st.tab
 	for i := range w.ops {
-		c.applyOp(st, &w.ops[i])
-	}
-}
-
-// applyOp advances st's forward/reverse tables by one netted op.
-func (c *Collection[ID]) applyOp(st *collState[ID], o *wal.Op[ID]) {
-	old, live := st.fwd[o.ID]
-	if o.Del {
-		if live {
-			delete(st.fwd, o.ID)
-			c.revRemove(st, old, o.ID)
+		o, at := &w.ops[i], w.at[i]
+		switch {
+		case at.slot == 0 && !o.Del:
+			t.insert(o.ID, at.hash, o.P)
+		case at.slot == 0:
+			// Remove of an absent ID.
+		case o.Del:
+			t.remove(at.slot, at.hash)
+		default:
+			t.move(at.slot, o.P)
 		}
-		return
 	}
-	if live {
-		if old == o.P {
-			return
-		}
-		c.revRemove(st, old, o.ID)
-	}
-	st.fwd[o.ID] = o.P
-	c.revAdd(st, o.P, o.ID)
 }
 
 // purgeOverlay drops overlay entries the committed window supersedes:
@@ -561,43 +612,6 @@ func (c *Collection[ID]) purgeOverlay(w *collWindow[ID]) {
 		}
 	}
 	c.eng.Unlock()
-}
-
-// revRemove drops one occurrence of id from st's rev[p] (it runs inside
-// the cell's commit, on the copy being written). Emptied ID slices go to
-// the freelist so the next revAdd of a fresh point reuses them instead
-// of allocating. The freelist is shared across both snapshot twins — a
-// slice lives in at most one rev map at a time, so recycling between
-// them is safe.
-func (c *Collection[ID]) revRemove(st *collState[ID], p geom.Point, id ID) {
-	ids := st.rev[p]
-	for i, got := range ids {
-		if got == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			break
-		}
-	}
-	if len(ids) == 0 {
-		delete(st.rev, p)
-		if cap(ids) > 0 && len(c.revFree) < maxRevFree {
-			clear(ids[:cap(ids)]) // drop stale ID values so nothing is pinned
-			c.revFree = append(c.revFree, ids)
-		}
-	} else {
-		st.rev[p] = ids
-	}
-}
-
-// revAdd appends id to st's rev[p] (same locking as revRemove), drawing
-// the backing slice from the freelist when the point is new to the map.
-func (c *Collection[ID]) revAdd(st *collState[ID], p geom.Point, id ID) {
-	ids, ok := st.rev[p]
-	if !ok && len(c.revFree) > 0 {
-		ids = c.revFree[len(c.revFree)-1]
-		c.revFree = c.revFree[:len(c.revFree)-1]
-	}
-	st.rev[p] = append(ids, id)
 }
 
 // NearbyIDs returns the k objects nearest q (nearest first), resolved to
@@ -679,33 +693,34 @@ func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(st
 
 // resolveAppend maps the scratch's hit multiset to entries through st's
 // reverse multimap, appending to dst (callers hold st's version
-// acquired). A point stored once per object at it means hits and rev
-// lists have equal multiplicity; for the rare points owned by several
-// objects, a cursor walks the ID list so duplicate hits resolve to
-// distinct objects. Single-owner points — the common case — never touch
-// the cursor map.
+// acquired). A point stored once per object at it means hits and owner
+// chains have equal multiplicity; for the rare points owned by several
+// objects, a cursor walks the chain so duplicate hits resolve to distinct
+// objects. Single-owner points — the common case — never touch the
+// cursor map.
 func (c *Collection[ID]) resolveAppend(st *collState[ID], sc *queryScratch, dst []Entry[ID]) []Entry[ID] {
+	t := &st.tab
 	cursorUsed := false
 	for _, p := range sc.pts {
-		ids := st.rev[p]
-		switch {
-		case len(ids) == 0:
-			// Unreachable while the flush invariant holds (Validate
-			// checks it); skip rather than fabricate an entry.
-		case len(ids) == 1:
-			dst = append(dst, Entry[ID]{ID: ids[0], Point: p})
-		default:
+		s := t.head(p)
+		if s != 0 && t.next[s] != 0 {
 			if sc.cursor == nil {
-				sc.cursor = make(map[geom.Point]int)
+				sc.cursor = make(map[geom.Point]uint32)
 			}
 			cursorUsed = true
-			i := sc.cursor[p]
-			if i >= len(ids) {
-				continue // see the len(ids) == 0 case
+			if at, seen := sc.cursor[p]; seen {
+				s = at
 			}
-			sc.cursor[p] = i + 1
-			dst = append(dst, Entry[ID]{ID: ids[i], Point: p})
+			if s != 0 {
+				sc.cursor[p] = t.next[s]
+			}
 		}
+		if s == 0 {
+			// More hits than owners: unreachable while the flush invariant
+			// holds (Validate checks it); skip rather than fabricate an entry.
+			continue
+		}
+		dst = append(dst, Entry[ID]{ID: t.name[s], Point: p})
 	}
 	if cursorUsed {
 		clear(sc.cursor)
@@ -720,7 +735,7 @@ func (c *Collection[ID]) Pending() int { return c.eng.Pending() }
 // updated after each flush, so a snapshot racing a flush may lag by that
 // one batch. Stats never takes the writer lock, so it does not block
 // behind an in-flight flush: Objects is derived from the lifetime
-// counters, which equal the committed forward table's size at every
+// counters, which equal the committed table's live count at every
 // flush boundary.
 func (c *Collection[ID]) Stats() Stats {
 	es := c.eng.Stats()
@@ -741,34 +756,16 @@ func (c *Collection[ID]) Stats() Stats {
 }
 
 // Validate flushes, then checks the transactional-consistency invariant
-// between the three committed structures: the index holds exactly one
-// point per live object, and the forward and reverse tables are exact
+// between the committed structures: the index holds exactly one point per
+// live object, and the table's forward and reverse sides are exact
 // inverses. Tests and the fuzz harness call it after every tape.
 func (c *Collection[ID]) Validate() error {
 	c.Flush()
 	v := c.cell.Acquire()
 	defer c.cell.Release(v)
-	return v.Data.validate()
-}
-
-func (st *collState[ID]) validate() error {
-	if got, want := st.idx.Size(), len(st.fwd); got != want {
+	st := v.Data
+	if got, want := st.idx.Size(), st.tab.live; got != want {
 		return fmt.Errorf("collection: index stores %d points, %d live objects", got, want)
 	}
-	nRev := 0
-	for p, ids := range st.rev {
-		if len(ids) == 0 {
-			return fmt.Errorf("collection: empty reverse entry for %v", p)
-		}
-		nRev += len(ids)
-		for _, id := range ids {
-			if got, live := st.fwd[id]; !live || got != p {
-				return fmt.Errorf("collection: rev[%v] lists %v but fwd says (%v, %t)", p, id, got, live)
-			}
-		}
-	}
-	if nRev != len(st.fwd) {
-		return fmt.Errorf("collection: reverse multimap holds %d entries, %d live objects", nRev, len(st.fwd))
-	}
-	return nil
+	return st.tab.validate()
 }

@@ -3,6 +3,7 @@ package collection
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -132,25 +133,70 @@ func TestMoveChainNetsToOneDiff(t *testing.T) {
 }
 
 func TestSharedPointResolvesDistinctIDs(t *testing.T) {
-	c := New[string](newSPaCH(), Options{})
-	defer c.Close()
 	p := geom.Pt2(100, 100)
-	c.Set("a", p)
-	c.Set("b", p)
-	c.Flush()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
+	// resolved checks that the k hits on p resolve to exactly want, each
+	// owner once.
+	resolved := func(c *Collection[string], want ...string) {
+		t.Helper()
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string][]Entry[string]{
+			"NearbyIDs": c.NearbyIDs(p, len(want)),
+			"WithinIDs": c.WithinIDs(geom.BoxOf(p, p)),
+		} {
+			var ids []string
+			for _, e := range got {
+				if e.Point != p {
+					t.Fatalf("%s resolved %q at %v, want %v", name, e.ID, e.Point, p)
+				}
+				ids = append(ids, e.ID)
+			}
+			slices.Sort(ids)
+			if !slices.Equal(ids, want) {
+				t.Fatalf("%s on the shared point = %v, want %v", name, ids, want)
+			}
+		}
 	}
-	got := c.NearbyIDs(p, 2)
-	if len(got) != 2 {
-		t.Fatalf("NearbyIDs returned %d entries, want 2", len(got))
-	}
-	if got[0].ID == got[1].ID {
-		t.Fatalf("duplicate hit resolved to the same ID twice: %v", got)
-	}
-	within := c.WithinIDs(geom.BoxOf(p, p))
-	if len(within) != 2 || within[0].ID == within[1].ID {
-		t.Fatalf("WithinIDs on shared point = %v", within)
+	// Remove the head of the owner chain, a middle owner and the last one:
+	// the three ways out of a chain.
+	for _, at := range []int{0, 2, 3} {
+		for _, snapshot := range []bool{false, true} {
+			opts := Options{}
+			if snapshot {
+				opts.Snapshot = newSPaCH
+			}
+			c := New[string](newSPaCH(), opts)
+			c.Set("far", geom.Pt2(7, 7))
+			for _, id := range []string{"a", "b", "c", "d"} {
+				c.Set(id, p)
+			}
+			c.Flush()
+			resolved(c, "a", "b", "c", "d")
+			var chain []string
+			c.eachTable(func(tab *table[string]) {
+				chain = chain[:0]
+				for s := tab.head(p); s != 0; s = tab.next[s] {
+					chain = append(chain, tab.name[s])
+				}
+			})
+			if len(chain) != 4 {
+				t.Fatalf("owner chain of the shared point = %v, want four owners", chain)
+			}
+			c.Remove(chain[at])
+			c.Flush()
+			rest := slices.Delete(slices.Clone(chain), at, at+1)
+			slices.Sort(rest)
+			resolved(c, rest...)
+			// A move off the point takes the same exit as a remove.
+			c.Set(rest[1], geom.Pt2(200, 200))
+			c.Flush()
+			resolved(c, rest[0], rest[2])
+			if err := c.validateTwins(); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+		}
 	}
 }
 
@@ -471,11 +517,9 @@ func TestLenFlushesAndStats(t *testing.T) {
 // scratch-reuse tentpole: warm Set→Flush cycles run with zero
 // steady-state allocations in the Collection layer — the op tape
 // double-buffers, the last-write-wins map and diff buffers are recycled,
-// and the reverse multimap draws its per-point ID slices from a
-// freelist. Same-position windows must be exactly zero; real moves are
-// allowed a sub-one amortized residual, which is Go map bucket churn
-// from cycling the reverse multimap's point keys (buckets are
-// occasionally regrown by the runtime; there is no per-move allocation).
+// and a move rewrites its table slot in place (the point index deletes
+// by shifting back, so cycling point keys leaves nothing to regrow).
+// Same-position windows and real moves are both exactly zero.
 func TestSetFlushZeroAllocWarm(t *testing.T) {
 	const n = 512
 	posA := make([]geom.Point, n)
@@ -516,8 +560,8 @@ func TestSetFlushZeroAllocWarm(t *testing.T) {
 			cur, next = next, cur
 		}
 		window()
-		if allocs := testing.AllocsPerRun(50, window); allocs >= 1 {
-			t.Fatalf("warm move window allocates %.2f/op, want amortized < 1", allocs)
+		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+			t.Fatalf("warm move window allocates %.2f/op, want 0", allocs)
 		}
 	})
 }

@@ -108,6 +108,15 @@ func runCollectionTape(t *testing.T, data []byte) {
 		}
 	}
 	var winSeq uint64
+	// verify is the tape's checkpoint: every read against the oracle, and
+	// the snapshot twins against each other.
+	verify := func() {
+		t.Helper()
+		verifyAgainstOracle(t, c, oracle, fuzzIDs)
+		if err := c.validateTwins(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// In snapshot mode, record the oracle contents at every published
 	// epoch and race a reader against the tape. The writer can only
@@ -241,7 +250,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 			oracle = maps.Clone(committed)
 			apply(oracle, tape)
 			if len(tape) == 0 {
-				verifyAgainstOracle(t, c, oracle, fuzzIDs) // flushes: a no-op here
+				verify() // flushes: a no-op here
 			}
 		case b%8 == 0:
 			c.Remove(id)
@@ -249,7 +258,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 		case b%8 == 1:
 			c.Flush()
 			flushed()
-			verifyAgainstOracle(t, c, oracle, fuzzIDs)
+			verify()
 		default:
 			p, ok := point()
 			if !ok {
@@ -277,7 +286,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 	if snapshot {
 		record()
 	}
-	verifyAgainstOracle(t, c, oracle, fuzzIDs)
+	verify()
 }
 
 // TestCollectionMovesSeeds replays the in-code seed corpus as a plain

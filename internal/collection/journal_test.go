@@ -150,8 +150,7 @@ func TestCheckpointMatchesCommittedState(t *testing.T) {
 // warm Set→Flush cycles must stay allocation-free — the wal.Op window
 // is built in recycled scratch and the record encode buffer is reused
 // inside wal.Log. Same thresholds as TestSetFlushZeroAllocWarm: exactly
-// zero for same-position windows, amortized sub-one for moves (reverse
-// multimap bucket churn, not the journal).
+// zero, for same-position windows and for moves.
 func TestJournalFlushZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -208,8 +207,8 @@ func TestJournalFlushZeroAllocWarm(t *testing.T) {
 		}
 		window()
 		window()
-		if allocs := testing.AllocsPerRun(50, window); allocs >= 1 {
-			t.Fatalf("warm journaled move window allocates %.2f/op, want amortized < 1", allocs)
+		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+			t.Fatalf("warm journaled move window allocates %.2f/op, want 0", allocs)
 		}
 	})
 }

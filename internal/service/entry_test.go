@@ -145,6 +145,43 @@ func TestReplApplyFailedJournal(t *testing.T) {
 	}
 }
 
+// TestReplApplyRefusesUnnettedWindow: the stream is untrusted, and a
+// window that repeats an ID — which no leader's Flush produces — must cost
+// the session, not the process: ApplyWindow returns an error, nothing is
+// journaled, the applied position has not moved, and the follower goes on
+// applying well-formed windows.
+func TestReplApplyRefusesUnnettedWindow(t *testing.T) {
+	leader := startLeader(t, t.TempDir(), Options{})
+	lc := dialT(t, leader)
+	if err := lc.Set("a", []int64{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	follower := startFollowerOf(t, t.TempDir(), leader, "wary")
+	waitConverged(t, leader, follower)
+
+	app := replApplier{follower}
+	before := app.AppliedSeq()
+	for _, win := range [][]wal.Op[string]{
+		{{ID: "a", Del: true}, {ID: "a", Del: true}},
+		{{ID: "a", Del: true}, {ID: "a", P: geom.Pt2(3, 3)}},
+		{{ID: "b", P: geom.Pt2(2, 2)}, {ID: "b", P: geom.Pt2(3, 3)}},
+	} {
+		if err := app.ApplyWindow(before+1, win); err == nil {
+			t.Fatalf("ApplyWindow accepted %+v", win)
+		}
+	}
+	if got := app.AppliedSeq(); got != before || follower.walFailed.Load() {
+		t.Fatalf("refused windows moved AppliedSeq %d -> %d or failed the WAL", before, got)
+	}
+	assertSameState(t, leader, follower)
+	if err := app.ApplyWindow(before+1, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}}); err != nil {
+		t.Fatalf("a well-formed window after the refused ones: %v", err)
+	}
+	if err := follower.coll.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWALRecoveryRebalancesShards: recovery is a bulk Load, so a Sharded
 // index comes back with its regions rebalanced to the recovered data —
 // held to the bound shard.TestAdaptiveRebalance holds Build to — where

@@ -1,6 +1,7 @@
 package service
 
 import (
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -104,6 +105,16 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			s.mu.Unlock()
 			return float64(n)
 		})
+	// The two ends of the GC cycle, always on (unlike the /stats GC
+	// counters behind -pprof, these cost one runtime/metrics read per
+	// scrape): peak RSS tracks the goal, not the live heap, and the ratio
+	// of the two is the GOGC factor an operator is paying.
+	reg.GaugeFunc("psi_heap_live_bytes",
+		"Heap bytes the last completed GC cycle found live.",
+		runtimeGauge("/gc/heap/live:bytes"))
+	reg.GaugeFunc("psi_heap_goal_bytes",
+		"Heap size at which the next GC cycle finishes (live heap times the GOGC factor).",
+		runtimeGauge("/gc/heap/goal:bytes"))
 	if s.slow != nil {
 		reg.CounterFunc("psi_slow_queries_total",
 			"Commands slower than the -slowlog threshold.",
@@ -126,4 +137,17 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("psi_repl_role_changes_total",
 		"Role transitions this process (promotions, demotions, deposals, re-points).",
 		s.roleChanges.Load)
+}
+
+// runtimeGauge reads one uint64 runtime/metrics sample per call; a name
+// this Go version does not know reads 0.
+func runtimeGauge(name string) func() float64 {
+	return func() float64 {
+		sample := [1]rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample[:])
+		if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return float64(sample[0].Value.Uint64())
+	}
 }

@@ -93,6 +93,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`psi_flush_total{layer="collection"}`:            1,
 		`psi_flush_ops_netted_total{layer="collection"}`: 4,
 		`psi_objects{layer="collection"}`:                4,
+		`psi_collection_slots{layer="collection"}`:       4,
+		`psi_collection_free_slots{layer="collection"}`:  0,
+		`psi_heap_live_bytes`:                            0, // until the first GC cycle
+		`psi_heap_goal_bytes`:                            1,
 	}
 	for key, min := range checks {
 		if v, ok := samples[key]; !ok || v < min {
