@@ -1,13 +1,15 @@
 package service
 
 // The connection loop: one goroutine per client reads request lines,
-// dispatches them and writes the replies in order. LineConn is the same
-// loop body without the socket.
+// dispatches them and writes the replies in order — one socket write per
+// burst of pipelined lines, not one per reply. LineConn is the same loop
+// body without the socket.
 
 import (
 	"bufio"
 	"bytes"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/collection"
@@ -20,15 +22,31 @@ import (
 // encode buffer (the long-line accumulation scratch stays a handleConn
 // local). One goroutine owns each conn, so
 // nothing here is locked; a warm connection serves GET/NEARBY/WITHIN
-// round trips with no per-line buffer allocations at all.
+// round trips with no per-line allocations at all.
 type connState struct {
 	req     Request
 	entries []collection.Entry[string]
 	out     []byte
 }
 
-// handleConn serves one client: read a line, dispatch, write the reply,
-// in order, until the client disconnects or the server drains.
+// countedConn counts the writes that reach the socket.
+type countedConn struct {
+	net.Conn
+	writes *atomic.Uint64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// handleConn serves one client: read a line, dispatch, encode the reply,
+// in order, until the client disconnects or the server drains. Replies
+// collect in the write buffer and go out when the next read would block:
+// a client that pipelines a burst of lines gets its replies in one write
+// (or one per filled buffer), a client that waits for each reply gets it
+// at once. A durable SET is still encoded only after its commit returned,
+// so no acknowledgement can reach the socket early.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -38,7 +56,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	bw := bufio.NewWriterSize(countedConn{conn, &s.met.socketWrites}, 64<<10)
 	cs := new(connState)
 	var cost *obs.QueryCost
 	if s.slow != nil {
@@ -47,7 +65,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		cost = new(obs.QueryCost)
 	}
 	var lineScratch []byte
+	var replies uint64 // encoded since the last flush
 	for {
+		// Every return below leaves the write buffer empty: it is flushed
+		// before any read that can block or fail.
 		line, tooLong, err := readLine(br, s.opts.MaxLineBytes, &lineScratch)
 		if err != nil {
 			// Client disconnect, mid-line EOF, or the Shutdown read
@@ -56,31 +77,23 @@ func (s *Server) handleConn(conn net.Conn) {
 			// the next flush like any acknowledged write.
 			return
 		}
-		if s.closing.Load() {
+		draining := s.closing.Load()
+		switch {
+		case draining:
 			res := errResult(CodeShutdown, "server is shutting down")
-			bw.Write(appendResult(cs.out[:0], &res, s.dims))
-			bw.Flush()
-			return
-		}
-		if tooLong {
+			cs.out = appendResult(cs.out[:0], &res, s.dims)
+		case tooLong:
 			s.met.badLines.Add(1)
 			res := errResultf(CodeTooLarge, "line exceeds %d bytes", s.opts.MaxLineBytes)
-			bw.Write(appendResult(cs.out[:0], &res, s.dims))
-			if bw.Flush() != nil {
-				return
-			}
-			continue
+			cs.out = appendResult(cs.out[:0], &res, s.dims)
+		default:
+			// Empty lines flow through dispatch and fail JSON parsing: the
+			// protocol promises exactly one response per request line, so a
+			// blank line gets its bad_request rather than silence.
+			cs.out = s.serve(line, cs, cost)
 		}
-		// Empty lines flow through dispatch and fail JSON parsing: the
-		// protocol promises exactly one response per request line, so a
-		// blank line gets its bad_request rather than silence.
-		t0 := time.Now()
-		op, res := s.dispatch(line, cs, cost)
-		d := time.Since(t0)
-		s.met.record(op, d, res.ok)
-		s.recordSlow(op, line, d, cost)
-		cs.out = appendResult(cs.out[:0], &res, s.dims)
 		bw.Write(cs.out)
+		replies++
 		// One huge WITHIN must not pin its buffers for the connection's
 		// lifetime (mirrors the client-side lineBuf cap): steady-state
 		// responses stay far below these.
@@ -90,10 +103,35 @@ func (s *Server) handleConn(conn net.Conn) {
 		if cap(cs.entries) > maxRetainedEntries {
 			cs.entries = nil
 		}
-		if bw.Flush() != nil {
+		if !draining && lineBuffered(br) {
+			continue
+		}
+		s.met.replies.Add(replies)
+		replies = 0
+		if bw.Flush() != nil || draining {
 			return
 		}
 	}
+}
+
+// lineBuffered reports whether the next readLine returns without reading
+// from the connection. Buffered bytes alone do not say so: behind the
+// first half of a line the read blocks, and the replies must not wait for
+// a client that is itself waiting for them.
+func lineBuffered(br *bufio.Reader) bool {
+	buf, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// serve executes one request line and returns its encoded reply, in
+// cs.out: the path a socket connection and a LineConn share.
+func (s *Server) serve(line []byte, cs *connState, cost *obs.QueryCost) []byte {
+	t0 := time.Now()
+	op, res := s.dispatch(line, cs, cost)
+	d := time.Since(t0)
+	s.met.record(op, d, res.ok)
+	s.recordSlow(op, line, d, cost)
+	return appendResult(cs.out[:0], &res, s.dims)
 }
 
 // maxRetainedOut and maxRetainedEntries cap the per-connection scratch
@@ -187,11 +225,6 @@ func (s *Server) NewLineConn() *LineConn {
 // response line. The returned slice is reused by the next Serve call on
 // this LineConn; callers that retain it must copy.
 func (lc *LineConn) Serve(line []byte) []byte {
-	t0 := time.Now()
-	op, res := lc.s.dispatch(line, &lc.cs, lc.cost)
-	d := time.Since(t0)
-	lc.s.met.record(op, d, res.ok)
-	lc.s.recordSlow(op, line, d, lc.cost)
-	lc.cs.out = appendResult(lc.cs.out[:0], &res, lc.s.dims)
+	lc.cs.out = lc.s.serve(line, &lc.cs, lc.cost)
 	return lc.cs.out
 }

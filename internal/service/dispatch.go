@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"strings"
 	"time"
 
@@ -11,7 +10,8 @@ import (
 
 // dispatch parses and executes one command line, returning the metrics
 // slot (-1 for protocol-level rejects) and the pre-wire result. The parse
-// reuses the connection's Request (slice fields keep their capacity) and
+// reuses the connection's Request (slice fields keep their capacity; its
+// strings alias line, so whatever outlives the call is cloned here) and
 // query hits land in the connection's entry scratch; result.entries then
 // aliases cs.entries and is valid until the next dispatch on the same
 // connection. cost, when non-nil, is reset and filled
@@ -22,9 +22,7 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		*cost = obs.QueryCost{}
 	}
 	req := &cs.req
-	req.Op, req.ID, req.K = "", "", 0
-	req.P, req.Lo, req.Hi = req.P[:0], req.Lo[:0], req.Hi[:0]
-	if err := json.Unmarshal(line, req); err != nil {
+	if err := parseRequest(line, req); err != nil {
 		return -1, errResultf(CodeBadRequest, "parse: %v", err)
 	}
 	op := strings.ToUpper(req.Op)
@@ -44,7 +42,7 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		if err != nil {
 			return idx, errResultf(CodeBadRequest, "SET %q: %v", req.ID, err)
 		}
-		s.coll.Set(req.ID, p)
+		s.coll.Set(strings.Clone(req.ID), p) // the tape keeps the ID
 		if r := s.commitDurable(); r != nil {
 			return idx, *r
 		}
@@ -56,7 +54,7 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		if req.ID == "" {
 			return idx, errResult(CodeBadRequest, "DEL: missing id")
 		}
-		s.coll.Remove(req.ID)
+		s.coll.Remove(strings.Clone(req.ID))
 		if r := s.commitDurable(); r != nil {
 			return idx, *r
 		}
@@ -119,12 +117,12 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		}
 		return idx, result{ok: true, hasSlow: true, slow: s.slow.Snapshot()}
 	case OpPromote:
-		if err := s.Promote(req.Addr); err != nil {
+		if err := s.Promote(strings.Clone(req.Addr)); err != nil {
 			return idx, errResultf(CodeBadRequest, "PROMOTE: %v", err)
 		}
 		return idx, result{ok: true}
 	case OpDemote:
-		if err := s.Demote(req.Addr); err != nil {
+		if err := s.Demote(strings.Clone(req.Addr)); err != nil {
 			return idx, errResultf(CodeBadRequest, "DEMOTE: %v", err)
 		}
 		return idx, result{ok: true}
@@ -132,7 +130,7 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		if req.Addr == "" {
 			return idx, errResult(CodeBadRequest, "FOLLOW: missing addr")
 		}
-		if err := s.Follow(req.Addr); err != nil {
+		if err := s.Follow(strings.Clone(req.Addr)); err != nil {
 			return idx, errResultf(CodeBadRequest, "FOLLOW: %v", err)
 		}
 		return idx, result{ok: true}

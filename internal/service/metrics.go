@@ -43,6 +43,12 @@ type opMetrics struct {
 type metrics struct {
 	ops      [numOps]opMetrics // indexed by opIndex
 	badLines atomic.Uint64
+	// replies counts reply lines sent to client sockets and socketWrites
+	// the writes that carried them: their ratio is replies per write(2),
+	// 1 for a client that waits for each reply, the burst size for one
+	// that pipelines.
+	replies      atomic.Uint64
+	socketWrites atomic.Uint64
 }
 
 // record logs one served command (op is an opIndex slot).
@@ -97,6 +103,12 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("psi_bad_lines_total",
 		"Protocol-level rejects (unparseable or oversized lines).",
 		s.met.badLines.Load)
+	reg.CounterFunc("psi_service_replies_total",
+		"Reply lines sent to client sockets.",
+		s.met.replies.Load)
+	reg.CounterFunc("psi_service_socket_writes_total",
+		"Socket writes that carried the reply lines; replies per write is the pipelining the clients achieve.",
+		s.met.socketWrites.Load)
 	reg.GaugeFunc("psi_conns",
 		"Currently open client connections.",
 		func() float64 {

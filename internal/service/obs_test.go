@@ -95,6 +95,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`psi_objects{layer="collection"}`:                4,
 		`psi_collection_slots{layer="collection"}`:       4,
 		`psi_collection_free_slots{layer="collection"}`:  0,
+		`psi_service_replies_total`:                      6,
+		`psi_service_socket_writes_total`:                6, // a client that waits for each reply gets one write per reply
 		`psi_heap_live_bytes`:                            0, // until the first GC cycle
 		`psi_heap_goal_bytes`:                            1,
 	}

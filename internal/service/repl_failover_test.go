@@ -247,3 +247,40 @@ func waitFenced(t *testing.T, s *Server) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestAdminAddrResetPerLine: an addr never carries over from one line of
+// a connection to the next. The request struct is reused per connection
+// and addr was the one field not reset, so a bare FOLLOW re-dialled the
+// previous line's address instead of failing, a bare PROMOTE bound it as
+// the listen address and a bare DEMOTE recorded it as the leader hint.
+func TestAdminAddrResetPerLine(t *testing.T) {
+	leader := startLeader(t, t.TempDir(), Options{})
+	follower := startFollowerOf(t, t.TempDir(), leader, "f") // no standby listen address
+	for _, tc := range []struct {
+		on      *Server
+		carrier string // a refused line that carries an addr
+		bare    string
+		want    string // in the bare line's reply
+		then    string // a follow-up line, if the reply alone cannot tell
+		wantNot string // must be absent from the follow-up's reply
+	}{
+		{on: follower, carrier: `{"op":"DEMOTE","addr":"127.0.0.1:0"}`, bare: `{"op":"FOLLOW"}`, want: "FOLLOW: missing addr"},
+		{on: follower, carrier: `{"op":"DEMOTE","addr":"127.0.0.1:0"}`, bare: `{"op":"PROMOTE"}`, want: "no listen address"},
+		{on: leader, carrier: `{"op":"FOLLOW","addr":"stale:1"}`, bare: `{"op":"DEMOTE"}`, want: `{"ok":true}`,
+			then: `{"op":"SET","id":"a","p":[1,1]}`, wantNot: "stale:1"},
+	} {
+		lc := tc.on.NewLineConn()
+		if reply := string(lc.Serve([]byte(tc.carrier))); !strings.Contains(reply, `"ok":false`) {
+			t.Fatalf("%s was not refused: %s", tc.carrier, reply)
+		}
+		if reply := string(lc.Serve([]byte(tc.bare))); !strings.Contains(reply, tc.want) {
+			t.Errorf("%s after %s answered %s, want %q", tc.bare, tc.carrier, reply, tc.want)
+		}
+		if tc.then == "" {
+			continue
+		}
+		if reply := string(lc.Serve([]byte(tc.then))); !strings.Contains(reply, CodeFenced) || strings.Contains(reply, tc.wantNot) {
+			t.Errorf("%s after a bare DEMOTE answered %s, want fenced without a leader hint", tc.then, reply)
+		}
+	}
+}
