@@ -1,6 +1,7 @@
 package psi
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,16 +11,21 @@ import (
 // FuzzIndexOracle is the library-wide differential fuzzer: the input
 // bytes are decoded into an operation tape (Build / BatchInsert /
 // BatchDelete / BatchDiff) that is applied identically to all 11 ByName
-// indexes, to four Store stacks (locked and snapshot reads, over a raw
-// SPaC-H tree and over a Sharded) and to a BruteForce oracle,
-// cross-checking sizes after every op and the full query suite (KNN at
-// several k, RangeCount, RangeList) at checkpoints and at the end of the
-// tape. The Stores are only read at checkpoints, so every op between two
-// checkpoints lands in one coalescing window and the order-aware
-// multiset netting is fuzzed against sequential execution. Deletions are
-// biased toward stored points so multiset-delete paths are actually
-// exercised, and the coordinate domain is kept tiny so duplicate points,
-// same-cell collisions and equal-distance KNN ties are routine. Seed corpus lives in
+// indexes, to a bare Sharded(SPaC-H), to four Store stacks (locked and
+// snapshot reads, over a raw SPaC-H tree and over a Sharded) and to a
+// BruteForce oracle, cross-checking sizes after every op and the full
+// query suite (KNN at several k, RangeCount, RangeList) at checkpoints and
+// at the end of the tape. The Stores are only read at checkpoints, so
+// every op between two checkpoints lands in one coalescing window and the
+// order-aware multiset netting is fuzzed against sequential execution. A
+// sixth opcode forks every copy-on-write index (core.Adopter: the SPaC and
+// CPAM trees, the Sharded): a fresh replica adopts it and must from then
+// on answer from the contents frozen at that moment, whatever the tape
+// goes on to do to the original — checked, with Validate on both sides,
+// after every op. Deletions are biased toward stored points so
+// multiset-delete paths are actually exercised, and the coordinate domain
+// is kept tiny so duplicate points, same-cell collisions and
+// equal-distance KNN ties are routine. Seed corpus lives in
 // testdata/fuzz/FuzzIndexOracle; CI smoke-runs the target for 10s and
 // the Testing section of README.md documents longer local runs.
 func FuzzIndexOracle(f *testing.F) {
@@ -49,6 +55,14 @@ var fuzzSeeds = []string{
 	"\x00\x00\x07\x01\x00\x00\x01\x01\x02\x02\x01\x01\x00\x00\x01\x01\x02\x02\x01" +
 		"\x04\x01\x01\x01\x01\x00\x00\x00\x00\x02\x02\x01\x01\x01\x01" +
 		"\x02\x01\x01\x02\x01\x00\x01\x00\x04\x01\x01\x01\x01\x02\x01",
+	// 2D; Build 48 copies of one point (past the leaf wrap: the pivot and
+	// both its subtrees are the same entry); fork; delete 16 of them (the
+	// equal-to-pivot path: splitRun, join2) under the fork; fork again;
+	// insert 32 more copies; diff 4 in and 8 out; verify.
+	"\x00\x00\x2f" + strings.Repeat("\x08\x08", 48) +
+		"\x05\x02\x0f" + strings.Repeat("\x01", 16) +
+		"\x05\x01\x1f" + strings.Repeat("\x08\x08", 32) +
+		"\x03\x03" + strings.Repeat("\x08\x08", 4) + "\x07" + strings.Repeat("\x01", 8) + "\x04",
 }
 
 // fuzzSide bounds the fuzz coordinate domain: byte-derived coordinates
@@ -172,6 +186,38 @@ func verifyAll(t *testing.T, idxs []core.Index, oracle *core.BruteForce, tp *fuz
 	}
 }
 
+// fork is one adopt step's outcome for one copy-on-write index: the
+// replica that adopted it and the oracle frozen at that moment.
+type fork struct {
+	shadow, orig core.Index
+	frozen       *core.BruteForce
+}
+
+// check holds the fork to isolation: the shadow still answers from the
+// frozen contents, and both sides are structurally sound.
+func (f fork) check(t *testing.T, dims int) {
+	t.Helper()
+	if f.shadow.Size() != f.frozen.Size() {
+		t.Fatalf("%s: adopted copy holds %d points, %d when it adopted", f.orig.Name(), f.shadow.Size(), f.frozen.Size())
+	}
+	hi := geom.UniverseBox(dims, fuzzSide).Hi
+	queries := []geom.Point{{}, hi}
+	boxes := []geom.Box{geom.UniverseBox(dims, fuzzSide)}
+	if pts := f.frozen.Points(); len(pts) > 0 {
+		mid := pts[len(pts)/2]
+		queries = append(queries, mid)
+		boxes = append(boxes, geom.BoxOf(geom.Point{}, mid), geom.BoxOf(mid, hi))
+	}
+	if err := core.VerifyQueries(f.shadow, f.frozen, queries, []int{1, 3, 10}, boxes); err != nil {
+		t.Fatalf("adopted copy of %s drifted from its frozen contents: %v", f.orig.Name(), err)
+	}
+	for _, side := range []core.Index{f.shadow, f.orig} {
+		if err := side.(interface{ Validate() error }).Validate(); err != nil {
+			t.Fatalf("%s after a fork: %v", side.Name(), err)
+		}
+	}
+}
+
 func runIndexOracleTape(t *testing.T, data []byte) {
 	tp := &fuzzTape{data: data}
 	sel, ok := tp.next()
@@ -191,6 +237,8 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 			t.Fatalf("ByName(%q) = nil", name)
 		}
 	}
+	names = append(names, "Sharded(SPaC-H)")
+	idxs = append(idxs, NewSharded(NewSPaCH, dims, universe, 3))
 	// The Store stacks follow the raw indexes. The small MaxBatch makes
 	// threshold flushes split windows mid-op; the large one lets a window
 	// span every op between two checkpoints.
@@ -207,6 +255,7 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 		idxs = append(idxs, st)
 	}
 	oracle := core.NewBruteForce(dims)
+	var forks []fork
 
 	apply := func(op func(core.Index)) {
 		op(oracle)
@@ -221,7 +270,7 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 		if !ok {
 			break
 		}
-		switch b % 5 {
+		switch b % 6 {
 		case 0:
 			pts := tp.batch(dims, 128)
 			apply(func(idx core.Index) { idx.Build(pts) })
@@ -243,11 +292,29 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 			}
 		case 4:
 			verifyAll(t, idxs, oracle, tp, dims)
+		case 5:
+			// Fork: the earlier shadows stay, so a tape can hold several
+			// generations of one tree at once.
+			frozen := core.NewBruteForce(dims)
+			frozen.Build(oracle.Points())
+			for _, idx := range idxs[:len(names)] {
+				if _, ok := idx.(core.Adopter); !ok {
+					continue
+				}
+				shadow := idx.(core.Replicator).NewReplica()
+				if !shadow.(core.Adopter).Adopt(idx) || !shadow.(core.Adopter).Shares(idx) {
+					t.Fatalf("%s: a fresh replica did not adopt it", idx.Name())
+				}
+				forks = append(forks, fork{shadow, idx, frozen})
+			}
 		}
 		for i, name := range names { // the Stores' Size would flush their window
 			if idxs[i].Size() != oracle.Size() {
 				t.Fatalf("%s: size %d after op %d, oracle %d", name, idxs[i].Size(), opCount, oracle.Size())
 			}
+		}
+		for _, f := range forks {
+			f.check(t, dims)
 		}
 	}
 	verifyAll(t, idxs, oracle, tp, dims)

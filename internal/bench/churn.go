@@ -29,8 +29,10 @@ import (
 // The interesting column is rd-p99-us: under churn the locked reader's
 // tail is the flush duration, the snapshot reader's tail is a query.
 // mut-kops/s confirms the writer kept flushing at full rate in both
-// modes (snapshot mode applies every window to both twins, buying the
-// wait-free tail with ~2x apply work — the table shows what that costs).
+// modes (what the wait-free tail costs the writer: the object table's
+// second apply and the index paths a window copies over the shared
+// SPaC-H tree, a whole second apply over a family that keeps two copies
+// — the table shows it).
 //
 // Quantiles are time-weighted (each sample weighted by its own duration)
 // to correct for coordinated omission: a reader blocked behind a flush

@@ -29,7 +29,10 @@
 // (epoch.Cell): in the default locked mode the triple sits behind a
 // read/write lock; with Options.Snapshot set the cell keeps two triples,
 // so queries pin the published epoch and never wait on a flush
-// (ARCHITECTURE.md "Epochs & snapshot reads"). The pending tape and its
+// (ARCHITECTURE.md "Epochs & snapshot reads"). Two triples are two slot
+// tables but, over a copy-on-write index (core.Adopter: the SPaC family,
+// and a Sharded of it), one tree with two handles: a window is applied to
+// the index once and the displaced triple adopts the result. The pending tape and its
 // flushing are the window engine's (internal/window). Get is the
 // exception either way: it reads the caller's own pending tail
 // (read-your-writes), so Get(id) after Set(id, p) returns p even before
@@ -89,6 +92,14 @@ type Stats struct {
 	Epoch         uint64 // published snapshot epoch (0 in locked mode)
 	Versions      int    // live state versions: 2 in snapshot mode, 1 locked
 	RetireLag     uint64 // published epochs whose displaced version has not drained
+	// SharedIndex reports a snapshot-mode Collection over a copy-on-write
+	// index (core.Adopter): its two copies are handles on one structure.
+	// CowNodes and CowBytes are then what the handles have copied on first
+	// touch so far — index nodes, and bytes of leaf entries with them. Set
+	// against the index size they say whether sharing works: a window
+	// should copy the paths it touches, not the tree.
+	SharedIndex        bool
+	CowNodes, CowBytes uint64
 }
 
 // Entry is one resolved query hit: a live object and its indexed
@@ -105,8 +116,12 @@ type Collection[ID comparable] struct {
 	name string
 	dims int
 	// inner lists the wrapped index of every copy (one, or two in
-	// snapshot mode) for Close, which the Collection owns.
-	inner []core.Index
+	// snapshot mode) for Close, which the Collection owns. shared says the
+	// two are copy-on-write handles on one structure (epoch.Copies): the
+	// displaced copy then adopts the published index where it would
+	// otherwise have the window, or the Build, applied a second time.
+	inner  []core.Index
+	shared bool
 
 	// eng owns the ordered op tape, the flush triggers and the flush
 	// lock. Its pending lock also guards seq and overlay — the latest
@@ -228,10 +243,10 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	c := &Collection[ID]{
 		name:    fmt.Sprintf("Collection(%s)", idx.Name()),
 		dims:    idx.Dims(),
-		inner:   epoch.Copies("collection", idx, opts.Snapshot),
 		overlay: make(map[ID]tailOp),
 		netAt:   make(map[ID]int),
 	}
+	c.inner, c.shared = epoch.Copies("collection", idx, opts.Snapshot)
 	c.queryPool.New = func() any { return new(queryScratch) }
 	states := make([]*collState[ID], len(c.inner))
 	for i, inner := range c.inner {
@@ -240,6 +255,18 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	c.cell.Init(c.applyWindow, states...)
 	layer := obs.Label{Key: "layer", Value: "collection"}
 	c.cell.Register(opts.Obs, layer)
+	if c.shared {
+		c.cell.CatchUp(func(behind, ahead *collState[ID], w *collWindow[ID]) {
+			epoch.Adopted(behind.idx, ahead.idx)
+			c.applyTable(behind, w)
+		})
+		opts.Obs.CounterFunc("psi_index_cow_nodes_total",
+			"Index nodes copied on first touch because the snapshot copies share them.",
+			func() uint64 { nodes, _ := c.copied(); return nodes }, layer)
+		opts.Obs.CounterFunc("psi_index_cow_bytes_total",
+			"Bytes of index leaf entries copied on first touch because the snapshot copies share them.",
+			func() uint64 { _, bytes := c.copied(); return bytes }, layer)
+	}
 	opts.Obs.GaugeFunc("psi_objects",
 		"Live objects in the committed (published) state.",
 		func() float64 { return float64(c.Stats().Objects) }, layer)
@@ -493,9 +520,10 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 // later entry for an ID winning over an earlier one — by bulk
 // construction: the table is filled once and cloned into the other copy
 // (entries is ranged exactly once, so a single-use iterator is fine, and
-// the copies come out slot-identical whatever order it yields), and every
-// copy's index is rebuilt once with Index.Build (a Sharded rebalances its
-// regions to the loaded data). Pending ops, and what Get remembered of
+// the copies come out slot-identical whatever order it yields), and the
+// index is rebuilt with Index.Build (a Sharded rebalances its regions to
+// the loaded data) — once when the copies share it, the other adopting
+// the result, else once per copy. Pending ops, and what Get remembered of
 // them, are discarded; nothing is journaled — the caller loads what is
 // already durable (recovery) or makes it so itself (a follower's
 // bootstrap snapshot). In snapshot mode readers keep the old state until
@@ -515,18 +543,20 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 				tab.insert(id, hash, p)
 			}
 		}
-		pts := make([]geom.Point, 0, tab.live) // one point per live ID, shared by the copies
+		pts := make([]geom.Point, 0, tab.live) // one point per live ID
 		for _, p := range tab.all() {
 			pts = append(pts, p)
 		}
-		placed := false
 		c.cell.Rebuild(func(st *collState[ID]) {
-			if placed {
-				st.tab = tab.clone()
-			} else {
-				st.tab, placed = tab, true
-			}
+			st.tab = tab
 			st.idx.Build(pts)
+		}, func(behind, ahead *collState[ID]) {
+			behind.tab = tab.clone()
+			if c.shared {
+				epoch.Adopted(behind.idx, ahead.idx)
+			} else {
+				behind.idx.Build(pts)
+			}
 		})
 		c.noteSlots(&tab)
 		c.inserted.Add(uint64(len(pts)))
@@ -576,14 +606,19 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID], st *collState[ID]) (nIns, n
 // applyWindow is the cell's apply step: it advances one triple by one
 // planned window — the index batch (flushing any inner deferring layer
 // inside the commit so the triple never disagrees at a read boundary)
-// and then every netted op through the table, by the slots planDiff
-// resolved. The plan is valid for every copy because the copies agree
-// between commits.
+// and then the table.
 func (c *Collection[ID]) applyWindow(st *collState[ID], w *collWindow[ID]) {
 	st.idx.BatchDiff(w.ins, w.del)
 	if f, ok := st.idx.(interface{ Flush() int }); ok {
 		f.Flush()
 	}
+	c.applyTable(st, w)
+}
+
+// applyTable runs every netted op of a planned window through one copy's
+// table, by the slots planDiff resolved. The plan is valid for every copy
+// because the copies agree between commits.
+func (c *Collection[ID]) applyTable(st *collState[ID], w *collWindow[ID]) {
 	t := &st.tab
 	for i := range w.ops {
 		o, at := &w.ops[i], w.at[i]
@@ -752,15 +787,41 @@ func (c *Collection[ID]) Stats() Stats {
 		RetireLag:     c.cell.RetireLag(),
 	}
 	st.Objects = int(st.Inserted) - int(st.Removed)
+	st.SharedIndex = c.shared
+	st.CowNodes, st.CowBytes = c.copied()
 	return st
+}
+
+// copied sums what the handles of a shared index have copied on first
+// touch (zero when the index is not shared). It takes no lock.
+func (c *Collection[ID]) copied() (nodes, bytes uint64) {
+	if c.shared {
+		for _, idx := range c.inner {
+			n, b := idx.(core.Adopter).Copied()
+			nodes += n
+			bytes += b
+		}
+	}
+	return nodes, bytes
 }
 
 // Validate flushes, then checks the transactional-consistency invariant
 // between the committed structures: the index holds exactly one point per
-// live object, and the table's forward and reverse sides are exact
-// inverses. Tests and the fuzz harness call it after every tape.
+// live object, the table's forward and reverse sides are exact inverses,
+// and index copies that share their structure still do — no second whole
+// tree has come into being. Tests and the fuzz harness call it after every
+// tape.
 func (c *Collection[ID]) Validate() error {
 	c.Flush()
+	if c.shared {
+		// Under the flush lock, so that no window is between its apply and
+		// its catch-up.
+		sharing := false
+		c.eng.Exclusive(func() { sharing = c.inner[0].(core.Adopter).Shares(c.inner[1]) })
+		if !sharing {
+			return fmt.Errorf("collection: the index copies no longer share one structure")
+		}
+	}
 	v := c.cell.Acquire()
 	defer c.cell.Release(v)
 	st := v.Data

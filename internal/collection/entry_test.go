@@ -212,7 +212,8 @@ func TestCommitWindowZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// buildCount wraps an index and counts its Builds.
+// buildCount wraps an index and counts its Builds. Like any wrapper it
+// forwards core.Index alone, so copies of it never share.
 type buildCount struct {
 	core.Index
 	builds atomic.Int32
@@ -223,11 +224,42 @@ func (b *buildCount) Build(pts []geom.Point) {
 	b.Index.Build(pts)
 }
 
+// adoptingBuildCount is buildCount over a copy-on-write index, whose
+// capability it passes through.
+type adoptingBuildCount struct{ buildCount }
+
+func (b *adoptingBuildCount) Adopt(src core.Index) bool {
+	o, ok := src.(*adoptingBuildCount)
+	return ok && b.Index.(core.Adopter).Adopt(o.Index)
+}
+
+func (b *adoptingBuildCount) Shares(o core.Index) bool {
+	ob, ok := o.(*adoptingBuildCount)
+	return ok && b.Index.(core.Adopter).Shares(ob.Index)
+}
+
+func (b *adoptingBuildCount) Copied() (nodes, bytes uint64) {
+	return b.Index.(core.Adopter).Copied()
+}
+
+// countBuilds wraps idx in the counter that shows as much of it as idx has.
+func countBuilds(idx core.Index) (core.Index, *atomic.Int32) {
+	if _, ok := idx.(core.Adopter); ok {
+		b := &adoptingBuildCount{buildCount{Index: idx}}
+		return b, &b.builds
+	}
+	b := &buildCount{Index: idx}
+	return b, &b.builds
+}
+
 // TestLoadEqualsSetAllFlush: Load leaves a Collection answering every
 // read exactly like one that took the same entries through Set + Flush —
 // in both read modes, with several IDs sharing a point and an ID listed
 // twice — after discarding what was committed and pending before,
-// journaling nothing, and building every inner copy exactly once.
+// journaling nothing, and running Index.Build once: once per copy over
+// indexes that are whole copies of each other, once in all when the second
+// copy can adopt what the first built (recovery and a follower's bootstrap
+// pay for one Build, not two).
 func TestLoadEqualsSetAllFlush(t *testing.T) {
 	const nIDs = 300
 	type entry struct {
@@ -254,13 +286,15 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 
 	for name, mk := range innerStacks() {
 		for _, snapshot := range []bool{false, true} {
-			copies := []*buildCount{{Index: mk()}}
+			first, builds := countBuilds(mk())
+			counts := []*atomic.Int32{builds}
 			opts := Options{MaxBatch: 1 << 20}
 			if snapshot {
-				copies = append(copies, &buildCount{Index: mk()})
-				opts.Snapshot = func() core.Index { return copies[1] }
+				twin, builds := countBuilds(mk())
+				counts = append(counts, builds)
+				opts.Snapshot = func() core.Index { return twin }
 			}
-			c := New[int](copies[0], opts)
+			c := New[int](first, opts)
 			journaled := 0
 			c.SetJournal(func(uint64, []wal.Op[int]) error { journaled++; return nil })
 			// An earlier life: committed objects Load must drop, and pending
@@ -282,10 +316,15 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 			if journaled != 0 {
 				t.Fatalf("%s: Load journaled %d windows, want none", where, journaled)
 			}
-			for i, b := range copies {
-				if n := b.builds.Load(); n != 1 {
+			total := int32(0)
+			for i, b := range counts {
+				if n := b.Load(); n > 1 || n == 0 && !c.shared {
 					t.Fatalf("%s: copy %d built %d times, want once", where, i, n)
 				}
+				total += b.Load()
+			}
+			if _, cow := first.(core.Adopter); c.shared != (cow && snapshot) || c.shared && total != 1 {
+				t.Fatalf("%s: sharing %t (copy-on-write index: %t), %d Builds in all; a shared index is built once", where, c.shared, cow, total)
 			}
 			if st := c.Stats(); st.Pending != 0 || st.Objects != len(want) {
 				t.Fatalf("%s: stats after Load: %+v, want %d objects and nothing pending", where, st, len(want))

@@ -1,0 +1,237 @@
+package collection
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/sfc"
+	"repro/internal/shard"
+	"repro/internal/spactree"
+)
+
+// Snapshot mode over a copy-on-write index: the two committed triples are
+// two slot tables and two handles on one tree. These tests pin what that
+// is for (memory), what it must not change (a pinned reader's answers) and
+// how it can be observed (Shares, the copy counts in Stats).
+
+// shardedSPaCH is the serving stack's index; with hidden set the shards'
+// trees are wrapped by core.WithReplica, which forwards core.Index only,
+// so the Sharded finds no core.Adopter under it and the Collection falls
+// back to applying every window to both copies.
+func shardedSPaCH(hidden bool) func() core.Index {
+	tree := func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) }
+	child := tree
+	if hidden {
+		child = func(dims int, u geom.Box) core.Index {
+			return core.WithReplica(tree(dims, u), func() core.Index { return tree(dims, u) })
+		}
+	}
+	return func() core.Index {
+		return shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 4, Strategy: shard.HilbertRange, New: child})
+	}
+}
+
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// churned loads n objects into a snapshot-mode Collection over mk's index,
+// moves a random 4096 of them in each of 20 windows, and returns the
+// Collection with the heap it holds, in bytes per object.
+func churned(t *testing.T, mk func() core.Index, n int) (*Collection[int], float64) {
+	t.Helper()
+	before := heapAfterGC()
+	rng := rand.New(rand.NewSource(41))
+	c := New[int](mk(), Options{MaxBatch: 4096, Snapshot: mk})
+	for i := 0; i < n; i++ {
+		c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
+	}
+	c.Flush()
+	for w := 0; w < 20; w++ {
+		for i := 0; i < 4096; i++ {
+			c.Set(rng.Intn(n), geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
+		}
+		c.Flush()
+	}
+	if got := c.Len(); got != n {
+		t.Fatalf("%d objects after the churn, want %d", got, n)
+	}
+	return c, float64(heapAfterGC()-before) / float64(n)
+}
+
+// TestSharedIndexBytesPerObject is the memory guard of the shared index:
+// the serving stack after a load and twenty 4096-move windows holds at
+// most 0.8× the heap per object of the same stack forced to keep two
+// whole trees.
+func TestSharedIndexBytesPerObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes heap accounting")
+	}
+	const n = 100_000
+	shared, sharedB := churned(t, shardedSPaCH(false), n)
+	if !shared.shared {
+		t.Fatal("a Collection over Sharded(SPaC-H) did not share its index")
+	}
+	if err := shared.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	shared.Close()
+	shared = nil
+	twice, twiceB := churned(t, shardedSPaCH(true), n)
+	if twice.shared {
+		t.Fatal("core.WithReplica did not hide the capability")
+	}
+	twice.Close()
+	t.Logf("%.0f B per object with one tree under both copies, %.0f B with a tree per copy (%.2f×)",
+		sharedB, twiceB, sharedB/twiceB)
+	if sharedB > 0.8*twiceB {
+		t.Fatalf("sharing the index saves too little: %.0f B per object against %.0f B", sharedB, twiceB)
+	}
+}
+
+// TestSharedIndexStaysOneTree: between commits the two copies of a shared
+// index are one structure — Shares, which for SPaC trees is pointer
+// equality of every shard's root — and answer alike; a window copies the
+// paths it touches and no more; Load builds once and leaves them sharing
+// again.
+func TestSharedIndexStaysOneTree(t *testing.T) {
+	const n = 40_000
+	rng := rand.New(rand.NewSource(43))
+	mk := shardedSPaCH(false)
+	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	defer c.Close()
+	pos := make(map[int]geom.Point, n)
+	for i := 0; i < n; i++ {
+		pos[i] = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+		c.Set(i, pos[i])
+	}
+	c.Flush()
+	a, b := c.inner[0].(core.Adopter), c.inner[1].(core.Adopter)
+	check := func(when string) {
+		t.Helper()
+		if !a.Shares(c.inner[1]) || !b.Shares(c.inner[0]) {
+			t.Fatalf("%s: the two index copies are not one structure", when)
+		}
+		q := geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+		box := geom.BoxOf(geom.Pt2(q[0]/2, q[1]/2), q)
+		if !slices.Equal(c.inner[0].KNN(q, 8, nil), c.inner[1].KNN(q, 8, nil)) ||
+			c.inner[0].RangeCount(box) != c.inner[1].RangeCount(box) {
+			t.Fatalf("%s: the two index copies answer differently", when)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("after the load")
+
+	nodesBefore := c.Stats().CowNodes
+	const windows, moves = 10, 100
+	for w := 0; w < windows; w++ {
+		for i := 0; i < moves; i++ {
+			id := rng.Intn(n)
+			pos[id] = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+			c.Set(id, pos[id])
+		}
+		c.Flush()
+		check("after a window")
+	}
+	// A move touches two leaves and the paths above them: tens of nodes,
+	// however large the tree. n/40 leaves and as many interior nodes exist.
+	st := c.Stats()
+	perWindow := float64(st.CowNodes-nodesBefore) / windows
+	if perWindow == 0 || perWindow > 40*moves || st.CowBytes == 0 || !st.SharedIndex {
+		t.Fatalf("a %d-move window copied %.0f nodes (%d bytes in all): want some, far fewer than the tree's %d",
+			moves, perWindow, st.CowBytes, 2*n/40)
+	}
+
+	c.Load(len(pos), func(yield func(int, geom.Point) bool) {
+		for id, p := range pos {
+			if !yield(id, p) {
+				return
+			}
+		}
+	})
+	check("after Load")
+}
+
+// TestPinnedReaderKeepsItsAnswersAcrossACommit: a reader that pinned the
+// published triple before a window commits reads, from the tree the window
+// is being applied beside, exactly what it read before — while a new
+// reader already sees the window. The commit cannot finish until the pin
+// is released; then both copies hold the window.
+func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
+	const n = 20_000
+	rng := rand.New(rand.NewSource(47))
+	mk := shardedSPaCH(false)
+	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	defer c.Close()
+	for i := 0; i < n; i++ {
+		c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
+	}
+	c.Flush()
+
+	queries := make([]geom.Point, 12)
+	for i := range queries {
+		queries[i] = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+	}
+	answers := func(idx core.Index) (out [][]geom.Point) {
+		for _, q := range queries {
+			out = append(out, idx.KNN(q, 10, nil))
+			box := geom.BoxOf(geom.Pt2(q[0]/2, q[1]/2), q)
+			in := idx.RangeList(box, nil)
+			slices.SortFunc(in, func(a, b geom.Point) int { return slices.Compare(a[:], b[:]) })
+			out = append(out, in)
+		}
+		return out
+	}
+	pinned := c.cell.Acquire()
+	before := answers(pinned.Data.idx)
+
+	committed := make(chan struct{})
+	go func() {
+		defer close(committed)
+		for i := 0; i < n; i += 2 { // half the population moves
+			c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
+		}
+		c.Flush()
+	}()
+	for c.Epoch() == pinned.Epoch() { // wait for the publish
+		time.Sleep(100 * time.Microsecond)
+	}
+	during := answers(pinned.Data.idx)
+	select {
+	case <-committed:
+		t.Fatal("the commit finished while a reader still held the displaced copy")
+	default:
+	}
+	c.cell.Release(pinned)
+	<-committed
+
+	for i := range before {
+		if !slices.Equal(before[i], during[i]) {
+			t.Fatalf("answer %d of the pinned reader changed under the commit", i)
+		}
+	}
+	fresh := c.cell.Acquire()
+	after := answers(fresh.Data.idx)
+	c.cell.Release(fresh)
+	same := true
+	for i := range before {
+		same = same && slices.Equal(before[i], after[i])
+	}
+	if same {
+		t.Fatal("a window that moved half the objects changed no answer of a new reader")
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

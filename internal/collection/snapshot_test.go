@@ -166,20 +166,36 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 // configuration in full — N objects, all at their A positions or all at
 // their B positions. A half-applied window leaking through the epoch
 // pointer shows up here as a mixed or short scan (and, under -race, as a
-// data race on the triple).
+// data race on the triple). It runs over a tree whose copies share one
+// structure, over a Sharded of such trees (where a window that wrote a
+// node its twin can reach is the bug to catch), and over the same tree
+// with the sharing hidden, so that every window is applied twice.
 func TestSnapshotNeverTorn(t *testing.T) {
+	for name, mk := range map[string]func() core.Index{
+		"SPaC-H":            newSPaCH,
+		"Sharded(SPaC-H)":   innerStacks()["Sharded(SPaC-H)"],
+		"SPaC-H re-applied": func() core.Index { return core.WithReplica(newSPaCH(), newSPaCH) },
+	} {
+		t.Run(name, func(t *testing.T) { snapshotNeverTorn(t, mk) })
+	}
+}
+
+func snapshotNeverTorn(t *testing.T, mk func() core.Index) {
 	const (
-		nObj    = 64
-		windows = 100
+		nObj    = 1024 // past the leaf wrap in every shard: interior nodes too
+		windows = 60
 		readers = 4
 	)
+	// Spread over the universe so every shard holds some; the
+	// configuration is the parity of y.
 	posA := make([]geom.Point, nObj)
 	posB := make([]geom.Point, nObj)
 	for i := range posA {
-		posA[i] = geom.Pt2(int64(i+1)*100, 1)
-		posB[i] = geom.Pt2(int64(i+1)*100, 2)
+		x, y := int64(i%32)*(side/32)+5, int64(i/32)*(side/32)+6
+		posA[i] = geom.Pt2(x, y)
+		posB[i] = geom.Pt2(x, y+1)
 	}
-	c := New[int](newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: newSPaCH})
+	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
 	defer c.Close()
 	for i, p := range posA {
 		c.Set(i, p)
@@ -204,10 +220,10 @@ func TestSnapshotNeverTorn(t *testing.T) {
 					t.Errorf("scan saw %d objects, want %d", len(dst), nObj)
 					return
 				}
-				cfg := dst[0].Point[1]
+				cfg := dst[0].Point[1] % 2
 				for _, e := range dst {
-					if e.Point[1] != cfg {
-						t.Errorf("torn scan: object %d at config %d, first was %d", e.ID, e.Point[1], cfg)
+					if e.Point[1]%2 != cfg {
+						t.Errorf("torn scan: object %d at config %d, first was %d", e.ID, e.Point[1]%2, cfg)
 						return
 					}
 					if e.Point != posA[e.ID] && e.Point != posB[e.ID] {

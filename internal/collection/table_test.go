@@ -251,13 +251,7 @@ func TestTableBytesPerObject(t *testing.T) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("veh-%06d", i)
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
+	heap := heapAfterGC
 	idx, twin := core.NewBruteForce(2), core.NewBruteForce(2)
 	c := New[string](idx, Options{MaxBatch: 1024, Snapshot: func() core.Index { return twin }})
 	for i, id := range ids {

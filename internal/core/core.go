@@ -59,9 +59,9 @@ type Index interface {
 // Replicator is the optional capability behind the library's snapshot
 // reads (ARCHITECTURE.md "Epochs & snapshot reads"). An index that can
 // construct a fresh, empty twin of itself — same dimensionality, same
-// universe, same tuning — lets the Store/Collection layers double-buffer
-// it: each commit window's BatchDiff is applied to an off-line replica,
-// the replica is published through an atomic epoch pointer, and queries
+// universe, same tuning — lets the Store/Collection layers keep two
+// handles: each commit window's BatchDiff is applied to the off-line one,
+// which is then published through an atomic epoch pointer, and queries
 // pin the published version instead of taking a read lock, so a reader
 // never waits on a flush.
 //
@@ -77,24 +77,58 @@ type Index interface {
 //     writing the other version without synchronization. This composes
 //     with the buffer-ownership rules unchanged — batch slices handed to
 //     either twin are still reusable the moment BatchDiff returns.
-//   - Every window is applied to both twins (once on commit, once as
-//     catch-up at the next flush), so Replicator is worth implementing
-//     exactly when diff-apply is cheap — the paper's batch-dynamic
-//     property.
+//   - How the displaced twin catches up is the index's choice. One that
+//     is also an Adopter adopts the published twin — the two are handles
+//     on one structure and the window is applied once. Any other has
+//     every window applied to both twins, whole copies of each other, so
+//     without Adopter a Replicator is worth implementing exactly when
+//     diff-apply is cheap — the paper's batch-dynamic property.
 //
-// Raw trees opt in via WithReplica at construction (psi.go does this for
-// every tree constructor); composite indexes like shard.Sharded implement
-// the method directly.
+// The SPaC family and shard.Sharded implement the method directly; the
+// other raw trees opt in via WithReplica at construction (psi.go does
+// this for their constructors).
 type Replicator interface {
 	// NewReplica returns a fresh, empty index configured identically to
 	// the receiver (the receiver's current contents are NOT copied).
 	NewReplica() Index
 }
 
+// Adopter is the optional capability of a copy-on-write index: two
+// replicas can be handles on one structure, each copying only what it
+// goes on to change (internal/spactree cow.go has the mechanism). The
+// snapshot-read layers use it for the twin's catch-up and for bulk loads,
+// so a window is applied, and a Build run, once rather than once per twin.
+//
+// Contract (normative):
+//
+//   - Adopt(src) makes the receiver's contents src's without copying
+//     them: O(1) for a tree, O(shards) for a composite, no allocation.
+//     Afterwards the two answer every query alike, and an update of
+//     either is invisible to the other and to any query still running on
+//     the structure they shared. It reports false, having changed
+//     nothing, when src is not a replica of the receiver (another family
+//     or configuration, or a composite whose children are not Adopters);
+//     for a given pair the answer never changes.
+//   - Queries may run on src and on the receiver's old contents during
+//     Adopt. Updates and other Adopt calls on either index must not: the
+//     caller serializes them, as it does updates.
+//   - Shares(o) reports whether the two are still handles on one
+//     structure: true after Adopt until either is updated.
+//   - Copied returns the running totals of nodes, and bytes of stored
+//     entries, the receiver has copied because it shared them — the cost
+//     of sharing, against the size of the whole index.
+type Adopter interface {
+	Adopt(src Index) bool
+	Shares(o Index) bool
+	Copied() (nodes, bytes uint64)
+}
+
 // WithReplica wraps idx so it satisfies Replicator using mk, a
 // constructor producing fresh, identically configured instances. The
-// wrapper forwards every Index method to idx; replicas made from it are
-// themselves wrapped, so a replica can replicate.
+// wrapper forwards every Index method to idx — and only those: whatever
+// else idx can do, Adopter included, is hidden, so its twins re-apply.
+// Replicas made from it are themselves wrapped, so a replica can
+// replicate.
 func WithReplica(idx Index, mk func() Index) Index {
 	return &replicated{Index: idx, mk: mk}
 }

@@ -18,15 +18,21 @@ import (
 // excludes them for the duration of one apply. Over two copies it is the
 // left-right twin: readers pin the published copy through the Manager and
 // never wait; a commit applies the window to the off-line copy, publishes
-// it, waits out the readers of the displaced copy, and applies the same
-// window to that copy too. Both copies are therefore identical whenever
-// no commit is in flight, a window never has to outlive its commit, and
-// the layers keep no saved-window buffers. This file is the only caller
-// of Manager.Publish and Manager.WaitDrained.
+// it, waits out the readers of the displaced copy, and catches that copy
+// up. Both copies are therefore identical whenever no commit is in flight,
+// a window never has to outlive its commit, and the layers keep no
+// saved-window buffers. This file is the only caller of Manager.Publish
+// and Manager.WaitDrained.
+//
+// How the displaced copy catches up is the layer's: by default the window
+// is applied to it too, and a layer whose copies can take their contents
+// from one another (core.Adopter indexes) installs a CatchUp that does
+// that instead, so the two copies are handles on one structure and the
+// window is applied once.
 //
 // T is the state type, W the window type: apply advances one copy by one
-// window and runs once per copy per commit, so it must be deterministic
-// in (copy contents, window). The zero Cell is not usable; call Init.
+// window, so it must be deterministic in (copy contents, window). The
+// zero Cell is not usable; call Init.
 type Cell[T, W any] struct {
 	// mu serializes Commit and Rebuild. Over a single copy it is also
 	// the readers' lock; over twins readers never touch it.
@@ -35,6 +41,7 @@ type Cell[T, W any] struct {
 	twin    bool        // two copies; fixed at Init
 	standby *Version[T] // the off-line twin, written only under mu
 	apply   func(T, W)
+	catchUp func(behind, ahead T, w W) // nil: apply(behind, w)
 }
 
 // Init installs apply and the copies: one selects the lock path, two the
@@ -49,6 +56,12 @@ func (c *Cell[T, W]) Init(apply func(T, W), copies ...T) {
 		c.twin, c.standby = true, NewVersion(copies[1])
 	}
 }
+
+// CatchUp replaces the second apply of a twin commit: once the displaced
+// copy has drained, fn must leave behind — one window w short — equal to
+// ahead, the copy just published, which readers are on and fn must not
+// write. Call it once, after Init and before the first Commit.
+func (c *Cell[T, W]) CatchUp(fn func(behind, ahead T, w W)) { c.catchUp = fn }
 
 // Acquire returns the version to read, held against the writer until
 // Release: pinned over twins (wait-free), read-locked over one copy.
@@ -86,18 +99,24 @@ func (c *Cell[T, W]) Writable() T {
 // span through the stages (apply over one copy; apply, publish, drain,
 // replay over twins); a nil sp records nothing.
 func (c *Cell[T, W]) Commit(w W, sp *obs.FlushSpan, clk time.Time) time.Time {
-	return c.advance(c.apply, w, sp, clk)
+	return c.advance(c.apply, c.catchUp, w, sp, clk)
 }
 
-// Rebuild replaces the contents of every copy by running build on each,
-// under the same protocol as Commit: readers see the old contents or the
-// new, never a copy mid-build.
-func (c *Cell[T, W]) Rebuild(build func(T)) {
+// Rebuild replaces the contents of every copy, under the same protocol as
+// Commit: readers see the old contents or the new, never a copy mid-build.
+// build runs on the first copy; follow then brings the displaced one level
+// with it (the CatchUp contract, without a window), or, when nil, build
+// runs on that copy too.
+func (c *Cell[T, W]) Rebuild(build func(T), follow func(behind, ahead T)) {
 	var none W
-	c.advance(func(st T, _ W) { build(st) }, none, nil, time.Time{})
+	var catchUp func(T, T, W)
+	if follow != nil {
+		catchUp = func(behind, ahead T, _ W) { follow(behind, ahead) }
+	}
+	c.advance(func(st T, _ W) { build(st) }, catchUp, none, nil, time.Time{})
 }
 
-func (c *Cell[T, W]) advance(step func(T, W), w W, sp *obs.FlushSpan, clk time.Time) time.Time {
+func (c *Cell[T, W]) advance(step func(T, W), catchUp func(T, T, W), w W, sp *obs.FlushSpan, clk time.Time) time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.twin {
@@ -115,7 +134,11 @@ func (c *Cell[T, W]) advance(step func(T, W), w W, sp *obs.FlushSpan, clk time.T
 	clk = sp.Stamp(obs.StageDrain, clk)
 	// The displaced copy is ours now: catch it up so both copies agree
 	// again before the next window arrives.
-	step(prev.Data, w)
+	if catchUp != nil {
+		catchUp(prev.Data, c.standby.Data, w)
+	} else {
+		step(prev.Data, w)
+	}
 	c.standby = prev
 	return sp.Stamp(obs.StageReplay, clk)
 }
@@ -159,13 +182,21 @@ type Diff struct{ Ins, Del []geom.Point }
 // ApplyDiff is an IndexCell's apply step.
 func ApplyDiff(idx core.Index, d Diff) { idx.BatchDiff(d.Ins, d.Del) }
 
+// AdoptedDiff is an IndexCell's CatchUp over twins that Copies reported
+// shared.
+func AdoptedDiff(behind, ahead core.Index, _ Diff) { Adopted(behind, ahead) }
+
 // Copies returns the index copies a front-end's cell is built over: idx
 // alone, or idx and the twin that snapshot (a constructor of fresh, empty,
-// identically configured indexes; nil for locked reads) returns. This is
-// where the read mode is chosen; nothing downstream tests it again.
-func Copies(layer string, idx core.Index, snapshot func() core.Index) []core.Index {
+// identically configured indexes; nil for locked reads) returns. shared
+// says how the twins follow each other: true when the twin adopted idx
+// (core.Adopter) — they are then handles on one structure and stay so
+// through Adopted — false when each is a whole copy and everything is
+// applied to both. This is where the read mode and the catch-up are
+// chosen; nothing downstream tests either again.
+func Copies(layer string, idx core.Index, snapshot func() core.Index) (copies []core.Index, shared bool) {
 	if snapshot == nil {
-		return []core.Index{idx}
+		return []core.Index{idx}, false
 	}
 	if idx.Size() != 0 {
 		panic(layer + ": Options.Snapshot requires an initially empty index")
@@ -174,5 +205,14 @@ func Copies(layer string, idx core.Index, snapshot func() core.Index) []core.Ind
 	if twin == nil || twin.Size() != 0 {
 		panic(layer + ": Options.Snapshot must return a fresh, empty index")
 	}
-	return []core.Index{idx, twin}
+	a, ok := twin.(core.Adopter)
+	return []core.Index{idx, twin}, ok && a.Adopt(idx)
+}
+
+// Adopted is the catch-up of twins that Copies reported shared: behind
+// takes ahead's contents. The pair adopted once, so a refusal is a bug.
+func Adopted(behind, ahead core.Index) {
+	if !behind.(core.Adopter).Adopt(ahead) {
+		panic("epoch: " + behind.Name() + " stopped adopting its twin")
+	}
 }

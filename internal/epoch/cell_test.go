@@ -54,10 +54,21 @@ func newCell(copies ...*pair) *Cell[*pair, int] {
 	return c
 }
 
-// modes runs f over a one-copy (locked) and a two-copy (twin) cell.
+// adoptPair is the catch-up of copies that take their contents from one
+// another instead of re-applying: it only reads ahead, which has readers.
+func adoptPair(behind, ahead *pair) { behind.x, behind.y = ahead.x, ahead.y }
+
+// modes runs f over a one-copy (locked) cell and two two-copy cells: the
+// twin whose displaced copy has every window applied again, and the one
+// whose displaced copy adopts the published contents.
 func modes(t *testing.T, f func(t *testing.T, c *Cell[*pair, int], twin bool)) {
 	t.Run("locked", func(t *testing.T) { f(t, newCell(&pair{}), false) })
 	t.Run("twin", func(t *testing.T) { f(t, newCell(&pair{}, &pair{}), true) })
+	t.Run("adopting", func(t *testing.T) {
+		c := newCell(&pair{}, &pair{})
+		c.CatchUp(func(behind, ahead *pair, _ int) { adoptPair(behind, ahead) })
+		f(t, c, true)
+	})
 }
 
 func read(c *Cell[*pair, int]) (x, y int, epoch uint64) {
@@ -209,7 +220,15 @@ func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
 	modes(t, func(t *testing.T, c *Cell[*pair, int], twin bool) {
 		c.Commit(3, nil, time.Time{})
 		before := c.Epoch()
-		c.Rebuild(func(p *pair) { p.x, p.y = 100, 100 })
+		builds := 0
+		var follow func(behind, ahead *pair)
+		if t.Name() == "TestSnapshotRebuildResetsEveryCopy/adopting" {
+			follow = adoptPair
+		}
+		c.Rebuild(func(p *pair) { p.x, p.y, builds = 100, 100, builds+1 }, follow)
+		if want := c.Versions(); follow != nil && builds != 1 || follow == nil && builds != want {
+			t.Fatalf("Rebuild ran build %d times over %d copies (follow installed: %v)", builds, want, follow != nil)
+		}
 		if twin && c.Epoch() != before+1 {
 			t.Fatalf("Rebuild published epoch %d, want %d", c.Epoch(), before+1)
 		}

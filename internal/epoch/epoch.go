@@ -11,14 +11,18 @@
 // The intended shape is double-buffering, and Cell (cell.go) is its one
 // implementation: a layer keeps exactly two Versions and ping-pongs
 // between them. Each commit applies the window to the standby, publishes
-// it, waits for the old current to drain, applies the same window to it
-// and keeps it as the next standby. Both Version structs live for the
-// lifetime of the layer, so steady-state publishing allocates nothing —
-// the property the Store/Collection zero-alloc guards pin. Parallel
-// Batch-Dynamic kd-Trees (Yesantharao et al.) is the license for this
-// design: batch diff-apply on the paper's structures is cheap enough
-// that applying every window twice costs less than stalling all readers
-// once.
+// it, waits for the old current to drain, catches it up and keeps it as
+// the next standby. Both Version structs live for the lifetime of the
+// layer, so steady-state publishing allocates nothing — the property the
+// Store/Collection zero-alloc guards pin. What a Version holds need not
+// be a whole copy: over a copy-on-write index (core.Adopter — the SPaC
+// family) the two are handles on one tree, the window is applied once
+// and the catch-up is an adoption of the published root. For the other
+// families each Version is a whole copy and the catch-up is a second
+// apply; Parallel Batch-Dynamic kd-Trees (Yesantharao et al.) is the
+// license for that: batch diff-apply on the paper's structures is cheap
+// enough that applying every window twice costs less than stalling all
+// readers once.
 //
 // Memory model: Publish is an atomic pointer store and Pin an atomic load,
 // so everything the writer did to a version's data before Publish is

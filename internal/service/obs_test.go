@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -121,6 +122,78 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE psi_query_duration_ns histogram") {
 		t.Error("missing histogram TYPE line")
+	}
+}
+
+// TestSharedIndexAccounting: over Sharded(SPaC-H) the two snapshot
+// versions are one copy-on-write index, so a window reaches the shards
+// once — psi_shard_ops_total advances by the logical rate, one insert per
+// new object and a delete plus an insert per move, not twice that — and
+// what the windows copied of the shared trees is on /metrics and in the
+// cow block of /stats.
+func TestSharedIndexAccounting(t *testing.T) {
+	s, _ := newObsStack(t, Options{})
+	c := dialT(t, s)
+	shardOps := func() (sum float64) {
+		_, _, body := httpGet(t, "http://"+s.HTTPAddr().String()+"/metrics")
+		samples, err := obs.ParseText(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range samples {
+			if strings.HasPrefix(k, `psi_shard_ops_total{shard="`) {
+				sum += v
+			}
+		}
+		return sum
+	}
+	const n = 600 // past the leaf wrap in every shard
+	set := func(off int64) {
+		for i := 0; i < n; i++ {
+			p := []int64{int64(i%25)*40 + off, int64(i/25)*40 + off}
+			if err := c.Set(fmt.Sprintf("o%03d", i), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(1)
+	if got := shardOps(); got != n {
+		t.Fatalf("psi_shard_ops_total = %v after inserting %d objects, want the logical %d", got, n, n)
+	}
+	set(2) // every object moves: one delete and one insert each
+	set(3)
+	if got := shardOps(); got != 5*n {
+		t.Fatalf("psi_shard_ops_total = %v after two windows of %d moves, want %d", got, n, 5*n)
+	}
+
+	_, _, body := httpGet(t, "http://"+s.HTTPAddr().String()+"/metrics")
+	samples, err := obs.ParseText(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, bytes := samples[`psi_index_cow_nodes_total{layer="collection"}`], samples[`psi_index_cow_bytes_total{layer="collection"}`]
+	if nodes < 1 || bytes < 1 {
+		t.Fatalf("cow counters = %v nodes, %v bytes after windows over a shared index, want both counted", nodes, bytes)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cow == nil || float64(st.Cow.Nodes) != nodes || float64(st.Cow.Bytes) != bytes || st.Versions != 2 {
+		t.Fatalf("STATS cow block = %+v over %d versions, want the /metrics counts (%v, %v) over 2", st.Cow, st.Versions, nodes, bytes)
+	}
+
+	// Locked reads keep one index: nothing is shared, nothing is reported.
+	locked, _ := newObsStack(t, Options{DisableSnapshot: true})
+	lc := dialT(t, locked)
+	if err := lc.Set("a", []int64{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if lst, err := lc.Stats(); err != nil || lst.Cow != nil {
+		t.Fatalf("locked-reads STATS cow block = %+v (err %v), want none", lst.Cow, err)
 	}
 }
 

@@ -194,9 +194,14 @@ type StatsPayload struct {
 	Removed   uint64 `json:"removed"`
 	// Cancelled counts ops superseded in-window by the Collection's
 	// last-write-wins netting — the coalescing win of batching SETs.
-	Cancelled uint64  `json:"cancelled"`
-	Conns     int     `json:"conns"`    // currently open client connections
-	UptimeS   float64 `json:"uptime_s"` // seconds since Start
+	Cancelled uint64 `json:"cancelled"`
+	// Cow is present when the two snapshot versions are handles on one
+	// copy-on-write index (the SPaC family, sharded or not): what windows
+	// have copied of it so far. Omitted when there is one version, or two
+	// whole indexes.
+	Cow     *CowStats `json:"cow,omitempty"`
+	Conns   int       `json:"conns"`    // currently open client connections
+	UptimeS float64   `json:"uptime_s"` // seconds since Start
 	// BadLines counts protocol-level rejects (unparseable or oversized
 	// lines) that never reached a command handler.
 	BadLines uint64 `json:"bad_lines"`
@@ -214,6 +219,16 @@ type StatsPayload struct {
 	// runs as a leader (psid -repl) or follower (psid -replica-of);
 	// omitted otherwise.
 	Repl *ReplPayload `json:"repl,omitempty"`
+}
+
+// CowStats is the shared-index block of /stats: index nodes the commit
+// windows copied on first touch, and the bytes of leaf entries copied with
+// them, since start. Per window (divide by the change in flushes) both
+// should sit far below the index size on small windows and approach it only
+// when a window touches most leaves.
+type CowStats struct {
+	Nodes uint64 `json:"nodes"`
+	Bytes uint64 `json:"bytes"`
 }
 
 // WALStats is the durability block of /stats, present when the server

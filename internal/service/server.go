@@ -58,8 +58,10 @@ type Options struct {
 	// constructor and Sharded does), the server enables epoch-pinned
 	// snapshot reads: queries pin the published version and never wait
 	// behind a flush — the serving configuration the churn benchmark
-	// measures. Set this to benchmark the locked baseline or to halve
-	// index memory on tightly constrained hosts.
+	// measures. Set this to benchmark the locked baseline or to drop the
+	// second copy's memory on tightly constrained hosts: the object table
+	// always, the index too unless it is copy-on-write (core.Adopter —
+	// the SPaC family, whose two versions are one tree).
 	DisableSnapshot bool
 	// Obs is the metric registry the server records into and serves at
 	// /metrics. The same registry is handed to the Collection (and should
@@ -414,6 +416,9 @@ func (s *Server) Stats() StatsPayload {
 		UptimeS:   time.Since(s.start).Seconds(),
 		BadLines:  s.met.badLines.Load(),
 		Ops:       s.met.snapshot(),
+	}
+	if cs.SharedIndex {
+		st.Cow = &CowStats{Nodes: cs.CowNodes, Bytes: cs.CowBytes}
 	}
 	if s.wal != nil {
 		ws := s.wal.Stats()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/orthtree"
 )
 
 // The service layer enables epoch-pinned snapshot reads automatically
@@ -70,7 +71,8 @@ func TestSnapshotDisableOption(t *testing.T) {
 // TestSnapshotRequiresReplicator: an index that cannot replicate itself
 // silently stays on the locked path rather than failing construction.
 func TestSnapshotRequiresReplicator(t *testing.T) {
-	s := startServer(t, newTestIndex(), Options{})
+	// A bare P-Orth tree: the SPaC family mints its own replicas.
+	s := startServer(t, orthtree.NewDefault(2, testUniverse()), Options{})
 	c := dialT(t, s)
 	st, err := c.Stats()
 	if err != nil {

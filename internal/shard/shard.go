@@ -58,11 +58,12 @@ type Options struct {
 	// queries touched, KNN expansions — all labeled
 	// shard="i"), the query fan-out histogram, and records a
 	// flush-pipeline span per batch into the registry's trace ring.
-	// Replicas made by NewReplica share the originals' series (physical
-	// applies on either twin count once); recording is atomics only, so
-	// the zero-alloc batch and query guarantees hold. Leave nil to pay
-	// nothing. Register at most one Sharded (plus its replicas) per
-	// registry.
+	// Replicas made by NewReplica share the originals' series: every
+	// BatchDiff on either twin counts, which is once per window when the
+	// twins share their trees (Adopt) and twice when each window is
+	// applied to both. Recording is atomics only, so the zero-alloc batch
+	// and query guarantees hold. Leave nil to pay nothing. Register at
+	// most one Sharded (plus its replicas) per registry.
 	Obs *obs.Registry
 }
 
@@ -106,9 +107,10 @@ func (o Options) validate() {
 // in a store.Store, whose global read/write lock restores it (see the
 // "Scaling out" section of the README for the composition guidance).
 // Readers that must never wait behind a sub-batch get that one layer up:
-// a snapshot-mode Store/Collection/Server keeps two whole Shardeds
-// (NewReplica) and reads the published one (ARCHITECTURE.md "Epochs &
-// snapshot reads").
+// a snapshot-mode Store/Collection/Server keeps two Shardeds (NewReplica)
+// and reads the published one (ARCHITECTURE.md "Epochs & snapshot
+// reads"). Over copy-on-write children the two are handles on one set of
+// trees (Adopt); over any other family each is a whole copy.
 type Sharded struct {
 	opts Options
 
@@ -123,6 +125,10 @@ type Sharded struct {
 	shards []epoch.IndexCell
 	// childName is the shard index family's name, for Name.
 	childName string
+	// cow is every shard's index as a core.Adopter, in shard order, or nil
+	// when the family is not copy-on-write; fixed at construction, like
+	// the indexes themselves (a shard's cell holds one copy for life).
+	cow []core.Adopter
 
 	// diffPool and queryPool recycle the batch-partitioning and query
 	// fan-out scratch across operations (concurrent callers each borrow
@@ -138,6 +144,7 @@ type Sharded struct {
 
 var _ core.Index = (*Sharded)(nil)
 var _ core.Replicator = (*Sharded)(nil)
+var _ core.Adopter = (*Sharded)(nil)
 
 // New returns an empty Sharded index.
 func New(opts Options) *Sharded {
@@ -161,10 +168,17 @@ func newSharded(opts Options) *Sharded {
 	}
 	s.diffPool.New = func() any { return new(diffScratch) }
 	s.queryPool.New = func() any { return new(queryScratch) }
+	cow := make([]core.Adopter, 0, len(s.shards))
 	for i := range s.shards {
 		child := opts.New(opts.Dims, opts.Universe)
 		s.shards[i].Init(epoch.ApplyDiff, child)
 		s.childName = child.Name() // the same for every shard
+		if a, ok := child.(core.Adopter); ok {
+			cow = append(cow, a)
+		}
+	}
+	if len(cow) == len(s.shards) {
+		s.cow = cow
 	}
 	return s
 }
@@ -173,13 +187,87 @@ func newSharded(opts Options) *Sharded {
 // a fresh, empty, identically configured twin of itself, so wrapping one
 // in a snapshot-mode Store/Collection/Server needs no explicit factory.
 // The replica shares the original's metric series rather than
-// re-registering them: per-shard op counts then aggregate physical
-// applies across both twins, and query counts stay exact because only
-// the published twin is queried.
+// re-registering them: per-shard op counts then aggregate the BatchDiffs
+// of both twins, and query counts stay exact because only the published
+// twin is queried.
 func (s *Sharded) NewReplica() core.Index {
 	r := newSharded(s.opts)
 	r.met = s.met
 	return r
+}
+
+// Adopt implements core.Adopter when the shard family does: every shard's
+// index adopts its counterpart in src and the partition — immutable,
+// swapped whole by Build — is shared, so the receiver becomes a second
+// handle on src's contents in O(S) without allocating. It refuses unless
+// src is a Sharded of the same shape over the same family.
+//
+// The receiver is excluded from every other operation for the duration;
+// src is only held against a Build and, shard by shard, against a
+// sub-batch in mid-apply, so its queries keep running. The caller
+// serializes Adopt against updates of either side (the core.Adopter
+// contract), which is also what keeps a src caught between two shards of
+// one cross-shard batch from being adopted half-applied.
+func (s *Sharded) Adopt(src core.Index) bool {
+	o, ok := src.(*Sharded)
+	if !ok || s.cow == nil || o.cow == nil || o.childName != s.childName ||
+		o.opts.Dims != s.opts.Dims || o.opts.Universe != s.opts.Universe || o.opts.Shards != s.opts.Shards ||
+		o.opts.Strategy != s.opts.Strategy || o.opts.CellsPerShard != s.opts.CellsPerShard {
+		return false
+	}
+	if o == s {
+		return true
+	}
+	s.epoch.Lock()
+	defer s.epoch.Unlock()
+	o.epoch.RLock()
+	defer o.epoch.RUnlock()
+	for i := range s.cow {
+		from := o.shards[i].Acquire()
+		ok := s.cow[i].Adopt(from.Data)
+		o.shards[i].Release(from)
+		if !ok {
+			if i == 0 {
+				return false // same family name, another configuration
+			}
+			panic("shard: " + s.childName + " shards of one index disagree about Adopt")
+		}
+	}
+	s.part = o.part
+	return true
+}
+
+// Shares implements core.Adopter: every shard's index shares its
+// counterpart's structure, and the partition is the same one.
+func (s *Sharded) Shares(o core.Index) bool {
+	os, ok := o.(*Sharded)
+	if !ok || s.cow == nil || len(os.cow) != len(s.cow) {
+		return false
+	}
+	s.epoch.RLock()
+	defer s.epoch.RUnlock()
+	if os != s {
+		os.epoch.RLock()
+		defer os.epoch.RUnlock()
+	}
+	for i := range s.cow {
+		if !s.cow[i].Shares(os.shards[i].Writable()) {
+			return false
+		}
+	}
+	return s.part == os.part
+}
+
+// Copied implements core.Adopter: the shards' totals, summed. It takes no
+// lock (a shard's index is fixed and keeps its own counts atomically), so
+// a scrape never waits behind a batch.
+func (s *Sharded) Copied() (nodes, bytes uint64) {
+	for _, a := range s.cow {
+		n, b := a.Copied()
+		nodes += n
+		bytes += b
+	}
+	return nodes, bytes
 }
 
 // Name implements core.Index.
@@ -238,7 +326,7 @@ func (s *Sharded) Build(pts []geom.Point) {
 	offsets := parallel.Sieve(pts, scratch, part.shards, part.shardOf)
 	parallel.ForEach(part.shards, 1, func(i int) {
 		sub := scratch[offsets[i]:offsets[i+1]]
-		s.shards[i].Rebuild(func(idx core.Index) { idx.Build(sub) })
+		s.shards[i].Rebuild(func(idx core.Index) { idx.Build(sub) }, nil)
 	})
 }
 

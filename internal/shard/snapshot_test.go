@@ -11,8 +11,10 @@ import (
 )
 
 // A Sharded's part in snapshot reads is to be the twin: a snapshot-mode
-// Store/Collection/Server keeps two whole Shardeds (NewReplica), applies
-// every window to both and reads the published one. These tests cover
+// Store/Collection/Server keeps two Shardeds (NewReplica) and reads the
+// published one. Over a copy-on-write family the two are handles on one
+// set of trees (Adopt) and a window is applied once; over any other each
+// is a whole copy and every window is applied to both. These tests cover
 // that role.
 
 // TestSnapshotConcurrentUpdatesAndQueries hammers a snapshot-mode Store
@@ -21,9 +23,15 @@ import (
 // sub-batches, and the final contents must match a sequential oracle.
 func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 	const n = 4000
-	side := workload.Uniform.Side(2)
 	pts := uniquePoints(n, 11)
-	sh := New(testOptions(2, 8, HilbertRange, brute))
+	for name, family := range map[string]func(int, geom.Box) core.Index{"whole copies": brute, "shared trees": spacH} {
+		t.Run(name, func(t *testing.T) { snapshotConcurrentUpdatesAndQueries(t, family, pts, n) })
+	}
+}
+
+func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box) core.Index, pts []geom.Point, n int) {
+	side := workload.Uniform.Side(2)
+	sh := New(testOptions(2, 8, HilbertRange, family))
 	s := store.New(sh, store.Options{MaxBatch: 1 << 20, Snapshot: sh.NewReplica})
 	defer s.Close()
 	s.Build(pts[:n/2])
@@ -84,4 +92,78 @@ func TestSnapshotReplica(t *testing.T) {
 	if twin.Name() != s.Name() {
 		t.Fatalf("NewReplica Name = %q, original %q", twin.Name(), s.Name())
 	}
+}
+
+// TestAdoptShared: a replica that adopts a Sharded of copy-on-write trees
+// is the same contents and the same partition, tree for tree, until either
+// side is updated — and then the other side keeps what it had, across a
+// Build that moves the region boundaries too. A Sharded over a family
+// that cannot share refuses, as does one of another shape.
+func TestAdoptShared(t *testing.T) {
+	pts := uniquePoints(6000, 5)
+	s := New(testOptions(2, 4, HilbertRange, spacH))
+	s.Build(pts[:4000])
+	twin := s.NewReplica().(*Sharded)
+	if !twin.Adopt(s) || !twin.Shares(s) || !s.Shares(twin) {
+		t.Fatal("a replica over SPaC-H shards did not adopt the original")
+	}
+	side := workload.Uniform.Side(2)
+	queries := workload.GenUniform(12, 2, side, 7)
+	boxes := workload.RangeQueries(6, 2, side, 0.02, 9)
+	frozen := core.NewBruteForce(2)
+	frozen.Build(pts[:4000])
+	verify := func(what string, idx *Sharded, ref *core.BruteForce) {
+		t.Helper()
+		if err := idx.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if err := core.VerifyQueries(idx, ref, queries, []int{1, 10}, boxes); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	verify("twin after Adopt", twin, frozen)
+
+	s.BatchDiff(pts[4000:5000], pts[:1000])
+	live := core.NewBruteForce(2)
+	live.Build(pts[1000:5000])
+	if twin.Shares(s) {
+		t.Fatal("still sharing after an update of one side")
+	}
+	verify("original after its update", s, live)
+	verify("twin after the original's update", twin, frozen)
+	if nodes, bytes := s.Copied(); nodes == 0 || bytes == 0 {
+		t.Fatalf("an update of shared trees copied %d nodes, %d bytes", nodes, bytes)
+	}
+	if nodes, _ := twin.Copied(); nodes != 0 {
+		t.Fatalf("the untouched twin copied %d nodes", nodes)
+	}
+
+	// A Build rebalances the original's regions: the twin keeps the
+	// partition it adopted, and its contents.
+	s.Build(pts[3000:])
+	live.Build(pts[3000:])
+	verify("original after Build", s, live)
+	verify("twin after the original's Build", twin, frozen)
+	if !s.Adopt(twin) || !s.Shares(twin) {
+		t.Fatal("the original did not adopt its twin back")
+	}
+	verify("original after adopting back", s, frozen)
+
+	plain := New(testOptions(2, 4, HilbertRange, brute))
+	if plain.Adopt(plain.NewReplica()) || plain.Shares(plain) {
+		t.Fatal("a Sharded over BruteForce shards claims to share")
+	}
+	if nodes, bytes := plain.Copied(); nodes != 0 || bytes != 0 {
+		t.Fatal("a Sharded over BruteForce shards reports copies")
+	}
+	for name, other := range map[string]*Sharded{
+		"another shard count": New(testOptions(2, 8, HilbertRange, spacH)),
+		"another strategy":    New(testOptions(2, 4, MortonRange, spacH)),
+		"another family":      plain,
+	} {
+		if s.Adopt(other) {
+			t.Fatalf("adopted a Sharded of %s", name)
+		}
+	}
+	verify("original after the refusals", s, frozen)
 }

@@ -1,0 +1,229 @@
+package spactree
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/sfc"
+	"repro/internal/workload"
+)
+
+// countNodes returns the number of nodes under nd.
+func countNodes(nd *node) int {
+	if nd == nil {
+		return 0
+	}
+	if nd.isLeaf() {
+		return 1
+	}
+	return 1 + countNodes(nd.left) + countNodes(nd.right)
+}
+
+// churn returns a batch pair against live: del samples it (with repeats
+// and a few misses), ins is fresh points plus runs of one repeated point,
+// the input that drives splitRun and join2.
+func churn(rng *rand.Rand, live []geom.Point, n int) (ins, del []geom.Point) {
+	for i := 0; i < n; i++ {
+		ins = append(ins, geom.Pt2(rng.Int63n(testSide), rng.Int63n(testSide)))
+		if len(live) > 0 && rng.Intn(10) != 0 {
+			del = append(del, live[rng.Intn(len(live))])
+		} else {
+			del = append(del, geom.Pt2(rng.Int63n(testSide), rng.Int63n(testSide)))
+		}
+	}
+	if len(live) > 0 {
+		dup := live[rng.Intn(len(live))]
+		for i := 0; i < n/4+1; i++ {
+			ins = append(ins, dup)
+		}
+	}
+	return ins, del
+}
+
+func verifyAgainst(t *testing.T, what string, tr *Tree, ref *core.BruteForce) {
+	t.Helper()
+	validateOrFail(t, tr)
+	if tr.Size() != ref.Size() {
+		t.Fatalf("%s %s: size %d, oracle %d", tr.Name(), what, tr.Size(), ref.Size())
+	}
+	if err := core.VerifyQueries(tr, ref,
+		workload.GenUniform(8, 2, testSide, 5), []int{1, 10},
+		workload.RangeQueries(6, 2, testSide, 0.02, 6)); err != nil {
+		t.Fatalf("%s %s: %v", tr.Name(), what, err)
+	}
+}
+
+// TestAdoptIsolatesTheFork: after Adopt the two trees are one structure;
+// whatever either goes on to do, the other keeps answering from the
+// contents it had, and both stay valid. A tree that never adopted copies
+// nothing.
+func TestAdoptIsolatesTheFork(t *testing.T) {
+	for _, tr := range allVariants() {
+		rng := rand.New(rand.NewSource(31))
+		pts := workload.GenVarden(20000, 2, testSide, 3)
+		tr.Build(pts)
+		live := core.NewBruteForce(2)
+		live.Build(pts)
+		ins, del := churn(rng, live.Points(), 300)
+		tr.BatchDiff(ins, del)
+		live.BatchDiff(ins, del)
+		if nodes, bytes := tr.Copied(); nodes != 0 || bytes != 0 {
+			t.Fatalf("%s: a tree that never adopted copied %d nodes, %d bytes", tr.Name(), nodes, bytes)
+		}
+
+		shadow := tr.NewReplica().(*Tree)
+		if !shadow.Adopt(tr) || !shadow.Shares(tr) || !tr.Shares(shadow) {
+			t.Fatalf("%s: Adopt did not leave the two sharing", tr.Name())
+		}
+		frozen := core.NewBruteForce(2)
+		frozen.Build(live.Points())
+		total := countNodes(tr.root)
+
+		for round := 0; round < 12; round++ {
+			ins, del := churn(rng, live.Points(), 150)
+			tr.BatchDiff(ins, del)
+			live.BatchDiff(ins, del)
+			verifyAgainst(t, "original", tr, live)
+			verifyAgainst(t, "shadow", shadow, frozen)
+		}
+		if tr.Shares(shadow) {
+			t.Fatalf("%s: still sharing the root after updates", tr.Name())
+		}
+		// CPAM leaves are rebuilt on every touch, shared or not: only its
+		// interior nodes are ever copied.
+		nodes, bytes := tr.Copied()
+		if nodes == 0 || (bytes == 0) != (tr.mode == TotalOrder) {
+			t.Fatalf("%s: updates of a shared tree copied %d nodes, %d bytes", tr.Name(), nodes, bytes)
+		}
+		// 12 rounds of ~340 points into ~20000: the first touches a few
+		// hundred paths, the later ones find most of them owned already.
+		if int(nodes) > total {
+			t.Fatalf("%s: copied %d nodes of a %d-node tree", tr.Name(), nodes, total)
+		}
+
+		// The other direction: the shadow's updates leave the original alone.
+		ins, del = churn(rng, frozen.Points(), 400)
+		shadow.BatchDiff(ins, del)
+		frozen.BatchDiff(ins, del)
+		verifyAgainst(t, "original after shadow update", tr, live)
+		verifyAgainst(t, "shadow after own update", shadow, frozen)
+
+		// Emptying one side does not empty the other.
+		tr.BatchDelete(live.Points())
+		if tr.Size() != 0 {
+			t.Fatalf("%s: %d points left after deleting all", tr.Name(), tr.Size())
+		}
+		verifyAgainst(t, "shadow after original emptied", shadow, frozen)
+	}
+}
+
+// TestAdoptRefusesStrangers: only a replica is adopted; a refusal changes
+// nothing.
+func TestAdoptRefusesStrangers(t *testing.T) {
+	tr := NewSPaC(sfc.Hilbert, 2, universe())
+	pts := workload.GenUniform(500, 2, testSide, 1)
+	tr.Build(pts)
+	other := workload.GenUniform(300, 2, testSide, 2)
+	opts := tr.opts
+	opts.LeafWrap = 16
+	for _, src := range []core.Index{
+		NewSPaC(sfc.Morton, 2, universe()),
+		NewCPAM(sfc.Hilbert, 2, universe()),
+		New(sfc.Hilbert, PartialOrder, opts),
+		core.NewBruteForce(2),
+	} {
+		src.Build(other)
+		if tr.Adopt(src) {
+			t.Fatalf("adopted a %s", src.Name())
+		}
+		if tr.Size() != len(pts) || tr.Shares(src) {
+			t.Fatalf("refusing a %s changed the tree", src.Name())
+		}
+	}
+	if !tr.Adopt(tr) || tr.Size() != len(pts) {
+		t.Fatal("adopting itself must be a no-op")
+	}
+	validateOrFail(t, tr)
+}
+
+// TestAdoptedSideReadsWhileWriterApplies is the -race half of fork
+// isolation: readers query the adopted side with no lock at all while the
+// writer applies 1 % batches to the original — and hands its structure to
+// a third tree every few batches, so the writer keeps losing ownership of
+// what it copied. The only memory both touch is what neither writes.
+func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
+	const n = 40000
+	tr := NewSPaC(sfc.Hilbert, 2, universe())
+	pts := workload.GenVarden(n, 2, testSide, 17)
+	tr.Build(pts)
+	shadow := tr.NewReplica().(*Tree)
+	shadow.Adopt(tr)
+
+	queries := workload.GenUniform(16, 2, testSide, 19)
+	boxes := workload.RangeQueries(16, 2, testSide, 0.01, 23)
+	wantNN := make([][]geom.Point, len(queries))
+	wantCount := make([]int, len(boxes))
+	for i, q := range queries {
+		wantNN[i] = shadow.KNN(q, 5, nil)
+	}
+	for i, b := range boxes {
+		wantCount[i] = shadow.RangeCount(b)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var nn []geom.Point
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				j := i % len(queries)
+				nn = shadow.KNN(queries[j], 5, nn[:0])
+				for k := range nn {
+					if geom.Dist2(nn[k], queries[j], 2) != geom.Dist2(wantNN[j][k], queries[j], 2) {
+						t.Errorf("reader: KNN %d changed under the writer", j)
+						return
+					}
+				}
+				if got := shadow.RangeCount(boxes[j]); got != wantCount[j] {
+					t.Errorf("reader: RangeCount %d = %d, was %d", j, got, wantCount[j])
+					return
+				}
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	live := append([]geom.Point(nil), pts...)
+	third := tr.NewReplica().(*Tree)
+	for round := 0; round < 30; round++ {
+		b := n / 100
+		ins := make([]geom.Point, b)
+		del := make([]geom.Point, b)
+		for i, j := range rng.Perm(n)[:b] {
+			ins[i] = geom.Pt2(rng.Int63n(testSide), rng.Int63n(testSide))
+			del[i], live[j] = live[j], ins[i]
+		}
+		tr.BatchDiff(ins, del)
+		if round%4 == 3 {
+			third.Adopt(tr)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	validateOrFail(t, tr)
+	validateOrFail(t, shadow)
+	validateOrFail(t, third)
+	if tr.Size() != n || shadow.Size() != n {
+		t.Fatalf("sizes %d / %d after even exchanges, want %d", tr.Size(), shadow.Size(), n)
+	}
+}

@@ -21,6 +21,12 @@
 // Spatial queries never read the in-leaf order — a leaf is scanned wholesale
 // either way — which is the observation that makes the relaxation free for
 // queries and 2-6x cheaper for updates (§5.1.2).
+//
+// Updates are copy-on-write by generation stamp (cow.go): a tree that never
+// shares its structure writes nodes in place, as the paper's C++ trees do;
+// two trees made handles on one structure by Adopt each copy only the
+// paths they go on to change — what lets the snapshot-read layers keep one
+// tree under both of their versions.
 package spactree
 
 import (

@@ -12,64 +12,60 @@ package spactree
 // join returns a balanced tree over l ∪ {k} ∪ r, assuming every entry in l
 // is <= k and every entry in r is >= k (weak BST invariant on the total
 // (code, point) order).
-func (t *Tree) join(l *node, k Entry, r *node) *node {
+func (t *Tree) join(l *node, k Entry, r *node, c *cow) *node {
 	if t.balancedNodes(l, r) {
 		return t.mkNode(l, k, r)
 	}
 	if weight(l) > weight(r) {
-		return t.joinRight(l, k, r)
+		return t.joinRight(l, k, r, c)
 	}
-	return t.joinLeft(l, k, r)
+	return t.joinLeft(l, k, r, c)
 }
 
 // joinRight handles the case weight(l) > weight(r).
-func (t *Tree) joinRight(l *node, k Entry, r *node) *node {
+func (t *Tree) joinRight(l *node, k Entry, r *node, c *cow) *node {
 	if t.balancedNodes(l, r) {
 		return t.mkNode(l, k, r)
 	}
-	ll, lk, lr := t.expose(l)
-	tt := t.joinRight(lr, k, r)
+	ll, lk, lr := t.expose(l, c)
+	tt := t.joinRight(lr, k, r, c)
 	if t.balancedNodes(ll, tt) {
 		return t.mkNode(ll, lk, tt)
 	}
 	// Rebalance by rotation (Alg. 4 line 30).
-	tl, tk, tr := t.expose(tt)
+	tl, tk, tr := t.expose(tt, c)
 	if t.likeWeights(weight(ll)+weight(tl), weight(tr)) && t.balancedNodes(ll, tl) {
 		// Single left rotation.
 		return t.mkNode(t.mkNode(ll, lk, tl), tk, tr)
 	}
 	// Double rotation: rotate tl right, then left.
-	tll, tlk, tlr := t.expose(tl)
+	tll, tlk, tlr := t.expose(tl, c)
 	return t.mkNode(t.mkNode(ll, lk, tll), tlk, t.mkNode(tlr, tk, tr))
 }
 
 // joinLeft mirrors joinRight for weight(r) > weight(l).
-func (t *Tree) joinLeft(l *node, k Entry, r *node) *node {
+func (t *Tree) joinLeft(l *node, k Entry, r *node, c *cow) *node {
 	if t.balancedNodes(l, r) {
 		return t.mkNode(l, k, r)
 	}
-	rl, rk, rr := t.expose(r)
-	tt := t.joinLeft(l, k, rl)
+	rl, rk, rr := t.expose(r, c)
+	tt := t.joinLeft(l, k, rl, c)
 	if t.balancedNodes(tt, rr) {
 		return t.mkNode(tt, rk, rr)
 	}
-	tl, tk, tr := t.expose(tt)
+	tl, tk, tr := t.expose(tt, c)
 	if t.likeWeights(weight(tl), weight(tr)+weight(rr)) && t.balancedNodes(tr, rr) {
 		// Single right rotation.
 		return t.mkNode(tl, tk, t.mkNode(tr, rk, rr))
 	}
-	trl, trk, trr := t.expose(tr)
+	trl, trk, trr := t.expose(tr, c)
 	return t.mkNode(t.mkNode(tl, tk, trl), trk, t.mkNode(trr, rk, rr))
 }
 
 // splitLast removes and returns the greatest entry of a non-nil tree.
-func (t *Tree) splitLast(nd *node) (*node, Entry) {
+func (t *Tree) splitLast(nd *node, c *cow) (*node, Entry) {
 	if nd.isLeaf() {
-		ents := nd.ents
-		if !nd.sorted {
-			sortEntries(ents)
-			nd.sorted = true
-		}
+		ents := t.sortedEnts(nd, c)
 		last := ents[len(ents)-1]
 		if len(ents) == 1 {
 			return nil, last
@@ -81,21 +77,21 @@ func (t *Tree) splitLast(nd *node) (*node, Entry) {
 	if nd.right == nil {
 		return nd.left, nd.pivot
 	}
-	rest, last := t.splitLast(nd.right)
-	return t.join(nd.left, nd.pivot, rest), last
+	rest, last := t.splitLast(nd.right, c)
+	return t.join(nd.left, nd.pivot, rest, c), last
 }
 
 // join2 joins two trees with no middle entry (used when a batch deletion
 // consumes a pivot).
-func (t *Tree) join2(l, r *node) *node {
+func (t *Tree) join2(l, r *node, c *cow) *node {
 	if l == nil {
 		return r
 	}
 	if r == nil {
 		return l
 	}
-	rest, k := t.splitLast(l)
-	return t.join(rest, k, r)
+	rest, k := t.splitLast(l, c)
+	return t.join(rest, k, r, c)
 }
 
 // splitRun extracts every copy of entry e from the subtree: it returns the
@@ -103,17 +99,17 @@ func (t *Tree) join2(l, r *node) *node {
 // number of copies removed. Duplicate entries (identical code and point)
 // may straddle pivots on both sides, so plain routing cannot delete them;
 // batch deletion calls this on the rare equal-to-pivot runs.
-func (t *Tree) splitRun(nd *node, e Entry) (lt, gt *node, count int) {
+func (t *Tree) splitRun(nd *node, e Entry, c *cow) (lt, gt *node, count int) {
 	if nd == nil {
 		return nil, nil, 0
 	}
 	if nd.isLeaf() {
 		var lo, hi []Entry
 		for _, x := range nd.ents {
-			switch c := cmpEntry(x, e); {
-			case c < 0:
+			switch o := cmpEntry(x, e); {
+			case o < 0:
 				lo = append(lo, x)
-			case c > 0:
+			case o > 0:
 				hi = append(hi, x)
 			default:
 				count++
@@ -127,18 +123,18 @@ func (t *Tree) splitRun(nd *node, e Entry) (lt, gt *node, count int) {
 		}
 		return lt, gt, count
 	}
-	switch c := cmpEntry(e, nd.pivot); {
-	case c < 0:
-		llt, lgt, n := t.splitRun(nd.left, e)
-		return llt, t.join(lgt, nd.pivot, nd.right), n
-	case c > 0:
-		rlt, rgt, n := t.splitRun(nd.right, e)
-		return t.join(nd.left, nd.pivot, rlt), rgt, n
+	switch o := cmpEntry(e, nd.pivot); {
+	case o < 0:
+		llt, lgt, n := t.splitRun(nd.left, e, c)
+		return llt, t.join(lgt, nd.pivot, nd.right, c), n
+	case o > 0:
+		rlt, rgt, n := t.splitRun(nd.right, e, c)
+		return t.join(nd.left, nd.pivot, rlt, c), rgt, n
 	default:
 		// The pivot itself is a copy; copies may extend into both
 		// subtrees (left holds <= pivot, right holds >= pivot).
-		llt, _, nl := t.splitRun(nd.left, e)
-		_, rgt, nr := t.splitRun(nd.right, e)
+		llt, _, nl := t.splitRun(nd.left, e, c)
+		_, rgt, nr := t.splitRun(nd.right, e, c)
 		return llt, rgt, nl + nr + 1
 	}
 }

@@ -12,8 +12,13 @@ import (
 // nodes ignore it. In TotalOrder (CPAM) mode every leaf stays sorted; in
 // PartialOrder (SPaC) mode leaves go unsorted on append and are re-sorted
 // lazily by expose/redistribute (Alg. 4 lines 34, 43).
+//
+// gen is the generation of the Tree that created the node (cow.go): only
+// a tree whose own generation equals it may write the node or its entry
+// block; to every other tree that reaches it the node is immutable.
 type node struct {
 	size        int // points in subtree (leaf entries + interior pivots)
+	gen         uint64
 	bbox        geom.Box
 	pivot       Entry
 	left, right *node
@@ -47,7 +52,7 @@ func (t *Tree) balancedNodes(l, r *node) bool {
 
 // newLeaf wraps entries (not copied) into a leaf.
 func (t *Tree) newLeaf(ents []Entry, isSorted bool) *node {
-	return &node{size: len(ents), bbox: entsBBox(ents, t.opts.Dims), ents: ents, sorted: isSorted}
+	return &node{size: len(ents), gen: t.gen, bbox: entsBBox(ents, t.opts.Dims), ents: ents, sorted: isSorted}
 }
 
 // entsBBox computes the tight bounding box of a run of entries.
@@ -76,6 +81,7 @@ func (t *Tree) interiorBBox(l *node, k Entry, r *node) geom.Box {
 func (t *Tree) rawNode(l *node, k Entry, r *node) *node {
 	return &node{
 		size:  sizeOf(l) + sizeOf(r) + 1,
+		gen:   t.gen,
 		bbox:  t.interiorBBox(l, k, r),
 		pivot: k,
 		left:  l,
@@ -152,15 +158,11 @@ func isNonDecreasing(ents []Entry) bool {
 // first if it was relaxed (line 34); this lazy sort is where the SPaC-tree
 // pays back its deferred work, on the rare join path instead of on every
 // update.
-func (t *Tree) expose(nd *node) (*node, Entry, *node) {
+func (t *Tree) expose(nd *node, c *cow) (*node, Entry, *node) {
 	if !nd.isLeaf() {
 		return nd.left, nd.pivot, nd.right
 	}
-	ents := nd.ents
-	if !nd.sorted {
-		sortEntries(ents)
-		nd.sorted = true
-	}
+	ents := t.sortedEnts(nd, c)
 	m := len(ents) / 2
 	var l, r *node
 	if m > 0 {
@@ -170,4 +172,22 @@ func (t *Tree) expose(nd *node) (*node, Entry, *node) {
 		r = t.newLeaf(slices.Clone(ents[m+1:]), true)
 	}
 	return l, ents[m], r
+}
+
+// sortedEnts returns leaf nd's entries in order, for a caller that only
+// reads them: an owned leaf pays its deferred sort in place, a shared one
+// is left as its other readers know it and a sorted copy is returned.
+func (t *Tree) sortedEnts(nd *node, c *cow) []Entry {
+	ents := nd.ents
+	if nd.sorted {
+		return ents
+	}
+	if t.owns(nd) {
+		nd.sorted = true
+	} else {
+		ents = slices.Clone(ents)
+		c.leaf(ents)
+	}
+	sortEntries(ents)
+	return ents
 }

@@ -60,7 +60,7 @@ func TestQuickSplitRun(t *testing.T) {
 		}
 		tr.Build(pts)
 		e := tr.encode(dup)
-		lt, gt, count := tr.splitRun(tr.root, e)
+		lt, gt, count := tr.splitRun(tr.root, e, new(cow))
 		// Count ground truth.
 		want := 0
 		for _, p := range pts {
@@ -105,7 +105,7 @@ func TestQuickJoinBalance(t *testing.T) {
 		i := int(cut) % len(base)
 		l := tr.buildSortedEnts(base[:i:i])
 		r := tr.buildSortedEnts(base[i+1 : len(base) : len(base)])
-		tr.root = tr.join(l, base[i], r)
+		tr.root = tr.join(l, base[i], r, new(cow))
 		if err := tr.Validate(); err != nil {
 			t.Log(err)
 			return false
@@ -126,7 +126,7 @@ func TestLopsidedJoins(t *testing.T) {
 	for _, cut := range []int{1, 3, 41, len(ents) - 2, len(ents) - 42} {
 		l := tr.buildSortedEnts(ents[:cut:cut])
 		r := tr.buildSortedEnts(ents[cut+1 : len(ents) : len(ents)])
-		tr.root = tr.join(l, ents[cut], r)
+		tr.root = tr.join(l, ents[cut], r, new(cow))
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}

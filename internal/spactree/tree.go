@@ -2,6 +2,7 @@ package spactree
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -24,6 +25,12 @@ type Tree struct {
 	curve sfc.Curve
 	mode  Mode
 	root  *node
+	// gen is the generation the tree stamps on the nodes it creates and
+	// the only one whose nodes it writes in place (cow.go).
+	gen uint64
+	// cowNodes and cowBytes total what updates copied on first touch;
+	// atomics only because a metrics scrape may read them mid-update.
+	cowNodes, cowBytes atomic.Uint64
 }
 
 var _ core.Index = (*Tree)(nil)
@@ -91,8 +98,9 @@ func (t *Tree) BatchInsert(pts []geom.Point) {
 	if len(pts) == 0 {
 		return
 	}
-	batch := t.encodeAndSort(pts)
-	t.root = t.insertSorted(t.root, batch)
+	var c cow
+	t.root = t.insertSorted(t.root, t.encodeAndSort(pts), &c)
+	t.note(c)
 }
 
 // BatchDelete implements core.Index (multiset semantics, §4.2 last
@@ -101,8 +109,9 @@ func (t *Tree) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
-	batch := t.encodeAndSort(pts)
-	t.root = t.deleteSorted(t.root, batch)
+	var c cow
+	t.root = t.deleteSorted(t.root, t.encodeAndSort(pts), &c)
+	t.note(c)
 }
 
 const seqCutoff = 2048
@@ -110,10 +119,12 @@ const seqCutoff = 2048
 // BatchDiff implements core.Index: deletions apply before insertions.
 // Both halves share one pass of code computation and sorting.
 func (t *Tree) BatchDiff(ins, del []geom.Point) {
+	var c cow
 	if len(del) > 0 && t.root != nil {
-		t.root = t.deleteSorted(t.root, t.encodeAndSort(del))
+		t.root = t.deleteSorted(t.root, t.encodeAndSort(del), &c)
 	}
 	if len(ins) > 0 {
-		t.root = t.insertSorted(t.root, t.encodeAndSort(ins))
+		t.root = t.insertSorted(t.root, t.encodeAndSort(ins), &c)
 	}
+	t.note(c)
 }

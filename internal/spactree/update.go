@@ -1,9 +1,8 @@
 package spactree
 
 import (
+	"slices"
 	"sort"
-
-	"repro/internal/parallel"
 )
 
 // upperBound returns the first index in sorted batch with entry > e.
@@ -18,7 +17,7 @@ func lowerBound(batch []Entry, e Entry) int {
 
 // insertSorted is InsertSorted (Alg. 4): route the sorted batch down by
 // pivot codes, absorb or rebuild at leaves, Join on the way back up.
-func (t *Tree) insertSorted(nd *node, batch []Entry) *node {
+func (t *Tree) insertSorted(nd *node, batch []Entry, c *cow) *node {
 	if len(batch) == 0 {
 		return nd
 	}
@@ -39,6 +38,12 @@ func (t *Tree) insertSorted(nd *node, batch []Entry) *node {
 			bbox := nd.bbox
 			for _, e := range batch {
 				bbox = bbox.Extend(e.P, t.opts.Dims)
+			}
+			if !t.owns(nd) {
+				// A shared leaf: the append goes into a block of its own.
+				c.leaf(nd.ents)
+				ents := append(make([]Entry, 0, total), nd.ents...)
+				nd = &node{gen: t.gen, ents: ents}
 			}
 			nd.ents = append(nd.ents, batch...)
 			nd.size = len(nd.ents)
@@ -61,40 +66,44 @@ func (t *Tree) insertSorted(nd *node, batch []Entry) *node {
 		}
 		// §C heuristic, large side: expose the leaf and distribute the
 		// batch across its halves instead of merging a huge run.
-		l, k, r := t.expose(nd)
+		l, k, r := t.expose(nd, c)
 		i := upperBound(batch, k)
-		var nl, nr *node
-		parallel.DoIf(len(batch) >= seqCutoff,
-			func() { nl = t.insertSorted(l, batch[:i]) },
-			func() { nr = t.insertSorted(r, batch[i:]) })
-		return t.join(nl, k, nr)
+		nl, nr := t.both((*Tree).insertSorted, len(batch) >= seqCutoff, l, batch[:i], r, batch[i:], c)
+		return t.join(nl, k, nr, c)
 	}
 	// Lines 13-19: binary-search the pivot in the batch, recurse in
 	// parallel, Join rebalances.
 	i := upperBound(batch, nd.pivot)
-	var l, r *node
-	parallel.DoIf(len(batch) >= seqCutoff,
-		func() { l = t.insertSorted(nd.left, batch[:i]) },
-		func() { r = t.insertSorted(nd.right, batch[i:]) })
-	return t.joinInto(nd, l, r)
+	l, r := t.both((*Tree).insertSorted, len(batch) >= seqCutoff, nd.left, batch[:i], nd.right, batch[i:], c)
+	return t.joinInto(nd, l, r, c)
 }
 
 // joinInto is Join(l, pivot, r) with an in-place fast path: when the
 // children stayed balanced and no leaf-wrap action applies, the existing
-// interior node is updated rather than reallocated. Only the rebalancing
-// path pays for fresh nodes — the joins are semantically identical, the
-// tree is simply not persistent (the paper's C++ trees reuse nodes the
-// same way unless compressed sharing is on).
-func (t *Tree) joinInto(nd *node, l, r *node) *node {
+// interior node is kept rather than reallocated — updated in place when
+// the tree owns it, copied once when it is shared (the copy is owned for
+// the rest of the generation), and returned as it is when it is shared and
+// both recursions came back with the children it already has: no child is
+// newer than its parent, so those were not written either. Only the
+// rebalancing path pays for fresh nodes; the joins are semantically
+// identical.
+func (t *Tree) joinInto(nd *node, l, r *node, c *cow) *node {
 	if t.balancedNodes(l, r) {
 		if n := sizeOf(l) + sizeOf(r) + 1; n > 2*t.opts.LeafWrap {
+			if !t.owns(nd) {
+				if l == nd.left && r == nd.right {
+					return nd
+				}
+				c.nodes++
+				return t.rawNode(l, nd.pivot, r)
+			}
 			nd.left, nd.right = l, r
 			nd.size = n
 			nd.bbox = t.interiorBBox(l, nd.pivot, r)
 			return nd
 		}
 	}
-	return t.join(l, nd.pivot, r)
+	return t.join(l, nd.pivot, r, c)
 }
 
 // mergeSorted merges two entry slices sorted by cmpEntry.
@@ -119,46 +128,39 @@ func mergeSorted(a, b []Entry) []Entry {
 // it reaches a leaf, it removes the points there, marks the leaf as
 // unsorted if necessary, and updates the bounding box"; rebalancing via
 // Join/Join2 as in insertion).
-func (t *Tree) deleteSorted(nd *node, batch []Entry) *node {
+func (t *Tree) deleteSorted(nd *node, batch []Entry, c *cow) *node {
 	if nd == nil || len(batch) == 0 {
 		return nd
 	}
 	if nd.isLeaf() {
-		return t.deleteFromLeaf(nd, batch)
+		return t.deleteFromLeaf(nd, batch, c)
 	}
 	lo := lowerBound(batch, nd.pivot)
 	hi := upperBound(batch, nd.pivot)
+	l, r := t.both((*Tree).deleteSorted, len(batch) >= seqCutoff, nd.left, batch[:lo], nd.right, batch[hi:], c)
 	if lo == hi {
 		// Pivot not targeted: plain split-recurse-join.
-		var l, r *node
-		parallel.DoIf(len(batch) >= seqCutoff,
-			func() { l = t.deleteSorted(nd.left, batch[:lo]) },
-			func() { r = t.deleteSorted(nd.right, batch[hi:]) })
-		return t.joinInto(nd, l, r)
+		return t.joinInto(nd, l, r, c)
 	}
 	// The batch deletes copies of the pivot entry itself. Copies of an
 	// identical entry may sit on both sides of the pivot, so plain
 	// routing cannot find them all: extract the whole run, then put back
 	// whatever the batch did not consume.
 	req := hi - lo
-	var l, r *node
-	parallel.DoIf(len(batch) >= seqCutoff,
-		func() { l = t.deleteSorted(nd.left, batch[:lo]) },
-		func() { r = t.deleteSorted(nd.right, batch[hi:]) })
-	ll, lg, cl := t.splitRun(l, nd.pivot)
-	rl, rg, cr := t.splitRun(r, nd.pivot)
+	ll, lg, cl := t.splitRun(l, nd.pivot, c)
+	rl, rg, cr := t.splitRun(r, nd.pivot, c)
 	avail := cl + cr + 1 // + the pivot itself
 	leftover := avail - req
 	if leftover < 0 {
 		leftover = 0
 	}
-	res := t.join2(t.join2(ll, lg), t.join2(rl, rg))
+	res := t.join2(t.join2(ll, lg, c), t.join2(rl, rg, c), c)
 	if leftover > 0 {
 		run := make([]Entry, leftover)
 		for i := range run {
 			run[i] = nd.pivot
 		}
-		res = t.insertSorted(res, run)
+		res = t.insertSorted(res, run, c)
 	}
 	return res
 }
@@ -169,25 +171,33 @@ func (t *Tree) deleteSorted(nd *node, batch []Entry) *node {
 // points there, marks the leaf as unsorted if necessary"). TotalOrder
 // (CPAM) mode must keep the leaf sorted, so it pays for an order-
 // preserving compaction.
-func (t *Tree) deleteFromLeaf(nd *node, batch []Entry) *node {
+func (t *Tree) deleteFromLeaf(nd *node, batch []Entry, c *cow) *node {
 	if t.mode == PartialOrder {
 		ents := nd.ents
-		removed := false
+		mine := t.owns(nd) // ents may be written
 		for _, b := range batch {
 			for i := range ents {
 				if ents[i].Code == b.Code && ents[i].P == b.P {
+					if !mine {
+						// A shared leaf: the first match moves the removal
+						// to a copy of the block.
+						c.leaf(ents)
+						ents, mine = slices.Clone(ents), true
+					}
 					ents[i] = ents[len(ents)-1]
 					ents = ents[:len(ents)-1]
-					removed = true
 					break
 				}
 			}
 		}
-		if !removed {
+		if len(ents) == len(nd.ents) {
 			return nd
 		}
 		if len(ents) == 0 {
 			return nil
+		}
+		if !t.owns(nd) {
+			nd = &node{gen: t.gen}
 		}
 		nd.ents = ents
 		nd.size = len(ents)

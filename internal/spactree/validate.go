@@ -15,17 +15,23 @@ import (
 //  3. BB[α] weight balance at every interior node;
 //  4. leaf wrapping: leaves hold at most LeafWrap entries, interiors hold
 //     more than LeafWrap points;
-//  5. exact sizes and tight bounding boxes.
+//  5. exact sizes and tight bounding boxes;
+//  6. generation stamps (cow.go): no node newer than the tree, no child
+//     newer than its parent.
 func (t *Tree) Validate() error {
-	_, _, _, err := t.validate(t.root)
+	_, _, _, err := t.validate(t.root, t.gen)
 	return err
 }
 
-// validate returns (size, minEntry, maxEntry, err).
-func (t *Tree) validate(nd *node) (int, Entry, Entry, error) {
+// validate returns (size, minEntry, maxEntry, err); newest is the stamp
+// of whatever holds nd, its parent or the tree.
+func (t *Tree) validate(nd *node, newest uint64) (int, Entry, Entry, error) {
 	var zero Entry
 	if nd == nil {
 		return 0, zero, zero, nil
+	}
+	if nd.gen > newest {
+		return 0, zero, zero, fmt.Errorf("node of generation %d under generation %d", nd.gen, newest)
 	}
 	dims := t.opts.Dims
 	if nd.isLeaf() {
@@ -63,11 +69,11 @@ func (t *Tree) validate(nd *node) (int, Entry, Entry, error) {
 		}
 		return nd.size, mn, mx, nil
 	}
-	ls, lmn, lmx, err := t.validate(nd.left)
+	ls, lmn, lmx, err := t.validate(nd.left, nd.gen)
 	if err != nil {
 		return 0, zero, zero, err
 	}
-	rs, rmn, rmx, err := t.validate(nd.right)
+	rs, rmn, rmx, err := t.validate(nd.right, nd.gen)
 	if err != nil {
 		return 0, zero, zero, err
 	}

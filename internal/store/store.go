@@ -83,6 +83,9 @@ type Store struct {
 	// and how queries are kept off the flush writer.
 	eng  window.Engine[pendOp]
 	cell epoch.IndexCell
+	// follow is how Build brings the second copy level with the first:
+	// epoch.Adopted over copy-on-write twins, nil (build it too) otherwise.
+	follow func(behind, ahead core.Index)
 
 	// scratch is the netting buffer set and netted the window it last
 	// produced, both guarded by the engine's flush lock. Everything grows
@@ -108,7 +111,12 @@ var _ core.Index = (*Store)(nil)
 // background flusher starts immediately; pair New with Close to stop it.
 func New(idx core.Index, opts Options) *Store {
 	s := &Store{name: fmt.Sprintf("Store(%s)", idx.Name()), dims: idx.Dims()}
-	s.cell.Init(epoch.ApplyDiff, epoch.Copies("store", idx, opts.Snapshot)...)
+	copies, shared := epoch.Copies("store", idx, opts.Snapshot)
+	s.cell.Init(epoch.ApplyDiff, copies...)
+	if shared {
+		s.follow = epoch.Adopted
+		s.cell.CatchUp(epoch.AdoptedDiff)
+	}
 	s.cell.Register(opts.Obs, obs.Label{Key: "layer", Value: "store"})
 	s.eng.Init("store", opts,
 		func(ops []pendOp) (cancelled int) {
@@ -262,7 +270,7 @@ func (s *Store) Build(pts []geom.Point) {
 		s.eng.Lock()
 		s.eng.Discard()
 		s.eng.Unlock()
-		s.cell.Rebuild(func(idx core.Index) { idx.Build(pts) })
+		s.cell.Rebuild(func(idx core.Index) { idx.Build(pts) }, s.follow)
 	})
 }
 

@@ -97,8 +97,11 @@ func DefaultOptions(dims int, universe Box) Options {
 // core.Replicator: the retained constructor mints the identically
 // configured empty twin that snapshot mode (Store/Collection
 // Options.Snapshot, Server default) double-buffers against. Every psi
-// constructor goes through this, so any psi-built tree can serve
-// epoch-pinned snapshot reads without the caller threading a factory.
+// constructor of a family that is not a Replicator itself goes through
+// this, so any psi-built tree can serve epoch-pinned snapshot reads
+// without the caller threading a factory. The SPaC family is returned
+// bare: it mints its own twins and, copy-on-write, shares one tree
+// between them (core.Adopter), which a wrapper would hide.
 func replicable(mk func() Index) Index { return core.WithReplica(mk(), mk) }
 
 // NewPOrth returns a P-Orth tree (this paper, §3): the best
@@ -117,27 +120,19 @@ func NewPOrthOpts(opts Options) Index {
 // paper's recommended default for highly dynamic workloads — the fastest
 // construction and batch updates, with the better query speed of the two
 // SPaC variants.
-func NewSPaCH(dims int, universe Box) Index {
-	return replicable(func() Index { return spactree.NewSPaC(sfc.Hilbert, dims, universe) })
-}
+func NewSPaCH(dims int, universe Box) Index { return spactree.NewSPaC(sfc.Hilbert, dims, universe) }
 
 // NewSPaCZ returns a SPaC-Z-tree (Morton curve): slightly faster updates
 // than SPaC-H, slower queries.
-func NewSPaCZ(dims int, universe Box) Index {
-	return replicable(func() Index { return spactree.NewSPaC(sfc.Morton, dims, universe) })
-}
+func NewSPaCZ(dims int, universe Box) Index { return spactree.NewSPaC(sfc.Morton, dims, universe) }
 
 // NewCPAMH returns the CPAM-H baseline: a PaC-tree over Hilbert codes
 // with a fully sorted total order (the paper's ablation of the SPaC
 // relaxation).
-func NewCPAMH(dims int, universe Box) Index {
-	return replicable(func() Index { return spactree.NewCPAM(sfc.Hilbert, dims, universe) })
-}
+func NewCPAMH(dims int, universe Box) Index { return spactree.NewCPAM(sfc.Hilbert, dims, universe) }
 
 // NewCPAMZ returns the CPAM-Z baseline (Morton codes).
-func NewCPAMZ(dims int, universe Box) Index {
-	return replicable(func() Index { return spactree.NewCPAM(sfc.Morton, dims, universe) })
-}
+func NewCPAMZ(dims int, universe Box) Index { return spactree.NewCPAM(sfc.Morton, dims, universe) }
 
 // NewPkd returns the Pkd-tree baseline [43]: strong queries, updates pay
 // O(log² n) amortized per point.
@@ -352,7 +347,9 @@ type ServerStats = service.StatsPayload
 // Shutdown. When idx can replicate itself (every psi constructor and
 // NewSharded qualifies) the server defaults to epoch-pinned snapshot
 // reads — NEARBY/WITHIN/GET never wait behind a flush — at the cost of a
-// second index copy; opt out with ServerOptions.DisableSnapshot. The
+// second object table and, unless the index is copy-on-write (the SPaC
+// family: both versions are then one tree), a second index copy; opt out
+// with ServerOptions.DisableSnapshot. The
 // recommended serving stack wraps a Sharded index:
 //
 //	s := psi.NewServer(psi.NewSharded(psi.NewSPaCH, 2, u, 0), psi.ServerOptions{})
