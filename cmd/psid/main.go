@@ -102,7 +102,7 @@ func run() int {
 	flushEvery := flag.Duration("flush-interval", service.DefaultFlushInterval, "background flush cadence bounding query staleness")
 	maxLine := flag.Int("maxline", service.DefaultMaxLineBytes, "reject request lines longer than this many bytes")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http listener and add GC counters to /stats")
-	lockedReads := flag.Bool("locked-reads", false, "disable epoch-pinned snapshot reads: queries take the read lock and can wait behind a flush (A/B baseline)")
+	lockedReads := flag.Bool("locked-reads", false, "disable epoch-pinned snapshot reads, under which a query waits at most for a window's table step: queries take the read lock and can wait behind a whole flush (A/B baseline)")
 	slowlog := flag.Duration("slowlog", 0, "slow-query threshold: commands slower than this are retained in the slow-query log (SLOWLOG command, /debug/slowlog); 0 disables")
 	slowlogSize := flag.Int("slowlog-size", service.DefaultSlowLogSize, "slow-query log ring capacity")
 	walDir := flag.String("wal", "", "write-ahead log directory: journal committed flush windows and recover them on restart (docs/durability.md); empty serves memory-only")

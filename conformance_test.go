@@ -2,6 +2,7 @@ package psi
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -21,13 +22,17 @@ var allIndexNames = []string{
 // slice is the caller's to keep: the index retains no alias, so
 // mutating the result must not perturb later queries. The serving
 // layers' scratch reuse (pooled heaps, retained per-shard buffers,
-// recycled flush batches) is only sound on top of these rules.
+// recycled flush batches) is only sound on top of these rules. The same
+// sweep pins the input side: Build's slice comes back unchanged
+// (Collection.Load builds from its live table's point array) with no alias
+// kept to it, and so do the slices of BatchInsert, BatchDelete and BatchDiff.
 func TestDstAppendContract(t *testing.T) {
 	const n = 400
 	const k = 10
 	side := int64(1 << 20)
 	universe := Universe2D(side)
 	pts := workload.Generate(workload.Uniform, n, 2, side, 99)
+	batch := workload.Generate(workload.Uniform, 64, 2, side, 100)
 	q := Pt2(side/2, side/2)
 	box := BoxOf(Pt2(side/4, side/4), Pt2(3*side/4, 3*side/4))
 	sentinel := []Point{Pt2(-111, -1), Pt2(-222, -2), Pt2(-333, -3)}
@@ -38,7 +43,19 @@ func TestDstAppendContract(t *testing.T) {
 			if idx == nil {
 				t.Fatalf("ByName(%q) = nil", name)
 			}
-			idx.Build(pts)
+			input := slices.Clone(pts)
+			idx.Build(input)
+			if !slices.Equal(input, pts) {
+				t.Fatal("Build wrote its input slice")
+			}
+			// Had the index kept the slice, scribbling over it would change
+			// the reference answers below.
+			for i := range input {
+				input[i] = Pt2(-7777777, -7777777)
+			}
+			if got := idx.RangeCount(universe); got != n {
+				t.Fatalf("%d of %d points in the universe after mutating Build's input (index aliased it)", got, n)
+			}
 
 			for _, op := range []struct {
 				label string
@@ -89,6 +106,33 @@ func TestDstAppendContract(t *testing.T) {
 			}
 			if got := idx.Size(); got != n {
 				t.Fatalf("size changed to %d after query-buffer mutations", got)
+			}
+
+			// The batch calls leave their inputs as they found them too.
+			half := len(batch) / 2
+			for _, call := range []struct {
+				label    string
+				ins, del []Point
+			}{
+				{"BatchInsert", batch, nil},
+				{"BatchDelete", nil, batch[:half]},
+				{"BatchDiff", batch[:half], batch[half:]},
+			} {
+				ins, del := slices.Clone(call.ins), slices.Clone(call.del)
+				switch call.label {
+				case "BatchInsert":
+					idx.BatchInsert(ins)
+				case "BatchDelete":
+					idx.BatchDelete(del)
+				default:
+					idx.BatchDiff(ins, del)
+				}
+				if !slices.Equal(ins, call.ins) || !slices.Equal(del, call.del) {
+					t.Fatalf("%s wrote its input slices", call.label)
+				}
+			}
+			if got := idx.Size(); got != n+half {
+				t.Fatalf("size %d after the batches, want %d", got, n+half)
 			}
 		})
 	}

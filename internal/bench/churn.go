@@ -23,16 +23,17 @@ import (
 //
 //	locked   — the pre-PR-6 read path: queries take the Collection read
 //	           lock and wait out any in-flight BatchDiff;
-//	snapshot — the epoch-pinned path: queries pin the published
-//	           index/fwd/rev version and never wait behind a flush.
+//	snapshot — the epoch-pinned path: queries pin the published index
+//	           version and wait at most for a window's table step.
 //
 // The interesting column is rd-p99-us: under churn the locked reader's
-// tail is the flush duration, the snapshot reader's tail is a query.
-// mut-kops/s confirms the writer kept flushing at full rate in both
-// modes (what the wait-free tail costs the writer: the object table's
-// second apply and the index paths a window copies over the shared
-// SPaC-H tree, a whole second apply over a family that keeps two copies
-// — the table shows it).
+// tail is the flush duration, the snapshot reader's tail is a query or,
+// for the one that arrives right behind a publish, the table step of a
+// full-population window — the worst case for it, 25 times the window psid
+// can form. mut-kops/s confirms the writer kept flushing at full rate in
+// both modes (what the shorter tail costs the writer: the index paths a
+// window copies over the shared SPaC-H tree, a whole second index apply
+// over a family that keeps two copies — the table shows it).
 //
 // Quantiles are time-weighted (each sample weighted by its own duration)
 // to correct for coordinated omission: a reader blocked behind a flush

@@ -19,29 +19,30 @@
 //
 // Consistency: the geometric index, the forward table (ID → point), and
 // the reverse multimap (point → IDs) all advance together at the flush
-// boundary, as one versioned triple. The two tables are one dense slot
-// table (table.go): flat ID and point arrays found through open-addressed
-// slot indexes, a few dozen pointer-free bytes per object rather than two
-// Go maps. Queries (NearbyIDs, WithinIDs) run the geometric query and
-// resolve every hit through the reverse multimap of the same triple —
-// they can never observe an index point without its owner or vice versa.
-// How readers are kept off the flush writer is the version cell's job
-// (epoch.Cell): in the default locked mode the triple sits behind a
-// read/write lock; with Options.Snapshot set the cell keeps two triples,
-// so queries pin the published epoch and never wait on a flush
-// (ARCHITECTURE.md "Epochs & snapshot reads"). Two triples are two slot
-// tables but, over a copy-on-write index (core.Adopter: the SPaC family,
-// and a Sharded of it), one tree with two handles: a window is applied to
-// the index once and the displaced triple adopts the result. The pending tape and its
-// flushing are the window engine's (internal/window). Get is the
-// exception either way: it reads the caller's own pending tail
+// boundary. The two tables are one dense slot table (table.go): flat ID
+// and point arrays found through open-addressed slot indexes, a few dozen
+// pointer-free bytes per object rather than two Go maps. Queries
+// (NearbyIDs, WithinIDs) run the geometric query and resolve every hit
+// through the table as of the same window — they can never observe an
+// index point without its owner or vice versa. How readers are kept off
+// the flush writer is the version cell's job (epoch.Cell): in the default
+// locked mode index and table sit behind a read/write lock; with
+// Options.Snapshot set the index is versioned — two whole copies, or, over
+// a copy-on-write index (core.Adopter: the SPaC family, and a Sharded of
+// it), two handles on one tree — and queries pin the published version, so
+// a query never waits on the index apply. The table stays single: it is
+// written once per window, after the displaced version has drained, and a
+// query that pinned the new version before then waits for that step
+// (Collection.tab; ARCHITECTURE.md "Epochs & snapshot reads"). The
+// pending tape and its flushing are the window engine's (internal/window).
+// Get is the exception either way: it reads the caller's own pending tail
 // (read-your-writes), so Get(id) after Set(id, p) returns p even before
 // the flush makes p visible to geometric queries.
 //
 // Committed state has two more ways in, both writer-side and both beside
 // the tape rather than through it: CommitWindow applies a window that is
 // already netted (a replicated one) through the commit body Flush uses,
-// and Load replaces the whole triple by bulk construction (recovery, a
+// and Load replaces index and table by bulk construction (recovery, a
 // follower's bootstrap).
 //
 // Composition: the inner index may be a raw tree (Collection adds the
@@ -55,6 +56,7 @@ package collection
 import (
 	"fmt"
 	"iter"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,8 +71,8 @@ import (
 
 // Options tunes a Collection: the coalescing trigger (MaxBatch), the
 // background flusher (FlushInterval), snapshot reads (Snapshot — the
-// whole committed triple is then versioned, and NearbyIDs/WithinIDs/Get
-// pin the published one) and metrics (Obs). The zero value is usable.
+// index is then versioned, and NearbyIDs/WithinIDs/Get pin the published
+// version) and metrics (Obs). The zero value is usable.
 type Options = window.Options
 
 // Stats is a snapshot of a Collection's lifetime counters. It is
@@ -92,6 +94,9 @@ type Stats struct {
 	Epoch         uint64 // published snapshot epoch (0 in locked mode)
 	Versions      int    // live state versions: 2 in snapshot mode, 1 locked
 	RetireLag     uint64 // published epochs whose displaced version has not drained
+	// TableWaits counts snapshot reads that parked for their window's table
+	// step, TableWaitNs the time they spent parked. Zero in locked mode.
+	TableWaits, TableWaitNs uint64
 	// SharedIndex reports a snapshot-mode Collection over a copy-on-write
 	// index (core.Adopter): its two copies are handles on one structure.
 	// CowNodes and CowBytes are then what the handles have copied on first
@@ -132,8 +137,8 @@ type Collection[ID comparable] struct {
 	seq     uint64
 	overlay map[ID]tailOp
 
-	// cell owns the committed triples and how queries are kept off the
-	// flush writer; win is the netted window being committed, netAt and
+	// cell owns the committed index versions and how queries are kept off
+	// the flush writer; win is the netted window being committed, netAt and
 	// netOps the netting scratch behind a flushed one (all guarded by the
 	// flush lock). queryPool recycles per-query hit-resolution scratch
 	// across concurrent readers.
@@ -142,6 +147,18 @@ type Collection[ID comparable] struct {
 	netAt     map[ID]int
 	netOps    []wal.Op[ID]
 	queryPool sync.Pool
+
+	// tab is the committed slot table — one, in either read mode — and
+	// tabEpoch the published epoch it stands at (0 under locked reads, where
+	// the cell's lock covers it). A snapshot commit writes it once the
+	// displaced version has drained, then stores tabEpoch; a reader touches
+	// it only after loading tabEpoch equal to its pinned epoch, so Unpin →
+	// WaitDrained → write → store → load orders every write against every
+	// read. tabCond parks the readers that find it behind.
+	tab                 table[ID]
+	tabEpoch            atomic.Uint64
+	tabCond             *sync.Cond
+	tabWaits, tabWaitNs atomic.Uint64
 
 	// journal is the durability commit hook (SetJournal), called under
 	// the flush lock with every committed netted window before it is
@@ -176,10 +193,9 @@ type tailOp struct {
 	seq uint64
 }
 
-// collState is one committed triple: the geometric index and the slot
-// table that is both forward table and reverse multimap, always advanced
-// together. The cell holds one instance in locked mode and ping-pongs
-// between two in snapshot mode.
+// collState is one version of the committed index. The cell holds one
+// instance in locked mode and ping-pongs between two in snapshot mode; the
+// slot table is deliberately not in here (Collection.tab).
 type collState[ID comparable] struct {
 	idx core.Index
 	// costed is idx's cost-reporting query interface when it has one
@@ -187,16 +203,6 @@ type collState[ID comparable] struct {
 	// shards visited and candidates scanned, falling back to whole-index
 	// counts otherwise.
 	costed obs.CostedIndex
-	tab    table[ID]
-}
-
-func newCollState[ID comparable](idx core.Index) *collState[ID] {
-	costed, _ := idx.(obs.CostedIndex)
-	return &collState[ID]{
-		idx:    idx,
-		costed: costed,
-		tab:    newTable[ID](0),
-	}
 }
 
 // collWindow is one netted window on its way through the commit body.
@@ -218,9 +224,9 @@ type collWindow[ID comparable] struct {
 
 // resolved is one op's ID looked up in the committed table before its
 // window is applied: the slot it owns (0 when it is not live) and its
-// hash. The copies agree slot for slot, and a window holds an ID once (net
+// hash. Only commits write the table and a window holds an ID once (net
 // makes it so, CommitWindow refuses one that does not), so what planDiff
-// resolved holds for every copy's applyWindow.
+// resolved still holds when applyTable gets there.
 type resolved struct {
 	hash uint64
 	slot uint32
@@ -245,21 +251,44 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 		dims:    idx.Dims(),
 		overlay: make(map[ID]tailOp),
 		netAt:   make(map[ID]int),
+		tab:     newTable[ID](0),
+		tabCond: sync.NewCond(new(sync.Mutex)),
 	}
 	c.inner, c.shared = epoch.Copies("collection", idx, opts.Snapshot)
 	c.queryPool.New = func() any { return new(queryScratch) }
 	states := make([]*collState[ID], len(c.inner))
 	for i, inner := range c.inner {
-		states[i] = newCollState[ID](inner)
+		costed, _ := inner.(obs.CostedIndex)
+		states[i] = &collState[ID]{idx: inner, costed: costed}
 	}
-	c.cell.Init(c.applyWindow, states...)
 	layer := obs.Label{Key: "layer", Value: "collection"}
+	if len(c.inner) == 1 {
+		// Locked reads: the cell's write lock covers the table step too.
+		c.cell.Init(func(st *collState[ID], w *collWindow[ID]) {
+			c.applyIndex(st, w)
+			c.applyTable(w, false)
+		}, states...)
+	} else {
+		// Snapshot reads: the table step runs in the gap the drain opens,
+		// ahead of the index's catch-up so that parked readers leave first.
+		c.cell.Init(c.applyIndex, states...)
+		c.cell.CatchUp(func(behind, ahead *collState[ID], w *collWindow[ID]) {
+			c.tableStep(w)
+			if c.shared {
+				epoch.Adopted(behind.idx, ahead.idx)
+			} else {
+				c.applyIndex(behind, w)
+			}
+		})
+		opts.Obs.CounterFunc("psi_collection_table_wait_total",
+			"Snapshot reads that parked until their window's table step had finished.",
+			c.tabWaits.Load, layer)
+		opts.Obs.CounterFunc("psi_collection_table_wait_ns_total",
+			"Nanoseconds snapshot reads spent parked for a table step.",
+			c.tabWaitNs.Load, layer)
+	}
 	c.cell.Register(opts.Obs, layer)
 	if c.shared {
-		c.cell.CatchUp(func(behind, ahead *collState[ID], w *collWindow[ID]) {
-			epoch.Adopted(behind.idx, ahead.idx)
-			c.applyTable(behind, w)
-		})
 		opts.Obs.CounterFunc("psi_index_cow_nodes_total",
 			"Index nodes copied on first touch because the snapshot copies share them.",
 			func() uint64 { nodes, _ := c.copied(); return nodes }, layer)
@@ -326,13 +355,8 @@ func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error)
 // iterator past its return. Pending (unflushed, unjournaled) ops are
 // deliberately excluded.
 func (c *Collection[ID]) Checkpoint(fn func(objects int, entries iter.Seq2[ID, geom.Point])) {
-	c.eng.Exclusive(func() {
-		// The flush lock already excludes every writer of the table;
-		// acquiring is just the uniform way to reach the published triple.
-		v := c.cell.Acquire()
-		defer c.cell.Release(v)
-		fn(v.Data.tab.live, v.Data.tab.all())
-	})
+	// The flush lock excludes every writer of the table.
+	c.eng.Exclusive(func() { fn(c.tab.live, c.tab.all()) })
 }
 
 // Name labels the Collection after its inner index.
@@ -375,7 +399,7 @@ func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
 		return tail.p, true
 	}
 	v := c.cell.Acquire()
-	p, live := v.Data.tab.get(id)
+	p, live := c.tableAt(v).get(id)
 	c.cell.Release(v)
 	return p, live
 }
@@ -386,7 +410,7 @@ func (c *Collection[ID]) Len() int {
 	c.Flush()
 	v := c.cell.Acquire()
 	defer c.cell.Release(v)
-	return v.Data.tab.live
+	return c.tableAt(v).live
 }
 
 // Epoch returns the snapshot epoch of the currently published version —
@@ -485,7 +509,7 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 	// under the always-fsync policy a caller's Flush returns — and the
 	// service acknowledges — only after the window is on disk. A hook
 	// failure is counted and reported, not fatal here: the in-memory
-	// commit proceeds so the triple stays consistent, and the layer above
+	// commit proceeds so index and table stay consistent, and the layer above
 	// decides whether to keep acknowledging or applying (it does not; see
 	// internal/service).
 	if c.journal != nil {
@@ -494,14 +518,11 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 		}
 		clk = sp.Stamp(obs.StageLog, clk)
 	}
-	// Plan against the copy the cell writes first — its table equals the
-	// published one, and only commits write it. Planning counts toward
-	// the net stage.
-	st := c.cell.Writable()
-	nIns, nMove, nDel := c.planDiff(w, st)
+	// Planning counts toward the net stage.
+	nIns, nMove, nDel := c.planDiff(w)
 	clk = sp.Stamp(obs.StageNet, clk)
 	clk = c.cell.Commit(w, sp, clk)
-	c.noteSlots(&st.tab)
+	c.noteSlots()
 	// Purge the overlay only now that every reader sees the window: a Get
 	// that misses the overlay then reads a committed state that already
 	// includes every purged op. Doing it last also leaves the overlay's
@@ -518,23 +539,23 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 
 // Load replaces the whole committed state with entries — n of them, a
 // later entry for an ID winning over an earlier one — by bulk
-// construction: the table is filled once and cloned into the other copy
-// (entries is ranged exactly once, so a single-use iterator is fine, and
-// the copies come out slot-identical whatever order it yields), and the
-// index is rebuilt with Index.Build (a Sharded rebalances its regions to
-// the loaded data) — once when the copies share it, the other adopting
-// the result, else once per copy. Pending ops, and what Get remembered of
-// them, are discarded; nothing is journaled — the caller loads what is
-// already durable (recovery) or makes it so itself (a follower's
-// bootstrap snapshot). In snapshot mode readers keep the old state until
-// the new one is published whole.
+// construction: a fresh table is filled (entries is ranged exactly once, so
+// a single-use iterator is fine) and takes the old one's place at the point
+// of the rebuild where a window's table step runs, and the index is rebuilt
+// with Index.Build (a Sharded rebalances its regions to the loaded data) —
+// once when the copies share it, the other adopting the result, else once
+// per copy. Pending ops, and what Get remembered of them, are discarded;
+// nothing is journaled — the caller loads what is already durable
+// (recovery) or makes it so itself (a follower's bootstrap snapshot). In
+// snapshot mode readers keep the old state until the new one is published
+// whole.
 func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	c.eng.Exclusive(func() {
 		c.eng.Lock()
 		c.eng.Discard()
 		clear(c.overlay)
 		c.eng.Unlock()
-		was := c.cell.Writable().tab.live
+		was := c.tab.live
 		tab := newTable[ID](n)
 		for id, p := range entries {
 			if slot, hash := tab.lookup(id); slot != 0 {
@@ -543,39 +564,81 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 				tab.insert(id, hash, p)
 			}
 		}
-		pts := make([]geom.Point, 0, tab.live) // one point per live ID
-		for _, p := range tab.all() {
-			pts = append(pts, p)
-		}
+		// Nothing above frees a slot, so the live points are the slot array
+		// itself; Build neither writes nor retains it (core.Index).
+		pts := tab.pos[1:]
 		c.cell.Rebuild(func(st *collState[ID]) {
-			st.tab = tab
+			if len(c.inner) == 1 { // locked reads: the write lock is held
+				c.tab = tab
+			}
 			st.idx.Build(pts)
 		}, func(behind, ahead *collState[ID]) {
-			behind.tab = tab.clone()
+			c.tab = tab
+			c.tableDone()
 			if c.shared {
 				epoch.Adopted(behind.idx, ahead.idx)
 			} else {
 				behind.idx.Build(pts)
 			}
 		})
-		c.noteSlots(&tab)
+		c.noteSlots()
 		c.inserted.Add(uint64(len(pts)))
 		c.removed.Add(uint64(was))
 	})
 }
 
-// noteSlots publishes t's slot counts to the gauges; t is the committed
-// table and the flush lock is held.
-func (c *Collection[ID]) noteSlots(t *table[ID]) {
-	c.slots.Store(int64(t.slots()))
-	c.freeSlots.Store(int64(t.slots() - t.live))
+// tableStep is a snapshot commit's table step. Readers may be parked on it,
+// so a window that touches over a quarter of the slots takes the wholesale
+// path, and the writer, with as much work again ahead that no reader needs
+// (catch-up, overlay purge), yields to those it woke: on a busy machine
+// they would otherwise sit in its run queue for that long.
+func (c *Collection[ID]) tableStep(w *collWindow[ID]) {
+	large := 4*len(w.ops) > c.tab.slots()
+	c.applyTable(w, large)
+	c.tableDone()
+	if large {
+		runtime.Gosched()
+	}
 }
 
-// planDiff resolves every op of the netted window against st's table
+// tableDone ends a table step: the table now stands at the epoch just
+// published, and the readers parked for it go on.
+func (c *Collection[ID]) tableDone() {
+	c.tabCond.L.Lock()
+	c.tabEpoch.Store(c.cell.Epoch())
+	c.tabCond.L.Unlock()
+	c.tabCond.Broadcast()
+}
+
+// tableAt returns the table for a reader holding v. Only one that pinned v
+// before v's table step had finished finds the epochs apart, and parks until
+// they meet; the step cannot pass it by, as the next one waits for v to drain.
+func (c *Collection[ID]) tableAt(v *epoch.Version[*collState[ID]]) *table[ID] {
+	if e := v.Epoch(); c.tabEpoch.Load() != e {
+		start := time.Now()
+		c.tabWaits.Add(1)
+		c.tabCond.L.Lock()
+		for c.tabEpoch.Load() != e {
+			c.tabCond.Wait()
+		}
+		c.tabCond.L.Unlock()
+		c.tabWaitNs.Add(uint64(time.Since(start)))
+	}
+	return &c.tab
+}
+
+// noteSlots publishes the table's slot counts to the gauges; the flush
+// lock is held.
+func (c *Collection[ID]) noteSlots() {
+	c.slots.Store(int64(c.tab.slots()))
+	c.freeSlots.Store(int64(c.tab.slots() - c.tab.live))
+}
+
+// planDiff resolves every op of the netted window against the table
 // (callers hold the flush lock; only flushes write it, so no reader lock
 // is needed) and turns the window into its (ins, del) index batches.
-func (c *Collection[ID]) planDiff(w *collWindow[ID], st *collState[ID]) (nIns, nMove, nDel uint64) {
-	t := &st.tab
+func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) {
+	t := &c.tab
 	at, ins, del := w.at[:0], w.ins[:0], w.del[:0]
 	for i := range w.ops {
 		o := &w.ops[i]
@@ -603,23 +666,22 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID], st *collState[ID]) (nIns, n
 	return nIns, nMove, nDel
 }
 
-// applyWindow is the cell's apply step: it advances one triple by one
-// planned window — the index batch (flushing any inner deferring layer
-// inside the commit so the triple never disagrees at a read boundary)
-// and then the table.
-func (c *Collection[ID]) applyWindow(st *collState[ID], w *collWindow[ID]) {
+// applyIndex advances one index version by one planned window, flushing
+// any inner deferring layer inside the commit so that index and table never
+// disagree at a read boundary.
+func (c *Collection[ID]) applyIndex(st *collState[ID], w *collWindow[ID]) {
 	st.idx.BatchDiff(w.ins, w.del)
 	if f, ok := st.idx.(interface{ Flush() int }); ok {
 		f.Flush()
 	}
-	c.applyTable(st, w)
 }
 
-// applyTable runs every netted op of a planned window through one copy's
-// table, by the slots planDiff resolved. The plan is valid for every copy
-// because the copies agree between commits.
-func (c *Collection[ID]) applyTable(st *collState[ID], w *collWindow[ID]) {
-	t := &st.tab
+// applyTable runs every netted op of a planned window through the table,
+// by the slots planDiff resolved; wholesale, the ops leave the point index
+// alone and one relink rebuilds it at the end.
+func (c *Collection[ID]) applyTable(w *collWindow[ID], wholesale bool) {
+	t := &c.tab
+	t.unlinked = wholesale
 	for i := range w.ops {
 		o, at := &w.ops[i], w.at[i]
 		switch {
@@ -632,6 +694,9 @@ func (c *Collection[ID]) applyTable(st *collState[ID], w *collWindow[ID]) {
 		default:
 			t.move(at.slot, o.P)
 		}
+	}
+	if t.unlinked {
+		t.relink()
 	}
 }
 
@@ -705,10 +770,10 @@ func (c *Collection[ID]) WithinIDsAppendCost(box geom.Box, dst []Entry[ID], cost
 }
 
 // query is the shared body of the geometric queries: run the index query
-// against the acquired triple — pinned in snapshot mode (wait-free
+// against the acquired version — pinned in snapshot mode (wait-free
 // against flushes), read-locked otherwise — into pooled scratch, and
-// resolve the hits through the same triple. The Release is deferred so a
-// panicking inner index never wedges the flush writer.
+// resolve the hits through the table as of the same epoch. The Release is
+// deferred so a panicking inner index never wedges the flush writer.
 func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(st *collState[ID], pts []geom.Point) []geom.Point) []Entry[ID] {
 	sc := c.queryPool.Get().(*queryScratch)
 	defer c.queryPool.Put(sc)
@@ -723,18 +788,17 @@ func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(st
 			cost.Candidates += len(sc.pts)
 		}
 	}
-	return c.resolveAppend(st, sc, dst)
+	return resolveAppend(c.tableAt(v), sc, dst)
 }
 
-// resolveAppend maps the scratch's hit multiset to entries through st's
-// reverse multimap, appending to dst (callers hold st's version
-// acquired). A point stored once per object at it means hits and owner
+// resolveAppend maps the scratch's hit multiset to entries through t's
+// reverse multimap, appending to dst (t is from tableAt, its version
+// still held). A point stored once per object at it means hits and owner
 // chains have equal multiplicity; for the rare points owned by several
 // objects, a cursor walks the chain so duplicate hits resolve to distinct
 // objects. Single-owner points — the common case — never touch the
 // cursor map.
-func (c *Collection[ID]) resolveAppend(st *collState[ID], sc *queryScratch, dst []Entry[ID]) []Entry[ID] {
-	t := &st.tab
+func resolveAppend[ID comparable](t *table[ID], sc *queryScratch, dst []Entry[ID]) []Entry[ID] {
 	cursorUsed := false
 	for _, p := range sc.pts {
 		s := t.head(p)
@@ -785,6 +849,8 @@ func (c *Collection[ID]) Stats() Stats {
 		Epoch:         c.cell.Epoch(),
 		Versions:      c.cell.Versions(),
 		RetireLag:     c.cell.RetireLag(),
+		TableWaits:    c.tabWaits.Load(),
+		TableWaitNs:   c.tabWaitNs.Load(),
 	}
 	st.Objects = int(st.Inserted) - int(st.Removed)
 	st.SharedIndex = c.shared
@@ -805,28 +871,28 @@ func (c *Collection[ID]) copied() (nodes, bytes uint64) {
 	return nodes, bytes
 }
 
-// Validate flushes, then checks the transactional-consistency invariant
-// between the committed structures: the index holds exactly one point per
-// live object, the table's forward and reverse sides are exact inverses,
-// and index copies that share their structure still do — no second whole
-// tree has come into being. Tests and the fuzz harness call it after every
-// tape.
-func (c *Collection[ID]) Validate() error {
+// Validate flushes, then checks, under the flush lock, the
+// transactional-consistency invariant between the committed structures:
+// the table stands at the published epoch, the index holds exactly one
+// point per live object, the table's forward and reverse sides are exact
+// inverses, and index copies that share their structure still do — no
+// second whole tree has come into being. Tests and the fuzz harness call it
+// after every tape.
+func (c *Collection[ID]) Validate() (err error) {
 	c.Flush()
-	if c.shared {
-		// Under the flush lock, so that no window is between its apply and
-		// its catch-up.
-		sharing := false
-		c.eng.Exclusive(func() { sharing = c.inner[0].(core.Adopter).Shares(c.inner[1]) })
-		if !sharing {
-			return fmt.Errorf("collection: the index copies no longer share one structure")
+	c.eng.Exclusive(func() {
+		v := c.cell.Acquire()
+		defer c.cell.Release(v)
+		switch got, want := v.Data.idx.Size(), c.tab.live; {
+		case c.tabEpoch.Load() != c.cell.Epoch():
+			err = fmt.Errorf("collection: table at epoch %d, epoch %d published", c.tabEpoch.Load(), c.cell.Epoch())
+		case c.shared && !c.inner[0].(core.Adopter).Shares(c.inner[1]):
+			err = fmt.Errorf("collection: the index copies no longer share one structure")
+		case got != want:
+			err = fmt.Errorf("collection: index stores %d points, %d live objects", got, want)
+		default:
+			err = c.tab.validate()
 		}
-	}
-	v := c.cell.Acquire()
-	defer c.cell.Release(v)
-	st := v.Data
-	if got, want := st.idx.Size(), st.tab.live; got != want {
-		return fmt.Errorf("collection: index stores %d points, %d live objects", got, want)
-	}
-	return st.tab.validate()
+	})
+	return err
 }

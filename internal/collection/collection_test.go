@@ -174,8 +174,7 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 			c.Flush()
 			resolved(c, "a", "b", "c", "d")
 			var chain []string
-			c.eachTable(func(tab *table[string]) {
-				chain = chain[:0]
+			c.withTable(func(tab *table[string]) {
 				for s := tab.head(p); s != 0; s = tab.next[s] {
 					chain = append(chain, tab.name[s])
 				}
@@ -192,7 +191,7 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 			c.Set(rest[1], geom.Pt2(200, 200))
 			c.Flush()
 			resolved(c, rest[0], rest[2])
-			if err := c.validateTwins(); err != nil {
+			if err := c.Validate(); err != nil {
 				t.Fatal(err)
 			}
 			c.Close()

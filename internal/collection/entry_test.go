@@ -156,9 +156,6 @@ func TestCommitWindowRefusesRepeatedID(t *testing.T) {
 				if err := c.Validate(); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.validateTwins(); err != nil {
-					t.Fatal(err)
-				}
 			})
 		}
 	}
@@ -212,44 +209,11 @@ func TestCommitWindowZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// buildCount wraps an index and counts its Builds. Like any wrapper it
-// forwards core.Index alone, so copies of it never share.
-type buildCount struct {
-	core.Index
-	builds atomic.Int32
-}
-
-func (b *buildCount) Build(pts []geom.Point) {
-	b.builds.Add(1)
-	b.Index.Build(pts)
-}
-
-// adoptingBuildCount is buildCount over a copy-on-write index, whose
-// capability it passes through.
-type adoptingBuildCount struct{ buildCount }
-
-func (b *adoptingBuildCount) Adopt(src core.Index) bool {
-	o, ok := src.(*adoptingBuildCount)
-	return ok && b.Index.(core.Adopter).Adopt(o.Index)
-}
-
-func (b *adoptingBuildCount) Shares(o core.Index) bool {
-	ob, ok := o.(*adoptingBuildCount)
-	return ok && b.Index.(core.Adopter).Shares(ob.Index)
-}
-
-func (b *adoptingBuildCount) Copied() (nodes, bytes uint64) {
-	return b.Index.(core.Adopter).Copied()
-}
-
-// countBuilds wraps idx in the counter that shows as much of it as idx has.
+// countBuilds wraps idx in a gate (snapshot_test.go) that is never held,
+// for its Build counter.
 func countBuilds(idx core.Index) (core.Index, *atomic.Int32) {
-	if _, ok := idx.(core.Adopter); ok {
-		b := &adoptingBuildCount{buildCount{Index: idx}}
-		return b, &b.builds
-	}
-	b := &buildCount{Index: idx}
-	return b, &b.builds
+	wrapped, g := newGate(idx, new(gates))
+	return wrapped, &g.builds
 }
 
 // TestLoadEqualsSetAllFlush: Load leaves a Collection answering every
@@ -390,7 +354,7 @@ func TestLoadRangesEntriesOnce(t *testing.T) {
 	if ranged != 1 {
 		t.Fatalf("Load ranged its entries %d times, want once", ranged)
 	}
-	if err := c.validateTwins(); err != nil {
+	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	verifyAgainstOracle(t, c, want, n+1)
@@ -403,7 +367,7 @@ func TestLoadRangesEntriesOnce(t *testing.T) {
 		c.Remove(n - 1 - w)
 		delete(want, n-1-w)
 		c.Flush()
-		if err := c.validateTwins(); err != nil {
+		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
 	}

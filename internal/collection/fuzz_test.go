@@ -109,11 +109,11 @@ func runCollectionTape(t *testing.T, data []byte) {
 	}
 	var winSeq uint64
 	// verify is the tape's checkpoint: every read against the oracle, and
-	// the snapshot twins against each other.
+	// the committed structures against each other.
 	verify := func() {
 		t.Helper()
 		verifyAgainstOracle(t, c, oracle, fuzzIDs)
-		if err := c.validateTwins(); err != nil {
+		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -14,10 +15,10 @@ import (
 	"repro/internal/spactree"
 )
 
-// Snapshot mode over a copy-on-write index: the two committed triples are
-// two slot tables and two handles on one tree. These tests pin what that
-// is for (memory), what it must not change (a pinned reader's answers) and
-// how it can be observed (Shares, the copy counts in Stats).
+// Snapshot mode over a copy-on-write index: the two committed versions are
+// two handles on one tree, beside the one slot table. These tests pin what
+// that is for (memory), what it must not change (a pinned reader's answers)
+// and how it can be observed (Shares, the copy counts in Stats).
 
 // shardedSPaCH is the serving stack's index; with hidden set the shards'
 // trees are wrapped by core.WithReplica, which forwards core.Index only,
@@ -44,14 +45,18 @@ func heapAfterGC() uint64 {
 	return m.HeapAlloc
 }
 
-// churned loads n objects into a snapshot-mode Collection over mk's index,
-// moves a random 4096 of them in each of 20 windows, and returns the
+// churned loads n objects into a Collection over mk's index, in either read
+// mode, moves a random 4096 of them in each of 20 windows, and returns the
 // Collection with the heap it holds, in bytes per object.
-func churned(t *testing.T, mk func() core.Index, n int) (*Collection[int], float64) {
+func churned(t *testing.T, mk func() core.Index, n int, snapshot bool) (*Collection[int], float64) {
 	t.Helper()
 	before := heapAfterGC()
 	rng := rand.New(rand.NewSource(41))
-	c := New[int](mk(), Options{MaxBatch: 4096, Snapshot: mk})
+	opts := Options{MaxBatch: 4096}
+	if snapshot {
+		opts.Snapshot = mk
+	}
+	c := New[int](mk(), opts)
 	for i := 0; i < n; i++ {
 		c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
 	}
@@ -68,33 +73,87 @@ func churned(t *testing.T, mk func() core.Index, n int) (*Collection[int], float
 	return c, float64(heapAfterGC()-before) / float64(n)
 }
 
-// TestSharedIndexBytesPerObject is the memory guard of the shared index:
-// the serving stack after a load and twenty 4096-move windows holds at
-// most 0.8× the heap per object of the same stack forced to keep two
-// whole trees.
+// TestSharedIndexBytesPerObject is the memory guard of snapshot reads over
+// the serving stack: after a load and twenty 4096-move windows it holds at
+// most 30 B per object more than the same stack built with locked reads —
+// room for the second handle's first-touch copies, not for a second slot
+// table (57–76 B per object) and far from a second tree.
 func TestSharedIndexBytesPerObject(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
 	}
 	const n = 100_000
-	shared, sharedB := churned(t, shardedSPaCH(false), n)
-	if !shared.shared {
+	snap, snapB := churned(t, shardedSPaCH(false), n, true)
+	if !snap.shared {
 		t.Fatal("a Collection over Sharded(SPaC-H) did not share its index")
 	}
-	if err := shared.Validate(); err != nil {
+	if err := snap.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	shared.Close()
-	shared = nil
-	twice, twiceB := churned(t, shardedSPaCH(true), n)
-	if twice.shared {
-		t.Fatal("core.WithReplica did not hide the capability")
+	snap.Close()
+	snap = nil
+	locked, lockedB := churned(t, shardedSPaCH(false), n, false)
+	locked.Close()
+	t.Logf("%.0f B per object under snapshot reads, %.0f B under locked reads", snapB, lockedB)
+	if snapB > lockedB+30 {
+		t.Fatalf("snapshot reads cost %.0f B per object over locked reads' %.0f B, want at most 30 more", snapB-lockedB, lockedB)
 	}
-	twice.Close()
-	t.Logf("%.0f B per object with one tree under both copies, %.0f B with a tree per copy (%.2f×)",
-		sharedB, twiceB, sharedB/twiceB)
-	if sharedB > 0.8*twiceB {
-		t.Fatalf("sharing the index saves too little: %.0f B per object against %.0f B", sharedB, twiceB)
+}
+
+// TestOneTablePerCollection: the slot table is not part of the versioned
+// state — collState has no table, the Collection has one — in either read
+// mode and whether the index copies share or not, while snapshot mode still
+// keeps two versions; and a window reaches that table exactly once: n first
+// Sets hand out n slots (a second pass over the window would hand out n
+// more, none would leave the table empty).
+func TestOneTablePerCollection(t *testing.T) {
+	tables := func(of reflect.Type) (n int) {
+		for i := 0; i < of.NumField(); i++ {
+			if of.Field(i).Type == reflect.TypeFor[table[int]]() {
+				n++
+			}
+		}
+		return n
+	}
+	if got := tables(reflect.TypeFor[collState[int]]()); got != 0 {
+		t.Fatalf("collState holds %d tables, want none: the table is not versioned", got)
+	}
+	if got := tables(reflect.TypeFor[Collection[int]]()); got != 1 {
+		t.Fatalf("Collection holds %d tables, want one", got)
+	}
+	const n = 300
+	for name, tc := range map[string]struct {
+		mk       func() core.Index
+		versions int
+	}{
+		"locked":                   {newSPaCH, 1},
+		"snapshot, adopting":       {shardedSPaCH(false), 2},
+		"snapshot, re-applying":    {newPOrth, 2},
+		"snapshot, sharing hidden": {shardedSPaCH(true), 2},
+	} {
+		opts := Options{MaxBatch: 1 << 20}
+		if tc.versions == 2 {
+			opts.Snapshot = tc.mk
+		}
+		c := New[int](tc.mk(), opts)
+		for w := 0; w < 3; w++ { // each copy is written first at least once
+			for i := 0; i < n; i++ {
+				c.Set(w*n+i, geom.Pt2(int64(i)*50+7, int64(w)))
+			}
+			c.Flush()
+			c.withTable(func(tab *table[int]) {
+				if want := (w + 1) * n; tab.slots() != want || tab.live != want {
+					t.Fatalf("%s: %d slots, %d live after %d first Sets", name, tab.slots(), tab.live, want)
+				}
+			})
+		}
+		if st := c.Stats(); st.Versions != tc.versions {
+			t.Fatalf("%s: Stats.Versions = %d, want %d", name, st.Versions, tc.versions)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c.Close()
 	}
 }
 

@@ -1,21 +1,27 @@
 package collection
 
 import (
+	"iter"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/orthtree"
 )
 
 // The snapshot-read (epoch-pinned) variant of the Collection test suite:
 // the same behavioural contract as locked mode, plus the properties the
-// mode exists for — readers never wait behind a flush, reads are never
-// torn across the index/fwd/rev triple, and the epoch counters in Stats
-// track the flush history.
+// mode exists for — readers never wait behind the index apply and at most
+// for a window's table step, reads are never torn across index and table,
+// and the epoch counters in Stats track the flush history.
 
 // TestSnapshotOracleAgreementAcrossStacks re-runs the sequential
 // differential tape with Options.Snapshot enabled over every documented
@@ -68,36 +74,88 @@ func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 	}
 }
 
-// gate blocks BatchDiff on an index until released, so tests can hold a
-// flush open mid-apply and probe what readers can still do.
-type gate struct {
-	core.Index
-	armed   chan struct{} // closed by the test to arm blocking
-	entered chan struct{} // signalled when a BatchDiff is held at the gate
-	release chan struct{} // closed by the test to let the apply proceed
+// gates is the control the gate decorators of one Collection's index
+// copies share: it holds the at-th BatchDiff or Adopt made on either copy
+// after hold(at) until release is closed, so a test can stop a commit at a
+// chosen step — 1 is the apply to the standby, before the publish; 2 is the
+// displaced copy's catch-up, after the table step — and probe what readers
+// can do meanwhile.
+type gates struct {
+	at, calls atomic.Int32
+	entered   chan struct{} // closed when the chosen call is held
+	release   chan struct{} // closed by the test to let it proceed
 }
 
-func newGate(inner core.Index) *gate {
-	return &gate{
-		Index:   inner,
-		armed:   make(chan struct{}),
-		entered: make(chan struct{}, 1),
-		release: make(chan struct{}),
+func (g *gates) hold(at int32) {
+	g.entered, g.release = make(chan struct{}), make(chan struct{})
+	g.calls.Store(0)
+	g.at.Store(at)
+}
+
+func (g *gates) pass() {
+	if at := g.at.Load(); at != 0 && g.calls.Add(1) == at {
+		close(g.entered)
+		<-g.release
 	}
+}
+
+// gate also counts the Builds of its index. Like any wrapper it forwards
+// core.Index alone, so copies behind it never share — unless it is an
+// adoptingGate.
+type gate struct {
+	core.Index
+	ctl    *gates
+	builds atomic.Int32
 }
 
 func (g *gate) BatchDiff(ins, del []geom.Point) {
-	select {
-	case <-g.armed:
-		select {
-		case g.entered <- struct{}{}:
-		default:
-		}
-		<-g.release
-	default:
-	}
+	g.ctl.pass()
 	g.Index.BatchDiff(ins, del)
 }
+
+func (g *gate) Build(pts []geom.Point) {
+	g.builds.Add(1)
+	g.Index.Build(pts)
+}
+
+// adoptingGate is gate over a copy-on-write index, whose capability it
+// passes through.
+type adoptingGate struct{ gate }
+
+func (g *adoptingGate) Adopt(src core.Index) bool {
+	g.ctl.pass()
+	o, ok := src.(*adoptingGate)
+	return ok && g.Index.(core.Adopter).Adopt(o.Index)
+}
+
+func (g *adoptingGate) Shares(o core.Index) bool {
+	og, ok := o.(*adoptingGate)
+	return ok && g.Index.(core.Adopter).Shares(og.Index)
+}
+
+func (g *adoptingGate) Copied() (nodes, bytes uint64) { return g.Index.(core.Adopter).Copied() }
+
+// newGate puts idx behind a gate under ctl that shows as much of idx as
+// idx has, and returns the gate with it.
+func newGate(idx core.Index, ctl *gates) (core.Index, *gate) {
+	g := &adoptingGate{gate{Index: idx, ctl: ctl}}
+	if _, ok := idx.(core.Adopter); ok {
+		return g, &g.gate
+	}
+	return &g.gate, &g.gate
+}
+
+// gated returns mk with every index it makes behind a gate, and the gates'
+// shared control.
+func gated(mk func() core.Index) (func() core.Index, *gates) {
+	ctl := new(gates)
+	return func() core.Index {
+		idx, _ := newGate(mk(), ctl)
+		return idx
+	}, ctl
+}
+
+func newPOrth() core.Index { return orthtree.NewDefault(2, universe()) }
 
 // TestSnapshotReadDuringFlushDoesNotStall is the stall regression the
 // tentpole exists to prevent: with a flush held open inside the index
@@ -106,27 +164,21 @@ func (g *gate) BatchDiff(ins, del []geom.Point) {
 // would deadlock — queries wait out the writer lock held across the
 // apply — which is why the locked branch of this test does not exist.)
 func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
-	g := newGate(core.NewBruteForce(2))
-	c := New[int](g, Options{
-		MaxBatch: 1 << 20,
-		Snapshot: func() core.Index { return newGate(core.NewBruteForce(2)) },
-	})
+	mk, ctl := gated(func() core.Index { return core.NewBruteForce(2) })
+	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
 	defer c.Close()
 	p0 := geom.Pt2(10, 10)
 	c.Set(1, p0)
 	c.Flush()
 
-	close(g.armed) // next BatchDiff on the published-then-standby twin blocks
+	ctl.hold(1) // the next window blocks in its first apply, before it can publish
 	flushed := make(chan struct{})
 	go func() {
 		c.Set(2, geom.Pt2(20, 20))
 		c.Flush()
 		close(flushed)
 	}()
-	// After the preload flush the twin built from idx (the gated g) is the
-	// standby, so the second flush blocks inside g's BatchDiff — before
-	// it can publish. Wait until it is held at the gate.
-	<-g.entered
+	<-ctl.entered
 
 	done := make(chan struct{})
 	go func() {
@@ -140,8 +192,8 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 		if got := c.NearbyIDs(p0, 1); len(got) != 1 || got[0].ID != 1 {
 			t.Errorf("NearbyIDs during flush = %v, want id 1", got)
 		}
-		if st := c.Stats(); st.Epoch != 1 || st.Objects != 1 {
-			t.Errorf("Stats during flush = %+v, want the published epoch 1 with 1 object", st)
+		if st := c.Stats(); st.Epoch != 1 || st.Objects != 1 || st.TableWaits != 0 {
+			t.Errorf("Stats during flush = %+v, want the published epoch 1 with 1 object and no reader parked", st)
 		}
 	}()
 	select {
@@ -149,7 +201,7 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("reads stalled behind the held-open flush")
 	}
-	close(g.release)
+	close(ctl.release)
 	select {
 	case <-flushed:
 	case <-time.After(10 * time.Second):
@@ -160,27 +212,258 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 	}
 }
 
+// scanAt is WithinIDs(universe) for a reader that already holds v, sorted
+// by ID.
+func scanAt(c *Collection[int], v *epoch.Version[*collState[int]]) []Entry[int] {
+	sc := &queryScratch{pts: v.Data.idx.RangeList(universe(), nil)}
+	return byID(resolveAppend(c.tableAt(v), sc, nil))
+}
+
+// waitFor yields until cond holds; what names the event for the failure.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never came", what)
+		}
+	}
+}
+
+func byID(es []Entry[int]) []Entry[int] {
+	slices.SortFunc(es, func(a, b Entry[int]) int { return a.ID - b.ID })
+	return es
+}
+
+// TestTableStepRunsInTheDrainGap walks one commit through the gap between
+// its publish and the end of its table step, over a family that adopts and
+// one that re-applies. The window moves the even objects and hands the odd
+// ones' points to new IDs, so the old and the new table answer differently
+// even where the index does not. A reader pinned before the publish keeps
+// the pre-window answer and keeps the table step from starting; readers
+// that pin after the publish park — counted — and return the post-window
+// answer, whole, as soon as the step is done, which is before the displaced
+// copy has caught up.
+func TestTableStepRunsInTheDrainGap(t *testing.T) {
+	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, re-applying": newPOrth} {
+		t.Run(name, func(t *testing.T) { tableStepInTheGap(t, mk) })
+	}
+}
+
+func tableStepInTheGap(t *testing.T, inner func() core.Index) {
+	const n, bystander = 16, 1000
+	mk, ctl := gated(inner)
+	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	defer c.Close()
+	at := func(i int) geom.Point { return geom.Pt2(int64(i)*100+1, int64(i)*7+1) }
+	moved := func(i int) geom.Point { return geom.Pt2(int64(i)*100+50, 9999) }
+	old := []Entry[int]{{bystander, geom.Pt2(5, 5)}}
+	fresh := slices.Clone(old)
+	for i := 0; i < n; i++ {
+		old = append(old, Entry[int]{i, at(i)})
+		if i%2 == 0 {
+			fresh = append(fresh, Entry[int]{i, moved(i)})
+		} else {
+			fresh = append(fresh, Entry[int]{n + i, at(i)})
+		}
+	}
+	byID(old)
+	byID(fresh)
+	for _, e := range old {
+		c.Set(e.ID, e.Point)
+	}
+	c.Flush()
+
+	pinned := c.cell.Acquire()
+	ctl.hold(2)
+	// Deferred as well, so that a failure on the way does not leave the
+	// commit, and with it Close, waiting.
+	unpin := sync.OnceFunc(func() { c.cell.Release(pinned) })
+	unhold := sync.OnceFunc(func() { close(ctl.release) })
+	defer unhold()
+	defer unpin()
+	if got := scanAt(c, pinned); !slices.Equal(got, old) {
+		t.Fatalf("before the window: %v, want %v", got, old)
+	}
+	committed := make(chan struct{})
+	go func() {
+		defer close(committed)
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				c.Set(i, moved(i))
+			} else {
+				c.Remove(i)
+				c.Set(n+i, at(i))
+			}
+		}
+		c.Flush()
+	}()
+	waitFor(t, "the publish", func() bool { return c.Epoch() != pinned.Epoch() })
+	// The window is published and its writer waits for the pinned reader:
+	// the table is still the reader's.
+	if got := scanAt(c, pinned); !slices.Equal(got, old) || c.tabEpoch.Load() != pinned.Epoch() {
+		t.Fatalf("pinned reader after the publish: %v with the table at epoch %d; want %v at epoch %d",
+			got, c.tabEpoch.Load(), old, pinned.Epoch())
+	}
+
+	// Two late readers, one per way into the table. The bystander is in no
+	// window, so its Get is not answered from the pending overlay.
+	var scan []Entry[int]
+	scanned, got := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scanned)
+		scan = byID(c.WithinIDs(universe()))
+	}()
+	go func() {
+		defer close(got)
+		if p, ok := c.Get(bystander); !ok || p != old[len(old)-1].Point {
+			t.Errorf("Get(bystander) = (%v, %t), want %v", p, ok, old[len(old)-1].Point)
+		}
+	}()
+	// Both pin the new version and find the table behind.
+	waitFor(t, "two parked readers", func() bool { return c.Stats().TableWaits == 2 })
+	select {
+	case <-scanned:
+		t.Fatal("a reader of the new version resolved against the table before its step")
+	case <-got:
+		t.Fatal("a Get on the new version read the table before its step")
+	case <-committed:
+		t.Fatal("the commit finished while a reader still held the displaced version")
+	default:
+	}
+	if got := scanAt(c, pinned); !slices.Equal(got, old) || c.Stats().RetireLag != 1 {
+		t.Fatalf("pinned reader beside two parked ones: %v (retire lag %d), want %v (1)", got, c.Stats().RetireLag, old)
+	}
+
+	unpin()
+	<-scanned
+	<-got
+	if !slices.Equal(scan, fresh) {
+		t.Fatalf("reader that pinned after the publish: %v, want the whole post-window answer %v", scan, fresh)
+	}
+	// The parked readers are back while the displaced copy's catch-up is
+	// still held: they waited for the table step, not for the replay stage.
+	<-ctl.entered
+	select {
+	case <-committed:
+		t.Fatal("the commit finished with its catch-up held")
+	default:
+	}
+	if c.tabEpoch.Load() != c.Epoch() {
+		t.Fatalf("table at epoch %d after its step, epoch %d published", c.tabEpoch.Load(), c.Epoch())
+	}
+	unhold()
+	<-committed
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.TableWaits != 2 || st.TableWaitNs == 0 {
+		t.Fatalf("Stats = %+v, want the two parked readers and their time counted", st)
+	}
+}
+
+// TestLoadIsWholeToReaders: Load swaps the table in the same gap, so a
+// concurrent NearbyIDs, WithinIDs or Get answers from the state before it
+// or the state after it, never from one's index and the other's table. The
+// two states share their points and no ID.
+func TestLoadIsWholeToReaders(t *testing.T) {
+	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, re-applying": newPOrth} {
+		t.Run(name, func(t *testing.T) { loadIsWhole(t, mk) })
+	}
+}
+
+func loadIsWhole(t *testing.T, mk func() core.Index) {
+	const nObj, loads, readers = 512, 400, 3
+	pos := func(i int) geom.Point { return geom.Pt2(int64(i%32)*(side/32)+5, int64(i/32)*(side/32)+6) }
+	// State 0 is IDs [0, nObj), state 1 is [nObj, 2·nObj + 7): seven more
+	// objects, stacked on the first seven points.
+	state := func(which int) iter.Seq2[int, geom.Point] {
+		return func(yield func(int, geom.Point) bool) {
+			for i := 0; i < nObj+7*which; i++ {
+				if !yield(which*nObj+i, pos(i%nObj)) {
+					return
+				}
+			}
+		}
+	}
+	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	defer c.Close()
+	c.Load(nObj, state(0))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var dst []Entry[int]
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if i%2 == 0 {
+					dst = c.WithinIDsAppend(universe(), dst[:0])
+				} else {
+					dst = c.NearbyIDsAppend(pos(i%nObj), nObj+7, dst[:0])
+				}
+				which := 0
+				if len(dst) > 0 && dst[0].ID >= nObj {
+					which = 1
+				}
+				if len(dst) != nObj+7*which {
+					t.Errorf("read saw %d objects of state %d, want %d", len(dst), which, nObj+7*which)
+					return
+				}
+				for _, e := range dst {
+					if lo := which * nObj; e.ID < lo || e.ID >= lo+nObj+7*which || e.Point != pos((e.ID-lo)%nObj) {
+						t.Errorf("read of state %d holds object %d at %v", which, e.ID, e.Point)
+						return
+					}
+				}
+				// An ID of state 0 is where state 0 has it, or gone.
+				if p, ok := c.Get(i % nObj); ok && p != pos(i%nObj) {
+					t.Errorf("Get(%d) = %v, want %v or not live", i%nObj, p, pos(i%nObj))
+					return
+				}
+			}
+		}()
+	}
+	for l := 1; l <= loads; l++ {
+		c.Load(nObj+7*(l%2), state(l%2))
+	}
+	close(stop)
+	wg.Wait()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSnapshotNeverTorn alternates the entire population between two
 // position configurations, one flush per swing, while readers
 // continuously scan the universe: every scan must observe exactly one
-// configuration in full — N objects, all at their A positions or all at
-// their B positions. A half-applied window leaking through the epoch
-// pointer shows up here as a mixed or short scan (and, under -race, as a
-// data race on the triple). It runs over a tree whose copies share one
-// structure, over a Sharded of such trees (where a window that wrote a
-// node its twin can reach is the bug to catch), and over the same tree
-// with the sharing hidden, so that every window is applied twice.
+// configuration in full — N distinct objects, all at their A positions or
+// all at their B positions. A half-applied window leaking through the epoch
+// pointer, or a table read on the wrong side of its step, shows up here as
+// a mixed or short scan (and, under -race, as a data race). It runs over a
+// tree whose copies share one structure, over a Sharded of such trees
+// (where a window that wrote a node its twin can reach is the bug to
+// catch), over the same tree with the sharing hidden and over a family
+// that has none, so that every window is applied twice, and with four
+// objects to a point, so that every hit resolves through an owner chain.
 func TestSnapshotNeverTorn(t *testing.T) {
 	for name, mk := range map[string]func() core.Index{
 		"SPaC-H":            newSPaCH,
 		"Sharded(SPaC-H)":   innerStacks()["Sharded(SPaC-H)"],
 		"SPaC-H re-applied": func() core.Index { return core.WithReplica(newSPaCH(), newSPaCH) },
+		"P-Orth":            newPOrth,
 	} {
-		t.Run(name, func(t *testing.T) { snapshotNeverTorn(t, mk) })
+		t.Run(name, func(t *testing.T) { snapshotNeverTorn(t, mk, 1) })
 	}
+	t.Run("SPaC-H, shared points", func(t *testing.T) { snapshotNeverTorn(t, newSPaCH, 4) })
 }
 
-func snapshotNeverTorn(t *testing.T, mk func() core.Index) {
+func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 	const (
 		nObj    = 1024 // past the leaf wrap in every shard: interior nodes too
 		windows = 60
@@ -191,7 +474,8 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index) {
 	posA := make([]geom.Point, nObj)
 	posB := make([]geom.Point, nObj)
 	for i := range posA {
-		x, y := int64(i%32)*(side/32)+5, int64(i/32)*(side/32)+6
+		at := i / perPoint * perPoint
+		x, y := int64(at%32)*(side/32)+5, int64(at/32)*(side/32)+6
 		posA[i] = geom.Pt2(x, y)
 		posB[i] = geom.Pt2(x, y+1)
 	}
@@ -209,6 +493,7 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index) {
 		go func() {
 			defer wg.Done()
 			var dst []Entry[int]
+			seen := make([]bool, nObj)
 			for {
 				select {
 				case <-stop:
@@ -220,6 +505,7 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index) {
 					t.Errorf("scan saw %d objects, want %d", len(dst), nObj)
 					return
 				}
+				clear(seen)
 				cfg := dst[0].Point[1] % 2
 				for _, e := range dst {
 					if e.Point[1]%2 != cfg {
@@ -230,6 +516,11 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index) {
 						t.Errorf("object %d at impossible position %v", e.ID, e.Point)
 						return
 					}
+					if seen[e.ID] {
+						t.Errorf("object %d resolved twice in one scan", e.ID)
+						return
+					}
+					seen[e.ID] = true
 				}
 			}
 		}()

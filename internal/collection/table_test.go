@@ -9,44 +9,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/wal"
 )
 
-// eachTable calls fn, under the flush lock, with the table of every copy:
-// the published one and, in snapshot mode, the standby twin.
-func (c *Collection[ID]) eachTable(fn func(t *table[ID])) {
-	c.eng.Exclusive(func() {
-		v := c.cell.Acquire()
-		defer c.cell.Release(v)
-		fn(&v.Data.tab)
-		if c.cell.Versions() == 2 {
-			fn(&c.cell.Writable().tab)
-		}
-	})
-}
-
-// validateTwins checks what a window's carried slots rely on: between
-// commits both copies' tables are equal slot for slot. Locked mode has
-// one copy and passes trivially.
-func (c *Collection[ID]) validateTwins() error {
-	var tabs []*table[ID]
-	var err error
-	c.eachTable(func(t *table[ID]) {
-		if tabs = append(tabs, t); len(tabs) < 2 {
-			return
-		}
-		a, b := tabs[0], tabs[1]
-		switch {
-		case !slices.Equal(a.name, b.name):
-			err = fmt.Errorf("collection: twins disagree on name: %v vs %v", a.name, b.name)
-		case !slices.Equal(a.pos, b.pos):
-			err = fmt.Errorf("collection: twins disagree on pos: %v vs %v", a.pos, b.pos)
-		case !slices.Equal(a.next, b.next):
-			err = fmt.Errorf("collection: twins disagree on next: %v vs %v", a.next, b.next)
-		case a.free != b.free || a.live != b.live:
-			err = fmt.Errorf("collection: twins disagree on free head (%d, %d) or live count (%d, %d)", a.free, b.free, a.live, b.live)
-		}
-	})
-	return err
+// withTable calls fn, under the flush lock, with the committed table.
+func (c *Collection[ID]) withTable(fn func(t *table[ID])) {
+	c.eng.Exclusive(func() { fn(&c.tab) })
 }
 
 // checkTable compares t with the oracle exactly: every ID of the domain
@@ -112,7 +80,8 @@ func colliding[K any](n, runs int, gen func(int) K, hash func(K) uint64) []K {
 // random insert / move / delete tapes. The colliding key sets are at home
 // in the last one or three buckets of both indexes, so probe runs are long,
 // wrap around bucket 0, and every deletion shifts a run back across the
-// wrap; the third set is the first keys there are, at home anywhere.
+// wrap; the third set is the first keys there are, at home anywhere. Half
+// of the tape runs unlinked and is relinked before the table is compared.
 func TestTableAgainstMapOracle(t *testing.T) {
 	const nIDs, nPts, steps = 96, 40, 4000
 	id := func(i int) int { return i }
@@ -144,10 +113,14 @@ func TestTableAgainstMapOracle(t *testing.T) {
 					oracle[id] = p
 				}
 				if step%50 == 0 || step == steps-1 {
+					if tab.unlinked {
+						tab.relink()
+					}
 					where := fmt.Sprintf("%s seed %d step %d", name, seed, step)
 					checkTable(t, &tab, oracle, ids, where)
-					twin := tab.clone()
-					checkTable(t, &twin, oracle, ids, where+" (clone)")
+					// Every other stretch runs the way a window that ends in
+					// relink does.
+					tab.unlinked = step%100 == 0
 				}
 			}
 			if tab.slots() > nIDs {
@@ -206,11 +179,8 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.validateTwins(); err != nil {
-			t.Fatal(err)
-		}
 		const peak = live + live/10
-		c.eachTable(func(tab *table[string]) {
+		c.withTable(func(tab *table[string]) {
 			if tab.live != live {
 				t.Fatalf("snapshot=%t: %d live objects, want %d", snapshot, tab.live, live)
 			}
@@ -238,10 +208,10 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 
 // TestTableBytesPerObject is the footprint guard: 10⁵ string-keyed
 // objects ingested through 1024-op windows in snapshot mode cost at most
-// 160 B each for both copies of the table together: what dropping the
-// Collection gives back to the heap while its two BruteForce indexes and
-// the ID strings, which the caller owns, stay. The twin Go maps this
-// replaced measured 310.
+// 85 B each for the table — the one there is, in snapshot mode too: what
+// dropping the Collection gives back to the heap while its two BruteForce
+// indexes and the ID strings, which the caller owns, stay. A table per
+// snapshot copy measured 153, the twin Go maps before that 310.
 func TestTableBytesPerObject(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
@@ -269,9 +239,9 @@ func TestTableBytesPerObject(t *testing.T) {
 	runtime.KeepAlive(twin)
 	runtime.KeepAlive(ids)
 	perObj := float64(with-without) / n
-	t.Logf("%.1f B per object for both copies (%d B with the collection, %d B without)", perObj, with, without)
-	if perObj > 160 {
-		t.Fatalf("table costs %.1f B per object for both copies, want at most 160", perObj)
+	t.Logf("%.1f B per object (%d B with the collection, %d B without)", perObj, with, without)
+	if perObj > 85 {
+		t.Fatalf("table costs %.1f B per object, want at most 85", perObj)
 	}
 }
 
@@ -340,5 +310,40 @@ func BenchmarkTableResolve(b *testing.B) {
 	}
 	if sink == 0 {
 		b.Fatal("nothing resolved")
+	}
+}
+
+// BenchmarkTableStep is what a snapshot reader that pinned a version right
+// after its publish can wait for: one planned window of moves run through
+// the table (tableStep). ns/op is per window: psid's interactive windows,
+// its largest (-maxbatch) at the track-ingest population, and two that take
+// the wholesale path: the window of the benchmark's
+// collection.reader_stall_us row and psibench -exp churn's, which moves
+// every object.
+func BenchmarkTableStep(b *testing.B) {
+	ids, pts := benchIDs()
+	for _, tc := range []struct{ ops, objects int }{{32, 50_000}, {4096, benchN}, {100_000, 200_000}, {100_000, 100_000}} {
+		b.Run(fmt.Sprintf("%d-of-%d", tc.ops, tc.objects), func(b *testing.B) {
+			c := New[string](core.NewNull(2), Options{MaxBatch: 1 << 30})
+			defer c.Close()
+			c.Load(tc.objects, func(yield func(string, geom.Point) bool) {
+				for i := 0; i < tc.objects && yield(ids[i], pts[i]); i++ {
+				}
+			})
+			rng := rand.New(rand.NewSource(5))
+			w := &c.win
+			for _, i := range rng.Perm(tc.objects)[:tc.ops] {
+				w.ops = append(w.ops, wal.Op[string]{ID: ids[i]})
+			}
+			for b.Loop() {
+				b.StopTimer()
+				for i := range w.ops {
+					w.ops[i].P = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+				}
+				c.planDiff(w)
+				b.StartTimer()
+				c.tableStep(w)
+			}
+		})
 	}
 }

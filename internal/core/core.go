@@ -23,7 +23,10 @@ import (
 // full rules): an implementation must NOT retain the slices passed to
 // Build/BatchInsert/BatchDelete/BatchDiff after the call returns — the
 // caller may reuse them immediately, which is what lets the Store,
-// Collection and Sharded layers recycle their flush scratch. Symmetrically,
+// Collection and Sharded layers recycle their flush scratch — and must not
+// write them either: Collection.Load hands Build the point array of its
+// live slot table, and a batch may be applied to a second copy after the
+// first. Symmetrically,
 // KNN and RangeList append to the caller's dst (preserving its prefix,
 // reusing its backing array when capacity suffices) and must not keep any
 // alias to it after returning; the result is the caller's to keep or
@@ -63,7 +66,7 @@ type Index interface {
 // handles: each commit window's BatchDiff is applied to the off-line one,
 // which is then published through an atomic epoch pointer, and queries
 // pin the published version instead of taking a read lock, so a reader
-// never waits on a flush.
+// never waits on the index apply.
 //
 // Snapshot-read contract (normative):
 //

@@ -28,7 +28,8 @@ import (
 // is applied to it too, and a layer whose copies can take their contents
 // from one another (core.Adopter indexes) installs a CatchUp that does
 // that instead, so the two copies are handles on one structure and the
-// window is applied once.
+// window is applied once. The hook runs after the drain, so it is also where
+// a layer writes state kept beside the copies (the Collection's slot table).
 //
 // T is the state type, W the window type: apply advances one copy by one
 // window, so it must be deterministic in (copy contents, window). The

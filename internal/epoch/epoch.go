@@ -22,7 +22,9 @@
 // apply; Parallel Batch-Dynamic kd-Trees (Yesantharao et al.) is the
 // license for that: batch diff-apply on the paper's structures is cheap
 // enough that applying every window twice costs less than stalling all
-// readers once.
+// readers once. State a layer keeps beside its versions (the Collection's
+// slot table) may be written between WaitDrained and the next Publish,
+// provided readers check, after pinning, that it has reached their epoch.
 //
 // Memory model: Publish is an atomic pointer store and Pin an atomic load,
 // so everything the writer did to a version's data before Publish is

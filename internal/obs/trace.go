@@ -28,11 +28,12 @@ const (
 	// into the write-ahead log and (policy permitting) fsyncing it —
 	// zero when the layer runs without a WAL.
 	StageLog
-	// StageReplay is the twin catch-up: re-applying the window to the
-	// displaced copy once its readers have drained (snapshot mode only).
+	// StageReplay is what runs once the displaced copy's readers have
+	// drained (snapshot mode only): the Collection's table step, then the
+	// twin catch-up — adopting the published index or re-applying the window.
 	StageReplay
-	// StageApply is the new window's index application (plus, for the
-	// Collection, the forward/reverse table advance).
+	// StageApply is the new window's index application (plus, for a
+	// Collection under locked reads, the table step).
 	StageApply
 	// StagePublish is the epoch publish: the atomic version swing.
 	StagePublish

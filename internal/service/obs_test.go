@@ -96,10 +96,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		`psi_objects{layer="collection"}`:                4,
 		`psi_collection_slots{layer="collection"}`:       4,
 		`psi_collection_free_slots{layer="collection"}`:  0,
-		`psi_service_replies_total`:                      6,
-		`psi_service_socket_writes_total`:                6, // a client that waits for each reply gets one write per reply
-		`psi_heap_live_bytes`:                            0, // until the first GC cycle
-		`psi_heap_goal_bytes`:                            1,
+		// Present from the start; they move only when a read lands in the gap
+		// between a publish and its table step (collection tests park one).
+		`psi_collection_table_wait_total{layer="collection"}`:    0,
+		`psi_collection_table_wait_ns_total{layer="collection"}`: 0,
+		`psi_service_replies_total`:                              6,
+		`psi_service_socket_writes_total`:                        6, // a client that waits for each reply gets one write per reply
+		`psi_heap_live_bytes`:                                    0, // until the first GC cycle
+		`psi_heap_goal_bytes`:                                    1,
 	}
 	for key, min := range checks {
 		if v, ok := samples[key]; !ok || v < min {
@@ -184,6 +188,9 @@ func TestSharedIndexAccounting(t *testing.T) {
 	}
 	if st.Cow == nil || float64(st.Cow.Nodes) != nodes || float64(st.Cow.Bytes) != bytes || st.Versions != 2 {
 		t.Fatalf("STATS cow block = %+v over %d versions, want the /metrics counts (%v, %v) over 2", st.Cow, st.Versions, nodes, bytes)
+	}
+	if w, ns := samples[`psi_collection_table_wait_total{layer="collection"}`], samples[`psi_collection_table_wait_ns_total{layer="collection"}`]; float64(st.TableWaits) != w || float64(st.TableWaitNs) != ns {
+		t.Fatalf("STATS table waits = %d (%d ns), /metrics has %v (%v ns)", st.TableWaits, st.TableWaitNs, w, ns)
 	}
 
 	// Locked reads keep one index: nothing is shared, nothing is reported.

@@ -188,10 +188,16 @@ type StatsPayload struct {
 	Epoch     uint64 `json:"epoch"`
 	Versions  int    `json:"versions"`
 	RetireLag uint64 `json:"retire_lag"`
-	Flushes   uint64 `json:"flushes"`
-	Inserted  uint64 `json:"inserted"`
-	Moved     uint64 `json:"moved"`
-	Removed   uint64 `json:"removed"`
+	// TableWaits counts the snapshot reads that pinned a version between
+	// its publish and the end of that window's table step and parked for
+	// the step; TableWaitNs is the time they spent parked, so the quotient
+	// is the mean wait. Both stay 0 under locked reads.
+	TableWaits  uint64 `json:"table_waits"`
+	TableWaitNs uint64 `json:"table_wait_ns"`
+	Flushes     uint64 `json:"flushes"`
+	Inserted    uint64 `json:"inserted"`
+	Moved       uint64 `json:"moved"`
+	Removed     uint64 `json:"removed"`
 	// Cancelled counts ops superseded in-window by the Collection's
 	// last-write-wins netting — the coalescing win of batching SETs.
 	Cancelled uint64 `json:"cancelled"`

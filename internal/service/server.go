@@ -57,11 +57,12 @@ type Options struct {
 	// default, when idx implements core.Replicator (every psi tree
 	// constructor and Sharded does), the server enables epoch-pinned
 	// snapshot reads: queries pin the published version and never wait
-	// behind a flush — the serving configuration the churn benchmark
-	// measures. Set this to benchmark the locked baseline or to drop the
-	// second copy's memory on tightly constrained hosts: the object table
-	// always, the index too unless it is copy-on-write (core.Adopter —
-	// the SPaC family, whose two versions are one tree).
+	// behind the index apply, at most for a window's table step — the
+	// serving configuration the churn benchmark measures. Set this to
+	// benchmark the locked baseline or to drop the second index copy's
+	// memory on tightly constrained hosts (there is none to drop over a
+	// copy-on-write index, core.Adopter — the SPaC family, whose two
+	// versions are one tree).
 	DisableSnapshot bool
 	// Obs is the metric registry the server records into and serves at
 	// /metrics. The same registry is handed to the Collection (and should
@@ -228,7 +229,7 @@ type Server struct {
 // netted flush fans out across shards in parallel while connections keep
 // enqueueing. When idx implements core.Replicator (and DisableSnapshot
 // is unset), queries ride the epoch-pinned snapshot path: NEARBY/WITHIN
-// never wait behind a flush, and /stats reports the epoch counters.
+// never wait behind the index apply, and /stats reports the epoch counters.
 //
 // New panics if WAL setup fails — only possible with Options.WALDir set
 // (an unreadable directory, a corrupt snapshot). Durable configurations
@@ -402,20 +403,22 @@ func (s *Server) Stats() StatsPayload {
 	conns := len(s.conns)
 	s.mu.Unlock()
 	st := StatsPayload{
-		Objects:   cs.Objects,
-		Epoch:     cs.Epoch,
-		Versions:  cs.Versions,
-		RetireLag: cs.RetireLag,
-		Pending:   cs.Pending,
-		Flushes:   cs.Flushes,
-		Inserted:  cs.Inserted,
-		Moved:     cs.Moved,
-		Removed:   cs.Removed,
-		Cancelled: cs.Cancelled,
-		Conns:     conns,
-		UptimeS:   time.Since(s.start).Seconds(),
-		BadLines:  s.met.badLines.Load(),
-		Ops:       s.met.snapshot(),
+		Objects:     cs.Objects,
+		Epoch:       cs.Epoch,
+		Versions:    cs.Versions,
+		RetireLag:   cs.RetireLag,
+		TableWaits:  cs.TableWaits,
+		TableWaitNs: cs.TableWaitNs,
+		Pending:     cs.Pending,
+		Flushes:     cs.Flushes,
+		Inserted:    cs.Inserted,
+		Moved:       cs.Moved,
+		Removed:     cs.Removed,
+		Cancelled:   cs.Cancelled,
+		Conns:       conns,
+		UptimeS:     time.Since(s.start).Seconds(),
+		BadLines:    s.met.badLines.Load(),
+		Ops:         s.met.snapshot(),
 	}
 	if cs.SharedIndex {
 		st.Cow = &CowStats{Nodes: cs.CowNodes, Bytes: cs.CowBytes}

@@ -51,11 +51,11 @@ type Options struct {
 	// to the wrapped one (core.Replicator semantics — most callers pass
 	// the same constructor they built idx with, and the service layer
 	// derives it from core.Replicator). The front-end then keeps two
-	// copies of its committed state, applies every window to both (the
+	// versions of its committed index, brings every window to both (the
 	// off-line one first) and publishes through an atomic epoch pointer;
-	// queries pin the published copy instead of taking the read lock, so
-	// a reader never waits on a flush, however large the window. The
-	// wrapped index must be empty at construction. Leave nil for the
+	// queries pin the published one instead of taking the read lock, so
+	// a reader never waits on the index apply, however large the window.
+	// The wrapped index must be empty at construction. Leave nil for the
 	// single-copy RWMutex mode.
 	Snapshot func() core.Index
 	// Obs, when set, registers the front-end's metrics (flush counters,

@@ -308,7 +308,8 @@ type CollectionEntry[ID comparable] = collection.Entry[ID]
 // runs a background flusher bounding query staleness, and Snapshot
 // (optional) supplies the empty twin-index factory that switches
 // Get/NearbyIDs/WithinIDs to the epoch-pinned snapshot path — readers
-// never wait behind a flush. The zero value is usable (locked reads).
+// never wait behind the index apply, at most for a window's short ID-table
+// step. The zero value is usable (locked reads).
 type CollectionOptions = collection.Options
 
 // CollectionStats is a snapshot of a Collection's lifetime counters.
@@ -346,10 +347,10 @@ type ServerStats = service.StatsPayload
 // Server takes ownership of idx; bind it with Start, stop it with
 // Shutdown. When idx can replicate itself (every psi constructor and
 // NewSharded qualifies) the server defaults to epoch-pinned snapshot
-// reads — NEARBY/WITHIN/GET never wait behind a flush — at the cost of a
-// second object table and, unless the index is copy-on-write (the SPaC
-// family: both versions are then one tree), a second index copy; opt out
-// with ServerOptions.DisableSnapshot. The
+// reads — NEARBY/WITHIN/GET never wait behind the index apply, at most
+// for a window's short ID-table step — at the cost, unless the index is
+// copy-on-write (the SPaC family: both versions are then one tree), of a
+// second index copy; opt out with ServerOptions.DisableSnapshot. The
 // recommended serving stack wraps a Sharded index:
 //
 //	s := psi.NewServer(psi.NewSharded(psi.NewSPaCH, 2, u, 0), psi.ServerOptions{})
