@@ -18,13 +18,35 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
 
+// experiments is every -exp id, in the order -exp all runs them. README's
+// "Experiments" table lists the same ids (TestReadmeListsEveryExperiment).
+var experiments = []struct {
+	id  string
+	run func(bench.Config)
+}{
+	{"fig3", bench.Fig3},
+	{"fig4", bench.Fig4},
+	{"fig5", bench.Fig5},
+	{"fig6", bench.Fig6},
+	{"fig7", bench.Fig7},
+	{"fig8", bench.Fig8},
+	{"fig9", bench.Fig9},
+	{"fig10", bench.Fig10},
+	{"ablation", bench.Ablations},
+}
+
 func main() {
-	exp := flag.String("exp", "fig3", "experiment: fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|concurrent|shard|fleet|service|churn|obs|wal|all")
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	exp := flag.String("exp", "fig3", "experiment: "+strings.Join(ids, "|")+"|all")
 	n := flag.Int("n", 1_000_000, "dataset size (paper: 1e9)")
 	knnq := flag.Int("knnq", 0, "number of kNN queries (default n/100)")
 	rangeq := flag.Int("rangeq", 200, "number of range queries")
@@ -61,34 +83,17 @@ func main() {
 	fmt.Printf("psibench: exp=%s n=%d reps=%d threads=%d/%d\n",
 		*exp, *n, *reps, *threads, runtime.NumCPU())
 	start := time.Now()
-	run := map[string]func(bench.Config){
-		"fig3":       bench.Fig3,
-		"fig4":       bench.Fig4,
-		"fig5":       bench.Fig5,
-		"fig6":       bench.Fig6,
-		"fig7":       bench.Fig7,
-		"fig8":       bench.Fig8,
-		"fig9":       bench.Fig9,
-		"fig10":      bench.Fig10,
-		"ablation":   bench.Ablations,
-		"concurrent": bench.Concurrent,
-		"shard":      bench.Shard,
-		"fleet":      bench.Fleet,
-		"service":    bench.Service,
-		"churn":      bench.Churn,
-		"obs":        bench.Obs,
-		"wal":        bench.WAL,
-	}
 	if *jsonPath != "" {
 		bench.StartJSON(*exp, cfg)
 	}
-	if *exp == "all" {
-		for _, name := range []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "concurrent", "shard", "fleet", "service", "churn", "obs", "wal"} {
-			run[name](cfg)
+	ran := false
+	for _, e := range experiments {
+		if *exp == e.id || *exp == "all" {
+			e.run(cfg)
+			ran = true
 		}
-	} else if f, ok := run[*exp]; ok {
-		f(cfg)
-	} else {
+	}
+	if !ran {
 		fmt.Fprintf(os.Stderr, "psibench: unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)

@@ -72,7 +72,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	csvPath := flag.String("csv", "", "also write the per-op report to this CSV file")
 	scrape := flag.String("scrape", "", "psid /metrics URL (e.g. http://127.0.0.1:7502/metrics); scraped before and after the run to report server-side deltas (flushes, netting ratio, per-shard op spread)")
-	mix := flag.String("mix", "", "workload preset: 'churn' = flush-heavy mover mix (90% SET, long hops) that keeps the server's index under continuous batch churn — the workload psibench -exp churn measures in-process (explicitly set flags override preset values); 'failover' = self-contained failover chaos run (needs -psid; ignores -addr, spawns its own cluster, -dur is the churn time per handover)")
+	mix := flag.String("mix", "", "workload preset: 'churn' = flush-heavy mover mix (90% SET, long hops) that keeps the server's index under continuous batch churn (explicitly set flags override preset values); 'failover' = self-contained failover chaos run (needs -psid; ignores -addr, spawns its own cluster, -dur is the churn time per handover)")
 	psidBin := flag.String("psid", "", "path to the psid binary the failover mix spawns (required for -mix failover)")
 	handovers := flag.Int("handovers", 5, "failover mix: number of kill-and-promote rounds")
 	nodes := flag.Int("nodes", 3, "failover mix: cluster size (leader + standbys)")

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -115,74 +116,51 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 }
 
-func TestConcurrentSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	Concurrent(tinyConfig(&buf))
-	out := buf.String()
-	for _, want := range []string{
-		"Store mixed workload", "throughput by index", "coalescing ablation",
-		"SPaC-H", "Pkd-Tree", "batch=1", "batch=4096", "mut-Mops/s",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Concurrent output missing %q\n%s", want, out)
-		}
-	}
-}
-
-func TestChurnSmoke(t *testing.T) {
-	var buf bytes.Buffer
+// TestJSONDocument parses the psibench/v1 document of a figure run: the
+// header says what was run and on how many threads, and the table cells
+// arrive as numbers.
+func TestJSONDocument(t *testing.T) {
+	var buf, jsonBuf bytes.Buffer
 	cfg := tinyConfig(&buf)
-	cfg.N = 2000
-	StartJSON("churn", cfg)
-	Churn(cfg)
-	var jsonBuf bytes.Buffer
+	cfg.Threads = 1
+	StartJSON("fig10", cfg)
+	Fig10(cfg)
 	if err := WriteJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"reader latency under flush churn", "reader tail latency vs flush path",
-		"locked", "snapshot", "rd-p50-us", "rd-p99-us", "mut-kops/s",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Churn output missing %q\n%s", want, out)
-		}
-	}
-	// The machine-readable mirror CI gates on: a psibench/v1 document
-	// carrying the cells the churn jq gate reads.
 	var doc JSONDoc
 	if err := json.Unmarshal(jsonBuf.Bytes(), &doc); err != nil {
 		t.Fatalf("psibench JSON does not parse: %v", err)
 	}
-	if doc.Schema != "psibench/v1" || doc.Experiment != "churn" {
-		t.Fatalf("JSON doc malformed: %+v", doc)
+	if doc.Schema != "psibench/v1" || doc.Experiment != "fig10" || doc.Config.N != cfg.N {
+		t.Fatalf("JSON header malformed: %+v", doc)
 	}
-	cells := map[[2]string]bool{}
+	if doc.GOMAXPROCS != 1 {
+		t.Fatalf("gomaxprocs = %d under Threads: 1", doc.GOMAXPROCS)
+	}
+	timed := false
 	for _, r := range doc.Results {
-		cells[[2]string{r.Index, r.Column}] = true
-	}
-	for _, c := range [][2]string{{"locked", "rd-p99-us"}, {"snapshot", "rd-p99-us"}, {"locked", "mut-kops/s"}, {"snapshot", "mut-kops/s"}} {
-		if !cells[c] {
-			t.Fatalf("JSON missing cell %s/%s", c[0], c[1])
+		if r.Index == "SPaC-H" && r.Column == "ins-1" && r.Unit == "s" && r.Value > 0 {
+			timed = true
 		}
 	}
-}
+	if !timed {
+		t.Fatalf("no positive SPaC-H/ins-1 cell among %d results", len(doc.Results))
+	}
 
-func TestServiceSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	cfg.N = 2000
-	Service(cfg)
-	out := buf.String()
-	for _, want := range []string{
-		"psid over loopback TCP", "SPaC-H", "Sharded", "kops/s", "p99-us",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Service output missing %q\n%s", want, out)
-		}
+	// Threads: 0 leaves GOMAXPROCS alone; the document says what that was.
+	cfg.Threads = 0
+	jsonBuf.Reset()
+	StartJSON("fig10", cfg)
+	if err := WriteJSON(&jsonBuf); err != nil {
+		t.Fatal(err)
 	}
-	if strings.Contains(out, "service: ") {
-		t.Fatalf("Service run reported an error:\n%s", out)
+	doc = JSONDoc{}
+	if err := json.Unmarshal(jsonBuf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.GOMAXPROCS != runtime.GOMAXPROCS(0) || doc.Config.Threads != 0 {
+		t.Fatalf("gomaxprocs = %d, config.threads = %d; want %d, 0", doc.GOMAXPROCS, doc.Config.Threads, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -5,8 +5,9 @@
 // trade-off), Fig. 9 (3D table), Fig. 10 (single-batch updates), plus the
 // ablations of the paper's design choices (§C tuning and the SPaC
 // leaf-order relaxation — see ARCHITECTURE.md for the layer-by-layer
-// mapping) and one experiment per serving layer this library adds
-// (concurrent, shard, fleet, service).
+// mapping). The serving layers this library adds on top of the paper are
+// measured by the layer suite of the repo's benchmark (benchmark/), not
+// here.
 //
 // The harness follows the paper's protocol: one warm-up run, then the
 // mean of Reps timed runs (§5 "We report numbers as the average of 3 runs
@@ -290,26 +291,4 @@ func setThreads(p int) func() {
 	}
 	old := runtime.GOMAXPROCS(p)
 	return func() { runtime.GOMAXPROCS(old) }
-}
-
-// memDelta is the allocation cost of a measured region: total heap
-// allocations and bytes, from runtime.MemStats deltas. Counters are
-// process-wide, so concurrent experiment phases attribute helper-
-// goroutine allocations to the region too — which is exactly what a
-// GC-pressure measurement wants.
-type memDelta struct {
-	allocs uint64
-	bytes  uint64
-}
-
-// measureMem runs f and returns its allocation cost alongside anything f
-// computes itself. A GC cycle runs first so the deltas are not polluted
-// by garbage from previous phases.
-func measureMem(f func()) memDelta {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	f()
-	runtime.ReadMemStats(&m1)
-	return memDelta{allocs: m1.Mallocs - m0.Mallocs, bytes: m1.TotalAlloc - m0.TotalAlloc}
 }

@@ -9,12 +9,9 @@ import (
 )
 
 // JSON capture: psibench -json writes one machine-readable results
-// document per run, so the repo can accumulate a BENCH_*.json perf
-// trajectory that future changes are compared against (the allocs/op and
-// kops/s columns in particular — see the README's Performance section).
-// Every table cell becomes one result record carrying its unit; the
-// document header pins the configuration so two runs are only compared
-// like for like.
+// document per run. Every table cell becomes one result record carrying
+// its unit; the document header pins the configuration and the thread
+// count so two runs are only compared like for like.
 
 // JSONResult is one measured cell of an experiment table.
 type JSONResult struct {
@@ -42,6 +39,7 @@ type JSONDoc struct {
 	Experiment  string       `json:"experiment"`
 	GoVersion   string       `json:"go_version"`
 	Cores       int          `json:"cores"`
+	GOMAXPROCS  int          `json:"gomaxprocs"` // what config.threads resolved to; fig7 alone sets its own, one per column
 	Config      JSONConfig   `json:"config"`
 	Results     []JSONResult `json:"results"`
 }
@@ -55,6 +53,10 @@ var jsonSink struct {
 // results document for the given experiment id. Finish with WriteJSON.
 func StartJSON(experiment string, cfg Config) {
 	cfg = cfg.withDefaults()
+	procs := cfg.Threads
+	if procs <= 0 {
+		procs = runtime.GOMAXPROCS(0)
+	}
 	jsonSink.mu.Lock()
 	defer jsonSink.mu.Unlock()
 	jsonSink.doc = &JSONDoc{
@@ -63,6 +65,7 @@ func StartJSON(experiment string, cfg Config) {
 		Experiment:  experiment,
 		GoVersion:   runtime.Version(),
 		Cores:       runtime.NumCPU(),
+		GOMAXPROCS:  procs,
 		Config: JSONConfig{
 			N: cfg.N, KNNQ: cfg.KNNQ, RangeQ: cfg.RangeQ,
 			Reps: cfg.Reps, Seed: cfg.Seed, Threads: cfg.Threads,

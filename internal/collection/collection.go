@@ -266,7 +266,7 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 		// Locked reads: the cell's write lock covers the table step too.
 		c.cell.Init(func(st *collState[ID], w *collWindow[ID]) {
 			c.applyIndex(st, w)
-			c.applyTable(w, false)
+			c.applyTable(w)
 		}, states...)
 	} else {
 		// Snapshot reads: the table step runs in the gap the drain opens,
@@ -587,16 +587,14 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	})
 }
 
-// tableStep is a snapshot commit's table step. Readers may be parked on it,
-// so a window that touches over a quarter of the slots takes the wholesale
-// path, and the writer, with as much work again ahead that no reader needs
-// (catch-up, overlay purge), yields to those it woke: on a busy machine
-// they would otherwise sit in its run queue for that long.
+// tableStep is a snapshot commit's table step. Readers may be parked on
+// it, so after a wholesale one the writer, with as much work again ahead
+// that no reader needs (catch-up, overlay purge), yields to those it woke:
+// on a busy machine they would otherwise sit in its run queue for that long.
 func (c *Collection[ID]) tableStep(w *collWindow[ID]) {
-	large := 4*len(w.ops) > c.tab.slots()
-	c.applyTable(w, large)
+	wholesale := c.applyTable(w)
 	c.tableDone()
-	if large {
+	if wholesale {
 		runtime.Gosched()
 	}
 }
@@ -677,10 +675,12 @@ func (c *Collection[ID]) applyIndex(st *collState[ID], w *collWindow[ID]) {
 }
 
 // applyTable runs every netted op of a planned window through the table,
-// by the slots planDiff resolved; wholesale, the ops leave the point index
-// alone and one relink rebuilds it at the end.
-func (c *Collection[ID]) applyTable(w *collWindow[ID], wholesale bool) {
+// by the slots planDiff resolved. A window that touches over a quarter of
+// the slots goes wholesale: its ops leave the point index alone and one
+// relink rebuilds it at the end.
+func (c *Collection[ID]) applyTable(w *collWindow[ID]) (wholesale bool) {
 	t := &c.tab
+	wholesale = 4*len(w.ops) > t.slots()
 	t.unlinked = wholesale
 	for i := range w.ops {
 		o, at := &w.ops[i], w.at[i]
@@ -695,9 +695,10 @@ func (c *Collection[ID]) applyTable(w *collWindow[ID], wholesale bool) {
 			t.move(at.slot, o.P)
 		}
 	}
-	if t.unlinked {
+	if wholesale {
 		t.relink()
 	}
+	return wholesale
 }
 
 // purgeOverlay drops overlay entries the committed window supersedes:

@@ -105,7 +105,11 @@ func TestSharedIndexBytesPerObject(t *testing.T) {
 // mode and whether the index copies share or not, while snapshot mode still
 // keeps two versions; and a window reaches that table exactly once: n first
 // Sets hand out n slots (a second pass over the window would hand out n
-// more, none would leave the table empty).
+// more, none would leave the table empty). The step is the same one in
+// either mode too: a window over a quarter of the slots is relinked
+// wholesale, a smaller one applied op by op. What tells them apart from
+// outside is a shared point's owner chain, which relink leaves headed by the
+// lowest slot and op-by-op linking by the first owner moved there.
 func TestOneTablePerCollection(t *testing.T) {
 	tables := func(of reflect.Type) (n int) {
 		for i := 0; i < of.NumField(); i++ {
@@ -136,9 +140,18 @@ func TestOneTablePerCollection(t *testing.T) {
 			opts.Snapshot = tc.mk
 		}
 		c := New[int](tc.mk(), opts)
+		oracle := make(map[int]geom.Point)
+		set := func(id int, p geom.Point) {
+			c.Set(id, p)
+			oracle[id] = p
+		}
+		headAt := func(p geom.Point) (id int) {
+			c.withTable(func(tab *table[int]) { id = tab.name[tab.head(p)] })
+			return id
+		}
 		for w := 0; w < 3; w++ { // each copy is written first at least once
 			for i := 0; i < n; i++ {
-				c.Set(w*n+i, geom.Pt2(int64(i)*50+7, int64(w)))
+				set(w*n+i, geom.Pt2(int64(i)*50+7, int64(w)))
 			}
 			c.Flush()
 			c.withTable(func(tab *table[int]) {
@@ -147,11 +160,25 @@ func TestOneTablePerCollection(t *testing.T) {
 				}
 			})
 		}
+		// A third of the slots in one window, highest ID first, IDs 2j and
+		// 2j+1 onto one point: wholesale, so the pair's lower slot heads it.
+		for i := n - 1; i >= 0; i-- {
+			set(i, geom.Pt2(int64(i/2)*50+11, 5))
+		}
+		c.Flush()
+		if got := headAt(oracle[0]); got != 0 {
+			t.Fatalf("%s: %d heads the chain of IDs 0 and 1 after a %d-op window over %d slots, want 0: the window was not relinked", name, got, n, 3*n)
+		}
+		// Two ops the same way: op by op, so the first one moved heads it.
+		set(2*n+1, geom.Pt2(3, 9))
+		set(2*n, geom.Pt2(3, 9))
+		c.Flush()
+		if got := headAt(oracle[2*n]); got != 2*n+1 {
+			t.Fatalf("%s: %d heads the chain of IDs %d and %d after a 2-op window, want %d", name, got, 2*n, 2*n+1, 2*n+1)
+		}
+		verifyAgainstOracle(t, c, oracle, 3*n)
 		if st := c.Stats(); st.Versions != tc.versions {
 			t.Fatalf("%s: Stats.Versions = %d, want %d", name, st.Versions, tc.versions)
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
 		}
 		c.Close()
 	}

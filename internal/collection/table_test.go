@@ -318,8 +318,7 @@ func BenchmarkTableResolve(b *testing.B) {
 // the table (tableStep). ns/op is per window: psid's interactive windows,
 // its largest (-maxbatch) at the track-ingest population, and two that take
 // the wholesale path: the window of the benchmark's
-// collection.reader_stall_us row and psibench -exp churn's, which moves
-// every object.
+// collection.reader_stall_us row and one that moves every object.
 func BenchmarkTableStep(b *testing.B) {
 	ids, pts := benchIDs()
 	for _, tc := range []struct{ ops, objects int }{{32, 50_000}, {4096, benchN}, {100_000, 200_000}, {100_000, 100_000}} {

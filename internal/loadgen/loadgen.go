@@ -1,10 +1,9 @@
-// Package loadgen is psid's load and chaos tooling, behind cmd/psiload
-// and psibench -exp service: the load generator (this file: N client
-// connections through a mover/query mix, client-observed p50/p99 and
-// ops/sec per op), the kill -9 / PROMOTE failover harness and the
-// /metrics differ. It reaches a server only the way any client does —
-// service.Client and the exposition — so it sits beside the server
-// package, not in it.
+// Package loadgen is psid's load and chaos tooling, behind cmd/psiload:
+// the load generator (this file: N client connections through a
+// mover/query mix, client-observed p50/p99 and ops/sec per op), the
+// kill -9 / PROMOTE failover harness and the /metrics differ. It reaches
+// a server only the way any client does — service.Client and the
+// exposition — so it sits beside the server package, not in it.
 package loadgen
 
 import (

@@ -13,8 +13,8 @@ import (
 // (per-shard flushes, independent layers) never contend on shared state
 // beyond the sequence counter, and recording a span allocates nothing:
 // the span is passed by value into storage that exists for the ring's
-// lifetime. Readers (/debug/flushtrace, psibench -exp obs) copy slots
-// out under the per-slot locks and may allocate freely.
+// lifetime. Readers (/debug/flushtrace) copy slots out under the
+// per-slot locks and may allocate freely.
 
 // Flush stage indices into FlushSpan.Stages. Stages a mode does not run
 // stay zero: locked-mode flushes have no replay/publish/drain, the shard
