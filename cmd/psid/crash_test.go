@@ -12,12 +12,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"regexp"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -222,6 +224,44 @@ func TestKillRecoveryOracle(t *testing.T) {
 			if found && geom.Pt2(got[0], got[1]) != amb {
 				t.Errorf("writer %d: %s = %v, want absent or in-flight %v", w, id, got, amb)
 			}
+		}
+	}
+}
+
+// TestBadFlagsExitTwo: a flag value no index can be built over is
+// command-line input, not programmer error — psid must answer it the way
+// it answers -dims 4, with one "psid:" line and exit status 2, never with
+// the constructor's panic, and before binding anything.
+func TestBadFlagsExitTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	for _, args := range [][]string{
+		{"-dims", "4"},
+		{"-index", "no-such-tree"},
+		{"-fsync", "sometimes"},
+		{"-shards", "5000"},
+		{"-side", "-5"},
+		{"-side", "4000000000000"},
+		{"-side", "4000000000000", "-shards", "0"},
+		{"-dims", "3", "-index", "Zd-Tree"}, // the default side is past 21 bits
+	} {
+		enc, err := json.Marshal(append([]string{"-addr", "127.0.0.1:0", "-http", ""}, args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0], "-test.run=TestCrashHelperProcess$")
+		cmd.Env = append(os.Environ(), "PSID_CRASH_HELPER=1", "PSID_CRASH_ARGS="+string(enc))
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err = cmd.Run()
+		msg := strings.TrimSuffix(stderr.String(), "\n")
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("psid %v: %v, want exit status 2; stderr:\n%s", args, err, msg)
+		}
+		if !strings.HasPrefix(msg, "psid: ") || strings.Contains(msg, "\n") ||
+			strings.Contains(msg, "goroutine ") || strings.Contains(msg, "panic") {
+			t.Errorf("psid %v: stderr is not one psid: line:\n%s", args, msg)
 		}
 	}
 }

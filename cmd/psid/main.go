@@ -76,6 +76,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/service"
+	"repro/internal/shard"
 	"repro/internal/wal"
 
 	psi "repro"
@@ -120,9 +121,28 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: -dims must be 2 or 3, got %d\n", *dims)
 		return 2
 	}
+	if *side < 1 {
+		fmt.Fprintf(os.Stderr, "psid: -side must be positive, got %d\n", *side)
+		return 2
+	}
+	if *shards > shard.MaxShards {
+		fmt.Fprintf(os.Stderr, "psid: -shards must be at most %d, got %d\n", shard.MaxShards, *shards)
+		return 2
+	}
 	universe := geom.UniverseBox(*dims, *side)
 	mk := func(dims int, u geom.Box) core.Index { return psi.ByName(*index, dims, u) }
-	if mk(*dims, universe) == nil {
+	// The probe also runs the family's own universe check (the curve-keyed
+	// trees bound the coordinates they can encode). Constructors panic on
+	// that, as on programmer error; here the universe is command-line input.
+	probe, refused := func() (idx core.Index, refused any) {
+		defer func() { refused = recover() }()
+		return mk(*dims, universe), nil
+	}()
+	if refused != nil {
+		fmt.Fprintf(os.Stderr, "psid: -index %s cannot cover -side %d in %d dimensions: %v\n", *index, *side, *dims, refused)
+		return 2
+	}
+	if probe == nil {
 		fmt.Fprintf(os.Stderr, "psid: unknown index %q (see psibench table names)\n", *index)
 		return 2
 	}
@@ -141,7 +161,6 @@ func run() int {
 			Dims:     *dims,
 			Universe: universe,
 			Shards:   *shards,
-			Strategy: psi.ShardHilbert,
 			New:      mk,
 			Obs:      reg,
 		})

@@ -1,15 +1,16 @@
 // Sharded: scaling updates across indexes instead of inside one.
 //
 // The universe is partitioned into S Hilbert-compact regions, each owning
-// an independent SPaC-H tree behind its own lock. One big "move" batch
-// (delete old positions, insert new ones) is partitioned by region in
-// parallel and every shard applies its sub-batch concurrently; range
-// queries visit only the shards whose region overlaps the box, and kNN
-// expands shards best-first by region distance. The demo contrasts an
-// unsharded SPaC-H with the sharded fan-out on the same workload, prints
-// the shard load balance on clustered data, and finishes with the
-// serving composition: a batch-coalescing Store in front of the Sharded
-// for fully concurrent single-point ingest.
+// an independent SPaC-H tree. One big "move" batch (delete old positions,
+// insert new ones) is partitioned by region in parallel and every shard
+// applies its sub-batch concurrently; range queries visit only the shards
+// whose region overlaps the box, and kNN expands shards best-first by
+// region distance. A Sharded is batch-synchronous like the trees under
+// it, so the first half of the demo drives it from this one goroutine:
+// it contrasts an unsharded SPaC-H with the sharded fan-out on the same
+// workload and prints the shard load balance on clustered data. The
+// second half is the serving composition: a batch-coalescing Store in
+// front of the Sharded is what admits concurrent single-point ingest.
 //
 //	go run ./examples/sharded
 package main
@@ -70,7 +71,8 @@ func main() {
 	fmt.Printf("10NN of %v found %d; box count near it: %d\n", q, len(nn), s.RangeCount(psi.BoxOf(lo, hi)))
 
 	// Serving composition: Store coalesces concurrent single-point
-	// mutations into batches; each flush then fans out across shards.
+	// mutations into batches and keeps readers off each flush; the flush
+	// then fans out across shards. From here on s belongs to the Store.
 	st := psi.NewStore(s, psi.StoreOptions{MaxBatch: 4096})
 	defer st.Close()
 	var wg sync.WaitGroup

@@ -45,12 +45,13 @@
 // and Load replaces index and table by bulk construction (recovery, a
 // follower's bootstrap).
 //
-// Composition: the inner index may be a raw tree (Collection adds the
-// concurrency safety), a shard.Sharded (each flush fans out across
-// shards in parallel — the recommended high-churn stack), or a
-// store.Store (legal; the Collection flushes it synchronously so the
-// reverse multimap never runs ahead of the index, but the Store's own
-// coalescing is redundant below a Collection).
+// Composition: the inner index may be a raw tree or a shard.Sharded
+// (each flush fans out across shards in parallel — the recommended
+// high-churn stack); both are single-writer indexes, and the Collection's
+// version cell is the one place readers are kept off the writer. A
+// store.Store is legal too (the Collection flushes it synchronously so the
+// reverse multimap never runs ahead of the index), but its coalescing and
+// its cell are redundant below a Collection.
 package collection
 
 import (

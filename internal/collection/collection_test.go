@@ -33,7 +33,6 @@ func innerStacks() map[string]func() core.Index {
 			Dims:     2,
 			Universe: universe(),
 			Shards:   4,
-			Strategy: shard.HilbertRange,
 			New: func(dims int, u geom.Box) core.Index {
 				return spactree.NewSPaC(sfc.Hilbert, dims, u)
 			},
@@ -366,15 +365,23 @@ func TestConcurrentMoveChainsLastWriteWins(t *testing.T) {
 // TestConcurrentDisjointWritersExact runs writers over disjoint ID
 // ranges (so the final state is fully deterministic) with query
 // goroutines hammering the read suite throughout, then checks the exact
-// final state. Also exercised by CI under -race.
+// final state. Also exercised by CI under -race, where the Sharded input
+// is readers during shard-parallel flushes with the Collection's lock the
+// only one between them.
 func TestConcurrentDisjointWritersExact(t *testing.T) {
+	for _, inner := range []string{"SPaC-H", "Sharded(SPaC-H)"} {
+		t.Run(inner, func(t *testing.T) { concurrentDisjointWritersExact(t, innerStacks()[inner]()) })
+	}
+}
+
+func concurrentDisjointWritersExact(t *testing.T, idx core.Index) {
 	const (
 		writers  = 4
 		queriers = 3
 		idsPerW  = 200
 		movesPer = 5 * idsPerW
 	)
-	c := New[int](newSPaCH(), Options{MaxBatch: 128})
+	c := New[int](idx, Options{MaxBatch: 128})
 	final := make([]map[int]geom.Point, writers)
 	var wgW, wgQ sync.WaitGroup
 	stop := make(chan struct{})
@@ -449,7 +456,6 @@ func TestCollectionOverStoreOverSharded(t *testing.T) {
 		Dims:     2,
 		Universe: universe(),
 		Shards:   4,
-		Strategy: shard.HilbertRange,
 		New: func(dims int, u geom.Box) core.Index {
 			return spactree.NewSPaC(sfc.Hilbert, dims, u)
 		},

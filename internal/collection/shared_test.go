@@ -33,7 +33,7 @@ func shardedSPaCH(hidden bool) func() core.Index {
 		}
 	}
 	return func() core.Index {
-		return shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 4, Strategy: shard.HilbertRange, New: child})
+		return shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 4, New: child})
 	}
 }
 

@@ -14,10 +14,13 @@ import (
 
 // Index is the uniform interface over all spatial indexes: the P-Orth tree
 // and SPaC-trees (this paper), and the Pkd-tree, Zd-tree, CPAM and R-tree
-// baselines. All batch operations may run in parallel internally; an Index
-// is NOT safe for concurrent mutation, matching the paper's model of
-// batch-synchronous updates. Queries never mutate and the Parallel*
-// helpers in this package run them concurrently.
+// baselines, and the Sharded fan-out over any of them. All batch
+// operations may run in parallel internally; an Index is NOT safe for
+// concurrent mutation, nor for a query during one, matching the paper's
+// model of batch-synchronous updates. Queries never mutate and the
+// Parallel* helpers in this package run them concurrently. Reader
+// isolation is the front-end's (Store, Collection): one version cell per
+// stack, above the Index.
 //
 // Buffer ownership (normative; ARCHITECTURE.md "Buffer ownership" has the
 // full rules): an implementation must NOT retain the slices passed to

@@ -10,9 +10,9 @@ import (
 )
 
 // Cell is the version cell: the one place the library decides how readers
-// are kept off the writer. A layer (Store, Collection, each shard of a
-// Sharded) holds a Cell over the state its queries read and never looks at
-// the policy again — it acquires a version to read, and commits windows.
+// are kept off the writer. A front-end (Store, Collection) holds a Cell
+// over the state its queries read and never looks at the policy again — it
+// acquires a version to read, and commits windows.
 //
 // Over one copy the Cell is a read/write lock: readers share it, a commit
 // excludes them for the duration of one apply. Over two copies it is the
@@ -82,17 +82,6 @@ func (c *Cell[T, W]) Release(v *Version[T]) {
 		return
 	}
 	c.mgr.Unpin(v)
-}
-
-// Writable returns the copy the next Commit applies to first, whose
-// contents equal the published state. It is for a writer that must plan
-// a window against the state it will change: the caller must exclude
-// Commit and Rebuild (the layers' flush lock does) and only read.
-func (c *Cell[T, W]) Writable() T {
-	if !c.twin {
-		return c.mgr.Current().Data
-	}
-	return c.standby.Data
 }
 
 // Commit advances every copy by window w and returns once no reader can
@@ -171,7 +160,7 @@ func (c *Cell[T, W]) Register(r *obs.Registry, labels ...obs.Label) {
 }
 
 // IndexCell is a Cell over a point index advanced by Diffs: what a Store
-// and each shard of a Sharded hold. Init it with ApplyDiff.
+// holds. Init it with ApplyDiff.
 type IndexCell = Cell[core.Index, Diff]
 
 // Diff is one netted window over a point index: the batches of one

@@ -29,7 +29,6 @@ func startStack(t *testing.T, maxBatch int) *service.Server {
 		Dims:     2,
 		Universe: u,
 		Shards:   4,
-		Strategy: shard.HilbertRange,
 		New:      func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) },
 		Obs:      reg,
 	})

@@ -191,7 +191,7 @@ func TestWALRecoveryRebalancesShards(t *testing.T) {
 	side := workload.DefaultSide
 	newSharded := func() *shard.Sharded {
 		return shard.New(shard.Options{
-			Dims: 2, Universe: geom.UniverseBox(2, side), Shards: shards, Strategy: shard.HilbertRange,
+			Dims: 2, Universe: geom.UniverseBox(2, side), Shards: shards,
 			New: func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) },
 		})
 	}

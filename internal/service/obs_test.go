@@ -27,7 +27,6 @@ func newObsStack(t *testing.T, opts Options) (*Server, *obs.Registry) {
 		Dims:     2,
 		Universe: testUniverse(),
 		Shards:   4,
-		Strategy: shard.HilbertRange,
 		New:      func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) },
 		Obs:      reg,
 	})

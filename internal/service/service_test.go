@@ -35,7 +35,6 @@ func newTestSharded() core.Index {
 		Dims:     2,
 		Universe: testUniverse(),
 		Shards:   4,
-		Strategy: shard.HilbertRange,
 		New:      func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) },
 	})
 }

@@ -25,7 +25,7 @@ func TestStoreOverSharded(t *testing.T) {
 	fresh := all[nBase:]
 	doomed := base[:writers*perG]
 
-	sharded := New(testOptions(2, 8, HilbertRange, spacH))
+	sharded := New(testOptions(2, 8, spacH))
 	sharded.Build(base)
 	st := store.New(sharded, store.Options{MaxBatch: 256})
 

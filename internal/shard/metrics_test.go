@@ -37,7 +37,7 @@ func scrapeSums(t *testing.T, reg *obs.Registry, name string) (sum float64, seri
 func TestShardMetricsAndCost(t *testing.T) {
 	const n = 64
 	reg := obs.New()
-	opts := testOptions(2, 4, HilbertRange, brute)
+	opts := testOptions(2, 4, brute)
 	opts.Obs = reg
 	s := New(opts)
 	side := opts.Universe.Hi[0]
@@ -95,7 +95,7 @@ func TestShardMetricsAndCost(t *testing.T) {
 // on the replica count into the same per-shard counters.
 func TestReplicaSharesMetrics(t *testing.T) {
 	reg := obs.New()
-	opts := testOptions(2, 4, HilbertRange, brute)
+	opts := testOptions(2, 4, brute)
 	opts.Obs = reg
 	s := New(opts)
 

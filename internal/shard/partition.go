@@ -1,23 +1,20 @@
 // Package shard implements Sharded, a space-partitioned fan-out layer
 // over any core.Index: the universe is carved into S compact regions, each
-// region owns an independent index behind its own lock, batch updates are
-// partitioned by region and applied to all shards concurrently, and
-// queries fan out only to the shards whose region can contribute. Where
-// the paper's indexes parallelize *inside* one batch, Sharded adds the
-// orthogonal axis — parallelism *across* indexes — which is what lets
-// deletes and inserts for different regions proceed with no contention at
-// all.
+// region owns an independent index, a batch update is partitioned by
+// region and applied to all shards concurrently, and queries fan out only
+// to the shards whose region can contribute. Where the paper's indexes
+// parallelize *inside* one tree, Sharded adds the orthogonal axis —
+// parallelism *across* indexes within one batch. It is an index, not a
+// concurrency control: like the indexes under it, it is batch-synchronous,
+// and a Store or Collection in front of it owns reader isolation.
 //
-// The partitioning follows the two standard shapes from the literature: a
-// uniform grid over the universe (the grid-of-cells organization of
-// GP-Tree-style designs) and space-filling-curve ranges (the two-level
-// partition-then-local-index design), both expressed as one mechanism — a
-// fine cell grid whose cells are ordered row-major (Grid) or by their
-// Morton/Hilbert code (MortonRange/HilbertRange) and split into S
-// contiguous runs. SFC ordering keeps each run geometrically compact, so
-// query pruning stays effective; Build can additionally rebalance the run
-// boundaries to equalize *point* counts (equi-depth), which is what keeps
-// clustered (Varden-like) data from piling into one shard.
+// The partitioning is the two-level partition-then-local-index design: a
+// fine cell grid over the universe whose cells are ordered by their
+// Hilbert code and split into S contiguous runs. The curve keeps each run
+// geometrically compact, so query pruning stays effective; Build
+// rebalances the run boundaries to equalize *point* counts (equi-depth),
+// which is what keeps clustered (Varden-like) data from piling into one
+// shard.
 package shard
 
 import (
@@ -27,36 +24,9 @@ import (
 	"repro/internal/sfc"
 )
 
-// Strategy selects how grid cells are ordered before being split into S
-// contiguous runs, i.e. what shape the shard regions take.
-type Strategy int
-
-const (
-	// Grid orders cells row-major: shards are horizontal slabs of cells,
-	// the classic static uniform-grid partitioning.
-	Grid Strategy = iota
-	// MortonRange orders cells by their Z-curve code: shards are
-	// contiguous Morton ranges, compact up to the Z-curve's jumps.
-	MortonRange
-	// HilbertRange orders cells by their Hilbert code: the most compact
-	// regions of the three (adjacent ranges are geometrically adjacent).
-	HilbertRange
-)
-
-// String names the strategy the way the experiment tables do.
-func (s Strategy) String() string {
-	switch s {
-	case MortonRange:
-		return "Z"
-	case HilbertRange:
-		return "H"
-	}
-	return "G"
-}
-
 // partition is the immutable cell-grid → shard mapping. Sharded swaps the
-// whole value on Build (rebalancing), so readers need no locking beyond
-// the epoch lock.
+// whole value on Build (rebalancing), so handles that adopted one another
+// can share it.
 type partition struct {
 	dims     int
 	universe geom.Box
@@ -74,18 +44,20 @@ type partition struct {
 	regions   []geom.Box // per shard: union box of its cells (for pruning)
 }
 
-// minCells and maxCells bound the cell grid: a floor so equi-depth
-// rebalancing can split clustered data even at low shard counts (cells
-// far outnumber shards), a ceiling so per-cell tables stay small
-// regardless of the shard count requested.
+// The grid carries ~S * cellsPerShard cells — enough per shard that
+// equi-depth rebalancing has room to move boundaries — within
+// [minCells, maxCells]: a floor so clustered data can be split even at low
+// shard counts (cells far outnumber shards), a ceiling so per-cell tables
+// stay small regardless of the shard count requested.
 const (
-	minCells = 1 << 14
-	maxCells = 1 << 16
+	cellsPerShard = 16
+	minCells      = 1 << 14
+	maxCells      = 1 << 16
 )
 
-// newPartition builds the cell grid for the given shard count and
-// strategy with the default equal-cell-count run boundaries.
-func newPartition(dims int, universe geom.Box, shards int, strategy Strategy, cellsPerShard int) *partition {
+// newPartition builds the cell grid for the given shard count, cells in
+// Hilbert order, with the default equal-cell-count run boundaries.
+func newPartition(dims int, universe geom.Box, shards int) *partition {
 	p := &partition{dims: dims, universe: universe, shards: shards}
 	for d := 0; d < dims; d++ {
 		p.ext1[d] = universe.Side(d) + 1
@@ -108,15 +80,13 @@ func newPartition(dims int, universe geom.Box, shards int, strategy Strategy, ce
 	for c := range p.order {
 		p.order[c] = int32(c)
 	}
-	if strategy != Grid {
-		keys := make([]uint64, cells)
-		for c := 0; c < cells; c++ {
-			keys[c] = cellKey(strategy, p.cellCoords(c), dims)
-		}
-		sort.Slice(p.order, func(i, j int) bool {
-			return keys[p.order[i]] < keys[p.order[j]]
-		})
+	keys := make([]uint64, cells)
+	for c := 0; c < cells; c++ {
+		keys[c] = cellKey(p.cellCoords(c), dims)
 	}
+	sort.Slice(p.order, func(i, j int) bool {
+		return keys[p.order[i]] < keys[p.order[j]]
+	})
 	p.cellShard = make([]uint16, cells)
 	p.regions = make([]geom.Box, shards)
 	p.bounds = make([]int, shards+1)
@@ -235,16 +205,10 @@ func (p *partition) cellBox(c int) geom.Box {
 	return b
 }
 
-// cellKey orders a cell under the given strategy.
-func cellKey(strategy Strategy, cc [geom.MaxDims]uint32, dims int) uint64 {
+// cellKey is a cell's position on the Hilbert curve over the grid.
+func cellKey(cc [geom.MaxDims]uint32, dims int) uint64 {
 	if dims == 2 {
-		if strategy == HilbertRange {
-			return sfc.Hilbert2(cc[0], cc[1])
-		}
-		return sfc.Morton2(cc[0], cc[1])
+		return sfc.Hilbert2(cc[0], cc[1])
 	}
-	if strategy == HilbertRange {
-		return sfc.Hilbert3(cc[0], cc[1], cc[2])
-	}
-	return sfc.Morton3(cc[0], cc[1], cc[2])
+	return sfc.Hilbert3(cc[0], cc[1], cc[2])
 }

@@ -47,18 +47,11 @@ func (p *partition) overlapping(box geom.Box, dst []int) []int {
 // RangeCount implements core.Index: the count query fans out to the
 // shards whose region overlaps the box and merges the per-shard counts.
 func (s *Sharded) RangeCount(box geom.Box) int {
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
 	sc := s.queryPool.Get().(*queryScratch)
 	ids := s.part.overlapping(box, sc.ids[:0])
 	s.met.recordQuery(ids)
 	n := parallel.Reduce(len(ids), 1, 0,
-		func(i int) int {
-			cell := &s.shards[ids[i]]
-			v := cell.Acquire()
-			defer cell.Release(v)
-			return v.Data.RangeCount(box)
-		},
+		func(i int) int { return s.shards[ids[i]].RangeCount(box) },
 		func(a, b int) int { return a + b })
 	sc.ids = ids[:0]
 	s.queryPool.Put(sc)
@@ -76,8 +69,6 @@ func (s *Sharded) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
 // accounts the shards visited and candidate points reported into cost
 // (when non-nil; counts are added, not reset).
 func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryCost) []geom.Point {
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
 	sc := s.queryPool.Get().(*queryScratch)
 	defer s.queryPool.Put(sc)
 	ids := s.part.overlapping(box, sc.ids[:0])
@@ -91,7 +82,7 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 	}
 	if len(ids) == 1 {
 		before := len(dst)
-		dst = s.shardRangeList(ids[0], box, dst)
+		dst = s.shards[ids[0]].RangeList(box, dst)
 		if cost != nil {
 			cost.Candidates += len(dst) - before
 		}
@@ -102,7 +93,7 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 	}
 	bufs := sc.bufs[:len(ids)]
 	parallel.ForEach(len(ids), 1, func(i int) {
-		bufs[i] = s.shardRangeList(ids[i], box, bufs[i][:0])
+		bufs[i] = s.shards[ids[i]].RangeList(box, bufs[i][:0])
 	})
 	for _, b := range bufs {
 		dst = append(dst, b...)
@@ -111,22 +102,6 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 		}
 	}
 	return dst
-}
-
-// shardRangeList runs one shard's range report under its read lock.
-func (s *Sharded) shardRangeList(id int, box geom.Box, dst []geom.Point) []geom.Point {
-	cell := &s.shards[id]
-	v := cell.Acquire()
-	defer cell.Release(v)
-	return v.Data.RangeList(box, dst)
-}
-
-// shardKNN runs one shard's local KNN (same isolation as shardRangeList).
-func (s *Sharded) shardKNN(id int, q geom.Point, k int, dst []geom.Point) []geom.Point {
-	cell := &s.shards[id]
-	v := cell.Acquire()
-	defer cell.Release(v)
-	return v.Data.KNN(q, k, dst)
 }
 
 // KNN implements core.Index with best-first expansion over shard regions:
@@ -145,8 +120,6 @@ func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.Query
 	if k <= 0 {
 		return dst
 	}
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
 	part := s.part
 	dims := part.dims
 
@@ -183,7 +156,7 @@ func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.Query
 		if h.Full() && e.dist2 > h.Bound() {
 			break
 		}
-		buf = s.shardKNN(e.id, q, k, buf[:0])
+		buf = s.shards[e.id].KNN(q, k, buf[:0])
 		expanded++
 		if m != nil {
 			m.queries[e.id].Inc()

@@ -7,17 +7,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
-
-// DefaultCellsPerShard is the partition granularity used when
-// Options.CellsPerShard is unset: enough cells per shard that equi-depth
-// rebalancing has room to move boundaries, few enough that the cell
-// tables stay trivial.
-const DefaultCellsPerShard = 16
 
 // MaxShards bounds Options.Shards (cell ids are staged in uint16 tables
 // and every shard carries a full index; thousands of shards is already
@@ -36,19 +29,6 @@ type Options struct {
 	// Shards is the number of regions S. <= 0 selects GOMAXPROCS, one
 	// shard per core.
 	Shards int
-	// Strategy selects the region shape: Grid slabs or Morton/Hilbert
-	// SFC ranges (HilbertRange gives the most compact regions).
-	Strategy Strategy
-	// CellsPerShard is the partition granularity: the grid carries
-	// ~max(S * CellsPerShard, 16384) cells (capped at 65536), so
-	// rebalancing can split clustered data well below shard granularity.
-	// <= 0 selects DefaultCellsPerShard.
-	CellsPerShard int
-	// Static disables the Build-time equi-depth rebalancing of region
-	// boundaries. With Static set, regions carry equal cell counts no
-	// matter how skewed the data — the configuration in which clustered
-	// distributions pile points into few shards.
-	Static bool
 	// New constructs one shard's index. It is called once per shard with
 	// the full universe (shard indexes may receive any in-universe point
 	// after a rebalance, and space-partitioning children need the
@@ -71,9 +51,6 @@ func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
 	}
-	if o.CellsPerShard <= 0 {
-		o.CellsPerShard = DefaultCellsPerShard
-	}
 	return o
 }
 
@@ -94,46 +71,36 @@ func (o Options) validate() {
 }
 
 // Sharded partitions the universe into S regions, each owning an
-// independent core.Index behind its own version cell (epoch.Cell). It
-// implements core.Index, and — unlike the raw indexes — is safe for fully
-// concurrent use: batch updates commit only to the shards they touch, so
-// mutations of different regions never contend, and queries acquire each
-// shard they visit for reading.
+// independent core.Index. It implements core.Index and is, like every
+// Index, batch-synchronous: one goroutine mutates it at a time and no
+// query overlaps a mutation, while queries may overlap one another. What
+// it adds is parallelism inside a batch — the sub-batches of different
+// regions apply concurrently — and queries that visit only the shards
+// that can contribute.
 //
-// Consistency is per shard: a query running concurrently with a batch
-// update observes each shard either before or after its sub-batch, never
-// mid-application, but may see a cross-shard batch partially applied.
-// Callers that need whole-batch atomicity across shards wrap the Sharded
-// in a store.Store, whose global read/write lock restores it (see the
-// "Scaling out" section of the README for the composition guidance).
-// Readers that must never wait behind a sub-batch get that one layer up:
-// a snapshot-mode Store/Collection/Server keeps two Shardeds (NewReplica)
-// and reads the published one (ARCHITECTURE.md "Epochs & snapshot
-// reads"). Over copy-on-write children the two are handles on one set of
-// trees (Adopt); over any other family each is a whole copy.
+// Concurrent use is the front-end's: a store.Store or a Collection holds
+// the Sharded behind its version cell (see the "Scaling out" section of
+// the README). In snapshot mode the front-end keeps two Shardeds
+// (NewReplica) and reads the published one (ARCHITECTURE.md "Epochs &
+// snapshot reads"). Over copy-on-write children the two are handles on one
+// set of trees (Adopt); over any other family each is a whole copy.
 type Sharded struct {
 	opts Options
 
-	// epoch serializes partition swaps against everything else: Build
-	// (which may rebalance region boundaries) takes the write side; all
-	// other operations read-lock it and then synchronize per shard.
-	epoch sync.RWMutex
-	part  *partition
-	// shards holds each region's index behind its version cell — one copy
-	// under a read/write lock, which serializes the sub-batches that land
-	// on the shard against its readers.
-	shards []epoch.IndexCell
+	// part is swapped whole by Build (rebalancing) and by Adopt.
+	part   *partition
+	shards []core.Index
 	// childName is the shard index family's name, for Name.
 	childName string
 	// cow is every shard's index as a core.Adopter, in shard order, or nil
 	// when the family is not copy-on-write; fixed at construction, like
-	// the indexes themselves (a shard's cell holds one copy for life).
+	// the indexes themselves.
 	cow []core.Adopter
 
-	// diffPool and queryPool recycle the batch-partitioning and query
-	// fan-out scratch across operations (concurrent callers each borrow
-	// their own), so steady-state flushes and queries reuse their buffers.
-	diffPool  sync.Pool
+	// diff is BatchDiff's partitioning scratch (there is one writer);
+	// queryPool recycles the query fan-out scratch, which concurrent
+	// readers each borrow.
+	diff      diffScratch
 	queryPool sync.Pool
 
 	// met is the observability hook set, nil unless Options.Obs was
@@ -163,15 +130,14 @@ func New(opts Options) *Sharded {
 func newSharded(opts Options) *Sharded {
 	s := &Sharded{
 		opts:   opts,
-		part:   newPartition(opts.Dims, opts.Universe, opts.Shards, opts.Strategy, opts.CellsPerShard),
-		shards: make([]epoch.IndexCell, opts.Shards),
+		part:   newPartition(opts.Dims, opts.Universe, opts.Shards),
+		shards: make([]core.Index, opts.Shards),
 	}
-	s.diffPool.New = func() any { return new(diffScratch) }
 	s.queryPool.New = func() any { return new(queryScratch) }
 	cow := make([]core.Adopter, 0, len(s.shards))
 	for i := range s.shards {
 		child := opts.New(opts.Dims, opts.Universe)
-		s.shards[i].Init(epoch.ApplyDiff, child)
+		s.shards[i] = child
 		s.childName = child.Name() // the same for every shard
 		if a, ok := child.(core.Adopter); ok {
 			cow = append(cow, a)
@@ -200,33 +166,20 @@ func (s *Sharded) NewReplica() core.Index {
 // index adopts its counterpart in src and the partition — immutable,
 // swapped whole by Build — is shared, so the receiver becomes a second
 // handle on src's contents in O(S) without allocating. It refuses unless
-// src is a Sharded of the same shape over the same family.
-//
-// The receiver is excluded from every other operation for the duration;
-// src is only held against a Build and, shard by shard, against a
-// sub-batch in mid-apply, so its queries keep running. The caller
-// serializes Adopt against updates of either side (the core.Adopter
-// contract), which is also what keeps a src caught between two shards of
-// one cross-shard batch from being adopted half-applied.
+// src is a Sharded of the same shape over the same family. src is only
+// read, so its queries keep running; the caller keeps everything off the
+// receiver and updates off src (the core.Adopter contract).
 func (s *Sharded) Adopt(src core.Index) bool {
 	o, ok := src.(*Sharded)
 	if !ok || s.cow == nil || o.cow == nil || o.childName != s.childName ||
-		o.opts.Dims != s.opts.Dims || o.opts.Universe != s.opts.Universe || o.opts.Shards != s.opts.Shards ||
-		o.opts.Strategy != s.opts.Strategy || o.opts.CellsPerShard != s.opts.CellsPerShard {
+		o.opts.Dims != s.opts.Dims || o.opts.Universe != s.opts.Universe || o.opts.Shards != s.opts.Shards {
 		return false
 	}
 	if o == s {
 		return true
 	}
-	s.epoch.Lock()
-	defer s.epoch.Unlock()
-	o.epoch.RLock()
-	defer o.epoch.RUnlock()
 	for i := range s.cow {
-		from := o.shards[i].Acquire()
-		ok := s.cow[i].Adopt(from.Data)
-		o.shards[i].Release(from)
-		if !ok {
+		if !s.cow[i].Adopt(o.shards[i]) {
 			if i == 0 {
 				return false // same family name, another configuration
 			}
@@ -244,23 +197,17 @@ func (s *Sharded) Shares(o core.Index) bool {
 	if !ok || s.cow == nil || len(os.cow) != len(s.cow) {
 		return false
 	}
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
-	if os != s {
-		os.epoch.RLock()
-		defer os.epoch.RUnlock()
-	}
 	for i := range s.cow {
-		if !s.cow[i].Shares(os.shards[i].Writable()) {
+		if !s.cow[i].Shares(os.shards[i]) {
 			return false
 		}
 	}
 	return s.part == os.part
 }
 
-// Copied implements core.Adopter: the shards' totals, summed. It takes no
-// lock (a shard's index is fixed and keeps its own counts atomically), so
-// a scrape never waits behind a batch.
+// Copied implements core.Adopter: the shards' totals, summed. The shard
+// indexes are fixed and keep their counts atomically, so a scrape may call
+// it at any time.
 func (s *Sharded) Copied() (nodes, bytes uint64) {
 	for _, a := range s.cow {
 		n, b := a.Copied()
@@ -272,7 +219,8 @@ func (s *Sharded) Copied() (nodes, bytes uint64) {
 
 // Name implements core.Index.
 func (s *Sharded) Name() string {
-	return fmt.Sprintf("Sharded[%d%s](%s)", s.opts.Shards, s.opts.Strategy, s.childName)
+	// H: the regions are Hilbert ranges of the cell grid.
+	return fmt.Sprintf("Sharded[%dH](%s)", s.opts.Shards, s.childName)
 }
 
 // Dims implements core.Index.
@@ -281,20 +229,11 @@ func (s *Sharded) Dims() int { return s.opts.Dims }
 // Shards returns the shard count S.
 func (s *Sharded) Shards() int { return s.opts.Shards }
 
-// shardSize reads one shard's point count under its read lock.
-func (s *Sharded) shardSize(i int) int {
-	v := s.shards[i].Acquire()
-	defer s.shards[i].Release(v)
-	return v.Data.Size()
-}
-
 // Size implements core.Index.
 func (s *Sharded) Size() int {
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
 	total := 0
-	for i := range s.shards {
-		total += s.shardSize(i)
+	for _, idx := range s.shards {
+		total += idx.Size()
 	}
 	return total
 }
@@ -302,31 +241,23 @@ func (s *Sharded) Size() int {
 // ShardSizes appends each shard's point count to dst (load-balance
 // introspection for the benchmarks and tests).
 func (s *Sharded) ShardSizes(dst []int) []int {
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
-	for i := range s.shards {
-		dst = append(dst, s.shardSize(i))
+	for _, idx := range s.shards {
+		dst = append(dst, idx.Size())
 	}
 	return dst
 }
 
-// Build implements core.Index: it replaces the contents with pts. Unless
-// Options.Static is set, Build first rebalances the region boundaries so
-// every shard receives ~len(pts)/S points (equi-depth over the cell
-// histogram), then builds all shard indexes in parallel. Build excludes
-// every concurrent operation for the duration of the boundary swap.
+// Build implements core.Index: it replaces the contents with pts. Build
+// first rebalances the region boundaries so every shard receives
+// ~len(pts)/S points (equi-depth over the cell histogram), then builds all
+// shard indexes in parallel.
 func (s *Sharded) Build(pts []geom.Point) {
-	s.epoch.Lock()
-	defer s.epoch.Unlock()
-	if !s.opts.Static {
-		s.part = s.part.rebalanced(s.cellHistogram(pts))
-	}
+	s.part = s.part.rebalanced(s.cellHistogram(pts))
 	part := s.part
 	scratch := make([]geom.Point, len(pts))
 	offsets := parallel.Sieve(pts, scratch, part.shards, part.shardOf)
 	parallel.ForEach(part.shards, 1, func(i int) {
-		sub := scratch[offsets[i]:offsets[i+1]]
-		s.shards[i].Rebuild(func(idx core.Index) { idx.Build(sub) }, nil)
+		s.shards[i].Build(scratch[offsets[i]:offsets[i+1]])
 	})
 }
 
@@ -372,12 +303,12 @@ func (s *Sharded) BatchInsert(pts []geom.Point) { s.BatchDiff(pts, nil) }
 // BatchDelete implements core.Index.
 func (s *Sharded) BatchDelete(pts []geom.Point) { s.BatchDiff(nil, pts) }
 
-// diffScratch is one BatchDiff's partitioning state: the reordered point
-// buffers plus the sieve scratch for each side. Scratches are pooled per
-// Sharded so a steady stream of flush-sized diffs allocates nothing; the
-// per-shard sub-batches handed to the children are sub-slices of these
-// buffers, which is legal because core.Index implementations must not
-// retain batch slices after the call returns (see the Index contract).
+// diffScratch is BatchDiff's partitioning state: the reordered point
+// buffers plus the sieve scratch for each side, kept on the Sharded so a
+// steady stream of flush-sized diffs allocates nothing. The per-shard
+// sub-batches handed to the children are sub-slices of these buffers,
+// which is legal because core.Index implementations must not retain batch
+// slices after the call returns (see the Index contract).
 type diffScratch struct {
 	ins, del []geom.Point
 	insSieve parallel.SieveScratch
@@ -399,8 +330,6 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 	if len(ins) == 0 && len(del) == 0 {
 		return
 	}
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
 	part := s.part
 	m := s.met
 	var sp *obs.FlushSpan
@@ -412,9 +341,7 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 		// partitioning of the batch into per-shard sub-batches.
 		sp = &obs.FlushSpan{Layer: "shard", Start: clk.UnixNano(), RawOps: len(ins) + len(del), NettedOps: len(ins) + len(del)}
 	}
-	// BatchDiff may run from many goroutines at once, so the scratch is
-	// borrowed from a pool rather than kept unguarded on the struct.
-	sc := s.diffPool.Get().(*diffScratch)
+	sc := &s.diff
 	sc.ins = grown(sc.ins, len(ins))
 	sc.del = grown(sc.del, len(del))
 	var insOff, delOff []int
@@ -424,17 +351,14 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 	)
 	clk = sp.Stamp(obs.StageNet, clk)
 	parallel.ForEach(part.shards, 1, func(i int) {
-		// The sub-batch aliases the pooled scratch; see epoch.Diff.
-		sub := epoch.Diff{Ins: sc.ins[insOff[i]:insOff[i+1]], Del: sc.del[delOff[i]:delOff[i+1]]}
-		if len(sub.Ins) == 0 && len(sub.Del) == 0 {
-			return // an untouched shard commits (and publishes) nothing
+		subIns, subDel := sc.ins[insOff[i]:insOff[i+1]], sc.del[delOff[i]:delOff[i+1]]
+		if len(subIns) == 0 && len(subDel) == 0 {
+			return
 		}
 		if m != nil {
-			m.ops[i].Add(uint64(len(sub.Ins) + len(sub.Del)))
+			m.ops[i].Add(uint64(len(subIns) + len(subDel)))
 		}
-		// The shared span is stamped once for all shards below, not per
-		// cell: the shards commit in parallel.
-		s.shards[i].Commit(sub, nil, time.Time{})
+		s.shards[i].BatchDiff(subIns, subDel)
 	})
 	if m != nil {
 		sp.Stamp(obs.StageApply, clk)
@@ -442,5 +366,4 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 		m.flushDur.Record(sp.Dur())
 		m.trace.Record(*sp)
 	}
-	s.diffPool.Put(sc)
 }

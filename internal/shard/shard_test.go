@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/sfc"
 	"repro/internal/spactree"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -22,18 +25,45 @@ func spacH(dims int, universe geom.Box) core.Index {
 	return spactree.NewSPaC(sfc.Hilbert, dims, universe)
 }
 
-func testOptions(dims, shards int, strategy Strategy, factory func(int, geom.Box) core.Index) Options {
+func testOptions(dims, shards int, factory func(int, geom.Box) core.Index) Options {
 	side := workload.Dist("").Side(dims)
 	return Options{
 		Dims:     dims,
 		Universe: geom.UniverseBox(dims, side),
 		Shards:   shards,
-		Strategy: strategy,
 		New:      factory,
 	}
 }
 
-// TestCrossValidation drives every (dims, strategy, distribution, shard
+// cellOrders are the cell orders TestCrossValidation runs under. Routing,
+// pruning and rebalancing are argued for any order of the cells cut into
+// contiguous runs, not for the Hilbert order every Sharded is built with
+// (H, a nil key); row-major slabs (G) and Morton ranges (Z) give regions
+// that overlap far more, which is the hard case for the KNN frontier.
+var cellOrders = []struct {
+	name string
+	key  func(p *partition, cell int) uint64
+}{
+	{"G", func(_ *partition, cell int) uint64 { return uint64(cell) }},
+	{"Z", func(p *partition, cell int) uint64 {
+		cc := p.cellCoords(cell)
+		if p.dims == 2 {
+			return sfc.Morton2(cc[0], cc[1])
+		}
+		return sfc.Morton3(cc[0], cc[1], cc[2])
+	}},
+	{"H", nil},
+}
+
+// reorder re-sorts the cells of s, which must be fresh, by key and cuts
+// them into equal runs again.
+func reorder(s *Sharded, key func(p *partition, cell int) uint64) {
+	p := s.part
+	sort.Slice(p.order, func(i, j int) bool { return key(p, int(p.order[i])) < key(p, int(p.order[j])) })
+	p.applyBounds()
+}
+
+// TestCrossValidation drives every (dims, cell order, distribution, shard
 // count) combination through all four batch operations, checking the full
 // query suite against the brute-force oracle and the sharding invariants
 // after every round. k up to 40 on shard counts this high guarantees
@@ -41,12 +71,12 @@ func testOptions(dims, shards int, strategy Strategy, factory func(int, geom.Box
 func TestCrossValidation(t *testing.T) {
 	const n = 3000
 	for _, dims := range []int{2, 3} {
-		for _, strategy := range []Strategy{Grid, MortonRange, HilbertRange} {
+		for _, order := range cellOrders {
 			for _, dist := range []workload.Dist{workload.Uniform, workload.Varden} {
 				for _, shards := range []int{1, 5, 16} {
-					name := fmt.Sprintf("%dD/%s/%s/S=%d", dims, strategy, dist, shards)
+					name := fmt.Sprintf("%dD/%s/%s/S=%d", dims, order.name, dist, shards)
 					t.Run(name, func(t *testing.T) {
-						crossValidate(t, dims, strategy, dist, shards, n)
+						crossValidate(t, dims, order.key, dist, shards, n)
 					})
 				}
 			}
@@ -54,13 +84,16 @@ func TestCrossValidation(t *testing.T) {
 	}
 }
 
-func crossValidate(t *testing.T, dims int, strategy Strategy, dist workload.Dist, shards, n int) {
+func crossValidate(t *testing.T, dims int, order func(*partition, int) uint64, dist workload.Dist, shards, n int) {
 	side := dist.Side(dims)
 	seed := int64(7*shards + dims)
 	pool := workload.Generate(dist, 3*n, dims, side, seed)
 	rng := rand.New(rand.NewSource(seed))
 
-	s := New(testOptions(dims, shards, strategy, brute))
+	s := New(testOptions(dims, shards, brute))
+	if order != nil {
+		reorder(s, order)
+	}
 	ref := core.NewBruteForce(dims)
 	s.Build(pool[:n])
 	ref.Build(pool[:n])
@@ -120,7 +153,7 @@ func TestSPaCChild(t *testing.T) {
 	side := dist.Side(2)
 	pool := workload.Generate(dist, 2*n, 2, side, 11)
 
-	s := New(testOptions(2, 8, HilbertRange, spacH))
+	s := New(testOptions(2, 8, spacH))
 	ref := core.NewBruteForce(2)
 	s.Build(pool[:n])
 	ref.Build(pool[:n])
@@ -138,11 +171,10 @@ func TestSPaCChild(t *testing.T) {
 }
 
 // TestKNNStraddlesShards pins the best-first frontier on a worst case:
-// a tight ring of points centered where four static grid shards meet, so
-// every correct answer needs candidates from all of them.
+// a tight ring of points centered where four shards meet, so every
+// correct answer needs candidates from all of them.
 func TestKNNStraddlesShards(t *testing.T) {
-	opts := testOptions(2, 4, Grid, brute)
-	opts.Static = true // keep the grid boundaries through Build
+	opts := testOptions(2, 4, brute)
 	s := New(opts)
 	ref := core.NewBruteForce(2)
 
@@ -155,12 +187,20 @@ func TestKNNStraddlesShards(t *testing.T) {
 			mid+rng.Int63n(20001)-10000,
 		))
 	}
-	s.Build(pts)
+	// BatchInsert, not Build: the equal-cell boundaries stay, and four
+	// equal Hilbert runs of a square grid are its quadrants.
+	s.BatchInsert(pts)
 	ref.Build(pts)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	center := geom.Pt2(mid, mid)
+	for i, sz := range s.ShardSizes(nil) {
+		if d := s.part.regions[i].Dist2(center, 2); d > 2 || sz == 0 {
+			t.Fatalf("shard %d: region %v is %d from the center and holds %d points; want four quadrants sharing the ring",
+				i, s.part.regions[i], d, sz)
+		}
+	}
 	queries := []geom.Point{center, geom.Pt2(mid+1, mid-1), geom.Pt2(mid-5000, mid+5000)}
 	if err := core.VerifyQueries(s, ref, queries, []int{1, 10, 100, 400}, nil); err != nil {
 		t.Fatal(err)
@@ -177,7 +217,7 @@ func TestKNNStraddlesShards(t *testing.T) {
 // answers (the pruned path) and that universe-wide boxes still see every
 // shard.
 func TestRangePruning(t *testing.T) {
-	opts := testOptions(2, 9, MortonRange, brute)
+	opts := testOptions(2, 9, brute)
 	s := New(opts)
 	ref := core.NewBruteForce(2)
 	pts := workload.GenUniform(4000, 2, workload.DefaultSide, 5)
@@ -194,30 +234,26 @@ func TestRangePruning(t *testing.T) {
 }
 
 // TestAdaptiveRebalance: on clustered (Varden) data the Build-time
-// equi-depth split must never balance worse than the static equal-cell
-// split, and must keep the hottest shard well below "everything in one
-// shard".
+// equi-depth split must never balance worse than the equal-cell split a
+// fresh partition starts from, and must keep the hottest shard well below
+// "everything in one shard".
 func TestAdaptiveRebalance(t *testing.T) {
 	const n, shards = 40000, 8
 	pts := workload.GenVarden(n, 2, workload.DefaultSide, 21)
 
-	maxLoad := func(static bool) int {
-		opts := testOptions(2, shards, HilbertRange, brute)
-		opts.Static = static
-		s := New(opts)
-		s.Build(pts)
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		m := 0
-		for _, sz := range s.ShardSizes(nil) {
-			if sz > m {
-				m = sz
-			}
-		}
-		return m
+	opts := testOptions(2, shards, brute)
+	s := New(opts)
+	s.Build(pts)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	adaptive, static := maxLoad(false), maxLoad(true)
+	adaptive := slices.Max(s.ShardSizes(nil))
+	equal := newPartition(2, opts.Universe, shards)
+	loads := make([]int, shards)
+	for _, p := range pts {
+		loads[equal.shardOf(p)]++
+	}
+	static := slices.Max(loads)
 	if adaptive > static {
 		t.Fatalf("adaptive max shard load %d worse than static %d", adaptive, static)
 	}
@@ -228,9 +264,11 @@ func TestAdaptiveRebalance(t *testing.T) {
 }
 
 // TestConcurrentUpdatesAndQueries is the -race acceptance test: several
-// goroutines apply shard-parallel BatchDiffs concurrently (disjoint fresh
-// inserts, reserved doomed deletes) while queriers hammer all three query
-// kinds. After the storm the result must match the oracle exactly.
+// goroutines hand BatchDiffs (disjoint fresh inserts, reserved doomed
+// deletes) to a locked-reads Store over the Sharded — the layer that owns
+// concurrency; the Sharded itself is single-writer — while queriers hammer
+// all three query kinds, so shard-parallel flushes interleave with fan-out
+// queries. After the storm the result must match the oracle exactly.
 func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	const (
 		nBase    = 6000
@@ -245,8 +283,10 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	fresh := all[nBase:]
 	doomed := base[:writers*rounds*batch]
 
-	s := New(testOptions(2, 8, HilbertRange, spacH))
-	s.Build(base)
+	sh := New(testOptions(2, 8, spacH))
+	sh.Build(base)
+	// Every writer's BatchDiff reaches MaxBatch, so each is its own flush.
+	s := store.New(sh, store.Options{MaxBatch: 2 * batch})
 
 	queries := workload.GenUniform(32, 2, side, 33)
 	boxes := workload.RangeQueries(12, 2, side, 0.01, 34)
@@ -292,8 +332,9 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	wgW.Wait()
 	close(stop)
 	wgQ.Wait()
+	s.Close()
 
-	if err := s.Validate(); err != nil {
+	if err := sh.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	oracle := core.NewBruteForce(2)
@@ -325,7 +366,7 @@ func uniquePoints(n int, seed int64) []geom.Point {
 
 // TestShardedImplementsIndex pins the interface surface and defaults.
 func TestShardedImplementsIndex(t *testing.T) {
-	s := New(testOptions(2, 4, HilbertRange, brute))
+	s := New(testOptions(2, 4, brute))
 	var idx core.Index = s
 	if idx.Name() != "Sharded[4H](BruteForce)" {
 		t.Fatalf("Name = %q", idx.Name())

@@ -31,7 +31,7 @@ func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 
 func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box) core.Index, pts []geom.Point, n int) {
 	side := workload.Uniform.Side(2)
-	sh := New(testOptions(2, 8, HilbertRange, family))
+	sh := New(testOptions(2, 8, family))
 	s := store.New(sh, store.Options{MaxBatch: 1 << 20, Snapshot: sh.NewReplica})
 	defer s.Close()
 	s.Build(pts[:n/2])
@@ -79,7 +79,7 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 // fresh empty Sharded with the same configuration, fit for the
 // Collection/Store Snapshot factory.
 func TestSnapshotReplica(t *testing.T) {
-	s := New(testOptions(2, 4, HilbertRange, brute))
+	s := New(testOptions(2, 4, brute))
 	s.Build(uniquePoints(100, 3))
 	r, ok := core.Index(s).(core.Replicator)
 	if !ok {
@@ -101,7 +101,7 @@ func TestSnapshotReplica(t *testing.T) {
 // that cannot share refuses, as does one of another shape.
 func TestAdoptShared(t *testing.T) {
 	pts := uniquePoints(6000, 5)
-	s := New(testOptions(2, 4, HilbertRange, spacH))
+	s := New(testOptions(2, 4, spacH))
 	s.Build(pts[:4000])
 	twin := s.NewReplica().(*Sharded)
 	if !twin.Adopt(s) || !twin.Shares(s) || !s.Shares(twin) {
@@ -149,7 +149,7 @@ func TestAdoptShared(t *testing.T) {
 	}
 	verify("original after adopting back", s, frozen)
 
-	plain := New(testOptions(2, 4, HilbertRange, brute))
+	plain := New(testOptions(2, 4, brute))
 	if plain.Adopt(plain.NewReplica()) || plain.Shares(plain) {
 		t.Fatal("a Sharded over BruteForce shards claims to share")
 	}
@@ -157,8 +157,7 @@ func TestAdoptShared(t *testing.T) {
 		t.Fatal("a Sharded over BruteForce shards reports copies")
 	}
 	for name, other := range map[string]*Sharded{
-		"another shard count": New(testOptions(2, 8, HilbertRange, spacH)),
-		"another strategy":    New(testOptions(2, 4, MortonRange, spacH)),
+		"another shard count": New(testOptions(2, 8, spacH)),
 		"another family":      plain,
 	} {
 		if s.Adopt(other) {

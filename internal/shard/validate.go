@@ -11,8 +11,6 @@ import "fmt"
 //  3. every stored point maps back to the shard holding it, so future
 //     deletes of that point are routed to the right sub-index.
 func (s *Sharded) Validate() error {
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
 	part := s.part
 	if part.bounds[0] != 0 || part.bounds[part.shards] != len(part.order) {
 		return fmt.Errorf("shard: bounds span [%d, %d), want [0, %d)",
@@ -39,13 +37,9 @@ func (s *Sharded) Validate() error {
 			return fmt.Errorf("shard: cell %d assigned to no shard", c)
 		}
 	}
-	for i := range s.shards {
-		cell := &s.shards[i]
-		v := cell.Acquire()
-		pts := v.Data.RangeList(s.opts.Universe, nil)
-		size := v.Data.Size()
-		cell.Release(v)
-		if len(pts) != size {
+	for i, idx := range s.shards {
+		pts := idx.RangeList(s.opts.Universe, nil)
+		if size := idx.Size(); len(pts) != size {
 			return fmt.Errorf("shard %d: %d points in universe, Size() %d (point outside universe?)",
 				i, len(pts), size)
 		}

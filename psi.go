@@ -22,19 +22,19 @@
 //	nn := idx.KNN(q, 10, nil)
 //
 // Indexes are safe for concurrent queries but not for concurrent
-// mutation; batch operations parallelize internally. To serve mutations
-// from many goroutines, wrap any index in a Store (NewStore), the
-// concurrent batch-coalescing front-end. To scale past one index's batch
-// throughput, shard the universe with NewSharded: S regions each own an
-// independent index behind their own lock, batch updates fan out across
+// mutation, nor for a query during one; batch operations parallelize
+// internally. To serve mutations from many goroutines, wrap any index in a
+// Store (NewStore), the concurrent batch-coalescing front-end. To scale
+// past one index's batch throughput, shard the universe with NewSharded:
+// S regions each own an independent index, a batch update fans out across
 // shards in parallel, and queries prune to the shards that can
-// contribute. To track identified moving objects, wrap any stack in a
-// Collection (NewCollection), which nets per-ID moves into batch diffs
-// and resolves geometric queries back to IDs. To put the whole stack
-// behind a socket, wrap it in a Server (NewServer) — the psid protocol
-// served by cmd/psid — and to make acknowledged writes survive
-// restarts, give the server a write-ahead log (NewDurableServer).
-// ARCHITECTURE.md maps the layers.
+// contribute — still an Index, under the same rule. To track identified
+// moving objects, wrap any stack in a Collection (NewCollection), which
+// nets per-ID moves into batch diffs and resolves geometric queries back
+// to IDs. To put the whole stack behind a socket, wrap it in a Server
+// (NewServer) — the psid protocol served by cmd/psid — and to make
+// acknowledged writes survive restarts, give the server a write-ahead log
+// (NewDurableServer). ARCHITECTURE.md maps the layers.
 package psi
 
 import (
@@ -245,48 +245,33 @@ func NewStore(idx Index, opts StoreOptions) *Store { return store.New(idx, opts)
 
 // Sharded is a space-partitioned fan-out layer over any index family:
 // the universe is split into S compact regions, each owning an
-// independent index behind its own lock. Batch updates are partitioned
-// by region in parallel and all shard sub-batches apply concurrently
-// (mutations of different regions never contend); range queries visit
-// only the shards whose region overlaps the box, and KNN expands shards
-// best-first by region distance. Unlike the raw indexes, a Sharded is
-// safe for fully concurrent use — consistency is per shard; wrap it in a
-// Store for whole-batch atomicity across shards (see README "Scaling
+// independent index. A batch update is partitioned by region in parallel
+// and all shard sub-batches apply concurrently; range queries visit only
+// the shards whose region overlaps the box, and KNN expands shards
+// best-first by region distance. Like every Index it is
+// batch-synchronous — one mutation at a time, queries between them; wrap
+// it in a Store or Collection for concurrent use (see README "Scaling
 // out").
 type Sharded = shard.Sharded
 
-// ShardedOptions configures a Sharded index: shard count S, partitioning
-// strategy, granularity, static vs Build-rebalanced boundaries, and the
-// per-shard index constructor.
+// ShardedOptions configures a Sharded index: dimensions, universe, shard
+// count S, the per-shard index constructor and the metrics registry.
 type ShardedOptions = shard.Options
-
-// ShardStrategy selects the shard region shape.
-type ShardStrategy = shard.Strategy
-
-// Shard partitioning strategies: static grid slabs, Morton (Z-curve)
-// ranges, or Hilbert ranges (most compact regions, the default of
-// NewSharded).
-const (
-	ShardGrid    = shard.Grid
-	ShardMorton  = shard.MortonRange
-	ShardHilbert = shard.HilbertRange
-)
 
 // NewSharded partitions the universe into shards regions (Hilbert-range
 // partitioning; shards <= 0 selects one per core) and builds one index
 // per region with newIndex — e.g. psi.NewSharded(psi.NewSPaCH, 2, u, 0).
-// Use NewShardedOpts for full control.
+// Use NewShardedOpts to attach a metrics registry.
 func NewSharded(newIndex func(dims int, universe Box) Index, dims int, universe Box, shards int) *Sharded {
 	return shard.New(shard.Options{
 		Dims:     dims,
 		Universe: universe,
 		Shards:   shards,
-		Strategy: shard.HilbertRange,
 		New:      newIndex,
 	})
 }
 
-// NewShardedOpts builds a Sharded index with explicit options.
+// NewShardedOpts builds a Sharded index from its options struct.
 func NewShardedOpts(opts ShardedOptions) *Sharded { return shard.New(opts) }
 
 // Collection is a concurrent ID-keyed moving-object layer over any Index
