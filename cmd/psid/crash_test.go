@@ -16,9 +16,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -26,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -51,7 +55,11 @@ func TestCrashHelperProcess(t *testing.T) {
 	os.Exit(run())
 }
 
-var servingRE = regexp.MustCompile(`^psid: serving .* on (127\.0\.0\.1:\d+)`)
+var (
+	servingRE   = regexp.MustCompile(`^psid: serving .* on (127\.0\.0\.1:\d+)`)
+	httpRE      = regexp.MustCompile(`\(http (127\.0\.0\.1:\d+)\)`)
+	recoveredRE = regexp.MustCompile(`recovered (\d+) objects`)
+)
 
 // startPsid re-execs this test binary as a psid serving on an ephemeral
 // port with the given WAL directory, and returns the process and its
@@ -163,8 +171,22 @@ func TestKillRecoveryOracle(t *testing.T) {
 		}()
 	}
 
-	// Let the churn build real state, then kill without ceremony.
+	// Let the churn build real state, then kill without ceremony. Just
+	// before: -fsync always must have reached the server as durable acks,
+	// each a journaled and synced window.
 	time.Sleep(700 * time.Millisecond)
+	sc, err := service.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sc.Stats()
+	sc.Close()
+	if err != nil {
+		t.Fatalf("STATS: %v", err)
+	}
+	if st.WAL == nil || !st.WAL.DurableAcks || st.WAL.Appends == 0 || st.WAL.Fsyncs == 0 {
+		t.Fatalf("wal block before the kill = %+v, want durable acks with appends and fsyncs", st.WAL)
+	}
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +205,15 @@ func TestKillRecoveryOracle(t *testing.T) {
 	// Restart over the same directory: recovery must replay every
 	// acknowledged write (fsync=always: ack means on disk).
 	cmd2, addr2, serving := startPsid(t, dir)
-	defer func() {
-		cmd2.Process.Signal(syscall.SIGTERM)
-		cmd2.Wait()
-	}()
+	defer sigtermWait(t, cmd2)
 	t.Logf("restart: %s", serving)
+	// The churn only SETs, so recovery loads at least one object per
+	// acknowledged ID.
+	if m := recoveredRE.FindStringSubmatch(serving); m == nil {
+		t.Errorf("restart's serving line carries no recovery summary: %s", serving)
+	} else if n, _ := strconv.Atoi(m[1]); n < total {
+		t.Errorf("restart recovered %d objects, %d IDs were acknowledged: %s", n, total, serving)
+	}
 	c, err := service.Dial(addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +254,96 @@ func TestKillRecoveryOracle(t *testing.T) {
 	}
 }
 
+// TestProbeWiring pins what main wires between flags and layers, on the
+// real binary: -http binds the probe listener the serving line reports,
+// -pprof mounts the profiles and the gc block of /stats, -slowlog arms the
+// ring, and one registry reaches the shard layer, the Collection and the
+// server, so a single /metrics scrape carries all three. The endpoints'
+// own behaviour is internal/service's to test; here each must merely be
+// reachable and fed.
+func TestProbeWiring(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	cmd, addr, serving := startPsid(t, "", "-http", "127.0.0.1:0", "-pprof", "-slowlog", "1ns")
+	defer sigtermWait(t, cmd)
+	m := httpRE.FindStringSubmatch(serving)
+	if m == nil {
+		t.Fatalf("serving line names no http address: %s", serving)
+	}
+	base := "http://" + m[1]
+	c, err := service.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 20 {
+		if err := c.Set(fmt.Sprintf("p%d", i), []int64{int64(i * 1000), int64(i)}); err != nil {
+			t.Fatalf("SET: %v", err)
+		}
+	}
+	if _, err := c.Flush(); err != nil {
+		t.Fatalf("FLUSH: %v", err)
+	}
+	if hits, err := c.Nearby([]int64{0, 0}, 3); err != nil || len(hits) != 3 {
+		t.Fatalf("NEARBY = %v, %v; want 3 hits", hits, err)
+	}
+	c.Close()
+
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d (%v): %s", path, resp.StatusCode, err, body)
+		}
+		return string(body)
+	}
+	get("/healthz")
+	get("/debug/pprof/heap")
+	var st service.StatsPayload
+	if err := json.Unmarshal([]byte(get("/stats")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.GC == nil || st.GC.Mallocs == 0 {
+		t.Errorf("/stats gc block = %+v, want malloc counts under -pprof", st.GC)
+	}
+	metrics := get("/metrics")
+	samples, err := obs.ParseText(strings.NewReader(metrics))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	if samples[`psi_flush_total{layer="collection"}`] == 0 {
+		t.Error(`/metrics: psi_flush_total{layer="collection"} did not advance over a FLUSH`)
+	}
+	for _, series := range []string{
+		`psi_shard_ops_total{shard="`, // the registry reached the shard layer
+		`psi_query_duration_ns_bucket{op="SET"`,
+		`# TYPE psi_query_duration_ns histogram`,
+	} {
+		if !strings.Contains("\n"+metrics, "\n"+series) {
+			t.Errorf("/metrics has no line starting %s", series)
+		}
+	}
+	var spans []map[string]any
+	if err := json.Unmarshal([]byte(get("/debug/flushtrace")), &spans); err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) == 0 || spans[0]["layer"] == nil || spans[0]["apply_ns"] == nil {
+		t.Errorf("/debug/flushtrace = %v, want spans with layer and apply_ns", spans)
+	}
+	var slow []map[string]any
+	if err := json.Unmarshal([]byte(get("/debug/slowlog")), &slow); err != nil {
+		t.Fatal(err)
+	}
+	if len(slow) == 0 || slow[0]["cmd"] == nil || slow[0]["shards"] == nil {
+		t.Errorf("/debug/slowlog = %v, want entries with cmd and shards under -slowlog 1ns", slow)
+	}
+}
+
 // TestBadFlagsExitTwo: a flag value no index can be built over is
 // command-line input, not programmer error — psid must answer it the way
 // it answers -dims 4, with one "psid:" line and exit status 2, never with
@@ -241,6 +357,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-index", "no-such-tree"},
 		{"-fsync", "sometimes"},
 		{"-shards", "5000"},
+		{"-shards", "-7"}, // not an alias of -1
 		{"-side", "-5"},
 		{"-side", "4000000000000"},
 		{"-side", "4000000000000", "-shards", "0"},

@@ -60,7 +60,10 @@
 // fatal serving error (say, a dead WAL disk) drains and closes the log
 // too, rather than aborting mid-flush.
 //
-// Benchmark a running psid with cmd/psiload.
+// Load numbers come from go run ./benchmark -workload track-*, which
+// spawns this binary; the kill -9 and replication oracles are this
+// package's real-process tests; cmd/psiload is the failover-handover
+// harness.
 package main
 
 import (
@@ -105,7 +108,6 @@ func run() int {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http listener and add GC counters to /stats")
 	lockedReads := flag.Bool("locked-reads", false, "disable epoch-pinned snapshot reads, under which a query waits at most for a window's table step: queries take the read lock and can wait behind a whole flush (A/B baseline)")
 	slowlog := flag.Duration("slowlog", 0, "slow-query threshold: commands slower than this are retained in the slow-query log (SLOWLOG command, /debug/slowlog); 0 disables")
-	slowlogSize := flag.Int("slowlog-size", service.DefaultSlowLogSize, "slow-query log ring capacity")
 	walDir := flag.String("wal", "", "write-ahead log directory: journal committed flush windows and recover them on restart (docs/durability.md); empty serves memory-only")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (ack = on disk), never, or a sync interval like 100ms (bounded loss window)")
 	snapEvery := flag.Duration("snapshot-interval", service.DefaultWALSnapshotInterval, "WAL snapshot-and-truncate cadence bounding restart replay time")
@@ -125,8 +127,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: -side must be positive, got %d\n", *side)
 		return 2
 	}
-	if *shards > shard.MaxShards {
-		fmt.Fprintf(os.Stderr, "psid: -shards must be at most %d, got %d\n", shard.MaxShards, *shards)
+	if *shards < -1 || *shards > shard.MaxShards {
+		fmt.Fprintf(os.Stderr, "psid: -shards must be between -1 and %d, got %d\n", shard.MaxShards, *shards)
 		return 2
 	}
 	universe := geom.UniverseBox(*dims, *side)
@@ -181,7 +183,6 @@ func run() int {
 		DisableSnapshot:     *lockedReads,
 		Obs:                 reg,
 		SlowLog:             *slowlog,
-		SlowLogSize:         *slowlogSize,
 		WALDir:              *walDir,
 		WALFsync:            fsyncPolicy,
 		WALFsyncInterval:    fsyncInterval,

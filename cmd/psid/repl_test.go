@@ -99,9 +99,17 @@ func startFollowerPsid(t *testing.T, walDir, leaderRepl, id string) (*exec.Cmd, 
 	return cmd, addr
 }
 
-func sigtermWait(cmd *exec.Cmd) {
-	cmd.Process.Signal(syscall.SIGTERM)
-	cmd.Wait()
+// sigtermWait asks psid to drain and requires the graceful exit: status
+// 0 means the drain finished inside -drain and the final flush (and WAL
+// snapshot + close) ran.
+func sigtermWait(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Errorf("SIGTERM: %v", err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("psid did not exit 0 after SIGTERM: %v", err)
+	}
 }
 
 // replStats fetches the replication block over the wire, failing the
@@ -262,13 +270,42 @@ func TestFollowerConvergenceOracle(t *testing.T) {
 		t.Skip("spawns real server processes")
 	}
 	leader, addr, repl := startLeaderPsid(t, t.TempDir(), "127.0.0.1:0")
-	defer sigtermWait(leader)
+	defer sigtermWait(t, leader)
 	f1, f1addr := startFollowerPsid(t, t.TempDir(), repl, "oracle-f1")
-	defer sigtermWait(f1)
+	defer sigtermWait(t, f1)
 	f2, f2addr := startFollowerPsid(t, t.TempDir(), repl, "oracle-f2")
-	defer sigtermWait(f2)
+	defer sigtermWait(t, f2)
 
+	// The split topology under load: writes to the leader while a reader
+	// rides follower 1, whose queries must be served as windows apply.
+	reads := make(chan int)
+	stopReads := make(chan struct{})
+	go func() {
+		n := 0
+		defer func() { reads <- n }()
+		rc, err := service.Dial(f1addr)
+		if err != nil {
+			t.Errorf("reader: dial: %v", err)
+			return
+		}
+		defer rc.Close()
+		for ; ; n++ {
+			select {
+			case <-stopReads:
+				return
+			default:
+			}
+			if _, err := rc.Nearby([]int64{int64(n % 40_000), 500}, 5); err != nil {
+				t.Errorf("reader: NEARBY on the follower mid-churn: %v", err)
+				return
+			}
+		}
+	}()
 	oracle := oracleChurn(t, addr, 4, 50, 700*time.Millisecond)
+	close(stopReads)
+	if n := <-reads; n == 0 {
+		t.Error("the follower served no query during the churn")
+	}
 
 	lc, err := service.Dial(addr)
 	if err != nil {
@@ -282,12 +319,26 @@ func TestFollowerConvergenceOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFollowerAt(t, fc, head, 15*time.Second)
+		if rs := replStats(t, fc); rs.Role != "follower" || !rs.Follower.Connected {
+			t.Errorf("follower %d reports role %q, connected=%t", i+1, rs.Role, rs.Follower.Connected)
+		}
 		assertState(t, fc, oracle, fmt.Sprintf("follower %d", i+1))
 		fc.Close()
 	}
 	// The leader itself must equal the oracle too — otherwise matching
 	// followers would only prove shared wrongness.
 	assertState(t, lc, oracle, "leader")
+	// And it sees both of them, by the identity -repl-id gave each.
+	rs := replStats(t, lc)
+	if rs.Role != "leader" || rs.Leader.Connected != 2 || len(rs.Leader.Followers) != 2 {
+		t.Errorf("leader reports role %q with %d connected of %d followers, want leader 2/2",
+			rs.Role, rs.Leader.Connected, len(rs.Leader.Followers))
+	}
+	for _, fi := range rs.Leader.Followers {
+		if fi.ID != "oracle-f1" && fi.ID != "oracle-f2" {
+			t.Errorf("leader lists follower %q, want oracle-f1 and oracle-f2", fi.ID)
+		}
+	}
 }
 
 // TestChaosFollowerKill SIGKILLs a follower mid-stream. Restarted over
@@ -298,7 +349,7 @@ func TestChaosFollowerKill(t *testing.T) {
 		t.Skip("spawns real server processes")
 	}
 	leader, addr, repl := startLeaderPsid(t, t.TempDir(), "127.0.0.1:0")
-	defer sigtermWait(leader)
+	defer sigtermWait(t, leader)
 	fdir := t.TempDir()
 	follower, _ := startFollowerPsid(t, fdir, repl, "chaos-kill")
 
@@ -314,7 +365,7 @@ func TestChaosFollowerKill(t *testing.T) {
 	oracle := <-done
 
 	follower2, faddr := startFollowerPsid(t, fdir, repl, "chaos-kill")
-	defer sigtermWait(follower2)
+	defer sigtermWait(t, follower2)
 	lc, err := service.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +396,7 @@ func TestChaosPartition(t *testing.T) {
 		t.Skip("spawns real server processes")
 	}
 	leader, addr, repl := startLeaderPsid(t, t.TempDir(), "127.0.0.1:0")
-	defer sigtermWait(leader)
+	defer sigtermWait(t, leader)
 
 	// The proxy forwards follower<->leader; the first session's
 	// leader->follower direction is cut after 200 bytes — enough for the
@@ -387,7 +438,7 @@ func TestChaosPartition(t *testing.T) {
 
 	fdir := t.TempDir()
 	follower, faddr := startFollowerPsid(t, fdir, ln.Addr().String(), "chaos-part")
-	defer sigtermWait(follower)
+	defer sigtermWait(t, follower)
 
 	oracle := oracleChurn(t, addr, 4, 50, 700*time.Millisecond)
 
@@ -437,7 +488,7 @@ func TestChaosLeaderKill(t *testing.T) {
 	ldir := t.TempDir()
 	leader, addr, _ := startLeaderPsid(t, ldir, replAddr)
 	follower, faddr := startFollowerPsid(t, t.TempDir(), replAddr, "chaos-lead")
-	defer sigtermWait(follower)
+	defer sigtermWait(t, follower)
 
 	oracle := oracleChurn(t, addr, 2, 40, 400*time.Millisecond)
 	lc, err := service.Dial(addr)
@@ -475,7 +526,7 @@ func TestChaosLeaderKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	leader2, addr2, _ := startLeaderPsid(t, ldir, replAddr)
-	defer sigtermWait(leader2)
+	defer sigtermWait(t, leader2)
 	lc2, err := service.Dial(addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -527,9 +578,9 @@ func TestChaosPromote(t *testing.T) {
 	// A is a hot standby: a follower that also carries the listen
 	// address its promotion will bind.
 	a, aAddr, _ := startPsid(t, t.TempDir(), "-replica-of", replL, "-repl-id", "promo-a", "-repl", aRepl)
-	defer sigtermWait(a)
+	defer sigtermWait(t, a)
 	b, bAddr := startFollowerPsid(t, t.TempDir(), replL, "promo-b")
-	defer sigtermWait(b)
+	defer sigtermWait(t, b)
 
 	// Timeline 0: churn, then quiesce and confirm both followers hold
 	// the full acked frontier. Promoting a caught-up follower is the
@@ -586,7 +637,7 @@ func TestChaosPromote(t *testing.T) {
 	// still believing it leads at term 0 — and still accepting writes.
 	// This is the split-brain hazard PROMOTE cannot prevent on its own.
 	leader2, addr2, _ := startLeaderPsid(t, ldir, replL)
-	defer sigtermWait(leader2)
+	defer sigtermWait(t, leader2)
 	lc2, err := service.Dial(addr2)
 	if err != nil {
 		t.Fatal(err)

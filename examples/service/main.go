@@ -12,7 +12,8 @@
 //	go run ./examples/service            # full size
 //	PSI_EXAMPLE_N=2000 go run ./examples/service   # smoke scale
 //
-// For a standalone server use cmd/psid, and cmd/psiload to benchmark it.
+// For a standalone server use cmd/psid; go run ./benchmark -workload
+// track-interactive spawns one and measures it.
 package main
 
 import (

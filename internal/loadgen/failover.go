@@ -1,18 +1,22 @@
-package loadgen
-
-// Failover chaos harness: RunFailover spawns a real psid cluster —
-// a leader plus hot standbys, each its own OS process with its own WAL
-// directory — drives write and read churn against it, and performs
-// repeated violent handovers: kill -9 the leader mid-churn, PROMOTE
-// the next standby in place, FOLLOW-re-point the survivors, and
-// restart the victim as a standby of the new timeline. Throughout,
+// Package loadgen is the failover-handover harness behind cmd/psiload:
+// RunFailover spawns a real psid cluster — a leader plus hot standbys,
+// each its own OS process with its own WAL directory — drives write
+// and read churn against it, and performs repeated violent handovers:
+// kill -9 the leader mid-churn, PROMOTE the next standby in place,
+// FOLLOW-re-point the survivors, and restart the victim as a standby of
+// the new timeline. Throughout,
 // every churn connection records its unavailability windows (first
 // error to first success), and every acknowledged write is tracked so
-// the final topology can be audited with VerifyFinal. This is the
+// the final topology can be audited with verifyFinal. This is the
 // serving-path measurement behind docs/replication.md's failover
 // contract: writes are unavailable for roughly the promote window,
 // reads on survivors are not, and no write acknowledged by a live
-// timeline is ever lost.
+// timeline is ever lost. It reaches a server only the way any client
+// does — service.Client — so it sits beside the server package, not in
+// it. Load numbers come from go run ./benchmark, and the single-fault
+// oracles (kill -9 recovery, follower convergence, partition, one
+// promotion) are cmd/psid's real-process tests; repeated handovers with
+// the victim rejoining are the one scenario only this harness runs.
 //
 // The handover is deliberately sequenced the way an operator (or an
 // external controller) would run it:
@@ -34,6 +38,7 @@ package loadgen
 // Readers are never paused and are re-pointed at the next leader
 // before the kill, so their windows isolate what the in-place PROMOTE
 // itself costs read traffic (nothing, when it works).
+package loadgen
 
 import (
 	"encoding/csv"
@@ -43,6 +48,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,8 +178,8 @@ func formatWindows(w io.Writer, kind string, windows []time.Duration, ops, errs 
 }
 
 // WriteCSV emits the report as machine-readable rows: one row per
-// observed window, then the p50/p99/max summaries and run counters —
-// the failover analogue of LoadReport.WriteCSV, greppable by kind.
+// observed window, then the p50/p99/max summaries and run counters,
+// greppable by kind.
 func (r *FailoverReport) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"kind", "sample", "value"}); err != nil {
@@ -631,10 +637,42 @@ func RunFailover(opts FailoverOptions) (*FailoverReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	if err := VerifyFinal(finalLeader.cmdAddr, final); err != nil {
+	if err := verifyFinal(finalLeader.cmdAddr, final); err != nil {
 		return rep, err
 	}
 	logf("final topology verified: node%d leads at term %d, %d acknowledged writes present",
 		leaderIdx, rep.FinalTerm, rep.Verified)
 	return rep, nil
+}
+
+// verifyFinal GETs every recorded object from addr, requiring the
+// exact acknowledged position: no write a live timeline acknowledged
+// may be missing or moved on the final leader.
+func verifyFinal(addr string, final map[string][]int64) error {
+	return failoverAdmin(addr, func(c *service.Client) error {
+		var missing, wrong int
+		var firstBad string
+		for id, want := range final {
+			got, found, err := c.Get(id)
+			if err != nil {
+				return fmt.Errorf("psiload: GET %s: %w", id, err)
+			}
+			switch {
+			case !found:
+				missing++
+			case !slices.Equal(got, want):
+				wrong++
+			default:
+				continue
+			}
+			if firstBad == "" {
+				firstBad = fmt.Sprintf("%s = %v (found=%t), want %v", id, got, found, want)
+			}
+		}
+		if missing > 0 || wrong > 0 {
+			return fmt.Errorf("psiload: %d of %d acknowledged writes lost (%d missing, %d wrong); first: %s",
+				missing+wrong, len(final), missing, wrong, firstBad)
+		}
+		return nil
+	})
 }

@@ -2,16 +2,22 @@ package loadgen
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/geom"
+	"repro/internal/service"
+	"repro/internal/sfc"
+	"repro/internal/spactree"
 )
 
-// The process-spawning chaos run itself is exercised by the CI
-// failover smoke (psiload -mix failover) and cmd/psid's
-// TestChaosPromote; these tests pin the measurement math and the
-// report formats.
+// The process-spawning run itself is exercised by CI's failover chaos
+// mix step (psiload against a built psid), and one promotion across
+// real processes by cmd/psid's TestChaosPromote; these tests pin the
+// measurement math and the report formats.
 
 func TestFailoverQuantiles(t *testing.T) {
 	win := func(ns ...int) []time.Duration {
@@ -135,5 +141,32 @@ func TestFailoverOptionValidation(t *testing.T) {
 	}
 	if _, err := RunFailover(FailoverOptions{PsidBin: "psid", BaseDir: t.TempDir(), Nodes: 1}); err == nil {
 		t.Fatal("a 1-node cluster was accepted")
+	}
+}
+
+// TestVerifyFinal: the audit accepts exactly the acknowledged state and
+// names what it misses — a moved object and an absent one both count.
+func TestVerifyFinal(t *testing.T) {
+	s := service.New(spactree.NewSPaC(sfc.Hilbert, 2, geom.UniverseBox(2, 1000)), service.Options{})
+	if err := s.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	addr := s.Addr().String()
+	err := failoverAdmin(addr, func(c *service.Client) error {
+		if err := c.Set("a", []int64{1, 2}); err != nil {
+			return err
+		}
+		return c.Set("b", []int64{3, 4})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyFinal(addr, map[string][]int64{"a": {1, 2}, "b": {3, 4}}); err != nil {
+		t.Fatalf("exact state rejected: %v", err)
+	}
+	err = verifyFinal(addr, map[string][]int64{"a": {1, 2}, "b": {3, 5}, "c": {0, 0}})
+	if err == nil || !strings.Contains(err.Error(), "2 of 3 acknowledged writes lost (1 missing, 1 wrong)") {
+		t.Fatalf("moved b and absent c reported as: %v", err)
 	}
 }

@@ -158,7 +158,7 @@ func escapeHelp(h string) string {
 // series key — `name` or `name{labels}` exactly as exposed — to value.
 // It understands the subset WritePrometheus emits (no timestamps,
 // values parseable by strconv.ParseFloat) plus comment and blank lines,
-// which is all psiload -scrape needs to diff two scrapes of a psid.
+// which is all a test needs to read a scrape of a psid.
 // Label values containing a space before the final value separator are
 // not supported.
 func ParseText(r io.Reader) (map[string]float64, error) {

@@ -2,8 +2,8 @@
 // index in Ψ-Lib/Go. It mirrors the binary-forking model the paper analyses
 // (§2.1): Do forks two tasks, For runs a parallel loop (simulated by
 // logarithmic forking in theory; implemented with a dynamic chunk queue
-// here), Scan is a two-pass parallel prefix sum, Sieve is the stable
-// parallel counting sort the paper adopts from the Pkd-tree work [43].
+// here), Sieve is the stable parallel counting sort the paper adopts
+// from the Pkd-tree work [43].
 // There are two sorts, both sample sorts in the spirit of IPS4o [9] that
 // scatter with Sieve. SortByKey orders elements by a uint64 key — the
 // space-filling-curve code of every SPaC, CPAM and Zd-tree build and batch
@@ -53,11 +53,6 @@ func DoIf(cond bool, a, b func()) {
 		a()
 		b()
 	}
-}
-
-// Do4 runs four tasks in parallel (used by 2^D-way tree recursions).
-func Do4(fns ...func()) {
-	ForEach(len(fns), 1, func(i int) { fns[i]() })
 }
 
 // For runs f(i) for every i in [0, n) in parallel with the given grain
@@ -177,39 +172,4 @@ func Reduce[T any](n, grain int, id T, f func(i int) T, op func(a, b T) T) T {
 		acc = op(acc, v)
 	}
 	return acc
-}
-
-// Scan computes the exclusive prefix sum of a in place and returns the
-// total. Two-pass blocked algorithm: per-block sums, sequential scan over
-// block sums, per-block local scan with offset.
-func Scan(a []int) int {
-	n := len(a)
-	const grain = 4096
-	nb := NumBlocks(n, grain)
-	if nb <= 1 {
-		sum := 0
-		for i := 0; i < n; i++ {
-			a[i], sum = sum, sum+a[i]
-		}
-		return sum
-	}
-	sums := make([]int, nb)
-	Blocks(n, grain, func(lo, hi int) {
-		s := 0
-		for i := lo; i < hi; i++ {
-			s += a[i]
-		}
-		sums[lo/grain] = s
-	})
-	total := 0
-	for i := range sums {
-		sums[i], total = total, total+sums[i]
-	}
-	Blocks(n, grain, func(lo, hi int) {
-		s := sums[lo/grain]
-		for i := lo; i < hi; i++ {
-			a[i], s = s, s+a[i]
-		}
-	})
-	return total
 }

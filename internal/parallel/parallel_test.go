@@ -68,27 +68,6 @@ func TestReduce(t *testing.T) {
 	}
 }
 
-func TestScan(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 4096, 4097, 100000} {
-		a := make([]int, n)
-		want := make([]int, n)
-		sum := 0
-		for i := range a {
-			a[i] = i%7 + 1
-			want[i] = sum
-			sum += a[i]
-		}
-		if got := Scan(a); got != sum {
-			t.Fatalf("n=%d: Scan total = %d, want %d", n, got, sum)
-		}
-		for i := range a {
-			if a[i] != want[i] {
-				t.Fatalf("n=%d: a[%d] = %d, want %d", n, i, a[i], want[i])
-			}
-		}
-	}
-}
-
 func TestSieveStable(t *testing.T) {
 	type elem struct{ bucket, seq int }
 	rng := rand.New(rand.NewSource(1))
@@ -211,14 +190,6 @@ func TestSortQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortInts(t *testing.T) {
-	a := []int64{5, -1, 3, 3, 0}
-	SortInts(a)
-	if !slices.IsSorted(a) {
-		t.Fatalf("SortInts = %v", a)
 	}
 }
 

@@ -68,26 +68,6 @@ func Sort[T any](a []T, cmp func(x, y T) int) {
 	})
 }
 
-// SortedCheck reports whether a is sorted under cmp. Test/validation helper.
-func SortedCheck[T any](a []T, cmp func(x, y T) int) bool {
-	return slices.IsSortedFunc(a, cmp)
-}
-
-// SortInts sorts an int64 slice in parallel. Convenience wrapper used by
-// workload generators (Sweepline sorts by the first coordinate).
-func SortInts(a []int64) {
-	Sort(a, func(x, y int64) int {
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
 // SearchInts is re-exported sort.Search specialised for int ranges; several
 // indexes binary-search batch boundaries with it.
 func SearchInts(n int, f func(int) bool) int { return sort.Search(n, f) }

@@ -165,7 +165,7 @@ func (s *Server) journalHook(l *wal.Log[string]) func(seq uint64, ops []wal.Op[s
 // recovered sequence, so a follower already there resumes with an empty
 // tail instead of a snapshot.
 func (s *Server) newHub() *repl.Hub {
-	return repl.NewHub(s.wal.LastSeq(), s.opts.ReplRetainWindows, s.opts.ReplRetainBytes)
+	return repl.NewHub(s.wal.LastSeq(), s.opts.ReplRetainWindows, repl.DefaultRetainBytes)
 }
 
 // newLeader builds the leader endpoint over the current hub. reg is the

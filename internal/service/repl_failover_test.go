@@ -7,6 +7,7 @@ package service
 // version (kill -9 mid-churn) is TestChaosPromote in cmd/psid.
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +151,13 @@ func TestFailoverHandover(t *testing.T) {
 	waitConverged(t, f1, f2)
 	if st := f2.Stats().Repl; st.Term != 1 || st.Role != "follower" {
 		t.Fatalf("re-pointed follower stats = %+v, want term 1 follower", st)
+	}
+	// The probe an orchestrator gates on tells the same story.
+	if code, m := healthz(t, f1); code != http.StatusOK || m["role"] != "leader" || m["term"] != float64(1) {
+		t.Fatalf("promoted leader /healthz = %d %v, want 200 role=leader term=1", code, m)
+	}
+	if code, m := healthz(t, f2); code != http.StatusOK || m["role"] != "follower" || m["term"] != float64(1) {
+		t.Fatalf("re-pointed follower /healthz = %d %v, want 200 role=follower term=1", code, m)
 	}
 	// The cross-term re-point bootstraps (timelines must not mix), and
 	// the readonly refusal now points at the new leader.

@@ -6,7 +6,9 @@ package service
 // The cross-process versions (kill -9, partitions) live in cmd/psid.
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
@@ -52,6 +54,17 @@ func waitConverged(t *testing.T, leader, follower *Server) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// healthz fetches the server's /healthz status and decoded JSON body.
+func healthz(t *testing.T, s *Server) (int, map[string]any) {
+	t.Helper()
+	code, _, body := httpGet(t, "http://"+s.HTTPAddr().String()+"/healthz")
+	var m map[string]any
+	if err := json.Unmarshal([]byte(body), &m); err != nil {
+		t.Fatalf("/healthz body %q: %v", body, err)
+	}
+	return code, m
 }
 
 func TestReplValidation(t *testing.T) {
@@ -248,5 +261,43 @@ func TestReplFollowerRestartResume(t *testing.T) {
 	}
 	if s := follower.Stats(); s.Objects != 20 {
 		t.Fatalf("follower has %d objects after resume, want 20", s.Objects)
+	}
+}
+
+// TestReplHealthz pins the replication bodies of /healthz and the
+// MaxLagWindows readiness gate: the leader reports its term and head, a
+// caught-up follower is green with zero lag — gate armed or not — and
+// once its leader is gone the gated follower answers 503 "lagging".
+func TestReplHealthz(t *testing.T) {
+	leader := startLeader(t, t.TempDir(), Options{})
+	lc := dialT(t, leader)
+	for i := range 3 {
+		if err := lc.Set(fmt.Sprintf("h%d", i), []int64{int64(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	follower := startDurable(t, t.TempDir(), Options{
+		ReplicaOf: leader.ReplAddr().String(), ReplID: "gated", MaxLagWindows: 1,
+	})
+	waitConverged(t, leader, follower)
+
+	if code, m := healthz(t, leader); code != http.StatusOK || m["role"] != "leader" ||
+		m["term"] != float64(0) || m["repl_seq"] != float64(3) {
+		t.Fatalf("leader /healthz = %d %v, want 200 role=leader term=0 repl_seq=3", code, m)
+	}
+	if code, m := healthz(t, follower); code != http.StatusOK || m["ok"] != true || m["role"] != "follower" ||
+		m["lag_windows"] != float64(0) || m["applied_seq"] != float64(3) || m["repl_connected"] != true {
+		t.Fatalf("caught-up follower /healthz = %d %v, want 200 role=follower lag_windows=0 applied_seq=3", code, m)
+	}
+
+	shutdownT(t, leader)
+	waitCond(t, func() bool { return !follower.Stats().Repl.Follower.Connected })
+	if code, m := healthz(t, follower); code != http.StatusServiceUnavailable || m["ok"] != false ||
+		m["state"] != "lagging" || m["role"] != "follower" {
+		t.Fatalf("gated follower without its leader /healthz = %d %v, want 503 state=lagging", code, m)
+	}
+	// It still serves the reads it has.
+	if _, found, err := dialT(t, follower).Get("h0"); err != nil || !found {
+		t.Fatalf("GET on the lagging follower: found=%t err=%v", found, err)
 	}
 }

@@ -73,11 +73,10 @@ type Options struct {
 	// SlowLog, when positive, is the slow-query threshold: any command
 	// slower than this is captured — command, request line, duration,
 	// shards visited, candidates scanned, pinned epoch — into a
-	// preallocated ring served at /debug/slowlog and by the SLOWLOG
-	// command. Zero disables the log (SLOWLOG then errors).
+	// preallocated ring of DefaultSlowLogSize entries served at
+	// /debug/slowlog and by the SLOWLOG command. Zero disables the log
+	// (SLOWLOG then errors).
 	SlowLog time.Duration
-	// SlowLogSize is the ring capacity; <= 0 selects DefaultSlowLogSize.
-	SlowLogSize int
 	// WALDir, when non-empty, puts a write-ahead log under the
 	// Collection: every committed flush window is journaled to
 	// WALDir/wal.log before it is applied, startup recovers the logged
@@ -110,12 +109,11 @@ type Options struct {
 	// -replica-of for the current leader, -repl for the address it will
 	// serve followers on after promotion).
 	ReplListen string
-	// ReplRetainWindows / ReplRetainBytes bound the leader's in-memory
-	// catch-up ring: a follower whose resume point has been evicted
-	// re-bootstraps from a full snapshot instead. <= 0 select
-	// repl.DefaultRetainWindows / repl.DefaultRetainBytes.
+	// ReplRetainWindows bounds the leader's in-memory catch-up ring in
+	// windows (repl.DefaultRetainBytes bounds it in bytes): a follower
+	// whose resume point has been evicted re-bootstraps from a full
+	// snapshot instead. <= 0 selects repl.DefaultRetainWindows.
 	ReplRetainWindows int
-	ReplRetainBytes   int
 	// ReplicaOf, when non-empty, makes this server a read-only follower
 	// of the leader's replication listener at this host:port: it
 	// bootstraps or resumes over the wire, commits each of the leader's
@@ -140,8 +138,7 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultSlowLogSize is the slow-query ring capacity used when
-// Options.SlowLogSize is unset.
+// DefaultSlowLogSize is the slow-query ring capacity.
 const DefaultSlowLogSize = 128
 
 // DefaultFlushInterval is the background flush cadence used when
@@ -163,9 +160,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Obs == nil {
 		o.Obs = obs.New()
-	}
-	if o.SlowLogSize <= 0 {
-		o.SlowLogSize = DefaultSlowLogSize
 	}
 	if o.WALSnapshotInterval <= 0 {
 		o.WALSnapshotInterval = DefaultWALSnapshotInterval

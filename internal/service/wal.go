@@ -74,7 +74,7 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 		s.leaderHint.Store(opts.ReplicaOf)
 	}
 	if opts.SlowLog > 0 {
-		s.slow = obs.NewSlowLog(opts.SlowLogSize)
+		s.slow = obs.NewSlowLog(DefaultSlowLogSize)
 	}
 	if opts.WALDir != "" {
 		if err := s.openWAL(); err != nil {
