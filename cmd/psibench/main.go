@@ -53,23 +53,8 @@ func main() {
 	reps := flag.Int("reps", 1, "timed repetitions after warm-up (paper: 3)")
 	seed := flag.Int64("seed", 42, "workload seed")
 	threads := flag.Int("threads", 0, "GOMAXPROCS (0 = all cores)")
-	csvPath := flag.String("csv", "", "also write measurements to this CSV file")
 	jsonPath := flag.String("json", "", "also write a machine-readable results document (psibench/v1) to this JSON file")
 	flag.Parse()
-
-	var csvFile *os.File
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "psibench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.SetCSV(f); err != nil {
-			fmt.Fprintf(os.Stderr, "psibench: %v\n", err)
-			os.Exit(1)
-		}
-		csvFile = f
-	}
 
 	cfg := bench.Config{
 		N:       *n,
@@ -110,18 +95,6 @@ func main() {
 		}
 		if err := f.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "psibench: closing JSON: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The CSV writer buffers; surface flush/close failures as a non-zero
-	// exit instead of silently truncating the measurement log.
-	if csvFile != nil {
-		if err := bench.FlushCSV(); err != nil {
-			fmt.Fprintf(os.Stderr, "psibench: writing CSV: %v\n", err)
-			os.Exit(1)
-		}
-		if err := csvFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "psibench: closing CSV: %v\n", err)
 			os.Exit(1)
 		}
 	}

@@ -61,9 +61,8 @@
 // too, rather than aborting mid-flush.
 //
 // Load numbers come from go run ./benchmark -workload track-*, which
-// spawns this binary; the kill -9 and replication oracles are this
-// package's real-process tests; cmd/psiload is the failover-handover
-// harness.
+// spawns this binary; the kill -9, replication and failover-handover
+// oracles are this package's real-process tests.
 package main
 
 import (

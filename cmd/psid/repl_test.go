@@ -701,3 +701,246 @@ func TestChaosPromote(t *testing.T) {
 		}
 	}
 }
+
+// chaser is a client that follows an address the test moves: each op
+// goes to the current target, redialing when the target changed or the
+// last op tore the connection.
+type chaser struct {
+	target *atomic.Value // string: where the next op goes
+	c      *service.Client
+	addr   string
+}
+
+func (ch *chaser) do(req service.Request) (service.Response, error) {
+	target := ch.target.Load().(string)
+	if ch.c != nil && ch.addr != target {
+		ch.close()
+	}
+	if ch.c == nil {
+		c, err := service.Dial(target)
+		if err != nil {
+			return service.Response{}, err
+		}
+		ch.c, ch.addr = c, target
+	}
+	resp, err := ch.c.Do(req)
+	if err != nil {
+		ch.close()
+	}
+	return resp, err
+}
+
+func (ch *chaser) close() {
+	if ch.c != nil {
+		ch.c.Close()
+		ch.c = nil
+	}
+}
+
+// TestChaosHandovers runs traffic THROUGH repeated violent handovers
+// with the victim rejoining: a leader and two hot standbys, one writer
+// and one reader that never stop, and per round kill -9 the leader,
+// PROMOTE the next standby in place, FOLLOW-re-point the other survivor,
+// restart the victim over its own WAL as a standby of the new timeline.
+// Each round is sequenced the way an operator would run it: the reader
+// moves off the victim while it is alive (a live switch, so a failed
+// read afterwards is PROMOTE's doing); the writer pauses between ops and
+// the promote target is confirmed at that static frontier with lag 0
+// (promoting a lagging follower is the one way to lose acked writes;
+// docs/replication.md, "What PROMOTE does not do"); SIGKILL, and the
+// writer resumes against a node that is still a follower, so the
+// unavailability window opens honestly at the first refused write; the
+// first write the promoted node acknowledges closes it. go test -v logs
+// the windows: docs/replication.md's "Measured, not promised" numbers.
+func TestChaosHandovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	const handovers = 2
+	type node struct {
+		cmd                 *exec.Cmd // nil while killed
+		addr, repl, dir, id string
+	}
+	nodes := make([]*node, 3)
+	for i := range nodes {
+		// The -repl address outlives the process: survivors re-point at
+		// it and the restarted victim carries it to its next promotion.
+		rsv, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = &node{repl: rsv.Addr().String(), dir: t.TempDir(), id: fmt.Sprintf("hand-%d", i)}
+		rsv.Close()
+	}
+	standby := func(n *node, leader *node) {
+		n.cmd, n.addr, _ = startPsid(t, n.dir, "-replica-of", leader.repl, "-repl-id", n.id, "-repl", n.repl)
+	}
+	defer func() {
+		for _, n := range nodes {
+			if n.cmd != nil {
+				sigtermWait(t, n.cmd)
+			}
+		}
+	}()
+	nodes[0].cmd, nodes[0].addr, _ = startLeaderPsid(t, nodes[0].dir, nodes[0].repl)
+	standby(nodes[1], nodes[0])
+	standby(nodes[2], nodes[0])
+	dial := func(n *node) *service.Client {
+		t.Helper()
+		c, err := service.Dial(n.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+
+	// The churn. gate pauses the writer (only) between ops; opened and
+	// closed carry the edges of its unavailability windows.
+	var writeAddr, readAddr atomic.Value
+	writeAddr.Store(nodes[0].addr)
+	readAddr.Store(nodes[1].addr)
+	var gate sync.Mutex
+	var stop atomic.Bool
+	var reads, readErrs atomic.Int64
+	opened := make(chan struct{}, 64)
+	closed := make(chan time.Duration, 64)
+	acked := make(map[string]geom.Point) // the writer's until wg.Wait
+	var wg sync.WaitGroup
+	defer func() { stop.Store(true); wg.Wait() }() // before any SIGTERM: a failing round must not strand them
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		w := chaser{target: &writeAddr}
+		defer w.close()
+		var winStart time.Time
+		for i := 0; !stop.Load(); i++ {
+			gate.Lock()
+			id := fmt.Sprintf("h-%d", i%200)
+			p := geom.Pt2(int64(i), int64(i%997))
+			req := service.Request{Op: service.OpSet, ID: id, P: []int64{p[0], p[1]}}
+			if i%7 == 3 {
+				req = service.Request{Op: service.OpDel, ID: id}
+			}
+			// A refusal (readonly: the target is not the leader yet) and a
+			// torn connection both leave the window open; neither is an ack.
+			if resp, err := w.do(req); err != nil || !resp.OK {
+				if winStart.IsZero() {
+					winStart = time.Now()
+					opened <- struct{}{}
+				}
+				time.Sleep(200 * time.Microsecond)
+			} else {
+				if req.Op == service.OpDel {
+					delete(acked, id)
+				} else {
+					acked[id] = p
+				}
+				if !winStart.IsZero() {
+					closed <- time.Since(winStart)
+					winStart = time.Time{}
+				}
+			}
+			gate.Unlock()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		r := chaser{target: &readAddr}
+		defer r.close()
+		for i := 0; !stop.Load(); i++ {
+			resp, err := r.do(service.Request{Op: service.OpNearby, P: []int64{int64(i % 40_000), 500}, K: 5})
+			reads.Add(1)
+			if err != nil || !resp.OK {
+				if readErrs.Add(1) == 1 {
+					t.Errorf("reader: NEARBY on %s failed: %v %+v", r.addr, err, resp)
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+
+	lead := 0
+	for round := 1; round <= handovers; round++ {
+		victim, next, other := nodes[lead], nodes[(lead+1)%3], nodes[(lead+2)%3]
+		time.Sleep(300 * time.Millisecond)
+		readsBefore := reads.Load()
+		readAddr.Store(next.addr)
+		nc := dial(next)
+		func() {
+			gate.Lock()
+			defer gate.Unlock()
+			head := leaderSeq(t, dial(victim))
+			waitFollowerAt(t, nc, head, 15*time.Second)
+			if err := victim.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+				t.Fatal(err)
+			}
+			victim.cmd.Wait()
+			victim.cmd = nil
+			writeAddr.Store(next.addr)
+		}()
+		select {
+		case <-opened:
+		case <-time.After(15 * time.Second):
+			t.Fatalf("round %d: the still-follower refused no write; the window never opened", round)
+		}
+
+		if err := nc.Promote(""); err != nil {
+			t.Fatalf("round %d: PROMOTE: %v", round, err)
+		}
+		if rs := replStats(t, nc); rs.Role != "leader" || rs.Term != uint64(round) {
+			t.Fatalf("round %d: promoted node reports %s/term %d, want leader/term %d", round, rs.Role, rs.Term, round)
+		}
+		if err := dial(other).Follow(next.repl); err != nil {
+			t.Fatalf("round %d: FOLLOW survivor -> new leader: %v", round, err)
+		}
+		// The victim's WAL still carries the old term, so it cannot resume
+		// the new timeline's stream: it must bootstrap onto it.
+		standby(victim, next)
+		vc := dial(victim)
+		for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			rs := replStats(t, vc)
+			if rs.Role == "follower" && rs.Follower.Connected && rs.Term == uint64(round) && rs.Follower.Bootstraps >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: restarted victim reports %s/term %d, %+v; want a connected follower at term %d that bootstrapped",
+					round, rs.Role, rs.Term, rs.Follower, round)
+			}
+		}
+		select {
+		case d := <-closed:
+			t.Logf("round %d: writes unavailable for %v (kill -9 %s, promote %s)", round, d, victim.id, next.id)
+		case <-time.After(15 * time.Second):
+			t.Fatalf("round %d: the new leader never acknowledged a write", round)
+		}
+		if n := readErrs.Load(); n != 0 || reads.Load() == readsBefore {
+			t.Fatalf("round %d: %d failed reads, %d served; reads on a survivor must ride through the handover",
+				round, n, reads.Load()-readsBefore)
+		}
+		lead = (lead + 1) % 3
+	}
+
+	// One more churn slice on the final topology, then quiesce and audit:
+	// every node holds exactly the acknowledged writes of all three
+	// timelines, and there was one term and one write window per handover.
+	time.Sleep(300 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+	if len(opened) != 0 || len(closed) != 0 {
+		t.Errorf("%d write windows opened outside a handover (%d closed), want exactly one per kill", len(opened), len(closed))
+	}
+	t.Logf("%d reads through %d handovers, %d failed; %d objects acknowledged", reads.Load(), handovers, readErrs.Load(), len(acked))
+	lc := dial(nodes[lead])
+	if rs := replStats(t, lc); rs.Role != "leader" || rs.Term != handovers {
+		t.Errorf("final leader reports %s/term %d, want leader/term %d", rs.Role, rs.Term, handovers)
+	}
+	for i, n := range nodes {
+		c := lc
+		if i != lead {
+			c = dial(n)
+			waitFollowerAt(t, c, leaderSeq(t, lc), 15*time.Second)
+		}
+		assertState(t, c, acked, n.id)
+	}
+}

@@ -188,24 +188,3 @@ func TestTableMarksFastest(t *testing.T) {
 		t.Fatal("NaN not rendered as N/A")
 	}
 }
-
-func TestCSVMirror(t *testing.T) {
-	var csvBuf, out bytes.Buffer
-	if err := SetCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	tb := newTable("csv-demo", "colA", "colB")
-	tb.add("idx1", 1.5, nan)
-	tb.add("idx2", 0.25, 3.0)
-	tb.write(&out)
-	SetCSV(nil)
-	got := csvBuf.String()
-	for _, want := range []string{"table,index,column,value,unit", "csv-demo,idx1,colA,1.5,s", "csv-demo,idx2,colB,3,s"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "colB,NaN") {
-		t.Fatal("NaN cell leaked into CSV")
-	}
-}

@@ -138,7 +138,7 @@ func newTable(title string, columns ...string) *table {
 	return &table{title: title, columns: columns, units: units}
 }
 
-// setUnits overrides the per-column units recorded in the CSV/JSON sinks
+// setUnits overrides the per-column units recorded in the JSON sink
 // (one per column; the experiment tables that report throughput, latency
 // quantiles, or allocation counts use it so machine-readable output is
 // self-describing).
@@ -153,9 +153,8 @@ func (tb *table) add(label string, vals ...float64) {
 
 // write renders the table. NaN cells print as "N/A" (the paper uses N/A
 // for unsupported operations, e.g. Boost-R batch updates). Tables are
-// also mirrored to the CSV and JSON sinks when configured.
+// also mirrored to the JSON sink when configured.
 func (tb *table) write(w io.Writer) {
-	tb.emitCSV()
 	tb.emitJSON()
 	fmt.Fprintf(w, "\n== %s ==\n", tb.title)
 	fmt.Fprintf(w, "%-10s", "index")

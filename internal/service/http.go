@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/repl"
 )
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -34,16 +35,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// past the threshold (or while disconnected) the probe goes 503 so
 	// stale reads are routed away.
 	status := http.StatusOK
+	// Role and session pointer come from one replMu section: every role
+	// change that touches replFoll holds the lock across both. A
+	// -replica-of server has the role before Start has built its
+	// session; until then it is a follower that is not connected.
 	s.replMu.Lock()
-	foll := s.replFoll
+	role, foll := replRole(s.role.Load()), s.replFoll
 	s.replMu.Unlock()
-	switch replRole(s.role.Load()) {
+	switch role {
 	case roleLeader:
 		body["role"] = "leader"
 		body["repl_seq"] = s.hub.LastSeq()
 		body["term"] = s.wal.Term()
 	case roleFollower:
-		st := foll.Status()
+		var st repl.FollowerStatus
+		if foll != nil {
+			st = foll.Status()
+		}
 		body["role"] = "follower"
 		body["repl_connected"] = st.Connected
 		body["applied_seq"] = st.AppliedSeq

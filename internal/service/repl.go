@@ -212,11 +212,17 @@ func (s *Server) startRepl() error {
 		if err != nil {
 			return fmt.Errorf("psid: listen repl %s: %w", s.opts.ReplListen, err)
 		}
-		s.replLead = s.newLeader(true)
-		s.replLead.Serve(ln)
+		lead := s.newLeader(true)
+		lead.Serve(ln)
+		s.replMu.Lock()
+		s.replLead = lead
+		s.replMu.Unlock()
 	case roleFollower:
-		s.replFoll = s.newFollower(s.opts.ReplicaOf, true)
-		s.replFoll.Start()
+		foll := s.newFollower(s.opts.ReplicaOf, true)
+		foll.Start()
+		s.replMu.Lock()
+		s.replFoll = foll
+		s.replMu.Unlock()
 	}
 	return nil
 }

@@ -171,7 +171,31 @@ func TestFailoverHandover(t *testing.T) {
 	}
 
 	// The stale leader survived. The moment a higher-term follower dials
-	// it, it must fence itself and refuse writes with CodeFenced.
+	// it, it must fence itself and refuse writes with CodeFenced. A probe
+	// polls it from here to the end: across leader → fenced → follower
+	// every /healthz must be a 200 whose role has its session behind it.
+	probeStop, probeDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(probeDone)
+		for {
+			select {
+			case <-probeStop:
+				return
+			default:
+			}
+			resp, err := http.Get("http://" + leader.HTTPAddr().String() + "/healthz")
+			if err != nil {
+				t.Errorf("/healthz across the fence and the FOLLOW: %v", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("/healthz across the fence and the FOLLOW = %d, want 200", resp.StatusCode)
+				return
+			}
+		}
+	}()
+	defer func() { close(probeStop); <-probeDone }()
 	if err := f2.Follow(leader.ReplAddr().String()); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -65,6 +66,32 @@ func healthz(t *testing.T, s *Server) (int, map[string]any) {
 		t.Fatalf("/healthz body %q: %v", body, err)
 	}
 	return code, m
+}
+
+// TestReplHealthzBeforeStart: a -replica-of server has the follower role
+// from construction but its session only from Start, and the probe
+// listener serves before Start builds it. A probe in that window must
+// see a follower that is not connected yet (503 under the lag gate), not
+// a nil session.
+func TestReplHealthzBeforeStart(t *testing.T) {
+	s, err := NewDurable(newTestIndex(), Options{
+		WALDir: t.TempDir(), FlushInterval: -1,
+		ReplicaOf: "127.0.0.1:1", ReplID: "booting", MaxLagWindows: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownT(t, s)
+	rec := httptest.NewRecorder()
+	s.handleHealthz(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var m map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatalf("/healthz body %q: %v", rec.Body, err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || m["role"] != "follower" ||
+		m["repl_connected"] != false || m["state"] != "lagging" {
+		t.Fatalf("booting follower /healthz = %d %v, want 503 role=follower repl_connected=false state=lagging", rec.Code, m)
+	}
 }
 
 func TestReplValidation(t *testing.T) {

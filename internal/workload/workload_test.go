@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -127,53 +126,5 @@ func TestRangeQueriesVolume(t *testing.T) {
 		if b.IsEmpty() {
 			t.Fatal("tiny range box is empty")
 		}
-	}
-}
-
-func TestPointsIORoundTrip(t *testing.T) {
-	pts := GenVarden(3000, 3, DefaultSide3D, 11)
-	var buf bytes.Buffer
-	if err := WritePoints(&buf, pts, 3); err != nil {
-		t.Fatal(err)
-	}
-	got, dims, err := ReadPoints(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dims != 3 || !slices.Equal(got, pts) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestReadPointsErrors(t *testing.T) {
-	if _, _, err := ReadPoints(bytes.NewReader([]byte("short"))); err == nil {
-		t.Fatal("want error on truncated header")
-	}
-	bad := make([]byte, 16)
-	if _, _, err := ReadPoints(bytes.NewReader(bad)); err == nil {
-		t.Fatal("want error on bad magic")
-	}
-	var buf bytes.Buffer
-	if err := WritePoints(&buf, GenUniform(10, 2, 100, 1), 2); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, _, err := ReadPoints(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("want error on truncated body")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	path := t.TempDir() + "/pts.bin"
-	pts := GenUniform(100, 2, 1000, 3)
-	if err := SaveFile(path, pts, 2); err != nil {
-		t.Fatal(err)
-	}
-	got, dims, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dims != 2 || !slices.Equal(got, pts) {
-		t.Fatal("file round trip mismatch")
 	}
 }
