@@ -25,15 +25,18 @@
 // (NearbyIDs, WithinIDs) run the geometric query and resolve every hit
 // through the table as of the same window — they can never observe an
 // index point without its owner or vice versa. How readers are kept off
-// the flush writer is the version cell's job (epoch.Cell): in the default
-// locked mode index and table sit behind a read/write lock; with
-// Options.Snapshot set the index is versioned — two whole copies, or, over
-// a copy-on-write index (core.Adopter: the SPaC family, and a Sharded of
-// it), two handles on one tree — and queries pin the published version, so
-// a query never waits on the index apply. The table stays single: it is
-// written once per window, after the displaced version has drained, and a
-// query that pinned the new version before then waits for that step
-// (Collection.tab; ARCHITECTURE.md "Epochs & snapshot reads"). The
+// the flush writer is the version cell's job (epoch.Cell), and this
+// package never asks it how: in the default locked mode index and table
+// sit behind the cell's read/write lock; with Options.Snapshot set the
+// index is versioned — two whole copies, or, over a copy-on-write index
+// (core.Adopter: the SPaC family, and a Sharded of it), two handles on one
+// tree — and queries pin the published version, so a query never waits on
+// the index apply. The table stays single: the Collection hands the cell
+// one step (tableStep, the cell's beside), which the cell runs once per
+// window — under its write lock, or after the displaced version has
+// drained — and a query that acquired the new version before then waits
+// for that step (Collection.tab; ARCHITECTURE.md "Epochs & snapshot
+// reads"). The
 // pending tape and its flushing are the window engine's (internal/window).
 // Get is the exception either way: it reads the caller's own pending tail
 // (read-your-writes), so Get(id) after Set(id, p) returns p even before
@@ -49,7 +52,7 @@
 // (each flush fans out across shards in parallel — the recommended
 // high-churn stack); both are single-writer indexes, and the Collection's
 // version cell is the one place readers are kept off the writer. A
-// store.Store is legal too (the Collection flushes it synchronously so the
+// store.Store is legal too (the cell flushes it inside the commit so the
 // reverse multimap never runs ahead of the index), but its coalescing and
 // its cell are redundant below a Collection.
 package collection
@@ -121,13 +124,6 @@ type Entry[ID comparable] struct {
 type Collection[ID comparable] struct {
 	name string
 	dims int
-	// inner lists the wrapped index of every copy (one, or two in
-	// snapshot mode) for Close, which the Collection owns. shared says the
-	// two are copy-on-write handles on one structure (epoch.Copies): the
-	// displaced copy then adopts the published index where it would
-	// otherwise have the window, or the Build, applied a second time.
-	inner  []core.Index
-	shared bool
 
 	// eng owns the ordered op tape, the flush triggers and the flush
 	// lock. Its pending lock also guards seq and overlay — the latest
@@ -138,12 +134,12 @@ type Collection[ID comparable] struct {
 	seq     uint64
 	overlay map[ID]tailOp
 
-	// cell owns the committed index versions and how queries are kept off
-	// the flush writer; win is the netted window being committed, netAt and
-	// netOps the netting scratch behind a flushed one (all guarded by the
-	// flush lock). queryPool recycles per-query hit-resolution scratch
-	// across concurrent readers.
-	cell      epoch.Cell[*collState[ID], *collWindow[ID]]
+	// cell owns the committed index — every copy of it — and how queries
+	// are kept off the flush writer; win is the netted window being
+	// committed, netAt and netOps the netting scratch behind a flushed one
+	// (all guarded by the flush lock). queryPool recycles per-query
+	// hit-resolution scratch across concurrent readers.
+	cell      epoch.Cell
 	win       collWindow[ID]
 	netAt     map[ID]int
 	netOps    []wal.Op[ID]
@@ -151,15 +147,20 @@ type Collection[ID comparable] struct {
 
 	// tab is the committed slot table — one, in either read mode — and
 	// tabEpoch the published epoch it stands at (0 under locked reads, where
-	// the cell's lock covers it). A snapshot commit writes it once the
-	// displaced version has drained, then stores tabEpoch; a reader touches
-	// it only after loading tabEpoch equal to its pinned epoch, so Unpin →
-	// WaitDrained → write → store → load orders every write against every
-	// read. tabCond parks the readers that find it behind.
+	// the cell's lock covers it). tableStep, the cell's beside step, writes
+	// it — over versioned copies once the displaced version has drained —
+	// then stores tabEpoch; a reader touches it only after loading tabEpoch
+	// equal to its acquired epoch, so Unpin → WaitDrained → write → store →
+	// load orders every write against every read. tabCond parks the readers
+	// that find it behind; tabWoken is tabWaits as of the last table step.
+	// loaded is the table a Load is installing: the next table step swaps it
+	// in where it would have applied win.
 	tab                 table[ID]
+	loaded              *table[ID]
 	tabEpoch            atomic.Uint64
 	tabCond             *sync.Cond
 	tabWaits, tabWaitNs atomic.Uint64
+	tabWoken            uint64
 
 	// journal is the durability commit hook (SetJournal), called under
 	// the flush lock with every committed netted window before it is
@@ -192,18 +193,6 @@ type tailOp struct {
 	p   geom.Point
 	del bool
 	seq uint64
-}
-
-// collState is one version of the committed index. The cell holds one
-// instance in locked mode and ping-pongs between two in snapshot mode; the
-// slot table is deliberately not in here (Collection.tab).
-type collState[ID comparable] struct {
-	idx core.Index
-	// costed is idx's cost-reporting query interface when it has one
-	// (shard.Sharded does); the slow-query path uses it to attribute
-	// shards visited and candidates scanned, falling back to whole-index
-	// counts otherwise.
-	costed obs.CostedIndex
 }
 
 // collWindow is one netted window on its way through the commit body.
@@ -255,48 +244,16 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 		tab:     newTable[ID](0),
 		tabCond: sync.NewCond(new(sync.Mutex)),
 	}
-	c.inner, c.shared = epoch.Copies("collection", idx, opts.Snapshot)
 	c.queryPool.New = func() any { return new(queryScratch) }
-	states := make([]*collState[ID], len(c.inner))
-	for i, inner := range c.inner {
-		costed, _ := inner.(obs.CostedIndex)
-		states[i] = &collState[ID]{idx: inner, costed: costed}
-	}
+	c.cell.Init("collection", idx, opts.Snapshot, c.tableStep)
 	layer := obs.Label{Key: "layer", Value: "collection"}
-	if len(c.inner) == 1 {
-		// Locked reads: the cell's write lock covers the table step too.
-		c.cell.Init(func(st *collState[ID], w *collWindow[ID]) {
-			c.applyIndex(st, w)
-			c.applyTable(w)
-		}, states...)
-	} else {
-		// Snapshot reads: the table step runs in the gap the drain opens,
-		// ahead of the index's catch-up so that parked readers leave first.
-		c.cell.Init(c.applyIndex, states...)
-		c.cell.CatchUp(func(behind, ahead *collState[ID], w *collWindow[ID]) {
-			c.tableStep(w)
-			if c.shared {
-				epoch.Adopted(behind.idx, ahead.idx)
-			} else {
-				c.applyIndex(behind, w)
-			}
-		})
-		opts.Obs.CounterFunc("psi_collection_table_wait_total",
-			"Snapshot reads that parked until their window's table step had finished.",
-			c.tabWaits.Load, layer)
-		opts.Obs.CounterFunc("psi_collection_table_wait_ns_total",
-			"Nanoseconds snapshot reads spent parked for a table step.",
-			c.tabWaitNs.Load, layer)
-	}
 	c.cell.Register(opts.Obs, layer)
-	if c.shared {
-		opts.Obs.CounterFunc("psi_index_cow_nodes_total",
-			"Index nodes copied on first touch because the snapshot copies share them.",
-			func() uint64 { nodes, _ := c.copied(); return nodes }, layer)
-		opts.Obs.CounterFunc("psi_index_cow_bytes_total",
-			"Bytes of index leaf entries copied on first touch because the snapshot copies share them.",
-			func() uint64 { _, bytes := c.copied(); return bytes }, layer)
-	}
+	opts.Obs.CounterFunc("psi_collection_table_wait_total",
+		"Snapshot reads that parked until their window's table step had finished.",
+		c.tabWaits.Load, layer)
+	opts.Obs.CounterFunc("psi_collection_table_wait_ns_total",
+		"Nanoseconds snapshot reads spent parked for a table step.",
+		c.tabWaitNs.Load, layer)
 	opts.Obs.GaugeFunc("psi_objects",
 		"Live objects in the committed (published) state.",
 		func() float64 { return float64(c.Stats().Objects) }, layer)
@@ -323,13 +280,7 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 // queryable afterwards (only the periodic flushing ends — a wrapped
 // Store stays usable after its own Close, per its contract).
 func (c *Collection[ID]) Close() {
-	c.eng.Close(func() {
-		for _, idx := range c.inner {
-			if cl, ok := idx.(interface{ Close() }); ok {
-				cl.Close()
-			}
-		}
-	})
+	c.eng.Close(c.cell.Close)
 }
 
 // SetJournal installs (or, with nil, removes) the durability commit
@@ -522,7 +473,7 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 	// Planning counts toward the net stage.
 	nIns, nMove, nDel := c.planDiff(w)
 	clk = sp.Stamp(obs.StageNet, clk)
-	clk = c.cell.Commit(w, sp, clk)
+	clk = c.cell.Commit(w.ins, w.del, sp, clk)
 	c.noteSlots()
 	// Purge the overlay only now that every reader sees the window: a Get
 	// that misses the overlay then reads a committed state that already
@@ -543,13 +494,12 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 // construction: a fresh table is filled (entries is ranged exactly once, so
 // a single-use iterator is fine) and takes the old one's place at the point
 // of the rebuild where a window's table step runs, and the index is rebuilt
-// with Index.Build (a Sharded rebalances its regions to the loaded data) —
-// once when the copies share it, the other adopting the result, else once
-// per copy. Pending ops, and what Get remembered of them, are discarded;
-// nothing is journaled — the caller loads what is already durable
-// (recovery) or makes it so itself (a follower's bootstrap snapshot). In
-// snapshot mode readers keep the old state until the new one is published
-// whole.
+// with Index.Build (a Sharded rebalances its regions to the loaded data)
+// through the cell. Pending ops, and what Get remembered of them, are
+// discarded; nothing is journaled — the caller loads what is already
+// durable (recovery) or makes it so itself (a follower's bootstrap
+// snapshot). In snapshot mode readers keep the old state until the new one
+// is published whole.
 func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	c.eng.Exclusive(func() {
 		c.eng.Lock()
@@ -568,51 +518,42 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 		// Nothing above frees a slot, so the live points are the slot array
 		// itself; Build neither writes nor retains it (core.Index).
 		pts := tab.pos[1:]
-		c.cell.Rebuild(func(st *collState[ID]) {
-			if len(c.inner) == 1 { // locked reads: the write lock is held
-				c.tab = tab
-			}
-			st.idx.Build(pts)
-		}, func(behind, ahead *collState[ID]) {
-			c.tab = tab
-			c.tableDone()
-			if c.shared {
-				epoch.Adopted(behind.idx, ahead.idx)
-			} else {
-				behind.idx.Build(pts)
-			}
-		})
+		c.loaded = &tab
+		c.cell.Rebuild(pts)
 		c.noteSlots()
 		c.inserted.Add(uint64(len(pts)))
 		c.removed.Add(uint64(was))
 	})
 }
 
-// tableStep is a snapshot commit's table step. Readers may be parked on
-// it, so after a wholesale one the writer, with as much work again ahead
-// that no reader needs (catch-up, overlay purge), yields to those it woke:
-// on a busy machine they would otherwise sit in its run queue for that long.
-func (c *Collection[ID]) tableStep(w *collWindow[ID]) {
-	wholesale := c.applyTable(w)
-	c.tableDone()
-	if wholesale {
-		runtime.Gosched()
+// tableStep is the cell's beside step: the committed window goes into the
+// table (or a Load's table takes its place), which then stands at the epoch
+// just published, and the readers parked for it go on. After a wholesale
+// step the writer, with as much work again ahead that no reader needs
+// (catch-up, overlay purge), yields to those it woke: on a busy machine
+// they would otherwise sit in its run queue for that long.
+func (c *Collection[ID]) tableStep() {
+	wholesale := false
+	if c.loaded != nil {
+		c.tab, c.loaded = *c.loaded, nil
+	} else {
+		wholesale = c.applyTable(&c.win)
 	}
-}
-
-// tableDone ends a table step: the table now stands at the epoch just
-// published, and the readers parked for it go on.
-func (c *Collection[ID]) tableDone() {
 	c.tabCond.L.Lock()
 	c.tabEpoch.Store(c.cell.Epoch())
 	c.tabCond.L.Unlock()
 	c.tabCond.Broadcast()
+	woken := c.tabWaits.Load()
+	if wholesale && woken != c.tabWoken {
+		runtime.Gosched()
+	}
+	c.tabWoken = woken
 }
 
 // tableAt returns the table for a reader holding v. Only one that pinned v
 // before v's table step had finished finds the epochs apart, and parks until
 // they meet; the step cannot pass it by, as the next one waits for v to drain.
-func (c *Collection[ID]) tableAt(v *epoch.Version[*collState[ID]]) *table[ID] {
+func (c *Collection[ID]) tableAt(v *epoch.Version) *table[ID] {
 	if e := v.Epoch(); c.tabEpoch.Load() != e {
 		start := time.Now()
 		c.tabWaits.Add(1)
@@ -663,16 +604,6 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) 
 	}
 	w.at, w.ins, w.del = at, ins, del
 	return nIns, nMove, nDel
-}
-
-// applyIndex advances one index version by one planned window, flushing
-// any inner deferring layer inside the commit so that index and table never
-// disagree at a read boundary.
-func (c *Collection[ID]) applyIndex(st *collState[ID], w *collWindow[ID]) {
-	st.idx.BatchDiff(w.ins, w.del)
-	if f, ok := st.idx.(interface{ Flush() int }); ok {
-		f.Flush()
-	}
 }
 
 // applyTable runs every netted op of a planned window through the table,
@@ -740,11 +671,11 @@ func (c *Collection[ID]) NearbyIDsAppend(q geom.Point, k int, dst []Entry[ID]) [
 // one shard and every geometric hit as a candidate. The slow-query log
 // is the intended caller.
 func (c *Collection[ID]) NearbyIDsAppendCost(q geom.Point, k int, dst []Entry[ID], cost *obs.QueryCost) []Entry[ID] {
-	return c.query(dst, cost, func(st *collState[ID], pts []geom.Point) []geom.Point {
-		if cost != nil && st.costed != nil {
-			return st.costed.KNNCost(q, k, pts, cost)
+	return c.query(dst, cost, func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point {
+		if costed != nil {
+			return costed.KNNCost(q, k, pts, cost)
 		}
-		return st.idx.KNN(q, k, pts)
+		return idx.KNN(q, k, pts)
 	})
 }
 
@@ -763,11 +694,11 @@ func (c *Collection[ID]) WithinIDsAppend(box geom.Box, dst []Entry[ID]) []Entry[
 // WithinIDsAppendCost is WithinIDsAppend with query-cost accounting
 // (see NearbyIDsAppendCost for the contract).
 func (c *Collection[ID]) WithinIDsAppendCost(box geom.Box, dst []Entry[ID], cost *obs.QueryCost) []Entry[ID] {
-	return c.query(dst, cost, func(st *collState[ID], pts []geom.Point) []geom.Point {
-		if cost != nil && st.costed != nil {
-			return st.costed.RangeListCost(box, pts, cost)
+	return c.query(dst, cost, func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point {
+		if costed != nil {
+			return costed.RangeListCost(box, pts, cost)
 		}
-		return st.idx.RangeList(box, pts)
+		return idx.RangeList(box, pts)
 	})
 }
 
@@ -776,16 +707,21 @@ func (c *Collection[ID]) WithinIDsAppendCost(box geom.Box, dst []Entry[ID], cost
 // against flushes), read-locked otherwise — into pooled scratch, and
 // resolve the hits through the table as of the same epoch. The Release is
 // deferred so a panicking inner index never wedges the flush writer.
-func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(st *collState[ID], pts []geom.Point) []geom.Point) []Entry[ID] {
+func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point) []Entry[ID] {
 	sc := c.queryPool.Get().(*queryScratch)
 	defer c.queryPool.Put(sc)
 	v := c.cell.Acquire()
 	defer c.cell.Release(v)
-	st := v.Data
-	sc.pts = run(st, sc.pts[:0])
+	// costed is the index's cost-reporting query interface when the caller
+	// wants the cost and the index has one (shard.Sharded does).
+	var costed obs.CostedIndex
+	if cost != nil {
+		costed, _ = v.Index.(obs.CostedIndex)
+	}
+	sc.pts = run(v.Index, costed, sc.pts[:0])
 	if cost != nil {
 		cost.Epoch = v.Epoch()
-		if st.costed == nil {
+		if costed == nil {
 			cost.Shards++
 			cost.Candidates += len(sc.pts)
 		}
@@ -855,22 +791,9 @@ func (c *Collection[ID]) Stats() Stats {
 		TableWaitNs:   c.tabWaitNs.Load(),
 	}
 	st.Objects = int(st.Inserted) - int(st.Removed)
-	st.SharedIndex = c.shared
-	st.CowNodes, st.CowBytes = c.copied()
+	st.SharedIndex = c.cell.Shared()
+	st.CowNodes, st.CowBytes = c.cell.Copied()
 	return st
-}
-
-// copied sums what the handles of a shared index have copied on first
-// touch (zero when the index is not shared). It takes no lock.
-func (c *Collection[ID]) copied() (nodes, bytes uint64) {
-	if c.shared {
-		for _, idx := range c.inner {
-			n, b := idx.(core.Adopter).Copied()
-			nodes += n
-			bytes += b
-		}
-	}
-	return nodes, bytes
 }
 
 // Validate flushes, then checks, under the flush lock, the
@@ -883,13 +806,14 @@ func (c *Collection[ID]) copied() (nodes, bytes uint64) {
 func (c *Collection[ID]) Validate() (err error) {
 	c.Flush()
 	c.eng.Exclusive(func() {
+		if err = c.cell.Validate(); err != nil {
+			return
+		}
 		v := c.cell.Acquire()
 		defer c.cell.Release(v)
-		switch got, want := v.Data.idx.Size(), c.tab.live; {
+		switch got, want := v.Index.Size(), c.tab.live; {
 		case c.tabEpoch.Load() != c.cell.Epoch():
 			err = fmt.Errorf("collection: table at epoch %d, epoch %d published", c.tabEpoch.Load(), c.cell.Epoch())
-		case c.shared && !c.inner[0].(core.Adopter).Shares(c.inner[1]):
-			err = fmt.Errorf("collection: the index copies no longer share one structure")
 		case got != want:
 			err = fmt.Errorf("collection: index stores %d points, %d live objects", got, want)
 		default:

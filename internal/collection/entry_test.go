@@ -259,6 +259,7 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 				opts.Snapshot = func() core.Index { return twin }
 			}
 			c := New[int](first, opts)
+			shared := c.cell.Shared()
 			journaled := 0
 			c.SetJournal(func(uint64, []wal.Op[int]) error { journaled++; return nil })
 			// An earlier life: committed objects Load must drop, and pending
@@ -282,13 +283,13 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 			}
 			total := int32(0)
 			for i, b := range counts {
-				if n := b.Load(); n > 1 || n == 0 && !c.shared {
+				if n := b.Load(); n > 1 || n == 0 && !shared {
 					t.Fatalf("%s: copy %d built %d times, want once", where, i, n)
 				}
 				total += b.Load()
 			}
-			if _, cow := first.(core.Adopter); c.shared != (cow && snapshot) || c.shared && total != 1 {
-				t.Fatalf("%s: sharing %t (copy-on-write index: %t), %d Builds in all; a shared index is built once", where, c.shared, cow, total)
+			if _, cow := first.(core.Adopter); shared != (cow && snapshot) || shared && total != 1 {
+				t.Fatalf("%s: sharing %t (copy-on-write index: %t), %d Builds in all; a shared index is built once", where, shared, cow, total)
 			}
 			if st := c.Stats(); st.Pending != 0 || st.Objects != len(want) {
 				t.Fatalf("%s: stats after Load: %+v, want %d objects and nothing pending", where, st, len(want))

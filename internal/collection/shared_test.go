@@ -84,7 +84,7 @@ func TestSharedIndexBytesPerObject(t *testing.T) {
 	}
 	const n = 100_000
 	snap, snapB := churned(t, shardedSPaCH(false), n, true)
-	if !snap.shared {
+	if !snap.cell.Shared() {
 		t.Fatal("a Collection over Sharded(SPaC-H) did not share its index")
 	}
 	if err := snap.Validate(); err != nil {
@@ -101,8 +101,8 @@ func TestSharedIndexBytesPerObject(t *testing.T) {
 }
 
 // TestOneTablePerCollection: the slot table is not part of the versioned
-// state — collState has no table, the Collection has one — in either read
-// mode and whether the index copies share or not, while snapshot mode still
+// state — a version is a bare core.Index, the Collection has one table — in
+// either read mode and whether the index copies share or not, while snapshot mode still
 // keeps two versions; and a window reaches that table exactly once: n first
 // Sets hand out n slots (a second pass over the window would hand out n
 // more, none would leave the table empty). The step is the same one in
@@ -118,9 +118,6 @@ func TestOneTablePerCollection(t *testing.T) {
 			}
 		}
 		return n
-	}
-	if got := tables(reflect.TypeFor[collState[int]]()); got != 0 {
-		t.Fatalf("collState holds %d tables, want none: the table is not versioned", got)
 	}
 	if got := tables(reflect.TypeFor[Collection[int]]()); got != 1 {
 		t.Fatalf("Collection holds %d tables, want one", got)
@@ -193,7 +190,8 @@ func TestSharedIndexStaysOneTree(t *testing.T) {
 	const n = 40_000
 	rng := rand.New(rand.NewSource(43))
 	mk := shardedSPaCH(false)
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	inner := []core.Index{mk(), mk()}
+	c := New[int](inner[0], Options{MaxBatch: 1 << 20, Snapshot: func() core.Index { return inner[1] }})
 	defer c.Close()
 	pos := make(map[int]geom.Point, n)
 	for i := 0; i < n; i++ {
@@ -201,16 +199,16 @@ func TestSharedIndexStaysOneTree(t *testing.T) {
 		c.Set(i, pos[i])
 	}
 	c.Flush()
-	a, b := c.inner[0].(core.Adopter), c.inner[1].(core.Adopter)
+	a, b := inner[0].(core.Adopter), inner[1].(core.Adopter)
 	check := func(when string) {
 		t.Helper()
-		if !a.Shares(c.inner[1]) || !b.Shares(c.inner[0]) {
+		if !a.Shares(inner[1]) || !b.Shares(inner[0]) {
 			t.Fatalf("%s: the two index copies are not one structure", when)
 		}
 		q := geom.Pt2(rng.Int63n(side), rng.Int63n(side))
 		box := geom.BoxOf(geom.Pt2(q[0]/2, q[1]/2), q)
-		if !slices.Equal(c.inner[0].KNN(q, 8, nil), c.inner[1].KNN(q, 8, nil)) ||
-			c.inner[0].RangeCount(box) != c.inner[1].RangeCount(box) {
+		if !slices.Equal(inner[0].KNN(q, 8, nil), inner[1].KNN(q, 8, nil)) ||
+			inner[0].RangeCount(box) != inner[1].RangeCount(box) {
 			t.Fatalf("%s: the two index copies answer differently", when)
 		}
 		if err := c.Validate(); err != nil {
@@ -280,7 +278,7 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 		return out
 	}
 	pinned := c.cell.Acquire()
-	before := answers(pinned.Data.idx)
+	before := answers(pinned.Index)
 
 	committed := make(chan struct{})
 	go func() {
@@ -293,7 +291,7 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 	for c.Epoch() == pinned.Epoch() { // wait for the publish
 		time.Sleep(100 * time.Microsecond)
 	}
-	during := answers(pinned.Data.idx)
+	during := answers(pinned.Index)
 	select {
 	case <-committed:
 		t.Fatal("the commit finished while a reader still held the displaced copy")
@@ -308,7 +306,7 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 		}
 	}
 	fresh := c.cell.Acquire()
-	after := answers(fresh.Data.idx)
+	after := answers(fresh.Index)
 	c.cell.Release(fresh)
 	same := true
 	for i := range before {

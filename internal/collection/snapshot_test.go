@@ -214,8 +214,8 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 
 // scanAt is WithinIDs(universe) for a reader that already holds v, sorted
 // by ID.
-func scanAt(c *Collection[int], v *epoch.Version[*collState[int]]) []Entry[int] {
-	sc := &queryScratch{pts: v.Data.idx.RangeList(universe(), nil)}
+func scanAt(c *Collection[int], v *epoch.Version) []Entry[int] {
+	sc := &queryScratch{pts: v.Index.RangeList(universe(), nil)}
 	return byID(resolveAppend(c.tableAt(v), sc, nil))
 }
 

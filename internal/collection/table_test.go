@@ -341,7 +341,7 @@ func BenchmarkTableStep(b *testing.B) {
 				}
 				c.planDiff(w)
 				b.StartTimer()
-				c.tableStep(w)
+				c.tableStep()
 			}
 		})
 	}

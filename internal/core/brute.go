@@ -5,9 +5,9 @@ import (
 )
 
 // BruteForce is the reference Index: a flat point list with linear-scan
-// queries. Every tree package's tests cross-validate against it, and
-// cmd/psicheck uses it as the oracle in randomized operation sequences.
-// It is exact and obvious, not fast.
+// queries. Every tree package's tests cross-validate against it, and the
+// root integration suite uses it as the oracle in randomized operation
+// sequences. It is exact and obvious, not fast.
 type BruteForce struct {
 	dims int
 	pts  []geom.Point
@@ -49,20 +49,7 @@ func (b *BruteForce) BatchInsert(pts []geom.Point) {
 
 // BatchDelete implements Index: removes one occurrence per requested point.
 func (b *BruteForce) BatchDelete(pts []geom.Point) {
-	// Count requested deletions per point, then sweep once.
-	want := make(map[geom.Point]int, len(pts))
-	for _, p := range pts {
-		want[p]++
-	}
-	out := b.pts[:0]
-	for _, p := range b.pts {
-		if c := want[p]; c > 0 {
-			want[p] = c - 1
-			continue
-		}
-		out = append(out, p)
-	}
-	b.pts = out
+	b.pts = geom.RemoveEach(b.pts, pts)
 }
 
 // KNN implements Index.

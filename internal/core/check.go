@@ -9,7 +9,7 @@ import (
 )
 
 // This file provides the cross-validation machinery shared by every tree
-// package's tests and by cmd/psicheck — the Go analogue of the paper's
+// package's tests and by the root integration suite — the Go analogue of the paper's
 // "hand-crafted framework" of extensive unit tests (§F.2). An index is
 // verified against BruteForce on the full query suite; kNN answers are
 // compared as squared-distance sequences so that ties at the k-th neighbor

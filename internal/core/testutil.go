@@ -8,7 +8,7 @@ import (
 )
 
 // This file hosts the shared randomized-property driver used by every
-// tree package's quick tests (and by cmd/psicheck). It lives in the
+// tree package's quick tests. It lives in the
 // library (not a _test file) so all packages can import it.
 
 // OpScript is a reproducible randomized operation sequence over an index

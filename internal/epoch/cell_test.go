@@ -2,28 +2,41 @@ package epoch
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
 // The twin protocol — readers never stall, never see a torn window, the
 // displaced copy is untouched until drained, both copies converge — is
-// tested here, once, against a Cell over a toy state. Store, Collection
+// tested here, once, against a Cell over a fake index. Store, Collection
 // and Sharded test that their queries go through the cell and what their
 // windows mean.
 
-// pair is the toy state: a window adds its value to both halves, so a
-// torn read shows up as x != y. applies counts windows applied to this
-// copy; the atomics let a test watch a copy the writer owns.
+// pair is the fake index: a window adds its number of inserts to both
+// halves, so a torn read shows up as x != y, and a Build sets both to its
+// number of points. applies and builds count what reached this copy; the
+// atomics let a test watch a copy the writer owns. It is a core.Index and
+// nothing more, so twins of it are re-applied.
 type pair struct {
-	x, y    int
-	applies atomic.Int64
-	gate    *gate // optional: blocks apply on this copy while armed
+	core.Index // the queries, which no test here calls
+	name       string
+	x, y       int
+	applies    atomic.Int64
+	builds     atomic.Int64
+	gate       *gate     // optional: blocks BatchDiff on this copy while armed
+	log        *[]string // optional: the steps that reached this copy, in order
 }
+
+// cowPair is a pair whose twins adopt: the catch-up takes the published
+// contents instead of having the window applied again.
+type cowPair struct{ *pair }
 
 type gate struct{ armed, entered, release chan struct{} }
 
@@ -31,7 +44,26 @@ func newGate() *gate {
 	return &gate{make(chan struct{}), make(chan struct{}, 1), make(chan struct{})}
 }
 
-func applyPair(p *pair, w int) {
+func (p *pair) state() *pair { return p }
+func (p *pair) Name() string { return p.name }
+func (p *pair) Size() int    { return p.x }
+
+func (p *pair) record(step string) {
+	if p.log != nil {
+		*p.log = append(*p.log, step+" "+p.name)
+	}
+}
+
+func (p *pair) Build(pts []geom.Point) {
+	p.record("build")
+	p.x = len(pts)
+	p.builds.Add(1)
+	p.y = len(pts)
+}
+
+func (p *pair) BatchDiff(ins, del []geom.Point) {
+	p.record("apply")
+	w := len(ins)
 	if g := p.gate; g != nil {
 		select {
 		case <-g.armed:
@@ -48,37 +80,61 @@ func applyPair(p *pair, w int) {
 	p.y += w
 }
 
-func newCell(copies ...*pair) *Cell[*pair, int] {
-	c := new(Cell[*pair, int])
-	c.Init(applyPair, copies...)
+// Adopt only reads src, which has readers. Shares and Copied complete
+// core.Adopter.
+func (p cowPair) Adopt(src core.Index) bool {
+	s, ok := src.(cowPair)
+	if ok {
+		p.record("adopt")
+		p.x, p.y = s.x, s.y
+	}
+	return ok
+}
+func (p cowPair) Shares(o core.Index) bool      { return o.(cowPair).x == p.x }
+func (p cowPair) Copied() (nodes, bytes uint64) { return 0, 0 }
+
+// newCell builds a cell over the given copies (one: locked reads, two:
+// twins), wrapped as cowPairs when adopting, with beside as its step.
+func newCell(adopting bool, beside func(), copies ...*pair) *Cell {
+	wrap := func(p *pair) core.Index {
+		if adopting {
+			return cowPair{p}
+		}
+		return p
+	}
+	var snapshot func() core.Index
+	if len(copies) == 2 {
+		snapshot = func() core.Index { return wrap(copies[1]) }
+	}
+	c := new(Cell)
+	c.Init("test", wrap(copies[0]), snapshot, beside)
 	return c
 }
-
-// adoptPair is the catch-up of copies that take their contents from one
-// another instead of re-applying: it only reads ahead, which has readers.
-func adoptPair(behind, ahead *pair) { behind.x, behind.y = ahead.x, ahead.y }
 
 // modes runs f over a one-copy (locked) cell and two two-copy cells: the
 // twin whose displaced copy has every window applied again, and the one
 // whose displaced copy adopts the published contents.
-func modes(t *testing.T, f func(t *testing.T, c *Cell[*pair, int], twin bool)) {
-	t.Run("locked", func(t *testing.T) { f(t, newCell(&pair{}), false) })
-	t.Run("twin", func(t *testing.T) { f(t, newCell(&pair{}, &pair{}), true) })
-	t.Run("adopting", func(t *testing.T) {
-		c := newCell(&pair{}, &pair{})
-		c.CatchUp(func(behind, ahead *pair, _ int) { adoptPair(behind, ahead) })
-		f(t, c, true)
-	})
+func modes(t *testing.T, f func(t *testing.T, c *Cell, twin bool)) {
+	t.Run("locked", func(t *testing.T) { f(t, newCell(false, nil, &pair{}), false) })
+	t.Run("twin", func(t *testing.T) { f(t, newCell(false, nil, &pair{}, &pair{}), true) })
+	t.Run("adopting", func(t *testing.T) { f(t, newCell(true, nil, &pair{}, &pair{}), true) })
 }
 
-func read(c *Cell[*pair, int]) (x, y int, epoch uint64) {
+// points is what the windows of these tests are cut from: commit(c, w)
+// commits a window of w inserts.
+var points = make([]geom.Point, 100)
+
+func commit(c *Cell, w int) { c.Commit(points[:w], nil, nil, time.Time{}) }
+
+func read(c *Cell) (x, y int, epoch uint64) {
 	v := c.Acquire()
 	defer c.Release(v)
-	return v.Data.x, v.Data.y, v.Epoch()
+	p := v.Index.(interface{ state() *pair }).state()
+	return p.x, p.y, v.Epoch()
 }
 
 func TestSnapshotCommitAndCounters(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell[*pair, int], twin bool) {
+	modes(t, func(t *testing.T, c *Cell, twin bool) {
 		wantVersions, perCommit := 1, uint64(0)
 		if twin {
 			wantVersions, perCommit = 2, 1
@@ -88,7 +144,7 @@ func TestSnapshotCommitAndCounters(t *testing.T) {
 		}
 		sum := 0
 		for w := 1; w <= 5; w++ {
-			c.Commit(w, nil, time.Time{})
+			commit(c, w)
 			sum += w
 			x, y, ep := read(c)
 			if x != sum || y != sum {
@@ -109,12 +165,12 @@ func TestSnapshotCommitAndCounters(t *testing.T) {
 func TestSnapshotReadDuringCommitDoesNotStall(t *testing.T) {
 	g := newGate()
 	a, b := &pair{}, &pair{gate: g}
-	c := newCell(a, b)
-	c.Commit(1, nil, time.Time{}) // b published, a caught up and standing by
-	c.Commit(1, nil, time.Time{}) // a published; the next commit writes b first
+	c := newCell(false, nil, a, b)
+	commit(c, 1) // b published, a caught up and standing by
+	commit(c, 1) // a published; the next commit writes b first
 	close(g.armed)
 	committed := make(chan struct{})
-	go func() { c.Commit(1, nil, time.Time{}); close(committed) }()
+	go func() { commit(c, 1); close(committed) }()
 	<-g.entered
 
 	done := make(chan struct{})
@@ -144,7 +200,7 @@ func TestSnapshotReadDuringCommitDoesNotStall(t *testing.T) {
 // check it. A missing drain, a broken pin or a catch-up on a copy that
 // still has readers shows up as a mismatch and as a data race.
 func TestSnapshotNeverTorn(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell[*pair, int], twin bool) {
+	modes(t, func(t *testing.T, c *Cell, twin bool) {
 		var stop atomic.Bool
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {
@@ -167,7 +223,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 			}()
 		}
 		for i := 0; i < 2000 && !stop.Load(); i++ {
-			c.Commit(1, nil, time.Time{})
+			commit(c, 1)
 		}
 		stop.Store(true)
 		wg.Wait()
@@ -184,13 +240,13 @@ func TestSnapshotNeverTorn(t *testing.T) {
 // after which both copies hold the window.
 func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 	a, b := &pair{}, &pair{}
-	c := newCell(a, b)
+	c := newCell(false, nil, a, b)
 	pinned := c.Acquire()
-	if pinned.Data != a {
+	if pinned.Index != core.Index(a) {
 		t.Fatal("the first copy is not the initially published one")
 	}
 	committed := make(chan struct{})
-	go func() { c.Commit(7, nil, time.Time{}); close(committed) }()
+	go func() { commit(c, 7); close(committed) }()
 	for c.Epoch() != 1 { // wait for the publish
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -214,17 +270,16 @@ func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 }
 
 func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell[*pair, int], twin bool) {
-		c.Commit(3, nil, time.Time{})
+	modes(t, func(t *testing.T, c *Cell, twin bool) {
+		commit(c, 3)
 		before := c.Epoch()
+		c.Rebuild(points[:100])
 		builds := 0
-		var follow func(behind, ahead *pair)
-		if t.Name() == "TestSnapshotRebuildResetsEveryCopy/adopting" {
-			follow = adoptPair
+		for _, idx := range c.copies {
+			builds += int(idx.(interface{ state() *pair }).state().builds.Load())
 		}
-		c.Rebuild(func(p *pair) { p.x, p.y, builds = 100, 100, builds+1 }, follow)
-		if want := c.Versions(); follow != nil && builds != 1 || follow == nil && builds != want {
-			t.Fatalf("Rebuild ran build %d times over %d copies (follow installed: %v)", builds, want, follow != nil)
+		if want := c.Versions(); c.Shared() && builds != 1 || !c.Shared() && builds != want {
+			t.Fatalf("Rebuild ran Build %d times over %d copies (adopting: %v)", builds, want, c.Shared())
 		}
 		if twin && c.Epoch() != before+1 {
 			t.Fatalf("Rebuild published epoch %d, want %d", c.Epoch(), before+1)
@@ -232,7 +287,7 @@ func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
 		// Consecutive commits alternate which copy is read: both must
 		// have restarted from the rebuilt contents.
 		for i := 1; i <= 4; i++ {
-			c.Commit(1, nil, time.Time{})
+			commit(c, 1)
 			if x, y, _ := read(c); x != 100+i || y != 100+i {
 				t.Fatalf("commit %d after Rebuild: read (%d, %d), want %d", i, x, y, 100+i)
 			}
@@ -243,9 +298,9 @@ func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
 // TestSnapshotSpanStages pins which flush-span stages each mode stamps
 // and that the span carries the published epoch.
 func TestSnapshotSpanStages(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell[*pair, int], twin bool) {
+	modes(t, func(t *testing.T, c *Cell, twin bool) {
 		var sp obs.FlushSpan
-		c.Commit(5, &sp, time.Now())
+		c.Commit(points[:5], nil, &sp, time.Now())
 		stamped := func(stage int) bool { return sp.Stages[stage] > 0 }
 		if !stamped(obs.StageApply) || stamped(obs.StagePublish) != twin || stamped(obs.StageReplay) != twin {
 			t.Fatalf("stages %v", sp.Stages)
@@ -260,14 +315,14 @@ func TestSnapshotSpanStages(t *testing.T) {
 // itself — many goroutines commit to one cell with no outer lock, readers
 // alongside.
 func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell[*pair, int], twin bool) {
+	modes(t, func(t *testing.T, c *Cell, twin bool) {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 200; i++ {
-					c.Commit(1, nil, time.Time{})
+					commit(c, 1)
 					if x, y, _ := read(c); x != y {
 						t.Errorf("torn read (%d, %d)", x, y)
 						return
@@ -278,7 +333,7 @@ func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
 		wg.Wait()
 		// Consecutive commits alternate which copy is read: check both.
 		for i := 0; i < 2; i++ {
-			c.Commit(0, nil, time.Time{})
+			commit(c, 0)
 			if x, y, _ := read(c); x != 1600 || y != 1600 {
 				t.Fatalf("after %d further commits: read (%d, %d), want 1600", i+1, x, y)
 			}
@@ -290,13 +345,80 @@ func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
 // allocations: the Versions are permanent, a commit and a read allocate
 // nothing in either mode.
 func TestSnapshotCommitZeroAlloc(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell[*pair, int], twin bool) {
+	modes(t, func(t *testing.T, c *Cell, twin bool) {
 		var sp obs.FlushSpan
 		if allocs := testing.AllocsPerRun(100, func() {
-			c.Commit(1, &sp, time.Time{})
+			c.Commit(points[:1], nil, &sp, time.Time{})
 			read(c)
 		}); allocs != 0 {
 			t.Fatalf("commit+read allocates %.2f/op, want 0", allocs)
 		}
 	})
+}
+
+// TestStepOrder states the contract a layer's beside step relies on (the
+// Collection's table step does). Over one copy: apply, then beside, both
+// under the write lock. Over twins: apply to the off-line copy, publish,
+// drain, beside, catch-up — beside never runs while a reader still pins
+// the displaced copy, and runs before that copy is written.
+func TestStepOrder(t *testing.T) {
+	for _, mode := range []struct {
+		name            string
+		twin, adopting  bool
+		catchUp, reload string
+	}{
+		{name: "locked"},
+		{name: "re-apply twin", twin: true, catchUp: "apply a", reload: "build a"},
+		{name: "adopting twin", twin: true, adopting: true, catchUp: "adopt a", reload: "adopt a"},
+	} {
+		for _, op := range []struct {
+			name, step string
+			run        func(c *Cell)
+		}{
+			{"Commit", "apply", func(c *Cell) { commit(c, 3) }},
+			{"Rebuild", "build", func(c *Cell) { c.Rebuild(points[:3]) }},
+		} {
+			t.Run(mode.name+"/"+op.name, func(t *testing.T) {
+				var log []string
+				var c *Cell
+				beside := func() {
+					log = append(log, "beside")
+					if !mode.twin && c.mu.TryRLock() {
+						t.Error("beside ran outside the write lock")
+					}
+				}
+				copies := []*pair{{name: "a", log: &log}}
+				if mode.twin {
+					copies = append(copies, &pair{name: "b", log: &log})
+				}
+				c = newCell(mode.adopting, beside, copies...)
+				log = nil // an adopting pair adopts once at Init
+				if !mode.twin {
+					op.run(c)
+					if want := []string{op.step + " a", "beside"}; !slices.Equal(log, want) {
+						t.Fatalf("steps %q, want %q", log, want)
+					}
+					return
+				}
+				pinned := c.Acquire() // copy a, which the commit displaces
+				done := make(chan struct{})
+				go func() { op.run(c); close(done) }()
+				for c.Epoch() != 1 {
+					time.Sleep(50 * time.Microsecond)
+				}
+				log = append(log, "publish")     // ordered after the writer's steps by the epoch load
+				time.Sleep(2 * time.Millisecond) // room for a beside that does not wait for the drain
+				log = append(log, "drain")
+				c.Release(pinned)
+				<-done
+				catchUp := mode.catchUp
+				if op.step == "build" {
+					catchUp = mode.reload
+				}
+				if want := []string{op.step + " b", "publish", "drain", "beside", catchUp}; !slices.Equal(log, want) {
+					t.Fatalf("steps %q, want %q", log, want)
+				}
+			})
+		}
+	}
 }

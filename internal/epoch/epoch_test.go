@@ -3,14 +3,13 @@ package epoch
 import "testing"
 
 func TestPublishAndCounters(t *testing.T) {
-	var m Manager[int]
-	a := NewVersion(1)
-	b := NewVersion(2)
+	var m Manager
+	a, b := &Version{Index: &pair{x: 1}}, &Version{Index: &pair{x: 2}}
 	m.Init(a)
 	if m.Epoch() != 0 || m.RetireLag() != 0 {
 		t.Fatalf("fresh manager: epoch %d lag %d, want 0 0", m.Epoch(), m.RetireLag())
 	}
-	if got := m.Pin(); got != a || got.Data != 1 {
+	if got := m.Pin(); got != a || got.Index.Size() != 1 {
 		t.Fatalf("Pin returned %+v, want the initial version", got)
 	} else {
 		m.Unpin(got)
@@ -38,8 +37,8 @@ func TestPublishAndCounters(t *testing.T) {
 }
 
 func TestWaitDrainedBlocksOnPinnedReader(t *testing.T) {
-	var m Manager[int]
-	a, b := NewVersion(1), NewVersion(2)
+	var m Manager
+	a, b := &Version{Index: &pair{}}, &Version{Index: &pair{}}
 	m.Init(a)
 	pinned := m.Pin()
 	prev := m.Publish(b)

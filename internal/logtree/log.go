@@ -116,10 +116,7 @@ func (t *LogTree) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.size == 0 {
 		return
 	}
-	want := make(map[geom.Point]int, len(pts))
-	for _, p := range pts {
-		want[p]++
-	}
+	want := geom.CountPoints(pts)
 	for li, lv := range t.levels {
 		if lv == nil || len(want) == 0 {
 			continue

@@ -67,40 +67,13 @@ func (t *BHLTree) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || len(t.store) == 0 {
 		return
 	}
-	want := make(map[geom.Point]int, len(pts))
-	for _, p := range pts {
-		want[p]++
-	}
-	out := t.store[:0]
-	for _, p := range t.store {
-		if c := want[p]; c > 0 {
-			want[p] = c - 1
-			continue
-		}
-		out = append(out, p)
-	}
-	t.store = out
+	t.store = geom.RemoveEach(t.store, pts)
 	t.kd.Build(t.store)
 }
 
 // BatchDiff implements core.Index with a single rebuild for both halves.
 func (t *BHLTree) BatchDiff(ins, del []geom.Point) {
-	if len(del) > 0 {
-		want := make(map[geom.Point]int, len(del))
-		for _, p := range del {
-			want[p]++
-		}
-		out := t.store[:0]
-		for _, p := range t.store {
-			if c := want[p]; c > 0 {
-				want[p] = c - 1
-				continue
-			}
-			out = append(out, p)
-		}
-		t.store = out
-	}
-	t.store = append(t.store, ins...)
+	t.store = append(geom.RemoveEach(t.store, del), ins...)
 	t.kd.Build(t.store)
 }
 

@@ -106,33 +106,10 @@ func sizeOf(nd *node) int {
 	return nd.size
 }
 
-// removeFromLeaf removes one occurrence per requested point.
+// removeFromLeaf removes one occurrence per requested point and refreshes
+// the leaf's size and bbox.
 func removeFromLeaf(nd *node, pts []geom.Point, dims int) {
-	if len(pts) > 8 && len(nd.pts) > 8 {
-		want := make(map[geom.Point]int, len(pts))
-		for _, p := range pts {
-			want[p]++
-		}
-		out := nd.pts[:0]
-		for _, p := range nd.pts {
-			if c := want[p]; c > 0 {
-				want[p] = c - 1
-				continue
-			}
-			out = append(out, p)
-		}
-		nd.pts = out
-	} else {
-		for _, p := range pts {
-			for i, q := range nd.pts {
-				if q == p {
-					nd.pts[i] = nd.pts[len(nd.pts)-1]
-					nd.pts = nd.pts[:len(nd.pts)-1]
-					break
-				}
-			}
-		}
-	}
+	nd.pts = geom.RemoveEach(nd.pts, pts)
 	nd.size = len(nd.pts)
 	nd.bbox = geom.BoundingBox(nd.pts, dims)
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -57,8 +56,6 @@ type FollowerOptions[ID comparable] struct {
 	// min to max; reset after a healthy session); <= 0 select 50ms / 2s.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// Obs, when set, registers the follower's psi_repl_* series.
-	Obs *obs.Registry
 	// Logf, when set, receives one line per connect, bootstrap and
 	// session error.
 	Logf func(format string, args ...any)
@@ -138,36 +135,7 @@ func NewFollower[ID comparable](app Applier[ID], opts FollowerOptions[ID]) *Foll
 	}
 	f := &Follower[ID]{opts: opts, app: app, stop: make(chan struct{})}
 	f.applied.Store(app.AppliedSeq())
-	f.registerMetrics(opts.Obs)
 	return f
-}
-
-func (f *Follower[ID]) registerMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("psi_repl_connected", "1 while the replication session to the leader is up.",
-		func() float64 {
-			if f.connected.Load() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("psi_repl_leader_seq", "Leader head sequence as of the last HELLO or PING.",
-		func() float64 { return float64(f.leaderSeq.Load()) })
-	reg.GaugeFunc("psi_repl_applied_seq", "Last leader window applied locally.",
-		func() float64 { return float64(f.applied.Load()) })
-	reg.GaugeFunc("psi_repl_lag_windows", "Leader head minus applied sequence.",
-		func() float64 { return float64(f.lag()) })
-	reg.CounterFunc("psi_repl_reconnects_total", "Sessions re-established after the first.", func() uint64 {
-		if s := f.sessions.Load(); s > 0 {
-			return s - 1
-		}
-		return 0
-	})
-	reg.CounterFunc("psi_repl_bootstraps_total", "Full-state snapshot bootstraps received.", f.bootstraps.Load)
-	reg.CounterFunc("psi_repl_windows_applied_total", "Committed leader windows applied.", f.windows.Load)
-	reg.CounterFunc("psi_repl_duplicates_skipped_total", "Already-applied windows received and dropped.", f.duplicates.Load)
 }
 
 func (f *Follower[ID]) lag() uint64 {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -47,11 +46,12 @@ type LeaderOptions[ID comparable] struct {
 	// not block or call back into the Leader (in particular not Close —
 	// Close waits for the very goroutine the callback runs on).
 	OnDeposed func(term uint64)
-	// Obs, when set, registers the leader's psi_repl_* series: aggregate
-	// connect/ship counters plus per-follower acked-seq/lag/connected
-	// gauges keyed by the identity each follower sends in its FOLLOW
-	// frame. One Leader per registry.
-	Obs *obs.Registry
+	// OnFollower is called the first time this Leader sees a follower
+	// identity (the one sent in the FOLLOW frame), on that follower's
+	// connection goroutine and under the same rules as OnDeposed. The
+	// service registers the follower's metric series from it; the numbers
+	// themselves are in Stats.
+	OnFollower func(id string)
 	// Logf, when set, receives one line per follower connect, disconnect
 	// and bootstrap (cmd/psid wires log.Printf).
 	Logf func(format string, args ...any)
@@ -94,7 +94,7 @@ type Leader[ID comparable] struct {
 	wg      sync.WaitGroup
 
 	mu      sync.Mutex
-	entries map[string]*followerEntry // by follower identity, never removed (metric series live forever)
+	entries map[string]*followerEntry // by follower identity, never removed (its position outlives a disconnect)
 
 	connects      atomic.Uint64
 	snapshotsSent atomic.Uint64
@@ -103,8 +103,8 @@ type Leader[ID comparable] struct {
 }
 
 // followerEntry is one follower identity's persistent state: it
-// survives disconnects so the metric series (and the acked position
-// shown in /stats) carry across a follower restart.
+// survives disconnects so the acked position shown in /stats and on
+// /metrics carries across a follower restart.
 type followerEntry struct {
 	id        string
 	acked     atomic.Uint64
@@ -133,36 +133,7 @@ func NewLeader[ID comparable](opts LeaderOptions[ID]) *Leader[ID] {
 		stop:    make(chan struct{}),
 		entries: make(map[string]*followerEntry),
 	}
-	l.registerMetrics(opts.Obs)
 	return l
-}
-
-func (l *Leader[ID]) registerMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("psi_repl_followers_connected", "Follower connections currently streaming.",
-		func() float64 { return float64(l.connectedCount()) })
-	reg.CounterFunc("psi_repl_connects_total", "Follower connections accepted (handshake completed).",
-		l.connects.Load)
-	reg.CounterFunc("psi_repl_snapshots_sent_total", "Full-state bootstraps streamed to followers.",
-		l.snapshotsSent.Load)
-	reg.CounterFunc("psi_repl_windows_sent_total", "Committed windows shipped to followers (counted per follower).",
-		l.windowsSent.Load)
-	reg.CounterFunc("psi_repl_bytes_sent_total", "Window and snapshot payload bytes shipped to followers.",
-		l.bytesSent.Load)
-}
-
-func (l *Leader[ID]) connectedCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.entries {
-		if e.connected.Load() {
-			n++
-		}
-	}
-	return n
 }
 
 // Serve accepts followers on ln until Close. It returns immediately;
@@ -257,37 +228,18 @@ func (l *Leader[ID]) term() uint64 {
 	return l.opts.Term()
 }
 
-// entryFor returns (creating on first sight) the persistent entry for a
-// follower identity, registering its per-follower metric series once —
-// a reconnecting follower reuses its series instead of panicking the
-// registry with a duplicate registration.
+// entryFor returns (creating on first sight, and reporting it to
+// OnFollower) the persistent entry for a follower identity.
 func (l *Leader[ID]) entryFor(id string) *followerEntry {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e, ok := l.entries[id]; ok {
-		return e
+	e, ok := l.entries[id]
+	if !ok {
+		e = &followerEntry{id: id}
+		l.entries[id] = e
 	}
-	e := &followerEntry{id: id}
-	l.entries[id] = e
-	if reg := l.opts.Obs; reg != nil {
-		lbl := obs.Label{Key: "follower", Value: id}
-		reg.GaugeFunc("psi_repl_follower_acked_seq", "Last window sequence this follower acknowledged applying.",
-			func() float64 { return float64(e.acked.Load()) }, lbl)
-		reg.GaugeFunc("psi_repl_follower_lag_windows", "Committed windows this follower has not acknowledged.",
-			func() float64 {
-				last := l.opts.Hub.LastSeq()
-				if acked := e.acked.Load(); last > acked {
-					return float64(last - acked)
-				}
-				return 0
-			}, lbl)
-		reg.GaugeFunc("psi_repl_follower_connected", "1 while this follower is connected.",
-			func() float64 {
-				if e.connected.Load() {
-					return 1
-				}
-				return 0
-			}, lbl)
+	l.mu.Unlock()
+	if !ok && l.opts.OnFollower != nil {
+		l.opts.OnFollower(id)
 	}
 	return e
 }

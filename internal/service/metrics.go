@@ -132,9 +132,9 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			"Commands slower than the -slowlog threshold.",
 			s.slow.Total)
 	}
-	// Failover series are registered by the Server, not by the
-	// Leader/Follower incarnations: PROMOTE and FOLLOW replace those at
-	// runtime, and a registry panics on duplicate registration.
+	if !s.roleIs(roleNone) {
+		s.registerReplMetrics(reg)
+	}
 	reg.GaugeFunc("psi_repl_role",
 		"Replication role: 0 none, 1 leader, 2 follower, 3 fenced.",
 		func() float64 { return float64(s.role.Load()) })

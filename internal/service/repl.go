@@ -48,6 +48,7 @@ import (
 	"net"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/wal"
 )
@@ -168,38 +169,140 @@ func (s *Server) newHub() *repl.Hub {
 	return repl.NewHub(s.wal.LastSeq(), s.opts.ReplRetainWindows, repl.DefaultRetainBytes)
 }
 
-// newLeader builds the leader endpoint over the current hub. reg is the
-// metric registry for the first incarnation only: a promote-created
-// leader passes nil, because the registry panics on duplicate series
-// and the boot-time incarnation (if any) already owns them.
-func (s *Server) newLeader(withObs bool) *repl.Leader[string] {
-	opts := repl.LeaderOptions[string]{
-		Codec:     wal.StringCodec{},
-		Hub:       s.hub,
-		Snapshot:  s.replSnapshot,
-		Term:      s.wal.Term,
-		OnDeposed: s.deposed,
-		Logf:      s.opts.Logf,
-	}
-	if withObs {
-		opts.Obs = s.reg
-	}
-	return repl.NewLeader(opts)
+// newLeader builds the leader endpoint over the current hub. Its series
+// are the Server's (registerReplMetrics), like every incarnation's.
+func (s *Server) newLeader() *repl.Leader[string] {
+	return repl.NewLeader(repl.LeaderOptions[string]{
+		Codec:      wal.StringCodec{},
+		Hub:        s.hub,
+		Snapshot:   s.replSnapshot,
+		Term:       s.wal.Term,
+		OnDeposed:  s.deposed,
+		OnFollower: s.registerFollowerMetrics,
+		Logf:       s.opts.Logf,
+	})
 }
 
-// newFollower builds the follower session loop against addr (same Obs
-// rule as newLeader).
-func (s *Server) newFollower(addr string, withObs bool) *repl.Follower[string] {
-	opts := repl.FollowerOptions[string]{
+// newFollower builds the follower session loop against addr.
+func (s *Server) newFollower(addr string) *repl.Follower[string] {
+	return repl.NewFollower[string](replApplier{s}, repl.FollowerOptions[string]{
 		Addr:  addr,
 		ID:    s.opts.ReplID,
 		Codec: wal.StringCodec{},
 		Logf:  s.opts.Logf,
+	})
+}
+
+// replTotals is both roles' replication counters in the shape /stats
+// reports them.
+type replTotals struct {
+	lead repl.LeaderStats
+	foll repl.FollowerStatus
+}
+
+// add folds another incarnation's counters into t; the gauges (positions,
+// connection states) are not summable and stay as they are.
+func (t *replTotals) add(o replTotals) {
+	t.lead.Connects += o.lead.Connects
+	t.lead.SnapshotsSent += o.lead.SnapshotsSent
+	t.lead.WindowsSent += o.lead.WindowsSent
+	t.lead.BytesSent += o.lead.BytesSent
+	t.foll.Reconnects += o.foll.Reconnects
+	t.foll.Bootstraps += o.foll.Bootstraps
+	t.foll.Windows += o.foll.Windows
+	t.foll.Duplicates += o.foll.Duplicates
+}
+
+// replNow is what the psi_repl_* series read: the gauges of the current
+// leader and follower incarnations (zero where there is none) and
+// counters cumulative over every incarnation this process has had.
+func (s *Server) replNow() replTotals {
+	s.replMu.Lock()
+	lead, foll, past := s.replLead, s.replFoll, s.replPast
+	s.replMu.Unlock()
+	var cur replTotals
+	if lead != nil {
+		cur.lead = lead.Stats()
 	}
-	if withObs {
-		opts.Obs = s.reg
+	if foll != nil {
+		cur.foll = foll.Status()
 	}
-	return repl.NewFollower[string](replApplier{s}, opts)
+	cur.add(past)
+	return cur
+}
+
+// flag is a boolean gauge's value.
+func flag(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// registerReplMetrics registers, once and on the Server, the series of
+// both roles: PROMOTE and FOLLOW replace the Leader and Follower at
+// runtime, a registry panics on duplicate registration, and a promoted
+// standby must export what a boot-time leader does (and a rejoined
+// ex-leader what a boot-time follower does).
+func (s *Server) registerReplMetrics(reg *obs.Registry) {
+	gauge := func(name, help string, get func(replTotals) uint64) {
+		reg.GaugeFunc(name, help, func() float64 { return float64(get(s.replNow())) })
+	}
+	counter := func(name, help string, get func(replTotals) uint64) {
+		reg.CounterFunc(name, help, func() uint64 { return get(s.replNow()) })
+	}
+	gauge("psi_repl_followers_connected", "Follower connections currently streaming.",
+		func(t replTotals) uint64 { return uint64(t.lead.Connected) })
+	counter("psi_repl_connects_total", "Follower connections accepted (handshake completed).",
+		func(t replTotals) uint64 { return t.lead.Connects })
+	counter("psi_repl_snapshots_sent_total", "Full-state bootstraps streamed to followers.",
+		func(t replTotals) uint64 { return t.lead.SnapshotsSent })
+	counter("psi_repl_windows_sent_total", "Committed windows shipped to followers (counted per follower).",
+		func(t replTotals) uint64 { return t.lead.WindowsSent })
+	counter("psi_repl_bytes_sent_total", "Window and snapshot payload bytes shipped to followers.",
+		func(t replTotals) uint64 { return t.lead.BytesSent })
+	gauge("psi_repl_connected", "1 while the replication session to the leader is up.",
+		func(t replTotals) uint64 { return flag(t.foll.Connected) })
+	gauge("psi_repl_leader_seq", "Leader head sequence as of the last HELLO or PING.",
+		func(t replTotals) uint64 { return t.foll.LeaderSeq })
+	gauge("psi_repl_applied_seq", "Last leader window applied locally.",
+		func(t replTotals) uint64 { return t.foll.AppliedSeq })
+	gauge("psi_repl_lag_windows", "Leader head minus applied sequence.",
+		func(t replTotals) uint64 { return t.foll.LagWindows })
+	counter("psi_repl_reconnects_total", "Sessions re-established after the first of a follower incarnation.",
+		func(t replTotals) uint64 { return t.foll.Reconnects })
+	counter("psi_repl_bootstraps_total", "Full-state snapshot bootstraps received.",
+		func(t replTotals) uint64 { return t.foll.Bootstraps })
+	counter("psi_repl_windows_applied_total", "Committed leader windows applied.",
+		func(t replTotals) uint64 { return t.foll.Windows })
+	counter("psi_repl_duplicates_skipped_total", "Already-applied windows received and dropped.",
+		func(t replTotals) uint64 { return t.foll.Duplicates })
+}
+
+// registerFollowerMetrics is the Leader's OnFollower hook: the first
+// time any leader incarnation of this process sees follower id, its
+// labelled series are registered; they read through whichever
+// incarnation is current (zero when it does not know id).
+func (s *Server) registerFollowerMetrics(id string) {
+	if _, seen := s.replSeen.LoadOrStore(id, struct{}{}); seen {
+		return
+	}
+	gauge := func(name, help string, get func(repl.FollowerInfo) uint64) {
+		s.reg.GaugeFunc(name, help, func() float64 {
+			for _, f := range s.replNow().lead.Followers {
+				if f.ID == id {
+					return float64(get(f))
+				}
+			}
+			return 0
+		}, obs.Label{Key: "follower", Value: id})
+	}
+	gauge("psi_repl_follower_acked_seq", "Last window sequence this follower acknowledged applying.",
+		func(f repl.FollowerInfo) uint64 { return f.AckedSeq })
+	gauge("psi_repl_follower_lag_windows", "Committed windows this follower has not acknowledged.",
+		func(f repl.FollowerInfo) uint64 { return f.LagWindows })
+	gauge("psi_repl_follower_connected", "1 while this follower is connected.",
+		func(f repl.FollowerInfo) uint64 { return flag(f.Connected) })
 }
 
 // startRepl binds the boot-time replication role during Start, after
@@ -212,13 +315,13 @@ func (s *Server) startRepl() error {
 		if err != nil {
 			return fmt.Errorf("psid: listen repl %s: %w", s.opts.ReplListen, err)
 		}
-		lead := s.newLeader(true)
+		lead := s.newLeader()
 		lead.Serve(ln)
 		s.replMu.Lock()
 		s.replLead = lead
 		s.replMu.Unlock()
 	case roleFollower:
-		foll := s.newFollower(s.opts.ReplicaOf, true)
+		foll := s.newFollower(s.opts.ReplicaOf)
 		foll.Start()
 		s.replMu.Lock()
 		s.replFoll = foll
@@ -265,6 +368,7 @@ func (s *Server) Promote(addr string) error {
 	// Stop the old session: after Stop returns no apply is in flight,
 	// and the WAL's last sequence is the new timeline's base.
 	s.replFoll.Stop()
+	s.replPast.add(replTotals{foll: s.replFoll.Status()})
 	s.replFoll = nil
 	// The term bump is what fences the old leader; the snapshot is what
 	// makes it survive a crash (term rides in the snapshot header).
@@ -275,7 +379,7 @@ func (s *Server) Promote(addr string) error {
 		return fmt.Errorf("journaling term %d: %w", s.wal.Term(), err)
 	}
 	s.hub = s.newHub()
-	lead := s.newLeader(false)
+	lead := s.newLeader()
 	lead.Serve(ln)
 	s.replLead = lead
 	s.leaderHint.Store("")
@@ -355,12 +459,13 @@ func (s *Server) Follow(addr string) error {
 	// fenced → follower.
 	if s.replLead != nil {
 		s.replLead.Close()
+		s.replPast.add(replTotals{lead: s.replLead.Stats()})
 		s.replLead = nil
 	}
 	// The tape has taken nothing since the fence; whatever it took before
 	// belongs to the old timeline and commits there, now.
 	s.coll.Flush()
-	f := s.newFollower(addr, false)
+	f := s.newFollower(addr)
 	s.replFoll = f
 	s.leaderHint.Store(addr)
 	s.role.Store(int32(roleFollower))

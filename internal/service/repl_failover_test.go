@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // startStandby runs a follower of leader that also carries a standby
@@ -21,7 +23,19 @@ func startStandby(t *testing.T, dir string, leader *Server, id string) *Server {
 		ReplicaOf:  leader.ReplAddr().String(),
 		ReplListen: "127.0.0.1:0",
 		ReplID:     id,
+		Obs:        obs.New(),
 	})
+}
+
+// scrape fetches and parses the server's /metrics.
+func scrape(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	code, _, body := httpGet(t, "http://"+s.HTTPAddr().String()+"/metrics")
+	samples, err := obs.ParseText(strings.NewReader(body))
+	if code != http.StatusOK || err != nil {
+		t.Fatalf("/metrics = %d, parse error %v\n%s", code, err, body)
+	}
+	return samples
 }
 
 // roleOf snapshots the server's current role.
@@ -125,7 +139,7 @@ func TestFailoverPromoteDisconnected(t *testing.T) {
 // leader is fenced on contact with the new timeline, and finally
 // rejoins it as a follower.
 func TestFailoverHandover(t *testing.T) {
-	leader := startLeader(t, t.TempDir(), Options{})
+	leader := startLeader(t, t.TempDir(), Options{Obs: obs.New()})
 	lc := dialT(t, leader)
 	for _, id := range []string{"a", "b"} {
 		if err := lc.Set(id, []int64{3, 4}); err != nil {
@@ -136,6 +150,10 @@ func TestFailoverHandover(t *testing.T) {
 	f2 := startFollowerOf(t, t.TempDir(), leader, "f2")
 	waitConverged(t, leader, f1)
 	waitConverged(t, leader, f2)
+	appliedAsFollower := scrape(t, f1)["psi_repl_windows_applied_total"] + scrape(t, f1)["psi_repl_bootstraps_total"]
+	if appliedAsFollower == 0 {
+		t.Fatal("the standby's /metrics counted neither a window nor a bootstrap while it followed")
+	}
 
 	// Handover: promote f1, re-point f2 at it.
 	if err := f1.Promote(""); err != nil {
@@ -158,6 +176,28 @@ func TestFailoverHandover(t *testing.T) {
 	}
 	if code, m := healthz(t, f2); code != http.StatusOK || m["role"] != "follower" || m["term"] != float64(1) {
 		t.Fatalf("re-pointed follower /healthz = %d %v, want 200 role=follower term=1", code, m)
+	}
+	// The promoted node's /metrics is a leader's, with live values: the
+	// series are the Server's, not those of the incarnation it booted with.
+	// Its follower life's gauges are gone with the session, its counters
+	// stay (cumulative across incarnations).
+	m := scrape(t, f1)
+	if _, present := m[`psi_repl_follower_lag_windows{follower="f2"}`]; !present {
+		t.Fatalf("promoted leader /metrics has no psi_repl_follower_lag_windows series for f2\n%v", m)
+	}
+	for series, ok := range map[string]bool{
+		"psi_repl_role":                                     m["psi_repl_role"] == float64(roleLeader),
+		"psi_repl_followers_connected":                      m["psi_repl_followers_connected"] >= 1,
+		"psi_repl_windows_sent_total":                       m["psi_repl_windows_sent_total"]+m["psi_repl_snapshots_sent_total"] >= 1,
+		`psi_repl_follower_connected{follower="f2"}`:        m[`psi_repl_follower_connected{follower="f2"}`] == 1,
+		"psi_repl_connected (no frozen follower gauge)":     m["psi_repl_connected"] == 0,
+		"psi_repl_lag_windows (no frozen follower gauge)":   m["psi_repl_lag_windows"] == 0,
+		"psi_repl_applied_seq (no frozen follower gauge)":   m["psi_repl_applied_seq"] == 0,
+		"psi_repl_windows_applied_total (kept across role)": m["psi_repl_windows_applied_total"]+m["psi_repl_bootstraps_total"] == appliedAsFollower,
+	} {
+		if !ok {
+			t.Fatalf("promoted leader /metrics: %s is wrong\n%v", series, m)
+		}
 	}
 	// The cross-term re-point bootstraps (timelines must not mix), and
 	// the readonly refusal now points at the new leader.
@@ -233,6 +273,15 @@ func TestFailoverHandover(t *testing.T) {
 	}
 	if st := leader.Stats().Repl; st.Term != 1 || st.RoleChanges != 2 {
 		t.Fatalf("rejoined ex-leader stats = %+v, want term 1 after 2 changes (deposed, rejoined)", st)
+	}
+	// The rejoined ex-leader's /metrics is a follower's, at the leader's
+	// head; what it shipped while it led is still counted.
+	m = scrape(t, leader)
+	if m["psi_repl_role"] != float64(roleFollower) || m["psi_repl_connected"] != 1 ||
+		m["psi_repl_applied_seq"] != float64(f1.wal.LastSeq()) || m["psi_repl_lag_windows"] != 0 ||
+		m["psi_repl_bootstraps_total"] != 1 || m["psi_repl_followers_connected"] != 0 ||
+		m["psi_repl_connects_total"] < 2 {
+		t.Fatalf("rejoined ex-leader /metrics, want a connected follower at seq %d that once led:\n%v", f1.wal.LastSeq(), m)
 	}
 }
 

@@ -209,6 +209,12 @@ type Server struct {
 	hub      *repl.Hub              // leader: committed-window fan-out ring
 	replLead *repl.Leader[string]   // leader: follower listener
 	replFoll *repl.Follower[string] // follower: session loop against the leader
+	// replPast holds the counters of the incarnations PROMOTE and FOLLOW
+	// retired (under replMu), replSeen the follower identities whose
+	// labelled series are registered: the psi_repl_* series are the
+	// Server's, reading through whichever incarnation is current.
+	replPast replTotals
+	replSeen sync.Map
 	// role is the replication role (replRole); roleChanges counts its
 	// transitions; leaderHint holds the last-known leader address (string)
 	// returned with readonly/fenced errors.

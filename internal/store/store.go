@@ -8,11 +8,13 @@
 // batch-update machinery is amortized across callers instead of being
 // driven one mutation at a time. Queries always observe a consistent
 // view: either all of a flushed batch or none of it, never a half-applied
-// update. Reader isolation is the version cell's job (epoch.Cell): in the
-// default locked mode queries share a read lock with the flush writer;
-// with Options.Snapshot set the cell double-buffers the index and queries
-// pin the published version — wait-free against even the largest commit
-// window (ARCHITECTURE.md "Epochs & snapshot reads"). The pending log and
+// update. Reader isolation is the version cell's job (epoch.Cell) — the
+// Store hands it the index and Options.Snapshot, commits netted windows
+// through it and reads what it acquires: in the default locked mode
+// queries share a read lock with the flush writer; with Options.Snapshot
+// set the cell double-buffers the index and queries pin the published
+// version — wait-free against even the largest commit window
+// (ARCHITECTURE.md "Epochs & snapshot reads"). The pending log and
 // its flushing are the window engine's (internal/window); this package
 // adds the order-aware multiset netting.
 //
@@ -82,17 +84,14 @@ type Store struct {
 	// the flush triggers and the flush lock. cell owns the index copies
 	// and how queries are kept off the flush writer.
 	eng  window.Engine[pendOp]
-	cell epoch.IndexCell
-	// follow is how Build brings the second copy level with the first:
-	// epoch.Adopted over copy-on-write twins, nil (build it too) otherwise.
-	follow func(behind, ahead core.Index)
+	cell epoch.Cell
 
-	// scratch is the netting buffer set and netted the window it last
-	// produced, both guarded by the engine's flush lock. Everything grows
+	// scratch is the netting buffer set and ins, del the window it last
+	// produced, all guarded by the engine's flush lock. Everything grows
 	// to the window high-water mark and is then reused verbatim, so a
 	// warm Store flushes with zero allocations.
-	scratch netScratch
-	netted  epoch.Diff
+	scratch  netScratch
+	ins, del []geom.Point
 
 	inserted atomic.Uint64
 	deleted  atomic.Uint64
@@ -111,23 +110,18 @@ var _ core.Index = (*Store)(nil)
 // background flusher starts immediately; pair New with Close to stop it.
 func New(idx core.Index, opts Options) *Store {
 	s := &Store{name: fmt.Sprintf("Store(%s)", idx.Name()), dims: idx.Dims()}
-	copies, shared := epoch.Copies("store", idx, opts.Snapshot)
-	s.cell.Init(epoch.ApplyDiff, copies...)
-	if shared {
-		s.follow = epoch.Adopted
-		s.cell.CatchUp(epoch.AdoptedDiff)
-	}
+	s.cell.Init("store", idx, opts.Snapshot, nil)
 	s.cell.Register(opts.Obs, obs.Label{Key: "layer", Value: "store"})
 	s.eng.Init("store", opts,
 		func(ops []pendOp) (cancelled int) {
-			s.netted.Ins, s.netted.Del, cancelled = s.scratch.net(ops)
+			s.ins, s.del, cancelled = s.scratch.net(ops)
 			return cancelled
 		},
 		func(sp *obs.FlushSpan, clk time.Time) int {
-			s.cell.Commit(s.netted, sp, clk)
-			s.inserted.Add(uint64(len(s.netted.Ins)))
-			s.deleted.Add(uint64(len(s.netted.Del)))
-			return len(s.netted.Ins) + len(s.netted.Del)
+			s.cell.Commit(s.ins, s.del, sp, clk)
+			s.inserted.Add(uint64(len(s.ins)))
+			s.deleted.Add(uint64(len(s.del)))
+			return len(s.ins) + len(s.del)
 		})
 	return s
 }
@@ -270,7 +264,7 @@ func (s *Store) Build(pts []geom.Point) {
 		s.eng.Lock()
 		s.eng.Discard()
 		s.eng.Unlock()
-		s.cell.Rebuild(func(idx core.Index) { idx.Build(pts) }, s.follow)
+		s.cell.Rebuild(pts)
 	})
 }
 
@@ -280,7 +274,7 @@ func (s *Store) Size() int {
 	s.Flush()
 	v := s.cell.Acquire()
 	defer s.cell.Release(v)
-	return v.Data.Size()
+	return v.Index.Size()
 }
 
 // KNN implements core.Index. Queries always observe a whole number of
@@ -291,21 +285,21 @@ func (s *Store) Size() int {
 func (s *Store) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 	v := s.cell.Acquire()
 	defer s.cell.Release(v)
-	return v.Data.KNN(q, k, dst)
+	return v.Index.KNN(q, k, dst)
 }
 
 // RangeCount implements core.Index.
 func (s *Store) RangeCount(box geom.Box) int {
 	v := s.cell.Acquire()
 	defer s.cell.Release(v)
-	return v.Data.RangeCount(box)
+	return v.Index.RangeCount(box)
 }
 
 // RangeList implements core.Index.
 func (s *Store) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
 	v := s.cell.Acquire()
 	defer s.cell.Release(v)
-	return v.Data.RangeList(box, dst)
+	return v.Index.RangeList(box, dst)
 }
 
 // Pending returns the number of enqueued, not-yet-flushed mutations.

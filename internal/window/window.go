@@ -35,7 +35,7 @@ const DefaultMaxBatch = 1024
 // psi.CollectionOptions are this type. The zero value is usable:
 // DefaultMaxBatch coalescing, no background flusher, locked reads. The
 // engine reads MaxBatch, FlushInterval and Obs; Snapshot is the
-// front-end's, to hand to epoch.Copies.
+// front-end's, to hand to its version cell (epoch.Cell.Init).
 type Options struct {
 	// MaxBatch is the pending-op count that triggers a synchronous flush
 	// by the enqueuing goroutine (built-in backpressure: the caller that
@@ -50,11 +50,14 @@ type Options struct {
 	// reads: it must return a fresh, EMPTY index configured identically
 	// to the wrapped one (core.Replicator semantics — most callers pass
 	// the same constructor they built idx with, and the service layer
-	// derives it from core.Replicator). The front-end then keeps two
-	// versions of its committed index, brings every window to both (the
-	// off-line one first) and publishes through an atomic epoch pointer;
-	// queries pin the published one instead of taking the read lock, so
-	// a reader never waits on the index apply, however large the window.
+	// derives it from core.Replicator). The front-end's version cell then
+	// keeps two versions of the committed index — two handles on one
+	// copy-on-write structure when the returned index is a core.Adopter
+	// that adopts the wrapped one, two whole copies otherwise — brings
+	// every window to both (the off-line one first) and publishes through
+	// an atomic epoch pointer; queries pin the published one instead of
+	// taking the read lock, so a reader never waits on the index apply,
+	// however large the window.
 	// The wrapped index must be empty at construction. Leave nil for the
 	// single-copy RWMutex mode.
 	Snapshot func() core.Index

@@ -1,11 +1,13 @@
 package psi
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/workload"
 )
 
@@ -32,47 +34,58 @@ func TestAllIndexesAgreeOnStaticData(t *testing.T) {
 	}
 }
 
+// TestAllIndexesAgreeUnderDynamicWorkload is the paper's incremental
+// setting in miniature, and the executable form of its correctness
+// methodology (§F.2): per distribution and dimensionality, build, then
+// alternate insert and (multiset) delete batches; every index must agree
+// with the oracle on the whole query suite after every round.
 func TestAllIndexesAgreeUnderDynamicWorkload(t *testing.T) {
-	// The paper's incremental setting in miniature: build 50%, then
-	// alternate insert/delete batches; all indexes must track the oracle.
-	pts := Generate(Varden, 16000, 2, itSide, 11)
-	ref := core.NewBruteForce(2)
-	indexes := All(2, Universe2D(itSide))
-	ref.Build(pts[:8000])
-	for _, idx := range indexes {
-		idx.Build(pts[:8000])
-	}
-	rng := rand.New(rand.NewSource(13))
-	next := 8000
-	for round := 0; round < 6; round++ {
-		if round%2 == 0 {
-			batch := pts[next : next+1300]
-			next += 1300
-			ref.BatchInsert(batch)
-			for _, idx := range indexes {
-				idx.BatchInsert(batch)
-			}
-		} else {
-			cur := ref.Points()
-			batch := make([]Point, 900)
-			for i := range batch {
-				batch[i] = cur[rng.Intn(len(cur))]
-			}
-			ref.BatchDelete(batch)
-			for _, idx := range indexes {
-				idx.BatchDelete(batch)
-			}
-		}
-	}
-	queries := workload.GenUniform(20, 2, itSide, 17)
-	boxes := RangeQueries(8, 2, itSide, 0.02, 19)
-	for _, idx := range indexes {
-		if idx.Size() != ref.Size() {
-			t.Errorf("%s: size %d, oracle %d", idx.Name(), idx.Size(), ref.Size())
-			continue
-		}
-		if err := core.VerifyQueries(idx, ref, queries, []int{1, 10}, boxes); err != nil {
-			t.Errorf("%s: %v", idx.Name(), err)
+	const n, rounds = 6000, 6
+	for _, dist := range []Dist{Uniform, workload.Sweepline, Varden} {
+		for _, dims := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/%dD", dist, dims), func(t *testing.T) {
+				side := dist.Side(dims)
+				pool := Generate(dist, n*(rounds+1), dims, side, 11)
+				rng := rand.New(rand.NewSource(13))
+				ref := core.NewBruteForce(dims)
+				indexes := All(dims, geom.UniverseBox(dims, side))
+				ref.Build(pool[:n])
+				for _, idx := range indexes {
+					idx.Build(pool[:n])
+				}
+				used := n
+				for round := 0; round < rounds; round++ {
+					if round%2 == 0 {
+						batch := pool[used : used+n/4]
+						used += n / 4
+						ref.BatchInsert(batch)
+						for _, idx := range indexes {
+							idx.BatchInsert(batch)
+						}
+					} else {
+						cur := ref.Points()
+						batch := make([]Point, n/5)
+						for i := range batch {
+							batch[i] = cur[rng.Intn(len(cur))]
+						}
+						ref.BatchDelete(batch)
+						for _, idx := range indexes {
+							idx.BatchDelete(batch)
+						}
+					}
+					queries := workload.InDQueries(dist, 20, dims, side, 17+int64(round))
+					boxes := RangeQueries(8, dims, side, 0.02, 19+int64(round))
+					for _, idx := range indexes {
+						if idx.Size() != ref.Size() {
+							t.Errorf("%s round %d: size %d, oracle %d", idx.Name(), round, idx.Size(), ref.Size())
+							continue
+						}
+						if err := core.VerifyQueries(idx, ref, queries, []int{1, 10}, boxes); err != nil {
+							t.Errorf("%s round %d: %v", idx.Name(), round, err)
+						}
+					}
+				}
+			})
 		}
 	}
 }
