@@ -14,11 +14,14 @@ import (
 // indexes, to a bare Sharded(SPaC-H), to four Store stacks (locked and
 // snapshot reads, over a raw SPaC-H tree and over a Sharded) and to a
 // BruteForce oracle, cross-checking sizes after every op and the full
-// query suite (KNN at several k, RangeCount, RangeList) at checkpoints and
-// at the end of the tape. The Stores are only read at checkpoints, so
-// every op between two checkpoints lands in one coalescing window and the
-// order-aware multiset netting is fuzzed against sequential execution. A
-// sixth opcode forks every copy-on-write index (core.Adopter: the SPaC and
+// query suite (KNN at several k, RangeCount, RangeList) at checkpoints
+// and at the end of the tape. The largest k, 50, exceeds the leaf wrap,
+// so a best-first search holds several leaves before its heap fills; on
+// short tapes it exceeds the index size. The Stores are only read at
+// checkpoints, so every op between two checkpoints lands in one
+// coalescing window and the order-aware multiset netting is fuzzed
+// against sequential execution. A sixth opcode forks every copy-on-write
+// index (core.Adopter: the SPaC and
 // CPAM trees, the Sharded): a fresh replica adopts it and must from then
 // on answer from the contents frozen at that moment, whatever the tape
 // goes on to do to the original — checked, with Validate on both sides,
@@ -180,7 +183,7 @@ func verifyAll(t *testing.T, idxs []core.Index, oracle *core.BruteForce, tp *fuz
 		boxes = append(boxes, geom.BoxOf(lo, hi))
 	}
 	for _, idx := range idxs {
-		if err := core.VerifyQueries(idx, oracle, queries, []int{1, 3, 10}, boxes); err != nil {
+		if err := core.VerifyQueries(idx, oracle, queries, []int{1, 3, 10, 50}, boxes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +211,7 @@ func (f fork) check(t *testing.T, dims int) {
 		queries = append(queries, mid)
 		boxes = append(boxes, geom.BoxOf(geom.Point{}, mid), geom.BoxOf(mid, hi))
 	}
-	if err := core.VerifyQueries(f.shadow, f.frozen, queries, []int{1, 3, 10}, boxes); err != nil {
+	if err := core.VerifyQueries(f.shadow, f.frozen, queries, []int{1, 3, 10, 50}, boxes); err != nil {
 		t.Fatalf("adopted copy of %s drifted from its frozen contents: %v", f.orig.Name(), err)
 	}
 	for _, side := range []core.Index{f.shadow, f.orig} {

@@ -542,32 +542,57 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 	}
 }
 
-// TestSnapshotQueryZeroAllocWarm pins the tentpole's performance
-// contract: the epoch-pinned query path allocates nothing in steady
-// state — Pin/Unpin are two atomic ops on a long-lived Version, and all
-// the PR-5 scratch reuse still applies.
+// TestSnapshotQueryZeroAllocWarm pins the query path's allocation
+// contract at every layer of the serving stack: warm queries allocate
+// nothing. Under the Collection that is the SPaC-H tree's KNN, whose
+// search queue and result heap come from pools (k = 10 and the 20 of the
+// benchmark's WITHIN sizing), its RangeList, and a Sharded(SPaC-H)'s KNN
+// with its pooled fan-out scratch; on top, the epoch-pinned Collection
+// over the brute-force oracle and over Sharded(SPaC-H), where Pin/Unpin
+// are two atomic ops on a long-lived Version.
 func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation heap-allocates the query closures")
+		t.Skip("race instrumentation heap-allocates the query closures and sync.Pool drops items at random")
 	}
-	mk := func() core.Index { return core.NewBruteForce(2) }
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
-	defer c.Close()
-	for i := 0; i < 128; i++ {
-		c.Set(i, geom.Pt2(int64(i)*50, int64(i)*31))
+	pts := make([]geom.Point, 2048)
+	for i := range pts {
+		pts[i] = geom.Pt2(int64(i)*500%side, int64(i)*311%side)
 	}
-	c.Flush()
 	q := geom.Pt2(side/2, side/2)
 	box := geom.BoxOf(geom.Pt2(0, 0), geom.Pt2(side/4, side/4))
-	var dst []Entry[int]
-	warm := func() {
-		dst = c.NearbyIDsAppend(q, 10, dst[:0])
-		dst = c.WithinIDsAppend(box, dst[:0])
-		c.Get(64)
+	guard := func(name string, warm func()) {
+		t.Helper()
+		warm()
+		if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
+			t.Errorf("%s allocates %.2f/op warm, want 0", name, allocs)
+		}
 	}
-	warm()
-	if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
-		t.Fatalf("epoch-pinned query path allocates %.2f/op, want 0", allocs)
+
+	tree, sharded := newSPaCH(), shardedSPaCH(false)()
+	tree.Build(pts)
+	sharded.Build(pts)
+	var out []geom.Point
+	guard("SPaC-H KNN k=10", func() { out = tree.KNN(q, 10, out[:0]) })
+	guard("SPaC-H KNN k=20", func() { out = tree.KNN(q, 20, out[:0]) })
+	guard("SPaC-H RangeList", func() { out = tree.RangeList(box, out[:0]) })
+	guard("Sharded(SPaC-H) KNN", func() { out = sharded.KNN(q, 10, out[:0]) })
+
+	for name, mk := range map[string]func() core.Index{
+		"BruteForce":      func() core.Index { return core.NewBruteForce(2) },
+		"Sharded(SPaC-H)": shardedSPaCH(false),
+	} {
+		c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+		defer c.Close()
+		for i, p := range pts {
+			c.Set(i, p)
+		}
+		c.Flush()
+		var dst []Entry[int]
+		guard("snapshot Collection over "+name, func() {
+			dst = c.NearbyIDsAppend(q, 10, dst[:0])
+			dst = c.WithinIDsAppend(box, dst[:0])
+			c.Get(64)
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package geom
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // KNNHeap is a bounded max-heap of the k best (smallest squared distance)
 // candidates seen so far during a k-nearest-neighbor search. Every index in
@@ -12,27 +15,30 @@ import "sync"
 // nothing. The heap is intentionally allocation-free once armed so that
 // query benchmarks measure tree traversal, not GC.
 type KNNHeap struct {
-	k    int
-	n    int
-	dist []int64
-	pts  []Point
+	k, n int
+	// cand holds (distance, point) pairs side by side, so a sift moves one
+	// 32-byte element per level instead of touching two arrays.
+	cand []knnCand
+}
+
+type knnCand struct {
+	d int64
+	p Point
 }
 
 // ResetK clears the heap and re-arms it for a (possibly different) k,
-// growing the candidate arrays only when k exceeds their capacity.
+// growing the candidate array only when k exceeds its capacity.
 func (h *KNNHeap) ResetK(k int) {
 	h.n = 0
 	h.k = k
-	if cap(h.dist) < k {
-		h.dist = make([]int64, k)
-		h.pts = make([]Point, k)
+	if cap(h.cand) < k {
+		h.cand = make([]knnCand, k)
 	}
-	h.dist = h.dist[:k]
-	h.pts = h.pts[:k]
+	h.cand = h.cand[:k]
 }
 
-// knnHeapPool recycles heaps across queries. Heaps hold only value slices
-// (no pointers into any index), so recycling one can never pin tree data.
+// knnHeapPool recycles heaps across queries. Heaps hold only values (no
+// pointers into any index), so recycling one can never pin tree data.
 var knnHeapPool = sync.Pool{New: func() any { return new(KNNHeap) }}
 
 // GetKNNHeap returns an empty heap armed for k, reusing a pooled one when
@@ -81,87 +87,71 @@ func (h *KNNHeap) Bound() int64 {
 	if h.n < h.k {
 		return int64(1<<63 - 1)
 	}
-	return h.dist[0]
+	return h.cand[0].d
 }
 
 // Push offers a candidate. It is a no-op when d2 is not better than Bound.
+// Both sifts carry a hole down (or up) the heap and write the new pair
+// once, where the hole stops.
 func (h *KNNHeap) Push(p Point, d2 int64) {
+	c := h.cand
 	if h.n < h.k {
 		i := h.n
-		h.dist[i], h.pts[i] = d2, p
 		h.n++
-		// Sift up.
 		for i > 0 {
 			parent := (i - 1) / 2
-			if h.dist[parent] >= h.dist[i] {
+			if c[parent].d >= d2 {
 				break
 			}
-			h.dist[parent], h.dist[i] = h.dist[i], h.dist[parent]
-			h.pts[parent], h.pts[i] = h.pts[i], h.pts[parent]
+			c[i] = c[parent]
 			i = parent
 		}
+		c[i] = knnCand{d2, p}
 		return
 	}
-	if d2 >= h.dist[0] {
+	if d2 >= c[0].d {
 		return
 	}
-	// Replace the root (current worst) and sift down.
-	h.dist[0], h.pts[0] = d2, p
+	siftDown(c[:h.n], knnCand{d2, p})
+}
+
+// siftDown places x at the root of the max-heap c, whose root is vacant,
+// moving the larger child up until x fits.
+func siftDown(c []knnCand, x knnCand) {
+	n := len(c)
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < h.n && h.dist[l] > h.dist[big] {
-			big = l
+		l := 2*i + 1
+		if l >= n {
+			break
 		}
-		if r < h.n && h.dist[r] > h.dist[big] {
-			big = r
+		if r := l + 1; r < n && c[r].d > c[l].d {
+			l = r
 		}
-		if big == i {
-			return
+		if c[l].d <= x.d {
+			break
 		}
-		h.dist[big], h.dist[i] = h.dist[i], h.dist[big]
-		h.pts[big], h.pts[i] = h.pts[i], h.pts[big]
-		i = big
+		c[i] = c[l]
+		i = l
 	}
+	c[i] = x
 }
 
 // Append copies the collected neighbors into dst ordered from nearest to
 // farthest and returns the extended slice. The heap is consumed (emptied).
 func (h *KNNHeap) Append(dst []Point) []Point {
-	// Heap-sort in place: repeatedly extract the current maximum to the
-	// back so the front ends up nearest-first.
-	n := h.n
-	base := len(dst)
-	dst = append(dst, h.pts[:n]...)
-	out := dst[base:]
-	dists := h.dist[:n]
-	for m := n; m > 1; m-- {
-		// Move max (index 0) to position m-1.
-		dists[0], dists[m-1] = dists[m-1], dists[0]
-		out[0], out[m-1] = out[m-1], out[0]
-		// Sift down within [0, m-1).
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < m-1 && dists[l] > dists[big] {
-				big = l
-			}
-			if r < m-1 && dists[r] > dists[big] {
-				big = r
-			}
-			if big == i {
-				break
-			}
-			dists[big], dists[i] = dists[i], dists[big]
-			out[big], out[i] = out[i], out[big]
-			i = big
-		}
+	// Heap-sort in place: repeatedly move the current maximum to the back
+	// so the front ends up nearest-first.
+	c := h.cand[:h.n]
+	for m := len(c) - 1; m > 0; m-- {
+		top := c[0]
+		siftDown(c[:m], c[m])
+		c[m] = top
+	}
+	dst = slices.Grow(dst, len(c))
+	for _, x := range c {
+		dst = append(dst, x.p)
 	}
 	h.n = 0
 	return dst
 }
-
-// Dists returns the current squared distances in heap order. Test helper.
-func (h *KNNHeap) Dists() []int64 { return h.dist[:h.n] }

@@ -119,10 +119,3 @@ func TestRangeListAppendSemantics(t *testing.T) {
 		t.Fatalf("append semantics broken: %v", out)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

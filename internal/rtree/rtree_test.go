@@ -2,7 +2,9 @@ package rtree
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -162,5 +164,47 @@ func TestInterleavedOps(t *testing.T) {
 		workload.GenUniform(15, 2, testSide, 43), []int{1, 5},
 		workload.RangeQueries(8, 2, testSide, 0.02, 47)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// queriedAndDropped builds a tree, runs KNN at small and large k over it
+// and returns weak pointers to every node; the tree itself is unreachable
+// once it returns.
+func queriedAndDropped() []weak.Pointer[rnode] {
+	tr := New(2)
+	tr.Build(workload.GenVarden(20000, 2, testSide, 41))
+	var out []geom.Point
+	for _, q := range workload.GenUniform(8, 2, testSide, 43) {
+		for _, k := range []int{1, 20, 1000, tr.Size()} {
+			out = tr.KNN(q, k, out[:0])
+		}
+	}
+	var nodes []weak.Pointer[rnode]
+	var walk func(*rnode)
+	walk = func(nd *rnode) {
+		nodes = append(nodes, weak.Make(nd))
+		for _, c := range nd.kids {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	return nodes
+}
+
+// TestKNNPinsNoDroppedTree: the pooled KNN queue keeps no node of a tree
+// nobody holds any more. One collection, not several: a sync.Pool keeps
+// what it held for one cycle in its victim cache, which is exactly where
+// a queue that was not cleared would pin the tree.
+func TestKNNPinsNoDroppedTree(t *testing.T) {
+	nodes := queriedAndDropped()
+	runtime.GC()
+	pinned := 0
+	for _, w := range nodes {
+		if w.Value() != nil {
+			pinned++
+		}
+	}
+	if pinned > 0 {
+		t.Fatalf("%d of %d nodes of a dropped tree still reachable", pinned, len(nodes))
 	}
 }

@@ -89,6 +89,35 @@ func TestShardMetricsAndCost(t *testing.T) {
 	}
 }
 
+// TestKNNCostStopsAtTheBound: a region exactly as far from the query as
+// the k-th candidate cannot contribute (Push takes only distances below
+// the bound), so the search must not expand it. Two shards over the
+// default equal-cell split; q is the centre of region 0, p1 the point of
+// region 1 nearest to q, p0 a point of region 0 just as far from q.
+func TestKNNCostStopsAtTheBound(t *testing.T) {
+	s := New(testOptions(2, 2, brute))
+	r0, r1 := s.part.regions[0], s.part.regions[1]
+	q := geom.Pt2(r0.Lo[0]+r0.Side(0)/2, r0.Lo[1]+r0.Side(1)/2)
+	var p1 geom.Point
+	for d := range 2 {
+		p1[d] = min(max(q[d], r1.Lo[d]), r1.Hi[d])
+	}
+	p0 := geom.Pt2(q[0]+p1[1]-q[1], q[1]+p1[0]-q[0]) // p1's offset, axes swapped
+	if s.part.shardOf(q) != 0 || s.part.shardOf(p0) != 0 || s.part.shardOf(p1) != 1 {
+		t.Fatalf("layout: q %v, p0 %v, p1 %v fall in shards %d, %d, %d", q, p0, p1,
+			s.part.shardOf(q), s.part.shardOf(p0), s.part.shardOf(p1))
+	}
+	s.BatchInsert([]geom.Point{p0, p1}) // no Build: the split stays as it is
+	var cost obs.QueryCost
+	got := s.KNNCost(q, 1, nil, &cost)
+	if len(got) != 1 || geom.Dist2(got[0], q, 2) != r1.Dist2(q, 2) {
+		t.Fatalf("KNN = %v, want one point at distance² %d", got, r1.Dist2(q, 2))
+	}
+	if cost.Shards != 1 {
+		t.Fatalf("expanded %d shards, want 1: region 1 lies exactly on the bound", cost.Shards)
+	}
+}
+
 // TestReplicaSharesMetrics pins the snapshot-twin contract: NewReplica
 // shares the original's metric handles instead of re-registering (a
 // second registration of the same series panics), and physical applies

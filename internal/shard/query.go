@@ -153,7 +153,9 @@ func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.Query
 	m := s.met
 	expanded := 0
 	for _, e := range frontier {
-		if h.Full() && e.dist2 > h.Bound() {
+		// Push takes only distances below Bound, so a region at exactly
+		// the bound cannot contribute.
+		if e.dist2 >= h.Bound() {
 			break
 		}
 		buf = s.shards[e.id].KNN(q, k, buf[:0])

@@ -20,7 +20,10 @@
 //
 // Spatial queries never read the in-leaf order — a leaf is scanned wholesale
 // either way — which is the observation that makes the relaxation free for
-// queries and 2-6x cheaper for updates (§5.1.2).
+// queries and 2-6x cheaper for updates (§5.1.2). Sibling boxes overlap, as
+// in any R-tree, so KNN is a best-first search (query.go): subtrees wait in
+// a min-queue on their box distance and are opened nearest first, only
+// while they can still beat the k-th neighbour found so far.
 //
 // Updates are copy-on-write by generation stamp (cow.go): a tree that never
 // shares its structure writes nodes in place, as the paper's C++ trees do;
