@@ -2,34 +2,9 @@ package psi_test
 
 import (
 	"fmt"
-	"sync"
 
 	psi "repro"
 )
-
-// A Store makes any index safe for concurrent mutation: writers enqueue
-// from any number of goroutines, batches apply through the index's
-// parallel batch update, and a Flush is a visibility barrier.
-func ExampleNewStore() {
-	universe := psi.Universe2D(1000)
-	st := psi.NewStore(psi.NewSPaCH(2, universe), psi.StoreOptions{MaxBatch: 1024})
-	defer st.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int64) {
-			defer wg.Done()
-			st.Insert(psi.Pt2(i, i)) // concurrent writers are safe
-		}(int64(i))
-	}
-	wg.Wait()
-	st.Flush() // barrier: all prior enqueues are now visible to queries
-
-	box := psi.BoxOf(psi.Pt2(0, 0), psi.Pt2(1, 1))
-	fmt.Println(st.Size(), st.RangeCount(box))
-	// Output: 4 2
-}
 
 // A Sharded index partitions the universe into regions that update in
 // parallel and prune queries to the overlapping shards.

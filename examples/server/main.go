@@ -1,12 +1,12 @@
-// Server: concurrent serving through the batch-coalescing psi.Store.
+// Server: concurrent serving through the batch-coalescing psi.Collection.
 //
 // A fleet of vehicles streams position updates from N writer goroutines
 // while M reader goroutines answer "nearest vehicles" and "vehicles in
 // area" queries — the tile38-style geo-serving scenario. The raw indexes
-// are batch-synchronous (not safe for concurrent mutation); Store
-// coalesces the concurrent single-point updates into batches, applies
-// them through the index's parallel batch machinery, and serves every
-// query a consistent view.
+// are batch-synchronous (not safe for concurrent mutation); the Collection
+// coalesces the concurrent moves into batch diffs, applies them through
+// the index's parallel batch machinery, and serves every query a
+// consistent view. Each vehicle's index in the fleet is its ID.
 //
 //	go run ./examples/server
 package main
@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,42 +38,38 @@ var (
 
 func main() {
 	// SPaC-H has the fastest batch updates — the right engine under a
-	// write-heavy stream. Store makes it safe to share.
-	st := psi.NewStore(psi.NewSPaCH(2, psi.Universe2D(side)), psi.StoreOptions{
+	// write-heavy stream. The Collection makes it safe to share.
+	fleet := psi.NewCollection[int](psi.NewSPaCH(2, psi.Universe2D(side)), psi.CollectionOptions{
 		MaxBatch:      4096,
 		FlushInterval: 2 * time.Millisecond, // readers lag writers by at most ~2ms
 	})
-	defer st.Close()
 
 	pos := psi.Generate(psi.Uniform, vehicles, 2, side, 1)
-	st.Build(pos)
+	for v, p := range pos {
+		fleet.Set(v, p)
+	}
 	fmt.Printf("serving %d vehicles through %s: %d writers, %d readers\n",
-		st.Size(), st.Name(), writers, readers)
+		fleet.Len(), fleet.Name(), writers, readers)
+	before := fleet.Stats()
 
 	var wgW, wgQ sync.WaitGroup
 	var served atomic.Int64
 	stop := make(chan struct{})
 	start := time.Now()
 
-	// Writers: each owns a shard of the fleet and streams moves. A move is
-	// delete-old + insert-new; Store batches both sides and BatchDiff
-	// applies them as one step.
+	// Writers: each owns a slice of the fleet and streams moves. A move is
+	// one Set; the flush nets a vehicle's moves in one window to a single
+	// delete-old + insert-new, and BatchDiff applies the window as one step.
 	for w := 0; w < writers; w++ {
 		wgW.Add(1)
 		go func(w int) {
 			defer wgW.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			shard := pos[w*vehicles/writers : (w+1)*vehicles/writers]
+			lo, hi := w*vehicles/writers, (w+1)*vehicles/writers
 			for i := 0; i < moves; i++ {
-				v := rng.Intn(len(shard))
-				old := shard[v]
-				next := psi.Pt2(
-					jitter(rng, old[0]),
-					jitter(rng, old[1]),
-				)
-				st.Delete(old)
-				st.Insert(next)
-				shard[v] = next
+				v := lo + rng.Intn(hi-lo)
+				pos[v] = psi.Pt2(jitter(rng, pos[v][0]), jitter(rng, pos[v][1]))
+				fleet.Set(v, pos[v])
 			}
 		}(w)
 	}
@@ -84,6 +81,7 @@ func main() {
 		go func(r int) {
 			defer wgQ.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + r)))
+			var hits []psi.CollectionEntry[int]
 			for {
 				select {
 				case <-stop:
@@ -92,11 +90,11 @@ func main() {
 				}
 				q := psi.Pt2(rng.Int63n(side), rng.Int63n(side))
 				if r%2 == 0 {
-					st.KNN(q, 5, nil)
+					hits = fleet.NearbyIDsAppend(q, 5, hits[:0])
 				} else {
 					lo := psi.Pt2(max0(q[0]-5_000_000), max0(q[1]-5_000_000))
 					hi := psi.Pt2(q[0]+5_000_000, q[1]+5_000_000)
-					st.RangeCount(psi.BoxOf(lo, hi))
+					hits = fleet.WithinIDsAppend(psi.BoxOf(lo, hi), hits[:0])
 				}
 				served.Add(1)
 			}
@@ -104,21 +102,27 @@ func main() {
 	}
 
 	wgW.Wait()
+	wrote := time.Since(start).Seconds()
 	if left := time.Until(start.Add(duration)); left > 0 {
 		time.Sleep(left) // let readers run against the settled fleet too
 	}
 	close(stop)
 	wgQ.Wait()
-	st.Flush()
+	fleet.Close() // the final flush
 	elapsed := time.Since(start).Seconds()
 
-	stats := st.Stats()
-	ops := stats.Inserted + stats.Deleted + 2*stats.Cancelled
-	fmt.Printf("in %.2fs: %d moves (%d mutation ops, %.0f ops/s) in %d coalesced batches (avg %.0f ops/batch, %d in-window pairs netted out)\n",
-		elapsed, ops/2, ops, float64(ops)/elapsed,
-		stats.Flushes, float64(ops)/float64(stats.Flushes), stats.Cancelled)
+	st := fleet.Stats()
+	sent, windows := writers*moves, st.Flushes-before.Flushes
+	fmt.Printf("in %.2fs: %d moves (%.0f/s) in %d coalesced windows (avg %.0f moves/window; %d applied, %d superseded in-window)\n",
+		elapsed, sent, float64(sent)/wrote,
+		windows, float64(sent)/float64(windows), st.Moved-before.Moved, st.Cancelled-before.Cancelled)
+	n := fleet.Len()
 	fmt.Printf("         %d queries served (%.0f/s), fleet size still %d\n",
-		served.Load(), float64(served.Load())/elapsed, st.Size())
+		served.Load(), float64(served.Load())/elapsed, n)
+	if n != vehicles {
+		fmt.Fprintf(os.Stderr, "fleet size %d, started with %d: a move was lost or duplicated\n", n, vehicles)
+		os.Exit(1)
+	}
 }
 
 // jitter moves one coordinate a small random step, clamped to the universe.

@@ -9,15 +9,18 @@
 // it, so the first half of the demo drives it from this one goroutine:
 // it contrasts an unsharded SPaC-H with the sharded fan-out on the same
 // workload and prints the shard load balance on clustered data. The
-// second half is the serving composition: a batch-coalescing Store in
-// front of the Sharded is what admits concurrent single-point ingest.
+// second half is the serving composition: a Collection in front of a
+// Sharded is what admits concurrent moves, each vehicle's index in the
+// fleet being its ID.
 //
 //	go run ./examples/sharded
 package main
 
 import (
 	"fmt"
+	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,11 +73,13 @@ func main() {
 	hi := psi.Pt2(q[0]+10_000_000, q[1]+10_000_000)
 	fmt.Printf("10NN of %v found %d; box count near it: %d\n", q, len(nn), s.RangeCount(psi.BoxOf(lo, hi)))
 
-	// Serving composition: Store coalesces concurrent single-point
-	// mutations into batches and keeps readers off each flush; the flush
-	// then fans out across shards. From here on s belongs to the Store.
-	st := psi.NewStore(s, psi.StoreOptions{MaxBatch: 4096})
-	defer st.Close()
+	// Serving composition: a Collection coalesces concurrent moves into
+	// windows and keeps readers off each flush; the flush then fans out
+	// across shards. It needs an empty index: Load bulk-builds the fleet
+	// into a fresh Sharded, which rebalances its regions to it.
+	fleet := psi.NewCollection[int](psi.NewSharded(psi.NewSPaCH, 2, universe, shards), psi.CollectionOptions{MaxBatch: 4096})
+	fleet.Load(len(pts), slices.All(pts))
+	before := fleet.Stats()
 	var wg sync.WaitGroup
 	t0 = time.Now()
 	writers := 4
@@ -84,14 +89,19 @@ func main() {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(moves); i += writers {
-				st.Delete(fresh[i%len(fresh)])
-				st.Insert(moves[i])
+				fleet.Set(i, moves[i]) // vehicle i moves to moves[i]
 			}
 		}(w)
 	}
 	wg.Wait()
-	st.Flush()
+	fleet.Close() // the final flush
 	el := time.Since(t0).Seconds()
-	fmt.Printf("Store-over-Sharded: %d concurrent moves in %.2fs (%.0f ops/s), final size %d\n",
-		len(moves), el, float64(2*len(moves))/el, st.Size())
+	st := fleet.Stats()
+	size := fleet.Len()
+	fmt.Printf("Collection-over-Sharded: %d concurrent moves in %.2fs (%.0f moves/s) in %d windows, final size %d\n",
+		st.Moved-before.Moved, el, float64(len(moves))/el, st.Flushes-before.Flushes, size)
+	if size != n {
+		fmt.Fprintf(os.Stderr, "fleet size %d, started with %d: a move was lost or duplicated\n", size, n)
+		os.Exit(1)
+	}
 }

@@ -11,26 +11,21 @@ import (
 // FuzzIndexOracle is the library-wide differential fuzzer: the input
 // bytes are decoded into an operation tape (Build / BatchInsert /
 // BatchDelete / BatchDiff) that is applied identically to all 11 ByName
-// indexes, to a bare Sharded(SPaC-H), to four Store stacks (locked and
-// snapshot reads, over a raw SPaC-H tree and over a Sharded) and to a
-// BruteForce oracle, cross-checking sizes after every op and the full
-// query suite (KNN at several k, RangeCount, RangeList) at checkpoints
-// and at the end of the tape. The largest k, 50, exceeds the leaf wrap,
-// so a best-first search holds several leaves before its heap fills; on
-// short tapes it exceeds the index size. The Stores are only read at
-// checkpoints, so every op between two checkpoints lands in one
-// coalescing window and the order-aware multiset netting is fuzzed
-// against sequential execution. A sixth opcode forks every copy-on-write
-// index (core.Adopter: the SPaC and
-// CPAM trees, the Sharded): a fresh replica adopts it and must from then
-// on answer from the contents frozen at that moment, whatever the tape
-// goes on to do to the original — checked, with Validate on both sides,
-// after every op. Deletions are biased toward stored points so
-// multiset-delete paths are actually exercised, and the coordinate domain
-// is kept tiny so duplicate points, same-cell collisions and
-// equal-distance KNN ties are routine. Seed corpus lives in
-// testdata/fuzz/FuzzIndexOracle; CI smoke-runs the target for 10s and
-// the Testing section of README.md documents longer local runs.
+// indexes, to a bare Sharded(SPaC-H) and to a BruteForce oracle,
+// cross-checking sizes after every op and the full query suite (KNN at
+// several k, RangeCount, RangeList) at checkpoints and at the end of the
+// tape. The largest k, 50, exceeds the leaf wrap, so a best-first search
+// holds several leaves before its heap fills; on short tapes it exceeds
+// the index size. A sixth opcode forks every copy-on-write index
+// (core.Adopter: the SPaC and CPAM trees, the Sharded): a fresh replica
+// adopts it and must from then on answer from the contents frozen at that
+// moment, whatever the tape goes on to do to the original — checked, with
+// Validate on both sides, after every op. Deletions are biased toward
+// stored points so multiset-delete paths are actually exercised, and the
+// coordinate domain is kept tiny so duplicate points, same-cell collisions
+// and equal-distance KNN ties are routine. Seed corpus lives in
+// testdata/fuzz/FuzzIndexOracle; CI smoke-runs the target for 10s and the
+// Testing section of README.md documents longer local runs.
 func FuzzIndexOracle(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
@@ -54,7 +49,7 @@ var fuzzSeeds = []string{
 	"~}|{zyxwvutsrqponmlkjihgfedcba`_^]\\[ZYXWVUTSRQPONMLKJIHGFEDCBA@?",
 	// 2D; Build the four neighbours of (16,16), each twice; query (16,16)
 	// so every k cuts through an eight-way distance tie; delete two live
-	// duplicates and re-insert one inside the same Store window; verify.
+	// duplicates, then re-insert one; verify.
 	"\x00\x00\x07\x01\x00\x00\x01\x01\x02\x02\x01\x01\x00\x00\x01\x01\x02\x02\x01" +
 		"\x04\x01\x01\x01\x01\x00\x00\x00\x00\x02\x02\x01\x01\x01\x01" +
 		"\x02\x01\x01\x02\x01\x00\x01\x00\x04\x01\x01\x01\x01\x02\x01",
@@ -148,9 +143,8 @@ func (tp *fuzzTape) deleteBatch(oracle *core.BruteForce, dims, max int) []geom.P
 	return pts
 }
 
-// verifyAll cross-checks every index against the oracle on size (which
-// also flushes the Stores' pending window) and on the standard query
-// suite; query points and boxes are part of the decoded tape so the
+// verifyAll cross-checks every index against the oracle on size and on
+// the standard query suite; query points and boxes are part of the decoded tape so the
 // fuzzer can steer them toward discrepancies.
 func verifyAll(t *testing.T, idxs []core.Index, oracle *core.BruteForce, tp *fuzzTape, dims int) {
 	t.Helper()
@@ -240,23 +234,7 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 			t.Fatalf("ByName(%q) = nil", name)
 		}
 	}
-	names = append(names, "Sharded(SPaC-H)")
 	idxs = append(idxs, NewSharded(NewSPaCH, dims, universe, 3))
-	// The Store stacks follow the raw indexes. The small MaxBatch makes
-	// threshold flushes split windows mid-op; the large one lets a window
-	// span every op between two checkpoints.
-	for i, inner := range []core.Index{
-		NewSPaCH(dims, universe), NewSPaCH(dims, universe),
-		NewSharded(NewSPaCH, dims, universe, 3), NewSharded(NewSPaCH, dims, universe, 3),
-	} {
-		opts := StoreOptions{MaxBatch: []int{48, 1 << 20}[i/2]}
-		if i%2 == 1 {
-			opts.Snapshot = inner.(core.Replicator).NewReplica
-		}
-		st := NewStore(inner, opts)
-		defer st.Close()
-		idxs = append(idxs, st)
-	}
 	oracle := core.NewBruteForce(dims)
 	var forks []fork
 
@@ -300,7 +278,7 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 			// generations of one tree at once.
 			frozen := core.NewBruteForce(dims)
 			frozen.Build(oracle.Points())
-			for _, idx := range idxs[:len(names)] {
+			for _, idx := range idxs {
 				if _, ok := idx.(core.Adopter); !ok {
 					continue
 				}
@@ -311,9 +289,9 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 				forks = append(forks, fork{shadow, idx, frozen})
 			}
 		}
-		for i, name := range names { // the Stores' Size would flush their window
-			if idxs[i].Size() != oracle.Size() {
-				t.Fatalf("%s: size %d after op %d, oracle %d", name, idxs[i].Size(), opCount, oracle.Size())
+		for _, idx := range idxs {
+			if idx.Size() != oracle.Size() {
+				t.Fatalf("%s: size %d after op %d, oracle %d", idx.Name(), idx.Size(), opCount, oracle.Size())
 			}
 		}
 		for _, f := range forks {

@@ -1,21 +1,22 @@
 // Package collection implements psi.Collection, a concurrent ID-keyed
-// moving-object layer over any core.Index. The paper's indexes (and the
-// Store/Sharded layers built on them) operate on anonymous point
+// moving-object layer over any core.Index, and the library's one
+// concurrent front-end. The paper's indexes (and the Sharded layer built
+// on them) are batch-synchronous and operate on anonymous point
 // multisets; every serving scenario — fleet tracking, geofencing, game
-// worlds — needs *identity*: "object X moved from p0 to p1", which is
-// exactly the paper's BatchDiff applied per tracked object. A Collection
-// owns one point per live ID and turns each Set into the minimal diff:
+// worlds — needs many writers and *identity*: "object X moved from p0 to
+// p1", which is exactly the paper's BatchDiff applied per tracked object.
+// A Collection owns one point per live ID and turns each Set into the
+// minimal diff:
 //
 //	Set(id, p1) on an object at p0  →  BatchDiff{ins: p1, del: p0}
 //
-// Mutations go through an ID-keyed coalescing log (the identity analogue
-// of internal/store's multiset log): Set/Remove calls from any number of
-// goroutines append to an ordered tape, and a flush nets the tape by
-// last-write-wins per ID — an object moved five times in one window costs
-// the index one delete and one insert, and a Set followed by Remove in
-// the same window costs nothing. Because identity makes netting exact,
-// the tape never needs the order-aware insert/delete matching the Store
-// does for anonymous points.
+// Mutations go through an ID-keyed coalescing log: Set/Remove calls from
+// any number of goroutines append to an ordered tape, and a flush nets the
+// tape by last-write-wins per ID — an object moved five times in one
+// window costs the index one delete and one insert, and a Set followed by
+// Remove in the same window costs nothing. Identity makes this netting
+// exact: no order-aware insert/delete matching of anonymous points is
+// needed.
 //
 // Consistency: the geometric index, the forward table (ID → point), and
 // the reverse multimap (point → IDs) all advance together at the flush
@@ -51,10 +52,7 @@
 // Composition: the inner index may be a raw tree or a shard.Sharded
 // (each flush fans out across shards in parallel — the recommended
 // high-churn stack); both are single-writer indexes, and the Collection's
-// version cell is the one place readers are kept off the writer. A
-// store.Store is legal too (the cell flushes it inside the commit so the
-// reverse multimap never runs ahead of the index), but its coalescing and
-// its cell are redundant below a Collection.
+// version cell is the one place readers are kept off the writer.
 package collection
 
 import (
@@ -267,21 +265,13 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	return c
 }
 
-// Close stops the background flusher (if any), applies all pending ops
+// Close stops the background flusher (if any) and applies all pending ops
 // as a final flush (journaled like any other window when a hook is
-// installed), and closes the inner index of every copy when it has a
-// Close method of its own (a wrapped Store's background flusher, for
-// example — the Collection owns idx, so nobody else can stop it). The
-// whole sequence runs exactly once, in the engine's Close order: the
-// ticker goroutine is fully stopped before the final flush, and the
-// inner close happens under the flush lock, so no flush — ticker tick,
-// concurrent Close, or a racing Set-triggered flush — can apply to a
-// half-closed index. Close is idempotent; the Collection remains
-// queryable afterwards (only the periodic flushing ends — a wrapped
-// Store stays usable after its own Close, per its contract).
-func (c *Collection[ID]) Close() {
-	c.eng.Close(c.cell.Close)
-}
+// installed), exactly once, in the engine's Close order: the ticker
+// goroutine is fully stopped before the final flush. Close is idempotent;
+// the Collection remains usable afterwards — only the periodic flushing
+// ends.
+func (c *Collection[ID]) Close() { c.eng.Close() }
 
 // SetJournal installs (or, with nil, removes) the durability commit
 // hook: every subsequent window calls fn under the flush lock with the

@@ -1,7 +1,7 @@
 package collection
 
 import (
-	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -15,7 +15,6 @@ import (
 	"repro/internal/sfc"
 	"repro/internal/shard"
 	"repro/internal/spactree"
-	"repro/internal/store"
 )
 
 const side = int64(1 << 20)
@@ -25,25 +24,24 @@ func universe() geom.Box { return geom.UniverseBox(2, side) }
 func newSPaCH() core.Index { return spactree.NewSPaC(sfc.Hilbert, 2, universe()) }
 
 // innerStacks enumerates the index stacks a Collection is documented to
-// compose over: a raw tree, the brute-force oracle, a Sharded fan-out,
-// a Store front-end, and the full Store-over-Sharded serving stack.
+// compose over: a raw tree, the brute-force oracle, and a Sharded fan-out
+// over each — of copy-on-write trees, whose snapshot twins share them, and
+// of brute-force shards, whose twins re-apply every window.
 func innerStacks() map[string]func() core.Index {
-	mkSharded := func() core.Index {
-		return shard.New(shard.Options{
-			Dims:     2,
-			Universe: universe(),
-			Shards:   4,
-			New: func(dims int, u geom.Box) core.Index {
-				return spactree.NewSPaC(sfc.Hilbert, dims, u)
-			},
-		})
+	sharded := func(family func(dims int, u geom.Box) core.Index) func() core.Index {
+		return func() core.Index {
+			return shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 4, New: family})
+		}
 	}
 	return map[string]func() core.Index{
-		"BruteForce":      func() core.Index { return core.NewBruteForce(2) },
-		"SPaC-H":          newSPaCH,
-		"Sharded(SPaC-H)": mkSharded,
-		"Store(SPaC-H)":   func() core.Index { return store.New(newSPaCH(), store.Options{}) },
-		"Store(Sharded)":  func() core.Index { return store.New(mkSharded(), store.Options{}) },
+		"BruteForce": func() core.Index { return core.NewBruteForce(2) },
+		"SPaC-H":     newSPaCH,
+		"Sharded(SPaC-H)": sharded(func(dims int, u geom.Box) core.Index {
+			return spactree.NewSPaC(sfc.Hilbert, dims, u)
+		}),
+		"Sharded(BruteForce)": sharded(func(dims int, _ geom.Box) core.Index {
+			return core.NewBruteForce(dims)
+		}),
 	}
 }
 
@@ -128,6 +126,92 @@ func TestMoveChainNetsToOneDiff(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bruteOpts returns Options with a window no test fills, in locked mode or
+// with brute-force snapshot twins.
+func bruteOpts(snapshot bool) Options {
+	opts := Options{MaxBatch: 1 << 20}
+	if snapshot {
+		opts.Snapshot = func() core.Index { return core.NewBruteForce(2) }
+	}
+	return opts
+}
+
+// TestVisibilityAtFlush pins the visibility contract at the flush, in
+// both read modes: a pending Set is invisible to geometric queries until
+// its window applies, and a window acts like its ops executed one at a
+// time — Set then Remove of a fresh ID leaves nothing, while Remove then
+// Set leaves the object stored: the no-op Remove of an absent ID must not
+// consume the Set enqueued after it.
+func TestVisibilityAtFlush(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		c := New[int](core.NewBruteForce(2), bruteOpts(snapshot))
+		at := func(p geom.Point) int { return len(c.WithinIDs(geom.BoxOf(p, p))) }
+		p, q := geom.Pt2(7, 7), geom.Pt2(9, 9)
+		c.Set(1, p)
+		if at(p) != 0 || len(c.NearbyIDs(p, 1)) != 0 {
+			t.Fatalf("snapshot=%t: pending Set visible before the flush", snapshot)
+		}
+		if c.Pending() != 1 {
+			t.Fatalf("snapshot=%t: Pending = %d, want 1", snapshot, c.Pending())
+		}
+		if n := c.Flush(); n != 1 || at(p) != 1 {
+			t.Fatalf("snapshot=%t: flush applied %d, %d objects at %v; want 1, 1", snapshot, n, at(p), p)
+		}
+		c.Set(2, q)
+		c.Remove(2)
+		if n := c.Flush(); n != 0 || at(q) != 0 {
+			t.Fatalf("snapshot=%t: Set then Remove in one window applied %d, left %d at %v; want 0, 0", snapshot, n, at(q), q)
+		}
+		c.Remove(2)
+		c.Set(2, q)
+		if n := c.Flush(); n != 1 || at(q) != 1 {
+			t.Fatalf("snapshot=%t: Remove then Set in one window applied %d, left %d at %v; want 1, 1", snapshot, n, at(q), q)
+		}
+		// Remove then Set back where it stands: the object stays and the
+		// index is not touched.
+		c.Remove(1)
+		c.Set(1, p)
+		if n := c.Flush(); n != 0 || at(p) != 1 {
+			t.Fatalf("snapshot=%t: Remove then same-position Set applied %d, left %d at %v; want 0, 1", snapshot, n, at(p), p)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+}
+
+// TestMoveChainInOneWindow is the serving regression behind per-window
+// netting, with Removes inside the chain: an object removed and set again
+// twice in one window (p0, gone, p1, gone, p2) must net to one relocation
+// — not to a delete of p1, which was never stored, nor to an index that
+// grows.
+func TestMoveChainInOneWindow(t *testing.T) {
+	p0, p1, p2 := geom.Pt2(1, 1), geom.Pt2(2, 2), geom.Pt2(3, 3)
+	for _, snapshot := range []bool{false, true} {
+		c := New[int](core.NewBruteForce(2), bruteOpts(snapshot))
+		c.Set(1, p0)
+		c.Flush()
+		c.Remove(1)
+		c.Set(1, p1)
+		c.Remove(1)
+		c.Set(1, p2)
+		if n := c.Flush(); n != 2 {
+			t.Fatalf("snapshot=%t: the chain applied %d index mutations, want 2 (one del + one ins)", snapshot, n)
+		}
+		if got := c.WithinIDs(universe()); len(got) != 1 || got[0] != (Entry[int]{1, p2}) {
+			t.Fatalf("snapshot=%t: after the chain the index holds %v, want only 1 at %v", snapshot, got, p2)
+		}
+		if st := c.Stats(); st.Moved != 1 || st.Cancelled != 3 {
+			t.Fatalf("snapshot=%t: stats after the chain: %+v, want Moved=1 Cancelled=3", snapshot, st)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
 	}
 }
 
@@ -290,14 +374,13 @@ func TestOracleAgreementAcrossStacks(t *testing.T) {
 	}
 }
 
-// TestConcurrentMoveChainsLastWriteWins is the identity extension of the
-// Store netting test (satellite: run under -race): many goroutines issue
-// interleaved Set chains on a *shared* ID space across flush windows
-// (tiny MaxBatch, a background flusher, and explicit Flush calls all
-// racing). Afterwards every written ID must hold some goroutine's last
-// write for it — enqueue order is consistent with each goroutine's
-// program order, so no intermediate position may survive — and the
-// index/fwd/rev triple must validate with no stale points.
+// TestConcurrentMoveChainsLastWriteWins (run under -race): many
+// goroutines issue interleaved Set chains on a *shared* ID space across
+// flush windows (tiny MaxBatch, a background flusher, and explicit Flush
+// calls all racing). Afterwards every written ID must hold some
+// goroutine's last write for it — enqueue order is consistent with each
+// goroutine's program order, so no intermediate position may survive —
+// and the index/fwd/rev triple must validate with no stale points.
 func TestConcurrentMoveChainsLastWriteWins(t *testing.T) {
 	const (
 		goroutines = 8
@@ -447,49 +530,207 @@ func concurrentDisjointWritersExact(t *testing.T, idx core.Index) {
 	}
 }
 
-// TestCollectionOverStoreOverSharded pins the deep-stack composition the
-// README recommends against: the Collection's flush must propagate
-// through the Store's own coalescing log synchronously, so the reverse
-// multimap never runs ahead of what geometric queries can see.
-func TestCollectionOverStoreOverSharded(t *testing.T) {
-	inner := shard.New(shard.Options{
-		Dims:     2,
-		Universe: universe(),
-		Shards:   4,
-		New: func(dims int, u geom.Box) core.Index {
-			return spactree.NewSPaC(sfc.Hilbert, dims, u)
-		},
-	})
-	c := New[string](store.New(inner, store.Options{MaxBatch: 1 << 20}), Options{MaxBatch: 1 << 20})
-	defer c.Close()
-	rng := rand.New(rand.NewSource(23))
-	oracle := make(map[string]geom.Point)
-	for i := 0; i < 300; i++ {
-		id := fmt.Sprintf("veh-%03d", rng.Intn(80))
-		p := geom.Pt2(rng.Int63n(side), rng.Int63n(side))
-		c.Set(id, p)
-		oracle[id] = p
-		if i%50 == 49 {
-			c.Flush()
-			if err := c.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if got := c.Len(); got != len(oracle) {
-				t.Fatalf("after flush %d: Len = %d, oracle %d", i, got, len(oracle))
-			}
-		}
+// TestConcurrentStressAgainstOracle drives a Collection over a SPaC-H tree
+// with concurrent writers and queriers while a background flusher,
+// MaxBatch and explicit Flushes all cut windows. Writers add fresh objects
+// and remove a reserved share of the loaded ones, and no object ever
+// moves, so every hit a querier resolves must sit at its object's one
+// position, and the final state does not depend on the interleaving: the
+// full read suite is then checked against the map.
+func TestConcurrentStressAgainstOracle(t *testing.T) {
+	const (
+		nBase    = 4000
+		writers  = 4
+		queriers = 4
+		perG     = 500 // new objects and removals per writer
+		nIDs     = nBase + writers*perG
+	)
+	// The multiplier is odd, so x alone keeps the positions distinct.
+	pos := func(id int) geom.Point {
+		return geom.Pt2(int64(id)*2654435761&(side-1), int64(id)*40503&(side-1))
 	}
-	c.Flush()
-	for id, p := range oracle {
-		hits := c.WithinIDs(geom.BoxOf(p, p))
-		found := false
-		for _, e := range hits {
-			if e.ID == id {
-				found = true
+	c := New[int](newSPaCH(), Options{MaxBatch: 256, FlushInterval: 500 * time.Microsecond})
+	c.Load(nBase, func(yield func(int, geom.Point) bool) {
+		for id := 0; id < nBase && yield(id, pos(id)); id++ {
+		}
+	})
+
+	var wgW, wgQ sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wgW.Add(1)
+		go func(w int) {
+			defer wgW.Done()
+			for i := 0; i < perG; i++ {
+				c.Set(nBase+w*perG+i, pos(nBase+w*perG+i))
+				c.Remove(w*perG + i)
+				if i%125 == 0 {
+					c.Flush()
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	for q := 0; q < queriers; q++ {
+		wgQ.Add(1)
+		go func(q int) {
+			defer wgQ.Done()
+			var dst []Entry[int]
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				dst = dst[:0]
+				switch (q + i) % 3 {
+				case 0:
+					// At least nBase - writers·perG objects are live throughout.
+					if dst = c.NearbyIDsAppend(pos(i%nIDs), 10, dst); len(dst) != 10 {
+						t.Errorf("NearbyIDs returned %d of 10 neighbours", len(dst))
+						return
+					}
+				case 1:
+					dst = c.WithinIDsAppend(geom.BoxOf(geom.Pt2(0, 0), geom.Pt2(side/8, side)), dst)
+				default:
+					if p, ok := c.Get(i % nIDs); ok && p != pos(i%nIDs) {
+						t.Errorf("Get(%d) = %v, its one position is %v", i%nIDs, p, pos(i%nIDs))
+						return
+					}
+				}
+				for _, e := range dst {
+					if e.Point != pos(e.ID) {
+						t.Errorf("query resolved %d at %v, its one position is %v", e.ID, e.Point, pos(e.ID))
+						return
+					}
+				}
+			}
+		}(q)
+	}
+	wgW.Wait()
+	close(stop)
+	wgQ.Wait()
+	c.Close()
+
+	oracle := make(map[int]geom.Point, nBase)
+	for id := writers * perG; id < nIDs; id++ {
+		oracle[id] = pos(id)
+	}
+	verifyAgainstOracle(t, c, oracle, nIDs)
+}
+
+// TestOracleAgreementAfterEveryFlush drives one writer through rounds of
+// mixed windows — new objects, removals, moves — over a loaded SPaC-H
+// tree, with an explicit Flush per round, and checks the full read suite
+// against the map after every flush, while a pool of queriers keeps
+// reading throughout.
+func TestOracleAgreementAfterEveryFlush(t *testing.T) {
+	const nBase, rounds, perRound = 3000, 12, 300
+	rng := rand.New(rand.NewSource(5))
+	random := func() geom.Point { return geom.Pt2(rng.Int63n(side), rng.Int63n(side)) }
+	oracle := make(map[int]geom.Point, nBase+rounds*perRound)
+	for id := 0; id < nBase; id++ {
+		oracle[id] = random()
+	}
+	c := New[int](newSPaCH(), Options{MaxBatch: 1 << 20})
+	defer c.Close()
+	c.Load(len(oracle), maps.All(oracle))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }() // before the Close, and on a failed round too
+	for q := 0; q < 3; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			var dst []Entry[int]
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				probe := geom.Pt2(int64(i*7919+q)%side, int64(i*104729)%side)
+				dst = c.NearbyIDsAppend(probe, 5, dst[:0])
+				dst = c.WithinIDsAppend(geom.BoxOf(probe, geom.Pt2(side-1, side-1)), dst[:0])
+			}
+		}(q)
+	}
+	next := nBase
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < perRound; i++ {
+			switch i % 3 {
+			case 0:
+				oracle[next] = random()
+				c.Set(next, oracle[next])
+				next++
+			case 1: // the ID may be gone already
+				id := rng.Intn(next)
+				c.Remove(id)
+				delete(oracle, id)
+			default: // or set again, gone or not
+				id := rng.Intn(next)
+				oracle[id] = random()
+				c.Set(id, oracle[id])
 			}
 		}
-		if !found {
-			t.Fatalf("object %s at %v not resolvable through the stack: %v", id, p, hits)
+		c.Flush()
+		verifyAgainstOracle(t, c, oracle, next)
+	}
+}
+
+// TestSequentialEquivalence pins the flush contract on a crowded domain:
+// any single-goroutine Set/Remove sequence, flushed at arbitrary points,
+// must leave the Collection where executing the ops one at a time leaves a
+// map. Twenty-four IDs on a 4×4 grid keep several objects on most points,
+// so owner chains grow and shrink in every window.
+func TestSequentialEquivalence(t *testing.T) { sequentialEquivalence(t, false) }
+
+func sequentialEquivalence(t *testing.T, snapshot bool) {
+	const nIDs, gridSide = 24, 4
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		opts := Options{MaxBatch: 1 << 20}
+		if snapshot {
+			opts.Snapshot = newSPaCH
+		}
+		c := New[int](newSPaCH(), opts)
+		oracle := make(map[int]geom.Point)
+		for i := 0; i < 200; i++ {
+			id := rng.Intn(nIDs)
+			if rng.Intn(3) == 0 {
+				c.Remove(id)
+				delete(oracle, id)
+			} else {
+				p := geom.Pt2(rng.Int63n(gridSide), rng.Int63n(gridSide))
+				c.Set(id, p)
+				oracle[id] = p
+			}
+			if rng.Intn(10) == 0 {
+				c.Flush()
+			}
+		}
+		c.Close()
+		for x := int64(0); x < gridSide; x++ {
+			for y := int64(0); y < gridSide; y++ {
+				p := geom.Pt2(x, y)
+				var got, want []int
+				for _, e := range c.WithinIDs(geom.BoxOf(p, p)) {
+					got = append(got, e.ID)
+				}
+				for id, at := range oracle {
+					if at == p {
+						want = append(want, id)
+					}
+				}
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d: %v holds %v, sequential execution gives %v", trial, p, got, want)
+				}
+			}
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -567,6 +808,57 @@ func TestSetFlushZeroAllocWarm(t *testing.T) {
 		window()
 		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
 			t.Fatalf("warm move window allocates %.2f/op, want 0", allocs)
+		}
+	})
+}
+
+// TestFlushZeroAllocWarm extends the warm-flush guard to windows that
+// create and delete objects: a window of new objects followed by one that
+// removes them all, in both read modes, and a window in which every object
+// is set and removed again, netted to nothing, allocate nothing — freed
+// table slots are reused, and the scratch is recycled. (Windows of moves
+// are TestSetFlushZeroAllocWarm's.)
+func TestFlushZeroAllocWarm(t *testing.T) {
+	const n = 512
+	pos := make([]geom.Point, n)
+	for i := range pos {
+		pos[i] = geom.Pt2(int64(i)*17, int64(i)*29)
+	}
+	null := func() core.Index { return core.NewNull(2) }
+	singleKind := func(t *testing.T, snapshot func() core.Index) {
+		c := New[int](null(), Options{MaxBatch: 1 << 20, Snapshot: snapshot, Obs: obs.New()})
+		window := func() {
+			for i, p := range pos {
+				c.Set(i, p)
+			}
+			c.Flush()
+			for i := range pos {
+				c.Remove(i)
+			}
+			c.Flush()
+		}
+		window()
+		window() // over twins, each copy has now been written first
+		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+			t.Fatalf("warm insert and remove windows allocate %.2f/op, want 0", allocs)
+		}
+	}
+	t.Run("single-kind windows", func(t *testing.T) { singleKind(t, nil) })
+	t.Run("snapshot single-kind windows", func(t *testing.T) { singleKind(t, null) })
+	t.Run("netted mixed window", func(t *testing.T) {
+		c := New[int](null(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
+		window := func() {
+			for i, p := range pos {
+				c.Set(i, p)
+				c.Remove(i)
+			}
+			if applied := c.Flush(); applied != 0 {
+				t.Fatalf("a window of Set+Remove pairs applied %d mutations, want 0", applied)
+			}
+		}
+		window()
+		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+			t.Fatalf("warm netted window allocates %.2f/op, want 0", allocs)
 		}
 	})
 }

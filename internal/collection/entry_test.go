@@ -288,7 +288,11 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 				}
 				total += b.Load()
 			}
-			if _, cow := first.(core.Adopter); shared != (cow && snapshot) || shared && total != 1 {
+			// Copy-on-write: two fresh indexes of the stack adopt (a Sharded
+			// is an Adopter only when its shard family is).
+			a, cow := mk().(core.Adopter)
+			cow = cow && a.Adopt(mk())
+			if shared != (cow && snapshot) || shared && total != 1 {
 				t.Fatalf("%s: sharing %t (copy-on-write index: %t), %d Builds in all; a shared index is built once", where, shared, cow, total)
 			}
 			if st := c.Stats(); st.Pending != 0 || st.Objects != len(want) {
@@ -373,4 +377,42 @@ func TestLoadRangesEntriesOnce(t *testing.T) {
 		}
 	}
 	verifyAgainstOracle(t, c, want, n+1) // Validates too
+}
+
+// TestLoadDiscardsPending: ops pending when Load runs are dropped with the
+// state they were meant for. None reaches the index, then or at the next
+// flush — which finds nothing to apply — whether it was on an ID the load
+// holds or on one it does not.
+func TestLoadDiscardsPending(t *testing.T) {
+	const n = 100
+	at := func(id int) geom.Point { return geom.Pt2(int64(id)*10+100, 5) }
+	for _, snapshot := range []bool{false, true} {
+		c := New[int](core.NewBruteForce(2), bruteOpts(snapshot))
+		ghost := geom.Pt2(1, 1)
+		c.Set(n, ghost)
+		c.Set(0, geom.Pt2(2, 2))
+		c.Load(n, func(yield func(int, geom.Point) bool) {
+			for id := 0; id < n && yield(id, at(id)); id++ {
+			}
+		})
+		if c.Pending() != 0 {
+			t.Fatalf("snapshot=%t: Load left %d ops pending", snapshot, c.Pending())
+		}
+		if applied := c.Flush(); applied != 0 {
+			t.Fatalf("snapshot=%t: the flush after Load applied %d mutations, want 0", snapshot, applied)
+		}
+		if got := c.WithinIDs(geom.BoxOf(ghost, geom.Pt2(2, 2))); len(got) != 0 {
+			t.Fatalf("snapshot=%t: pre-Load pending Sets survived the load: %v", snapshot, got)
+		}
+		if p, ok := c.Get(0); !ok || p != at(0) {
+			t.Fatalf("snapshot=%t: Get(0) = (%v, %t), want the loaded %v", snapshot, p, ok, at(0))
+		}
+		if got := c.Len(); got != n {
+			t.Fatalf("snapshot=%t: Len = %d, want %d", snapshot, got, n)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
 }

@@ -53,18 +53,19 @@ var collectionSeeds = []string{
 	// 0xF0..0xF7 commit a netted window beside the tape, 0xF8..0xFF load.
 	"\x01\x3fset some\xf0\x03abcdefghi then\xf1\x02jklmnop flush\x01\x01 more sets",
 	"\x02\x85pending ops\xf8\x04loaded entries \xf2\x01xyz\xff\x00\x01\x01tail",
-	"\x03\x07store stack\xfa\x07aaabbbcccdddeeefffggg\xf3\x04qrstuvwxyz01",
+	"\x03\x07re-apply shard stack\xfa\x07aaabbbcccdddeeefffggg\xf3\x04qrstuvwxyz01",
 }
 
 const fuzzIDs = 16
 
 // fuzzStacks lists the inner stacks the first input byte selects from,
-// in a fixed order so corpus entries stay reproducible.
+// in a fixed order so corpus entries stay reproducible: slot 3 is a
+// Sharded whose snapshot twins re-apply every window.
 var fuzzStacks = []func() core.Index{
 	func() core.Index { return core.NewBruteForce(2) },
 	newSPaCH,
 	innerStacks()["Sharded(SPaC-H)"],
-	innerStacks()["Store(Sharded)"],
+	innerStacks()["Sharded(BruteForce)"],
 }
 
 func runCollectionTape(t *testing.T, data []byte) {

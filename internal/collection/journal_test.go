@@ -4,10 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"iter"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -211,62 +208,4 @@ func TestJournalFlushZeroAllocWarm(t *testing.T) {
 			t.Fatalf("warm journaled move window allocates %.2f/op, want 0", allocs)
 		}
 	})
-}
-
-// closeTrackIndex wraps an index, recording Close calls and flagging any
-// mutation that arrives after Close.
-type closeTrackIndex struct {
-	core.Index
-	closes atomic.Int32
-	late   atomic.Bool
-}
-
-func (x *closeTrackIndex) Close() { x.closes.Add(1) }
-
-func (x *closeTrackIndex) BatchDiff(ins, del []geom.Point) {
-	if x.closes.Load() > 0 {
-		x.late.Store(true)
-	}
-	x.Index.BatchDiff(ins, del)
-}
-
-// TestCloseClosesEveryInnerCopyOnce checks what the Collection adds to
-// the engine's Close sequence (window.TestCloseFlushRace pins the
-// sequence itself): the close hook closes the inner index of every copy
-// — one in locked mode, both twins in snapshot mode — exactly once,
-// after the final flush has applied the pending ops to it.
-func TestCloseClosesEveryInnerCopyOnce(t *testing.T) {
-	for _, twin := range []bool{false, true} {
-		copies := []*closeTrackIndex{{Index: core.NewBruteForce(2)}}
-		opts := Options{MaxBatch: 1 << 20, FlushInterval: 50 * time.Microsecond}
-		if twin {
-			copies = append(copies, &closeTrackIndex{Index: core.NewBruteForce(2)})
-			opts.Snapshot = func() core.Index { return copies[1] }
-		}
-		c := New[int](copies[0], opts)
-		for i := range 100 {
-			c.Set(i, geom.Pt2(int64(i), 1))
-		}
-		var closers sync.WaitGroup
-		for range 3 {
-			closers.Add(1)
-			go func() {
-				defer closers.Done()
-				c.Close()
-			}()
-		}
-		closers.Wait()
-		c.Close() // idempotent after the concurrent trio
-		for i, x := range copies {
-			if n := x.closes.Load(); n != 1 {
-				t.Fatalf("twin=%t: copy %d closed %d times, want exactly 1", twin, i, n)
-			}
-			if x.late.Load() {
-				t.Fatalf("twin=%t: copy %d was mutated after it was closed", twin, i)
-			}
-			if got := x.Size(); got != 100 {
-				t.Fatalf("twin=%t: copy %d holds %d points at close, want the final flush's 100", twin, i, got)
-			}
-		}
-	}
 }

@@ -74,6 +74,77 @@ func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 	}
 }
 
+// TestSnapshotSequentialEquivalence re-runs the crowded-domain flush
+// contract over copy-on-write twins: windows published through the epoch
+// pointer and adopted by the displaced copy must leave the Collection
+// where one-at-a-time execution leaves a map.
+func TestSnapshotSequentialEquivalence(t *testing.T) { sequentialEquivalence(t, true) }
+
+// TestSnapshotMaxBatchMakesWindowVisible: in snapshot mode the Set that
+// fills the window applies it too — and publishes it, so the epoch
+// advances with that Set and readers of the published version see the
+// window.
+func TestSnapshotMaxBatchMakesWindowVisible(t *testing.T) {
+	mk := func() core.Index { return core.NewBruteForce(2) }
+	c := New[int](mk(), Options{MaxBatch: 8, Snapshot: mk})
+	defer c.Close()
+	for i := 0; i < 7; i++ {
+		c.Set(i, geom.Pt2(int64(i), 1))
+	}
+	if st := c.Stats(); st.Flushes != 0 || st.Pending != 7 || st.Epoch != 0 || len(c.WithinIDs(universe())) != 0 {
+		t.Fatalf("below MaxBatch: %+v, want nothing applied or published", st)
+	}
+	c.Set(7, geom.Pt2(7, 1))
+	if st := c.Stats(); st.Flushes != 1 || st.Pending != 0 || st.Epoch != 1 || st.RetireLag != 0 || len(c.WithinIDs(universe())) != 8 {
+		t.Fatalf("the filling Set did not publish its window: %+v", st)
+	}
+}
+
+// TestSnapshotLoadAndEpochCounters checks Load's whole-epoch swap and the
+// Stats counter contract in snapshot mode, over twins that adopt and twins
+// that re-apply: a Load publishes one epoch as a window does, and a Load
+// after windows restarts both copies from the loaded contents.
+func TestSnapshotLoadAndEpochCounters(t *testing.T) {
+	entries := func(n int) iter.Seq2[int, geom.Point] {
+		return func(yield func(int, geom.Point) bool) {
+			for id := 0; id < n && yield(id, geom.Pt2(int64(id)*10+100, 5)); id++ {
+			}
+		}
+	}
+	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, re-applying": newPOrth} {
+		c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+		if st := c.Stats(); st.Epoch != 0 || st.Versions != 2 || st.RetireLag != 0 {
+			t.Fatalf("%s: initial stats %+v, want epoch 0, 2 versions, lag 0", name, st)
+		}
+		c.Load(100, entries(100))
+		if got, st := c.Len(), c.Stats(); got != 100 || st.Epoch != 1 || st.Objects != 100 {
+			t.Fatalf("%s: after Load: Len %d, stats %+v; want 100 objects at epoch 1", name, got, st)
+		}
+		c.Set(1000, geom.Pt2(1, 2))
+		c.Flush()
+		if st := c.Stats(); st.Epoch != 2 || st.RetireLag != 0 {
+			t.Fatalf("%s: after a window: %+v, want epoch 2, lag 0", name, st)
+		}
+		c.Load(10, entries(10))
+		// Consecutive windows alternate which copy is written first: both
+		// must have restarted from the loaded contents.
+		for w := 1; w <= 2; w++ {
+			c.Set(1000+w, geom.Pt2(3, int64(w)))
+			c.Flush()
+			if got := len(c.WithinIDs(universe())); got != 10+w {
+				t.Fatalf("%s: window %d after the second Load reads %d objects, want %d", name, w, got, 10+w)
+			}
+		}
+		if st := c.Stats(); st.Epoch != 5 || st.Objects != 12 {
+			t.Fatalf("%s: final stats %+v, want epoch 5 and 12 objects", name, st)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+}
+
 // gates is the control the gate decorators of one Collection's index
 // copies share: it holds the at-th BatchDiff or Adopt made on either copy
 // after hold(at) until release is closed, so a test can stop a commit at a
@@ -209,6 +280,62 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 	}
 	if got := c.WithinIDs(universe()); len(got) != 2 {
 		t.Fatalf("WithinIDs after flush = %v, want both objects", got)
+	}
+}
+
+// TestStatsDuringFlushDoesNotStall holds a flush open inside the index
+// apply, in both read modes, and requires what never takes the writer
+// lock to complete meanwhile: Stats, which reports the committed counters
+// and not the held window; a Set, since the tape is the pending lock's;
+// and Pending and Get, which read the tape and its overlay. (Snapshot
+// mode's queries are TestSnapshotReadDuringFlushDoesNotStall's; under
+// locked reads they wait the apply out, the mode's documented cost.)
+func TestStatsDuringFlushDoesNotStall(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		mk, ctl := gated(func() core.Index { return core.NewBruteForce(2) })
+		opts := Options{MaxBatch: 1 << 20}
+		if snapshot {
+			opts.Snapshot = mk
+		}
+		c := New[int](mk(), opts)
+		c.Set(1, geom.Pt2(10, 10))
+		c.Flush()
+
+		ctl.hold(1) // the next window blocks in its first apply
+		flushed := make(chan struct{})
+		go func() {
+			c.Set(2, geom.Pt2(20, 20))
+			c.Flush()
+			close(flushed)
+		}()
+		<-ctl.entered
+
+		p3 := geom.Pt2(30, 30)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if st := c.Stats(); st.Flushes != 1 || st.Objects != 1 || st.Pending != 0 {
+				t.Errorf("snapshot=%t: Stats during flush = %+v, want 1 flush, 1 object, 0 pending", snapshot, st)
+			}
+			c.Set(3, p3)
+			if got := c.Pending(); got != 1 {
+				t.Errorf("snapshot=%t: Pending after a Set during the flush = %d, want 1", snapshot, got)
+			}
+			if p, ok := c.Get(3); !ok || p != p3 {
+				t.Errorf("snapshot=%t: Get(3) during the flush = (%v, %t), want (%v, true)", snapshot, p, ok, p3)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("snapshot=%t: Stats, Set, Pending or Get stalled behind the held-open flush", snapshot)
+		}
+		close(ctl.release)
+		<-flushed
+		if got := c.Len(); got != 3 {
+			t.Fatalf("snapshot=%t: Len after the flush = %d, want 3", snapshot, got)
+		}
+		c.Close()
 	}
 }
 

@@ -19,14 +19,14 @@ import (
 // concurrent mutation, nor for a query during one, matching the paper's
 // model of batch-synchronous updates. Queries never mutate and the
 // Parallel* helpers in this package run them concurrently. Reader
-// isolation is the front-end's (Store, Collection): one version cell per
+// isolation is the front-end's (the Collection): one version cell per
 // stack, above the Index.
 //
 // Buffer ownership (normative; ARCHITECTURE.md "Buffer ownership" has the
 // full rules): an implementation must NOT retain the slices passed to
 // Build/BatchInsert/BatchDelete/BatchDiff after the call returns — the
-// caller may reuse them immediately, which is what lets the Store,
-// Collection and Sharded layers recycle their flush scratch — and must not
+// caller may reuse them immediately, which is what lets the Collection
+// and Sharded layers recycle their flush scratch — and must not
 // write them either: Collection.Load hands Build the point array of its
 // live slot table, and a batch may be applied to a second copy after the
 // first. Symmetrically,
@@ -65,11 +65,11 @@ type Index interface {
 // Replicator is the optional capability behind the library's snapshot
 // reads (ARCHITECTURE.md "Epochs & snapshot reads"). An index that can
 // construct a fresh, empty twin of itself — same dimensionality, same
-// universe, same tuning — lets the Store/Collection layers keep two
-// handles: each commit window's BatchDiff is applied to the off-line one,
-// which is then published through an atomic epoch pointer, and queries
-// pin the published version instead of taking a read lock, so a reader
-// never waits on the index apply.
+// universe, same tuning — lets the Collection keep two handles: each
+// commit window's BatchDiff is applied to the off-line one, which is then
+// published through an atomic epoch pointer, and queries pin the
+// published version instead of taking a read lock, so a reader never
+// waits on the index apply.
 //
 // Snapshot-read contract (normative):
 //

@@ -5,7 +5,7 @@ import "repro/internal/geom"
 // NullIndex is a zero-cost Index: batch operations only track the stored
 // count and queries return nothing. Wrapping it isolates a serving
 // layer's own behavior — the allocation-regression guards use it to
-// measure the Store/Collection/Sharded machinery without any real tree's
+// measure the Collection/Sharded machinery without any real tree's
 // update cost.
 type NullIndex struct {
 	dims int

@@ -12,7 +12,7 @@ import (
 
 // Cell is the version cell: the one place the library decides how readers
 // are kept off the writer of a point index, and the only file that does.
-// A front-end (Store, Collection) holds a Cell over the index its queries
+// The front-end (the Collection) holds a Cell over the index its queries
 // read, acquires a version to read and commits windows; it never tests
 // which mode it is in.
 //
@@ -114,18 +114,13 @@ func (c *Cell) Commit(ins, del []geom.Point, sp *obs.FlushSpan, clk time.Time) t
 // new, never a copy mid-build.
 func (c *Cell) Rebuild(pts []geom.Point) { c.advance(true, pts, nil, nil, time.Time{}) }
 
-// step brings one copy forward: a Build of ins, or a BatchDiff, after
-// which a deferring layer (a wrapped Store) is flushed so that the window
-// is in the copy before anyone reads it.
+// step brings one copy forward: a Build of ins, or a BatchDiff.
 func step(idx core.Index, build bool, ins, del []geom.Point) {
 	if build {
 		idx.Build(ins)
 		return
 	}
 	idx.BatchDiff(ins, del)
-	if f, ok := idx.(interface{ Flush() int }); ok {
-		f.Flush()
-	}
 }
 
 func (c *Cell) advance(build bool, ins, del []geom.Point, sp *obs.FlushSpan, clk time.Time) time.Time {
@@ -193,16 +188,6 @@ func (c *Cell) Validate() error {
 		return errors.New("epoch: the index copies no longer share one structure")
 	}
 	return nil
-}
-
-// Close closes every copy that has a Close method of its own (a wrapped
-// Store's background flusher). The caller excludes Commit and Rebuild.
-func (c *Cell) Close() {
-	for _, idx := range c.copies {
-		if cl, ok := idx.(interface{ Close() }); ok {
-			cl.Close()
-		}
-	}
 }
 
 // Register exposes the epoch gauges, and over shared twins the

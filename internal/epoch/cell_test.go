@@ -3,6 +3,7 @@ package epoch
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,12 +12,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/sfc"
+	"repro/internal/spactree"
 )
 
 // The twin protocol — readers never stall, never see a torn window, the
 // displaced copy is untouched until drained, both copies converge — is
-// tested here, once, against a Cell over a fake index. Store, Collection
-// and Sharded test that their queries go through the cell and what their
+// tested here, once, against a Cell over a fake index. The Collection and
+// Sharded test that their queries go through the cell and what their
 // windows mean.
 
 // pair is the fake index: a window adds its number of inserts to both
@@ -354,6 +357,93 @@ func TestSnapshotCommitZeroAlloc(t *testing.T) {
 			t.Fatalf("commit+read allocates %.2f/op, want 0", allocs)
 		}
 	})
+}
+
+// TestSnapshotQueryZeroAllocWarm pins a read through the cell over a real
+// index at zero steady-state allocations with reused result buffers, in
+// every mode: read-locked, pinned on re-applied twins and pinned on twins
+// that adopt, the last over a SPaC-H tree whose KNN search state comes
+// from pools.
+func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const side = 1 << 20
+	universe := geom.UniverseBox(2, side)
+	pts := make([]geom.Point, 256)
+	for i := range pts {
+		pts[i] = geom.Pt2(int64(i)*500%side, int64(i)*311%side)
+	}
+	brute := func() core.Index { return core.NewBruteForce(2) }
+	spach := func() core.Index { return spactree.NewSPaC(sfc.Hilbert, 2, universe) }
+	for _, mode := range []struct {
+		name     string
+		idx      core.Index
+		snapshot func() core.Index
+	}{
+		{"locked", brute(), nil},
+		{"twin", brute(), brute},
+		{"adopting", spach(), spach},
+	} {
+		var c Cell
+		c.Init("test", mode.idx, mode.snapshot, nil)
+		if c.Shared() != (mode.name == "adopting") {
+			t.Fatalf("%s: Shared = %t", mode.name, c.Shared())
+		}
+		c.Rebuild(pts)
+		c.Commit(pts[:1], pts[1:2], nil, time.Time{})
+		q := geom.Pt2(side/2, side/2)
+		box := geom.BoxOf(geom.Pt2(0, 0), geom.Pt2(side/4, side/4))
+		var dst []geom.Point
+		warm := func() {
+			v := c.Acquire()
+			dst = v.Index.KNN(q, 10, dst[:0])
+			v.Index.RangeCount(box)
+			dst = v.Index.RangeList(box, dst[:0])
+			c.Release(v)
+		}
+		warm()
+		if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
+			t.Errorf("%s: a warm read through the cell allocates %.2f/op, want 0", mode.name, allocs)
+		}
+	}
+}
+
+// TestSnapshotRequiresEmptyIndexes documents the construction contract:
+// Init refuses twins that could never agree — an index that starts
+// non-empty, or a snapshot constructor that returns a non-empty index or
+// none — and names the caller's layer in the panic. Locked reads take the
+// index as it is.
+func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
+	empty := func() core.Index { return core.NewBruteForce(2) }
+	nonEmpty := func() core.Index {
+		idx := core.NewBruteForce(2)
+		idx.Build([]geom.Point{geom.Pt2(1, 1)})
+		return idx
+	}
+	for _, tc := range []struct {
+		name     string
+		idx      core.Index
+		snapshot func() core.Index
+	}{
+		{"non-empty index", nonEmpty(), empty},
+		{"non-empty twin", empty(), nonEmpty},
+		{"no twin", empty(), func() core.Index { return nil }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "layer: ") {
+					t.Fatalf("%s: panic %q, want one that names the layer", tc.name, msg)
+				}
+			}()
+			new(Cell).Init("layer", tc.idx, tc.snapshot, nil)
+		}()
+	}
+	var c Cell
+	c.Init("layer", nonEmpty(), nil, nil)
+	if c.Versions() != 1 {
+		t.Fatalf("locked reads over a non-empty index: %d versions, want 1", c.Versions())
+	}
 }
 
 // TestStepOrder states the contract a layer's beside step relies on (the

@@ -14,7 +14,7 @@
 // it, waits for the old current to drain, catches it up and keeps it as
 // the next standby. Both Version structs live for the lifetime of the
 // layer, so steady-state publishing allocates nothing — the property the
-// Store/Collection zero-alloc guards pin. What a Version holds need not
+// Cell's and the Collection's zero-alloc guards pin. What a Version holds need not
 // be a whole copy: over a copy-on-write index (core.Adopter — the SPaC
 // family) the two are handles on one tree, the window is applied once
 // and the catch-up is an adoption of the published root. For the other

@@ -34,7 +34,7 @@ import (
 	"time"
 )
 
-// Label is one metric dimension, e.g. {Key: "layer", Value: "store"}.
+// Label is one metric dimension, e.g. {Key: "layer", Value: "collection"}.
 // Series with the same name but different label values coexist in one
 // family and expose as Prometheus labeled series.
 type Label struct {

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Flush-pipeline tracing: each Store/Collection/Shard flush records one
+// Flush-pipeline tracing: each Collection/Shard flush records one
 // FlushSpan — per-stage wall times plus window statistics — into a
 // preallocated ring. Recording claims a slot with one atomic increment
 // and writes it under that slot's own mutex, so concurrent recorders
@@ -48,7 +48,7 @@ const (
 var StageNames = [NumStages]string{"net", "log", "replay", "apply", "publish", "drain"}
 
 // FlushSpan is one recorded flush. Layer identifies the recorder
-// ("store", "collection", "shard"); Stages holds per-stage wall time in
+// ("collection", "shard"); Stages holds per-stage wall time in
 // nanoseconds; RawOps/NettedOps/Cancelled describe the window before and
 // after netting (RawOps - Cancelled mutations survived netting as
 // NettedOps index mutations); Epoch is the published epoch after the

@@ -8,7 +8,7 @@
 // (see docs/observability.md).
 //
 // The paper's stack ends at the process boundary: indexes (§3, §4) are
-// batch-synchronous, the Store/Sharded/Collection layers make them safe
+// batch-synchronous, the Sharded/Collection layers make them safe
 // for in-process concurrency, and this package is the front door that
 // turns the library into a system. The design follows the shape of
 // real-world moving-object services (Tile38 and friends): one goroutine

@@ -4,30 +4,31 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/store"
+	"repro/internal/geom"
 	"repro/internal/workload"
 )
 
-// TestStoreOverSharded exercises the documented scaling composition: a
-// batch-coalescing Store in front of a Sharded index gives fully
-// concurrent single-point ingest (Store coalesces the stream) whose
-// flushes then fan out across shards in parallel. Many writers stream
-// moves while readers query; the final state must match the oracle.
-func TestStoreOverSharded(t *testing.T) {
+// TestCollectionOverSharded exercises the documented scaling composition:
+// a Collection in front of a Sharded turns many writers' single-object
+// updates into windows, whose applies then fan out across the shards in
+// parallel. Writers stream new objects and removals while readers query;
+// afterwards the Sharded itself must hold its invariants and answer the
+// full query suite exactly.
+func TestCollectionOverSharded(t *testing.T) {
 	const (
 		nBase   = 5000
 		writers = 4
 		perG    = 800
 	)
 	all := uniquePoints(nBase+writers*perG, 51)
-	base := all[:nBase]
-	fresh := all[nBase:]
-	doomed := base[:writers*perG]
-
-	sharded := New(testOptions(2, 8, spacH))
-	sharded.Build(base)
-	st := store.New(sharded, store.Options{MaxBatch: 256})
+	sh := New(testOptions(2, 8, spacH))
+	c := collection.New[int](sh, collection.Options{MaxBatch: 256})
+	c.Load(nBase, func(yield func(int, geom.Point) bool) {
+		for id := 0; id < nBase && yield(id, all[id]); id++ {
+		}
+	})
 
 	queries := workload.GenUniform(24, 2, workload.DefaultSide, 53)
 	boxes := workload.RangeQueries(10, 2, workload.DefaultSide, 0.01, 54)
@@ -37,11 +38,10 @@ func TestStoreOverSharded(t *testing.T) {
 		wgW.Add(1)
 		go func(w int) {
 			defer wgW.Done()
-			ins := fresh[w*perG : (w+1)*perG]
-			del := doomed[w*perG : (w+1)*perG]
-			for i := range ins {
-				st.Insert(ins[i])
-				st.Delete(del[i])
+			for i := 0; i < perG; i++ {
+				id := nBase + w*perG + i
+				c.Set(id, all[id])
+				c.Remove(w*perG + i)
 			}
 		}(w)
 	}
@@ -54,8 +54,8 @@ func TestStoreOverSharded(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					st.KNN(queries[i%len(queries)], 5, nil)
-					st.RangeCount(boxes[i%len(boxes)])
+					c.NearbyIDs(queries[i%len(queries)], 5)
+					c.WithinIDs(boxes[i%len(boxes)])
 				}
 			}
 		}()
@@ -63,15 +63,18 @@ func TestStoreOverSharded(t *testing.T) {
 	wgW.Wait()
 	close(stop)
 	wgQ.Wait()
-	st.Close()
+	c.Close()
 
-	if err := sharded.Validate(); err != nil {
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing writes the Sharded now, so it can be read directly.
+	if err := sh.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	oracle := core.NewBruteForce(2)
-	oracle.Build(base[len(doomed):])
-	oracle.BatchInsert(fresh)
-	if err := core.VerifyQueries(st, oracle, queries, []int{1, 10, 50}, boxes); err != nil {
+	oracle.Build(all[writers*perG:])
+	if err := core.VerifyQueries(sh, oracle, queries, []int{1, 10, 50}, boxes); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,7 +6,7 @@
 // parallelize *inside* one tree, Sharded adds the orthogonal axis —
 // parallelism *across* indexes within one batch. It is an index, not a
 // concurrency control: like the indexes under it, it is batch-synchronous,
-// and a Store or Collection in front of it owns reader isolation.
+// and the Collection in front of it owns reader isolation.
 //
 // The partitioning is the two-level partition-then-local-index design: a
 // fine cell grid over the universe whose cells are ordered by their

@@ -78,8 +78,8 @@ func (o Options) validate() {
 // regions apply concurrently — and queries that visit only the shards
 // that can contribute.
 //
-// Concurrent use is the front-end's: a store.Store or a Collection holds
-// the Sharded behind its version cell (see the "Scaling out" section of
+// Concurrent use is the front-end's: a Collection holds the Sharded
+// behind its version cell (see the "Scaling out" section of
 // the README). In snapshot mode the front-end keeps two Shardeds
 // (NewReplica) and reads the published one (ARCHITECTURE.md "Epochs &
 // snapshot reads"). Over copy-on-write children the two are handles on one
@@ -151,7 +151,7 @@ func newSharded(opts Options) *Sharded {
 
 // NewReplica implements core.Replicator: a Sharded can always construct
 // a fresh, empty, identically configured twin of itself, so wrapping one
-// in a snapshot-mode Store/Collection/Server needs no explicit factory.
+// in a snapshot-mode Collection or Server needs no explicit factory.
 // The replica shares the original's metric series rather than
 // re-registering them: per-shard op counts then aggregate the BatchDiffs
 // of both twins, and query counts stay exact because only the published

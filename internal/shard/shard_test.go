@@ -7,12 +7,13 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/sfc"
 	"repro/internal/spactree"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -264,11 +265,12 @@ func TestAdaptiveRebalance(t *testing.T) {
 }
 
 // TestConcurrentUpdatesAndQueries is the -race acceptance test: several
-// goroutines hand BatchDiffs (disjoint fresh inserts, reserved doomed
-// deletes) to a locked-reads Store over the Sharded — the layer that owns
-// concurrency; the Sharded itself is single-writer — while queriers hammer
-// all three query kinds, so shard-parallel flushes interleave with fan-out
-// queries. After the storm the result must match the oracle exactly.
+// goroutines commit BatchDiffs (disjoint fresh inserts, reserved doomed
+// deletes) through a locked-reads version cell over the Sharded — the
+// front-end's concurrency control; the Sharded itself is single-writer —
+// while queriers hammer all three query kinds through the same cell, so
+// shard-parallel applies interleave with fan-out queries. After the storm
+// the result must match the oracle exactly.
 func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	const (
 		nBase    = 6000
@@ -285,8 +287,8 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 
 	sh := New(testOptions(2, 8, spacH))
 	sh.Build(base)
-	// Every writer's BatchDiff reaches MaxBatch, so each is its own flush.
-	s := store.New(sh, store.Options{MaxBatch: 2 * batch})
+	var cell epoch.Cell
+	cell.Init("shard test", sh, nil, nil)
 
 	queries := workload.GenUniform(32, 2, side, 33)
 	boxes := workload.RangeQueries(12, 2, side, 0.01, 34)
@@ -298,7 +300,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			defer wgW.Done()
 			for r := 0; r < rounds; r++ {
 				off := (w*rounds + r) * batch
-				s.BatchDiff(fresh[off:off+batch], doomed[off:off+batch])
+				cell.Commit(fresh[off:off+batch], doomed[off:off+batch], nil, time.Time{})
 			}
 		}(w)
 	}
@@ -312,19 +314,22 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 					return
 				default:
 				}
+				v := cell.Acquire()
 				switch (q + i) % 3 {
 				case 0:
-					if got := s.KNN(queries[i%len(queries)], 10, nil); len(got) != 10 {
+					if got := v.Index.KNN(queries[i%len(queries)], 10, nil); len(got) != 10 {
 						t.Errorf("KNN returned %d of 10 neighbors", len(got))
-						return
 					}
 				case 1:
-					if got := s.RangeCount(geom.UniverseBox(2, side)); got > len(all) {
+					if got := v.Index.RangeCount(geom.UniverseBox(2, side)); got > len(all) {
 						t.Errorf("RangeCount(universe) = %d exceeds %d", got, len(all))
-						return
 					}
 				default:
-					s.RangeList(boxes[i%len(boxes)], nil)
+					v.Index.RangeList(boxes[i%len(boxes)], nil)
+				}
+				cell.Release(v)
+				if t.Failed() {
+					return
 				}
 			}
 		}(q)
@@ -332,7 +337,6 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	wgW.Wait()
 	close(stop)
 	wgQ.Wait()
-	s.Close()
 
 	if err := sh.Validate(); err != nil {
 		t.Fatal(err)
@@ -340,7 +344,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	oracle := core.NewBruteForce(2)
 	oracle.Build(base[len(doomed):])
 	oracle.BatchInsert(fresh)
-	if err := core.VerifyQueries(s, oracle, queries, []int{1, 10, 50}, boxes); err != nil {
+	if err := core.VerifyQueries(sh, oracle, queries, []int{1, 10, 50}, boxes); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,22 +3,23 @@ package shard
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/geom"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 // A Sharded's part in snapshot reads is to be the twin: a snapshot-mode
-// Store/Collection/Server keeps two Shardeds (NewReplica) and reads the
-// published one. Over a copy-on-write family the two are handles on one
-// set of trees (Adopt) and a window is applied once; over any other each
-// is a whole copy and every window is applied to both. These tests cover
-// that role.
+// Collection or Server keeps two Shardeds (NewReplica) in its version cell
+// and reads the published one. Over a copy-on-write family the two are
+// handles on one set of trees (Adopt) and a window is applied once; over
+// any other each is a whole copy and every window is applied to both.
+// These tests cover that role.
 
-// TestSnapshotConcurrentUpdatesAndQueries hammers a snapshot-mode Store
-// over Sharded twins with a batch writer and concurrent readers (run
+// TestSnapshotConcurrentUpdatesAndQueries hammers a snapshot-mode version
+// cell over Sharded twins with a batch writer and concurrent readers (run
 // under -race): readers pin one twin while the other takes its
 // sub-batches, and the final contents must match a sequential oracle.
 func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
@@ -32,9 +33,9 @@ func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box) core.Index, pts []geom.Point, n int) {
 	side := workload.Uniform.Side(2)
 	sh := New(testOptions(2, 8, family))
-	s := store.New(sh, store.Options{MaxBatch: 1 << 20, Snapshot: sh.NewReplica})
-	defer s.Close()
-	s.Build(pts[:n/2])
+	var cell epoch.Cell
+	cell.Init("shard test", sh, sh.NewReplica, nil)
+	cell.Rebuild(pts[:n/2])
 
 	queries := workload.GenUniform(16, 2, side, 21)
 	boxes := workload.RangeQueries(8, 2, side, 0.02, 23)
@@ -51,16 +52,17 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 					return
 				default:
 				}
-				s.KNN(queries[i%len(queries)], 10, buf[:0])
-				s.RangeCount(boxes[i%len(boxes)])
-				buf = s.RangeList(boxes[i%len(boxes)], buf[:0])
+				v := cell.Acquire()
+				v.Index.KNN(queries[i%len(queries)], 10, buf[:0])
+				v.Index.RangeCount(boxes[i%len(boxes)])
+				buf = v.Index.RangeList(boxes[i%len(boxes)], buf[:0])
+				cell.Release(v)
 			}
 		}()
 	}
 	for i := n / 2; i < n; i += 100 {
 		end := min(i+100, n)
-		s.BatchDiff(pts[i:end], pts[i-n/2:end-n/2])
-		s.Flush()
+		cell.Commit(pts[i:end], pts[i-n/2:end-n/2], nil, time.Time{})
 	}
 	close(stop)
 	wg.Wait()
@@ -70,14 +72,16 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 	if err := sh.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.VerifyQueries(s, ref, queries, []int{1, 10, 50}, boxes); err != nil {
+	v := cell.Acquire()
+	defer cell.Release(v)
+	if err := core.VerifyQueries(v.Index, ref, queries, []int{1, 10, 50}, boxes); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSnapshotReplica checks the Replicator wiring: NewReplica returns a
 // fresh empty Sharded with the same configuration, fit for the
-// Collection/Store Snapshot factory.
+// Collection's Snapshot factory.
 func TestSnapshotReplica(t *testing.T) {
 	s := New(testOptions(2, 4, brute))
 	s.Build(uniquePoints(100, 3))

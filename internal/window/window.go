@@ -1,14 +1,15 @@
-// Package window implements the coalescing window engine shared by
-// psi.Store and psi.Collection. The paper's indexes are batch-synchronous
-// — BatchDiff is the unit of work — so every front-end that accepts single
-// operations from many goroutines needs the same machine: an ordered
+// Package window implements the coalescing window engine of
+// psi.Collection. The paper's indexes are batch-synchronous — BatchDiff is
+// the unit of work — so a front-end that accepts single operations from
+// many goroutines needs a machine that turns them into batches: an ordered
 // pending log that enqueuers append to under a short lock, a flush that
 // swaps the log out, nets it, applies the netted window and hands the
 // emptied buffer back, a size trigger, an optional interval flusher, and
 // the counters and spans that make the pipeline observable. The Engine is
-// that machine, written once; a layer supplies only its op type and a
-// net/apply pair (see Init). A window that arrives already netted — a
-// replicated one — enters the same pipeline at its apply half (Apply).
+// that machine; its client supplies only its op type and a net/apply pair
+// (see Init), so the lifecycle is tested apart from the Collection's
+// netting. A window that arrives already netted — a replicated one —
+// enters the same pipeline at its apply half (Apply).
 //
 // Ordering: the log order is the order Appends take the pending lock,
 // which is consistent with every goroutine's program order. Flushes are
@@ -31,8 +32,8 @@ import (
 // indexes' batch operations stop forking.
 const DefaultMaxBatch = 1024
 
-// Options tunes a front-end built on the engine; psi.StoreOptions and
-// psi.CollectionOptions are this type. The zero value is usable:
+// Options tunes a front-end built on the engine; psi.CollectionOptions is
+// this type. The zero value is usable:
 // DefaultMaxBatch coalescing, no background flusher, locked reads. The
 // engine reads MaxBatch, FlushInterval and Obs; Snapshot is the
 // front-end's, to hand to its version cell (epoch.Cell.Init).
@@ -62,9 +63,9 @@ type Options struct {
 	// single-copy RWMutex mode.
 	Snapshot func() core.Index
 	// Obs, when set, registers the front-end's metrics (flush counters,
-	// flush duration histogram, epoch gauges, labeled layer="store" or
-	// "collection") and records a flush-pipeline span per flush into the
-	// registry's trace ring. Recording is atomics into preallocated
+	// flush duration histogram, epoch gauges, labeled layer="collection")
+	// and records a flush-pipeline span per flush into the registry's
+	// trace ring. Recording is atomics into preallocated
 	// storage — the zero-alloc flush guarantee holds with a live
 	// registry. Leave nil to pay nothing.
 	Obs *obs.Registry
@@ -119,7 +120,7 @@ type Engine[O any] struct {
 	closeOnce  sync.Once
 }
 
-// Init sets up the engine of the named layer ("store", "collection": the
+// Init sets up the engine of the named layer ("collection": the
 // Layer of its flush spans and the layer= label of its metrics) and, if
 // opts.FlushInterval is positive, starts its background flusher; pair
 // Init with Close. The layer's half of a flush is the net/apply pair,
@@ -286,22 +287,17 @@ func (e *Engine[O]) Discard() {
 }
 
 // Close shuts the pipeline down, exactly once however many goroutines
-// call it: stop the interval flusher and wait for it, run the final
-// flush, then run after (if non-nil) under the flush lock. The order is
-// the contract: the ticker has fully exited before the final flush, and
-// no flush of any origin overlaps after — the place to close what the
-// windows were applied to. The engine stays usable afterwards; only
-// interval flushing has ended.
-func (e *Engine[O]) Close(after func()) {
+// call it: stop the interval flusher and wait for it, then run the final
+// flush. The order is the contract: the ticker has fully exited before
+// the final flush, and no call returns before both are done. The engine
+// stays usable afterwards; only interval flushing has ended.
+func (e *Engine[O]) Close() {
 	e.closeOnce.Do(func() {
 		if e.stop != nil {
 			close(e.stop)
 			<-e.done
 		}
 		e.Flush()
-		if after != nil {
-			e.Exclusive(after)
-		}
 	})
 }
 

@@ -13,8 +13,8 @@ import (
 
 // The pipeline lifecycle — flush triggers, the flusher, exactly-once
 // application, the Close ordering — is tested here, once, against a
-// client with a trivial op type. Store and Collection test what they
-// add on top: their netting semantics, oracles and allocation guards.
+// client with a trivial op type. The Collection tests what it adds on
+// top: its netting semantics, oracles and allocation guards.
 
 // tally is the trivial client: ops are ints, netting drops negative ones,
 // apply records every surviving op. Its fields are only touched under the
@@ -25,8 +25,8 @@ type tally struct {
 	applied map[int]int // op -> times applied
 	windows [][]int     // every applied window, in order
 	total   atomic.Int64
-	closed  atomic.Bool // set by the Close hook
-	late    atomic.Bool // an Apply ran after the Close hook
+	closed  atomic.Bool // set once a Close has returned
+	late    atomic.Bool // an Apply ran after that
 }
 
 func newTally(opts Options) *tally {
@@ -85,7 +85,7 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 
 func TestMaxBatchTriggersFlush(t *testing.T) {
 	c := newTally(Options{MaxBatch: 8})
-	defer c.eng.Close(nil)
+	defer c.eng.Close()
 	for i := 0; i < 7; i++ {
 		c.enqueue(i)
 	}
@@ -114,7 +114,7 @@ func TestMaxBatchTriggersFlush(t *testing.T) {
 	}
 	// An unset MaxBatch is the default trigger.
 	d := newTally(Options{})
-	defer d.eng.Close(nil)
+	defer d.eng.Close()
 	for i := 0; i < DefaultMaxBatch-1; i++ {
 		d.enqueue(i)
 	}
@@ -130,7 +130,7 @@ func TestMaxBatchTriggersFlush(t *testing.T) {
 func TestWindowOrderNettingAndCounters(t *testing.T) {
 	reg := obs.New()
 	c := newTally(Options{MaxBatch: 1 << 20, Obs: reg})
-	defer c.eng.Close(nil)
+	defer c.eng.Close()
 	if c.eng.Flush() != 0 || c.eng.Stats().Flushes != 0 {
 		t.Fatal("flushing an empty log must be a no-op, not a window")
 	}
@@ -158,7 +158,7 @@ func TestWindowOrderNettingAndCounters(t *testing.T) {
 
 func TestBackgroundFlusher(t *testing.T) {
 	c := newTally(Options{MaxBatch: 1 << 20, FlushInterval: time.Millisecond})
-	defer c.eng.Close(nil)
+	defer c.eng.Close()
 	c.enqueue(1)
 	waitFor(t, "the background flusher to apply the pending op", func() bool { return c.total.Load() == 1 })
 }
@@ -185,7 +185,7 @@ func TestFlushExactlyOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	c.eng.Close(nil)
+	c.eng.Close()
 	if len(c.applied) != writers*perG {
 		t.Fatalf("%d distinct ops applied, want %d", len(c.applied), writers*perG)
 	}
@@ -214,19 +214,16 @@ func TestFlushExactlyOnce(t *testing.T) {
 }
 
 // TestCloseFlushRace hammers concurrent Close calls against live enqueue
-// traffic and a fast background flusher, asserting the Close contract:
-// the ticker goroutine is fully stopped before the final flush, the hook
-// runs exactly once, and no window — ticker tick, concurrent Close —
-// applies after it ran. (A tick racing Close used to be able to flush
-// into an index Close had already closed.) Run under -race this also
-// checks the shutdown sequencing itself.
+// traffic and a fast background flusher, asserting the Close contract: no
+// call returns before the ticker goroutine has fully stopped and the final
+// flush has run, so no window — ticker tick, concurrent Close — applies
+// after any Close returned. Run under -race this also checks the shutdown
+// sequencing itself.
 func TestCloseFlushRace(t *testing.T) {
 	for range 20 {
 		// Unreachable MaxBatch: only the ticker and Close itself may
 		// flush, so writers can legally keep enqueueing across the Close.
 		c := newTally(Options{MaxBatch: 1 << 30, FlushInterval: 50 * time.Microsecond})
-		var hooks atomic.Int32
-		hook := func() { hooks.Add(1); c.closed.Store(true) }
 
 		stopWriters := make(chan struct{})
 		var writers sync.WaitGroup
@@ -253,21 +250,19 @@ func TestCloseFlushRace(t *testing.T) {
 			closers.Add(1)
 			go func() {
 				defer closers.Done()
-				c.eng.Close(hook)
+				c.eng.Close()
+				c.closed.Store(true)
 			}()
 		}
 		closers.Wait()
 		close(stopWriters)
 		writers.Wait()
-		c.eng.Close(hook) // idempotent after the concurrent trio
+		c.eng.Close() // idempotent after the concurrent trio
 		c.enqueue(-1)
 		time.Sleep(500 * time.Microsecond) // a flusher that survived Close would tick here
 
-		if n := hooks.Load(); n != 1 {
-			t.Fatalf("close hook ran %d times, want exactly 1", n)
-		}
 		if c.late.Load() {
-			t.Fatal("a window was applied after the close hook ran")
+			t.Fatal("a window was applied after a Close returned")
 		}
 	}
 }
@@ -279,7 +274,7 @@ func TestCloseFlushRace(t *testing.T) {
 func TestApplyEntersAtTheSeam(t *testing.T) {
 	reg := obs.New()
 	c := newTally(Options{MaxBatch: 1 << 20, Obs: reg})
-	defer c.eng.Close(nil)
+	defer c.eng.Close()
 	c.enqueue(7) // stays pending throughout
 	locked := false
 	n := c.eng.Apply(3, func(sp *obs.FlushSpan, clk time.Time) int {
@@ -311,7 +306,7 @@ func TestCloseEndsIntervalFlushing(t *testing.T) {
 	c.enqueue(1)
 	waitFor(t, "the flusher", func() bool { return c.total.Load() == 1 })
 	c.enqueue(2)
-	c.eng.Close(nil) // final flush
+	c.eng.Close() // final flush
 	if c.total.Load() != 2 {
 		t.Fatalf("Close left %d applied, want 2", c.total.Load())
 	}
@@ -327,7 +322,7 @@ func TestCloseEndsIntervalFlushing(t *testing.T) {
 
 func TestExclusiveAndDiscard(t *testing.T) {
 	c := newTally(Options{MaxBatch: 1 << 20})
-	defer c.eng.Close(nil)
+	defer c.eng.Close()
 	c.enqueue(1)
 	flushed := make(chan int)
 	c.eng.Exclusive(func() {
@@ -355,7 +350,7 @@ func TestFlushZeroAllocWarm(t *testing.T) {
 	e.Init("guard", Options{MaxBatch: 1 << 20, Obs: obs.New()},
 		func(ops []int) int { sink = len(ops); return 0 },
 		func(sp *obs.FlushSpan, clk time.Time) int { sp.Stamp(obs.StageApply, clk); return sink })
-	defer e.Close(nil)
+	defer e.Close()
 	window := func() {
 		e.Lock()
 		for i := 0; i < 512; i++ {

@@ -23,18 +23,18 @@
 //
 // Indexes are safe for concurrent queries but not for concurrent
 // mutation, nor for a query during one; batch operations parallelize
-// internally. To serve mutations from many goroutines, wrap any index in a
-// Store (NewStore), the concurrent batch-coalescing front-end. To scale
-// past one index's batch throughput, shard the universe with NewSharded:
-// S regions each own an independent index, a batch update fans out across
-// shards in parallel, and queries prune to the shards that can
-// contribute — still an Index, under the same rule. To track identified
-// moving objects, wrap any stack in a Collection (NewCollection), which
-// nets per-ID moves into batch diffs and resolves geometric queries back
-// to IDs. To put the whole stack behind a socket, wrap it in a Server
-// (NewServer) — the psid protocol served by cmd/psid — and to make
-// acknowledged writes survive restarts, give the server a write-ahead log
-// (NewDurableServer). ARCHITECTURE.md maps the layers.
+// internally. To scale past one index's batch throughput, shard the
+// universe with NewSharded: S regions each own an independent index, a
+// batch update fans out across shards in parallel, and queries prune to
+// the shards that can contribute — still an Index, under the same rule.
+// To serve mutations from many goroutines, wrap any stack in a Collection
+// (NewCollection), the one concurrent batch-coalescing front-end: it
+// tracks one point per ID, nets per-ID moves into batch diffs and
+// resolves geometric queries back to IDs. To put the whole stack behind a
+// socket, wrap it in a Server (NewServer) — the psid protocol served by
+// cmd/psid — and to make acknowledged writes survive restarts, give the
+// server a write-ahead log (NewDurableServer). ARCHITECTURE.md maps the
+// layers.
 package psi
 
 import (
@@ -52,7 +52,6 @@ import (
 	"repro/internal/sfc"
 	"repro/internal/shard"
 	"repro/internal/spactree"
-	"repro/internal/store"
 	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/internal/zdtree"
@@ -95,7 +94,7 @@ func DefaultOptions(dims int, universe Box) Options {
 
 // replicable wraps a freshly constructed index so it satisfies
 // core.Replicator: the retained constructor mints the identically
-// configured empty twin that snapshot mode (Store/Collection
+// configured empty twin that snapshot mode (Collection
 // Options.Snapshot, Server default) double-buffers against. Every psi
 // constructor of a family that is not a Replicator itself goes through
 // this, so any psi-built tree can serve epoch-pinned snapshot reads
@@ -218,31 +217,6 @@ func ByName(name string, dims int, universe Box) Index {
 	return nil
 }
 
-// Store is a concurrent, batch-coalescing front-end over any Index: many
-// goroutines may call Insert/Delete/KNN/RangeCount/RangeList/Flush
-// concurrently. Mutations are coalesced into batches and applied through
-// the index's parallel batch updates; queries always observe a consistent
-// view (never a half-applied batch). See internal/store for the full
-// visibility contract.
-type Store = store.Store
-
-// StoreOptions tunes a Store: MaxBatch is the coalescing threshold that
-// triggers a synchronous flush, FlushInterval (optional) runs a background
-// flusher bounding staleness, and Snapshot (optional) supplies the empty
-// twin-index factory that switches reads to the epoch-pinned snapshot
-// path — queries never wait behind a flush. Every psi constructor returns
-// an index whose NewReplica method is such a factory. The zero value is
-// usable (locked reads).
-type StoreOptions = store.Options
-
-// StoreStats is a snapshot of a Store's lifetime flush counters.
-type StoreStats = store.Stats
-
-// NewStore wraps idx for safe concurrent use. The Store takes ownership of
-// idx; do not touch it directly afterwards. If opts.FlushInterval is set,
-// pair with Close to stop the background flusher.
-func NewStore(idx Index, opts StoreOptions) *Store { return store.New(idx, opts) }
-
 // Sharded is a space-partitioned fan-out layer over any index family:
 // the universe is split into S compact regions, each owning an
 // independent index. A batch update is partitioned by region in parallel
@@ -250,8 +224,7 @@ func NewStore(idx Index, opts StoreOptions) *Store { return store.New(idx, opts)
 // the shards whose region overlaps the box, and KNN expands shards
 // best-first by region distance. Like every Index it is
 // batch-synchronous — one mutation at a time, queries between them; wrap
-// it in a Store or Collection for concurrent use (see README "Scaling
-// out").
+// it in a Collection for concurrent use (see README "Scaling out").
 type Sharded = shard.Sharded
 
 // ShardedOptions configures a Sharded index: dimensions, universe, shard
@@ -275,7 +248,7 @@ func NewSharded(newIndex func(dims int, universe Box) Index, dims int, universe 
 func NewShardedOpts(opts ShardedOptions) *Sharded { return shard.New(opts) }
 
 // Collection is a concurrent ID-keyed moving-object layer over any Index
-// (including Sharded and Store-wrapped stacks): it tracks one point per
+// (a tree or a Sharded of trees): it tracks one point per
 // live ID, nets each window of Set/Remove calls by last-write-wins per ID
 // into a single BatchDiff, and keeps a point→ID reverse multimap
 // transactionally consistent with the index so geometric queries resolve
@@ -386,7 +359,7 @@ func ParseWALFsync(s string) (WALFsyncPolicy, time.Duration, error) {
 // zero-allocation metric surface — atomic counters, gauges, power-of-two
 // latency histograms, a flush-span trace ring — that every layer records
 // into when handed one via its Options.Obs field (ShardedOptions,
-// StoreOptions, CollectionOptions, ServerOptions). A Server exposes its
+// CollectionOptions, ServerOptions). A Server exposes its
 // registry as Prometheus text on /metrics; see docs/observability.md for
 // the metric catalog.
 type Metrics = obs.Registry

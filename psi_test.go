@@ -2,7 +2,9 @@ package psi
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -195,37 +197,70 @@ func TestBatchDiffMoveSemantics(t *testing.T) {
 	}
 }
 
-func TestStoreWrapsEveryIndex(t *testing.T) {
-	// The Store front-end makes concurrent mutation safe on every index in
-	// the library: four writers race single-point updates, then the result
-	// must match the oracle exactly.
-	pts := Generate(Uniform, 4000, 2, itSide, 59)
-	fresh := Generate(Uniform, 1000, 2, itSide, 61)
-	queries := workload.GenUniform(15, 2, itSide, 67)
-	boxes := RangeQueries(6, 2, itSide, 0.02, 71)
-	for _, idx := range All(2, Universe2D(itSide)) {
-		st := NewStore(idx, StoreOptions{MaxBatch: 128})
-		st.Build(pts)
+func TestCollectionWrapsEveryIndex(t *testing.T) {
+	// The Collection front-end makes concurrent mutation safe on every
+	// index in the library: four writers race Set/Remove over disjoint ID
+	// ranges, then the committed state must match the oracle exactly.
+	const writers, perW = 4, 1000
+	pts := Generate(Uniform, writers*perW, 2, itSide, 59)
+	moved := Generate(Uniform, writers*perW, 2, itSide, 61)
+	queries := workload.GenUniform(8, 2, itSide, 67)
+	universe := Universe2D(itSide)
+	for _, idx := range All(2, universe) {
+		c := NewCollection[int](idx, CollectionOptions{MaxBatch: 128})
+		final := make([]map[int]Point, writers)
 		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
+		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for i := w; i < len(fresh); i += 4 {
-					st.Insert(fresh[i])
+				ids := make(map[int]Point, perW)
+				for id := w * perW; id < (w+1)*perW; id++ {
+					c.Set(id, pts[id])
+					ids[id] = pts[id]
+					// A remove or a move mostly lands in the window of the Set
+					// it follows, so the netting is on the path too.
+					switch id % 4 {
+					case 0:
+						c.Remove(id)
+						delete(ids, id)
+					case 1:
+						c.Set(id, moved[id])
+						ids[id] = moved[id]
+					}
 				}
-				for i := w; i < 1000; i += 4 {
-					st.Delete(pts[i])
-				}
+				final[w] = ids
 			}(w)
 		}
 		wg.Wait()
-		st.Close()
+		c.Close()
+		oracle := make(map[int]Point)
+		for _, ids := range final {
+			maps.Copy(oracle, ids)
+		}
+		got := c.WithinIDs(universe)
+		seen := make(map[int]bool, len(got))
+		for _, e := range got {
+			if p, ok := oracle[e.ID]; !ok || p != e.Point || seen[e.ID] {
+				t.Fatalf("Collection over %s: WithinIDs entry %v, oracle (%v, %t), repeated %t", idx.Name(), e, p, ok, seen[e.ID])
+			}
+			seen[e.ID] = true
+		}
+		if len(got) != len(oracle) {
+			t.Fatalf("Collection over %s: WithinIDs(universe) returned %d objects, oracle %d", idx.Name(), len(got), len(oracle))
+		}
 		ref := core.NewBruteForce(2)
-		ref.Build(pts[1000:])
-		ref.BatchInsert(fresh)
-		if err := core.VerifyQueries(st, ref, queries, []int{1, 10}, boxes); err != nil {
-			t.Errorf("Store over %s: %v", idx.Name(), err)
+		ref.Build(slices.Collect(maps.Values(oracle)))
+		for _, q := range queries {
+			near, want := c.NearbyIDs(q, 10), ref.KNN(q, 10, nil)
+			if len(near) != len(want) {
+				t.Fatalf("Collection over %s: NearbyIDs(%v, 10) returned %d, oracle %d", idx.Name(), q, len(near), len(want))
+			}
+			for i, e := range near {
+				if d, dw := geom.Dist2(e.Point, q, 2), geom.Dist2(want[i], q, 2); d != dw {
+					t.Fatalf("Collection over %s: NearbyIDs(%v, 10) neighbor %d dist2 %d, oracle %d", idx.Name(), q, i, d, dw)
+				}
+			}
 		}
 	}
 }
