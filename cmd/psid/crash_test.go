@@ -344,6 +344,49 @@ func TestProbeWiring(t *testing.T) {
 	}
 }
 
+// TestServingLineNamesTheReadMode: psid's serving line names the read mode
+// the server runs, not the one the flags ask for, and /stats agrees — two
+// versions sharing one tree over a copy-on-write family (P-Orth, sharded
+// here), one version and no cow block over a baseline, and one under
+// -locked-reads whatever the family.
+func TestServingLineNamesTheReadMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	for _, tc := range []struct {
+		args     []string
+		reads    string
+		versions int
+	}{
+		{[]string{"-index", "P-Orth", "-shards", "2"}, "(snapshot reads)", 2},
+		{[]string{"-index", "Pkd-Tree"}, "(locked reads)", 1},
+		{[]string{"-locked-reads"}, "(locked reads)", 1},
+	} {
+		cmd, _, serving := startPsid(t, "", append([]string{"-http", "127.0.0.1:0"}, tc.args...)...)
+		if !strings.Contains(serving, tc.reads) {
+			t.Errorf("%v: serving line %q, want %s", tc.args, serving, tc.reads)
+		}
+		m := httpRE.FindStringSubmatch(serving)
+		if m == nil {
+			t.Fatalf("serving line names no http address: %s", serving)
+		}
+		resp, err := http.Get("http://" + m[1] + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st service.StatsPayload
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Versions != tc.versions || (st.Cow != nil) != (tc.versions == 2) {
+			t.Errorf("%v: /stats versions %d, cow %+v; want %d versions and a cow block iff 2", tc.args, st.Versions, st.Cow, tc.versions)
+		}
+		sigtermWait(t, cmd)
+	}
+}
+
 // TestBadFlagsExitTwo: a flag value no index can be built over is
 // command-line input, not programmer error — psid must answer it the way
 // it answers -dims 4, with one "psid:" line and exit status 2, never with

@@ -22,9 +22,12 @@
 // The serving stack is chosen by flags: -index picks the per-shard index
 // family (any psibench table name), -shards wraps it in the sharded
 // fan-out layer so every coalesced flush applies across shards in
-// parallel. -pprof mounts net/http/pprof under /debug/pprof/ on the
-// -http listener and adds GC counters to /stats, so allocation and CPU
-// profiles can be captured from a live server (README "Performance").
+// parallel. The SPaC family and P-Orth serve snapshot reads from one tree
+// their two versions share; the baselines serve locked reads, as every
+// family does under -locked-reads. -pprof mounts net/http/pprof under
+// /debug/pprof/ on the -http listener and adds GC counters to /stats, so
+// allocation and CPU profiles can be captured from a live server (README
+// "Performance").
 //
 // -wal DIR makes acknowledged writes survive restarts: every committed
 // flush window is journaled to DIR before it is applied, a periodic full
@@ -97,7 +100,7 @@ func run() int {
 	}
 	addr := flag.String("addr", ":7501", "TCP command listener address")
 	httpAddr := flag.String("http", ":7502", "HTTP probe listener address (/healthz, /stats, /metrics, /debug/flushtrace, /debug/slowlog); empty disables")
-	index := flag.String("index", "SPaC-H", "index family (a psibench table name, e.g. SPaC-H, P-Orth, Pkd-Tree)")
+	index := flag.String("index", "SPaC-H", "index family (a psibench table name, e.g. SPaC-H, P-Orth, Pkd-Tree); the SPaC family and P-Orth share one tree between snapshot versions, the baselines serve locked reads")
 	shards := flag.Int("shards", -1, "shard count: -1 = one per core, 0 = unsharded, N = N shards")
 	dims := flag.Int("dims", 2, "point dimensionality (2 or 3)")
 	side := flag.Int64("side", 1_000_000_000, "coordinate universe [0, side]^dims")
@@ -105,7 +108,7 @@ func run() int {
 	flushEvery := flag.Duration("flush-interval", service.DefaultFlushInterval, "background flush cadence bounding query staleness")
 	maxLine := flag.Int("maxline", service.DefaultMaxLineBytes, "reject request lines longer than this many bytes")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http listener and add GC counters to /stats")
-	lockedReads := flag.Bool("locked-reads", false, "disable epoch-pinned snapshot reads, under which a query waits at most for a window's table step: queries take the read lock and can wait behind a whole flush (A/B baseline)")
+	lockedReads := flag.Bool("locked-reads", false, "disable epoch-pinned snapshot reads (served over the SPaC family and P-Orth, whose versions share one tree), under which a query waits at most for a window's table step: queries take the read lock and can wait behind a whole flush (A/B baseline)")
 	slowlog := flag.Duration("slowlog", 0, "slow-query threshold: commands slower than this are retained in the slow-query log (SLOWLOG command, /debug/slowlog); 0 disables")
 	walDir := flag.String("wal", "", "write-ahead log directory: journal committed flush windows and recover them on restart (docs/durability.md); empty serves memory-only")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (ack = on disk), never, or a sync interval like 100ms (bounded loss window)")
@@ -208,14 +211,17 @@ func run() int {
 		defer cancel()
 		return s.Shutdown(ctx)
 	}
+	// Caught before the serving line, which a supervisor may answer with SIGTERM.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	if err := s.Start(*addr, *httpAddr); err != nil {
 		fmt.Fprintf(os.Stderr, "psid: %v\n", err)
 		shutdown() // closes the collection and the WAL cleanly
 		return 1
 	}
-	reads := "snapshot"
-	if *lockedReads {
-		reads = "locked"
+	reads := "locked"
+	if s.Stats().Versions == 2 {
+		reads = "snapshot"
 	}
 	fmt.Printf("psid: serving %s (%s reads) on %s", stack, reads, s.Addr())
 	if h := s.HTTPAddr(); h != nil {
@@ -242,8 +248,6 @@ func run() int {
 		fmt.Printf("psid: read-only replica of %s\n", *replicaOf)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	code := 0
 	select {
 	case got := <-sig:

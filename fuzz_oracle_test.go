@@ -11,16 +11,16 @@ import (
 // FuzzIndexOracle is the library-wide differential fuzzer: the input
 // bytes are decoded into an operation tape (Build / BatchInsert /
 // BatchDelete / BatchDiff) that is applied identically to all 11 ByName
-// indexes, to a bare Sharded(SPaC-H) and to a BruteForce oracle,
-// cross-checking sizes after every op and the full query suite (KNN at
-// several k, RangeCount, RangeList) at checkpoints and at the end of the
-// tape. The largest k, 50, exceeds the leaf wrap, so a best-first search
-// holds several leaves before its heap fills; on short tapes it exceeds
-// the index size. A sixth opcode forks every copy-on-write index
-// (core.Adopter: the SPaC and CPAM trees, the Sharded): a fresh replica
-// adopts it and must from then on answer from the contents frozen at that
-// moment, whatever the tape goes on to do to the original — checked, with
-// Validate on both sides, after every op. Deletions are biased toward
+// indexes, to a bare Sharded(SPaC-H) and Sharded(P-Orth) and to a
+// BruteForce oracle, cross-checking sizes after every op and the full
+// query suite (KNN at several k, RangeCount, RangeList) at checkpoints and
+// at the end of the tape. The largest k, 50, exceeds the leaf wrap, so a
+// best-first search holds several leaves before its heap fills; on short
+// tapes it exceeds the index size. A sixth opcode forks every
+// copy-on-write index (core.Adopter: P-Orth, the SPaC and CPAM trees, the
+// Shardeds): a fresh replica adopts it and must from then on answer from
+// the contents frozen at that moment, whatever the tape goes on to do to
+// the original — checked, with Validate on both sides, after every op. Deletions are biased toward
 // stored points so multiset-delete paths are actually exercised, and the
 // coordinate domain is kept tiny so duplicate points, same-cell collisions
 // and equal-distance KNN ties are routine. Seed corpus lives in
@@ -61,6 +61,37 @@ var fuzzSeeds = []string{
 		"\x05\x02\x0f" + strings.Repeat("\x01", 16) +
 		"\x05\x01\x1f" + strings.Repeat("\x08\x08", 32) +
 		"\x03\x03" + strings.Repeat("\x08\x08", 4) + "\x07" + strings.Repeat("\x01", 8) + "\x04",
+	// 2D; Build an 8×8 grid in one corner (in P-Orth a chain of interior
+	// nodes down to four leaves); fork; delete 32 distinct grid points
+	// under the fork, so the chain collapses into one 32-point leaf (the
+	// flatten of deleteSmall); insert an 8×4 grid beside them, so that leaf
+	// splits again; verify.
+	"\x00\x00\x3f" + grid(0, 8) + "\x05\x02\x1f" + liveSelectors(32) + "\x01\x1f" + grid(8, 4) + "\x04",
+}
+
+// grid encodes rows×8 2D points (x0+i, row) of the tape's byte scale.
+func grid(x0, rows int) string {
+	var b []byte
+	for r := 0; r < rows; r++ {
+		for i := 0; i < 8; i++ {
+			b = append(b, byte(x0+i), byte(r))
+		}
+	}
+	return string(b)
+}
+
+// liveSelectors encodes n delete selectors that pick n distinct points of
+// a 64-point oracle: the first n bytes that are not multiples of 4 (which
+// would decode a fresh point instead), distinct mod 64 and so, times 7,
+// distinct indexes.
+func liveSelectors(n int) string {
+	var b []byte
+	for s := 1; len(b) < n; s++ {
+		if s%4 != 0 {
+			b = append(b, byte(s))
+		}
+	}
+	return string(b)
 }
 
 // fuzzSide bounds the fuzz coordinate domain: byte-derived coordinates
@@ -234,7 +265,7 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 			t.Fatalf("ByName(%q) = nil", name)
 		}
 	}
-	idxs = append(idxs, NewSharded(NewSPaCH, dims, universe, 3))
+	idxs = append(idxs, NewSharded(NewSPaCH, dims, universe, 3), NewSharded(NewPOrth, dims, universe, 3))
 	oracle := core.NewBruteForce(dims)
 	var forks []fork
 
@@ -279,10 +310,11 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 			frozen := core.NewBruteForce(dims)
 			frozen.Build(oracle.Points())
 			for _, idx := range idxs {
-				if _, ok := idx.(core.Adopter); !ok {
+				a, ok := idx.(core.Adopter)
+				if !ok {
 					continue
 				}
-				shadow := idx.(core.Replicator).NewReplica()
+				shadow := a.NewReplica()
 				if !shadow.(core.Adopter).Adopt(idx) || !shadow.(core.Adopter).Shares(idx) {
 					t.Fatalf("%s: a fresh replica did not adopt it", idx.Name())
 				}

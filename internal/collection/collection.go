@@ -28,11 +28,12 @@
 // index point without its owner or vice versa. How readers are kept off
 // the flush writer is the version cell's job (epoch.Cell), and this
 // package never asks it how: in the default locked mode index and table
-// sit behind the cell's read/write lock; with Options.Snapshot set the
-// index is versioned — two whole copies, or, over a copy-on-write index
-// (core.Adopter: the SPaC family, and a Sharded of it), two handles on one
-// tree — and queries pin the published version, so a query never waits on
-// the index apply. The table stays single: the Collection hands the cell
+// sit behind the cell's read/write lock; with Options.Snapshot set over a
+// copy-on-write index (core.Adopter: the SPaC family and P-Orth, and a
+// Sharded of either) the index is versioned — two handles on one tree —
+// and queries pin the published version, so a query never waits on the
+// index apply. Over any other index Snapshot leaves the locked mode in
+// place. The table stays single: the Collection hands the cell
 // one step (tableStep, the cell's beside), which the cell runs once per
 // window — under its write lock, or after the displaced version has
 // drained — and a query that acquired the new version before then waits
@@ -72,9 +73,10 @@ import (
 )
 
 // Options tunes a Collection: the coalescing trigger (MaxBatch), the
-// background flusher (FlushInterval), snapshot reads (Snapshot — the
-// index is then versioned, and NearbyIDs/WithinIDs/Get pin the published
-// version) and metrics (Obs). The zero value is usable.
+// background flusher (FlushInterval), snapshot reads (Snapshot — over a
+// copy-on-write index the index is then versioned, and
+// NearbyIDs/WithinIDs/Get pin the published version) and metrics (Obs).
+// The zero value is usable.
 type Options = window.Options
 
 // Stats is a snapshot of a Collection's lifetime counters. It is
@@ -99,12 +101,10 @@ type Stats struct {
 	// TableWaits counts snapshot reads that parked for their window's table
 	// step, TableWaitNs the time they spent parked. Zero in locked mode.
 	TableWaits, TableWaitNs uint64
-	// SharedIndex reports a snapshot-mode Collection over a copy-on-write
-	// index (core.Adopter): its two copies are handles on one structure.
-	// CowNodes and CowBytes are then what the handles have copied on first
-	// touch so far — index nodes, and bytes of leaf entries with them. Set
-	// against the index size they say whether sharing works: a window
-	// should copy the paths it touches, not the tree.
+	// SharedIndex reports snapshot mode, whose two copies are handles on one
+	// copy-on-write index. CowNodes and CowBytes are what the handles have
+	// copied on first touch so far — index nodes, and bytes of leaf entries
+	// with them: a window should copy the paths it touches, not the tree.
 	SharedIndex        bool
 	CowNodes, CowBytes uint64
 }
@@ -781,7 +781,7 @@ func (c *Collection[ID]) Stats() Stats {
 		TableWaitNs:   c.tabWaitNs.Load(),
 	}
 	st.Objects = int(st.Inserted) - int(st.Removed)
-	st.SharedIndex = c.cell.Shared()
+	st.SharedIndex = st.Versions == 2
 	st.CowNodes, st.CowBytes = c.cell.Copied()
 	return st
 }

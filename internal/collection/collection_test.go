@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/orthtree"
 	"repro/internal/sfc"
 	"repro/internal/shard"
 	"repro/internal/spactree"
@@ -23,27 +24,59 @@ func universe() geom.Box { return geom.UniverseBox(2, side) }
 
 func newSPaCH() core.Index { return spactree.NewSPaC(sfc.Hilbert, 2, universe()) }
 
-// innerStacks enumerates the index stacks a Collection is documented to
-// compose over: a raw tree, the brute-force oracle, and a Sharded fan-out
-// over each — of copy-on-write trees, whose snapshot twins share them, and
-// of brute-force shards, whose twins re-apply every window.
-func innerStacks() map[string]func() core.Index {
-	sharded := func(family func(dims int, u geom.Box) core.Index) func() core.Index {
-		return func() core.Index {
-			return shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 4, New: family})
-		}
+func newPOrth() core.Index { return orthtree.NewDefault(2, universe()) }
+
+// sharded returns a constructor of four-shard Shardeds over family.
+func sharded(family func(dims int, u geom.Box) core.Index) func() core.Index {
+	return func() core.Index {
+		return shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 4, New: family})
 	}
+}
+
+// innerStacks enumerates the index stacks a Collection is documented to
+// compose over: the two copy-on-write trees, whose snapshot twins share
+// them, the brute-force oracle, which stays on locked reads when snapshot
+// reads are asked for, and a Sharded fan-out over each.
+func innerStacks() map[string]func() core.Index {
 	return map[string]func() core.Index{
 		"BruteForce": func() core.Index { return core.NewBruteForce(2) },
 		"SPaC-H":     newSPaCH,
+		"P-Orth":     newPOrth,
 		"Sharded(SPaC-H)": sharded(func(dims int, u geom.Box) core.Index {
 			return spactree.NewSPaC(sfc.Hilbert, dims, u)
+		}),
+		"Sharded(P-Orth)": sharded(func(dims int, u geom.Box) core.Index {
+			return orthtree.NewDefault(dims, u)
 		}),
 		"Sharded(BruteForce)": sharded(func(dims int, _ geom.Box) core.Index {
 			return core.NewBruteForce(dims)
 		}),
 	}
 }
+
+// nullTwins is the zero-cost index of the allocation guards made a
+// core.Adopter, so that snapshot reads run over it: all a NullIndex holds
+// is its count, and a twin adopts by taking it.
+type nullTwins struct{ *core.NullIndex }
+
+func newNullTwins() core.Index { return nullTwins{core.NewNull(2)} }
+
+func (x nullTwins) NewReplica() core.Index { return newNullTwins() }
+
+func (x nullTwins) Adopt(src core.Index) bool {
+	s, ok := src.(nullTwins)
+	if ok {
+		*x.NullIndex = *s.NullIndex
+	}
+	return ok
+}
+
+func (x nullTwins) Shares(o core.Index) bool {
+	_, ok := o.(nullTwins)
+	return ok && o.Size() == x.Size()
+}
+
+func (x nullTwins) Copied() (nodes, bytes uint64) { return 0, 0 }
 
 func TestGetReadsOwnWritesBeforeFlush(t *testing.T) {
 	c := New[string](core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
@@ -129,15 +162,9 @@ func TestMoveChainNetsToOneDiff(t *testing.T) {
 	}
 }
 
-// bruteOpts returns Options with a window no test fills, in locked mode or
-// with brute-force snapshot twins.
-func bruteOpts(snapshot bool) Options {
-	opts := Options{MaxBatch: 1 << 20}
-	if snapshot {
-		opts.Snapshot = func() core.Index { return core.NewBruteForce(2) }
-	}
-	return opts
-}
+// readOpts returns Options with a window no test fills, in either read
+// mode: over P-Orth, snapshot reads keep twins.
+func readOpts(snapshot bool) Options { return Options{MaxBatch: 1 << 20, Snapshot: snapshot} }
 
 // TestVisibilityAtFlush pins the visibility contract at the flush, in
 // both read modes: a pending Set is invisible to geometric queries until
@@ -147,7 +174,7 @@ func bruteOpts(snapshot bool) Options {
 // consume the Set enqueued after it.
 func TestVisibilityAtFlush(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
-		c := New[int](core.NewBruteForce(2), bruteOpts(snapshot))
+		c := New[int](newPOrth(), readOpts(snapshot))
 		at := func(p geom.Point) int { return len(c.WithinIDs(geom.BoxOf(p, p))) }
 		p, q := geom.Pt2(7, 7), geom.Pt2(9, 9)
 		c.Set(1, p)
@@ -192,7 +219,7 @@ func TestVisibilityAtFlush(t *testing.T) {
 func TestMoveChainInOneWindow(t *testing.T) {
 	p0, p1, p2 := geom.Pt2(1, 1), geom.Pt2(2, 2), geom.Pt2(3, 3)
 	for _, snapshot := range []bool{false, true} {
-		c := New[int](core.NewBruteForce(2), bruteOpts(snapshot))
+		c := New[int](newPOrth(), readOpts(snapshot))
 		c.Set(1, p0)
 		c.Flush()
 		c.Remove(1)
@@ -245,11 +272,7 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 	// the three ways out of a chain.
 	for _, at := range []int{0, 2, 3} {
 		for _, snapshot := range []bool{false, true} {
-			opts := Options{}
-			if snapshot {
-				opts.Snapshot = newSPaCH
-			}
-			c := New[string](newSPaCH(), opts)
+			c := New[string](newSPaCH(), Options{Snapshot: snapshot})
 			c.Set("far", geom.Pt2(7, 7))
 			for _, id := range []string{"a", "b", "c", "d"} {
 				c.Set(id, p)
@@ -689,11 +712,7 @@ func sequentialEquivalence(t *testing.T, snapshot bool) {
 	const nIDs, gridSide = 24, 4
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		opts := Options{MaxBatch: 1 << 20}
-		if snapshot {
-			opts.Snapshot = newSPaCH
-		}
-		c := New[int](newSPaCH(), opts)
+		c := New[int](newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
 		oracle := make(map[int]geom.Point)
 		for i := 0; i < 200; i++ {
 			id := rng.Intn(nIDs)
@@ -825,8 +844,8 @@ func TestFlushZeroAllocWarm(t *testing.T) {
 		pos[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 	}
 	null := func() core.Index { return core.NewNull(2) }
-	singleKind := func(t *testing.T, snapshot func() core.Index) {
-		c := New[int](null(), Options{MaxBatch: 1 << 20, Snapshot: snapshot, Obs: obs.New()})
+	singleKind := func(t *testing.T, mk func() core.Index, snapshot bool) {
+		c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: snapshot, Obs: obs.New()})
 		window := func() {
 			for i, p := range pos {
 				c.Set(i, p)
@@ -843,8 +862,8 @@ func TestFlushZeroAllocWarm(t *testing.T) {
 			t.Fatalf("warm insert and remove windows allocate %.2f/op, want 0", allocs)
 		}
 	}
-	t.Run("single-kind windows", func(t *testing.T) { singleKind(t, nil) })
-	t.Run("snapshot single-kind windows", func(t *testing.T) { singleKind(t, null) })
+	t.Run("single-kind windows", func(t *testing.T) { singleKind(t, null, false) })
+	t.Run("snapshot single-kind windows", func(t *testing.T) { singleKind(t, newNullTwins, true) })
 	t.Run("netted mixed window", func(t *testing.T) {
 		c := New[int](null(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		window := func() {

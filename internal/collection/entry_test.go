@@ -24,11 +24,7 @@ import (
 func TestCommitWindowBesideTheTape(t *testing.T) {
 	for _, mode := range []string{"locked", "snapshot"} {
 		t.Run(mode, func(t *testing.T) {
-			opts := Options{MaxBatch: 1 << 20}
-			if mode == "snapshot" {
-				opts.Snapshot = newSPaCH
-			}
-			c := New[string](newSPaCH(), opts)
+			c := New[string](newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: mode == "snapshot"})
 			defer c.Close()
 			type call struct {
 				seq uint64
@@ -123,11 +119,7 @@ func TestCommitWindowRefusesRepeatedID(t *testing.T) {
 	for _, mode := range []string{"locked", "snapshot"} {
 		for name, win := range bad {
 			t.Run(mode+"/"+name, func(t *testing.T) {
-				opts := Options{}
-				if mode == "snapshot" {
-					opts.Snapshot = newSPaCH
-				}
-				c := New[string](newSPaCH(), opts)
+				c := New[string](newSPaCH(), Options{Snapshot: mode == "snapshot"})
 				defer c.Close()
 				if err := c.CommitWindow(1, []wal.Op[string]{{ID: "a", P: p}, {ID: "z", P: p}}); err != nil {
 					t.Fatal(err)
@@ -210,20 +202,19 @@ func TestCommitWindowZeroAllocWarm(t *testing.T) {
 }
 
 // countBuilds wraps idx in a gate (snapshot_test.go) that is never held,
-// for its Build counter.
+// for the Build counter it shares with its replicas.
 func countBuilds(idx core.Index) (core.Index, *atomic.Int32) {
-	wrapped, g := newGate(idx, new(gates))
-	return wrapped, &g.builds
+	ctl := new(gates)
+	return newGate(idx, ctl), &ctl.builds
 }
 
 // TestLoadEqualsSetAllFlush: Load leaves a Collection answering every
 // read exactly like one that took the same entries through Set + Flush —
 // in both read modes, with several IDs sharing a point and an ID listed
 // twice — after discarding what was committed and pending before,
-// journaling nothing, and running Index.Build once: once per copy over
-// indexes that are whole copies of each other, once in all when the second
-// copy can adopt what the first built (recovery and a follower's bootstrap
-// pay for one Build, not two).
+// journaling nothing, and running Index.Build once in all: the second copy
+// of a snapshot Collection adopts what the first built (recovery and a
+// follower's bootstrap pay for one Build, not two).
 func TestLoadEqualsSetAllFlush(t *testing.T) {
 	const nIDs = 300
 	type entry struct {
@@ -250,16 +241,9 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 
 	for name, mk := range innerStacks() {
 		for _, snapshot := range []bool{false, true} {
-			first, builds := countBuilds(mk())
-			counts := []*atomic.Int32{builds}
-			opts := Options{MaxBatch: 1 << 20}
-			if snapshot {
-				twin, builds := countBuilds(mk())
-				counts = append(counts, builds)
-				opts.Snapshot = func() core.Index { return twin }
-			}
-			c := New[int](first, opts)
-			shared := c.cell.Shared()
+			idx, builds := countBuilds(mk())
+			c := New[int](idx, Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+			shared := c.cell.Versions() == 2
 			journaled := 0
 			c.SetJournal(func(uint64, []wal.Op[int]) error { journaled++; return nil })
 			// An earlier life: committed objects Load must drop, and pending
@@ -281,19 +265,12 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 			if journaled != 0 {
 				t.Fatalf("%s: Load journaled %d windows, want none", where, journaled)
 			}
-			total := int32(0)
-			for i, b := range counts {
-				if n := b.Load(); n > 1 || n == 0 && !shared {
-					t.Fatalf("%s: copy %d built %d times, want once", where, i, n)
-				}
-				total += b.Load()
-			}
 			// Copy-on-write: two fresh indexes of the stack adopt (a Sharded
-			// is an Adopter only when its shard family is).
+			// adopts only when its shard family does).
 			a, cow := mk().(core.Adopter)
 			cow = cow && a.Adopt(mk())
-			if shared != (cow && snapshot) || shared && total != 1 {
-				t.Fatalf("%s: sharing %t (copy-on-write index: %t), %d Builds in all; a shared index is built once", where, shared, cow, total)
+			if n := builds.Load(); shared != (cow && snapshot) || n != 1 {
+				t.Fatalf("%s: sharing %t (copy-on-write index: %t), %d Builds in all; want one", where, shared, cow, n)
 			}
 			if st := c.Stats(); st.Pending != 0 || st.Objects != len(want) {
 				t.Fatalf("%s: stats after Load: %+v, want %d objects and nothing pending", where, st, len(want))
@@ -353,7 +330,7 @@ func TestLoadRangesEntriesOnce(t *testing.T) {
 			}
 		}
 	}
-	c := New[int](newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: newSPaCH})
+	c := New[int](newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	c.Load(n, once)
 	if ranged != 1 {
@@ -387,7 +364,7 @@ func TestLoadDiscardsPending(t *testing.T) {
 	const n = 100
 	at := func(id int) geom.Point { return geom.Pt2(int64(id)*10+100, 5) }
 	for _, snapshot := range []bool{false, true} {
-		c := New[int](core.NewBruteForce(2), bruteOpts(snapshot))
+		c := New[int](newPOrth(), readOpts(snapshot))
 		ghost := geom.Pt2(1, 1)
 		c.Set(n, ghost)
 		c.Set(0, geom.Pt2(2, 2))

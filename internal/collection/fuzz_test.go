@@ -23,7 +23,8 @@ import (
 // is replaced, pending ops included).
 //
 // The high bit of the second input byte additionally turns on snapshot
-// reads and a concurrent epoch-pinned reader: the writer records the
+// reads and, over a stack that shares its twins, a concurrent epoch-pinned
+// reader: the writer records the
 // oracle contents at every published epoch, and the reader scans the
 // universe, bracketing each scan with Epoch() loads — when the epoch did
 // not move across the scan, epoch monotonicity guarantees the pinned
@@ -53,19 +54,20 @@ var collectionSeeds = []string{
 	// 0xF0..0xF7 commit a netted window beside the tape, 0xF8..0xFF load.
 	"\x01\x3fset some\xf0\x03abcdefghi then\xf1\x02jklmnop flush\x01\x01 more sets",
 	"\x02\x85pending ops\xf8\x04loaded entries \xf2\x01xyz\xff\x00\x01\x01tail",
-	"\x03\x07re-apply shard stack\xfa\x07aaabbbcccdddeeefffggg\xf3\x04qrstuvwxyz01",
+	"\x03\x87P-Orth shard stack\xfa\x07aaabbbcccdddeeefffggg\xf3\x04qrstuvwxyz01",
 }
 
 const fuzzIDs = 16
 
 // fuzzStacks lists the inner stacks the first input byte selects from,
-// in a fixed order so corpus entries stay reproducible: slot 3 is a
-// Sharded whose snapshot twins re-apply every window.
+// in a fixed order so corpus entries stay reproducible. Slot 0 stays on
+// locked reads when the tape asks for snapshot reads; the others share
+// their twins' trees.
 var fuzzStacks = []func() core.Index{
 	func() core.Index { return core.NewBruteForce(2) },
 	newSPaCH,
 	innerStacks()["Sharded(SPaC-H)"],
-	innerStacks()["Sharded(BruteForce)"],
+	innerStacks()["Sharded(P-Orth)"],
 }
 
 func runCollectionTape(t *testing.T, data []byte) {
@@ -76,13 +78,9 @@ func runCollectionTape(t *testing.T, data []byte) {
 	// A tiny MaxBatch derived from the input lets the fuzzer also drive
 	// threshold-triggered flushes mid-tape, not only explicit ones.
 	maxBatch := 1 + int(data[1])%64
-	snapshot := data[1]&0x80 != 0
-	opts := Options{MaxBatch: maxBatch}
-	if snapshot {
-		opts.Snapshot = mk
-	}
-	c := New[int](mk(), opts)
+	c := New[int](mk(), Options{MaxBatch: maxBatch, Snapshot: data[1]&0x80 != 0})
 	defer c.Close()
+	snapshot := c.cell.Versions() == 2
 	// committed mirrors the flushed state, tape the ops pending on top of
 	// it, oracle their fold — what Get must answer at all times.
 	committed := make(map[int]geom.Point)

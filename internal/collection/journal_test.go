@@ -99,15 +99,11 @@ func TestJournalReceivesNettedWindow(t *testing.T) {
 func TestCheckpointMatchesCommittedState(t *testing.T) {
 	modes := map[string]Options{
 		"locked":   {MaxBatch: 1 << 20},
-		"snapshot": {MaxBatch: 1 << 20, Snapshot: newSPaCH},
+		"snapshot": {MaxBatch: 1 << 20, Snapshot: true},
 	}
 	for name, opts := range modes {
 		t.Run(name, func(t *testing.T) {
-			var inner core.Index = core.NewBruteForce(2)
-			if opts.Snapshot != nil {
-				inner = newSPaCH()
-			}
-			c := New[string](inner, opts)
+			c := New[string](newSPaCH(), opts)
 			defer c.Close()
 			want := map[string]geom.Point{
 				"a": geom.Pt2(1, 1),

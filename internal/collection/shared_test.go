@@ -10,32 +10,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/sfc"
-	"repro/internal/shard"
-	"repro/internal/spactree"
 )
 
 // Snapshot mode over a copy-on-write index: the two committed versions are
 // two handles on one tree, beside the one slot table. These tests pin what
 // that is for (memory), what it must not change (a pinned reader's answers)
-// and how it can be observed (Shares, the copy counts in Stats).
-
-// shardedSPaCH is the serving stack's index; with hidden set the shards'
-// trees are wrapped by core.WithReplica, which forwards core.Index only,
-// so the Sharded finds no core.Adopter under it and the Collection falls
-// back to applying every window to both copies.
-func shardedSPaCH(hidden bool) func() core.Index {
-	tree := func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) }
-	child := tree
-	if hidden {
-		child = func(dims int, u geom.Box) core.Index {
-			return core.WithReplica(tree(dims, u), func() core.Index { return tree(dims, u) })
-		}
-	}
-	return func() core.Index {
-		return shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 4, New: child})
-	}
-}
+// and how it can be observed (Shares, the copy counts in Stats), over the
+// serving stack, Sharded(SPaC-H), and over Sharded(P-Orth).
+var sharedStacks = []string{"Sharded(SPaC-H)", "Sharded(P-Orth)"}
 
 func heapAfterGC() uint64 {
 	runtime.GC()
@@ -52,11 +34,7 @@ func churned(t *testing.T, mk func() core.Index, n int, snapshot bool) (*Collect
 	t.Helper()
 	before := heapAfterGC()
 	rng := rand.New(rand.NewSource(41))
-	opts := Options{MaxBatch: 4096}
-	if snapshot {
-		opts.Snapshot = mk
-	}
-	c := New[int](mk(), opts)
+	c := New[int](mk(), Options{MaxBatch: 4096, Snapshot: snapshot})
 	for i := 0; i < n; i++ {
 		c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
 	}
@@ -74,36 +52,41 @@ func churned(t *testing.T, mk func() core.Index, n int, snapshot bool) (*Collect
 }
 
 // TestSharedIndexBytesPerObject is the memory guard of snapshot reads over
-// the serving stack: after a load and twenty 4096-move windows it holds at
-// most 30 B per object more than the same stack built with locked reads —
-// room for the second handle's first-touch copies, not for a second slot
-// table (57–76 B per object) and far from a second tree.
+// both sharded copy-on-write stacks: after a load and twenty 4096-move
+// windows a stack holds at most 30 B per object more than the same stack
+// built with locked reads — room for the second handle's first-touch
+// copies, not for a second slot table (57–76 B per object) and far from a
+// second tree.
 func TestSharedIndexBytesPerObject(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
 	}
 	const n = 100_000
-	snap, snapB := churned(t, shardedSPaCH(false), n, true)
-	if !snap.cell.Shared() {
-		t.Fatal("a Collection over Sharded(SPaC-H) did not share its index")
-	}
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	snap.Close()
-	snap = nil
-	locked, lockedB := churned(t, shardedSPaCH(false), n, false)
-	locked.Close()
-	t.Logf("%.0f B per object under snapshot reads, %.0f B under locked reads", snapB, lockedB)
-	if snapB > lockedB+30 {
-		t.Fatalf("snapshot reads cost %.0f B per object over locked reads' %.0f B, want at most 30 more", snapB-lockedB, lockedB)
+	for _, name := range sharedStacks {
+		mk := innerStacks()[name]
+		snap, snapB := churned(t, mk, n, true)
+		if snap.cell.Versions() != 2 {
+			t.Fatalf("a Collection over %s did not share its index", name)
+		}
+		if err := snap.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		snap.Close()
+		snap = nil
+		locked, lockedB := churned(t, mk, n, false)
+		locked.Close()
+		t.Logf("%s: %.0f B per object under snapshot reads, %.0f B under locked reads", name, snapB, lockedB)
+		if snapB > lockedB+30 {
+			t.Fatalf("%s: snapshot reads cost %.0f B per object over locked reads' %.0f B, want at most 30 more", name, snapB-lockedB, lockedB)
+		}
 	}
 }
 
 // TestOneTablePerCollection: the slot table is not part of the versioned
 // state — a version is a bare core.Index, the Collection has one table — in
-// either read mode and whether the index copies share or not, while snapshot mode still
-// keeps two versions; and a window reaches that table exactly once: n first
+// either read mode, over either copy-on-write family, while snapshot mode
+// still keeps two versions, and over a baseline that stays on locked reads
+// when snapshot reads are asked for; and a window reaches that table exactly once: n first
 // Sets hand out n slots (a second pass over the window would hand out n
 // more, none would leave the table empty). The step is the same one in
 // either mode too: a window over a quarter of the slots is relinked
@@ -125,18 +108,15 @@ func TestOneTablePerCollection(t *testing.T) {
 	const n = 300
 	for name, tc := range map[string]struct {
 		mk       func() core.Index
+		snapshot bool
 		versions int
 	}{
-		"locked":                   {newSPaCH, 1},
-		"snapshot, adopting":       {shardedSPaCH(false), 2},
-		"snapshot, re-applying":    {newPOrth, 2},
-		"snapshot, sharing hidden": {shardedSPaCH(true), 2},
+		"locked":                    {newSPaCH, false, 1},
+		"snapshot, Sharded(SPaC-H)": {innerStacks()["Sharded(SPaC-H)"], true, 2},
+		"snapshot, P-Orth":          {newPOrth, true, 2},
+		"snapshot over a baseline":  {innerStacks()["BruteForce"], true, 1},
 	} {
-		opts := Options{MaxBatch: 1 << 20}
-		if tc.versions == 2 {
-			opts.Snapshot = tc.mk
-		}
-		c := New[int](tc.mk(), opts)
+		c := New[int](tc.mk(), Options{MaxBatch: 1 << 20, Snapshot: tc.snapshot})
 		oracle := make(map[int]geom.Point)
 		set := func(id int, p geom.Point) {
 			c.Set(id, p)
@@ -182,16 +162,21 @@ func TestOneTablePerCollection(t *testing.T) {
 }
 
 // TestSharedIndexStaysOneTree: between commits the two copies of a shared
-// index are one structure — Shares, which for SPaC trees is pointer
+// index are one structure — Shares, which for the trees is pointer
 // equality of every shard's root — and answer alike; a window copies the
 // paths it touches and no more; Load builds once and leaves them sharing
 // again.
 func TestSharedIndexStaysOneTree(t *testing.T) {
+	for _, name := range sharedStacks {
+		t.Run(name, func(t *testing.T) { sharedIndexStaysOneTree(t, innerStacks()[name]) })
+	}
+}
+
+func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 	const n = 40_000
 	rng := rand.New(rand.NewSource(43))
-	mk := shardedSPaCH(false)
-	inner := []core.Index{mk(), mk()}
-	c := New[int](inner[0], Options{MaxBatch: 1 << 20, Snapshot: func() core.Index { return inner[1] }})
+	idx := mk()
+	c := New[int](idx, Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	pos := make(map[int]geom.Point, n)
 	for i := 0; i < n; i++ {
@@ -199,6 +184,10 @@ func TestSharedIndexStaysOneTree(t *testing.T) {
 		c.Set(i, pos[i])
 	}
 	c.Flush()
+	// The first commit publishes the replica the cell made of idx.
+	v := c.cell.Acquire()
+	inner := []core.Index{idx, v.Index}
+	c.cell.Release(v)
 	a, b := inner[0].(core.Adopter), inner[1].(core.Adopter)
 	check := func(when string) {
 		t.Helper()
@@ -255,8 +244,7 @@ func TestSharedIndexStaysOneTree(t *testing.T) {
 func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 	const n = 20_000
 	rng := rand.New(rand.NewSource(47))
-	mk := shardedSPaCH(false)
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	c := New[int](innerStacks()["Sharded(SPaC-H)"](), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	for i := 0; i < n; i++ {
 		c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))

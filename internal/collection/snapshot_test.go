@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/orthtree"
 )
 
 // The snapshot-read (epoch-pinned) variant of the Collection test suite:
@@ -26,13 +26,19 @@ import (
 // TestSnapshotOracleAgreementAcrossStacks re-runs the sequential
 // differential tape with Options.Snapshot enabled over every documented
 // inner stack: snapshot mode must be observationally identical to locked
-// mode, and the epoch must advance by exactly one per non-empty flush.
+// mode, and over a copy-on-write stack the epoch must advance by exactly
+// one per non-empty flush. The brute-force stacks stay on locked reads,
+// at epoch 0.
 func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 	const nIDs = 64
 	for name, mk := range innerStacks() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
-			c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+			c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+			versions, step := 2, uint64(1)
+			if strings.Contains(name, "BruteForce") {
+				versions, step = 1, 0
+			}
 			defer c.Close()
 			oracle := make(map[int]geom.Point)
 			for i := 0; i < 400; i++ {
@@ -49,8 +55,8 @@ func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 					before := c.Epoch()
 					pending := c.Pending() > 0
 					c.Flush()
-					if pending && c.Epoch() != before+1 {
-						t.Fatalf("non-empty flush moved epoch %d -> %d, want +1", before, c.Epoch())
+					if pending && c.Epoch() != before+step {
+						t.Fatalf("non-empty flush moved epoch %d -> %d, want +%d", before, c.Epoch(), step)
 					}
 					verifyAgainstOracle(t, c, oracle, nIDs)
 				}
@@ -58,8 +64,8 @@ func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 			c.Flush()
 			verifyAgainstOracle(t, c, oracle, nIDs)
 			st := c.Stats()
-			if st.Versions != 2 {
-				t.Fatalf("snapshot Stats.Versions = %d, want 2", st.Versions)
+			if st.Versions != versions || st.SharedIndex != (versions == 2) {
+				t.Fatalf("snapshot Stats.Versions = %d, shared %t; want %d", st.Versions, st.SharedIndex, versions)
 			}
 			if st.RetireLag != 0 {
 				t.Fatalf("quiescent Stats.RetireLag = %d, want 0", st.RetireLag)
@@ -85,8 +91,7 @@ func TestSnapshotSequentialEquivalence(t *testing.T) { sequentialEquivalence(t, 
 // advances with that Set and readers of the published version see the
 // window.
 func TestSnapshotMaxBatchMakesWindowVisible(t *testing.T) {
-	mk := func() core.Index { return core.NewBruteForce(2) }
-	c := New[int](mk(), Options{MaxBatch: 8, Snapshot: mk})
+	c := New[int](newPOrth(), Options{MaxBatch: 8, Snapshot: true})
 	defer c.Close()
 	for i := 0; i < 7; i++ {
 		c.Set(i, geom.Pt2(int64(i), 1))
@@ -101,9 +106,9 @@ func TestSnapshotMaxBatchMakesWindowVisible(t *testing.T) {
 }
 
 // TestSnapshotLoadAndEpochCounters checks Load's whole-epoch swap and the
-// Stats counter contract in snapshot mode, over twins that adopt and twins
-// that re-apply: a Load publishes one epoch as a window does, and a Load
-// after windows restarts both copies from the loaded contents.
+// Stats counter contract in snapshot mode, over SPaC-H and P-Orth twins: a
+// Load publishes one epoch as a window does, and a Load after windows
+// restarts both copies from the loaded contents.
 func TestSnapshotLoadAndEpochCounters(t *testing.T) {
 	entries := func(n int) iter.Seq2[int, geom.Point] {
 		return func(yield func(int, geom.Point) bool) {
@@ -111,8 +116,8 @@ func TestSnapshotLoadAndEpochCounters(t *testing.T) {
 			}
 		}
 	}
-	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, re-applying": newPOrth} {
-		c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	for name, mk := range map[string]func() core.Index{"SPaC-H": newSPaCH, "P-Orth": newPOrth} {
+		c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
 		if st := c.Stats(); st.Epoch != 0 || st.Versions != 2 || st.RetireLag != 0 {
 			t.Fatalf("%s: initial stats %+v, want epoch 0, 2 versions, lag 0", name, st)
 		}
@@ -149,10 +154,11 @@ func TestSnapshotLoadAndEpochCounters(t *testing.T) {
 // copies share: it holds the at-th BatchDiff or Adopt made on either copy
 // after hold(at) until release is closed, so a test can stop a commit at a
 // chosen step — 1 is the apply to the standby, before the publish; 2 is the
-// displaced copy's catch-up, after the table step — and probe what readers
-// can do meanwhile.
+// displaced copy's Adopt, after the table step — and probe what readers
+// can do meanwhile. builds counts the Builds of every copy.
 type gates struct {
 	at, calls atomic.Int32
+	builds    atomic.Int32
 	entered   chan struct{} // closed when the chosen call is held
 	release   chan struct{} // closed by the test to let it proceed
 }
@@ -170,13 +176,12 @@ func (g *gates) pass() {
 	}
 }
 
-// gate also counts the Builds of its index. Like any wrapper it forwards
-// core.Index alone, so copies behind it never share — unless it is an
-// adoptingGate.
+// gate forwards core.Index alone, so a Collection over it reads under its
+// lock; adoptingGate is the gate over a copy-on-write index, whose
+// capability it passes through, replicas behind gates of their own.
 type gate struct {
 	core.Index
-	ctl    *gates
-	builds atomic.Int32
+	ctl *gates
 }
 
 func (g *gate) BatchDiff(ins, del []geom.Point) {
@@ -185,13 +190,15 @@ func (g *gate) BatchDiff(ins, del []geom.Point) {
 }
 
 func (g *gate) Build(pts []geom.Point) {
-	g.builds.Add(1)
+	g.ctl.builds.Add(1)
 	g.Index.Build(pts)
 }
 
-// adoptingGate is gate over a copy-on-write index, whose capability it
-// passes through.
 type adoptingGate struct{ gate }
+
+func (g *adoptingGate) NewReplica() core.Index {
+	return newGate(g.Index.(core.Adopter).NewReplica(), g.ctl)
+}
 
 func (g *adoptingGate) Adopt(src core.Index) bool {
 	g.ctl.pass()
@@ -207,26 +214,14 @@ func (g *adoptingGate) Shares(o core.Index) bool {
 func (g *adoptingGate) Copied() (nodes, bytes uint64) { return g.Index.(core.Adopter).Copied() }
 
 // newGate puts idx behind a gate under ctl that shows as much of idx as
-// idx has, and returns the gate with it.
-func newGate(idx core.Index, ctl *gates) (core.Index, *gate) {
+// idx has.
+func newGate(idx core.Index, ctl *gates) core.Index {
 	g := &adoptingGate{gate{Index: idx, ctl: ctl}}
 	if _, ok := idx.(core.Adopter); ok {
-		return g, &g.gate
+		return g
 	}
-	return &g.gate, &g.gate
+	return &g.gate
 }
-
-// gated returns mk with every index it makes behind a gate, and the gates'
-// shared control.
-func gated(mk func() core.Index) (func() core.Index, *gates) {
-	ctl := new(gates)
-	return func() core.Index {
-		idx, _ := newGate(mk(), ctl)
-		return idx
-	}, ctl
-}
-
-func newPOrth() core.Index { return orthtree.NewDefault(2, universe()) }
 
 // TestSnapshotReadDuringFlushDoesNotStall is the stall regression the
 // tentpole exists to prevent: with a flush held open inside the index
@@ -235,8 +230,8 @@ func newPOrth() core.Index { return orthtree.NewDefault(2, universe()) }
 // would deadlock — queries wait out the writer lock held across the
 // apply — which is why the locked branch of this test does not exist.)
 func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
-	mk, ctl := gated(func() core.Index { return core.NewBruteForce(2) })
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	ctl := new(gates)
+	c := New[int](newGate(newSPaCH(), ctl), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	p0 := geom.Pt2(10, 10)
 	c.Set(1, p0)
@@ -292,12 +287,8 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 // locked reads they wait the apply out, the mode's documented cost.)
 func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
-		mk, ctl := gated(func() core.Index { return core.NewBruteForce(2) })
-		opts := Options{MaxBatch: 1 << 20}
-		if snapshot {
-			opts.Snapshot = mk
-		}
-		c := New[int](mk(), opts)
+		ctl := new(gates)
+		c := New[int](newGate(newSPaCH(), ctl), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
 		c.Set(1, geom.Pt2(10, 10))
 		c.Flush()
 
@@ -362,24 +353,24 @@ func byID(es []Entry[int]) []Entry[int] {
 }
 
 // TestTableStepRunsInTheDrainGap walks one commit through the gap between
-// its publish and the end of its table step, over a family that adopts and
-// one that re-applies. The window moves the even objects and hands the odd
-// ones' points to new IDs, so the old and the new table answer differently
-// even where the index does not. A reader pinned before the publish keeps
-// the pre-window answer and keeps the table step from starting; readers
-// that pin after the publish park — counted — and return the post-window
-// answer, whole, as soon as the step is done, which is before the displaced
-// copy has caught up.
+// its publish and the end of its table step, over both copy-on-write
+// families. The window moves the even objects and hands the odd ones'
+// points to new IDs, so the old and the new table answer differently even
+// where the index does not. A reader pinned before the publish keeps the
+// pre-window answer and keeps the table step from starting; readers that
+// pin after the publish park — counted — and return the post-window
+// answer, whole, as soon as the step is done, which is before the
+// displaced copy has adopted the published one.
 func TestTableStepRunsInTheDrainGap(t *testing.T) {
-	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, re-applying": newPOrth} {
+	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, adopting": newPOrth} {
 		t.Run(name, func(t *testing.T) { tableStepInTheGap(t, mk) })
 	}
 }
 
 func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 	const n, bystander = 16, 1000
-	mk, ctl := gated(inner)
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	ctl := new(gates)
+	c := New[int](newGate(inner(), ctl), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	at := func(i int) geom.Point { return geom.Pt2(int64(i)*100+1, int64(i)*7+1) }
 	moved := func(i int) geom.Point { return geom.Pt2(int64(i)*100+50, 9999) }
@@ -467,12 +458,12 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 	if !slices.Equal(scan, fresh) {
 		t.Fatalf("reader that pinned after the publish: %v, want the whole post-window answer %v", scan, fresh)
 	}
-	// The parked readers are back while the displaced copy's catch-up is
-	// still held: they waited for the table step, not for the replay stage.
+	// The parked readers are back while the displaced copy's Adopt is still
+	// held: they waited for the table step, not for the replay stage.
 	<-ctl.entered
 	select {
 	case <-committed:
-		t.Fatal("the commit finished with its catch-up held")
+		t.Fatal("the commit finished with its Adopt held")
 	default:
 	}
 	if c.tabEpoch.Load() != c.Epoch() {
@@ -493,7 +484,7 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 // or the state after it, never from one's index and the other's table. The
 // two states share their points and no ID.
 func TestLoadIsWholeToReaders(t *testing.T) {
-	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, re-applying": newPOrth} {
+	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, adopting": newPOrth} {
 		t.Run(name, func(t *testing.T) { loadIsWhole(t, mk) })
 	}
 }
@@ -512,7 +503,7 @@ func loadIsWhole(t *testing.T, mk func() core.Index) {
 			}
 		}
 	}
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	c.Load(nObj, state(0))
 
@@ -572,19 +563,14 @@ func loadIsWhole(t *testing.T, mk func() core.Index) {
 // configuration in full — N distinct objects, all at their A positions or
 // all at their B positions. A half-applied window leaking through the epoch
 // pointer, or a table read on the wrong side of its step, shows up here as
-// a mixed or short scan (and, under -race, as a data race). It runs over a
-// tree whose copies share one structure, over a Sharded of such trees
-// (where a window that wrote a node its twin can reach is the bug to
-// catch), over the same tree with the sharing hidden and over a family
-// that has none, so that every window is applied twice, and with four
-// objects to a point, so that every hit resolves through an owner chain.
+// a mixed or short scan (and, under -race, as a data race). It runs over
+// both copy-on-write trees, whose copies share one structure, over a
+// Sharded of each (where a window that wrote a node its twin can reach is
+// the bug to catch), and with four objects to a point, so that every hit
+// resolves through an owner chain.
 func TestSnapshotNeverTorn(t *testing.T) {
-	for name, mk := range map[string]func() core.Index{
-		"SPaC-H":            newSPaCH,
-		"Sharded(SPaC-H)":   innerStacks()["Sharded(SPaC-H)"],
-		"SPaC-H re-applied": func() core.Index { return core.WithReplica(newSPaCH(), newSPaCH) },
-		"P-Orth":            newPOrth,
-	} {
+	for _, name := range []string{"SPaC-H", "Sharded(SPaC-H)", "P-Orth", "Sharded(P-Orth)"} {
+		mk := innerStacks()[name]
 		t.Run(name, func(t *testing.T) { snapshotNeverTorn(t, mk, 1) })
 	}
 	t.Run("SPaC-H, shared points", func(t *testing.T) { snapshotNeverTorn(t, newSPaCH, 4) })
@@ -606,7 +592,7 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 		posA[i] = geom.Pt2(x, y)
 		posB[i] = geom.Pt2(x, y+1)
 	}
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	for i, p := range posA {
 		c.Set(i, p)
@@ -675,8 +661,8 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 // search queue and result heap come from pools (k = 10 and the 20 of the
 // benchmark's WITHIN sizing), its RangeList, and a Sharded(SPaC-H)'s KNN
 // with its pooled fan-out scratch; on top, the epoch-pinned Collection
-// over the brute-force oracle and over Sharded(SPaC-H), where Pin/Unpin
-// are two atomic ops on a long-lived Version.
+// over P-Orth and over Sharded(SPaC-H), where Pin/Unpin are two atomic ops
+// on a long-lived Version.
 func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates the query closures and sync.Pool drops items at random")
@@ -695,7 +681,7 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 		}
 	}
 
-	tree, sharded := newSPaCH(), shardedSPaCH(false)()
+	tree, sharded := newSPaCH(), innerStacks()["Sharded(SPaC-H)"]()
 	tree.Build(pts)
 	sharded.Build(pts)
 	var out []geom.Point
@@ -704,11 +690,8 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	guard("SPaC-H RangeList", func() { out = tree.RangeList(box, out[:0]) })
 	guard("Sharded(SPaC-H) KNN", func() { out = sharded.KNN(q, 10, out[:0]) })
 
-	for name, mk := range map[string]func() core.Index{
-		"BruteForce":      func() core.Index { return core.NewBruteForce(2) },
-		"Sharded(SPaC-H)": shardedSPaCH(false),
-	} {
-		c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk})
+	for _, name := range []string{"P-Orth", "Sharded(SPaC-H)"} {
+		c := New[int](innerStacks()[name](), Options{MaxBatch: 1 << 20, Snapshot: true})
 		defer c.Close()
 		for i, p := range pts {
 			c.Set(i, p)
@@ -733,8 +716,7 @@ func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 	for i := range pos {
 		pos[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 	}
-	mk := func() core.Index { return core.NewNull(2) }
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: mk, Obs: obs.New()})
+	c := New[int](newNullTwins(), Options{MaxBatch: 1 << 20, Snapshot: true, Obs: obs.New()})
 	for i, p := range pos {
 		c.Set(i, p)
 	}
@@ -752,15 +734,19 @@ func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 	}
 }
 
+// fullReplica is nullTwins whose replicas are not empty.
+type fullReplica struct{ nullTwins }
+
+func (x fullReplica) NewReplica() core.Index {
+	r := newNullTwins()
+	r.Build(make([]geom.Point, 1))
+	return r
+}
+
 // TestSnapshotRequiresEmptyIndexes documents the construction contract:
-// snapshot mode panics when the inner index or the factory's twin starts
+// snapshot mode panics when the inner index or its replica starts
 // non-empty, since the twins could then never agree.
 func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
-	nonEmpty := func() core.Index {
-		idx := core.NewBruteForce(2)
-		idx.Build([]geom.Point{geom.Pt2(1, 1)})
-		return idx
-	}
 	assertPanics := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -771,9 +757,11 @@ func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 		f()
 	}
 	assertPanics("non-empty inner", func() {
-		New[int](nonEmpty(), Options{Snapshot: func() core.Index { return core.NewBruteForce(2) }})
+		idx := newSPaCH()
+		idx.Build([]geom.Point{geom.Pt2(1, 1)})
+		New[int](idx, Options{Snapshot: true})
 	})
 	assertPanics("non-empty twin", func() {
-		New[int](core.NewBruteForce(2), Options{Snapshot: nonEmpty})
+		New[int](fullReplica{nullTwins{core.NewNull(2)}}, Options{Snapshot: true})
 	})
 }

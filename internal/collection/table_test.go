@@ -137,11 +137,7 @@ func TestTableAgainstMapOracle(t *testing.T) {
 func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 	const live, pool, windows = 10_000, 1_000_000, 60
 	for _, snapshot := range []bool{false, true} {
-		opts := Options{MaxBatch: 1 << 30}
-		if snapshot {
-			opts.Snapshot = func() core.Index { return core.NewNull(2) }
-		}
-		c := New[string](core.NewNull(2), opts)
+		c := New[string](newNullTwins(), Options{MaxBatch: 1 << 30, Snapshot: snapshot})
 		rng := rand.New(rand.NewSource(3))
 		name := func(i int) string { return fmt.Sprintf("obj-%07d", i) }
 		var ids []int // the live IDs
@@ -209,9 +205,9 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 // TestTableBytesPerObject is the footprint guard: 10⁵ string-keyed
 // objects ingested through 1024-op windows in snapshot mode cost at most
 // 85 B each for the table — the one there is, in snapshot mode too: what
-// dropping the Collection gives back to the heap while its two BruteForce
-// indexes and the ID strings, which the caller owns, stay. A table per
-// snapshot copy measured 153, the twin Go maps before that 310.
+// dropping the Collection gives back to the heap while the ID strings,
+// which the caller owns, stay (the twin indexes hold a count each). A table
+// per snapshot copy measured 153, the twin Go maps before that 310.
 func TestTableBytesPerObject(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
@@ -222,8 +218,7 @@ func TestTableBytesPerObject(t *testing.T) {
 		ids[i] = fmt.Sprintf("veh-%06d", i)
 	}
 	heap := heapAfterGC
-	idx, twin := core.NewBruteForce(2), core.NewBruteForce(2)
-	c := New[string](idx, Options{MaxBatch: 1024, Snapshot: func() core.Index { return twin }})
+	c := New[string](newNullTwins(), Options{MaxBatch: 1024, Snapshot: true})
 	for i, id := range ids {
 		c.Set(id, geom.Pt2(int64(i)*3, int64(i)*5))
 	}
@@ -234,9 +229,7 @@ func TestTableBytesPerObject(t *testing.T) {
 	with := heap()
 	c.Close()
 	c = nil
-	without := heap() // the indexes and the ID strings stay
-	runtime.KeepAlive(idx)
-	runtime.KeepAlive(twin)
+	without := heap() // the ID strings stay
 	runtime.KeepAlive(ids)
 	perObj := float64(with-without) / n
 	t.Logf("%.1f B per object (%d B with the collection, %d B without)", perObj, with, without)

@@ -14,11 +14,6 @@ type BruteForce struct {
 }
 
 var _ Index = (*BruteForce)(nil)
-var _ Replicator = (*BruteForce)(nil)
-
-// NewReplica implements Replicator: the reference index is trivially
-// replicable, which lets oracle tests exercise the snapshot-read path.
-func (b *BruteForce) NewReplica() Index { return NewBruteForce(b.dims) }
 
 // NewBruteForce returns an empty reference index.
 func NewBruteForce(dims int) *BruteForce {

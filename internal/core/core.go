@@ -28,8 +28,7 @@ import (
 // caller may reuse them immediately, which is what lets the Collection
 // and Sharded layers recycle their flush scratch — and must not
 // write them either: Collection.Load hands Build the point array of its
-// live slot table, and a batch may be applied to a second copy after the
-// first. Symmetrically,
+// live slot table. Symmetrically,
 // KNN and RangeList append to the caller's dst (preserving its prefix,
 // reusing its backing array when capacity suffices) and must not keep any
 // alias to it after returning; the result is the caller's to keep or
@@ -62,51 +61,18 @@ type Index interface {
 	RangeList(box geom.Box, dst []geom.Point) []geom.Point
 }
 
-// Replicator is the optional capability behind the library's snapshot
-// reads (ARCHITECTURE.md "Epochs & snapshot reads"). An index that can
-// construct a fresh, empty twin of itself — same dimensionality, same
-// universe, same tuning — lets the Collection keep two handles: each
-// commit window's BatchDiff is applied to the off-line one, which is then
-// published through an atomic epoch pointer, and queries pin the
-// published version instead of taking a read lock, so a reader never
-// waits on the index apply.
-//
-// Snapshot-read contract (normative):
-//
-//   - NewReplica returns a NEW index holding no points, configured so
-//     that replaying the same Build/BatchDiff history on both twins
-//     yields the same query answers. It must not share mutable state
-//     with the receiver.
-//   - The published version is immutable between epochs: a layer only
-//     mutates a version after the epoch manager reports it drained, so
-//     queries against a pinned version run concurrently with a flush
-//     writing the other version without synchronization. This composes
-//     with the buffer-ownership rules unchanged — batch slices handed to
-//     either twin are still reusable the moment BatchDiff returns.
-//   - How the displaced twin catches up is the index's choice. One that
-//     is also an Adopter adopts the published twin — the two are handles
-//     on one structure and the window is applied once. Any other has
-//     every window applied to both twins, whole copies of each other, so
-//     without Adopter a Replicator is worth implementing exactly when
-//     diff-apply is cheap — the paper's batch-dynamic property.
-//
-// The SPaC family and shard.Sharded implement the method directly; the
-// other raw trees opt in via WithReplica at construction (psi.go does
-// this for their constructors).
-type Replicator interface {
-	// NewReplica returns a fresh, empty index configured identically to
-	// the receiver (the receiver's current contents are NOT copied).
-	NewReplica() Index
-}
-
-// Adopter is the optional capability of a copy-on-write index: two
-// replicas can be handles on one structure, each copying only what it
-// goes on to change (internal/spactree cow.go has the mechanism). The
-// snapshot-read layers use it for the twin's catch-up and for bulk loads,
-// so a window is applied, and a Build run, once rather than once per twin.
+// Adopter is the capability behind the library's snapshot reads
+// (ARCHITECTURE.md "Epochs & snapshot reads"): a copy-on-write index, two
+// replicas of which can be handles on one structure, each copying only
+// what it goes on to change (internal/spactree and internal/orthtree
+// cow.go). The version cell applies each window to the off-line handle,
+// publishes it, and once the displaced handle's readers have drained has
+// that one adopt it: a window is applied, and a Build run, once.
 //
 // Contract (normative):
 //
+//   - NewReplica returns a NEW, empty index configured identically to the
+//     receiver, sharing no mutable state with it until it adopts it.
 //   - Adopt(src) makes the receiver's contents src's without copying
 //     them: O(1) for a tree, O(shards) for a composite, no allocation.
 //     Afterwards the two answer every query alike, and an update of
@@ -124,27 +90,11 @@ type Replicator interface {
 //     entries, the receiver has copied because it shared them — the cost
 //     of sharing, against the size of the whole index.
 type Adopter interface {
+	NewReplica() Index
 	Adopt(src Index) bool
 	Shares(o Index) bool
 	Copied() (nodes, bytes uint64)
 }
-
-// WithReplica wraps idx so it satisfies Replicator using mk, a
-// constructor producing fresh, identically configured instances. The
-// wrapper forwards every Index method to idx — and only those: whatever
-// else idx can do, Adopter included, is hidden, so its twins re-apply.
-// Replicas made from it are themselves wrapped, so a replica can
-// replicate.
-func WithReplica(idx Index, mk func() Index) Index {
-	return &replicated{Index: idx, mk: mk}
-}
-
-type replicated struct {
-	Index
-	mk func() Index
-}
-
-func (r *replicated) NewReplica() Index { return WithReplica(r.mk(), r.mk) }
 
 // Options carries the tuning parameters of §C. The zero value is invalid;
 // start from DefaultOptions.

@@ -13,14 +13,9 @@ type NullIndex struct {
 }
 
 var _ Index = (*NullIndex)(nil)
-var _ Replicator = (*NullIndex)(nil)
 
 // NewNull returns an empty NullIndex reporting the given dimensionality.
 func NewNull(dims int) *NullIndex { return &NullIndex{dims: dims} }
-
-// NewReplica implements Replicator, so the snapshot-mode allocation
-// guards can isolate the serving layers over a zero-cost inner index.
-func (x *NullIndex) NewReplica() Index { return NewNull(x.dims) }
 
 func (x *NullIndex) Name() string                    { return "Null" }
 func (x *NullIndex) Dims() int                       { return x.dims }

@@ -16,29 +16,27 @@ import (
 // read, acquires a version to read and commits windows; it never tests
 // which mode it is in.
 //
-// Init picks one of three modes from what it is given:
+// Init picks one of two modes:
 //
-//   - Locked reads (no snapshot constructor): one copy behind a read/write
-//     lock. Readers share it, a commit excludes them for one apply.
-//   - Adopting twins (the snapshot constructor's index is a core.Adopter
-//     that adopts the first): two handles on one copy-on-write structure.
-//     Readers pin the published handle through the Manager and never wait;
-//     a commit applies the window to the off-line handle, publishes it,
-//     waits out the readers of the displaced one, and has that one adopt
-//     the published contents. A window is applied, a Build run, once.
-//   - Re-applied twins (any other snapshot index): the same protocol over
-//     two whole copies, the displaced one catching up by a second apply.
+//   - Locked reads: one copy behind a read/write lock. Readers share it, a
+//     commit excludes them for one apply.
+//   - Adopting twins (snapshot reads asked for, over a copy-on-write index
+//     whose fresh replica adopts it — core.Adopter): two handles on one
+//     structure. Readers pin the published handle through the Manager and
+//     never wait; a commit applies the window to the off-line handle,
+//     publishes it, waits out the readers of the displaced one, and has
+//     that one adopt the published contents. A window is applied, a Build
+//     run, once.
 //
-// Either way the copies are identical whenever no commit is in flight, a
-// window never has to outlive its commit, and the layers keep no
-// saved-window buffers. This file is the only caller of Manager.Publish
-// and Manager.WaitDrained.
+// Twins are identical whenever no commit is in flight, a window never has
+// to outlive its commit, and the layers keep no saved-window buffers. This
+// file is the only caller of Manager.Publish and Manager.WaitDrained.
 //
 // beside is the one seam: the step a layer runs on state it keeps beside
 // the copies (the Collection's slot table), once per Commit and per
 // Rebuild. It runs under the write lock over one copy, and over twins in
-// the gap the drain opens — after the displaced copy's readers have left,
-// before its catch-up — so readers of the new version that wait for the
+// the gap the drain opens — after the displaced handle's readers have
+// left, before it adopts — so readers of the new version that wait for the
 // step go on as early as they can. The zero Cell is not usable; call Init.
 type Cell struct {
 	// mu serializes Commit and Rebuild. Over a single copy it is also
@@ -47,35 +45,38 @@ type Cell struct {
 	mgr     Manager
 	standby *Version     // the off-line twin, written only under mu
 	copies  []core.Index // one (locked reads) or two (twins), fixed at Init
-	adopts  bool         // the twins are handles on one structure (core.Adopter)
 	beside  func()
 }
 
-// Init builds the cell over idx alone, or — with snapshot, a constructor
-// of fresh, empty, identically configured indexes — over idx and the twin
-// snapshot returns. beside may be nil. layer names the caller in the
-// panics that refuse a non-empty index.
-func (c *Cell) Init(layer string, idx core.Index, snapshot func() core.Index, beside func()) {
+// Init builds the cell over idx: with snapshot, over idx and a fresh
+// replica of it when that replica adopts idx, and over idx alone
+// otherwise. beside may be nil. layer names the caller in the panics that
+// refuse a non-empty index or replica.
+func (c *Cell) Init(layer string, idx core.Index, snapshot bool, beside func()) {
 	c.beside = beside
 	if beside == nil {
 		c.beside = func() {}
 	}
 	c.mgr.Init(&Version{Index: idx})
 	c.copies = []core.Index{idx}
-	if snapshot == nil {
+	if !snapshot {
 		return
 	}
 	if idx.Size() != 0 {
 		panic(layer + ": Options.Snapshot requires an initially empty index")
 	}
-	twin := snapshot()
-	if twin == nil || twin.Size() != 0 {
-		panic(layer + ": Options.Snapshot must return a fresh, empty index")
+	a, ok := idx.(core.Adopter)
+	if !ok {
+		return
 	}
-	c.standby = &Version{Index: twin}
-	c.copies = append(c.copies, twin)
-	a, ok := twin.(core.Adopter)
-	c.adopts = ok && a.Adopt(idx)
+	twin := a.NewReplica()
+	if twin == nil || twin.Size() != 0 {
+		panic(layer + ": NewReplica must return a fresh, empty index")
+	}
+	if t, ok := twin.(core.Adopter); ok && t.Adopt(idx) {
+		c.standby = &Version{Index: twin}
+		c.copies = append(c.copies, twin)
+	}
 }
 
 // Acquire returns the version to read, held against the writer until
@@ -98,7 +99,7 @@ func (c *Cell) Release(v *Version) {
 	c.mgr.Unpin(v)
 }
 
-// Commit advances every copy by one netted window — a BatchDiff of (ins,
+// Commit advances the index by one netted window — a BatchDiff of (ins,
 // del) — runs the beside step, and returns once no reader can still see
 // the state before it. The slices may alias the committer's recycled
 // scratch: a commit is done with them on return, and indexes do not retain
@@ -109,9 +110,9 @@ func (c *Cell) Commit(ins, del []geom.Point, sp *obs.FlushSpan, clk time.Time) t
 	return c.advance(false, ins, del, sp, clk)
 }
 
-// Rebuild replaces the contents of every copy with pts (Index.Build)
-// under the same protocol as Commit: readers see the old contents or the
-// new, never a copy mid-build.
+// Rebuild replaces the contents of the index with pts (Index.Build) under
+// the same protocol as Commit: readers see the old contents or the new,
+// never a copy mid-build.
 func (c *Cell) Rebuild(pts []geom.Point) { c.advance(true, pts, nil, nil, time.Time{}) }
 
 // step brings one copy forward: a Build of ins, or a BatchDiff.
@@ -141,12 +142,10 @@ func (c *Cell) advance(build bool, ins, del []geom.Point, sp *obs.FlushSpan, clk
 	clk = sp.Stamp(obs.StagePublish, clk)
 	c.mgr.WaitDrained(prev)
 	clk = sp.Stamp(obs.StageDrain, clk)
-	// The displaced copy is ours now: catch it up so both copies agree
-	// again before the next window arrives.
+	// The displaced handle is ours now: it adopts the published contents,
+	// so both agree again before the next window arrives.
 	c.beside()
-	if !c.adopts {
-		step(prev.Index, build, ins, del)
-	} else if !prev.Index.(core.Adopter).Adopt(next.Index) {
+	if !prev.Index.(core.Adopter).Adopt(next.Index) {
 		// The pair adopted at Init, and for a pair the answer never changes.
 		panic("epoch: " + prev.Index.Name() + " stopped adopting its twin")
 	}
@@ -162,17 +161,14 @@ func (c *Cell) Epoch() uint64 { return c.mgr.Epoch() }
 // drained yet (see Manager.RetireLag); always 0 over a single copy.
 func (c *Cell) RetireLag() uint64 { return c.mgr.RetireLag() }
 
-// Versions returns the number of live copies, 1 or 2.
+// Versions returns the number of live copies: 1, or 2 twins that are
+// handles on one copy-on-write structure.
 func (c *Cell) Versions() int { return len(c.copies) }
 
-// Shared reports twins that are handles on one copy-on-write structure.
-func (c *Cell) Shared() bool { return c.adopts }
-
-// Copied sums what the handles of a shared index have copied on first
-// touch (core.Adopter.Copied; zero when nothing is shared). It takes no
-// lock.
+// Copied sums what the twins have copied on first touch
+// (core.Adopter.Copied; zero under locked reads). It takes no lock.
 func (c *Cell) Copied() (nodes, bytes uint64) {
-	if c.adopts {
+	if c.Versions() == 2 {
 		for _, idx := range c.copies {
 			n, b := idx.(core.Adopter).Copied()
 			nodes, bytes = nodes+n, bytes+b
@@ -181,17 +177,17 @@ func (c *Cell) Copied() (nodes, bytes uint64) {
 	return nodes, bytes
 }
 
-// Validate checks that shared twins still share — no second whole
-// structure has come into being. The caller excludes Commit and Rebuild.
+// Validate checks that twins still share — no second whole structure has
+// come into being. The caller excludes Commit and Rebuild.
 func (c *Cell) Validate() error {
-	if c.adopts && !c.copies[0].(core.Adopter).Shares(c.copies[1]) {
+	if c.Versions() == 2 && !c.copies[0].(core.Adopter).Shares(c.copies[1]) {
 		return errors.New("epoch: the index copies no longer share one structure")
 	}
 	return nil
 }
 
-// Register exposes the epoch gauges, and over shared twins the
-// copy-on-write counters, under labels; a nil registry is a no-op.
+// Register exposes the epoch gauges, and over twins the copy-on-write
+// counters, under labels; a nil registry is a no-op.
 func (c *Cell) Register(r *obs.Registry, labels ...obs.Label) {
 	r.GaugeFunc("psi_epoch",
 		"Published snapshot epoch (0 in locked mode).",
@@ -199,7 +195,7 @@ func (c *Cell) Register(r *obs.Registry, labels ...obs.Label) {
 	r.GaugeFunc("psi_epoch_retire_lag",
 		"Published epochs whose displaced version has not drained.",
 		func() float64 { return float64(c.RetireLag()) }, labels...)
-	if c.adopts {
+	if c.Versions() == 2 {
 		r.CounterFunc("psi_index_cow_nodes_total",
 			"Index nodes copied on first touch because the snapshot copies share them.",
 			func() uint64 { nodes, _ := c.Copied(); return nodes }, labels...)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/orthtree"
 	"repro/internal/sfc"
 	"repro/internal/spactree"
 )
@@ -25,21 +26,33 @@ import (
 // pair is the fake index: a window adds its number of inserts to both
 // halves, so a torn read shows up as x != y, and a Build sets both to its
 // number of points. applies and builds count what reached this copy; the
-// atomics let a test watch a copy the writer owns. It is a core.Index and
-// nothing more, so twins of it are re-applied.
+// atomics let a test watch a copy the writer owns. A pair is a core.Index
+// and nothing more, so a cell over one alone reads under its lock; twins
+// are pairs wrapped as twinPairs.
 type pair struct {
 	core.Index // the queries, which no test here calls
 	name       string
-	x, y       int
+	*counts    // mine, or after a sharing Adopt the source's
+	mine       counts
+	replica    *pair // what NewReplica hands out
 	applies    atomic.Int64
 	builds     atomic.Int64
+	copies     atomic.Uint64
 	gate       *gate     // optional: blocks BatchDiff on this copy while armed
 	log        *[]string // optional: the steps that reached this copy, in order
 }
 
-// cowPair is a pair whose twins adopt: the catch-up takes the published
-// contents instead of having the window applied again.
-type cowPair struct{ *pair }
+type counts struct{ x, y int }
+
+// twinPair is a pair whose twins adopt. With share set, Adopt makes the
+// adopter a second handle on the source's counts, and its next write
+// copies them into its own first — the copy-on-write of the real trees,
+// whose writer never touches what the published handle reads. Without,
+// Adopt copies the published counts into the adopter's own.
+type twinPair struct {
+	*pair
+	share bool
+}
 
 type gate struct{ armed, entered, release chan struct{} }
 
@@ -57,8 +70,18 @@ func (p *pair) record(step string) {
 	}
 }
 
+// own points p at counts of its own before a write (see twinPair).
+func (p *pair) own() {
+	if p.counts != &p.mine {
+		p.mine = *p.counts
+		p.counts = &p.mine
+		p.copies.Add(1)
+	}
+}
+
 func (p *pair) Build(pts []geom.Point) {
 	p.record("build")
+	p.own()
 	p.x = len(pts)
 	p.builds.Add(1)
 	p.y = len(pts)
@@ -78,45 +101,63 @@ func (p *pair) BatchDiff(ins, del []geom.Point) {
 		default:
 		}
 	}
+	p.own()
 	p.x += w
 	p.applies.Add(1)
 	p.y += w
 }
 
-// Adopt only reads src, which has readers. Shares and Copied complete
-// core.Adopter.
-func (p cowPair) Adopt(src core.Index) bool {
-	s, ok := src.(cowPair)
+// NewReplica, Adopt, Shares and Copied make a twinPair a core.Adopter.
+// Adopt only reads src, which has readers.
+func (p twinPair) NewReplica() core.Index {
+	if p.replica == nil {
+		return nil
+	}
+	return twinPair{p.replica, p.share}
+}
+
+func (p twinPair) Adopt(src core.Index) bool {
+	s, ok := src.(twinPair)
 	if ok {
 		p.record("adopt")
-		p.x, p.y = s.x, s.y
+		if p.share {
+			p.counts = s.counts
+		} else {
+			p.mine = *s.counts
+		}
 	}
 	return ok
 }
-func (p cowPair) Shares(o core.Index) bool      { return o.(cowPair).x == p.x }
-func (p cowPair) Copied() (nodes, bytes uint64) { return 0, 0 }
 
-// newCell builds a cell over the given copies (one: locked reads, two:
-// twins), wrapped as cowPairs when adopting, with beside as its step.
-func newCell(adopting bool, beside func(), copies ...*pair) *Cell {
-	wrap := func(p *pair) core.Index {
-		if adopting {
-			return cowPair{p}
+func (p twinPair) Shares(o core.Index) bool {
+	q := o.(twinPair)
+	return q.counts == p.counts || !p.share && *q.counts == *p.counts
+}
+
+func (p twinPair) Copied() (nodes, bytes uint64) { return p.copies.Load(), 0 }
+
+// newCell builds a cell with beside as its step over the given copies,
+// asking for snapshot reads either way: one pair stays locked, two are
+// twins that adopt — sharing their counts when share is set.
+func newCell(share bool, beside func(), copies ...*pair) *Cell {
+	for i, p := range copies {
+		p.counts = &p.mine
+		if i > 0 {
+			copies[i-1].replica = p
 		}
-		return p
 	}
-	var snapshot func() core.Index
+	var idx core.Index = copies[0]
 	if len(copies) == 2 {
-		snapshot = func() core.Index { return wrap(copies[1]) }
+		idx = twinPair{copies[0], share}
 	}
 	c := new(Cell)
-	c.Init("test", wrap(copies[0]), snapshot, beside)
+	c.Init("test", idx, true, beside)
 	return c
 }
 
 // modes runs f over a one-copy (locked) cell and two two-copy cells: the
-// twin whose displaced copy has every window applied again, and the one
-// whose displaced copy adopts the published contents.
+// twin whose displaced copy adopts by copying the published counts, and
+// the one whose displaced copy shares them until its next write.
 func modes(t *testing.T, f func(t *testing.T, c *Cell, twin bool)) {
 	t.Run("locked", func(t *testing.T) { f(t, newCell(false, nil, &pair{}), false) })
 	t.Run("twin", func(t *testing.T) { f(t, newCell(false, nil, &pair{}, &pair{}), true) })
@@ -234,6 +275,49 @@ func TestSnapshotNeverTorn(t *testing.T) {
 			t.Fatalf("quiescent lag %d, want 0", c.RetireLag())
 		}
 	})
+	// The same discipline over twins of a real copy-on-write tree: readers
+	// of a P-Orth version count its points from the root and from the
+	// leaves while commits insert and move points, so a root that is not
+	// the one of its subtrees shows up as a mismatch, and a write to a node
+	// a pinned version reaches as a data race.
+	t.Run("P-Orth", func(t *testing.T) {
+		universe := geom.UniverseBox(2, 1<<20)
+		var c Cell
+		c.Init("test", orthtree.NewDefault(2, universe), true, nil)
+		at := func(i int) geom.Point { return geom.Pt2(int64(i)*523%(1<<20), int64(i)*131%(1<<20)) }
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []geom.Point
+				for !stop.Load() {
+					v := c.Acquire()
+					n := v.Index.Size()
+					buf = v.Index.RangeList(universe, buf[:0])
+					c.Release(v)
+					if n != len(buf) {
+						stop.Store(true)
+						t.Errorf("torn read: root holds %d points, leaves %d", n, len(buf))
+					}
+					runtime.Gosched()
+				}
+			}()
+		}
+		for i := 0; i < 2000 && !stop.Load(); i++ {
+			var del []geom.Point
+			if i >= 1000 {
+				del = []geom.Point{at(i - 1000)}
+			}
+			c.Commit([]geom.Point{at(i)}, del, nil, time.Time{})
+		}
+		stop.Store(true)
+		wg.Wait()
+		if c.Versions() != 2 || c.Validate() != nil {
+			t.Fatalf("%d versions, Validate %v: want twins that still share", c.Versions(), c.Validate())
+		}
+	})
 }
 
 // TestSnapshotDisplacedCopyUntouchedUntilDrained pins a reader, commits,
@@ -245,7 +329,7 @@ func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 	a, b := &pair{}, &pair{}
 	c := newCell(false, nil, a, b)
 	pinned := c.Acquire()
-	if pinned.Index != core.Index(a) {
+	if pinned.Index.(twinPair).pair != a {
 		t.Fatal("the first copy is not the initially published one")
 	}
 	committed := make(chan struct{})
@@ -281,8 +365,8 @@ func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
 		for _, idx := range c.copies {
 			builds += int(idx.(interface{ state() *pair }).state().builds.Load())
 		}
-		if want := c.Versions(); c.Shared() && builds != 1 || !c.Shared() && builds != want {
-			t.Fatalf("Rebuild ran Build %d times over %d copies (adopting: %v)", builds, want, c.Shared())
+		if builds != 1 {
+			t.Fatalf("Rebuild ran Build %d times over %d copies", builds, c.Versions())
 		}
 		if twin && c.Epoch() != before+1 {
 			t.Fatalf("Rebuild published epoch %d, want %d", c.Epoch(), before+1)
@@ -361,9 +445,8 @@ func TestSnapshotCommitZeroAlloc(t *testing.T) {
 
 // TestSnapshotQueryZeroAllocWarm pins a read through the cell over a real
 // index at zero steady-state allocations with reused result buffers, in
-// every mode: read-locked, pinned on re-applied twins and pinned on twins
-// that adopt, the last over a SPaC-H tree whose KNN search state comes
-// from pools.
+// every mode: read-locked, and pinned on twins that adopt — SPaC-H, whose
+// KNN search state comes from pools, and P-Orth.
 func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -374,21 +457,18 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Pt2(int64(i)*500%side, int64(i)*311%side)
 	}
-	brute := func() core.Index { return core.NewBruteForce(2) }
-	spach := func() core.Index { return spactree.NewSPaC(sfc.Hilbert, 2, universe) }
 	for _, mode := range []struct {
-		name     string
-		idx      core.Index
-		snapshot func() core.Index
+		name string
+		idx  core.Index
 	}{
-		{"locked", brute(), nil},
-		{"twin", brute(), brute},
-		{"adopting", spach(), spach},
+		{"locked", core.NewBruteForce(2)},
+		{"adopting", spactree.NewSPaC(sfc.Hilbert, 2, universe)},
+		{"adopting P-Orth", orthtree.NewDefault(2, universe)},
 	} {
 		var c Cell
-		c.Init("test", mode.idx, mode.snapshot, nil)
-		if c.Shared() != (mode.name == "adopting") {
-			t.Fatalf("%s: Shared = %t", mode.name, c.Shared())
+		c.Init("test", mode.idx, true, nil)
+		if (c.Versions() == 2) != (mode.name != "locked") {
+			t.Fatalf("%s: %d versions", mode.name, c.Versions())
 		}
 		c.Rebuild(pts)
 		c.Commit(pts[:1], pts[1:2], nil, time.Time{})
@@ -410,25 +490,28 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 }
 
 // TestSnapshotRequiresEmptyIndexes documents the construction contract:
-// Init refuses twins that could never agree — an index that starts
-// non-empty, or a snapshot constructor that returns a non-empty index or
-// none — and names the caller's layer in the panic. Locked reads take the
-// index as it is.
+// with snapshot reads asked for, Init refuses twins that could never
+// agree — an index that starts non-empty, or a replica that is non-empty
+// or missing — and names the caller's layer in the panic. Locked reads
+// take the index as it is, and so does a snapshot request over an index
+// that is not copy-on-write: it stays on one copy.
 func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
-	empty := func() core.Index { return core.NewBruteForce(2) }
-	nonEmpty := func() core.Index {
-		idx := core.NewBruteForce(2)
-		idx.Build([]geom.Point{geom.Pt2(1, 1)})
-		return idx
+	twins := func(idxSize int, replica *pair) core.Index {
+		p := &pair{replica: replica}
+		p.counts = &p.mine
+		p.x = idxSize
+		if replica != nil {
+			replica.counts = &replica.mine
+		}
+		return twinPair{pair: p}
 	}
 	for _, tc := range []struct {
-		name     string
-		idx      core.Index
-		snapshot func() core.Index
+		name string
+		idx  core.Index
 	}{
-		{"non-empty index", nonEmpty(), empty},
-		{"non-empty twin", empty(), nonEmpty},
-		{"no twin", empty(), func() core.Index { return nil }},
+		{"non-empty index", twins(1, &pair{})},
+		{"non-empty twin", twins(0, &pair{mine: counts{x: 1}})},
+		{"no twin", twins(0, nil)},
 	} {
 		func() {
 			defer func() {
@@ -436,30 +519,33 @@ func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 					t.Fatalf("%s: panic %q, want one that names the layer", tc.name, msg)
 				}
 			}()
-			new(Cell).Init("layer", tc.idx, tc.snapshot, nil)
+			new(Cell).Init("layer", tc.idx, true, nil)
 		}()
 	}
 	var c Cell
-	c.Init("layer", nonEmpty(), nil, nil)
+	c.Init("layer", twins(1, &pair{}), false, nil)
 	if c.Versions() != 1 {
 		t.Fatalf("locked reads over a non-empty index: %d versions, want 1", c.Versions())
+	}
+	var s Cell
+	s.Init("layer", core.NewBruteForce(2), true, nil)
+	if s.Versions() != 1 {
+		t.Fatalf("snapshot reads over an index that cannot adopt: %d versions, want 1", s.Versions())
 	}
 }
 
 // TestStepOrder states the contract a layer's beside step relies on (the
 // Collection's table step does). Over one copy: apply, then beside, both
 // under the write lock. Over twins: apply to the off-line copy, publish,
-// drain, beside, catch-up — beside never runs while a reader still pins
+// drain, beside, adopt — beside never runs while a reader still pins
 // the displaced copy, and runs before that copy is written.
 func TestStepOrder(t *testing.T) {
 	for _, mode := range []struct {
-		name            string
-		twin, adopting  bool
-		catchUp, reload string
+		name string
+		twin bool
 	}{
 		{name: "locked"},
-		{name: "re-apply twin", twin: true, catchUp: "apply a", reload: "build a"},
-		{name: "adopting twin", twin: true, adopting: true, catchUp: "adopt a", reload: "adopt a"},
+		{name: "adopting twin", twin: true},
 	} {
 		for _, op := range []struct {
 			name, step string
@@ -481,7 +567,7 @@ func TestStepOrder(t *testing.T) {
 				if mode.twin {
 					copies = append(copies, &pair{name: "b", log: &log})
 				}
-				c = newCell(mode.adopting, beside, copies...)
+				c = newCell(true, beside, copies...)
 				log = nil // an adopting pair adopts once at Init
 				if !mode.twin {
 					op.run(c)
@@ -501,11 +587,7 @@ func TestStepOrder(t *testing.T) {
 				log = append(log, "drain")
 				c.Release(pinned)
 				<-done
-				catchUp := mode.catchUp
-				if op.step == "build" {
-					catchUp = mode.reload
-				}
-				if want := []string{op.step + " b", "publish", "drain", "beside", catchUp}; !slices.Equal(log, want) {
+				if want := []string{op.step + " b", "publish", "drain", "beside", "adopt a"}; !slices.Equal(log, want) {
 					t.Fatalf("steps %q, want %q", log, want)
 				}
 			})

@@ -10,22 +10,20 @@
 //
 // The shape is double-buffering, and Cell (cell.go) is its one
 // implementation and the package's whole surface to the layers above: it
-// keeps exactly two Versions and ping-pongs between them. Each commit applies the window to the standby, publishes
-// it, waits for the old current to drain, catches it up and keeps it as
-// the next standby. Both Version structs live for the lifetime of the
-// layer, so steady-state publishing allocates nothing — the property the
-// Cell's and the Collection's zero-alloc guards pin. What a Version holds need not
-// be a whole copy: over a copy-on-write index (core.Adopter — the SPaC
-// family) the two are handles on one tree, the window is applied once
-// and the catch-up is an adoption of the published root. For the other
-// families each Version is a whole copy and the catch-up is a second
-// apply; Parallel Batch-Dynamic kd-Trees (Yesantharao et al.) is the
-// license for that: batch diff-apply on the paper's structures is cheap
-// enough that applying every window twice costs less than stalling all
-// readers once. State a layer keeps beside its versions (the Collection's
-// slot table) is written by the step the layer hands the Cell (beside),
-// which a commit runs between WaitDrained and the catch-up; readers check,
-// after pinning, that that state has reached their epoch.
+// keeps exactly two Versions and ping-pongs between them. Each commit
+// applies the window to the standby, publishes it, waits for the old
+// current to drain, catches it up and keeps it as the next standby. Both
+// Version structs live for the lifetime of the layer, so steady-state
+// publishing allocates nothing — the property the Cell's and the
+// Collection's zero-alloc guards pin. The two Versions are handles on one
+// copy-on-write index (core.Adopter — the SPaC family and P-Orth, as
+// trees or sharded): the paper's batch updates rebuild only the paths a
+// batch reaches, so the window is applied once, each handle copies what it
+// touches, and the catch-up is an adoption of the published root. State a
+// layer keeps beside its versions (the Collection's slot table) is written
+// by the step the layer hands the Cell (beside), which a commit runs
+// between WaitDrained and the catch-up; readers check, after pinning, that
+// that state has reached their epoch.
 //
 // Memory model: Publish is an atomic pointer store and Pin an atomic load,
 // so everything the writer did to a version's data before Publish is

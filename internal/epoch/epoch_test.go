@@ -4,7 +4,7 @@ import "testing"
 
 func TestPublishAndCounters(t *testing.T) {
 	var m Manager
-	a, b := &Version{Index: &pair{x: 1}}, &Version{Index: &pair{x: 2}}
+	a, b := &Version{Index: &pair{counts: &counts{x: 1}}}, &Version{Index: &pair{counts: &counts{x: 2}}}
 	m.Init(a)
 	if m.Epoch() != 0 || m.RetireLag() != 0 {
 		t.Fatalf("fresh manager: epoch %d lag %d, want 0 0", m.Epoch(), m.RetireLag())

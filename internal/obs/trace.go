@@ -30,7 +30,7 @@ const (
 	StageLog
 	// StageReplay is what runs once the displaced copy's readers have
 	// drained (snapshot mode only): the Collection's table step, then the
-	// twin catch-up — adopting the published index or re-applying the window.
+	// displaced twin's adoption of the published index.
 	StageReplay
 	// StageApply is the new window's index application (plus, for a
 	// Collection under locked reads, the table step).

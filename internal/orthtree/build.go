@@ -124,7 +124,7 @@ func (t *Tree) assemble(subs []*node, level, prefix, lam int, region geom.Box) *
 	if size == 0 {
 		return nil
 	}
-	nd := &node{size: size, bbox: bbox, kids: kids}
+	nd := &node{gen: t.gen, size: size, bbox: bbox, kids: kids}
 	if size <= t.opts.LeafWrap || !region.Splittable(dims) {
 		return t.flatten(nd)
 	}
@@ -136,6 +136,7 @@ func (t *Tree) newLeaf(pts []geom.Point) *node {
 	own := make([]geom.Point, len(pts))
 	copy(own, pts)
 	return &node{
+		gen:  t.gen,
 		size: len(own),
 		bbox: geom.BoundingBox(own, t.opts.Dims),
 		pts:  own,
@@ -146,7 +147,7 @@ func (t *Tree) newLeaf(pts []geom.Point) *node {
 func (t *Tree) flatten(nd *node) *node {
 	pts := make([]geom.Point, 0, nd.size)
 	pts = collect(nd, pts)
-	return &node{size: len(pts), bbox: nd.bbox, pts: pts}
+	return &node{gen: t.gen, size: len(pts), bbox: nd.bbox, pts: pts}
 }
 
 // collect appends every point of the subtree to dst.

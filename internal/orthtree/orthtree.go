@@ -21,6 +21,8 @@
 package orthtree
 
 import (
+	"sync/atomic"
+
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -33,16 +35,23 @@ type Tree struct {
 	nway   int                   // 2^dims children per interior node
 	spread [][geom.MaxDims][]int // spread[λ] is grid.spread for λ levels
 	root   *node
+	// gen is the generation the tree stamps on its nodes and the only one
+	// it writes in place; cowNodes and cowBytes total what updates copied
+	// on first touch, from parallel branches (cow.go).
+	gen                uint64
+	cowNodes, cowBytes atomic.Uint64
 }
 
 var _ core.Index = (*Tree)(nil)
 
 // node is either a leaf (kids == nil, points in pts) or an interior node
-// (kids has length 2^dims; empty children are nil). bbox is the tight
+// (kids has length 2^dims; empty children are nil), stamped with the
+// generation of the tree that created it (cow.go). bbox is the tight
 // bounding box of the subtree's points — queries prune on it, while the
 // *region* (the orthant assigned by the split hierarchy) is recomputed on
 // the way down during structural operations and never stored.
 type node struct {
+	gen  uint64
 	size int
 	bbox geom.Box
 	kids []*node

@@ -52,6 +52,7 @@ type slot struct {
 
 // retrieve builds the skeleton of interior node nd down to depth lam,
 // preallocating for the worst-case fan-out so enumeration never regrows.
+// nd and every skeleton node below it are t's own (cow.go).
 func (t *Tree) retrieve(nd *node, region geom.Box, lam int) *skeleton {
 	maxSlots := 1
 	for i := 0; i < lam; i++ {
@@ -83,6 +84,8 @@ func (sk *skeleton) enumerate(t *Tree, nd *node, region geom.Box, level, lam int
 			sk.table[row+q] = int32(^len(sk.slots))
 			sk.slots = append(sk.slots, slot{parent: nd, childIdx: q, child: child, region: cregion})
 		} else {
+			child = t.own(child)
+			nd.kids[q] = child
 			sk.table[row+q] = sk.enumerate(t, child, cregion, level+1, lam, idx, int32(q))
 		}
 	}
@@ -117,6 +120,7 @@ func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 		// Alg. 2 lines 3-4: a leaf either absorbs the batch or is rebuilt
 		// together with it.
 		if nd.size+len(pts) <= t.opts.LeafWrap || !region.Splittable(dims) {
+			nd = t.own(nd)
 			for _, p := range pts {
 				nd.bbox = nd.bbox.Extend(p, dims)
 			}
@@ -135,6 +139,7 @@ func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	}
 
 	// Lines 5-7: retrieve the skeleton and sieve the batch through it.
+	nd = t.own(nd)
 	sk := t.skeletonFor(nd, region, len(pts))
 	offsets := parallel.Sieve(pts, buf, len(sk.slots), func(p geom.Point) int {
 		return sk.route(dims, p)
@@ -194,6 +199,7 @@ func (t *Tree) splitSmall(pts, buf []geom.Point, region geom.Box) (offs [9]int) 
 // insertSmall is the depth-1 fast path: partition the batch across the
 // node's children and recurse.
 func (t *Tree) insertSmall(nd *node, pts, buf []geom.Point, region geom.Box) *node {
+	nd = t.own(nd)
 	dims := t.opts.Dims
 	offs := t.splitSmall(pts, buf, region)
 	for q := 0; q < t.nway; q++ {
@@ -215,7 +221,7 @@ func (t *Tree) delete(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	}
 	dims := t.opts.Dims
 	if nd.isLeaf() {
-		removeFromLeaf(nd, pts, dims)
+		nd = t.removeFromLeaf(nd, pts)
 		if nd.size == 0 {
 			return nil
 		}
@@ -224,6 +230,7 @@ func (t *Tree) delete(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	if len(pts) < smallBatch {
 		return t.deleteSmall(nd, pts, buf, region)
 	}
+	nd = t.own(nd)
 	sk := t.skeletonFor(nd, region, len(pts))
 	offsets := parallel.Sieve(pts, buf, len(sk.slots), func(p geom.Point) int {
 		return sk.route(dims, p)
@@ -272,6 +279,7 @@ func (t *Tree) delete(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 
 // deleteSmall mirrors insertSmall with the §3.2 collapse step.
 func (t *Tree) deleteSmall(nd *node, pts, buf []geom.Point, region geom.Box) *node {
+	nd = t.own(nd)
 	dims := t.opts.Dims
 	offs := t.splitSmall(pts, buf, region)
 	for q := 0; q < t.nway; q++ {
@@ -301,7 +309,7 @@ func (t *Tree) skeletonFor(nd *node, region geom.Box, batch int) *skeleton {
 	return t.retrieve(nd, region, lam)
 }
 
-// recompute refreshes an interior node's size and bbox from its children.
+// recompute refreshes an owned interior node's size and bbox from its children.
 func recompute(nd *node, dims int) {
 	size := 0
 	bbox := geom.EmptyBox(dims)
@@ -316,9 +324,11 @@ func recompute(nd *node, dims int) {
 }
 
 // removeFromLeaf removes one occurrence per requested point (multiset
-// semantics) and refreshes the leaf's size and bbox.
-func removeFromLeaf(nd *node, pts []geom.Point, dims int) {
+// semantics) from the leaf, made t's own, and refreshes its size and bbox.
+func (t *Tree) removeFromLeaf(nd *node, pts []geom.Point) *node {
+	nd = t.own(nd)
 	nd.pts = geom.RemoveEach(nd.pts, pts)
 	nd.size = len(nd.pts)
-	nd.bbox = geom.BoundingBox(nd.pts, dims)
+	nd.bbox = geom.BoundingBox(nd.pts, t.opts.Dims)
+	return nd
 }

@@ -17,15 +17,22 @@ import (
 //  4. canonical form: a node is interior iff size > LeafWrap and its
 //     region is splittable — this is what makes the tree
 //     history-independent;
-//  5. interior nodes have exactly 2^D child slots and at least one child.
+//  5. interior nodes have exactly 2^D child slots and at least one child;
+//  6. generation stamps (cow.go): no node newer than the tree, no child
+//     newer than its parent.
 func (t *Tree) Validate() error {
-	_, err := t.validate(t.root, t.opts.Universe, true)
+	_, err := t.validate(t.root, t.opts.Universe, t.gen)
 	return err
 }
 
-func (t *Tree) validate(nd *node, region geom.Box, isRoot bool) (int, error) {
+// validate returns the subtree's size; newest is the stamp of whatever
+// holds nd, its parent or the tree.
+func (t *Tree) validate(nd *node, region geom.Box, newest uint64) (int, error) {
 	if nd == nil {
 		return 0, nil
+	}
+	if nd.gen > newest {
+		return 0, fmt.Errorf("node of generation %d under generation %d", nd.gen, newest)
 	}
 	dims := t.opts.Dims
 	if nd.isLeaf() {
@@ -63,7 +70,7 @@ func (t *Tree) validate(nd *node, region geom.Box, isRoot bool) (int, error) {
 	total := 0
 	bbox := geom.EmptyBox(dims)
 	for q, c := range nd.kids {
-		sz, err := t.validate(c, region.Child(q, dims), false)
+		sz, err := t.validate(c, region.Child(q, dims), nd.gen)
 		if err != nil {
 			return 0, err
 		}

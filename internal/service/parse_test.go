@@ -134,7 +134,7 @@ func TestServeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates the query closures")
 	}
-	s := New(newReplicableIndex(), Options{FlushInterval: -1, MaxBatch: 1 << 20})
+	s := New(newTestIndex(), Options{FlushInterval: -1, MaxBatch: 1 << 20})
 	lc := s.NewLineConn()
 	for i := 0; i < 64; i++ {
 		lc.Serve([]byte(fmt.Sprintf(`{"op":"SET","id":"veh-%06d","p":[%d,%d]}`, i, 400+i, 500+i)))

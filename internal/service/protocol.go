@@ -202,9 +202,9 @@ type StatsPayload struct {
 	// last-write-wins netting — the coalescing win of batching SETs.
 	Cancelled uint64 `json:"cancelled"`
 	// Cow is present when the two snapshot versions are handles on one
-	// copy-on-write index (the SPaC family, sharded or not): what windows
-	// have copied of it so far. Omitted when there is one version, or two
-	// whole indexes.
+	// copy-on-write index (the SPaC family or P-Orth, sharded or not): what
+	// windows have copied of it so far. Omitted under locked reads, where
+	// there is one version.
 	Cow     *CowStats `json:"cow,omitempty"`
 	Conns   int       `json:"conns"`    // currently open client connections
 	UptimeS float64   `json:"uptime_s"` // seconds since Start

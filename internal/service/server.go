@@ -52,17 +52,13 @@ type Options struct {
 	// endpoints can stall the world and do not belong on an unguarded
 	// production port.
 	EnablePprof bool
-	// DisableSnapshot keeps the Collection on the classic locked read
-	// path even when the wrapped index supports snapshot reads. By
-	// default, when idx implements core.Replicator (every psi tree
-	// constructor and Sharded does), the server enables epoch-pinned
-	// snapshot reads: queries pin the published version and never wait
-	// behind the index apply, at most for a window's table step — the
-	// serving configuration the churn benchmark measures. Set this to
-	// benchmark the locked baseline or to drop the second index copy's
-	// memory on tightly constrained hosts (there is none to drop over a
-	// copy-on-write index, core.Adopter — the SPaC family, whose two
-	// versions are one tree).
+	// DisableSnapshot keeps the Collection on the locked read path. By
+	// default, over a copy-on-write index (core.Adopter: the SPaC family
+	// and P-Orth, as trees or sharded), queries pin the published version
+	// of one shared tree and never wait behind the index apply, at most
+	// for a window's table step; the baselines (Pkd, Zd, Boost-R, Log,
+	// BHL, BruteForce) serve locked reads either way. Set this to
+	// benchmark the locked baseline.
 	DisableSnapshot bool
 	// Obs is the metric registry the server records into and serves at
 	// /metrics. The same registry is handed to the Collection (and should
@@ -227,9 +223,10 @@ type Server struct {
 // collection.New, the Server takes ownership of idx — the recommended
 // serving stack is a Sharded over the per-workload index choice, so each
 // netted flush fans out across shards in parallel while connections keep
-// enqueueing. When idx implements core.Replicator (and DisableSnapshot
-// is unset), queries ride the epoch-pinned snapshot path: NEARBY/WITHIN
-// never wait behind the index apply, and /stats reports the epoch counters.
+// enqueueing. When idx is copy-on-write (core.Adopter, and
+// DisableSnapshot is unset), queries ride the epoch-pinned snapshot path:
+// NEARBY/WITHIN never wait behind the index apply, and /stats reports the
+// epoch counters.
 //
 // New panics if WAL setup fails — only possible with Options.WALDir set
 // (an unreadable directory, a corrupt snapshot). Durable configurations

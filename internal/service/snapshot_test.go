@@ -8,26 +8,24 @@ import (
 )
 
 // The service layer enables epoch-pinned snapshot reads automatically
-// when the configured index can replicate itself (core.Replicator), and
-// reports the epoch counters over the wire in STATS.
+// when the configured index is copy-on-write (core.Adopter: the SPaC
+// family and P-Orth), and reports the epoch counters over the wire in
+// STATS.
 
-func newReplicableIndex() core.Index {
-	return core.WithReplica(newTestIndex(), newTestIndex)
-}
-
-// TestSnapshotAutoEnabled: a Replicator index puts the Collection on the
-// snapshot path — STATS reports two resident versions, the epoch advances
-// with every non-empty flush, and queries observe flushed state as usual.
+// TestSnapshotAutoEnabled: a copy-on-write index — here a P-Orth tree —
+// puts the Collection on the snapshot path: STATS reports two resident
+// versions sharing one tree, the epoch advances with every non-empty
+// flush, and queries observe flushed state as usual.
 func TestSnapshotAutoEnabled(t *testing.T) {
-	s := startServer(t, newReplicableIndex(), Options{})
+	s := startServer(t, orthtree.NewDefault(2, testUniverse()), Options{})
 	c := dialT(t, s)
 
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Versions != 2 || st.Epoch != 0 {
-		t.Fatalf("initial stats = versions %d epoch %d, want 2 versions at epoch 0", st.Versions, st.Epoch)
+	if st.Versions != 2 || st.Epoch != 0 || st.Cow == nil {
+		t.Fatalf("initial stats = versions %d epoch %d cow %v, want 2 shared versions at epoch 0", st.Versions, st.Epoch, st.Cow)
 	}
 	if err := c.Set("a", []int64{10, 10}); err != nil {
 		t.Fatal(err)
@@ -49,9 +47,9 @@ func TestSnapshotAutoEnabled(t *testing.T) {
 }
 
 // TestSnapshotDisableOption: DisableSnapshot forces the classic locked
-// path even for a Replicator index — one version, epoch pinned at 0.
+// path even for a copy-on-write index — one version, epoch pinned at 0.
 func TestSnapshotDisableOption(t *testing.T) {
-	s := startServer(t, newReplicableIndex(), Options{DisableSnapshot: true})
+	s := startServer(t, orthtree.NewDefault(2, testUniverse()), Options{DisableSnapshot: true})
 	c := dialT(t, s)
 	if err := c.Set("a", []int64{10, 10}); err != nil {
 		t.Fatal(err)
@@ -63,22 +61,28 @@ func TestSnapshotDisableOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Versions != 1 || st.Epoch != 0 {
-		t.Fatalf("locked stats = versions %d epoch %d, want 1 version at epoch 0", st.Versions, st.Epoch)
+	if st.Versions != 1 || st.Epoch != 0 || st.Cow != nil {
+		t.Fatalf("locked stats = versions %d epoch %d cow %v, want 1 version at epoch 0", st.Versions, st.Epoch, st.Cow)
 	}
 }
 
-// TestSnapshotRequiresReplicator: an index that cannot replicate itself
-// silently stays on the locked path rather than failing construction.
-func TestSnapshotRequiresReplicator(t *testing.T) {
-	// A bare P-Orth tree: the SPaC family mints its own replicas.
-	s := startServer(t, orthtree.NewDefault(2, testUniverse()), Options{})
+// TestLockedReadsOverABaseline: over an index that cannot share its tree
+// (a baseline: here the brute-force oracle) the server runs locked reads
+// with DisableSnapshot unset, rather than failing construction.
+func TestLockedReadsOverABaseline(t *testing.T) {
+	s := startServer(t, core.NewBruteForce(2), Options{})
 	c := dialT(t, s)
+	if err := c.Set("a", []int64{10, 10}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Versions != 1 || st.Epoch != 0 {
-		t.Fatalf("non-Replicator stats = versions %d epoch %d, want locked shape", st.Versions, st.Epoch)
+	if st.Versions != 1 || st.Epoch != 0 || st.Cow != nil {
+		t.Fatalf("stats over a baseline = versions %d epoch %d cow %v, want the locked shape", st.Versions, st.Epoch, st.Cow)
 	}
 }

@@ -57,9 +57,7 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 		MaxBatch:      opts.MaxBatch,
 		FlushInterval: opts.FlushInterval,
 		Obs:           opts.Obs,
-	}
-	if r, ok := idx.(core.Replicator); ok && !opts.DisableSnapshot {
-		copts.Snapshot = r.NewReplica
+		Snapshot:      !opts.DisableSnapshot,
 	}
 	s := &Server{
 		opts:  opts,

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -118,10 +120,12 @@ func TestKNNCostStopsAtTheBound(t *testing.T) {
 	}
 }
 
-// TestReplicaSharesMetrics pins the snapshot-twin contract: NewReplica
-// shares the original's metric handles instead of re-registering (a
-// second registration of the same series panics), and physical applies
-// on the replica count into the same per-shard counters.
+// TestReplicaSharesMetrics pins the snapshot-twin contract: the twin from
+// core.Adopter's NewReplica shares the original's metric handles instead
+// of re-registering (a second registration of the same series panics), and
+// physical applies on the replica count into the same per-shard counters;
+// in a snapshot cell, where one twin applies a window and the other adopts
+// it, the window counts once.
 func TestReplicaSharesMetrics(t *testing.T) {
 	reg := obs.New()
 	opts := testOptions(2, 4, brute)
@@ -137,5 +141,15 @@ func TestReplicaSharesMetrics(t *testing.T) {
 	}
 	if r.Size() != len(pts) || s.Size() != len(pts) {
 		t.Fatalf("sizes = %d/%d, want %d", s.Size(), r.Size(), len(pts))
+	}
+
+	reg = obs.New()
+	opts = testOptions(2, 4, spacH)
+	opts.Obs = reg
+	var cell epoch.Cell
+	cell.Init("shard test", New(opts), true, nil)
+	cell.Commit(pts, nil, nil, time.Time{})
+	if sum, _ := scrapeSums(t, reg, "psi_shard_ops_total"); sum != 2 || cell.Versions() != 2 {
+		t.Fatalf("ops after one window over shared twins = %v, want 2", sum)
 	}
 }

@@ -38,12 +38,11 @@ type Options struct {
 	// queries touched, KNN expansions — all labeled
 	// shard="i"), the query fan-out histogram, and records a
 	// flush-pipeline span per batch into the registry's trace ring.
-	// Replicas made by NewReplica share the originals' series: every
-	// BatchDiff on either twin counts, which is once per window when the
-	// twins share their trees (Adopt) and twice when each window is
-	// applied to both. Recording is atomics only, so the zero-alloc batch
-	// and query guarantees hold. Leave nil to pay nothing. Register at
-	// most one Sharded (plus its replicas) per registry.
+	// Replicas made by NewReplica share the originals' series, so a
+	// window applied to the off-line twin and then adopted counts once.
+	// Recording is atomics only, so the zero-alloc batch and query
+	// guarantees hold. Leave nil to pay nothing. Register at most one
+	// Sharded (plus its replicas) per registry.
 	Obs *obs.Registry
 }
 
@@ -80,10 +79,11 @@ func (o Options) validate() {
 //
 // Concurrent use is the front-end's: a Collection holds the Sharded
 // behind its version cell (see the "Scaling out" section of
-// the README). In snapshot mode the front-end keeps two Shardeds
-// (NewReplica) and reads the published one (ARCHITECTURE.md "Epochs &
-// snapshot reads"). Over copy-on-write children the two are handles on one
-// set of trees (Adopt); over any other family each is a whole copy.
+// the README). Over copy-on-write children (core.Adopter: the SPaC family
+// and P-Orth) the front-end's snapshot reads keep two Shardeds
+// (NewReplica) that are handles on one set of trees (Adopt) and read the
+// published one (ARCHITECTURE.md "Epochs & snapshot reads"); over any
+// other family Adopt refuses and the front-end reads under its lock.
 type Sharded struct {
 	opts Options
 
@@ -110,7 +110,6 @@ type Sharded struct {
 }
 
 var _ core.Index = (*Sharded)(nil)
-var _ core.Replicator = (*Sharded)(nil)
 var _ core.Adopter = (*Sharded)(nil)
 
 // New returns an empty Sharded index.
@@ -149,13 +148,11 @@ func newSharded(opts Options) *Sharded {
 	return s
 }
 
-// NewReplica implements core.Replicator: a Sharded can always construct
-// a fresh, empty, identically configured twin of itself, so wrapping one
-// in a snapshot-mode Collection or Server needs no explicit factory.
-// The replica shares the original's metric series rather than
-// re-registering them: per-shard op counts then aggregate the BatchDiffs
-// of both twins, and query counts stay exact because only the published
-// twin is queried.
+// NewReplica implements core.Adopter: a fresh, empty, identically
+// configured twin. It shares the original's metric series rather than
+// re-registering them: a window reaches one twin and is adopted by the
+// other, so per-shard op counts stay exact, and so do query counts,
+// because only the published twin is queried.
 func (s *Sharded) NewReplica() core.Index {
 	r := newSharded(s.opts)
 	r.met = s.met

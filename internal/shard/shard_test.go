@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/geom"
+	"repro/internal/orthtree"
 	"repro/internal/sfc"
 	"repro/internal/spactree"
 	"repro/internal/workload"
@@ -25,6 +26,9 @@ func brute(dims int, _ geom.Box) core.Index { return core.NewBruteForce(dims) }
 func spacH(dims int, universe geom.Box) core.Index {
 	return spactree.NewSPaC(sfc.Hilbert, dims, universe)
 }
+
+// porth builds the paper's P-Orth tree, the other copy-on-write family.
+func porth(dims int, universe geom.Box) core.Index { return orthtree.NewDefault(dims, universe) }
 
 func testOptions(dims, shards int, factory func(int, geom.Box) core.Index) Options {
 	side := workload.Dist("").Side(dims)
@@ -288,7 +292,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	sh := New(testOptions(2, 8, spacH))
 	sh.Build(base)
 	var cell epoch.Cell
-	cell.Init("shard test", sh, nil, nil)
+	cell.Init("shard test", sh, false, nil)
 
 	queries := workload.GenUniform(32, 2, side, 33)
 	boxes := workload.RangeQueries(12, 2, side, 0.01, 34)

@@ -11,21 +11,21 @@ import (
 	"repro/internal/workload"
 )
 
-// A Sharded's part in snapshot reads is to be the twin: a snapshot-mode
-// Collection or Server keeps two Shardeds (NewReplica) in its version cell
-// and reads the published one. Over a copy-on-write family the two are
-// handles on one set of trees (Adopt) and a window is applied once; over
-// any other each is a whole copy and every window is applied to both.
-// These tests cover that role.
+// A Sharded's part in snapshot reads is to be the twin: over a
+// copy-on-write family a snapshot-mode Collection or Server keeps two
+// Shardeds (NewReplica) in its version cell, handles on one set of trees
+// (Adopt), applies a window once and reads the published one. These tests
+// cover that role.
 
 // TestSnapshotConcurrentUpdatesAndQueries hammers a snapshot-mode version
-// cell over Sharded twins with a batch writer and concurrent readers (run
-// under -race): readers pin one twin while the other takes its
-// sub-batches, and the final contents must match a sequential oracle.
+// cell over Sharded twins of either copy-on-write family with a batch
+// writer and concurrent readers (run under -race): readers pin one twin
+// while the other takes its sub-batches, and the final contents must match
+// a sequential oracle.
 func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 	const n = 4000
 	pts := uniquePoints(n, 11)
-	for name, family := range map[string]func(int, geom.Box) core.Index{"whole copies": brute, "shared trees": spacH} {
+	for name, family := range map[string]func(int, geom.Box) core.Index{"shared P-Orth trees": porth, "shared trees": spacH} {
 		t.Run(name, func(t *testing.T) { snapshotConcurrentUpdatesAndQueries(t, family, pts, n) })
 	}
 }
@@ -34,7 +34,10 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 	side := workload.Uniform.Side(2)
 	sh := New(testOptions(2, 8, family))
 	var cell epoch.Cell
-	cell.Init("shard test", sh, sh.NewReplica, nil)
+	cell.Init("shard test", sh, true, nil)
+	if cell.Versions() != 2 {
+		t.Fatal("the cell keeps no twin of the Sharded")
+	}
 	cell.Rebuild(pts[:n/2])
 
 	queries := workload.GenUniform(16, 2, side, 21)
@@ -79,15 +82,16 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 	}
 }
 
-// TestSnapshotReplica checks the Replicator wiring: NewReplica returns a
-// fresh empty Sharded with the same configuration, fit for the
-// Collection's Snapshot factory.
+// TestSnapshotReplica checks the replica half of core.Adopter: over any
+// shard family, NewReplica returns a fresh empty Sharded with the same
+// configuration — the twin a version cell tries, which over a family that
+// is not copy-on-write refuses to adopt.
 func TestSnapshotReplica(t *testing.T) {
 	s := New(testOptions(2, 4, brute))
 	s.Build(uniquePoints(100, 3))
-	r, ok := core.Index(s).(core.Replicator)
+	r, ok := core.Index(s).(core.Adopter)
 	if !ok {
-		t.Fatal("Sharded does not implement core.Replicator")
+		t.Fatal("Sharded does not implement core.Adopter")
 	}
 	twin := r.NewReplica()
 	if twin.Size() != 0 {
@@ -95,6 +99,9 @@ func TestSnapshotReplica(t *testing.T) {
 	}
 	if twin.Name() != s.Name() {
 		t.Fatalf("NewReplica Name = %q, original %q", twin.Name(), s.Name())
+	}
+	if twin.(core.Adopter).Adopt(s) {
+		t.Fatal("a replica over BruteForce shards adopted the original")
 	}
 }
 

@@ -32,16 +32,13 @@ import (
 // parent — and the second is what lets an update return a shared interior
 // node untouched when both recursions handed back the children it has.
 
-var (
-	_ core.Replicator = (*Tree)(nil)
-	_ core.Adopter    = (*Tree)(nil)
-)
+var _ core.Adopter = (*Tree)(nil)
 
 // owns reports whether t may write nd in place.
 func (t *Tree) owns(nd *node) bool { return nd.gen == t.gen }
 
-// NewReplica implements core.Replicator: a fresh, empty tree over the
-// same curve, mode and options.
+// NewReplica implements core.Adopter: a fresh, empty tree over the same
+// curve, mode and options.
 func (t *Tree) NewReplica() core.Index { return New(t.curve, t.mode, t.opts) }
 
 // Adopt implements core.Adopter: t drops its contents and becomes a second

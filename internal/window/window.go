@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -47,21 +46,14 @@ type Options struct {
 	// flushes every interval, bounding how far the queried view lags
 	// behind enqueues under light write traffic. Stop it with Close.
 	FlushInterval time.Duration
-	// Snapshot, when set, switches the front-end to epoch-pinned snapshot
-	// reads: it must return a fresh, EMPTY index configured identically
-	// to the wrapped one (core.Replicator semantics — most callers pass
-	// the same constructor they built idx with, and the service layer
-	// derives it from core.Replicator). The front-end's version cell then
-	// keeps two versions of the committed index — two handles on one
-	// copy-on-write structure when the returned index is a core.Adopter
-	// that adopts the wrapped one, two whole copies otherwise — brings
-	// every window to both (the off-line one first) and publishes through
-	// an atomic epoch pointer; queries pin the published one instead of
-	// taking the read lock, so a reader never waits on the index apply,
-	// however large the window.
-	// The wrapped index must be empty at construction. Leave nil for the
-	// single-copy RWMutex mode.
-	Snapshot func() core.Index
+	// Snapshot asks for epoch-pinned snapshot reads, which run over a
+	// copy-on-write index (core.Adopter: the SPaC family and P-Orth, as
+	// trees or sharded) whose fresh replica adopts it: the version cell
+	// keeps two handles on one structure and queries pin the published
+	// one instead of taking the read lock, so a reader never waits on the
+	// index apply. Over any other index, as with Snapshot unset, reads take
+	// the single copy's RWMutex. The wrapped index must start empty.
+	Snapshot bool
 	// Obs, when set, registers the front-end's metrics (flush counters,
 	// flush duration histogram, epoch gauges, labeled layer="collection")
 	// and records a flush-pipeline span per flush into the registry's

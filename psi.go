@@ -92,28 +92,15 @@ func DefaultOptions(dims int, universe Box) Options {
 	return core.DefaultOptions(dims, universe)
 }
 
-// replicable wraps a freshly constructed index so it satisfies
-// core.Replicator: the retained constructor mints the identically
-// configured empty twin that snapshot mode (Collection
-// Options.Snapshot, Server default) double-buffers against. Every psi
-// constructor of a family that is not a Replicator itself goes through
-// this, so any psi-built tree can serve epoch-pinned snapshot reads
-// without the caller threading a factory. The SPaC family is returned
-// bare: it mints its own twins and, copy-on-write, shares one tree
-// between them (core.Adopter), which a wrapper would hide.
-func replicable(mk func() Index) Index { return core.WithReplica(mk(), mk) }
-
 // NewPOrth returns a P-Orth tree (this paper, §3): the best
 // query/update trade-off on non-skewed data; history-independent, so
-// query performance does not degrade under sustained updates.
-func NewPOrth(dims int, universe Box) Index {
-	return replicable(func() Index { return orthtree.NewDefault(dims, universe) })
-}
+// query performance does not degrade under sustained updates. Like the
+// SPaC family it is copy-on-write, so it serves snapshot reads from one
+// shared tree.
+func NewPOrth(dims int, universe Box) Index { return orthtree.NewDefault(dims, universe) }
 
 // NewPOrthOpts returns a P-Orth tree with explicit options.
-func NewPOrthOpts(opts Options) Index {
-	return replicable(func() Index { return orthtree.New(opts) })
-}
+func NewPOrthOpts(opts Options) Index { return orthtree.New(opts) }
 
 // NewSPaCH returns a SPaC-H-tree (this paper, §4, Hilbert curve): the
 // paper's recommended default for highly dynamic workloads — the fastest
@@ -135,33 +122,23 @@ func NewCPAMZ(dims int, universe Box) Index { return spactree.NewCPAM(sfc.Morton
 
 // NewPkd returns the Pkd-tree baseline [43]: strong queries, updates pay
 // O(log² n) amortized per point.
-func NewPkd(dims int) Index {
-	return replicable(func() Index { return pkdtree.NewDefault(dims) })
-}
+func NewPkd(dims int) Index { return pkdtree.NewDefault(dims) }
 
 // NewZd returns the Zd-tree baseline [16]: a Morton-sort-based parallel
 // orth-tree.
-func NewZd(dims int, universe Box) Index {
-	return replicable(func() Index { return zdtree.NewDefault(dims, universe) })
-}
+func NewZd(dims int, universe Box) Index { return zdtree.NewDefault(dims, universe) }
 
 // NewRTree returns the sequential quadratic R-tree baseline (Boost-R).
-func NewRTree(dims int) Index {
-	return replicable(func() Index { return rtree.New(dims) })
-}
+func NewRTree(dims int) Index { return rtree.New(dims) }
 
 // NewLogTree returns the logarithmic-method kd-tree baseline [62]: cheap
 // batch insertion by binary-counter carries, but every query pays an
 // O(log n) forest traversal — the trade-off the paper's designs avoid.
-func NewLogTree(dims int) Index {
-	return replicable(func() Index { return logtree.NewLog(dims) })
-}
+func NewLogTree(dims int) Index { return logtree.NewLog(dims) }
 
 // NewBHLTree returns the full-rebuild kd-tree baseline [62]: every batch
 // update rebuilds the whole tree.
-func NewBHLTree(dims int) Index {
-	return replicable(func() Index { return logtree.NewBHL(dims) })
-}
+func NewBHLTree(dims int) Index { return logtree.NewBHL(dims) }
 
 // NewBruteForce returns the linear-scan reference index (exact, slow;
 // intended for testing and cross-validation).
@@ -264,10 +241,10 @@ type CollectionEntry[ID comparable] = collection.Entry[ID]
 // CollectionOptions tunes a Collection: MaxBatch is the coalescing
 // threshold that triggers a synchronous flush, FlushInterval (optional)
 // runs a background flusher bounding query staleness, and Snapshot
-// (optional) supplies the empty twin-index factory that switches
-// Get/NearbyIDs/WithinIDs to the epoch-pinned snapshot path — readers
-// never wait behind the index apply, at most for a window's short ID-table
-// step. The zero value is usable (locked reads).
+// (optional) switches Get/NearbyIDs/WithinIDs over a copy-on-write index
+// (the SPaC family and P-Orth, bare or sharded) to the epoch-pinned
+// snapshot path — readers never wait behind the index apply, at most for
+// a window's short ID-table step. The zero value is usable (locked reads).
 type CollectionOptions = collection.Options
 
 // CollectionStats is a snapshot of a Collection's lifetime counters.
@@ -303,13 +280,12 @@ type ServerStats = service.StatsPayload
 
 // NewServer wraps idx (which must start empty) in a psid Server. The
 // Server takes ownership of idx; bind it with Start, stop it with
-// Shutdown. When idx can replicate itself (every psi constructor and
-// NewSharded qualifies) the server defaults to epoch-pinned snapshot
-// reads — NEARBY/WITHIN/GET never wait behind the index apply, at most
-// for a window's short ID-table step — at the cost, unless the index is
-// copy-on-write (the SPaC family: both versions are then one tree), of a
-// second index copy; opt out with ServerOptions.DisableSnapshot. The
-// recommended serving stack wraps a Sharded index:
+// Shutdown. When idx is copy-on-write (the SPaC family and P-Orth, bare
+// or under NewSharded) the server defaults to epoch-pinned snapshot reads
+// from one shared tree — NEARBY/WITHIN/GET never wait behind the index
+// apply, at most for a window's short ID-table step; opt out with
+// ServerOptions.DisableSnapshot. Over the baselines it serves locked
+// reads. The recommended serving stack wraps a Sharded index:
 //
 //	s := psi.NewServer(psi.NewSharded(psi.NewSPaCH, 2, u, 0), psi.ServerOptions{})
 //	s.Start(":7501", ":7502")
