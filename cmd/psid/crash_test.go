@@ -387,7 +387,8 @@ func TestServingLineNamesTheReadMode(t *testing.T) {
 	}
 }
 
-// TestBadFlagsExitTwo: a flag value no index can be built over is
+// TestBadFlagsExitTwo: a flag value no index can be built over, or one
+// that would quietly leave writes unflushed or every shutdown forced, is
 // command-line input, not programmer error — psid must answer it the way
 // it answers -dims 4, with one "psid:" line and exit status 2, never with
 // the constructor's panic, and before binding anything.
@@ -405,6 +406,9 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-side", "4000000000000"},
 		{"-side", "4000000000000", "-shards", "0"},
 		{"-dims", "3", "-index", "Zd-Tree"}, // the default side is past 21 bits
+		{"-flush-interval", "-1ms"},         // not "no background flusher"
+		{"-drain", "-1s"},                   // every SIGTERM would end forced, exit 1
+		{"-drain", "0s"},
 	} {
 		enc, err := json.Marshal(append([]string{"-addr", "127.0.0.1:0", "-http", ""}, args...))
 		if err != nil {

@@ -133,6 +133,16 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: -shards must be between -1 and %d, got %d\n", shard.MaxShards, *shards)
 		return 2
 	}
+	// A negative interval would reach service.Options as "no background
+	// flusher", leaving SETs invisible until -maxbatch fills.
+	if *flushEvery < 0 {
+		fmt.Fprintf(os.Stderr, "psid: -flush-interval must not be negative, got %s\n", *flushEvery)
+		return 2
+	}
+	if *drain <= 0 {
+		fmt.Fprintf(os.Stderr, "psid: -drain must be positive, got %s\n", *drain)
+		return 2
+	}
 	universe := geom.UniverseBox(*dims, *side)
 	mk := func(dims int, u geom.Box) core.Index { return psi.ByName(*index, dims, u) }
 	// The probe also runs the family's own universe check (the curve-keyed

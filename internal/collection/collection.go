@@ -291,7 +291,7 @@ func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error)
 // committed object count and an iterator over the committed table —
 // exactly the fold of every journaled window — which is what a
 // WAL snapshot must capture for its seq to line up with the log
-// (internal/service pairs Checkpoint with wal.Log.WriteSnapshot). fn
+// (internal/service pairs Checkpoint with wal.Log.WriteSnapshotAt). fn
 // must not call back into the Collection (Flush, Set-triggered
 // flushes, and Close all take the same lock) and must not retain the
 // iterator past its return. Pending (unflushed, unjournaled) ops are

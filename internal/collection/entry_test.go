@@ -160,21 +160,13 @@ func TestCommitWindowZeroAllocWarm(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 512
-	l, _, err := wal.Open[int](t.TempDir(), intCodec{}, wal.Options{Fsync: wal.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	c := New[int](core.NewNull(2), Options{})
-	defer c.Close()
-	c.SetJournal(func(seq uint64, ops []wal.Op[int]) error {
-		_, err := l.AppendWindowAt(seq, ops)
-		return err
-	})
-	wins := [2][]wal.Op[int]{}
-	for i := range n {
-		wins[0] = append(wins[0], wal.Op[int]{ID: i, P: geom.Pt2(int64(i)*17, int64(i)*29)})
-		wins[1] = append(wins[1], wal.Op[int]{ID: i, P: geom.Pt2(int64(i)*17+5, int64(i)*29+3)})
+	c := New[string](core.NewNull(2), Options{})
+	journalTo(t, c)
+	ids := journalIDs(n)
+	wins := [2][]wal.Op[string]{}
+	for i, id := range ids {
+		wins[0] = append(wins[0], wal.Op[string]{ID: id, P: geom.Pt2(int64(i)*17, int64(i)*29)})
+		wins[1] = append(wins[1], wal.Op[string]{ID: id, P: geom.Pt2(int64(i)*17+5, int64(i)*29+3)})
 	}
 	seq := uint64(0)
 	window := func() {

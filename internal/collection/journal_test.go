@@ -1,8 +1,8 @@
 package collection
 
 import (
-	"encoding/binary"
 	"errors"
+	"fmt"
 	"iter"
 	"testing"
 
@@ -10,22 +10,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/wal"
 )
-
-// intCodec is a test wal.Codec for integer IDs (zigzag varint), so the
-// journal alloc guard can reuse the int-keyed Collection fixtures.
-type intCodec struct{}
-
-func (intCodec) AppendID(dst []byte, id int) []byte {
-	return binary.AppendVarint(dst, int64(id))
-}
-
-func (intCodec) DecodeID(src []byte) (int, int, error) {
-	v, n := binary.Varint(src)
-	if n <= 0 {
-		return 0, 0, errors.New("intCodec: bad varint")
-	}
-	return int(v), n, nil
-}
 
 // TestJournalReceivesNettedWindow pins the SetJournal contract: the hook
 // sees exactly the netted window — at most one op per ID, last write
@@ -143,38 +127,31 @@ func TestCheckpointMatchesCommittedState(t *testing.T) {
 // warm Set→Flush cycles must stay allocation-free — the wal.Op window
 // is built in recycled scratch and the record encode buffer is reused
 // inside wal.Log. Same thresholds as TestSetFlushZeroAllocWarm: exactly
-// zero, for same-position windows and for moves.
+// zero, for same-position windows and for moves. The IDs are built once,
+// as a server's would be by the time its window flushes.
 func TestJournalFlushZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 512
+	ids := journalIDs(n)
 	posA := make([]geom.Point, n)
 	posB := make([]geom.Point, n)
 	for i := range posA {
 		posA[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 		posB[i] = geom.Pt2(int64(i)*17+5, int64(i)*29+3)
 	}
-	newJournaled := func(t *testing.T) *Collection[int] {
+	newJournaled := func(t *testing.T) *Collection[string] {
 		t.Helper()
-		l, _, err := wal.Open[int](t.TempDir(), intCodec{}, wal.Options{Fsync: wal.FsyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		c := New[int](core.NewNull(2), Options{MaxBatch: 1 << 20})
-		c.SetJournal(func(seq uint64, ops []wal.Op[int]) error {
-			_, err := l.AppendWindowAt(seq, ops)
-			return err
-		})
-		t.Cleanup(c.Close)
+		c := New[string](core.NewNull(2), Options{MaxBatch: 1 << 20})
+		journalTo(t, c)
 		return c
 	}
 	t.Run("same-position windows", func(t *testing.T) {
 		c := newJournaled(t)
 		window := func() {
 			for i, p := range posA {
-				c.Set(i, p)
+				c.Set(ids[i], p)
 			}
 			c.Flush()
 		}
@@ -187,13 +164,13 @@ func TestJournalFlushZeroAllocWarm(t *testing.T) {
 	t.Run("move windows", func(t *testing.T) {
 		c := newJournaled(t)
 		for i, p := range posA {
-			c.Set(i, p)
+			c.Set(ids[i], p)
 		}
 		c.Flush()
 		cur, next := posA, posB
 		window := func() {
 			for i, p := range next {
-				c.Set(i, p)
+				c.Set(ids[i], p)
 			}
 			c.Flush()
 			cur, next = next, cur
@@ -204,4 +181,29 @@ func TestJournalFlushZeroAllocWarm(t *testing.T) {
 			t.Fatalf("warm journaled move window allocates %.2f/op, want 0", allocs)
 		}
 	})
+}
+
+// journalIDs returns n distinct IDs, built once for the alloc guards.
+func journalIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("obj-%07d", i)
+	}
+	return ids
+}
+
+// journalTo journals c's windows to a fresh WAL (FsyncNever) that the
+// test's cleanup closes after c.
+func journalTo(t *testing.T, c *Collection[string]) {
+	t.Helper()
+	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	c.SetJournal(func(seq uint64, ops []wal.Op[string]) error {
+		_, err := l.AppendWindowAt(seq, ops)
+		return err
+	})
+	t.Cleanup(c.Close)
 }

@@ -1,8 +1,7 @@
 package obs
 
 import (
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -11,12 +10,11 @@ import (
 // Slow-query log: the serving layer records every command slower than
 // its -slowlog threshold into a preallocated ring, capturing the
 // command, its raw request line, the duration, and the query's cost
-// (shards visited, candidate points scanned, pinned epoch). Recording
-// follows the FlushTrace pattern — one atomic slot claim plus a
-// per-slot mutex, arguments copied into a fixed in-slot buffer — so a
-// burst of slow queries from many connections records without shared
-// locking or allocation. Snapshots back /debug/slowlog and the SLOWLOG
-// protocol command.
+// (shards visited, candidate points scanned, pinned epoch). It is the
+// ring FlushTrace records into (ring.go), arguments copied into a fixed
+// in-entry buffer, so a burst of slow queries from many connections
+// records without shared locking or allocation. Snapshots back
+// /debug/slowlog and the SLOWLOG protocol command, newest first.
 
 // QueryCost is the per-query work accounting threaded down the query
 // path: Shards is the number of shards the query actually visited,
@@ -60,15 +58,11 @@ type SlowQuery struct {
 
 // SlowLog is the slow-query ring. The nil receiver is safe on Record
 // and Total.
-type SlowLog struct {
-	seq   atomic.Uint64
-	slots []slowSlot
-}
+type SlowLog struct{ r ring[slowEntry] }
 
-type slowSlot struct {
-	mu    sync.Mutex
-	used  bool
-	seq   uint64
+// slowEntry is one in-ring slow query: fixed-size, so recording copies
+// instead of allocating.
+type slowEntry struct {
 	unix  int64
 	durNs int64
 	cmd   string
@@ -81,10 +75,9 @@ type slowSlot struct {
 // NewSlowLog returns a ring retaining the last capacity entries
 // (minimum 1).
 func NewSlowLog(capacity int) *SlowLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SlowLog{slots: make([]slowSlot, capacity)}
+	l := new(SlowLog)
+	l.r.init(capacity)
+	return l
 }
 
 // Record stores one slow query, overwriting the oldest when the ring is
@@ -95,18 +88,15 @@ func (l *SlowLog) Record(cmd string, args []byte, d time.Duration, cost QueryCos
 	if l == nil {
 		return
 	}
-	seq := l.seq.Add(1)
-	slot := &l.slots[(seq-1)%uint64(len(l.slots))]
-	slot.mu.Lock()
-	slot.used = true
-	slot.seq = seq
-	slot.unix = time.Now().UnixNano()
-	slot.durNs = d.Nanoseconds()
-	slot.cmd = cmd
-	slot.trunc = len(args) > len(slot.args)
-	slot.nArgs = copy(slot.args[:], args)
-	slot.cost = cost
-	slot.mu.Unlock()
+	e := slowEntry{
+		unix:  time.Now().UnixNano(),
+		durNs: d.Nanoseconds(),
+		cmd:   cmd,
+		trunc: len(args) > SlowArgsCap,
+		cost:  cost,
+	}
+	e.nArgs = copy(e.args[:], args)
+	l.r.put(e)
 }
 
 // Total returns the number of slow queries ever recorded.
@@ -114,7 +104,7 @@ func (l *SlowLog) Total() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.seq.Load()
+	return l.r.seq.Load()
 }
 
 // Snapshot copies the retained entries out, newest first (the SLOWLOG
@@ -123,29 +113,19 @@ func (l *SlowLog) Snapshot() []SlowQuery {
 	if l == nil {
 		return nil
 	}
-	out := make([]SlowQuery, 0, len(l.slots))
-	for i := range l.slots {
-		slot := &l.slots[i]
-		slot.mu.Lock()
-		if slot.used {
-			out = append(out, SlowQuery{
-				Seq:        slot.seq,
-				UnixNano:   slot.unix,
-				DurNs:      slot.durNs,
-				Cmd:        slot.cmd,
-				Args:       string(slot.args[:slot.nArgs]),
-				Truncated:  slot.trunc,
-				Shards:     slot.cost.Shards,
-				Candidates: slot.cost.Candidates,
-				Epoch:      slot.cost.Epoch,
-			})
+	out := snapshot(&l.r, func(seq uint64, e *slowEntry) SlowQuery {
+		return SlowQuery{
+			Seq:        seq,
+			UnixNano:   e.unix,
+			DurNs:      e.durNs,
+			Cmd:        e.cmd,
+			Args:       string(e.args[:e.nArgs]),
+			Truncated:  e.trunc,
+			Shards:     e.cost.Shards,
+			Candidates: e.cost.Candidates,
+			Epoch:      e.cost.Epoch,
 		}
-		slot.mu.Unlock()
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Seq < out[j].Seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	})
+	slices.Reverse(out)
 	return out
 }

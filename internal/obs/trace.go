@@ -1,20 +1,13 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Flush-pipeline tracing: each Collection/Shard flush records one
 // FlushSpan — per-stage wall times plus window statistics — into a
-// preallocated ring. Recording claims a slot with one atomic increment
-// and writes it under that slot's own mutex, so concurrent recorders
-// (per-shard flushes, independent layers) never contend on shared state
-// beyond the sequence counter, and recording a span allocates nothing:
-// the span is passed by value into storage that exists for the ring's
-// lifetime. Readers (/debug/flushtrace) copy slots out under the
-// per-slot locks and may allocate freely.
+// preallocated ring (ring.go), so concurrent recorders (per-shard
+// flushes, independent layers) never contend beyond the ring's sequence
+// counter and recording a span allocates nothing. /debug/flushtrace
+// reads it oldest first.
 
 // Flush stage indices into FlushSpan.Stages. Stages a mode does not run
 // stay zero: locked-mode flushes have no replay/publish/drain, the shard
@@ -87,24 +80,14 @@ func (sp *FlushSpan) Dur() time.Duration {
 }
 
 // FlushTrace is the span ring. The nil receiver is safe on Record.
-type FlushTrace struct {
-	seq   atomic.Uint64
-	slots []traceSlot
-}
-
-type traceSlot struct {
-	mu   sync.Mutex
-	used bool
-	span FlushSpan
-}
+type FlushTrace struct{ r ring[FlushSpan] }
 
 // NewFlushTrace returns a ring retaining the last capacity spans
 // (minimum 1).
 func NewFlushTrace(capacity int) *FlushTrace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlushTrace{slots: make([]traceSlot, capacity)}
+	t := new(FlushTrace)
+	t.r.init(capacity)
+	return t
 }
 
 // Record stores one span, overwriting the oldest when the ring is full.
@@ -113,13 +96,7 @@ func (t *FlushTrace) Record(span FlushSpan) {
 	if t == nil {
 		return
 	}
-	seq := t.seq.Add(1)
-	span.Seq = seq
-	slot := &t.slots[(seq-1)%uint64(len(t.slots))]
-	slot.mu.Lock()
-	slot.span = span
-	slot.used = true
-	slot.mu.Unlock()
+	t.r.put(span)
 }
 
 // Total returns the number of spans ever recorded.
@@ -127,32 +104,18 @@ func (t *FlushTrace) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.seq.Load()
+	return t.r.seq.Load()
 }
 
-// Snapshot copies the retained spans out, oldest first. Spans recorded
-// concurrently with the copy may appear out of their final order but are
-// never torn (each slot is copied under its lock); the result is sorted
-// by sequence number.
+// Snapshot copies the retained spans out, oldest first, each carrying
+// the sequence number Record assigned it.
 func (t *FlushTrace) Snapshot() []FlushSpan {
 	if t == nil {
 		return nil
 	}
-	out := make([]FlushSpan, 0, len(t.slots))
-	for i := range t.slots {
-		slot := &t.slots[i]
-		slot.mu.Lock()
-		if slot.used {
-			out = append(out, slot.span)
-		}
-		slot.mu.Unlock()
-	}
-	// Insertion sort by Seq: the ring is nearly ordered already (one
-	// rotation), and snapshot sizes are ring-capacity bounded.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Seq > out[j].Seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
+	return snapshot(&t.r, func(seq uint64, sp *FlushSpan) FlushSpan {
+		out := *sp
+		out.Seq = seq
+		return out
+	})
 }

@@ -24,16 +24,20 @@ import (
 // reports the highest term adopted so far, and the Follower refuses
 // sessions from leaders below it. Slices passed in are reused by the
 // Follower and must not be retained.
-type Applier[ID comparable] interface {
+type Applier interface {
 	AppliedSeq() uint64
 	Term() uint64
-	ApplyWindow(seq uint64, ops []wal.Op[ID]) error
-	Bootstrap(seq, term uint64, entries []wal.Op[ID]) error
+	ApplyWindow(seq uint64, ops []wal.Op[string]) error
+	Bootstrap(seq, term uint64, entries []wal.Op[string]) error
 }
 
-// FollowerOptions configures a Follower. Addr, Codec and the Applier
-// (passed to NewFollower) are required.
-type FollowerOptions[ID comparable] struct {
+// FollowerOptions configures a Follower. Addr and the Applier (passed to
+// NewFollower) are required. A connection attempt is bounded by
+// dialTimeout, the silence between leader frames (a PING arrives every
+// defaultPingInterval while idle) by readTimeout, and one received frame
+// by maxFrameBytes; reconnects back off from defaultBackoffMin,
+// doubling, to defaultBackoffMax.
+type FollowerOptions struct {
 	// Addr is the leader's replication listener (host:port).
 	Addr string
 	// ID is the stable follower identity sent in the FOLLOW handshake;
@@ -41,21 +45,6 @@ type FollowerOptions[ID comparable] struct {
 	// the leader fall back to the connection's remote address (stable
 	// enough for a quick look, wrong across reconnects).
 	ID string
-	// Codec decodes window payloads; must match the leader's.
-	Codec wal.Codec[ID]
-	// MaxFrameBytes bounds one received frame; <= 0 selects
-	// DefaultMaxFrameBytes.
-	MaxFrameBytes int
-	// DialTimeout bounds one connection attempt; <= 0 selects 5s.
-	DialTimeout time.Duration
-	// ReadTimeout bounds the silence between leader frames (pings arrive
-	// every DefaultPingInterval while idle); <= 0 selects
-	// DefaultReadTimeout.
-	ReadTimeout time.Duration
-	// BackoffMin/BackoffMax bound the reconnect backoff (doubling from
-	// min to max; reset after a healthy session); <= 0 select 50ms / 2s.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// Logf, when set, receives one line per connect, bootstrap and
 	// session error.
 	Logf func(format string, args ...any)
@@ -82,9 +71,13 @@ type FollowerStatus struct {
 // Follower maintains one replication session against the leader,
 // reconnecting with backoff forever until Stop. Create with
 // NewFollower, start the loop with Start.
-type Follower[ID comparable] struct {
-	opts FollowerOptions[ID]
-	app  Applier[ID]
+type Follower struct {
+	opts FollowerOptions
+	app  Applier
+	// maxFrame and the backoff bounds are maxFrameBytes and the default
+	// backoff; tests tighten them before Start.
+	maxFrame               int
+	backoffMin, backoffMax time.Duration
 
 	stop    chan struct{}
 	closing atomic.Bool
@@ -110,35 +103,27 @@ type Follower[ID comparable] struct {
 
 	// stream-loop scratch, reused across frames (one session at a time).
 	frameBuf []byte
-	opsBuf   []wal.Op[ID]
+	opsBuf   []wal.Op[string]
 	ackBuf   []byte
 	seqBuf   []byte
 }
 
 // NewFollower returns a follower that has not started dialing; Start
 // launches the session loop.
-func NewFollower[ID comparable](app Applier[ID], opts FollowerOptions[ID]) *Follower[ID] {
-	if opts.MaxFrameBytes <= 0 {
-		opts.MaxFrameBytes = DefaultMaxFrameBytes
+func NewFollower(app Applier, opts FollowerOptions) *Follower {
+	f := &Follower{
+		opts:       opts,
+		app:        app,
+		maxFrame:   maxFrameBytes,
+		backoffMin: defaultBackoffMin,
+		backoffMax: defaultBackoffMax,
+		stop:       make(chan struct{}),
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.ReadTimeout <= 0 {
-		opts.ReadTimeout = DefaultReadTimeout
-	}
-	if opts.BackoffMin <= 0 {
-		opts.BackoffMin = 50 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 2 * time.Second
-	}
-	f := &Follower[ID]{opts: opts, app: app, stop: make(chan struct{})}
 	f.applied.Store(app.AppliedSeq())
 	return f
 }
 
-func (f *Follower[ID]) lag() uint64 {
+func (f *Follower) lag() uint64 {
 	head := f.leaderSeq.Load()
 	if applied := f.applied.Load(); head > applied {
 		return head - applied
@@ -148,14 +133,14 @@ func (f *Follower[ID]) lag() uint64 {
 
 // Start launches the session loop: dial, handshake, stream, reconnect
 // with backoff, forever until Stop.
-func (f *Follower[ID]) Start() {
+func (f *Follower) Start() {
 	f.wg.Add(1)
 	go f.run()
 }
 
 // Stop severs the session and stops reconnecting. Safe to call twice;
 // returns after the loop has fully exited (no apply is in flight).
-func (f *Follower[ID]) Stop() {
+func (f *Follower) Stop() {
 	if !f.closing.CompareAndSwap(false, true) {
 		return
 	}
@@ -172,7 +157,7 @@ func (f *Follower[ID]) Stop() {
 // current session (if any) is severed and the reconnect loop dials the
 // new address. The service's FOLLOW admin command uses it so surviving
 // followers join a promoted leader without a restart.
-func (f *Follower[ID]) SetAddr(addr string) {
+func (f *Follower) SetAddr(addr string) {
 	f.mu.Lock()
 	f.opts.Addr = addr
 	conn := f.conn
@@ -183,14 +168,14 @@ func (f *Follower[ID]) SetAddr(addr string) {
 }
 
 // addr returns the current leader address (mutable via SetAddr).
-func (f *Follower[ID]) addr() string {
+func (f *Follower) addr() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.opts.Addr
 }
 
 // Status snapshots the follower's replication position.
-func (f *Follower[ID]) Status() FollowerStatus {
+func (f *Follower) Status() FollowerStatus {
 	st := FollowerStatus{
 		Connected:  f.connected.Load(),
 		Leader:     f.addr(),
@@ -210,21 +195,21 @@ func (f *Follower[ID]) Status() FollowerStatus {
 	return st
 }
 
-func (f *Follower[ID]) logf(format string, args ...any) {
+func (f *Follower) logf(format string, args ...any) {
 	if f.opts.Logf != nil {
 		f.opts.Logf(format, args...)
 	}
 }
 
-func (f *Follower[ID]) setErr(err error) {
+func (f *Follower) setErr(err error) {
 	f.mu.Lock()
 	f.err = err.Error()
 	f.mu.Unlock()
 }
 
-func (f *Follower[ID]) run() {
+func (f *Follower) run() {
 	defer f.wg.Done()
-	backoff := f.opts.BackoffMin
+	backoff := f.backoffMin
 	for {
 		select {
 		case <-f.stop:
@@ -232,13 +217,13 @@ func (f *Follower[ID]) run() {
 		default:
 		}
 		addr := f.addr()
-		conn, err := net.DialTimeout("tcp", addr, f.opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			f.setErr(err)
 			if !f.sleep(backoff) {
 				return
 			}
-			backoff = min(backoff*2, f.opts.BackoffMax)
+			backoff = min(backoff*2, f.backoffMax)
 			continue
 		}
 		f.mu.Lock()
@@ -266,17 +251,17 @@ func (f *Follower[ID]) run() {
 		}
 		// A session that survived a while earned a fresh backoff; a
 		// handshake that dies instantly keeps doubling.
-		if time.Since(start) > f.opts.BackoffMax {
-			backoff = f.opts.BackoffMin
+		if time.Since(start) > f.backoffMax {
+			backoff = f.backoffMin
 		}
 		if !f.sleep(backoff) {
 			return
 		}
-		backoff = min(backoff*2, f.opts.BackoffMax)
+		backoff = min(backoff*2, f.backoffMax)
 	}
 }
 
-func (f *Follower[ID]) sleep(d time.Duration) bool {
+func (f *Follower) sleep(d time.Duration) bool {
 	select {
 	case <-f.stop:
 		return false
@@ -287,8 +272,8 @@ func (f *Follower[ID]) sleep(d time.Duration) bool {
 
 // session performs the handshake on an established connection and
 // consumes the stream until an error (including Stop closing the conn).
-func (f *Follower[ID]) session(conn net.Conn) error {
-	rw := deadlineRW{c: conn, rt: f.opts.ReadTimeout, wt: DefaultWriteTimeout}
+func (f *Follower) session(conn net.Conn) error {
+	rw := deadlineRW{c: conn, rt: readTimeout, wt: writeTimeout}
 	applied, term := f.app.AppliedSeq(), f.app.Term()
 	hs := append([]byte(nil), Magic...)
 	hs = appendFrame(hs, fmFollow, followPayload(nil, applied, term, f.opts.ID))
@@ -309,7 +294,7 @@ func (f *Follower[ID]) session(conn net.Conn) error {
 // out-of-order window, whatever bytes arrive (FuzzReplStream drives it
 // with adversarial streams; w errors are only possible on live
 // connections and sever the session).
-func (f *Follower[ID]) stream(r io.Reader, w io.Writer) error {
+func (f *Follower) stream(r io.Reader, w io.Writer) error {
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return fmt.Errorf("repl: reading magic: %w", err)
@@ -317,7 +302,7 @@ func (f *Follower[ID]) stream(r io.Reader, w io.Writer) error {
 	if string(magic[:]) != Magic {
 		return fmt.Errorf("repl: bad magic %q", magic[:])
 	}
-	typ, payload, buf, err := readFrame(r, f.opts.MaxFrameBytes, f.frameBuf)
+	typ, payload, buf, err := readFrame(r, f.maxFrame, f.frameBuf)
 	f.frameBuf = buf
 	if err != nil {
 		return err
@@ -338,9 +323,9 @@ func (f *Follower[ID]) stream(r io.Reader, w io.Writer) error {
 	f.leaderSeq.Store(head)
 	f.connected.Store(true)
 
-	var snap *pendingSnap[ID]
+	var snap *pendingSnap
 	for {
-		typ, payload, buf, err := readFrame(r, f.opts.MaxFrameBytes, f.frameBuf)
+		typ, payload, buf, err := readFrame(r, f.maxFrame, f.frameBuf)
 		f.frameBuf = buf
 		if err != nil {
 			return err
@@ -372,12 +357,12 @@ func (f *Follower[ID]) stream(r io.Reader, w io.Writer) error {
 			if count > 1<<40 {
 				return fmt.Errorf("repl: snapshot claims %d entries", count)
 			}
-			snap = &pendingSnap[ID]{seq: seq, count: count}
+			snap = &pendingSnap{seq: seq, count: count}
 		case fmSnapData:
 			if snap == nil {
 				return fmt.Errorf("repl: SNAP_DATA outside a snapshot stream")
 			}
-			seq, entries, err := wal.DecodeWindowPayload(payload, f.opts.Codec, snap.entries)
+			seq, entries, err := wal.DecodeWindowPayload(payload, snap.entries)
 			if err != nil {
 				return err
 			}
@@ -429,7 +414,7 @@ func (f *Follower[ID]) stream(r io.Reader, w io.Writer) error {
 			if winTerm != sessionTerm {
 				return fmt.Errorf("repl: window term %d does not match session term %d: severing", winTerm, sessionTerm)
 			}
-			seq, ops, err := wal.DecodeWindowPayload(win, f.opts.Codec, f.opsBuf[:0])
+			seq, ops, err := wal.DecodeWindowPayload(win, f.opsBuf[:0])
 			f.opsBuf = ops
 			if err != nil {
 				return err
@@ -463,13 +448,13 @@ func (f *Follower[ID]) stream(r io.Reader, w io.Writer) error {
 }
 
 // pendingSnap accumulates one in-flight snapshot bootstrap.
-type pendingSnap[ID comparable] struct {
+type pendingSnap struct {
 	seq     uint64
 	count   uint64
-	entries []wal.Op[ID]
+	entries []wal.Op[string]
 }
 
-func (f *Follower[ID]) ack(w io.Writer, seq uint64) error {
+func (f *Follower) ack(w io.Writer, seq uint64) error {
 	f.seqBuf = seqPayload(f.seqBuf, seq)
 	err := writeFrame(w, &f.ackBuf, fmAck, f.seqBuf)
 	if err != nil {

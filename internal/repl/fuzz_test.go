@@ -17,9 +17,8 @@ import (
 // PSID_WRITE_SEEDS=1 go test -run TestWriteReplSeeds ./internal/repl/),
 // so `go test` replays them as plain tests, mirroring FuzzWALReplay.
 func fuzzSeeds() map[string][]byte {
-	codec := wal.StringCodec{}
 	win := func(term, seq uint64, ops ...wal.Op[string]) []byte {
-		return windowPayload(nil, term, wal.EncodeWindowPayload(nil, codec, seq, ops))
+		return windowPayload(nil, term, wal.EncodeWindowPayload(nil, seq, ops))
 	}
 	valid := append([]byte(nil), Magic...)
 	valid = appendFrame(valid, fmHello, seqTermPayload(nil, 2, 1))
@@ -30,8 +29,8 @@ func fuzzSeeds() map[string][]byte {
 	snap := append([]byte(nil), Magic...)
 	snap = appendFrame(snap, fmHello, seqTermPayload(nil, 9, 2))
 	snap = appendFrame(snap, fmSnapBegin, snapBeginPayload(nil, 9, 3))
-	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, codec, 9, []wal.Op[string]{{ID: "x", P: geom.Pt2(1, 1)}, {ID: "y", P: geom.Pt2(2, 2)}}))
-	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, codec, 9, []wal.Op[string]{{ID: "z", P: geom.Pt2(3, 3)}}))
+	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, 9, []wal.Op[string]{{ID: "x", P: geom.Pt2(1, 1)}, {ID: "y", P: geom.Pt2(2, 2)}}))
+	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, 9, []wal.Op[string]{{ID: "z", P: geom.Pt2(3, 3)}}))
 	snap = appendFrame(snap, fmSnapEnd, seqPayload(nil, 3))
 	snap = appendFrame(snap, fmWindow, win(2, 10, wal.Op[string]{ID: "x", P: geom.Pt2(5, 5)}))
 
@@ -56,7 +55,7 @@ func fuzzSeeds() map[string][]byte {
 	snapDel := append([]byte(nil), Magic...)
 	snapDel = appendFrame(snapDel, fmHello, seqTermPayload(nil, 1, 0))
 	snapDel = appendFrame(snapDel, fmSnapBegin, snapBeginPayload(nil, 1, 1))
-	snapDel = appendFrame(snapDel, fmSnapData, wal.EncodeWindowPayload(nil, codec, 1, []wal.Op[string]{{ID: "gone", Del: true}}))
+	snapDel = appendFrame(snapDel, fmSnapData, wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "gone", Del: true}}))
 	snapDel = appendFrame(snapDel, fmSnapEnd, seqPayload(nil, 1))
 
 	// A window whose term disagrees with the session's HELLO term — the
@@ -96,11 +95,8 @@ func FuzzReplStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		app := newModelApplier()
-		fo := NewFollower(app, FollowerOptions[string]{
-			Addr:          "fuzz",
-			Codec:         wal.StringCodec{},
-			MaxFrameBytes: 1 << 20, // keep hostile length prefixes from dominating fuzz throughput
-		})
+		fo := NewFollower(app, FollowerOptions{Addr: "fuzz"})
+		fo.maxFrame = 1 << 20 // keep hostile length prefixes from dominating fuzz throughput
 		err := fo.stream(bytes.NewReader(data), io.Discard)
 		if err == nil {
 			t.Fatal("stream returned nil: it can only end in EOF or a protocol error")

@@ -14,7 +14,7 @@ const (
 
 // Hub is the leader-side fan-out point: the Collection's journal hook
 // publishes every committed window as the record payload the WAL just
-// framed for it (wal.Log.AppendWindow hands it back, so a window is
+// framed for it (wal.Log.AppendWindowAt hands it back, so a window is
 // encoded once) and per-follower writers read the retained tail.
 // Retention is bounded by window count and total encoded bytes;
 // eviction only moves the snapshot/tail decision, never correctness.

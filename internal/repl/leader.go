@@ -16,25 +16,15 @@ import (
 // Collection's flush lock via Checkpoint) and one Set op per live
 // object. It may be called concurrently by several bootstrapping
 // followers; each call materializes its own entry slice.
-type SnapshotFunc[ID comparable] func() (seq uint64, entries []wal.Op[ID], err error)
+type SnapshotFunc func() (seq uint64, entries []wal.Op[string], err error)
 
-// LeaderOptions configures a Leader. Codec, Hub and Snapshot are
-// required; everything else defaults sensibly.
-type LeaderOptions[ID comparable] struct {
-	Codec    wal.Codec[ID]
+// LeaderOptions configures a Leader. Hub and Snapshot are required.
+// Frames a follower sends are bounded by maxFrameBytes, reads and writes
+// by readTimeout and writeTimeout, and an idle stream carries a PING
+// every defaultPingInterval.
+type LeaderOptions struct {
 	Hub      *Hub
-	Snapshot SnapshotFunc[ID]
-	// MaxFrameBytes bounds one received frame (followers only send tiny
-	// FOLLOW/ACK frames, so this is an abuse guard); <= 0 selects
-	// DefaultMaxFrameBytes.
-	MaxFrameBytes int
-	// PingInterval is the idle heartbeat cadence; <= 0 selects
-	// DefaultPingInterval.
-	PingInterval time.Duration
-	// ReadTimeout/WriteTimeout bound one frame read (acks) and one frame
-	// write to a silent or stalled follower; <= 0 selects the defaults.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
+	Snapshot SnapshotFunc
 	// Term supplies the leader's current term for handshakes and window
 	// frames (the service wires it to the WAL's journaled term). Nil
 	// means term 0 — a pre-failover topology where fencing never fires.
@@ -85,8 +75,9 @@ type LeaderStats struct {
 // window tail (or a snapshot first, when they are beyond the hub's
 // retention horizon). Create one with NewLeader, bind it with Serve,
 // stop it with Close.
-type Leader[ID comparable] struct {
-	opts LeaderOptions[ID]
+type Leader struct {
+	opts         LeaderOptions
+	pingInterval time.Duration // defaultPingInterval; tests shorten it before Serve
 
 	ln      net.Listener
 	stop    chan struct{}
@@ -115,30 +106,18 @@ type followerEntry struct {
 }
 
 // NewLeader returns an unbound leader.
-func NewLeader[ID comparable](opts LeaderOptions[ID]) *Leader[ID] {
-	if opts.MaxFrameBytes <= 0 {
-		opts.MaxFrameBytes = DefaultMaxFrameBytes
+func NewLeader(opts LeaderOptions) *Leader {
+	return &Leader{
+		opts:         opts,
+		pingInterval: defaultPingInterval,
+		stop:         make(chan struct{}),
+		entries:      make(map[string]*followerEntry),
 	}
-	if opts.PingInterval <= 0 {
-		opts.PingInterval = DefaultPingInterval
-	}
-	if opts.ReadTimeout <= 0 {
-		opts.ReadTimeout = DefaultReadTimeout
-	}
-	if opts.WriteTimeout <= 0 {
-		opts.WriteTimeout = DefaultWriteTimeout
-	}
-	l := &Leader[ID]{
-		opts:    opts,
-		stop:    make(chan struct{}),
-		entries: make(map[string]*followerEntry),
-	}
-	return l
 }
 
 // Serve accepts followers on ln until Close. It returns immediately;
 // streaming runs in per-connection goroutines.
-func (l *Leader[ID]) Serve(ln net.Listener) {
+func (l *Leader) Serve(ln net.Listener) {
 	l.ln = ln
 	l.wg.Add(1)
 	go func() {
@@ -155,7 +134,7 @@ func (l *Leader[ID]) Serve(ln net.Listener) {
 }
 
 // Addr returns the bound listener address (nil before Serve).
-func (l *Leader[ID]) Addr() net.Addr {
+func (l *Leader) Addr() net.Addr {
 	if l.ln == nil {
 		return nil
 	}
@@ -165,7 +144,7 @@ func (l *Leader[ID]) Addr() net.Addr {
 // Close stops accepting, severs every follower connection, and waits
 // for the per-connection goroutines to drain. Followers reconnect and
 // resume against the next leader incarnation on their own.
-func (l *Leader[ID]) Close() {
+func (l *Leader) Close() {
 	if !l.closing.CompareAndSwap(false, true) {
 		return
 	}
@@ -186,7 +165,7 @@ func (l *Leader[ID]) Close() {
 }
 
 // Stats snapshots the leader-side replication counters for /stats.
-func (l *Leader[ID]) Stats() LeaderStats {
+func (l *Leader) Stats() LeaderStats {
 	windows, bytes, last := l.opts.Hub.Stats()
 	st := LeaderStats{
 		LastSeq:         last,
@@ -214,14 +193,14 @@ func (l *Leader[ID]) Stats() LeaderStats {
 	return st
 }
 
-func (l *Leader[ID]) logf(format string, args ...any) {
+func (l *Leader) logf(format string, args ...any) {
 	if l.opts.Logf != nil {
 		l.opts.Logf(format, args...)
 	}
 }
 
 // term returns the leader's current term (0 without a supplier).
-func (l *Leader[ID]) term() uint64 {
+func (l *Leader) term() uint64 {
 	if l.opts.Term == nil {
 		return 0
 	}
@@ -230,7 +209,7 @@ func (l *Leader[ID]) term() uint64 {
 
 // entryFor returns (creating on first sight, and reporting it to
 // OnFollower) the persistent entry for a follower identity.
-func (l *Leader[ID]) entryFor(id string) *followerEntry {
+func (l *Leader) entryFor(id string) *followerEntry {
 	l.mu.Lock()
 	e, ok := l.entries[id]
 	if !ok {
@@ -249,10 +228,10 @@ func (l *Leader[ID]) entryFor(id string) *followerEntry {
 // leader closes. The ack reader runs as a second goroutine on the same
 // connection; either side failing closes the conn, which unblocks the
 // other.
-func (l *Leader[ID]) handleConn(conn net.Conn) {
+func (l *Leader) handleConn(conn net.Conn) {
 	defer l.wg.Done()
 	defer conn.Close()
-	rw := deadlineRW{c: conn, rt: l.opts.ReadTimeout, wt: l.opts.WriteTimeout}
+	rw := deadlineRW{c: conn, rt: readTimeout, wt: writeTimeout}
 
 	var magic [len(Magic)]byte
 	if _, err := readFull(rw, magic[:]); err != nil {
@@ -262,7 +241,7 @@ func (l *Leader[ID]) handleConn(conn net.Conn) {
 		l.logf("repl: %s: bad magic, dropping", conn.RemoteAddr())
 		return
 	}
-	typ, payload, _, err := readFrame(rw, l.opts.MaxFrameBytes, nil)
+	typ, payload, _, err := readFrame(rw, maxFrameBytes, nil)
 	if err != nil || typ != fmFollow {
 		return
 	}
@@ -329,7 +308,7 @@ func (l *Leader[ID]) handleConn(conn net.Conn) {
 		defer conn.Close()
 		var buf []byte
 		for {
-			typ, payload, nbuf, err := readFrame(rw, l.opts.MaxFrameBytes, buf)
+			typ, payload, nbuf, err := readFrame(rw, maxFrameBytes, buf)
 			if err != nil || typ != fmAck {
 				return
 			}
@@ -362,7 +341,7 @@ func (l *Leader[ID]) handleConn(conn net.Conn) {
 
 // sendSnapshot captures and streams one full-state bootstrap, returning
 // the sequence the follower now stands at.
-func (l *Leader[ID]) sendSnapshot(rw deadlineRW, scratch *[]byte, followerID string) (uint64, error) {
+func (l *Leader) sendSnapshot(rw deadlineRW, scratch *[]byte, followerID string) (uint64, error) {
 	seq, entries, err := l.opts.Snapshot()
 	if err != nil {
 		return 0, err
@@ -379,7 +358,7 @@ func (l *Leader[ID]) sendSnapshot(rw deadlineRW, scratch *[]byte, followerID str
 			chunk = chunk[:DefaultSnapChunkOps]
 		}
 		entries = entries[len(chunk):]
-		payload = wal.EncodeWindowPayload(payload[:0], l.opts.Codec, seq, chunk)
+		payload = wal.EncodeWindowPayload(payload[:0], seq, chunk)
 		if err := writeFrame(rw, scratch, fmSnapData, payload); err != nil {
 			return 0, err
 		}
@@ -396,8 +375,8 @@ func (l *Leader[ID]) sendSnapshot(rw deadlineRW, scratch *[]byte, followerID str
 // the leader dies. A retention gap (the follower stalled long enough
 // for its next window to be evicted) severs the connection: the
 // follower reconnects and bootstraps from a snapshot.
-func (l *Leader[ID]) streamTail(rw deadlineRW, scratch *[]byte, term, cursor uint64, ackDone <-chan struct{}) {
-	ping := time.NewTicker(l.opts.PingInterval)
+func (l *Leader) streamTail(rw deadlineRW, scratch *[]byte, term, cursor uint64, ackDone <-chan struct{}) {
+	ping := time.NewTicker(l.pingInterval)
 	defer ping.Stop()
 	var frames [][]byte
 	var wbuf []byte // term-prefixed window payload, reused across frames

@@ -1,6 +1,6 @@
 // Package repl streams committed WAL windows from a leader psid to
 // follower replicas. The unit of replication is exactly the unit of
-// durability: the netted flush window PR 8's write-ahead log journals —
+// durability: the netted flush window the write-ahead log journals —
 // at most one op per ID, strictly increasing sequence numbers — so a
 // follower is just a Collection replaying the same committed BatchDiff
 // windows the leader applied, and every layer above the window (epochs,
@@ -15,10 +15,12 @@
 // A window frame's payload is a uvarint leader term followed
 // byte-for-byte by the wal.log record payload (wal.EncodeWindowPayload),
 // so there is one window encoding and one fuzz surface for state that
-// crosses a trust boundary. The handshake is a FOLLOW frame carrying
-// the follower's last applied sequence (its WAL's recovered LastSeq —
-// resume is free), the highest leader term it has adopted, and a stable
-// follower identity for the leader's per-follower metric series. The
+// crosses a trust boundary. IDs are strings, as psid's wire protocol
+// has them, encoded the one way the WAL encodes them. The handshake is
+// a FOLLOW frame carrying the follower's last applied sequence (its
+// WAL's recovered LastSeq — resume is free), the highest leader term it
+// has adopted, and a stable follower identity for the leader's
+// per-follower metric series. The
 // leader answers HELLO (its head sequence and its term) and then either
 // streams the retained log tail or, when the follower is behind the
 // retention horizon (or ahead of a rebuilt leader, or carries an older
@@ -71,28 +73,37 @@ const (
 )
 
 const (
-	// DefaultMaxFrameBytes caps one frame's payload. Window frames track
-	// the WAL's own record bound; snapshot chunks are capped far below
-	// this by DefaultSnapChunkOps. The limit exists so a corrupt or
-	// hostile length prefix cannot make the decoder allocate gigabytes.
-	DefaultMaxFrameBytes = 1 << 26
+	// maxFrameBytes caps one frame's payload. Window frames track the
+	// WAL's own record bound; snapshot chunks are capped far below this
+	// by DefaultSnapChunkOps. The limit exists so a corrupt or hostile
+	// length prefix cannot make the decoder allocate gigabytes.
+	maxFrameBytes = 1 << 26
 
 	// DefaultSnapChunkOps is how many snapshot entries ride in one
 	// SNAP_DATA frame: big enough to amortize framing, small enough that
 	// a chunk never nears the frame limit.
 	DefaultSnapChunkOps = 4096
 
-	// DefaultPingInterval is the leader's idle heartbeat cadence.
-	DefaultPingInterval = 2 * time.Second
+	// defaultPingInterval is the leader's idle heartbeat cadence.
+	defaultPingInterval = 2 * time.Second
 
-	// DefaultReadTimeout bounds a silent peer: several missed heartbeats
-	// (leader side: several missed acks) before the connection is
-	// declared dead. Outright closes are detected immediately; the
-	// timeout only matters for links that black-hole traffic.
-	DefaultReadTimeout = 15 * time.Second
+	// readTimeout bounds a silent peer: several missed heartbeats (leader
+	// side: several missed acks) before the connection is declared dead.
+	// Outright closes are detected immediately; the timeout only matters
+	// for links that black-hole traffic.
+	readTimeout = 15 * time.Second
 
-	// DefaultWriteTimeout bounds one frame write to a stalled peer.
-	DefaultWriteTimeout = 10 * time.Second
+	// writeTimeout bounds one frame write to a stalled peer.
+	writeTimeout = 10 * time.Second
+
+	// dialTimeout bounds one follower connection attempt.
+	dialTimeout = 5 * time.Second
+
+	// defaultBackoffMin and defaultBackoffMax bound the follower's
+	// reconnect backoff, which doubles from min to max and resets after
+	// a healthy session.
+	defaultBackoffMin = 50 * time.Millisecond
+	defaultBackoffMax = 2 * time.Second
 
 	// MaxFollowerIDLen caps the follower identity in the FOLLOW frame —
 	// it becomes a metric label value, not a buffer to fill.

@@ -111,7 +111,7 @@ type leaderModel struct {
 // publish hands the hub one window the way the service's journal hook
 // does: as the record payload the WAL framed for it.
 func publish(h *Hub, seq uint64, ops []wal.Op[string]) {
-	h.Publish(seq, wal.EncodeWindowPayload(nil, wal.StringCodec{}, seq, ops))
+	h.Publish(seq, wal.EncodeWindowPayload(nil, seq, ops))
 }
 
 func newLeaderModel(retainWindows, retainBytes int) *leaderModel {
@@ -144,15 +144,14 @@ func (lm *leaderModel) snapshot() (uint64, []wal.Op[string], error) {
 	return lm.hub.LastSeq(), entries, nil
 }
 
-func startTestLeader(t *testing.T, lm *leaderModel) (*Leader[string], string) {
+func startTestLeader(t *testing.T, lm *leaderModel) (*Leader, string) {
 	t.Helper()
-	l := NewLeader(LeaderOptions[string]{
-		Codec:        wal.StringCodec{},
-		Hub:          lm.hub,
-		Snapshot:     lm.snapshot,
-		PingInterval: 20 * time.Millisecond,
-		Logf:         t.Logf,
+	l := NewLeader(LeaderOptions{
+		Hub:      lm.hub,
+		Snapshot: lm.snapshot,
+		Logf:     t.Logf,
 	})
+	l.pingInterval = 20 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -162,16 +161,14 @@ func startTestLeader(t *testing.T, lm *leaderModel) (*Leader[string], string) {
 	return l, ln.Addr().String()
 }
 
-func startTestFollower(t *testing.T, addr, id string, app Applier[string]) *Follower[string] {
+func startTestFollower(t *testing.T, addr, id string, app Applier) *Follower {
 	t.Helper()
-	f := NewFollower(app, FollowerOptions[string]{
-		Addr:       addr,
-		ID:         id,
-		Codec:      wal.StringCodec{},
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond,
-		Logf:       t.Logf,
+	f := NewFollower(app, FollowerOptions{
+		Addr: addr,
+		ID:   id,
+		Logf: t.Logf,
 	})
+	f.backoffMin, f.backoffMax = 5*time.Millisecond, 50*time.Millisecond
 	f.Start()
 	t.Cleanup(f.Stop)
 	return f
@@ -404,7 +401,7 @@ func TestHubTailFrom(t *testing.T) {
 	if gap || last != 10 || len(wins) != 3 {
 		t.Fatalf("TailFrom(7): %d wins, last %d, gap %t", len(wins), last, gap)
 	}
-	seq, _, err := wal.DecodeWindowPayload(wins[0], wal.StringCodec{}, nil)
+	seq, _, err := wal.DecodeWindowPayload(wins[0], nil)
 	if err != nil || seq != 8 {
 		t.Fatalf("first tail window decodes to seq %d (%v), want 8", seq, err)
 	}
@@ -416,7 +413,7 @@ func TestHubTailFrom(t *testing.T) {
 	}
 	// The hub keeps its own copy: a publisher hands it the WAL's encode
 	// buffer, which the next append overwrites.
-	buf := wal.EncodeWindowPayload(nil, wal.StringCodec{}, 11, []wal.Op[string]{{ID: "y", P: geom.Pt2(1, 1)}})
+	buf := wal.EncodeWindowPayload(nil, 11, []wal.Op[string]{{ID: "y", P: geom.Pt2(1, 1)}})
 	want := bytes.Clone(buf)
 	h.Publish(11, buf)
 	clear(buf)
@@ -470,12 +467,12 @@ func TestFrameRoundTrip(t *testing.T) {
 // instead of applying out of order.
 func TestStreamRejectsGap(t *testing.T) {
 	app := newModelApplier()
-	f := NewFollower(app, FollowerOptions[string]{Addr: "unused", Codec: wal.StringCodec{}})
+	f := NewFollower(app, FollowerOptions{Addr: "unused"})
 	var s []byte
 	s = append(s, Magic...)
 	s = appendFrame(s, fmHello, seqTermPayload(nil, 3, 0))
-	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, wal.StringCodec{}, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
-	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, wal.StringCodec{}, 3, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}})))
+	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
+	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 3, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}})))
 	err := f.stream(bytes.NewReader(s), nopWriter{})
 	if err == nil {
 		t.Fatal("gapped stream consumed without error")
@@ -489,14 +486,14 @@ func TestStreamRejectsGap(t *testing.T) {
 // dropped and counted, never re-applied.
 func TestStreamSkipsDuplicates(t *testing.T) {
 	app := newModelApplier()
-	f := NewFollower(app, FollowerOptions[string]{Addr: "unused", Codec: wal.StringCodec{}})
-	w1 := windowPayload(nil, 0, wal.EncodeWindowPayload(nil, wal.StringCodec{}, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}))
+	f := NewFollower(app, FollowerOptions{Addr: "unused"})
+	w1 := windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}))
 	var s []byte
 	s = append(s, Magic...)
 	s = appendFrame(s, fmHello, seqTermPayload(nil, 1, 0))
 	s = appendFrame(s, fmWindow, w1)
 	s = appendFrame(s, fmWindow, w1) // regression: same seq again
-	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, wal.StringCodec{}, 2, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}})))
+	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 2, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}})))
 	if err := f.stream(bytes.NewReader(s), nopWriter{}); err != io.EOF {
 		t.Fatalf("stream exit: %v, want EOF", err)
 	}
@@ -514,12 +511,12 @@ func TestStreamSkipsDuplicates(t *testing.T) {
 func TestStreamRejectsLowerTermWindow(t *testing.T) {
 	app := newModelApplier()
 	app.term = 5 // this replica has adopted term 5
-	f := NewFollower(app, FollowerOptions[string]{Addr: "unused", Codec: wal.StringCodec{}})
+	f := NewFollower(app, FollowerOptions{Addr: "unused"})
 	var s []byte
 	s = append(s, Magic...)
 	s = appendFrame(s, fmHello, seqTermPayload(nil, 0, 5))
 	s = appendFrame(s, fmWindow, windowPayload(nil, 3, // a stale timeline's window
-		wal.EncodeWindowPayload(nil, wal.StringCodec{}, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
+		wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
 	err := f.stream(bytes.NewReader(s), nopWriter{})
 	if err == nil {
 		t.Fatal("lower-term window consumed without error")
@@ -534,12 +531,12 @@ func TestStreamRejectsLowerTermWindow(t *testing.T) {
 func TestStreamRejectsStaleLeaderHello(t *testing.T) {
 	app := newModelApplier()
 	app.term = 5
-	f := NewFollower(app, FollowerOptions[string]{Addr: "unused", Codec: wal.StringCodec{}})
+	f := NewFollower(app, FollowerOptions{Addr: "unused"})
 	var s []byte
 	s = append(s, Magic...)
 	s = appendFrame(s, fmHello, seqTermPayload(nil, 9, 4))
 	s = appendFrame(s, fmWindow, windowPayload(nil, 4,
-		wal.EncodeWindowPayload(nil, wal.StringCodec{}, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
+		wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
 	err := f.stream(bytes.NewReader(s), nopWriter{})
 	if err == nil {
 		t.Fatal("stale-term HELLO accepted")
@@ -555,8 +552,7 @@ func TestStreamRejectsStaleLeaderHello(t *testing.T) {
 func TestLeaderDeposedByHigherTermFollow(t *testing.T) {
 	lm := newLeaderModel(0, 0)
 	deposed := make(chan uint64, 1)
-	l := NewLeader(LeaderOptions[string]{
-		Codec:     wal.StringCodec{},
+	l := NewLeader(LeaderOptions{
 		Hub:       lm.hub,
 		Snapshot:  lm.snapshot,
 		Term:      func() uint64 { return 1 },
@@ -602,15 +598,14 @@ func TestLeaderDeposedByHigherTermFollow(t *testing.T) {
 func TestCrossTermResumeForcesBootstrap(t *testing.T) {
 	lm := newLeaderModel(0, 0)
 	deposed := make(chan uint64, 1)
-	l := NewLeader(LeaderOptions[string]{
-		Codec:        wal.StringCodec{},
-		Hub:          lm.hub,
-		Snapshot:     lm.snapshot,
-		Term:         func() uint64 { return 3 },
-		OnDeposed:    func(term uint64) { deposed <- term },
-		PingInterval: 20 * time.Millisecond,
-		Logf:         t.Logf,
+	l := NewLeader(LeaderOptions{
+		Hub:       lm.hub,
+		Snapshot:  lm.snapshot,
+		Term:      func() uint64 { return 3 },
+		OnDeposed: func(term uint64) { deposed <- term },
+		Logf:      t.Logf,
 	})
+	l.pingInterval = 20 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

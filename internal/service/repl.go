@@ -146,7 +146,7 @@ func (s *Server) rejectWrite(op string) *result {
 // out the very bytes the log framed. The hub read is safe lockless: it
 // is written before the leader role is stored, and only read after the
 // role is observed.
-func (s *Server) journalHook(l *wal.Log[string]) func(seq uint64, ops []wal.Op[string]) error {
+func (s *Server) journalHook(l *wal.Log) func(seq uint64, ops []wal.Op[string]) error {
 	return func(seq uint64, ops []wal.Op[string]) error {
 		payload, err := l.AppendWindowAt(seq, ops)
 		if err != nil {
@@ -171,9 +171,8 @@ func (s *Server) newHub() *repl.Hub {
 
 // newLeader builds the leader endpoint over the current hub. Its series
 // are the Server's (registerReplMetrics), like every incarnation's.
-func (s *Server) newLeader() *repl.Leader[string] {
-	return repl.NewLeader(repl.LeaderOptions[string]{
-		Codec:      wal.StringCodec{},
+func (s *Server) newLeader() *repl.Leader {
+	return repl.NewLeader(repl.LeaderOptions{
 		Hub:        s.hub,
 		Snapshot:   s.replSnapshot,
 		Term:       s.wal.Term,
@@ -184,12 +183,11 @@ func (s *Server) newLeader() *repl.Leader[string] {
 }
 
 // newFollower builds the follower session loop against addr.
-func (s *Server) newFollower(addr string) *repl.Follower[string] {
-	return repl.NewFollower[string](replApplier{s}, repl.FollowerOptions[string]{
-		Addr:  addr,
-		ID:    s.opts.ReplID,
-		Codec: wal.StringCodec{},
-		Logf:  s.opts.Logf,
+func (s *Server) newFollower(addr string) *repl.Follower {
+	return repl.NewFollower(replApplier{s}, repl.FollowerOptions{
+		Addr: addr,
+		ID:   s.opts.ReplID,
+		Logf: s.opts.Logf,
 	})
 }
 
@@ -573,9 +571,7 @@ func (a replApplier) Bootstrap(seq, term uint64, entries []wal.Op[string]) error
 		}
 	})
 	s.wal.SetTerm(term)
-	err := s.checkpoint(func(objects int, it iter.Seq2[string, geom.Point]) error {
-		return s.wal.WriteSnapshotAt(seq, objects, it)
-	})
+	err := s.checkpoint(func() uint64 { return seq })
 	if err != nil {
 		s.walFail(err)
 	}

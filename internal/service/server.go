@@ -186,7 +186,7 @@ type Server struct {
 	wg      sync.WaitGroup // accept loop + one entry per live connection
 
 	// Durability state, zero-valued when WALDir is unset (wal == nil).
-	wal         *wal.Log[string]
+	wal         *wal.Log
 	recovered   WALRecovery
 	durableAcks bool        // fsync=always: flush (and so journal+fsync) before acking SET/DEL
 	walFailed   atomic.Bool // sticky: a journal append, fsync, or snapshot failed
@@ -201,10 +201,10 @@ type Server struct {
 	// by replMu because PROMOTE and FOLLOW replace them at runtime (hub
 	// is the exception: the journal hook reads it locklessly, gated on
 	// role == leader, which is stored only after hub is in place).
-	replMu   sync.Mutex             // serializes PROMOTE/DEMOTE/FOLLOW role transitions
-	hub      *repl.Hub              // leader: committed-window fan-out ring
-	replLead *repl.Leader[string]   // leader: follower listener
-	replFoll *repl.Follower[string] // follower: session loop against the leader
+	replMu   sync.Mutex     // serializes PROMOTE/DEMOTE/FOLLOW role transitions
+	hub      *repl.Hub      // leader: committed-window fan-out ring
+	replLead *repl.Leader   // leader: follower listener
+	replFoll *repl.Follower // follower: session loop against the leader
 	// replPast holds the counters of the incarnations PROMOTE and FOLLOW
 	// retired (under replMu), replSeen the follower identities whose
 	// labelled series are registered: the psi_repl_* series are the

@@ -90,7 +90,7 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 // installs the journal hook.
 func (s *Server) openWAL() error {
 	opts := s.opts
-	l, rec, err := wal.Open[string](opts.WALDir, wal.StringCodec{}, wal.Options{
+	l, rec, err := wal.Open(opts.WALDir, wal.Options{
 		Fsync:    opts.WALFsync,
 		Interval: opts.WALFsyncInterval,
 		Obs:      opts.Obs,
@@ -146,7 +146,7 @@ func (s *Server) Fatal() <-chan error { return s.fatal }
 func (s *Server) WALRecovered() WALRecovery { return s.recovered }
 
 // snapshotLoop periodically folds the committed state into a fresh
-// snapshot and truncates the log (wal.Log.WriteSnapshot), bounding
+// snapshot and truncates the log (wal.Log.WriteSnapshotAt), bounding
 // restart replay time and disk use. Idle ticks — nothing appended since
 // the last snapshot — are skipped, so a quiet server rewrites nothing.
 func (s *Server) snapshotLoop(interval time.Duration) {
@@ -180,14 +180,17 @@ func (s *Server) SnapshotWAL() error {
 	if s.wal == nil {
 		return errors.New("psid: no write-ahead log configured")
 	}
-	return s.checkpoint(s.wal.WriteSnapshot)
+	// Under the flush lock no window can append: the log's last seq is
+	// the one the committed state folds.
+	return s.checkpoint(s.wal.LastSeq)
 }
 
-// checkpoint hands write the committed state under the Collection's
-// flush lock — the one way a WAL snapshot is taken.
-func (s *Server) checkpoint(write func(objects int, entries iter.Seq2[string, geom.Point]) error) (err error) {
+// checkpoint writes the committed state as a WAL snapshot at seq(), both
+// read under the Collection's flush lock — the one way a WAL snapshot is
+// taken.
+func (s *Server) checkpoint(seq func() uint64) (err error) {
 	s.coll.Checkpoint(func(objects int, entries iter.Seq2[string, geom.Point]) {
-		err = write(objects, entries)
+		err = s.wal.WriteSnapshotAt(seq(), objects, entries)
 	})
 	return err
 }

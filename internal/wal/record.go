@@ -19,7 +19,8 @@ import (
 // A record payload is one committed window:
 //
 //	uvarint seq | uvarint nOps | op*
-//	op = flags byte (bit0: delete) | codec-encoded ID | 3 × varint coord (omitted for deletes)
+//	op = flags byte (bit0: delete) | ID | 3 × varint coord (omitted for deletes)
+//	ID = uvarint length | the ID's bytes
 //
 // Coordinates are signed varints (zigzag) over all geom.MaxDims slots —
 // unused dimensions are zero by the library-wide point convention and
@@ -30,7 +31,7 @@ import (
 // wal.snap:
 //
 //	"PSISNP2\n"
-//	uvarint term | uvarint seq | uvarint n | n × (codec-encoded ID | 3 × varint coord)
+//	uvarint term | uvarint seq | uvarint n | n × (ID | 3 × varint coord)
 //	u32le crc32(everything after the magic)
 //
 // The leader term is journaled with every snapshot, which is how a
@@ -52,73 +53,21 @@ const (
 // Op is one entry of a committed window: a last-write-wins Set of ID to
 // P, or (Del) a removal. The window invariant — at most one op per ID,
 // produced by the Collection's netting — is what makes replay exact.
+// Op is the Collection's window for any ID type (Collection.SetJournal,
+// CommitWindow); the log and the replication stream carry Op[string].
 type Op[ID comparable] struct {
 	ID  ID
 	P   geom.Point
 	Del bool
 }
 
-// Codec encodes IDs for the wire. Implementations must be stateless
-// and self-delimiting: DecodeID reads exactly the bytes AppendID wrote.
-type Codec[ID comparable] interface {
-	// AppendID appends id's encoding to dst and returns the extended
-	// slice (the dst-append contract used across the repo).
-	AppendID(dst []byte, id ID) []byte
-	// DecodeID decodes one ID from the front of src, returning the ID
-	// and the bytes consumed. It must error (never panic) on any
-	// malformed input — recovery feeds it CRC-valid but potentially
-	// hostile bytes, and the fuzz target feeds it worse.
-	DecodeID(src []byte) (id ID, n int, err error)
-}
-
-// StringCodec is the Codec for string IDs (the psid wire protocol's ID
-// type): uvarint length followed by the raw bytes.
-type StringCodec struct{}
-
-// AppendID implements Codec.
-func (StringCodec) AppendID(dst []byte, id string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(id)))
-	return append(dst, id...)
-}
-
-// DecodeID implements Codec.
-func (StringCodec) DecodeID(src []byte) (string, int, error) {
-	ln, n := binary.Uvarint(src)
-	if n <= 0 {
-		return "", 0, fmt.Errorf("wal: truncated ID length")
-	}
-	if ln > uint64(len(src)-n) {
-		return "", 0, fmt.Errorf("wal: ID length %d overruns the record", ln)
-	}
-	return string(src[n : n+int(ln)]), n + int(ln), nil
-}
-
 // EncodeWindowPayload appends the record-payload encoding of one window
 // (uvarint seq, uvarint op count, then the ops) to dst and returns the
-// extended slice. It is the exact bytes AppendWindow frames into
+// extended slice. It is the exact bytes AppendWindowAt frames into
 // wal.log, exported so the replication layer (internal/repl) ships the
 // same encoding over the wire that the log journals to disk — one
 // format, one fuzz surface.
-func EncodeWindowPayload[ID comparable](dst []byte, codec Codec[ID], seq uint64, ops []Op[ID]) []byte {
-	return encodeWindow(dst, codec, seq, ops)
-}
-
-// DecodeWindowPayload decodes one window payload produced by
-// EncodeWindowPayload (or read CRC-valid from wal.log), appending the
-// ops to dst. It errors — never panics — on any malformed input; a
-// zero-op window is valid and decodes to no ops.
-func DecodeWindowPayload[ID comparable](payload []byte, codec Codec[ID], dst []Op[ID]) (seq uint64, ops []Op[ID], err error) {
-	return decodeWindow(payload, codec, dst)
-}
-
-// putFrame fills the 8-byte record header for payload.
-func putFrame(hdr, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-}
-
-// encodeWindow appends one window payload to dst.
-func encodeWindow[ID comparable](dst []byte, codec Codec[ID], seq uint64, ops []Op[ID]) []byte {
+func EncodeWindowPayload(dst []byte, seq uint64, ops []Op[string]) []byte {
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
 	for i := range ops {
@@ -128,7 +77,7 @@ func encodeWindow[ID comparable](dst []byte, codec Codec[ID], seq uint64, ops []
 			flags = 1
 		}
 		dst = append(dst, flags)
-		dst = codec.AppendID(dst, o.ID)
+		dst = appendID(dst, o.ID)
 		if !o.Del {
 			for d := 0; d < geom.MaxDims; d++ {
 				dst = binary.AppendVarint(dst, o.P[d])
@@ -138,14 +87,14 @@ func encodeWindow[ID comparable](dst []byte, codec Codec[ID], seq uint64, ops []
 	return dst
 }
 
-// decodeWindow decodes one CRC-validated window payload into dst
-// (reused across records during replay). Every malformed shape —
-// truncated varints, overrunning IDs, unknown flag bits, trailing
-// bytes — is an error; the caller treats it as corruption and
-// truncates. It never panics: the payload passed its checksum, but the
-// checksum only proves the bytes are what was written, not that a
-// well-formed writer wrote them.
-func decodeWindow[ID comparable](payload []byte, codec Codec[ID], dst []Op[ID]) (seq uint64, ops []Op[ID], err error) {
+// DecodeWindowPayload decodes one window payload produced by
+// EncodeWindowPayload (or read CRC-valid from wal.log), appending the
+// ops to dst (reused across records during replay); a zero-op window is
+// valid and decodes to no ops. Every malformed shape — truncated
+// varints, overrunning IDs, unknown flag bits, trailing bytes — is an
+// error, never a panic: a checksum only proves the bytes are what was
+// written, not that a well-formed writer wrote them.
+func DecodeWindowPayload(payload []byte, dst []Op[string]) (seq uint64, ops []Op[string], err error) {
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return 0, dst, fmt.Errorf("wal: truncated window seq")
@@ -169,10 +118,10 @@ func decodeWindow[ID comparable](payload []byte, codec Codec[ID], dst []Op[ID]) 
 			return 0, dst, fmt.Errorf("wal: unknown op flags %#x", flags)
 		}
 		rest = rest[1:]
-		var o Op[ID]
+		var o Op[string]
 		o.Del = flags == 1
 		var idLen int
-		o.ID, idLen, err = codec.DecodeID(rest)
+		o.ID, idLen, err = decodeID(rest)
 		if err != nil {
 			return 0, dst, err
 		}
@@ -193,4 +142,29 @@ func decodeWindow[ID comparable](payload []byte, codec Codec[ID], dst []Op[ID]) 
 		return 0, dst, fmt.Errorf("wal: %d trailing bytes after %d ops", len(rest), nOps)
 	}
 	return seq, ops, nil
+}
+
+// putFrame fills the 8-byte record header for payload.
+func putFrame(hdr, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+}
+
+// appendID appends id's encoding to dst: uvarint length, then the bytes.
+func appendID(dst []byte, id string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(id)))
+	return append(dst, id...)
+}
+
+// decodeID decodes one ID from the front of src, returning it and the
+// bytes consumed. Malformed input is an error, never a panic.
+func decodeID(src []byte) (string, int, error) {
+	ln, n := binary.Uvarint(src)
+	if n <= 0 {
+		return "", 0, fmt.Errorf("wal: truncated ID length")
+	}
+	if ln > uint64(len(src)-n) {
+		return "", 0, fmt.Errorf("wal: ID length %d overruns the record", ln)
+	}
+	return string(src[n : n+int(ln)]), n + int(ln), nil
 }

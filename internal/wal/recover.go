@@ -17,10 +17,10 @@ import (
 // Recovery is what Open salvaged from disk: the folded state plus
 // enough accounting to log and assert on. Entries is the ready-to-load
 // dataset — the snapshot with the replayed log tail already applied.
-type Recovery[ID comparable] struct {
+type Recovery struct {
 	// Entries maps every surviving live ID to its last durable
 	// position.
-	Entries map[ID]geom.Point
+	Entries map[string]geom.Point
 	// Seq is the highest recovered window sequence number (appends
 	// continue from Seq+1).
 	Seq uint64
@@ -51,7 +51,7 @@ var ErrSnapshotVersion = errors.New("unsupported snapshot version")
 // readSnapshot loads the snapshot file into rec, if one exists. The
 // file is rename-atomic, so any validation failure here is bit rot or
 // foreign data — a hard error, never a truncation.
-func readSnapshot[ID comparable](path string, codec Codec[ID], rec *Recovery[ID]) error {
+func readSnapshot(path string, rec *Recovery) error {
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -91,7 +91,7 @@ func readSnapshot[ID comparable](path string, codec Codec[ID], rec *Recovery[ID]
 	}
 	body = body[n:]
 	for i := uint64(0); i < count; i++ {
-		id, idLen, err := codec.DecodeID(body)
+		id, idLen, err := decodeID(body)
 		if err != nil {
 			return fmt.Errorf("wal: %s: entry %d: %w", path, i, err)
 		}
@@ -129,7 +129,7 @@ func readSnapshot[ID comparable](path string, codec Codec[ID], rec *Recovery[ID]
 // Otherwise it is the expected crash tear and the file is truncated
 // there: recovery keeps the longest valid prefix and the log is again
 // append-clean.
-func replayLog[ID comparable](path string, codec Codec[ID], maxRec int, rec *Recovery[ID]) error {
+func replayLog(path string, rec *Recovery) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if os.IsNotExist(err) {
 		nf, err := createLogFile(path)
@@ -160,7 +160,7 @@ func replayLog[ID comparable](path string, codec Codec[ID], maxRec int, rec *Rec
 	good := int64(magicLen) // offset after the last valid record
 	var hdr [frameLen]byte
 	var payload []byte
-	var ops []Op[ID]
+	var ops []Op[string]
 	lastSeq := uint64(0)
 	torn := false
 	for {
@@ -178,7 +178,7 @@ func replayLog[ID comparable](path string, codec Codec[ID], maxRec int, rec *Rec
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
 		// Compare widened: on a 32-bit platform int(ln) could wrap
 		// negative, slip past the bound, and panic the allocation below.
-		if uint64(ln) > uint64(maxRec) {
+		if uint64(ln) > maxRecordBytes {
 			torn = true // a garbage length prefix, not a real record
 			break
 		}
@@ -197,7 +197,7 @@ func replayLog[ID comparable](path string, codec Codec[ID], maxRec int, rec *Rec
 			torn = true
 			break
 		}
-		seq, decoded, err := decodeWindow(payload, codec, ops[:0])
+		seq, decoded, err := DecodeWindowPayload(payload, ops[:0])
 		if err != nil || seq == 0 || seq <= lastSeq {
 			torn = true // CRC-valid but malformed or out of order: same treatment
 			break
@@ -218,7 +218,7 @@ func replayLog[ID comparable](path string, codec Codec[ID], maxRec int, rec *Rec
 		good += int64(frameLen) + int64(ln)
 	}
 	if torn {
-		validOff, found, err := scanForValidRecord(f, good, size, codec, maxRec, lastSeq)
+		validOff, found, err := scanForValidRecord(f, good, size, lastSeq)
 		if err != nil {
 			return err
 		}
@@ -246,26 +246,26 @@ func replayLog[ID comparable](path string, codec Codec[ID], maxRec int, rec *Rec
 // regression with nothing after it stays a truncation, matching replay.
 // Zero-filled tails (a crash that allocated blocks without writing
 // them) parse as ln=0 with a CRC that trivially matches the empty
-// payload, but decodeWindow rejects the empty window, so they never
+// payload, but DecodeWindowPayload rejects the empty window, so they never
 // count as valid data. The tail is read into memory: it is at most one
 // partial record after a real crash, and the corruption path is a rare
 // one-time startup cost.
-func scanForValidRecord[ID comparable](f *os.File, from, size int64, codec Codec[ID], maxRec int, lastSeq uint64) (int64, bool, error) {
+func scanForValidRecord(f *os.File, from, size int64, lastSeq uint64) (int64, bool, error) {
 	tail := make([]byte, size-from)
 	if _, err := f.ReadAt(tail, from); err != nil {
 		return 0, false, fmt.Errorf("wal: %w", err)
 	}
-	var ops []Op[ID]
+	var ops []Op[string]
 	for off := 0; off+frameLen <= len(tail); off++ {
 		ln := binary.LittleEndian.Uint32(tail[off : off+4])
-		if uint64(ln) > uint64(maxRec) || uint64(ln) > uint64(len(tail)-off-frameLen) {
+		if uint64(ln) > maxRecordBytes || uint64(ln) > uint64(len(tail)-off-frameLen) {
 			continue
 		}
 		payload := tail[off+frameLen : off+frameLen+int(ln)]
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(tail[off+4:off+8]) {
 			continue
 		}
-		seq, decoded, err := decodeWindow(payload, codec, ops[:0])
+		seq, decoded, err := DecodeWindowPayload(payload, ops[:0])
 		ops = decoded[:0]
 		if err != nil || seq <= lastSeq {
 			continue
@@ -309,7 +309,7 @@ func createLogFile(path string) (*os.File, error) {
 
 // writeSnapshotFile streams one snapshot to path atomically, always in
 // the v2 format (term before seq).
-func writeSnapshotFile[ID comparable](path string, codec Codec[ID], term, seq uint64, n int, entries iter.Seq2[ID, geom.Point]) error {
+func writeSnapshotFile(path string, term, seq uint64, n int, entries iter.Seq2[string, geom.Point]) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -336,7 +336,7 @@ func writeSnapshotFile[ID comparable](path string, codec Codec[ID], term, seq ui
 	count := 0
 	werr := error(nil)
 	for id, p := range entries {
-		buf = codec.AppendID(buf[:0], id)
+		buf = appendID(buf[:0], id)
 		for d := 0; d < geom.MaxDims; d++ {
 			buf = binary.AppendVarint(buf, p[d])
 		}

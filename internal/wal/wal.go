@@ -49,7 +49,7 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncAlways syncs inside every AppendWindow: when the append
+	// FsyncAlways syncs inside every AppendWindowAt: when the append
 	// returns, the window is on disk. The only policy under which an
 	// acknowledged write is guaranteed to survive power loss.
 	FsyncAlways FsyncPolicy = iota
@@ -96,11 +96,11 @@ func ParseFsync(s string) (FsyncPolicy, time.Duration, error) {
 // unset.
 const DefaultInterval = 100 * time.Millisecond
 
-// DefaultMaxRecordBytes bounds one record's payload on both ends: an
-// encoder refusing larger windows and a decoder treating larger length
-// prefixes as corruption. Far above any real window (a window op is
-// tens of bytes).
-const DefaultMaxRecordBytes = 1 << 30
+// maxRecordBytes bounds one record's payload on both ends: an encoder
+// refusing larger windows and a decoder treating larger length prefixes
+// as corruption. Far above any real window (a window op is tens of
+// bytes).
+const maxRecordBytes = 1 << 30
 
 // maxRetainedBuf caps the append scratch kept between windows: one
 // enormous window must not pin its encode buffer forever.
@@ -110,16 +110,13 @@ const maxRetainedBuf = 1 << 22
 var ErrClosed = errors.New("wal: closed")
 
 // Options tunes a Log. The zero value is usable: FsyncAlways, default
-// interval and record bound, no metrics.
+// interval, no metrics.
 type Options struct {
 	// Fsync is the append durability policy (see the policy constants).
 	Fsync FsyncPolicy
 	// Interval is the FsyncInterval cadence; <= 0 selects
 	// DefaultInterval. Ignored by the other policies.
 	Interval time.Duration
-	// MaxRecordBytes bounds one record payload (encode and decode);
-	// <= 0 selects DefaultMaxRecordBytes.
-	MaxRecordBytes int
 	// Obs, when set, registers the WAL series (psi_wal_*: append and
 	// fsync counters, log size and seq gauges, fsync latency
 	// histogram). Recording is atomics only — appends stay
@@ -137,9 +134,6 @@ func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = DefaultInterval
 	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = DefaultMaxRecordBytes
-	}
 	return o
 }
 
@@ -148,10 +142,10 @@ func (o Options) withDefaults() Options {
 // concurrent use (appends, snapshots, and the fsync timer serialize on
 // one mutex — the Collection already serializes appends under its flush
 // lock, so the mutex is uncontended in practice).
-type Log[ID comparable] struct {
-	dir   string
-	codec Codec[ID]
-	opts  Options
+type Log struct {
+	dir       string
+	opts      Options
+	maxRecord int // append bound on one record payload: maxRecordBytes; a test lowers it
 
 	mu     sync.Mutex // guards f, buf, err, closed, and file mutation order
 	f      *os.File
@@ -189,17 +183,17 @@ const (
 // Log is positioned to append the next window. A hard error (an
 // unreadable directory, a corrupt snapshot, a log with a foreign
 // header) fails Open rather than silently serving an empty dataset.
-func Open[ID comparable](dir string, codec Codec[ID], opts Options) (*Log[ID], *Recovery[ID], error) {
+func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec := &Recovery[ID]{Entries: make(map[ID]geom.Point)}
-	if err := readSnapshot(filepath.Join(dir, snapName), codec, rec); err != nil {
+	rec := &Recovery{Entries: make(map[string]geom.Point)}
+	if err := readSnapshot(filepath.Join(dir, snapName), rec); err != nil {
 		return nil, nil, err
 	}
 	logPath := filepath.Join(dir, logName)
-	if err := replayLog(logPath, codec, opts.MaxRecordBytes, rec); err != nil {
+	if err := replayLog(logPath, rec); err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -211,7 +205,7 @@ func Open[ID comparable](dir string, codec Codec[ID], opts Options) (*Log[ID], *
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log[ID]{dir: dir, codec: codec, opts: opts, f: f, stop: make(chan struct{})}
+	l := &Log{dir: dir, opts: opts, maxRecord: maxRecordBytes, f: f, stop: make(chan struct{})}
 	l.seq.Store(rec.Seq)
 	l.snapSeq.Store(rec.SnapshotSeq)
 	l.term.Store(rec.Term)
@@ -230,41 +224,35 @@ func Open[ID comparable](dir string, codec Codec[ID], opts Options) (*Log[ID], *
 // recovered) window — the resume point a replication follower hands the
 // leader in its FOLLOW handshake. Zero means the log has never held a
 // window: a follower there bootstraps from the beginning without error.
-func (l *Log[ID]) LastSeq() uint64 { return l.seq.Load() }
+func (l *Log) LastSeq() uint64 { return l.seq.Load() }
 
 // Term returns the leader term this log carries: the value recovered
 // from the snapshot at Open, as updated by SetTerm since.
-func (l *Log[ID]) Term() uint64 { return l.term.Load() }
+func (l *Log) Term() uint64 { return l.term.Load() }
 
 // SetTerm records a new leader term. The term is journaled with the
 // next snapshot (v2 format), so callers that need the term durable —
 // promotion must not acknowledge before its term can survive a restart
 // — follow SetTerm with a snapshot write.
-func (l *Log[ID]) SetTerm(t uint64) { l.term.Store(t) }
+func (l *Log) SetTerm(t uint64) { l.term.Store(t) }
 
-// AppendWindow appends one committed flush window — the Collection's
-// netted ops, at most one per ID — as a single framed record, and (under
-// FsyncAlways) syncs it to disk before returning. Windows are assigned
-// consecutive sequence numbers; replay applies them in order, so the
-// caller must append windows in commit order (the Collection's flush
-// lock already guarantees this). The ops slice is not retained.
+// AppendWindowAt appends one committed flush window — the Collection's
+// netted ops, at most one per ID — as a single framed record under seq,
+// and (under FsyncAlways) syncs it to disk before returning. seq 0
+// assigns the next sequence number (a leader's flush); a replication
+// follower passes the leader's seq, so its recovered LastSeq is directly
+// the resume point for the next FOLLOW handshake. A non-zero seq must
+// exceed LastSeq — replay requires strictly increasing seqs (gaps are
+// legal in the file; the follower's stream protocol rejects them
+// earlier) — so the caller appends windows in commit order (the
+// Collection's flush lock already guarantees this). The ops slice is not
+// retained.
 //
 // The returned payload is the record payload just framed — exactly
 // EncodeWindowPayload's bytes — so a replication leader ships what it
 // journaled without encoding the window again. It aliases the log's
 // encode buffer: valid until the next append, copy to keep.
-func (l *Log[ID]) AppendWindow(ops []Op[ID]) (payload []byte, err error) {
-	return l.AppendWindowAt(0, ops)
-}
-
-// AppendWindowAt is AppendWindow with a caller-assigned sequence number:
-// a replication follower journals each applied leader window under the
-// leader's seq, so its recovered LastSeq is directly the resume point
-// for the next FOLLOW handshake. seq must exceed LastSeq — replay
-// requires strictly increasing seqs (gaps are legal in the file; the
-// follower's stream protocol rejects them earlier) — or be 0, which
-// assigns the next one: the shape of Collection.SetJournal's hook.
-func (l *Log[ID]) AppendWindowAt(seq uint64, ops []Op[ID]) (payload []byte, err error) {
+func (l *Log) AppendWindowAt(seq uint64, ops []Op[string]) (payload []byte, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch last := l.seq.Load(); {
@@ -287,15 +275,15 @@ func (l *Log[ID]) AppendWindowAt(seq uint64, ops []Op[ID]) (payload []byte, err 
 	} else {
 		buf = buf[:frameLen] // putFrame overwrites all 8 bytes below
 	}
-	buf = encodeWindow(buf, l.codec, seq, ops)
+	buf = EncodeWindowPayload(buf, seq, ops)
 	payload = buf[frameLen:]
-	if len(payload) > l.opts.MaxRecordBytes {
+	if len(payload) > l.maxRecord {
 		// Sticky like any other append failure: this window's ops will
 		// never reach the log, so letting later windows append would
 		// leave a silent gap (seqs are reassigned, so replay could not
 		// detect the missing window).
 		l.fail(fmt.Errorf("window of %d ops encodes to %d bytes, above the %d-byte record bound",
-			len(ops), len(payload), l.opts.MaxRecordBytes))
+			len(ops), len(payload), l.maxRecord))
 		return nil, l.err
 	}
 	putFrame(buf[:frameLen], payload)
@@ -325,7 +313,7 @@ func (l *Log[ID]) AppendWindowAt(seq uint64, ops []Op[ID]) (payload []byte, err 
 
 // Sync forces appended windows to disk regardless of policy (graceful
 // shutdown uses it so even FsyncNever loses nothing on a clean exit).
-func (l *Log[ID]) Sync() error {
+func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -338,7 +326,7 @@ func (l *Log[ID]) Sync() error {
 }
 
 // syncLocked fsyncs the log file and records the latency (mu held).
-func (l *Log[ID]) syncLocked() error {
+func (l *Log) syncLocked() error {
 	t0 := time.Now()
 	if err := l.f.Sync(); err != nil {
 		l.fail(err)
@@ -355,14 +343,14 @@ func (l *Log[ID]) syncLocked() error {
 // fail records a write/fsync failure: the first error sticks (every
 // later append returns it) so an acknowledgement can never be issued
 // over a log whose tail state is unknown.
-func (l *Log[ID]) fail(err error) {
+func (l *Log) fail(err error) {
 	l.errors.Add(1)
 	if l.err == nil {
 		l.err = fmt.Errorf("wal: %w", err)
 	}
 }
 
-func (l *Log[ID]) fsyncLoop() {
+func (l *Log) fsyncLoop() {
 	defer l.wg.Done()
 	t := time.NewTicker(l.opts.Interval)
 	defer t.Stop()
@@ -387,43 +375,31 @@ func (l *Log[ID]) fsyncLoop() {
 	}
 }
 
-// WriteSnapshot atomically replaces the snapshot with the given state —
-// n entries pushed by the iterator — and truncates the log by rotating
-// in a fresh one, bounding replay time and disk use. The state must be
-// exactly the fold of every appended window (Collection.Checkpoint
-// provides it under the flush lock, so no window can commit mid-
-// snapshot). A crash at any point leaves a recoverable pair: both
-// replacements are write-temp, fsync, rename.
-func (l *Log[ID]) WriteSnapshot(n int, entries iter.Seq2[ID, geom.Point]) error {
+// WriteSnapshotAt atomically replaces the snapshot with the given state
+// at seq — n entries pushed by the iterator — and truncates the log by
+// rotating in a fresh one, bounding replay time and disk use. A crash at
+// any point leaves a recoverable pair: both replacements are write-temp,
+// fsync, rename.
+//
+// The state must be exactly the fold of every window up to seq. A
+// checkpoint passes LastSeq from inside Collection.Checkpoint, whose
+// flush lock keeps any window from committing mid-snapshot. A
+// replication follower installing a leader-sent bootstrap passes the
+// leader's seq, which belongs to the leader's history, not this log's:
+// it can regress, down to 0 for an empty leader. The log's seq is reset
+// to seq, even backwards; the rotation makes that safe, because the log
+// is empty afterwards, so recovery sees only the snapshot seq and
+// records above it.
+func (l *Log) WriteSnapshotAt(seq uint64, n int, entries iter.Seq2[string, geom.Point]) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.snapshotLocked(l.seq.Load(), n, entries)
-}
-
-// WriteSnapshotAt is WriteSnapshot with a caller-assigned sequence
-// number, and it resets the log's seq to it — even backwards. It exists
-// for one caller: a replication follower installing a leader-sent
-// bootstrap snapshot, whose seq belongs to the leader's history, not
-// this log's (a follower rejoining a rebuilt leader can legitimately
-// regress, including to seq 0 for an empty leader). The rotation makes
-// the regression safe: the log is empty afterwards, so recovery sees
-// only the snapshot seq and records above it.
-func (l *Log[ID]) WriteSnapshotAt(seq uint64, n int, entries iter.Seq2[ID, geom.Point]) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapshotLocked(seq, n, entries)
-}
-
-// snapshotLocked replaces the snapshot at seq and rotates the log (mu
-// held). On success the log's seq is exactly seq.
-func (l *Log[ID]) snapshotLocked(seq uint64, n int, entries iter.Seq2[ID, geom.Point]) error {
 	if l.closed {
 		return ErrClosed
 	}
 	if l.err != nil {
 		return l.err
 	}
-	if err := writeSnapshotFile(filepath.Join(l.dir, snapName), l.codec, l.term.Load(), seq, n, entries); err != nil {
+	if err := writeSnapshotFile(filepath.Join(l.dir, snapName), l.term.Load(), seq, n, entries); err != nil {
 		l.fail(err)
 		return l.err
 	}
@@ -439,7 +415,7 @@ func (l *Log[ID]) snapshotLocked(seq uint64, n int, entries iter.Seq2[ID, geom.P
 	l.f.Close()
 	l.f = nf
 	l.logBytes.Store(magicLen)
-	l.seq.Store(seq) // no-op for WriteSnapshot; the reset WriteSnapshotAt promises
+	l.seq.Store(seq)
 	l.snapSeq.Store(seq)
 	l.snapshots.Add(1)
 	return nil
@@ -448,13 +424,13 @@ func (l *Log[ID]) snapshotLocked(seq uint64, n int, entries iter.Seq2[ID, geom.P
 // AppendsSinceSnapshot returns the number of windows appended since the
 // last durable snapshot — zero means a snapshot would be a no-op, which
 // the service's timer loop uses to skip idle rewrites.
-func (l *Log[ID]) AppendsSinceSnapshot() uint64 {
+func (l *Log) AppendsSinceSnapshot() uint64 {
 	return l.seq.Load() - l.snapSeq.Load()
 }
 
 // Close syncs and closes the log (stopping the fsync timer first).
 // Idempotent; appends after Close return ErrClosed.
-func (l *Log[ID]) Close() error {
+func (l *Log) Close() error {
 	l.stopOnce.Do(func() { close(l.stop) })
 	l.wg.Wait()
 	l.mu.Lock()
@@ -492,7 +468,7 @@ type Stats struct {
 }
 
 // Stats returns the current counters.
-func (l *Log[ID]) Stats() Stats {
+func (l *Log) Stats() Stats {
 	return Stats{
 		Seq:           l.seq.Load(),
 		SnapshotSeq:   l.snapSeq.Load(),
@@ -509,7 +485,7 @@ func (l *Log[ID]) Stats() Stats {
 
 // registerMetrics exposes the WAL series on reg. Everything reads the
 // Log's own atomics; nothing here runs on the append path.
-func (l *Log[ID]) registerMetrics(reg *obs.Registry) {
+func (l *Log) registerMetrics(reg *obs.Registry) {
 	layer := obs.Label{Key: "layer", Value: "wal"}
 	reg.CounterFunc("psi_wal_appends_total",
 		"Committed flush windows appended to the write-ahead log.",

@@ -15,16 +15,16 @@ import (
 	"repro/internal/geom"
 )
 
-func openT(t *testing.T, dir string, opts Options) (*Log[string], *Recovery[string]) {
+func openT(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
 	t.Helper()
-	l, rec, err := Open[string](dir, StringCodec{}, opts)
+	l, rec, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	return l, rec
 }
 
-func closeT(t *testing.T, l *Log[string]) {
+func closeT(t *testing.T, l *Log) {
 	t.Helper()
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -56,8 +56,8 @@ func TestRoundTrip(t *testing.T) {
 		{}, // an empty window must round-trip too
 	}
 	for _, w := range windows {
-		if _, err := l.AppendWindow(w); err != nil {
-			t.Fatalf("AppendWindow: %v", err)
+		if _, err := l.AppendWindowAt(0, w); err != nil {
+			t.Fatalf("AppendWindowAt: %v", err)
 		}
 		fold(want, w)
 	}
@@ -75,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("recovery accounting: %+v", rec2)
 	}
 	// Appends continue the sequence.
-	if _, err := l2.AppendWindow(windows[0]); err != nil {
+	if _, err := l2.AppendWindowAt(0, windows[0]); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	if got := l2.Stats().Seq; got != 5 {
@@ -100,7 +100,7 @@ func TestTornTail(t *testing.T) {
 	states := []map[string]geom.Point{{}}
 	model := map[string]geom.Point{}
 	for _, w := range windows {
-		if _, err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindowAt(0, w); err != nil {
 			t.Fatal(err)
 		}
 		fold(model, w)
@@ -135,7 +135,7 @@ func TestTornTail(t *testing.T) {
 			t.Fatalf("cut %d: truncated %d bytes, want %d", cut, rec.TruncatedBytes, wantTrunc)
 		}
 		// The tear is gone: appending and re-recovering must be clean.
-		if _, err := l2.AppendWindow([]Op[string]{{ID: "z", P: geom.Pt2(9, 9)}}); err != nil {
+		if _, err := l2.AppendWindowAt(0, []Op[string]{{ID: "z", P: geom.Pt2(9, 9)}}); err != nil {
 			t.Fatalf("cut %d: append after truncation: %v", cut, err)
 		}
 		closeT(t, l2)
@@ -161,11 +161,11 @@ func TestCorruptMidRecord(t *testing.T) {
 		{{ID: "b", P: geom.Pt2(2, 2)}},
 		{{ID: "c", P: geom.Pt2(3, 3)}},
 	} {
-		if _, err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindowAt(0, w); err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}
 	}
-	firstEnd := magicLen + frameLen + len(encodeWindow(nil, StringCodec{}, 1, []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}))
+	firstEnd := magicLen + frameLen + len(EncodeWindowPayload(nil, 1, []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}))
 	closeT(t, l)
 	path := filepath.Join(dir, logName)
 	b, err := os.ReadFile(path)
@@ -176,7 +176,7 @@ func TestCorruptMidRecord(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open[string](dir, StringCodec{}, Options{Fsync: FsyncNever}); err == nil ||
+	if _, _, err := Open(dir, Options{Fsync: FsyncNever}); err == nil ||
 		!strings.Contains(err.Error(), "corruption") {
 		t.Fatalf("Open on mid-log corruption with a valid record after it: %v, want corruption error", err)
 	}
@@ -201,7 +201,7 @@ func TestCorruptFinalRecord(t *testing.T) {
 		{{ID: "a", P: geom.Pt2(1, 1)}},
 		{{ID: "b", P: geom.Pt2(2, 2)}},
 	} {
-		if _, err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindowAt(0, w); err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestCorruptFinalRecord(t *testing.T) {
 func TestSeqRegressionTruncates(t *testing.T) {
 	dir := t.TempDir()
 	frame := func(seq uint64, ops []Op[string]) []byte {
-		payload := encodeWindow(nil, StringCodec{}, seq, ops)
+		payload := EncodeWindowPayload(nil, seq, ops)
 		rec := make([]byte, frameLen, frameLen+len(payload))
 		rec = append(rec, payload...)
 		putFrame(rec[:frameLen], rec[frameLen:])
@@ -261,13 +261,13 @@ func TestSnapshotRotation(t *testing.T) {
 	model := map[string]geom.Point{}
 	w1 := []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}, {ID: "b", P: geom.Pt2(3, 4)}}
 	w2 := []Op[string]{{ID: "b", Del: true}, {ID: "c", P: geom.Pt2(5, 6)}}
-	if _, err := l.AppendWindow(w1); err != nil {
+	if _, err := l.AppendWindowAt(0, w1); err != nil {
 		t.Fatal(err)
 	}
 	fold(model, w1)
 	preBytes := l.Stats().LogBytes
-	if err := l.WriteSnapshot(len(model), maps.All(model)); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := l.WriteSnapshotAt(l.LastSeq(), len(model), maps.All(model)); err != nil {
+		t.Fatalf("WriteSnapshotAt: %v", err)
 	}
 	st := l.Stats()
 	if st.LogBytes != magicLen || st.SnapshotSeq != 1 || st.Snapshots != 1 {
@@ -276,7 +276,7 @@ func TestSnapshotRotation(t *testing.T) {
 	if got := l.AppendsSinceSnapshot(); got != 0 {
 		t.Fatalf("AppendsSinceSnapshot = %d after snapshot", got)
 	}
-	if _, err := l.AppendWindow(w2); err != nil {
+	if _, err := l.AppendWindowAt(0, w2); err != nil {
 		t.Fatal(err)
 	}
 	fold(model, w2)
@@ -302,7 +302,7 @@ func TestSnapshotLogOverlap(t *testing.T) {
 	w1 := []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}
 	w2 := []Op[string]{{ID: "a", P: geom.Pt2(2, 2)}, {ID: "b", P: geom.Pt2(3, 3)}}
 	for _, w := range [][]Op[string]{w1, w2} {
-		if _, err := l.AppendWindow(w); err != nil {
+		if _, err := l.AppendWindowAt(0, w); err != nil {
 			t.Fatal(err)
 		}
 		fold(model, w)
@@ -312,11 +312,11 @@ func TestSnapshotLogOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot(len(model), maps.All(model)); err != nil {
+	if err := l.WriteSnapshotAt(l.LastSeq(), len(model), maps.All(model)); err != nil {
 		t.Fatal(err)
 	}
 	w3 := []Op[string]{{ID: "c", P: geom.Pt2(4, 4)}}
-	if _, err := l.AppendWindow(w3); err != nil {
+	if _, err := l.AppendWindowAt(0, w3); err != nil {
 		t.Fatal(err)
 	}
 	fold(model, w3)
@@ -347,7 +347,7 @@ func TestBadHeaders(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, logName), []byte("NOTAWAL\nxxxx"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open[string](dir, StringCodec{}, Options{}); err == nil {
+		if _, _, err := Open(dir, Options{}); err == nil {
 			t.Fatal("Open accepted a foreign log file")
 		}
 	})
@@ -356,7 +356,7 @@ func TestBadHeaders(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, snapName), []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open[string](dir, StringCodec{}, Options{}); err == nil {
+		if _, _, err := Open(dir, Options{}); err == nil {
 			t.Fatal("Open accepted a corrupt snapshot")
 		}
 	})
@@ -364,10 +364,10 @@ func TestBadHeaders(t *testing.T) {
 		dir := t.TempDir()
 		l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 		m := map[string]geom.Point{"a": geom.Pt2(1, 2)}
-		if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+		if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.WriteSnapshot(1, maps.All(m)); err != nil {
+		if err := l.WriteSnapshotAt(l.LastSeq(), 1, maps.All(m)); err != nil {
 			t.Fatal(err)
 		}
 		closeT(t, l)
@@ -382,7 +382,7 @@ func TestBadHeaders(t *testing.T) {
 		}
 		// A snapshot is rename-atomic, so corruption is bit rot: hard
 		// error, never a silent empty dataset.
-		if _, _, err := Open[string](dir, StringCodec{}, Options{}); err == nil ||
+		if _, _, err := Open(dir, Options{}); err == nil ||
 			!strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("Open on rotted snapshot: %v", err)
 		}
@@ -392,7 +392,7 @@ func TestBadHeaders(t *testing.T) {
 func TestFsyncInterval(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncInterval, Interval: time.Millisecond})
-	if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -414,10 +414,10 @@ func TestClosed(t *testing.T) {
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 	closeT(t, l)
 	closeT(t, l) // idempotent
-	if _, err := l.AppendWindow(nil); err != ErrClosed {
+	if _, err := l.AppendWindowAt(0, nil); err != ErrClosed {
 		t.Fatalf("append after close: %v", err)
 	}
-	if err := l.WriteSnapshot(0, maps.All(map[string]geom.Point{})); err != ErrClosed {
+	if err := l.WriteSnapshotAt(l.LastSeq(), 0, maps.All(map[string]geom.Point{})); err != ErrClosed {
 		t.Fatalf("snapshot after close: %v", err)
 	}
 }
@@ -451,13 +451,14 @@ func TestParseFsync(t *testing.T) {
 // reassigned over the gap and replay cannot detect the missing window.
 func TestOversizedWindowFailStop(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{Fsync: FsyncNever, MaxRecordBytes: 32})
+	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 	defer closeT(t, l)
+	l.maxRecord = 32
 	big := []Op[string]{{ID: strings.Repeat("x", 64), P: geom.Pt2(1, 1)}}
-	if _, err := l.AppendWindow(big); err == nil {
+	if _, err := l.AppendWindowAt(0, big); err == nil {
 		t.Fatal("oversized window accepted")
 	}
-	if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}); err == nil {
+	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}); err == nil {
 		t.Fatal("append after an unjournalable window succeeded: silent seq gap")
 	}
 	if got := l.Stats().Errors; got == 0 {
@@ -467,7 +468,7 @@ func TestOversizedWindowFailStop(t *testing.T) {
 
 // TestWALAppendZeroAllocWarm pins the acceptance criterion that the WAL
 // adds no per-op allocations beyond its (persistent) record encode
-// buffer: a warm AppendWindow allocates nothing.
+// buffer: a warm AppendWindowAt allocates nothing.
 func TestWALAppendZeroAllocWarm(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
@@ -477,23 +478,23 @@ func TestWALAppendZeroAllocWarm(t *testing.T) {
 		{ID: "obj-0000002", P: geom.Pt2(345678, 901234)},
 		{ID: "obj-0000003", Del: true},
 	}
-	if _, err := l.AppendWindow(ops); err != nil { // warm the encode buffer
+	if _, err := l.AppendWindowAt(0, ops); err != nil { // warm the encode buffer
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := l.AppendWindow(ops); err != nil {
+		if _, err := l.AppendWindowAt(0, ops); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("warm AppendWindow allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("warm AppendWindowAt allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-func BenchmarkAppendWindow(b *testing.B) {
+func BenchmarkAppendWindowAt(b *testing.B) {
 	for _, policy := range []FsyncPolicy{FsyncNever, FsyncAlways} {
 		b.Run(policy.String(), func(b *testing.B) {
-			l, _, err := Open[string](b.TempDir(), StringCodec{}, Options{Fsync: policy})
+			l, _, err := Open(b.TempDir(), Options{Fsync: policy})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -504,7 +505,7 @@ func BenchmarkAppendWindow(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := l.AppendWindow(ops); err != nil {
+				if _, err := l.AppendWindowAt(0, ops); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -522,7 +523,7 @@ func TestLastSeq(t *testing.T) {
 		t.Fatalf("fresh LastSeq = %d, want 0", got)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(int64(i), 0)}}); err != nil {
+		if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(int64(i), 0)}}); err != nil {
 			t.Fatal(err)
 		}
 		if got := l.LastSeq(); got != uint64(i) {
@@ -558,16 +559,16 @@ func TestAppendWindowAt(t *testing.T) {
 	if got := l.LastSeq(); got != 12 {
 		t.Fatalf("LastSeq = %d, want 12", got)
 	}
-	// Plain AppendWindow (seq 0: "the next one") continues from the
+	// AppendWindowAt(0, …) ("the next one") continues from the
 	// imposed seq, and hands back exactly the payload it framed — what a
 	// leader ships to its followers.
 	c := []Op[string]{{ID: "c", P: geom.Pt2(5, 6)}}
-	payload, err := l.AppendWindow(c)
+	payload, err := l.AppendWindowAt(0, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := EncodeWindowPayload(nil, StringCodec{}, 13, c); !bytes.Equal(payload, want) {
-		t.Fatalf("AppendWindow returned payload %x, want the seq-13 record payload %x", payload, want)
+	if want := EncodeWindowPayload(nil, 13, c); !bytes.Equal(payload, want) {
+		t.Fatalf("AppendWindowAt(0) returned payload %x, want the seq-13 record payload %x", payload, want)
 	}
 	closeT(t, l)
 	l2, rec := openT(t, dir, Options{})
@@ -590,7 +591,7 @@ func TestWriteSnapshotAt(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	for i := 0; i < 5; i++ {
-		if _, err := l.AppendWindow([]Op[string]{{ID: "old", P: geom.Pt2(int64(i), 0)}}); err != nil {
+		if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "old", P: geom.Pt2(int64(i), 0)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -640,15 +641,15 @@ func TestWindowPayloadRoundTrip(t *testing.T) {
 		{ID: "a", P: geom.Pt2(1, -2)},
 		{ID: "b", Del: true},
 	}
-	payload := EncodeWindowPayload(nil, StringCodec{}, 42, ops)
-	seq, got, err := DecodeWindowPayload(payload, StringCodec{}, nil)
+	payload := EncodeWindowPayload(nil, 42, ops)
+	seq, got, err := DecodeWindowPayload(payload, nil)
 	if err != nil {
 		t.Fatalf("DecodeWindowPayload: %v", err)
 	}
 	if seq != 42 || len(got) != 2 || got[0] != ops[0] || got[1] != ops[1] {
 		t.Fatalf("round trip: seq %d ops %v", seq, got)
 	}
-	if _, _, err := DecodeWindowPayload(payload[:len(payload)-1], StringCodec{}, nil); err == nil {
+	if _, _, err := DecodeWindowPayload(payload[:len(payload)-1], nil); err == nil {
 		t.Fatal("truncated payload decoded without error")
 	}
 }
@@ -662,17 +663,17 @@ func TestTermPersistence(t *testing.T) {
 	if got := l.Term(); got != 0 {
 		t.Fatalf("fresh log term = %d, want 0", got)
 	}
-	if _, err := l.AppendWindow([]Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
-		t.Fatalf("AppendWindow: %v", err)
+	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+		t.Fatalf("AppendWindowAt: %v", err)
 	}
 	l.SetTerm(7)
 	state := map[string]geom.Point{"a": geom.Pt2(1, 2)}
-	if err := l.WriteSnapshot(len(state), maps.All(state)); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := l.WriteSnapshotAt(l.LastSeq(), len(state), maps.All(state)); err != nil {
+		t.Fatalf("WriteSnapshotAt: %v", err)
 	}
 	// Windows appended after the snapshot must not disturb the term.
-	if _, err := l.AppendWindow([]Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
-		t.Fatalf("AppendWindow: %v", err)
+	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+		t.Fatalf("AppendWindowAt: %v", err)
 	}
 	if got := l.Stats().Term; got != 7 {
 		t.Fatalf("Stats().Term = %d, want 7", got)
@@ -698,14 +699,14 @@ func TestTermPersistence(t *testing.T) {
 func TestV1SnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if _, err := l.AppendWindow([]Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
-		t.Fatalf("AppendWindow: %v", err)
+	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+		t.Fatalf("AppendWindowAt: %v", err)
 	}
 	closeT(t, l)
 	var body []byte
 	body = binary.AppendUvarint(body, 0) // seq
 	body = binary.AppendUvarint(body, 1) // count
-	body = StringCodec{}.AppendID(body, "a")
+	body = appendID(body, "a")
 	for d := 0; d < geom.MaxDims; d++ {
 		body = binary.AppendVarint(body, int64(d+1))
 	}
@@ -720,7 +721,7 @@ func TestV1SnapshotRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open[string](dir, StringCodec{}, Options{})
+	_, _, err = Open(dir, Options{})
 	if !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("Open over a v1 snapshot: err = %v, want ErrSnapshotVersion", err)
 	}
