@@ -409,6 +409,11 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-flush-interval", "-1ms"},         // not "no background flusher"
 		{"-drain", "-1s"},                   // every SIGTERM would end forced, exit 1
 		{"-drain", "0s"},
+		{"-maxbatch", "0"}, // not the Collection's default
+		{"-maxline", "-1"},
+		{"-snapshot-interval", "0s"},
+		{"-repl-retain", "-1"}, // not "default"
+		{"-max-lag", "-1"},     // not "off"
 	} {
 		enc, err := json.Marshal(append([]string{"-addr", "127.0.0.1:0", "-http", ""}, args...))
 		if err != nil {

@@ -143,6 +143,28 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: -drain must be positive, got %s\n", *drain)
 		return 2
 	}
+	// The layers below read a non-positive size or cadence, or a negative
+	// bound, as "use the default" or "off": on the command line it is a typo.
+	if *maxBatch <= 0 {
+		fmt.Fprintf(os.Stderr, "psid: -maxbatch must be positive, got %d\n", *maxBatch)
+		return 2
+	}
+	if *maxLine <= 0 {
+		fmt.Fprintf(os.Stderr, "psid: -maxline must be positive, got %d\n", *maxLine)
+		return 2
+	}
+	if *snapEvery <= 0 {
+		fmt.Fprintf(os.Stderr, "psid: -snapshot-interval must be positive, got %s\n", *snapEvery)
+		return 2
+	}
+	if *replRetain < 0 {
+		fmt.Fprintf(os.Stderr, "psid: -repl-retain must not be negative, got %d\n", *replRetain)
+		return 2
+	}
+	if *maxLag < 0 {
+		fmt.Fprintf(os.Stderr, "psid: -max-lag must not be negative, got %d\n", *maxLag)
+		return 2
+	}
 	universe := geom.UniverseBox(*dims, *side)
 	mk := func(dims int, u geom.Box) core.Index { return psi.ByName(*index, dims, u) }
 	// The probe also runs the family's own universe check (the curve-keyed

@@ -16,7 +16,14 @@
 // window costs the index one delete and one insert, and a Set followed by
 // Remove in the same window costs nothing. Identity makes this netting
 // exact: no order-aware insert/delete matching of anonymous points is
-// needed.
+// needed. Enqueuers append under a short pending lock, a flush swaps the
+// tape out and hands the emptied one back at the next swap, the Set that
+// brings it to MaxBatch flushes it, and an optional background goroutine
+// flushes every FlushInterval. The tape order
+// is the order appends take the pending lock, which is consistent with
+// every goroutine's program order; flushes are serialized and each takes
+// the whole tape, so the applied state is always a prefix of the enqueue
+// history.
 //
 // Consistency: the geometric index, the forward table (ID → point), and
 // the reverse multimap (point → IDs) all advance together at the flush
@@ -38,11 +45,9 @@
 // window — under its write lock, or after the displaced version has
 // drained — and a query that acquired the new version before then waits
 // for that step (Collection.tab; ARCHITECTURE.md "Epochs & snapshot
-// reads"). The
-// pending tape and its flushing are the window engine's (internal/window).
-// Get is the exception either way: it reads the caller's own pending tail
-// (read-your-writes), so Get(id) after Set(id, p) returns p even before
-// the flush makes p visible to geometric queries.
+// reads"). Get is the exception either way: it reads the caller's own
+// pending tail (read-your-writes), so Get(id) after Set(id, p) returns p
+// even before the flush makes p visible to geometric queries.
 //
 // Committed state has two more ways in, both writer-side and both beside
 // the tape rather than through it: CommitWindow applies a window that is
@@ -69,15 +74,42 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/wal"
-	"repro/internal/window"
 )
 
-// Options tunes a Collection: the coalescing trigger (MaxBatch), the
-// background flusher (FlushInterval), snapshot reads (Snapshot — over a
-// copy-on-write index the index is then versioned, and
-// NearbyIDs/WithinIDs/Get pin the published version) and metrics (Obs).
-// The zero value is usable.
-type Options = window.Options
+// DefaultMaxBatch is the coalescing threshold used when Options.MaxBatch
+// is unset. It matches parallel.DefaultGrain, the size below which the
+// indexes' batch operations stop forking.
+const DefaultMaxBatch = 1024
+
+// Options tunes a Collection. The zero value is usable: DefaultMaxBatch
+// coalescing, no background flusher, locked reads.
+type Options struct {
+	// MaxBatch is the pending-op count that triggers a synchronous flush
+	// by the enqueuing goroutine (built-in backpressure: the caller that
+	// fills the window pays for applying it). <= 0 selects
+	// DefaultMaxBatch.
+	MaxBatch int
+	// FlushInterval, when positive, starts a background goroutine that
+	// flushes every interval, bounding how far the queried view lags
+	// behind enqueues under light write traffic. Stop it with Close.
+	FlushInterval time.Duration
+	// Snapshot asks for epoch-pinned snapshot reads, which run over a
+	// copy-on-write index (core.Adopter: the SPaC family and P-Orth, as
+	// trees or sharded) whose fresh replica adopts it: the version cell
+	// keeps two handles on one structure and NearbyIDs/WithinIDs/Get pin
+	// the published one instead of taking the read lock, so a reader never
+	// waits on the index apply. Over any other index, as with Snapshot
+	// unset, reads take the single copy's RWMutex. The wrapped index must
+	// start empty.
+	Snapshot bool
+	// Obs, when set, registers the Collection's metrics (flush counters,
+	// flush duration histogram, epoch gauges, labeled layer="collection")
+	// and records a flush-pipeline span per flush into the registry's
+	// trace ring. Recording is atomics into preallocated storage — the
+	// zero-alloc flush guarantee holds with a live registry. Leave nil to
+	// pay nothing.
+	Obs *obs.Registry
+}
 
 // Stats is a snapshot of a Collection's lifetime counters. It is
 // assembled from atomics and the pending lock only — never the writer
@@ -123,14 +155,36 @@ type Collection[ID comparable] struct {
 	name string
 	dims int
 
-	// eng owns the ordered op tape, the flush triggers and the flush
-	// lock. Its pending lock also guards seq and overlay — the latest
+	// pend guards the ordered op tape, seq and overlay — the latest
 	// pending op per ID, what Get reads — so the overlay always agrees
-	// with the tape order; it is held only for appends, overlay lookups
-	// and the post-commit purge, never while a batch is applied.
-	eng     window.Engine[op[ID]]
-	seq     uint64
-	overlay map[ID]tailOp
+	// with the tape order. It is held only for appends, overlay lookups,
+	// the tape swap and the post-commit purge, never while a window is
+	// applied.
+	pend     sync.Mutex
+	tape     []op[ID]
+	maxBatch int
+	seq      uint64
+	overlay  map[ID]tailOp
+
+	// flushMu serializes everything that writes committed state: Flush,
+	// CommitWindow, Load, and the sections of SetJournal, Checkpoint and
+	// Validate. spare is the previous window's emptied tape, handed to the
+	// enqueuers at the next swap: the tape double-buffers instead of
+	// re-growing every window. span is the flush span's persistent scratch,
+	// which keeps recording allocation-free; trace and flushDur are nil
+	// without Options.Obs.
+	flushMu  sync.Mutex
+	spare    []op[ID]
+	span     obs.FlushSpan
+	trace    *obs.FlushTrace
+	flushDur *obs.Hist
+
+	flushes, rawOps, applied, cancelled atomic.Uint64
+
+	// stop and done are the interval flusher's channels (nil without
+	// Options.FlushInterval): New starts it, Close stops it.
+	stop, done chan struct{}
+	closeOnce  sync.Once
 
 	// cell owns the committed index — every copy of it — and how queries
 	// are kept off the flush writer; win is the netted window being
@@ -235,15 +289,19 @@ type queryScratch struct {
 // immediately; pair New with Close to stop it.
 func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	c := &Collection[ID]{
-		name:    fmt.Sprintf("Collection(%s)", idx.Name()),
-		dims:    idx.Dims(),
-		overlay: make(map[ID]tailOp),
-		netAt:   make(map[ID]int),
-		tab:     newTable[ID](0),
-		tabCond: sync.NewCond(new(sync.Mutex)),
+		name:     fmt.Sprintf("Collection(%s)", idx.Name()),
+		dims:     idx.Dims(),
+		maxBatch: opts.MaxBatch,
+		overlay:  make(map[ID]tailOp),
+		netAt:    make(map[ID]int),
+		tab:      newTable[ID](0),
+		tabCond:  sync.NewCond(new(sync.Mutex)),
+	}
+	if c.maxBatch <= 0 {
+		c.maxBatch = DefaultMaxBatch
 	}
 	c.queryPool.New = func() any { return new(queryScratch) }
-	c.cell.Init("collection", idx, opts.Snapshot, c.tableStep)
+	c.cell.Init(idx, opts.Snapshot, c.tableStep)
 	layer := obs.Label{Key: "layer", Value: "collection"}
 	c.cell.Register(opts.Obs, layer)
 	opts.Obs.CounterFunc("psi_collection_table_wait_total",
@@ -261,17 +319,55 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	opts.Obs.GaugeFunc("psi_collection_free_slots",
 		"Free slots of the committed object table (its high-water mark less the live objects).",
 		func() float64 { return float64(c.freeSlots.Load()) }, layer)
-	c.eng.Init("collection", opts, c.net, c.commitTape)
+	opts.Obs.CounterFunc("psi_flush_total",
+		"Flush windows applied to the index.", c.flushes.Load, layer)
+	opts.Obs.CounterFunc("psi_flush_ops_raw_total",
+		"Mutations entering flush windows before netting.", c.rawOps.Load, layer)
+	opts.Obs.CounterFunc("psi_flush_ops_netted_total",
+		"Index mutations surviving netting (applied inserts plus deletes).", c.applied.Load, layer)
+	opts.Obs.CounterFunc("psi_flush_ops_cancelled_total",
+		"Ops netted out of their flush window before reaching the index.", c.cancelled.Load, layer)
+	c.flushDur = opts.Obs.Histogram("psi_flush_duration_ns",
+		"Flush wall time in nanoseconds, summed over pipeline stages.", layer)
+	c.trace = opts.Obs.FlushTrace()
+	if opts.FlushInterval > 0 {
+		c.stop, c.done = make(chan struct{}), make(chan struct{})
+		go c.flusher(opts.FlushInterval)
+	}
 	return c
+}
+
+// flusher is the interval flush loop: it bounds how long an op stays
+// pending under light traffic.
+func (c *Collection[ID]) flusher(d time.Duration) {
+	defer close(c.done)
+	t := time.NewTicker(d)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			c.Flush()
+		case <-c.stop:
+			return
+		}
+	}
 }
 
 // Close stops the background flusher (if any) and applies all pending ops
 // as a final flush (journaled like any other window when a hook is
-// installed), exactly once, in the engine's Close order: the ticker
-// goroutine is fully stopped before the final flush. Close is idempotent;
-// the Collection remains usable afterwards — only the periodic flushing
-// ends.
-func (c *Collection[ID]) Close() { c.eng.Close() }
+// installed), exactly once however many goroutines call it. The order is
+// the contract: the ticker goroutine has fully exited before the final
+// flush, and no call returns before both are done. The Collection remains
+// usable afterwards — only the periodic flushing ends.
+func (c *Collection[ID]) Close() {
+	c.closeOnce.Do(func() {
+		if c.stop != nil {
+			close(c.stop)
+			<-c.done
+		}
+		c.Flush()
+	})
+}
 
 // SetJournal installs (or, with nil, removes) the durability commit
 // hook: every subsequent window calls fn under the flush lock with the
@@ -283,7 +379,9 @@ func (c *Collection[ID]) Close() { c.eng.Close() }
 // Load journals nothing. Hook errors are counted in
 // Stats.JournalErrors; see commit for why they do not abort the commit.
 func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error) {
-	c.eng.Exclusive(func() { c.journal = fn })
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	c.journal = fn
 }
 
 // Checkpoint runs fn while the flush pipeline is quiescent: no window
@@ -298,7 +396,9 @@ func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error)
 // deliberately excluded.
 func (c *Collection[ID]) Checkpoint(fn func(objects int, entries iter.Seq2[ID, geom.Point])) {
 	// The flush lock excludes every writer of the table.
-	c.eng.Exclusive(func() { fn(c.tab.live, c.tab.all()) })
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	fn(c.tab.live, c.tab.all())
 }
 
 // Name labels the Collection after its inner index.
@@ -317,11 +417,15 @@ func (c *Collection[ID]) Set(id ID, p geom.Point) { c.enqueue(id, p, false) }
 func (c *Collection[ID]) Remove(id ID) { c.enqueue(id, geom.Point{}, true) }
 
 func (c *Collection[ID]) enqueue(id ID, p geom.Point, del bool) {
-	c.eng.Lock()
+	c.pend.Lock()
 	c.seq++
-	c.eng.Append(op[ID]{id: id, p: p, del: del, seq: c.seq})
+	c.tape = append(c.tape, op[ID]{id: id, p: p, del: del, seq: c.seq})
 	c.overlay[id] = tailOp{p: p, del: del, seq: c.seq}
-	c.eng.Unlock() // flushes when this op filled the window
+	full := len(c.tape) >= c.maxBatch
+	c.pend.Unlock()
+	if full {
+		c.Flush() // the caller that fills the window pays for applying it
+	}
 }
 
 // Get returns id's position. It observes the caller's latest enqueued op
@@ -331,9 +435,9 @@ func (c *Collection[ID]) enqueue(id ID, p geom.Point, del bool) {
 // the overlay is guaranteed to see a committed state at least as new as
 // every purged op.
 func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
-	c.eng.Lock()
+	c.pend.Lock()
 	tail, ok := c.overlay[id]
-	c.eng.Unlock()
+	c.pend.Unlock()
 	if ok {
 		if tail.del {
 			return geom.Point{}, false
@@ -366,13 +470,62 @@ func (c *Collection[ID]) Epoch() uint64 { return c.cell.Epoch() }
 // table in the same commit. It returns the number of index mutations
 // applied (inserts + deletes). Flush is a synchronization barrier: on
 // return, every op enqueued before the call is visible to geometric
-// queries.
-func (c *Collection[ID]) Flush() int { return c.eng.Flush() }
+// queries. The tape is swapped out under the pending lock, so concurrent
+// flushes and enqueues never double-apply or drop an op.
+func (c *Collection[ID]) Flush() int {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	c.pend.Lock()
+	ops := c.tape
+	if len(ops) == 0 {
+		c.pend.Unlock()
+		return 0
+	}
+	c.tape, c.spare = c.spare, nil
+	c.pend.Unlock()
 
-// net is the engine's netting step: the last op per ID wins, every
-// earlier op on that ID is superseded. Identity makes this exact — no
-// order-aware matching needed. The window keeps first-appearance order,
-// so the same tape always nets to the same window.
+	sp, clk := c.begin()
+	cancelled := c.net(ops)
+	clk = sp.Stamp(obs.StageNet, clk)
+	applied, _ := c.commit(0, sp, clk) // a hook failure is counted; see commit
+	clear(c.netOps)
+	c.finish(sp, len(ops), applied, cancelled)
+	// Clear the tape before recycling it, so idle capacity never pins the
+	// window's values (ID strings, typically).
+	clear(ops)
+	c.spare = ops[:0]
+	return applied
+}
+
+// begin opens a window's span (nil without a registry); the flush lock
+// is held.
+func (c *Collection[ID]) begin() (sp *obs.FlushSpan, clk time.Time) {
+	if c.trace == nil {
+		return nil, clk
+	}
+	clk = time.Now()
+	c.span = obs.FlushSpan{Layer: "collection", Start: clk.UnixNano()}
+	return &c.span, clk
+}
+
+// finish accounts one window — raw ops in, index mutations applied, ops
+// netting cancelled — in the counters and, with a registry, the span.
+func (c *Collection[ID]) finish(sp *obs.FlushSpan, raw, applied, cancelled int) {
+	c.flushes.Add(1)
+	c.rawOps.Add(uint64(raw))
+	c.applied.Add(uint64(applied))
+	c.cancelled.Add(uint64(cancelled))
+	if sp != nil {
+		sp.RawOps, sp.NettedOps, sp.Cancelled = raw, applied, cancelled
+		c.flushDur.Record(sp.Dur())
+		c.trace.Record(*sp)
+	}
+}
+
+// net is Flush's netting step: the last op per ID wins, every earlier op
+// on that ID is superseded. Identity makes this exact — no order-aware
+// matching needed. The window keeps first-appearance order, so the same
+// tape always nets to the same window.
 func (c *Collection[ID]) net(ops []op[ID]) (cancelled int) {
 	at, netted := c.netAt, c.netOps[:0]
 	for _, o := range ops {
@@ -386,18 +539,11 @@ func (c *Collection[ID]) net(ops []op[ID]) (cancelled int) {
 	}
 	// Clear the scratch map now it has done its work, so recycled capacity
 	// never pins the window's ID values (strings, typically) while the
-	// collection idles; commitTape does the same for the slice.
+	// collection idles; Flush does the same for the slice.
 	clear(at)
 	c.netOps = netted
 	c.win.ops, c.win.upTo = netted, ops[len(ops)-1].seq
 	return len(ops) - len(netted)
-}
-
-// commitTape is the engine's apply step for the window net just produced.
-func (c *Collection[ID]) commitTape(sp *obs.FlushSpan, clk time.Time) int {
-	applied, _ := c.commit(0, sp, clk) // a hook failure is counted; see commit
-	clear(c.netOps)
-	return applied
 }
 
 // CommitWindow applies one window that is already netted — at most one
@@ -414,16 +560,18 @@ func (c *Collection[ID]) commitTape(sp *obs.FlushSpan, clk time.Time) int {
 // repeats an ID is refused whole — an error, nothing journaled, nothing
 // applied.
 func (c *Collection[ID]) CommitWindow(seq uint64, ops []wal.Op[ID]) (err error) {
-	c.eng.Apply(len(ops), func(sp *obs.FlushSpan, clk time.Time) (applied int) {
-		if id, repeated := c.repeatedID(ops); repeated {
-			err = fmt.Errorf("collection: window %d is not netted: it repeats ID %v", seq, id)
-			return 0
-		}
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	sp, clk := c.begin()
+	applied := 0
+	if id, repeated := c.repeatedID(ops); repeated {
+		err = fmt.Errorf("collection: window %d is not netted: it repeats ID %v", seq, id)
+	} else {
 		c.win.ops, c.win.upTo = ops, 0
 		applied, err = c.commit(seq, sp, clk)
 		c.win.ops = nil
-		return applied
-	})
+	}
+	c.finish(sp, len(ops), applied, 0)
 	return err
 }
 
@@ -491,29 +639,30 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 // snapshot). In snapshot mode readers keep the old state until the new one
 // is published whole.
 func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
-	c.eng.Exclusive(func() {
-		c.eng.Lock()
-		c.eng.Discard()
-		clear(c.overlay)
-		c.eng.Unlock()
-		was := c.tab.live
-		tab := newTable[ID](n)
-		for id, p := range entries {
-			if slot, hash := tab.lookup(id); slot != 0 {
-				tab.move(slot, p)
-			} else {
-				tab.insert(id, hash, p)
-			}
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	c.pend.Lock()
+	clear(c.tape)
+	c.tape = c.tape[:0]
+	clear(c.overlay)
+	c.pend.Unlock()
+	was := c.tab.live
+	tab := newTable[ID](n)
+	for id, p := range entries {
+		if slot, hash := tab.lookup(id); slot != 0 {
+			tab.move(slot, p)
+		} else {
+			tab.insert(id, hash, p)
 		}
-		// Nothing above frees a slot, so the live points are the slot array
-		// itself; Build neither writes nor retains it (core.Index).
-		pts := tab.pos[1:]
-		c.loaded = &tab
-		c.cell.Rebuild(pts)
-		c.noteSlots()
-		c.inserted.Add(uint64(len(pts)))
-		c.removed.Add(uint64(was))
-	})
+	}
+	// Nothing above frees a slot, so the live points are the slot array
+	// itself; Build neither writes nor retains it (core.Index).
+	pts := tab.pos[1:]
+	c.loaded = &tab
+	c.cell.Rebuild(pts)
+	c.noteSlots()
+	c.inserted.Add(uint64(len(pts)))
+	c.removed.Add(uint64(was))
 }
 
 // tableStep is the cell's beside step: the committed window goes into the
@@ -627,14 +776,14 @@ func (c *Collection[ID]) applyTable(w *collWindow[ID]) (wholesale bool) {
 // the tape ops netted into it. Ops enqueued after the tape swap carry
 // higher sequence numbers and survive.
 func (c *Collection[ID]) purgeOverlay(w *collWindow[ID]) {
-	c.eng.Lock()
+	c.pend.Lock()
 	for i := range w.ops {
 		id := w.ops[i].ID
 		if tail, ok := c.overlay[id]; ok && tail.seq <= w.upTo {
 			delete(c.overlay, id)
 		}
 	}
-	c.eng.Unlock()
+	c.pend.Unlock()
 }
 
 // NearbyIDs returns the k objects nearest q (nearest first), resolved to
@@ -756,24 +905,27 @@ func resolveAppend[ID comparable](t *table[ID], sc *queryScratch, dst []Entry[ID
 }
 
 // Pending returns the number of enqueued, not-yet-flushed ops.
-func (c *Collection[ID]) Pending() int { return c.eng.Pending() }
+func (c *Collection[ID]) Pending() int {
+	c.pend.Lock()
+	defer c.pend.Unlock()
+	return len(c.tape)
+}
 
 // Stats returns a snapshot of the Collection's counters. Counters are
 // updated after each flush, so a snapshot racing a flush may lag by that
-// one batch. Stats never takes the writer lock, so it does not block
-// behind an in-flight flush: Objects is derived from the lifetime
-// counters, which equal the committed table's live count at every
-// flush boundary.
+// one batch. Stats takes only the pending lock, never the flush or writer
+// lock, so it does not block behind an in-flight flush: Objects is derived
+// from the lifetime counters, which equal the committed table's live count
+// at every flush boundary.
 func (c *Collection[ID]) Stats() Stats {
-	es := c.eng.Stats()
 	st := Stats{
-		Flushes:       es.Flushes,
+		Flushes:       c.flushes.Load(),
 		Inserted:      c.inserted.Load(),
 		Moved:         c.moved.Load(),
 		Removed:       c.removed.Load(),
-		Cancelled:     es.Cancelled,
+		Cancelled:     c.cancelled.Load(),
 		JournalErrors: c.journalErrs.Load(),
-		Pending:       es.Pending,
+		Pending:       c.Pending(),
 		Epoch:         c.cell.Epoch(),
 		Versions:      c.cell.Versions(),
 		RetireLag:     c.cell.RetireLag(),
@@ -793,22 +945,20 @@ func (c *Collection[ID]) Stats() Stats {
 // inverses, and index copies that share their structure still do — no
 // second whole tree has come into being. Tests and the fuzz harness call it
 // after every tape.
-func (c *Collection[ID]) Validate() (err error) {
+func (c *Collection[ID]) Validate() error {
 	c.Flush()
-	c.eng.Exclusive(func() {
-		if err = c.cell.Validate(); err != nil {
-			return
-		}
-		v := c.cell.Acquire()
-		defer c.cell.Release(v)
-		switch got, want := v.Index.Size(), c.tab.live; {
-		case c.tabEpoch.Load() != c.cell.Epoch():
-			err = fmt.Errorf("collection: table at epoch %d, epoch %d published", c.tabEpoch.Load(), c.cell.Epoch())
-		case got != want:
-			err = fmt.Errorf("collection: index stores %d points, %d live objects", got, want)
-		default:
-			err = c.tab.validate()
-		}
-	})
-	return err
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	if err := c.cell.Validate(); err != nil {
+		return err
+	}
+	v := c.cell.Acquire()
+	defer c.cell.Release(v)
+	switch got, want := v.Index.Size(), c.tab.live; {
+	case c.tabEpoch.Load() != c.cell.Epoch():
+		return fmt.Errorf("collection: table at epoch %d, epoch %d published", c.tabEpoch.Load(), c.cell.Epoch())
+	case got != want:
+		return fmt.Errorf("collection: index stores %d points, %d live objects", got, want)
+	}
+	return c.tab.validate()
 }

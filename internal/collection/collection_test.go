@@ -108,21 +108,22 @@ func TestGetReadsOwnWritesBeforeFlush(t *testing.T) {
 }
 
 // TestMaxBatchMakesWindowVisible pins the first clause of the visibility
-// contract at this layer: Options.MaxBatch reaches the engine, and the Set
-// that fills the window applies it — no Flush call. (The trigger itself
-// is the engine's and is tested in internal/window.)
+// contract: the Set that fills the window applies it — no Flush call —
+// at Options.MaxBatch, and at DefaultMaxBatch when MaxBatch is unset.
 func TestMaxBatchMakesWindowVisible(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 8})
-	defer c.Close()
-	for i := 0; i < 7; i++ {
-		c.Set(i, geom.Pt2(int64(i), 1))
-	}
-	if st := c.Stats(); st.Flushes != 0 || st.Pending != 7 || len(c.WithinIDs(universe())) != 0 {
-		t.Fatalf("below MaxBatch: %+v, want nothing applied", st)
-	}
-	c.Set(7, geom.Pt2(7, 1))
-	if st := c.Stats(); st.Flushes != 1 || st.Pending != 0 || len(c.WithinIDs(universe())) != 8 {
-		t.Fatalf("the filling Set did not flush: %+v", st)
+	for _, tc := range []struct{ maxBatch, trigger int }{{8, 8}, {0, DefaultMaxBatch}} {
+		c := New[int](core.NewBruteForce(2), Options{MaxBatch: tc.maxBatch})
+		for i := 0; i < tc.trigger-1; i++ {
+			c.Set(i, geom.Pt2(int64(i), 1))
+		}
+		if st := c.Stats(); st.Flushes != 0 || st.Pending != tc.trigger-1 || len(c.WithinIDs(universe())) != 0 {
+			t.Fatalf("MaxBatch %d, one below the trigger: %+v, want nothing applied", tc.maxBatch, st)
+		}
+		c.Set(tc.trigger-1, geom.Pt2(int64(tc.trigger-1), 1))
+		if st := c.Stats(); st.Flushes != 1 || st.Pending != 0 || len(c.WithinIDs(universe())) != tc.trigger {
+			t.Fatalf("MaxBatch %d: the filling Set did not flush: %+v", tc.maxBatch, st)
+		}
+		c.Close()
 	}
 }
 

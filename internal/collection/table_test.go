@@ -14,7 +14,9 @@ import (
 
 // withTable calls fn, under the flush lock, with the committed table.
 func (c *Collection[ID]) withTable(fn func(t *table[ID])) {
-	c.eng.Exclusive(func() { fn(&c.tab) })
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	fn(&c.tab)
 }
 
 // checkTable compares t with the oracle exactly: every ID of the domain

@@ -50,9 +50,8 @@ type Cell struct {
 
 // Init builds the cell over idx: with snapshot, over idx and a fresh
 // replica of it when that replica adopts idx, and over idx alone
-// otherwise. beside may be nil. layer names the caller in the panics that
-// refuse a non-empty index or replica.
-func (c *Cell) Init(layer string, idx core.Index, snapshot bool, beside func()) {
+// otherwise. beside may be nil. A non-empty index or replica panics.
+func (c *Cell) Init(idx core.Index, snapshot bool, beside func()) {
 	c.beside = beside
 	if beside == nil {
 		c.beside = func() {}
@@ -63,7 +62,7 @@ func (c *Cell) Init(layer string, idx core.Index, snapshot bool, beside func()) 
 		return
 	}
 	if idx.Size() != 0 {
-		panic(layer + ": Options.Snapshot requires an initially empty index")
+		panic("epoch: snapshot reads require an initially empty index")
 	}
 	a, ok := idx.(core.Adopter)
 	if !ok {
@@ -71,7 +70,7 @@ func (c *Cell) Init(layer string, idx core.Index, snapshot bool, beside func()) 
 	}
 	twin := a.NewReplica()
 	if twin == nil || twin.Size() != 0 {
-		panic(layer + ": NewReplica must return a fresh, empty index")
+		panic("epoch: NewReplica must return a fresh, empty index")
 	}
 	if t, ok := twin.(core.Adopter); ok && t.Adopt(idx) {
 		c.standby = &Version{Index: twin}

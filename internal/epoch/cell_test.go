@@ -151,7 +151,7 @@ func newCell(share bool, beside func(), copies ...*pair) *Cell {
 		idx = twinPair{copies[0], share}
 	}
 	c := new(Cell)
-	c.Init("test", idx, true, beside)
+	c.Init(idx, true, beside)
 	return c
 }
 
@@ -283,7 +283,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 	t.Run("P-Orth", func(t *testing.T) {
 		universe := geom.UniverseBox(2, 1<<20)
 		var c Cell
-		c.Init("test", orthtree.NewDefault(2, universe), true, nil)
+		c.Init(orthtree.NewDefault(2, universe), true, nil)
 		at := func(i int) geom.Point { return geom.Pt2(int64(i)*523%(1<<20), int64(i)*131%(1<<20)) }
 		var stop atomic.Bool
 		var wg sync.WaitGroup
@@ -466,7 +466,7 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 		{"adopting P-Orth", orthtree.NewDefault(2, universe)},
 	} {
 		var c Cell
-		c.Init("test", mode.idx, true, nil)
+		c.Init(mode.idx, true, nil)
 		if (c.Versions() == 2) != (mode.name != "locked") {
 			t.Fatalf("%s: %d versions", mode.name, c.Versions())
 		}
@@ -515,20 +515,20 @@ func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if msg, _ := recover().(string); !strings.HasPrefix(msg, "layer: ") {
-					t.Fatalf("%s: panic %q, want one that names the layer", tc.name, msg)
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "epoch: ") {
+					t.Fatalf("%s: panic %q, want one that names the package", tc.name, msg)
 				}
 			}()
-			new(Cell).Init("layer", tc.idx, true, nil)
+			new(Cell).Init(tc.idx, true, nil)
 		}()
 	}
 	var c Cell
-	c.Init("layer", twins(1, &pair{}), false, nil)
+	c.Init(twins(1, &pair{}), false, nil)
 	if c.Versions() != 1 {
 		t.Fatalf("locked reads over a non-empty index: %d versions, want 1", c.Versions())
 	}
 	var s Cell
-	s.Init("layer", core.NewBruteForce(2), true, nil)
+	s.Init(core.NewBruteForce(2), true, nil)
 	if s.Versions() != 1 {
 		t.Fatalf("snapshot reads over an index that cannot adopt: %d versions, want 1", s.Versions())
 	}

@@ -10,7 +10,7 @@
 //  1. Recording is atomics into preallocated storage. Counter.Add,
 //     Hist.Record, FlushTrace.Record and SlowLog.Record never allocate
 //     and never take a registry-wide lock, so instrumented hot paths
-//     (store/collection flushes, shard sub-batches, the serving loop)
+//     (collection flushes, shard sub-batches, the serving loop)
 //     keep their AllocsPerRun == 0 guarantees with a live registry
 //     attached.
 //  2. Everything is optional. Every layer takes an optional *Registry;
@@ -107,15 +107,6 @@ func (h *Hist) Observe(v int64) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(uint64(v))
-}
-
-// Merge folds other into h (used to combine per-connection recorders).
-func (h *Hist) Merge(other *Hist) {
-	for i := range h.buckets {
-		h.buckets[i].Add(other.buckets[i].Load())
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
 }
 
 // Count returns the number of observations.

@@ -39,17 +39,6 @@ func TestHistSemantics(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	var a, b Hist
-	a.Observe(10)
-	b.Observe(1000)
-	b.Observe(2000)
-	a.Merge(&b)
-	if a.Count() != 3 || a.Sum() != 3010 {
-		t.Fatalf("merged count=%d sum=%d, want 3 and 3010", a.Count(), a.Sum())
-	}
-}
-
 // TestGoldenExposition pins the full text exposition for a registry with
 // every family kind: names, HELP/TYPE lines, label rendering, histogram
 // bucket expansion, and registration-order determinism.

@@ -12,16 +12,14 @@ import (
 // request/response in flight at a time. Methods are safe for concurrent
 // use (a mutex serializes the wire exchange); open several Clients for
 // parallelism — the server is one goroutine per connection, so
-// connections are the unit of serving concurrency. Requests go through
-// the append encoder into a retained buffer (it differs from
-// json.Marshal only in not \u-escaping <, > and &, which JSON does not
-// require); every response is decoded into fresh memory the caller owns.
+// connections are the unit of serving concurrency. Requests are encoded
+// with encoding/json; every response is decoded into fresh memory the
+// caller owns.
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
 	lineBuf []byte // long-line accumulation scratch, guarded by mu
-	wbuf    []byte // request encode buffer, guarded by mu
 }
 
 // clientMaxLine bounds one response line client-side. WITHIN over a huge
@@ -47,19 +45,15 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) Do(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// One huge request (a long ID) or WITHIN response must not pin its
-	// buffer for the connection's lifetime: drop oversized scratch once the
-	// call is over (the capacity cap keeps steady-state calls recycling).
+	// One huge WITHIN response must not pin its buffer for the connection's
+	// lifetime: drop oversized scratch once the call is over (the capacity
+	// cap keeps steady-state calls recycling).
 	defer func() {
-		if cap(c.wbuf) > 1<<20 {
-			c.wbuf = nil
-		}
 		if cap(c.lineBuf) > 1<<20 {
 			c.lineBuf = nil
 		}
 	}()
-	c.wbuf = appendRequest(c.wbuf[:0], &req)
-	if _, err := c.conn.Write(c.wbuf); err != nil {
+	if _, err := c.conn.Write(marshalLine(req)); err != nil {
 		return Response{}, fmt.Errorf("psid: write: %w", err)
 	}
 	line, tooLong, err := readLine(c.br, clientMaxLine, &c.lineBuf)

@@ -124,40 +124,6 @@ func appendCoords(buf []byte, p geom.Point, dims int) []byte {
 	return appendInts(buf, p[:dims])
 }
 
-// appendRequest renders req as one newline-terminated JSON request line,
-// matching json.Marshal's field order and omitempty behavior for Request
-// (TestAppendRequestMatchesJSON). The Client encodes with it instead of
-// reflective marshalling.
-func appendRequest(buf []byte, req *Request) []byte {
-	buf = append(buf, `{"op":`...)
-	buf = appendJSONString(buf, req.Op)
-	if req.ID != "" {
-		buf = append(buf, `,"id":`...)
-		buf = appendJSONString(buf, req.ID)
-	}
-	if req.Addr != "" {
-		buf = append(buf, `,"addr":`...)
-		buf = appendJSONString(buf, req.Addr)
-	}
-	if len(req.P) > 0 {
-		buf = append(buf, `,"p":`...)
-		buf = appendInts(buf, req.P)
-	}
-	if len(req.Lo) > 0 {
-		buf = append(buf, `,"lo":`...)
-		buf = appendInts(buf, req.Lo)
-	}
-	if len(req.Hi) > 0 {
-		buf = append(buf, `,"hi":`...)
-		buf = appendInts(buf, req.Hi)
-	}
-	if req.K != 0 {
-		buf = append(buf, `,"k":`...)
-		buf = strconv.AppendInt(buf, int64(req.K), 10)
-	}
-	return append(buf, '}', '\n')
-}
-
 // appendInts renders xs as a JSON array of integers.
 func appendInts(buf []byte, xs []int64) []byte {
 	buf = append(buf, '[')

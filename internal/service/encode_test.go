@@ -78,30 +78,6 @@ func TestEncodeMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestAppendRequestMatchesJSON pins the client's request
-// encoder to json.Marshal of the same Request.
-func TestAppendRequestMatchesJSON(t *testing.T) {
-	cases := []Request{
-		{Op: OpSet, ID: "veh-1", P: []int64{3, 4}},
-		{Op: OpDel, ID: `q"\id`},
-		{Op: OpGet, ID: "x"},
-		{Op: OpNearby, P: []int64{-5, 7}, K: 10},
-		{Op: OpWithin, Lo: []int64{0, 0}, Hi: []int64{9, 9}},
-		{Op: OpStats},
-		{Op: OpFlush},
-		{Op: OpPromote},
-		{Op: OpPromote, Addr: "127.0.0.1:7601"},
-		{Op: OpFollow, Addr: `host"with\quotes:1`},
-	}
-	for i, req := range cases {
-		got := appendRequest(nil, &req)
-		want := marshalLine(req)
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: request encoder diverged\n got: %s\nwant: %s", i, got, want)
-		}
-	}
-}
-
 // TestEncodeZeroAlloc is the allocation guard for the service encode
 // path: rendering any steady-state response shape into a warm buffer
 // allocates nothing.

@@ -34,7 +34,7 @@ type Options struct {
 	// coalescing log: MaxBatch is the pending-op count that makes the
 	// enqueuing connection flush synchronously, FlushInterval bounds how
 	// long a SET can stay invisible to NEARBY/WITHIN under light write
-	// traffic. Defaults: window.DefaultMaxBatch, and 2ms when zero —
+	// traffic. Defaults: collection.DefaultMaxBatch, and 2ms when zero —
 	// a server with no background flusher would leave a trickle of SETs
 	// invisible indefinitely, which is never what a network caller wants.
 	// Set FlushInterval negative to disable the background flusher (tests

@@ -147,7 +147,7 @@ func TestReplicaSharesMetrics(t *testing.T) {
 	opts = testOptions(2, 4, spacH)
 	opts.Obs = reg
 	var cell epoch.Cell
-	cell.Init("shard test", New(opts), true, nil)
+	cell.Init(New(opts), true, nil)
 	cell.Commit(pts, nil, nil, time.Time{})
 	if sum, _ := scrapeSums(t, reg, "psi_shard_ops_total"); sum != 2 || cell.Versions() != 2 {
 		t.Fatalf("ops after one window over shared twins = %v, want 2", sum)

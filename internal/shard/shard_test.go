@@ -292,7 +292,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	sh := New(testOptions(2, 8, spacH))
 	sh.Build(base)
 	var cell epoch.Cell
-	cell.Init("shard test", sh, false, nil)
+	cell.Init(sh, false, nil)
 
 	queries := workload.GenUniform(32, 2, side, 33)
 	boxes := workload.RangeQueries(12, 2, side, 0.01, 34)

@@ -34,7 +34,7 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 	side := workload.Uniform.Side(2)
 	sh := New(testOptions(2, 8, family))
 	var cell epoch.Cell
-	cell.Init("shard test", sh, true, nil)
+	cell.Init(sh, true, nil)
 	if cell.Versions() != 2 {
 		t.Fatal("the cell keeps no twin of the Sharded")
 	}
