@@ -34,20 +34,21 @@
 // through the table as of the same window — they can never observe an
 // index point without its owner or vice versa. How readers are kept off
 // the flush writer is the version cell's job (epoch.Cell), and this
-// package never asks it how: in the default locked mode index and table
-// sit behind the cell's read/write lock; with Options.Snapshot set over a
+// package never asks it how: every query holds the cell's read lock, and
+// the table is read under it. In the default locked mode a commit holds
+// the write lock across the index apply; with Options.Snapshot set over a
 // copy-on-write index (core.Adopter: the SPaC family and P-Orth, and a
 // Sharded of either) the index is versioned — two handles on one tree —
-// and queries pin the published version, so a query never waits on the
-// index apply. Over any other index Snapshot leaves the locked mode in
-// place. The table stays single: the Collection hands the cell
-// one step (tableStep, the cell's beside), which the cell runs once per
-// window — under its write lock, or after the displaced version has
-// drained — and a query that acquired the new version before then waits
-// for that step (Collection.tab; ARCHITECTURE.md "Epochs & snapshot
-// reads"). Get is the exception either way: it reads the caller's own
-// pending tail (read-your-writes), so Get(id) after Set(id, p) returns p
-// even before the flush makes p visible to geometric queries.
+// the window is applied to the off-line handle outside the lock, and the
+// write lock covers only the publish, so a query never waits on the index
+// apply. Over any other index Snapshot leaves the locked mode in place.
+// The table stays single: the Collection hands the cell one step
+// (tableStep, the cell's beside), which the cell runs once per window under
+// its write lock, and a query that arrives meanwhile waits for that step
+// (ARCHITECTURE.md "Epochs & snapshot reads"). Get is the exception either
+// way: it reads the caller's own pending tail (read-your-writes), so
+// Get(id) after Set(id, p) returns p even before the flush makes p visible
+// to geometric queries.
 //
 // Committed state has two more ways in, both writer-side and both beside
 // the tape rather than through it: CommitWindow applies a window that is
@@ -64,7 +65,6 @@ package collection
 import (
 	"fmt"
 	"iter"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,11 +96,11 @@ type Options struct {
 	// Snapshot asks for epoch-pinned snapshot reads, which run over a
 	// copy-on-write index (core.Adopter: the SPaC family and P-Orth, as
 	// trees or sharded) whose fresh replica adopts it: the version cell
-	// keeps two handles on one structure and NearbyIDs/WithinIDs/Get pin
-	// the published one instead of taking the read lock, so a reader never
-	// waits on the index apply. Over any other index, as with Snapshot
-	// unset, reads take the single copy's RWMutex. The wrapped index must
-	// start empty.
+	// keeps two handles on one structure and applies a window to the one
+	// NearbyIDs/WithinIDs/Get are not reading, so a reader never waits on
+	// the index apply. Over any other index, as with Snapshot unset, a
+	// commit holds the readers' lock across the apply. The wrapped index
+	// must start empty.
 	Snapshot bool
 	// Obs, when set, registers the Collection's metrics (flush counters,
 	// flush duration histogram, epoch gauges, labeled layer="collection")
@@ -129,15 +129,15 @@ type Stats struct {
 	Objects       int    // live objects in the committed (published) state
 	Epoch         uint64 // published snapshot epoch (0 in locked mode)
 	Versions      int    // live state versions: 2 in snapshot mode, 1 locked
-	RetireLag     uint64 // published epochs whose displaced version has not drained
-	// TableWaits counts snapshot reads that parked for their window's table
-	// step, TableWaitNs the time they spent parked. Zero in locked mode.
+	RetireLag     uint64 // 1 while a commit waits for the reads in flight to leave
+	// TableWaits counts reads that found a commit holding or waiting for
+	// the readers' lock — its drain and table step, and under locked reads
+	// its apply too — and TableWaitNs the time they spent blocked.
 	TableWaits, TableWaitNs uint64
-	// SharedIndex reports snapshot mode, whose two copies are handles on one
-	// copy-on-write index. CowNodes and CowBytes are what the handles have
-	// copied on first touch so far — index nodes, and bytes of leaf entries
-	// with them: a window should copy the paths it touches, not the tree.
-	SharedIndex        bool
+	// CowNodes and CowBytes are what the two snapshot versions, handles on
+	// one copy-on-write index, have copied on first touch so far — index
+	// nodes, and bytes of leaf entries with them: a window should copy the
+	// paths it touches, not the tree. Zero with one version.
 	CowNodes, CowBytes uint64
 }
 
@@ -197,22 +197,13 @@ type Collection[ID comparable] struct {
 	netOps    []wal.Op[ID]
 	queryPool sync.Pool
 
-	// tab is the committed slot table — one, in either read mode — and
-	// tabEpoch the published epoch it stands at (0 under locked reads, where
-	// the cell's lock covers it). tableStep, the cell's beside step, writes
-	// it — over versioned copies once the displaced version has drained —
-	// then stores tabEpoch; a reader touches it only after loading tabEpoch
-	// equal to its acquired epoch, so Unpin → WaitDrained → write → store →
-	// load orders every write against every read. tabCond parks the readers
-	// that find it behind; tabWoken is tabWaits as of the last table step.
-	// loaded is the table a Load is installing: the next table step swaps it
-	// in where it would have applied win.
-	tab                 table[ID]
-	loaded              *table[ID]
-	tabEpoch            atomic.Uint64
-	tabCond             *sync.Cond
-	tabWaits, tabWaitNs atomic.Uint64
-	tabWoken            uint64
+	// tab is the committed slot table — one, in either read mode. Readers
+	// touch it only under the cell's read lock, and tableStep, the cell's
+	// beside step, writes it only under the write lock. loaded is the table
+	// a Load is installing: the next table step swaps it in where it would
+	// have applied win.
+	tab    table[ID]
+	loaded *table[ID]
 
 	// journal is the durability commit hook (SetJournal), called under
 	// the flush lock with every committed netted window before it is
@@ -295,7 +286,6 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 		overlay:  make(map[ID]tailOp),
 		netAt:    make(map[ID]int),
 		tab:      newTable[ID](0),
-		tabCond:  sync.NewCond(new(sync.Mutex)),
 	}
 	if c.maxBatch <= 0 {
 		c.maxBatch = DefaultMaxBatch
@@ -305,11 +295,11 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	layer := obs.Label{Key: "layer", Value: "collection"}
 	c.cell.Register(opts.Obs, layer)
 	opts.Obs.CounterFunc("psi_collection_table_wait_total",
-		"Snapshot reads that parked until their window's table step had finished.",
-		c.tabWaits.Load, layer)
+		"Reads that waited for a commit's drain and table step (under locked reads, its apply too).",
+		func() uint64 { n, _ := c.cell.Waits(); return n }, layer)
 	opts.Obs.CounterFunc("psi_collection_table_wait_ns_total",
-		"Nanoseconds snapshot reads spent parked for a table step.",
-		c.tabWaitNs.Load, layer)
+		"Nanoseconds reads spent waiting for a commit.",
+		func() uint64 { _, ns := c.cell.Waits(); return ns }, layer)
 	opts.Obs.GaugeFunc("psi_objects",
 		"Live objects in the committed (published) state.",
 		func() float64 { return float64(c.Stats().Objects) }, layer)
@@ -444,9 +434,9 @@ func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
 		}
 		return tail.p, true
 	}
-	v := c.cell.Acquire()
-	p, live := c.tableAt(v).get(id)
-	c.cell.Release(v)
+	c.cell.Acquire()
+	p, live := c.tab.get(id)
+	c.cell.Release()
 	return p, live
 }
 
@@ -454,9 +444,9 @@ func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
 // answer reflects every enqueue that happened before the call.
 func (c *Collection[ID]) Len() int {
 	c.Flush()
-	v := c.cell.Acquire()
-	defer c.cell.Release(v)
-	return c.tableAt(v).live
+	c.cell.Acquire()
+	defer c.cell.Release()
+	return c.tab.live
 }
 
 // Epoch returns the snapshot epoch of the currently published version —
@@ -665,45 +655,14 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	c.removed.Add(uint64(was))
 }
 
-// tableStep is the cell's beside step: the committed window goes into the
-// table (or a Load's table takes its place), which then stands at the epoch
-// just published, and the readers parked for it go on. After a wholesale
-// step the writer, with as much work again ahead that no reader needs
-// (catch-up, overlay purge), yields to those it woke: on a busy machine
-// they would otherwise sit in its run queue for that long.
+// tableStep is the cell's beside step, run under its write lock: the
+// committed window goes into the table, or a Load's table takes its place.
 func (c *Collection[ID]) tableStep() {
-	wholesale := false
 	if c.loaded != nil {
 		c.tab, c.loaded = *c.loaded, nil
-	} else {
-		wholesale = c.applyTable(&c.win)
+		return
 	}
-	c.tabCond.L.Lock()
-	c.tabEpoch.Store(c.cell.Epoch())
-	c.tabCond.L.Unlock()
-	c.tabCond.Broadcast()
-	woken := c.tabWaits.Load()
-	if wholesale && woken != c.tabWoken {
-		runtime.Gosched()
-	}
-	c.tabWoken = woken
-}
-
-// tableAt returns the table for a reader holding v. Only one that pinned v
-// before v's table step had finished finds the epochs apart, and parks until
-// they meet; the step cannot pass it by, as the next one waits for v to drain.
-func (c *Collection[ID]) tableAt(v *epoch.Version) *table[ID] {
-	if e := v.Epoch(); c.tabEpoch.Load() != e {
-		start := time.Now()
-		c.tabWaits.Add(1)
-		c.tabCond.L.Lock()
-		for c.tabEpoch.Load() != e {
-			c.tabCond.Wait()
-		}
-		c.tabCond.L.Unlock()
-		c.tabWaitNs.Add(uint64(time.Since(start)))
-	}
-	return &c.tab
+	c.applyTable(&c.win)
 }
 
 // noteSlots publishes the table's slot counts to the gauges; the flush
@@ -749,9 +708,9 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) 
 // by the slots planDiff resolved. A window that touches over a quarter of
 // the slots goes wholesale: its ops leave the point index alone and one
 // relink rebuilds it at the end.
-func (c *Collection[ID]) applyTable(w *collWindow[ID]) (wholesale bool) {
+func (c *Collection[ID]) applyTable(w *collWindow[ID]) {
 	t := &c.tab
-	wholesale = 4*len(w.ops) > t.slots()
+	wholesale := 4*len(w.ops) > t.slots()
 	t.unlinked = wholesale
 	for i := range w.ops {
 		o, at := &w.ops[i], w.at[i]
@@ -769,7 +728,6 @@ func (c *Collection[ID]) applyTable(w *collWindow[ID]) (wholesale bool) {
 	if wholesale {
 		t.relink()
 	}
-	return wholesale
 }
 
 // purgeOverlay drops overlay entries the committed window supersedes:
@@ -842,15 +800,14 @@ func (c *Collection[ID]) WithinIDsAppendCost(box geom.Box, dst []Entry[ID], cost
 }
 
 // query is the shared body of the geometric queries: run the index query
-// against the acquired version — pinned in snapshot mode (wait-free
-// against flushes), read-locked otherwise — into pooled scratch, and
-// resolve the hits through the table as of the same epoch. The Release is
-// deferred so a panicking inner index never wedges the flush writer.
+// against the acquired version into pooled scratch, and resolve the hits
+// through the table under the same read lock. The Release is deferred so a
+// panicking inner index never wedges the flush writer.
 func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point) []Entry[ID] {
 	sc := c.queryPool.Get().(*queryScratch)
 	defer c.queryPool.Put(sc)
 	v := c.cell.Acquire()
-	defer c.cell.Release(v)
+	defer c.cell.Release()
 	// costed is the index's cost-reporting query interface when the caller
 	// wants the cost and the index has one (shard.Sharded does).
 	var costed obs.CostedIndex
@@ -865,11 +822,11 @@ func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(id
 			cost.Candidates += len(sc.pts)
 		}
 	}
-	return resolveAppend(c.tableAt(v), sc, dst)
+	return resolveAppend(&c.tab, sc, dst)
 }
 
 // resolveAppend maps the scratch's hit multiset to entries through t's
-// reverse multimap, appending to dst (t is from tableAt, its version
+// reverse multimap, appending to dst (the read lock that covered the query
 // still held). A point stored once per object at it means hits and owner
 // chains have equal multiplicity; for the rare points owned by several
 // objects, a cursor walks the chain so duplicate hits resolve to distinct
@@ -929,22 +886,19 @@ func (c *Collection[ID]) Stats() Stats {
 		Epoch:         c.cell.Epoch(),
 		Versions:      c.cell.Versions(),
 		RetireLag:     c.cell.RetireLag(),
-		TableWaits:    c.tabWaits.Load(),
-		TableWaitNs:   c.tabWaitNs.Load(),
 	}
+	st.TableWaits, st.TableWaitNs = c.cell.Waits()
 	st.Objects = int(st.Inserted) - int(st.Removed)
-	st.SharedIndex = st.Versions == 2
 	st.CowNodes, st.CowBytes = c.cell.Copied()
 	return st
 }
 
 // Validate flushes, then checks, under the flush lock, the
 // transactional-consistency invariant between the committed structures:
-// the table stands at the published epoch, the index holds exactly one
-// point per live object, the table's forward and reverse sides are exact
-// inverses, and index copies that share their structure still do — no
-// second whole tree has come into being. Tests and the fuzz harness call it
-// after every tape.
+// the index holds exactly one point per live object, the table's forward
+// and reverse sides are exact inverses, and index copies that share their
+// structure still do — no second whole tree has come into being. Tests and
+// the fuzz harness call it after every tape.
 func (c *Collection[ID]) Validate() error {
 	c.Flush()
 	c.flushMu.Lock()
@@ -953,11 +907,8 @@ func (c *Collection[ID]) Validate() error {
 		return err
 	}
 	v := c.cell.Acquire()
-	defer c.cell.Release(v)
-	switch got, want := v.Index.Size(), c.tab.live; {
-	case c.tabEpoch.Load() != c.cell.Epoch():
-		return fmt.Errorf("collection: table at epoch %d, epoch %d published", c.tabEpoch.Load(), c.cell.Epoch())
-	case got != want:
+	defer c.cell.Release()
+	if got, want := v.Index.Size(), c.tab.live; got != want {
 		return fmt.Errorf("collection: index stores %d points, %d live objects", got, want)
 	}
 	return c.tab.validate()

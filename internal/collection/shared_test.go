@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -187,7 +186,7 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 	// The first commit publishes the replica the cell made of idx.
 	v := c.cell.Acquire()
 	inner := []core.Index{idx, v.Index}
-	c.cell.Release(v)
+	c.cell.Release()
 	a, b := inner[0].(core.Adopter), inner[1].(core.Adopter)
 	check := func(when string) {
 		t.Helper()
@@ -221,7 +220,7 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 	// however large the tree. n/40 leaves and as many interior nodes exist.
 	st := c.Stats()
 	perWindow := float64(st.CowNodes-nodesBefore) / windows
-	if perWindow == 0 || perWindow > 40*moves || st.CowBytes == 0 || !st.SharedIndex {
+	if perWindow == 0 || perWindow > 40*moves || st.CowBytes == 0 || st.Versions != 2 {
 		t.Fatalf("a %d-move window copied %.0f nodes (%d bytes in all): want some, far fewer than the tree's %d",
 			moves, perWindow, st.CowBytes, 2*n/40)
 	}
@@ -236,11 +235,11 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 	check("after Load")
 }
 
-// TestPinnedReaderKeepsItsAnswersAcrossACommit: a reader that pinned the
-// published triple before a window commits reads, from the tree the window
-// is being applied beside, exactly what it read before — while a new
-// reader already sees the window. The commit cannot finish until the pin
-// is released; then both copies hold the window.
+// TestPinnedReaderKeepsItsAnswersAcrossACommit: a reader that holds the
+// published version while a window commits reads, from the tree the window
+// has just been applied beside, exactly what it read before. The commit
+// waits for it — RetireLag 1 — and cannot finish until it lets go; then a
+// new reader sees the window.
 func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 	const n = 20_000
 	rng := rand.New(rand.NewSource(47))
@@ -276,16 +275,14 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 		}
 		c.Flush()
 	}()
-	for c.Epoch() == pinned.Epoch() { // wait for the publish
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitFor(t, "the drain", func() bool { return c.Stats().RetireLag == 1 })
 	during := answers(pinned.Index)
 	select {
 	case <-committed:
 		t.Fatal("the commit finished while a reader still held the displaced copy")
 	default:
 	}
-	c.cell.Release(pinned)
+	c.cell.Release()
 	<-committed
 
 	for i := range before {
@@ -295,7 +292,7 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 	}
 	fresh := c.cell.Acquire()
 	after := answers(fresh.Index)
-	c.cell.Release(fresh)
+	c.cell.Release()
 	same := true
 	for i := range before {
 		same = same && slices.Equal(before[i], after[i])

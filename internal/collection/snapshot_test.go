@@ -20,8 +20,8 @@ import (
 // The snapshot-read (epoch-pinned) variant of the Collection test suite:
 // the same behavioural contract as locked mode, plus the properties the
 // mode exists for — readers never wait behind the index apply and at most
-// for a window's table step, reads are never torn across index and table,
-// and the epoch counters in Stats track the flush history.
+// for a commit's drain and table step, reads are never torn across index
+// and table, and the epoch counters in Stats track the flush history.
 
 // TestSnapshotOracleAgreementAcrossStacks re-runs the sequential
 // differential tape with Options.Snapshot enabled over every documented
@@ -64,8 +64,8 @@ func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 			c.Flush()
 			verifyAgainstOracle(t, c, oracle, nIDs)
 			st := c.Stats()
-			if st.Versions != versions || st.SharedIndex != (versions == 2) {
-				t.Fatalf("snapshot Stats.Versions = %d, shared %t; want %d", st.Versions, st.SharedIndex, versions)
+			if st.Versions != versions {
+				t.Fatalf("snapshot Stats.Versions = %d, want %d", st.Versions, versions)
 			}
 			if st.RetireLag != 0 {
 				t.Fatalf("quiescent Stats.RetireLag = %d, want 0", st.RetireLag)
@@ -259,7 +259,7 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 			t.Errorf("NearbyIDs during flush = %v, want id 1", got)
 		}
 		if st := c.Stats(); st.Epoch != 1 || st.Objects != 1 || st.TableWaits != 0 {
-			t.Errorf("Stats during flush = %+v, want the published epoch 1 with 1 object and no reader parked", st)
+			t.Errorf("Stats during flush = %+v, want the published epoch 1 with 1 object and no read waiting", st)
 		}
 	}()
 	select {
@@ -334,7 +334,7 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 // by ID.
 func scanAt(c *Collection[int], v *epoch.Version) []Entry[int] {
 	sc := &queryScratch{pts: v.Index.RangeList(universe(), nil)}
-	return byID(resolveAppend(c.tableAt(v), sc, nil))
+	return byID(resolveAppend(&c.tab, sc, nil))
 }
 
 // waitFor yields until cond holds; what names the event for the failure.
@@ -352,15 +352,15 @@ func byID(es []Entry[int]) []Entry[int] {
 	return es
 }
 
-// TestTableStepRunsInTheDrainGap walks one commit through the gap between
-// its publish and the end of its table step, over both copy-on-write
-// families. The window moves the even objects and hands the odd ones'
-// points to new IDs, so the old and the new table answer differently even
-// where the index does not. A reader pinned before the publish keeps the
-// pre-window answer and keeps the table step from starting; readers that
-// pin after the publish park — counted — and return the post-window
-// answer, whole, as soon as the step is done, which is before the
-// displaced copy has adopted the published one.
+// TestTableStepRunsInTheDrainGap walks one commit through its drain, over
+// both copy-on-write families. The window moves the even objects and hands
+// the odd ones' points to new IDs, so the old and the new table answer
+// differently even where the index does not. A reader that holds the
+// published version keeps the pre-window answer while the window is
+// applied beside it, and keeps the commit in its drain; readers that
+// arrive meanwhile wait — counted — and return the post-window answer,
+// whole, as soon as it lets go, which is before the displaced copy has
+// adopted the published one.
 func TestTableStepRunsInTheDrainGap(t *testing.T) {
 	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, adopting": newPOrth} {
 		t.Run(name, func(t *testing.T) { tableStepInTheGap(t, mk) })
@@ -391,15 +391,15 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 	}
 	c.Flush()
 
-	pinned := c.cell.Acquire()
+	held := c.cell.Acquire()
 	ctl.hold(2)
 	// Deferred as well, so that a failure on the way does not leave the
 	// commit, and with it Close, waiting.
-	unpin := sync.OnceFunc(func() { c.cell.Release(pinned) })
+	release := sync.OnceFunc(c.cell.Release)
 	unhold := sync.OnceFunc(func() { close(ctl.release) })
 	defer unhold()
-	defer unpin()
-	if got := scanAt(c, pinned); !slices.Equal(got, old) {
+	defer release()
+	if got := scanAt(c, held); !slices.Equal(got, old) {
 		t.Fatalf("before the window: %v, want %v", got, old)
 	}
 	committed := make(chan struct{})
@@ -415,12 +415,12 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 		}
 		c.Flush()
 	}()
-	waitFor(t, "the publish", func() bool { return c.Epoch() != pinned.Epoch() })
-	// The window is published and its writer waits for the pinned reader:
-	// the table is still the reader's.
-	if got := scanAt(c, pinned); !slices.Equal(got, old) || c.tabEpoch.Load() != pinned.Epoch() {
-		t.Fatalf("pinned reader after the publish: %v with the table at epoch %d; want %v at epoch %d",
-			got, c.tabEpoch.Load(), old, pinned.Epoch())
+	waitFor(t, "the drain", func() bool { return c.Stats().RetireLag == 1 })
+	// The window is applied to the off-line copy and its writer waits for
+	// the held reader: the published version and the table are still the
+	// reader's.
+	if got := scanAt(c, held); !slices.Equal(got, old) || c.Epoch() != held.Epoch() {
+		t.Fatalf("held reader during the drain: %v at epoch %d; want %v at epoch %d", got, c.Epoch(), old, held.Epoch())
 	}
 
 	// Two late readers, one per way into the table. The bystander is in no
@@ -437,28 +437,27 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 			t.Errorf("Get(bystander) = (%v, %t), want %v", p, ok, old[len(old)-1].Point)
 		}
 	}()
-	// Both pin the new version and find the table behind.
-	waitFor(t, "two parked readers", func() bool { return c.Stats().TableWaits == 2 })
+	waitFor(t, "two waiting readers", func() bool { return c.Stats().TableWaits == 2 })
 	select {
 	case <-scanned:
-		t.Fatal("a reader of the new version resolved against the table before its step")
+		t.Fatal("a query went past the draining commit")
 	case <-got:
-		t.Fatal("a Get on the new version read the table before its step")
+		t.Fatal("a Get went past the draining commit")
 	case <-committed:
 		t.Fatal("the commit finished while a reader still held the displaced version")
 	default:
 	}
-	if got := scanAt(c, pinned); !slices.Equal(got, old) || c.Stats().RetireLag != 1 {
-		t.Fatalf("pinned reader beside two parked ones: %v (retire lag %d), want %v (1)", got, c.Stats().RetireLag, old)
+	if got := scanAt(c, held); !slices.Equal(got, old) || c.Stats().RetireLag != 1 {
+		t.Fatalf("held reader beside two waiting ones: %v (retire lag %d), want %v (1)", got, c.Stats().RetireLag, old)
 	}
 
-	unpin()
+	release()
 	<-scanned
 	<-got
 	if !slices.Equal(scan, fresh) {
-		t.Fatalf("reader that pinned after the publish: %v, want the whole post-window answer %v", scan, fresh)
+		t.Fatalf("reader that waited out the drain: %v, want the whole post-window answer %v", scan, fresh)
 	}
-	// The parked readers are back while the displaced copy's Adopt is still
+	// The waiting readers are back while the displaced copy's Adopt is still
 	// held: they waited for the table step, not for the replay stage.
 	<-ctl.entered
 	select {
@@ -466,16 +465,13 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 		t.Fatal("the commit finished with its Adopt held")
 	default:
 	}
-	if c.tabEpoch.Load() != c.Epoch() {
-		t.Fatalf("table at epoch %d after its step, epoch %d published", c.tabEpoch.Load(), c.Epoch())
-	}
 	unhold()
 	<-committed
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.TableWaits != 2 || st.TableWaitNs == 0 {
-		t.Fatalf("Stats = %+v, want the two parked readers and their time counted", st)
+		t.Fatalf("Stats = %+v, want the two waiting readers and their time counted", st)
 	}
 }
 
@@ -661,8 +657,8 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 // search queue and result heap come from pools (k = 10 and the 20 of the
 // benchmark's WITHIN sizing), its RangeList, and a Sharded(SPaC-H)'s KNN
 // with its pooled fan-out scratch; on top, the epoch-pinned Collection
-// over P-Orth and over Sharded(SPaC-H), where Pin/Unpin are two atomic ops
-// on a long-lived Version.
+// over P-Orth and over Sharded(SPaC-H), where a read holds the version
+// cell's read lock on a long-lived Version.
 func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates the query closures and sync.Pool drops items at random")
@@ -707,8 +703,8 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 }
 
 // TestSnapshotFlushZeroAllocWarm extends the PR-5 zero-alloc guard to
-// snapshot mode: warm same-position windows — plan, apply, publish,
-// drain, catch-up — run with zero steady-state allocations; the two
+// snapshot mode: warm same-position windows — plan, apply, drain,
+// publish, catch-up — run with zero steady-state allocations; the two
 // Version structs are permanent.
 func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 	const n = 512

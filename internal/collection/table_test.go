@@ -308,8 +308,8 @@ func BenchmarkTableResolve(b *testing.B) {
 	}
 }
 
-// BenchmarkTableStep is what a snapshot reader that pinned a version right
-// after its publish can wait for: one planned window of moves run through
+// BenchmarkTableStep is what a snapshot reader that arrives during a
+// commit's drain waits for beside it: one planned window of moves run through
 // the table (tableStep). ns/op is per window: psid's interactive windows,
 // its largest (-maxbatch) at the track-ingest population, and two that take
 // the wholesale path: the window of the benchmark's

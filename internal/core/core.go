@@ -66,8 +66,9 @@ type Index interface {
 // replicas of which can be handles on one structure, each copying only
 // what it goes on to change (internal/spactree and internal/orthtree
 // cow.go). The version cell applies each window to the off-line handle,
-// publishes it, and once the displaced handle's readers have drained has
-// that one adopt it: a window is applied, and a Build run, once.
+// waits out the displaced handle's readers, publishes the applied one, and
+// has the displaced one adopt it: a window is applied, and a Build run,
+// once.
 //
 // Contract (normative):
 //

@@ -3,6 +3,7 @@ package epoch
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -16,36 +17,42 @@ import (
 // read, acquires a version to read and commits windows; it never tests
 // which mode it is in.
 //
-// Init picks one of two modes:
+// Init picks one of two modes, which differ in where a commit applies the
+// window: under the readers' write lock, or before taking it, to a handle
+// no reader holds (the package doc has the protocol):
 //
-//   - Locked reads: one copy behind a read/write lock. Readers share it, a
-//     commit excludes them for one apply.
+//   - Locked reads: one copy. A commit takes the lock, applies, runs
+//     beside and unlocks.
 //   - Adopting twins (snapshot reads asked for, over a copy-on-write index
 //     whose fresh replica adopts it — core.Adopter): two handles on one
-//     structure. Readers pin the published handle through the Manager and
-//     never wait; a commit applies the window to the off-line handle,
-//     publishes it, waits out the readers of the displaced one, and has
-//     that one adopt the published contents. A window is applied, a Build
-//     run, once.
+//     structure. A commit applies the window to the off-line handle, takes
+//     the lock, runs beside, publishes that handle, unlocks, and has the
+//     displaced one adopt it. A window is applied, a Build run, once.
 //
 // Twins are identical whenever no commit is in flight, a window never has
-// to outlive its commit, and the layers keep no saved-window buffers. This
-// file is the only caller of Manager.Publish and Manager.WaitDrained.
+// to outlive its commit, and the layers keep no saved-window buffers.
 //
 // beside is the one seam: the step a layer runs on state it keeps beside
 // the copies (the Collection's slot table), once per Commit and per
-// Rebuild. It runs under the write lock over one copy, and over twins in
-// the gap the drain opens — after the displaced handle's readers have
-// left, before it adopts — so readers of the new version that wait for the
-// step go on as early as they can. The zero Cell is not usable; call Init.
+// Rebuild, under the write lock in either mode. The zero Cell is not
+// usable; call Init.
 type Cell struct {
-	// mu serializes Commit and Rebuild. Over a single copy it is also
-	// the readers' lock; over twins readers never touch it.
+	// wmu serializes Commit and Rebuild, and guards standby.
+	wmu sync.Mutex
+	// mu is the readers' lock: held shared by every read, and exclusively
+	// by a commit for the apply over one copy, for beside and the swap of
+	// cur over twins.
 	mu      sync.RWMutex
-	mgr     Manager
-	standby *Version     // the off-line twin, written only under mu
+	cur     *Version     // the published version, swapped under mu
+	standby *Version     // the off-line twin
 	copies  []core.Index // one (locked reads) or two (twins), fixed at Init
 	beside  func()
+
+	epoch atomic.Uint64 // the published epoch
+	// draining is 1 while a commit waits for the write lock; waits and
+	// waitNs count the reads that found a commit holding or waiting for it,
+	// and the time they spent blocked.
+	draining, waits, waitNs atomic.Uint64
 }
 
 // Init builds the cell over idx: with snapshot, over idx and a fresh
@@ -56,7 +63,7 @@ func (c *Cell) Init(idx core.Index, snapshot bool, beside func()) {
 	if beside == nil {
 		c.beside = func() {}
 	}
-	c.mgr.Init(&Version{Index: idx})
+	c.cur = &Version{Index: idx}
 	c.copies = []core.Index{idx}
 	if !snapshot {
 		return
@@ -78,33 +85,30 @@ func (c *Cell) Init(idx core.Index, snapshot bool, beside func()) {
 	}
 }
 
-// Acquire returns the version to read, held against the writer until
-// Release: pinned over twins (wait-free), read-locked over one copy.
+// Acquire read-locks the cell and returns the published version, held
+// against the writer until Release. A read that finds a commit holding or
+// waiting for the write lock is counted, with the time it blocks (Waits).
 // Callers defer the Release so a panicking query never wedges a commit.
 func (c *Cell) Acquire() *Version {
-	if len(c.copies) == 1 {
+	if !c.mu.TryRLock() {
+		start := time.Now()
+		c.waits.Add(1)
 		c.mu.RLock()
-		return c.mgr.Current()
+		c.waitNs.Add(uint64(time.Since(start)))
 	}
-	return c.mgr.Pin()
+	return c.cur
 }
 
 // Release ends a read started by Acquire.
-func (c *Cell) Release(v *Version) {
-	if len(c.copies) == 1 {
-		c.mu.RUnlock()
-		return
-	}
-	c.mgr.Unpin(v)
-}
+func (c *Cell) Release() { c.mu.RUnlock() }
 
 // Commit advances the index by one netted window — a BatchDiff of (ins,
 // del) — runs the beside step, and returns once no reader can still see
 // the state before it. The slices may alias the committer's recycled
 // scratch: a commit is done with them on return, and indexes do not retain
 // batch slices (the core.Index contract). sp and clk thread the caller's
-// flush span through the stages (apply over one copy; apply, publish,
-// drain, replay over twins); a nil sp records nothing.
+// flush span through the stages (apply over one copy; apply, drain,
+// publish, replay over twins); a nil sp records nothing.
 func (c *Cell) Commit(ins, del []geom.Point, sp *obs.FlushSpan, clk time.Time) time.Time {
 	return c.advance(false, ins, del, sp, clk)
 }
@@ -124,26 +128,22 @@ func step(idx core.Index, build bool, ins, del []geom.Point) {
 }
 
 func (c *Cell) advance(build bool, ins, del []geom.Point, sp *obs.FlushSpan, clk time.Time) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	if len(c.copies) == 1 {
-		step(c.mgr.Current().Index, build, ins, del)
+		c.drain()
+		defer c.mu.Unlock()
+		step(c.cur.Index, build, ins, del)
 		c.beside()
 		return sp.Stamp(obs.StageApply, clk)
 	}
-	next := c.standby
+	next, prev := c.standby, c.cur
 	step(next.Index, build, ins, del)
 	clk = sp.Stamp(obs.StageApply, clk)
-	prev := c.mgr.Publish(next)
-	if sp != nil {
-		sp.Epoch = next.epoch
-	}
-	clk = sp.Stamp(obs.StagePublish, clk)
-	c.mgr.WaitDrained(prev)
-	clk = sp.Stamp(obs.StageDrain, clk)
-	// The displaced handle is ours now: it adopts the published contents,
-	// so both agree again before the next window arrives.
-	c.beside()
+	clk = c.publish(next, sp, clk)
+	// The displaced handle has no reader left and no way to get one: it
+	// adopts the published contents, so both agree again before the next
+	// window arrives.
 	if !prev.Index.(core.Adopter).Adopt(next.Index) {
 		// The pair adopted at Init, and for a pair the answer never changes.
 		panic("epoch: " + prev.Index.Name() + " stopped adopting its twin")
@@ -152,13 +152,40 @@ func (c *Cell) advance(build bool, ins, del []geom.Point, sp *obs.FlushSpan, clk
 	return sp.Stamp(obs.StageReplay, clk)
 }
 
+// publish drains, then, under the write lock, runs beside and makes next
+// the published version under a new epoch.
+func (c *Cell) publish(next *Version, sp *obs.FlushSpan, clk time.Time) time.Time {
+	c.drain()
+	defer c.mu.Unlock()
+	clk = sp.Stamp(obs.StageDrain, clk)
+	c.beside()
+	next.epoch = c.epoch.Add(1)
+	c.cur = next
+	if sp != nil {
+		sp.Epoch = next.epoch
+	}
+	return sp.Stamp(obs.StagePublish, clk)
+}
+
+// drain takes the write lock, which waits out the reads in flight;
+// RetireLag shows the wait.
+func (c *Cell) drain() {
+	c.draining.Store(1)
+	c.mu.Lock()
+	c.draining.Store(0)
+}
+
 // Epoch returns the published epoch: the number of commits and rebuilds
 // so far over twins, always 0 over a single copy.
-func (c *Cell) Epoch() uint64 { return c.mgr.Epoch() }
+func (c *Cell) Epoch() uint64 { return c.epoch.Load() }
 
-// RetireLag returns the published epochs whose displaced copy has not
-// drained yet (see Manager.RetireLag); always 0 over a single copy.
-func (c *Cell) RetireLag() uint64 { return c.mgr.RetireLag() }
+// RetireLag is 1 while a commit waits for the reads in flight to leave —
+// for the write lock — and 0 otherwise, in either mode.
+func (c *Cell) RetireLag() uint64 { return c.draining.Load() }
+
+// Waits returns the reads that found a commit holding or waiting for the
+// write lock, and the nanoseconds they spent blocked.
+func (c *Cell) Waits() (n, ns uint64) { return c.waits.Load(), c.waitNs.Load() }
 
 // Versions returns the number of live copies: 1, or 2 twins that are
 // handles on one copy-on-write structure.
@@ -192,7 +219,7 @@ func (c *Cell) Register(r *obs.Registry, labels ...obs.Label) {
 		"Published snapshot epoch (0 in locked mode).",
 		func() float64 { return float64(c.Epoch()) }, labels...)
 	r.GaugeFunc("psi_epoch_retire_lag",
-		"Published epochs whose displaced version has not drained.",
+		"1 while a commit waits for the reads in flight to leave, 0 otherwise.",
 		func() float64 { return float64(c.RetireLag()) }, labels...)
 	if c.Versions() == 2 {
 		r.CounterFunc("psi_index_cow_nodes_total",

@@ -17,11 +17,11 @@ import (
 	"repro/internal/spactree"
 )
 
-// The twin protocol — readers never stall, never see a torn window, the
-// displaced copy is untouched until drained, both copies converge — is
-// tested here, once, against a Cell over a fake index. The Collection and
-// Sharded test that their queries go through the cell and what their
-// windows mean.
+// The twin protocol — readers never wait on the apply, never see a torn
+// window, the displaced copy is untouched until drained, both copies
+// converge — is tested here, once, against a Cell over a fake index. The
+// Collection and Sharded test that their queries go through the cell and
+// what their windows mean.
 
 // pair is the fake index: a window adds its number of inserts to both
 // halves, so a torn read shows up as x != y, and a Build sets both to its
@@ -172,7 +172,7 @@ func commit(c *Cell, w int) { c.Commit(points[:w], nil, nil, time.Time{}) }
 
 func read(c *Cell) (x, y int, epoch uint64) {
 	v := c.Acquire()
-	defer c.Release(v)
+	defer c.Release()
 	p := v.Index.(interface{ state() *pair }).state()
 	return p.x, p.y, v.Epoch()
 }
@@ -296,7 +296,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 					v := c.Acquire()
 					n := v.Index.Size()
 					buf = v.Index.RangeList(universe, buf[:0])
-					c.Release(v)
+					c.Release()
 					if n != len(buf) {
 						stop.Store(true)
 						t.Errorf("torn read: root holds %d points, leaves %d", n, len(buf))
@@ -320,39 +320,86 @@ func TestSnapshotNeverTorn(t *testing.T) {
 	})
 }
 
-// TestSnapshotDisplacedCopyUntouchedUntilDrained pins a reader, commits,
-// and watches the pinned copy: the commit must publish the other copy
-// (new readers see the window), report the undrained publish as lag, and
-// neither touch the pinned copy nor return until the reader lets go —
-// after which both copies hold the window.
+// waitUntil yields until cond holds; what names the event for the failure.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never came", what)
+		}
+	}
+}
+
+// waitDrain waits until a commit waits for the write lock: RetireLag is 1
+// and a read would block.
+func waitDrain(t *testing.T, c *Cell) {
+	t.Helper()
+	waitUntil(t, "the drain", func() bool {
+		if c.RetireLag() != 1 {
+			return false
+		}
+		if c.mu.TryRLock() {
+			c.mu.RUnlock()
+			return false
+		}
+		return true
+	})
+}
+
+// lateRead starts a read, which a draining commit holds up, and waits
+// until it has been counted as waiting; the channel yields what it read.
+func lateRead(t *testing.T, c *Cell) <-chan [2]int {
+	t.Helper()
+	n, _ := c.Waits()
+	got := make(chan [2]int, 1)
+	go func() {
+		x, y, _ := read(c)
+		got <- [2]int{x, y}
+	}()
+	waitUntil(t, "the waiting read", func() bool { m, _ := c.Waits(); return m == n+1 })
+	return got
+}
+
+// TestSnapshotDisplacedCopyUntouchedUntilDrained holds a reader, commits,
+// and watches the held copy: the commit must apply the window to the other
+// copy and then wait for the reader — RetireLag 1 — neither touching the
+// held copy nor publishing nor returning meanwhile. A read that arrives
+// during the wait blocks, is counted, and gets the window once the held
+// reader lets go; then both copies hold the window.
 func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 	a, b := &pair{}, &pair{}
 	c := newCell(false, nil, a, b)
-	pinned := c.Acquire()
-	if pinned.Index.(twinPair).pair != a {
+	if held := c.Acquire(); held.Index.(twinPair).pair != a {
 		t.Fatal("the first copy is not the initially published one")
 	}
 	committed := make(chan struct{})
 	go func() { commit(c, 7); close(committed) }()
-	for c.Epoch() != 1 { // wait for the publish
-		time.Sleep(50 * time.Microsecond)
+	waitDrain(t, c)
+	if b.applies.Load() != 1 || c.Epoch() != 0 {
+		t.Fatalf("draining commit: the off-line copy applied %d windows at epoch %d, want 1 window, unpublished", b.applies.Load(), c.Epoch())
 	}
-	if x, y, _ := read(c); x != 7 || y != 7 {
-		t.Fatalf("new reader after the publish read (%d, %d), want the window applied", x, y)
-	}
+	late := lateRead(t, c)
 	time.Sleep(2 * time.Millisecond) // room for a buggy catch-up to run
 	if a.applies.Load() != 0 || c.RetireLag() != 1 {
-		t.Fatalf("pinned copy applied %d windows, lag %d: want untouched and lag 1", a.applies.Load(), c.RetireLag())
+		t.Fatalf("held copy applied %d windows, lag %d: want untouched and lag 1", a.applies.Load(), c.RetireLag())
 	}
 	select {
 	case <-committed:
 		t.Fatal("Commit returned while a reader still held the displaced copy")
+	case <-late:
+		t.Fatal("a read went past the draining commit")
 	default:
 	}
-	c.Release(pinned)
+	c.Release()
+	if got := <-late; got != [2]int{7, 7} {
+		t.Fatalf("read that waited out the drain got %v, want the window applied", got)
+	}
 	<-committed
-	if a.x != 7 || b.x != 7 || c.RetireLag() != 0 {
-		t.Fatalf("after the drain: copies hold %d and %d, lag %d, want 7, 7, 0", a.x, b.x, c.RetireLag())
+	if a.x != 7 || b.x != 7 || c.RetireLag() != 0 || c.Epoch() != 1 {
+		t.Fatalf("after the drain: copies hold %d and %d, lag %d, epoch %d; want 7, 7, 0, 1", a.x, b.x, c.RetireLag(), c.Epoch())
+	}
+	if n, ns := c.Waits(); n != 1 || ns == 0 {
+		t.Fatalf("Waits = %d reads, %d ns; want the one read and its time", n, ns)
 	}
 }
 
@@ -480,7 +527,7 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 			dst = v.Index.KNN(q, 10, dst[:0])
 			v.Index.RangeCount(box)
 			dst = v.Index.RangeList(box, dst[:0])
-			c.Release(v)
+			c.Release()
 		}
 		warm()
 		if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
@@ -535,10 +582,13 @@ func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 }
 
 // TestStepOrder states the contract a layer's beside step relies on (the
-// Collection's table step does). Over one copy: apply, then beside, both
-// under the write lock. Over twins: apply to the off-line copy, publish,
-// drain, beside, adopt — beside never runs while a reader still pins
-// the displaced copy, and runs before that copy is written.
+// Collection's table step does), with a reader held across the commit.
+// Over one copy: drain, then apply and beside under the write lock. Over
+// twins: apply to the off-line copy, drain, beside and the publish under
+// the write lock, then the displaced copy adopts. Either way beside runs
+// under the write lock, before the publish, and never while a reader still
+// holds the displaced copy; and a read that arrived during the drain gets
+// the published window.
 func TestStepOrder(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -559,8 +609,12 @@ func TestStepOrder(t *testing.T) {
 				var c *Cell
 				beside := func() {
 					log = append(log, "beside")
-					if !mode.twin && c.mu.TryRLock() {
+					if c.mu.TryRLock() {
+						c.mu.RUnlock()
 						t.Error("beside ran outside the write lock")
+					}
+					if c.Epoch() != 0 {
+						t.Error("beside ran after the publish")
 					}
 				}
 				copies := []*pair{{name: "a", log: &log}}
@@ -568,27 +622,28 @@ func TestStepOrder(t *testing.T) {
 					copies = append(copies, &pair{name: "b", log: &log})
 				}
 				c = newCell(true, beside, copies...)
-				log = nil // an adopting pair adopts once at Init
-				if !mode.twin {
-					op.run(c)
-					if want := []string{op.step + " a", "beside"}; !slices.Equal(log, want) {
-						t.Fatalf("steps %q, want %q", log, want)
-					}
-					return
-				}
-				pinned := c.Acquire() // copy a, which the commit displaces
+				log = nil   // an adopting pair adopts once at Init
+				c.Acquire() // copy a, which a twin commit displaces
 				done := make(chan struct{})
 				go func() { op.run(c); close(done) }()
-				for c.Epoch() != 1 {
-					time.Sleep(50 * time.Microsecond)
+				waitDrain(t, c)
+				if c.Epoch() != 0 {
+					t.Fatal("the commit published before its drain")
 				}
-				log = append(log, "publish")     // ordered after the writer's steps by the epoch load
-				time.Sleep(2 * time.Millisecond) // room for a beside that does not wait for the drain
-				log = append(log, "drain")
-				c.Release(pinned)
+				late := lateRead(t, c)
+				time.Sleep(2 * time.Millisecond) // room for a step that does not wait for the drain
+				log = append(log, "drain")       // ordered before the writer's next step by the Release
+				c.Release()
 				<-done
-				if want := []string{op.step + " b", "publish", "drain", "beside", "adopt a"}; !slices.Equal(log, want) {
+				want := []string{"drain", op.step + " a", "beside"}
+				if mode.twin {
+					want = []string{op.step + " b", "drain", "beside", "adopt a"}
+				}
+				if !slices.Equal(log, want) {
 					t.Fatalf("steps %q, want %q", log, want)
+				}
+				if got := <-late; got != [2]int{3, 3} {
+					t.Fatalf("read that waited out the drain got %v, want the window", got)
 				}
 			})
 		}

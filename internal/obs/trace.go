@@ -21,17 +21,18 @@ const (
 	// into the write-ahead log and (policy permitting) fsyncing it —
 	// zero when the layer runs without a WAL.
 	StageLog
-	// StageReplay is what runs once the displaced copy's readers have
-	// drained (snapshot mode only): the Collection's table step, then the
-	// displaced twin's adoption of the published index.
+	// StageReplay is the displaced twin's adoption of the published index,
+	// after the write lock is released (snapshot mode only).
 	StageReplay
 	// StageApply is the new window's index application (plus, for a
-	// Collection under locked reads, the table step).
+	// Collection under locked reads, the wait for the write lock and the
+	// table step).
 	StageApply
-	// StagePublish is the epoch publish: the atomic version swing.
+	// StagePublish is what runs under the write lock (snapshot mode only):
+	// the Collection's table step and the version swap.
 	StagePublish
-	// StageDrain is the wait for readers pinned to the displaced
-	// version (snapshot mode only).
+	// StageDrain is the wait for the write lock, which waits out the reads
+	// in flight (snapshot mode only).
 	StageDrain
 	// NumStages is the stage count.
 	NumStages

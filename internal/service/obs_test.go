@@ -95,8 +95,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`psi_objects{layer="collection"}`:                4,
 		`psi_collection_slots{layer="collection"}`:       4,
 		`psi_collection_free_slots{layer="collection"}`:  0,
-		// Present from the start; they move only when a read lands in the gap
-		// between a publish and its table step (collection tests park one).
+		// Present from the start; they move only when a read arrives while a
+		// commit drains or runs its table step (collection tests hold one up).
 		`psi_collection_table_wait_total{layer="collection"}`:    0,
 		`psi_collection_table_wait_ns_total{layer="collection"}`: 0,
 		`psi_service_replies_total`:                              6,

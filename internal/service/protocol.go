@@ -183,15 +183,15 @@ type StatsPayload struct {
 	// (ARCHITECTURE.md "Epochs & snapshot reads"): the currently
 	// published epoch (advances once per committed window; 0 when the
 	// server runs the locked read path), the live state versions (2 when
-	// snapshotting, 1 locked), and the published epochs whose displaced
-	// version has not yet drained (0 when quiescent, 1 mid-flush).
+	// snapshotting, 1 locked), and whether a commit is waiting for the
+	// reads in flight to leave (1 while it does, 0 otherwise).
 	Epoch     uint64 `json:"epoch"`
 	Versions  int    `json:"versions"`
 	RetireLag uint64 `json:"retire_lag"`
-	// TableWaits counts the snapshot reads that pinned a version between
-	// its publish and the end of that window's table step and parked for
-	// the step; TableWaitNs is the time they spent parked, so the quotient
-	// is the mean wait. Both stay 0 under locked reads.
+	// TableWaits counts the reads that arrived while a commit held or
+	// waited for the readers' lock — its drain and table step, and under
+	// locked reads its index apply too — and waited for it; TableWaitNs is
+	// the time they spent waiting, so the quotient is the mean wait.
 	TableWaits  uint64 `json:"table_waits"`
 	TableWaitNs uint64 `json:"table_wait_ns"`
 	Flushes     uint64 `json:"flushes"`

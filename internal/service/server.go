@@ -54,11 +54,11 @@ type Options struct {
 	EnablePprof bool
 	// DisableSnapshot keeps the Collection on the locked read path. By
 	// default, over a copy-on-write index (core.Adopter: the SPaC family
-	// and P-Orth, as trees or sharded), queries pin the published version
+	// and P-Orth, as trees or sharded), queries read the published version
 	// of one shared tree and never wait behind the index apply, at most
-	// for a window's table step; the baselines (Pkd, Zd, Boost-R, Log,
-	// BHL, BruteForce) serve locked reads either way. Set this to
-	// benchmark the locked baseline.
+	// for a window's drain and table step; the baselines (Pkd, Zd,
+	// Boost-R, Log, BHL, BruteForce) serve locked reads either way. Set
+	// this to benchmark the locked baseline.
 	DisableSnapshot bool
 	// Obs is the metric registry the server records into and serves at
 	// /metrics. The same registry is handed to the Collection (and should
@@ -417,7 +417,7 @@ func (s *Server) Stats() StatsPayload {
 		BadLines:    s.met.badLines.Load(),
 		Ops:         s.met.snapshot(),
 	}
-	if cs.SharedIndex {
+	if cs.Versions == 2 {
 		st.Cow = &CowStats{Nodes: cs.CowNodes, Bytes: cs.CowBytes}
 	}
 	if s.wal != nil {

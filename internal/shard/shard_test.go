@@ -331,7 +331,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 				default:
 					v.Index.RangeList(boxes[i%len(boxes)], nil)
 				}
-				cell.Release(v)
+				cell.Release()
 				if t.Failed() {
 					return
 				}

@@ -59,7 +59,7 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 				v.Index.KNN(queries[i%len(queries)], 10, buf[:0])
 				v.Index.RangeCount(boxes[i%len(boxes)])
 				buf = v.Index.RangeList(boxes[i%len(boxes)], buf[:0])
-				cell.Release(v)
+				cell.Release()
 			}
 		}()
 	}
@@ -76,7 +76,7 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 		t.Fatal(err)
 	}
 	v := cell.Acquire()
-	defer cell.Release(v)
+	defer cell.Release()
 	if err := core.VerifyQueries(v.Index, ref, queries, []int{1, 10, 50}, boxes); err != nil {
 		t.Fatal(err)
 	}

@@ -311,20 +311,6 @@ func (l *Log) AppendWindowAt(seq uint64, ops []Op[string]) (payload []byte, err 
 	return payload, nil
 }
 
-// Sync forces appended windows to disk regardless of policy (graceful
-// shutdown uses it so even FsyncNever loses nothing on a clean exit).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return l.err
-	}
-	return l.syncLocked()
-}
-
 // syncLocked fsyncs the log file and records the latency (mu held).
 func (l *Log) syncLocked() error {
 	t0 := time.Now()
