@@ -1,318 +1,117 @@
 // Benchmarks regenerating the paper's tables and figures as testing.B
-// targets — one bench family per figure (see the experiment mapping
-// table in README.md, and cmd/psibench for the full-protocol table
-// runner).
+// targets. Each target is one family of internal/bench's cells, the same
+// cells cmd/psibench times into its tables: a cell here measures what the
+// psibench cell of the same path measures (`Fig3Build/uniform/P-Orth` is
+// the build column of psibench's Fig. 3 uniform table), with the seed and
+// query counts of bench.Config's defaults. See the experiment mapping
+// table in README.md.
 //
-// Scale: benchmarks default to n = 50k points so the full suite runs in
-// minutes on a laptop; the shapes (who wins, by what factor) are the
-// reproduction target, not absolute times. Run the harness at 1e6+ for
-// table-quality numbers.
+// Scale: n = 50k points so the suite runs in minutes on a laptop; the
+// shapes (who wins, by what factor) are the reproduction target, not
+// absolute times. Run psibench at 1e6+ for table-quality numbers.
 package psi_test
 
 import (
-	"fmt"
+	"os"
+	"regexp"
 	"runtime"
+	"slices"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/workload"
-
-	psi "repro"
+	"repro/internal/bench"
 )
 
 const benchN = 50_000
 
-// benchIndexes is the paper's table order; sequential Boost-R is included
-// only where the paper includes it (queries).
-var benchIndexes = []string{
-	"P-Orth", "Zd-Tree", "SPaC-H", "SPaC-Z", "CPAM-H", "CPAM-Z", "Pkd-Tree",
-}
-
-type benchEnv struct {
-	dist    workload.Dist
-	dims    int
-	side    int64
-	pts     []psi.Point
-	ind     []psi.Point
-	ood     []psi.Point
-	boxes   []psi.Box
-	queries int
-}
-
-func newEnv(dist workload.Dist, dims, n int) benchEnv {
-	side := dist.Side(dims)
-	return benchEnv{
-		dist:    dist,
-		dims:    dims,
-		side:    side,
-		pts:     workload.Generate(dist, n, dims, side, 42),
-		ind:     workload.InDQueries(dist, 500, dims, side, 43),
-		ood:     workload.OODQueries(dist, 500, dims, side, 43),
-		boxes:   workload.RangeQueries(50, dims, side, 1e-3, 44),
-		queries: 500,
+// runCells runs a family's cells, one sub-benchmark each, with every
+// cell's setup outside the timer.
+func runCells(b *testing.B, family string) {
+	cells := bench.NewSuite(bench.Config{N: benchN}).Cells(family)
+	if len(cells) == 0 {
+		b.Fatalf("no cells in family %q", family)
 	}
-}
-
-func (e benchEnv) mk(name string) psi.Index {
-	u := psi.Universe2D(e.side)
-	if e.dims == 3 {
-		u = psi.Universe3D(e.side)
-	}
-	return psi.ByName(name, e.dims, u)
-}
-
-// Fig. 3, build column: bulk construction per index per distribution.
-func BenchmarkFig3Build(b *testing.B) {
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		env := newEnv(dist, 2, benchN)
-		for _, name := range benchIndexes {
-			b.Run(fmt.Sprintf("%s/%s", dist, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					idx := env.mk(name)
-					idx.Build(env.pts)
-				}
-			})
-		}
-	}
-}
-
-// Fig. 3, incremental insert columns (1% batches).
-func BenchmarkFig3IncInsert(b *testing.B) {
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		env := newEnv(dist, 2, benchN)
-		batch := benchN / 100
-		for _, name := range benchIndexes {
-			b.Run(fmt.Sprintf("%s/%s", dist, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					idx := env.mk(name)
-					for lo := 0; lo+batch <= len(env.pts); lo += batch {
-						idx.BatchInsert(env.pts[lo : lo+batch])
-					}
-				}
-			})
-		}
-	}
-}
-
-// Fig. 3, incremental delete columns (1% batches).
-func BenchmarkFig3IncDelete(b *testing.B) {
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		env := newEnv(dist, 2, benchN)
-		batch := benchN / 100
-		for _, name := range benchIndexes {
-			b.Run(fmt.Sprintf("%s/%s", dist, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					idx := env.mk(name)
-					idx.Build(env.pts)
-					b.StartTimer()
-					for lo := 0; lo+batch <= len(env.pts); lo += batch {
-						idx.BatchDelete(env.pts[lo : lo+batch])
-					}
-				}
-			})
-		}
-	}
-}
-
-// Fig. 3, query columns after build (10-NN InD/OOD, range count/list).
-// Boost-R included, as in the paper.
-func BenchmarkFig3Query(b *testing.B) {
-	env := newEnv(workload.Uniform, 2, benchN)
-	for _, name := range append(append([]string{}, benchIndexes...), "Boost-R") {
-		idx := env.mk(name)
-		idx.Build(env.pts)
-		b.Run("10NN-InD/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.ParallelKNN(idx, env.ind, 10)
+	for _, c := range cells {
+		b.Run(c.Name, func(b *testing.B) {
+			if c.Threads > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.Threads))
 			}
-		})
-		b.Run("10NN-OOD/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ParallelKNN(idx, env.ood, 10)
-			}
-		})
-		b.Run("RangeCount/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.ParallelRangeCount(idx, env.boxes)
-			}
-		})
-		b.Run("RangeList/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.ParallelRangeList(idx, env.boxes)
+				b.StopTimer()
+				run := c.Setup()
+				b.StartTimer()
+				run()
 			}
 		})
 	}
 }
 
-// Fig. 4: kNN cost vs k ∈ {1, 10, 100}.
-func BenchmarkFig4KNN(b *testing.B) {
-	env := newEnv(workload.Varden, 2, benchN)
-	for _, name := range []string{"P-Orth", "Zd-Tree", "SPaC-H", "SPaC-Z", "Pkd-Tree"} {
-		idx := env.mk(name)
-		idx.Build(env.pts)
-		for _, k := range []int{1, 10, 100} {
-			b.Run(fmt.Sprintf("k%d/%s", k, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.ParallelKNN(idx, env.ind, k)
-				}
-			})
-		}
+// TestEveryCellHasATarget holds this file to internal/bench: every cell
+// family is run by exactly one benchmark target.
+func TestEveryCellHasATarget(t *testing.T) {
+	src, err := os.ReadFile("bench_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []string
+	for _, m := range regexp.MustCompile(`runCells\(b, "(\w+)"\)`).FindAllSubmatch(src, -1) {
+		targets = append(targets, string(m[1]))
+	}
+	slices.Sort(targets)
+	if families := bench.NewSuite(bench.Config{N: benchN}).Families(); !slices.Equal(targets, families) {
+		t.Fatalf("targets run %v, internal/bench has families %v", targets, families)
 	}
 }
 
-// Fig. 5: range-list cost vs output size (box volume fraction).
-func BenchmarkFig5Range(b *testing.B) {
-	env := newEnv(workload.Uniform, 2, benchN)
-	for _, name := range []string{"P-Orth", "SPaC-H", "Pkd-Tree"} {
-		idx := env.mk(name)
-		idx.Build(env.pts)
-		for _, frac := range []float64{1e-4, 1e-3, 1e-2} {
-			boxes := workload.RangeQueries(50, 2, env.side, frac, 44)
-			b.Run(fmt.Sprintf("out%.0e/%s", frac*benchN, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.ParallelRangeList(idx, boxes)
-				}
-			})
-		}
-	}
-}
+// Fig. 3: build, the query suite on a half-built tree, incremental insert
+// and delete (1% batches in IncInsert/IncDelete, the other batch sizes in
+// IncSweep), and the query suite at the 50% point of 0.01% batches. The
+// 0.01% runs are timed in two halves, IncSweep/<column>-to50% and
+// -from50%, whose sum is psibench's column.
+func BenchmarkFig3Build(b *testing.B)     { runCells(b, "Fig3Build") }
+func BenchmarkFig3Query(b *testing.B)     { runCells(b, "Fig3Query") }
+func BenchmarkFig3IncInsert(b *testing.B) { runCells(b, "Fig3IncInsert") }
+func BenchmarkFig3IncDelete(b *testing.B) { runCells(b, "Fig3IncDelete") }
+func BenchmarkFig3IncSweep(b *testing.B)  { runCells(b, "Fig3IncSweep") }
+func BenchmarkFig3InsQuery(b *testing.B)  { runCells(b, "Fig3InsQuery") }
+func BenchmarkFig3DelQuery(b *testing.B)  { runCells(b, "Fig3DelQuery") }
 
-// Fig. 6: real-world stand-ins (build + 10NN).
-func BenchmarkFig6Real(b *testing.B) {
-	for _, setup := range []struct {
-		dist workload.Dist
-		dims int
-	}{{workload.Cosmo, 3}, {workload.OSM, 2}} {
-		env := newEnv(setup.dist, setup.dims, benchN)
-		for _, name := range []string{"P-Orth", "Zd-Tree", "SPaC-H", "Pkd-Tree"} {
-			b.Run(fmt.Sprintf("%s/build/%s", setup.dist, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					idx := env.mk(name)
-					idx.Build(env.pts)
-				}
-			})
-			idx := env.mk(name)
-			idx.Build(env.pts)
-			b.Run(fmt.Sprintf("%s/10NN/%s", setup.dist, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.ParallelKNN(idx, env.ind, 10)
-				}
-			})
-		}
-	}
-}
+// Fig. 4 and 5: kNN vs k, range-list vs output size.
+func BenchmarkFig4KNN(b *testing.B)   { runCells(b, "Fig4KNN") }
+func BenchmarkFig5Range(b *testing.B) { runCells(b, "Fig5Range") }
 
-// Fig. 7: scalability — build at 1 thread vs all threads. (The full sweep
-// with normalized speedups is `psibench -exp fig7`.)
-func BenchmarkFig7Scalability(b *testing.B) {
-	env := newEnv(workload.Uniform, 2, benchN)
-	for _, p := range []int{1, runtime.NumCPU()} {
-		for _, name := range []string{"P-Orth", "SPaC-H", "Pkd-Tree"} {
-			b.Run(fmt.Sprintf("p%d/%s", p, name), func(b *testing.B) {
-				old := runtime.GOMAXPROCS(p)
-				defer runtime.GOMAXPROCS(old)
-				for i := 0; i < b.N; i++ {
-					idx := env.mk(name)
-					idx.Build(env.pts)
-				}
-			})
-		}
-	}
-}
+// Fig. 6: the real-world stand-ins.
+func BenchmarkFig6Build(b *testing.B)     { runCells(b, "Fig6Build") }
+func BenchmarkFig6IncInsert(b *testing.B) { runCells(b, "Fig6IncInsert") }
+func BenchmarkFig6IncDelete(b *testing.B) { runCells(b, "Fig6IncDelete") }
+func BenchmarkFig6Query(b *testing.B)     { runCells(b, "Fig6Query") }
 
-// Fig. 9: 3D synthetic (build + incremental insert), reduced index set.
-func BenchmarkFig9_3D(b *testing.B) {
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Varden} {
-		env := newEnv(dist, 3, benchN)
-		batch := benchN / 100
-		for _, name := range []string{"P-Orth", "SPaC-H", "Pkd-Tree"} {
-			b.Run(fmt.Sprintf("%s/build/%s", dist, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					idx := env.mk(name)
-					idx.Build(env.pts)
-				}
-			})
-			b.Run(fmt.Sprintf("%s/incIns/%s", dist, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					idx := env.mk(name)
-					for lo := 0; lo+batch <= len(env.pts); lo += batch {
-						idx.BatchInsert(env.pts[lo : lo+batch])
-					}
-				}
-			})
-		}
-	}
-}
+// Fig. 7: scalability; each cell sets its own thread count.
+func BenchmarkFig7Build(b *testing.B)  { runCells(b, "Fig7Build") }
+func BenchmarkFig7Insert(b *testing.B) { runCells(b, "Fig7Insert") }
+func BenchmarkFig7Delete(b *testing.B) { runCells(b, "Fig7Delete") }
 
-// Fig. 10: single batch insert into a full tree, across batch sizes. The
-// tree is built once; each iteration inserts the batch and then deletes
-// it untimed, restoring the working set without a per-iteration rebuild
-// (exact restoration for the history-independent trees, same size and
-// near-identical shape for the rest).
-func BenchmarkFig10Batch(b *testing.B) {
-	env := newEnv(workload.Uniform, 2, benchN)
-	extraAll := workload.Generate(workload.Uniform, benchN, 2, env.side, 99)
-	for _, ratio := range []float64{0.001, 0.01, 0.1, 1.0} {
-		size := int(float64(benchN) * ratio)
-		extra := extraAll[:size]
-		for _, name := range []string{"P-Orth", "Zd-Tree", "SPaC-H", "SPaC-Z", "Pkd-Tree"} {
-			b.Run(fmt.Sprintf("ratio%g/%s", ratio, name), func(b *testing.B) {
-				idx := env.mk(name)
-				idx.Build(env.pts)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					idx.BatchInsert(extra)
-					b.StopTimer()
-					idx.BatchDelete(extra)
-					b.StartTimer()
-				}
-			})
-		}
-	}
-}
+// Fig. 8: the update/query trade-off's inputs. The parallel indexes'
+// update cells are Fig. 3's; these are the Log-tree's and BHL-tree's, and
+// the query suite on the built tree.
+func BenchmarkFig8Build(b *testing.B)    { runCells(b, "Fig8Build") }
+func BenchmarkFig8IncSweep(b *testing.B) { runCells(b, "Fig8IncSweep") }
+func BenchmarkFig8Query(b *testing.B)    { runCells(b, "Fig8Query") }
 
-// Ablation (a): P-Orth skeleton depth λ.
-func BenchmarkAblationLambda(b *testing.B) {
-	env := newEnv(workload.Uniform, 2, benchN)
-	for lam := 1; lam <= 4; lam++ {
-		b.Run(fmt.Sprintf("lambda%d", lam), func(b *testing.B) {
-			opts := psi.DefaultOptions(2, psi.Universe2D(env.side))
-			opts.SkeletonLevels = lam
-			for i := 0; i < b.N; i++ {
-				idx := psi.NewPOrthOpts(opts)
-				idx.Build(env.pts)
-			}
-		})
-	}
-}
+// Fig. 9: Fig. 3 in 3D, reduced index set.
+func BenchmarkFig9Build(b *testing.B)     { runCells(b, "Fig9Build") }
+func BenchmarkFig9Query(b *testing.B)     { runCells(b, "Fig9Query") }
+func BenchmarkFig9IncInsert(b *testing.B) { runCells(b, "Fig9IncInsert") }
+func BenchmarkFig9IncDelete(b *testing.B) { runCells(b, "Fig9IncDelete") }
+func BenchmarkFig9IncSweep(b *testing.B)  { runCells(b, "Fig9IncSweep") }
+func BenchmarkFig9InsQuery(b *testing.B)  { runCells(b, "Fig9InsQuery") }
+func BenchmarkFig9DelQuery(b *testing.B)  { runCells(b, "Fig9DelQuery") }
 
-// Ablation (c): the partial-order relaxation under small batches —
-// SPaC-H vs CPAM-H incremental insertion, identical otherwise.
-func BenchmarkAblationLeafOrder(b *testing.B) {
-	env := newEnv(workload.Uniform, 2, benchN)
-	batch := benchN / 1000
-	for _, name := range []string{"SPaC-H", "CPAM-H"} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				idx := env.mk(name)
-				for lo := 0; lo+batch <= len(env.pts); lo += batch {
-					idx.BatchInsert(env.pts[lo : lo+batch])
-				}
-			}
-		})
-	}
-}
+// Fig. 10: one batch insert or delete against a full tree.
+func BenchmarkFig10Batch(b *testing.B) { runCells(b, "Fig10Batch") }
 
-// Ablation (d): HybridSort vs plain construction (SPaC vs CPAM build).
-func BenchmarkAblationHybridSort(b *testing.B) {
-	env := newEnv(workload.Uniform, 2, benchN)
-	for _, name := range []string{"SPaC-H", "CPAM-H"} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				idx := env.mk(name)
-				idx.Build(env.pts)
-			}
-		})
-	}
-}
+// Ablations: skeleton depth λ, leaf wrap φ, partial vs total leaf order,
+// HybridSort vs plain construction.
+func BenchmarkAblationLambda(b *testing.B)     { runCells(b, "AblationLambda") }
+func BenchmarkAblationLeafWrap(b *testing.B)   { runCells(b, "AblationLeafWrap") }
+func BenchmarkAblationLeafOrder(b *testing.B)  { runCells(b, "AblationLeafOrder") }
+func BenchmarkAblationHybridSort(b *testing.B) { runCells(b, "AblationHybridSort") }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,29 +25,9 @@ import (
 	"repro/internal/bench"
 )
 
-// experiments is every -exp id, in the order -exp all runs them. README's
-// "Experiments" table lists the same ids (TestReadmeListsEveryExperiment).
-var experiments = []struct {
-	id  string
-	run func(bench.Config)
-}{
-	{"fig3", bench.Fig3},
-	{"fig4", bench.Fig4},
-	{"fig5", bench.Fig5},
-	{"fig6", bench.Fig6},
-	{"fig7", bench.Fig7},
-	{"fig8", bench.Fig8},
-	{"fig9", bench.Fig9},
-	{"fig10", bench.Fig10},
-	{"ablation", bench.Ablations},
-}
-
 func main() {
-	ids := make([]string, len(experiments))
-	for i, e := range experiments {
-		ids[i] = e.id
-	}
-	exp := flag.String("exp", "fig3", "experiment: "+strings.Join(ids, "|")+"|all")
+	// README's "Experiments" table lists the same ids (TestReadmeListsEveryExperiment).
+	exp := flag.String("exp", "fig3", "experiment: "+strings.Join(bench.IDs(), "|")+"|all")
 	n := flag.Int("n", 1_000_000, "dataset size (paper: 1e9)")
 	knnq := flag.Int("knnq", 0, "number of kNN queries (default n/100)")
 	rangeq := flag.Int("rangeq", 200, "number of range queries")
@@ -68,33 +49,19 @@ func main() {
 	fmt.Printf("psibench: exp=%s n=%d reps=%d threads=%d/%d\n",
 		*exp, *n, *reps, *threads, runtime.NumCPU())
 	start := time.Now()
-	if *jsonPath != "" {
-		bench.StartJSON(*exp, cfg)
-	}
-	ran := false
-	for _, e := range experiments {
-		if *exp == e.id || *exp == "all" {
-			e.run(cfg)
-			ran = true
-		}
-	}
-	if !ran {
+	doc, ok := bench.Run(*exp, cfg)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "psibench: unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
+		b, err := json.MarshalIndent(doc, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonPath, append(b, '\n'), 0o644)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "psibench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteJSON(f); err != nil {
 			fmt.Fprintf(os.Stderr, "psibench: writing JSON: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "psibench: closing JSON: %v\n", err)
 			os.Exit(1)
 		}
 	}

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // TestReadmeListsEveryExperiment holds README's "Experiments" table to
@@ -35,10 +37,7 @@ func TestReadmeListsEveryExperiment(t *testing.T) {
 			documented = append(documented, m[1])
 		}
 	}
-	var runnable []string
-	for _, e := range experiments {
-		runnable = append(runnable, e.id)
-	}
+	runnable := bench.IDs()
 	slices.Sort(documented)
 	slices.Sort(runnable)
 	if !slices.Equal(documented, runnable) {

@@ -51,14 +51,7 @@ func main() {
 			oldPos[i] = world[j]
 			p := world[j]
 			for d := 0; d < 3; d++ {
-				c := p[d] + rng.Int63n(2001) - 1000
-				if c < 0 {
-					c = 0
-				}
-				if c > side {
-					c = side
-				}
-				p[d] = c
+				p[d] = min(max(p[d]+rng.Int63n(2001)-1000, 0), side)
 			}
 			newPos[i] = p
 			world[j] = p

@@ -2,11 +2,13 @@
 //
 // A fleet of vehicles streams position updates from N writer goroutines
 // while M reader goroutines answer "nearest vehicles" and "vehicles in
-// area" queries — the tile38-style geo-serving scenario. The raw indexes
+// area" queries — the tile38-style geo-serving scenario. The stack is the
+// one psid serves: a Collection over a Sharded SPaC-H. The raw indexes
 // are batch-synchronous (not safe for concurrent mutation); the Collection
-// coalesces the concurrent moves into batch diffs, applies them through
-// the index's parallel batch machinery, and serves every query a
-// consistent view. Each vehicle's index in the fleet is its ID.
+// coalesces the concurrent moves into batch diffs, each flush fans its
+// diff out across the shards in parallel, and every query sees a
+// consistent view. Each vehicle's index in the fleet is its ID. The demo
+// exits 1 if a move or the final retirement is lost or duplicated.
 //
 //	go run ./examples/server
 package main
@@ -38,14 +40,14 @@ var (
 
 func main() {
 	// SPaC-H has the fastest batch updates — the right engine under a
-	// write-heavy stream. The Collection makes it safe to share.
-	fleet := psi.NewCollection[int](psi.NewSPaCH(2, psi.Universe2D(side)), psi.CollectionOptions{
+	// write-heavy stream — and Sharded applies each batch across one
+	// region per core. The Collection makes the stack safe to share.
+	fleet := psi.NewCollection[int](psi.NewSharded(psi.NewSPaCH, 2, psi.Universe2D(side), 0), psi.CollectionOptions{
 		MaxBatch:      4096,
 		FlushInterval: 2 * time.Millisecond, // readers lag writers by at most ~2ms
 	})
 
-	pos := psi.Generate(psi.Uniform, vehicles, 2, side, 1)
-	for v, p := range pos {
+	for v, p := range psi.Generate(psi.Uniform, vehicles, 2, side, 1) {
 		fleet.Set(v, p)
 	}
 	fmt.Printf("serving %d vehicles through %s: %d writers, %d readers\n",
@@ -60,6 +62,8 @@ func main() {
 	// Writers: each owns a slice of the fleet and streams moves. A move is
 	// one Set; the flush nets a vehicle's moves in one window to a single
 	// delete-old + insert-new, and BatchDiff applies the window as one step.
+	// Get is read-your-writes, so a writer reads back its vehicle's latest
+	// position before a flush has made it visible to queries.
 	for w := 0; w < writers; w++ {
 		wgW.Add(1)
 		go func(w int) {
@@ -68,8 +72,12 @@ func main() {
 			lo, hi := w*vehicles/writers, (w+1)*vehicles/writers
 			for i := 0; i < moves; i++ {
 				v := lo + rng.Intn(hi-lo)
-				pos[v] = psi.Pt2(jitter(rng, pos[v][0]), jitter(rng, pos[v][1]))
-				fleet.Set(v, pos[v])
+				p, ok := fleet.Get(v)
+				if !ok {
+					fmt.Fprintf(os.Stderr, "vehicle %d lost its position\n", v)
+					os.Exit(1)
+				}
+				fleet.Set(v, psi.Pt2(jitter(rng, p[0]), jitter(rng, p[1])))
 			}
 		}(w)
 	}
@@ -92,7 +100,7 @@ func main() {
 				if r%2 == 0 {
 					hits = fleet.NearbyIDsAppend(q, 5, hits[:0])
 				} else {
-					lo := psi.Pt2(max0(q[0]-5_000_000), max0(q[1]-5_000_000))
+					lo := psi.Pt2(max(q[0]-5_000_000, 0), max(q[1]-5_000_000, 0))
 					hi := psi.Pt2(q[0]+5_000_000, q[1]+5_000_000)
 					hits = fleet.WithinIDsAppend(psi.BoxOf(lo, hi), hits[:0])
 				}
@@ -108,7 +116,8 @@ func main() {
 	}
 	close(stop)
 	wgQ.Wait()
-	fleet.Close() // the final flush
+	fleet.Remove(0) // retire one vehicle: its point goes at the next flush
+	fleet.Close()   // the final flush
 	elapsed := time.Since(start).Seconds()
 
 	st := fleet.Stats()
@@ -117,29 +126,15 @@ func main() {
 		elapsed, sent, float64(sent)/wrote,
 		windows, float64(sent)/float64(windows), st.Moved-before.Moved, st.Cancelled-before.Cancelled)
 	n := fleet.Len()
-	fmt.Printf("         %d queries served (%.0f/s), fleet size still %d\n",
+	fmt.Printf("         %d queries served (%.0f/s), fleet size %d after retiring one vehicle\n",
 		served.Load(), float64(served.Load())/elapsed, n)
-	if n != vehicles {
-		fmt.Fprintf(os.Stderr, "fleet size %d, started with %d: a move was lost or duplicated\n", n, vehicles)
+	if n != vehicles-1 {
+		fmt.Fprintf(os.Stderr, "fleet size %d, started with %d and retired 1: a move or the removal was lost or duplicated\n", n, vehicles)
 		os.Exit(1)
 	}
 }
 
 // jitter moves one coordinate a small random step, clamped to the universe.
 func jitter(rng *rand.Rand, c int64) int64 {
-	c += rng.Int63n(2_000_001) - 1_000_000
-	if c < 0 {
-		c = 0
-	}
-	if c > side {
-		c = side
-	}
-	return c
-}
-
-func max0(c int64) int64 {
-	if c < 0 {
-		return 0
-	}
-	return c
+	return min(max(c+rng.Int63n(2_000_001)-1_000_000, 0), side)
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Ablations benchmarks the paper's design choices:
+// ablations benchmarks the paper's design choices:
 //
 //	(a) P-Orth skeleton depth λ (how many tree levels one sieve round
 //	    builds; the paper fixes λ=3 in 2D, §C);
@@ -21,99 +21,69 @@ import (
 //	    leaves actually go unsorted;
 //	(d) HybridSort vs precompute-then-sort construction (SPaC vs CPAM
 //	    build on identical data, §4.1).
-func Ablations(cfg Config) {
-	cfg = cfg.withDefaults()
-	defer setThreads(cfg.Threads)()
-	cache := newCache()
-	fmt.Fprintf(cfg.Out, "Ablations — n=%d\n", cfg.N)
-	ablationLambda(cfg, cache)
-	ablationLeafWrap(cfg, cache)
-	ablationLeafOrder(cfg, cache)
-	ablationHybridSort(cfg, cache)
-}
+func (s *Suite) ablations() {
+	s.printf("Ablations — n=%d\n", s.cfg.N)
+	sp := space{workload.Uniform, 2}
+	modes := []spactree.Mode{spactree.PartialOrder, spactree.TotalOrder}
 
-// ablationLambda sweeps the P-Orth skeleton depth.
-func ablationLambda(cfg Config, cache *dataCache) {
-	pts := cache.points(workload.Uniform, cfg.N, 2, cfg.Seed)
-	side := workload.Uniform.Side(2)
 	tb := newTable("(a) P-Orth skeleton depth λ (2D uniform)", "build", "ins-0.1%")
 	for lam := 1; lam <= 4; lam++ {
-		opts := core.DefaultOptions(2, geom.UniverseBox(2, side))
+		opts := core.DefaultOptions(2, geom.UniverseBox(2, sp.side()))
 		opts.SkeletonLevels = lam
-		idx := orthtree.New(opts)
-		buildT := timeOp(cfg.Reps, nil, func() { idx.Build(pts) })
-		inc := orthtree.New(opts)
-		insT, _ := incrementalInsert(inc, pts, batchOf(cfg.N, 0.001), nil, cfg.Reps)
-		tb.add(fmt.Sprintf("lambda=%d", lam), buildT, insT)
+		mk := func() core.Index { return orthtree.New(opts) }
+		label := fmt.Sprintf("lambda=%d", lam)
+		tb.add(label, s.at("AblationLambda/build/"+label, s.buildCell(sp, mk)),
+			s.at("AblationLambda/ins-0.1%/"+label, s.runCell(incRun{false, sp, label, mk, 0.001}, 0, s.cfg.N)))
 	}
-	tb.write(cfg.Out)
-}
+	s.write(tb)
 
-// ablationLeafWrap sweeps the SPaC leaf wrap φ.
-func ablationLeafWrap(cfg Config, cache *dataCache) {
-	pts := cache.points(workload.Uniform, cfg.N, 2, cfg.Seed)
-	side := workload.Uniform.Side(2)
-	qs := makeQueries(cfg, workload.Uniform, 2)
-	tb := newTable("(b) SPaC-H leaf wrap φ (2D uniform)", "build", "ins-0.1%", "10NN-InD")
+	tb = newTable("(b) SPaC-H leaf wrap φ (2D uniform)", "build", "ins-0.1%", "10NN-InD")
 	for _, phi := range []int{16, 40, 128} {
-		opts := core.DefaultOptions(2, geom.UniverseBox(2, side))
+		opts := spacOpts(sp.side())
 		opts.LeafWrap = phi
-		opts.Alpha = 0.2
-		idx := spactree.New(sfc.Hilbert, spactree.PartialOrder, opts)
-		buildT := timeOp(cfg.Reps, nil, func() { idx.Build(pts) })
-		inc := spactree.New(sfc.Hilbert, spactree.PartialOrder, opts)
-		insT, _ := incrementalInsert(inc, pts, batchOf(cfg.N, 0.001), nil, cfg.Reps)
-		qT := timeOp(cfg.Reps, nil, func() { core.ParallelKNN(idx, qs.ind, 10) })
-		tb.add(fmt.Sprintf("phi=%d", phi), buildT, insT, qT)
+		mk := func() core.Index { return spactree.New(sfc.Hilbert, spactree.PartialOrder, opts) }
+		label := fmt.Sprintf("phi=%d", phi)
+		tb.add(label, s.at("AblationLeafWrap/build/"+label, s.buildCell(sp, mk)),
+			s.at("AblationLeafWrap/ins-0.1%/"+label, s.runCell(incRun{false, sp, label, mk, 0.001}, 0, s.cfg.N)),
+			s.at("AblationLeafWrap/10NN-InD/"+label, s.queryCell(s.built(sp, label, mk, 1), s.stdQuery(sp, "10NN-InD"))))
 	}
-	tb.write(cfg.Out)
-}
+	s.write(tb)
 
-// ablationLeafOrder is the paper's core claim in isolation: identical
-// trees except for the in-leaf order relaxation, driven by small batches.
-func ablationLeafOrder(cfg Config, cache *dataCache) {
-	pts := cache.points(workload.Uniform, cfg.N, 2, cfg.Seed)
-	side := workload.Uniform.Side(2)
-	qs := makeQueries(cfg, workload.Uniform, 2)
-	tb := newTable("(c) partial vs total leaf order (2D uniform, 0.01% batches)",
+	// (c) is the paper's core claim in isolation: identical trees except
+	// for the in-leaf order relaxation, driven by small batches.
+	tb = newTable("(c) partial vs total leaf order (2D uniform, 0.01% batches)",
 		"ins-total", "10NN-InD", "unsortedLeaf%")
-	for _, mode := range []spactree.Mode{spactree.PartialOrder, spactree.TotalOrder} {
-		tr := spactree.New(sfc.Hilbert, mode, spacOpts(side))
-		insT, _ := incrementalInsert(tr, pts, batchOf(cfg.N, 0.0001), nil, cfg.Reps)
-		qT := timeOp(cfg.Reps, nil, func() { core.ParallelKNN(tr, qs.ind, 10) })
-		leaves, unsorted := tr.LeafStats()
-		frac := 0.0
-		if leaves > 0 {
-			frac = 100 * float64(unsorted) / float64(leaves)
-		}
-		label := "SPaC(part)"
-		if mode == spactree.TotalOrder {
-			label = "CPAM(tot)"
+	for _, mode := range modes {
+		mk := func() core.Index { return spactree.New(sfc.Hilbert, mode, spacOpts(sp.side())) }
+		label := map[spactree.Mode]string{spactree.PartialOrder: "SPaC(part)", spactree.TotalOrder: "CPAM(tot)"}[mode]
+		// The query reads the tree the timed insertion filled.
+		r := incRun{false, sp, label, mk, 0.0001}
+		insT := s.at("AblationLeafOrder/ins-total/"+label, s.runCell(r, 0, s.cfg.N))
+		qT := s.at("AblationLeafOrder/10NN-InD/"+label, s.queryCell(s.upto(r, s.cfg.N), s.stdQuery(sp, "10NN-InD")))
+		frac := nan
+		if s.doc != nil {
+			leaves, unsorted := s.state.(*spactree.Tree).LeafStats() // the tree 10NN-InD queried
+			frac = 0
+			if leaves > 0 {
+				frac = 100 * float64(unsorted) / float64(leaves)
+			}
 		}
 		tb.add(label, insT, qT, frac)
 	}
-	tb.write(cfg.Out)
-}
+	s.write(tb)
 
-// ablationHybridSort isolates construction: HybridSort (codes on first
-// touch, ⟨code,id⟩ pairs) vs the plain precompute-and-sort-pairs build.
-func ablationHybridSort(cfg Config, cache *dataCache) {
-	tb := newTable("(d) HybridSort vs plain construction (build seconds)",
-		"uniform", "varden")
-	for _, mode := range []spactree.Mode{spactree.PartialOrder, spactree.TotalOrder} {
-		label := "hybrid"
-		if mode == spactree.TotalOrder {
-			label = "plain"
-		}
+	tb = newTable("(d) HybridSort vs plain construction (build seconds)", "uniform", "varden")
+	for _, mode := range modes {
+		label := map[spactree.Mode]string{spactree.PartialOrder: "hybrid", spactree.TotalOrder: "plain"}[mode]
 		var vals []float64
 		for _, dist := range []workload.Dist{workload.Uniform, workload.Varden} {
-			pts := cache.points(dist, cfg.N, 2, cfg.Seed)
-			tr := spactree.New(sfc.Hilbert, mode, spacOpts(dist.Side(2)))
-			vals = append(vals, timeOp(cfg.Reps, nil, func() { tr.Build(pts) }))
+			dsp := space{dist, 2}
+			vals = append(vals, s.at(fmt.Sprintf("AblationHybridSort/%s/%s", dist, label),
+				s.buildCell(dsp, func() core.Index { return spactree.New(sfc.Hilbert, mode, spacOpts(dsp.side())) })))
 		}
 		tb.add(label, vals...)
 	}
-	tb.write(cfg.Out)
+	s.write(tb)
 }
 
 func spacOpts(side int64) core.Options {

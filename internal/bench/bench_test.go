@@ -6,133 +6,98 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // The harness smoke tests run every experiment at a tiny scale: they
 // verify the runners execute end to end, print every expected table, and
 // never emit negative or absent timings for supported operations.
 
-func tinyConfig(buf *bytes.Buffer) Config {
-	return Config{N: 4000, KNNQ: 50, RangeQ: 10, Reps: 1, Seed: 1, Out: buf}
+// run times experiment id at a tiny scale and returns what it printed and
+// its document.
+func run(t *testing.T, id string, threads int) (string, JSONDoc) {
+	t.Helper()
+	var buf bytes.Buffer
+	doc, ok := Run(id, Config{N: 4000, KNNQ: 50, RangeQ: 10, Reps: 1, Seed: 1, Threads: threads, Out: &buf})
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	return buf.String(), doc
+}
+
+// smoke runs experiment id and fails unless its output has every want.
+func smoke(t *testing.T, id string, wants ...string) (string, JSONDoc) {
+	t.Helper()
+	out, doc := run(t, id, 0)
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Fatalf("%s output missing %q\n%s", id, want, out)
+		}
+	}
+	return out, doc
 }
 
 func TestFig3Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	Fig3(tinyConfig(&buf))
-	out := buf.String()
-	for _, want := range []string{
-		"uniform/2D static", "sweepline/2D incremental insert", "varden/2D incremental delete",
-		"P-Orth", "SPaC-H", "CPAM-Z", "Boost-R", "Pkd-Tree",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Fig3 output missing %q\n%s", want, out)
-		}
-	}
+	out, _ := smoke(t, "fig3", "uniform/2D static", "sweepline/2D incremental insert", "varden/2D incremental delete",
+		"P-Orth", "SPaC-H", "CPAM-Z", "Boost-R", "Pkd-Tree")
 	if strings.Contains(out, "NaN") {
 		t.Fatal("raw NaN leaked into Fig3 output (should render as N/A)")
 	}
 }
 
-func TestFig4Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	Fig4(tinyConfig(&buf))
-	for _, want := range []string{"k1-InD", "k100-OOD", "varden"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("Fig4 output missing %q", want)
-		}
-	}
-}
+// The title gives the query count itself (KNNQ 50).
+func TestFig4Smoke(t *testing.T) { smoke(t, "fig4", "k1-InD", "k100-OOD", "varden: 50 kNN queries") }
 
-func TestFig5Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	Fig5(tinyConfig(&buf))
-	if !strings.Contains(buf.String(), "range-list time vs output size") {
-		t.Fatal("Fig5 header missing")
-	}
-}
+func TestFig5Smoke(t *testing.T) { smoke(t, "fig5", "range-list time vs output size") }
 
-func TestFig6Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	Fig6(tinyConfig(&buf))
-	out := buf.String()
-	for _, want := range []string{"cosmo (3D)", "osm (2D)", "insert", "delete"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Fig6 output missing %q", want)
-		}
-	}
-}
+func TestFig6Smoke(t *testing.T) { smoke(t, "fig6", "cosmo (3D)", "osm (2D)", "insert", "delete") }
 
 func TestFig7Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	Fig7(cfg)
-	out := buf.String()
-	for _, want := range []string{"p=1", "build speedup", "insert speedup", "delete speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Fig7 output missing %q", want)
+	_, doc := smoke(t, "fig7", "p=1", "build speedup", "insert speedup", "delete speedup")
+	// Speedups are over SPaC-H's own p=1 cell, so that cell is exactly 1.
+	bases := 0
+	for _, r := range doc.Results {
+		if r.Index == "SPaC-H" && r.Column == "p=1" {
+			bases++
+			if r.Value != 1 {
+				t.Errorf("%s: SPaC-H p=1 = %v, want exactly 1", r.Table, r.Value)
+			}
 		}
 	}
-}
-
-func TestFig8Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	Fig8(tinyConfig(&buf))
-	if !strings.Contains(buf.String(), "update vs query performance") {
-		t.Fatal("Fig8 header missing")
+	if bases != 9 {
+		t.Fatalf("%d SPaC-H p=1 cells, want one per distribution and phase (9)", bases)
 	}
 }
+
+func TestFig8Smoke(t *testing.T) { smoke(t, "fig8", "update vs query performance") }
 
 func TestFig9Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	Fig9(tinyConfig(&buf))
-	out := buf.String()
-	if !strings.Contains(out, "uniform/3D static") || !strings.Contains(out, "SPaC-H") {
-		t.Fatalf("Fig9 output incomplete:\n%s", out)
-	}
-	if strings.Contains(out, "Boost-R") {
+	if out, _ := smoke(t, "fig9", "uniform/3D static", "SPaC-H"); strings.Contains(out, "Boost-R") {
 		t.Fatal("Fig9 should use the reduced 3D index set")
 	}
 }
 
-func TestFig10Smoke(t *testing.T) {
-	var buf bytes.Buffer
-	Fig10(tinyConfig(&buf))
-	out := buf.String()
-	for _, want := range []string{"ins-0.0001", "del-1", "single batch updates"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Fig10 output missing %q", want)
-		}
-	}
-}
+func TestFig10Smoke(t *testing.T) { smoke(t, "fig10", "ins-0.0001", "del-1", "single batch updates") }
 
 func TestAblationsSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	Ablations(tinyConfig(&buf))
-	out := buf.String()
-	for _, want := range []string{"lambda=3", "phi=40", "SPaC(part)", "hybrid", "plain"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Ablations output missing %q", want)
-		}
-	}
+	smoke(t, "ablation", "lambda=3", "phi=40", "SPaC(part)", "hybrid", "plain")
 }
 
 // TestJSONDocument parses the psibench/v1 document of a figure run: the
 // header says what was run and on how many threads, and the table cells
 // arrive as numbers.
 func TestJSONDocument(t *testing.T) {
-	var buf, jsonBuf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	cfg.Threads = 1
-	StartJSON("fig10", cfg)
-	Fig10(cfg)
-	if err := WriteJSON(&jsonBuf); err != nil {
+	_, ran := run(t, "fig10", 1)
+	b, err := json.Marshal(ran)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var doc JSONDoc
-	if err := json.Unmarshal(jsonBuf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("psibench JSON does not parse: %v", err)
 	}
-	if doc.Schema != "psibench/v1" || doc.Experiment != "fig10" || doc.Config.N != cfg.N {
+	if doc.Schema != "psibench/v1" || doc.Experiment != "fig10" || doc.Config.N != 4000 {
 		t.Fatalf("JSON header malformed: %+v", doc)
 	}
 	if doc.GOMAXPROCS != 1 {
@@ -149,18 +114,66 @@ func TestJSONDocument(t *testing.T) {
 	}
 
 	// Threads: 0 leaves GOMAXPROCS alone; the document says what that was.
-	cfg.Threads = 0
-	jsonBuf.Reset()
-	StartJSON("fig10", cfg)
-	if err := WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	doc = JSONDoc{}
-	if err := json.Unmarshal(jsonBuf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.GOMAXPROCS != runtime.GOMAXPROCS(0) || doc.Config.Threads != 0 {
+	if doc := newDoc("fig10", Config{}); doc.GOMAXPROCS != runtime.GOMAXPROCS(0) || doc.Config.Threads != 0 {
 		t.Fatalf("gomaxprocs = %d, config.threads = %d; want %d, 0", doc.GOMAXPROCS, doc.Config.Threads, runtime.GOMAXPROCS(0))
+	}
+}
+
+// cellOf returns the cell at path, registered in s.
+func cellOf(t *testing.T, s *Suite, path string) Cell {
+	t.Helper()
+	family, name, _ := strings.Cut(path, "/")
+	for _, c := range s.Cells(family) {
+		if c.Name == name {
+			return c
+		}
+	}
+	t.Fatalf("no cell %s", path)
+	return Cell{}
+}
+
+// TestBatchCellsShareOneTree checks that single-batch cells run on one
+// Build: each Setup undoes the previous body's batch, so the tree holds n
+// points before every body.
+func TestBatchCellsShareOneTree(t *testing.T) {
+	const n = 2000
+	s := NewSuite(Config{N: n, Seed: 1})
+	var tree any
+	for _, col := range []string{"ins-0.1", "ins-0.1", "del-0.1", "del-1", "ins-1"} {
+		run := cellOf(t, s, "Fig10Batch/"+col+"/uniform/SPaC-H").Setup()
+		if s.state.Size() != n || (tree != nil && any(s.state) != tree) {
+			t.Fatalf("%s: %d points before the body (want %d), or a rebuilt tree", col, s.state.Size(), n)
+		}
+		tree = s.state
+		run()
+	}
+	if s.use(s.built(space{workload.Uniform, 2}, "SPaC-H", nil, 1)).Size() != n {
+		t.Fatal("the last batch was not undone")
+	}
+}
+
+// TestQueriesAtHalfReadTheRun checks that Fig. 3's queries at 50% read
+// the index the timed run's first stretch left, which its second stretch
+// then completes; run alone, the second stretch makes that index untimed.
+func TestQueriesAtHalfReadTheRun(t *testing.T) {
+	const n = 2000
+	s := NewSuite(Config{N: n, Seed: 1})
+	for _, c := range []struct{ op, query string }{{"ins", "InsQuery"}, {"del", "DelQuery"}} {
+		cellOf(t, s, "Fig3IncSweep/"+c.op+"-0.01%-to50%/uniform/P-Orth").Setup()()
+		half := s.state
+		cellOf(t, s, "Fig3"+c.query+"/10NN-InD/uniform/P-Orth").Setup()()
+		if half.Size() != n/2 || s.state != half {
+			t.Fatalf("%s: the queries at 50%% read %d points, not the run's %d", c.op, s.state.Size(), n/2)
+		}
+		cellOf(t, s, "Fig3IncSweep/"+c.op+"-0.01%-from50%/uniform/P-Orth").Setup()()
+		if s.state != half || half.Size() != map[string]int{"ins": n, "del": 0}[c.op] {
+			t.Fatalf("%s: the second stretch did not complete the run (%d points)", c.op, half.Size())
+		}
+	}
+	alone := NewSuite(Config{N: n, Seed: 1})
+	cellOf(t, alone, "Fig3IncSweep/ins-0.01%-from50%/uniform/P-Orth").Setup()()
+	if alone.state.Size() != n {
+		t.Fatalf("second stretch alone: %d points, want %d", alone.state.Size(), n)
 	}
 }
 
@@ -186,5 +199,17 @@ func TestTableMarksFastest(t *testing.T) {
 	}
 	if !strings.Contains(out, "N/A") {
 		t.Fatal("NaN not rendered as N/A")
+	}
+
+	// A ratio column (unit "x") is higher-is-better: the largest is marked.
+	buf.Reset()
+	tb = newTable("t", "a").setUnits("x")
+	tb.add("x", 0.25)
+	tb.add("y", 1.0)
+	tb.add("z", nan)
+	tb.write(&buf)
+	out = buf.String()
+	if !strings.Contains(out, "1.0000*") || strings.Contains(out, "0.2500*") {
+		t.Fatalf("largest ratio not marked:\n%s", out)
 	}
 }

@@ -3,248 +3,226 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/workload"
 )
 
-// batchRatios are Fig. 3's incremental batch sizes as fractions of n.
-var batchRatios = []float64{0.10, 0.01, 0.001, 0.0001}
+// experiments are psibench's -exp ids, in the order "all" runs them;
+// README's "Experiments" table maps each to the paper.
+var experiments = []struct {
+	id  string
+	fig func(*Suite)
+}{
+	{"fig3", (*Suite).fig3}, {"fig4", (*Suite).fig4}, {"fig5", (*Suite).fig5},
+	{"fig6", (*Suite).fig6}, {"fig7", (*Suite).fig7}, {"fig8", (*Suite).fig8},
+	{"fig9", (*Suite).fig9}, {"fig10", (*Suite).fig10}, {"ablation", (*Suite).ablations},
+}
 
-// Fig3 regenerates the paper's main 2D table: for each synthetic
-// distribution and index — build time; the query suite after building
-// half the data; incremental insertion at four batch ratios with the
-// query suite at the 50% point of the smallest ratio; and the symmetric
-// incremental deletion columns.
-func Fig3(cfg Config) {
+// IDs returns every experiment id, in the order "all" runs them.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Run times experiment id, or every experiment for "all", into tables on
+// cfg.Out, and returns their cells as one psibench/v1 document; ok is
+// false if no experiment has the id. Each experiment gets its own Suite,
+// so its generated inputs go when it is done.
+func Run(id string, cfg Config) (doc JSONDoc, ok bool) {
 	cfg = cfg.withDefaults()
+	doc = newDoc(id, cfg)
 	defer setThreads(cfg.Threads)()
-	cache := newCache()
-	fmt.Fprintf(cfg.Out, "Fig. 3 — synthetic 2D, n=%d (paper: 1e9), times in seconds\n", cfg.N)
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		runFig3Dist(cfg, cache, dist, 2, indexNames2D)
+	for _, e := range experiments {
+		if id == e.id || id == "all" {
+			s := newSuite(cfg)
+			s.doc = &doc
+			e.fig(s)
+			ok = true
+		}
+	}
+	return doc, ok
+}
+
+var synthetic = []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden}
+
+// batchRatios are Fig. 3's incremental batch sizes as fractions of n, and
+// insCols/delCols the columns they fill.
+var (
+	batchRatios = []float64{0.10, 0.01, 0.001, 0.0001}
+	insCols     = []string{"ins-10%", "ins-1%", "ins-0.1%", "ins-0.01%"}
+	delCols     = []string{"del-10%", "del-1%", "del-0.1%", "del-0.01%"}
+)
+
+// incPath is the family (and column) of one incremental column of Fig. 3,
+// 8 or 9: the 1% batches are <fig>IncInsert and <fig>IncDelete, the other
+// batch sizes <fig>IncSweep/<column>.
+func incPath(fig, col string) string {
+	switch col {
+	case "ins-1%":
+		return fig + "IncInsert"
+	case "del-1%":
+		return fig + "IncDelete"
+	}
+	return fig + "IncSweep/" + col
+}
+
+func (s *Suite) fig3() {
+	s.printf("Fig. 3 — synthetic 2D, n=%d (paper: 1e9), times in seconds\n", s.cfg.N)
+	for _, dist := range synthetic {
+		s.dynamic("Fig3", space{dist, 2}, indexNames2D)
 	}
 }
 
-// runFig3Dist emits the three sub-tables (static, incremental insert,
-// incremental delete) for one distribution. Shared with Fig9 (3D).
-func runFig3Dist(cfg Config, cache *dataCache, dist workload.Dist, dims int, names []string) {
-	pts := cache.points(dist, cfg.N, dims, cfg.Seed)
-	side := dist.Side(dims)
-	qs := makeQueries(cfg, dist, dims)
-	smallest := batchRatios[len(batchRatios)-1]
+func (s *Suite) fig9() {
+	s.printf("Fig. 9 — synthetic 3D, n=%d, coords [0,1e6] (§E)\n", s.cfg.N)
+	for _, dist := range synthetic {
+		s.dynamic("Fig9", space{dist, 3}, indexNames3D)
+	}
+}
 
-	static := newTable(fmt.Sprintf("%s/%dD static: build(100%%) + queries on 50%% tree", dist, dims),
-		"build", "10NN-InD", "10NN-OOD", "rangeCnt", "rangeList")
-	ins := newTable(fmt.Sprintf("%s/%dD incremental insert (total) + queries at 50%%", dist, dims),
-		"ins-10%", "ins-1%", "ins-0.1%", "ins-0.01%", "10NN-InD", "10NN-OOD", "rangeCnt", "rangeList")
-	del := newTable(fmt.Sprintf("%s/%dD incremental delete (total) + queries at 50%%", dist, dims),
-		"del-10%", "del-1%", "del-0.1%", "del-0.01%", "10NN-InD", "10NN-OOD", "rangeCnt", "rangeList")
-
+// dynamic emits the three sub-tables (static, incremental insert,
+// incremental delete) of one distribution of Fig. 3 or Fig. 9.
+func (s *Suite) dynamic(fig string, sp space, names []string) {
+	static := newTable(fmt.Sprintf("%s/%dD static: build(100%%) + queries on 50%% tree", sp.dist, sp.dims),
+		append([]string{"build"}, queryCols...)...)
+	ins := newTable(fmt.Sprintf("%s/%dD incremental insert (total) + queries at 50%%", sp.dist, sp.dims),
+		append(slices.Clone(insCols), queryCols...)...)
+	del := newTable(fmt.Sprintf("%s/%dD incremental delete (total) + queries at 50%%", sp.dist, sp.dims),
+		append(slices.Clone(delCols), queryCols...)...)
 	for _, name := range names {
-		// Static: build on full n; query a tree of n/2 (paper §5.1.3
-		// setting 1).
-		var buildT float64
-		if name == "Boost-R" {
-			buildT = nan // sequential point-insert loop; paper omits it
-		} else {
-			idx := mkIndex(name, dims, side)
-			buildT = timeOp(cfg.Reps, nil, func() { idx.Build(pts) })
+		at := fmt.Sprintf("%s/%s", sp.dist, name)
+		mk := maker(sp, name)
+		build := nan // Boost-R: point updates only, N/A in the paper
+		if name != "Boost-R" {
+			build = s.at(fig+"Build/"+at, s.buildCell(sp, mk))
 		}
-		half := mkIndex(name, dims, side)
-		half.Build(pts[:cfg.N/2])
-		qInD, qOOD, qCnt, qLst := queryPhases(half, qs, cfg.Reps)
-		static.add(name, buildT, qInD, qOOD, qCnt, qLst)
-
+		q := s.querySuite(fig+"Query", at, sp, queryCols, s.built(sp, name, mk, 2))
+		static.add(name, append([]float64{build}, q...)...)
 		if name == "Boost-R" {
-			// Boost-R only supports point updates; the paper reports its
-			// queries after one-by-one incremental updates.
-			idx := mkIndex(name, dims, side)
-			idx.Build(pts[:cfg.N/2])
-			i0, i1, i2, i3 := queryPhases(idx, qs, cfg.Reps)
-			ins.add(name, nan, nan, nan, nan, i0, i1, i2, i3)
-			del.add(name, nan, nan, nan, nan, i0, i1, i2, i3)
+			// The paper reports its queries after one-by-one updates,
+			// which leave the static tree's contents.
+			none := []float64{nan, nan, nan, nan}
+			ins.add(name, append(none, q...)...)
+			del.add(name, append(none, q...)...)
 			continue
 		}
-
-		insT := make([]float64, len(batchRatios))
-		var insQ [4]float64
-		for i, ratio := range batchRatios {
-			b := batchOf(cfg.N, ratio)
-			idx := mkIndex(name, dims, side)
-			var qsp *querySet
-			if ratio == smallest {
-				qsp = &qs
-			}
-			t, q := incrementalInsert(idx, pts, b, qsp, cfg.Reps)
-			insT[i] = t
-			if qsp != nil {
-				insQ = q
-			}
-		}
-		ins.add(name, insT[0], insT[1], insT[2], insT[3], insQ[0], insQ[1], insQ[2], insQ[3])
-
-		delT := make([]float64, len(batchRatios))
-		var delQ [4]float64
-		for i, ratio := range batchRatios {
-			b := batchOf(cfg.N, ratio)
-			idx := mkIndex(name, dims, side)
-			idx.Build(pts)
-			var qsp *querySet
-			if ratio == smallest {
-				qsp = &qs
-			}
-			t, q := incrementalDelete(idx, pts, b, qsp, cfg.Reps)
-			delT[i] = t
-			if qsp != nil {
-				delQ = q
-			}
-		}
-		del.add(name, delT[0], delT[1], delT[2], delT[3], delQ[0], delQ[1], delQ[2], delQ[3])
+		ins.add(name, s.incColumns(fig, at, insCols, "InsQuery", incRun{false, sp, name, mk, 0})...)
+		del.add(name, s.incColumns(fig, at, delCols, "DelQuery", incRun{true, sp, name, mk, 0})...)
 	}
-	static.write(cfg.Out)
-	ins.write(cfg.Out)
-	del.write(cfg.Out)
+	s.write(static, ins, del)
 }
 
-func batchOf(n int, ratio float64) int {
-	b := int(float64(n) * ratio)
-	if b < 1 {
-		b = 1
+// incColumns times r at each of batchRatios into cols, then the query
+// suite of family <fig><query> at the 50% point of the smallest ratio,
+// which it takes inside that run: the run is timed as two stretches,
+// "<column>-to50%" and "<column>-from50%", whose sum is the column, and
+// the queries between them read the index the first one left.
+func (s *Suite) incColumns(fig, at string, cols []string, query string, r incRun) []float64 {
+	last := len(batchRatios) - 1
+	vals := make([]float64, len(cols))
+	for i, ratio := range batchRatios[:last] {
+		r.ratio = ratio
+		vals[i] = s.at(incPath(fig, cols[i])+"/"+at, s.runCell(r, 0, s.cfg.N))
 	}
-	return b
+	r.ratio = batchRatios[last]
+	b := batchOf(s.cfg.N, r.ratio)
+	mid := min((s.cfg.N/2+b-1)/b*b, s.cfg.N) // the first batch boundary at or past 50%
+	first := s.at(incPath(fig, cols[last]+"-to50%")+"/"+at, s.runCell(r, 0, mid))
+	q := s.querySuite(fig+query, at, r.sp, queryCols, s.upto(r, mid))
+	vals[last] = first + s.at(incPath(fig, cols[last]+"-from50%")+"/"+at, s.runCell(r, mid, s.cfg.N))
+	return append(vals, q...)
 }
 
-// Fig4 regenerates the kNN-vs-k study: k ∈ {1, 10, 100}, InD and OOD, on
-// trees built by incremental insertion (paper: 500M points, 0.01%
-// batches; ratio configurable via the scaled n).
-func Fig4(cfg Config) {
-	cfg = cfg.withDefaults()
-	defer setThreads(cfg.Threads)()
-	cache := newCache()
-	fmt.Fprintf(cfg.Out, "Fig. 4 — kNN vs k after incremental insertion, n=%d\n", cfg.N)
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		pts := cache.points(dist, cfg.N, 2, cfg.Seed)
-		side := dist.Side(2)
-		qs := makeQueries(cfg, dist, 2)
-		tb := newTable(fmt.Sprintf("%s: 10^%d kNN queries", dist, digits(cfg.KNNQ)),
-			"k1-InD", "k10-InD", "k100-InD", "k1-OOD", "k10-OOD", "k100-OOD")
+// incState is the tree Fig. 4 and Fig. 5 query: built by incremental
+// insertion (paper: 500M points, 0.01% batches; here 0.1% of the scaled
+// n), Boost-R by one BatchInsert that inserts one by one.
+func (s *Suite) incState(sp space, name string) state {
+	ratio := 0.001
+	if name == "Boost-R" {
+		ratio = 1
+	}
+	return s.upto(incRun{false, sp, name, maker(sp, name), ratio}, s.cfg.N)
+}
+
+// incQueries emits Fig. 4's or Fig. 5's table for each synthetic
+// distribution: columns cols of family on each index's incState tree,
+// query i timed by the body of column i.
+func (s *Suite) incQueries(family, title string, cols []string, query func(sp space, i int, idx core.Index) func()) {
+	for _, dist := range synthetic {
+		sp := space{dist, 2}
+		tb := newTable(fmt.Sprintf(title, dist), cols...)
 		for _, name := range indexNames2D {
-			idx := mkIndex(name, 2, side)
-			if name == "Boost-R" {
-				idx.BatchInsert(pts) // one-by-one internally
-			} else {
-				incrementalInsert(idx, pts, batchOf(cfg.N, 0.001), nil, cfg.Reps)
-			}
-			var vals []float64
-			for _, queries := range [][]geom.Point{qs.ind, qs.ood} {
-				for _, k := range []int{1, 10, 100} {
-					q := queries
-					vals = append(vals, timeOp(cfg.Reps, nil, func() { core.ParallelKNN(idx, q, k) }))
-				}
-			}
-			tb.add(name, vals[0], vals[1], vals[2], vals[3], vals[4], vals[5])
-		}
-		tb.write(cfg.Out)
-	}
-}
-
-func digits(n int) int {
-	d := 0
-	for n > 0 {
-		d++
-		n /= 10
-	}
-	return d
-}
-
-// Fig5 regenerates range-report time vs output size: boxes sized for
-// output fractions from ~1e-5 n to ~1e-2 n.
-func Fig5(cfg Config) {
-	cfg = cfg.withDefaults()
-	defer setThreads(cfg.Threads)()
-	cache := newCache()
-	fracs := []float64{1e-5, 1e-4, 1e-3, 1e-2}
-	fmt.Fprintf(cfg.Out, "Fig. 5 — range-list time vs output size, n=%d\n", cfg.N)
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		pts := cache.points(dist, cfg.N, 2, cfg.Seed)
-		side := dist.Side(2)
-		cols := make([]string, len(fracs))
-		boxSets := make([][]geom.Box, len(fracs))
-		for i, f := range fracs {
-			boxSets[i] = workload.RangeQueries(cfg.RangeQ, 2, side, f, cfg.Seed)
-			cols[i] = fmt.Sprintf("out~%.0e", f*float64(cfg.N))
-		}
-		tb := newTable(fmt.Sprintf("%s: %d range-list queries per column", dist, cfg.RangeQ), cols...)
-		for _, name := range indexNames2D {
-			idx := mkIndex(name, 2, side)
-			if name == "Boost-R" {
-				idx.BatchInsert(pts)
-			} else {
-				incrementalInsert(idx, pts, batchOf(cfg.N, 0.001), nil, cfg.Reps)
-			}
-			vals := make([]float64, len(fracs))
-			for i := range fracs {
-				boxes := boxSets[i]
-				vals[i] = timeOp(cfg.Reps, nil, func() { core.ParallelRangeList(idx, boxes) })
+			st := s.incState(sp, name)
+			vals := make([]float64, len(cols))
+			for i, col := range cols {
+				vals[i] = s.at(fmt.Sprintf("%s/%s/%s/%s", family, col, dist, name),
+					s.queryCell(st, func(idx core.Index) func() { return query(sp, i, idx) }))
 			}
 			tb.add(name, vals...)
 		}
-		tb.write(cfg.Out)
+		s.write(tb)
 	}
 }
 
-// Fig6 regenerates the real-world table on the Cosmo (3D) and OSM (2D)
-// stand-ins: build, incremental insert/delete at 0.01%, 10NN and
-// range-list after build.
-func Fig6(cfg Config) {
-	cfg = cfg.withDefaults()
-	defer setThreads(cfg.Threads)()
-	cache := newCache()
-	fmt.Fprintf(cfg.Out, "Fig. 6 — real-world stand-ins (synthetic substitutes, see internal/workload), n=%d\n", cfg.N)
-	for _, setup := range []struct {
-		dist workload.Dist
-		dims int
-	}{{workload.Cosmo, 3}, {workload.OSM, 2}} {
-		pts := cache.points(setup.dist, cfg.N, setup.dims, cfg.Seed)
-		side := setup.dist.Side(setup.dims)
-		qs := makeQueries(cfg, setup.dist, setup.dims)
-		tb := newTable(fmt.Sprintf("%s (%dD)", setup.dist, setup.dims),
-			"build", "insert", "delete", "10NN", "rangeList")
-		names := indexNames2D
-		if setup.dims == 3 {
-			names = []string{"P-Orth", "Zd-Tree", "SPaC-H", "SPaC-Z", "CPAM-H", "CPAM-Z", "Boost-R", "Pkd-Tree"}
-		}
-		for _, name := range names {
-			if name == "Boost-R" {
-				idx := mkIndex(name, setup.dims, side)
-				idx.Build(pts)
-				qInD, _, _, qLst := queryPhases(idx, qs, cfg.Reps)
-				tb.add(name, nan, nan, nan, qInD, qLst)
-				continue
+func (s *Suite) fig4() {
+	s.printf("Fig. 4 — kNN vs k after incremental insertion, n=%d\n", s.cfg.N)
+	ks := []int{1, 10, 100}
+	s.incQueries("Fig4KNN", fmt.Sprintf("%%s: %d kNN queries", s.cfg.KNNQ),
+		[]string{"k1-InD", "k10-InD", "k100-InD", "k1-OOD", "k10-OOD", "k100-OOD"},
+		func(sp space, i int, idx core.Index) func() {
+			q, k := s.queries(sp).ind, ks[i%len(ks)]
+			if i >= len(ks) {
+				q = s.queries(sp).ood
 			}
-			idx := mkIndex(name, setup.dims, side)
-			buildT := timeOp(cfg.Reps, nil, func() { idx.Build(pts) })
-			b := batchOf(cfg.N, 0.0001)
-			insIdx := mkIndex(name, setup.dims, side)
-			insT, _ := incrementalInsert(insIdx, pts, b, nil, cfg.Reps)
-			delIdx := mkIndex(name, setup.dims, side)
-			delIdx.Build(pts)
-			delT, _ := incrementalDelete(delIdx, pts, b, nil, cfg.Reps)
-			qInD, _, _, qLst := queryPhases(idx, qs, cfg.Reps)
-			tb.add(name, buildT, insT, delT, qInD, qLst)
+			return func() { core.ParallelKNN(idx, q, k) }
+		})
+}
+
+func (s *Suite) fig5() {
+	s.printf("Fig. 5 — range-list time vs output size, n=%d\n", s.cfg.N)
+	fracs := []float64{1e-5, 1e-4, 1e-3, 1e-2}
+	cols := make([]string, len(fracs))
+	for i, f := range fracs {
+		cols[i] = fmt.Sprintf("out~%.0e", f*float64(s.cfg.N))
+	}
+	s.incQueries("Fig5Range", fmt.Sprintf("%%s: %d range-list queries per column", s.cfg.RangeQ), cols,
+		func(sp space, i int, idx core.Index) func() {
+			boxes := s.boxes(sp, fracs[i])
+			return func() { core.ParallelRangeList(idx, boxes) }
+		})
+}
+
+func (s *Suite) fig6() {
+	s.printf("Fig. 6 — real-world stand-ins (synthetic substitutes, see internal/workload), n=%d\n", s.cfg.N)
+	for _, sp := range []space{{workload.Cosmo, 3}, {workload.OSM, 2}} {
+		tb := newTable(fmt.Sprintf("%s (%dD)", sp.dist, sp.dims), "build", "insert", "delete", "10NN", "rangeList")
+		for _, name := range indexNames2D {
+			at := fmt.Sprintf("%s/%s", sp.dist, name)
+			mk := maker(sp, name)
+			upd := []float64{nan, nan, nan} // Boost-R: point updates only
+			if name != "Boost-R" {
+				upd = []float64{
+					s.at("Fig6Build/"+at, s.buildCell(sp, mk)),
+					s.at("Fig6IncInsert/"+at, s.runCell(incRun{false, sp, name, mk, 0.0001}, 0, s.cfg.N)),
+					s.at("Fig6IncDelete/"+at, s.runCell(incRun{true, sp, name, mk, 0.0001}, 0, s.cfg.N)),
+				}
+			}
+			q := s.querySuite("Fig6Query", at, sp, []string{"10NN", "rangeList"}, s.built(sp, name, mk, 1))
+			tb.add(name, append(upd, q...)...)
 		}
-		tb.write(cfg.Out)
+		s.write(tb)
 	}
 }
 
-// Fig7 regenerates the scalability study: build / single batch insert /
-// single batch delete across thread counts, reported as speedup over the
-// 1-thread SPaC-H time (the paper's normalization).
-func Fig7(cfg Config) {
-	cfg = cfg.withDefaults()
-	cache := newCache()
+// threadCounts are Fig. 7's thread counts: powers of two up to the core
+// count, and the core count.
+func threadCounts() []int {
 	maxP := runtime.NumCPU()
 	threads := []int{1}
 	for p := 2; p <= maxP; p *= 2 {
@@ -253,166 +231,121 @@ func Fig7(cfg Config) {
 	if threads[len(threads)-1] != maxP {
 		threads = append(threads, maxP)
 	}
-	fmt.Fprintf(cfg.Out, "Fig. 7 — scalability, n=%d, threads %v (speedup vs 1-thread SPaC-H; higher is better)\n",
-		cfg.N, threads)
-	batch := batchOf(cfg.N, 0.01)
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		pts := cache.points(dist, cfg.N, 2, cfg.Seed)
-		extra := workload.Generate(dist, batch, 2, dist.Side(2), cfg.Seed+999)
-		side := dist.Side(2)
-		for _, phase := range []string{"build", "insert", "delete"} {
-			cols := make([]string, len(threads))
-			for i, p := range threads {
-				cols[i] = fmt.Sprintf("p=%d", p)
+	return threads
+}
+
+// fig7 times build, and one 1% batch insert and delete on a full tree, at
+// each thread count. SPaC-H's own p=1 cell is the base, so it reads 1.
+func (s *Suite) fig7() {
+	threads := threadCounts()
+	s.printf("Fig. 7 — scalability, n=%d, threads %v (speedup vs 1-thread SPaC-H; higher is better)\n",
+		s.cfg.N, threads)
+	cols := make([]string, len(threads))
+	for i, p := range threads {
+		cols[i] = fmt.Sprintf("p=%d", p)
+	}
+	for _, dist := range synthetic {
+		sp := space{dist, 2}
+		batch := batchOf(s.cfg.N, 0.01)
+		extra := func() []geom.Point { return s.extra(sp, batch, s.cfg.Seed+999) }
+		prefix := func() []geom.Point { return s.pts(sp)[:batch] }
+		for _, phase := range []struct {
+			name, family string
+			cell         func(name string) Cell
+		}{
+			{"build", "Fig7Build", func(name string) Cell { return s.buildCell(sp, maker(sp, name)) }},
+			{"insert", "Fig7Insert", func(name string) Cell { return s.batchCell(sp, name, maker(sp, name), true, extra) }},
+			{"delete", "Fig7Delete", func(name string) Cell { return s.batchCell(sp, name, maker(sp, name), false, prefix) }},
+		} {
+			tb := newTable(fmt.Sprintf("%s %s speedup", dist, phase.name), cols...).
+				setUnits(slices.Repeat([]string{"x"}, len(cols))...)
+			times := make([][]float64, len(parallelIndexes))
+			for i, name := range parallelIndexes {
+				for j, p := range threads {
+					c := phase.cell(name)
+					c.Threads = p
+					times[i] = append(times[i], s.at(fmt.Sprintf("%s/%s/%s/%s", phase.family, cols[j], dist, name), c))
+				}
 			}
-			tb := newTable(fmt.Sprintf("%s %s speedup", dist, phase), cols...)
-			for i := range tb.units {
-				tb.units[i] = "x"
-			}
-			// Baseline: SPaC-H at 1 thread.
-			base := measurePhase(cfg, "SPaC-H", phase, pts, extra, side, 1)
-			for _, name := range parallelIndexes {
+			base := times[slices.Index(parallelIndexes, "SPaC-H")][0]
+			for i, name := range parallelIndexes {
 				vals := make([]float64, len(threads))
-				for i, p := range threads {
-					t := measurePhase(cfg, name, phase, pts, extra, side, p)
-					vals[i] = base / t
+				for j, t := range times[i] {
+					vals[j] = base / t
 				}
 				tb.add(name, vals...)
 			}
-			tb.write(cfg.Out)
+			s.write(tb)
 		}
 	}
 }
 
-// measurePhase times one phase of Fig. 7 at the given thread count.
-func measurePhase(cfg Config, name, phase string, pts, extra []geom.Point, side int64, p int) float64 {
-	restore := setThreads(p)
-	defer restore()
-	switch phase {
-	case "build":
-		idx := mkIndex(name, 2, side)
-		return timeOp(cfg.Reps, nil, func() { idx.Build(pts) })
-	case "insert":
-		var idx core.Index
-		return timeOp(cfg.Reps,
-			func() { idx = mkIndex(name, 2, side); idx.Build(pts) },
-			func() { idx.BatchInsert(extra) })
-	default: // delete
-		var idx core.Index
-		del := pts[:len(extra)]
-		return timeOp(cfg.Reps,
-			func() { idx = mkIndex(name, 2, side); idx.Build(pts) },
-			func() { idx.BatchDelete(del) })
-	}
-}
+// logIndexes are the Log-tree and BHL-tree: the paper places those two on
+// Fig. 8 using numbers *estimated* from the Pkd-tree paper; here they are
+// implemented and measured.
+var logIndexes = []string{"Log-Tree", "BHL-Tree"}
 
-// fig8Indexes extends the parallel set with the Log-tree and BHL-tree —
-// the paper places those two on Fig. 8 using numbers *estimated* from the
-// Pkd-tree paper; here they are implemented and measured.
-var fig8Indexes = append(append([]string{}, parallelIndexes...), "Log-Tree", "BHL-Tree")
-
-// Fig8 summarizes the update/query trade-off (the paper's scatter plot):
-// geometric means of the update columns and of the query columns of a
-// Fig. 3-style run, reported as relative throughput (higher is better).
-func Fig8(cfg Config) {
-	cfg = cfg.withDefaults()
-	defer setThreads(cfg.Threads)()
-	cache := newCache()
-	fmt.Fprintf(cfg.Out, "Fig. 8 — update vs query performance (geometric means, throughput relative to best; 1.0 = best)\n")
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		pts := cache.points(dist, cfg.N, 2, cfg.Seed)
-		side := dist.Side(2)
-		qs := makeQueries(cfg, dist, 2)
-		type pt struct {
-			name          string
-			update, query float64
-		}
-		var res []pt
-		for _, name := range fig8Indexes {
-			idx := mkIndex(name, 2, side)
-			buildT := timeOnce(func() { idx.Build(pts) })
-			b := batchOf(cfg.N, 0.001)
-			insIdx := mkIndex(name, 2, side)
-			insT, _ := incrementalInsert(insIdx, pts, b, nil, cfg.Reps)
-			delIdx := mkIndex(name, 2, side)
-			delIdx.Build(pts)
-			delT, _ := incrementalDelete(delIdx, pts, b, nil, cfg.Reps)
-			qInD, qOOD, qCnt, qLst := queryPhases(idx, qs, cfg.Reps)
-			res = append(res, pt{
-				name:   name,
-				update: geoMean([]float64{buildT, insT, delT}),
-				query:  geoMean([]float64{qInD, qOOD, qCnt, qLst}),
+// fig8 scores each index by the geometric mean of its build and 0.1%
+// incremental insert and delete times — Fig. 3's cells for the parallel
+// indexes — and of the query suite on the built tree.
+func (s *Suite) fig8() {
+	s.printf("Fig. 8 — update vs query performance (geometric means, throughput relative to best; 1.0 = best)\n")
+	names := append(slices.Clone(parallelIndexes), logIndexes...)
+	for _, dist := range synthetic {
+		sp := space{dist, 2}
+		update := make([]float64, len(names))
+		query := make([]float64, len(names))
+		for i, name := range names {
+			at := fmt.Sprintf("%s/%s", dist, name)
+			mk := maker(sp, name)
+			fig := "Fig3"
+			if slices.Contains(logIndexes, name) {
+				fig = "Fig8"
+			}
+			update[i] = geoMean([]float64{
+				s.at(fig+"Build/"+at, s.buildCell(sp, mk)),
+				s.at(incPath(fig, "ins-0.1%")+"/"+at, s.runCell(incRun{false, sp, name, mk, 0.001}, 0, s.cfg.N)),
+				s.at(incPath(fig, "del-0.1%")+"/"+at, s.runCell(incRun{true, sp, name, mk, 0.001}, 0, s.cfg.N)),
 			})
+			query[i] = geoMean(s.querySuite("Fig8Query", at, sp, queryCols, s.built(sp, name, mk, 1)))
 		}
-		bestU, bestQ := res[0].update, res[0].query
-		for _, r := range res {
-			if r.update < bestU {
-				bestU = r.update
-			}
-			if r.query < bestQ {
-				bestQ = r.query
-			}
-		}
+		bestU, bestQ := slices.Min(update), slices.Min(query)
 		tb := newTable(fmt.Sprintf("%s: relative throughput (update, query)", dist), "update", "query").
 			setUnits("x", "x")
-		for _, r := range res {
-			tb.add(r.name, bestU/r.update, bestQ/r.query)
+		for i, name := range names {
+			tb.add(name, bestU/update[i], bestQ/query[i])
 		}
-		// For Fig. 8 higher is better; table marks minima, so note it.
-		fmt.Fprintf(cfg.Out, "(columns are throughput ratios in (0,1]; 1.0 = best; '*' marks are not meaningful here)\n")
-		tb.write(cfg.Out)
+		s.write(tb)
 	}
 }
 
-// Fig9 regenerates the 3D synthetic table (§E) for the reduced index set
-// the paper reports there.
-func Fig9(cfg Config) {
-	cfg = cfg.withDefaults()
-	defer setThreads(cfg.Threads)()
-	cache := newCache()
-	fmt.Fprintf(cfg.Out, "Fig. 9 — synthetic 3D, n=%d, coords [0,1e6] (§E)\n", cfg.N)
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		runFig3Dist(cfg, cache, dist, 3, indexNames3D)
-	}
-}
-
-// Fig10 regenerates the single-batch update study (§D): one batch
-// insertion / deletion of varying size against a full-size tree.
-func Fig10(cfg Config) {
-	cfg = cfg.withDefaults()
-	defer setThreads(cfg.Threads)()
-	cache := newCache()
+// fig10 times one batch insertion of new points, or deletion of the first
+// points, of each size against a full-size tree.
+func (s *Suite) fig10() {
+	s.printf("Fig. 10 — single batch updates on a tree of n=%d (§D)\n", s.cfg.N)
 	ratios := []float64{0.0001, 0.001, 0.01, 0.1, 1.0}
-	fmt.Fprintf(cfg.Out, "Fig. 10 — single batch updates on a tree of n=%d (§D)\n", cfg.N)
-	for _, dist := range []workload.Dist{workload.Uniform, workload.Sweepline, workload.Varden} {
-		pts := cache.points(dist, cfg.N, 2, cfg.Seed)
-		side := dist.Side(2)
-		cols := make([]string, 0, 2*len(ratios))
+	var cols []string
+	for _, op := range []string{"ins", "del"} {
 		for _, r := range ratios {
-			cols = append(cols, fmt.Sprintf("ins-%g", r))
+			cols = append(cols, fmt.Sprintf("%s-%g", op, r))
 		}
-		for _, r := range ratios {
-			cols = append(cols, fmt.Sprintf("del-%g", r))
-		}
+	}
+	for _, dist := range synthetic {
+		sp := space{dist, 2}
 		tb := newTable(fmt.Sprintf("%s single-batch", dist), cols...)
 		for _, name := range parallelIndexes {
-			vals := make([]float64, 0, len(cols))
-			for _, r := range ratios {
-				batch := workload.Generate(dist, batchOf(cfg.N, r), 2, side, cfg.Seed+1234)
-				var idx core.Index
-				vals = append(vals, timeOp(cfg.Reps,
-					func() { idx = mkIndex(name, 2, side); idx.Build(pts) },
-					func() { idx.BatchInsert(batch) }))
-			}
-			for _, r := range ratios {
-				del := pts[:batchOf(cfg.N, r)]
-				var idx core.Index
-				vals = append(vals, timeOp(cfg.Reps,
-					func() { idx = mkIndex(name, 2, side); idx.Build(pts) },
-					func() { idx.BatchDelete(del) }))
+			mk := maker(sp, name)
+			vals := make([]float64, len(cols))
+			for i, col := range cols {
+				size := batchOf(s.cfg.N, ratios[i%len(ratios)])
+				insert, batch := true, func() []geom.Point { return s.extra(sp, size, s.cfg.Seed+1234) }
+				if i >= len(ratios) {
+					insert, batch = false, func() []geom.Point { return s.pts(sp)[:size] }
+				}
+				vals[i] = s.at(fmt.Sprintf("Fig10Batch/%s/%s/%s", col, dist, name), s.batchCell(sp, name, mk, insert, batch))
 			}
 			tb.add(name, vals...)
 		}
-		tb.write(cfg.Out)
+		s.write(tb)
 	}
 }

@@ -9,10 +9,15 @@
 // measured by the layer suite of the repo's benchmark (benchmark/), not
 // here.
 //
-// The harness follows the paper's protocol: one warm-up run, then the
-// mean of Reps timed runs (§5 "We report numbers as the average of 3 runs
-// after a warm-up run"), with dataset sizes scaled by a single -n flag so
-// the same code runs on the paper's 112-core machine or a laptop.
+// Every measurement is a named Cell (cells.go); a figure is a Suite
+// method that names its cells as it fills its tables, and Run times the
+// experiments psibench asks for. The root package's BenchmarkFig* and
+// BenchmarkAblation* targets run the same cells through testing.B.
+// The harness follows the paper's protocol: one warm-up run,
+// then the mean of Reps timed runs (§5 "We report numbers as the average
+// of 3 runs after a warm-up run"), with dataset sizes scaled by a single
+// -n flag so the same code runs on the paper's 112-core machine or a
+// laptop.
 package bench
 
 import (
@@ -20,24 +25,19 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/geom"
-	"repro/internal/workload"
-
-	psi "repro"
 )
 
 // Config scales the experiments. Zero fields take defaults.
 type Config struct {
-	N       int   // dataset size (paper: 1e9; default here: 1e5 for tests, set 1e6+ in psibench)
-	KNNQ    int   // number of kNN queries (paper: 1e7)
-	RangeQ  int   // number of range queries (paper: 5e4)
-	Reps    int   // timed repetitions after one warm-up
-	Seed    int64 // workload seed
-	Threads int   // GOMAXPROCS for the run; 0 = leave as is
-	Out     io.Writer
+	N       int       `json:"n"`       // dataset size (paper: 1e9; default here: 1e5 for tests, set 1e6+ in psibench)
+	KNNQ    int       `json:"knnq"`    // number of kNN queries (paper: 1e7)
+	RangeQ  int       `json:"rangeq"`  // number of range queries (paper: 5e4)
+	Reps    int       `json:"reps"`    // timed repetitions after one warm-up
+	Seed    int64     `json:"seed"`    // workload seed
+	Threads int       `json:"threads"` // GOMAXPROCS for the run; 0 = leave as is
+	Out     io.Writer `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
@@ -72,20 +72,16 @@ var parallelIndexes = []string{
 	"P-Orth", "Zd-Tree", "SPaC-H", "SPaC-Z", "CPAM-H", "CPAM-Z", "Pkd-Tree",
 }
 
-// timeOp runs f once for warm-up on fresh state via setup, then averages
-// Reps timed runs. setup is untimed and must return the state f consumes.
-func timeOp(reps int, setup func(), f func()) float64 {
-	if setup != nil {
-		setup()
-	}
-	f() // warm-up
+// timeOp runs setup and the body it returns once for warm-up, then
+// averages Reps timed runs of the body, each returned by its own untimed
+// setup.
+func timeOp(reps int, setup func() func()) float64 {
+	setup()() // warm-up
 	var total time.Duration
 	for r := 0; r < reps; r++ {
-		if setup != nil {
-			setup()
-		}
+		run := setup()
 		start := time.Now()
-		f()
+		run()
 		total += time.Since(start)
 	}
 	return total.Seconds() / float64(reps)
@@ -99,25 +95,9 @@ func timeOnce(f func()) float64 {
 	return time.Since(start).Seconds()
 }
 
-// dataCache memoizes generated workloads across experiments in a run.
-type dataCache struct {
-	pts map[string][]geom.Point
-}
-
-func newCache() *dataCache { return &dataCache{pts: map[string][]geom.Point{}} }
-
-func (dc *dataCache) points(d workload.Dist, n, dims int, seed int64) []geom.Point {
-	key := fmt.Sprintf("%s/%d/%d/%d", d, n, dims, seed)
-	if pts, ok := dc.pts[key]; ok {
-		return pts
-	}
-	pts := workload.Generate(d, n, dims, d.Side(dims), seed)
-	dc.pts[key] = pts
-	return pts
-}
-
-// table accumulates rows and pretty-prints with the per-column fastest
-// entry marked '*' (the paper bolds it).
+// table accumulates rows and pretty-prints with the per-column best entry
+// marked '*' (the paper bolds it): the least time, or the largest ratio in
+// a column whose unit is "x".
 type table struct {
 	title   string
 	columns []string
@@ -131,17 +111,11 @@ type tableRow struct {
 }
 
 func newTable(title string, columns ...string) *table {
-	units := make([]string, len(columns))
-	for i := range units {
-		units[i] = "s"
-	}
-	return &table{title: title, columns: columns, units: units}
+	return &table{title: title, columns: columns, units: slices.Repeat([]string{"s"}, len(columns))}
 }
 
-// setUnits overrides the per-column units recorded in the JSON sink
-// (one per column; the experiment tables that report throughput, latency
-// quantiles, or allocation counts use it so machine-readable output is
-// self-describing).
+// setUnits overrides the per-column units, one per column (Fig. 7 and 8
+// report ratios, unit "x").
 func (tb *table) setUnits(units ...string) *table {
 	copy(tb.units, units)
 	return tb
@@ -152,10 +126,8 @@ func (tb *table) add(label string, vals ...float64) {
 }
 
 // write renders the table. NaN cells print as "N/A" (the paper uses N/A
-// for unsupported operations, e.g. Boost-R batch updates). Tables are
-// also mirrored to the JSON sink when configured.
+// for unsupported operations, e.g. Boost-R batch updates).
 func (tb *table) write(w io.Writer) {
-	tb.emitJSON()
 	fmt.Fprintf(w, "\n== %s ==\n", tb.title)
 	fmt.Fprintf(w, "%-10s", "index")
 	for _, c := range tb.columns {
@@ -164,10 +136,15 @@ func (tb *table) write(w io.Writer) {
 	fmt.Fprintln(w)
 	best := make([]float64, len(tb.columns))
 	for i := range best {
-		best[i] = -1
+		best[i] = nan
 		for _, r := range tb.rows {
-			if i < len(r.vals) && !isNaN(r.vals[i]) && (best[i] < 0 || r.vals[i] < best[i]) {
-				best[i] = r.vals[i]
+			v := r.vals[i]
+			better := v < best[i]
+			if tb.units[i] == "x" {
+				better = v > best[i]
+			}
+			if !isNaN(v) && (isNaN(best[i]) || better) {
+				best[i] = v
 			}
 		}
 	}
@@ -187,85 +164,7 @@ func (tb *table) write(w io.Writer) {
 	}
 }
 
-func isNaN(v float64) bool { return v != v }
-
-var nan = func() float64 {
-	var z float64
-	return z / z
-}()
-
-// querySet bundles the standard query suite for a (dist, dims) pair.
-type querySet struct {
-	ind, ood []geom.Point
-	boxes    []geom.Box
-}
-
-func makeQueries(cfg Config, d workload.Dist, dims int) querySet {
-	side := d.Side(dims)
-	return querySet{
-		ind: workload.InDQueries(d, cfg.KNNQ, dims, side, cfg.Seed),
-		ood: workload.OODQueries(d, cfg.KNNQ, dims, side, cfg.Seed),
-		// ~0.1% of the universe volume: the paper's "relatively large
-		// range query" column scaled to n.
-		boxes: workload.RangeQueries(cfg.RangeQ, dims, side, 1e-3, cfg.Seed),
-	}
-}
-
-// queryPhases times the four standard query columns on a built index:
-// 10-NN InD, 10-NN OOD, range-count, range-list. Queries run in parallel
-// over the query set, matching §5.1 ("Different queries run in parallel").
-func queryPhases(idx core.Index, qs querySet, reps int) (ind, ood, cnt, lst float64) {
-	ind = timeOp(reps, nil, func() { core.ParallelKNN(idx, qs.ind, 10) })
-	ood = timeOp(reps, nil, func() { core.ParallelKNN(idx, qs.ood, 10) })
-	cnt = timeOp(reps, nil, func() { core.ParallelRangeCount(idx, qs.boxes) })
-	lst = timeOp(reps, nil, func() { core.ParallelRangeList(idx, qs.boxes) })
-	return
-}
-
-// mkIndex builds a fresh index by table name for the given dims.
-func mkIndex(name string, dims int, side int64) core.Index {
-	return psi.ByName(name, dims, geom.UniverseBox(dims, side))
-}
-
-// incrementalInsert builds the index from empty with n/b batches of size b
-// and returns total seconds; if qs != nil it times the query suite when
-// half the batches are in (the paper's "query after 50% of batches").
-func incrementalInsert(idx core.Index, pts []geom.Point, batch int, qs *querySet, reps int) (total float64, q [4]float64) {
-	n := len(pts)
-	half := n / 2
-	queried := qs == nil
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		total += timeOnce(func() { idx.BatchInsert(pts[lo:hi]) })
-		if !queried && hi >= half {
-			q[0], q[1], q[2], q[3] = queryPhases(idx, *qs, reps)
-			queried = true
-		}
-	}
-	return
-}
-
-// incrementalDelete starts from a full tree and deletes in batches.
-func incrementalDelete(idx core.Index, pts []geom.Point, batch int, qs *querySet, reps int) (total float64, q [4]float64) {
-	n := len(pts)
-	half := n / 2
-	queried := qs == nil
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		total += timeOnce(func() { idx.BatchDelete(pts[lo:hi]) })
-		if !queried && hi >= half {
-			q[0], q[1], q[2], q[3] = queryPhases(idx, *qs, reps)
-			queried = true
-		}
-	}
-	return
-}
+var nan, isNaN = math.NaN(), math.IsNaN
 
 // geoMean returns the geometric mean of positive values.
 func geoMean(vals []float64) float64 {
