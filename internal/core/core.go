@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -149,5 +150,20 @@ func (o Options) Validate() {
 	}
 	if o.Alpha <= 0 || o.Alpha > 0.5 {
 		panic("core: Alpha must be in (0, 0.5]")
+	}
+}
+
+// RequireUniverse is the universe check of the trees that store their
+// points as int32 coordinates (geom.Packed: the SPaC family and P-Orth).
+// It panics unless, in every used dimension, the universe lies inside
+// [lo, hi] and inside int32; family names the tree in the message.
+// Constructors call it, as they call Validate.
+func (o Options) RequireUniverse(family string, lo, hi int64) {
+	lo, hi = max(lo, math.MinInt32), min(hi, math.MaxInt32)
+	u := o.Universe
+	for d := 0; d < o.Dims; d++ {
+		if u.Lo[d] < lo || u.Hi[d] > hi {
+			panic(fmt.Sprintf("%s: universe %v exceeds the stored coordinate range [%d, %d]", family, u, lo, hi))
+		}
 	}
 }

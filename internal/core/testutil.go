@@ -113,3 +113,50 @@ func boxAround(p geom.Point, radius int64) geom.Box {
 	}
 	return geom.BoxOf(lo, hi)
 }
+
+// CheckBoundary is the narrowing check of the trees that store int32
+// coordinates: it puts the corners and edges of idx's universe u — every
+// point each of whose coordinates is an end of u's side, one step inside
+// it, or its middle — through Build and then a BatchDiff, and after each
+// runs validate and compares KNN, RangeCount and RangeList with
+// BruteForce, over u and over a box at every one of those points.
+func CheckBoundary(idx Index, u geom.Box, validate func() error) error {
+	dims := idx.Dims()
+	var pts []geom.Point
+	var grid func(d int, p geom.Point)
+	grid = func(d int, p geom.Point) {
+		if d == dims {
+			pts = append(pts, p)
+			return
+		}
+		lo, hi := u.Lo[d], u.Hi[d]
+		for _, c := range []int64{lo, lo + 1, lo + (hi-lo)/2, hi - 1, hi} {
+			p[d] = c
+			grid(d+1, p)
+		}
+	}
+	grid(0, geom.Point{})
+	boxes := []geom.Box{u}
+	for _, p := range pts {
+		boxes = append(boxes, geom.BoxOf(p, p))
+	}
+	ref := NewBruteForce(dims)
+	half := len(pts) / 2
+	for _, step := range []struct {
+		name string
+		do   func(Index)
+	}{
+		{"Build", func(x Index) { x.Build(pts[:half]) }},
+		{"BatchDiff", func(x Index) { x.BatchDiff(pts[half:], pts[:half/2]) }},
+	} {
+		step.do(idx)
+		step.do(ref)
+		if err := validate(); err != nil {
+			return fmt.Errorf("after %s: %w", step.name, err)
+		}
+		if err := VerifyQueries(idx, ref, pts, []int{1, 3}, boxes); err != nil {
+			return fmt.Errorf("after %s: %w", step.name, err)
+		}
+	}
+	return nil
+}

@@ -2,10 +2,11 @@ package geom
 
 import "fmt"
 
-// Box is a closed axis-aligned box [Lo, Hi] (both corners inclusive).
-// Every index in the library stores one Box per tree node: either the tight
-// bounding box of the points below it (for pruning) or, for the
-// space-partitioning trees, the region assigned to the subtree.
+// Box is a closed axis-aligned box [Lo, Hi] (both corners inclusive): a
+// query's box, a tree's universe, and the box the baseline trees store per
+// node — the tight bounding box of the points below it (for pruning) or
+// the region assigned to the subtree. The SPaC family and P-Orth store
+// their nodes' boxes as a PackedBox, and recompute regions on the way down.
 type Box struct {
 	Lo, Hi Point
 }

@@ -4,8 +4,12 @@
 // bounded max-heap used by k-nearest-neighbor searches.
 //
 // Coordinates are int64, matching the paper's evaluation setup (64-bit
-// integers in [0, 1e9]). All distance arithmetic is exact: with |coord| <=
-// 2^30, squared distances fit comfortably in int64 (3 * (2^30)^2 < 2^63).
+// integers in [0, 1e9]); the SPaC family and P-Orth store them as int32
+// (Packed) and refuse a universe outside that range. All distance
+// arithmetic is exact while the squared sum fits int64: for every pair of
+// points of [0, 2³¹−1]², the largest 2-D universe a tree accepts
+// (2·(2³¹−1)² < 2⁶³), and of [0, 2³⁰]³ in 3-D (3·2⁶⁰ < 2⁶³), which holds
+// the curve-keyed trees' [0, 2²¹−1]³.
 package geom
 
 import "fmt"

@@ -23,33 +23,42 @@ import (
 // see; Validate checks that no node is newer than the tree that reaches it
 // and no child newer than its parent.
 
-var _ core.Adopter = (*Tree)(nil)
-
 // own returns nd when t may write it in place, and otherwise a copy
 // stamped with t's generation, counted in Copied.
-func (t *Tree) own(nd *node) *node {
+func (t *tree[S]) own(nd *node[S]) *node[S] {
 	if nd.gen == t.gen {
 		return nd
 	}
-	cp := &node{gen: t.gen, size: nd.size, bbox: nd.bbox, kids: slices.Clone(nd.kids)}
+	cp := &node[S]{gen: t.gen, size: nd.size, bbox: nd.bbox, kids: slices.Clone(nd.kids)}
 	if nd.isLeaf() {
+		var s S
 		cp.pts = slices.Clone(nd.pts)
-		t.cowBytes.Add(uint64(len(nd.pts)) * uint64(unsafe.Sizeof(geom.Point{})))
+		t.cowBytes.Add(uint64(len(nd.pts)) * uint64(unsafe.Sizeof(s)))
 	}
 	t.cowNodes.Add(1)
 	return cp
 }
 
+// unwrap returns the tree[S] behind idx, when idx is a Tree storing S.
+func unwrap[S geom.Packed](idx core.Index) (*tree[S], bool) {
+	w, ok := idx.(*Tree)
+	if !ok {
+		return nil, false
+	}
+	t, ok := w.body.(*tree[S])
+	return t, ok
+}
+
 // NewReplica implements core.Adopter: a fresh, empty tree over the same
 // options.
-func (t *Tree) NewReplica() core.Index { return New(t.opts) }
+func (t *tree[S]) NewReplica() core.Index { return New(t.opts) }
 
 // Adopt implements core.Adopter: t drops its contents and becomes a second
 // handle on src's, in O(1) and without allocating. It refuses — false,
 // nothing changed — unless src is a P-Orth tree over the same options.
 // Queries may run on either tree throughout; updates of either must not.
-func (t *Tree) Adopt(src core.Index) bool {
-	o, ok := src.(*Tree)
+func (t *tree[S]) Adopt(src core.Index) bool {
+	o, ok := unwrap[S](src)
 	if !ok || o.opts != t.opts {
 		return false
 	}
@@ -64,13 +73,13 @@ func (t *Tree) Adopt(src core.Index) bool {
 
 // Shares implements core.Adopter: whether t and o are handles on one
 // structure right now — the state Adopt leaves, until either is updated.
-func (t *Tree) Shares(o core.Index) bool {
-	ot, ok := o.(*Tree)
+func (t *tree[S]) Shares(o core.Index) bool {
+	ot, ok := unwrap[S](o)
 	return ok && ot.root == t.root
 }
 
 // Copied implements core.Adopter: the nodes, and the bytes of leaf points,
 // this tree has copied on first touch since it was made.
-func (t *Tree) Copied() (nodes, bytes uint64) {
+func (t *tree[S]) Copied() (nodes, bytes uint64) {
 	return t.cowNodes.Load(), t.cowBytes.Load()
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // countNodes returns the number of nodes under nd.
-func countNodes(nd *node) int {
+func countNodes[S geom.Packed](nd *node[S]) int {
 	if nd == nil {
 		return 0
 	}
@@ -75,7 +75,7 @@ func verifyAgainst(t *testing.T, what string, tr *Tree, ref *core.BruteForce) {
 		workload.RangeQueries(6, dims, testSide, 0.02, 6)); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	scratch := New(tr.opts)
+	scratch := New(tr.Options())
 	scratch.Build(ref.Points())
 	if !StructuralEqual(tr, scratch) {
 		t.Fatalf("%s: the tree differs from a scratch build of its points", what)
@@ -109,7 +109,7 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 		}
 		frozen := core.NewBruteForce(dims)
 		frozen.Build(live.Points())
-		total := countNodes(tr.root)
+		total := nodeCount(tr)
 
 		// step applies one diff to a, ref and checks both sides of the fork.
 		step := func(what string, a *Tree, ref *core.BruteForce, ins, del []geom.Point) {
@@ -168,7 +168,7 @@ func TestAdoptRefusesStrangers(t *testing.T) {
 	pts := workload.GenUniform(500, 2, testSide, 1)
 	tr.Build(pts)
 	other := workload.GenUniform(300, 2, testSide, 2)
-	wrap := tr.opts
+	wrap := tr.Options()
 	wrap.LeafWrap = 16
 	for _, src := range []core.Index{
 		New(wrap),
@@ -281,12 +281,12 @@ func TestValidateChecksStamps(t *testing.T) {
 	validateOrFail(t, tr)
 	validateOrFail(t, shadow)
 
-	tr.root.gen = tr.gen
+	in2(tr).root.gen = in2(tr).gen
 	if shadow.Validate() == nil {
 		t.Fatal("a node newer than its tree passed Validate")
 	}
-	tr.root.gen = 0
-	for _, c := range tr.root.kids {
+	in2(tr).root.gen = 0
+	for _, c := range in2(tr).root.kids {
 		if c != nil {
 			c.gen = 1
 			break

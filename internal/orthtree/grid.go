@@ -18,14 +18,15 @@ func mids(region geom.Box, dims int) (m geom.Point) {
 	return m
 }
 
-// quadrant is Box.Quadrant against precomputed midpoints: bit d is set iff
-// p[d] > mid[d]. The comparison is the sign of mid-p, which cannot
-// overflow for coordinates inside a universe whose sides Box.Mid can
-// halve; there is no branch to mispredict on data that falls either way.
-func quadrant(mid, p geom.Point, dims int) int {
+// quadrant is Box.Quadrant of a stored point against precomputed
+// midpoints: bit d is set iff p[d] > mid[d]. The comparison is the sign of
+// mid-p, which cannot overflow for coordinates inside a universe whose
+// sides Box.Mid can halve; there is no branch to mispredict on data that
+// falls either way.
+func quadrant[S geom.Packed](mid *geom.Point, p S) int {
 	q := 0
-	for d := 0; d < dims; d++ {
-		q |= int(uint64(mid[d]-p[d])>>63) << d
+	for d := range len(p) {
+		q |= int(uint64(mid[d]-int64(p[d]))>>63) << d
 	}
 	return q
 }
@@ -46,9 +47,10 @@ type grid struct {
 	spread [geom.MaxDims][]int
 }
 
-// newGrid tabulates λ levels of splits below region.
-func (t *Tree) newGrid(region geom.Box, lam int) *grid {
-	g := &grid{dims: t.opts.Dims, lam: lam, whole: region, spread: t.spread[lam]}
+// newGrid tabulates λ levels of splits below region; spread is
+// spreadTables(lam, dims).
+func newGrid(region geom.Box, lam, dims int, spread [geom.MaxDims][]int) *grid {
+	g := &grid{dims: dims, lam: lam, whole: region, spread: spread}
 	nodes := 2 << lam
 	tab := make([]geom.Coord, g.dims*3*nodes)
 	for d := 0; d < g.dims; d++ {
@@ -82,10 +84,10 @@ func spreadTables(lam, dims int) (s [geom.MaxDims][]int) {
 // bucket returns the skeleton bucket of p: per level, most significant
 // first, the D quadrant bits of Box.Quadrant. It costs λ compares per
 // dimension and no code.
-func (g *grid) bucket(p geom.Point) int {
+func bucket[S geom.Packed](g *grid, p S) int {
 	b, lam := 0, g.lam
-	for d := 0; d < g.dims; d++ {
-		mid, x, i := g.mid[d], p[d], 1
+	for d := range len(p) {
+		mid, x, i := g.mid[d], int64(p[d]), 1
 		for l := 0; l < lam; l++ {
 			i = 2*i + int(uint64(mid[i]-x)>>63)
 		}

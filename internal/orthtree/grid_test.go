@@ -37,12 +37,12 @@ func awkwardUniverses(dims int) []geom.Box {
 	}
 	return []geom.Box{
 		mk([3]int64{0, 0, 0}, [3]int64{1 << 20, 1 << 20, 1 << 20}),
-		mk([3]int64{0, 0, 0}, [3]int64{1000, 777, 13}),        // not powers of two
-		mk([3]int64{-1000, -3, -50}, [3]int64{999, 4, -44}),   // negative Lo, odd sides
-		mk([3]int64{5, 5, 5}, [3]int64{5, 6, 7}),              // sides 0, 1, 2
-		mk([3]int64{-7, 0, 3}, [3]int64{-7, 0, 3}),            // a single cell
-		mk([3]int64{-1, -2, 0}, [3]int64{1, 1, 1 << 40}),      // sides 2, 3 and huge
-		mk([3]int64{-1 << 40, 0, 0}, [3]int64{1 << 40, 9, 1}), // wide and straddling zero
+		mk([3]int64{0, 0, 0}, [3]int64{1000, 777, 13}),          // not powers of two
+		mk([3]int64{-1000, -3, -50}, [3]int64{999, 4, -44}),     // negative Lo, odd sides
+		mk([3]int64{5, 5, 5}, [3]int64{5, 6, 7}),                // sides 0, 1, 2
+		mk([3]int64{-7, 0, 3}, [3]int64{-7, 0, 3}),              // a single cell
+		mk([3]int64{-1, -2, 0}, [3]int64{1, 1, 1<<31 - 1}),      // sides 2, 3 and the int32 maximum
+		mk([3]int64{-1 << 31, 0, 0}, [3]int64{1<<31 - 1, 9, 1}), // all of int32, straddling zero
 	}
 }
 
@@ -77,15 +77,12 @@ func TestGridMatchesBoxWalk(t *testing.T) {
 			// λ up to 5 exceeds log₂(side) for the narrow sides: the
 			// lower levels then split empty and one-cell intervals.
 			for lam := 1; lam <= 5; lam++ {
-				opts := core.DefaultOptions(dims, u)
-				opts.SkeletonLevels = lam
-				tr := New(opts)
-				g := tr.newGrid(u, lam)
+				g := newGrid(u, lam, dims, spreadTables(lam, dims))
 				seen := map[int]bool{}
 				for i := 0; i < 4000; i++ {
 					p := pointIn(rng, u, dims)
 					wantB, wantR := walkBucket(u, p, lam, dims)
-					gotB := g.bucket(p)
+					gotB := bucketOf(g, p)
 					if gotB != wantB {
 						t.Fatalf("dims=%d universe#%d λ=%d: bucket(%v) = %d, box walk %d", dims, ui, lam, p, gotB, wantB)
 					}
@@ -95,7 +92,7 @@ func TestGridMatchesBoxWalk(t *testing.T) {
 							t.Fatalf("dims=%d universe#%d λ=%d: region(%d) = %v, box walk %v", dims, ui, lam, gotB, gotR, wantR)
 						}
 					}
-					if got, want := quadrant(mids(u, dims), p, dims), u.Quadrant(p, dims); got != want {
+					if got, want := quadrantOf(u, p, dims), u.Quadrant(p, dims); got != want {
 						t.Fatalf("dims=%d universe#%d: quadrant(%v) = %d, Box.Quadrant %d", dims, ui, p, got, want)
 					}
 				}
@@ -109,12 +106,8 @@ func TestGridMatchesBoxWalk(t *testing.T) {
 func TestGridRegionsExhaustive(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		for ui, u := range awkwardUniverses(dims) {
-			lam := 3
-			tr := New(core.DefaultOptions(dims, u))
-			if lam > tr.opts.SkeletonLevels {
-				lam = tr.opts.SkeletonLevels
-			}
-			g := tr.newGrid(u, lam)
+			lam := core.DefaultOptions(dims, u).SkeletonLevels
+			g := newGrid(u, lam, dims, spreadTables(lam, dims))
 			var walk func(region geom.Box, level, prefix int)
 			walk = func(region geom.Box, level, prefix int) {
 				if level == lam {
@@ -213,13 +206,33 @@ var sinkOffsets []int
 // scatter it into its bucket.
 func BenchmarkSievePoints(b *testing.B) {
 	const n = 1_000_000
-	pts := workload.GenUniform(n, 2, testSide, 11)
-	buf := make([]geom.Point, n)
-	tr := newTest2D()
-	g := tr.newGrid(universe(), tr.opts.SkeletonLevels)
+	pts := make([][2]int32, n)
+	for i, p := range workload.GenUniform(n, 2, testSide, 11) {
+		pts[i] = geom.Pack[[2]int32](p)
+	}
+	buf := make([][2]int32, n)
+	lam := newTest2D().Options().SkeletonLevels
+	g := newGrid(universe(), lam, 2, spreadTables(lam, 2))
 	b.SetBytes(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkOffsets = parallel.Sieve(pts, buf, 1<<(g.lam*g.dims), g.bucket)
+		sinkOffsets = parallel.Sieve(pts, buf, 1<<(g.lam*g.dims), func(p [2]int32) int { return bucket(g, p) })
 	}
+}
+
+// bucketOf and quadrantOf classify a Point the way a tree classifies its
+// stored form.
+func bucketOf(g *grid, p geom.Point) int {
+	if g.dims == 2 {
+		return bucket(g, geom.Pack[[2]int32](p))
+	}
+	return bucket(g, geom.Pack[[3]int32](p))
+}
+
+func quadrantOf(u geom.Box, p geom.Point, dims int) int {
+	m := mids(u, dims)
+	if dims == 2 {
+		return quadrant(&m, geom.Pack[[2]int32](p))
+	}
+	return quadrant(&m, geom.Pack[[3]int32](p))
 }

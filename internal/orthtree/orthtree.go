@@ -18,9 +18,14 @@
 // the tree is history-independent modulo the order of points inside leaves
 // — the property behind the paper's "quality does not degrade under
 // updates" findings (§5.1.3).
+//
+// Points are stored as int32 coordinates with no Z in 2-D (geom.Packed):
+// a Tree is a handle on a tree[S] whose S New picks from the
+// dimensionality, so a stored 2-D point takes 8 bytes and a node 80.
 package orthtree
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -29,12 +34,32 @@ import (
 )
 
 // Tree is a P-Orth tree. Not safe for concurrent mutation; queries are
-// read-only and may run concurrently with each other.
-type Tree struct {
+// read-only and may run concurrently with each other. It is a handle on a
+// tree[S], S the stored point type New picks from the dimensionality —
+// [2]int32 or [3]int32 — and has its methods.
+type Tree struct{ body }
+
+// body is the method set of a tree[S], for either S.
+type body interface {
+	core.Index
+	core.Adopter
+	Options() core.Options
+	Validate() error
+	Height() int
+	TreeStats() Stats
+}
+
+var (
+	_ core.Index   = (*Tree)(nil)
+	_ core.Adopter = (*Tree)(nil)
+)
+
+// tree is a P-Orth tree storing its points as S.
+type tree[S geom.Packed] struct {
 	opts   core.Options
 	nway   int                   // 2^dims children per interior node
 	spread [][geom.MaxDims][]int // spread[λ] is grid.spread for λ levels
-	root   *node
+	root   *node[S]
 	// gen is the generation the tree stamps on its nodes and the only one
 	// it writes in place; cowNodes and cowBytes total what updates copied
 	// on first touch, from parallel branches (cow.go).
@@ -42,33 +67,41 @@ type Tree struct {
 	cowNodes, cowBytes atomic.Uint64
 }
 
-var _ core.Index = (*Tree)(nil)
-
 // node is either a leaf (kids == nil, points in pts) or an interior node
 // (kids has length 2^dims; empty children are nil), stamped with the
 // generation of the tree that created it (cow.go). bbox is the tight
 // bounding box of the subtree's points — queries prune on it, while the
 // *region* (the orthant assigned by the split hierarchy) is recomputed on
-// the way down during structural operations and never stored.
-type node struct {
+// the way down during structural operations and never stored. A leaf's
+// points sit in a block of its own, sized as core.GrowBlock and
+// core.FitBlock say.
+type node[S geom.Packed] struct {
 	gen  uint64
 	size int
-	bbox geom.Box
-	kids []*node
-	pts  []geom.Point
+	bbox geom.PackedBox[S]
+	kids []*node[S]
+	pts  []S
 }
 
-func (nd *node) isLeaf() bool { return nd.kids == nil }
+func (nd *node[S]) isLeaf() bool { return nd.kids == nil }
 
 // New returns an empty P-Orth tree over the given options. The universe
 // box fixes the split hierarchy; all points ever inserted must lie inside
-// it.
+// it, and it must lie inside int32, the range of a stored coordinate.
 func New(opts core.Options) *Tree {
 	opts.Validate()
 	if opts.Universe.IsEmpty() {
 		panic("orthtree: Universe box required")
 	}
-	t := &Tree{opts: opts, nway: 1 << opts.Dims}
+	opts.RequireUniverse("orthtree", math.MinInt32, math.MaxInt32)
+	if opts.Dims == 2 {
+		return &Tree{newTree[[2]int32](opts)}
+	}
+	return &Tree{newTree[[3]int32](opts)}
+}
+
+func newTree[S geom.Packed](opts core.Options) *tree[S] {
+	t := &tree[S]{opts: opts, nway: 1 << opts.Dims}
 	for lam := 0; lam <= opts.SkeletonLevels; lam++ {
 		t.spread = append(t.spread, spreadTables(lam, opts.Dims))
 	}
@@ -82,13 +115,13 @@ func NewDefault(dims int, universe geom.Box) *Tree {
 }
 
 // Name implements core.Index.
-func (t *Tree) Name() string { return "P-Orth" }
+func (t *tree[S]) Name() string { return "P-Orth" }
 
 // Dims implements core.Index.
-func (t *Tree) Dims() int { return t.opts.Dims }
+func (t *tree[S]) Dims() int { return t.opts.Dims }
 
 // Size implements core.Index.
-func (t *Tree) Size() int {
+func (t *tree[S]) Size() int {
 	if t.root == nil {
 		return 0
 	}
@@ -96,51 +129,64 @@ func (t *Tree) Size() int {
 }
 
 // Options returns the tree's configuration.
-func (t *Tree) Options() core.Options { return t.opts }
+func (t *tree[S]) Options() core.Options { return t.opts }
 
 // Build implements core.Index (Alg. 1). The input slice is not modified:
-// the first sieve reads the points straight out of it, checking each
-// against the universe as it goes.
-func (t *Tree) Build(pts []geom.Point) {
-	t.root = t.build(pts, make([]geom.Point, len(pts)), t.opts.Universe, true)
+// the points are narrowed into a slice of the tree's own, checked against
+// the universe as they go, and the sieve rounds ping-pong between it and
+// one more of the same length.
+func (t *tree[S]) Build(pts []geom.Point) {
+	work := t.pack(pts)
+	t.root = t.build(work, make([]S, len(work)), t.opts.Universe)
 }
 
 // BatchInsert implements core.Index (Alg. 2). The input slice is not
 // modified.
-func (t *Tree) BatchInsert(pts []geom.Point) {
-	if len(pts) == 0 {
-		return
+func (t *tree[S]) BatchInsert(pts []geom.Point) {
+	t.insertPacked(t.pack(pts))
+}
+
+func (t *tree[S]) insertPacked(work []S) {
+	if len(work) > 0 {
+		t.root = t.insert(t.root, work, make([]S, len(work)), t.opts.Universe)
 	}
-	t.checkInside(pts)
-	work := make([]geom.Point, len(pts))
-	copy(work, pts)
-	buf := make([]geom.Point, len(pts))
-	t.root = t.insert(t.root, work, buf, t.opts.Universe)
 }
 
 // BatchDelete implements core.Index (the symmetric deletion of §3.2):
-// each requested point removes one matching occurrence.
-func (t *Tree) BatchDelete(pts []geom.Point) {
+// each requested point removes one matching occurrence. A point outside
+// the universe matches none and is dropped before the batch is narrowed.
+func (t *tree[S]) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
-	work := make([]geom.Point, len(pts))
-	copy(work, pts)
-	buf := make([]geom.Point, len(pts))
-	t.root = t.delete(t.root, work, buf, t.opts.Universe)
+	u, dims := t.opts.Universe, t.opts.Dims
+	work := t.pack(geom.Keep(pts, func(p geom.Point) bool { return u.Contains(p, dims) }))
+	if len(work) > 0 {
+		t.root = t.delete(t.root, work, make([]S, len(work)), u)
+	}
 }
 
-// checkInside validates batch points against the universe. Points outside
-// the universe would silently corrupt the split hierarchy, so this is a
-// hard error.
-func (t *Tree) checkInside(pts []geom.Point) {
-	u := t.opts.Universe
-	bad := parallel.Reduce(len(pts), 4096, false,
-		func(i int) bool { return !u.Contains(pts[i], t.opts.Dims) },
-		func(a, b bool) bool { return a || b })
-	if bad {
+// pack narrows pts into a new slice of stored points and panics, before
+// the tree has changed, if one of them lies outside the universe: it
+// would silently corrupt the split hierarchy.
+func (t *tree[S]) pack(pts []geom.Point) []S {
+	out := make([]S, len(pts))
+	u, dims := t.opts.Universe, t.opts.Dims
+	var outside atomic.Bool
+	parallel.Blocks(len(pts), 4096, func(lo, hi int) {
+		in := true
+		for i := lo; i < hi; i++ {
+			in = in && u.Contains(pts[i], dims)
+			out[i] = geom.Pack[S](pts[i])
+		}
+		if !in {
+			outside.Store(true)
+		}
+	})
+	if outside.Load() {
 		panic(errOutside)
 	}
+	return out
 }
 
 const errOutside = "orthtree: point outside universe box"
@@ -150,9 +196,11 @@ const seqCutoff = 2048
 
 // BatchDiff implements core.Index: deletions apply before insertions, so
 // a point that moves within one diff (same coordinates in both batches)
-// nets out correctly. History independence makes the two-pass form
+// nets out correctly; an insertion outside the universe is refused before
+// either applies. History independence makes the two-pass form
 // canonical — the result is identical to any fused application.
-func (t *Tree) BatchDiff(ins, del []geom.Point) {
+func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
+	work := t.pack(ins)
 	t.BatchDelete(del)
-	t.BatchInsert(ins)
+	t.insertPacked(work)
 }

@@ -309,7 +309,7 @@ func TestHeightLogarithmicOnUniform(t *testing.T) {
 		t.Fatalf("height %d too large for uniform data", h)
 	}
 	st := tr.TreeStats()
-	if st.MaxLeaf > tr.opts.LeafWrap {
+	if st.MaxLeaf > tr.Options().LeafWrap {
 		t.Fatalf("leaf of %d exceeds wrap", st.MaxLeaf)
 	}
 }
@@ -368,4 +368,18 @@ func TestRandomizedOperationSequence(t *testing.T) {
 	if err := core.VerifyQueries(tr, ref, queries, []int{1, 10}, boxes); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// in2 returns the 2-D tree behind tr, for the tests that look inside it.
+func in2(tr *Tree) *tree[[2]int32] { return tr.body.(*tree[[2]int32]) }
+
+// nodeCount returns the number of nodes of tr, in either dimensionality.
+func nodeCount(tr *Tree) int {
+	switch in := tr.body.(type) {
+	case *tree[[2]int32]:
+		return countNodes(in.root)
+	case *tree[[3]int32]:
+		return countNodes(in.root)
+	}
+	return 0
 }

@@ -8,76 +8,76 @@ import (
 // increasing order of bounding-box distance, pruning subtrees whose tight
 // bbox is farther than the current k-th neighbor (§C: "A single k-NN query
 // traverses subtrees in increasing order of their minimum distance").
-func (t *Tree) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
+// Stored points are widened only when the heap takes them.
+func (t *tree[S]) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 	if t.root == nil || k <= 0 {
 		return dst
 	}
 	h := geom.GetKNNHeap(k)
-	t.knn(t.root, q, h)
+	knn(t.root, q, h)
 	dst = h.Append(dst)
 	geom.PutKNNHeap(h)
 	return dst
 }
 
-func (t *Tree) knn(nd *node, q geom.Point, h *geom.KNNHeap) {
-	dims := t.opts.Dims
+// cand is a child waiting in knn's distance order.
+type cand[S geom.Packed] struct {
+	d int64
+	c *node[S]
+}
+
+func knn[S geom.Packed](nd *node[S], q geom.Point, h *geom.KNNHeap) {
 	if nd.isLeaf() {
 		for _, p := range nd.pts {
-			h.Push(p, geom.Dist2(p, q, dims))
+			if d := geom.PackedDist2(p, &q); d < h.Bound() {
+				h.Push(geom.Unpack(p), d)
+			}
 		}
 		return
 	}
 	// Order the (at most 8) children by bbox distance with an insertion
 	// sort; the 1-out-of-2^D selectivity is the orth-tree's query edge
 	// over binary trees (§5.1.3).
-	type cand struct {
-		d int64
-		c *node
-	}
-	var arr [8]cand
+	var arr [8]cand[S]
 	m := 0
 	for _, c := range nd.kids {
 		if c == nil {
 			continue
 		}
-		d := c.bbox.Dist2(q, dims)
+		d := c.bbox.Dist2(&q)
 		j := m
 		for j > 0 && arr[j-1].d > d {
 			arr[j] = arr[j-1]
 			j--
 		}
-		arr[j] = cand{d: d, c: c}
+		arr[j] = cand[S]{d: d, c: c}
 		m++
 	}
 	for i := 0; i < m; i++ {
 		if h.Full() && arr[i].d >= h.Bound() {
 			return // children are sorted: the rest are at least as far
 		}
-		t.knn(arr[i].c, q, h)
+		knn(arr[i].c, q, h)
 	}
 }
 
 // RangeCount implements core.Index: subtrees fully inside the query box
 // contribute their size without traversal.
-func (t *Tree) RangeCount(box geom.Box) int {
-	return t.count(t.root, box)
+func (t *tree[S]) RangeCount(box geom.Box) int {
+	return count(t.root, &box)
 }
 
-func (t *Tree) count(nd *node, box geom.Box) int {
-	if nd == nil {
+func count[S geom.Packed](nd *node[S], box *geom.Box) int {
+	if nd == nil || !nd.bbox.Meets(box) {
 		return 0
 	}
-	dims := t.opts.Dims
-	if !box.Intersects(nd.bbox, dims) {
-		return 0
-	}
-	if box.ContainsBox(nd.bbox, dims) {
+	if nd.bbox.Inside(box) {
 		return nd.size
 	}
 	if nd.isLeaf() {
 		n := 0
 		for _, p := range nd.pts {
-			if box.Contains(p, dims) {
+			if geom.PackedIn(box, p) {
 				n++
 			}
 		}
@@ -85,48 +85,61 @@ func (t *Tree) count(nd *node, box geom.Box) int {
 	}
 	n := 0
 	for _, c := range nd.kids {
-		n += t.count(c, box)
+		n += count(c, box)
 	}
 	return n
 }
 
 // RangeList implements core.Index.
-func (t *Tree) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
-	return t.list(t.root, box, dst)
+func (t *tree[S]) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
+	return list(t.root, &box, dst)
 }
 
-func (t *Tree) list(nd *node, box geom.Box, dst []geom.Point) []geom.Point {
-	if nd == nil {
+func list[S geom.Packed](nd *node[S], box *geom.Box, dst []geom.Point) []geom.Point {
+	if nd == nil || !nd.bbox.Meets(box) {
 		return dst
 	}
-	dims := t.opts.Dims
-	if !box.Intersects(nd.bbox, dims) {
-		return dst
-	}
-	if box.ContainsBox(nd.bbox, dims) {
+	if nd.bbox.Inside(box) {
 		return collect(nd, dst)
 	}
 	if nd.isLeaf() {
 		for _, p := range nd.pts {
-			if box.Contains(p, dims) {
-				dst = append(dst, p)
+			if geom.PackedIn(box, p) {
+				dst = append(dst, geom.Unpack(p))
 			}
 		}
 		return dst
 	}
 	for _, c := range nd.kids {
-		dst = t.list(c, box, dst)
+		dst = list(c, box, dst)
+	}
+	return dst
+}
+
+// collect appends every point of the subtree to dst, widened.
+func collect[S geom.Packed](nd *node[S], dst []geom.Point) []geom.Point {
+	if nd == nil {
+		return dst
+	}
+	if nd.isLeaf() {
+		for _, p := range nd.pts {
+			dst = append(dst, geom.Unpack(p))
+		}
+		return dst
+	}
+	for _, c := range nd.kids {
+		dst = collect(c, dst)
 	}
 	return dst
 }
 
 // Height returns the tree height (leaves have height 1). The paper's
 // O(log Δ) bound (§3.3) is exercised by tests and the ablation benches.
-func (t *Tree) Height() int {
+func (t *tree[S]) Height() int {
 	return height(t.root)
 }
 
-func height(nd *node) int {
+func height[S geom.Packed](nd *node[S]) int {
 	if nd == nil {
 		return 0
 	}
@@ -148,11 +161,11 @@ type Stats struct {
 }
 
 // TreeStats walks the tree collecting structure statistics.
-func (t *Tree) TreeStats() Stats {
+func (t *tree[S]) TreeStats() Stats {
 	var s Stats
 	s.Height = t.Height()
-	var walk func(nd *node)
-	walk = func(nd *node) {
+	var walk func(nd *node[S])
+	walk = func(nd *node[S]) {
 		if nd == nil {
 			return
 		}

@@ -107,6 +107,32 @@ func TestUniverseBoundaryPoints(t *testing.T) {
 		t.Fatalf("size %d after corner delete", tr.Size())
 	}
 	validateOrFail(t, tr)
+
+	// The largest universes of the stored form, [0, 2³¹−1]² and, as the
+	// SPaC family bounds it, [0, 2²¹−1]³: corners and edges stay exact
+	// through Build, BatchDiff and every query, against BruteForce; a side
+	// of 2³¹ is refused at New. A leaf wrap of 4 makes the tree deep.
+	for _, dims := range []int{2, 3} {
+		maxc := int64(1<<31 - 1)
+		if dims == 3 {
+			maxc = 1<<21 - 1
+		}
+		opts := core.DefaultOptions(dims, geom.UniverseBox(dims, maxc))
+		opts.LeafWrap = 4
+		tr := New(opts)
+		if err := core.CheckBoundary(tr, opts.Universe, tr.Validate); err != nil {
+			t.Fatalf("%dD: %v", dims, err)
+		}
+		opts.Universe = geom.UniverseBox(dims, 1<<31)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%dD: a universe of side 2³¹ was accepted", dims)
+				}
+			}()
+			New(opts)
+		}()
+	}
 }
 
 // RangeList must append to an existing buffer, not clobber it.

@@ -1,6 +1,9 @@
 package orthtree
 
 import (
+	"math"
+
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/parallel"
 )
@@ -29,40 +32,40 @@ const smallBatch = 128
 // in preorder and mids the split point of each; slots are the skeleton's
 // external positions; table is the flat dispatch (stride nway): entry >= 1
 // names the next internal node, entry < 0 encodes ^slotIndex.
-type skeleton struct {
-	nodes []skelNode
+type skeleton[S geom.Packed] struct {
+	nodes []skelNode[S]
 	mids  []geom.Point
-	slots []slot
+	slots []slot[S]
 	table []int32
 	nway  int
 }
 
-type skelNode struct {
-	tn         *node
+type skelNode[S geom.Packed] struct {
+	tn         *node[S]
 	parentSkel int32 // index into nodes; -1 for the skeleton root
 	childIdx   int32 // position of this node in its parent's kids
 }
 
-type slot struct {
-	parent   *node // interior node owning this child pointer
+type slot[S geom.Packed] struct {
+	parent   *node[S] // interior node owning this child pointer
 	childIdx int
-	child    *node // may be nil (empty orthant) or a subtree root
+	child    *node[S] // may be nil (empty orthant) or a subtree root
 	region   geom.Box
 }
 
 // retrieve builds the skeleton of interior node nd down to depth lam,
 // preallocating for the worst-case fan-out so enumeration never regrows.
 // nd and every skeleton node below it are t's own (cow.go).
-func (t *Tree) retrieve(nd *node, region geom.Box, lam int) *skeleton {
+func (t *tree[S]) retrieve(nd *node[S], region geom.Box, lam int) *skeleton[S] {
 	maxSlots := 1
 	for i := 0; i < lam; i++ {
 		maxSlots *= t.nway
 	}
 	maxNodes := (maxSlots - 1) / (t.nway - 1)
-	sk := &skeleton{
-		nodes: make([]skelNode, 0, maxNodes),
+	sk := &skeleton[S]{
+		nodes: make([]skelNode[S], 0, maxNodes),
 		mids:  make([]geom.Point, 0, maxNodes),
-		slots: make([]slot, 0, maxSlots),
+		slots: make([]slot[S], 0, maxSlots),
 		table: make([]int32, 0, maxNodes*t.nway),
 		nway:  t.nway,
 	}
@@ -70,9 +73,9 @@ func (t *Tree) retrieve(nd *node, region geom.Box, lam int) *skeleton {
 	return sk
 }
 
-func (sk *skeleton) enumerate(t *Tree, nd *node, region geom.Box, level, lam int, parentSkel, childIdx int32) int32 {
+func (sk *skeleton[S]) enumerate(t *tree[S], nd *node[S], region geom.Box, level, lam int, parentSkel, childIdx int32) int32 {
 	idx := int32(len(sk.nodes))
-	sk.nodes = append(sk.nodes, skelNode{tn: nd, parentSkel: parentSkel, childIdx: childIdx})
+	sk.nodes = append(sk.nodes, skelNode[S]{tn: nd, parentSkel: parentSkel, childIdx: childIdx})
 	dims := t.opts.Dims
 	sk.mids = append(sk.mids, mids(region, dims))
 	row := len(sk.table)
@@ -82,7 +85,7 @@ func (sk *skeleton) enumerate(t *Tree, nd *node, region geom.Box, level, lam int
 		cregion := region.Child(q, dims)
 		if level+1 == lam || child == nil || child.isLeaf() {
 			sk.table[row+q] = int32(^len(sk.slots))
-			sk.slots = append(sk.slots, slot{parent: nd, childIdx: q, child: child, region: cregion})
+			sk.slots = append(sk.slots, slot[S]{parent: nd, childIdx: q, child: child, region: cregion})
 		} else {
 			child = t.own(child)
 			nd.kids[q] = child
@@ -94,10 +97,10 @@ func (sk *skeleton) enumerate(t *Tree, nd *node, region geom.Box, level, lam int
 
 // route walks a point to its slot. Split points are stored per skeleton
 // node, so each level costs D compares and a table lookup.
-func (sk *skeleton) route(dims int, p geom.Point) int {
+func (sk *skeleton[S]) route(p S) int {
 	i := int32(0)
 	for {
-		q := quadrant(sk.mids[i], p, dims)
+		q := quadrant(&sk.mids[i], p)
 		next := sk.table[int(i)*sk.nway+q]
 		if next < 0 {
 			return int(^next)
@@ -108,31 +111,37 @@ func (sk *skeleton) route(dims int, p geom.Point) int {
 
 // insert implements BatchInsertOrth (Alg. 2). pts/buf are scratch slices
 // holding the batch; the returned node replaces nd.
-func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
+func (t *tree[S]) insert(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	if len(pts) == 0 {
 		return nd
 	}
 	if nd == nil {
-		return t.build(pts, buf, region, false)
+		return t.build(pts, buf, region)
 	}
 	dims := t.opts.Dims
 	if nd.isLeaf() {
 		// Alg. 2 lines 3-4: a leaf either absorbs the batch or is rebuilt
-		// together with it.
-		if nd.size+len(pts) <= t.opts.LeafWrap || !region.Splittable(dims) {
+		// together with it. The block of a leaf that may split grows no
+		// larger than the leaf wrap; that of an oversized leaf over an
+		// unsplittable region (duplicates) grows without bound.
+		splittable := region.Splittable(dims)
+		if nd.size+len(pts) <= t.opts.LeafWrap || !splittable {
 			nd = t.own(nd)
 			for _, p := range pts {
-				nd.bbox = nd.bbox.Extend(p, dims)
+				nd.bbox = nd.bbox.Extend(p)
 			}
-			nd.pts = append(nd.pts, pts...)
+			limit := t.opts.LeafWrap
+			if !splittable {
+				limit = math.MaxInt
+			}
+			nd.pts = core.FitBlock(append(core.GrowBlock(nd.pts, len(pts), limit), pts...))
 			nd.size = len(nd.pts)
 			return nd
 		}
-		combined := make([]geom.Point, 0, nd.size+len(pts))
+		combined := make([]S, 0, nd.size+len(pts))
 		combined = append(combined, nd.pts...)
 		combined = append(combined, pts...)
-		cbuf := make([]geom.Point, len(combined))
-		return t.build(combined, cbuf, region, false)
+		return t.build(combined, make([]S, len(combined)), region)
 	}
 	if len(pts) < smallBatch {
 		return t.insertSmall(nd, pts, buf, region)
@@ -141,9 +150,7 @@ func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	// Lines 5-7: retrieve the skeleton and sieve the batch through it.
 	nd = t.own(nd)
 	sk := t.skeletonFor(nd, region, len(pts))
-	offsets := parallel.Sieve(pts, buf, len(sk.slots), func(p geom.Point) int {
-		return sk.route(dims, p)
-	})
+	offsets := parallel.Sieve(pts, buf, len(sk.slots), sk.route)
 
 	// Lines 8-10: recurse into every external slot in parallel. Distinct
 	// slots write distinct child pointers, so the writes do not race.
@@ -166,7 +173,7 @@ func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	// Line 11: refresh sizes and bounding boxes of the skeleton's
 	// interior nodes, children before parents (reverse preorder).
 	for j := len(sk.nodes) - 1; j >= 0; j-- {
-		recompute(sk.nodes[j].tn, dims)
+		recompute(sk.nodes[j].tn)
 	}
 	return nd
 }
@@ -175,12 +182,11 @@ func (t *Tree) insert(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 // partitions pts (fewer than smallBatch points) into buf by quadrant of
 // region with stack-allocated counters; quadrant q lands in
 // buf[offs[q]:offs[q+1]].
-func (t *Tree) splitSmall(pts, buf []geom.Point, region geom.Box) (offs [9]int) {
-	dims := t.opts.Dims
-	mid := mids(region, dims)
+func (t *tree[S]) splitSmall(pts, buf []S, region geom.Box) (offs [9]int) {
+	mid := mids(region, t.opts.Dims)
 	var qb [smallBatch]uint8
 	for i, p := range pts {
-		q := quadrant(mid, p, dims)
+		q := quadrant(&mid, p)
 		qb[i] = uint8(q)
 		offs[q+1]++
 	}
@@ -198,7 +204,7 @@ func (t *Tree) splitSmall(pts, buf []geom.Point, region geom.Box) (offs [9]int) 
 
 // insertSmall is the depth-1 fast path: partition the batch across the
 // node's children and recurse.
-func (t *Tree) insertSmall(nd *node, pts, buf []geom.Point, region geom.Box) *node {
+func (t *tree[S]) insertSmall(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	nd = t.own(nd)
 	dims := t.opts.Dims
 	offs := t.splitSmall(pts, buf, region)
@@ -208,18 +214,17 @@ func (t *Tree) insertSmall(nd *node, pts, buf []geom.Point, region geom.Box) *no
 			nd.kids[q] = t.insert(nd.kids[q], buf[lo:hi], pts[lo:hi], region.Child(q, dims))
 		}
 	}
-	recompute(nd, dims)
+	recompute(nd)
 	return nd
 }
 
 // delete is the symmetric batch deletion (§3.2): route the batch through
 // the skeleton, remove matches in leaves, then collapse undersized
 // subtrees into leaves on the way back up.
-func (t *Tree) delete(nd *node, pts, buf []geom.Point, region geom.Box) *node {
+func (t *tree[S]) delete(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	if nd == nil || len(pts) == 0 {
 		return nd
 	}
-	dims := t.opts.Dims
 	if nd.isLeaf() {
 		nd = t.removeFromLeaf(nd, pts)
 		if nd.size == 0 {
@@ -232,9 +237,7 @@ func (t *Tree) delete(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	}
 	nd = t.own(nd)
 	sk := t.skeletonFor(nd, region, len(pts))
-	offsets := parallel.Sieve(pts, buf, len(sk.slots), func(p geom.Point) int {
-		return sk.route(dims, p)
-	})
+	offsets := parallel.Sieve(pts, buf, len(sk.slots), sk.route)
 	rec := func(i int) {
 		lo, hi := offsets[i], offsets[i+1]
 		if lo == hi {
@@ -258,8 +261,8 @@ func (t *Tree) delete(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 	root := nd
 	for j := len(sk.nodes) - 1; j >= 0; j-- {
 		sn := &sk.nodes[j]
-		recompute(sn.tn, dims)
-		var repl *node
+		recompute(sn.tn)
+		var repl *node[S]
 		switch {
 		case sn.tn.size == 0:
 			repl = nil
@@ -278,7 +281,7 @@ func (t *Tree) delete(nd *node, pts, buf []geom.Point, region geom.Box) *node {
 }
 
 // deleteSmall mirrors insertSmall with the §3.2 collapse step.
-func (t *Tree) deleteSmall(nd *node, pts, buf []geom.Point, region geom.Box) *node {
+func (t *tree[S]) deleteSmall(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	nd = t.own(nd)
 	dims := t.opts.Dims
 	offs := t.splitSmall(pts, buf, region)
@@ -288,7 +291,7 @@ func (t *Tree) deleteSmall(nd *node, pts, buf []geom.Point, region geom.Box) *no
 			nd.kids[q] = t.delete(nd.kids[q], buf[lo:hi], pts[lo:hi], region.Child(q, dims))
 		}
 	}
-	recompute(nd, dims)
+	recompute(nd)
 	switch {
 	case nd.size == 0:
 		return nil
@@ -301,7 +304,7 @@ func (t *Tree) deleteSmall(nd *node, pts, buf []geom.Point, region geom.Box) *no
 // skeletonFor retrieves the update skeleton with a depth adapted to the
 // batch size (same canonicalization argument as effLambda: depth choice
 // affects only the fan-out of one sieve round, never the final structure).
-func (t *Tree) skeletonFor(nd *node, region geom.Box, batch int) *skeleton {
+func (t *tree[S]) skeletonFor(nd *node[S], region geom.Box, batch int) *skeleton[S] {
 	lam := t.opts.SkeletonLevels
 	for lam > 1 && 1<<(lam*t.opts.Dims) > batch {
 		lam--
@@ -310,13 +313,13 @@ func (t *Tree) skeletonFor(nd *node, region geom.Box, batch int) *skeleton {
 }
 
 // recompute refreshes an owned interior node's size and bbox from its children.
-func recompute(nd *node, dims int) {
+func recompute[S geom.Packed](nd *node[S]) {
 	size := 0
-	bbox := geom.EmptyBox(dims)
+	bbox := geom.EmptyPacked[S]()
 	for _, c := range nd.kids {
 		if c != nil {
 			size += c.size
-			bbox = bbox.Union(c.bbox, dims)
+			bbox = bbox.Union(c.bbox)
 		}
 	}
 	nd.size = size
@@ -324,11 +327,12 @@ func recompute(nd *node, dims int) {
 }
 
 // removeFromLeaf removes one occurrence per requested point (multiset
-// semantics) from the leaf, made t's own, and refreshes its size and bbox.
-func (t *Tree) removeFromLeaf(nd *node, pts []geom.Point) *node {
+// semantics) from the leaf, made t's own, and refreshes its size and bbox;
+// a leaf left with less than half its block moves into a fitted one.
+func (t *tree[S]) removeFromLeaf(nd *node[S], pts []S) *node[S] {
 	nd = t.own(nd)
-	nd.pts = geom.RemoveEach(nd.pts, pts)
+	nd.pts = core.FitBlock(geom.RemoveEach(nd.pts, pts))
 	nd.size = len(nd.pts)
-	nd.bbox = geom.BoundingBox(nd.pts, t.opts.Dims)
+	nd.bbox = geom.PackedBounds(nd.pts)
 	return nd
 }

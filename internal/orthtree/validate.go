@@ -2,7 +2,7 @@ package orthtree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -20,14 +20,14 @@ import (
 //  5. interior nodes have exactly 2^D child slots and at least one child;
 //  6. generation stamps (cow.go): no node newer than the tree, no child
 //     newer than its parent.
-func (t *Tree) Validate() error {
+func (t *tree[S]) Validate() error {
 	_, err := t.validate(t.root, t.opts.Universe, t.gen)
 	return err
 }
 
 // validate returns the subtree's size; newest is the stamp of whatever
 // holds nd, its parent or the tree.
-func (t *Tree) validate(nd *node, region geom.Box, newest uint64) (int, error) {
+func (t *tree[S]) validate(nd *node[S], region geom.Box, newest uint64) (int, error) {
 	if nd == nil {
 		return 0, nil
 	}
@@ -46,12 +46,11 @@ func (t *Tree) validate(nd *node, region geom.Box, newest uint64) (int, error) {
 			return 0, fmt.Errorf("leaf of size %d exceeds wrap %d in splittable region %v",
 				nd.size, t.opts.LeafWrap, region)
 		}
-		bb := geom.BoundingBox(nd.pts, dims)
-		if bb != nd.bbox {
+		if bb := geom.PackedBounds(nd.pts); bb != nd.bbox {
 			return 0, fmt.Errorf("leaf bbox %v, recomputed %v", nd.bbox, bb)
 		}
 		for _, p := range nd.pts {
-			if !region.Contains(p, dims) {
+			if !geom.PackedIn(&region, p) {
 				return 0, fmt.Errorf("leaf point %v outside region %v", p, region)
 			}
 		}
@@ -68,7 +67,7 @@ func (t *Tree) validate(nd *node, region geom.Box, newest uint64) (int, error) {
 		return 0, fmt.Errorf("interior node over unsplittable region %v", region)
 	}
 	total := 0
-	bbox := geom.EmptyBox(dims)
+	bbox := geom.EmptyPacked[S]()
 	for q, c := range nd.kids {
 		sz, err := t.validate(c, region.Child(q, dims), nd.gen)
 		if err != nil {
@@ -76,7 +75,7 @@ func (t *Tree) validate(nd *node, region geom.Box, newest uint64) (int, error) {
 		}
 		total += sz
 		if c != nil {
-			bbox = bbox.Union(c.bbox, dims)
+			bbox = bbox.Union(c.bbox)
 		}
 	}
 	if total != nd.size {
@@ -93,13 +92,22 @@ func (t *Tree) validate(nd *node, region geom.Box, newest uint64) (int, error) {
 // degree of freedom history independence permits, §5.1.3). Tests use it to
 // verify that update-built trees match scratch-built ones.
 func StructuralEqual(a, b *Tree) bool {
-	if a.opts.Dims != b.opts.Dims || a.opts.Universe != b.opts.Universe {
-		return false
+	switch x := a.body.(type) {
+	case *tree[[2]int32]:
+		y, ok := b.body.(*tree[[2]int32])
+		return ok && structuralEqual(x, y)
+	case *tree[[3]int32]:
+		y, ok := b.body.(*tree[[3]int32])
+		return ok && structuralEqual(x, y)
 	}
-	return nodesEqual(a.root, b.root, a.opts.Dims)
+	return false
 }
 
-func nodesEqual(x, y *node, dims int) bool {
+func structuralEqual[S geom.Packed](a, b *tree[S]) bool {
+	return a.opts.Universe == b.opts.Universe && nodesEqual(a.root, b.root)
+}
+
+func nodesEqual[S geom.Packed](x, y *node[S]) bool {
 	if x == nil || y == nil {
 		return x == y
 	}
@@ -107,25 +115,15 @@ func nodesEqual(x, y *node, dims int) bool {
 		return false
 	}
 	if x.isLeaf() {
-		xs := append([]geom.Point(nil), x.pts...)
-		ys := append([]geom.Point(nil), y.pts...)
-		sortPts(xs, dims)
-		sortPts(ys, dims)
-		for i := range xs {
-			if xs[i] != ys[i] {
-				return false
-			}
-		}
-		return true
+		xs, ys := slices.Clone(x.pts), slices.Clone(y.pts)
+		slices.SortFunc(xs, geom.ComparePacked[S])
+		slices.SortFunc(ys, geom.ComparePacked[S])
+		return slices.Equal(xs, ys)
 	}
 	for q := range x.kids {
-		if !nodesEqual(x.kids[q], y.kids[q], dims) {
+		if !nodesEqual(x.kids[q], y.kids[q]) {
 			return false
 		}
 	}
 	return true
-}
-
-func sortPts(pts []geom.Point, dims int) {
-	sort.Slice(pts, func(i, j int) bool { return geom.Less(pts[i], pts[j], dims) })
 }

@@ -4,6 +4,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/parallel"
 )
 
@@ -32,22 +33,30 @@ import (
 // parent — and the second is what lets an update return a shared interior
 // node untouched when both recursions handed back the children it has.
 
-var _ core.Adopter = (*Tree)(nil)
-
 // owns reports whether t may write nd in place.
-func (t *Tree) owns(nd *node) bool { return nd.gen == t.gen }
+func (t *tree[S]) owns(nd *node[S]) bool { return nd.gen == t.gen }
+
+// unwrap returns the tree[S] behind idx, when idx is a Tree storing S.
+func unwrap[S geom.Packed](idx core.Index) (*tree[S], bool) {
+	w, ok := idx.(*Tree)
+	if !ok {
+		return nil, false
+	}
+	t, ok := w.body.(*tree[S])
+	return t, ok
+}
 
 // NewReplica implements core.Adopter: a fresh, empty tree over the same
 // curve, mode and options.
-func (t *Tree) NewReplica() core.Index { return New(t.curve, t.mode, t.opts) }
+func (t *tree[S]) NewReplica() core.Index { return New(t.curve, t.mode, t.opts) }
 
 // Adopt implements core.Adopter: t drops its contents and becomes a second
 // handle on src's, in O(1) and without allocating. It refuses — false,
 // nothing changed — unless src is a Tree over the same curve, mode and
 // options. Queries may run on either tree throughout; updates of either
 // must not.
-func (t *Tree) Adopt(src core.Index) bool {
-	o, ok := src.(*Tree)
+func (t *tree[S]) Adopt(src core.Index) bool {
+	o, ok := unwrap[S](src)
 	if !ok || o.curve != t.curve || o.mode != t.mode || o.opts != t.opts {
 		return false
 	}
@@ -62,14 +71,14 @@ func (t *Tree) Adopt(src core.Index) bool {
 
 // Shares implements core.Adopter: whether t and o are handles on one
 // structure right now — the state Adopt leaves, until either is updated.
-func (t *Tree) Shares(o core.Index) bool {
-	ot, ok := o.(*Tree)
+func (t *tree[S]) Shares(o core.Index) bool {
+	ot, ok := unwrap[S](o)
 	return ok && ot.root == t.root
 }
 
 // Copied implements core.Adopter: the nodes, and the bytes of leaf
 // entries, this tree has copied on first touch since it was made.
-func (t *Tree) Copied() (nodes, bytes uint64) {
+func (t *tree[S]) Copied() (nodes, bytes uint64) {
 	return t.cowNodes.Load(), t.cowBytes.Load()
 }
 
@@ -79,37 +88,44 @@ func (t *Tree) Copied() (nodes, bytes uint64) {
 // update's total reaches the tree's counters once, in note.
 type cow struct{ nodes, bytes uint64 }
 
-func (c *cow) leaf(ents []Entry) {
+// copied counts a leaf copied on first touch, with its entries.
+func copied[S geom.Packed](c *cow, ents []Entry[S]) {
 	c.nodes++
-	c.bytes += uint64(len(ents)) * uint64(unsafe.Sizeof(Entry{}))
+	c.bytes += uint64(len(ents)) * uint64(unsafe.Sizeof(Entry[S]{}))
 }
 
 // note adds one update's count to the tree's totals.
-func (t *Tree) note(c cow) {
+func (t *tree[S]) note(c cow) {
 	if c.nodes != 0 {
 		t.cowNodes.Add(c.nodes)
 		t.cowBytes.Add(c.bytes)
 	}
 }
 
-// both runs step — insertSorted or deleteSorted — on two disjoint
-// (subtree, batch) pairs, forked when par says the batch is worth it. The
-// sequential case is a function of its own so that it pays for none of
-// the fork's closures.
-func (t *Tree) both(step func(*Tree, *node, []Entry, *cow) *node, par bool,
-	ln *node, lb []Entry, rn *node, rb []Entry, c *cow) (l, r *node) {
+// both runs one step — deleteSorted when del is set, else insertSorted —
+// on two disjoint (subtree, batch) pairs, forked when par says the batch
+// is worth it. The sequential case is a function of its own so that it
+// pays for none of the fork's closures, and the step is named by a flag,
+// not a method value, which a generic method would allocate per call.
+func (t *tree[S]) both(del, par bool, ln *node[S], lb []Entry[S], rn *node[S], rb []Entry[S], c *cow) (l, r *node[S]) {
 	if par {
-		return t.forked(step, ln, lb, rn, rb, c)
+		return t.forked(del, ln, lb, rn, rb, c)
 	}
-	return step(t, ln, lb, c), step(t, rn, rb, c)
+	return t.step(del, ln, lb, c), t.step(del, rn, rb, c)
 }
 
-func (t *Tree) forked(step func(*Tree, *node, []Entry, *cow) *node,
-	ln *node, lb []Entry, rn *node, rb []Entry, c *cow) (l, r *node) {
+func (t *tree[S]) step(del bool, nd *node[S], batch []Entry[S], c *cow) *node[S] {
+	if del {
+		return t.deleteSorted(nd, batch, c)
+	}
+	return t.insertSorted(nd, batch, c)
+}
+
+func (t *tree[S]) forked(del bool, ln *node[S], lb []Entry[S], rn *node[S], rb []Entry[S], c *cow) (l, r *node[S]) {
 	var cr cow
 	parallel.DoIf(true, // still sequential on one processor
-		func() { l = step(t, ln, lb, c) },
-		func() { r = step(t, rn, rb, &cr) })
+		func() { l = t.step(del, ln, lb, c) },
+		func() { r = t.step(del, rn, rb, &cr) })
 	c.nodes += cr.nodes
 	c.bytes += cr.bytes
 	return l, r

@@ -12,7 +12,7 @@ import (
 )
 
 // countNodes returns the number of nodes under nd.
-func countNodes(nd *node) int {
+func countNodes[S geom.Packed](nd *node[S]) int {
 	if nd == nil {
 		return 0
 	}
@@ -80,7 +80,7 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 		}
 		frozen := core.NewBruteForce(2)
 		frozen.Build(live.Points())
-		total := countNodes(tr.root)
+		total := countNodes(in2(tr).root)
 
 		for round := 0; round < 12; round++ {
 			ins, del := churn(rng, live.Points(), 150)
@@ -95,7 +95,7 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 		// CPAM leaves are rebuilt on every touch, shared or not: only its
 		// interior nodes are ever copied.
 		nodes, bytes := tr.Copied()
-		if nodes == 0 || (bytes == 0) != (tr.mode == TotalOrder) {
+		if nodes == 0 || (bytes == 0) != (in2(tr).mode == TotalOrder) {
 			t.Fatalf("%s: updates of a shared tree copied %d nodes, %d bytes", tr.Name(), nodes, bytes)
 		}
 		// 12 rounds of ~340 points into ~20000: the first touches a few
@@ -127,7 +127,7 @@ func TestAdoptRefusesStrangers(t *testing.T) {
 	pts := workload.GenUniform(500, 2, testSide, 1)
 	tr.Build(pts)
 	other := workload.GenUniform(300, 2, testSide, 2)
-	opts := tr.opts
+	opts := in2(tr).opts
 	opts.LeafWrap = 16
 	for _, src := range []core.Index{
 		NewSPaC(sfc.Morton, 2, universe()),

@@ -25,6 +25,10 @@
 // a min-queue on their box distance and are opened nearest first, only
 // while they can still beat the k-th neighbour found so far.
 //
+// Points are stored as int32 coordinates with no Z in 2-D (geom.Packed):
+// a Tree is a handle on a tree[S] whose S New picks from the
+// dimensionality, so a 2-D entry takes 16 bytes and a node 96.
+//
 // Updates are copy-on-write by generation stamp (cow.go): a tree that never
 // shares its structure writes nodes in place, as the paper's C++ trees do;
 // two trees made handles on one structure by Adopt each copy only the
@@ -38,49 +42,37 @@ import (
 	"repro/internal/sfc"
 )
 
-// Entry is a stored element: a point and its curve code. The tree's total
-// order is (Code, then point lexicographically), so duplicate codes — and
-// even duplicate points — have well-defined positions.
-type Entry struct {
+// Entry is a stored element: a point in its stored form S and its curve
+// code. The tree's total order is (Code, then point lexicographically), so
+// duplicate codes — and even duplicate points — have well-defined
+// positions.
+type Entry[S geom.Packed] struct {
 	Code uint64
-	P    geom.Point
+	P    S
 }
 
 // cmpEntry orders entries by code, breaking ties by point coordinates.
-func cmpEntry(a, b Entry) int {
+func cmpEntry[S geom.Packed](a, b Entry[S]) int {
 	switch {
 	case a.Code < b.Code:
 		return -1
 	case a.Code > b.Code:
 		return 1
 	}
-	return cmpPoint(a.P, b.P)
-}
-
-// cmpPoint orders points lexicographically: the order of entries whose
-// codes are equal.
-func cmpPoint(p, q geom.Point) int {
-	for d := 0; d < geom.MaxDims; d++ {
-		switch {
-		case p[d] < q[d]:
-			return -1
-		case p[d] > q[d]:
-			return 1
-		}
-	}
-	return 0
+	return geom.ComparePacked(a.P, b.P)
 }
 
 // sortEntries sorts ents into the tree's total order: by code with the
 // keyed sort, by coordinates only among entries of one code. Batches, CPAM
 // construction and lazily restored leaves all sort through here.
-func sortEntries(ents []Entry) {
-	parallel.SortByKey(ents, func(e Entry) uint64 { return e.Code }, func(a, b Entry) int {
-		return cmpPoint(a.P, b.P)
+func sortEntries[S geom.Packed](ents []Entry[S]) {
+	parallel.SortByKey(ents, func(e Entry[S]) uint64 { return e.Code }, func(a, b Entry[S]) int {
+		return geom.ComparePacked(a.P, b.P)
 	})
 }
 
-// encode computes the entry for a point under the tree's curve.
-func (t *Tree) encode(p geom.Point) Entry {
-	return Entry{Code: sfc.Encode(t.curve, p, t.opts.Dims), P: p}
+// encode computes the entry for a point under the tree's curve, narrowing
+// the point to its stored form.
+func (t *tree[S]) encode(p geom.Point) Entry[S] {
+	return Entry[S]{Code: sfc.Encode(t.curve, p, t.opts.Dims), P: geom.Pack[S](p)}
 }

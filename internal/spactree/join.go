@@ -1,5 +1,7 @@
 package spactree
 
+import "repro/internal/core"
+
 // Join-based rebalancing (Alg. 4 lines 20-31), following the
 // weight-balanced join of Blelloch, Ferizovic & Sun [17] as adapted by
 // PaC-trees [23]: Join is the only rebalancing primitive; RightJoin
@@ -12,7 +14,7 @@ package spactree
 // join returns a balanced tree over l ∪ {k} ∪ r, assuming every entry in l
 // is <= k and every entry in r is >= k (weak BST invariant on the total
 // (code, point) order).
-func (t *Tree) join(l *node, k Entry, r *node, c *cow) *node {
+func (t *tree[S]) join(l *node[S], k Entry[S], r *node[S], c *cow) *node[S] {
 	if t.balancedNodes(l, r) {
 		return t.mkNode(l, k, r)
 	}
@@ -23,7 +25,7 @@ func (t *Tree) join(l *node, k Entry, r *node, c *cow) *node {
 }
 
 // joinRight handles the case weight(l) > weight(r).
-func (t *Tree) joinRight(l *node, k Entry, r *node, c *cow) *node {
+func (t *tree[S]) joinRight(l *node[S], k Entry[S], r *node[S], c *cow) *node[S] {
 	if t.balancedNodes(l, r) {
 		return t.mkNode(l, k, r)
 	}
@@ -44,7 +46,7 @@ func (t *Tree) joinRight(l *node, k Entry, r *node, c *cow) *node {
 }
 
 // joinLeft mirrors joinRight for weight(r) > weight(l).
-func (t *Tree) joinLeft(l *node, k Entry, r *node, c *cow) *node {
+func (t *tree[S]) joinLeft(l *node[S], k Entry[S], r *node[S], c *cow) *node[S] {
 	if t.balancedNodes(l, r) {
 		return t.mkNode(l, k, r)
 	}
@@ -63,14 +65,14 @@ func (t *Tree) joinLeft(l *node, k Entry, r *node, c *cow) *node {
 }
 
 // splitLast removes and returns the greatest entry of a non-nil tree.
-func (t *Tree) splitLast(nd *node, c *cow) (*node, Entry) {
+func (t *tree[S]) splitLast(nd *node[S], c *cow) (*node[S], Entry[S]) {
 	if nd.isLeaf() {
 		ents := t.sortedEnts(nd, c)
 		last := ents[len(ents)-1]
 		if len(ents) == 1 {
 			return nil, last
 		}
-		rest := make([]Entry, len(ents)-1)
+		rest := make([]Entry[S], len(ents)-1)
 		copy(rest, ents)
 		return t.newLeaf(rest, true), last
 	}
@@ -83,7 +85,7 @@ func (t *Tree) splitLast(nd *node, c *cow) (*node, Entry) {
 
 // join2 joins two trees with no middle entry (used when a batch deletion
 // consumes a pivot).
-func (t *Tree) join2(l, r *node, c *cow) *node {
+func (t *tree[S]) join2(l, r *node[S], c *cow) *node[S] {
 	if l == nil {
 		return r
 	}
@@ -99,12 +101,13 @@ func (t *Tree) join2(l, r *node, c *cow) *node {
 // number of copies removed. Duplicate entries (identical code and point)
 // may straddle pivots on both sides, so plain routing cannot delete them;
 // batch deletion calls this on the rare equal-to-pivot runs.
-func (t *Tree) splitRun(nd *node, e Entry, c *cow) (lt, gt *node, count int) {
+func (t *tree[S]) splitRun(nd *node[S], e Entry[S], c *cow) (lt, gt *node[S], count int) {
 	if nd == nil {
 		return nil, nil, 0
 	}
 	if nd.isLeaf() {
-		var lo, hi []Entry
+		lo := make([]Entry[S], 0, len(nd.ents))
+		hi := make([]Entry[S], 0, len(nd.ents))
 		for _, x := range nd.ents {
 			switch o := cmpEntry(x, e); {
 			case o < 0:
@@ -116,10 +119,10 @@ func (t *Tree) splitRun(nd *node, e Entry, c *cow) (lt, gt *node, count int) {
 			}
 		}
 		if len(lo) > 0 {
-			lt = t.newLeaf(lo, nd.sorted)
+			lt = t.newLeaf(core.FitBlock(lo), nd.sorted)
 		}
 		if len(hi) > 0 {
-			gt = t.newLeaf(hi, nd.sorted)
+			gt = t.newLeaf(core.FitBlock(hi), nd.sorted)
 		}
 		return lt, gt, count
 	}

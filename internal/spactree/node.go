@@ -11,24 +11,25 @@ import (
 // sorted marks whether a leaf's entries are in (code, point) order; interior
 // nodes ignore it. In TotalOrder (CPAM) mode every leaf stays sorted; in
 // PartialOrder (SPaC) mode leaves go unsorted on append and are re-sorted
-// lazily by expose/redistribute (Alg. 4 lines 34, 43).
+// lazily by expose/redistribute (Alg. 4 lines 34, 43). A leaf's entries sit
+// in a block of its own, sized as core.GrowBlock and core.FitBlock say.
 //
 // gen is the generation of the Tree that created the node (cow.go): only
 // a tree whose own generation equals it may write the node or its entry
 // block; to every other tree that reaches it the node is immutable.
-type node struct {
+type node[S geom.Packed] struct {
 	size        int // points in subtree (leaf entries + interior pivots)
 	gen         uint64
-	bbox        geom.Box
-	pivot       Entry
-	left, right *node
-	ents        []Entry
+	bbox        geom.PackedBox[S]
+	pivot       Entry[S]
+	left, right *node[S]
+	ents        []Entry[S]
 	sorted      bool
 }
 
-func (nd *node) isLeaf() bool { return nd != nil && nd.left == nil }
+func (nd *node[S]) isLeaf() bool { return nd != nil && nd.left == nil }
 
-func sizeOf(nd *node) int {
+func sizeOf[S geom.Packed](nd *node[S]) int {
 	if nd == nil {
 		return 0
 	}
@@ -36,50 +37,50 @@ func sizeOf(nd *node) int {
 }
 
 // weight is the BB[α] weight: size + 1 (nil trees weigh 1).
-func weight(nd *node) int { return sizeOf(nd) + 1 }
+func weight[S geom.Packed](nd *node[S]) int { return sizeOf(nd) + 1 }
 
 // likeWeights reports whether two subtree weights satisfy BB[α]: each side
 // carries at least an α fraction of the total.
-func (t *Tree) likeWeights(lw, rw int) bool {
+func (t *tree[S]) likeWeights(lw, rw int) bool {
 	a := t.opts.Alpha
 	tot := float64(lw + rw)
 	return float64(lw) >= a*tot && float64(rw) >= a*tot
 }
 
-func (t *Tree) balancedNodes(l, r *node) bool {
+func (t *tree[S]) balancedNodes(l, r *node[S]) bool {
 	return t.likeWeights(weight(l), weight(r))
 }
 
-// newLeaf wraps entries (not copied) into a leaf.
-func (t *Tree) newLeaf(ents []Entry, isSorted bool) *node {
-	return &node{size: len(ents), gen: t.gen, bbox: entsBBox(ents, t.opts.Dims), ents: ents, sorted: isSorted}
+// newLeaf wraps entries (not copied) into a leaf, whose block they become.
+func (t *tree[S]) newLeaf(ents []Entry[S], isSorted bool) *node[S] {
+	return &node[S]{size: len(ents), gen: t.gen, bbox: entsBBox(ents), ents: ents, sorted: isSorted}
 }
 
 // entsBBox computes the tight bounding box of a run of entries.
-func entsBBox(ents []Entry, dims int) geom.Box {
-	bbox := geom.EmptyBox(dims)
-	for _, e := range ents {
-		bbox = bbox.Extend(e.P, dims)
+func entsBBox[S geom.Packed](ents []Entry[S]) geom.PackedBox[S] {
+	bbox := geom.EmptyPacked[S]()
+	for i := range ents {
+		bbox = bbox.Extend(ents[i].P)
 	}
 	return bbox
 }
 
 // interiorBBox combines children boxes with the pivot point.
-func (t *Tree) interiorBBox(l *node, k Entry, r *node) geom.Box {
-	bbox := geom.EmptyBox(t.opts.Dims).Extend(k.P, t.opts.Dims)
+func (t *tree[S]) interiorBBox(l *node[S], k Entry[S], r *node[S]) geom.PackedBox[S] {
+	bbox := geom.EmptyPacked[S]().Extend(k.P)
 	if l != nil {
-		bbox = bbox.Union(l.bbox, t.opts.Dims)
+		bbox = bbox.Union(l.bbox)
 	}
 	if r != nil {
-		bbox = bbox.Union(r.bbox, t.opts.Dims)
+		bbox = bbox.Union(r.bbox)
 	}
 	return bbox
 }
 
 // rawNode creates an interior node with no leaf-wrap checks (used by the
 // perfectly balanced builder, where sizes are known to be large enough).
-func (t *Tree) rawNode(l *node, k Entry, r *node) *node {
-	return &node{
+func (t *tree[S]) rawNode(l *node[S], k Entry[S], r *node[S]) *node[S] {
+	return &node[S]{
 		size:  sizeOf(l) + sizeOf(r) + 1,
 		gen:   t.gen,
 		bbox:  t.interiorBBox(l, k, r),
@@ -96,12 +97,12 @@ func (t *Tree) rawNode(l *node, k Entry, r *node) *node {
 // (line 44, "if necessary" — an already-balanced pair is kept as is, so
 // lazily-unsorted leaves are NOT re-sorted on every touch); larger
 // subtrees become plain interior nodes.
-func (t *Tree) mkNode(l *node, k Entry, r *node) *node {
+func (t *tree[S]) mkNode(l *node[S], k Entry[S], r *node[S]) *node[S] {
 	phi := t.opts.LeafWrap
 	n := sizeOf(l) + sizeOf(r) + 1
 	if n <= phi {
 		// Flatten into a single leaf (line 47).
-		ents := make([]Entry, 0, n)
+		ents := make([]Entry[S], 0, n)
 		ents, srt := collectOrdered(l, ents, true)
 		ents = append(ents, k)
 		ents, srt2 := collectOrdered(r, ents, srt)
@@ -110,7 +111,7 @@ func (t *Tree) mkNode(l *node, k Entry, r *node) *node {
 	if n <= 2*phi && !t.balancedNodes(l, r) {
 		// Redistribute into two leaves around a middle pivot (line 44),
 		// sorting lazily-unsorted constituents first (line 43).
-		ents := make([]Entry, 0, n)
+		ents := make([]Entry[S], 0, n)
 		ents, _ = collectOrdered(l, ents, true)
 		ents = append(ents, k)
 		ents, _ = collectOrdered(r, ents, true)
@@ -128,7 +129,7 @@ func (t *Tree) mkNode(l *node, k Entry, r *node) *node {
 // collectOrdered appends the subtree's entries in in-order sequence and
 // reports whether the appended run is known to be in sorted order (all
 // leaves sorted).
-func collectOrdered(nd *node, dst []Entry, sortedSoFar bool) ([]Entry, bool) {
+func collectOrdered[S geom.Packed](nd *node[S], dst []Entry[S], sortedSoFar bool) ([]Entry[S], bool) {
 	if nd == nil {
 		return dst, sortedSoFar
 	}
@@ -144,7 +145,7 @@ func collectOrdered(nd *node, dst []Entry, sortedSoFar bool) ([]Entry, bool) {
 // concatenates runs from different leaves; their boundaries are ordered by
 // the BST invariant, so sorted sub-runs imply a sorted whole — this check
 // is a cheap belt-and-suspenders for the ≤ φ case).
-func isNonDecreasing(ents []Entry) bool {
+func isNonDecreasing[S geom.Packed](ents []Entry[S]) bool {
 	for i := 1; i < len(ents); i++ {
 		if cmpEntry(ents[i-1], ents[i]) > 0 {
 			return false
@@ -158,13 +159,13 @@ func isNonDecreasing(ents []Entry) bool {
 // first if it was relaxed (line 34); this lazy sort is where the SPaC-tree
 // pays back its deferred work, on the rare join path instead of on every
 // update.
-func (t *Tree) expose(nd *node, c *cow) (*node, Entry, *node) {
+func (t *tree[S]) expose(nd *node[S], c *cow) (*node[S], Entry[S], *node[S]) {
 	if !nd.isLeaf() {
 		return nd.left, nd.pivot, nd.right
 	}
 	ents := t.sortedEnts(nd, c)
 	m := len(ents) / 2
-	var l, r *node
+	var l, r *node[S]
 	if m > 0 {
 		l = t.newLeaf(slices.Clone(ents[:m]), true)
 	}
@@ -177,7 +178,7 @@ func (t *Tree) expose(nd *node, c *cow) (*node, Entry, *node) {
 // sortedEnts returns leaf nd's entries in order, for a caller that only
 // reads them: an owned leaf pays its deferred sort in place, a shared one
 // is left as its other readers know it and a sorted copy is returned.
-func (t *Tree) sortedEnts(nd *node, c *cow) []Entry {
+func (t *tree[S]) sortedEnts(nd *node[S], c *cow) []Entry[S] {
 	ents := nd.ents
 	if nd.sorted {
 		return ents
@@ -186,7 +187,7 @@ func (t *Tree) sortedEnts(nd *node, c *cow) []Entry {
 		nd.sorted = true
 	} else {
 		ents = slices.Clone(ents)
-		c.leaf(ents)
+		copied(c, ents)
 	}
 	sortEntries(ents)
 	return ents

@@ -17,14 +17,15 @@ import (
 // pivots are stored entries (Alg. 3 line 30), offered to the heap as the
 // search passes them. R-tree boxes overlap, which is why this still does
 // more work than the space-partitioning trees (§5.1.3) — the price of the
-// fastest updates.
-func (t *Tree) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
+// fastest updates. Stored points are widened only when the heap takes
+// them.
+func (t *tree[S]) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 	if t.root == nil || k <= 0 {
 		return dst
 	}
-	dims := t.opts.Dims
 	h := geom.GetKNNHeap(k)
-	qp := queuePool.Get().(*subtreeQueue)
+	pool := queuePool[S]()
+	qp := pool.Get().(*subtreeQueue[S])
 	pq := (*qp)[:0]
 	hi := 0 // high-water length: the only entries this query dirtied
 	for nd := t.root; nd != nil; {
@@ -32,32 +33,32 @@ func (t *Tree) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 			// Leaves are scanned wholesale: in-leaf order is irrelevant to
 			// queries, which is the observation behind the SPaC relaxation.
 			for i := range nd.ents {
-				p := &nd.ents[i].P
-				if d := dist2(p, &q, dims); d < h.Bound() {
-					h.Push(*p, d)
+				p := nd.ents[i].P
+				if d := geom.PackedDist2(p, &q); d < h.Bound() {
+					h.Push(geom.Unpack(p), d)
 				}
 			}
 		} else {
-			if d := dist2(&nd.pivot.P, &q, dims); d < h.Bound() {
-				h.Push(nd.pivot.P, d)
+			if d := geom.PackedDist2(nd.pivot.P, &q); d < h.Bound() {
+				h.Push(geom.Unpack(nd.pivot.P), d)
 			}
 			near, far := nd.left, nd.right
-			dn, df := boxDist2(&near.bbox, &q, dims), int64(1<<63-1)
+			dn, df := near.bbox.Dist2(&q), int64(1<<63-1)
 			if far != nil {
-				if df = boxDist2(&far.bbox, &q, dims); df < dn {
+				if df = far.bbox.Dist2(&q); df < dn {
 					near, far, dn, df = far, near, df, dn
 				}
 			}
 			bound := h.Bound()
 			if df < bound {
-				pq = pq.push(subtree{df, far})
+				pq = pq.push(subtree[S]{df, far})
 			}
 			if dn < bound {
 				if len(pq) == 0 || dn <= pq[0].d {
 					nd = near
 					continue
 				}
-				pq = pq.push(subtree{dn, near})
+				pq = pq.push(subtree[S]{dn, near})
 			}
 		}
 		// The queue only grows between pops, so its length here is the
@@ -65,7 +66,7 @@ func (t *Tree) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 		hi = max(hi, len(pq))
 		nd = nil
 		if len(pq) > 0 {
-			var e subtree
+			var e subtree[S]
 			pq, e = pq.pop()
 			// The queue is ordered: once its head cannot beat the bound,
 			// nothing left in it can, and the search ends.
@@ -79,50 +80,35 @@ func (t *Tree) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 	// go of. Slots beyond hi were cleared by whichever query grew the buffer.
 	clear(pq[:hi])
 	*qp = pq[:0]
-	queuePool.Put(qp)
+	pool.Put(qp)
 	dst = h.Append(dst)
 	geom.PutKNNHeap(h)
 	return dst
 }
 
-// dist2 is geom.Dist2 written out for the two or three dimensions a tree
-// has, so that the per-entry leaf scan is straight-line code.
-func dist2(p, q *geom.Point, dims int) int64 {
-	dx, dy := p[0]-q[0], p[1]-q[1]
-	s := dx*dx + dy*dy
-	if dims > 2 {
-		dz := p[2] - q[2]
-		s += dz * dz
-	}
-	return s
-}
-
-// boxDist2 is geom.Box.Dist2 written out the same way.
-func boxDist2(b *geom.Box, q *geom.Point, dims int) int64 {
-	dx := max(b.Lo[0]-q[0], q[0]-b.Hi[0], 0)
-	dy := max(b.Lo[1]-q[1], q[1]-b.Hi[1], 0)
-	s := dx*dx + dy*dy
-	if dims > 2 {
-		dz := max(b.Lo[2]-q[2], q[2]-b.Hi[2], 0)
-		s += dz * dz
-	}
-	return s
-}
-
 // subtree is a queue element: a node and the squared distance from the
 // query to its bounding box.
-type subtree struct {
+type subtree[S geom.Packed] struct {
 	d  int64
-	nd *node
+	nd *node[S]
 }
 
 // subtreeQueue is a binary min-heap on d, recycled across queries through
-// queuePool so that warm queries allocate nothing.
-type subtreeQueue []subtree
+// queuePools so that warm queries allocate nothing.
+type subtreeQueue[S geom.Packed] []subtree[S]
 
-var queuePool = sync.Pool{New: func() any { return new(subtreeQueue) }}
+// queuePools hold the queues of 2-D and of 3-D trees; queuePool picks S's.
+var queuePools = [2]sync.Pool{
+	{New: func() any { return new(subtreeQueue[[2]int32]) }},
+	{New: func() any { return new(subtreeQueue[[3]int32]) }},
+}
 
-func (q subtreeQueue) push(e subtree) subtreeQueue {
+func queuePool[S geom.Packed]() *sync.Pool {
+	var s S
+	return &queuePools[len(s)-2]
+}
+
+func (q subtreeQueue[S]) push(e subtree[S]) subtreeQueue[S] {
 	q = append(q, e)
 	i := len(q) - 1
 	for i > 0 {
@@ -137,7 +123,7 @@ func (q subtreeQueue) push(e subtree) subtreeQueue {
 	return q
 }
 
-func (q subtreeQueue) pop() (subtreeQueue, subtree) {
+func (q subtreeQueue[S]) pop() (subtreeQueue[S], subtree[S]) {
 	top := q[0]
 	n := len(q) - 1
 	x := q[n]
@@ -164,78 +150,71 @@ func (q subtreeQueue) pop() (subtreeQueue, subtree) {
 }
 
 // RangeCount implements core.Index.
-func (t *Tree) RangeCount(box geom.Box) int { return t.count(t.root, box) }
+func (t *tree[S]) RangeCount(box geom.Box) int { return count(t.root, &box) }
 
-func (t *Tree) count(nd *node, box geom.Box) int {
-	if nd == nil {
+func count[S geom.Packed](nd *node[S], box *geom.Box) int {
+	if nd == nil || !nd.bbox.Meets(box) {
 		return 0
 	}
-	dims := t.opts.Dims
-	if !box.Intersects(nd.bbox, dims) {
-		return 0
-	}
-	if box.ContainsBox(nd.bbox, dims) {
+	if nd.bbox.Inside(box) {
 		return nd.size
 	}
 	if nd.isLeaf() {
 		n := 0
-		for _, e := range nd.ents {
-			if box.Contains(e.P, dims) {
+		for i := range nd.ents {
+			if geom.PackedIn(box, nd.ents[i].P) {
 				n++
 			}
 		}
 		return n
 	}
-	n := t.count(nd.left, box) + t.count(nd.right, box)
-	if box.Contains(nd.pivot.P, dims) {
+	n := count(nd.left, box) + count(nd.right, box)
+	if geom.PackedIn(box, nd.pivot.P) {
 		n++
 	}
 	return n
 }
 
 // RangeList implements core.Index.
-func (t *Tree) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
-	return t.list(t.root, box, dst)
+func (t *tree[S]) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
+	return list(t.root, &box, dst)
 }
 
-func (t *Tree) list(nd *node, box geom.Box, dst []geom.Point) []geom.Point {
-	if nd == nil {
+func list[S geom.Packed](nd *node[S], box *geom.Box, dst []geom.Point) []geom.Point {
+	if nd == nil || !nd.bbox.Meets(box) {
 		return dst
 	}
-	dims := t.opts.Dims
-	if !box.Intersects(nd.bbox, dims) {
-		return dst
-	}
-	if box.ContainsBox(nd.bbox, dims) {
+	if nd.bbox.Inside(box) {
 		return collectPoints(nd, dst)
 	}
 	if nd.isLeaf() {
-		for _, e := range nd.ents {
-			if box.Contains(e.P, dims) {
-				dst = append(dst, e.P)
+		for i := range nd.ents {
+			if p := nd.ents[i].P; geom.PackedIn(box, p) {
+				dst = append(dst, geom.Unpack(p))
 			}
 		}
 		return dst
 	}
-	dst = t.list(nd.left, box, dst)
-	if box.Contains(nd.pivot.P, dims) {
-		dst = append(dst, nd.pivot.P)
+	dst = list(nd.left, box, dst)
+	if geom.PackedIn(box, nd.pivot.P) {
+		dst = append(dst, geom.Unpack(nd.pivot.P))
 	}
-	return t.list(nd.right, box, dst)
+	return list(nd.right, box, dst)
 }
 
-// collectPoints appends every point of a subtree (pivots included).
-func collectPoints(nd *node, dst []geom.Point) []geom.Point {
+// collectPoints appends every point of a subtree (pivots included),
+// widened.
+func collectPoints[S geom.Packed](nd *node[S], dst []geom.Point) []geom.Point {
 	if nd == nil {
 		return dst
 	}
 	if nd.isLeaf() {
-		for _, e := range nd.ents {
-			dst = append(dst, e.P)
+		for i := range nd.ents {
+			dst = append(dst, geom.Unpack(nd.ents[i].P))
 		}
 		return dst
 	}
 	dst = collectPoints(nd.left, dst)
-	dst = append(dst, nd.pivot.P)
+	dst = append(dst, geom.Unpack(nd.pivot.P))
 	return collectPoints(nd.right, dst)
 }

@@ -16,10 +16,10 @@ import (
 // retired returns weak pointers to the nodes old reaches and cur does
 // not: what a version displaced when cur was copied from it. A node cur
 // reaches roots only nodes cur reaches, so the walk stops there.
-func retired(old, cur *node) []weak.Pointer[node] {
-	live := make(map[*node]bool)
-	var mark func(*node)
-	mark = func(nd *node) {
+func retired(old, cur *node2) []weak.Pointer[node2] {
+	live := make(map[*node2]bool)
+	var mark func(*node2)
+	mark = func(nd *node2) {
 		if nd != nil && !live[nd] {
 			live[nd] = true
 			mark(nd.left)
@@ -27,9 +27,9 @@ func retired(old, cur *node) []weak.Pointer[node] {
 		}
 	}
 	mark(cur)
-	var out []weak.Pointer[node]
-	var walk func(*node)
-	walk = func(nd *node) {
+	var out []weak.Pointer[node2]
+	var walk func(*node2)
+	walk = func(nd *node2) {
 		if nd != nil && !live[nd] {
 			out = append(out, weak.Make(nd))
 			walk(nd.left)
@@ -58,7 +58,7 @@ func queryEverything(idx core.Index) {
 // gone. One, not several: a sync.Pool keeps what it held for one cycle in
 // its victim cache, which is exactly where a query buffer that was not
 // cleared would pin a retired version.
-func assertCollected(t *testing.T, gone []weak.Pointer[node]) {
+func assertCollected(t *testing.T, gone []weak.Pointer[node2]) {
 	t.Helper()
 	if len(gone) == 0 {
 		t.Fatal("the update displaced no node")
@@ -88,7 +88,7 @@ func TestQueriesPinNoRetiredVersion(t *testing.T) {
 		cur := old.NewReplica().(*Tree)
 		cur.Adopt(old)
 		cur.BatchDelete(pts[:len(pts)/2])
-		gone := retired(old.root, cur.root)
+		gone := retired(in2(old).root, in2(cur).root)
 		queryEverything(old)
 		old.Adopt(cur)
 		assertCollected(t, gone)
@@ -107,9 +107,9 @@ func TestQueriesPinNoRetiredVersion(t *testing.T) {
 		cur := old.NewReplica().(*shard.Sharded)
 		cur.Adopt(old)
 		cur.BatchDelete(pts[:len(pts)/2])
-		var gone []weak.Pointer[node]
+		var gone []weak.Pointer[node2]
 		for i := range old.Shards() {
-			gone = append(gone, retired(trees[i].root, trees[old.Shards()+i].root)...)
+			gone = append(gone, retired(in2(trees[i]).root, in2(trees[old.Shards()+i]).root)...)
 		}
 		queryEverything(old)
 		old.Adopt(cur)
@@ -165,3 +165,5 @@ func BenchmarkKNN(b *testing.B) {
 		run(string(d)+"/ood/k=10", pts, workload.OODQueries(d, nq, 2, side, 4), 10)
 	}
 }
+
+type node2 = node[[2]int32]

@@ -59,8 +59,9 @@ func TestQuickSplitRun(t *testing.T) {
 			pts = append(pts, dup)
 		}
 		tr.Build(pts)
-		e := tr.encode(dup)
-		lt, gt, count := tr.splitRun(tr.root, e, new(cow))
+		in := in2(tr)
+		e := in.encode(dup)
+		lt, gt, count := in.splitRun(in.root, e, new(cow))
 		// Count ground truth.
 		want := 0
 		for _, p := range pts {
@@ -100,12 +101,13 @@ func TestQuickSplitRun(t *testing.T) {
 func TestQuickJoinBalance(t *testing.T) {
 	side := int64(1 << 16)
 	tr := NewSPaC(sfc.Hilbert, 2, geom.UniverseBox(2, side))
-	base := tr.encodeAndSort(workload.GenUniform(3000, 2, side, 9))
+	in := in2(tr)
+	base := in.encodeAndSort(workload.GenUniform(3000, 2, side, 9))
 	f := func(cut uint16) bool {
 		i := int(cut) % len(base)
-		l := tr.buildSortedEnts(base[:i:i])
-		r := tr.buildSortedEnts(base[i+1 : len(base) : len(base)])
-		tr.root = tr.join(l, base[i], r, new(cow))
+		l := in.buildSortedEnts(base[:i:i])
+		r := in.buildSortedEnts(base[i+1 : len(base) : len(base)])
+		in.root = in.join(l, base[i], r, new(cow))
 		if err := tr.Validate(); err != nil {
 			t.Log(err)
 			return false
@@ -122,11 +124,12 @@ func TestQuickJoinBalance(t *testing.T) {
 func TestLopsidedJoins(t *testing.T) {
 	side := int64(1 << 16)
 	tr := NewSPaC(sfc.Hilbert, 2, geom.UniverseBox(2, side))
-	ents := tr.encodeAndSort(workload.GenUniform(20000, 2, side, 11))
+	in := in2(tr)
+	ents := in.encodeAndSort(workload.GenUniform(20000, 2, side, 11))
 	for _, cut := range []int{1, 3, 41, len(ents) - 2, len(ents) - 42} {
-		l := tr.buildSortedEnts(ents[:cut:cut])
-		r := tr.buildSortedEnts(ents[cut+1 : len(ents) : len(ents)])
-		tr.root = tr.join(l, ents[cut], r, new(cow))
+		l := in.buildSortedEnts(ents[:cut:cut])
+		r := in.buildSortedEnts(ents[cut+1 : len(ents) : len(ents)])
+		in.root = in.join(l, ents[cut], r, new(cow))
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -136,30 +139,31 @@ func TestLopsidedJoins(t *testing.T) {
 	}
 }
 
-// Boundary coordinates at the curve precision limit must encode, insert
-// and query correctly.
+// The largest universes the family accepts, [0, 2³¹−1]² and [0, 2²¹−1]³,
+// keep their corners and edges exact through the int32 stored form — in
+// Build, BatchDiff and every query, against BruteForce, for both modes
+// and curves — and a universe one past them is refused at New. A leaf
+// wrap of 4 puts most of the points in pivots and interior boxes.
 func TestPrecisionBoundary(t *testing.T) {
-	for _, curve := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
-		maxc := sfc.MaxCoord(curve, 2)
-		u := geom.BoxOf(geom.Pt2(0, 0), geom.Pt2(maxc, maxc))
-		tr := New(curve, PartialOrder, func() core.Options {
-			o := core.DefaultOptions(2, u)
-			o.LeafWrap = 40
-			o.Alpha = 0.2
-			return o
-		}())
-		pts := []geom.Point{
-			geom.Pt2(0, 0), geom.Pt2(maxc, maxc), geom.Pt2(0, maxc),
-			geom.Pt2(maxc, 0), geom.Pt2(maxc/2, maxc/2),
-		}
-		tr.Build(pts)
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%v: %v", curve, err)
-		}
-		for _, p := range pts {
-			nn := tr.KNN(p, 1, nil)
-			if len(nn) != 1 || nn[0] != p {
-				t.Fatalf("%v: corner %v lost", curve, p)
+	for _, dims := range []int{2, 3} {
+		for _, curve := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
+			for _, mode := range []Mode{PartialOrder, TotalOrder} {
+				maxc := sfc.MaxCoord(curve, dims)
+				opts := core.DefaultOptions(dims, geom.UniverseBox(dims, maxc))
+				opts.LeafWrap, opts.Alpha = 4, 0.2
+				tr := New(curve, mode, opts)
+				if err := core.CheckBoundary(tr, opts.Universe, tr.Validate); err != nil {
+					t.Fatalf("%s %dD: %v", tr.Name(), dims, err)
+				}
+				opts.Universe = geom.UniverseBox(dims, maxc+1)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s %dD: a universe of side %d was accepted", tr.Name(), dims, maxc+1)
+						}
+					}()
+					New(curve, mode, opts)
+				}()
 			}
 		}
 	}

@@ -43,16 +43,16 @@ func TestSortEntriesMatchesComparatorSort(t *testing.T) {
 	tr := NewSPaC(sfc.Hilbert, 2, universe())
 	for _, n := range []int{0, 1, 41, 500, sortSeqCutoff - 1, sortSeqCutoff, sortSeqCutoff + 1, 5 * sortSeqCutoff} {
 		for name, pts := range sortInputs(n) {
-			ents := make([]Entry, n)
+			ents := make([]Entry[[2]int32], n)
 			for i, p := range pts {
-				ents[i] = tr.encode(p)
+				ents[i] = in2(tr).encode(p)
 			}
-			check := func(label string, ents []Entry) {
+			check := func(label string, ents []Entry[[2]int32]) {
 				want := slices.Clone(ents)
-				slices.SortFunc(want, cmpEntry)
+				slices.SortFunc(want, cmpEntry[[2]int32])
 				sortEntries(ents)
 				if !slices.Equal(ents, want) {
-					t.Fatalf("%s/%s n=%d: keyed sort differs from slices.SortFunc(cmpEntry)", name, label, n)
+					t.Fatalf("%s/%s n=%d: keyed sort differs from slices.SortFunc(cmpEntry[[2]int32])", name, label, n)
 				}
 			}
 			check("codes", slices.Clone(ents))
@@ -74,12 +74,12 @@ func TestHybridBuildOrderMatchesComparatorSort(t *testing.T) {
 			for name, pts := range sortInputs(n) {
 				tr := NewSPaC(curve, 2, universe())
 				tr.Build(pts)
-				got, sorted := collectOrdered(tr.root, nil, true)
-				want := make([]Entry, n)
+				got, sorted := collectOrdered(in2(tr).root, nil, true)
+				want := make([]Entry[[2]int32], n)
 				for i, p := range pts {
-					want[i] = tr.encode(p)
+					want[i] = in2(tr).encode(p)
 				}
-				slices.SortFunc(want, cmpEntry)
+				slices.SortFunc(want, cmpEntry[[2]int32])
 				if !sorted || !slices.Equal(got, want) {
 					t.Fatalf("%s/%s n=%d: built tree is not in cmpEntry order", curve, name, n)
 				}

@@ -103,8 +103,8 @@ func TestHybridAndPlainBuildSameContents(t *testing.T) {
 	b := NewCPAM(sfc.Hilbert, 2, universe())
 	a.Build(pts)
 	b.Build(pts)
-	ea, _ := collectOrdered(a.root, nil, true)
-	eb, _ := collectOrdered(b.root, nil, true)
+	ea, _ := collectOrdered(in2(a).root, nil, true)
+	eb, _ := collectOrdered(in2(b).root, nil, true)
 	if len(ea) != len(eb) {
 		t.Fatalf("sizes differ: %d vs %d", len(ea), len(eb))
 	}
@@ -365,3 +365,6 @@ func TestSingleEntryOperations(t *testing.T) {
 		t.Fatal("size after single delete")
 	}
 }
+
+// in2 returns the 2-D tree behind tr, for the tests that look inside it.
+func in2(tr *Tree) *tree[[2]int32] { return tr.body.(*tree[[2]int32]) }

@@ -1,7 +1,6 @@
 package spactree
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -19,12 +18,32 @@ const (
 	TotalOrder
 )
 
-// Tree is a SPaC-tree or CPAM tree over a Morton or Hilbert curve.
-type Tree struct {
+// Tree is a SPaC-tree or CPAM tree over a Morton or Hilbert curve. It is a
+// handle on a tree[S], S the stored point type New picks from the
+// dimensionality — [2]int32 or [3]int32 — and has its methods.
+type Tree struct{ body }
+
+// body is the method set of a tree[S], for either S.
+type body interface {
+	core.Index
+	core.Adopter
+	Curve() sfc.Curve
+	Validate() error
+	LeafStats() (leaves, unsorted int)
+	Height() int
+}
+
+var (
+	_ core.Index   = (*Tree)(nil)
+	_ core.Adopter = (*Tree)(nil)
+)
+
+// tree is a SPaC-tree or CPAM tree storing its points as S.
+type tree[S geom.Packed] struct {
 	opts  core.Options
 	curve sfc.Curve
 	mode  Mode
-	root  *node
+	root  *node[S]
 	// gen is the generation the tree stamps on the nodes it creates and
 	// the only one whose nodes it writes in place (cow.go).
 	gen uint64
@@ -33,20 +52,16 @@ type Tree struct {
 	cowNodes, cowBytes atomic.Uint64
 }
 
-var _ core.Index = (*Tree)(nil)
-
 // New returns an empty tree. The universe must fit the curve's precision
-// (§4.3: integer coordinates only; 3D data must be scaled to 21 bits).
+// (§4.3: integer coordinates only; 3D data must be scaled to 21 bits), and
+// every point must fit int32, the range of a stored coordinate.
 func New(curve sfc.Curve, mode Mode, opts core.Options) *Tree {
 	opts.Validate()
-	maxc := sfc.MaxCoord(curve, opts.Dims)
-	u := opts.Universe
-	for d := 0; d < opts.Dims; d++ {
-		if u.Lo[d] < 0 || u.Hi[d] > maxc {
-			panic(fmt.Sprintf("spactree: universe exceeds %v-curve precision (max coord %d)", curve, maxc))
-		}
+	opts.RequireUniverse("spactree", 0, sfc.MaxCoord(curve, opts.Dims))
+	if opts.Dims == 2 {
+		return &Tree{&tree[[2]int32]{opts: opts, curve: curve, mode: mode}}
 	}
-	return &Tree{opts: opts, curve: curve, mode: mode}
+	return &Tree{&tree[[3]int32]{opts: opts, curve: curve, mode: mode}}
 }
 
 // NewSPaC returns a SPaC-tree with the paper's parameters (§C: leaf wrap
@@ -67,7 +82,7 @@ func NewCPAM(curve sfc.Curve, dims int, universe geom.Box) *Tree {
 }
 
 // Name implements core.Index, matching the paper's table labels.
-func (t *Tree) Name() string {
+func (t *tree[S]) Name() string {
 	if t.mode == TotalOrder {
 		return "CPAM-" + t.curve.String()
 	}
@@ -75,17 +90,17 @@ func (t *Tree) Name() string {
 }
 
 // Dims implements core.Index.
-func (t *Tree) Dims() int { return t.opts.Dims }
+func (t *tree[S]) Dims() int { return t.opts.Dims }
 
 // Size implements core.Index.
-func (t *Tree) Size() int { return sizeOf(t.root) }
+func (t *tree[S]) Size() int { return sizeOf(t.root) }
 
 // Curve returns the tree's space-filling curve.
-func (t *Tree) Curve() sfc.Curve { return t.curve }
+func (t *tree[S]) Curve() sfc.Curve { return t.curve }
 
 // Build implements core.Index: Alg. 3 for SPaC mode, the plain
 // precompute-sort-build for CPAM mode.
-func (t *Tree) Build(pts []geom.Point) {
+func (t *tree[S]) Build(pts []geom.Point) {
 	if t.mode == PartialOrder {
 		t.root = t.buildHybrid(pts)
 	} else {
@@ -94,7 +109,7 @@ func (t *Tree) Build(pts []geom.Point) {
 }
 
 // BatchInsert implements core.Index (Alg. 4).
-func (t *Tree) BatchInsert(pts []geom.Point) {
+func (t *tree[S]) BatchInsert(pts []geom.Point) {
 	if len(pts) == 0 {
 		return
 	}
@@ -105,26 +120,31 @@ func (t *Tree) BatchInsert(pts []geom.Point) {
 
 // BatchDelete implements core.Index (multiset semantics, §4.2 last
 // paragraph).
-func (t *Tree) BatchDelete(pts []geom.Point) {
+func (t *tree[S]) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
 	var c cow
-	t.root = t.deleteSorted(t.root, t.encodeAndSort(pts), &c)
+	t.root = t.deleteSorted(t.root, t.encodeDeletes(pts), &c)
 	t.note(c)
 }
 
 const seqCutoff = 2048
 
 // BatchDiff implements core.Index: deletions apply before insertions.
-// Both halves share one pass of code computation and sorting.
-func (t *Tree) BatchDiff(ins, del []geom.Point) {
+// The insertions are encoded first, so one that does not fit int32 is
+// refused before the deletions change the tree.
+func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
 	var c cow
-	if len(del) > 0 && t.root != nil {
-		t.root = t.deleteSorted(t.root, t.encodeAndSort(del), &c)
-	}
+	var ie []Entry[S]
 	if len(ins) > 0 {
-		t.root = t.insertSorted(t.root, t.encodeAndSort(ins), &c)
+		ie = t.encodeAndSort(ins)
+	}
+	if len(del) > 0 && t.root != nil {
+		t.root = t.deleteSorted(t.root, t.encodeDeletes(del), &c)
+	}
+	if len(ie) > 0 {
+		t.root = t.insertSorted(t.root, ie, &c)
 	}
 	t.note(c)
 }

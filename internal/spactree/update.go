@@ -3,21 +3,24 @@ package spactree
 import (
 	"slices"
 	"sort"
+
+	"repro/internal/core"
+	"repro/internal/geom"
 )
 
 // upperBound returns the first index in sorted batch with entry > e.
-func upperBound(batch []Entry, e Entry) int {
+func upperBound[S geom.Packed](batch []Entry[S], e Entry[S]) int {
 	return sort.Search(len(batch), func(i int) bool { return cmpEntry(batch[i], e) > 0 })
 }
 
 // lowerBound returns the first index in sorted batch with entry >= e.
-func lowerBound(batch []Entry, e Entry) int {
+func lowerBound[S geom.Packed](batch []Entry[S], e Entry[S]) int {
 	return sort.Search(len(batch), func(i int) bool { return cmpEntry(batch[i], e) >= 0 })
 }
 
 // insertSorted is InsertSorted (Alg. 4): route the sorted batch down by
 // pivot codes, absorb or rebuild at leaves, Join on the way back up.
-func (t *Tree) insertSorted(nd *node, batch []Entry, c *cow) *node {
+func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	if len(batch) == 0 {
 		return nd
 	}
@@ -37,15 +40,16 @@ func (t *Tree) insertSorted(nd *node, batch []Entry, c *cow) *node {
 			}
 			bbox := nd.bbox
 			for _, e := range batch {
-				bbox = bbox.Extend(e.P, t.opts.Dims)
+				bbox = bbox.Extend(e.P)
 			}
+			ents := nd.ents
 			if !t.owns(nd) {
 				// A shared leaf: the append goes into a block of its own.
-				c.leaf(nd.ents)
-				ents := append(make([]Entry, 0, total), nd.ents...)
-				nd = &node{gen: t.gen, ents: ents}
+				copied(c, ents)
+				ents = slices.Clip(ents)
+				nd = &node[S]{gen: t.gen}
 			}
-			nd.ents = append(nd.ents, batch...)
+			nd.ents = core.FitBlock(append(core.GrowBlock(ents, len(batch), phi), batch...))
 			nd.size = len(nd.ents)
 			nd.bbox = bbox
 			nd.sorted = false
@@ -53,11 +57,11 @@ func (t *Tree) insertSorted(nd *node, batch []Entry, c *cow) *node {
 		}
 		if total <= 4*phi {
 			// §C heuristic, small side: localized rebuild.
-			var all []Entry
+			var all []Entry[S]
 			if t.mode == TotalOrder {
 				all = mergeSorted(nd.ents, batch)
 			} else {
-				all = make([]Entry, 0, total)
+				all = make([]Entry[S], 0, total)
 				all = append(all, nd.ents...)
 				all = append(all, batch...)
 				sortEntries(all)
@@ -68,13 +72,13 @@ func (t *Tree) insertSorted(nd *node, batch []Entry, c *cow) *node {
 		// batch across its halves instead of merging a huge run.
 		l, k, r := t.expose(nd, c)
 		i := upperBound(batch, k)
-		nl, nr := t.both((*Tree).insertSorted, len(batch) >= seqCutoff, l, batch[:i], r, batch[i:], c)
+		nl, nr := t.both(false, len(batch) >= seqCutoff, l, batch[:i], r, batch[i:], c)
 		return t.join(nl, k, nr, c)
 	}
 	// Lines 13-19: binary-search the pivot in the batch, recurse in
 	// parallel, Join rebalances.
 	i := upperBound(batch, nd.pivot)
-	l, r := t.both((*Tree).insertSorted, len(batch) >= seqCutoff, nd.left, batch[:i], nd.right, batch[i:], c)
+	l, r := t.both(false, len(batch) >= seqCutoff, nd.left, batch[:i], nd.right, batch[i:], c)
 	return t.joinInto(nd, l, r, c)
 }
 
@@ -87,7 +91,7 @@ func (t *Tree) insertSorted(nd *node, batch []Entry, c *cow) *node {
 // newer than its parent, so those were not written either. Only the
 // rebalancing path pays for fresh nodes; the joins are semantically
 // identical.
-func (t *Tree) joinInto(nd *node, l, r *node, c *cow) *node {
+func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
 	if t.balancedNodes(l, r) {
 		if n := sizeOf(l) + sizeOf(r) + 1; n > 2*t.opts.LeafWrap {
 			if !t.owns(nd) {
@@ -107,8 +111,8 @@ func (t *Tree) joinInto(nd *node, l, r *node, c *cow) *node {
 }
 
 // mergeSorted merges two entry slices sorted by cmpEntry.
-func mergeSorted(a, b []Entry) []Entry {
-	out := make([]Entry, 0, len(a)+len(b))
+func mergeSorted[S geom.Packed](a, b []Entry[S]) []Entry[S] {
+	out := make([]Entry[S], 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if cmpEntry(a[i], b[j]) <= 0 {
@@ -128,7 +132,7 @@ func mergeSorted(a, b []Entry) []Entry {
 // it reaches a leaf, it removes the points there, marks the leaf as
 // unsorted if necessary, and updates the bounding box"; rebalancing via
 // Join/Join2 as in insertion).
-func (t *Tree) deleteSorted(nd *node, batch []Entry, c *cow) *node {
+func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	if nd == nil || len(batch) == 0 {
 		return nd
 	}
@@ -137,7 +141,7 @@ func (t *Tree) deleteSorted(nd *node, batch []Entry, c *cow) *node {
 	}
 	lo := lowerBound(batch, nd.pivot)
 	hi := upperBound(batch, nd.pivot)
-	l, r := t.both((*Tree).deleteSorted, len(batch) >= seqCutoff, nd.left, batch[:lo], nd.right, batch[hi:], c)
+	l, r := t.both(true, len(batch) >= seqCutoff, nd.left, batch[:lo], nd.right, batch[hi:], c)
 	if lo == hi {
 		// Pivot not targeted: plain split-recurse-join.
 		return t.joinInto(nd, l, r, c)
@@ -156,7 +160,7 @@ func (t *Tree) deleteSorted(nd *node, batch []Entry, c *cow) *node {
 	}
 	res := t.join2(t.join2(ll, lg, c), t.join2(rl, rg, c), c)
 	if leftover > 0 {
-		run := make([]Entry, leftover)
+		run := make([]Entry[S], leftover)
 		for i := range run {
 			run[i] = nd.pivot
 		}
@@ -170,8 +174,9 @@ func (t *Tree) deleteSorted(nd *node, batch []Entry, c *cow) *node {
 // unsorted, exactly the freedom §4.2 grants deletions ("removes the
 // points there, marks the leaf as unsorted if necessary"). TotalOrder
 // (CPAM) mode must keep the leaf sorted, so it pays for an order-
-// preserving compaction.
-func (t *Tree) deleteFromLeaf(nd *node, batch []Entry, c *cow) *node {
+// preserving compaction. Either way a leaf left with less than half its
+// block moves into a fitted one.
+func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	if t.mode == PartialOrder {
 		ents := nd.ents
 		mine := t.owns(nd) // ents may be written
@@ -181,7 +186,7 @@ func (t *Tree) deleteFromLeaf(nd *node, batch []Entry, c *cow) *node {
 					if !mine {
 						// A shared leaf: the first match moves the removal
 						// to a copy of the block.
-						c.leaf(ents)
+						copied(c, ents)
 						ents, mine = slices.Clone(ents), true
 					}
 					ents[i] = ents[len(ents)-1]
@@ -197,16 +202,16 @@ func (t *Tree) deleteFromLeaf(nd *node, batch []Entry, c *cow) *node {
 			return nil
 		}
 		if !t.owns(nd) {
-			nd = &node{gen: t.gen}
+			nd = &node[S]{gen: t.gen}
 		}
-		nd.ents = ents
+		nd.ents = core.FitBlock(ents)
 		nd.size = len(ents)
 		nd.sorted = false
-		nd.bbox = entsBBox(ents, t.opts.Dims)
+		nd.bbox = entsBBox(ents)
 		return nd
 	}
 	used := make([]bool, len(batch))
-	kept := make([]Entry, 0, len(nd.ents))
+	kept := make([]Entry[S], 0, len(nd.ents))
 	for _, e := range nd.ents {
 		matched := false
 		lo := lowerBound(batch, e)
@@ -227,15 +232,15 @@ func (t *Tree) deleteFromLeaf(nd *node, batch []Entry, c *cow) *node {
 	if len(kept) == len(nd.ents) {
 		return nd
 	}
-	return t.newLeaf(kept, nd.sorted)
+	return t.newLeaf(core.FitBlock(kept), nd.sorted)
 }
 
 // LeafStats reports how many leaves exist and how many are currently
 // marked unsorted — the observable footprint of the partial-order
 // relaxation (used by tests and the ablation benches).
-func (t *Tree) LeafStats() (leaves, unsorted int) {
-	var walk func(nd *node)
-	walk = func(nd *node) {
+func (t *tree[S]) LeafStats() (leaves, unsorted int) {
+	var walk func(nd *node[S])
+	walk = func(nd *node[S]) {
 		if nd == nil {
 			return
 		}
@@ -254,9 +259,9 @@ func (t *Tree) LeafStats() (leaves, unsorted int) {
 }
 
 // Height returns the tree height (leaf = 1).
-func (t *Tree) Height() int { return heightOf(t.root) }
+func (t *tree[S]) Height() int { return heightOf(t.root) }
 
-func heightOf(nd *node) int {
+func heightOf[S geom.Packed](nd *node[S]) int {
 	if nd == nil {
 		return 0
 	}

@@ -18,22 +18,21 @@ import (
 //  5. exact sizes and tight bounding boxes;
 //  6. generation stamps (cow.go): no node newer than the tree, no child
 //     newer than its parent.
-func (t *Tree) Validate() error {
+func (t *tree[S]) Validate() error {
 	_, _, _, err := t.validate(t.root, t.gen)
 	return err
 }
 
 // validate returns (size, minEntry, maxEntry, err); newest is the stamp
 // of whatever holds nd, its parent or the tree.
-func (t *Tree) validate(nd *node, newest uint64) (int, Entry, Entry, error) {
-	var zero Entry
+func (t *tree[S]) validate(nd *node[S], newest uint64) (int, Entry[S], Entry[S], error) {
+	var zero Entry[S]
 	if nd == nil {
 		return 0, zero, zero, nil
 	}
 	if nd.gen > newest {
 		return 0, zero, zero, fmt.Errorf("node of generation %d under generation %d", nd.gen, newest)
 	}
-	dims := t.opts.Dims
 	if nd.isLeaf() {
 		if len(nd.ents) == 0 {
 			return 0, zero, zero, fmt.Errorf("empty leaf present")
@@ -47,10 +46,9 @@ func (t *Tree) validate(nd *node, newest uint64) (int, Entry, Entry, error) {
 		if t.mode == TotalOrder && !nd.sorted {
 			return 0, zero, zero, fmt.Errorf("CPAM leaf marked unsorted")
 		}
-		bbox := geom.EmptyBox(dims)
 		mn, mx := nd.ents[0], nd.ents[0]
 		for i, e := range nd.ents {
-			if e.Code != t.encode(e.P).Code {
+			if e.Code != t.encode(geom.Unpack(e.P)).Code {
 				return 0, zero, zero, fmt.Errorf("entry code stale for %v", e.P)
 			}
 			if nd.sorted && i > 0 && cmpEntry(nd.ents[i-1], e) > 0 {
@@ -62,9 +60,8 @@ func (t *Tree) validate(nd *node, newest uint64) (int, Entry, Entry, error) {
 			if cmpEntry(e, mx) > 0 {
 				mx = e
 			}
-			bbox = bbox.Extend(e.P, dims)
 		}
-		if bbox != nd.bbox {
+		if bbox := entsBBox(nd.ents); bbox != nd.bbox {
 			return 0, zero, zero, fmt.Errorf("leaf bbox stale: %v vs %v", nd.bbox, bbox)
 		}
 		return nd.size, mn, mx, nil

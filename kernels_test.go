@@ -1,7 +1,6 @@
 package psi
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 )
@@ -9,22 +8,6 @@ import (
 // Tests of the construction kernels (table sieve routing, table Hilbert
 // codes, keyed sort) through the ByName surface; the kernels' own
 // equivalence tests sit beside them in internal/{orthtree,sfc,parallel}.
-
-// innerIndex digs the tree out of the replica wrapper every psi
-// constructor applies, so a test can reach methods beyond Index.
-func innerIndex(idx Index) Index {
-	for {
-		v := reflect.ValueOf(idx)
-		if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
-			return idx
-		}
-		f := v.Elem().FieldByName("Index")
-		if !f.IsValid() || f.IsNil() {
-			return idx
-		}
-		idx = f.Interface().(Index)
-	}
-}
 
 // TestEveryIndexValidatesAfterBuildAndDiff runs each index's own
 // invariant checker — canonical form for P-Orth and the Zd-tree, order,
@@ -37,7 +20,7 @@ func TestEveryIndexValidatesAfterBuildAndDiff(t *testing.T) {
 		pts := Generate(dist, n+n/10, 2, itSide, 21)
 		for _, name := range allIndexNames {
 			idx := ByName(name, 2, Universe2D(itSide))
-			v, ok := innerIndex(idx).(interface{ Validate() error })
+			v, ok := idx.(interface{ Validate() error })
 			if !ok {
 				if name != "BruteForce" {
 					t.Errorf("%s has no Validate", name)
@@ -61,11 +44,11 @@ func TestEveryIndexValidatesAfterBuildAndDiff(t *testing.T) {
 
 // TestBuildAllocationBudget bounds what one Build allocates, in bytes per
 // point at n = 2·10^5, by what it allocated before the kernels changed
-// (the parent's figure in the comment, a little slack on top). P-Orth no
-// longer copies its input: the tree, the sieve's destination and one
-// generation of per-bucket scratch remain. The sort-built trees allocate
-// the tree, the ⟨code, id⟩ pairs or entries and one sort buffer of the
-// same size, as before.
+// (the parent's figure and the measured one in the comment, a little slack
+// on top). P-Orth allocates the tree and two arrays of int32 points, the
+// narrowed input and the sieve's destination. The sort-built trees
+// allocate the tree, the ⟨code, id⟩ pairs or entries and one sort buffer
+// of the same size.
 func TestBuildAllocationBudget(t *testing.T) {
 	const n = 200_000
 	pts := Generate(Uniform, n, 2, itSide, 5)
@@ -73,9 +56,9 @@ func TestBuildAllocationBudget(t *testing.T) {
 		name   string
 		budget uint64
 	}{
-		{"P-Orth", 130},  // was 200
-		{"SPaC-H", 82},   // was 80
-		{"CPAM-H", 82},   // was 80
+		{"P-Orth", 64},   // was 130; 58 with int32 points
+		{"SPaC-H", 68},   // was 82; 62 with int32 points
+		{"CPAM-H", 63},   // was 82; 57 with int32 points
 		{"Zd-Tree", 117}, // was 115
 	} {
 		idx := ByName(c.name, 2, Universe2D(itSide))
@@ -88,5 +71,53 @@ func TestBuildAllocationBudget(t *testing.T) {
 			t.Errorf("%s: Build allocates %d B/point, budget %d", c.name, got, c.budget)
 		}
 		t.Logf("%s: Build allocates %d B/point", c.name, got)
+	}
+}
+
+// TestSteadyChurnHeap is the steady-size memory guard of the trees that
+// store int32 points. At n = 10⁵, after 2n points are replaced in
+// 10³-point rounds — an insert and a delete, or every third round one
+// BatchDiff, as batch-index drives them — a tree holds at most 1.15 times
+// the heap its Build left, per point. Leaf blocks that grew by append's
+// doubling and never shrank held 1.4–1.6 times here.
+func TestSteadyChurnHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes heap accounting")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const n, b = 100_000, 1000
+	for _, dims := range []int{2, 3} {
+		u := Universe2D(itSide)
+		if dims == 3 {
+			u = Universe3D(itSide)
+		}
+		ring := Generate(Uniform, 3*n, dims, itSide, 11)
+		for _, name := range []string{"P-Orth", "SPaC-H", "CPAM-H"} {
+			before := heap()
+			idx := ByName(name, dims, u)
+			idx.Build(ring[:n])
+			built := float64(heap()-before) / n
+			for r := 0; r < 2*n/b; r++ {
+				ins, del := ring[n+r*b:n+(r+1)*b], ring[r*b:(r+1)*b]
+				if r%3 == 2 {
+					idx.BatchDiff(ins, del)
+				} else {
+					idx.BatchInsert(ins)
+					idx.BatchDelete(del)
+				}
+			}
+			churned := float64(heap()-before) / n
+			runtime.KeepAlive(idx)
+			t.Logf("%s %dD: %.1f B/pt after Build, %.1f after churn (%.3f×)", name, dims, built, churned, churned/built)
+			if churned > 1.15*built {
+				t.Errorf("%s %dD: %.1f B/pt after churn, over 1.15 × the %.1f of Build", name, dims, churned, built)
+			}
+		}
 	}
 }

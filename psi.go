@@ -96,7 +96,8 @@ func DefaultOptions(dims int, universe Box) Options {
 // query/update trade-off on non-skewed data; history-independent, so
 // query performance does not degrade under sustained updates. Like the
 // SPaC family it is copy-on-write, so it serves snapshot reads from one
-// shared tree.
+// shared tree, and it stores coordinates as int32: it panics on a
+// universe outside that range.
 func NewPOrth(dims int, universe Box) Index { return orthtree.NewDefault(dims, universe) }
 
 // NewPOrthOpts returns a P-Orth tree with explicit options.
