@@ -407,6 +407,8 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-side", "4000000000000", "-shards", "0"},
 		{"-index", "P-Orth", "-side", "3000000000"}, // past int32, P-Orth's stored range
 		{"-index", "P-Orth", "-side", "3000000000", "-shards", "0"},
+		// Inside int32, but with a squared diagonal past int64.
+		{"-dims", "3", "-index", "P-Orth", "-side", "2000000000"},
 		{"-dims", "3", "-index", "Zd-Tree"}, // the default side is past 21 bits
 		{"-flush-interval", "-1ms"},         // not "no background flusher"
 		{"-drain", "-1s"},                   // every SIGTERM would end forced, exit 1

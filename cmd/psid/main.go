@@ -103,7 +103,7 @@ func run() int {
 	index := flag.String("index", "SPaC-H", "index family (a psibench table name, e.g. SPaC-H, P-Orth, Pkd-Tree); the SPaC family and P-Orth share one tree between snapshot versions, the baselines serve locked reads")
 	shards := flag.Int("shards", -1, "shard count: -1 = one per core, 0 = unsharded, N = N shards")
 	dims := flag.Int("dims", 2, "point dimensionality (2 or 3)")
-	side := flag.Int64("side", 1_000_000_000, "coordinate universe [0, side]^dims; the largest side depends on the index family (P-Orth: 2^31-1; the SPaC family and the Zd-tree: 2^31-1 in 2-D, 2^21-1 in 3-D)")
+	side := flag.Int64("side", 1_000_000_000, "coordinate universe [0, side]^dims; the largest side depends on the index family (P-Orth: 2^31-1 in 2-D, 1753413056 in 3-D; the SPaC family and the Zd-tree: 2^31-1 in 2-D, 2^21-1 in 3-D)")
 	maxBatch := flag.Int("maxbatch", 4096, "coalescing threshold: pending ops that trigger a synchronous flush")
 	flushEvery := flag.Duration("flush-interval", service.DefaultFlushInterval, "background flush cadence bounding query staleness")
 	maxLine := flag.Int("maxline", service.DefaultMaxLineBytes, "reject request lines longer than this many bytes")

@@ -5,8 +5,8 @@ import "slices"
 // Leaf blocks of the trees whose leaves keep their points in a slice (the
 // SPaC family and P-Orth). A block belongs to one leaf — no two leaves
 // share an array — and is sized to what the leaf holds: it grows by about
-// an eighth at a time, never past the leaf wrap, and once the leaf fills
-// less than half of it, the next write moves the leaf into a fitted one.
+// an eighth at a time, never past the leaf wrap, and a delete that leaves
+// the leaf filling less than half of it moves the leaf into a fitted one.
 // append's doubling would instead leave a tree at steady size with blocks
 // its leaves can never fill.
 

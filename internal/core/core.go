@@ -98,6 +98,15 @@ type Adopter interface {
 	Copied() (nodes, bytes uint64)
 }
 
+// Bounded is an index whose updates must keep to a fixed universe (the
+// SPaC family, P-Orth, and a Sharded index over any family): an update
+// that brings in a point outside Universe breaks its contract and may
+// panic. A caller that takes points from outside the program — psid's
+// SET — checks them against Universe before they reach the index.
+type Bounded interface {
+	Universe() geom.Box
+}
+
 // Options carries the tuning parameters of §C. The zero value is invalid;
 // start from DefaultOptions.
 type Options struct {
@@ -156,14 +165,22 @@ func (o Options) Validate() {
 // RequireUniverse is the universe check of the trees that store their
 // points as int32 coordinates (geom.Packed: the SPaC family and P-Orth).
 // It panics unless, in every used dimension, the universe lies inside
-// [lo, hi] and inside int32; family names the tree in the message.
-// Constructors call it, as they call Validate.
+// [lo, hi] and inside int32, and unless its squared diagonal fits int64,
+// which keeps the squared distance between any two of its points exact;
+// family names the tree in the message. Constructors call it, as they
+// call Validate.
 func (o Options) RequireUniverse(family string, lo, hi int64) {
 	lo, hi = max(lo, math.MinInt32), min(hi, math.MaxInt32)
 	u := o.Universe
+	var diag2 uint64 // a side inside int32 is below 2³², so its square fits
 	for d := 0; d < o.Dims; d++ {
 		if u.Lo[d] < lo || u.Hi[d] > hi {
 			panic(fmt.Sprintf("%s: universe %v exceeds the stored coordinate range [%d, %d]", family, u, lo, hi))
 		}
+		s := uint64(max(u.Hi[d]-u.Lo[d], 0))
+		if s*s > math.MaxInt64-diag2 {
+			panic(fmt.Sprintf("%s: universe %v is too wide: its squared diagonal exceeds int64", family, u))
+		}
+		diag2 += s * s
 	}
 }

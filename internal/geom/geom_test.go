@@ -29,8 +29,9 @@ func TestDist2NoOverflow(t *testing.T) {
 	if d := Dist2(p, q, 3); d != want {
 		t.Fatalf("Dist2 = %d, want %d", d, want)
 	}
-	// The corner pair of [0, 2³¹−1]², the largest 2-D universe a tree
-	// accepts, through Dist2 and through its stored form.
+	// The corner pair of [0, 2³¹−1]², the largest 2-D universe from the
+	// origin that the int32-storing trees accept, through Dist2 and
+	// through its stored form.
 	c := int64(1<<31 - 1)
 	lo, hi := Pt2(0, 0), Pt2(c, c)
 	if d := Dist2(lo, hi, 2); d != 2*c*c {

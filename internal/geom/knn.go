@@ -93,7 +93,21 @@ func (h *KNNHeap) Bound() int64 {
 // Push offers a candidate. It is a no-op when d2 is not better than Bound.
 // Both sifts carry a hole down (or up) the heap and write the new pair
 // once, where the hole stops.
-func (h *KNNHeap) Push(p Point, d2 int64) {
+func (h *KNNHeap) Push(p Point, d2 int64) { h.push(d2, p[0], p[1], p[2]) }
+
+// PushPacked is Push for a stored point, widened as the heap takes it. The
+// coordinates reach the heap as scalars: a Point built on the stack and
+// copied at once into Push's argument would stall that copy on the stores
+// that just built it, on every leaf entry that beats the bound.
+func PushPacked[S Packed](h *KNNHeap, s S, d2 int64) {
+	var z int64
+	if d := len(s) - 1; d == 2 {
+		z = int64(s[d])
+	}
+	h.push(d2, int64(s[0]), int64(s[1]), z)
+}
+
+func (h *KNNHeap) push(d2, x, y, z int64) {
 	c := h.cand
 	if h.n < h.k {
 		i := h.n
@@ -106,13 +120,13 @@ func (h *KNNHeap) Push(p Point, d2 int64) {
 			c[i] = c[parent]
 			i = parent
 		}
-		c[i] = knnCand{d2, p}
+		c[i] = knnCand{d2, Point{x, y, z}}
 		return
 	}
 	if d2 >= c[0].d {
 		return
 	}
-	siftDown(c[:h.n], knnCand{d2, p})
+	siftDown(c[:h.n], knnCand{d2, Point{x, y, z}})
 }
 
 // siftDown places x at the root of the max-heap c, whose root is vacant,

@@ -9,8 +9,8 @@ import "math"
 // each Point on the way in (Pack) and widens it on the way out (Unpack).
 // Every comparison and distance a query computes stays int64, against the
 // caller's Point and Box, so narrowing costs no exactness as long as the
-// tree's universe lies inside int32, which its constructor checks
-// (core.Options.RequireUniverse).
+// tree's universe lies inside int32 and its squared diagonal fits int64,
+// which its constructor checks (core.Options.RequireUniverse).
 type Packed interface{ [2]int32 | [3]int32 }
 
 // Packable reports whether the first dims coordinates of p fit int32, the

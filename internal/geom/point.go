@@ -5,11 +5,13 @@
 //
 // Coordinates are int64, matching the paper's evaluation setup (64-bit
 // integers in [0, 1e9]); the SPaC family and P-Orth store them as int32
-// (Packed) and refuse a universe outside that range. All distance
-// arithmetic is exact while the squared sum fits int64: for every pair of
-// points of [0, 2³¹−1]², the largest 2-D universe a tree accepts
-// (2·(2³¹−1)² < 2⁶³), and of [0, 2³⁰]³ in 3-D (3·2⁶⁰ < 2⁶³), which holds
-// the curve-keyed trees' [0, 2²¹−1]³.
+// (Packed). All distance arithmetic is exact while the squared sum fits
+// int64, so those trees also refuse a universe whose squared diagonal
+// does not (core.Options.RequireUniverse): [0, 2³¹−1]² passes
+// (2·(2³¹−1)² < 2⁶³) and all of int32 in 2-D does not; in 3-D a cube from
+// the origin may reach 1 753 413 056 = ⌊√((2⁶³−1)/3)⌋, and the curve-keyed
+// trees' [0, 2²¹−1]³ lies far inside. The other indexes store Points as
+// they come and leave the bound to the caller.
 package geom
 
 import "fmt"

@@ -42,7 +42,7 @@ func awkwardUniverses(dims int) []geom.Box {
 		mk([3]int64{5, 5, 5}, [3]int64{5, 6, 7}),                // sides 0, 1, 2
 		mk([3]int64{-7, 0, 3}, [3]int64{-7, 0, 3}),              // a single cell
 		mk([3]int64{-1, -2, 0}, [3]int64{1, 1, 1<<31 - 1}),      // sides 2, 3 and the int32 maximum
-		mk([3]int64{-1 << 31, 0, 0}, [3]int64{1<<31 - 1, 9, 1}), // all of int32, straddling zero
+		mk([3]int64{-1 << 31, 0, 0}, [3]int64{1<<29 - 1, 9, 1}), // from the int32 minimum, straddling zero
 	}
 }
 

@@ -43,6 +43,7 @@ type Tree struct{ body }
 type body interface {
 	core.Index
 	core.Adopter
+	core.Bounded
 	Options() core.Options
 	Validate() error
 	Height() int
@@ -52,6 +53,7 @@ type body interface {
 var (
 	_ core.Index   = (*Tree)(nil)
 	_ core.Adopter = (*Tree)(nil)
+	_ core.Bounded = (*Tree)(nil)
 )
 
 // tree is a P-Orth tree storing its points as S.
@@ -87,7 +89,8 @@ func (nd *node[S]) isLeaf() bool { return nd.kids == nil }
 
 // New returns an empty P-Orth tree over the given options. The universe
 // box fixes the split hierarchy; all points ever inserted must lie inside
-// it, and it must lie inside int32, the range of a stored coordinate.
+// it, and it must lie inside int32, the range of a stored coordinate, with
+// a squared diagonal that fits int64 (core.Options.RequireUniverse).
 func New(opts core.Options) *Tree {
 	opts.Validate()
 	if opts.Universe.IsEmpty() {
@@ -130,6 +133,9 @@ func (t *tree[S]) Size() int {
 
 // Options returns the tree's configuration.
 func (t *tree[S]) Options() core.Options { return t.opts }
+
+// Universe implements core.Bounded: every point the tree holds lies in it.
+func (t *tree[S]) Universe() geom.Box { return t.opts.Universe }
 
 // Build implements core.Index (Alg. 1). The input slice is not modified:
 // the points are narrowed into a slice of the tree's own, checked against

@@ -30,7 +30,7 @@ func knn[S geom.Packed](nd *node[S], q geom.Point, h *geom.KNNHeap) {
 	if nd.isLeaf() {
 		for _, p := range nd.pts {
 			if d := geom.PackedDist2(p, &q); d < h.Bound() {
-				h.Push(geom.Unpack(p), d)
+				geom.PushPacked(h, p, d)
 			}
 		}
 		return

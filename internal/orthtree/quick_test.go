@@ -1,6 +1,7 @@
 package orthtree
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -108,30 +109,40 @@ func TestUniverseBoundaryPoints(t *testing.T) {
 	}
 	validateOrFail(t, tr)
 
-	// The largest universes of the stored form, [0, 2³¹−1]² and, as the
-	// SPaC family bounds it, [0, 2²¹−1]³: corners and edges stay exact
-	// through Build, BatchDiff and every query, against BruteForce; a side
-	// of 2³¹ is refused at New. A leaf wrap of 4 makes the tree deep.
-	for _, dims := range []int{2, 3} {
-		maxc := int64(1<<31 - 1)
-		if dims == 3 {
-			maxc = 1<<21 - 1
+	// The largest universes of the stored form — [0, 2³¹−1]², the SPaC
+	// family's [0, 2²¹−1]³ and the widest cube whose squared diagonal fits
+	// int64: corners and edges stay exact through Build, BatchDiff and
+	// every query, against BruteForce. A leaf wrap of 4 makes the tree
+	// deep. Refused at New: a side of 2³¹, and universes inside int32 whose
+	// squared diagonal does not fit int64 (all of int32 in 2-D, one more
+	// than the widest cube in 3-D).
+	const cube3 = 1_753_413_056 // ⌊√((2⁶³−1)/3)⌋
+	all2 := geom.BoxOf(geom.Pt2(math.MinInt32, math.MinInt32), geom.Pt2(math.MaxInt32, math.MaxInt32))
+	for _, tc := range []struct {
+		dims    int
+		ok, bad []geom.Box
+	}{
+		{2, []geom.Box{geom.UniverseBox(2, math.MaxInt32)}, []geom.Box{geom.UniverseBox(2, 1<<31), all2}},
+		{3, []geom.Box{geom.UniverseBox(3, 1<<21-1), geom.UniverseBox(3, cube3)}, []geom.Box{geom.UniverseBox(3, 1<<31), geom.UniverseBox(3, cube3+1)}},
+	} {
+		for _, u := range tc.ok {
+			opts := core.DefaultOptions(tc.dims, u)
+			opts.LeafWrap = 4
+			tr := New(opts)
+			if err := core.CheckBoundary(tr, u, tr.Validate); err != nil {
+				t.Fatalf("%dD %v: %v", tc.dims, u, err)
+			}
 		}
-		opts := core.DefaultOptions(dims, geom.UniverseBox(dims, maxc))
-		opts.LeafWrap = 4
-		tr := New(opts)
-		if err := core.CheckBoundary(tr, opts.Universe, tr.Validate); err != nil {
-			t.Fatalf("%dD: %v", dims, err)
-		}
-		opts.Universe = geom.UniverseBox(dims, 1<<31)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%dD: a universe of side 2³¹ was accepted", dims)
-				}
+		for _, u := range tc.bad {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%dD: universe %v was accepted", tc.dims, u)
+					}
+				}()
+				NewDefault(tc.dims, u)
 			}()
-			New(opts)
-		}()
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func (t *tree[S]) insert(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 			if !splittable {
 				limit = math.MaxInt
 			}
-			nd.pts = core.FitBlock(append(core.GrowBlock(nd.pts, len(pts), limit), pts...))
+			nd.pts = append(core.GrowBlock(nd.pts, len(pts), limit), pts...)
 			nd.size = len(nd.pts)
 			return nd
 		}

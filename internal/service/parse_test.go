@@ -118,7 +118,7 @@ func FuzzParseRequest(f *testing.F) {
 }
 
 var (
-	benchSET    = []byte(`{"op":"SET","id":"veh-000123","p":[536870912,1073741824]}`)
+	benchSET    = []byte(`{"op":"SET","id":"veh-000123","p":[512,768]}`) // inside testUniverse
 	benchGET    = []byte(`{"op":"GET","id":"veh-000123"}`)
 	benchNEARBY = []byte(`{"op":"NEARBY","p":[500,500],"k":10}`)
 	benchWITHIN = []byte(`{"op":"WITHIN","lo":[400,400],"hi":[600,600]}`)

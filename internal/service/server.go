@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/wal"
@@ -176,6 +177,10 @@ type Server struct {
 	slow  *obs.SlowLog // nil unless Options.SlowLog > 0
 	start time.Time
 
+	// universe is the box a SET's point must lie in: the index's, when it
+	// is a core.Bounded, nil (every point) otherwise.
+	universe *geom.Box
+
 	ln     net.Listener
 	httpLn net.Listener
 	http   *http.Server
@@ -226,7 +231,9 @@ type Server struct {
 // enqueueing. When idx is copy-on-write (core.Adopter, and
 // DisableSnapshot is unset), queries ride the epoch-pinned snapshot path:
 // NEARBY/WITHIN never wait behind the index apply, and /stats reports the
-// epoch counters.
+// epoch counters. When idx has a fixed universe (core.Bounded), a SET
+// whose point lies outside it is refused before it is enqueued or
+// journaled.
 //
 // New panics if WAL setup fails — only possible with Options.WALDir set
 // (an unreadable directory, a corrupt snapshot). Durable configurations

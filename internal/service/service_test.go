@@ -22,6 +22,7 @@ import (
 	"repro/internal/sfc"
 	"repro/internal/shard"
 	"repro/internal/spactree"
+	"repro/internal/wal"
 )
 
 const testSide = int64(1000)
@@ -179,6 +180,58 @@ func TestMalformedAndInvalidCommands(t *testing.T) {
 	}
 	if got := s.Stats().BadLines; got != 4 {
 		t.Fatalf("BadLines = %d, want 4 (two parse failures + unknown op + blank line)", got)
+	}
+}
+
+// TestSetOutsideUniverseRefused: a SET whose point lies outside the
+// index's universe — past int32, which the SPaC family cannot store, or
+// just past the edge — is answered bad_request and never enqueued, so
+// neither the next flush nor a restart from the WAL meets it.
+func TestSetOutsideUniverseRefused(t *testing.T) {
+	outside := []string{
+		`{"op":"SET","id":"far","p":[3000000000,5]}`,
+		`{"op":"SET","id":"far","p":[5,-3000000000]}`,
+		`{"op":"SET","id":"far","p":[1001,5]}`,
+		`{"op":"SET","id":"far","p":[5,-1]}`,
+	}
+	dir := t.TempDir()
+	servers := []*Server{
+		startServer(t, newTestSharded(), Options{}),
+		startDurable(t, dir, Options{WALFsync: wal.FsyncAlways}), // an unsharded SPaC-H
+	}
+	for i, s := range servers {
+		conn, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		for _, line := range outside {
+			if resp := raw(t, conn, br, line); resp.OK || resp.Code != CodeBadRequest {
+				t.Fatalf("server %d: %s -> %+v, want %s", i, line, resp, CodeBadRequest)
+			}
+		}
+		for _, line := range []string{
+			`{"op":"SET","id":"near","p":[1000,0]}`,
+			`{"op":"FLUSH"}`,
+			`{"op":"GET","id":"far"}`,
+		} {
+			if resp := raw(t, conn, br, line); !resp.OK || resp.Found {
+				t.Fatalf("server %d: %s -> %+v", i, line, resp)
+			}
+		}
+		if n := s.Collection().Len(); n != 1 {
+			t.Fatalf("server %d holds %d objects after the flush, want 1", i, n)
+		}
+		conn.Close()
+	}
+	shutdownT(t, servers[1])
+	s := startDurable(t, dir, Options{WALFsync: wal.FsyncAlways})
+	c := dialT(t, s)
+	if p, ok, err := c.Get("near"); err != nil || !ok || p[0] != 1000 || p[1] != 0 {
+		t.Fatalf("Get(near) after restart = %v, %t, %v", p, ok, err)
+	}
+	if _, ok, err := c.Get("far"); err != nil || ok {
+		t.Fatalf("Get(far) after restart: found=%t err=%v", ok, err)
 	}
 }
 

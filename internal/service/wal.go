@@ -67,6 +67,10 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 		conns: make(map[net.Conn]struct{}),
 		fatal: make(chan error, 1),
 	}
+	if b, ok := idx.(core.Bounded); ok {
+		u := b.Universe()
+		s.universe = &u
+	}
 	s.role.Store(int32(opts.initialRole()))
 	if opts.ReplicaOf != "" {
 		s.leaderHint.Store(opts.ReplicaOf)

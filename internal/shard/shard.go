@@ -111,6 +111,7 @@ type Sharded struct {
 
 var _ core.Index = (*Sharded)(nil)
 var _ core.Adopter = (*Sharded)(nil)
+var _ core.Bounded = (*Sharded)(nil)
 
 // New returns an empty Sharded index.
 func New(opts Options) *Sharded {
@@ -222,6 +223,9 @@ func (s *Sharded) Name() string {
 
 // Dims implements core.Index.
 func (s *Sharded) Dims() int { return s.opts.Dims }
+
+// Universe implements core.Bounded: the region the shards partition.
+func (s *Sharded) Universe() geom.Box { return s.opts.Universe }
 
 // Shards returns the shard count S.
 func (s *Sharded) Shards() int { return s.opts.Shards }

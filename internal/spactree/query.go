@@ -35,12 +35,12 @@ func (t *tree[S]) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 			for i := range nd.ents {
 				p := nd.ents[i].P
 				if d := geom.PackedDist2(p, &q); d < h.Bound() {
-					h.Push(geom.Unpack(p), d)
+					geom.PushPacked(h, p, d)
 				}
 			}
 		} else {
 			if d := geom.PackedDist2(nd.pivot.P, &q); d < h.Bound() {
-				h.Push(geom.Unpack(nd.pivot.P), d)
+				geom.PushPacked(h, nd.pivot.P, d)
 			}
 			near, far := nd.left, nd.right
 			dn, df := near.bbox.Dist2(&q), int64(1<<63-1)

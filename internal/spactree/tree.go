@@ -27,6 +27,7 @@ type Tree struct{ body }
 type body interface {
 	core.Index
 	core.Adopter
+	core.Bounded
 	Curve() sfc.Curve
 	Validate() error
 	LeafStats() (leaves, unsorted int)
@@ -36,6 +37,7 @@ type body interface {
 var (
 	_ core.Index   = (*Tree)(nil)
 	_ core.Adopter = (*Tree)(nil)
+	_ core.Bounded = (*Tree)(nil)
 )
 
 // tree is a SPaC-tree or CPAM tree storing its points as S.
@@ -97,6 +99,9 @@ func (t *tree[S]) Size() int { return sizeOf(t.root) }
 
 // Curve returns the tree's space-filling curve.
 func (t *tree[S]) Curve() sfc.Curve { return t.curve }
+
+// Universe implements core.Bounded: the universe New was given.
+func (t *tree[S]) Universe() geom.Box { return t.opts.Universe }
 
 // Build implements core.Index: Alg. 3 for SPaC mode, the plain
 // precompute-sort-build for CPAM mode.

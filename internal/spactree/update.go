@@ -49,7 +49,7 @@ func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 				ents = slices.Clip(ents)
 				nd = &node[S]{gen: t.gen}
 			}
-			nd.ents = core.FitBlock(append(core.GrowBlock(ents, len(batch), phi), batch...))
+			nd.ents = append(core.GrowBlock(ents, len(batch), phi), batch...)
 			nd.size = len(nd.ents)
 			nd.bbox = bbox
 			nd.sorted = false
