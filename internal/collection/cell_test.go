@@ -1,4 +1,4 @@
-package epoch
+package collection
 
 import (
 	"runtime"
@@ -19,9 +19,9 @@ import (
 
 // The twin protocol — readers never wait on the apply, never see a torn
 // window, the displaced copy is untouched until drained, both copies
-// converge — is tested here, once, against a Cell over a fake index. The
-// Collection and Sharded test that their queries go through the cell and
-// what their windows mean.
+// converge — is tested here, once, against a cell over a fake index. The
+// Collection's other tests check that its queries go through the cell and
+// what its windows mean.
 
 // pair is the fake index: a window adds its number of inserts to both
 // halves, so a torn read shows up as x != y, and a Build sets both to its
@@ -38,8 +38,8 @@ type pair struct {
 	applies    atomic.Int64
 	builds     atomic.Int64
 	copies     atomic.Uint64
-	gate       *gate     // optional: blocks BatchDiff on this copy while armed
-	log        *[]string // optional: the steps that reached this copy, in order
+	gate       *applyGate // optional: blocks BatchDiff on this copy while armed
+	log        *[]string  // optional: the steps that reached this copy, in order
 }
 
 type counts struct{ x, y int }
@@ -54,10 +54,10 @@ type twinPair struct {
 	share bool
 }
 
-type gate struct{ armed, entered, release chan struct{} }
+type applyGate struct{ armed, entered, release chan struct{} }
 
-func newGate() *gate {
-	return &gate{make(chan struct{}), make(chan struct{}, 1), make(chan struct{})}
+func newApplyGate() *applyGate {
+	return &applyGate{make(chan struct{}), make(chan struct{}, 1), make(chan struct{})}
 }
 
 func (p *pair) state() *pair { return p }
@@ -136,10 +136,10 @@ func (p twinPair) Shares(o core.Index) bool {
 
 func (p twinPair) Copied() (nodes, bytes uint64) { return p.copies.Load(), 0 }
 
-// newCell builds a cell with beside as its step over the given copies,
-// asking for snapshot reads either way: one pair stays locked, two are
-// twins that adopt — sharing their counts when share is set.
-func newCell(share bool, beside func(), copies ...*pair) *Cell {
+// newCell builds a cell over the given copies, asking for snapshot reads
+// either way: one pair stays locked, two are twins that adopt — sharing
+// their counts when share is set.
+func newCell(share bool, copies ...*pair) *cell {
 	for i, p := range copies {
 		p.counts = &p.mine
 		if i > 0 {
@@ -150,27 +150,29 @@ func newCell(share bool, beside func(), copies ...*pair) *Cell {
 	if len(copies) == 2 {
 		idx = twinPair{copies[0], share}
 	}
-	c := new(Cell)
-	c.Init(idx, true, beside)
+	c := new(cell)
+	c.Init(idx, true)
 	return c
 }
 
 // modes runs f over a one-copy (locked) cell and two two-copy cells: the
 // twin whose displaced copy adopts by copying the published counts, and
 // the one whose displaced copy shares them until its next write.
-func modes(t *testing.T, f func(t *testing.T, c *Cell, twin bool)) {
-	t.Run("locked", func(t *testing.T) { f(t, newCell(false, nil, &pair{}), false) })
-	t.Run("twin", func(t *testing.T) { f(t, newCell(false, nil, &pair{}, &pair{}), true) })
-	t.Run("adopting", func(t *testing.T) { f(t, newCell(true, nil, &pair{}, &pair{}), true) })
+func modes(t *testing.T, f func(t *testing.T, c *cell, twin bool)) {
+	t.Run("locked", func(t *testing.T) { f(t, newCell(false, &pair{}), false) })
+	t.Run("twin", func(t *testing.T) { f(t, newCell(false, &pair{}, &pair{}), true) })
+	t.Run("adopting", func(t *testing.T) { f(t, newCell(true, &pair{}, &pair{}), true) })
 }
 
 // points is what the windows of these tests are cut from: commit(c, w)
-// commits a window of w inserts.
+// commits a window of w inserts, with a table step that does nothing.
 var points = make([]geom.Point, 100)
 
-func commit(c *Cell, w int) { c.Commit(points[:w], nil, nil, time.Time{}) }
+func noStep() {}
 
-func read(c *Cell) (x, y int, epoch uint64) {
+func commit(c *cell, w int) { c.Commit(points[:w], nil, noStep, nil, time.Time{}) }
+
+func read(c *cell) (x, y int, epoch uint64) {
 	v := c.Acquire()
 	defer c.Release()
 	p := v.Index.(interface{ state() *pair }).state()
@@ -178,7 +180,7 @@ func read(c *Cell) (x, y int, epoch uint64) {
 }
 
 func TestSnapshotCommitAndCounters(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, twin bool) {
 		wantVersions, perCommit := 1, uint64(0)
 		if twin {
 			wantVersions, perCommit = 2, 1
@@ -207,9 +209,9 @@ func TestSnapshotCommitAndCounters(t *testing.T) {
 // the still-published state. (Over one copy the same probe would block —
 // readers wait out the writer — which is the mode's documented cost.)
 func TestSnapshotReadDuringCommitDoesNotStall(t *testing.T) {
-	g := newGate()
+	g := newApplyGate()
 	a, b := &pair{}, &pair{gate: g}
-	c := newCell(false, nil, a, b)
+	c := newCell(false, a, b)
 	commit(c, 1) // b published, a caught up and standing by
 	commit(c, 1) // a published; the next commit writes b first
 	close(g.armed)
@@ -239,12 +241,12 @@ func TestSnapshotReadDuringCommitDoesNotStall(t *testing.T) {
 	}
 }
 
-// TestSnapshotNeverTorn is the left-right discipline check, run under
-// -race in CI: commits mutate a matched pair while readers continuously
-// check it. A missing drain, a broken pin or a catch-up on a copy that
-// still has readers shows up as a mismatch and as a data race.
-func TestSnapshotNeverTorn(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell, twin bool) {
+// TestCellNeverTorn is the left-right discipline check, run under -race
+// in CI: commits mutate a matched pair while readers continuously check
+// it. A missing drain, a broken pin or a catch-up on a copy that still has
+// readers shows up as a mismatch and as a data race.
+func TestCellNeverTorn(t *testing.T) {
+	modes(t, func(t *testing.T, c *cell, twin bool) {
 		var stop atomic.Bool
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {
@@ -282,8 +284,8 @@ func TestSnapshotNeverTorn(t *testing.T) {
 	// a pinned version reaches as a data race.
 	t.Run("P-Orth", func(t *testing.T) {
 		universe := geom.UniverseBox(2, 1<<20)
-		var c Cell
-		c.Init(orthtree.NewDefault(2, universe), true, nil)
+		var c cell
+		c.Init(orthtree.NewDefault(2, universe), true)
 		at := func(i int) geom.Point { return geom.Pt2(int64(i)*523%(1<<20), int64(i)*131%(1<<20)) }
 		var stop atomic.Bool
 		var wg sync.WaitGroup
@@ -310,7 +312,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 			if i >= 1000 {
 				del = []geom.Point{at(i - 1000)}
 			}
-			c.Commit([]geom.Point{at(i)}, del, nil, time.Time{})
+			c.Commit([]geom.Point{at(i)}, del, noStep, nil, time.Time{})
 		}
 		stop.Store(true)
 		wg.Wait()
@@ -320,21 +322,11 @@ func TestSnapshotNeverTorn(t *testing.T) {
 	})
 }
 
-// waitUntil yields until cond holds; what names the event for the failure.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never came", what)
-		}
-	}
-}
-
 // waitDrain waits until a commit waits for the write lock: RetireLag is 1
 // and a read would block.
-func waitDrain(t *testing.T, c *Cell) {
+func waitDrain(t *testing.T, c *cell) {
 	t.Helper()
-	waitUntil(t, "the drain", func() bool {
+	waitFor(t, "the drain", func() bool {
 		if c.RetireLag() != 1 {
 			return false
 		}
@@ -348,7 +340,7 @@ func waitDrain(t *testing.T, c *Cell) {
 
 // lateRead starts a read, which a draining commit holds up, and waits
 // until it has been counted as waiting; the channel yields what it read.
-func lateRead(t *testing.T, c *Cell) <-chan [2]int {
+func lateRead(t *testing.T, c *cell) <-chan [2]int {
 	t.Helper()
 	n, _ := c.Waits()
 	got := make(chan [2]int, 1)
@@ -356,7 +348,7 @@ func lateRead(t *testing.T, c *Cell) <-chan [2]int {
 		x, y, _ := read(c)
 		got <- [2]int{x, y}
 	}()
-	waitUntil(t, "the waiting read", func() bool { m, _ := c.Waits(); return m == n+1 })
+	waitFor(t, "the waiting read", func() bool { m, _ := c.Waits(); return m == n+1 })
 	return got
 }
 
@@ -368,7 +360,7 @@ func lateRead(t *testing.T, c *Cell) <-chan [2]int {
 // reader lets go; then both copies hold the window.
 func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 	a, b := &pair{}, &pair{}
-	c := newCell(false, nil, a, b)
+	c := newCell(false, a, b)
 	if held := c.Acquire(); held.Index.(twinPair).pair != a {
 		t.Fatal("the first copy is not the initially published one")
 	}
@@ -404,10 +396,10 @@ func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 }
 
 func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, twin bool) {
 		commit(c, 3)
 		before := c.Epoch()
-		c.Rebuild(points[:100])
+		c.Rebuild(points[:100], noStep)
 		builds := 0
 		for _, idx := range c.copies {
 			builds += int(idx.(interface{ state() *pair }).state().builds.Load())
@@ -432,9 +424,9 @@ func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
 // TestSnapshotSpanStages pins which flush-span stages each mode stamps
 // and that the span carries the published epoch.
 func TestSnapshotSpanStages(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, twin bool) {
 		var sp obs.FlushSpan
-		c.Commit(points[:5], nil, &sp, time.Now())
+		c.Commit(points[:5], nil, noStep, &sp, time.Now())
 		stamped := func(stage int) bool { return sp.Stages[stage] > 0 }
 		if !stamped(obs.StageApply) || stamped(obs.StagePublish) != twin || stamped(obs.StageReplay) != twin {
 			t.Fatalf("stages %v", sp.Stages)
@@ -445,11 +437,11 @@ func TestSnapshotSpanStages(t *testing.T) {
 	})
 }
 
-// TestSnapshotConcurrentCommitsSerialize: the Cell serializes committers
+// TestSnapshotConcurrentCommitsSerialize: the cell serializes committers
 // itself — many goroutines commit to one cell with no outer lock, readers
 // alongside.
 func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, twin bool) {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -479,10 +471,10 @@ func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
 // allocations: the Versions are permanent, a commit and a read allocate
 // nothing in either mode.
 func TestSnapshotCommitZeroAlloc(t *testing.T) {
-	modes(t, func(t *testing.T, c *Cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, twin bool) {
 		var sp obs.FlushSpan
 		if allocs := testing.AllocsPerRun(100, func() {
-			c.Commit(points[:1], nil, &sp, time.Time{})
+			c.Commit(points[:1], nil, noStep, &sp, time.Time{})
 			read(c)
 		}); allocs != 0 {
 			t.Fatalf("commit+read allocates %.2f/op, want 0", allocs)
@@ -490,11 +482,11 @@ func TestSnapshotCommitZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestSnapshotQueryZeroAllocWarm pins a read through the cell over a real
+// TestCellQueryZeroAllocWarm pins a read through the cell over a real
 // index at zero steady-state allocations with reused result buffers, in
 // every mode: read-locked, and pinned on twins that adopt — SPaC-H, whose
 // KNN search state comes from pools, and P-Orth.
-func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
+func TestCellQueryZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
@@ -512,13 +504,13 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 		{"adopting", spactree.NewSPaC(sfc.Hilbert, 2, universe)},
 		{"adopting P-Orth", orthtree.NewDefault(2, universe)},
 	} {
-		var c Cell
-		c.Init(mode.idx, true, nil)
+		var c cell
+		c.Init(mode.idx, true)
 		if (c.Versions() == 2) != (mode.name != "locked") {
 			t.Fatalf("%s: %d versions", mode.name, c.Versions())
 		}
-		c.Rebuild(pts)
-		c.Commit(pts[:1], pts[1:2], nil, time.Time{})
+		c.Rebuild(pts, noStep)
+		c.Commit(pts[:1], pts[1:2], noStep, nil, time.Time{})
 		q := geom.Pt2(side/2, side/2)
 		box := geom.BoxOf(geom.Pt2(0, 0), geom.Pt2(side/4, side/4))
 		var dst []geom.Point
@@ -536,13 +528,13 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestSnapshotRequiresEmptyIndexes documents the construction contract:
-// with snapshot reads asked for, Init refuses twins that could never
-// agree — an index that starts non-empty, or a replica that is non-empty
-// or missing — and names the caller's layer in the panic. Locked reads
-// take the index as it is, and so does a snapshot request over an index
-// that is not copy-on-write: it stays on one copy.
-func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
+// TestCellRequiresEmptyIndexes documents the construction contract: with
+// snapshot reads asked for, Init refuses twins that could never agree — an
+// index that starts non-empty, or a replica that is non-empty or missing —
+// and names the package in the panic. Locked reads take the index as it
+// is, and so does a snapshot request over an index that is not
+// copy-on-write: it stays on one copy.
+func TestCellRequiresEmptyIndexes(t *testing.T) {
 	twins := func(idxSize int, replica *pair) core.Index {
 		p := &pair{replica: replica}
 		p.counts = &p.mine
@@ -562,30 +554,30 @@ func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if msg, _ := recover().(string); !strings.HasPrefix(msg, "epoch: ") {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "collection: ") {
 					t.Fatalf("%s: panic %q, want one that names the package", tc.name, msg)
 				}
 			}()
-			new(Cell).Init(tc.idx, true, nil)
+			new(cell).Init(tc.idx, true)
 		}()
 	}
-	var c Cell
-	c.Init(twins(1, &pair{}), false, nil)
+	var c cell
+	c.Init(twins(1, &pair{}), false)
 	if c.Versions() != 1 {
 		t.Fatalf("locked reads over a non-empty index: %d versions, want 1", c.Versions())
 	}
-	var s Cell
-	s.Init(core.NewBruteForce(2), true, nil)
+	var s cell
+	s.Init(core.NewBruteForce(2), true)
 	if s.Versions() != 1 {
 		t.Fatalf("snapshot reads over an index that cannot adopt: %d versions, want 1", s.Versions())
 	}
 }
 
-// TestStepOrder states the contract a layer's beside step relies on (the
-// Collection's table step does), with a reader held across the commit.
-// Over one copy: drain, then apply and beside under the write lock. Over
-// twins: apply to the off-line copy, drain, beside and the publish under
-// the write lock, then the displaced copy adopts. Either way beside runs
+// TestStepOrder states the contract the Collection's table step relies
+// on, with a reader held across the commit. Over one copy: drain, then
+// apply and the table step under the write lock. Over twins: apply to the
+// off-line copy, drain, the table step and the publish under the write
+// lock, then the displaced copy adopts. Either way the table step runs
 // under the write lock, before the publish, and never while a reader still
 // holds the displaced copy; and a read that arrived during the drain gets
 // the published window.
@@ -599,33 +591,35 @@ func TestStepOrder(t *testing.T) {
 	} {
 		for _, op := range []struct {
 			name, step string
-			run        func(c *Cell)
+			run        func(c *cell, tableStep func())
 		}{
-			{"Commit", "apply", func(c *Cell) { commit(c, 3) }},
-			{"Rebuild", "build", func(c *Cell) { c.Rebuild(points[:3]) }},
+			{"Commit", "apply", func(c *cell, tableStep func()) {
+				c.Commit(points[:3], nil, tableStep, nil, time.Time{})
+			}},
+			{"Rebuild", "build", func(c *cell, tableStep func()) { c.Rebuild(points[:3], tableStep) }},
 		} {
 			t.Run(mode.name+"/"+op.name, func(t *testing.T) {
 				var log []string
-				var c *Cell
-				beside := func() {
-					log = append(log, "beside")
+				var c *cell
+				tableStep := func() {
+					log = append(log, "table")
 					if c.mu.TryRLock() {
 						c.mu.RUnlock()
-						t.Error("beside ran outside the write lock")
+						t.Error("the table step ran outside the write lock")
 					}
 					if c.Epoch() != 0 {
-						t.Error("beside ran after the publish")
+						t.Error("the table step ran after the publish")
 					}
 				}
 				copies := []*pair{{name: "a", log: &log}}
 				if mode.twin {
 					copies = append(copies, &pair{name: "b", log: &log})
 				}
-				c = newCell(true, beside, copies...)
+				c = newCell(true, copies...)
 				log = nil   // an adopting pair adopts once at Init
 				c.Acquire() // copy a, which a twin commit displaces
 				done := make(chan struct{})
-				go func() { op.run(c); close(done) }()
+				go func() { op.run(c, tableStep); close(done) }()
 				waitDrain(t, c)
 				if c.Epoch() != 0 {
 					t.Fatal("the commit published before its drain")
@@ -635,9 +629,9 @@ func TestStepOrder(t *testing.T) {
 				log = append(log, "drain")       // ordered before the writer's next step by the Release
 				c.Release()
 				<-done
-				want := []string{"drain", op.step + " a", "beside"}
+				want := []string{"drain", op.step + " a", "table"}
 				if mode.twin {
-					want = []string{op.step + " b", "drain", "beside", "adopt a"}
+					want = []string{op.step + " b", "drain", "table", "adopt a"}
 				}
 				if !slices.Equal(log, want) {
 					t.Fatalf("steps %q, want %q", log, want)

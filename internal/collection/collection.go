@@ -33,22 +33,22 @@
 // (NearbyIDs, WithinIDs) run the geometric query and resolve every hit
 // through the table as of the same window — they can never observe an
 // index point without its owner or vice versa. How readers are kept off
-// the flush writer is the version cell's job (epoch.Cell), and this
-// package never asks it how: every query holds the cell's read lock, and
-// the table is read under it. In the default locked mode a commit holds
+// the flush writer is the version cell's job (cell.go), and nothing else
+// here asks it how: every query holds the cell's read lock, and the table
+// is read under it. In the default locked mode a commit holds
 // the write lock across the index apply; with Options.Snapshot set over a
 // copy-on-write index (core.Adopter: the SPaC family and P-Orth, and a
 // Sharded of either) the index is versioned — two handles on one tree —
 // the window is applied to the off-line handle outside the lock, and the
 // write lock covers only the publish, so a query never waits on the index
 // apply. Over any other index Snapshot leaves the locked mode in place.
-// The table stays single: the Collection hands the cell one step
-// (tableStep, the cell's beside), which the cell runs once per window under
-// its write lock, and a query that arrives meanwhile waits for that step
-// (ARCHITECTURE.md "Epochs & snapshot reads"). Get is the exception either
-// way: it reads the caller's own pending tail (read-your-writes), so
-// Get(id) after Set(id, p) returns p even before the flush makes p visible
-// to geometric queries.
+// The table stays single: each commit hands the cell its own table step —
+// a window's applyTable, or a Load's swap to the table it filled — which
+// the cell runs under its write lock, and a query that arrives meanwhile
+// waits for that step (ARCHITECTURE.md "Epochs & snapshot reads"). Get is
+// the exception either way: it reads the caller's own pending tail
+// (read-your-writes), so Get(id) after Set(id, p) returns p even before the
+// flush makes p visible to geometric queries.
 //
 // Committed state has two more ways in, both writer-side and both beside
 // the tape rather than through it: CommitWindow applies a window that is
@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -191,19 +190,16 @@ type Collection[ID comparable] struct {
 	// committed, netAt and netOps the netting scratch behind a flushed one
 	// (all guarded by the flush lock). queryPool recycles per-query
 	// hit-resolution scratch across concurrent readers.
-	cell      epoch.Cell
+	cell      cell
 	win       collWindow[ID]
 	netAt     map[ID]int
 	netOps    []wal.Op[ID]
 	queryPool sync.Pool
 
 	// tab is the committed slot table — one, in either read mode. Readers
-	// touch it only under the cell's read lock, and tableStep, the cell's
-	// beside step, writes it only under the write lock. loaded is the table
-	// a Load is installing: the next table step swaps it in where it would
-	// have applied win.
-	tab    table[ID]
-	loaded *table[ID]
+	// touch it only under the cell's read lock, and a commit's table step
+	// writes it only under the write lock.
+	tab table[ID]
 
 	// journal is the durability commit hook (SetJournal), called under
 	// the flush lock with every committed netted window before it is
@@ -291,9 +287,22 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 		c.maxBatch = DefaultMaxBatch
 	}
 	c.queryPool.New = func() any { return new(queryScratch) }
-	c.cell.Init(idx, opts.Snapshot, c.tableStep)
+	c.cell.Init(idx, opts.Snapshot)
 	layer := obs.Label{Key: "layer", Value: "collection"}
-	c.cell.Register(opts.Obs, layer)
+	opts.Obs.GaugeFunc("psi_epoch",
+		"Published snapshot epoch (0 in locked mode).",
+		func() float64 { return float64(c.cell.Epoch()) }, layer)
+	opts.Obs.GaugeFunc("psi_epoch_retire_lag",
+		"1 while a commit waits for the reads in flight to leave, 0 otherwise.",
+		func() float64 { return float64(c.cell.RetireLag()) }, layer)
+	if c.cell.Versions() == 2 {
+		opts.Obs.CounterFunc("psi_index_cow_nodes_total",
+			"Index nodes copied on first touch because the snapshot copies share them.",
+			func() uint64 { nodes, _ := c.cell.Copied(); return nodes }, layer)
+		opts.Obs.CounterFunc("psi_index_cow_bytes_total",
+			"Bytes of index leaf entries copied on first touch because the snapshot copies share them.",
+			func() uint64 { _, bytes := c.cell.Copied(); return bytes }, layer)
+	}
 	opts.Obs.CounterFunc("psi_collection_table_wait_total",
 		"Reads that waited for a commit's drain and table step (under locked reads, its apply too).",
 		func() uint64 { n, _ := c.cell.Waits(); return n }, layer)
@@ -601,7 +610,7 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 	// Planning counts toward the net stage.
 	nIns, nMove, nDel := c.planDiff(w)
 	clk = sp.Stamp(obs.StageNet, clk)
-	clk = c.cell.Commit(w.ins, w.del, sp, clk)
+	clk = c.cell.Commit(w.ins, w.del, func() { c.applyTable(w) }, sp, clk)
 	c.noteSlots()
 	// Purge the overlay only now that every reader sees the window: a Get
 	// that misses the overlay then reads a committed state that already
@@ -620,14 +629,13 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 // Load replaces the whole committed state with entries — n of them, a
 // later entry for an ID winning over an earlier one — by bulk
 // construction: a fresh table is filled (entries is ranged exactly once, so
-// a single-use iterator is fine) and takes the old one's place at the point
-// of the rebuild where a window's table step runs, and the index is rebuilt
-// with Index.Build (a Sharded rebalances its regions to the loaded data)
-// through the cell. Pending ops, and what Get remembered of them, are
-// discarded; nothing is journaled — the caller loads what is already
-// durable (recovery) or makes it so itself (a follower's bootstrap
-// snapshot). In snapshot mode readers keep the old state until the new one
-// is published whole.
+// a single-use iterator is fine), the index is rebuilt with Index.Build (a
+// Sharded rebalances its regions to the loaded data) through the cell, and
+// the filled table takes the old one's place as the rebuild's table step.
+// Pending ops, and what Get remembered of them, are discarded; nothing is
+// journaled — the caller loads what is already durable (recovery) or makes
+// it so itself (a follower's bootstrap snapshot). In snapshot mode readers
+// keep the old state until the new one is published whole.
 func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
@@ -648,21 +656,10 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	// Nothing above frees a slot, so the live points are the slot array
 	// itself; Build neither writes nor retains it (core.Index).
 	pts := tab.pos[1:]
-	c.loaded = &tab
-	c.cell.Rebuild(pts)
+	c.cell.Rebuild(pts, func() { c.tab = tab })
 	c.noteSlots()
 	c.inserted.Add(uint64(len(pts)))
 	c.removed.Add(uint64(was))
-}
-
-// tableStep is the cell's beside step, run under its write lock: the
-// committed window goes into the table, or a Load's table takes its place.
-func (c *Collection[ID]) tableStep() {
-	if c.loaded != nil {
-		c.tab, c.loaded = *c.loaded, nil
-		return
-	}
-	c.applyTable(&c.win)
 }
 
 // noteSlots publishes the table's slot counts to the gauges; the flush
@@ -704,8 +701,9 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) 
 	return nIns, nMove, nDel
 }
 
-// applyTable runs every netted op of a planned window through the table,
-// by the slots planDiff resolved. A window that touches over a quarter of
+// applyTable is a window's table step, run under the cell's write lock:
+// every netted op of the planned window goes through the table, by the
+// slots planDiff resolved. A window that touches over a quarter of
 // the slots goes wholesale: its ops leave the point index alone and one
 // relink rebuilds it at the end.
 func (c *Collection[ID]) applyTable(w *collWindow[ID]) {

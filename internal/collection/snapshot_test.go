@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -332,7 +331,7 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 
 // scanAt is WithinIDs(universe) for a reader that already holds v, sorted
 // by ID.
-func scanAt(c *Collection[int], v *epoch.Version) []Entry[int] {
+func scanAt(c *Collection[int], v *version) []Entry[int] {
 	sc := &queryScratch{pts: v.Index.RangeList(universe(), nil)}
 	return byID(resolveAppend(&c.tab, sc, nil))
 }

@@ -310,7 +310,7 @@ func BenchmarkTableResolve(b *testing.B) {
 
 // BenchmarkTableStep is what a snapshot reader that arrives during a
 // commit's drain waits for beside it: one planned window of moves run through
-// the table (tableStep). ns/op is per window: psid's interactive windows,
+// the table (applyTable). ns/op is per window: psid's interactive windows,
 // its largest (-maxbatch) at the track-ingest population, and two that take
 // the wholesale path: the window of the benchmark's
 // collection.reader_stall_us row and one that moves every object.
@@ -336,7 +336,7 @@ func BenchmarkTableStep(b *testing.B) {
 				}
 				c.planDiff(w)
 				b.StartTimer()
-				c.tableStep()
+				c.applyTable(w)
 			}
 		})
 	}

@@ -42,11 +42,11 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		if err != nil {
 			return idx, errResultf(CodeBadRequest, "SET %q: %v", req.ID, err)
 		}
-		// The index's contract, checked before the point is enqueued and
-		// journaled: past this line it reaches the index, on the leader,
-		// on every follower and on every replay of the log.
-		if s.universe != nil && !s.universe.Contains(p, s.dims) {
-			return idx, errResultf(CodeBadRequest, "SET %q: point %v outside the universe %v", req.ID, req.P, *s.universe)
+		// Checked before the point is enqueued and journaled: past this line
+		// it reaches the index, on the leader, on every follower and on
+		// every replay of the log.
+		if err := s.inUniverse(req.ID, p); err != nil {
+			return idx, errResultf(CodeBadRequest, "SET %v", err)
 		}
 		s.coll.Set(strings.Clone(req.ID), p) // the tape keeps the ID
 		if r := s.commitDurable(); r != nil {

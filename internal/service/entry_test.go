@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,6 +180,51 @@ func TestReplApplyRefusesUnnettedWindow(t *testing.T) {
 	}
 	if err := follower.coll.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOutOfUniversePointsRefused: a point outside the universe reaches
+// the index by no way in. A log written before SETs were checked can hold
+// one past int32, which a Sharded(SPaC-H) cannot Build: NewDurable returns
+// an error that names it rather than panicking at every boot. A leader's
+// bootstrap or window that carries one is refused before anything is
+// journaled or applied.
+func TestOutOfUniversePointsRefused(t *testing.T) {
+	far := wal.Op[string]{ID: "far", P: geom.Pt2(5_000_000_000, 1)}
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendWindowAt(0, []wal.Op[string]{{ID: "near", P: geom.Pt2(1, 1)}, far}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		want := fmt.Sprintf(`"far": point [5000000000 1] outside the universe %v`, testUniverse())
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want an error containing %s", what, err, want)
+		}
+	}
+	_, err = NewDurable(newTestSharded(), Options{WALDir: dir, FlushInterval: -1})
+	refused("NewDurable over the log", err)
+
+	s := startDurable(t, t.TempDir(), Options{WALFsync: wal.FsyncAlways})
+	if err := dialT(t, s).Set("a", []int64{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	app := replApplier{s}
+	before := app.AppliedSeq()
+	refused("ApplyWindow", app.ApplyWindow(before+1, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}, far}))
+	refused("Bootstrap", app.Bootstrap(before+1, app.Term(), []wal.Op[string]{far}))
+	if got := app.AppliedSeq(); got != before || s.walFailed.Load() {
+		t.Fatalf("refused windows moved AppliedSeq %d -> %d or failed the WAL", before, got)
+	}
+	if p, ok := s.coll.Get("a"); !ok || p != geom.Pt2(1, 1) || s.coll.Len() != 1 {
+		t.Fatalf("state after the refusals: a at %v (%t), %d objects", p, ok, s.coll.Len())
 	}
 }
 

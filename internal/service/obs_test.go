@@ -99,6 +99,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		// commit drains or runs its table step (collection tests hold one up).
 		`psi_collection_table_wait_total{layer="collection"}`:    0,
 		`psi_collection_table_wait_ns_total{layer="collection"}`: 0,
+		`psi_epoch_retire_lag{layer="collection"}`:               0, // 1 only while a commit drains
 		`psi_service_replies_total`:                              6,
 		`psi_service_socket_writes_total`:                        6, // a client that waits for each reply gets one write per reply
 		`psi_heap_live_bytes`:                                    0, // until the first GC cycle
@@ -200,6 +201,15 @@ func TestSharedIndexAccounting(t *testing.T) {
 	}
 	if lst, err := lc.Stats(); err != nil || lst.Cow != nil {
 		t.Fatalf("locked-reads STATS cow block = %+v (err %v), want none", lst.Cow, err)
+	}
+	_, _, body = httpGet(t, "http://"+locked.HTTPAddr().String()+"/metrics")
+	if samples, err = obs.ParseText(strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	for k := range samples {
+		if strings.HasPrefix(k, "psi_index_cow_") {
+			t.Errorf("locked reads export %s", k)
+		}
 	}
 }
 

@@ -539,12 +539,16 @@ func (a replApplier) AppliedSeq() uint64 { return a.s.wal.LastSeq() }
 func (a replApplier) Term() uint64 { return a.s.wal.Term() }
 
 // ApplyWindow commits one leader window as it arrived: journal under
-// seq, apply, publish the epoch. A failed journal append is returned —
-// the session is severed and AppliedSeq has not moved. The
-// repl.Follower guarantees seq == AppliedSeq()+1.
+// seq, apply, publish the epoch. A failed journal append, or a window that
+// holds a point outside the universe, is returned — the session is severed
+// and AppliedSeq has not moved. The repl.Follower guarantees seq ==
+// AppliedSeq()+1.
 func (a replApplier) ApplyWindow(seq uint64, ops []wal.Op[string]) error {
 	if a.s.walFailed.Load() {
 		return errors.New("local wal failed; refusing to advance the replicated state")
+	}
+	if err := a.s.windowInUniverse(ops); err != nil {
+		return fmt.Errorf("window %d: %w", seq, err)
 	}
 	return a.s.coll.CommitWindow(seq, ops)
 }
@@ -562,6 +566,9 @@ func (a replApplier) Bootstrap(seq, term uint64, entries []wal.Op[string]) error
 	s := a.s
 	if s.walFailed.Load() {
 		return errors.New("local wal failed; refusing to bootstrap")
+	}
+	if err := s.windowInUniverse(entries); err != nil {
+		return fmt.Errorf("bootstrap at %d: %w", seq, err)
 	}
 	s.coll.Load(len(entries), func(yield func(string, geom.Point) bool) {
 		for _, e := range entries {

@@ -233,17 +233,43 @@ type Server struct {
 // NEARBY/WITHIN never wait behind the index apply, and /stats reports the
 // epoch counters. When idx has a fixed universe (core.Bounded), a SET
 // whose point lies outside it is refused before it is enqueued or
-// journaled.
+// journaled, and so is a recovered, bootstrapped or replicated one
+// (inUniverse).
 //
 // New panics if WAL setup fails — only possible with Options.WALDir set
-// (an unreadable directory, a corrupt snapshot). Durable configurations
-// should call NewDurable and handle the error.
+// (an unreadable directory, a corrupt snapshot, a logged point outside the
+// universe). Durable configurations should call NewDurable and handle the
+// error.
 func New(idx core.Index, opts Options) *Server {
 	s, err := NewDurable(idx, opts)
 	if err != nil {
 		panic(err)
 	}
 	return s
+}
+
+// inUniverse is the index's contract on every point that reaches it, from
+// a SET, a recovered log, a leader's bootstrap or window: nil, or an error
+// that names id, p and the universe p lies outside of.
+func (s *Server) inUniverse(id string, p geom.Point) error {
+	if s.universe == nil || s.universe.Contains(p, s.dims) {
+		return nil
+	}
+	q := p // only a refused point goes to the heap
+	return fmt.Errorf("%q: point %v outside the universe %v", id, q[:s.dims], *s.universe)
+}
+
+// windowInUniverse runs inUniverse over the Sets of a window or bootstrap.
+func (s *Server) windowInUniverse(ops []wal.Op[string]) error {
+	for _, o := range ops {
+		if o.Del {
+			continue
+		}
+		if err := s.inUniverse(o.ID, o.P); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Registry returns the server's metric registry (the one served at

@@ -91,7 +91,9 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 // openWAL opens the log, loads the recovered state into the Collection
 // by bulk construction (Collection.Load: nothing is journaled, and a
 // Sharded index rebalances its regions to the recovered data), and
-// installs the journal hook.
+// installs the journal hook. A recovered point outside the universe — a
+// log written before SETs were checked — fails it before the Load, which
+// the index could not survive.
 func (s *Server) openWAL() error {
 	opts := s.opts
 	l, rec, err := wal.Open(opts.WALDir, wal.Options{
@@ -102,6 +104,12 @@ func (s *Server) openWAL() error {
 	})
 	if err != nil {
 		return fmt.Errorf("psid: wal: %w", err)
+	}
+	for id, p := range rec.Entries {
+		if err := s.inUniverse(id, p); err != nil {
+			l.Close()
+			return fmt.Errorf("psid: wal: recovered %v", err)
+		}
 	}
 	s.coll.Load(len(rec.Entries), maps.All(rec.Entries))
 	s.wal = l

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/epoch"
+	"repro/internal/collection"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -124,7 +123,7 @@ func TestKNNCostStopsAtTheBound(t *testing.T) {
 // core.Adopter's NewReplica shares the original's metric handles instead
 // of re-registering (a second registration of the same series panics), and
 // physical applies on the replica count into the same per-shard counters;
-// in a snapshot cell, where one twin applies a window and the other adopts
+// under a snapshot-mode Collection, where one twin applies a window and the other adopts
 // it, the window counts once.
 func TestReplicaSharesMetrics(t *testing.T) {
 	reg := obs.New()
@@ -146,10 +145,12 @@ func TestReplicaSharesMetrics(t *testing.T) {
 	reg = obs.New()
 	opts = testOptions(2, 4, spacH)
 	opts.Obs = reg
-	var cell epoch.Cell
-	cell.Init(New(opts), true, nil)
-	cell.Commit(pts, nil, nil, time.Time{})
-	if sum, _ := scrapeSums(t, reg, "psi_shard_ops_total"); sum != 2 || cell.Versions() != 2 {
+	c := collection.New[int](New(opts), collection.Options{Snapshot: true})
+	for id, p := range pts {
+		c.Set(id, p)
+	}
+	c.Flush()
+	if sum, _ := scrapeSums(t, reg, "psi_shard_ops_total"); sum != 2 || c.Stats().Versions != 2 {
 		t.Fatalf("ops after one window over shared twins = %v, want 2", sum)
 	}
 }

@@ -7,10 +7,9 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/orthtree"
 	"repro/internal/sfc"
@@ -269,12 +268,12 @@ func TestAdaptiveRebalance(t *testing.T) {
 }
 
 // TestConcurrentUpdatesAndQueries is the -race acceptance test: several
-// goroutines commit BatchDiffs (disjoint fresh inserts, reserved doomed
-// deletes) through a locked-reads version cell over the Sharded — the
-// front-end's concurrency control; the Sharded itself is single-writer —
-// while queriers hammer all three query kinds through the same cell, so
-// shard-parallel applies interleave with fan-out queries. After the storm
-// the result must match the oracle exactly.
+// goroutines commit windows (disjoint fresh inserts, reserved doomed
+// removals, one Flush per round) through a locked-reads Collection over the
+// Sharded — the front-end's concurrency control; the Sharded itself is
+// single-writer — while queriers hammer both query kinds through the same
+// Collection, so shard-parallel applies interleave with fan-out queries.
+// After the storm the result must match the oracle exactly.
 func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	const (
 		nBase    = 6000
@@ -290,9 +289,11 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	doomed := base[:writers*rounds*batch]
 
 	sh := New(testOptions(2, 8, spacH))
-	sh.Build(base)
-	var cell epoch.Cell
-	cell.Init(sh, false, nil)
+	c := collection.New[int](sh, collection.Options{MaxBatch: 1 << 20})
+	c.Load(nBase, func(yield func(int, geom.Point) bool) {
+		for id := 0; id < nBase && yield(id, base[id]); id++ {
+		}
+	})
 
 	queries := workload.GenUniform(32, 2, side, 33)
 	boxes := workload.RangeQueries(12, 2, side, 0.01, 34)
@@ -304,7 +305,11 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			defer wgW.Done()
 			for r := 0; r < rounds; r++ {
 				off := (w*rounds + r) * batch
-				cell.Commit(fresh[off:off+batch], doomed[off:off+batch], nil, time.Time{})
+				for i := off; i < off+batch; i++ {
+					c.Set(nBase+i, fresh[i])
+					c.Remove(i) // doomed[i]'s ID
+				}
+				c.Flush()
 			}
 		}(w)
 	}
@@ -318,20 +323,13 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 					return
 				default:
 				}
-				v := cell.Acquire()
-				switch (q + i) % 3 {
-				case 0:
-					if got := v.Index.KNN(queries[i%len(queries)], 10, nil); len(got) != 10 {
-						t.Errorf("KNN returned %d of 10 neighbors", len(got))
+				if (q+i)%2 == 0 {
+					if got := c.NearbyIDs(queries[i%len(queries)], 10); len(got) != 10 {
+						t.Errorf("NearbyIDs returned %d of 10 neighbors", len(got))
 					}
-				case 1:
-					if got := v.Index.RangeCount(geom.UniverseBox(2, side)); got > len(all) {
-						t.Errorf("RangeCount(universe) = %d exceeds %d", got, len(all))
-					}
-				default:
-					v.Index.RangeList(boxes[i%len(boxes)], nil)
+				} else if got := c.WithinIDs(boxes[i%len(boxes)]); len(got) > len(all) {
+					t.Errorf("WithinIDs returned %d objects, more than %d", len(got), len(all))
 				}
-				cell.Release()
 				if t.Failed() {
 					return
 				}
@@ -342,6 +340,9 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	close(stop)
 	wgQ.Wait()
 
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	if err := sh.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,9 @@ package shard
 import (
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/workload"
 )
@@ -17,11 +16,11 @@ import (
 // (Adopt), applies a window once and reads the published one. These tests
 // cover that role.
 
-// TestSnapshotConcurrentUpdatesAndQueries hammers a snapshot-mode version
-// cell over Sharded twins of either copy-on-write family with a batch
-// writer and concurrent readers (run under -race): readers pin one twin
-// while the other takes its sub-batches, and the final contents must match
-// a sequential oracle.
+// TestSnapshotConcurrentUpdatesAndQueries hammers a snapshot-mode
+// Collection over Sharded twins of either copy-on-write family with a
+// window writer and concurrent readers (run under -race): readers pin one
+// twin while the other takes its sub-batches, and the final contents must
+// match a sequential oracle.
 func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 	const n = 4000
 	pts := uniquePoints(n, 11)
@@ -33,12 +32,14 @@ func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box) core.Index, pts []geom.Point, n int) {
 	side := workload.Uniform.Side(2)
 	sh := New(testOptions(2, 8, family))
-	var cell epoch.Cell
-	cell.Init(sh, true, nil)
-	if cell.Versions() != 2 {
-		t.Fatal("the cell keeps no twin of the Sharded")
+	c := collection.New[int](sh, collection.Options{MaxBatch: 1 << 20, Snapshot: true})
+	if c.Stats().Versions != 2 {
+		t.Fatal("the Collection keeps no twin of the Sharded")
 	}
-	cell.Rebuild(pts[:n/2])
+	c.Load(n/2, func(yield func(int, geom.Point) bool) {
+		for id := 0; id < n/2 && yield(id, pts[id]); id++ {
+		}
+	})
 
 	queries := workload.GenUniform(16, 2, side, 21)
 	boxes := workload.RangeQueries(8, 2, side, 0.02, 23)
@@ -48,36 +49,37 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []geom.Point
+			var buf []collection.Entry[int]
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				v := cell.Acquire()
-				v.Index.KNN(queries[i%len(queries)], 10, buf[:0])
-				v.Index.RangeCount(boxes[i%len(boxes)])
-				buf = v.Index.RangeList(boxes[i%len(boxes)], buf[:0])
-				cell.Release()
+				buf = c.NearbyIDsAppend(queries[i%len(queries)], 10, buf[:0])
+				buf = c.WithinIDsAppend(boxes[i%len(boxes)], buf[:0])
 			}
 		}()
 	}
 	for i := n / 2; i < n; i += 100 {
-		end := min(i+100, n)
-		cell.Commit(pts[i:end], pts[i-n/2:end-n/2], nil, time.Time{})
+		for id := i; id < min(i+100, n); id++ {
+			c.Set(id, pts[id])
+			c.Remove(id - n/2)
+		}
+		c.Flush()
 	}
 	close(stop)
 	wg.Wait()
 
 	ref := core.NewBruteForce(2)
 	ref.Build(pts[n/2:])
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	if err := sh.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	v := cell.Acquire()
-	defer cell.Release()
-	if err := core.VerifyQueries(v.Index, ref, queries, []int{1, 10, 50}, boxes); err != nil {
+	if err := core.VerifyQueries(sh, ref, queries, []int{1, 10, 50}, boxes); err != nil {
 		t.Fatal(err)
 	}
 }
