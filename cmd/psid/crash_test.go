@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/wal"
 )
 
 // TestCrashHelperProcess is not a test: it is psid. When the oracle
@@ -407,6 +409,10 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-side", "4000000000000", "-shards", "0"},
 		{"-index", "P-Orth", "-side", "3000000000"}, // past int32, P-Orth's stored range
 		{"-index", "P-Orth", "-side", "3000000000", "-shards", "0"},
+		// Past int32, the Collection's stored range: every family, the
+		// baselines too.
+		{"-index", "Pkd-Tree", "-side", "3000000000"},
+		{"-index", "Pkd-Tree", "-side", "3000000000", "-shards", "0"},
 		// Inside int32, but with a squared diagonal past int64.
 		{"-dims", "3", "-index", "P-Orth", "-side", "2000000000"},
 		{"-dims", "3", "-index", "Zd-Tree"}, // the default side is past 21 bits
@@ -436,5 +442,111 @@ func TestBadFlagsExitTwo(t *testing.T) {
 			strings.Contains(msg, "goroutine ") || strings.Contains(msg, "panic") {
 			t.Errorf("psid %v: stderr is not one psid: line:\n%s", args, msg)
 		}
+	}
+}
+
+// TestSetPastInt32Refused: the Collection stores int32 coordinates over
+// every family, so psid refuses a SET past that range with bad_request
+// before it is journaled — over an unsharded baseline too, whose index
+// has no universe of its own. After a drain the log holds the one point
+// that was taken, and a restart serves it alone.
+func TestSetPastInt32Refused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	dir := t.TempDir()
+	args := []string{"-index", "Pkd-Tree", "-shards", "0"}
+	cmd, addr, _ := startPsid(t, dir, args...)
+	c, err := service.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Do(service.Request{Op: service.OpSet, ID: "far", P: []int64{5_000_000_000, 7}})
+	if err != nil || resp.OK || resp.Code != service.CodeBadRequest {
+		t.Fatalf("SET at x = 5·10⁹: %+v, %v; want %s", resp, err, service.CodeBadRequest)
+	}
+	if err := c.Set("near", []int64{5, 7}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	sigtermWait(t, cmd)
+
+	l, rec, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if len(rec.Entries) != 1 || rec.Entries["near"] != geom.Pt2(5, 7) {
+		t.Fatalf("the log holds %v, want near at [5 7] alone", rec.Entries)
+	}
+	cmd, addr, _ = startPsid(t, dir, args...)
+	defer sigtermWait(t, cmd)
+	c, err = service.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, found, err := c.Get("far"); err != nil || found {
+		t.Fatalf("GET far after restart: found=%t, %v", found, err)
+	}
+}
+
+// TestThreeDimensionsServed: psid -dims 3 keeps Z through the whole stack.
+// Objects share their X and Y and differ only in Z, so a table that kept
+// two coordinates would hand back Z = 0 on GET and one ID for several
+// NEARBY hits.
+func TestThreeDimensionsServed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	cmd, addr, _ := startPsid(t, "", "-dims", "3", "-side", "1000000")
+	defer sigtermWait(t, cmd)
+	c, err := service.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	oracle := make(map[string][]int64)
+	for i := range 12 {
+		id := fmt.Sprintf("z%02d", i)
+		oracle[id] = []int64{int64(1000 + 100*(i%3)), 2000, int64(10_000 * (i + 1))}
+		if err := c.Set(id, oracle[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range oracle {
+		if p, found, err := c.Get(id); err != nil || !found || !slices.Equal(p, want) {
+			t.Fatalf("GET %s = %v (%t, %v), want %v", id, p, found, err, want)
+		}
+	}
+	q := []int64{1000, 2000, 55_000}
+	dist := func(p []int64) (d int64) {
+		for i := range p {
+			d += (p[i] - q[i]) * (p[i] - q[i])
+		}
+		return d
+	}
+	var want []int64
+	for _, p := range oracle {
+		want = append(want, dist(p))
+	}
+	slices.Sort(want)
+	const k = 5
+	hits, err := c.Nearby(q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != k {
+		t.Fatalf("NEARBY returned %d hits, want %d", len(hits), k)
+	}
+	seen := make(map[string]bool)
+	for i, h := range hits {
+		if seen[h.ID] || !slices.Equal(h.P, oracle[h.ID]) || dist(h.P) != want[i] {
+			t.Fatalf("NEARBY hit %d: %s at %v; oracle %v, distance² %d", i, h.ID, h.P, oracle[h.ID], want[i])
+		}
+		seen[h.ID] = true
 	}
 }

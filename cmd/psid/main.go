@@ -78,6 +78,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/service"
@@ -103,7 +104,7 @@ func run() int {
 	index := flag.String("index", "SPaC-H", "index family (a psibench table name, e.g. SPaC-H, P-Orth, Pkd-Tree); the SPaC family and P-Orth share one tree between snapshot versions, the baselines serve locked reads")
 	shards := flag.Int("shards", -1, "shard count: -1 = one per core, 0 = unsharded, N = N shards")
 	dims := flag.Int("dims", 2, "point dimensionality (2 or 3)")
-	side := flag.Int64("side", 1_000_000_000, "coordinate universe [0, side]^dims; the largest side depends on the index family (P-Orth: 2^31-1 in 2-D, 1753413056 in 3-D; the SPaC family and the Zd-tree: 2^31-1 in 2-D, 2^21-1 in 3-D)")
+	side := flag.Int64("side", 1_000_000_000, "coordinate universe [0, side]^dims; at most 2^31-1, the stored int32 range, for every index family in 2-D; in 3-D P-Orth takes at most 1753413056 and the SPaC family and the Zd-tree 2^21-1")
 	maxBatch := flag.Int("maxbatch", 4096, "coalescing threshold: pending ops that trigger a synchronous flush")
 	flushEvery := flag.Duration("flush-interval", service.DefaultFlushInterval, "background flush cadence bounding query staleness")
 	maxLine := flag.Int("maxline", service.DefaultMaxLineBytes, "reject request lines longer than this many bytes")
@@ -125,8 +126,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: -dims must be 2 or 3, got %d\n", *dims)
 		return 2
 	}
-	if *side < 1 {
-		fmt.Fprintf(os.Stderr, "psid: -side must be positive, got %d\n", *side)
+	if top := collection.StoredRange(*dims).Hi[0]; *side < 1 || *side > top {
+		fmt.Fprintf(os.Stderr, "psid: -side must be between 1 and %d, the stored int32 range, got %d\n", top, *side)
 		return 2
 	}
 	if *shards < -1 || *shards > shard.MaxShards {

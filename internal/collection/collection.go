@@ -65,6 +65,7 @@ package collection
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,7 +282,7 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 		maxBatch: opts.MaxBatch,
 		overlay:  make(map[ID]tailOp),
 		netAt:    make(map[ID]int),
-		tab:      newTable[ID](0),
+		tab:      newTable[ID](idx.Dims(), 0),
 	}
 	if c.maxBatch <= 0 {
 		c.maxBatch = DefaultMaxBatch
@@ -408,8 +409,32 @@ func (c *Collection[ID]) Dims() int { return c.dims }
 
 // Set enqueues a move: id is (re)located to p. The relocation becomes
 // visible to geometric queries at the flush that applies it, netted with
-// any other pending ops on the same ID; Get(id) sees it immediately.
-func (c *Collection[ID]) Set(id ID, p geom.Point) { c.enqueue(id, p, false) }
+// any other pending ops on the same ID; Get(id) sees it immediately. Set
+// panics if p is outside the stored range (see mustStore).
+func (c *Collection[ID]) Set(id ID, p geom.Point) {
+	c.mustStore(p)
+	c.enqueue(id, p, false)
+}
+
+// StoredRange returns the box every point a dims-dimensional Collection
+// stores lies in, whatever its index: int32 coordinates (geom.Packable),
+// and no Z in 2-D. The slot table keeps exactly that.
+func StoredRange(dims int) (b geom.Box) {
+	for d := range dims {
+		b.Lo[d], b.Hi[d] = math.MinInt32, math.MaxInt32
+	}
+	return b
+}
+
+// mustStore panics unless p is in StoredRange. The table would truncate
+// any other point, so one is a programmer error, as it is in the trees; a
+// caller taking points from outside the program checks them first (psid's
+// SET, recovery and replication do).
+func (c *Collection[ID]) mustStore(p geom.Point) {
+	if r := StoredRange(c.dims); !r.Contains(p, geom.MaxDims) {
+		panic(fmt.Sprintf("collection: point %v outside the stored range %v", p, r))
+	}
+}
 
 // Remove enqueues the removal of id. Removing an absent ID is a no-op
 // when its window flushes.
@@ -557,8 +582,14 @@ func (c *Collection[ID]) net(ops []op[ID]) (cancelled int) {
 // The window is untrusted input (a follower hands over whatever frame its
 // leader sent), and the commit body relies on the invariant: one that
 // repeats an ID is refused whole — an error, nothing journaled, nothing
-// applied.
+// applied. A Set outside the stored range panics, as in Set, before
+// anything is journaled or applied.
 func (c *Collection[ID]) CommitWindow(seq uint64, ops []wal.Op[ID]) (err error) {
+	for i := range ops {
+		if !ops[i].Del {
+			c.mustStore(ops[i].P)
+		}
+	}
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	sp, clk := c.begin()
@@ -635,7 +666,8 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 // Pending ops, and what Get remembered of them, are discarded; nothing is
 // journaled — the caller loads what is already durable (recovery) or makes
 // it so itself (a follower's bootstrap snapshot). In snapshot mode readers
-// keep the old state until the new one is published whole.
+// keep the old state until the new one is published whole. An entry
+// outside the stored range panics, as in Set, before the index is touched.
 func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
@@ -645,17 +677,21 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	clear(c.overlay)
 	c.pend.Unlock()
 	was := c.tab.live
-	tab := newTable[ID](n)
+	tab := newTable[ID](c.dims, n)
 	for id, p := range entries {
+		c.mustStore(p)
 		if slot, hash := tab.lookup(id); slot != 0 {
 			tab.move(slot, p)
 		} else {
 			tab.insert(id, hash, p)
 		}
 	}
-	// Nothing above frees a slot, so the live points are the slot array
-	// itself; Build neither writes nor retains it (core.Index).
-	pts := tab.pos[1:]
+	// Nothing above frees a slot, so the live points are slots 1 on,
+	// widened into the slice Build takes (and neither writes nor retains).
+	pts := make([]geom.Point, tab.live)
+	for i := range pts {
+		pts[i] = tab.at(uint32(i + 1))
+	}
 	c.cell.Rebuild(pts, func() { c.tab = tab })
 	c.noteSlots()
 	c.inserted.Add(uint64(len(pts)))
@@ -679,7 +715,7 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) 
 		o := &w.ops[i]
 		slot, hash := t.lookup(o.ID)
 		at = append(at, resolved{hash: hash, slot: slot})
-		old, live := t.pos[slot], slot != 0
+		old, live := t.at(slot), slot != 0
 		switch {
 		case o.Del && live:
 			del = append(del, old)

@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"iter"
 	"maps"
 	"math/rand"
 	"slices"
@@ -22,15 +23,22 @@ const side = int64(1 << 20)
 
 func universe() geom.Box { return geom.UniverseBox(2, side) }
 
-func newSPaCH() core.Index { return spactree.NewSPaC(sfc.Hilbert, 2, universe()) }
+// spacH and pOrth are the copy-on-write families, in any dimensionality.
+func spacH(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) }
+func pOrth(dims int, u geom.Box) core.Index { return orthtree.NewDefault(dims, u) }
 
-func newPOrth() core.Index { return orthtree.NewDefault(2, universe()) }
+func newSPaCH() core.Index { return spacH(2, universe()) }
 
-// sharded returns a constructor of four-shard Shardeds over family.
+func newPOrth() core.Index { return pOrth(2, universe()) }
+
+// shardedIn returns a four-shard Sharded over family in dims dimensions.
+func shardedIn(dims int, family func(dims int, u geom.Box) core.Index) core.Index {
+	return shard.New(shard.Options{Dims: dims, Universe: geom.UniverseBox(dims, side), Shards: 4, New: family})
+}
+
+// sharded returns a constructor of four-shard 2-D Shardeds over family.
 func sharded(family func(dims int, u geom.Box) core.Index) func() core.Index {
-	return func() core.Index {
-		return shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 4, New: family})
-	}
+	return func() core.Index { return shardedIn(2, family) }
 }
 
 // innerStacks enumerates the index stacks a Collection is documented to
@@ -39,15 +47,11 @@ func sharded(family func(dims int, u geom.Box) core.Index) func() core.Index {
 // reads are asked for, and a Sharded fan-out over each.
 func innerStacks() map[string]func() core.Index {
 	return map[string]func() core.Index{
-		"BruteForce": func() core.Index { return core.NewBruteForce(2) },
-		"SPaC-H":     newSPaCH,
-		"P-Orth":     newPOrth,
-		"Sharded(SPaC-H)": sharded(func(dims int, u geom.Box) core.Index {
-			return spactree.NewSPaC(sfc.Hilbert, dims, u)
-		}),
-		"Sharded(P-Orth)": sharded(func(dims int, u geom.Box) core.Index {
-			return orthtree.NewDefault(dims, u)
-		}),
+		"BruteForce":      func() core.Index { return core.NewBruteForce(2) },
+		"SPaC-H":          newSPaCH,
+		"P-Orth":          newPOrth,
+		"Sharded(SPaC-H)": sharded(spacH),
+		"Sharded(P-Orth)": sharded(pOrth),
 		"Sharded(BruteForce)": sharded(func(dims int, _ geom.Box) core.Index {
 			return core.NewBruteForce(dims)
 		}),
@@ -59,9 +63,11 @@ func innerStacks() map[string]func() core.Index {
 // is its count, and a twin adopts by taking it.
 type nullTwins struct{ *core.NullIndex }
 
-func newNullTwins() core.Index { return nullTwins{core.NewNull(2)} }
+func newNullTwins() core.Index { return newNullTwinsIn(2) }
 
-func (x nullTwins) NewReplica() core.Index { return newNullTwins() }
+func newNullTwinsIn(dims int) core.Index { return nullTwins{core.NewNull(dims)} }
+
+func (x nullTwins) NewReplica() core.Index { return newNullTwinsIn(x.Dims()) }
 
 func (x nullTwins) Adopt(src core.Index) bool {
 	s, ok := src.(nullTwins)
@@ -307,10 +313,12 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 }
 
 // verifyAgainstOracle checks the full Collection read suite against a
-// plain map: Get and Len exactly, WithinIDs as (ID, point) sets, and
-// NearbyIDs as a squared-distance sequence (ties arbitrary, as for KNN).
+// plain map: Get and Len exactly, WithinIDs as (ID, point) sets over the
+// universe and over its middle, and NearbyIDs as a squared-distance
+// sequence (ties arbitrary, as for KNN), in the Collection's dimensions.
 func verifyAgainstOracle(t *testing.T, c *Collection[int], oracle map[int]geom.Point, nIDs int) {
 	t.Helper()
+	dims := c.Dims()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,23 +332,40 @@ func verifyAgainstOracle(t *testing.T, c *Collection[int], oracle map[int]geom.P
 			t.Fatalf("Get(%d) = (%v, %t), oracle (%v, %t)", id, gotP, gotOK, wantP, wantOK)
 		}
 	}
-	got := c.WithinIDs(universe())
-	if len(got) != len(oracle) {
-		t.Fatalf("WithinIDs(universe) returned %d, oracle has %d", len(got), len(oracle))
+	whole, middle := geom.UniverseBox(dims, side), geom.Box{}
+	for d := range dims {
+		middle.Lo[d], middle.Hi[d] = side/4, side/4+side/2
 	}
-	for _, e := range got {
-		if oracle[e.ID] != e.Point {
-			t.Fatalf("WithinIDs entry %v, oracle has %v", e, oracle[e.ID])
+	for _, box := range []geom.Box{whole, middle} {
+		got := c.WithinIDs(box)
+		want := 0
+		for _, p := range oracle {
+			if box.Contains(p, dims) {
+				want++
+			}
+		}
+		if len(got) != want {
+			t.Fatalf("WithinIDs(%v) returned %d, oracle has %d", box, len(got), want)
+		}
+		ids := make(map[int]bool, len(got))
+		for _, e := range got {
+			if oracle[e.ID] != e.Point || !box.Contains(e.Point, dims) || ids[e.ID] {
+				t.Fatalf("WithinIDs(%v) entry %v, oracle has %v", box, e, oracle[e.ID])
+			}
+			ids[e.ID] = true
 		}
 	}
 	// NearbyIDs: compare the distance sequence against brute force over
 	// the oracle, and require each entry to be a live (ID, point) pair.
-	for _, q := range []geom.Point{geom.Pt2(0, 0), geom.Pt2(side/2, side/2), geom.Pt2(side, 1)} {
+	for _, q := range []geom.Point{{0, 0, 0}, {side / 2, side / 2, side / 2}, {side, 1, side / 3}} {
+		if dims == 2 {
+			q[2] = 0
+		}
 		for _, k := range []int{1, 3, 17} {
 			nn := c.NearbyIDs(q, k)
 			dists := make([]int64, 0, len(oracle))
 			for _, p := range oracle {
-				dists = append(dists, geom.Dist2(p, q, 2))
+				dists = append(dists, geom.Dist2(p, q, dims))
 			}
 			sort.Slice(dists, func(i, j int) bool { return dists[i] < dists[j] })
 			wantLen := k
@@ -350,11 +375,13 @@ func verifyAgainstOracle(t *testing.T, c *Collection[int], oracle map[int]geom.P
 			if len(nn) != wantLen {
 				t.Fatalf("NearbyIDs(%v, %d) returned %d entries, want %d", q, k, len(nn), wantLen)
 			}
+			ids := make(map[int]bool, len(nn))
 			for i, e := range nn {
-				if oracle[e.ID] != e.Point {
-					t.Fatalf("NearbyIDs entry %v is not the oracle position %v", e, oracle[e.ID])
+				if oracle[e.ID] != e.Point || ids[e.ID] {
+					t.Fatalf("NearbyIDs entry %v is not the oracle position %v, or a repeat", e, oracle[e.ID])
 				}
-				if got, want := geom.Dist2(e.Point, q, 2), dists[i]; got != want {
+				ids[e.ID] = true
+				if got, want := geom.Dist2(e.Point, q, dims), dists[i]; got != want {
 					t.Fatalf("NearbyIDs(%v, %d) neighbor %d dist2 %d, oracle %d", q, k, i, got, want)
 				}
 			}
@@ -395,6 +422,62 @@ func TestOracleAgreementAcrossStacks(t *testing.T) {
 			c.Flush()
 			verifyAgainstOracle(t, c, oracle, nIDs)
 		})
+	}
+}
+
+// TestThreeDimensions: a 3-D Collection over SPaC-H and over brute force,
+// in either read mode, keeps Z in its table. The objects stand in four X-Y
+// columns and differ in Z, so a table that stored two coordinates would
+// answer Get with Z = 0 once a window commits, and resolve the hits of
+// distinct objects in one column to one owner. The committed state then
+// goes through Load into a fresh Collection and comes back out of
+// Checkpoint whole.
+func TestThreeDimensions(t *testing.T) {
+	const nIDs = 64
+	for name, mk := range map[string]func() core.Index{
+		"SPaC-H":     func() core.Index { return spacH(3, geom.UniverseBox(3, side)) },
+		"BruteForce": func() core.Index { return core.NewBruteForce(3) },
+	} {
+		for _, snapshot := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(23))
+			c := New[int](mk(), readOpts(snapshot))
+			oracle := make(map[int]geom.Point)
+			for i := 0; i < 600; i++ {
+				id := rng.Intn(nIDs)
+				if rng.Intn(6) == 0 {
+					c.Remove(id)
+					delete(oracle, id)
+				} else {
+					p := geom.Point{int64(rng.Intn(2)) * (side / 2), int64(rng.Intn(2)) * (side / 2), int64(1+rng.Intn(32)) * (side / 32)}
+					c.Set(id, p)
+					oracle[id] = p
+				}
+				if rng.Intn(20) == 0 {
+					c.Flush()
+					verifyAgainstOracle(t, c, oracle, nIDs)
+				}
+			}
+			c.Flush()
+			verifyAgainstOracle(t, c, oracle, nIDs)
+			c.Close()
+
+			loaded := New[int](mk(), readOpts(snapshot))
+			loaded.Load(len(oracle), maps.All(oracle))
+			verifyAgainstOracle(t, loaded, oracle, nIDs)
+			got := make(map[int]geom.Point)
+			loaded.Checkpoint(func(n int, entries iter.Seq2[int, geom.Point]) {
+				if n != len(oracle) {
+					t.Errorf("%s snapshot=%t: Checkpoint counts %d objects, %d loaded", name, snapshot, n, len(oracle))
+				}
+				for id, p := range entries {
+					got[id] = p
+				}
+			})
+			if !maps.Equal(got, oracle) {
+				t.Fatalf("%s snapshot=%t: Checkpoint gives back %v, Load was given %v", name, snapshot, got, oracle)
+			}
+			loaded.Close()
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 )
 
 // FuzzCollectionMoves is the identity-layer differential fuzzer: the
-// input bytes pick an inner index stack and decode into a Set / Remove /
+// input bytes pick an inner index stack and its dimensionality (the high
+// bit of the first byte asks for 3-D) and decode into a Set / Remove /
 // Flush tape over a small ID space, mirrored into a plain map oracle.
 // Get is checked after every op (the overlay gives read-your-writes, so
 // Get must equal the oracle at all times, flushed or not); at every
@@ -55,30 +56,40 @@ var collectionSeeds = []string{
 	"\x01\x3fset some\xf0\x03abcdefghi then\xf1\x02jklmnop flush\x01\x01 more sets",
 	"\x02\x85pending ops\xf8\x04loaded entries \xf2\x01xyz\xff\x00\x01\x01tail",
 	"\x03\x87P-Orth shard stack\xfa\x07aaabbbcccdddeeefffggg\xf3\x04qrstuvwxyz01",
+	// 0x80 on the first byte: the same stacks in 3-D, where a point takes
+	// a third byte.
+	"\x80\x05brute force in three dimensions, flush\x01\x01 and read back",
+	"\x81\x83SPaC-H 3-D snapshot tape\xf1\x03abcdefghijkl flush\x01\x01 yyy",
+	"\x82\x09sharded SPaC-H in 3-D\xf9\x05aaabbbcccdddeeefff\xf0\x02qrstuvwx",
+	"\x83\xffsharded P-Orth in 3-D, tiny batches \x01\x01\x01\x01",
 }
 
 const fuzzIDs = 16
 
-// fuzzStacks lists the inner stacks the first input byte selects from,
-// in a fixed order so corpus entries stay reproducible. Slot 0 stays on
-// locked reads when the tape asks for snapshot reads; the others share
-// their twins' trees.
-var fuzzStacks = []func() core.Index{
-	func() core.Index { return core.NewBruteForce(2) },
-	newSPaCH,
-	innerStacks()["Sharded(SPaC-H)"],
-	innerStacks()["Sharded(P-Orth)"],
+// fuzzStacks lists the inner stacks the low bits of the first input byte
+// select from, in a fixed order so corpus entries stay reproducible. Slot
+// 0 stays on locked reads when the tape asks for snapshot reads; the
+// others share their twins' trees.
+var fuzzStacks = []func(dims int) core.Index{
+	func(dims int) core.Index { return core.NewBruteForce(dims) },
+	func(dims int) core.Index { return spacH(dims, geom.UniverseBox(dims, side)) },
+	func(dims int) core.Index { return shardedIn(dims, spacH) },
+	func(dims int) core.Index { return shardedIn(dims, pOrth) },
 }
 
 func runCollectionTape(t *testing.T, data []byte) {
 	if len(data) < 2 {
 		return
 	}
-	mk := fuzzStacks[int(data[0])%len(fuzzStacks)]
+	dims := 2
+	if data[0]&0x80 != 0 {
+		dims = 3
+	}
+	mk := fuzzStacks[int(data[0]&0x7F)%len(fuzzStacks)]
 	// A tiny MaxBatch derived from the input lets the fuzzer also drive
 	// threshold-triggered flushes mid-tape, not only explicit ones.
 	maxBatch := 1 + int(data[1])%64
-	c := New[int](mk(), Options{MaxBatch: maxBatch, Snapshot: data[1]&0x80 != 0})
+	c := New[int](mk(dims), Options{MaxBatch: maxBatch, Snapshot: data[1]&0x80 != 0})
 	defer c.Close()
 	snapshot := c.cell.Versions() == 2
 	// committed mirrors the flushed state, tape the ops pending on top of
@@ -148,7 +159,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 				default:
 				}
 				e0 := c.Epoch()
-				got := c.WithinIDs(universe())
+				got := c.WithinIDs(geom.UniverseBox(dims, side))
 				if c.Epoch() != e0 {
 					continue // scan straddled a publish; unattributable
 				}
@@ -196,16 +207,19 @@ func runCollectionTape(t *testing.T, data []byte) {
 			break
 		}
 		id := int(idb) % fuzzIDs
-		// point decodes one coarse position: %32 keeps the domain small so
-		// distinct IDs routinely share a point.
-		point := func() (geom.Point, bool) {
-			xb, ok1 := next()
-			yb, ok2 := next()
-			return geom.Pt2(int64(xb%32)*(side/32), int64(yb%32)*(side/32)), ok1 && ok2
+		// point decodes one coarse position, a byte per coordinate: %32
+		// keeps the domain small so distinct IDs routinely share a point.
+		point := func() (p geom.Point, ok bool) {
+			ok = true
+			for d := range dims {
+				b, more := next()
+				p[d], ok = int64(b%32)*(side/32), ok && more
+			}
+			return p, ok
 		}
 		switch {
 		case b >= 0xF0:
-			// idb is a count here: that many (id, x, y) triples follow, for
+			// idb is a count here: that many (id, x, y[, z]) tuples follow, for
 			// a window (at most one op per ID; a zero x byte deletes) or a
 			// full load (a repeated ID: the later entry wins).
 			var ops []wal.Op[int]

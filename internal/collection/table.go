@@ -14,8 +14,13 @@ import (
 // linear-probing indexes find slots by ID and by point. The indexes store
 // nothing but slots (under a few spare hash bits) and compare through the
 // arrays, so apart from name the whole table is pointer-free: the
-// collector never scans it, and an object costs its ID, 28 bytes of slot
-// and three to five 4-byte buckets.
+// collector never scans it, and an object costs its ID, 12 bytes of slot
+// in 2-D (16 in 3-D) and three to five 4-byte buckets.
+//
+// A position is stored as dims int32 coordinates, the stored range of
+// every Collection whatever its index (geom.Packable): 8 bytes in 2-D and
+// 12 in 3-D, widened to a geom.Point on the way out (at). The point index
+// hashes and compares that stored form.
 //
 // Slots are stable for an object's lifetime (a move rewrites pos in place)
 // and slot 0 is reserved as "none". Objects sharing a point are chained
@@ -25,8 +30,11 @@ import (
 // indexes shifts the rest of the probe run back, so there are no
 // tombstones and a table under steady churn never degrades or grows.
 type table[ID comparable] struct {
-	name []ID         // slot → owner; the zero ID in free slots
-	pos  []geom.Point // slot → position; the zero point in free slots
+	dims int  // coordinates per position: 2 or 3
+	name []ID // slot → owner; the zero ID in free slots
+	// pos holds slot s's position at pos[s*dims:][:dims]; the zero point
+	// in free slots.
+	pos []int32
 	// next is, for a live slot, the next slot at the same point (0 ends
 	// the chain); for a free slot, freeSlot | the next free slot. Slot 0
 	// is marked free so that a scan for live slots skips it unasked.
@@ -57,17 +65,26 @@ const (
 var seedID, seedPt = maphash.MakeSeed(), maphash.MakeSeed()
 
 func hashID[ID comparable](id ID) uint64 { return maphash.Comparable(seedID, id) }
-func hashPt(p geom.Point) uint64         { return maphash.Comparable(seedPt, p) }
 
-// newTable returns an empty table with room for n objects.
-func newTable[ID comparable](n int) table[ID] {
+// hashPt hashes p's stored form, its first dims coordinates as int32s.
+func hashPt(p geom.Point, dims int) uint64 {
+	if dims == 2 {
+		return maphash.Comparable(seedPt, geom.Pack[[2]int32](p))
+	}
+	return maphash.Comparable(seedPt, geom.Pack[[3]int32](p))
+}
+
+// newTable returns an empty table of dims-dimensional positions with room
+// for n objects.
+func newTable[ID comparable](dims, n int) table[ID] {
 	b := minBuckets
 	for n > b/4*3 {
 		b *= 2
 	}
 	t := table[ID]{
+		dims: dims,
 		name: make([]ID, 1, n+1),
-		pos:  make([]geom.Point, 1, n+1),
+		pos:  make([]int32, dims, (n+1)*dims),
 		next: make([]uint32, 1, n+1),
 		byID: make([]uint32, b),
 		byPt: make([]uint32, b),
@@ -79,6 +96,23 @@ func newTable[ID comparable](n int) table[ID] {
 // slots returns the number of slots ever handed out: live plus free.
 func (t *table[ID]) slots() int { return len(t.name) - 1 }
 
+// at returns slot s's position, widened to a geom.Point.
+func (t *table[ID]) at(s uint32) (p geom.Point) {
+	for d, c := range t.pos[int(s)*t.dims:][:t.dims] {
+		p[d] = int64(c)
+	}
+	return p
+}
+
+// put stores p as slot s's position. p is in the stored range: the
+// Collection refuses every other point on the way in.
+func (t *table[ID]) put(s uint32, p geom.Point) {
+	c := t.pos[int(s)*t.dims:][:t.dims]
+	for d := range c {
+		c[d] = int32(p[d])
+	}
+}
+
 // A key's home bucket is the low bits of its hash; its tag is the high
 // half, less the bits the slot number occupies.
 func tagOf(hash uint64, mask uint32) uint32 { return uint32(hash>>32) &^ mask }
@@ -86,7 +120,7 @@ func tagOf(hash uint64, mask uint32) uint32 { return uint32(hash>>32) &^ mask }
 // idHashAt and ptHashAt hash the key a live slot is indexed under; they
 // are what shiftBack and regrow rehash entries with.
 func (t *table[ID]) idHashAt(s uint32) uint64 { return hashID(t.name[s]) }
-func (t *table[ID]) ptHashAt(s uint32) uint64 { return hashPt(t.pos[s]) }
+func (t *table[ID]) ptHashAt(s uint32) uint64 { return hashPt(t.at(s), t.dims) }
 
 // lookup resolves id to its slot (0 when id is not live) and returns the
 // ID's hash, which insert and remove take so that a window hashes each ID
@@ -109,18 +143,18 @@ func (t *table[ID]) lookup(id ID) (slot uint32, hash uint64) {
 // get returns id's position.
 func (t *table[ID]) get(id ID) (geom.Point, bool) {
 	s, _ := t.lookup(id)
-	return t.pos[s], s != 0 // pos[0] is the zero point
+	return t.at(s), s != 0 // slot 0 is at the zero point
 }
 
 // find returns the bucket of byPt that holds p's chain head, or the empty
 // bucket where it would go, and p's tag.
 func (t *table[ID]) find(p geom.Point) (i, tag uint32) {
-	hash := hashPt(p)
+	hash := hashPt(p, t.dims)
 	mask := uint32(len(t.byPt) - 1)
 	tag = tagOf(hash, mask)
 	for i = uint32(hash) & mask; ; i = (i + 1) & mask {
 		b := t.byPt[i]
-		if b == 0 || (b&^mask == tag && t.pos[b&mask] == p) {
+		if b == 0 || (b&^mask == tag && t.at(b&mask) == p) {
 			return i, tag
 		}
 	}
@@ -150,7 +184,7 @@ func (t *table[ID]) insert(id ID, hash uint64, p geom.Point) uint32 {
 	} else {
 		s = uint32(len(t.name))
 		t.name = append(t.name, id)
-		t.pos = append(t.pos, geom.Point{})
+		t.pos = append(t.pos, make([]int32, t.dims)...)
 		t.next = append(t.next, 0)
 	}
 	t.live++
@@ -161,7 +195,7 @@ func (t *table[ID]) insert(id ID, hash uint64, p geom.Point) uint32 {
 
 // move relocates the object in slot s to p.
 func (t *table[ID]) move(s uint32, p geom.Point) {
-	if t.pos[s] == p {
+	if t.at(s) == p {
 		return
 	}
 	t.unlink(s)
@@ -178,7 +212,8 @@ func (t *table[ID]) remove(s uint32, hash uint64) {
 	}
 	shiftBack(t.byID, i, t.idHashAt)
 	var none ID
-	t.name[s], t.pos[s] = none, geom.Point{}
+	t.name[s] = none
+	t.put(s, geom.Point{})
 	t.next[s] = freeSlot | t.free
 	t.free = s
 	t.live--
@@ -187,7 +222,7 @@ func (t *table[ID]) remove(s uint32, hash uint64) {
 // link records that slot s is at p: it joins p's chain right behind the
 // head (so the bucket stays put), or becomes the head of a new one.
 func (t *table[ID]) link(s uint32, p geom.Point) {
-	t.pos[s] = p
+	t.put(s, p)
 	if t.unlinked {
 		t.next[s] = 0 // live, which is all relink reads of it
 		return
@@ -207,7 +242,7 @@ func (t *table[ID]) unlink(s uint32) {
 		return
 	}
 	mask := uint32(len(t.byPt) - 1)
-	i, tag := t.find(t.pos[s])
+	i, tag := t.find(t.at(s))
 	h := t.byPt[i] & mask
 	switch {
 	case h != s:
@@ -230,7 +265,7 @@ func (t *table[ID]) relink() {
 	clear(t.byPt)
 	for s, nx := range t.next {
 		if nx&freeSlot == 0 {
-			t.link(uint32(s), t.pos[s])
+			t.link(uint32(s), t.at(uint32(s)))
 		}
 	}
 }
@@ -278,7 +313,7 @@ func regrow(ix []uint32, hashOf func(uint32) uint64) []uint32 {
 func (t *table[ID]) all() iter.Seq2[ID, geom.Point] {
 	return func(yield func(ID, geom.Point) bool) {
 		for s, nx := range t.next {
-			if nx&freeSlot == 0 && !yield(t.name[s], t.pos[s]) {
+			if nx&freeSlot == 0 && !yield(t.name[s], t.at(uint32(s))) {
 				return
 			}
 		}
@@ -289,7 +324,7 @@ func (t *table[ID]) all() iter.Seq2[ID, geom.Point] {
 // the live slots, the chains partition them by point, and the free list
 // holds the rest, zeroed.
 func (t *table[ID]) validate() error {
-	if len(t.pos) != len(t.name) || len(t.next) != len(t.name) {
+	if len(t.pos) != t.dims*len(t.name) || len(t.next) != len(t.name) {
 		return fmt.Errorf("collection: slot arrays of %d, %d and %d", len(t.name), len(t.pos), len(t.next))
 	}
 	live := 0
@@ -324,15 +359,15 @@ func (t *table[ID]) validate() error {
 			continue
 		}
 		h := b & mask
-		if got := t.head(t.pos[h]); got != h {
-			return fmt.Errorf("collection: point %v heads at slot %d, resolves to slot %d", t.pos[h], h, got)
+		if got := t.head(t.at(h)); got != h {
+			return fmt.Errorf("collection: point %v heads at slot %d, resolves to slot %d", t.at(h), h, got)
 		}
 		for s := h; s != 0; s = t.next[s] {
 			if chained++; chained > live || t.next[s]&freeSlot != 0 {
-				return fmt.Errorf("collection: chain of %v runs through free or foreign slot %d", t.pos[h], s)
+				return fmt.Errorf("collection: chain of %v runs through free or foreign slot %d", t.at(h), s)
 			}
-			if t.pos[s] != t.pos[h] {
-				return fmt.Errorf("collection: slot %d at %v is chained under %v", s, t.pos[s], t.pos[h])
+			if t.at(s) != t.at(h) {
+				return fmt.Errorf("collection: slot %d at %v is chained under %v", s, t.at(s), t.at(h))
 			}
 		}
 	}
@@ -345,8 +380,8 @@ func (t *table[ID]) validate() error {
 		if nFree++; nFree > t.slots()-live || t.next[s]&freeSlot == 0 {
 			return fmt.Errorf("collection: free list runs through live slot %d or loops", s)
 		}
-		if t.name[s] != none || t.pos[s] != (geom.Point{}) {
-			return fmt.Errorf("collection: free slot %d still holds (%v, %v)", s, t.name[s], t.pos[s])
+		if t.name[s] != none || t.at(s) != (geom.Point{}) {
+			return fmt.Errorf("collection: free slot %d still holds (%v, %v)", s, t.name[s], t.at(s))
 		}
 	}
 	if nFree != t.slots()-live {

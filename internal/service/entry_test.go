@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/pkdtree"
 	"repro/internal/sfc"
 	"repro/internal/shard"
 	"repro/internal/spactree"
@@ -185,10 +187,11 @@ func TestReplApplyRefusesUnnettedWindow(t *testing.T) {
 
 // TestOutOfUniversePointsRefused: a point outside the universe reaches
 // the index by no way in. A log written before SETs were checked can hold
-// one past int32, which a Sharded(SPaC-H) cannot Build: NewDurable returns
-// an error that names it rather than panicking at every boot. A leader's
-// bootstrap or window that carries one is refused before anything is
-// journaled or applied.
+// one past int32, which a Sharded(SPaC-H) cannot Build and no Collection
+// can store: NewDurable returns an error that names it rather than
+// panicking at every boot — over an unsharded baseline too, whose universe
+// is the stored int32 range. A leader's bootstrap or window that carries
+// one is refused before anything is journaled or applied.
 func TestOutOfUniversePointsRefused(t *testing.T) {
 	far := wal.Op[string]{ID: "far", P: geom.Pt2(5_000_000_000, 1)}
 	dir := t.TempDir()
@@ -202,15 +205,22 @@ func TestOutOfUniversePointsRefused(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	refused := func(what string, err error) {
+	refusedBy := func(what string, universe geom.Box, err error) {
 		t.Helper()
-		want := fmt.Sprintf(`"far": point [5000000000 1] outside the universe %v`, testUniverse())
+		want := fmt.Sprintf(`"far": point [5000000000 1] outside the universe %v`, universe)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: %v, want an error containing %s", what, err, want)
 		}
 	}
+	refused := func(what string, err error) {
+		t.Helper()
+		refusedBy(what, testUniverse(), err)
+	}
 	_, err = NewDurable(newTestSharded(), Options{WALDir: dir, FlushInterval: -1})
 	refused("NewDurable over the log", err)
+	int32s := geom.BoxOf(geom.Pt2(math.MinInt32, math.MinInt32), geom.Pt2(math.MaxInt32, math.MaxInt32))
+	_, err = NewDurable(pkdtree.NewDefault(2), Options{WALDir: dir, FlushInterval: -1})
+	refusedBy("NewDurable over the log, unsharded Pkd-tree", int32s, err)
 
 	s := startDurable(t, t.TempDir(), Options{WALFsync: wal.FsyncAlways})
 	if err := dialT(t, s).Set("a", []int64{1, 1}); err != nil {
@@ -220,6 +230,13 @@ func TestOutOfUniversePointsRefused(t *testing.T) {
 	before := app.AppliedSeq()
 	refused("ApplyWindow", app.ApplyWindow(before+1, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}, far}))
 	refused("Bootstrap", app.Bootstrap(before+1, app.Term(), []wal.Op[string]{far}))
+	// A 2-D Collection stores no Z, so a frame that carries one is refused
+	// the same way rather than reaching it.
+	zed := wal.Op[string]{ID: "zed", P: geom.Point{2, 2, 3}}
+	if err := app.ApplyWindow(before+1, []wal.Op[string]{zed}); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf(`"zed": point [2 2 3] outside the universe %v`, testUniverse())) {
+		t.Fatalf("ApplyWindow of a 2-D point with a Z: %v", err)
+	}
 	if got := app.AppliedSeq(); got != before || s.walFailed.Load() {
 		t.Fatalf("refused windows moved AppliedSeq %d -> %d or failed the WAL", before, got)
 	}

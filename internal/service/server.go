@@ -177,9 +177,10 @@ type Server struct {
 	slow  *obs.SlowLog // nil unless Options.SlowLog > 0
 	start time.Time
 
-	// universe is the box a SET's point must lie in: the index's, when it
-	// is a core.Bounded, nil (every point) otherwise.
-	universe *geom.Box
+	// universe is the box a SET's point must lie in: the Collection's
+	// stored range (int32 coordinates, no Z in 2-D), cut down to the
+	// index's universe when it is a core.Bounded.
+	universe geom.Box
 
 	ln     net.Listener
 	httpLn net.Listener
@@ -231,10 +232,10 @@ type Server struct {
 // enqueueing. When idx is copy-on-write (core.Adopter, and
 // DisableSnapshot is unset), queries ride the epoch-pinned snapshot path:
 // NEARBY/WITHIN never wait behind the index apply, and /stats reports the
-// epoch counters. When idx has a fixed universe (core.Bounded), a SET
-// whose point lies outside it is refused before it is enqueued or
-// journaled, and so is a recovered, bootstrapped or replicated one
-// (inUniverse).
+// epoch counters. A SET whose point lies outside the Collection's stored
+// range (int32 coordinates), or outside idx's universe when it has a fixed
+// one (core.Bounded), is refused before it is enqueued or journaled, and so
+// is a recovered, bootstrapped or replicated one (inUniverse).
 //
 // New panics if WAL setup fails — only possible with Options.WALDir set
 // (an unreadable directory, a corrupt snapshot, a logged point outside the
@@ -248,15 +249,32 @@ func New(idx core.Index, opts Options) *Server {
 	return s
 }
 
-// inUniverse is the index's contract on every point that reaches it, from
-// a SET, a recovered log, a leader's bootstrap or window: nil, or an error
-// that names id, p and the universe p lies outside of.
+// inUniverse is the contract of the Collection and its index on every
+// point that reaches them, from a SET, a recovered log, a leader's
+// bootstrap or window: nil, or an error that names id, p and the universe
+// p lies outside of.
 func (s *Server) inUniverse(id string, p geom.Point) error {
-	if s.universe == nil || s.universe.Contains(p, s.dims) {
+	if s.universe.Contains(p, geom.MaxDims) { // Z too: [0, 0] in 2-D
 		return nil
 	}
-	q := p // only a refused point goes to the heap
-	return fmt.Errorf("%q: point %v outside the universe %v", id, q[:s.dims], *s.universe)
+	q, n := p, s.dims // only a refused point goes to the heap
+	if q[2] != 0 {
+		n = geom.MaxDims // a 2-D point with a Z
+	}
+	return fmt.Errorf("%q: point %v outside the universe %v", id, q[:n], s.universe)
+}
+
+// universeOf returns the box every point a Collection over idx takes must
+// lie in: its stored range, within idx's own universe if it has one.
+func universeOf(idx core.Index) geom.Box {
+	u := collection.StoredRange(idx.Dims())
+	if b, ok := idx.(core.Bounded); ok {
+		own := b.Universe()
+		for d := range idx.Dims() {
+			u.Lo[d], u.Hi[d] = max(u.Lo[d], own.Lo[d]), min(u.Hi[d], own.Hi[d])
+		}
+	}
+	return u
 }
 
 // windowInUniverse runs inUniverse over the Sets of a window or bootstrap.

@@ -60,16 +60,13 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 		Snapshot:      !opts.DisableSnapshot,
 	}
 	s := &Server{
-		opts:  opts,
-		dims:  idx.Dims(),
-		coll:  collection.New[string](idx, copts),
-		reg:   opts.Obs,
-		conns: make(map[net.Conn]struct{}),
-		fatal: make(chan error, 1),
-	}
-	if b, ok := idx.(core.Bounded); ok {
-		u := b.Universe()
-		s.universe = &u
+		opts:     opts,
+		dims:     idx.Dims(),
+		coll:     collection.New[string](idx, copts),
+		universe: universeOf(idx),
+		reg:      opts.Obs,
+		conns:    make(map[net.Conn]struct{}),
+		fatal:    make(chan error, 1),
 	}
 	s.role.Store(int32(opts.initialRole()))
 	if opts.ReplicaOf != "" {
