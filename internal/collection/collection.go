@@ -301,7 +301,7 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 			"Index nodes copied on first touch because the snapshot copies share them.",
 			func() uint64 { nodes, _ := c.cell.Copied(); return nodes }, layer)
 		opts.Obs.CounterFunc("psi_index_cow_bytes_total",
-			"Bytes of index leaf entries copied on first touch because the snapshot copies share them.",
+			"Bytes of index leaf points copied on first touch because the snapshot copies share them.",
 			func() uint64 { _, bytes := c.cell.Copied(); return bytes }, layer)
 	}
 	opts.Obs.CounterFunc("psi_collection_table_wait_total",

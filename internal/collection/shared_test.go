@@ -52,10 +52,11 @@ func churned(t *testing.T, mk func() core.Index, n int, snapshot bool) (*Collect
 
 // TestSharedIndexBytesPerObject is the memory guard of snapshot reads over
 // both sharded copy-on-write stacks: after a load and twenty 4096-move
-// windows a stack holds at most 30 B per object more than the same stack
-// built with locked reads — room for the second handle's first-touch
-// copies, not for a second slot table (57–76 B per object) and far from a
-// second tree.
+// windows a stack holds at most 8 B per object more than the same stack
+// built with locked reads (measured: 2 B over Sharded(SPaC-H), 1 B over
+// Sharded(P-Orth)) — room for the second handle's first-touch copies, not
+// for a second slot table (58–62 B per object) and far from a second
+// tree.
 func TestSharedIndexBytesPerObject(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
@@ -75,8 +76,8 @@ func TestSharedIndexBytesPerObject(t *testing.T) {
 		locked, lockedB := churned(t, mk, n, false)
 		locked.Close()
 		t.Logf("%s: %.0f B per object under snapshot reads, %.0f B under locked reads", name, snapB, lockedB)
-		if snapB > lockedB+30 {
-			t.Fatalf("%s: snapshot reads cost %.0f B per object over locked reads' %.0f B, want at most 30 more", name, snapB-lockedB, lockedB)
+		if snapB > lockedB+8 {
+			t.Fatalf("%s: snapshot reads cost %.0f B per object over locked reads' %.0f B, want at most 8 more", name, snapB-lockedB, lockedB)
 		}
 	}
 }

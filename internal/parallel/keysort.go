@@ -16,12 +16,21 @@ const (
 	// insertionLen is the run length at and below which keys are sorted
 	// by insertion.
 	insertionLen = 24
-	// stackSortLen is the input length up to which the radix scratch
+	// ShortSortLen is the input length up to which the radix scratch
 	// lives on the stack, so leaf-sized sorts do not allocate.
-	stackSortLen = 192
+	ShortSortLen = 192
 	// keySplitOversample is the sample drawn per splitter.
 	keySplitOversample = 16
 )
+
+// SortShortByKey is SortByKey for an input of at most ShortSortLen
+// elements, sorted on the calling goroutine with its scratch on the stack.
+// Unlike SortByKey it does not move a to the heap, so a caller's scratch
+// passed to it can stay on the stack.
+func SortShortByKey[T any](a []T, key func(T) uint64, tie func(x, y T) int) {
+	var scratch [ShortSortLen]T
+	sortRun(a, scratch[:len(a)], true, key, tie)
+}
 
 // SortByKey sorts a by key ascending — the sort inside the paper's
 // HybridSort (Alg. 3), which moves ⟨code, id⟩ pairs and compares nothing
@@ -37,9 +46,8 @@ const (
 // elements in unspecified order. key must be pure; the sort is not stable.
 func SortByKey[T any](a []T, key func(T) uint64, tie func(x, y T) int) {
 	n := len(a)
-	if n <= stackSortLen {
-		var scratch [stackSortLen]T
-		sortRun(a, scratch[:n], true, key, tie)
+	if n <= ShortSortLen {
+		SortShortByKey(a, key, tie)
 		return
 	}
 	buf := make([]T, n)

@@ -44,7 +44,7 @@ var keyedInputs = map[string]func(rng *rand.Rand, i int) uint64{
 }
 
 func TestSortByKeyMatchesComparatorSort(t *testing.T) {
-	sizes := []int{0, 1, 2, insertionLen, insertionLen + 1, stackSortLen, stackSortLen + 1, 5000,
+	sizes := []int{0, 1, 2, insertionLen, insertionLen + 1, ShortSortLen, ShortSortLen + 1, 5000,
 		seqSortThreshold - 1, seqSortThreshold, seqSortThreshold + 1, 100_000, 300_001}
 	for name, gen := range keyedInputs {
 		for _, n := range sizes {
@@ -94,7 +94,7 @@ func TestSortByKeyTieContract(t *testing.T) {
 
 func TestSortByKeyLeafSizedNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := make([]keyed, stackSortLen)
+	a := make([]keyed, ShortSortLen)
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := range a {
 			a[i] = keyed{key: rng.Uint64(), id: int32(i)}

@@ -1,7 +1,6 @@
 package spactree
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -47,11 +46,11 @@ func (t *tree[S]) buildSortedPairs(pts []geom.Point, pairs []pair) *node[S] {
 		return nil
 	}
 	if n <= t.opts.LeafWrap {
-		ents := make([]Entry[S], n)
+		blk := make([]S, n)
 		for i, pr := range pairs {
-			ents[i] = Entry[S]{Code: pr.code, P: geom.Pack[S](pts[pr.id])}
+			blk[i] = geom.Pack[S](pts[pr.id])
 		}
-		return t.newLeaf(ents, true)
+		return &node[S]{size: n, gen: t.gen, bbox: geom.PackedBounds(blk), pts: blk, sorted: true}
 	}
 	m := n / 2
 	var l, r *node[S]
@@ -74,27 +73,35 @@ func (t *tree[S]) buildPlain(pts []geom.Point) *node[S] {
 }
 
 // buildSortedEnts builds a perfectly balanced tree over sorted entries.
-// Every leaf copies its run into a block of its own: the tree keeps no
-// part of ents — a batch, or a rebuild's scratch — alive, and no two
-// leaves share an array.
+// Every leaf copies its run into a block of its own (newLeaf): the tree
+// keeps no part of ents — a batch, or a rebuild's scratch — alive, and no
+// two leaves share an array.
 func (t *tree[S]) buildSortedEnts(ents []Entry[S]) *node[S] {
 	n := len(ents)
-	if n == 0 {
-		return nil
-	}
-	if n <= t.opts.LeafWrap {
-		return t.newLeaf(slices.Clone(ents), true)
+	if n < seqCutoff {
+		return t.buildSmall(ents)
 	}
 	m := n / 2
-	if n < seqCutoff {
-		// The sequential case pays for none of the fork's closures.
-		return t.rawNode(t.buildSortedEnts(ents[:m]), ents[m], t.buildSortedEnts(ents[m+1:]))
-	}
 	var l, r *node[S]
 	parallel.DoIf(true,
 		func() { l = t.buildSortedEnts(ents[:m]) },
 		func() { r = t.buildSortedEnts(ents[m+1:]) })
 	return t.rawNode(l, ents[m], r)
+}
+
+// buildSmall is buildSortedEnts on one goroutine, for a run below the
+// fork cutoff. It pays for none of the fork's closures, and a caller's
+// scratch passed to it can stay on the stack.
+func (t *tree[S]) buildSmall(ents []Entry[S]) *node[S] {
+	n := len(ents)
+	if n == 0 {
+		return nil
+	}
+	if n <= t.opts.LeafWrap {
+		return t.newLeaf(ents, true)
+	}
+	m := n / 2
+	return t.rawNode(t.buildSmall(ents[:m]), ents[m], t.buildSmall(ents[m+1:]))
 }
 
 // encodeAndSort turns an update batch into sorted entries (Alg. 4 line 2).

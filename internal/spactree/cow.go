@@ -10,13 +10,14 @@ import (
 
 // Copy-on-write by generation stamp. The join-based updates of Alg. 4 are
 // one step from persistent: every rebalancing step already builds fresh
-// nodes, and only five sites write a node that exists — the leaf absorb
-// and swap-delete, joinInto's interior update, and the lazy leaf sorts in
-// expose and splitLast. Each of them first asks owns: a Tree carries a
+// nodes, and only three sites write a node that exists — the SPaC leaf
+// absorb and swap-delete, and joinInto's interior update (the lazy leaf
+// sort of expose sorts a copy in scratch, and CPAM leaves are rebuilt on
+// every touch). Each of them first asks owns: a Tree carries a
 // generation, a node the generation of the tree that created it, and a
 // node is written in place only when the two are equal. Anything else is
-// copied (a leaf with its entry block), the copy stamped, and from then on
-// owned for as long as the tree keeps its generation.
+// copied (a leaf with its block of points), the copy stamped, and from
+// then on owned for as long as the tree keeps its generation.
 //
 // A tree that never adopts keeps one generation for life, owns every node
 // it reaches and runs the in-place path exactly as before. Adopt makes two
@@ -77,7 +78,7 @@ func (t *tree[S]) Shares(o core.Index) bool {
 }
 
 // Copied implements core.Adopter: the nodes, and the bytes of leaf
-// entries, this tree has copied on first touch since it was made.
+// points, this tree has copied on first touch since it was made.
 func (t *tree[S]) Copied() (nodes, bytes uint64) {
 	return t.cowNodes.Load(), t.cowBytes.Load()
 }
@@ -88,10 +89,10 @@ func (t *tree[S]) Copied() (nodes, bytes uint64) {
 // update's total reaches the tree's counters once, in note.
 type cow struct{ nodes, bytes uint64 }
 
-// copied counts a leaf copied on first touch, with its entries.
-func copied[S geom.Packed](c *cow, ents []Entry[S]) {
+// copied counts a leaf copied on first touch, with its block of points.
+func copied[S geom.Packed](c *cow, pts []S) {
 	c.nodes++
-	c.bytes += uint64(len(ents)) * uint64(unsafe.Sizeof(Entry[S]{}))
+	c.bytes += uint64(len(pts)) * uint64(unsafe.Sizeof(*new(S)))
 }
 
 // note adds one update's count to the tree's totals.

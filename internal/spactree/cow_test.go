@@ -227,3 +227,42 @@ func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 		t.Fatalf("sizes %d / %d after even exchanges, want %d", tr.Size(), shadow.Size(), n)
 	}
 }
+
+// TestCopiedCountsLeafPoints: Copied counts the leaf element actually
+// copied, a stored point — 8 bytes in 2-D, 12 in 3-D. A SPaC tree of one
+// leaf of m points, shared by Adopt, copies that leaf once when a batch is
+// absorbed into it, and its replica copies it once when a delete removes a
+// point from it; a CPAM leaf is rebuilt on every touch and never copied.
+func TestCopiedCountsLeafPoints(t *testing.T) {
+	const m = 25
+	for _, dims := range []int{2, 3} {
+		u := geom.UniverseBox(dims, testSide)
+		pts := workload.GenUniform(m+5, dims, testSide, 7)
+		width := uint64(4 * dims)
+		for _, tr := range []*Tree{NewSPaC(sfc.Hilbert, dims, u), NewCPAM(sfc.Hilbert, dims, u)} {
+			tr.Build(pts[:m])
+			if tr.Height() != 1 {
+				t.Fatalf("%s %dD: %d points built a tree of height %d, want one leaf", tr.Name(), dims, m, tr.Height())
+			}
+			shadow := tr.NewReplica().(*Tree)
+			shadow.Adopt(tr)
+			tr.BatchInsert(pts[m:])
+			shadow.BatchDelete(pts[:1])
+			want := width * m
+			if tr.Name() == "CPAM-H" {
+				want = 0
+			}
+			for _, side := range []*Tree{tr, shadow} {
+				nodes, bytes := side.Copied()
+				if bytes != want || nodes != min(want, 1) {
+					t.Errorf("%s %dD: copying a shared %d-point leaf counted %d nodes, %d bytes; want %d, %d",
+						side.Name(), dims, m, nodes, bytes, min(want, 1), want)
+				}
+				validateOrFail(t, side)
+			}
+			if tr.Size() != m+5 || shadow.Size() != m-1 {
+				t.Fatalf("%s %dD: sizes %d and %d after the updates", tr.Name(), dims, tr.Size(), shadow.Size())
+			}
+		}
+	}
+}

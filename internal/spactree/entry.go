@@ -27,7 +27,9 @@
 //
 // Points are stored as int32 coordinates with no Z in 2-D (geom.Packed):
 // a Tree is a handle on a tree[S] whose S New picks from the
-// dimensionality, so a 2-D entry takes 16 bytes and a node 96.
+// dimensionality. A SPaC leaf stores its points alone, 8 bytes each in
+// 2-D and 12 in 3-D; a CPAM leaf keeps each point's code beside it, 16 and
+// 24 bytes; a node takes 96 bytes in 2-D.
 //
 // Updates are copy-on-write by generation stamp (cow.go): a tree that never
 // shares its structure writes nodes in place, as the paper's C++ trees do;
@@ -42,8 +44,9 @@ import (
 	"repro/internal/sfc"
 )
 
-// Entry is a stored element: a point in its stored form S and its curve
-// code. The tree's total order is (Code, then point lexicographically), so
+// Entry is a point in its stored form S with its curve code: an interior
+// node's pivot, an element of an update batch, or a leaf's point while an
+// operation that needs the leaf's order holds it in scratch. The tree's total order is (Code, then point lexicographically), so
 // duplicate codes — and even duplicate points — have well-defined
 // positions.
 type Entry[S geom.Packed] struct {
@@ -63,8 +66,9 @@ func cmpEntry[S geom.Packed](a, b Entry[S]) int {
 }
 
 // sortEntries sorts ents into the tree's total order: by code with the
-// keyed sort, by coordinates only among entries of one code. Batches, CPAM
-// construction and lazily restored leaves all sort through here.
+// keyed sort, by coordinates only among entries of one code. Batches and
+// CPAM construction sort through here; a leaf-sized run in scratch sorts
+// with sortLeaf, which keeps the scratch on the stack.
 func sortEntries[S geom.Packed](ents []Entry[S]) {
 	parallel.SortByKey(ents, func(e Entry[S]) uint64 { return e.Code }, func(a, b Entry[S]) int {
 		return geom.ComparePacked(a.P, b.P)
@@ -75,4 +79,20 @@ func sortEntries[S geom.Packed](ents []Entry[S]) {
 // the point to its stored form.
 func (t *tree[S]) encode(p geom.Point) Entry[S] {
 	return Entry[S]{Code: sfc.Encode(t.curve, p, t.opts.Dims), P: geom.Pack[S](p)}
+}
+
+// encodePacked computes the entry for a stored point.
+func (t *tree[S]) encodePacked(p S) Entry[S] {
+	return Entry[S]{Code: sfc.Encode(t.curve, geom.Unpack(p), t.opts.Dims), P: p}
+}
+
+// codeSlot and slotCode put a code in one element of a leaf block and take
+// it out again: its low and high halves in the first two coordinates.
+func codeSlot[S geom.Packed](code uint64) (s S) {
+	s[0], s[1] = int32(code), int32(code>>32)
+	return s
+}
+
+func slotCode[S geom.Packed](s S) uint64 {
+	return uint64(uint32(s[0])) | uint64(uint32(s[1]))<<32
 }

@@ -32,8 +32,7 @@ func (t *tree[S]) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 		if nd.isLeaf() {
 			// Leaves are scanned wholesale: in-leaf order is irrelevant to
 			// queries, which is the observation behind the SPaC relaxation.
-			for i := range nd.ents {
-				p := nd.ents[i].P
+			for _, p := range nd.points() {
 				if d := geom.PackedDist2(p, &q); d < h.Bound() {
 					geom.PushPacked(h, p, d)
 				}
@@ -161,8 +160,8 @@ func count[S geom.Packed](nd *node[S], box *geom.Box) int {
 	}
 	if nd.isLeaf() {
 		n := 0
-		for i := range nd.ents {
-			if geom.PackedIn(box, nd.ents[i].P) {
+		for _, p := range nd.points() {
+			if geom.PackedIn(box, p) {
 				n++
 			}
 		}
@@ -188,8 +187,8 @@ func list[S geom.Packed](nd *node[S], box *geom.Box, dst []geom.Point) []geom.Po
 		return collectPoints(nd, dst)
 	}
 	if nd.isLeaf() {
-		for i := range nd.ents {
-			if p := nd.ents[i].P; geom.PackedIn(box, p) {
+		for _, p := range nd.points() {
+			if geom.PackedIn(box, p) {
 				dst = append(dst, geom.Unpack(p))
 			}
 		}
@@ -209,8 +208,8 @@ func collectPoints[S geom.Packed](nd *node[S], dst []geom.Point) []geom.Point {
 		return dst
 	}
 	if nd.isLeaf() {
-		for i := range nd.ents {
-			dst = append(dst, geom.Unpack(nd.ents[i].P))
+		for _, p := range nd.points() {
+			dst = append(dst, geom.Unpack(p))
 		}
 		return dst
 	}

@@ -47,8 +47,10 @@ func TestQuickOpScripts(t *testing.T) {
 	}
 }
 
-// Property: splitRun extracts exactly the duplicates of an entry and
-// partitions the rest by order — checked against a direct scan.
+// Property: splitRun extracts exactly the duplicates of an entry from a
+// tree on one side of it — the entries up to and including its copies, or
+// from them on — and leaves the rest in order, checked against a direct
+// scan.
 func TestQuickSplitRun(t *testing.T) {
 	f := func(seed int64, copies uint8) bool {
 		side := int64(1 << 10)
@@ -58,35 +60,35 @@ func TestQuickSplitRun(t *testing.T) {
 		for i := 0; i < int(copies)%40; i++ {
 			pts = append(pts, dup)
 		}
-		tr.Build(pts)
 		in := in2(tr)
 		e := in.encode(dup)
-		lt, gt, count := in.splitRun(in.root, e, new(cow))
-		// Count ground truth.
+		all := in.encodeAndSort(pts)
 		want := 0
 		for _, p := range pts {
 			if p == dup {
 				want++
 			}
 		}
-		if count != want {
-			t.Logf("count %d want %d", count, want)
-			return false
-		}
-		// lt strictly below, gt strictly above; sizes add up.
-		ltEnts, _ := collectOrdered(lt, nil, true)
-		gtEnts, _ := collectOrdered(gt, nil, true)
-		if len(ltEnts)+len(gtEnts)+count != len(pts) {
-			return false
-		}
-		for _, x := range ltEnts {
-			if cmpEntry(x, e) >= 0 {
+		for _, half := range [][]Entry[[2]int32]{all[:upperBound(all, e)], all[lowerBound(all, e):]} {
+			in.root = in.buildSortedEnts(half)
+			rest, count := in.splitRun(in.root, e)
+			if count != want {
+				t.Logf("count %d want %d", count, want)
 				return false
 			}
-		}
-		for _, x := range gtEnts {
-			if cmpEntry(x, e) <= 0 {
+			in.root = rest
+			if err := tr.Validate(); err != nil {
+				t.Log(err)
 				return false
+			}
+			got, _ := in.collectOrdered(rest, nil, true, true)
+			if len(got)+count != len(half) {
+				return false
+			}
+			for _, x := range got {
+				if cmpEntry(x, e) == 0 {
+					return false
+				}
 			}
 		}
 		return true
@@ -107,7 +109,7 @@ func TestQuickJoinBalance(t *testing.T) {
 		i := int(cut) % len(base)
 		l := in.buildSortedEnts(base[:i:i])
 		r := in.buildSortedEnts(base[i+1 : len(base) : len(base)])
-		in.root = in.join(l, base[i], r, new(cow))
+		in.root = in.join(l, base[i], r)
 		if err := tr.Validate(); err != nil {
 			t.Log(err)
 			return false
@@ -129,7 +131,7 @@ func TestLopsidedJoins(t *testing.T) {
 	for _, cut := range []int{1, 3, 41, len(ents) - 2, len(ents) - 42} {
 		l := in.buildSortedEnts(ents[:cut:cut])
 		r := in.buildSortedEnts(ents[cut+1 : len(ents) : len(ents)])
-		in.root = in.join(l, ents[cut], r, new(cow))
+		in.root = in.join(l, ents[cut], r)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}

@@ -74,7 +74,7 @@ func TestHybridBuildOrderMatchesComparatorSort(t *testing.T) {
 			for name, pts := range sortInputs(n) {
 				tr := NewSPaC(curve, 2, universe())
 				tr.Build(pts)
-				got, sorted := collectOrdered(in2(tr).root, nil, true)
+				got, sorted := in2(tr).collectOrdered(in2(tr).root, nil, true, true)
 				want := make([]Entry[[2]int32], n)
 				for i, p := range pts {
 					want[i] = in2(tr).encode(p)

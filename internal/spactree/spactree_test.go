@@ -103,8 +103,8 @@ func TestHybridAndPlainBuildSameContents(t *testing.T) {
 	b := NewCPAM(sfc.Hilbert, 2, universe())
 	a.Build(pts)
 	b.Build(pts)
-	ea, _ := collectOrdered(in2(a).root, nil, true)
-	eb, _ := collectOrdered(in2(b).root, nil, true)
+	ea, _ := in2(a).collectOrdered(in2(a).root, nil, true, true)
+	eb, _ := in2(b).collectOrdered(in2(b).root, nil, true, true)
 	if len(ea) != len(eb) {
 		t.Fatalf("sizes differ: %d vs %d", len(ea), len(eb))
 	}

@@ -35,45 +35,29 @@ func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 			// unsorted — the whole point of the partial-order relaxation;
 			// CPAM mode pays for a sorted merge on every touch.
 			if t.mode == TotalOrder {
-				merged := mergeSorted(nd.ents, batch)
-				return t.newLeaf(merged, true)
+				return t.mergeLeaf(nd, batch)
 			}
-			bbox := nd.bbox
-			for _, e := range batch {
-				bbox = bbox.Extend(e.P)
-			}
-			ents := nd.ents
-			if !t.owns(nd) {
-				// A shared leaf: the append goes into a block of its own.
-				copied(c, ents)
-				ents = slices.Clip(ents)
-				nd = &node[S]{gen: t.gen}
-			}
-			nd.ents = append(core.GrowBlock(ents, len(batch), phi), batch...)
-			nd.size = len(nd.ents)
-			nd.bbox = bbox
-			nd.sorted = false
-			return nd
+			return t.absorb(nd, batch, c)
 		}
 		if total <= 4*phi {
-			// §C heuristic, small side: localized rebuild.
-			var all []Entry[S]
-			if t.mode == TotalOrder {
-				all = mergeSorted(nd.ents, batch)
+			// §C heuristic, small side: localized rebuild. A sorted leaf
+			// (every CPAM leaf) merges with the batch; an unsorted one
+			// pays its deferred sort here.
+			all := t.leafEnts(make([]Entry[S], 0, 4*leafScratch), nd, true)
+			if nd.sorted {
+				all = mergeSorted(make([]Entry[S], 0, 4*leafScratch), all, batch)
 			} else {
-				all = make([]Entry[S], 0, total)
-				all = append(all, nd.ents...)
 				all = append(all, batch...)
-				sortEntries(all)
+				sortLeaf(all)
 			}
-			return t.buildSortedEnts(all)
+			return t.buildSmall(all)
 		}
 		// §C heuristic, large side: expose the leaf and distribute the
 		// batch across its halves instead of merging a huge run.
-		l, k, r := t.expose(nd, c)
+		l, k, r := t.expose(nd)
 		i := upperBound(batch, k)
 		nl, nr := t.both(false, len(batch) >= seqCutoff, l, batch[:i], r, batch[i:], c)
-		return t.join(nl, k, nr, c)
+		return t.join(nl, k, nr)
 	}
 	// Lines 13-19: binary-search the pivot in the batch, recurse in
 	// parallel, Join rebalances.
@@ -107,12 +91,54 @@ func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
 			return nd
 		}
 	}
-	return t.join(l, nd.pivot, r, c)
+	return t.join(l, nd.pivot, r)
 }
 
-// mergeSorted merges two entry slices sorted by cmpEntry.
-func mergeSorted[S geom.Packed](a, b []Entry[S]) []Entry[S] {
-	out := make([]Entry[S], 0, len(a)+len(b))
+// absorb appends a batch to a PartialOrder leaf's block and marks the
+// leaf unsorted; a shared leaf's points move to a block of its own first.
+func (t *tree[S]) absorb(nd *node[S], batch []Entry[S], c *cow) *node[S] {
+	bbox := nd.bbox
+	pts := nd.pts
+	if !t.owns(nd) {
+		copied(c, pts)
+		pts = slices.Clip(pts)
+		nd = &node[S]{gen: t.gen}
+	}
+	pts = core.GrowBlock(pts, len(batch), t.opts.LeafWrap)
+	for _, e := range batch {
+		pts = append(pts, e.P)
+		bbox = bbox.Extend(e.P)
+	}
+	nd.pts = pts
+	nd.size = len(pts)
+	nd.bbox = bbox
+	nd.sorted = false
+	return nd
+}
+
+// mergeLeaf is the CPAM absorb: a new leaf of a TotalOrder leaf's entries
+// and a batch, merged from the leaf's block straight into the new one.
+func (t *tree[S]) mergeLeaf(nd *node[S], batch []Entry[S]) *node[S] {
+	pts, codes := nd.points(), nd.pts[nd.size:]
+	n := len(pts) + len(batch)
+	blk := make([]S, 2*n)
+	bbox := nd.bbox
+	for k, i, j := 0, 0, 0; k < n; k++ {
+		if j == len(batch) || i < len(pts) && cmpEntry(Entry[S]{slotCode(codes[i]), pts[i]}, batch[j]) <= 0 {
+			blk[k], blk[n+k] = pts[i], codes[i]
+			i++
+		} else {
+			blk[k], blk[n+k] = batch[j].P, codeSlot[S](batch[j].Code)
+			bbox = bbox.Extend(batch[j].P)
+			j++
+		}
+	}
+	return &node[S]{size: n, gen: t.gen, bbox: bbox, pts: blk, sorted: true}
+}
+
+// mergeSorted appends to out the merge of two entry slices sorted by
+// cmpEntry.
+func mergeSorted[S geom.Packed](out, a, b []Entry[S]) []Entry[S] {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if cmpEntry(a[i], b[j]) <= 0 {
@@ -151,14 +177,14 @@ func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	// routing cannot find them all: extract the whole run, then put back
 	// whatever the batch did not consume.
 	req := hi - lo
-	ll, lg, cl := t.splitRun(l, nd.pivot, c)
-	rl, rg, cr := t.splitRun(r, nd.pivot, c)
+	l, cl := t.splitRun(l, nd.pivot)
+	r, cr := t.splitRun(r, nd.pivot)
 	avail := cl + cr + 1 // + the pivot itself
 	leftover := avail - req
 	if leftover < 0 {
 		leftover = 0
 	}
-	res := t.join2(t.join2(ll, lg, c), t.join2(rl, rg, c), c)
+	res := t.join2(l, r)
 	if leftover > 0 {
 		run := make([]Entry[S], leftover)
 		for i := range run {
@@ -170,69 +196,76 @@ func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 }
 
 // deleteFromLeaf removes multiset matches from a leaf. In PartialOrder
-// mode the removal is an in-place swap-delete — the leaf just goes
-// unsorted, exactly the freedom §4.2 grants deletions ("removes the
-// points there, marks the leaf as unsorted if necessary"). TotalOrder
-// (CPAM) mode must keep the leaf sorted, so it pays for an order-
-// preserving compaction. Either way a leaf left with less than half its
-// block moves into a fitted one.
+// mode a leaf is matched by point alone — equal points have equal codes —
+// and the removal is an in-place swap-delete: the leaf just goes unsorted,
+// exactly the freedom §4.2 grants deletions ("removes the points there,
+// marks the leaf as unsorted if necessary"), and a leaf left with less than
+// half its block moves into a fitted one. TotalOrder (CPAM) mode must keep
+// the leaf sorted, so it pays for an order-preserving compaction into a
+// new leaf, merging its stored entries with the sorted batch.
 func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	if t.mode == PartialOrder {
-		ents := nd.ents
-		mine := t.owns(nd) // ents may be written
+		pts := nd.pts
+		mine := t.owns(nd) // pts may be written
 		for _, b := range batch {
-			for i := range ents {
-				if ents[i].Code == b.Code && ents[i].P == b.P {
+			for i := range pts {
+				if pts[i] == b.P {
 					if !mine {
 						// A shared leaf: the first match moves the removal
 						// to a copy of the block.
-						copied(c, ents)
-						ents, mine = slices.Clone(ents), true
+						copied(c, pts)
+						pts, mine = slices.Clone(pts), true
 					}
-					ents[i] = ents[len(ents)-1]
-					ents = ents[:len(ents)-1]
+					pts[i] = pts[len(pts)-1]
+					pts = pts[:len(pts)-1]
 					break
 				}
 			}
 		}
-		if len(ents) == len(nd.ents) {
+		if len(pts) == nd.size {
 			return nd
 		}
-		if len(ents) == 0 {
+		if len(pts) == 0 {
 			return nil
 		}
 		if !t.owns(nd) {
 			nd = &node[S]{gen: t.gen}
 		}
-		nd.ents = core.FitBlock(ents)
-		nd.size = len(ents)
+		nd.pts = core.FitBlock(pts)
+		nd.size = len(pts)
 		nd.sorted = false
-		nd.bbox = entsBBox(ents)
+		nd.bbox = geom.PackedBounds(pts)
 		return nd
 	}
-	used := make([]bool, len(batch))
-	kept := make([]Entry[S], 0, len(nd.ents))
-	for _, e := range nd.ents {
-		matched := false
-		lo := lowerBound(batch, e)
-		for j := lo; j < len(batch) && cmpEntry(batch[j], e) == 0; j++ {
-			if !used[j] {
-				used[j] = true
-				matched = true
-				break
-			}
+	// Leaf and batch are both sorted: one merge pass matches each batch
+	// entry to at most one stored copy. The kept points go to the front
+	// of a new block and their codes to its back half, closed up once
+	// their number is known.
+	pts, codes := nd.points(), nd.pts[nd.size:]
+	m := len(pts)
+	blk := make([]S, 2*m)
+	n, j := 0, 0
+	for i, p := range pts {
+		e := Entry[S]{Code: slotCode(codes[i]), P: p}
+		for j < len(batch) && cmpEntry(batch[j], e) < 0 {
+			j++
 		}
-		if !matched {
-			kept = append(kept, e)
+		if j < len(batch) && cmpEntry(batch[j], e) == 0 {
+			j++
+			continue
 		}
+		blk[n], blk[m+n] = p, codes[i]
+		n++
 	}
-	if len(kept) == 0 {
+	if n == 0 {
 		return nil
 	}
-	if len(kept) == len(nd.ents) {
+	if n == m {
 		return nd
 	}
-	return t.newLeaf(core.FitBlock(kept), nd.sorted)
+	copy(blk[n:], blk[m:m+n])
+	blk = core.FitBlock(blk[:2*n])
+	return &node[S]{size: n, gen: t.gen, bbox: geom.PackedBounds(blk[:n]), pts: blk, sorted: true}
 }
 
 // LeafStats reports how many leaves exist and how many are currently

@@ -8,9 +8,10 @@ import (
 
 // Validate checks every invariant of the SPaC/CPAM tree:
 //
-//  1. BST order on (code, point): left subtree <= pivot <= right subtree;
-//     inside leaves the order is relaxed iff the sorted flag is false
-//     (and in TotalOrder mode the flag must always be true);
+//  1. BST order on (code, point), with every leaf point's code recomputed
+//     under the curve: left subtree <= pivot <= right subtree; inside
+//     leaves the order is relaxed iff the sorted flag is false (and in
+//     TotalOrder mode the flag must always be true);
 //  2. an honest sorted flag (flagged leaves really are sorted);
 //  3. BB[α] weight balance at every interior node;
 //  4. leaf wrapping: leaves hold at most LeafWrap entries, interiors hold
@@ -18,6 +19,8 @@ import (
 //  5. exact sizes and tight bounding boxes;
 //  6. generation stamps (cow.go): no node newer than the tree, no child
 //     newer than its parent.
+//  7. stored codes — every pivot's, and a CPAM leaf's — are the codes of
+//     their points.
 func (t *tree[S]) Validate() error {
 	_, _, _, err := t.validate(t.root, t.gen)
 	return err
@@ -34,24 +37,27 @@ func (t *tree[S]) validate(nd *node[S], newest uint64) (int, Entry[S], Entry[S],
 		return 0, zero, zero, fmt.Errorf("node of generation %d under generation %d", nd.gen, newest)
 	}
 	if nd.isLeaf() {
-		if len(nd.ents) == 0 {
+		if nd.size == 0 {
 			return 0, zero, zero, fmt.Errorf("empty leaf present")
 		}
-		if nd.size != len(nd.ents) {
-			return 0, zero, zero, fmt.Errorf("leaf size %d with %d entries", nd.size, len(nd.ents))
+		if len(nd.pts) != t.blockLen(nd.size) {
+			return 0, zero, zero, fmt.Errorf("leaf of %d points with a block of %d", nd.size, len(nd.pts))
 		}
-		if len(nd.ents) > t.opts.LeafWrap {
-			return 0, zero, zero, fmt.Errorf("leaf exceeds wrap: %d > %d", len(nd.ents), t.opts.LeafWrap)
+		if nd.size > t.opts.LeafWrap {
+			return 0, zero, zero, fmt.Errorf("leaf exceeds wrap: %d > %d", nd.size, t.opts.LeafWrap)
 		}
 		if t.mode == TotalOrder && !nd.sorted {
 			return 0, zero, zero, fmt.Errorf("CPAM leaf marked unsorted")
 		}
-		mn, mx := nd.ents[0], nd.ents[0]
-		for i, e := range nd.ents {
-			if e.Code != t.encode(geom.Unpack(e.P)).Code {
-				return 0, zero, zero, fmt.Errorf("entry code stale for %v", e.P)
+		// A SPaC leaf's codes are recomputed here; a CPAM leaf's are read
+		// from its block and must match.
+		ents := t.leafEnts(nil, nd, true)
+		mn, mx := ents[0], ents[0]
+		for i, e := range ents {
+			if e.Code != t.encodePacked(e.P).Code {
+				return 0, zero, zero, fmt.Errorf("stored code stale for %v", e.P)
 			}
-			if nd.sorted && i > 0 && cmpEntry(nd.ents[i-1], e) > 0 {
+			if nd.sorted && i > 0 && cmpEntry(ents[i-1], e) > 0 {
 				return 0, zero, zero, fmt.Errorf("leaf flagged sorted but is not")
 			}
 			if cmpEntry(e, mn) < 0 {
@@ -61,10 +67,13 @@ func (t *tree[S]) validate(nd *node[S], newest uint64) (int, Entry[S], Entry[S],
 				mx = e
 			}
 		}
-		if bbox := entsBBox(nd.ents); bbox != nd.bbox {
+		if bbox := geom.PackedBounds(nd.points()); bbox != nd.bbox {
 			return 0, zero, zero, fmt.Errorf("leaf bbox stale: %v vs %v", nd.bbox, bbox)
 		}
 		return nd.size, mn, mx, nil
+	}
+	if nd.pivot.Code != t.encodePacked(nd.pivot.P).Code {
+		return 0, zero, zero, fmt.Errorf("pivot code stale for %v", nd.pivot.P)
 	}
 	ls, lmn, lmx, err := t.validate(nd.left, nd.gen)
 	if err != nil {

@@ -57,7 +57,7 @@ func TestBuildAllocationBudget(t *testing.T) {
 		budget uint64
 	}{
 		{"P-Orth", 64},   // was 130; 58 with int32 points
-		{"SPaC-H", 68},   // was 82; 62 with int32 points
+		{"SPaC-H", 60},   // was 82; 62 with int32 points, 54 with point-only leaves
 		{"CPAM-H", 63},   // was 82; 57 with int32 points
 		{"Zd-Tree", 117}, // was 115
 	} {
@@ -74,6 +74,54 @@ func TestBuildAllocationBudget(t *testing.T) {
 	}
 }
 
+// heap returns the live heap after a full collection.
+func heap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestBuiltBytesPerPoint is the absolute size guard of the SPaC family: at
+// n = 10⁵ a tree holds at most its ceiling in bytes per point after Build,
+// the measured value and about 10 % (in the comment). A SPaC leaf stores
+// its points alone, 8 B each in 2-D and 12 B in 3-D; a CPAM leaf keeps
+// each point's code beside it; either tree adds about 8 B per point of
+// 96-byte nodes in 2-D.
+func TestBuiltBytesPerPoint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes heap accounting")
+	}
+	const n = 100_000
+	for _, c := range []struct {
+		name    string
+		dims    int
+		ceiling float64
+	}{
+		{"SPaC-H", 2, 17.5}, // 15.9 (23.6 with ⟨code, point⟩ leaves)
+		{"SPaC-H", 3, 23.1}, // 21.0 (32.8)
+		{"CPAM-H", 2, 26.0}, // 23.6
+		{"CPAM-H", 3, 36.1}, // 32.8
+	} {
+		u := Universe2D(itSide)
+		if c.dims == 3 {
+			u = Universe3D(itSide)
+		}
+		pts := Generate(Uniform, n, c.dims, itSide, 13)
+		before := heap()
+		idx := ByName(c.name, c.dims, u)
+		idx.Build(pts)
+		got := float64(heap()-before) / n
+		runtime.KeepAlive(idx)
+		runtime.KeepAlive(pts)
+		t.Logf("%s %dD: %.1f B/pt after Build", c.name, c.dims, got)
+		if got > c.ceiling {
+			t.Errorf("%s %dD: %.1f B/pt after Build, ceiling %.1f", c.name, c.dims, got, c.ceiling)
+		}
+	}
+}
+
 // TestSteadyChurnHeap is the steady-size memory guard of the trees that
 // store int32 points. At n = 10⁵, after 2n points are replaced in
 // 10³-point rounds — an insert and a delete, or every third round one
@@ -83,13 +131,6 @@ func TestBuildAllocationBudget(t *testing.T) {
 func TestSteadyChurnHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
-	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
 	}
 	const n, b = 100_000, 1000
 	for _, dims := range []int{2, 3} {
