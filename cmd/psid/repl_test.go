@@ -625,6 +625,10 @@ func TestChaosPromote(t *testing.T) {
 	// Timeline 1: churn against the promoted leader on a disjoint ID
 	// namespace; the union of both oracles is the exact final truth.
 	oracle1 := oracleChurnIDs(t, aAddr, "t1w", 3, 40, 500*time.Millisecond)
+	// B must hold term 1 before it can fence anyone: wait until it has
+	// caught up with A, which takes a bootstrap across the term boundary
+	// and can outlast the churn on a loaded box.
+	waitFollowerAt(t, bc, leaderSeq(t, ac), 15*time.Second)
 	merged := make(map[string]geom.Point, len(oracle0)+len(oracle1))
 	for id, p := range oracle0 {
 		merged[id] = p

@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,6 +140,11 @@ type Stats struct {
 	// nodes, and bytes of leaf entries with them: a window should copy the
 	// paths it touches, not the tree. Zero with one version.
 	CowNodes, CowBytes uint64
+	// TableMappedBytes is what the committed slot table maps outside the Go
+	// heap at the last commit — its pointer-free arrays, which the
+	// runtime's heap statistics do not include; 0 in builds that keep them
+	// on the heap (race builds, and systems other than unix).
+	TableMappedBytes uint64
 }
 
 // Entry is one resolved query hit: a live object and its indexed
@@ -199,8 +205,10 @@ type Collection[ID comparable] struct {
 
 	// tab is the committed slot table — one, in either read mode. Readers
 	// touch it only under the cell's read lock, and a commit's table step
-	// writes it only under the write lock.
-	tab table[ID]
+	// writes it only under the write lock. It is a heap object of its own so
+	// that the cleanup New registers can free its arrays without holding
+	// the Collection.
+	tab *table[ID]
 
 	// journal is the durability commit hook (SetJournal), called under
 	// the flush lock with every committed netted window before it is
@@ -212,10 +220,11 @@ type Collection[ID comparable] struct {
 	inserted atomic.Uint64
 	moved    atomic.Uint64
 	removed  atomic.Uint64
-	// slots and freeSlots mirror the committed table's slot count (live
-	// plus free) and its free share at the last commit, for the gauges:
-	// like Stats, they never take a lock.
-	slots, freeSlots atomic.Int64
+	// slots, freeSlots and mapped mirror the committed table's slot count
+	// (live plus free), its free share and the bytes mapped behind its
+	// arrays at the last commit, for the gauges: like Stats, they never
+	// take a lock.
+	slots, freeSlots, mapped atomic.Int64
 }
 
 // op is one logged mutation: Set (del=false) or Remove (del=true) of id.
@@ -282,8 +291,16 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 		maxBatch: opts.MaxBatch,
 		overlay:  make(map[ID]tailOp),
 		netAt:    make(map[ID]int),
-		tab:      newTable[ID](idx.Dims(), 0),
 	}
+	tab := newTable[ID](c.dims, 0)
+	c.tab = &tab
+	if arraysMapped {
+		// Close unmaps nothing, because a closed Collection stays usable:
+		// the table's arrays go when the Collection does. Heap arrays need
+		// no cleanup, the collector frees them with the table.
+		runtime.AddCleanup(c, (*table[ID]).release, c.tab)
+	}
+	c.noteSlots()
 	if c.maxBatch <= 0 {
 		c.maxBatch = DefaultMaxBatch
 	}
@@ -319,6 +336,9 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 	opts.Obs.GaugeFunc("psi_collection_free_slots",
 		"Free slots of the committed object table (its high-water mark less the live objects).",
 		func() float64 { return float64(c.freeSlots.Load()) }, layer)
+	opts.Obs.GaugeFunc("psi_collection_table_mapped_bytes",
+		"Bytes of the committed object table mapped outside the Go heap (0 where the build keeps it on the heap).",
+		func() float64 { return float64(c.mapped.Load()) }, layer)
 	opts.Obs.CounterFunc("psi_flush_total",
 		"Flush windows applied to the index.", c.flushes.Load, layer)
 	opts.Obs.CounterFunc("psi_flush_ops_raw_total",
@@ -662,7 +682,8 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 // construction: a fresh table is filled (entries is ranged exactly once, so
 // a single-use iterator is fine), the index is rebuilt with Index.Build (a
 // Sharded rebalances its regions to the loaded data) through the cell, and
-// the filled table takes the old one's place as the rebuild's table step.
+// the filled table takes the old one's place as the rebuild's table step,
+// which frees the old one's arrays: no reader can reach them any more.
 // Pending ops, and what Get remembered of them, are discarded; nothing is
 // journaled — the caller loads what is already durable (recovery) or makes
 // it so itself (a follower's bootstrap snapshot). In snapshot mode readers
@@ -678,6 +699,7 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	c.pend.Unlock()
 	was := c.tab.live
 	tab := newTable[ID](c.dims, n)
+	defer tab.release() // empty unless an entry panicked before the step took it
 	for id, p := range entries {
 		c.mustStore(p)
 		if slot, hash := tab.lookup(id); slot != 0 {
@@ -692,24 +714,29 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	for i := range pts {
 		pts[i] = tab.at(uint32(i + 1))
 	}
-	c.cell.Rebuild(pts, func() { c.tab = tab })
+	c.cell.Rebuild(pts, func() {
+		c.tab.release()
+		*c.tab = tab
+		tab = table[ID]{} // c.tab owns its arrays now
+	})
 	c.noteSlots()
 	c.inserted.Add(uint64(len(pts)))
 	c.removed.Add(uint64(was))
 }
 
-// noteSlots publishes the table's slot counts to the gauges; the flush
-// lock is held.
+// noteSlots publishes the table's slot counts and mapped bytes to the
+// gauges; the flush lock is held.
 func (c *Collection[ID]) noteSlots() {
 	c.slots.Store(int64(c.tab.slots()))
 	c.freeSlots.Store(int64(c.tab.slots() - c.tab.live))
+	c.mapped.Store(int64(c.tab.mapped()))
 }
 
 // planDiff resolves every op of the netted window against the table
 // (callers hold the flush lock; only flushes write it, so no reader lock
 // is needed) and turns the window into its (ins, del) index batches.
 func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) {
-	t := &c.tab
+	t := c.tab
 	at, ins, del := w.at[:0], w.ins[:0], w.del[:0]
 	for i := range w.ops {
 		o := &w.ops[i]
@@ -743,7 +770,7 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) 
 // the slots goes wholesale: its ops leave the point index alone and one
 // relink rebuilds it at the end.
 func (c *Collection[ID]) applyTable(w *collWindow[ID]) {
-	t := &c.tab
+	t := c.tab
 	wholesale := 4*len(w.ops) > t.slots()
 	t.unlinked = wholesale
 	for i := range w.ops {
@@ -856,7 +883,7 @@ func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(id
 			cost.Candidates += len(sc.pts)
 		}
 	}
-	return resolveAppend(&c.tab, sc, dst)
+	return resolveAppend(c.tab, sc, dst)
 }
 
 // resolveAppend maps the scratch's hit multiset to entries through t's
@@ -924,6 +951,7 @@ func (c *Collection[ID]) Stats() Stats {
 	st.TableWaits, st.TableWaitNs = c.cell.Waits()
 	st.Objects = int(st.Inserted) - int(st.Removed)
 	st.CowNodes, st.CowBytes = c.cell.Copied()
+	st.TableMappedBytes = uint64(c.mapped.Load())
 	return st
 }
 

@@ -71,10 +71,9 @@ func TestSharedIndexBytesPerObject(t *testing.T) {
 		if err := snap.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		snap.Close()
-		snap = nil
+		drop(t, snap)
 		locked, lockedB := churned(t, mk, n, false)
-		locked.Close()
+		drop(t, locked)
 		t.Logf("%s: %.0f B per object under snapshot reads, %.0f B under locked reads", name, snapB, lockedB)
 		if snapB > lockedB+8 {
 			t.Fatalf("%s: snapshot reads cost %.0f B per object over locked reads' %.0f B, want at most 8 more", name, snapB-lockedB, lockedB)
@@ -96,7 +95,7 @@ func TestSharedIndexBytesPerObject(t *testing.T) {
 func TestOneTablePerCollection(t *testing.T) {
 	tables := func(of reflect.Type) (n int) {
 		for i := 0; i < of.NumField(); i++ {
-			if of.Field(i).Type == reflect.TypeFor[table[int]]() {
+			if of.Field(i).Type == reflect.TypeFor[*table[int]]() {
 				n++
 			}
 		}

@@ -333,7 +333,7 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 // by ID.
 func scanAt(c *Collection[int], v *version) []Entry[int] {
 	sc := &queryScratch{pts: v.Index.RangeList(universe(), nil)}
-	return byID(resolveAppend(&c.tab, sc, nil))
+	return byID(resolveAppend(c.tab, sc, nil))
 }
 
 // waitFor yields until cond holds; what names the event for the failure.

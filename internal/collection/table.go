@@ -29,6 +29,15 @@ import (
 // through a free list threaded through next as well. Deletion from the
 // indexes shifts the rest of the probe run back, so there are no
 // tombstones and a table under steady churn never degrades or grows.
+//
+// pos, next, byID and byPt live outside the Go heap where the build maps
+// them (mapped.go), and a table frees each the moment it stops using it: an
+// array outgrown by insert or regrow at once, the rest in release, which the
+// table's owner calls when no reader can reach the table any more — the
+// Collection in Load's table step for the table Load displaces, and through
+// a cleanup once the Collection itself is unreachable. So no slice of these
+// arrays may escape the table, and a table is not copied except to hand
+// its arrays over whole.
 type table[ID comparable] struct {
 	dims int  // coordinates per position: 2 or 3
 	name []ID // slot → owner; the zero ID in free slots
@@ -84,13 +93,28 @@ func newTable[ID comparable](dims, n int) table[ID] {
 	t := table[ID]{
 		dims: dims,
 		name: make([]ID, 1, n+1),
-		pos:  make([]int32, dims, (n+1)*dims),
-		next: make([]uint32, 1, n+1),
-		byID: make([]uint32, b),
-		byPt: make([]uint32, b),
+		pos:  makeArray[int32](dims, (n+1)*dims),
+		next: makeArray[uint32](1, n+1),
+		byID: makeArray[uint32](b, b),
+		byPt: makeArray[uint32](b, b),
 	}
 	t.next[0] = freeSlot
 	return t
+}
+
+// release frees the table's arrays and empties it; the table must not be
+// used again.
+func (t *table[ID]) release() {
+	freeArray(t.pos)
+	freeArray(t.next)
+	freeArray(t.byID)
+	freeArray(t.byPt)
+	*t = table[ID]{}
+}
+
+// mapped returns the bytes mapped behind the table's arrays.
+func (t *table[ID]) mapped() int {
+	return arrayBytes(t.pos) + arrayBytes(t.next) + arrayBytes(t.byID) + arrayBytes(t.byPt)
 }
 
 // slots returns the number of slots ever handed out: live plus free.
@@ -184,8 +208,8 @@ func (t *table[ID]) insert(id ID, hash uint64, p geom.Point) uint32 {
 	} else {
 		s = uint32(len(t.name))
 		t.name = append(t.name, id)
-		t.pos = append(t.pos, make([]int32, t.dims)...)
-		t.next = append(t.next, 0)
+		t.pos = extend(t.pos, t.dims)
+		t.next = extend(t.next, 1)
 	}
 	t.live++
 	place(t.byID, hash, s)
@@ -297,15 +321,17 @@ func shiftBack(ix []uint32, i uint32, hashOf func(uint32) uint64) {
 	ix[i] = 0
 }
 
-// regrow returns ix's entries rehashed into an index twice the size.
+// regrow returns ix's entries rehashed into an index twice the size, and
+// frees ix.
 func regrow(ix []uint32, hashOf func(uint32) uint64) []uint32 {
-	grown := make([]uint32, 2*len(ix))
+	grown := makeArray[uint32](2*len(ix), 2*len(ix))
 	mask := uint32(len(ix) - 1)
 	for _, b := range ix {
 		if b != 0 {
 			place(grown, hashOf(b&mask), b&mask)
 		}
 	}
+	freeArray(ix)
 	return grown
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -16,7 +17,7 @@ import (
 func (c *Collection[ID]) withTable(fn func(t *table[ID])) {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
-	fn(&c.tab)
+	fn(c.tab)
 }
 
 // checkTable compares t with the oracle exactly: every ID of the domain
@@ -128,6 +129,7 @@ func TestTableAgainstMapOracle(t *testing.T) {
 			if tab.slots() > nIDs {
 				t.Fatalf("%s seed %d: %d slots for at most %d live objects", name, seed, tab.slots(), nIDs)
 			}
+			tab.release()
 		}
 	}
 }
@@ -208,13 +210,16 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 // objects ingested through 1024-op windows in snapshot mode cost at most
 // 64 B each for the table — the one there is, in snapshot mode too: what
 // dropping the Collection gives back to the heap while the ID strings,
-// which the caller owns, stay (the twin indexes hold a count each). It
-// measured 58.5 with int32 positions, 79.2 with geom.Point ones; a table
-// per snapshot copy measured 153, the twin Go maps before that 310.
+// which the caller owns, stay (the twin indexes hold a count each), plus
+// what its table maps outside the heap. It measures 59.6 with the arrays
+// mapped (whole pages, grown by quarters); on the heap it measured 58.5
+// with int32 positions, 79.2 with geom.Point ones; a table per snapshot
+// copy measured 153, the twin Go maps before that 310.
 func TestTableBytesPerObject(t *testing.T) { tableBytesPerObject(t, 2, 64) }
 
 // TestTableBytesPerObject3D is the same guard in 3-D, where a position
-// costs 12 B instead of 8: it measured 61.7 B per object.
+// costs 12 B instead of 8: it measures 64.9 B per object mapped, 61.7 on
+// the heap.
 func TestTableBytesPerObject3D(t *testing.T) { tableBytesPerObject(t, 3, 68) }
 
 func tableBytesPerObject(t *testing.T, dims int, bound float64) {
@@ -240,15 +245,84 @@ func tableBytesPerObject(t *testing.T, dims int, bound float64) {
 		t.Fatalf("%d objects ingested, want %d", n, len(ids))
 	}
 	with := heap()
-	c.Close()
-	c = nil
+	mapped := c.Stats().TableMappedBytes
+	drop(t, c)
 	without := heap() // the ID strings stay
 	runtime.KeepAlive(ids)
-	perObj := float64(with-without) / n
-	t.Logf("%d-D: %.1f B per object (%d B with the collection, %d B without)", dims, perObj, with, without)
+	perObj := float64(with-without+mapped) / n
+	t.Logf("%d-D: %.1f B per object (%d B of heap with the collection, %d B without, %d B mapped)", dims, perObj, with, without, mapped)
 	if perObj > bound {
 		t.Fatalf("%d-D: table costs %.1f B per object, want at most %.0f", dims, perObj, bound)
 	}
+}
+
+// drop closes c, lets it go and collects garbage until its cleanup has
+// unmapped its table's arrays — until then the cleanup holds the rest of
+// the table too, so a heap measured after drop no longer holds any of it.
+// The caller must hold no other reference to c. It fails t if that takes
+// ten seconds; other Collections dropped earlier can only help.
+func drop[ID comparable](t *testing.T, c *Collection[ID]) {
+	t.Helper()
+	c.Close()
+	target := mappedBytes.Load() - int64(c.Stats().TableMappedBytes)
+	c = nil
+	deadline := time.Now().Add(10 * time.Second)
+	for mappedBytes.Load() > target {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d bytes still mapped ten seconds after the Collection was dropped, want at most %d", mappedBytes.Load(), target)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTableMappingsReleased follows the table's mappings through a
+// Collection's life: Load unmaps the table it displaces in its table step,
+// Close unmaps nothing — the Collection keeps answering — and a Collection
+// dropped without Close gives its mappings back through its cleanup. Where
+// the build keeps the arrays on the heap every count is zero.
+func TestTableMappingsReleased(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds keep the table on the heap")
+	}
+	const n = 50_000
+	c := New[int](newSPaCH(), Options{MaxBatch: 4096})
+	for i := range n {
+		c.Set(i, geom.Pt2(int64(i)*3, int64(i)*5))
+	}
+	c.Flush()
+	big := int64(c.Stats().TableMappedBytes)
+	if arraysMapped && big < n*(8+4) {
+		t.Fatalf("a table of %d objects maps %d bytes, want at least their positions and chains", n, big)
+	}
+	before := mappedBytes.Load()
+	c.Load(3, func(yield func(int, geom.Point) bool) {
+		for i := range 3 {
+			if !yield(i, geom.Pt2(int64(i)*7+1, 2)) {
+				return
+			}
+		}
+	})
+	small := int64(c.Stats().TableMappedBytes)
+	// Dropped Collections of other tests can only lower the count.
+	if got, want := mappedBytes.Load(), before-big+small; got > want || (arraysMapped && small >= big) {
+		t.Fatalf("after Load the process maps %d bytes, want at most %d: %d before less the displaced table's %d plus the new one's %d",
+			got, want, before, big, small)
+	}
+	c.Close()
+	if p, ok := c.Get(1); !ok || p != geom.Pt2(8, 2) {
+		t.Fatalf("Get after Close = (%v, %t), want ((8, 2), true)", p, ok)
+	}
+	if got := c.NearbyIDsAppend(geom.Pt2(0, 0), 1, nil); len(got) != 1 || got[0].ID != 0 {
+		t.Fatalf("NearbyIDsAppend after Close = %v, want object 0", got)
+	}
+	if got := c.WithinIDsAppend(geom.Box{Lo: geom.Pt2(0, 0), Hi: geom.Pt2(100, 100)}, nil); len(got) != 3 {
+		t.Fatalf("WithinIDsAppend after Close = %v, want the 3 loaded objects", got)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	drop(t, c)
 }
 
 // The table kernels at the track-ingest population: 3·10⁵ string IDs.
@@ -283,6 +357,7 @@ func BenchmarkTableLoad(b *testing.B) {
 		if tab.live != benchN {
 			b.Fatal("short load")
 		}
+		tab.release()
 	}
 }
 
@@ -291,6 +366,7 @@ func BenchmarkTableLoad(b *testing.B) {
 func BenchmarkTableMove(b *testing.B) {
 	ids, pts := benchIDs()
 	tab := benchTable(ids, pts)
+	defer tab.release()
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
 	for b.Loop() {
@@ -304,6 +380,7 @@ func BenchmarkTableMove(b *testing.B) {
 func BenchmarkTableResolve(b *testing.B) {
 	ids, pts := benchIDs()
 	tab := benchTable(ids, pts)
+	defer tab.release()
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
 	var sink int

@@ -95,6 +95,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`psi_objects{layer="collection"}`:                4,
 		`psi_collection_slots{layer="collection"}`:       4,
 		`psi_collection_free_slots{layer="collection"}`:  0,
+		// 0 where the build keeps the table on the heap.
+		`psi_collection_table_mapped_bytes{layer="collection"}`: 0,
 		// Present from the start; they move only when a read arrives while a
 		// commit drains or runs its table step (collection tests hold one up).
 		`psi_collection_table_wait_total{layer="collection"}`:    0,
@@ -191,6 +193,9 @@ func TestSharedIndexAccounting(t *testing.T) {
 	}
 	if w, ns := samples[`psi_collection_table_wait_total{layer="collection"}`], samples[`psi_collection_table_wait_ns_total{layer="collection"}`]; float64(st.TableWaits) != w || float64(st.TableWaitNs) != ns {
 		t.Fatalf("STATS table waits = %d (%d ns), /metrics has %v (%v ns)", st.TableWaits, st.TableWaitNs, w, ns)
+	}
+	if m := samples[`psi_collection_table_mapped_bytes{layer="collection"}`]; float64(st.TableMappedBytes) != m {
+		t.Fatalf("STATS table_mapped_bytes = %d, /metrics has %v", st.TableMappedBytes, m)
 	}
 
 	// Locked reads keep one index: nothing is shared, nothing is reported.

@@ -205,9 +205,14 @@ type StatsPayload struct {
 	// copy-on-write index (the SPaC family or P-Orth, sharded or not): what
 	// windows have copied of it so far. Omitted under locked reads, where
 	// there is one version.
-	Cow     *CowStats `json:"cow,omitempty"`
-	Conns   int       `json:"conns"`    // currently open client connections
-	UptimeS float64   `json:"uptime_s"` // seconds since Start
+	Cow *CowStats `json:"cow,omitempty"`
+	// TableMappedBytes is what the Collection's slot table maps outside the
+	// Go heap (collection.Stats), which the runtime's heap figures — the gc
+	// block, psi_heap_* — leave out; 0 in builds that keep the table on the
+	// heap.
+	TableMappedBytes uint64  `json:"table_mapped_bytes"`
+	Conns            int     `json:"conns"`    // currently open client connections
+	UptimeS          float64 `json:"uptime_s"` // seconds since Start
 	// BadLines counts protocol-level rejects (unparseable or oversized
 	// lines) that never reached a command handler.
 	BadLines uint64 `json:"bad_lines"`

@@ -451,22 +451,23 @@ func (s *Server) Stats() StatsPayload {
 	conns := len(s.conns)
 	s.mu.Unlock()
 	st := StatsPayload{
-		Objects:     cs.Objects,
-		Epoch:       cs.Epoch,
-		Versions:    cs.Versions,
-		RetireLag:   cs.RetireLag,
-		TableWaits:  cs.TableWaits,
-		TableWaitNs: cs.TableWaitNs,
-		Pending:     cs.Pending,
-		Flushes:     cs.Flushes,
-		Inserted:    cs.Inserted,
-		Moved:       cs.Moved,
-		Removed:     cs.Removed,
-		Cancelled:   cs.Cancelled,
-		Conns:       conns,
-		UptimeS:     time.Since(s.start).Seconds(),
-		BadLines:    s.met.badLines.Load(),
-		Ops:         s.met.snapshot(),
+		Objects:          cs.Objects,
+		Epoch:            cs.Epoch,
+		Versions:         cs.Versions,
+		RetireLag:        cs.RetireLag,
+		TableWaits:       cs.TableWaits,
+		TableWaitNs:      cs.TableWaitNs,
+		Pending:          cs.Pending,
+		Flushes:          cs.Flushes,
+		Inserted:         cs.Inserted,
+		Moved:            cs.Moved,
+		Removed:          cs.Removed,
+		Cancelled:        cs.Cancelled,
+		TableMappedBytes: cs.TableMappedBytes,
+		Conns:            conns,
+		UptimeS:          time.Since(s.start).Seconds(),
+		BadLines:         s.met.badLines.Load(),
+		Ops:              s.met.snapshot(),
 	}
 	if cs.Versions == 2 {
 		st.Cow = &CowStats{Nodes: cs.CowNodes, Bytes: cs.CowBytes}
