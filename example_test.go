@@ -24,7 +24,7 @@ func ExampleNewSharded() {
 // net to minimal batch diffs, and geometric queries resolve back to IDs.
 func ExampleNewCollection() {
 	universe := psi.Universe2D(1000)
-	fleet := psi.NewCollection[string](psi.NewSPaCH(2, universe), psi.CollectionOptions{})
+	fleet := psi.NewCollection(psi.NewSPaCH(2, universe), psi.CollectionOptions{})
 	defer fleet.Close()
 
 	fleet.Set("a", psi.Pt2(1, 1))

@@ -7,7 +7,8 @@
 // are batch-synchronous (not safe for concurrent mutation); the Collection
 // coalesces the concurrent moves into batch diffs, each flush fans its
 // diff out across the shards in parallel, and every query sees a
-// consistent view. Each vehicle's index in the fleet is its ID. The demo
+// consistent view. Each vehicle's ID is its index in the fleet, spelled
+// as a string once up front so that the hot loops allocate none. The demo
 // exits 1 if a move or the final retirement is lost or duplicated.
 //
 //	go run ./examples/server
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,13 +44,15 @@ func main() {
 	// SPaC-H has the fastest batch updates — the right engine under a
 	// write-heavy stream — and Sharded applies each batch across one
 	// region per core. The Collection makes the stack safe to share.
-	fleet := psi.NewCollection[int](psi.NewSharded(psi.NewSPaCH, 2, psi.Universe2D(side), 0), psi.CollectionOptions{
+	fleet := psi.NewCollection(psi.NewSharded(psi.NewSPaCH, 2, psi.Universe2D(side), 0), psi.CollectionOptions{
 		MaxBatch:      4096,
 		FlushInterval: 2 * time.Millisecond, // readers lag writers by at most ~2ms
 	})
 
+	ids := make([]string, vehicles)
 	for v, p := range psi.Generate(psi.Uniform, vehicles, 2, side, 1) {
-		fleet.Set(v, p)
+		ids[v] = strconv.Itoa(v)
+		fleet.Set(ids[v], p)
 	}
 	fmt.Printf("serving %d vehicles through %s: %d writers, %d readers\n",
 		fleet.Len(), fleet.Name(), writers, readers)
@@ -72,12 +76,12 @@ func main() {
 			lo, hi := w*vehicles/writers, (w+1)*vehicles/writers
 			for i := 0; i < moves; i++ {
 				v := lo + rng.Intn(hi-lo)
-				p, ok := fleet.Get(v)
+				p, ok := fleet.Get(ids[v])
 				if !ok {
 					fmt.Fprintf(os.Stderr, "vehicle %d lost its position\n", v)
 					os.Exit(1)
 				}
-				fleet.Set(v, psi.Pt2(jitter(rng, p[0]), jitter(rng, p[1])))
+				fleet.Set(ids[v], psi.Pt2(jitter(rng, p[0]), jitter(rng, p[1])))
 			}
 		}(w)
 	}
@@ -89,7 +93,7 @@ func main() {
 		go func(r int) {
 			defer wgQ.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + r)))
-			var hits []psi.CollectionEntry[int]
+			var hits []psi.CollectionEntry[string]
 			for {
 				select {
 				case <-stop:
@@ -116,8 +120,8 @@ func main() {
 	}
 	close(stop)
 	wgQ.Wait()
-	fleet.Remove(0) // retire one vehicle: its point goes at the next flush
-	fleet.Close()   // the final flush
+	fleet.Remove(ids[0]) // retire one vehicle: its point goes at the next flush
+	fleet.Close()        // the final flush
 	elapsed := time.Since(start).Seconds()
 
 	st := fleet.Stats()

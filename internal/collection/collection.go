@@ -149,15 +149,15 @@ type Stats struct {
 
 // Entry is one resolved query hit: a live object and its indexed
 // position.
-type Entry[ID comparable] struct {
-	ID    ID
+type Entry struct {
+	ID    string
 	Point geom.Point
 }
 
 // Collection tracks one point per ID over an inner core.Index. Create
 // one with New; the zero value is not usable. All methods are safe for
 // concurrent use by any number of goroutines.
-type Collection[ID comparable] struct {
+type Collection struct {
 	name string
 	dims int
 
@@ -167,10 +167,10 @@ type Collection[ID comparable] struct {
 	// the tape swap and the post-commit purge, never while a window is
 	// applied.
 	pend     sync.Mutex
-	tape     []op[ID]
+	tape     []op
 	maxBatch int
 	seq      uint64
-	overlay  map[ID]tailOp
+	overlay  map[string]tailOp
 
 	// flushMu serializes everything that writes committed state: Flush,
 	// CommitWindow, Load, and the sections of SetJournal, Checkpoint and
@@ -180,7 +180,7 @@ type Collection[ID comparable] struct {
 	// which keeps recording allocation-free; trace and flushDur are nil
 	// without Options.Obs.
 	flushMu  sync.Mutex
-	spare    []op[ID]
+	spare    []op
 	span     obs.FlushSpan
 	trace    *obs.FlushTrace
 	flushDur *obs.Hist
@@ -198,9 +198,9 @@ type Collection[ID comparable] struct {
 	// (all guarded by the flush lock). queryPool recycles per-query
 	// hit-resolution scratch across concurrent readers.
 	cell      cell
-	win       collWindow[ID]
-	netAt     map[ID]int
-	netOps    []wal.Op[ID]
+	win       collWindow
+	netAt     map[string]int
+	netOps    []wal.Op
 	queryPool sync.Pool
 
 	// tab is the committed slot table — one, in either read mode. Readers
@@ -208,13 +208,13 @@ type Collection[ID comparable] struct {
 	// writes it only under the write lock. It is a heap object of its own so
 	// that the cleanup New registers can free its arrays without holding
 	// the Collection.
-	tab *table[ID]
+	tab *table
 
 	// journal is the durability commit hook (SetJournal), called under
 	// the flush lock with every committed netted window before it is
 	// applied. journalErrs counts hook failures (the hook itself keeps
 	// the first error sticky; see wal.Log).
-	journal     func(seq uint64, ops []wal.Op[ID]) error
+	journal     func(seq uint64, ops []wal.Op) error
 	journalErrs atomic.Uint64
 
 	inserted atomic.Uint64
@@ -230,8 +230,8 @@ type Collection[ID comparable] struct {
 // op is one logged mutation: Set (del=false) or Remove (del=true) of id.
 // seq is the global enqueue sequence number, used to purge overlay
 // entries once their window commits.
-type op[ID comparable] struct {
-	id  ID
+type op struct {
+	id  string
 	p   geom.Point
 	del bool
 	seq uint64
@@ -245,10 +245,10 @@ type tailOp struct {
 }
 
 // collWindow is one netted window on its way through the commit body.
-type collWindow[ID comparable] struct {
+type collWindow struct {
 	// ops is the window: at most one op per ID — the tape netted by
 	// last-write-wins, or a replicated window that arrived that way.
-	ops []wal.Op[ID]
+	ops []wal.Op
 	// upTo is the enqueue sequence of the newest tape op netted into
 	// ops: pending-overlay entries up to it are superseded once the
 	// window is visible. Zero for a window that did not come off the
@@ -284,21 +284,21 @@ type queryScratch struct {
 // index must start empty — every stored point must have an owning ID).
 // If opts.FlushInterval is positive the background flusher starts
 // immediately; pair New with Close to stop it.
-func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
-	c := &Collection[ID]{
+func New(idx core.Index, opts Options) *Collection {
+	c := &Collection{
 		name:     fmt.Sprintf("Collection(%s)", idx.Name()),
 		dims:     idx.Dims(),
 		maxBatch: opts.MaxBatch,
-		overlay:  make(map[ID]tailOp),
-		netAt:    make(map[ID]int),
+		overlay:  make(map[string]tailOp),
+		netAt:    make(map[string]int),
 	}
-	tab := newTable[ID](c.dims, 0)
+	tab := newTable(c.dims, 0)
 	c.tab = &tab
 	if arraysMapped {
 		// Close unmaps nothing, because a closed Collection stays usable:
 		// the table's arrays go when the Collection does. Heap arrays need
 		// no cleanup, the collector frees them with the table.
-		runtime.AddCleanup(c, (*table[ID]).release, c.tab)
+		runtime.AddCleanup(c, (*table).release, c.tab)
 	}
 	c.noteSlots()
 	if c.maxBatch <= 0 {
@@ -359,7 +359,7 @@ func New[ID comparable](idx core.Index, opts Options) *Collection[ID] {
 
 // flusher is the interval flush loop: it bounds how long an op stays
 // pending under light traffic.
-func (c *Collection[ID]) flusher(d time.Duration) {
+func (c *Collection) flusher(d time.Duration) {
 	defer close(c.done)
 	t := time.NewTicker(d)
 	defer t.Stop()
@@ -379,7 +379,7 @@ func (c *Collection[ID]) flusher(d time.Duration) {
 // the contract: the ticker goroutine has fully exited before the final
 // flush, and no call returns before both are done. The Collection remains
 // usable afterwards — only the periodic flushing ends.
-func (c *Collection[ID]) Close() {
+func (c *Collection) Close() {
 	c.closeOnce.Do(func() {
 		if c.stop != nil {
 			close(c.stop)
@@ -398,7 +398,7 @@ func (c *Collection[ID]) Close() {
 // hook. The slice is reused across windows and must not be retained.
 // Load journals nothing. Hook errors are counted in
 // Stats.JournalErrors; see commit for why they do not abort the commit.
-func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error) {
+func (c *Collection) SetJournal(fn func(seq uint64, ops []wal.Op) error) {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	c.journal = fn
@@ -414,7 +414,7 @@ func (c *Collection[ID]) SetJournal(fn func(seq uint64, ops []wal.Op[ID]) error)
 // flushes, and Close all take the same lock) and must not retain the
 // iterator past its return. Pending (unflushed, unjournaled) ops are
 // deliberately excluded.
-func (c *Collection[ID]) Checkpoint(fn func(objects int, entries iter.Seq2[ID, geom.Point])) {
+func (c *Collection) Checkpoint(fn func(objects int, entries iter.Seq2[string, geom.Point])) {
 	// The flush lock excludes every writer of the table.
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
@@ -422,16 +422,16 @@ func (c *Collection[ID]) Checkpoint(fn func(objects int, entries iter.Seq2[ID, g
 }
 
 // Name labels the Collection after its inner index.
-func (c *Collection[ID]) Name() string { return c.name }
+func (c *Collection) Name() string { return c.name }
 
 // Dims returns the dimensionality of the inner index.
-func (c *Collection[ID]) Dims() int { return c.dims }
+func (c *Collection) Dims() int { return c.dims }
 
 // Set enqueues a move: id is (re)located to p. The relocation becomes
 // visible to geometric queries at the flush that applies it, netted with
 // any other pending ops on the same ID; Get(id) sees it immediately. Set
 // panics if p is outside the stored range (see mustStore).
-func (c *Collection[ID]) Set(id ID, p geom.Point) {
+func (c *Collection) Set(id string, p geom.Point) {
 	c.mustStore(p)
 	c.enqueue(id, p, false)
 }
@@ -450,7 +450,7 @@ func StoredRange(dims int) (b geom.Box) {
 // any other point, so one is a programmer error, as it is in the trees; a
 // caller taking points from outside the program checks them first (psid's
 // SET, recovery and replication do).
-func (c *Collection[ID]) mustStore(p geom.Point) {
+func (c *Collection) mustStore(p geom.Point) {
 	if r := StoredRange(c.dims); !r.Contains(p, geom.MaxDims) {
 		panic(fmt.Sprintf("collection: point %v outside the stored range %v", p, r))
 	}
@@ -458,12 +458,12 @@ func (c *Collection[ID]) mustStore(p geom.Point) {
 
 // Remove enqueues the removal of id. Removing an absent ID is a no-op
 // when its window flushes.
-func (c *Collection[ID]) Remove(id ID) { c.enqueue(id, geom.Point{}, true) }
+func (c *Collection) Remove(id string) { c.enqueue(id, geom.Point{}, true) }
 
-func (c *Collection[ID]) enqueue(id ID, p geom.Point, del bool) {
+func (c *Collection) enqueue(id string, p geom.Point, del bool) {
 	c.pend.Lock()
 	c.seq++
-	c.tape = append(c.tape, op[ID]{id: id, p: p, del: del, seq: c.seq})
+	c.tape = append(c.tape, op{id: id, p: p, del: del, seq: c.seq})
 	c.overlay[id] = tailOp{p: p, del: del, seq: c.seq}
 	full := len(c.tape) >= c.maxBatch
 	c.pend.Unlock()
@@ -478,7 +478,7 @@ func (c *Collection[ID]) enqueue(id ID, p geom.Point, del bool) {
 // only after its window is visible to every reader, so a Get that misses
 // the overlay is guaranteed to see a committed state at least as new as
 // every purged op.
-func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
+func (c *Collection) Get(id string) (geom.Point, bool) {
 	c.pend.Lock()
 	tail, ok := c.overlay[id]
 	c.pend.Unlock()
@@ -496,7 +496,7 @@ func (c *Collection[ID]) Get(id ID) (geom.Point, bool) {
 
 // Len flushes pending ops and returns the number of live objects, so the
 // answer reflects every enqueue that happened before the call.
-func (c *Collection[ID]) Len() int {
+func (c *Collection) Len() int {
 	c.Flush()
 	c.cell.Acquire()
 	defer c.cell.Release()
@@ -507,7 +507,7 @@ func (c *Collection[ID]) Len() int {
 // it advances by exactly one per committed window — or 0 in locked mode.
 // The fuzz harness uses it to correlate concurrent pinned reads with the
 // flush history.
-func (c *Collection[ID]) Epoch() uint64 { return c.cell.Epoch() }
+func (c *Collection) Epoch() uint64 { return c.cell.Epoch() }
 
 // Flush nets every pending op by last-write-wins per ID, applies the
 // resulting diff to the index as one BatchDiff, and advances the object
@@ -516,7 +516,7 @@ func (c *Collection[ID]) Epoch() uint64 { return c.cell.Epoch() }
 // return, every op enqueued before the call is visible to geometric
 // queries. The tape is swapped out under the pending lock, so concurrent
 // flushes and enqueues never double-apply or drop an op.
-func (c *Collection[ID]) Flush() int {
+func (c *Collection) Flush() int {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	c.pend.Lock()
@@ -535,7 +535,7 @@ func (c *Collection[ID]) Flush() int {
 	clear(c.netOps)
 	c.finish(sp, len(ops), applied, cancelled)
 	// Clear the tape before recycling it, so idle capacity never pins the
-	// window's values (ID strings, typically).
+	// window's ID strings.
 	clear(ops)
 	c.spare = ops[:0]
 	return applied
@@ -543,7 +543,7 @@ func (c *Collection[ID]) Flush() int {
 
 // begin opens a window's span (nil without a registry); the flush lock
 // is held.
-func (c *Collection[ID]) begin() (sp *obs.FlushSpan, clk time.Time) {
+func (c *Collection) begin() (sp *obs.FlushSpan, clk time.Time) {
 	if c.trace == nil {
 		return nil, clk
 	}
@@ -554,7 +554,7 @@ func (c *Collection[ID]) begin() (sp *obs.FlushSpan, clk time.Time) {
 
 // finish accounts one window — raw ops in, index mutations applied, ops
 // netting cancelled — in the counters and, with a registry, the span.
-func (c *Collection[ID]) finish(sp *obs.FlushSpan, raw, applied, cancelled int) {
+func (c *Collection) finish(sp *obs.FlushSpan, raw, applied, cancelled int) {
 	c.flushes.Add(1)
 	c.rawOps.Add(uint64(raw))
 	c.applied.Add(uint64(applied))
@@ -570,10 +570,10 @@ func (c *Collection[ID]) finish(sp *obs.FlushSpan, raw, applied, cancelled int) 
 // on that ID is superseded. Identity makes this exact — no order-aware
 // matching needed. The window keeps first-appearance order, so the same
 // tape always nets to the same window.
-func (c *Collection[ID]) net(ops []op[ID]) (cancelled int) {
+func (c *Collection) net(ops []op) (cancelled int) {
 	at, netted := c.netAt, c.netOps[:0]
 	for _, o := range ops {
-		w := wal.Op[ID]{ID: o.id, P: o.p, Del: o.del}
+		w := wal.Op{ID: o.id, P: o.p, Del: o.del}
 		if i, seen := at[o.id]; seen {
 			netted[i] = w
 		} else {
@@ -582,8 +582,8 @@ func (c *Collection[ID]) net(ops []op[ID]) (cancelled int) {
 		}
 	}
 	// Clear the scratch map now it has done its work, so recycled capacity
-	// never pins the window's ID values (strings, typically) while the
-	// collection idles; Flush does the same for the slice.
+	// never pins the window's ID strings while the collection idles; Flush
+	// does the same for the slice.
 	clear(at)
 	c.netOps = netted
 	c.win.ops, c.win.upTo = netted, ops[len(ops)-1].seq
@@ -604,7 +604,7 @@ func (c *Collection[ID]) net(ops []op[ID]) (cancelled int) {
 // repeats an ID is refused whole — an error, nothing journaled, nothing
 // applied. A Set outside the stored range panics, as in Set, before
 // anything is journaled or applied.
-func (c *Collection[ID]) CommitWindow(seq uint64, ops []wal.Op[ID]) (err error) {
+func (c *Collection) CommitWindow(seq uint64, ops []wal.Op) (err error) {
 	for i := range ops {
 		if !ops[i].Del {
 			c.mustStore(ops[i].P)
@@ -615,7 +615,7 @@ func (c *Collection[ID]) CommitWindow(seq uint64, ops []wal.Op[ID]) (err error) 
 	sp, clk := c.begin()
 	applied := 0
 	if id, repeated := c.repeatedID(ops); repeated {
-		err = fmt.Errorf("collection: window %d is not netted: it repeats ID %v", seq, id)
+		err = fmt.Errorf("collection: window %d is not netted: it repeats ID %q", seq, id)
 	} else {
 		c.win.ops, c.win.upTo = ops, 0
 		applied, err = c.commit(seq, sp, clk)
@@ -627,7 +627,7 @@ func (c *Collection[ID]) CommitWindow(seq uint64, ops []wal.Op[ID]) (err error) 
 
 // repeatedID reports an ID that ops holds more than once, if there is one
 // (the flush lock is held: netAt is the netting scratch).
-func (c *Collection[ID]) repeatedID(ops []wal.Op[ID]) (id ID, repeated bool) {
+func (c *Collection) repeatedID(ops []wal.Op) (id string, repeated bool) {
 	at := c.netAt
 	for i := range ops {
 		if at[ops[i].ID] = i; len(at) <= i {
@@ -643,7 +643,7 @@ func (c *Collection[ID]) repeatedID(ops []wal.Op[ID]) (id ID, repeated bool) {
 // journal the window, plan the index diff, and commit both through the
 // cell. It returns the number of index mutations applied and the journal
 // hook's error.
-func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (applied int, err error) {
+func (c *Collection) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (applied int, err error) {
 	w := &c.win
 	// Journal the committed window before applying it (write-ahead):
 	// under the always-fsync policy a caller's Flush returns — and the
@@ -689,7 +689,7 @@ func (c *Collection[ID]) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (a
 // it so itself (a follower's bootstrap snapshot). In snapshot mode readers
 // keep the old state until the new one is published whole. An entry
 // outside the stored range panics, as in Set, before the index is touched.
-func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
+func (c *Collection) Load(n int, entries iter.Seq2[string, geom.Point]) {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	c.pend.Lock()
@@ -698,7 +698,7 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	clear(c.overlay)
 	c.pend.Unlock()
 	was := c.tab.live
-	tab := newTable[ID](c.dims, n)
+	tab := newTable(c.dims, n)
 	defer tab.release() // empty unless an entry panicked before the step took it
 	for id, p := range entries {
 		c.mustStore(p)
@@ -717,7 +717,7 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 	c.cell.Rebuild(pts, func() {
 		c.tab.release()
 		*c.tab = tab
-		tab = table[ID]{} // c.tab owns its arrays now
+		tab = table{} // c.tab owns its arrays now
 	})
 	c.noteSlots()
 	c.inserted.Add(uint64(len(pts)))
@@ -726,7 +726,7 @@ func (c *Collection[ID]) Load(n int, entries iter.Seq2[ID, geom.Point]) {
 
 // noteSlots publishes the table's slot counts and mapped bytes to the
 // gauges; the flush lock is held.
-func (c *Collection[ID]) noteSlots() {
+func (c *Collection) noteSlots() {
 	c.slots.Store(int64(c.tab.slots()))
 	c.freeSlots.Store(int64(c.tab.slots() - c.tab.live))
 	c.mapped.Store(int64(c.tab.mapped()))
@@ -735,7 +735,7 @@ func (c *Collection[ID]) noteSlots() {
 // planDiff resolves every op of the netted window against the table
 // (callers hold the flush lock; only flushes write it, so no reader lock
 // is needed) and turns the window into its (ins, del) index batches.
-func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) {
+func (c *Collection) planDiff(w *collWindow) (nIns, nMove, nDel uint64) {
 	t := c.tab
 	at, ins, del := w.at[:0], w.ins[:0], w.del[:0]
 	for i := range w.ops {
@@ -769,7 +769,7 @@ func (c *Collection[ID]) planDiff(w *collWindow[ID]) (nIns, nMove, nDel uint64) 
 // slots planDiff resolved. A window that touches over a quarter of
 // the slots goes wholesale: its ops leave the point index alone and one
 // relink rebuilds it at the end.
-func (c *Collection[ID]) applyTable(w *collWindow[ID]) {
+func (c *Collection) applyTable(w *collWindow) {
 	t := c.tab
 	wholesale := 4*len(w.ops) > t.slots()
 	t.unlinked = wholesale
@@ -794,7 +794,7 @@ func (c *Collection[ID]) applyTable(w *collWindow[ID]) {
 // purgeOverlay drops overlay entries the committed window supersedes:
 // the tape ops netted into it. Ops enqueued after the tape swap carry
 // higher sequence numbers and survive.
-func (c *Collection[ID]) purgeOverlay(w *collWindow[ID]) {
+func (c *Collection) purgeOverlay(w *collWindow) {
 	c.pend.Lock()
 	for i := range w.ops {
 		id := w.ops[i].ID
@@ -809,7 +809,7 @@ func (c *Collection[ID]) purgeOverlay(w *collWindow[ID]) {
 // their IDs. Ties at the k-th distance — including several objects
 // sharing one point — are broken arbitrarily, matching core.Index.KNN.
 // Only flushed ops are visible.
-func (c *Collection[ID]) NearbyIDs(q geom.Point, k int) []Entry[ID] {
+func (c *Collection) NearbyIDs(q geom.Point, k int) []Entry {
 	return c.NearbyIDsAppend(q, k, nil)
 }
 
@@ -818,7 +818,7 @@ func (c *Collection[ID]) NearbyIDs(q geom.Point, k int) []Entry[ID] {
 // following the same dst-append contract as core.Index queries (the
 // collection keeps no alias to dst). Serving loops reuse one dst across
 // requests so warm queries allocate nothing here.
-func (c *Collection[ID]) NearbyIDsAppend(q geom.Point, k int, dst []Entry[ID]) []Entry[ID] {
+func (c *Collection) NearbyIDsAppend(q geom.Point, k int, dst []Entry) []Entry {
 	return c.NearbyIDsAppendCost(q, k, dst, nil)
 }
 
@@ -828,7 +828,7 @@ func (c *Collection[ID]) NearbyIDsAppend(q geom.Point, k int, dst []Entry[ID]) [
 // visited and candidates scanned; otherwise the whole index counts as
 // one shard and every geometric hit as a candidate. The slow-query log
 // is the intended caller.
-func (c *Collection[ID]) NearbyIDsAppendCost(q geom.Point, k int, dst []Entry[ID], cost *obs.QueryCost) []Entry[ID] {
+func (c *Collection) NearbyIDsAppendCost(q geom.Point, k int, dst []Entry, cost *obs.QueryCost) []Entry {
 	return c.query(dst, cost, func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point {
 		if costed != nil {
 			return costed.KNNCost(q, k, pts, cost)
@@ -839,19 +839,19 @@ func (c *Collection[ID]) NearbyIDsAppendCost(q geom.Point, k int, dst []Entry[ID
 
 // WithinIDs returns every object inside box (order unspecified),
 // resolved to IDs. Only flushed ops are visible.
-func (c *Collection[ID]) WithinIDs(box geom.Box) []Entry[ID] {
+func (c *Collection) WithinIDs(box geom.Box) []Entry {
 	return c.WithinIDsAppend(box, nil)
 }
 
 // WithinIDsAppend is WithinIDs with a caller-provided destination (see
 // NearbyIDsAppend for the contract).
-func (c *Collection[ID]) WithinIDsAppend(box geom.Box, dst []Entry[ID]) []Entry[ID] {
+func (c *Collection) WithinIDsAppend(box geom.Box, dst []Entry) []Entry {
 	return c.WithinIDsAppendCost(box, dst, nil)
 }
 
 // WithinIDsAppendCost is WithinIDsAppend with query-cost accounting
 // (see NearbyIDsAppendCost for the contract).
-func (c *Collection[ID]) WithinIDsAppendCost(box geom.Box, dst []Entry[ID], cost *obs.QueryCost) []Entry[ID] {
+func (c *Collection) WithinIDsAppendCost(box geom.Box, dst []Entry, cost *obs.QueryCost) []Entry {
 	return c.query(dst, cost, func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point {
 		if costed != nil {
 			return costed.RangeListCost(box, pts, cost)
@@ -864,7 +864,7 @@ func (c *Collection[ID]) WithinIDsAppendCost(box geom.Box, dst []Entry[ID], cost
 // against the acquired version into pooled scratch, and resolve the hits
 // through the table under the same read lock. The Release is deferred so a
 // panicking inner index never wedges the flush writer.
-func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point) []Entry[ID] {
+func (c *Collection) query(dst []Entry, cost *obs.QueryCost, run func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point) []Entry {
 	sc := c.queryPool.Get().(*queryScratch)
 	defer c.queryPool.Put(sc)
 	v := c.cell.Acquire()
@@ -893,7 +893,7 @@ func (c *Collection[ID]) query(dst []Entry[ID], cost *obs.QueryCost, run func(id
 // objects, a cursor walks the chain so duplicate hits resolve to distinct
 // objects. Single-owner points — the common case — never touch the
 // cursor map.
-func resolveAppend[ID comparable](t *table[ID], sc *queryScratch, dst []Entry[ID]) []Entry[ID] {
+func resolveAppend(t *table, sc *queryScratch, dst []Entry) []Entry {
 	cursorUsed := false
 	for _, p := range sc.pts {
 		s := t.head(p)
@@ -914,7 +914,7 @@ func resolveAppend[ID comparable](t *table[ID], sc *queryScratch, dst []Entry[ID
 			// holds (Validate checks it); skip rather than fabricate an entry.
 			continue
 		}
-		dst = append(dst, Entry[ID]{ID: t.name[s], Point: p})
+		dst = append(dst, Entry{ID: t.name[s], Point: p})
 	}
 	if cursorUsed {
 		clear(sc.cursor)
@@ -923,7 +923,7 @@ func resolveAppend[ID comparable](t *table[ID], sc *queryScratch, dst []Entry[ID
 }
 
 // Pending returns the number of enqueued, not-yet-flushed ops.
-func (c *Collection[ID]) Pending() int {
+func (c *Collection) Pending() int {
 	c.pend.Lock()
 	defer c.pend.Unlock()
 	return len(c.tape)
@@ -935,7 +935,7 @@ func (c *Collection[ID]) Pending() int {
 // lock, so it does not block behind an in-flight flush: Objects is derived
 // from the lifetime counters, which equal the committed table's live count
 // at every flush boundary.
-func (c *Collection[ID]) Stats() Stats {
+func (c *Collection) Stats() Stats {
 	st := Stats{
 		Flushes:       c.flushes.Load(),
 		Inserted:      c.inserted.Load(),
@@ -961,7 +961,7 @@ func (c *Collection[ID]) Stats() Stats {
 // and reverse sides are exact inverses, and index copies that share their
 // structure still do — no second whole tree has come into being. Tests and
 // the fuzz harness call it after every tape.
-func (c *Collection[ID]) Validate() error {
+func (c *Collection) Validate() error {
 	c.Flush()
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +23,28 @@ import (
 const side = int64(1 << 20)
 
 func universe() geom.Box { return geom.UniverseBox(2, side) }
+
+// key spells test object i as its ID.
+func key(i int) string { return strconv.Itoa(i) }
+
+// unkey reads back the object number key spelled, or -1 for another ID.
+func unkey(id string) int {
+	i, err := strconv.Atoi(id)
+	if err != nil {
+		return -1
+	}
+	return i
+}
+
+// keys spells objects 0 to n-1, for the allocation guards: a guard that
+// times Set must not count the spelling.
+func keys(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = key(i)
+	}
+	return ids
+}
 
 // spacH and pOrth are the copy-on-write families, in any dimensionality.
 func spacH(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) }
@@ -85,7 +108,7 @@ func (x nullTwins) Shares(o core.Index) bool {
 func (x nullTwins) Copied() (nodes, bytes uint64) { return 0, 0 }
 
 func TestGetReadsOwnWritesBeforeFlush(t *testing.T) {
-	c := New[string](core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
 	defer c.Close()
 	p0, p1 := geom.Pt2(10, 10), geom.Pt2(20, 20)
 	c.Set("a", p0)
@@ -118,14 +141,14 @@ func TestGetReadsOwnWritesBeforeFlush(t *testing.T) {
 // at Options.MaxBatch, and at DefaultMaxBatch when MaxBatch is unset.
 func TestMaxBatchMakesWindowVisible(t *testing.T) {
 	for _, tc := range []struct{ maxBatch, trigger int }{{8, 8}, {0, DefaultMaxBatch}} {
-		c := New[int](core.NewBruteForce(2), Options{MaxBatch: tc.maxBatch})
+		c := New(core.NewBruteForce(2), Options{MaxBatch: tc.maxBatch})
 		for i := 0; i < tc.trigger-1; i++ {
-			c.Set(i, geom.Pt2(int64(i), 1))
+			c.Set(key(i), geom.Pt2(int64(i), 1))
 		}
 		if st := c.Stats(); st.Flushes != 0 || st.Pending != tc.trigger-1 || len(c.WithinIDs(universe())) != 0 {
 			t.Fatalf("MaxBatch %d, one below the trigger: %+v, want nothing applied", tc.maxBatch, st)
 		}
-		c.Set(tc.trigger-1, geom.Pt2(int64(tc.trigger-1), 1))
+		c.Set(key(tc.trigger-1), geom.Pt2(int64(tc.trigger-1), 1))
 		if st := c.Stats(); st.Flushes != 1 || st.Pending != 0 || len(c.WithinIDs(universe())) != tc.trigger {
 			t.Fatalf("MaxBatch %d: the filling Set did not flush: %+v", tc.maxBatch, st)
 		}
@@ -134,14 +157,14 @@ func TestMaxBatchMakesWindowVisible(t *testing.T) {
 }
 
 func TestMoveChainNetsToOneDiff(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
 	defer c.Close()
-	c.Set(1, geom.Pt2(1, 1))
+	c.Set("1", geom.Pt2(1, 1))
 	c.Flush()
 	// Five moves in one window must cost the index one delete + one
 	// insert and leave no stale position behind.
 	for i := int64(2); i <= 6; i++ {
-		c.Set(1, geom.Pt2(i, i))
+		c.Set("1", geom.Pt2(i, i))
 	}
 	if applied := c.Flush(); applied != 2 {
 		t.Fatalf("flush applied %d index mutations, want 2 (one del + one ins)", applied)
@@ -150,7 +173,7 @@ func TestMoveChainNetsToOneDiff(t *testing.T) {
 	if st.Moved != 1 || st.Cancelled != 4 {
 		t.Fatalf("stats after netted chain: %+v, want Moved=1 Cancelled=4", st)
 	}
-	if got := c.WithinIDs(geom.BoxOf(geom.Pt2(6, 6), geom.Pt2(6, 6))); len(got) != 1 || got[0].ID != 1 {
+	if got := c.WithinIDs(geom.BoxOf(geom.Pt2(6, 6), geom.Pt2(6, 6))); len(got) != 1 || got[0].ID != "1" {
 		t.Fatalf("final position lookup = %v", got)
 	}
 	for i := int64(1); i <= 5; i++ {
@@ -159,8 +182,8 @@ func TestMoveChainNetsToOneDiff(t *testing.T) {
 		}
 	}
 	// Set then Remove of a fresh ID in one window nets to nothing.
-	c.Set(2, geom.Pt2(9, 9))
-	c.Remove(2)
+	c.Set("2", geom.Pt2(9, 9))
+	c.Remove("2")
 	if applied := c.Flush(); applied != 0 {
 		t.Fatalf("set+remove window applied %d mutations, want 0", applied)
 	}
@@ -181,10 +204,10 @@ func readOpts(snapshot bool) Options { return Options{MaxBatch: 1 << 20, Snapsho
 // consume the Set enqueued after it.
 func TestVisibilityAtFlush(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
-		c := New[int](newPOrth(), readOpts(snapshot))
+		c := New(newPOrth(), readOpts(snapshot))
 		at := func(p geom.Point) int { return len(c.WithinIDs(geom.BoxOf(p, p))) }
 		p, q := geom.Pt2(7, 7), geom.Pt2(9, 9)
-		c.Set(1, p)
+		c.Set("1", p)
 		if at(p) != 0 || len(c.NearbyIDs(p, 1)) != 0 {
 			t.Fatalf("snapshot=%t: pending Set visible before the flush", snapshot)
 		}
@@ -194,20 +217,20 @@ func TestVisibilityAtFlush(t *testing.T) {
 		if n := c.Flush(); n != 1 || at(p) != 1 {
 			t.Fatalf("snapshot=%t: flush applied %d, %d objects at %v; want 1, 1", snapshot, n, at(p), p)
 		}
-		c.Set(2, q)
-		c.Remove(2)
+		c.Set("2", q)
+		c.Remove("2")
 		if n := c.Flush(); n != 0 || at(q) != 0 {
 			t.Fatalf("snapshot=%t: Set then Remove in one window applied %d, left %d at %v; want 0, 0", snapshot, n, at(q), q)
 		}
-		c.Remove(2)
-		c.Set(2, q)
+		c.Remove("2")
+		c.Set("2", q)
 		if n := c.Flush(); n != 1 || at(q) != 1 {
 			t.Fatalf("snapshot=%t: Remove then Set in one window applied %d, left %d at %v; want 1, 1", snapshot, n, at(q), q)
 		}
 		// Remove then Set back where it stands: the object stays and the
 		// index is not touched.
-		c.Remove(1)
-		c.Set(1, p)
+		c.Remove("1")
+		c.Set("1", p)
 		if n := c.Flush(); n != 0 || at(p) != 1 {
 			t.Fatalf("snapshot=%t: Remove then same-position Set applied %d, left %d at %v; want 0, 1", snapshot, n, at(p), p)
 		}
@@ -226,17 +249,17 @@ func TestVisibilityAtFlush(t *testing.T) {
 func TestMoveChainInOneWindow(t *testing.T) {
 	p0, p1, p2 := geom.Pt2(1, 1), geom.Pt2(2, 2), geom.Pt2(3, 3)
 	for _, snapshot := range []bool{false, true} {
-		c := New[int](newPOrth(), readOpts(snapshot))
-		c.Set(1, p0)
+		c := New(newPOrth(), readOpts(snapshot))
+		c.Set("1", p0)
 		c.Flush()
-		c.Remove(1)
-		c.Set(1, p1)
-		c.Remove(1)
-		c.Set(1, p2)
+		c.Remove("1")
+		c.Set("1", p1)
+		c.Remove("1")
+		c.Set("1", p2)
 		if n := c.Flush(); n != 2 {
 			t.Fatalf("snapshot=%t: the chain applied %d index mutations, want 2 (one del + one ins)", snapshot, n)
 		}
-		if got := c.WithinIDs(universe()); len(got) != 1 || got[0] != (Entry[int]{1, p2}) {
+		if got := c.WithinIDs(universe()); len(got) != 1 || got[0] != (Entry{"1", p2}) {
 			t.Fatalf("snapshot=%t: after the chain the index holds %v, want only 1 at %v", snapshot, got, p2)
 		}
 		if st := c.Stats(); st.Moved != 1 || st.Cancelled != 3 {
@@ -253,12 +276,12 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 	p := geom.Pt2(100, 100)
 	// resolved checks that the k hits on p resolve to exactly want, each
 	// owner once.
-	resolved := func(c *Collection[string], want ...string) {
+	resolved := func(c *Collection, want ...string) {
 		t.Helper()
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string][]Entry[string]{
+		for name, got := range map[string][]Entry{
 			"NearbyIDs": c.NearbyIDs(p, len(want)),
 			"WithinIDs": c.WithinIDs(geom.BoxOf(p, p)),
 		} {
@@ -279,7 +302,7 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 	// the three ways out of a chain.
 	for _, at := range []int{0, 2, 3} {
 		for _, snapshot := range []bool{false, true} {
-			c := New[string](newSPaCH(), Options{Snapshot: snapshot})
+			c := New(newSPaCH(), Options{Snapshot: snapshot})
 			c.Set("far", geom.Pt2(7, 7))
 			for _, id := range []string{"a", "b", "c", "d"} {
 				c.Set(id, p)
@@ -287,7 +310,7 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 			c.Flush()
 			resolved(c, "a", "b", "c", "d")
 			var chain []string
-			c.withTable(func(tab *table[string]) {
+			c.withTable(func(tab *table) {
 				for s := tab.head(p); s != 0; s = tab.next[s] {
 					chain = append(chain, tab.name[s])
 				}
@@ -316,7 +339,7 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 // plain map: Get and Len exactly, WithinIDs as (ID, point) sets over the
 // universe and over its middle, and NearbyIDs as a squared-distance
 // sequence (ties arbitrary, as for KNN), in the Collection's dimensions.
-func verifyAgainstOracle(t *testing.T, c *Collection[int], oracle map[int]geom.Point, nIDs int) {
+func verifyAgainstOracle(t *testing.T, c *Collection, oracle map[string]geom.Point, nIDs int) {
 	t.Helper()
 	dims := c.Dims()
 	if err := c.Validate(); err != nil {
@@ -325,11 +348,12 @@ func verifyAgainstOracle(t *testing.T, c *Collection[int], oracle map[int]geom.P
 	if got := c.Len(); got != len(oracle) {
 		t.Fatalf("Len = %d, oracle has %d", got, len(oracle))
 	}
-	for id := 0; id < nIDs; id++ {
+	for i := 0; i < nIDs; i++ {
+		id := key(i)
 		gotP, gotOK := c.Get(id)
 		wantP, wantOK := oracle[id]
 		if gotOK != wantOK || (gotOK && gotP != wantP) {
-			t.Fatalf("Get(%d) = (%v, %t), oracle (%v, %t)", id, gotP, gotOK, wantP, wantOK)
+			t.Fatalf("Get(%q) = (%v, %t), oracle (%v, %t)", id, gotP, gotOK, wantP, wantOK)
 		}
 	}
 	whole, middle := geom.UniverseBox(dims, side), geom.Box{}
@@ -347,7 +371,7 @@ func verifyAgainstOracle(t *testing.T, c *Collection[int], oracle map[int]geom.P
 		if len(got) != want {
 			t.Fatalf("WithinIDs(%v) returned %d, oracle has %d", box, len(got), want)
 		}
-		ids := make(map[int]bool, len(got))
+		ids := make(map[string]bool, len(got))
 		for _, e := range got {
 			if oracle[e.ID] != e.Point || !box.Contains(e.Point, dims) || ids[e.ID] {
 				t.Fatalf("WithinIDs(%v) entry %v, oracle has %v", box, e, oracle[e.ID])
@@ -375,7 +399,7 @@ func verifyAgainstOracle(t *testing.T, c *Collection[int], oracle map[int]geom.P
 			if len(nn) != wantLen {
 				t.Fatalf("NearbyIDs(%v, %d) returned %d entries, want %d", q, k, len(nn), wantLen)
 			}
-			ids := make(map[int]bool, len(nn))
+			ids := make(map[string]bool, len(nn))
 			for i, e := range nn {
 				if oracle[e.ID] != e.Point || ids[e.ID] {
 					t.Fatalf("NearbyIDs entry %v is not the oracle position %v, or a repeat", e, oracle[e.ID])
@@ -399,11 +423,11 @@ func TestOracleAgreementAcrossStacks(t *testing.T) {
 	for name, mk := range innerStacks() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
-			c := New[int](mk(), Options{MaxBatch: 1 << 20})
+			c := New(mk(), Options{MaxBatch: 1 << 20})
 			defer c.Close()
-			oracle := make(map[int]geom.Point)
+			oracle := make(map[string]geom.Point)
 			for i := 0; i < 400; i++ {
-				id := rng.Intn(nIDs)
+				id := key(rng.Intn(nIDs))
 				if rng.Intn(5) == 0 {
 					c.Remove(id)
 					delete(oracle, id)
@@ -440,10 +464,10 @@ func TestThreeDimensions(t *testing.T) {
 	} {
 		for _, snapshot := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(23))
-			c := New[int](mk(), readOpts(snapshot))
-			oracle := make(map[int]geom.Point)
+			c := New(mk(), readOpts(snapshot))
+			oracle := make(map[string]geom.Point)
 			for i := 0; i < 600; i++ {
-				id := rng.Intn(nIDs)
+				id := key(rng.Intn(nIDs))
 				if rng.Intn(6) == 0 {
 					c.Remove(id)
 					delete(oracle, id)
@@ -461,11 +485,11 @@ func TestThreeDimensions(t *testing.T) {
 			verifyAgainstOracle(t, c, oracle, nIDs)
 			c.Close()
 
-			loaded := New[int](mk(), readOpts(snapshot))
+			loaded := New(mk(), readOpts(snapshot))
 			loaded.Load(len(oracle), maps.All(oracle))
 			verifyAgainstOracle(t, loaded, oracle, nIDs)
-			got := make(map[int]geom.Point)
-			loaded.Checkpoint(func(n int, entries iter.Seq2[int, geom.Point]) {
+			got := make(map[string]geom.Point)
+			loaded.Checkpoint(func(n int, entries iter.Seq2[string, geom.Point]) {
 				if n != len(oracle) {
 					t.Errorf("%s snapshot=%t: Checkpoint counts %d objects, %d loaded", name, snapshot, n, len(oracle))
 				}
@@ -494,20 +518,21 @@ func TestConcurrentMoveChainsLastWriteWins(t *testing.T) {
 		opsPerG    = 600
 		nIDs       = 32
 	)
-	c := New[int](newSPaCH(), Options{MaxBatch: 64, FlushInterval: 200 * time.Microsecond})
-	lastWrite := make([]map[int]geom.Point, goroutines)
+	c := New(newSPaCH(), Options{MaxBatch: 64, FlushInterval: 200 * time.Microsecond})
+	lastWrite := make([]map[string]geom.Point, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			last := make(map[int]geom.Point, nIDs)
+			last := make(map[string]geom.Point, nIDs)
 			for i := 0; i < opsPerG; i++ {
-				id := rng.Intn(nIDs)
+				n := rng.Intn(nIDs)
+				id := key(n)
 				// Tag the point with (goroutine, op) so every write is
 				// globally unique and stale survivors are attributable.
-				p := geom.Pt2(int64(g*opsPerG+i), int64(id))
+				p := geom.Pt2(int64(g*opsPerG+i), int64(n))
 				c.Set(id, p)
 				last[id] = p
 				if i%97 == 0 {
@@ -522,7 +547,8 @@ func TestConcurrentMoveChainsLastWriteWins(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < nIDs; id++ {
+	for i := 0; i < nIDs; i++ {
+		id := key(i)
 		candidates := make(map[geom.Point]bool)
 		for g := 0; g < goroutines; g++ {
 			if p, ok := lastWrite[g][id]; ok {
@@ -532,19 +558,19 @@ func TestConcurrentMoveChainsLastWriteWins(t *testing.T) {
 		got, ok := c.Get(id)
 		if len(candidates) == 0 {
 			if ok {
-				t.Fatalf("never-written ID %d is live at %v", id, got)
+				t.Fatalf("never-written ID %q is live at %v", id, got)
 			}
 			continue
 		}
 		if !ok {
-			t.Fatalf("written ID %d is not live", id)
+			t.Fatalf("written ID %q is not live", id)
 		}
 		if !candidates[got] {
-			t.Fatalf("ID %d rests at %v, which is no goroutine's last write (an intermediate position survived)", id, got)
+			t.Fatalf("ID %q rests at %v, which is no goroutine's last write (an intermediate position survived)", id, got)
 		}
 		// The committed position must be indexed exactly once.
 		if hits := c.WithinIDs(geom.BoxOf(got, got)); len(hits) != 1 || hits[0].ID != id {
-			t.Fatalf("ID %d at %v resolves to %v", id, got, hits)
+			t.Fatalf("ID %q at %v resolves to %v", id, got, hits)
 		}
 	}
 	if got := c.Len(); got > nIDs {
@@ -571,8 +597,8 @@ func concurrentDisjointWritersExact(t *testing.T, idx core.Index) {
 		idsPerW  = 200
 		movesPer = 5 * idsPerW
 	)
-	c := New[int](idx, Options{MaxBatch: 128})
-	final := make([]map[int]geom.Point, writers)
+	c := New(idx, Options{MaxBatch: 128})
+	final := make([]map[string]geom.Point, writers)
 	var wgW, wgQ sync.WaitGroup
 	stop := make(chan struct{})
 	for q := 0; q < queriers; q++ {
@@ -591,7 +617,7 @@ func concurrentDisjointWritersExact(t *testing.T, idx core.Index) {
 				case 1:
 					c.WithinIDs(geom.BoxOf(geom.Pt2(0, 0), geom.Pt2(side/4, side/4)))
 				case 2:
-					c.Get(i % (writers * idsPerW))
+					c.Get(key(i % (writers * idsPerW)))
 				}
 			}
 		}(q)
@@ -601,9 +627,9 @@ func concurrentDisjointWritersExact(t *testing.T, idx core.Index) {
 		go func(w int) {
 			defer wgW.Done()
 			rng := rand.New(rand.NewSource(int64(100 + w)))
-			last := make(map[int]geom.Point, idsPerW)
+			last := make(map[string]geom.Point, idsPerW)
 			for i := 0; i < movesPer; i++ {
-				id := w*idsPerW + rng.Intn(idsPerW)
+				id := key(w*idsPerW + rng.Intn(idsPerW))
 				if rng.Intn(10) == 0 {
 					c.Remove(id)
 					delete(last, id)
@@ -628,7 +654,7 @@ func concurrentDisjointWritersExact(t *testing.T, idx core.Index) {
 		want += len(final[w])
 		for id, p := range final[w] {
 			if got, ok := c.Get(id); !ok || got != p {
-				t.Fatalf("ID %d = (%v, %t), writer %d last wrote %v", id, got, ok, w, p)
+				t.Fatalf("ID %q = (%v, %t), writer %d last wrote %v", id, got, ok, w, p)
 			}
 		}
 	}
@@ -656,9 +682,9 @@ func TestConcurrentStressAgainstOracle(t *testing.T) {
 	pos := func(id int) geom.Point {
 		return geom.Pt2(int64(id)*2654435761&(side-1), int64(id)*40503&(side-1))
 	}
-	c := New[int](newSPaCH(), Options{MaxBatch: 256, FlushInterval: 500 * time.Microsecond})
-	c.Load(nBase, func(yield func(int, geom.Point) bool) {
-		for id := 0; id < nBase && yield(id, pos(id)); id++ {
+	c := New(newSPaCH(), Options{MaxBatch: 256, FlushInterval: 500 * time.Microsecond})
+	c.Load(nBase, func(yield func(string, geom.Point) bool) {
+		for id := 0; id < nBase && yield(key(id), pos(id)); id++ {
 		}
 	})
 
@@ -668,8 +694,8 @@ func TestConcurrentStressAgainstOracle(t *testing.T) {
 		go func(w int) {
 			defer wgW.Done()
 			for i := 0; i < perG; i++ {
-				c.Set(nBase+w*perG+i, pos(nBase+w*perG+i))
-				c.Remove(w*perG + i)
+				c.Set(key(nBase+w*perG+i), pos(nBase+w*perG+i))
+				c.Remove(key(w*perG + i))
 				if i%125 == 0 {
 					c.Flush()
 				}
@@ -681,7 +707,7 @@ func TestConcurrentStressAgainstOracle(t *testing.T) {
 		wgQ.Add(1)
 		go func(q int) {
 			defer wgQ.Done()
-			var dst []Entry[int]
+			var dst []Entry
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -699,14 +725,14 @@ func TestConcurrentStressAgainstOracle(t *testing.T) {
 				case 1:
 					dst = c.WithinIDsAppend(geom.BoxOf(geom.Pt2(0, 0), geom.Pt2(side/8, side)), dst)
 				default:
-					if p, ok := c.Get(i % nIDs); ok && p != pos(i%nIDs) {
+					if p, ok := c.Get(key(i % nIDs)); ok && p != pos(i%nIDs) {
 						t.Errorf("Get(%d) = %v, its one position is %v", i%nIDs, p, pos(i%nIDs))
 						return
 					}
 				}
 				for _, e := range dst {
-					if e.Point != pos(e.ID) {
-						t.Errorf("query resolved %d at %v, its one position is %v", e.ID, e.Point, pos(e.ID))
+					if e.Point != pos(unkey(e.ID)) {
+						t.Errorf("query resolved %q at %v, its one position is %v", e.ID, e.Point, pos(unkey(e.ID)))
 						return
 					}
 				}
@@ -718,9 +744,9 @@ func TestConcurrentStressAgainstOracle(t *testing.T) {
 	wgQ.Wait()
 	c.Close()
 
-	oracle := make(map[int]geom.Point, nBase)
+	oracle := make(map[string]geom.Point, nBase)
 	for id := writers * perG; id < nIDs; id++ {
-		oracle[id] = pos(id)
+		oracle[key(id)] = pos(id)
 	}
 	verifyAgainstOracle(t, c, oracle, nIDs)
 }
@@ -734,11 +760,11 @@ func TestOracleAgreementAfterEveryFlush(t *testing.T) {
 	const nBase, rounds, perRound = 3000, 12, 300
 	rng := rand.New(rand.NewSource(5))
 	random := func() geom.Point { return geom.Pt2(rng.Int63n(side), rng.Int63n(side)) }
-	oracle := make(map[int]geom.Point, nBase+rounds*perRound)
-	for id := 0; id < nBase; id++ {
-		oracle[id] = random()
+	oracle := make(map[string]geom.Point, nBase+rounds*perRound)
+	for i := 0; i < nBase; i++ {
+		oracle[key(i)] = random()
 	}
-	c := New[int](newSPaCH(), Options{MaxBatch: 1 << 20})
+	c := New(newSPaCH(), Options{MaxBatch: 1 << 20})
 	defer c.Close()
 	c.Load(len(oracle), maps.All(oracle))
 
@@ -749,7 +775,7 @@ func TestOracleAgreementAfterEveryFlush(t *testing.T) {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			var dst []Entry[int]
+			var dst []Entry
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -767,15 +793,16 @@ func TestOracleAgreementAfterEveryFlush(t *testing.T) {
 		for i := 0; i < perRound; i++ {
 			switch i % 3 {
 			case 0:
-				oracle[next] = random()
-				c.Set(next, oracle[next])
+				id := key(next)
+				oracle[id] = random()
+				c.Set(id, oracle[id])
 				next++
 			case 1: // the ID may be gone already
-				id := rng.Intn(next)
+				id := key(rng.Intn(next))
 				c.Remove(id)
 				delete(oracle, id)
 			default: // or set again, gone or not
-				id := rng.Intn(next)
+				id := key(rng.Intn(next))
 				oracle[id] = random()
 				c.Set(id, oracle[id])
 			}
@@ -796,10 +823,10 @@ func sequentialEquivalence(t *testing.T, snapshot bool) {
 	const nIDs, gridSide = 24, 4
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		c := New[int](newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
-		oracle := make(map[int]geom.Point)
+		c := New(newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+		oracle := make(map[string]geom.Point)
 		for i := 0; i < 200; i++ {
-			id := rng.Intn(nIDs)
+			id := key(rng.Intn(nIDs))
 			if rng.Intn(3) == 0 {
 				c.Remove(id)
 				delete(oracle, id)
@@ -816,7 +843,7 @@ func sequentialEquivalence(t *testing.T, snapshot bool) {
 		for x := int64(0); x < gridSide; x++ {
 			for y := int64(0); y < gridSide; y++ {
 				p := geom.Pt2(x, y)
-				var got, want []int
+				var got, want []string
 				for _, e := range c.WithinIDs(geom.BoxOf(p, p)) {
 					got = append(got, e.ID)
 				}
@@ -839,10 +866,10 @@ func sequentialEquivalence(t *testing.T, snapshot bool) {
 }
 
 func TestLenFlushesAndStats(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
 	defer c.Close()
 	for i := 0; i < 10; i++ {
-		c.Set(i, geom.Pt2(int64(i), int64(i)))
+		c.Set(key(i), geom.Pt2(int64(i), int64(i)))
 	}
 	if c.Pending() != 10 {
 		t.Fatalf("Pending = %d, want 10", c.Pending())
@@ -871,6 +898,7 @@ func TestLenFlushesAndStats(t *testing.T) {
 // Same-position windows and real moves are both exactly zero.
 func TestSetFlushZeroAllocWarm(t *testing.T) {
 	const n = 512
+	ids := keys(n)
 	posA := make([]geom.Point, n)
 	posB := make([]geom.Point, n)
 	for i := range posA {
@@ -878,14 +906,14 @@ func TestSetFlushZeroAllocWarm(t *testing.T) {
 		posB[i] = geom.Pt2(int64(i)*17+5, int64(i)*29+3)
 	}
 	t.Run("same-position windows", func(t *testing.T) {
-		c := New[int](core.NewNull(2), Options{MaxBatch: 1 << 20, Obs: obs.New()})
+		c := New(core.NewNull(2), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		for i, p := range posA {
-			c.Set(i, p)
+			c.Set(ids[i], p)
 		}
 		c.Flush()
 		window := func() {
 			for i, p := range posA {
-				c.Set(i, p)
+				c.Set(ids[i], p)
 			}
 			c.Flush()
 		}
@@ -895,15 +923,15 @@ func TestSetFlushZeroAllocWarm(t *testing.T) {
 		}
 	})
 	t.Run("move windows", func(t *testing.T) {
-		c := New[int](core.NewNull(2), Options{MaxBatch: 1 << 20, Obs: obs.New()})
+		c := New(core.NewNull(2), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		for i, p := range posA {
-			c.Set(i, p)
+			c.Set(ids[i], p)
 		}
 		c.Flush()
 		cur, next := posA, posB
 		window := func() {
 			for i, p := range next {
-				c.Set(i, p)
+				c.Set(ids[i], p)
 			}
 			c.Flush()
 			cur, next = next, cur
@@ -923,20 +951,21 @@ func TestSetFlushZeroAllocWarm(t *testing.T) {
 // are TestSetFlushZeroAllocWarm's.)
 func TestFlushZeroAllocWarm(t *testing.T) {
 	const n = 512
+	ids := keys(n)
 	pos := make([]geom.Point, n)
 	for i := range pos {
 		pos[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 	}
 	null := func() core.Index { return core.NewNull(2) }
 	singleKind := func(t *testing.T, mk func() core.Index, snapshot bool) {
-		c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: snapshot, Obs: obs.New()})
+		c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: snapshot, Obs: obs.New()})
 		window := func() {
 			for i, p := range pos {
-				c.Set(i, p)
+				c.Set(ids[i], p)
 			}
 			c.Flush()
 			for i := range pos {
-				c.Remove(i)
+				c.Remove(ids[i])
 			}
 			c.Flush()
 		}
@@ -949,11 +978,11 @@ func TestFlushZeroAllocWarm(t *testing.T) {
 	t.Run("single-kind windows", func(t *testing.T) { singleKind(t, null, false) })
 	t.Run("snapshot single-kind windows", func(t *testing.T) { singleKind(t, newNullTwins, true) })
 	t.Run("netted mixed window", func(t *testing.T) {
-		c := New[int](null(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
+		c := New(null(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		window := func() {
 			for i, p := range pos {
-				c.Set(i, p)
-				c.Remove(i)
+				c.Set(ids[i], p)
+				c.Remove(ids[i])
 			}
 			if applied := c.Flush(); applied != 0 {
 				t.Fatalf("a window of Set+Remove pairs applied %d mutations, want 0", applied)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"maps"
 	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -24,20 +26,20 @@ import (
 func TestCommitWindowBesideTheTape(t *testing.T) {
 	for _, mode := range []string{"locked", "snapshot"} {
 		t.Run(mode, func(t *testing.T) {
-			c := New[string](newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: mode == "snapshot"})
+			c := New(newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: mode == "snapshot"})
 			defer c.Close()
 			type call struct {
 				seq uint64
-				ops []wal.Op[string]
+				ops []wal.Op
 			}
 			var calls []call
-			c.SetJournal(func(seq uint64, ops []wal.Op[string]) error {
+			c.SetJournal(func(seq uint64, ops []wal.Op) error {
 				calls = append(calls, call{seq, slices.Clone(ops)})
 				return nil
 			})
 
 			c.Set("mine", geom.Pt2(1, 1)) // pending before, during and after
-			win := []wal.Op[string]{
+			win := []wal.Op{
 				{ID: "b", P: geom.Pt2(20, 20)},
 				{ID: "a", P: geom.Pt2(10, 10)},
 				{ID: "mine", P: geom.Pt2(99, 99)},
@@ -86,11 +88,11 @@ func TestCommitWindowBesideTheTape(t *testing.T) {
 // back from CommitWindow (and is counted), instead of having to be
 // inferred afterwards.
 func TestCommitWindowReturnsHookError(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{})
+	c := New(core.NewBruteForce(2), Options{})
 	defer c.Close()
 	boom := errors.New("disk on fire")
-	c.SetJournal(func(uint64, []wal.Op[int]) error { return boom })
-	err := c.CommitWindow(1, []wal.Op[int]{{ID: 1, P: geom.Pt2(1, 1)}})
+	c.SetJournal(func(uint64, []wal.Op) error { return boom })
+	err := c.CommitWindow(1, []wal.Op{{ID: "1", P: geom.Pt2(1, 1)}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("CommitWindow = %v, want the hook's error", err)
 	}
@@ -98,7 +100,7 @@ func TestCommitWindowReturnsHookError(t *testing.T) {
 		t.Fatalf("JournalErrors = %d, want 1", n)
 	}
 	c.SetJournal(nil)
-	if err := c.CommitWindow(2, []wal.Op[int]{{ID: 2, P: geom.Pt2(2, 2)}}); err != nil {
+	if err := c.CommitWindow(2, []wal.Op{{ID: "2", P: geom.Pt2(2, 2)}}); err != nil {
 		t.Fatalf("CommitWindow without a hook: %v", err)
 	}
 }
@@ -106,29 +108,39 @@ func TestCommitWindowReturnsHookError(t *testing.T) {
 // TestCommitWindowRefusesRepeatedID: a window that holds an ID twice is
 // not netted, and the commit body (slots resolved once per window) may
 // not see it. It is refused whole — error, no journal call, no change —
-// and the next well-formed window commits as if it had never arrived.
+// and the next well-formed window commits as if it had never arrived. The
+// error quotes the repeated ID, so that an empty one or one of raw bytes
+// from a leader's frame still reads.
 func TestCommitWindowRefusesRepeatedID(t *testing.T) {
 	p, q := geom.Pt2(10, 10), geom.Pt2(20, 20)
-	bad := map[string][]wal.Op[string]{
-		"del+del":       {{ID: "a", Del: true}, {ID: "b", P: q}, {ID: "a", Del: true}},
-		"del+set":       {{ID: "a", Del: true}, {ID: "a", P: q}},
-		"set+del":       {{ID: "a", P: q}, {ID: "a", Del: true}},
-		"double insert": {{ID: "new", P: p}, {ID: "new", P: q}},
-		"zero ID":       {{ID: "", P: p}, {ID: "", Del: true}},
+	bad := map[string]struct {
+		repeats string
+		win     []wal.Op
+	}{
+		"del+del":       {"a", []wal.Op{{ID: "a", Del: true}, {ID: "b", P: q}, {ID: "a", Del: true}}},
+		"del+set":       {"a", []wal.Op{{ID: "a", Del: true}, {ID: "a", P: q}}},
+		"set+del":       {"a", []wal.Op{{ID: "a", P: q}, {ID: "a", Del: true}}},
+		"double insert": {"new", []wal.Op{{ID: "new", P: p}, {ID: "new", P: q}}},
+		"zero ID":       {"", []wal.Op{{ID: "", P: p}, {ID: "", Del: true}}},
+		"raw bytes":     {"\x00\xff\n", []wal.Op{{ID: "\x00\xff\n", P: p}, {ID: "\x00\xff\n", P: q}}},
 	}
 	for _, mode := range []string{"locked", "snapshot"} {
-		for name, win := range bad {
+		for name, tc := range bad {
 			t.Run(mode+"/"+name, func(t *testing.T) {
-				c := New[string](newSPaCH(), Options{Snapshot: mode == "snapshot"})
+				c := New(newSPaCH(), Options{Snapshot: mode == "snapshot"})
 				defer c.Close()
-				if err := c.CommitWindow(1, []wal.Op[string]{{ID: "a", P: p}, {ID: "z", P: p}}); err != nil {
+				if err := c.CommitWindow(1, []wal.Op{{ID: "a", P: p}, {ID: "z", P: p}}); err != nil {
 					t.Fatal(err)
 				}
 				journaled := 0
-				c.SetJournal(func(uint64, []wal.Op[string]) error { journaled++; return nil })
+				c.SetJournal(func(uint64, []wal.Op) error { journaled++; return nil })
 				before := c.Stats()
-				if err := c.CommitWindow(2, win); err == nil {
+				err := c.CommitWindow(2, tc.win)
+				if err == nil {
 					t.Fatal("CommitWindow accepted a window that repeats an ID")
+				}
+				if want := strconv.Quote(tc.repeats); !strings.Contains(err.Error(), want) {
+					t.Fatalf("CommitWindow error %q does not name the repeated ID %s", err, want)
 				}
 				after := c.Stats()
 				if journaled != 0 || after.Inserted != before.Inserted || after.Removed != before.Removed ||
@@ -139,7 +151,7 @@ func TestCommitWindowRefusesRepeatedID(t *testing.T) {
 					t.Fatalf("Get(a) = %v, %t after the refused window; want %v", got, ok, p)
 				}
 				// The same sequence again, netted this time.
-				if err := c.CommitWindow(2, []wal.Op[string]{{ID: "a", Del: true}, {ID: "new", P: q}}); err != nil {
+				if err := c.CommitWindow(2, []wal.Op{{ID: "a", Del: true}, {ID: "new", P: q}}); err != nil {
 					t.Fatal(err)
 				}
 				if got := c.WithinIDs(universe()); len(got) != 2 || journaled != 1 {
@@ -160,13 +172,13 @@ func TestCommitWindowZeroAllocWarm(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 512
-	c := New[string](core.NewNull(2), Options{})
+	c := New(core.NewNull(2), Options{})
 	journalTo(t, c)
 	ids := journalIDs(n)
-	wins := [2][]wal.Op[string]{}
+	wins := [2][]wal.Op{}
 	for i, id := range ids {
-		wins[0] = append(wins[0], wal.Op[string]{ID: id, P: geom.Pt2(int64(i)*17, int64(i)*29)})
-		wins[1] = append(wins[1], wal.Op[string]{ID: id, P: geom.Pt2(int64(i)*17+5, int64(i)*29+3)})
+		wins[0] = append(wins[0], wal.Op{ID: id, P: geom.Pt2(int64(i)*17, int64(i)*29)})
+		wins[1] = append(wins[1], wal.Op{ID: id, P: geom.Pt2(int64(i)*17+5, int64(i)*29+3)})
 	}
 	seq := uint64(0)
 	window := func() {
@@ -210,20 +222,20 @@ func countBuilds(idx core.Index) (core.Index, *atomic.Int32) {
 func TestLoadEqualsSetAllFlush(t *testing.T) {
 	const nIDs = 300
 	type entry struct {
-		id int
+		id string
 		p  geom.Point
 	}
 	var entries []entry
-	want := make(map[int]geom.Point)
+	want := make(map[string]geom.Point)
 	for i := 0; i < nIDs; i++ {
 		// i/3: three IDs to a point.
-		e := entry{i, geom.Pt2(int64(i/3)*1000, int64(i/3)*77)}
+		e := entry{key(i), geom.Pt2(int64(i/3)*1000, int64(i/3)*77)}
 		entries = append(entries, e)
 		want[e.id] = e.p
 	}
-	entries = append(entries, entry{7, geom.Pt2(5, 5)}) // listed twice: the later one wins
-	want[7] = geom.Pt2(5, 5)
-	seq := func(yield func(int, geom.Point) bool) {
+	entries = append(entries, entry{"7", geom.Pt2(5, 5)}) // listed twice: the later one wins
+	want["7"] = geom.Pt2(5, 5)
+	seq := func(yield func(string, geom.Point) bool) {
 		for _, e := range entries {
 			if !yield(e.id, e.p) {
 				return
@@ -234,18 +246,18 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 	for name, mk := range innerStacks() {
 		for _, snapshot := range []bool{false, true} {
 			idx, builds := countBuilds(mk())
-			c := New[int](idx, Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+			c := New(idx, Options{MaxBatch: 1 << 20, Snapshot: snapshot})
 			shared := c.cell.Versions() == 2
 			journaled := 0
-			c.SetJournal(func(uint64, []wal.Op[int]) error { journaled++; return nil })
+			c.SetJournal(func(uint64, []wal.Op) error { journaled++; return nil })
 			// An earlier life: committed objects Load must drop, and pending
 			// ops — one on a surviving ID, one on a ghost — it must discard.
-			c.Set(5, geom.Pt2(1, 2))
-			c.Set(nIDs+1, geom.Pt2(3, 4))
+			c.Set("5", geom.Pt2(1, 2))
+			c.Set(key(nIDs+1), geom.Pt2(3, 4))
 			c.Flush()
-			c.Set(5, geom.Pt2(9, 9))
-			c.Set(nIDs+2, geom.Pt2(8, 8))
-			c.Remove(6)
+			c.Set("5", geom.Pt2(9, 9))
+			c.Set(key(nIDs+2), geom.Pt2(8, 8))
+			c.Remove("6")
 			journaled = 0
 
 			c.Load(len(entries), seq)
@@ -267,28 +279,28 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 			if st := c.Stats(); st.Pending != 0 || st.Objects != len(want) {
 				t.Fatalf("%s: stats after Load: %+v, want %d objects and nothing pending", where, st, len(want))
 			}
-			for _, id := range []int{5, 6, nIDs + 1, nIDs + 2} {
+			for _, id := range []string{"5", "6", key(nIDs + 1), key(nIDs + 2)} {
 				p, ok := c.Get(id)
 				if wp, wok := want[id]; ok != wok || p != wp {
-					t.Fatalf("%s: Get(%d) after Load = %v, %t; want %v, %t (pending ops must not survive)", where, id, p, ok, wp, wok)
+					t.Fatalf("%s: Get(%q) after Load = %v, %t; want %v, %t (pending ops must not survive)", where, id, p, ok, wp, wok)
 				}
 			}
 			verifyAgainstOracle(t, c, want, nIDs+3)
 
 			// ≡ Set-all + Flush, and the loaded Collection keeps working.
-			ref := New[int](mk(), Options{MaxBatch: 1 << 20})
+			ref := New(mk(), Options{MaxBatch: 1 << 20})
 			for _, e := range entries {
 				ref.Set(e.id, e.p)
 			}
 			ref.Flush()
-			for _, cc := range []*Collection[int]{c, ref} {
-				cc.Set(0, geom.Pt2(123, 456))
-				cc.Remove(1)
+			for _, cc := range []*Collection{c, ref} {
+				cc.Set("0", geom.Pt2(123, 456))
+				cc.Remove("1")
 				cc.Flush()
 			}
 			after := maps.Clone(want)
-			after[0] = geom.Pt2(123, 456)
-			delete(after, 1)
+			after["0"] = geom.Pt2(123, 456)
+			delete(after, "1")
 			verifyAgainstOracle(t, c, after, nIDs+3)
 			verifyAgainstOracle(t, ref, after, nIDs+3)
 			if a, b := c.Stats().Objects, ref.Stats().Objects; a != b {
@@ -307,12 +319,12 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 // slot-identical, ready for windows.
 func TestLoadRangesEntriesOnce(t *testing.T) {
 	const n = 500
-	want := make(map[int]geom.Point, n)
+	want := make(map[string]geom.Point, n)
 	for i := 0; i < n; i++ {
-		want[i] = geom.Pt2(int64(i/2)*100, int64(i%7)) // pairs share a point
+		want[key(i)] = geom.Pt2(int64(i/2)*100, int64(i%7)) // pairs share a point
 	}
 	ranged := 0
-	once := func(yield func(int, geom.Point) bool) {
+	once := func(yield func(string, geom.Point) bool) {
 		if ranged++; ranged > 1 {
 			t.Errorf("Load ranged its entries %d times, want once", ranged)
 		}
@@ -322,7 +334,7 @@ func TestLoadRangesEntriesOnce(t *testing.T) {
 			}
 		}
 	}
-	c := New[int](newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	c.Load(n, once)
 	if ranged != 1 {
@@ -335,11 +347,11 @@ func TestLoadRangesEntriesOnce(t *testing.T) {
 	// Two windows, so that each copy has been the one written first.
 	for w := 0; w < 2; w++ {
 		for i := w; i < n; i += 3 {
-			want[i] = geom.Pt2(int64(i)*13+int64(w), 99)
-			c.Set(i, want[i])
+			want[key(i)] = geom.Pt2(int64(i)*13+int64(w), 99)
+			c.Set(key(i), want[key(i)])
 		}
-		c.Remove(n - 1 - w)
-		delete(want, n-1-w)
+		c.Remove(key(n - 1 - w))
+		delete(want, key(n-1-w))
 		c.Flush()
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
@@ -356,12 +368,12 @@ func TestLoadDiscardsPending(t *testing.T) {
 	const n = 100
 	at := func(id int) geom.Point { return geom.Pt2(int64(id)*10+100, 5) }
 	for _, snapshot := range []bool{false, true} {
-		c := New[int](newPOrth(), readOpts(snapshot))
+		c := New(newPOrth(), readOpts(snapshot))
 		ghost := geom.Pt2(1, 1)
-		c.Set(n, ghost)
-		c.Set(0, geom.Pt2(2, 2))
-		c.Load(n, func(yield func(int, geom.Point) bool) {
-			for id := 0; id < n && yield(id, at(id)); id++ {
+		c.Set(key(n), ghost)
+		c.Set("0", geom.Pt2(2, 2))
+		c.Load(n, func(yield func(string, geom.Point) bool) {
+			for id := 0; id < n && yield(key(id), at(id)); id++ {
 			}
 		})
 		if c.Pending() != 0 {
@@ -373,7 +385,7 @@ func TestLoadDiscardsPending(t *testing.T) {
 		if got := c.WithinIDs(geom.BoxOf(ghost, geom.Pt2(2, 2))); len(got) != 0 {
 			t.Fatalf("snapshot=%t: pre-Load pending Sets survived the load: %v", snapshot, got)
 		}
-		if p, ok := c.Get(0); !ok || p != at(0) {
+		if p, ok := c.Get("0"); !ok || p != at(0) {
 			t.Fatalf("snapshot=%t: Get(0) = (%v, %t), want the loaded %v", snapshot, p, ok, at(0))
 		}
 		if got := c.Len(); got != n {

@@ -4,6 +4,7 @@ import (
 	"iter"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,27 +28,27 @@ import (
 // reads that take the pending lock never flush. (The default trigger is
 // TestMaxBatchMakesWindowVisible's.)
 func TestMaxBatchTriggersFlush(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 8})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 8})
 	defer c.Close()
 	for i := 0; i < 7; i++ {
-		c.Set(1, geom.Pt2(int64(i), 1))
+		c.Set("1", geom.Pt2(int64(i), 1))
 	}
-	c.Get(1)
+	c.Get("1")
 	c.WithinIDs(universe())
 	if st := c.Stats(); st.Flushes != 0 || st.Pending != 7 || c.Pending() != 7 {
 		t.Fatalf("below the trigger: %+v, want no flush and 7 pending", st)
 	}
-	c.Set(1, geom.Pt2(7, 1))
+	c.Set("1", geom.Pt2(7, 1))
 	if st := c.Stats(); st.Flushes != 1 || st.Pending != 0 || st.Cancelled != 7 || st.Objects != 1 {
 		t.Fatalf("after 8 ops on one ID: %+v, want one window netted to one insert", st)
 	}
 	for i := 0; i < 7; i++ {
-		c.Set(10+i, geom.Pt2(int64(i), 2))
+		c.Set(key(10+i), geom.Pt2(int64(i), 2))
 	}
 	if st := c.Stats(); st.Flushes != 1 || st.Pending != 7 {
 		t.Fatalf("7 ops into the second window: %+v, want no flush", st)
 	}
-	c.Remove(1)
+	c.Remove("1")
 	if st := c.Stats(); st.Flushes != 2 || st.Pending != 0 || st.Objects != 7 {
 		t.Fatalf("after the filling Remove: %+v, want the second window applied", st)
 	}
@@ -59,13 +60,14 @@ func TestMaxBatchTriggersFlush(t *testing.T) {
 func TestMaxBatchFlushZeroAllocWarm(t *testing.T) {
 	const n = 512
 	reg := obs.New()
-	c := New[int](core.NewNull(2), Options{MaxBatch: n, Obs: reg})
+	c := New(core.NewNull(2), Options{MaxBatch: n, Obs: reg})
 	defer c.Close()
+	ids := keys(n)
 	x := int64(0)
 	window := func() {
 		x++
 		for i := 0; i < n; i++ {
-			c.Set(i, geom.Pt2(x, int64(i)))
+			c.Set(ids[i], geom.Pt2(x, int64(i)))
 		}
 	}
 	window()
@@ -88,7 +90,7 @@ func TestMaxBatchFlushZeroAllocWarm(t *testing.T) {
 func TestLoadAndCheckpointExcludeFlushes(t *testing.T) {
 	// heldOff starts a Flush from inside the section and reports whether it
 	// returned before the section did.
-	heldOff := func(c *Collection[int]) (early bool, result chan int) {
+	heldOff := func(c *Collection) (early bool, result chan int) {
 		result = make(chan int, 1)
 		go func() { result <- c.Flush() }()
 		select {
@@ -100,14 +102,14 @@ func TestLoadAndCheckpointExcludeFlushes(t *testing.T) {
 		}
 	}
 
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
 	defer c.Close()
-	c.Set(1, geom.Pt2(1, 1))
+	c.Set("1", geom.Pt2(1, 1))
 	var early bool
 	var result chan int
-	c.Load(1, func(yield func(int, geom.Point) bool) {
+	c.Load(1, func(yield func(string, geom.Point) bool) {
 		early, result = heldOff(c)
-		yield(2, geom.Pt2(2, 2))
+		yield("2", geom.Pt2(2, 2))
 	})
 	if early {
 		t.Fatal("a flush ran inside Load")
@@ -115,13 +117,13 @@ func TestLoadAndCheckpointExcludeFlushes(t *testing.T) {
 	if n := <-result; n != 0 {
 		t.Fatalf("the flush after Load applied %d mutations; the discarded op was applied", n)
 	}
-	if got := c.WithinIDs(universe()); len(got) != 1 || got[0].ID != 2 {
+	if got := c.WithinIDs(universe()); len(got) != 1 || got[0].ID != "2" {
 		t.Fatalf("after Load: %v, want only the loaded object", got)
 	}
 
-	c.Set(3, geom.Pt2(3, 3))
+	c.Set("3", geom.Pt2(3, 3))
 	seen := -1
-	c.Checkpoint(func(objects int, _ iter.Seq2[int, geom.Point]) {
+	c.Checkpoint(func(objects int, _ iter.Seq2[string, geom.Point]) {
 		seen = objects
 		early, result = heldOff(c)
 	})
@@ -134,9 +136,9 @@ func TestLoadAndCheckpointExcludeFlushes(t *testing.T) {
 }
 
 func TestBackgroundFlusher(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20, FlushInterval: time.Millisecond})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20, FlushInterval: time.Millisecond})
 	defer c.Close()
-	c.Set(1, geom.Pt2(1, 1))
+	c.Set("1", geom.Pt2(1, 1))
 	waitFor(t, "the background flusher to apply the pending op", func() bool {
 		return len(c.WithinIDs(universe())) == 1
 	})
@@ -150,11 +152,12 @@ func TestFlushExactlyOnce(t *testing.T) {
 		writers = 8
 		perG    = 400
 	)
-	c := New[int](core.NewNull(2), Options{MaxBatch: 64})
+	c := New(core.NewNull(2), Options{MaxBatch: 64})
 	var journaled []int // every window's IDs, in window order; guarded by the flush lock
-	c.SetJournal(func(_ uint64, ops []wal.Op[int]) error {
+	c.SetJournal(func(_ uint64, ops []wal.Op) error {
 		for _, o := range ops {
-			journaled = append(journaled, o.ID)
+			id, _ := strconv.Atoi(o.ID)
+			journaled = append(journaled, id)
 		}
 		return nil
 	})
@@ -164,7 +167,7 @@ func TestFlushExactlyOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.Set(w*perG+i, geom.Pt2(int64(i), int64(w)))
+				c.Set(key(w*perG+i), geom.Pt2(int64(i), int64(w)))
 				if i%97 == 0 {
 					c.Flush()
 				}
@@ -205,9 +208,9 @@ func TestCloseFlushRace(t *testing.T) {
 	for range 20 {
 		// Unreachable MaxBatch: only the ticker and Close itself may
 		// flush, so writers can legally keep enqueueing across the Close.
-		c := New[int](core.NewNull(2), Options{MaxBatch: 1 << 30, FlushInterval: 50 * time.Microsecond})
+		c := New(core.NewNull(2), Options{MaxBatch: 1 << 30, FlushInterval: 50 * time.Microsecond})
 		var closed, late atomic.Bool // a Close has returned; a window committed after that
-		c.SetJournal(func(uint64, []wal.Op[int]) error {
+		c.SetJournal(func(uint64, []wal.Op) error {
 			if closed.Load() {
 				late.Store(true)
 			}
@@ -226,7 +229,7 @@ func TestCloseFlushRace(t *testing.T) {
 						return
 					default:
 					}
-					c.Set(w*1_000_000+i, geom.Pt2(int64(i), int64(w)))
+					c.Set(key(w*1_000_000+i), geom.Pt2(int64(i), int64(w)))
 					// Yield: unthrottled writers outrun the flusher's
 					// apply and every window grows with the last one.
 					runtime.Gosched()
@@ -247,7 +250,7 @@ func TestCloseFlushRace(t *testing.T) {
 		close(stopWriters)
 		writers.Wait()
 		c.Close() // idempotent after the concurrent trio
-		c.Set(-1, geom.Pt2(0, 0))
+		c.Set("-1", geom.Pt2(0, 0))
 		time.Sleep(500 * time.Microsecond) // a flusher that survived Close would tick here
 
 		if late.Load() {
@@ -259,15 +262,15 @@ func TestCloseFlushRace(t *testing.T) {
 // TestCloseEndsIntervalFlushing: the flusher runs from New to Close and no
 // longer; the Collection itself stays usable.
 func TestCloseEndsIntervalFlushing(t *testing.T) {
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20, FlushInterval: 100 * time.Microsecond})
-	c.Set(1, geom.Pt2(1, 1))
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20, FlushInterval: 100 * time.Microsecond})
+	c.Set("1", geom.Pt2(1, 1))
 	waitFor(t, "the flusher", func() bool { return c.Stats().Flushes == 1 })
-	c.Set(2, geom.Pt2(2, 2))
+	c.Set("2", geom.Pt2(2, 2))
 	c.Close() // final flush
 	if st := c.Stats(); st.Flushes != 2 || st.Pending != 0 || st.Objects != 2 {
 		t.Fatalf("after Close: %+v, want the final flush to have applied the pending op", st)
 	}
-	c.Set(3, geom.Pt2(3, 3))
+	c.Set("3", geom.Pt2(3, 3))
 	time.Sleep(2 * time.Millisecond) // twenty periods of the stopped flusher
 	if c.Pending() != 1 {
 		t.Fatal("the flusher outlived Close and flushed")
@@ -283,10 +286,10 @@ func TestCloseEndsIntervalFlushing(t *testing.T) {
 // netted and cancelled counts. An empty tape is no window at all.
 func TestTapeFlushSpanAndCounters(t *testing.T) {
 	reg := obs.New()
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20, Obs: reg})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20, Obs: reg})
 	defer c.Close()
-	var window []int
-	c.SetJournal(func(_ uint64, ops []wal.Op[int]) error {
+	var window []string
+	c.SetJournal(func(_ uint64, ops []wal.Op) error {
 		for _, o := range ops {
 			window = append(window, o.ID)
 		}
@@ -296,12 +299,12 @@ func TestTapeFlushSpanAndCounters(t *testing.T) {
 		t.Fatal("flushing an empty tape must be a no-op, not a window")
 	}
 	for i, id := range []int{3, 1, 3, 2, 1} {
-		c.Set(id, geom.Pt2(int64(i), int64(id)))
+		c.Set(key(id), geom.Pt2(int64(i), int64(id)))
 	}
 	if got := c.Flush(); got != 3 {
 		t.Fatalf("Flush applied %d, want the 3 surviving ops", got)
 	}
-	if !slices.Equal(window, []int{3, 1, 2}) {
+	if !slices.Equal(window, []string{"3", "1", "2"}) {
 		t.Fatalf("window = %v, want first-appearance order [3 1 2]", window)
 	}
 	if st := c.Stats(); st.Flushes != 1 || st.Cancelled != 2 || st.Pending != 0 {
@@ -322,17 +325,17 @@ func TestTapeFlushSpanAndCounters(t *testing.T) {
 // neither netted nor flushed by it.
 func TestCommitWindowSpanAndCounters(t *testing.T) {
 	reg := obs.New()
-	c := New[int](core.NewBruteForce(2), Options{MaxBatch: 1 << 20, Obs: reg})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20, Obs: reg})
 	defer c.Close()
-	c.Set(7, geom.Pt2(7, 7)) // stays pending throughout
+	c.Set("7", geom.Pt2(7, 7)) // stays pending throughout
 	locked := false
-	c.SetJournal(func(uint64, []wal.Op[int]) error {
+	c.SetJournal(func(uint64, []wal.Op) error {
 		if locked = !c.flushMu.TryLock(); !locked {
 			c.flushMu.Unlock()
 		}
 		return nil
 	})
-	win := []wal.Op[int]{{ID: 1, P: geom.Pt2(1, 1)}, {ID: 2, P: geom.Pt2(2, 2)}, {ID: 3, P: geom.Pt2(3, 3)}}
+	win := []wal.Op{{ID: "1", P: geom.Pt2(1, 1)}, {ID: "2", P: geom.Pt2(2, 2)}, {ID: "3", P: geom.Pt2(3, 3)}}
 	if err := c.CommitWindow(1, win); err != nil || !locked {
 		t.Fatalf("CommitWindow: %v, flush lock held: %t; want the window committed under the lock", err, locked)
 	}

@@ -66,6 +66,15 @@ var collectionSeeds = []string{
 
 const fuzzIDs = 16
 
+// fuzzKeys spells the fuzzed IDs. The first is the zero ID, "", which the
+// slot table also leaves in its free slots: it must work as a live ID too.
+var fuzzKeys = func() (ids [fuzzIDs]string) {
+	for i := 1; i < fuzzIDs; i++ {
+		ids[i] = key(i)
+	}
+	return ids
+}()
+
 // fuzzStacks lists the inner stacks the low bits of the first input byte
 // select from, in a fixed order so corpus entries stay reproducible. Slot
 // 0 stays on locked reads when the tape asks for snapshot reads; the
@@ -89,15 +98,15 @@ func runCollectionTape(t *testing.T, data []byte) {
 	// A tiny MaxBatch derived from the input lets the fuzzer also drive
 	// threshold-triggered flushes mid-tape, not only explicit ones.
 	maxBatch := 1 + int(data[1])%64
-	c := New[int](mk(dims), Options{MaxBatch: maxBatch, Snapshot: data[1]&0x80 != 0})
+	c := New(mk(dims), Options{MaxBatch: maxBatch, Snapshot: data[1]&0x80 != 0})
 	defer c.Close()
 	snapshot := c.cell.Versions() == 2
 	// committed mirrors the flushed state, tape the ops pending on top of
 	// it, oracle their fold — what Get must answer at all times.
-	committed := make(map[int]geom.Point)
-	oracle := make(map[int]geom.Point)
-	var tape []wal.Op[int]
-	apply := func(m map[int]geom.Point, ops []wal.Op[int]) {
+	committed := make(map[string]geom.Point)
+	oracle := make(map[string]geom.Point)
+	var tape []wal.Op
+	apply := func(m map[string]geom.Point, ops []wal.Op) {
 		for _, o := range ops {
 			if o.Del {
 				delete(m, o.ID)
@@ -110,7 +119,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 		apply(committed, tape)
 		tape = tape[:0]
 	}
-	enqueued := func(o wal.Op[int]) {
+	enqueued := func(o wal.Op) {
 		tape = append(tape, o)
 		apply(oracle, tape[len(tape)-1:])
 		if len(tape) >= maxBatch {
@@ -135,7 +144,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 	// those; any epoch it finds recorded is exact.
 	var (
 		mu      sync.Mutex
-		byEpoch map[uint64]map[int]geom.Point
+		byEpoch map[uint64]map[string]geom.Point
 	)
 	record := func() {
 		e := c.Epoch()
@@ -146,7 +155,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 		mu.Unlock()
 	}
 	if snapshot {
-		byEpoch = map[uint64]map[int]geom.Point{0: {}}
+		byEpoch = map[uint64]map[string]geom.Point{0: {}}
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -171,7 +180,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 					}
 					for _, en := range got {
 						if p, ok := want[en.ID]; !ok || p != en.Point {
-							t.Errorf("epoch %d: scan saw id %d at %v, oracle (%v, %t)", e0, en.ID, en.Point, p, ok)
+							t.Errorf("epoch %d: scan saw id %q at %v, oracle (%v, %t)", e0, en.ID, en.Point, p, ok)
 						}
 					}
 				}
@@ -206,7 +215,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 		if !ok {
 			break
 		}
-		id := int(idb) % fuzzIDs
+		id := fuzzKeys[int(idb)%fuzzIDs]
 		// point decodes one coarse position, a byte per coordinate: %32
 		// keeps the domain small so distinct IDs routinely share a point.
 		point := func() (p geom.Point, ok bool) {
@@ -222,14 +231,14 @@ func runCollectionTape(t *testing.T, data []byte) {
 			// idb is a count here: that many (id, x, y[, z]) tuples follow, for
 			// a window (at most one op per ID; a zero x byte deletes) or a
 			// full load (a repeated ID: the later entry wins).
-			var ops []wal.Op[int]
-			seen := make(map[int]bool)
+			var ops []wal.Op
+			seen := make(map[string]bool)
 			for n := int(idb) % 8; n > 0; n-- {
 				eb, ok := next()
 				if !ok {
 					break
 				}
-				o := wal.Op[int]{ID: int(eb) % fuzzIDs}
+				o := wal.Op{ID: fuzzKeys[int(eb)%fuzzIDs]}
 				if o.P, ok = point(); !ok {
 					break
 				}
@@ -249,7 +258,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 				}
 				apply(committed, ops)
 			} else {
-				c.Load(len(ops), func(yield func(int, geom.Point) bool) {
+				c.Load(len(ops), func(yield func(string, geom.Point) bool) {
 					for _, o := range ops {
 						if !yield(o.ID, o.P) {
 							return
@@ -267,7 +276,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 			}
 		case b%8 == 0:
 			c.Remove(id)
-			enqueued(wal.Op[int]{ID: id, Del: true})
+			enqueued(wal.Op{ID: id, Del: true})
 		case b%8 == 1:
 			c.Flush()
 			flushed()
@@ -278,7 +287,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 				return
 			}
 			c.Set(id, p)
-			enqueued(wal.Op[int]{ID: id, P: p})
+			enqueued(wal.Op{ID: id, P: p})
 		}
 		if snapshot {
 			// Any op can step the epoch (MaxBatch-triggered flushes fire
@@ -291,7 +300,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 		gotP, gotOK := c.Get(id)
 		wantP, wantOK := oracle[id]
 		if gotOK != wantOK || (gotOK && gotP != wantP) {
-			t.Fatalf("op %d: Get(%d) = (%v, %t), oracle (%v, %t)", ops, id, gotP, gotOK, wantP, wantOK)
+			t.Fatalf("op %d: Get(%q) = (%v, %t), oracle (%v, %t)", ops, id, gotP, gotOK, wantP, wantOK)
 		}
 	}
 	c.Flush()

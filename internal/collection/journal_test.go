@@ -16,16 +16,16 @@ import (
 // wins, removals flagged Del — before the flush applies it, and sees
 // nothing for flushes with no pending ops.
 func TestJournalReceivesNettedWindow(t *testing.T) {
-	c := New[string](core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
+	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
 	defer c.Close()
 	var calls int
-	var got map[string]wal.Op[string]
-	c.SetJournal(func(seq uint64, ops []wal.Op[string]) error {
+	var got map[string]wal.Op
+	c.SetJournal(func(seq uint64, ops []wal.Op) error {
 		if seq != 0 {
 			t.Errorf("a Flush journaled under seq %d, want 0 (the journal assigns the next one)", seq)
 		}
 		calls++
-		got = make(map[string]wal.Op[string], len(ops))
+		got = make(map[string]wal.Op, len(ops))
 		for _, o := range ops {
 			if _, dup := got[o.ID]; dup {
 				t.Errorf("journal window has duplicate ID %q", o.ID)
@@ -66,7 +66,7 @@ func TestJournalReceivesNettedWindow(t *testing.T) {
 	}
 
 	// Hook errors are counted, and the in-memory commit still happens.
-	c.SetJournal(func(uint64, []wal.Op[string]) error { return errors.New("disk on fire") })
+	c.SetJournal(func(uint64, []wal.Op) error { return errors.New("disk on fire") })
 	c.Set("c", geom.Pt2(7, 7))
 	c.Flush()
 	if errs := c.Stats().JournalErrors; errs != 1 {
@@ -87,7 +87,7 @@ func TestCheckpointMatchesCommittedState(t *testing.T) {
 	}
 	for name, opts := range modes {
 		t.Run(name, func(t *testing.T) {
-			c := New[string](newSPaCH(), opts)
+			c := New(newSPaCH(), opts)
 			defer c.Close()
 			want := map[string]geom.Point{
 				"a": geom.Pt2(1, 1),
@@ -141,9 +141,9 @@ func TestJournalFlushZeroAllocWarm(t *testing.T) {
 		posA[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 		posB[i] = geom.Pt2(int64(i)*17+5, int64(i)*29+3)
 	}
-	newJournaled := func(t *testing.T) *Collection[string] {
+	newJournaled := func(t *testing.T) *Collection {
 		t.Helper()
-		c := New[string](core.NewNull(2), Options{MaxBatch: 1 << 20})
+		c := New(core.NewNull(2), Options{MaxBatch: 1 << 20})
 		journalTo(t, c)
 		return c
 	}
@@ -194,14 +194,14 @@ func journalIDs(n int) []string {
 
 // journalTo journals c's windows to a fresh WAL (FsyncNever) that the
 // test's cleanup closes after c.
-func journalTo(t *testing.T, c *Collection[string]) {
+func journalTo(t *testing.T, c *Collection) {
 	t.Helper()
 	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	c.SetJournal(func(seq uint64, ops []wal.Op[string]) error {
+	c.SetJournal(func(seq uint64, ops []wal.Op) error {
 		_, err := l.AppendWindowAt(seq, ops)
 		return err
 	})

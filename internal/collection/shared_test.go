@@ -28,19 +28,21 @@ func heapAfterGC() uint64 {
 
 // churned loads n objects into a Collection over mk's index, in either read
 // mode, moves a random 4096 of them in each of 20 windows, and returns the
-// Collection with the heap it holds, in bytes per object.
-func churned(t *testing.T, mk func() core.Index, n int, snapshot bool) (*Collection[int], float64) {
+// Collection with the heap it holds, in bytes per object. The ID strings
+// are built before the measurement, so it does not count them.
+func churned(t *testing.T, mk func() core.Index, n int, snapshot bool) (*Collection, float64) {
 	t.Helper()
+	ids := keys(n)
 	before := heapAfterGC()
 	rng := rand.New(rand.NewSource(41))
-	c := New[int](mk(), Options{MaxBatch: 4096, Snapshot: snapshot})
+	c := New(mk(), Options{MaxBatch: 4096, Snapshot: snapshot})
 	for i := 0; i < n; i++ {
-		c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
+		c.Set(ids[i], geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
 	}
 	c.Flush()
 	for w := 0; w < 20; w++ {
 		for i := 0; i < 4096; i++ {
-			c.Set(rng.Intn(n), geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
+			c.Set(ids[rng.Intn(n)], geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
 		}
 		c.Flush()
 	}
@@ -95,13 +97,13 @@ func TestSharedIndexBytesPerObject(t *testing.T) {
 func TestOneTablePerCollection(t *testing.T) {
 	tables := func(of reflect.Type) (n int) {
 		for i := 0; i < of.NumField(); i++ {
-			if of.Field(i).Type == reflect.TypeFor[*table[int]]() {
+			if of.Field(i).Type == reflect.TypeFor[*table]() {
 				n++
 			}
 		}
 		return n
 	}
-	if got := tables(reflect.TypeFor[Collection[int]]()); got != 1 {
+	if got := tables(reflect.TypeFor[Collection]()); got != 1 {
 		t.Fatalf("Collection holds %d tables, want one", got)
 	}
 	const n = 300
@@ -115,14 +117,14 @@ func TestOneTablePerCollection(t *testing.T) {
 		"snapshot, P-Orth":          {newPOrth, true, 2},
 		"snapshot over a baseline":  {innerStacks()["BruteForce"], true, 1},
 	} {
-		c := New[int](tc.mk(), Options{MaxBatch: 1 << 20, Snapshot: tc.snapshot})
-		oracle := make(map[int]geom.Point)
-		set := func(id int, p geom.Point) {
-			c.Set(id, p)
-			oracle[id] = p
+		c := New(tc.mk(), Options{MaxBatch: 1 << 20, Snapshot: tc.snapshot})
+		oracle := make(map[string]geom.Point)
+		set := func(i int, p geom.Point) {
+			c.Set(key(i), p)
+			oracle[key(i)] = p
 		}
-		headAt := func(p geom.Point) (id int) {
-			c.withTable(func(tab *table[int]) { id = tab.name[tab.head(p)] })
+		headAt := func(p geom.Point) (id string) {
+			c.withTable(func(tab *table) { id = tab.name[tab.head(p)] })
 			return id
 		}
 		for w := 0; w < 3; w++ { // each copy is written first at least once
@@ -130,7 +132,7 @@ func TestOneTablePerCollection(t *testing.T) {
 				set(w*n+i, geom.Pt2(int64(i)*50+7, int64(w)))
 			}
 			c.Flush()
-			c.withTable(func(tab *table[int]) {
+			c.withTable(func(tab *table) {
 				if want := (w + 1) * n; tab.slots() != want || tab.live != want {
 					t.Fatalf("%s: %d slots, %d live after %d first Sets", name, tab.slots(), tab.live, want)
 				}
@@ -142,15 +144,15 @@ func TestOneTablePerCollection(t *testing.T) {
 			set(i, geom.Pt2(int64(i/2)*50+11, 5))
 		}
 		c.Flush()
-		if got := headAt(oracle[0]); got != 0 {
-			t.Fatalf("%s: %d heads the chain of IDs 0 and 1 after a %d-op window over %d slots, want 0: the window was not relinked", name, got, n, 3*n)
+		if got := headAt(oracle["0"]); got != "0" {
+			t.Fatalf("%s: %q heads the chain of IDs 0 and 1 after a %d-op window over %d slots, want 0: the window was not relinked", name, got, n, 3*n)
 		}
 		// Two ops the same way: op by op, so the first one moved heads it.
 		set(2*n+1, geom.Pt2(3, 9))
 		set(2*n, geom.Pt2(3, 9))
 		c.Flush()
-		if got := headAt(oracle[2*n]); got != 2*n+1 {
-			t.Fatalf("%s: %d heads the chain of IDs %d and %d after a 2-op window, want %d", name, got, 2*n, 2*n+1, 2*n+1)
+		if got := headAt(oracle[key(2*n)]); got != key(2*n+1) {
+			t.Fatalf("%s: %q heads the chain of IDs %d and %d after a 2-op window, want %d", name, got, 2*n, 2*n+1, 2*n+1)
 		}
 		verifyAgainstOracle(t, c, oracle, 3*n)
 		if st := c.Stats(); st.Versions != tc.versions {
@@ -175,12 +177,12 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 	const n = 40_000
 	rng := rand.New(rand.NewSource(43))
 	idx := mk()
-	c := New[int](idx, Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(idx, Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
-	pos := make(map[int]geom.Point, n)
+	pos := make(map[string]geom.Point, n)
 	for i := 0; i < n; i++ {
-		pos[i] = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
-		c.Set(i, pos[i])
+		pos[key(i)] = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+		c.Set(key(i), pos[key(i)])
 	}
 	c.Flush()
 	// The first commit publishes the replica the cell made of idx.
@@ -209,7 +211,7 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 	const windows, moves = 10, 100
 	for w := 0; w < windows; w++ {
 		for i := 0; i < moves; i++ {
-			id := rng.Intn(n)
+			id := key(rng.Intn(n))
 			pos[id] = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
 			c.Set(id, pos[id])
 		}
@@ -225,7 +227,7 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 			moves, perWindow, st.CowBytes, 2*n/40)
 	}
 
-	c.Load(len(pos), func(yield func(int, geom.Point) bool) {
+	c.Load(len(pos), func(yield func(string, geom.Point) bool) {
 		for id, p := range pos {
 			if !yield(id, p) {
 				return
@@ -243,10 +245,10 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 	const n = 20_000
 	rng := rand.New(rand.NewSource(47))
-	c := New[int](innerStacks()["Sharded(SPaC-H)"](), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(innerStacks()["Sharded(SPaC-H)"](), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	for i := 0; i < n; i++ {
-		c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
+		c.Set(key(i), geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
 	}
 	c.Flush()
 
@@ -271,7 +273,7 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 	go func() {
 		defer close(committed)
 		for i := 0; i < n; i += 2 { // half the population moves
-			c.Set(i, geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
+			c.Set(key(i), geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
 		}
 		c.Flush()
 	}()

@@ -33,15 +33,15 @@ func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 	for name, mk := range innerStacks() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
-			c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+			c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
 			versions, step := 2, uint64(1)
 			if strings.Contains(name, "BruteForce") {
 				versions, step = 1, 0
 			}
 			defer c.Close()
-			oracle := make(map[int]geom.Point)
+			oracle := make(map[string]geom.Point)
 			for i := 0; i < 400; i++ {
-				id := rng.Intn(nIDs)
+				id := key(rng.Intn(nIDs))
 				if rng.Intn(5) == 0 {
 					c.Remove(id)
 					delete(oracle, id)
@@ -90,15 +90,15 @@ func TestSnapshotSequentialEquivalence(t *testing.T) { sequentialEquivalence(t, 
 // advances with that Set and readers of the published version see the
 // window.
 func TestSnapshotMaxBatchMakesWindowVisible(t *testing.T) {
-	c := New[int](newPOrth(), Options{MaxBatch: 8, Snapshot: true})
+	c := New(newPOrth(), Options{MaxBatch: 8, Snapshot: true})
 	defer c.Close()
 	for i := 0; i < 7; i++ {
-		c.Set(i, geom.Pt2(int64(i), 1))
+		c.Set(key(i), geom.Pt2(int64(i), 1))
 	}
 	if st := c.Stats(); st.Flushes != 0 || st.Pending != 7 || st.Epoch != 0 || len(c.WithinIDs(universe())) != 0 {
 		t.Fatalf("below MaxBatch: %+v, want nothing applied or published", st)
 	}
-	c.Set(7, geom.Pt2(7, 1))
+	c.Set("7", geom.Pt2(7, 1))
 	if st := c.Stats(); st.Flushes != 1 || st.Pending != 0 || st.Epoch != 1 || st.RetireLag != 0 || len(c.WithinIDs(universe())) != 8 {
 		t.Fatalf("the filling Set did not publish its window: %+v", st)
 	}
@@ -109,14 +109,14 @@ func TestSnapshotMaxBatchMakesWindowVisible(t *testing.T) {
 // Load publishes one epoch as a window does, and a Load after windows
 // restarts both copies from the loaded contents.
 func TestSnapshotLoadAndEpochCounters(t *testing.T) {
-	entries := func(n int) iter.Seq2[int, geom.Point] {
-		return func(yield func(int, geom.Point) bool) {
-			for id := 0; id < n && yield(id, geom.Pt2(int64(id)*10+100, 5)); id++ {
+	entries := func(n int) iter.Seq2[string, geom.Point] {
+		return func(yield func(string, geom.Point) bool) {
+			for id := 0; id < n && yield(key(id), geom.Pt2(int64(id)*10+100, 5)); id++ {
 			}
 		}
 	}
 	for name, mk := range map[string]func() core.Index{"SPaC-H": newSPaCH, "P-Orth": newPOrth} {
-		c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+		c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
 		if st := c.Stats(); st.Epoch != 0 || st.Versions != 2 || st.RetireLag != 0 {
 			t.Fatalf("%s: initial stats %+v, want epoch 0, 2 versions, lag 0", name, st)
 		}
@@ -124,7 +124,7 @@ func TestSnapshotLoadAndEpochCounters(t *testing.T) {
 		if got, st := c.Len(), c.Stats(); got != 100 || st.Epoch != 1 || st.Objects != 100 {
 			t.Fatalf("%s: after Load: Len %d, stats %+v; want 100 objects at epoch 1", name, got, st)
 		}
-		c.Set(1000, geom.Pt2(1, 2))
+		c.Set("1000", geom.Pt2(1, 2))
 		c.Flush()
 		if st := c.Stats(); st.Epoch != 2 || st.RetireLag != 0 {
 			t.Fatalf("%s: after a window: %+v, want epoch 2, lag 0", name, st)
@@ -133,7 +133,7 @@ func TestSnapshotLoadAndEpochCounters(t *testing.T) {
 		// Consecutive windows alternate which copy is written first: both
 		// must have restarted from the loaded contents.
 		for w := 1; w <= 2; w++ {
-			c.Set(1000+w, geom.Pt2(3, int64(w)))
+			c.Set(key(1000+w), geom.Pt2(3, int64(w)))
 			c.Flush()
 			if got := len(c.WithinIDs(universe())); got != 10+w {
 				t.Fatalf("%s: window %d after the second Load reads %d objects, want %d", name, w, got, 10+w)
@@ -230,16 +230,16 @@ func newGate(idx core.Index, ctl *gates) core.Index {
 // apply — which is why the locked branch of this test does not exist.)
 func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 	ctl := new(gates)
-	c := New[int](newGate(newSPaCH(), ctl), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(newGate(newSPaCH(), ctl), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	p0 := geom.Pt2(10, 10)
-	c.Set(1, p0)
+	c.Set("1", p0)
 	c.Flush()
 
 	ctl.hold(1) // the next window blocks in its first apply, before it can publish
 	flushed := make(chan struct{})
 	go func() {
-		c.Set(2, geom.Pt2(20, 20))
+		c.Set("2", geom.Pt2(20, 20))
 		c.Flush()
 		close(flushed)
 	}()
@@ -248,13 +248,13 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if got, ok := c.Get(1); !ok || got != p0 {
+		if got, ok := c.Get("1"); !ok || got != p0 {
 			t.Errorf("Get(1) during flush = (%v, %t), want (%v, true)", got, ok, p0)
 		}
-		if got := c.WithinIDs(universe()); len(got) != 1 || got[0].ID != 1 {
+		if got := c.WithinIDs(universe()); len(got) != 1 || got[0].ID != "1" {
 			t.Errorf("WithinIDs during flush = %v, want only id 1 at the previous epoch", got)
 		}
-		if got := c.NearbyIDs(p0, 1); len(got) != 1 || got[0].ID != 1 {
+		if got := c.NearbyIDs(p0, 1); len(got) != 1 || got[0].ID != "1" {
 			t.Errorf("NearbyIDs during flush = %v, want id 1", got)
 		}
 		if st := c.Stats(); st.Epoch != 1 || st.Objects != 1 || st.TableWaits != 0 {
@@ -287,14 +287,14 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
 		ctl := new(gates)
-		c := New[int](newGate(newSPaCH(), ctl), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
-		c.Set(1, geom.Pt2(10, 10))
+		c := New(newGate(newSPaCH(), ctl), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+		c.Set("1", geom.Pt2(10, 10))
 		c.Flush()
 
 		ctl.hold(1) // the next window blocks in its first apply
 		flushed := make(chan struct{})
 		go func() {
-			c.Set(2, geom.Pt2(20, 20))
+			c.Set("2", geom.Pt2(20, 20))
 			c.Flush()
 			close(flushed)
 		}()
@@ -307,11 +307,11 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 			if st := c.Stats(); st.Flushes != 1 || st.Objects != 1 || st.Pending != 0 {
 				t.Errorf("snapshot=%t: Stats during flush = %+v, want 1 flush, 1 object, 0 pending", snapshot, st)
 			}
-			c.Set(3, p3)
+			c.Set("3", p3)
 			if got := c.Pending(); got != 1 {
 				t.Errorf("snapshot=%t: Pending after a Set during the flush = %d, want 1", snapshot, got)
 			}
-			if p, ok := c.Get(3); !ok || p != p3 {
+			if p, ok := c.Get("3"); !ok || p != p3 {
 				t.Errorf("snapshot=%t: Get(3) during the flush = (%v, %t), want (%v, true)", snapshot, p, ok, p3)
 			}
 		}()
@@ -331,7 +331,7 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 
 // scanAt is WithinIDs(universe) for a reader that already holds v, sorted
 // by ID.
-func scanAt(c *Collection[int], v *version) []Entry[int] {
+func scanAt(c *Collection, v *version) []Entry {
 	sc := &queryScratch{pts: v.Index.RangeList(universe(), nil)}
 	return byID(resolveAppend(c.tab, sc, nil))
 }
@@ -346,8 +346,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func byID(es []Entry[int]) []Entry[int] {
-	slices.SortFunc(es, func(a, b Entry[int]) int { return a.ID - b.ID })
+func byID(es []Entry) []Entry {
+	slices.SortFunc(es, func(a, b Entry) int { return strings.Compare(a.ID, b.ID) })
 	return es
 }
 
@@ -367,20 +367,21 @@ func TestTableStepRunsInTheDrainGap(t *testing.T) {
 }
 
 func tableStepInTheGap(t *testing.T, inner func() core.Index) {
-	const n, bystander = 16, 1000
+	const n, bystander = 16, "bystander"
 	ctl := new(gates)
-	c := New[int](newGate(inner(), ctl), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(newGate(inner(), ctl), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	at := func(i int) geom.Point { return geom.Pt2(int64(i)*100+1, int64(i)*7+1) }
 	moved := func(i int) geom.Point { return geom.Pt2(int64(i)*100+50, 9999) }
-	old := []Entry[int]{{bystander, geom.Pt2(5, 5)}}
+	stays := geom.Pt2(5, 5)
+	old := []Entry{{bystander, stays}}
 	fresh := slices.Clone(old)
 	for i := 0; i < n; i++ {
-		old = append(old, Entry[int]{i, at(i)})
+		old = append(old, Entry{key(i), at(i)})
 		if i%2 == 0 {
-			fresh = append(fresh, Entry[int]{i, moved(i)})
+			fresh = append(fresh, Entry{key(i), moved(i)})
 		} else {
-			fresh = append(fresh, Entry[int]{n + i, at(i)})
+			fresh = append(fresh, Entry{key(n + i), at(i)})
 		}
 	}
 	byID(old)
@@ -406,10 +407,10 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 		defer close(committed)
 		for i := 0; i < n; i++ {
 			if i%2 == 0 {
-				c.Set(i, moved(i))
+				c.Set(key(i), moved(i))
 			} else {
-				c.Remove(i)
-				c.Set(n+i, at(i))
+				c.Remove(key(i))
+				c.Set(key(n+i), at(i))
 			}
 		}
 		c.Flush()
@@ -424,7 +425,7 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 
 	// Two late readers, one per way into the table. The bystander is in no
 	// window, so its Get is not answered from the pending overlay.
-	var scan []Entry[int]
+	var scan []Entry
 	scanned, got := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(scanned)
@@ -432,8 +433,8 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 	}()
 	go func() {
 		defer close(got)
-		if p, ok := c.Get(bystander); !ok || p != old[len(old)-1].Point {
-			t.Errorf("Get(bystander) = (%v, %t), want %v", p, ok, old[len(old)-1].Point)
+		if p, ok := c.Get(bystander); !ok || p != stays {
+			t.Errorf("Get(bystander) = (%v, %t), want %v", p, ok, stays)
 		}
 	}()
 	waitFor(t, "two waiting readers", func() bool { return c.Stats().TableWaits == 2 })
@@ -489,16 +490,16 @@ func loadIsWhole(t *testing.T, mk func() core.Index) {
 	pos := func(i int) geom.Point { return geom.Pt2(int64(i%32)*(side/32)+5, int64(i/32)*(side/32)+6) }
 	// State 0 is IDs [0, nObj), state 1 is [nObj, 2·nObj + 7): seven more
 	// objects, stacked on the first seven points.
-	state := func(which int) iter.Seq2[int, geom.Point] {
-		return func(yield func(int, geom.Point) bool) {
+	state := func(which int) iter.Seq2[string, geom.Point] {
+		return func(yield func(string, geom.Point) bool) {
 			for i := 0; i < nObj+7*which; i++ {
-				if !yield(which*nObj+i, pos(i%nObj)) {
+				if !yield(key(which*nObj+i), pos(i%nObj)) {
 					return
 				}
 			}
 		}
 	}
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	c.Load(nObj, state(0))
 
@@ -508,7 +509,7 @@ func loadIsWhole(t *testing.T, mk func() core.Index) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var dst []Entry[int]
+			var dst []Entry
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -521,7 +522,7 @@ func loadIsWhole(t *testing.T, mk func() core.Index) {
 					dst = c.NearbyIDsAppend(pos(i%nObj), nObj+7, dst[:0])
 				}
 				which := 0
-				if len(dst) > 0 && dst[0].ID >= nObj {
+				if len(dst) > 0 && unkey(dst[0].ID) >= nObj {
 					which = 1
 				}
 				if len(dst) != nObj+7*which {
@@ -529,13 +530,13 @@ func loadIsWhole(t *testing.T, mk func() core.Index) {
 					return
 				}
 				for _, e := range dst {
-					if lo := which * nObj; e.ID < lo || e.ID >= lo+nObj+7*which || e.Point != pos((e.ID-lo)%nObj) {
-						t.Errorf("read of state %d holds object %d at %v", which, e.ID, e.Point)
+					if id, lo := unkey(e.ID), which*nObj; id < lo || id >= lo+nObj+7*which || e.Point != pos((id-lo)%nObj) {
+						t.Errorf("read of state %d holds object %q at %v", which, e.ID, e.Point)
 						return
 					}
 				}
 				// An ID of state 0 is where state 0 has it, or gone.
-				if p, ok := c.Get(i % nObj); ok && p != pos(i%nObj) {
+				if p, ok := c.Get(key(i % nObj)); ok && p != pos(i%nObj) {
 					t.Errorf("Get(%d) = %v, want %v or not live", i%nObj, p, pos(i%nObj))
 					return
 				}
@@ -587,10 +588,11 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 		posA[i] = geom.Pt2(x, y)
 		posB[i] = geom.Pt2(x, y+1)
 	}
-	c := New[int](mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+	ids := keys(nObj)
+	c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
 	defer c.Close()
 	for i, p := range posA {
-		c.Set(i, p)
+		c.Set(ids[i], p)
 	}
 	c.Flush()
 
@@ -600,7 +602,7 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var dst []Entry[int]
+			var dst []Entry
 			seen := make([]bool, nObj)
 			for {
 				select {
@@ -617,18 +619,19 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 				cfg := dst[0].Point[1] % 2
 				for _, e := range dst {
 					if e.Point[1]%2 != cfg {
-						t.Errorf("torn scan: object %d at config %d, first was %d", e.ID, e.Point[1]%2, cfg)
+						t.Errorf("torn scan: object %q at config %d, first was %d", e.ID, e.Point[1]%2, cfg)
 						return
 					}
-					if e.Point != posA[e.ID] && e.Point != posB[e.ID] {
-						t.Errorf("object %d at impossible position %v", e.ID, e.Point)
+					i := unkey(e.ID)
+					if i < 0 || i >= nObj || e.Point != posA[i] && e.Point != posB[i] {
+						t.Errorf("object %q at impossible position %v", e.ID, e.Point)
 						return
 					}
-					if seen[e.ID] {
-						t.Errorf("object %d resolved twice in one scan", e.ID)
+					if seen[i] {
+						t.Errorf("object %q resolved twice in one scan", e.ID)
 						return
 					}
-					seen[e.ID] = true
+					seen[i] = true
 				}
 			}
 		}()
@@ -639,7 +642,7 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 			pts = posA
 		}
 		for i, p := range pts {
-			c.Set(i, p)
+			c.Set(ids[i], p)
 		}
 		c.Flush()
 	}
@@ -686,17 +689,17 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	guard("Sharded(SPaC-H) KNN", func() { out = sharded.KNN(q, 10, out[:0]) })
 
 	for _, name := range []string{"P-Orth", "Sharded(SPaC-H)"} {
-		c := New[int](innerStacks()[name](), Options{MaxBatch: 1 << 20, Snapshot: true})
+		c := New(innerStacks()[name](), Options{MaxBatch: 1 << 20, Snapshot: true})
 		defer c.Close()
 		for i, p := range pts {
-			c.Set(i, p)
+			c.Set(key(i), p)
 		}
 		c.Flush()
-		var dst []Entry[int]
+		var dst []Entry
 		guard("snapshot Collection over "+name, func() {
 			dst = c.NearbyIDsAppend(q, 10, dst[:0])
 			dst = c.WithinIDsAppend(box, dst[:0])
-			c.Get(64)
+			c.Get("64")
 		})
 	}
 }
@@ -711,14 +714,15 @@ func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 	for i := range pos {
 		pos[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 	}
-	c := New[int](newNullTwins(), Options{MaxBatch: 1 << 20, Snapshot: true, Obs: obs.New()})
+	ids := keys(n)
+	c := New(newNullTwins(), Options{MaxBatch: 1 << 20, Snapshot: true, Obs: obs.New()})
 	for i, p := range pos {
-		c.Set(i, p)
+		c.Set(ids[i], p)
 	}
 	c.Flush()
 	window := func() {
 		for i, p := range pos {
-			c.Set(i, p)
+			c.Set(ids[i], p)
 		}
 		c.Flush()
 	}
@@ -754,9 +758,9 @@ func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 	assertPanics("non-empty inner", func() {
 		idx := newSPaCH()
 		idx.Build([]geom.Point{geom.Pt2(1, 1)})
-		New[int](idx, Options{Snapshot: true})
+		New(idx, Options{Snapshot: true})
 	})
 	assertPanics("non-empty twin", func() {
-		New[int](fullReplica{nullTwins{core.NewNull(2)}}, Options{Snapshot: true})
+		New(fullReplica{nullTwins{core.NewNull(2)}}, Options{Snapshot: true})
 	})
 }

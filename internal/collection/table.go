@@ -38,9 +38,9 @@ import (
 // a cleanup once the Collection itself is unreachable. So no slice of these
 // arrays may escape the table, and a table is not copied except to hand
 // its arrays over whole.
-type table[ID comparable] struct {
-	dims int  // coordinates per position: 2 or 3
-	name []ID // slot → owner; the zero ID in free slots
+type table struct {
+	dims int      // coordinates per position: 2 or 3
+	name []string // slot → owner; "" in free slots
 	// pos holds slot s's position at pos[s*dims:][:dims]; the zero point
 	// in free slots.
 	pos []int32
@@ -73,7 +73,7 @@ const (
 // pile them into one probe run.
 var seedID, seedPt = maphash.MakeSeed(), maphash.MakeSeed()
 
-func hashID[ID comparable](id ID) uint64 { return maphash.Comparable(seedID, id) }
+func hashID(id string) uint64 { return maphash.String(seedID, id) }
 
 // hashPt hashes p's stored form, its first dims coordinates as int32s.
 func hashPt(p geom.Point, dims int) uint64 {
@@ -85,14 +85,14 @@ func hashPt(p geom.Point, dims int) uint64 {
 
 // newTable returns an empty table of dims-dimensional positions with room
 // for n objects.
-func newTable[ID comparable](dims, n int) table[ID] {
+func newTable(dims, n int) table {
 	b := minBuckets
 	for n > b/4*3 {
 		b *= 2
 	}
-	t := table[ID]{
+	t := table{
 		dims: dims,
-		name: make([]ID, 1, n+1),
+		name: make([]string, 1, n+1),
 		pos:  makeArray[int32](dims, (n+1)*dims),
 		next: makeArray[uint32](1, n+1),
 		byID: makeArray[uint32](b, b),
@@ -104,24 +104,24 @@ func newTable[ID comparable](dims, n int) table[ID] {
 
 // release frees the table's arrays and empties it; the table must not be
 // used again.
-func (t *table[ID]) release() {
+func (t *table) release() {
 	freeArray(t.pos)
 	freeArray(t.next)
 	freeArray(t.byID)
 	freeArray(t.byPt)
-	*t = table[ID]{}
+	*t = table{}
 }
 
 // mapped returns the bytes mapped behind the table's arrays.
-func (t *table[ID]) mapped() int {
+func (t *table) mapped() int {
 	return arrayBytes(t.pos) + arrayBytes(t.next) + arrayBytes(t.byID) + arrayBytes(t.byPt)
 }
 
 // slots returns the number of slots ever handed out: live plus free.
-func (t *table[ID]) slots() int { return len(t.name) - 1 }
+func (t *table) slots() int { return len(t.name) - 1 }
 
 // at returns slot s's position, widened to a geom.Point.
-func (t *table[ID]) at(s uint32) (p geom.Point) {
+func (t *table) at(s uint32) (p geom.Point) {
 	for d, c := range t.pos[int(s)*t.dims:][:t.dims] {
 		p[d] = int64(c)
 	}
@@ -130,7 +130,7 @@ func (t *table[ID]) at(s uint32) (p geom.Point) {
 
 // put stores p as slot s's position. p is in the stored range: the
 // Collection refuses every other point on the way in.
-func (t *table[ID]) put(s uint32, p geom.Point) {
+func (t *table) put(s uint32, p geom.Point) {
 	c := t.pos[int(s)*t.dims:][:t.dims]
 	for d := range c {
 		c[d] = int32(p[d])
@@ -143,13 +143,13 @@ func tagOf(hash uint64, mask uint32) uint32 { return uint32(hash>>32) &^ mask }
 
 // idHashAt and ptHashAt hash the key a live slot is indexed under; they
 // are what shiftBack and regrow rehash entries with.
-func (t *table[ID]) idHashAt(s uint32) uint64 { return hashID(t.name[s]) }
-func (t *table[ID]) ptHashAt(s uint32) uint64 { return hashPt(t.at(s), t.dims) }
+func (t *table) idHashAt(s uint32) uint64 { return hashID(t.name[s]) }
+func (t *table) ptHashAt(s uint32) uint64 { return hashPt(t.at(s), t.dims) }
 
 // lookup resolves id to its slot (0 when id is not live) and returns the
 // ID's hash, which insert and remove take so that a window hashes each ID
 // once, when it is planned.
-func (t *table[ID]) lookup(id ID) (slot uint32, hash uint64) {
+func (t *table) lookup(id string) (slot uint32, hash uint64) {
 	hash = hashID(id)
 	mask := uint32(len(t.byID) - 1)
 	tag := tagOf(hash, mask)
@@ -165,14 +165,14 @@ func (t *table[ID]) lookup(id ID) (slot uint32, hash uint64) {
 }
 
 // get returns id's position.
-func (t *table[ID]) get(id ID) (geom.Point, bool) {
+func (t *table) get(id string) (geom.Point, bool) {
 	s, _ := t.lookup(id)
 	return t.at(s), s != 0 // slot 0 is at the zero point
 }
 
 // find returns the bucket of byPt that holds p's chain head, or the empty
 // bucket where it would go, and p's tag.
-func (t *table[ID]) find(p geom.Point) (i, tag uint32) {
+func (t *table) find(p geom.Point) (i, tag uint32) {
 	hash := hashPt(p, t.dims)
 	mask := uint32(len(t.byPt) - 1)
 	tag = tagOf(hash, mask)
@@ -186,16 +186,16 @@ func (t *table[ID]) find(p geom.Point) (i, tag uint32) {
 
 // head returns the first slot at p, 0 when no object is there; the other
 // objects at p follow through next.
-func (t *table[ID]) head(p geom.Point) uint32 {
+func (t *table) head(p geom.Point) uint32 {
 	i, _ := t.find(p)
 	return t.byPt[i] & uint32(len(t.byPt)-1)
 }
 
 // insert adds id, which must not be live, at p and returns its slot;
 // hash is id's, from lookup.
-func (t *table[ID]) insert(id ID, hash uint64, p geom.Point) uint32 {
+func (t *table) insert(id string, hash uint64, p geom.Point) uint32 {
 	if t.live >= len(t.byID)/4*3 {
-		if len(t.byID) >= freeSlot {
+		if uint64(len(t.byID)) >= freeSlot {
 			panic("collection: more than 3·2^29 live objects") // slot numbers would reach the freeSlot bit
 		}
 		t.byID = regrow(t.byID, t.idHashAt)
@@ -218,7 +218,7 @@ func (t *table[ID]) insert(id ID, hash uint64, p geom.Point) uint32 {
 }
 
 // move relocates the object in slot s to p.
-func (t *table[ID]) move(s uint32, p geom.Point) {
+func (t *table) move(s uint32, p geom.Point) {
 	if t.at(s) == p {
 		return
 	}
@@ -227,7 +227,7 @@ func (t *table[ID]) move(s uint32, p geom.Point) {
 }
 
 // remove deletes the object in slot s; hash is its ID's, from lookup.
-func (t *table[ID]) remove(s uint32, hash uint64) {
+func (t *table) remove(s uint32, hash uint64) {
 	t.unlink(s)
 	mask := uint32(len(t.byID) - 1)
 	i := uint32(hash) & mask
@@ -235,8 +235,7 @@ func (t *table[ID]) remove(s uint32, hash uint64) {
 		i = (i + 1) & mask
 	}
 	shiftBack(t.byID, i, t.idHashAt)
-	var none ID
-	t.name[s] = none
+	t.name[s] = ""
 	t.put(s, geom.Point{})
 	t.next[s] = freeSlot | t.free
 	t.free = s
@@ -245,7 +244,7 @@ func (t *table[ID]) remove(s uint32, hash uint64) {
 
 // link records that slot s is at p: it joins p's chain right behind the
 // head (so the bucket stays put), or becomes the head of a new one.
-func (t *table[ID]) link(s uint32, p geom.Point) {
+func (t *table) link(s uint32, p geom.Point) {
 	t.put(s, p)
 	if t.unlinked {
 		t.next[s] = 0 // live, which is all relink reads of it
@@ -261,7 +260,7 @@ func (t *table[ID]) link(s uint32, p geom.Point) {
 }
 
 // unlink takes slot s out of the chain of the point it is at.
-func (t *table[ID]) unlink(s uint32) {
+func (t *table) unlink(s uint32) {
 	if t.unlinked {
 		return
 	}
@@ -284,7 +283,7 @@ func (t *table[ID]) unlink(s uint32) {
 // relink rebuilds the point index and the chains from pos in one pass: per
 // slot a quarter of what unlink and link, two cache misses each, cost per
 // object moved, so a window over more than that share of the table ends here.
-func (t *table[ID]) relink() {
+func (t *table) relink() {
 	t.unlinked = false
 	clear(t.byPt)
 	for s, nx := range t.next {
@@ -336,8 +335,8 @@ func regrow(ix []uint32, hashOf func(uint32) uint64) []uint32 {
 }
 
 // all ranges over the live objects in slot order.
-func (t *table[ID]) all() iter.Seq2[ID, geom.Point] {
-	return func(yield func(ID, geom.Point) bool) {
+func (t *table) all() iter.Seq2[string, geom.Point] {
+	return func(yield func(string, geom.Point) bool) {
 		for s, nx := range t.next {
 			if nx&freeSlot == 0 && !yield(t.name[s], t.at(uint32(s))) {
 				return
@@ -349,7 +348,7 @@ func (t *table[ID]) all() iter.Seq2[ID, geom.Point] {
 // validate checks the table against itself: the two indexes find exactly
 // the live slots, the chains partition them by point, and the free list
 // holds the rest, zeroed.
-func (t *table[ID]) validate() error {
+func (t *table) validate() error {
 	if len(t.pos) != t.dims*len(t.name) || len(t.next) != len(t.name) {
 		return fmt.Errorf("collection: slot arrays of %d, %d and %d", len(t.name), len(t.pos), len(t.next))
 	}
@@ -360,7 +359,7 @@ func (t *table[ID]) validate() error {
 		}
 		live++
 		if got, _ := t.lookup(t.name[s]); got != uint32(s) {
-			return fmt.Errorf("collection: slot %d holds %v, which the ID index resolves to slot %d", s, t.name[s], got)
+			return fmt.Errorf("collection: slot %d holds %q, which the ID index resolves to slot %d", s, t.name[s], got)
 		}
 	}
 	if live != t.live {
@@ -400,14 +399,13 @@ func (t *table[ID]) validate() error {
 	if chained != live {
 		return fmt.Errorf("collection: reverse chains hold %d objects, %d live", chained, live)
 	}
-	var none ID
 	nFree := 0
 	for s := t.free; s != 0; s = t.next[s] &^ freeSlot {
 		if nFree++; nFree > t.slots()-live || t.next[s]&freeSlot == 0 {
 			return fmt.Errorf("collection: free list runs through live slot %d or loops", s)
 		}
-		if t.name[s] != none || t.at(s) != (geom.Point{}) {
-			return fmt.Errorf("collection: free slot %d still holds (%v, %v)", s, t.name[s], t.at(s))
+		if t.name[s] != "" || t.at(s) != (geom.Point{}) {
+			return fmt.Errorf("collection: free slot %d still holds (%q, %v)", s, t.name[s], t.at(s))
 		}
 	}
 	if nFree != t.slots()-live {

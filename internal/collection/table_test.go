@@ -14,7 +14,7 @@ import (
 )
 
 // withTable calls fn, under the flush lock, with the committed table.
-func (c *Collection[ID]) withTable(fn func(t *table[ID])) {
+func (c *Collection) withTable(fn func(t *table)) {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	fn(c.tab)
@@ -23,7 +23,7 @@ func (c *Collection[ID]) withTable(fn func(t *table[ID])) {
 // checkTable compares t with the oracle exactly: every ID of the domain
 // through the forward side, every point through the reverse side, and the
 // table's own invariants.
-func checkTable(tb testing.TB, t *table[int], oracle map[int]geom.Point, ids []int, where string) {
+func checkTable(tb testing.TB, t *table, oracle map[string]geom.Point, ids []string, where string) {
 	tb.Helper()
 	if err := t.validate(); err != nil {
 		tb.Fatalf("%s: %v", where, err)
@@ -31,19 +31,19 @@ func checkTable(tb testing.TB, t *table[int], oracle map[int]geom.Point, ids []i
 	if t.live != len(oracle) {
 		tb.Fatalf("%s: %d live objects, oracle has %d", where, t.live, len(oracle))
 	}
-	owners := make(map[geom.Point][]int)
+	owners := make(map[geom.Point][]string)
 	for _, id := range ids {
 		p, ok := t.get(id)
 		want, wok := oracle[id]
 		if ok != wok || p != want {
-			tb.Fatalf("%s: get(%d) = (%v, %t), oracle (%v, %t)", where, id, p, ok, want, wok)
+			tb.Fatalf("%s: get(%q) = (%v, %t), oracle (%v, %t)", where, id, p, ok, want, wok)
 		}
 		if ok {
 			owners[p] = append(owners[p], id)
 		}
 	}
 	for p, want := range owners {
-		var got []int
+		var got []string
 		for s := t.head(p); s != 0; s = t.next[s] {
 			got = append(got, t.name[s])
 		}
@@ -56,7 +56,7 @@ func checkTable(tb testing.TB, t *table[int], oracle map[int]geom.Point, ids []i
 	n := 0
 	for id, p := range t.all() {
 		if want, ok := oracle[id]; !ok || p != want {
-			tb.Fatalf("%s: all yields (%d, %v), oracle (%v, %t)", where, id, p, want, ok)
+			tb.Fatalf("%s: all yields (%q, %v), oracle (%v, %t)", where, id, p, want, ok)
 		}
 		n++
 	}
@@ -87,15 +87,14 @@ func colliding[K any](n, runs int, gen func(int) K, hash func(K) uint64) []K {
 // of the tape runs unlinked and is relinked before the table is compared.
 func TestTableAgainstMapOracle(t *testing.T) {
 	const nIDs, nPts, steps = 96, 40, 4000
-	id := func(i int) int { return i }
 	pt := func(i int) geom.Point { return geom.Pt2(int64(i), 7) }
 	for name, runs := range map[string]int{"one-run": 1, "few-runs": 3, "spread": 0xFFF + 1} {
-		ids := colliding(nIDs, runs, id, hashID[int])
+		ids := colliding(nIDs, runs, key, hashID)
 		pts := colliding(nPts, runs, pt, func(p geom.Point) uint64 { return hashPt(p, 2) })
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			tab := newTable[int](2, 0)
-			oracle := make(map[int]geom.Point)
+			tab := newTable(2, 0)
+			oracle := make(map[string]geom.Point)
 			for step := 0; step < steps; step++ {
 				id, p := ids[rng.Intn(nIDs)], pts[rng.Intn(nPts)]
 				slot, h := tab.lookup(id)
@@ -141,7 +140,7 @@ func TestTableAgainstMapOracle(t *testing.T) {
 func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 	const live, pool, windows = 10_000, 1_000_000, 60
 	for _, snapshot := range []bool{false, true} {
-		c := New[string](newNullTwins(), Options{MaxBatch: 1 << 30, Snapshot: snapshot})
+		c := New(newNullTwins(), Options{MaxBatch: 1 << 30, Snapshot: snapshot})
 		rng := rand.New(rand.NewSource(3))
 		name := func(i int) string { return fmt.Sprintf("obj-%07d", i) }
 		var ids []int // the live IDs
@@ -180,7 +179,7 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		const peak = live + live/10
-		c.withTable(func(tab *table[string]) {
+		c.withTable(func(tab *table) {
 			if tab.live != live {
 				t.Fatalf("snapshot=%t: %d live objects, want %d", snapshot, tab.live, live)
 			}
@@ -232,7 +231,7 @@ func tableBytesPerObject(t *testing.T, dims int, bound float64) {
 		ids[i] = fmt.Sprintf("veh-%06d", i)
 	}
 	heap := heapAfterGC
-	c := New[string](newNullTwinsIn(dims), Options{MaxBatch: 1024, Snapshot: true})
+	c := New(newNullTwinsIn(dims), Options{MaxBatch: 1024, Snapshot: true})
 	for i, id := range ids {
 		p := geom.Pt2(int64(i)*3, int64(i)*5)
 		if dims == 3 {
@@ -261,7 +260,7 @@ func tableBytesPerObject(t *testing.T, dims int, bound float64) {
 // the table too, so a heap measured after drop no longer holds any of it.
 // The caller must hold no other reference to c. It fails t if that takes
 // ten seconds; other Collections dropped earlier can only help.
-func drop[ID comparable](t *testing.T, c *Collection[ID]) {
+func drop(t *testing.T, c *Collection) {
 	t.Helper()
 	c.Close()
 	target := mappedBytes.Load() - int64(c.Stats().TableMappedBytes)
@@ -286,9 +285,9 @@ func TestTableMappingsReleased(t *testing.T) {
 		t.Skip("race builds keep the table on the heap")
 	}
 	const n = 50_000
-	c := New[int](newSPaCH(), Options{MaxBatch: 4096})
+	c := New(newSPaCH(), Options{MaxBatch: 4096})
 	for i := range n {
-		c.Set(i, geom.Pt2(int64(i)*3, int64(i)*5))
+		c.Set(key(i), geom.Pt2(int64(i)*3, int64(i)*5))
 	}
 	c.Flush()
 	big := int64(c.Stats().TableMappedBytes)
@@ -296,9 +295,9 @@ func TestTableMappingsReleased(t *testing.T) {
 		t.Fatalf("a table of %d objects maps %d bytes, want at least their positions and chains", n, big)
 	}
 	before := mappedBytes.Load()
-	c.Load(3, func(yield func(int, geom.Point) bool) {
+	c.Load(3, func(yield func(string, geom.Point) bool) {
 		for i := range 3 {
-			if !yield(i, geom.Pt2(int64(i)*7+1, 2)) {
+			if !yield(key(i), geom.Pt2(int64(i)*7+1, 2)) {
 				return
 			}
 		}
@@ -310,10 +309,10 @@ func TestTableMappingsReleased(t *testing.T) {
 			got, want, before, big, small)
 	}
 	c.Close()
-	if p, ok := c.Get(1); !ok || p != geom.Pt2(8, 2) {
+	if p, ok := c.Get("1"); !ok || p != geom.Pt2(8, 2) {
 		t.Fatalf("Get after Close = (%v, %t), want ((8, 2), true)", p, ok)
 	}
-	if got := c.NearbyIDsAppend(geom.Pt2(0, 0), 1, nil); len(got) != 1 || got[0].ID != 0 {
+	if got := c.NearbyIDsAppend(geom.Pt2(0, 0), 1, nil); len(got) != 1 || got[0].ID != "0" {
 		t.Fatalf("NearbyIDsAppend after Close = %v, want object 0", got)
 	}
 	if got := c.WithinIDsAppend(geom.Box{Lo: geom.Pt2(0, 0), Hi: geom.Pt2(100, 100)}, nil); len(got) != 3 {
@@ -338,8 +337,8 @@ func benchIDs() ([]string, []geom.Point) {
 	return ids, pts
 }
 
-func benchTable(ids []string, pts []geom.Point) table[string] {
-	tab := newTable[string](2, len(ids))
+func benchTable(ids []string, pts []geom.Point) table {
+	tab := newTable(2, len(ids))
 	for i, id := range ids {
 		_, h := tab.lookup(id)
 		tab.insert(id, h, pts[i])
@@ -406,7 +405,7 @@ func BenchmarkTableStep(b *testing.B) {
 	ids, pts := benchIDs()
 	for _, tc := range []struct{ ops, objects int }{{32, 50_000}, {4096, benchN}, {100_000, 200_000}, {100_000, 100_000}} {
 		b.Run(fmt.Sprintf("%d-of-%d", tc.ops, tc.objects), func(b *testing.B) {
-			c := New[string](core.NewNull(2), Options{MaxBatch: 1 << 30})
+			c := New(core.NewNull(2), Options{MaxBatch: 1 << 30})
 			defer c.Close()
 			c.Load(tc.objects, func(yield func(string, geom.Point) bool) {
 				for i := 0; i < tc.objects && yield(ids[i], pts[i]); i++ {
@@ -415,7 +414,7 @@ func BenchmarkTableStep(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			w := &c.win
 			for _, i := range rng.Perm(tc.objects)[:tc.ops] {
-				w.ops = append(w.ops, wal.Op[string]{ID: ids[i]})
+				w.ops = append(w.ops, wal.Op{ID: ids[i]})
 			}
 			for b.Loop() {
 				b.StopTimer()

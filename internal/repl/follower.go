@@ -27,8 +27,8 @@ import (
 type Applier interface {
 	AppliedSeq() uint64
 	Term() uint64
-	ApplyWindow(seq uint64, ops []wal.Op[string]) error
-	Bootstrap(seq, term uint64, entries []wal.Op[string]) error
+	ApplyWindow(seq uint64, ops []wal.Op) error
+	Bootstrap(seq, term uint64, entries []wal.Op) error
 }
 
 // FollowerOptions configures a Follower. Addr and the Applier (passed to
@@ -103,7 +103,7 @@ type Follower struct {
 
 	// stream-loop scratch, reused across frames (one session at a time).
 	frameBuf []byte
-	opsBuf   []wal.Op[string]
+	opsBuf   []wal.Op
 	ackBuf   []byte
 	seqBuf   []byte
 }
@@ -451,7 +451,7 @@ func (f *Follower) stream(r io.Reader, w io.Writer) error {
 type pendingSnap struct {
 	seq     uint64
 	count   uint64
-	entries []wal.Op[string]
+	entries []wal.Op
 }
 
 func (f *Follower) ack(w io.Writer, seq uint64) error {

@@ -17,22 +17,22 @@ import (
 // PSID_WRITE_SEEDS=1 go test -run TestWriteReplSeeds ./internal/repl/),
 // so `go test` replays them as plain tests, mirroring FuzzWALReplay.
 func fuzzSeeds() map[string][]byte {
-	win := func(term, seq uint64, ops ...wal.Op[string]) []byte {
+	win := func(term, seq uint64, ops ...wal.Op) []byte {
 		return windowPayload(nil, term, wal.EncodeWindowPayload(nil, seq, ops))
 	}
 	valid := append([]byte(nil), Magic...)
 	valid = appendFrame(valid, fmHello, seqTermPayload(nil, 2, 1))
-	valid = appendFrame(valid, fmWindow, win(1, 1, wal.Op[string]{ID: "a", P: geom.Pt2(10, 20)}))
-	valid = appendFrame(valid, fmWindow, win(1, 2, wal.Op[string]{ID: "a", Del: true}, wal.Op[string]{ID: "b", P: geom.Pt3(-1, 1<<40, 7)}))
+	valid = appendFrame(valid, fmWindow, win(1, 1, wal.Op{ID: "a", P: geom.Pt2(10, 20)}))
+	valid = appendFrame(valid, fmWindow, win(1, 2, wal.Op{ID: "a", Del: true}, wal.Op{ID: "b", P: geom.Pt3(-1, 1<<40, 7)}))
 	valid = appendFrame(valid, fmPing, seqPayload(nil, 2))
 
 	snap := append([]byte(nil), Magic...)
 	snap = appendFrame(snap, fmHello, seqTermPayload(nil, 9, 2))
 	snap = appendFrame(snap, fmSnapBegin, snapBeginPayload(nil, 9, 3))
-	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, 9, []wal.Op[string]{{ID: "x", P: geom.Pt2(1, 1)}, {ID: "y", P: geom.Pt2(2, 2)}}))
-	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, 9, []wal.Op[string]{{ID: "z", P: geom.Pt2(3, 3)}}))
+	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, 9, []wal.Op{{ID: "x", P: geom.Pt2(1, 1)}, {ID: "y", P: geom.Pt2(2, 2)}}))
+	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, 9, []wal.Op{{ID: "z", P: geom.Pt2(3, 3)}}))
 	snap = appendFrame(snap, fmSnapEnd, seqPayload(nil, 3))
-	snap = appendFrame(snap, fmWindow, win(2, 10, wal.Op[string]{ID: "x", P: geom.Pt2(5, 5)}))
+	snap = appendFrame(snap, fmWindow, win(2, 10, wal.Op{ID: "x", P: geom.Pt2(5, 5)}))
 
 	crcFlip := append([]byte(nil), valid...)
 	crcFlip[len(crcFlip)-1] ^= 0x40 // corrupt the last frame's payload under its CRC
@@ -41,12 +41,12 @@ func fuzzSeeds() map[string][]byte {
 	hugeLen = append(hugeLen, fmHello, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
 
 	regress := append([]byte(nil), valid[:len(valid)-frameHdrLen-3]...) // valid minus the ping
-	regress = appendFrame(regress, fmWindow, win(1, 1, wal.Op[string]{ID: "dup", P: geom.Pt2(9, 9)}))
+	regress = appendFrame(regress, fmWindow, win(1, 1, wal.Op{ID: "dup", P: geom.Pt2(9, 9)}))
 
 	gap := append([]byte(nil), Magic...)
 	gap = appendFrame(gap, fmHello, seqTermPayload(nil, 5, 0))
-	gap = appendFrame(gap, fmWindow, win(0, 1, wal.Op[string]{ID: "a", P: geom.Pt2(1, 1)}))
-	gap = appendFrame(gap, fmWindow, win(0, 5, wal.Op[string]{ID: "b", P: geom.Pt2(2, 2)}))
+	gap = appendFrame(gap, fmWindow, win(0, 1, wal.Op{ID: "a", P: geom.Pt2(1, 1)}))
+	gap = appendFrame(gap, fmWindow, win(0, 5, wal.Op{ID: "b", P: geom.Pt2(2, 2)}))
 
 	badType := append([]byte(nil), Magic...)
 	badType = appendFrame(badType, fmHello, seqTermPayload(nil, 0, 0))
@@ -55,14 +55,14 @@ func fuzzSeeds() map[string][]byte {
 	snapDel := append([]byte(nil), Magic...)
 	snapDel = appendFrame(snapDel, fmHello, seqTermPayload(nil, 1, 0))
 	snapDel = appendFrame(snapDel, fmSnapBegin, snapBeginPayload(nil, 1, 1))
-	snapDel = appendFrame(snapDel, fmSnapData, wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "gone", Del: true}}))
+	snapDel = appendFrame(snapDel, fmSnapData, wal.EncodeWindowPayload(nil, 1, []wal.Op{{ID: "gone", Del: true}}))
 	snapDel = appendFrame(snapDel, fmSnapEnd, seqPayload(nil, 1))
 
 	// A window whose term disagrees with the session's HELLO term — the
 	// fencing check must sever before applying.
 	termMismatch := append([]byte(nil), Magic...)
 	termMismatch = appendFrame(termMismatch, fmHello, seqTermPayload(nil, 2, 5))
-	termMismatch = appendFrame(termMismatch, fmWindow, win(3, 1, wal.Op[string]{ID: "a", P: geom.Pt2(1, 1)}))
+	termMismatch = appendFrame(termMismatch, fmWindow, win(3, 1, wal.Op{ID: "a", P: geom.Pt2(1, 1)}))
 
 	return map[string][]byte{
 		"seed-empty":         {},

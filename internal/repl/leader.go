@@ -16,7 +16,7 @@ import (
 // Collection's flush lock via Checkpoint) and one Set op per live
 // object. It may be called concurrently by several bootstrapping
 // followers; each call materializes its own entry slice.
-type SnapshotFunc func() (seq uint64, entries []wal.Op[string], err error)
+type SnapshotFunc func() (seq uint64, entries []wal.Op, err error)
 
 // LeaderOptions configures a Leader. Hub and Snapshot are required.
 // Frames a follower sends are bounded by maxFrameBytes, reads and writes

@@ -44,7 +44,7 @@ func (m *modelApplier) Term() uint64 {
 	return m.term
 }
 
-func (m *modelApplier) ApplyWindow(seq uint64, ops []wal.Op[string]) error {
+func (m *modelApplier) ApplyWindow(seq uint64, ops []wal.Op) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if seq != m.seq+1 {
@@ -63,7 +63,7 @@ func (m *modelApplier) ApplyWindow(seq uint64, ops []wal.Op[string]) error {
 	return nil
 }
 
-func (m *modelApplier) Bootstrap(seq, term uint64, entries []wal.Op[string]) error {
+func (m *modelApplier) Bootstrap(seq, term uint64, entries []wal.Op) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.state = make(map[string]geom.Point, len(entries))
@@ -110,7 +110,7 @@ type leaderModel struct {
 
 // publish hands the hub one window the way the service's journal hook
 // does: as the record payload the WAL framed for it.
-func publish(h *Hub, seq uint64, ops []wal.Op[string]) {
+func publish(h *Hub, seq uint64, ops []wal.Op) {
 	h.Publish(seq, wal.EncodeWindowPayload(nil, seq, ops))
 }
 
@@ -121,7 +121,7 @@ func newLeaderModel(retainWindows, retainBytes int) *leaderModel {
 	}
 }
 
-func (lm *leaderModel) commit(ops []wal.Op[string]) {
+func (lm *leaderModel) commit(ops []wal.Op) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	for _, o := range ops {
@@ -134,12 +134,12 @@ func (lm *leaderModel) commit(ops []wal.Op[string]) {
 	publish(lm.hub, lm.hub.LastSeq()+1, ops)
 }
 
-func (lm *leaderModel) snapshot() (uint64, []wal.Op[string], error) {
+func (lm *leaderModel) snapshot() (uint64, []wal.Op, error) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	entries := make([]wal.Op[string], 0, len(lm.state))
+	entries := make([]wal.Op, 0, len(lm.state))
 	for id, p := range lm.state {
-		entries = append(entries, wal.Op[string]{ID: id, P: p})
+		entries = append(entries, wal.Op{ID: id, P: p})
 	}
 	return lm.hub.LastSeq(), entries, nil
 }
@@ -216,7 +216,7 @@ type journalFirstApplier struct {
 
 func (a *journalFirstApplier) AppliedSeq() uint64 { return a.journaled.Load() }
 
-func (a *journalFirstApplier) ApplyWindow(seq uint64, ops []wal.Op[string]) error {
+func (a *journalFirstApplier) ApplyWindow(seq uint64, ops []wal.Op) error {
 	a.journaled.Store(seq)
 	a.entered <- seq
 	<-a.release
@@ -238,7 +238,7 @@ func TestStatusTrailsVisibility(t *testing.T) {
 	t.Cleanup(release) // before the follower's Stop, which waits for the apply
 	waitFor(t, "session", func() bool { return f.Status().Connected })
 
-	lm.commit([]wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})
+	lm.commit([]wal.Op{{ID: "a", P: geom.Pt2(1, 1)}})
 	if seq := <-app.entered; seq != 1 {
 		t.Fatalf("first window applied under seq %d, want 1", seq)
 	}
@@ -267,11 +267,11 @@ func TestTailStreaming(t *testing.T) {
 
 	waitFor(t, "session", func() bool { return f.Status().Connected })
 	for i := 0; i < 50; i++ {
-		lm.commit([]wal.Op[string]{
+		lm.commit([]wal.Op{
 			{ID: fmt.Sprintf("obj-%d", i%10), P: geom.Pt2(int64(i), int64(-i))},
 		})
 	}
-	lm.commit([]wal.Op[string]{{ID: "obj-3", Del: true}})
+	lm.commit([]wal.Op{{ID: "obj-3", Del: true}})
 	checkConverged(t, lm, app)
 	if _, boots := app.counts(); boots != 0 {
 		t.Fatalf("tail-only follower bootstrapped %d times", boots)
@@ -294,7 +294,7 @@ func TestSnapshotBootstrap(t *testing.T) {
 	lm := newLeaderModel(2, 0)
 	leader, addr := startTestLeader(t, lm)
 	for i := 0; i < 20; i++ {
-		lm.commit([]wal.Op[string]{{ID: fmt.Sprintf("obj-%d", i), P: geom.Pt2(int64(i), 7)}})
+		lm.commit([]wal.Op{{ID: fmt.Sprintf("obj-%d", i), P: geom.Pt2(int64(i), 7)}})
 	}
 	app := newModelApplier()
 	startTestFollower(t, addr, "f1", app)
@@ -306,7 +306,7 @@ func TestSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("leader sent %d snapshots, want 1", got)
 	}
 	// Post-bootstrap commits ride the tail.
-	lm.commit([]wal.Op[string]{{ID: "post", P: geom.Pt2(1, 2)}})
+	lm.commit([]wal.Op{{ID: "post", P: geom.Pt2(1, 2)}})
 	checkConverged(t, lm, app)
 	if _, boots := app.counts(); boots != 1 {
 		t.Fatalf("post-bootstrap windows re-bootstrapped (%d)", boots)
@@ -322,14 +322,14 @@ func TestResumeFromSeq(t *testing.T) {
 	app := newModelApplier()
 	f := startTestFollower(t, addr, "f1", app)
 	for i := 0; i < 10; i++ {
-		lm.commit([]wal.Op[string]{{ID: "a", P: geom.Pt2(int64(i), 0)}})
+		lm.commit([]wal.Op{{ID: "a", P: geom.Pt2(int64(i), 0)}})
 	}
 	checkConverged(t, lm, app)
 	f.Stop()
 
 	// Windows committed while the follower is away.
 	for i := 10; i < 25; i++ {
-		lm.commit([]wal.Op[string]{{ID: "b", P: geom.Pt2(int64(i), 1)}})
+		lm.commit([]wal.Op{{ID: "b", P: geom.Pt2(int64(i), 1)}})
 	}
 	f2 := startTestFollower(t, addr, "f1", app)
 	checkConverged(t, lm, app)
@@ -361,7 +361,7 @@ func TestEmptyLeaderBootstrap(t *testing.T) {
 		t.Fatalf("empty leader forced %d bootstraps on an empty follower", boots)
 	}
 	// First commits flow as the plain tail.
-	lm.commit([]wal.Op[string]{{ID: "first", P: geom.Pt2(1, 1)}})
+	lm.commit([]wal.Op{{ID: "first", P: geom.Pt2(1, 1)}})
 	checkConverged(t, lm, app)
 	f.Stop()
 
@@ -394,7 +394,7 @@ func TestHubTailFrom(t *testing.T) {
 		t.Fatal("follower ahead of the head must need a snapshot")
 	}
 	for seq := uint64(6); seq <= 10; seq++ {
-		publish(h, seq, []wal.Op[string]{{ID: "x", P: geom.Pt2(int64(seq), 0)}})
+		publish(h, seq, []wal.Op{{ID: "x", P: geom.Pt2(int64(seq), 0)}})
 	}
 	// Retention 3: ring holds 8, 9, 10.
 	wins, last, gap := h.TailFrom(7, nil)
@@ -413,7 +413,7 @@ func TestHubTailFrom(t *testing.T) {
 	}
 	// The hub keeps its own copy: a publisher hands it the WAL's encode
 	// buffer, which the next append overwrites.
-	buf := wal.EncodeWindowPayload(nil, 11, []wal.Op[string]{{ID: "y", P: geom.Pt2(1, 1)}})
+	buf := wal.EncodeWindowPayload(nil, 11, []wal.Op{{ID: "y", P: geom.Pt2(1, 1)}})
 	want := bytes.Clone(buf)
 	h.Publish(11, buf)
 	clear(buf)
@@ -426,7 +426,7 @@ func TestHubTailFrom(t *testing.T) {
 // always keeps the newest window.
 func TestHubByteRetention(t *testing.T) {
 	h := NewHub(0, 1<<20, 64)
-	big := []wal.Op[string]{{ID: "padding-padding-padding", P: geom.Pt2(1, 2)}}
+	big := []wal.Op{{ID: "padding-padding-padding", P: geom.Pt2(1, 2)}}
 	for seq := uint64(1); seq <= 10; seq++ {
 		publish(h, seq, big)
 	}
@@ -471,8 +471,8 @@ func TestStreamRejectsGap(t *testing.T) {
 	var s []byte
 	s = append(s, Magic...)
 	s = appendFrame(s, fmHello, seqTermPayload(nil, 3, 0))
-	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
-	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 3, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}})))
+	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 1, []wal.Op{{ID: "a", P: geom.Pt2(1, 1)}})))
+	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 3, []wal.Op{{ID: "b", P: geom.Pt2(2, 2)}})))
 	err := f.stream(bytes.NewReader(s), nopWriter{})
 	if err == nil {
 		t.Fatal("gapped stream consumed without error")
@@ -487,13 +487,13 @@ func TestStreamRejectsGap(t *testing.T) {
 func TestStreamSkipsDuplicates(t *testing.T) {
 	app := newModelApplier()
 	f := NewFollower(app, FollowerOptions{Addr: "unused"})
-	w1 := windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}))
+	w1 := windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 1, []wal.Op{{ID: "a", P: geom.Pt2(1, 1)}}))
 	var s []byte
 	s = append(s, Magic...)
 	s = appendFrame(s, fmHello, seqTermPayload(nil, 1, 0))
 	s = appendFrame(s, fmWindow, w1)
 	s = appendFrame(s, fmWindow, w1) // regression: same seq again
-	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 2, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}})))
+	s = appendFrame(s, fmWindow, windowPayload(nil, 0, wal.EncodeWindowPayload(nil, 2, []wal.Op{{ID: "b", P: geom.Pt2(2, 2)}})))
 	if err := f.stream(bytes.NewReader(s), nopWriter{}); err != io.EOF {
 		t.Fatalf("stream exit: %v, want EOF", err)
 	}
@@ -516,7 +516,7 @@ func TestStreamRejectsLowerTermWindow(t *testing.T) {
 	s = append(s, Magic...)
 	s = appendFrame(s, fmHello, seqTermPayload(nil, 0, 5))
 	s = appendFrame(s, fmWindow, windowPayload(nil, 3, // a stale timeline's window
-		wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
+		wal.EncodeWindowPayload(nil, 1, []wal.Op{{ID: "a", P: geom.Pt2(1, 1)}})))
 	err := f.stream(bytes.NewReader(s), nopWriter{})
 	if err == nil {
 		t.Fatal("lower-term window consumed without error")
@@ -536,7 +536,7 @@ func TestStreamRejectsStaleLeaderHello(t *testing.T) {
 	s = append(s, Magic...)
 	s = appendFrame(s, fmHello, seqTermPayload(nil, 9, 4))
 	s = appendFrame(s, fmWindow, windowPayload(nil, 4,
-		wal.EncodeWindowPayload(nil, 1, []wal.Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})))
+		wal.EncodeWindowPayload(nil, 1, []wal.Op{{ID: "a", P: geom.Pt2(1, 1)}})))
 	err := f.stream(bytes.NewReader(s), nopWriter{})
 	if err == nil {
 		t.Fatal("stale-term HELLO accepted")
@@ -614,7 +614,7 @@ func TestCrossTermResumeForcesBootstrap(t *testing.T) {
 	t.Cleanup(l.Close)
 
 	for i := 0; i < 5; i++ {
-		lm.commit([]wal.Op[string]{{ID: fmt.Sprintf("obj-%d", i), P: geom.Pt2(int64(i), 0)}})
+		lm.commit([]wal.Op{{ID: fmt.Sprintf("obj-%d", i), P: geom.Pt2(int64(i), 0)}})
 	}
 	app := newModelApplier()
 	app.seq = 3 // resumable seq, but from term 1's timeline

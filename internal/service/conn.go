@@ -25,7 +25,7 @@ import (
 // round trips with no per-line allocations at all.
 type connState struct {
 	req     Request
-	entries []collection.Entry[string]
+	entries []collection.Entry
 	out     []byte
 }
 

@@ -155,7 +155,7 @@ func TestShutdownMidBurst(t *testing.T) {
 	// there, so the server starts draining with half of the burst served
 	// and the other half already in its read buffer.
 	shutdownDone := make(chan error, 1)
-	s.coll.SetJournal(func(uint64, []wal.Op[string]) error {
+	s.coll.SetJournal(func(uint64, []wal.Op) error {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()

@@ -35,7 +35,7 @@ type result struct {
 	p          geom.Point
 	hasP       bool
 	hasHits    bool
-	entries    []collection.Entry[string]
+	entries    []collection.Entry
 	applied    int
 	hasApplied bool
 	stats      *StatsPayload

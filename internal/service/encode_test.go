@@ -24,7 +24,7 @@ func encodeCases() []result {
 		{ok: true, found: true, p: geom.Pt2(-7, 42), hasP: true},
 		{ok: true, found: false},
 		{ok: true, hasHits: true, entries: nil},
-		{ok: true, hasHits: true, entries: []collection.Entry[string]{
+		{ok: true, hasHits: true, entries: []collection.Entry{
 			{ID: "veh-1", Point: geom.Pt2(3, 4)},
 			{ID: `we"ird\id`, Point: geom.Pt2(-1, -2)},
 			{ID: "üñïçødé", Point: geom.Pt2(0, 9)},

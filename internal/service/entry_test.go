@@ -133,7 +133,7 @@ func TestReplApplyFailedJournal(t *testing.T) {
 	app := replApplier{follower}
 	before := app.AppliedSeq()
 	follower.wal.Close() // the next append fails like a dead disk
-	err := app.ApplyWindow(before+1, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}})
+	err := app.ApplyWindow(before+1, []wal.Op{{ID: "b", P: geom.Pt2(2, 2)}})
 	if err == nil {
 		t.Fatal("ApplyWindow reported success over a failed journal append")
 	}
@@ -164,7 +164,7 @@ func TestReplApplyRefusesUnnettedWindow(t *testing.T) {
 
 	app := replApplier{follower}
 	before := app.AppliedSeq()
-	for _, win := range [][]wal.Op[string]{
+	for _, win := range [][]wal.Op{
 		{{ID: "a", Del: true}, {ID: "a", Del: true}},
 		{{ID: "a", Del: true}, {ID: "a", P: geom.Pt2(3, 3)}},
 		{{ID: "b", P: geom.Pt2(2, 2)}, {ID: "b", P: geom.Pt2(3, 3)}},
@@ -177,7 +177,7 @@ func TestReplApplyRefusesUnnettedWindow(t *testing.T) {
 		t.Fatalf("refused windows moved AppliedSeq %d -> %d or failed the WAL", before, got)
 	}
 	assertSameState(t, leader, follower)
-	if err := app.ApplyWindow(before+1, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}}); err != nil {
+	if err := app.ApplyWindow(before+1, []wal.Op{{ID: "b", P: geom.Pt2(2, 2)}}); err != nil {
 		t.Fatalf("a well-formed window after the refused ones: %v", err)
 	}
 	if err := follower.coll.Validate(); err != nil {
@@ -193,13 +193,13 @@ func TestReplApplyRefusesUnnettedWindow(t *testing.T) {
 // is the stored int32 range. A leader's bootstrap or window that carries
 // one is refused before anything is journaled or applied.
 func TestOutOfUniversePointsRefused(t *testing.T) {
-	far := wal.Op[string]{ID: "far", P: geom.Pt2(5_000_000_000, 1)}
+	far := wal.Op{ID: "far", P: geom.Pt2(5_000_000_000, 1)}
 	dir := t.TempDir()
 	l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendWindowAt(0, []wal.Op[string]{{ID: "near", P: geom.Pt2(1, 1)}, far}); err != nil {
+	if _, err := l.AppendWindowAt(0, []wal.Op{{ID: "near", P: geom.Pt2(1, 1)}, far}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -228,12 +228,12 @@ func TestOutOfUniversePointsRefused(t *testing.T) {
 	}
 	app := replApplier{s}
 	before := app.AppliedSeq()
-	refused("ApplyWindow", app.ApplyWindow(before+1, []wal.Op[string]{{ID: "b", P: geom.Pt2(2, 2)}, far}))
-	refused("Bootstrap", app.Bootstrap(before+1, app.Term(), []wal.Op[string]{far}))
+	refused("ApplyWindow", app.ApplyWindow(before+1, []wal.Op{{ID: "b", P: geom.Pt2(2, 2)}, far}))
+	refused("Bootstrap", app.Bootstrap(before+1, app.Term(), []wal.Op{far}))
 	// A 2-D Collection stores no Z, so a frame that carries one is refused
 	// the same way rather than reaching it.
-	zed := wal.Op[string]{ID: "zed", P: geom.Point{2, 2, 3}}
-	if err := app.ApplyWindow(before+1, []wal.Op[string]{zed}); err == nil ||
+	zed := wal.Op{ID: "zed", P: geom.Point{2, 2, 3}}
+	if err := app.ApplyWindow(before+1, []wal.Op{zed}); err == nil ||
 		!strings.Contains(err.Error(), fmt.Sprintf(`"zed": point [2 2 3] outside the universe %v`, testUniverse())) {
 		t.Fatalf("ApplyWindow of a 2-D point with a Z: %v", err)
 	}

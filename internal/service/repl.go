@@ -146,8 +146,8 @@ func (s *Server) rejectWrite(op string) *result {
 // out the very bytes the log framed. The hub read is safe lockless: it
 // is written before the leader role is stored, and only read after the
 // role is observed.
-func (s *Server) journalHook(l *wal.Log) func(seq uint64, ops []wal.Op[string]) error {
-	return func(seq uint64, ops []wal.Op[string]) error {
+func (s *Server) journalHook(l *wal.Log) func(seq uint64, ops []wal.Op) error {
+	return func(seq uint64, ops []wal.Op) error {
 		payload, err := l.AppendWindowAt(seq, ops)
 		if err != nil {
 			s.walFail(err)
@@ -508,14 +508,14 @@ func (s *Server) ReplAddr() net.Addr {
 // the flush lock, and the hub only advances under that lock (the
 // journal hook), so reading the hub head inside the callback pins an
 // exactly-consistent (state, seq) pair.
-func (s *Server) replSnapshot() (uint64, []wal.Op[string], error) {
+func (s *Server) replSnapshot() (uint64, []wal.Op, error) {
 	var seq uint64
-	var entries []wal.Op[string]
+	var entries []wal.Op
 	s.coll.Checkpoint(func(objects int, it iter.Seq2[string, geom.Point]) {
 		seq = s.hub.LastSeq()
-		entries = make([]wal.Op[string], 0, objects)
+		entries = make([]wal.Op, 0, objects)
 		for id, p := range it {
-			entries = append(entries, wal.Op[string]{ID: id, P: p})
+			entries = append(entries, wal.Op{ID: id, P: p})
 		}
 	})
 	return seq, entries, nil
@@ -543,7 +543,7 @@ func (a replApplier) Term() uint64 { return a.s.wal.Term() }
 // holds a point outside the universe, is returned — the session is severed
 // and AppliedSeq has not moved. The repl.Follower guarantees seq ==
 // AppliedSeq()+1.
-func (a replApplier) ApplyWindow(seq uint64, ops []wal.Op[string]) error {
+func (a replApplier) ApplyWindow(seq uint64, ops []wal.Op) error {
 	if a.s.walFailed.Load() {
 		return errors.New("local wal failed; refusing to advance the replicated state")
 	}
@@ -562,7 +562,7 @@ func (a replApplier) ApplyWindow(seq uint64, ops []wal.Op[string]) error {
 // follower's only term transition: after this snapshot lands, a restart
 // recovers both together and stale pre-promotion leaders are refused
 // from the first handshake.
-func (a replApplier) Bootstrap(seq, term uint64, entries []wal.Op[string]) error {
+func (a replApplier) Bootstrap(seq, term uint64, entries []wal.Op) error {
 	s := a.s
 	if s.walFailed.Load() {
 		return errors.New("local wal failed; refusing to bootstrap")

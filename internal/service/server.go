@@ -165,12 +165,12 @@ func (o Options) withDefaults() Options {
 }
 
 // Server serves the psid protocol over TCP (and probe endpoints over
-// HTTP) on top of one Collection[string]. Create one with New, bind it
+// HTTP) on top of one Collection. Create one with New, bind it
 // with Start, stop it with Shutdown. All exported methods are safe for
 // concurrent use.
 type Server struct {
 	opts  Options
-	coll  *collection.Collection[string]
+	coll  *collection.Collection
 	dims  int
 	met   metrics
 	reg   *obs.Registry
@@ -278,7 +278,7 @@ func universeOf(idx core.Index) geom.Box {
 }
 
 // windowInUniverse runs inUniverse over the Sets of a window or bootstrap.
-func (s *Server) windowInUniverse(ops []wal.Op[string]) error {
+func (s *Server) windowInUniverse(ops []wal.Op) error {
 	for _, o := range ops {
 		if o.Del {
 			continue
@@ -297,7 +297,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Collection exposes the underlying Collection for in-process callers: a
 // binary embedding a Server can serve local traffic at function-call
 // speed and remote traffic over the socket against the same state.
-func (s *Server) Collection() *collection.Collection[string] { return s.coll }
+func (s *Server) Collection() *collection.Collection { return s.coll }
 
 // Start binds the TCP command listener on addr and, when httpAddr is
 // non-empty, the HTTP probe listener (GET /healthz, GET /stats). It

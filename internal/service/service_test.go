@@ -315,7 +315,7 @@ func waitCond(t *testing.T, cond func() bool) {
 // server state must agree exactly with the oracle. Run under -race in CI.
 func TestConcurrentOracle(t *testing.T) {
 	s := startServer(t, newTestSharded(), Options{MaxBatch: 64})
-	oracle := collection.New[string](spactree.NewSPaC(sfc.Hilbert, 2, testUniverse()), collection.Options{MaxBatch: 64})
+	oracle := collection.New(spactree.NewSPaC(sfc.Hilbert, 2, testUniverse()), collection.Options{MaxBatch: 64})
 	defer oracle.Close()
 
 	const writers, readers, opsPerWriter, idsPerWriter = 8, 4, 400, 50
@@ -442,7 +442,7 @@ func TestConcurrentOracle(t *testing.T) {
 	}
 }
 
-func entriesKey(es []collection.Entry[string]) []string {
+func entriesKey(es []collection.Entry) []string {
 	out := make([]string, len(es))
 	for i, e := range es {
 		out[i] = fmt.Sprintf("%s@(%d,%d)", e.ID, e.Point[0], e.Point[1])

@@ -62,7 +62,7 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts,
 		dims:     idx.Dims(),
-		coll:     collection.New[string](idx, copts),
+		coll:     collection.New(idx, copts),
 		universe: universeOf(idx),
 		reg:      opts.Obs,
 		conns:    make(map[net.Conn]struct{}),

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -24,9 +25,9 @@ func TestCollectionOverSharded(t *testing.T) {
 	)
 	all := uniquePoints(nBase+writers*perG, 51)
 	sh := New(testOptions(2, 8, spacH))
-	c := collection.New[int](sh, collection.Options{MaxBatch: 256})
-	c.Load(nBase, func(yield func(int, geom.Point) bool) {
-		for id := 0; id < nBase && yield(id, all[id]); id++ {
+	c := collection.New(sh, collection.Options{MaxBatch: 256})
+	c.Load(nBase, func(yield func(string, geom.Point) bool) {
+		for id := 0; id < nBase && yield(strconv.Itoa(id), all[id]); id++ {
 		}
 	})
 
@@ -40,8 +41,8 @@ func TestCollectionOverSharded(t *testing.T) {
 			defer wgW.Done()
 			for i := 0; i < perG; i++ {
 				id := nBase + w*perG + i
-				c.Set(id, all[id])
-				c.Remove(w*perG + i)
+				c.Set(strconv.Itoa(id), all[id])
+				c.Remove(strconv.Itoa(w*perG + i))
 			}
 		}(w)
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -145,9 +146,9 @@ func TestReplicaSharesMetrics(t *testing.T) {
 	reg = obs.New()
 	opts = testOptions(2, 4, spacH)
 	opts.Obs = reg
-	c := collection.New[int](New(opts), collection.Options{Snapshot: true})
+	c := collection.New(New(opts), collection.Options{Snapshot: true})
 	for id, p := range pts {
-		c.Set(id, p)
+		c.Set(strconv.Itoa(id), p)
 	}
 	c.Flush()
 	if sum, _ := scrapeSums(t, reg, "psi_shard_ops_total"); sum != 2 || c.Stats().Versions != 2 {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -289,9 +290,9 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	doomed := base[:writers*rounds*batch]
 
 	sh := New(testOptions(2, 8, spacH))
-	c := collection.New[int](sh, collection.Options{MaxBatch: 1 << 20})
-	c.Load(nBase, func(yield func(int, geom.Point) bool) {
-		for id := 0; id < nBase && yield(id, base[id]); id++ {
+	c := collection.New(sh, collection.Options{MaxBatch: 1 << 20})
+	c.Load(nBase, func(yield func(string, geom.Point) bool) {
+		for id := 0; id < nBase && yield(strconv.Itoa(id), base[id]); id++ {
 		}
 	})
 
@@ -306,8 +307,8 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				off := (w*rounds + r) * batch
 				for i := off; i < off+batch; i++ {
-					c.Set(nBase+i, fresh[i])
-					c.Remove(i) // doomed[i]'s ID
+					c.Set(strconv.Itoa(nBase+i), fresh[i])
+					c.Remove(strconv.Itoa(i)) // doomed[i]'s ID
 				}
 				c.Flush()
 			}

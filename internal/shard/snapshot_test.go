@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -32,12 +33,12 @@ func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box) core.Index, pts []geom.Point, n int) {
 	side := workload.Uniform.Side(2)
 	sh := New(testOptions(2, 8, family))
-	c := collection.New[int](sh, collection.Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := collection.New(sh, collection.Options{MaxBatch: 1 << 20, Snapshot: true})
 	if c.Stats().Versions != 2 {
 		t.Fatal("the Collection keeps no twin of the Sharded")
 	}
-	c.Load(n/2, func(yield func(int, geom.Point) bool) {
-		for id := 0; id < n/2 && yield(id, pts[id]); id++ {
+	c.Load(n/2, func(yield func(string, geom.Point) bool) {
+		for id := 0; id < n/2 && yield(strconv.Itoa(id), pts[id]); id++ {
 		}
 	})
 
@@ -49,7 +50,7 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []collection.Entry[int]
+			var buf []collection.Entry
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -63,8 +64,8 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 	}
 	for i := n / 2; i < n; i += 100 {
 		for id := i; id < min(i+100, n); id++ {
-			c.Set(id, pts[id])
-			c.Remove(id - n/2)
+			c.Set(strconv.Itoa(id), pts[id])
+			c.Remove(strconv.Itoa(id - n/2))
 		}
 		c.Flush()
 	}

@@ -20,7 +20,7 @@ import (
 // (valid logs, tears at every boundary class, CRC flips, hostile
 // varints) and live in testdata/fuzz committed alongside the test.
 func FuzzWALReplay(f *testing.F) {
-	frame := func(seq uint64, ops []Op[string]) []byte {
+	frame := func(seq uint64, ops []Op) []byte {
 		payload := EncodeWindowPayload(nil, seq, ops)
 		rec := make([]byte, frameLen, frameLen+len(payload))
 		rec = append(rec, payload...)
@@ -28,8 +28,8 @@ func FuzzWALReplay(f *testing.F) {
 		return rec
 	}
 	valid := append([]byte(logMagic),
-		frame(1, []Op[string]{{ID: "a", P: geom.Pt2(10, 20)}, {ID: "b", P: geom.Pt3(-1, 1<<40, 7)}})...)
-	valid = append(valid, frame(2, []Op[string]{{ID: "a", Del: true}})...)
+		frame(1, []Op{{ID: "a", P: geom.Pt2(10, 20)}, {ID: "b", P: geom.Pt3(-1, 1<<40, 7)}})...)
+	valid = append(valid, frame(2, []Op{{ID: "a", Del: true}})...)
 	f.Add([]byte{})
 	f.Add([]byte(logMagic))
 	f.Add(valid)
@@ -66,7 +66,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// The truncated log must be append-clean, and the append must
 		// survive yet another recovery.
-		if _, err := l2.AppendWindowAt(0, []Op[string]{{ID: "post", P: geom.Pt2(1, 2)}}); err != nil {
+		if _, err := l2.AppendWindowAt(0, []Op{{ID: "post", P: geom.Pt2(1, 2)}}); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := l2.Close(); err != nil {

@@ -53,10 +53,10 @@ const (
 // Op is one entry of a committed window: a last-write-wins Set of ID to
 // P, or (Del) a removal. The window invariant — at most one op per ID,
 // produced by the Collection's netting — is what makes replay exact.
-// Op is the Collection's window for any ID type (Collection.SetJournal,
-// CommitWindow); the log and the replication stream carry Op[string].
-type Op[ID comparable] struct {
-	ID  ID
+// Op is the Collection's window (Collection.SetJournal, CommitWindow), as
+// the log and the replication stream carry it.
+type Op struct {
+	ID  string
 	P   geom.Point
 	Del bool
 }
@@ -67,7 +67,7 @@ type Op[ID comparable] struct {
 // wal.log, exported so the replication layer (internal/repl) ships the
 // same encoding over the wire that the log journals to disk — one
 // format, one fuzz surface.
-func EncodeWindowPayload(dst []byte, seq uint64, ops []Op[string]) []byte {
+func EncodeWindowPayload(dst []byte, seq uint64, ops []Op) []byte {
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
 	for i := range ops {
@@ -94,7 +94,7 @@ func EncodeWindowPayload(dst []byte, seq uint64, ops []Op[string]) []byte {
 // varints, overrunning IDs, unknown flag bits, trailing bytes — is an
 // error, never a panic: a checksum only proves the bytes are what was
 // written, not that a well-formed writer wrote them.
-func DecodeWindowPayload(payload []byte, dst []Op[string]) (seq uint64, ops []Op[string], err error) {
+func DecodeWindowPayload(payload []byte, dst []Op) (seq uint64, ops []Op, err error) {
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return 0, dst, fmt.Errorf("wal: truncated window seq")
@@ -118,7 +118,7 @@ func DecodeWindowPayload(payload []byte, dst []Op[string]) (seq uint64, ops []Op
 			return 0, dst, fmt.Errorf("wal: unknown op flags %#x", flags)
 		}
 		rest = rest[1:]
-		var o Op[string]
+		var o Op
 		o.Del = flags == 1
 		var idLen int
 		o.ID, idLen, err = decodeID(rest)

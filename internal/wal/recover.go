@@ -160,7 +160,7 @@ func replayLog(path string, rec *Recovery) error {
 	good := int64(magicLen) // offset after the last valid record
 	var hdr [frameLen]byte
 	var payload []byte
-	var ops []Op[string]
+	var ops []Op
 	lastSeq := uint64(0)
 	torn := false
 	for {
@@ -255,7 +255,7 @@ func scanForValidRecord(f *os.File, from, size int64, lastSeq uint64) (int64, bo
 	if _, err := f.ReadAt(tail, from); err != nil {
 		return 0, false, fmt.Errorf("wal: %w", err)
 	}
-	var ops []Op[string]
+	var ops []Op
 	for off := 0; off+frameLen <= len(tail); off++ {
 		ln := binary.LittleEndian.Uint32(tail[off : off+4])
 		if uint64(ln) > maxRecordBytes || uint64(ln) > uint64(len(tail)-off-frameLen) {

@@ -252,7 +252,7 @@ func (l *Log) SetTerm(t uint64) { l.term.Store(t) }
 // EncodeWindowPayload's bytes — so a replication leader ships what it
 // journaled without encoding the window again. It aliases the log's
 // encode buffer: valid until the next append, copy to keep.
-func (l *Log) AppendWindowAt(seq uint64, ops []Op[string]) (payload []byte, err error) {
+func (l *Log) AppendWindowAt(seq uint64, ops []Op) (payload []byte, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch last := l.seq.Load(); {

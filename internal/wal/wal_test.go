@@ -32,7 +32,7 @@ func closeT(t *testing.T, l *Log) {
 }
 
 // fold applies windows to a model map the way recovery should.
-func fold(m map[string]geom.Point, ops []Op[string]) {
+func fold(m map[string]geom.Point, ops []Op) {
 	for _, o := range ops {
 		if o.Del {
 			delete(m, o.ID)
@@ -49,7 +49,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("fresh dir recovered %d entries, seq %d", len(rec.Entries), rec.Seq)
 	}
 	want := map[string]geom.Point{}
-	windows := [][]Op[string]{
+	windows := [][]Op{
 		{{ID: "a", P: geom.Pt2(1, 2)}, {ID: "b", P: geom.Pt2(3, 4)}},
 		{{ID: "a", P: geom.Pt2(5, 6)}, {ID: "c", P: geom.Pt3(7, 8, 9)}},
 		{{ID: "b", Del: true}, {ID: "id with spaces and ünïcode", P: geom.Pt2(-10, 1<<40)}},
@@ -89,7 +89,7 @@ func TestRoundTrip(t *testing.T) {
 func TestTornTail(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
-	windows := [][]Op[string]{
+	windows := [][]Op{
 		{{ID: "a", P: geom.Pt2(1, 2)}},
 		{{ID: "b", P: geom.Pt2(3, 4)}},
 		{{ID: "a", Del: true}, {ID: "c", P: geom.Pt2(5, 6)}},
@@ -135,7 +135,7 @@ func TestTornTail(t *testing.T) {
 			t.Fatalf("cut %d: truncated %d bytes, want %d", cut, rec.TruncatedBytes, wantTrunc)
 		}
 		// The tear is gone: appending and re-recovering must be clean.
-		if _, err := l2.AppendWindowAt(0, []Op[string]{{ID: "z", P: geom.Pt2(9, 9)}}); err != nil {
+		if _, err := l2.AppendWindowAt(0, []Op{{ID: "z", P: geom.Pt2(9, 9)}}); err != nil {
 			t.Fatalf("cut %d: append after truncation: %v", cut, err)
 		}
 		closeT(t, l2)
@@ -156,7 +156,7 @@ func TestTornTail(t *testing.T) {
 func TestCorruptMidRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
-	for i, w := range [][]Op[string]{
+	for i, w := range [][]Op{
 		{{ID: "a", P: geom.Pt2(1, 1)}},
 		{{ID: "b", P: geom.Pt2(2, 2)}},
 		{{ID: "c", P: geom.Pt2(3, 3)}},
@@ -165,7 +165,7 @@ func TestCorruptMidRecord(t *testing.T) {
 			t.Fatalf("window %d: %v", i, err)
 		}
 	}
-	firstEnd := magicLen + frameLen + len(EncodeWindowPayload(nil, 1, []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}))
+	firstEnd := magicLen + frameLen + len(EncodeWindowPayload(nil, 1, []Op{{ID: "a", P: geom.Pt2(1, 1)}}))
 	closeT(t, l)
 	path := filepath.Join(dir, logName)
 	b, err := os.ReadFile(path)
@@ -197,7 +197,7 @@ func TestCorruptMidRecord(t *testing.T) {
 func TestCorruptFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
-	for i, w := range [][]Op[string]{
+	for i, w := range [][]Op{
 		{{ID: "a", P: geom.Pt2(1, 1)}},
 		{{ID: "b", P: geom.Pt2(2, 2)}},
 	} {
@@ -231,7 +231,7 @@ func TestCorruptFinalRecord(t *testing.T) {
 // out-of-order history.
 func TestSeqRegressionTruncates(t *testing.T) {
 	dir := t.TempDir()
-	frame := func(seq uint64, ops []Op[string]) []byte {
+	frame := func(seq uint64, ops []Op) []byte {
 		payload := EncodeWindowPayload(nil, seq, ops)
 		rec := make([]byte, frameLen, frameLen+len(payload))
 		rec = append(rec, payload...)
@@ -240,8 +240,8 @@ func TestSeqRegressionTruncates(t *testing.T) {
 	}
 	var b []byte
 	b = append(b, logMagic...)
-	b = append(b, frame(5, []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}})...)
-	b = append(b, frame(3, []Op[string]{{ID: "b", P: geom.Pt2(2, 2)}})...)
+	b = append(b, frame(5, []Op{{ID: "a", P: geom.Pt2(1, 1)}})...)
+	b = append(b, frame(3, []Op{{ID: "b", P: geom.Pt2(2, 2)}})...)
 	if err := os.WriteFile(filepath.Join(dir, logName), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +259,8 @@ func TestSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncAlways})
 	model := map[string]geom.Point{}
-	w1 := []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}, {ID: "b", P: geom.Pt2(3, 4)}}
-	w2 := []Op[string]{{ID: "b", Del: true}, {ID: "c", P: geom.Pt2(5, 6)}}
+	w1 := []Op{{ID: "a", P: geom.Pt2(1, 2)}, {ID: "b", P: geom.Pt2(3, 4)}}
+	w2 := []Op{{ID: "b", Del: true}, {ID: "c", P: geom.Pt2(5, 6)}}
 	if _, err := l.AppendWindowAt(0, w1); err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +299,9 @@ func TestSnapshotLogOverlap(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 	model := map[string]geom.Point{}
-	w1 := []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}
-	w2 := []Op[string]{{ID: "a", P: geom.Pt2(2, 2)}, {ID: "b", P: geom.Pt2(3, 3)}}
-	for _, w := range [][]Op[string]{w1, w2} {
+	w1 := []Op{{ID: "a", P: geom.Pt2(1, 1)}}
+	w2 := []Op{{ID: "a", P: geom.Pt2(2, 2)}, {ID: "b", P: geom.Pt2(3, 3)}}
+	for _, w := range [][]Op{w1, w2} {
 		if _, err := l.AppendWindowAt(0, w); err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestSnapshotLogOverlap(t *testing.T) {
 	if err := l.WriteSnapshotAt(l.LastSeq(), len(model), maps.All(model)); err != nil {
 		t.Fatal(err)
 	}
-	w3 := []Op[string]{{ID: "c", P: geom.Pt2(4, 4)}}
+	w3 := []Op{{ID: "c", P: geom.Pt2(4, 4)}}
 	if _, err := l.AppendWindowAt(0, w3); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestBadHeaders(t *testing.T) {
 		dir := t.TempDir()
 		l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 		m := map[string]geom.Point{"a": geom.Pt2(1, 2)}
-		if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+		if _, err := l.AppendWindowAt(0, []Op{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.WriteSnapshotAt(l.LastSeq(), 1, maps.All(m)); err != nil {
@@ -392,7 +392,7 @@ func TestBadHeaders(t *testing.T) {
 func TestFsyncInterval(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncInterval, Interval: time.Millisecond})
-	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+	if _, err := l.AppendWindowAt(0, []Op{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -454,11 +454,11 @@ func TestOversizedWindowFailStop(t *testing.T) {
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 	defer closeT(t, l)
 	l.maxRecord = 32
-	big := []Op[string]{{ID: strings.Repeat("x", 64), P: geom.Pt2(1, 1)}}
+	big := []Op{{ID: strings.Repeat("x", 64), P: geom.Pt2(1, 1)}}
 	if _, err := l.AppendWindowAt(0, big); err == nil {
 		t.Fatal("oversized window accepted")
 	}
-	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(1, 1)}}); err == nil {
+	if _, err := l.AppendWindowAt(0, []Op{{ID: "a", P: geom.Pt2(1, 1)}}); err == nil {
 		t.Fatal("append after an unjournalable window succeeded: silent seq gap")
 	}
 	if got := l.Stats().Errors; got == 0 {
@@ -473,7 +473,7 @@ func TestWALAppendZeroAllocWarm(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
 	defer closeT(t, l)
-	ops := []Op[string]{
+	ops := []Op{
 		{ID: "obj-0000001", P: geom.Pt2(123456, 789012)},
 		{ID: "obj-0000002", P: geom.Pt2(345678, 901234)},
 		{ID: "obj-0000003", Del: true},
@@ -499,9 +499,9 @@ func BenchmarkAppendWindowAt(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close()
-			ops := make([]Op[string], 64)
+			ops := make([]Op, 64)
 			for i := range ops {
-				ops[i] = Op[string]{ID: "obj-0000000", P: geom.Pt2(int64(i)*1000, int64(i)*2000)}
+				ops[i] = Op{ID: "obj-0000000", P: geom.Pt2(int64(i)*1000, int64(i)*2000)}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -523,7 +523,7 @@ func TestLastSeq(t *testing.T) {
 		t.Fatalf("fresh LastSeq = %d, want 0", got)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(int64(i), 0)}}); err != nil {
+		if _, err := l.AppendWindowAt(0, []Op{{ID: "a", P: geom.Pt2(int64(i), 0)}}); err != nil {
 			t.Fatal(err)
 		}
 		if got := l.LastSeq(); got != uint64(i) {
@@ -545,10 +545,10 @@ func TestLastSeq(t *testing.T) {
 func TestAppendWindowAt(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if _, err := l.AppendWindowAt(7, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+	if _, err := l.AppendWindowAt(7, []Op{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 		t.Fatalf("AppendWindowAt(7): %v", err)
 	}
-	if _, err := l.AppendWindowAt(12, []Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+	if _, err := l.AppendWindowAt(12, []Op{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
 		t.Fatalf("AppendWindowAt(12) across a gap: %v", err)
 	}
 	for _, seq := range []uint64{12, 5} {
@@ -562,7 +562,7 @@ func TestAppendWindowAt(t *testing.T) {
 	// AppendWindowAt(0, …) ("the next one") continues from the
 	// imposed seq, and hands back exactly the payload it framed — what a
 	// leader ships to its followers.
-	c := []Op[string]{{ID: "c", P: geom.Pt2(5, 6)}}
+	c := []Op{{ID: "c", P: geom.Pt2(5, 6)}}
 	payload, err := l.AppendWindowAt(0, c)
 	if err != nil {
 		t.Fatal(err)
@@ -591,7 +591,7 @@ func TestWriteSnapshotAt(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	for i := 0; i < 5; i++ {
-		if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "old", P: geom.Pt2(int64(i), 0)}}); err != nil {
+		if _, err := l.AppendWindowAt(0, []Op{{ID: "old", P: geom.Pt2(int64(i), 0)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -603,7 +603,7 @@ func TestWriteSnapshotAt(t *testing.T) {
 	if got := l.LastSeq(); got != 2 {
 		t.Fatalf("LastSeq after regression = %d, want 2", got)
 	}
-	if _, err := l.AppendWindowAt(3, []Op[string]{{ID: "y", P: geom.Pt2(1, 1)}}); err != nil {
+	if _, err := l.AppendWindowAt(3, []Op{{ID: "y", P: geom.Pt2(1, 1)}}); err != nil {
 		t.Fatalf("AppendWindowAt(3) after regression: %v", err)
 	}
 	closeT(t, l)
@@ -629,7 +629,7 @@ func TestWriteSnapshotAt(t *testing.T) {
 	if len(rec3.Entries) != 0 || rec3.Seq != 0 {
 		t.Fatalf("recovery after empty bootstrap: %+v", rec3)
 	}
-	if _, err := l3.AppendWindowAt(1, []Op[string]{{ID: "z", P: geom.Pt2(2, 2)}}); err != nil {
+	if _, err := l3.AppendWindowAt(1, []Op{{ID: "z", P: geom.Pt2(2, 2)}}); err != nil {
 		t.Fatalf("AppendWindowAt(1) from empty bootstrap: %v", err)
 	}
 }
@@ -637,7 +637,7 @@ func TestWriteSnapshotAt(t *testing.T) {
 // TestWindowPayloadRoundTrip pins the exported payload codec to the
 // on-disk record format the replication stream reuses.
 func TestWindowPayloadRoundTrip(t *testing.T) {
-	ops := []Op[string]{
+	ops := []Op{
 		{ID: "a", P: geom.Pt2(1, -2)},
 		{ID: "b", Del: true},
 	}
@@ -663,7 +663,7 @@ func TestTermPersistence(t *testing.T) {
 	if got := l.Term(); got != 0 {
 		t.Fatalf("fresh log term = %d, want 0", got)
 	}
-	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
+	if _, err := l.AppendWindowAt(0, []Op{{ID: "a", P: geom.Pt2(1, 2)}}); err != nil {
 		t.Fatalf("AppendWindowAt: %v", err)
 	}
 	l.SetTerm(7)
@@ -672,7 +672,7 @@ func TestTermPersistence(t *testing.T) {
 		t.Fatalf("WriteSnapshotAt: %v", err)
 	}
 	// Windows appended after the snapshot must not disturb the term.
-	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+	if _, err := l.AppendWindowAt(0, []Op{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
 		t.Fatalf("AppendWindowAt: %v", err)
 	}
 	if got := l.Stats().Term; got != 7 {
@@ -699,7 +699,7 @@ func TestTermPersistence(t *testing.T) {
 func TestV1SnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if _, err := l.AppendWindowAt(0, []Op[string]{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
+	if _, err := l.AppendWindowAt(0, []Op{{ID: "b", P: geom.Pt2(3, 4)}}); err != nil {
 		t.Fatalf("AppendWindowAt: %v", err)
 	}
 	closeT(t, l)

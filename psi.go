@@ -225,19 +225,21 @@ func NewSharded(newIndex func(dims int, universe Box) Index, dims int, universe 
 // NewShardedOpts builds a Sharded index from its options struct.
 func NewShardedOpts(opts ShardedOptions) *Sharded { return shard.New(opts) }
 
-// Collection is a concurrent ID-keyed moving-object layer over any Index
-// (a tree or a Sharded of trees): it tracks one point per
+// Collection is a concurrent moving-object layer keyed by string IDs over
+// any Index (a tree or a Sharded of trees): it tracks one point per
 // live ID, nets each window of Set/Remove calls by last-write-wins per ID
 // into a single BatchDiff, and keeps a point→ID reverse multimap
 // transactionally consistent with the index so geometric queries resolve
 // to object identities. Set/Remove/Get/NearbyIDs/WithinIDs are all safe
 // for fully concurrent use; see internal/collection for the visibility
 // contract and README "Tracking objects" for stack guidance.
-type Collection[ID comparable] = collection.Collection[ID]
+type Collection = collection.Collection
 
 // CollectionEntry is one resolved Collection query hit: an object ID and
-// its indexed position.
-type CollectionEntry[ID comparable] = collection.Entry[ID]
+// its indexed position. Its type parameter is vestigial — unused, kept
+// only so that the benchmark's CollectionEntry[string] still compiles —
+// and goes with the benchmark change that does ROADMAP's ledger v2a (j).
+type CollectionEntry[_ ~string] = collection.Entry
 
 // CollectionOptions tunes a Collection: MaxBatch is the coalescing
 // threshold that triggers a synchronous flush, FlushInterval (optional)
@@ -252,15 +254,13 @@ type CollectionOptions = collection.Options
 type CollectionStats = collection.Stats
 
 // NewCollection wraps idx (which must start empty) in a Collection keyed
-// by ID. The Collection takes ownership of idx; do not touch it directly
-// afterwards. If opts.FlushInterval is set, pair with Close to stop the
-// background flusher.
-func NewCollection[ID comparable](idx Index, opts CollectionOptions) *Collection[ID] {
-	return collection.New[ID](idx, opts)
-}
+// by string IDs. The Collection takes ownership of idx; do not touch it
+// directly afterwards. If opts.FlushInterval is set, pair with Close to
+// stop the background flusher.
+func NewCollection(idx Index, opts CollectionOptions) *Collection { return collection.New(idx, opts) }
 
 // Server is psid, the network serving layer: it exposes a
-// Collection[string] over a newline-delimited JSON command protocol on
+// Collection over a newline-delimited JSON command protocol on
 // TCP (SET/DEL/GET/NEARBY/WITHIN/STATS/FLUSH, one goroutine per
 // connection) plus HTTP /healthz and /stats probes. See docs/protocol.md
 // for the wire protocol, cmd/psid for the standalone binary, and

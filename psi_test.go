@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -207,26 +208,27 @@ func TestCollectionWrapsEveryIndex(t *testing.T) {
 	queries := workload.GenUniform(8, 2, itSide, 67)
 	universe := Universe2D(itSide)
 	for _, idx := range All(2, universe) {
-		c := NewCollection[int](idx, CollectionOptions{MaxBatch: 128})
-		final := make([]map[int]Point, writers)
+		c := NewCollection(idx, CollectionOptions{MaxBatch: 128})
+		final := make([]map[string]Point, writers)
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				ids := make(map[int]Point, perW)
-				for id := w * perW; id < (w+1)*perW; id++ {
-					c.Set(id, pts[id])
-					ids[id] = pts[id]
+				ids := make(map[string]Point, perW)
+				for i := w * perW; i < (w+1)*perW; i++ {
+					id := strconv.Itoa(i)
+					c.Set(id, pts[i])
+					ids[id] = pts[i]
 					// A remove or a move mostly lands in the window of the Set
 					// it follows, so the netting is on the path too.
-					switch id % 4 {
+					switch i % 4 {
 					case 0:
 						c.Remove(id)
 						delete(ids, id)
 					case 1:
-						c.Set(id, moved[id])
-						ids[id] = moved[id]
+						c.Set(id, moved[i])
+						ids[id] = moved[i]
 					}
 				}
 				final[w] = ids
@@ -234,12 +236,12 @@ func TestCollectionWrapsEveryIndex(t *testing.T) {
 		}
 		wg.Wait()
 		c.Close()
-		oracle := make(map[int]Point)
+		oracle := make(map[string]Point)
 		for _, ids := range final {
 			maps.Copy(oracle, ids)
 		}
 		got := c.WithinIDs(universe)
-		seen := make(map[int]bool, len(got))
+		seen := make(map[string]bool, len(got))
 		for _, e := range got {
 			if p, ok := oracle[e.ID]; !ok || p != e.Point || seen[e.ID] {
 				t.Fatalf("Collection over %s: WithinIDs entry %v, oracle (%v, %t), repeated %t", idx.Name(), e, p, ok, seen[e.ID])
