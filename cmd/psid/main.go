@@ -235,6 +235,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: %v\n", err)
 		return 1
 	}
+	// Collect WAL recovery's garbage: a GC that marked it mid-recovery doubles the heap goal.
+	runtime.GC()
 	// From here on every exit goes through shutdown: the final flush
 	// (and WAL snapshot + close) must run on fatal errors too, or the
 	// durability the -wal flag promises ends at the first panic-free
