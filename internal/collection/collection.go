@@ -27,9 +27,12 @@
 //
 // Consistency: the geometric index, the forward table (ID → point), and
 // the reverse multimap (point → IDs) all advance together at the flush
-// boundary. The two tables are one dense slot table (table.go): flat ID
-// and point arrays found through open-addressed slot indexes, a few dozen
-// pointer-free bytes per object rather than two Go maps. Queries
+// boundary. The two tables are one dense slot table (table.go): flat
+// point arrays and one append-only byte arena of IDs, found through
+// open-addressed slot indexes — a few dozen pointer-free bytes per object
+// rather than two Go maps, and nothing for the collector to mark per
+// object. An ID a query or a checkpoint hands out is a view into that
+// arena, valid for as long as it is held. Queries
 // (NearbyIDs, WithinIDs) run the geometric query and resolve every hit
 // through the table as of the same window — they can never observe an
 // index point without its owner or vice versa. How readers are kept off
@@ -145,10 +148,18 @@ type Stats struct {
 	// runtime's heap statistics do not include; 0 in builds that keep them
 	// on the heap (race builds, and systems other than unix).
 	TableMappedBytes uint64
+	// TableIDBytes is the size of the committed slot table's ID arena at the
+	// last commit — one heap block holding every live ID, the removed IDs
+	// its next compaction drops and room to append — and TableIDDeadBytes
+	// the removed IDs' share of it.
+	TableIDBytes, TableIDDeadBytes uint64
 }
 
 // Entry is one resolved query hit: a live object and its indexed
-// position.
+// position. ID is an immutable view into the slot table's ID arena, not a
+// copy: it stays valid however the Collection changes afterwards, and
+// while it is held it keeps the arena it points into alive — one arena
+// generation, about every ID the table held at the time.
 type Entry struct {
 	ID    string
 	Point geom.Point
@@ -220,11 +231,11 @@ type Collection struct {
 	inserted atomic.Uint64
 	moved    atomic.Uint64
 	removed  atomic.Uint64
-	// slots, freeSlots and mapped mirror the committed table's slot count
-	// (live plus free), its free share and the bytes mapped behind its
-	// arrays at the last commit, for the gauges: like Stats, they never
-	// take a lock.
-	slots, freeSlots, mapped atomic.Int64
+	// slots, freeSlots, mapped, idBytes and idDead mirror the committed
+	// table's slot count (live plus free), its free share, the bytes mapped
+	// behind its arrays and its ID arena's size and dead bytes at the last
+	// commit, for the gauges: like Stats, they never take a lock.
+	slots, freeSlots, mapped, idBytes, idDead atomic.Int64
 }
 
 // op is one logged mutation: Set (del=false) or Remove (del=true) of id.
@@ -339,6 +350,12 @@ func New(idx core.Index, opts Options) *Collection {
 	opts.Obs.GaugeFunc("psi_collection_table_mapped_bytes",
 		"Bytes of the committed object table mapped outside the Go heap (0 where the build keeps it on the heap).",
 		func() float64 { return float64(c.mapped.Load()) }, layer)
+	opts.Obs.GaugeFunc("psi_collection_table_id_bytes",
+		"Bytes of the committed object table's ID arena on the heap: live IDs, removed ones awaiting compaction and room to append.",
+		func() float64 { return float64(c.idBytes.Load()) }, layer)
+	opts.Obs.GaugeFunc("psi_collection_table_id_dead_bytes",
+		"Bytes of the committed object table's ID arena held by removed IDs until its next compaction.",
+		func() float64 { return float64(c.idDead.Load()) }, layer)
 	opts.Obs.CounterFunc("psi_flush_total",
 		"Flush windows applied to the index.", c.flushes.Load, layer)
 	opts.Obs.CounterFunc("psi_flush_ops_raw_total",
@@ -412,7 +429,8 @@ func (c *Collection) SetJournal(fn func(seq uint64, ops []wal.Op) error) {
 // (internal/service pairs Checkpoint with wal.Log.WriteSnapshotAt). fn
 // must not call back into the Collection (Flush, Set-triggered
 // flushes, and Close all take the same lock) and must not retain the
-// iterator past its return. Pending (unflushed, unjournaled) ops are
+// iterator past its return; the IDs it yields are immutable views that
+// stay valid (see Entry). Pending (unflushed, unjournaled) ops are
 // deliberately excluded.
 func (c *Collection) Checkpoint(fn func(objects int, entries iter.Seq2[string, geom.Point])) {
 	// The flush lock excludes every writer of the table.
@@ -702,6 +720,9 @@ func (c *Collection) Load(n int, entries iter.Seq2[string, geom.Point]) {
 	defer tab.release() // empty unless an entry panicked before the step took it
 	for id, p := range entries {
 		c.mustStore(p)
+		if len(tab.ids) == 1 {
+			tab.reserveIDs(n * entryBytes(id)) // IDs are mostly of one length
+		}
 		if slot, hash := tab.lookup(id); slot != 0 {
 			tab.move(slot, p)
 		} else {
@@ -724,12 +745,14 @@ func (c *Collection) Load(n int, entries iter.Seq2[string, geom.Point]) {
 	c.removed.Add(uint64(was))
 }
 
-// noteSlots publishes the table's slot counts and mapped bytes to the
-// gauges; the flush lock is held.
+// noteSlots publishes the table's slot counts, mapped bytes and arena size
+// to the gauges; the flush lock is held.
 func (c *Collection) noteSlots() {
 	c.slots.Store(int64(c.tab.slots()))
 	c.freeSlots.Store(int64(c.tab.slots() - c.tab.live))
 	c.mapped.Store(int64(c.tab.mapped()))
+	c.idBytes.Store(int64(cap(c.tab.ids)))
+	c.idDead.Store(int64(c.tab.dead))
 }
 
 // planDiff resolves every op of the netted window against the table
@@ -914,7 +937,7 @@ func resolveAppend(t *table, sc *queryScratch, dst []Entry) []Entry {
 			// holds (Validate checks it); skip rather than fabricate an entry.
 			continue
 		}
-		dst = append(dst, Entry{ID: t.name[s], Point: p})
+		dst = append(dst, Entry{ID: t.id(s), Point: p})
 	}
 	if cursorUsed {
 		clear(sc.cursor)
@@ -952,6 +975,7 @@ func (c *Collection) Stats() Stats {
 	st.Objects = int(st.Inserted) - int(st.Removed)
 	st.CowNodes, st.CowBytes = c.cell.Copied()
 	st.TableMappedBytes = uint64(c.mapped.Load())
+	st.TableIDBytes, st.TableIDDeadBytes = uint64(c.idBytes.Load()), uint64(c.idDead.Load())
 	return st
 }
 

@@ -312,7 +312,7 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 			var chain []string
 			c.withTable(func(tab *table) {
 				for s := tab.head(p); s != 0; s = tab.next[s] {
-					chain = append(chain, tab.name[s])
+					chain = append(chain, tab.id(s))
 				}
 			})
 			if len(chain) != 4 {

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"maps"
+	"strings"
 	"sync"
 	"testing"
 
@@ -68,10 +69,14 @@ const fuzzIDs = 16
 
 // fuzzKeys spells the fuzzed IDs. The first is the zero ID, "", which the
 // slot table also leaves in its free slots: it must work as a live ID too.
+// The last is 20 KiB long, so that a tape that removes it four times
+// passes the ID arena's compaction threshold (minSpare) and one that
+// inserts it a few times overflows the arena; its length takes three bytes.
 var fuzzKeys = func() (ids [fuzzIDs]string) {
 	for i := 1; i < fuzzIDs; i++ {
 		ids[i] = key(i)
 	}
+	ids[fuzzIDs-1] = strings.Repeat("~", 20<<10)
 	return ids
 }()
 

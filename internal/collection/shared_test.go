@@ -124,7 +124,7 @@ func TestOneTablePerCollection(t *testing.T) {
 			oracle[key(i)] = p
 		}
 		headAt := func(p geom.Point) (id string) {
-			c.withTable(func(tab *table) { id = tab.name[tab.head(p)] })
+			c.withTable(func(tab *table) { id = tab.id(tab.head(p)) })
 			return id
 		}
 		for w := 0; w < 3; w++ { // each copy is written first at least once

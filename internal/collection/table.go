@@ -1,46 +1,67 @@
 package collection
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"iter"
+	"math"
+	"math/bits"
+	"unsafe"
 
 	"repro/internal/geom"
 )
 
 // table is a Collection's forward table (ID → point) and reverse multimap
 // (point → IDs) in one dense structure. Every live object owns a slot — an
-// index into the flat name, pos and next arrays — and two open-addressed,
+// index into the flat off, pos and next arrays — and two open-addressed,
 // linear-probing indexes find slots by ID and by point. The indexes store
 // nothing but slots (under a few spare hash bits) and compare through the
-// arrays, so apart from name the whole table is pointer-free: the
-// collector never scans it, and an object costs its ID, 12 bytes of slot
-// in 2-D (16 in 3-D) and three to five 4-byte buckets.
+// arrays, and the IDs themselves sit in one byte arena, so the whole table
+// is pointer-free: the collector never scans it, and an object costs its
+// ID's bytes and a length byte, 16 bytes of slot in 2-D (20 in 3-D) and
+// three to five 4-byte buckets.
 //
 // A position is stored as dims int32 coordinates, the stored range of
 // every Collection whatever its index (geom.Packable): 8 bytes in 2-D and
 // 12 in 3-D, widened to a geom.Point on the way out (at). The point index
 // hashes and compares that stored form.
 //
+// ids is the ID arena: each ID that has been inserted, as a uvarint length
+// followed by its bytes, at the offset off holds for its slot. It is
+// append-only: an insert appends, a remove only counts the entry's bytes
+// dead, and live bytes are never overwritten, so an ID read out of it (id)
+// is an unsafe.String view that stays valid and unchanged for as long as
+// anyone holds it — a query's Entry, a checkpoint's iterator — and keeps
+// that arena alive. Once at least half the arena is dead, and at least
+// minSpare, its live IDs are copied into a fresh one in slot order
+// (compact); an append that would overflow the arena compacts it instead of
+// growing it. ids[0] is the empty entry, which free slots point at.
+//
 // Slots are stable for an object's lifetime (a move rewrites pos in place)
 // and slot 0 is reserved as "none". Objects sharing a point are chained
 // through next from the slot the point index holds. A removed object's
-// slot is zeroed — the table must not pin a departed ID — and recycled
-// through a free list threaded through next as well. Deletion from the
-// indexes shifts the rest of the probe run back, so there are no
-// tombstones and a table under steady churn never degrades or grows.
+// slot is zeroed and recycled through a free list threaded through next
+// as well. Deletion from the indexes shifts the rest of the probe run
+// back, so there are no tombstones and a table under steady churn never
+// degrades or grows.
 //
-// pos, next, byID and byPt live outside the Go heap where the build maps
-// them (mapped.go), and a table frees each the moment it stops using it: an
-// array outgrown by insert or regrow at once, the rest in release, which the
-// table's owner calls when no reader can reach the table any more — the
-// Collection in Load's table step for the table Load displaces, and through
-// a cleanup once the Collection itself is unreachable. So no slice of these
-// arrays may escape the table, and a table is not copied except to hand
-// its arrays over whole.
+// off, pos, next, byID and byPt live outside the Go heap where the build
+// maps them (mapped.go), and a table frees each the moment it stops using
+// it: an array outgrown by insert or regrow at once, the rest in release,
+// which the table's owner calls when no reader can reach the table any
+// more — the Collection in Load's table step for the table Load displaces,
+// and through a cleanup once the Collection itself is unreachable. So no
+// slice of these arrays may escape the table, and a table is not copied
+// except to hand its arrays over whole. The arena stays on the heap: its
+// views do escape, and a mapping could be unmapped under one.
 type table struct {
-	dims int      // coordinates per position: 2 or 3
-	name []string // slot → owner; "" in free slots
+	dims int // coordinates per position: 2 or 3
+	// ids is the ID arena and dead the bytes of it that removed IDs hold;
+	// off is slot → offset of its ID's entry, 0 in free slots.
+	ids  []byte
+	dead int
+	off  []uint32
 	// pos holds slot s's position at pos[s*dims:][:dims]; the zero point
 	// in free slots.
 	pos []int32
@@ -66,6 +87,10 @@ const (
 	freeSlot = 1 << 31 // set in next[s] while slot s is free
 	// minBuckets is the smallest index; a power of two, like every size.
 	minBuckets = 8
+	// minSpare is the fewest dead bytes a remove compacts the arena for:
+	// a table under churn allocates one arena per minSpare of IDs removed,
+	// at most.
+	minSpare = 64 << 10
 )
 
 // seedID and seedPt seed the table hashes, per process: IDs and
@@ -92,7 +117,8 @@ func newTable(dims, n int) table {
 	}
 	t := table{
 		dims: dims,
-		name: make([]string, 1, n+1),
+		ids:  make([]byte, 1),
+		off:  makeArray[uint32](1, n+1),
 		pos:  makeArray[int32](dims, (n+1)*dims),
 		next: makeArray[uint32](1, n+1),
 		byID: makeArray[uint32](b, b),
@@ -105,6 +131,7 @@ func newTable(dims, n int) table {
 // release frees the table's arrays and empties it; the table must not be
 // used again.
 func (t *table) release() {
+	freeArray(t.off)
 	freeArray(t.pos)
 	freeArray(t.next)
 	freeArray(t.byID)
@@ -114,11 +141,79 @@ func (t *table) release() {
 
 // mapped returns the bytes mapped behind the table's arrays.
 func (t *table) mapped() int {
-	return arrayBytes(t.pos) + arrayBytes(t.next) + arrayBytes(t.byID) + arrayBytes(t.byPt)
+	return arrayBytes(t.off) + arrayBytes(t.pos) + arrayBytes(t.next) + arrayBytes(t.byID) + arrayBytes(t.byPt)
 }
 
 // slots returns the number of slots ever handed out: live plus free.
-func (t *table) slots() int { return len(t.name) - 1 }
+func (t *table) slots() int { return len(t.next) - 1 }
+
+// id returns slot s's ID, "" for a free slot: a view into the arena, which
+// it keeps alive.
+func (t *table) id(s uint32) string {
+	o := int(t.off[s])
+	n, w := uint64(t.ids[o]), 1
+	if n >= 0x80 {
+		n, w = binary.Uvarint(t.ids[o:])
+	}
+	if n == 0 {
+		return ""
+	}
+	return unsafe.String(&t.ids[o+w], int(n))
+}
+
+// entryBytes is what id's entry takes in the arena.
+func entryBytes(id string) int { return (bits.Len(uint(len(id))|1)+6)/7 + len(id) }
+
+// reserveIDs makes room in the arena for bytes more bytes of entries, so
+// that appending them allocates nothing; Load sizes a fresh table with it.
+func (t *table) reserveIDs(bytes int) {
+	if len(t.ids)+bytes > cap(t.ids) {
+		t.ids = append(make([]byte, 0, len(t.ids)+bytes), t.ids...)
+	}
+}
+
+// putID appends id's entry to the arena and returns its offset.
+func (t *table) putID(id string) uint32 {
+	need := entryBytes(id)
+	if len(t.ids)+need > cap(t.ids) {
+		t.compact(need)
+	}
+	o := len(t.ids)
+	if uint64(o+need) > math.MaxUint32 {
+		panic("collection: more than 4 GiB of live IDs") // offsets are uint32s
+	}
+	t.ids = binary.AppendUvarint(t.ids, uint64(len(id)))
+	t.ids = append(t.ids, id...)
+	return uint32(o)
+}
+
+// compact copies the live IDs into a fresh arena in slot order, with room
+// for need more bytes and spare beyond them: a quarter of what it holds, or
+// as much again while that is under minSpare. An arena with no dead bytes
+// is copied whole, offsets and all. When the old arena held dead bytes the
+// table is churning, and the spare is at least twice minSpare, so that the
+// arena fills up no sooner than remove's threshold is reached: a churning
+// table compacts once per minSpare of removed bytes, at most. The old
+// arena is left as it was, for the views still into it.
+func (t *table) compact(need int) {
+	used := len(t.ids) - t.dead + need
+	spare := max(used/4, min(used, minSpare))
+	if t.dead == 0 {
+		t.reserveIDs(need + spare)
+		return
+	}
+	spare = max(spare, 2*minSpare)
+	ids := make([]byte, 1, used+spare)
+	for s, nx := range t.next {
+		if nx&freeSlot == 0 {
+			o := int(t.off[s])
+			e := t.ids[o : o+entryBytes(t.id(uint32(s)))]
+			t.off[s] = uint32(len(ids))
+			ids = append(ids, e...)
+		}
+	}
+	t.ids, t.dead = ids, 0
+}
 
 // at returns slot s's position, widened to a geom.Point.
 func (t *table) at(s uint32) (p geom.Point) {
@@ -143,7 +238,7 @@ func tagOf(hash uint64, mask uint32) uint32 { return uint32(hash>>32) &^ mask }
 
 // idHashAt and ptHashAt hash the key a live slot is indexed under; they
 // are what shiftBack and regrow rehash entries with.
-func (t *table) idHashAt(s uint32) uint64 { return hashID(t.name[s]) }
+func (t *table) idHashAt(s uint32) uint64 { return hashID(t.id(s)) }
 func (t *table) ptHashAt(s uint32) uint64 { return hashPt(t.at(s), t.dims) }
 
 // lookup resolves id to its slot (0 when id is not live) and returns the
@@ -158,7 +253,7 @@ func (t *table) lookup(id string) (slot uint32, hash uint64) {
 		if b == 0 {
 			return 0, hash
 		}
-		if s := b & mask; b&^mask == tag && t.name[s] == id {
+		if s := b & mask; b&^mask == tag && t.id(s) == id {
 			return s, hash
 		}
 	}
@@ -201,16 +296,17 @@ func (t *table) insert(id string, hash uint64, p geom.Point) uint32 {
 		t.byID = regrow(t.byID, t.idHashAt)
 		t.byPt = regrow(t.byPt, t.ptHashAt)
 	}
+	o := t.putID(id) // before the slot: a compaction copies live slots' IDs
 	s := t.free
 	if s != 0 {
 		t.free = t.next[s] &^ freeSlot
-		t.name[s] = id
 	} else {
-		s = uint32(len(t.name))
-		t.name = append(t.name, id)
+		s = uint32(len(t.next))
+		t.off = extend(t.off, 1)
 		t.pos = extend(t.pos, t.dims)
 		t.next = extend(t.next, 1)
 	}
+	t.off[s] = o
 	t.live++
 	place(t.byID, hash, s)
 	t.link(s, p)
@@ -235,11 +331,15 @@ func (t *table) remove(s uint32, hash uint64) {
 		i = (i + 1) & mask
 	}
 	shiftBack(t.byID, i, t.idHashAt)
-	t.name[s] = ""
+	t.dead += entryBytes(t.id(s))
+	t.off[s] = 0
 	t.put(s, geom.Point{})
 	t.next[s] = freeSlot | t.free
 	t.free = s
 	t.live--
+	if t.dead >= minSpare && 2*t.dead >= len(t.ids) {
+		t.compact(0)
+	}
 }
 
 // link records that slot s is at p: it joins p's chain right behind the
@@ -338,7 +438,7 @@ func regrow(ix []uint32, hashOf func(uint32) uint64) []uint32 {
 func (t *table) all() iter.Seq2[string, geom.Point] {
 	return func(yield func(string, geom.Point) bool) {
 		for s, nx := range t.next {
-			if nx&freeSlot == 0 && !yield(t.name[s], t.at(uint32(s))) {
+			if nx&freeSlot == 0 && !yield(t.id(uint32(s)), t.at(uint32(s))) {
 				return
 			}
 		}
@@ -346,21 +446,34 @@ func (t *table) all() iter.Seq2[string, geom.Point] {
 }
 
 // validate checks the table against itself: the two indexes find exactly
-// the live slots, the chains partition them by point, and the free list
-// holds the rest, zeroed.
+// the live slots, the chains partition them by point, the free list holds
+// the rest, zeroed, and the arena holds every live slot's entry, the empty
+// one free slots point at, and dead bytes as counted.
 func (t *table) validate() error {
-	if len(t.pos) != t.dims*len(t.name) || len(t.next) != len(t.name) {
-		return fmt.Errorf("collection: slot arrays of %d, %d and %d", len(t.name), len(t.pos), len(t.next))
+	if len(t.pos) != t.dims*len(t.next) || len(t.off) != len(t.next) {
+		return fmt.Errorf("collection: slot arrays of %d, %d and %d", len(t.off), len(t.pos), len(t.next))
 	}
-	live := 0
+	if len(t.ids) == 0 || t.ids[0] != 0 {
+		return fmt.Errorf("collection: ID arena of %d bytes does not start with the empty entry", len(t.ids))
+	}
+	live, liveBytes := 0, 0
 	for s := 1; s < len(t.next); s++ {
 		if t.next[s]&freeSlot != 0 {
 			continue
 		}
 		live++
-		if got, _ := t.lookup(t.name[s]); got != uint32(s) {
-			return fmt.Errorf("collection: slot %d holds %q, which the ID index resolves to slot %d", s, t.name[s], got)
+		o := int(t.off[s])
+		n, w := binary.Uvarint(t.ids[min(o, len(t.ids)):])
+		if o == 0 || w <= 0 || n > uint64(len(t.ids)-o-w) {
+			return fmt.Errorf("collection: slot %d's ID entry at %d runs past the %d-byte arena", s, o, len(t.ids))
 		}
+		liveBytes += w + int(n)
+		if got, _ := t.lookup(t.id(uint32(s))); got != uint32(s) {
+			return fmt.Errorf("collection: slot %d holds %q, which the ID index resolves to slot %d", s, t.id(uint32(s)), got)
+		}
+	}
+	if t.dead != len(t.ids)-1-liveBytes {
+		return fmt.Errorf("collection: %d dead ID bytes counted, the %d-byte arena holds %d live", t.dead, len(t.ids), liveBytes)
 	}
 	if live != t.live {
 		return fmt.Errorf("collection: %d live slots, %d counted", live, t.live)
@@ -404,8 +517,8 @@ func (t *table) validate() error {
 		if nFree++; nFree > t.slots()-live || t.next[s]&freeSlot == 0 {
 			return fmt.Errorf("collection: free list runs through live slot %d or loops", s)
 		}
-		if t.name[s] != "" || t.at(s) != (geom.Point{}) {
-			return fmt.Errorf("collection: free slot %d still holds (%q, %v)", s, t.name[s], t.at(s))
+		if t.off[s] != 0 || t.at(s) != (geom.Point{}) {
+			return fmt.Errorf("collection: free slot %d still holds (the ID at %d, %v)", s, t.off[s], t.at(s))
 		}
 	}
 	if nFree != t.slots()-live {

@@ -2,14 +2,17 @@ package collection
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -45,7 +48,7 @@ func checkTable(tb testing.TB, t *table, oracle map[string]geom.Point, ids []str
 	for p, want := range owners {
 		var got []string
 		for s := t.head(p); s != 0; s = t.next[s] {
-			got = append(got, t.name[s])
+			got = append(got, t.id(s))
 		}
 		slices.Sort(got)
 		slices.Sort(want)
@@ -136,7 +139,8 @@ func TestTableAgainstMapOracle(t *testing.T) {
 // TestSlotsRecycleUnderIDChurn: 10⁴ live string IDs drawn from 10⁶, a
 // tenth of them replaced by fresh ones every window. Slots are recycled,
 // so the table stays within twice the live peak however many IDs pass
-// through, and a departed ID is zeroed out of its slot rather than pinned.
+// through, a departed ID is zeroed out of its slot rather than pinned, and
+// the arena's dead bytes stay under its compaction threshold.
 func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 	const live, pool, windows = 10_000, 1_000_000, 60
 	for _, snapshot := range []bool{false, true} {
@@ -188,13 +192,16 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 					snapshot, tab.slots(), len(tab.byID), len(tab.byPt), live+windows*live/10, peak)
 			}
 			held := make(map[string]bool, tab.slots())
-			for _, id := range tab.name {
-				held[id] = true
+			for s := range tab.next {
+				held[tab.id(uint32(s))] = true
 			}
 			for _, i := range gone {
 				if !isLive[i] && held[name(i)] { // unless it was drawn again later
 					t.Fatalf("snapshot=%t: removed ID %q is still held by a slot", snapshot, name(i))
 				}
+			}
+			if tab.dead >= minSpare && 2*tab.dead >= len(tab.ids) {
+				t.Fatalf("snapshot=%t: %d of the arena's %d bytes are dead, past the compaction threshold", snapshot, tab.dead, len(tab.ids))
 			}
 		})
 		if got, free := c.slots.Load(), c.freeSlots.Load(); got < live || got > 2*peak || free != got-live {
@@ -207,51 +214,80 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 
 // TestTableBytesPerObject is the footprint guard: 10⁵ string-keyed 2-D
 // objects ingested through 1024-op windows in snapshot mode cost at most
-// 64 B each for the table — the one there is, in snapshot mode too: what
+// 62 B each for the table — the one there is, in snapshot mode too: what
 // dropping the Collection gives back to the heap while the ID strings,
-// which the caller owns, stay (the twin indexes hold a count each), plus
-// what its table maps outside the heap. It measures 59.6 with the arrays
-// mapped (whole pages, grown by quarters); on the heap it measured 58.5
-// with int32 positions, 79.2 with geom.Point ones; a table per snapshot
-// copy measured 153, the twin Go maps before that 310.
-func TestTableBytesPerObject(t *testing.T) { tableBytesPerObject(t, 2, 64) }
+// which the caller keeps, stay (the twin indexes hold a count each), plus
+// what its table maps outside the heap. It measures 59.2 with the IDs in
+// the arena and the slot arrays mapped; 59.6 with a string header per slot,
+// 58.5 with the arrays on the heap and int32 positions, 79.2 with
+// geom.Point ones; a table per snapshot copy measured 153, the twin Go maps
+// before that 310.
+func TestTableBytesPerObject(t *testing.T) { tableBytesPerObject(t, 2, false, 62, 0) }
 
 // TestTableBytesPerObject3D is the same guard in 3-D, where a position
-// costs 12 B instead of 8: it measures 64.9 B per object mapped, 61.7 on
-// the heap.
-func TestTableBytesPerObject3D(t *testing.T) { tableBytesPerObject(t, 3, 68) }
+// costs 12 B instead of 8: it measures 64.6 B per object; 64.9 with a
+// string header per slot, 61.7 with the arrays on the heap.
+func TestTableBytesPerObject3D(t *testing.T) { tableBytesPerObject(t, 3, false, 68, 0) }
 
-func tableBytesPerObject(t *testing.T, dims int, bound float64) {
+// TestTableBytesPerObjectOwnedIDs is the guard where the table owns its
+// IDs, as in psid: each Set gets a fresh string that nobody else keeps, so
+// what dropping the Collection gives back includes the IDs. It bounds the
+// total, heap and mapped, and the heap part alone, which the collector's
+// goal doubles: 59.3 and 64.6 B per object in 2-D and 3-D, 19.1 of it heap
+// (the arena, 13.7), against 75.6 and 80.9, 40.3 of it heap, with a string
+// header per slot and a string per ID.
+func TestTableBytesPerObjectOwnedIDs(t *testing.T) {
+	t.Run("2-D", func(t *testing.T) { tableBytesPerObject(t, 2, true, 62, 21) })
+	t.Run("3-D", func(t *testing.T) { tableBytesPerObject(t, 3, true, 68, 21) })
+}
+
+// tableBytesPerObject fails t unless a table of 10⁵ dims-dimensional
+// objects costs at most bound bytes each, heap and mapped, and, when
+// heapBound is positive, at most heapBound of them on the heap. With
+// owned, each ID is spelled afresh for its Set and kept by no one else.
+func tableBytesPerObject(t *testing.T, dims int, owned bool, bound, heapBound float64) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes heap accounting")
 	}
 	const n = 100_000
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("veh-%06d", i)
+	var ids []string
+	if !owned {
+		ids = make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("veh-%06d", i)
+		}
 	}
 	heap := heapAfterGC
 	c := New(newNullTwinsIn(dims), Options{MaxBatch: 1024, Snapshot: true})
-	for i, id := range ids {
+	for i := range n {
 		p := geom.Pt2(int64(i)*3, int64(i)*5)
 		if dims == 3 {
 			p[2] = int64(i) * 7
 		}
-		c.Set(id, p)
+		if owned {
+			c.Set(fmt.Sprintf("veh-%06d", i), p)
+		} else {
+			c.Set(ids[i], p)
+		}
 	}
 	c.Flush()
-	if n := c.Len(); n != len(ids) {
-		t.Fatalf("%d objects ingested, want %d", n, len(ids))
+	if got := c.Len(); got != n {
+		t.Fatalf("%d objects ingested, want %d", got, n)
 	}
 	with := heap()
-	mapped := c.Stats().TableMappedBytes
+	st := c.Stats()
 	drop(t, c)
-	without := heap() // the ID strings stay
+	without := heap() // the caller's ID strings, if it keeps them, stay
 	runtime.KeepAlive(ids)
-	perObj := float64(with-without+mapped) / n
-	t.Logf("%d-D: %.1f B per object (%d B of heap with the collection, %d B without, %d B mapped)", dims, perObj, with, without, mapped)
+	heapObj := float64(with-without) / n
+	perObj := heapObj + float64(st.TableMappedBytes)/n
+	t.Logf("%d-D: %.1f B per object, %.1f of it heap (%d B of heap with the collection, %d B without, %d B mapped, a %d-byte ID arena)",
+		dims, perObj, heapObj, with, without, st.TableMappedBytes, st.TableIDBytes)
 	if perObj > bound {
 		t.Fatalf("%d-D: table costs %.1f B per object, want at most %.0f", dims, perObj, bound)
+	}
+	if heapBound > 0 && heapObj > heapBound {
+		t.Fatalf("%d-D: table costs %.1f B of heap per object, want at most %.0f", dims, heapObj, heapBound)
 	}
 }
 
@@ -339,6 +375,7 @@ func benchIDs() ([]string, []geom.Point) {
 
 func benchTable(ids []string, pts []geom.Point) table {
 	tab := newTable(2, len(ids))
+	tab.reserveIDs(len(ids) * entryBytes(ids[0]))
 	for i, id := range ids {
 		_, h := tab.lookup(id)
 		tab.insert(id, h, pts[i])
@@ -346,7 +383,7 @@ func benchTable(ids []string, pts []geom.Point) table {
 	return tab
 }
 
-// BenchmarkTableLoad fills a presized table, as Collection.Load does;
+// BenchmarkTableLoad fills a presized table and arena, as Collection.Load does;
 // ns/op is per table, so divide by 3·10⁵ for per object.
 func BenchmarkTableLoad(b *testing.B) {
 	ids, pts := benchIDs()
@@ -388,7 +425,7 @@ func BenchmarkTableResolve(b *testing.B) {
 		if _, ok := tab.get(ids[i]); ok {
 			sink++
 		}
-		sink += len(tab.name[tab.head(pts[i])])
+		sink += len(tab.id(tab.head(pts[i])))
 	}
 	if sink == 0 {
 		b.Fatal("nothing resolved")
@@ -426,5 +463,123 @@ func BenchmarkTableStep(b *testing.B) {
 				c.applyTable(w)
 			}
 		})
+	}
+}
+
+// TestChurnAllocatesOnlyArenas counts every allocation over 1000 warm
+// windows that insert 512 objects and then remove them, in both read
+// modes. A window recycles all its scratch, so what may allocate is the ID
+// arena — at most one per minSpare of removed ID bytes, 86 here — and the
+// runtime itself: 9 with the IDs held as strings, about 18 with the GC
+// cycles the arenas bring.
+// The zero-alloc guards use testing.AllocsPerRun, whose mean is truncated
+// to an integer, so they would pass an arena every other window;
+// runtime.MemStats.Mallocs counts each one.
+func TestChurnAllocatesOnlyArenas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const n, windows, runtimeAllocs = 512, 1000, 32
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("veh-%06d", i)
+	}
+	for _, snapshot := range []bool{false, true} {
+		mk := func() core.Index { return core.NewNull(2) }
+		if snapshot {
+			mk = newNullTwins
+		}
+		c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: snapshot, Obs: obs.New()})
+		window := func() {
+			for i, id := range ids {
+				c.Set(id, geom.Pt2(int64(i)*17, int64(i)*29))
+			}
+			c.Flush()
+			for _, id := range ids {
+				c.Remove(id)
+			}
+			c.Flush()
+		}
+		for range 100 { // past the first compactions
+			window()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range windows {
+			window()
+		}
+		runtime.ReadMemStats(&after)
+		removed := windows * n * entryBytes(ids[0])
+		mallocs, bound := after.Mallocs-before.Mallocs, uint64(runtimeAllocs+removed/minSpare)
+		t.Logf("snapshot=%t: %d allocations over %d windows that removed %d ID bytes; at most %d", snapshot, mallocs, windows, removed, bound)
+		if mallocs > bound {
+			t.Fatalf("snapshot=%t: %d allocations over %d windows that removed %d ID bytes, want at most %d: %d of the runtime's and an arena per %d removed bytes",
+				snapshot, mallocs, windows, removed, bound, runtimeAllocs, minSpare)
+		}
+		c.Close()
+	}
+}
+
+// TestEntryIDsOutliveCompaction keeps the IDs three readers were handed — a
+// NearbyIDsAppend, a WithinIDs and a Checkpoint pass — removes their
+// objects and churns other IDs through the table until its arena has been
+// replaced twice, collecting garbage on the way: every kept ID still reads
+// as it was set, in both read modes. The kept IDs are views into arenas the
+// table has let go of, which the views alone keep alive.
+func TestEntryIDsOutliveCompaction(t *testing.T) {
+	const n, churn = 2000, 1000
+	kept := func(i int) string { return fmt.Sprintf("kept-%06d", i) }
+	at := func(i int) geom.Point { return geom.Pt2(int64(i)*7, int64(i)*11) }
+	for _, snapshot := range []bool{false, true} {
+		c := New(newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+		for i := range n {
+			c.Set(kept(i), at(i))
+		}
+		c.Flush()
+		held := c.NearbyIDsAppend(at(0), n/2, nil)
+		held = append(held, c.WithinIDs(universe())...)
+		c.Checkpoint(func(_ int, entries iter.Seq2[string, geom.Point]) {
+			for id, p := range entries {
+				held = append(held, Entry{ID: id, Point: p})
+			}
+		})
+		if len(held) != n/2+2*n {
+			t.Fatalf("snapshot=%t: readers were handed %d entries, want %d", snapshot, len(held), n/2+2*n)
+		}
+		for i := range n {
+			c.Remove(kept(i))
+		}
+		c.Flush()
+		arena := func() (p *byte) {
+			c.withTable(func(tab *table) { p = unsafe.SliceData(tab.ids) })
+			return p
+		}
+		last := arena()
+		for replaced, round := 0, 0; replaced < 2; round++ {
+			if round == 100 {
+				t.Fatalf("snapshot=%t: the arena was replaced %d times in %d rounds of churn, want 2", snapshot, replaced, round)
+			}
+			for i := range churn {
+				c.Set(fmt.Sprintf("lost-%06d", i), at(i))
+			}
+			c.Flush()
+			for i := range churn {
+				c.Remove(fmt.Sprintf("lost-%06d", i))
+			}
+			c.Flush()
+			runtime.GC()
+			if p := arena(); p != last {
+				replaced, last = replaced+1, p
+			}
+		}
+		for _, e := range held {
+			if want := kept(int(e.Point[0] / 7)); e.ID != want {
+				t.Fatalf("snapshot=%t: an ID handed out as %q reads %q after compaction", snapshot, want, e.ID)
+			}
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
 	}
 }

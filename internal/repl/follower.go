@@ -3,6 +3,7 @@ package repl
 import (
 	"bufio"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -100,6 +101,14 @@ type Follower struct {
 	bootstraps atomic.Uint64
 	windows    atomic.Uint64
 	duplicates atomic.Uint64
+
+	// sum is the CRC-32 of the window payload applied at sumSeq, sent in
+	// FOLLOW when sumSeq is still the applied position; haveSum is false
+	// until this process streams a window (a snapshot or a restarted
+	// WAL does not tell it). Session goroutine only.
+	sum     uint32
+	sumSeq  uint64
+	haveSum bool
 
 	// stream-loop scratch, reused across frames (one session at a time).
 	frameBuf []byte
@@ -275,8 +284,10 @@ func (f *Follower) sleep(d time.Duration) bool {
 func (f *Follower) session(conn net.Conn) error {
 	rw := deadlineRW{c: conn, rt: readTimeout, wt: writeTimeout}
 	applied, term := f.app.AppliedSeq(), f.app.Term()
+	fl := follow{seq: applied, term: term, id: f.opts.ID}
+	fl.sum, fl.hasSum = f.sum, f.haveSum && f.sumSeq == applied
 	hs := append([]byte(nil), Magic...)
-	hs = appendFrame(hs, fmFollow, followPayload(nil, applied, term, f.opts.ID))
+	hs = appendFrame(hs, fmFollow, followPayload(nil, fl))
 	if _, err := rw.Write(hs); err != nil {
 		return err
 	}
@@ -394,6 +405,7 @@ func (f *Follower) stream(r io.Reader, w io.Writer) error {
 				return fmt.Errorf("repl: bootstrap: %w", err)
 			}
 			f.applied.Store(snap.seq)
+			f.haveSum = false
 			f.bootstraps.Add(1)
 			f.logf("repl: bootstrapped %d objects at seq %d (term %d)", len(snap.entries), snap.seq, sessionTerm)
 			if err := f.ack(w, snap.seq); err != nil {
@@ -434,6 +446,7 @@ func (f *Follower) stream(r io.Reader, w io.Writer) error {
 				return fmt.Errorf("repl: apply window %d: %w", seq, err)
 			}
 			f.applied.Store(seq)
+			f.sum, f.sumSeq, f.haveSum = crc32.ChecksumIEEE(win), seq, true
 			f.windows.Add(1)
 			if seq > f.leaderSeq.Load() {
 				f.leaderSeq.Store(seq)

@@ -100,40 +100,65 @@ func parseSeqTerm(p []byte) (seq, term uint64, err error) {
 	return seq, term, nil
 }
 
+// follow is a decoded FOLLOW handshake.
+type follow struct {
+	seq  uint64 // last applied sequence
+	term uint64 // highest leader term adopted
+	id   string // stable follower identity
+	// sum is the CRC-32 of the wal window payload the follower applied
+	// at seq, when hasSum; a follower that reached seq through a
+	// snapshot or a restart does not know it and omits it.
+	sum    uint32
+	hasSum bool
+}
+
 // followPayload encodes the FOLLOW handshake: the follower's last
-// applied sequence, the highest leader term it has adopted, and its
-// stable identity.
-func followPayload(dst []byte, lastSeq, term uint64, id string) []byte {
-	dst = binary.AppendUvarint(dst[:0], lastSeq)
-	dst = binary.AppendUvarint(dst, term)
-	dst = binary.AppendUvarint(dst, uint64(len(id)))
-	return append(dst, id...)
+// applied sequence, the highest leader term it has adopted, its stable
+// identity and, optionally, a u32le checksum of the window it applied
+// at that sequence.
+func followPayload(dst []byte, fl follow) []byte {
+	dst = binary.AppendUvarint(dst[:0], fl.seq)
+	dst = binary.AppendUvarint(dst, fl.term)
+	dst = binary.AppendUvarint(dst, uint64(len(fl.id)))
+	dst = append(dst, fl.id...)
+	if fl.hasSum {
+		dst = binary.LittleEndian.AppendUint32(dst, fl.sum)
+	}
+	return dst
 }
 
 // parseFollow decodes a FOLLOW payload.
-func parseFollow(p []byte) (lastSeq, term uint64, id string, err error) {
-	lastSeq, n := binary.Uvarint(p)
+func parseFollow(p []byte) (fl follow, err error) {
+	seq, n := binary.Uvarint(p)
 	if n <= 0 {
-		return 0, 0, "", fmt.Errorf("repl: truncated FOLLOW seq")
+		return fl, fmt.Errorf("repl: truncated FOLLOW seq")
 	}
 	p = p[n:]
-	term, n = binary.Uvarint(p)
+	term, n := binary.Uvarint(p)
 	if n <= 0 {
-		return 0, 0, "", fmt.Errorf("repl: truncated FOLLOW term")
+		return fl, fmt.Errorf("repl: truncated FOLLOW term")
 	}
 	p = p[n:]
 	ln, n := binary.Uvarint(p)
 	if n <= 0 {
-		return 0, 0, "", fmt.Errorf("repl: truncated FOLLOW id length")
+		return fl, fmt.Errorf("repl: truncated FOLLOW id length")
 	}
 	p = p[n:]
 	if ln > MaxFollowerIDLen {
-		return 0, 0, "", fmt.Errorf("repl: follower id of %d bytes exceeds the %d-byte limit", ln, MaxFollowerIDLen)
+		return fl, fmt.Errorf("repl: follower id of %d bytes exceeds the %d-byte limit", ln, MaxFollowerIDLen)
 	}
-	if ln != uint64(len(p)) {
-		return 0, 0, "", fmt.Errorf("repl: FOLLOW id length %d does not match payload", ln)
+	if ln > uint64(len(p)) {
+		return fl, fmt.Errorf("repl: FOLLOW id length %d does not match payload", ln)
 	}
-	return lastSeq, term, string(p), nil
+	fl = follow{seq: seq, term: term, id: string(p[:ln])}
+	switch rest := p[ln:]; len(rest) {
+	case 0:
+	case 4:
+		fl.sum, fl.hasSum = binary.LittleEndian.Uint32(rest), true
+	default:
+		return follow{}, fmt.Errorf("repl: FOLLOW id length %d does not match payload", ln)
+	}
+	return fl, nil
 }
 
 // windowPayload prefixes one wal-encoded window payload with the

@@ -1,6 +1,9 @@
 package repl
 
-import "sync"
+import (
+	"hash/crc32"
+	"sync"
+)
 
 // Retention defaults for the hub's in-memory window ring. The ring is
 // the incremental catch-up horizon: a follower whose resume point has
@@ -133,4 +136,18 @@ func (h *Hub) TailFrom(after uint64, dst [][]byte) (wins [][]byte, last uint64, 
 		}
 	}
 	return dst, h.lastSeq, false
+}
+
+// SumAt returns the CRC-32 of the retained window payload at seq, and
+// false when that window is not retained. A follower's FOLLOW carries
+// the same checksum of the window it applied there, which is how the
+// leader tells a resume point on its own history from the same seq on
+// a history it has since lost.
+func (h *Hub) SumAt(seq uint64) (uint32, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.wins) == 0 || seq < h.wins[0].seq || seq > h.lastSeq {
+		return 0, false
+	}
+	return crc32.ChecksumIEEE(h.wins[seq-h.wins[0].seq].payload), true
 }

@@ -245,11 +245,12 @@ func (l *Leader) handleConn(conn net.Conn) {
 	if err != nil || typ != fmFollow {
 		return
 	}
-	followerSeq, followerTerm, followerID, err := parseFollow(payload)
+	fl, err := parseFollow(payload)
 	if err != nil {
 		l.logf("repl: %s: %v", conn.RemoteAddr(), err)
 		return
 	}
+	followerSeq, followerTerm, followerID := fl.seq, fl.term, fl.id
 	if followerID == "" {
 		followerID = conn.RemoteAddr().String()
 	}
@@ -324,10 +325,17 @@ func (l *Leader) handleConn(conn net.Conn) {
 	// A follower on an older term must bootstrap even when its seq looks
 	// resumable: across a term boundary the sequence spaces belong to
 	// different timelines, and the snapshot is also how the follower
-	// adopts (and persists) the new term.
+	// adopts (and persists) the new term. So must one whose window at
+	// its seq is not the window this leader retains there: a leader
+	// rebuilt from an empty WAL reuses sequence numbers on the same term.
 	cursor := followerSeq
 	_, _, gap := l.opts.Hub.TailFrom(cursor, nil)
-	if gap || followerTerm < leaderTerm {
+	diverged := false
+	if sum, ok := l.opts.Hub.SumAt(followerSeq); ok && fl.hasSum && sum != fl.sum {
+		diverged = true
+		l.logf("repl: follower %s applied a different window at seq %d: re-bootstrapping", followerID, followerSeq)
+	}
+	if gap || diverged || followerTerm < leaderTerm {
 		cursor, err = l.sendSnapshot(rw, &scratch, followerID)
 		if err != nil {
 			l.logf("repl: follower %s: bootstrap failed: %v", followerID, err)

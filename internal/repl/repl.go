@@ -19,13 +19,16 @@
 // has them, encoded the one way the WAL encodes them. The handshake is
 // a FOLLOW frame carrying the follower's last applied sequence (its
 // WAL's recovered LastSeq — resume is free), the highest leader term it
-// has adopted, and a stable follower identity for the leader's
-// per-follower metric series. The
+// has adopted, a stable follower identity for the leader's
+// per-follower metric series and, when the follower streamed the window
+// at that sequence itself, the window's checksum. The
 // leader answers HELLO (its head sequence and its term) and then either
 // streams the retained log tail or, when the follower is behind the
 // retention horizon (or ahead of a rebuilt leader, or carries an older
-// term), a full snapshot (SNAP_BEGIN / SNAP_DATA* / SNAP_END) captured
-// under the Collection's flush lock, followed by the tail. PING frames
+// term, or applied a different window at its sequence than the one the
+// leader retains there), a full snapshot (SNAP_BEGIN / SNAP_DATA* /
+// SNAP_END) captured under the Collection's flush lock, followed by the
+// tail. PING frames
 // carry the leader's head sequence while idle; ACK frames flow back
 // with the follower's applied sequence and feed the leader's lag
 // gauges.
@@ -61,7 +64,7 @@ const Magic = "PSIREPL2"
 // Frame types. The zero value is invalid so a zeroed header never
 // passes for a frame.
 const (
-	fmFollow    byte = 1 + iota // f→l: uvarint lastSeq | uvarint term | uvarint idLen | id
+	fmFollow    byte = 1 + iota // f→l: uvarint lastSeq | uvarint term | uvarint idLen | id [| u32le crc32(window at lastSeq)]
 	fmHello                     // l→f: uvarint leaderSeq | uvarint leaderTerm
 	fmSnapBegin                 // l→f: uvarint snapSeq | uvarint entryCount
 	fmSnapData                  // l→f: window payload at snapSeq (a chunk of entries)

@@ -3,6 +3,7 @@ package repl
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"maps"
 	"net"
@@ -422,6 +423,93 @@ func TestHubTailFrom(t *testing.T) {
 	}
 }
 
+// TestHubSumAt: the hub answers the checksum of exactly the windows it
+// retains, computed over the payload it streams.
+func TestHubSumAt(t *testing.T) {
+	h := NewHub(5, 3, 0)
+	if _, ok := h.SumAt(5); ok {
+		t.Fatal("an empty ring answered a checksum for its recovered head")
+	}
+	for seq := uint64(6); seq <= 10; seq++ {
+		publish(h, seq, []wal.Op{{ID: "x", P: geom.Pt2(int64(seq), 0)}})
+	}
+	wins, _, _ := h.TailFrom(7, nil) // the ring holds 8, 9, 10
+	for i, seq := range []uint64{8, 9, 10} {
+		if sum, ok := h.SumAt(seq); !ok || sum != crc32.ChecksumIEEE(wins[i]) {
+			t.Fatalf("SumAt(%d) = %#x, %t; want the checksum of the retained window", seq, sum, ok)
+		}
+	}
+	for _, seq := range []uint64{0, 7, 11} {
+		if _, ok := h.SumAt(seq); ok {
+			t.Fatalf("SumAt(%d) answered for a window the ring does not hold", seq)
+		}
+	}
+}
+
+// TestFollowRoundTrip pins the FOLLOW encoding with and without the
+// window checksum, and that nothing else may trail the identity.
+func TestFollowRoundTrip(t *testing.T) {
+	for _, fl := range []follow{
+		{seq: 7, term: 2, id: "f1"},
+		{seq: 7, term: 2, id: "f1", sum: 0xdeadbeef, hasSum: true},
+		{seq: 0, term: 0, id: "", sum: 0, hasSum: true},
+	} {
+		got, err := parseFollow(followPayload(nil, fl))
+		if err != nil || got != fl {
+			t.Fatalf("round trip of %+v: %+v, %v", fl, got, err)
+		}
+	}
+	p := followPayload(nil, follow{seq: 7, term: 2, id: "f1"})
+	for _, extra := range []int{1, 3, 5} {
+		if _, err := parseFollow(append(bytes.Clone(p), make([]byte, extra)...)); err == nil {
+			t.Fatalf("FOLLOW with %d trailing bytes decoded without error", extra)
+		}
+	}
+	if _, err := parseFollow(p[:len(p)-1]); err == nil {
+		t.Fatal("FOLLOW with a torn identity decoded without error")
+	}
+}
+
+// TestDivergedResumeForcesBootstrap: a leader rebuilt from an empty WAL
+// on the same term reuses sequence numbers. A follower that reconnects
+// after the new history passed its seq must be re-bootstrapped, not
+// resumed on windows that never followed its state — while a follower
+// reconnecting to the history it came from still resumes for free.
+func TestDivergedResumeForcesBootstrap(t *testing.T) {
+	lm := newLeaderModel(0, 0)
+	_, addr := startTestLeader(t, lm)
+	app := newModelApplier()
+	f := startTestFollower(t, addr, "f1", app)
+	for i := 0; i < 5; i++ {
+		lm.commit([]wal.Op{{ID: "old", P: geom.Pt2(int64(i), 0)}})
+	}
+	checkConverged(t, lm, app)
+
+	// The same history: sever the session, commit more, resume.
+	f.SetAddr(addr)
+	for i := 5; i < 8; i++ {
+		lm.commit([]wal.Op{{ID: "old", P: geom.Pt2(int64(i), 0)}})
+	}
+	checkConverged(t, lm, app)
+	if _, boots := app.counts(); boots != 0 || f.Status().Duplicates != 0 {
+		t.Fatalf("resume on the same history: %d bootstraps, %+v", boots, f.Status())
+	}
+
+	// A different history on the same term, already past the follower's
+	// seq 8 when it arrives.
+	lm2 := newLeaderModel(0, 0)
+	for i := 0; i < 12; i++ {
+		lm2.commit([]wal.Op{{ID: fmt.Sprintf("new-%d", i), P: geom.Pt2(int64(i), 1)}})
+	}
+	_, addr2 := startTestLeader(t, lm2)
+	f.SetAddr(addr2)
+	waitFor(t, "re-bootstrap onto the new history", func() bool { _, boots := app.counts(); return boots == 1 })
+	checkConverged(t, lm2, app)
+	if st := f.Status(); st.Duplicates != 0 {
+		t.Fatalf("diverged resume: %+v", st)
+	}
+}
+
 // TestHubByteRetention: the byte bound evicts like the window bound but
 // always keeps the newest window.
 func TestHubByteRetention(t *testing.T) {
@@ -572,7 +660,7 @@ func TestLeaderDeposedByHigherTermFollow(t *testing.T) {
 	}
 	defer conn.Close()
 	hs := append([]byte(nil), Magic...)
-	hs = appendFrame(hs, fmFollow, followPayload(nil, 0, 2, "newer"))
+	hs = appendFrame(hs, fmFollow, followPayload(nil, follow{term: 2, id: "newer"}))
 	if _, err := conn.Write(hs); err != nil {
 		t.Fatal(err)
 	}

@@ -97,6 +97,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`psi_collection_free_slots{layer="collection"}`:  0,
 		// 0 where the build keeps the table on the heap.
 		`psi_collection_table_mapped_bytes{layer="collection"}`: 0,
+		// The empty entry, then four one-byte IDs of two bytes each.
+		`psi_collection_table_id_bytes{layer="collection"}`:      9,
+		`psi_collection_table_id_dead_bytes{layer="collection"}`: 0,
 		// Present from the start; they move only when a read arrives while a
 		// commit drains or runs its table step (collection tests hold one up).
 		`psi_collection_table_wait_total{layer="collection"}`:    0,
@@ -196,6 +199,9 @@ func TestSharedIndexAccounting(t *testing.T) {
 	}
 	if m := samples[`psi_collection_table_mapped_bytes{layer="collection"}`]; float64(st.TableMappedBytes) != m {
 		t.Fatalf("STATS table_mapped_bytes = %d, /metrics has %v", st.TableMappedBytes, m)
+	}
+	if b, d := samples[`psi_collection_table_id_bytes{layer="collection"}`], samples[`psi_collection_table_id_dead_bytes{layer="collection"}`]; float64(st.TableIDBytes) != b || float64(st.TableIDDeadBytes) != d {
+		t.Fatalf("STATS table_id_bytes = %d (%d dead), /metrics has %v (%v dead)", st.TableIDBytes, st.TableIDDeadBytes, b, d)
 	}
 
 	// Locked reads keep one index: nothing is shared, nothing is reported.

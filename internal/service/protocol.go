@@ -210,7 +210,12 @@ type StatsPayload struct {
 	// Go heap (collection.Stats), which the runtime's heap figures — the gc
 	// block, psi_heap_* — leave out; 0 in builds that keep the table on the
 	// heap.
-	TableMappedBytes uint64  `json:"table_mapped_bytes"`
+	TableMappedBytes uint64 `json:"table_mapped_bytes"`
+	// TableIDBytes is the size of the slot table's ID arena on the heap —
+	// live IDs, removed ones awaiting compaction and room to append — and
+	// TableIDDeadBytes the removed IDs' share (collection.Stats).
+	TableIDBytes     uint64  `json:"table_id_bytes"`
+	TableIDDeadBytes uint64  `json:"table_id_dead_bytes"`
 	Conns            int     `json:"conns"`    // currently open client connections
 	UptimeS          float64 `json:"uptime_s"` // seconds since Start
 	// BadLines counts protocol-level rejects (unparseable or oversized

@@ -464,6 +464,8 @@ func (s *Server) Stats() StatsPayload {
 		Removed:          cs.Removed,
 		Cancelled:        cs.Cancelled,
 		TableMappedBytes: cs.TableMappedBytes,
+		TableIDBytes:     cs.TableIDBytes,
+		TableIDDeadBytes: cs.TableIDDeadBytes,
 		Conns:            conns,
 		UptimeS:          time.Since(s.start).Seconds(),
 		BadLines:         s.met.badLines.Load(),

@@ -236,7 +236,9 @@ func NewShardedOpts(opts ShardedOptions) *Sharded { return shard.New(opts) }
 type Collection = collection.Collection
 
 // CollectionEntry is one resolved Collection query hit: an object ID and
-// its indexed position. Its type parameter is vestigial — unused, kept
+// its indexed position. The ID is an immutable view into the Collection's
+// ID arena: it stays valid for as long as it is held, and keeps one arena
+// generation alive meanwhile. Its type parameter is vestigial — unused, kept
 // only so that the benchmark's CollectionEntry[string] still compiles —
 // and goes with the benchmark change that does ROADMAP's ledger v2a (j).
 type CollectionEntry[_ ~string] = collection.Entry
