@@ -349,8 +349,7 @@ func TestProbeWiring(t *testing.T) {
 // TestServingLineNamesTheReadMode: psid's serving line names the read mode
 // the server runs, not the one the flags ask for, and /stats agrees — two
 // versions sharing one tree over a copy-on-write family (P-Orth, sharded
-// here), one version and no cow block over a baseline, and one under
-// -locked-reads whatever the family.
+// here), one version and no cow block over a baseline.
 func TestServingLineNamesTheReadMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real server processes")
@@ -362,7 +361,6 @@ func TestServingLineNamesTheReadMode(t *testing.T) {
 	}{
 		{[]string{"-index", "P-Orth", "-shards", "2"}, "(snapshot reads)", 2},
 		{[]string{"-index", "Pkd-Tree"}, "(locked reads)", 1},
-		{[]string{"-locked-reads"}, "(locked reads)", 1},
 	} {
 		cmd, _, serving := startPsid(t, "", append([]string{"-http", "127.0.0.1:0"}, tc.args...)...)
 		if !strings.Contains(serving, tc.reads) {
@@ -424,6 +422,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-snapshot-interval", "0s"},
 		{"-repl-retain", "-1"}, // not "default"
 		{"-max-lag", "-1"},     // not "off"
+		{"-slowlog", "-1s"},    // not "off"
 	} {
 		enc, err := json.Marshal(append([]string{"-addr", "127.0.0.1:0", "-http", ""}, args...))
 		if err != nil {

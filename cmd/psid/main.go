@@ -22,9 +22,9 @@
 // The serving stack is chosen by flags: -index picks the per-shard index
 // family (any psibench table name), -shards wraps it in the sharded
 // fan-out layer so every coalesced flush applies across shards in
-// parallel. The SPaC family and P-Orth serve snapshot reads from one tree
-// their two versions share; the baselines serve locked reads, as every
-// family does under -locked-reads. -pprof mounts net/http/pprof under
+// parallel. The index decides the read mode: the SPaC family and P-Orth
+// serve snapshot reads from one tree their two versions share, the
+// baselines serve locked reads. -pprof mounts net/http/pprof under
 // /debug/pprof/ on the -http listener and adds GC counters to /stats, so
 // allocation and CPU profiles can be captured from a live server (README
 // "Performance").
@@ -101,7 +101,7 @@ func run() int {
 	}
 	addr := flag.String("addr", ":7501", "TCP command listener address")
 	httpAddr := flag.String("http", ":7502", "HTTP probe listener address (/healthz, /stats, /metrics, /debug/flushtrace, /debug/slowlog); empty disables")
-	index := flag.String("index", "SPaC-H", "index family (a psibench table name, e.g. SPaC-H, P-Orth, Pkd-Tree); the SPaC family and P-Orth share one tree between snapshot versions, the baselines serve locked reads")
+	index := flag.String("index", "SPaC-H", "index family (a psibench table name, e.g. SPaC-H, P-Orth, Pkd-Tree); it decides the read mode: the SPaC family and P-Orth serve snapshot reads from one tree their versions share, the baselines serve locked reads")
 	shards := flag.Int("shards", -1, "shard count: -1 = one per core, 0 = unsharded, N = N shards")
 	dims := flag.Int("dims", 2, "point dimensionality (2 or 3)")
 	side := flag.Int64("side", 1_000_000_000, "coordinate universe [0, side]^dims; at most 2^31-1, the stored int32 range, for every index family in 2-D; in 3-D P-Orth takes at most 1753413056 and the SPaC family and the Zd-tree 2^21-1")
@@ -109,7 +109,6 @@ func run() int {
 	flushEvery := flag.Duration("flush-interval", service.DefaultFlushInterval, "background flush cadence bounding query staleness")
 	maxLine := flag.Int("maxline", service.DefaultMaxLineBytes, "reject request lines longer than this many bytes")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http listener and add GC counters to /stats")
-	lockedReads := flag.Bool("locked-reads", false, "disable epoch-pinned snapshot reads (served over the SPaC family and P-Orth, whose versions share one tree), under which a query waits at most for a window's table step: queries take the read lock and can wait behind a whole flush (A/B baseline)")
 	slowlog := flag.Duration("slowlog", 0, "slow-query threshold: commands slower than this are retained in the slow-query log (SLOWLOG command, /debug/slowlog); 0 disables")
 	walDir := flag.String("wal", "", "write-ahead log directory: journal committed flush windows and recover them on restart (docs/durability.md); empty serves memory-only")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (ack = on disk), never, or a sync interval like 100ms (bounded loss window)")
@@ -160,6 +159,10 @@ func run() int {
 	}
 	if *replRetain < 0 {
 		fmt.Fprintf(os.Stderr, "psid: -repl-retain must not be negative, got %d\n", *replRetain)
+		return 2
+	}
+	if *slowlog < 0 {
+		fmt.Fprintf(os.Stderr, "psid: -slowlog must not be negative, got %s\n", *slowlog)
 		return 2
 	}
 	if *maxLag < 0 {
@@ -215,7 +218,6 @@ func run() int {
 		FlushInterval:       *flushEvery,
 		MaxLineBytes:        *maxLine,
 		EnablePprof:         *pprofOn,
-		DisableSnapshot:     *lockedReads,
 		Obs:                 reg,
 		SlowLog:             *slowlog,
 		WALDir:              *walDir,

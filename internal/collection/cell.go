@@ -14,13 +14,15 @@ import (
 // cell is the Collection's version cell: the one place readers are kept
 // off the writer of its index, and the only code that knows how. Every
 // read holds one RWMutex shared, from Acquire to Release; Init picks one
-// of two modes, which differ in how long a commit holds it exclusively:
+// of two modes from the index alone, and they differ in how long a commit
+// holds it exclusively:
 //
-//   - Locked reads: one copy. A commit takes the write lock, applies the
-//     window, runs the caller's table step and unlocks.
-//   - Adopting twins (snapshot reads asked for, over a copy-on-write index
-//     whose fresh replica adopts it — core.Adopter: the SPaC family and
-//     P-Orth, as trees or sharded): two handles on one structure. The
+//   - Locked reads (every other index: the baselines, or a decorator that
+//     hides the capability): one copy. A commit takes the write lock,
+//     applies the window, runs the caller's table step and unlocks.
+//   - Adopting twins (snapshot reads, over a copy-on-write index whose
+//     fresh replica adopts it — core.Adopter: the SPaC family and P-Orth,
+//     as trees or sharded): two handles on one structure. The
 //     paper's batch updates rebuild only the paths a batch reaches, so a
 //     commit applies the window to the off-line handle with no lock held —
 //     that handle copies what it touches and the published one stays
@@ -64,18 +66,15 @@ type version struct {
 // published (0 for the initial version).
 func (v *version) Epoch() uint64 { return v.epoch }
 
-// Init builds the cell over idx: with snapshot, over idx and a fresh
-// replica of it when that replica adopts idx, and over idx alone
-// otherwise. A non-empty index or replica panics.
-func (c *cell) Init(idx core.Index, snapshot bool) {
+// Init builds the cell over idx and a fresh replica of it when that
+// replica adopts idx, and over idx alone otherwise. A non-empty index or
+// replica panics: every stored point must have an owning ID.
+func (c *cell) Init(idx core.Index) {
+	if idx.Size() != 0 {
+		panic("collection: the wrapped index must start empty")
+	}
 	c.cur = &version{Index: idx}
 	c.copies = []core.Index{idx}
-	if !snapshot {
-		return
-	}
-	if idx.Size() != 0 {
-		panic("collection: snapshot reads require an initially empty index")
-	}
 	a, ok := idx.(core.Adopter)
 	if !ok {
 		return

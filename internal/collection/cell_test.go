@@ -136,9 +136,8 @@ func (p twinPair) Shares(o core.Index) bool {
 
 func (p twinPair) Copied() (nodes, bytes uint64) { return p.copies.Load(), 0 }
 
-// newCell builds a cell over the given copies, asking for snapshot reads
-// either way: one pair stays locked, two are twins that adopt — sharing
-// their counts when share is set.
+// newCell builds a cell over the given copies: one pair stays locked, two
+// are twins that adopt — sharing their counts when share is set.
 func newCell(share bool, copies ...*pair) *cell {
 	for i, p := range copies {
 		p.counts = &p.mine
@@ -151,7 +150,7 @@ func newCell(share bool, copies ...*pair) *cell {
 		idx = twinPair{copies[0], share}
 	}
 	c := new(cell)
-	c.Init(idx, true)
+	c.Init(idx)
 	return c
 }
 
@@ -285,7 +284,7 @@ func TestCellNeverTorn(t *testing.T) {
 	t.Run("P-Orth", func(t *testing.T) {
 		universe := geom.UniverseBox(2, 1<<20)
 		var c cell
-		c.Init(orthtree.NewDefault(2, universe), true)
+		c.Init(orthtree.NewDefault(2, universe))
 		at := func(i int) geom.Point { return geom.Pt2(int64(i)*523%(1<<20), int64(i)*131%(1<<20)) }
 		var stop atomic.Bool
 		var wg sync.WaitGroup
@@ -505,7 +504,7 @@ func TestCellQueryZeroAllocWarm(t *testing.T) {
 		{"adopting P-Orth", orthtree.NewDefault(2, universe)},
 	} {
 		var c cell
-		c.Init(mode.idx, true)
+		c.Init(mode.idx)
 		if (c.Versions() == 2) != (mode.name != "locked") {
 			t.Fatalf("%s: %d versions", mode.name, c.Versions())
 		}
@@ -528,12 +527,11 @@ func TestCellQueryZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestCellRequiresEmptyIndexes documents the construction contract: with
-// snapshot reads asked for, Init refuses twins that could never agree — an
-// index that starts non-empty, or a replica that is non-empty or missing —
-// and names the package in the panic. Locked reads take the index as it
-// is, and so does a snapshot request over an index that is not
-// copy-on-write: it stays on one copy.
+// TestCellRequiresEmptyIndexes documents the construction contract: Init
+// refuses an index that starts non-empty, copy-on-write or not, and twins
+// that could never agree — a replica that is non-empty or missing — and
+// names the package in the panic. An empty index that is not
+// copy-on-write stays on one copy.
 func TestCellRequiresEmptyIndexes(t *testing.T) {
 	twins := func(idxSize int, replica *pair) core.Index {
 		p := &pair{replica: replica}
@@ -549,6 +547,7 @@ func TestCellRequiresEmptyIndexes(t *testing.T) {
 		idx  core.Index
 	}{
 		{"non-empty index", twins(1, &pair{})},
+		{"non-empty locked index", struct{ core.Index }{twins(1, &pair{})}},
 		{"non-empty twin", twins(0, &pair{mine: counts{x: 1}})},
 		{"no twin", twins(0, nil)},
 	} {
@@ -558,18 +557,13 @@ func TestCellRequiresEmptyIndexes(t *testing.T) {
 					t.Fatalf("%s: panic %q, want one that names the package", tc.name, msg)
 				}
 			}()
-			new(cell).Init(tc.idx, true)
+			new(cell).Init(tc.idx)
 		}()
 	}
 	var c cell
-	c.Init(twins(1, &pair{}), false)
+	c.Init(core.NewBruteForce(2))
 	if c.Versions() != 1 {
-		t.Fatalf("locked reads over a non-empty index: %d versions, want 1", c.Versions())
-	}
-	var s cell
-	s.Init(core.NewBruteForce(2), true)
-	if s.Versions() != 1 {
-		t.Fatalf("snapshot reads over an index that cannot adopt: %d versions, want 1", s.Versions())
+		t.Fatalf("an index that cannot adopt: %d versions, want 1", c.Versions())
 	}
 }
 

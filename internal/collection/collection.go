@@ -38,13 +38,12 @@
 // index point without its owner or vice versa. How readers are kept off
 // the flush writer is the version cell's job (cell.go), and nothing else
 // here asks it how: every query holds the cell's read lock, and the table
-// is read under it. In the default locked mode a commit holds
-// the write lock across the index apply; with Options.Snapshot set over a
-// copy-on-write index (core.Adopter: the SPaC family and P-Orth, and a
-// Sharded of either) the index is versioned — two handles on one tree —
-// the window is applied to the off-line handle outside the lock, and the
-// write lock covers only the publish, so a query never waits on the index
-// apply. Over any other index Snapshot leaves the locked mode in place.
+// is read under it. The index decides the mode: over a copy-on-write
+// index (core.Adopter: the SPaC family and P-Orth, and a Sharded of
+// either) the index is versioned — two handles on one tree — the window
+// is applied to the off-line handle outside the lock, and the write lock
+// covers only the publish, so a query never waits on the index apply;
+// over any other index a commit holds the write lock across the apply.
 // The table stays single: each commit hands the cell its own table step —
 // a window's applyTable, or a Load's swap to the table it filled — which
 // the cell runs under its write lock, and a query that arrives meanwhile
@@ -86,7 +85,7 @@ import (
 const DefaultMaxBatch = 1024
 
 // Options tunes a Collection. The zero value is usable: DefaultMaxBatch
-// coalescing, no background flusher, locked reads.
+// coalescing, no background flusher.
 type Options struct {
 	// MaxBatch is the pending-op count that triggers a synchronous flush
 	// by the enqueuing goroutine (built-in backpressure: the caller that
@@ -97,15 +96,6 @@ type Options struct {
 	// flushes every interval, bounding how far the queried view lags
 	// behind enqueues under light write traffic. Stop it with Close.
 	FlushInterval time.Duration
-	// Snapshot asks for epoch-pinned snapshot reads, which run over a
-	// copy-on-write index (core.Adopter: the SPaC family and P-Orth, as
-	// trees or sharded) whose fresh replica adopts it: the version cell
-	// keeps two handles on one structure and applies a window to the one
-	// NearbyIDs/WithinIDs/Get are not reading, so a reader never waits on
-	// the index apply. Over any other index, as with Snapshot unset, a
-	// commit holds the readers' lock across the apply. The wrapped index
-	// must start empty.
-	Snapshot bool
 	// Obs, when set, registers the Collection's metrics (flush counters,
 	// flush duration histogram, epoch gauges, labeled layer="collection")
 	// and records a flush-pipeline span per flush into the registry's
@@ -316,7 +306,7 @@ func New(idx core.Index, opts Options) *Collection {
 		c.maxBatch = DefaultMaxBatch
 	}
 	c.queryPool.New = func() any { return new(queryScratch) }
-	c.cell.Init(idx, opts.Snapshot)
+	c.cell.Init(idx)
 	layer := obs.Label{Key: "layer", Value: "collection"}
 	opts.Obs.GaugeFunc("psi_epoch",
 		"Published snapshot epoch (0 in locked mode).",

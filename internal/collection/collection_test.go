@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,9 +193,39 @@ func TestMoveChainNetsToOneDiff(t *testing.T) {
 	}
 }
 
-// readOpts returns Options with a window no test fills, in either read
-// mode: over P-Orth, snapshot reads keep twins.
-func readOpts(snapshot bool) Options { return Options{MaxBatch: 1 << 20, Snapshot: snapshot} }
+// readOpts is Options with a window no test fills.
+var readOpts = Options{MaxBatch: 1 << 20}
+
+// inMode returns idx for the read mode a test asks of it: as it is for
+// snapshot reads, which a copy-on-write index takes by itself, or with its
+// copy-on-write capability (core.Adopter) hidden for locked reads.
+func inMode(idx core.Index, snapshot bool) core.Index {
+	if snapshot {
+		return idx
+	}
+	return struct{ core.Index }{idx}
+}
+
+// TestNewRequiresEmptyIndex: every stored point must have an owning ID, so
+// New refuses a non-empty index in either read mode — a built baseline
+// too, whose ownerless points would otherwise drop out of query answers
+// unseen — and names the package in the panic.
+func TestNewRequiresEmptyIndex(t *testing.T) {
+	for name, idx := range map[string]core.Index{
+		"BruteForce":    core.NewBruteForce(2),
+		"locked SPaC-H": inMode(newSPaCH(), false),
+	} {
+		idx.Build([]geom.Point{geom.Pt2(1, 1), geom.Pt2(2, 2)})
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "collection: ") {
+					t.Fatalf("%s: New over a built index panicked with %q, want a panic that names the package", name, msg)
+				}
+			}()
+			New(idx, Options{})
+		}()
+	}
+}
 
 // TestVisibilityAtFlush pins the visibility contract at the flush, in
 // both read modes: a pending Set is invisible to geometric queries until
@@ -204,7 +235,7 @@ func readOpts(snapshot bool) Options { return Options{MaxBatch: 1 << 20, Snapsho
 // consume the Set enqueued after it.
 func TestVisibilityAtFlush(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
-		c := New(newPOrth(), readOpts(snapshot))
+		c := New(inMode(newPOrth(), snapshot), readOpts)
 		at := func(p geom.Point) int { return len(c.WithinIDs(geom.BoxOf(p, p))) }
 		p, q := geom.Pt2(7, 7), geom.Pt2(9, 9)
 		c.Set("1", p)
@@ -249,7 +280,7 @@ func TestVisibilityAtFlush(t *testing.T) {
 func TestMoveChainInOneWindow(t *testing.T) {
 	p0, p1, p2 := geom.Pt2(1, 1), geom.Pt2(2, 2), geom.Pt2(3, 3)
 	for _, snapshot := range []bool{false, true} {
-		c := New(newPOrth(), readOpts(snapshot))
+		c := New(inMode(newPOrth(), snapshot), readOpts)
 		c.Set("1", p0)
 		c.Flush()
 		c.Remove("1")
@@ -302,7 +333,7 @@ func TestSharedPointResolvesDistinctIDs(t *testing.T) {
 	// the three ways out of a chain.
 	for _, at := range []int{0, 2, 3} {
 		for _, snapshot := range []bool{false, true} {
-			c := New(newSPaCH(), Options{Snapshot: snapshot})
+			c := New(inMode(newSPaCH(), snapshot), Options{})
 			c.Set("far", geom.Pt2(7, 7))
 			for _, id := range []string{"a", "b", "c", "d"} {
 				c.Set(id, p)
@@ -464,7 +495,7 @@ func TestThreeDimensions(t *testing.T) {
 	} {
 		for _, snapshot := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(23))
-			c := New(mk(), readOpts(snapshot))
+			c := New(inMode(mk(), snapshot), readOpts)
 			oracle := make(map[string]geom.Point)
 			for i := 0; i < 600; i++ {
 				id := key(rng.Intn(nIDs))
@@ -485,7 +516,7 @@ func TestThreeDimensions(t *testing.T) {
 			verifyAgainstOracle(t, c, oracle, nIDs)
 			c.Close()
 
-			loaded := New(mk(), readOpts(snapshot))
+			loaded := New(inMode(mk(), snapshot), readOpts)
 			loaded.Load(len(oracle), maps.All(oracle))
 			verifyAgainstOracle(t, loaded, oracle, nIDs)
 			got := make(map[string]geom.Point)
@@ -823,7 +854,7 @@ func sequentialEquivalence(t *testing.T, snapshot bool) {
 	const nIDs, gridSide = 24, 4
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		c := New(newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+		c := New(inMode(newSPaCH(), snapshot), readOpts)
 		oracle := make(map[string]geom.Point)
 		for i := 0; i < 200; i++ {
 			id := key(rng.Intn(nIDs))
@@ -957,8 +988,8 @@ func TestFlushZeroAllocWarm(t *testing.T) {
 		pos[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 	}
 	null := func() core.Index { return core.NewNull(2) }
-	singleKind := func(t *testing.T, mk func() core.Index, snapshot bool) {
-		c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: snapshot, Obs: obs.New()})
+	singleKind := func(t *testing.T, mk func() core.Index) {
+		c := New(mk(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		window := func() {
 			for i, p := range pos {
 				c.Set(ids[i], p)
@@ -975,8 +1006,8 @@ func TestFlushZeroAllocWarm(t *testing.T) {
 			t.Fatalf("warm insert and remove windows allocate %.2f/op, want 0", allocs)
 		}
 	}
-	t.Run("single-kind windows", func(t *testing.T) { singleKind(t, null, false) })
-	t.Run("snapshot single-kind windows", func(t *testing.T) { singleKind(t, newNullTwins, true) })
+	t.Run("single-kind windows", func(t *testing.T) { singleKind(t, null) })
+	t.Run("snapshot single-kind windows", func(t *testing.T) { singleKind(t, newNullTwins) })
 	t.Run("netted mixed window", func(t *testing.T) {
 		c := New(null(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		window := func() {

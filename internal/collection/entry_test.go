@@ -26,7 +26,7 @@ import (
 func TestCommitWindowBesideTheTape(t *testing.T) {
 	for _, mode := range []string{"locked", "snapshot"} {
 		t.Run(mode, func(t *testing.T) {
-			c := New(newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: mode == "snapshot"})
+			c := New(inMode(newSPaCH(), mode == "snapshot"), readOpts)
 			defer c.Close()
 			type call struct {
 				seq uint64
@@ -127,7 +127,7 @@ func TestCommitWindowRefusesRepeatedID(t *testing.T) {
 	for _, mode := range []string{"locked", "snapshot"} {
 		for name, tc := range bad {
 			t.Run(mode+"/"+name, func(t *testing.T) {
-				c := New(newSPaCH(), Options{Snapshot: mode == "snapshot"})
+				c := New(inMode(newSPaCH(), mode == "snapshot"), Options{})
 				defer c.Close()
 				if err := c.CommitWindow(1, []wal.Op{{ID: "a", P: p}, {ID: "z", P: p}}); err != nil {
 					t.Fatal(err)
@@ -246,7 +246,7 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 	for name, mk := range innerStacks() {
 		for _, snapshot := range []bool{false, true} {
 			idx, builds := countBuilds(mk())
-			c := New(idx, Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+			c := New(inMode(idx, snapshot), readOpts)
 			shared := c.cell.Versions() == 2
 			journaled := 0
 			c.SetJournal(func(uint64, []wal.Op) error { journaled++; return nil })
@@ -334,7 +334,7 @@ func TestLoadRangesEntriesOnce(t *testing.T) {
 			}
 		}
 	}
-	c := New(newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(newSPaCH(), readOpts)
 	defer c.Close()
 	c.Load(n, once)
 	if ranged != 1 {
@@ -368,7 +368,7 @@ func TestLoadDiscardsPending(t *testing.T) {
 	const n = 100
 	at := func(id int) geom.Point { return geom.Pt2(int64(id)*10+100, 5) }
 	for _, snapshot := range []bool{false, true} {
-		c := New(newPOrth(), readOpts(snapshot))
+		c := New(inMode(newPOrth(), snapshot), readOpts)
 		ghost := geom.Pt2(1, 1)
 		c.Set(key(n), ghost)
 		c.Set("0", geom.Pt2(2, 2))

@@ -24,9 +24,10 @@ import (
 // (a netted window lands under whatever is pending) and Load (everything
 // is replaced, pending ops included).
 //
-// The high bit of the second input byte additionally turns on snapshot
-// reads and, over a stack that shares its twins, a concurrent epoch-pinned
-// reader: the writer records the
+// The high bit of the second input byte picks the read mode: clear, the
+// stack's copy-on-write capability is hidden and it runs locked reads;
+// set, it runs as built, and a stack that shares its twins gets a
+// concurrent epoch-pinned reader: the writer records the
 // oracle contents at every published epoch, and the reader scans the
 // universe, bracketing each scan with Epoch() loads — when the epoch did
 // not move across the scan, epoch monotonicity guarantees the pinned
@@ -82,8 +83,8 @@ var fuzzKeys = func() (ids [fuzzIDs]string) {
 
 // fuzzStacks lists the inner stacks the low bits of the first input byte
 // select from, in a fixed order so corpus entries stay reproducible. Slot
-// 0 stays on locked reads when the tape asks for snapshot reads; the
-// others share their twins' trees.
+// 0 runs locked reads in either mode; the others share their twins'
+// trees when the tape asks for snapshot reads.
 var fuzzStacks = []func(dims int) core.Index{
 	func(dims int) core.Index { return core.NewBruteForce(dims) },
 	func(dims int) core.Index { return spacH(dims, geom.UniverseBox(dims, side)) },
@@ -103,7 +104,7 @@ func runCollectionTape(t *testing.T, data []byte) {
 	// A tiny MaxBatch derived from the input lets the fuzzer also drive
 	// threshold-triggered flushes mid-tape, not only explicit ones.
 	maxBatch := 1 + int(data[1])%64
-	c := New(mk(dims), Options{MaxBatch: maxBatch, Snapshot: data[1]&0x80 != 0})
+	c := New(inMode(mk(dims), data[1]&0x80 != 0), Options{MaxBatch: maxBatch})
 	defer c.Close()
 	snapshot := c.cell.Versions() == 2
 	// committed mirrors the flushed state, tape the ops pending on top of

@@ -81,13 +81,9 @@ func TestJournalReceivesNettedWindow(t *testing.T) {
 // committed forward table (the fold of every journaled window) and
 // excludes pending ops, in both locking modes.
 func TestCheckpointMatchesCommittedState(t *testing.T) {
-	modes := map[string]Options{
-		"locked":   {MaxBatch: 1 << 20},
-		"snapshot": {MaxBatch: 1 << 20, Snapshot: true},
-	}
-	for name, opts := range modes {
+	for _, name := range []string{"locked", "snapshot"} {
 		t.Run(name, func(t *testing.T) {
-			c := New(newSPaCH(), opts)
+			c := New(inMode(newSPaCH(), name == "snapshot"), readOpts)
 			defer c.Close()
 			want := map[string]geom.Point{
 				"a": geom.Pt2(1, 1),

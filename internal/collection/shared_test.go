@@ -35,7 +35,7 @@ func churned(t *testing.T, mk func() core.Index, n int, snapshot bool) (*Collect
 	ids := keys(n)
 	before := heapAfterGC()
 	rng := rand.New(rand.NewSource(41))
-	c := New(mk(), Options{MaxBatch: 4096, Snapshot: snapshot})
+	c := New(inMode(mk(), snapshot), Options{MaxBatch: 4096})
 	for i := 0; i < n; i++ {
 		c.Set(ids[i], geom.Pt2(rng.Int63n(side), rng.Int63n(side)))
 	}
@@ -115,9 +115,9 @@ func TestOneTablePerCollection(t *testing.T) {
 		"locked":                    {newSPaCH, false, 1},
 		"snapshot, Sharded(SPaC-H)": {innerStacks()["Sharded(SPaC-H)"], true, 2},
 		"snapshot, P-Orth":          {newPOrth, true, 2},
-		"snapshot over a baseline":  {innerStacks()["BruteForce"], true, 1},
+		"baseline":                  {innerStacks()["BruteForce"], true, 1},
 	} {
-		c := New(tc.mk(), Options{MaxBatch: 1 << 20, Snapshot: tc.snapshot})
+		c := New(inMode(tc.mk(), tc.snapshot), readOpts)
 		oracle := make(map[string]geom.Point)
 		set := func(i int, p geom.Point) {
 			c.Set(key(i), p)
@@ -177,7 +177,7 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 	const n = 40_000
 	rng := rand.New(rand.NewSource(43))
 	idx := mk()
-	c := New(idx, Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(idx, readOpts)
 	defer c.Close()
 	pos := make(map[string]geom.Point, n)
 	for i := 0; i < n; i++ {
@@ -245,7 +245,7 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 	const n = 20_000
 	rng := rand.New(rand.NewSource(47))
-	c := New(innerStacks()["Sharded(SPaC-H)"](), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(innerStacks()["Sharded(SPaC-H)"](), readOpts)
 	defer c.Close()
 	for i := 0; i < n; i++ {
 		c.Set(key(i), geom.Pt2(rng.Int63n(side), rng.Int63n(side)))

@@ -23,17 +23,16 @@ import (
 // and table, and the epoch counters in Stats track the flush history.
 
 // TestSnapshotOracleAgreementAcrossStacks re-runs the sequential
-// differential tape with Options.Snapshot enabled over every documented
-// inner stack: snapshot mode must be observationally identical to locked
-// mode, and over a copy-on-write stack the epoch must advance by exactly
-// one per non-empty flush. The brute-force stacks stay on locked reads,
-// at epoch 0.
+// differential tape over every documented inner stack: snapshot mode must
+// be observationally identical to locked mode, and over a copy-on-write
+// stack the epoch must advance by exactly one per non-empty flush. The
+// brute-force stacks run locked reads, at epoch 0.
 func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 	const nIDs = 64
 	for name, mk := range innerStacks() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
-			c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+			c := New(mk(), readOpts)
 			versions, step := 2, uint64(1)
 			if strings.Contains(name, "BruteForce") {
 				versions, step = 1, 0
@@ -90,7 +89,7 @@ func TestSnapshotSequentialEquivalence(t *testing.T) { sequentialEquivalence(t, 
 // advances with that Set and readers of the published version see the
 // window.
 func TestSnapshotMaxBatchMakesWindowVisible(t *testing.T) {
-	c := New(newPOrth(), Options{MaxBatch: 8, Snapshot: true})
+	c := New(newPOrth(), Options{MaxBatch: 8})
 	defer c.Close()
 	for i := 0; i < 7; i++ {
 		c.Set(key(i), geom.Pt2(int64(i), 1))
@@ -116,7 +115,7 @@ func TestSnapshotLoadAndEpochCounters(t *testing.T) {
 		}
 	}
 	for name, mk := range map[string]func() core.Index{"SPaC-H": newSPaCH, "P-Orth": newPOrth} {
-		c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+		c := New(mk(), readOpts)
 		if st := c.Stats(); st.Epoch != 0 || st.Versions != 2 || st.RetireLag != 0 {
 			t.Fatalf("%s: initial stats %+v, want epoch 0, 2 versions, lag 0", name, st)
 		}
@@ -230,7 +229,7 @@ func newGate(idx core.Index, ctl *gates) core.Index {
 // apply — which is why the locked branch of this test does not exist.)
 func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 	ctl := new(gates)
-	c := New(newGate(newSPaCH(), ctl), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(newGate(newSPaCH(), ctl), readOpts)
 	defer c.Close()
 	p0 := geom.Pt2(10, 10)
 	c.Set("1", p0)
@@ -287,7 +286,7 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
 		ctl := new(gates)
-		c := New(newGate(newSPaCH(), ctl), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+		c := New(inMode(newGate(newSPaCH(), ctl), snapshot), readOpts)
 		c.Set("1", geom.Pt2(10, 10))
 		c.Flush()
 
@@ -369,7 +368,7 @@ func TestTableStepRunsInTheDrainGap(t *testing.T) {
 func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 	const n, bystander = 16, "bystander"
 	ctl := new(gates)
-	c := New(newGate(inner(), ctl), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(newGate(inner(), ctl), readOpts)
 	defer c.Close()
 	at := func(i int) geom.Point { return geom.Pt2(int64(i)*100+1, int64(i)*7+1) }
 	moved := func(i int) geom.Point { return geom.Pt2(int64(i)*100+50, 9999) }
@@ -499,7 +498,7 @@ func loadIsWhole(t *testing.T, mk func() core.Index) {
 			}
 		}
 	}
-	c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(mk(), readOpts)
 	defer c.Close()
 	c.Load(nObj, state(0))
 
@@ -589,7 +588,7 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 		posB[i] = geom.Pt2(x, y+1)
 	}
 	ids := keys(nObj)
-	c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := New(mk(), readOpts)
 	defer c.Close()
 	for i, p := range posA {
 		c.Set(ids[i], p)
@@ -689,7 +688,7 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	guard("Sharded(SPaC-H) KNN", func() { out = sharded.KNN(q, 10, out[:0]) })
 
 	for _, name := range []string{"P-Orth", "Sharded(SPaC-H)"} {
-		c := New(innerStacks()[name](), Options{MaxBatch: 1 << 20, Snapshot: true})
+		c := New(innerStacks()[name](), readOpts)
 		defer c.Close()
 		for i, p := range pts {
 			c.Set(key(i), p)
@@ -715,7 +714,7 @@ func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 		pos[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 	}
 	ids := keys(n)
-	c := New(newNullTwins(), Options{MaxBatch: 1 << 20, Snapshot: true, Obs: obs.New()})
+	c := New(newNullTwins(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 	for i, p := range pos {
 		c.Set(ids[i], p)
 	}
@@ -742,9 +741,9 @@ func (x fullReplica) NewReplica() core.Index {
 	return r
 }
 
-// TestSnapshotRequiresEmptyIndexes documents the construction contract:
-// snapshot mode panics when the inner index or its replica starts
-// non-empty, since the twins could then never agree.
+// TestSnapshotRequiresEmptyIndexes documents the construction contract
+// over a copy-on-write index: New panics when the inner index or its
+// replica starts non-empty, since the twins could then never agree.
 func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		t.Helper()
@@ -758,9 +757,9 @@ func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 	assertPanics("non-empty inner", func() {
 		idx := newSPaCH()
 		idx.Build([]geom.Point{geom.Pt2(1, 1)})
-		New(idx, Options{Snapshot: true})
+		New(idx, Options{})
 	})
 	assertPanics("non-empty twin", func() {
-		New(fullReplica{nullTwins{core.NewNull(2)}}, Options{Snapshot: true})
+		New(fullReplica{nullTwins{core.NewNull(2)}}, Options{})
 	})
 }

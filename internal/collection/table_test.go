@@ -144,7 +144,7 @@ func TestTableAgainstMapOracle(t *testing.T) {
 func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 	const live, pool, windows = 10_000, 1_000_000, 60
 	for _, snapshot := range []bool{false, true} {
-		c := New(newNullTwins(), Options{MaxBatch: 1 << 30, Snapshot: snapshot})
+		c := New(inMode(newNullTwins(), snapshot), Options{MaxBatch: 1 << 30})
 		rng := rand.New(rand.NewSource(3))
 		name := func(i int) string { return fmt.Sprintf("obj-%07d", i) }
 		var ids []int // the live IDs
@@ -258,7 +258,7 @@ func tableBytesPerObject(t *testing.T, dims int, owned bool, bound, heapBound fl
 		}
 	}
 	heap := heapAfterGC
-	c := New(newNullTwinsIn(dims), Options{MaxBatch: 1024, Snapshot: true})
+	c := New(newNullTwinsIn(dims), Options{MaxBatch: 1024})
 	for i := range n {
 		p := geom.Pt2(int64(i)*3, int64(i)*5)
 		if dims == 3 {
@@ -489,7 +489,7 @@ func TestChurnAllocatesOnlyArenas(t *testing.T) {
 		if snapshot {
 			mk = newNullTwins
 		}
-		c := New(mk(), Options{MaxBatch: 1 << 20, Snapshot: snapshot, Obs: obs.New()})
+		c := New(mk(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		window := func() {
 			for i, id := range ids {
 				c.Set(id, geom.Pt2(int64(i)*17, int64(i)*29))
@@ -531,7 +531,7 @@ func TestEntryIDsOutliveCompaction(t *testing.T) {
 	kept := func(i int) string { return fmt.Sprintf("kept-%06d", i) }
 	at := func(i int) geom.Point { return geom.Pt2(int64(i)*7, int64(i)*11) }
 	for _, snapshot := range []bool{false, true} {
-		c := New(newSPaCH(), Options{MaxBatch: 1 << 20, Snapshot: snapshot})
+		c := New(inMode(newSPaCH(), snapshot), readOpts)
 		for i := range n {
 			c.Set(kept(i), at(i))
 		}

@@ -22,12 +22,18 @@ import (
 // does: one registry threaded through the shard layer and the server.
 func newObsStack(t *testing.T, opts Options) (*Server, *obs.Registry) {
 	t.Helper()
+	return newObsStackOf(t, func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) }, opts)
+}
+
+// newObsStackOf is newObsStack over four shards of family.
+func newObsStackOf(t *testing.T, family func(int, geom.Box) core.Index, opts Options) (*Server, *obs.Registry) {
+	t.Helper()
 	reg := obs.New()
 	idx := shard.New(shard.Options{
 		Dims:     2,
 		Universe: testUniverse(),
 		Shards:   4,
-		New:      func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) },
+		New:      family,
 		Obs:      reg,
 	})
 	opts.Obs = reg
@@ -204,14 +210,15 @@ func TestSharedIndexAccounting(t *testing.T) {
 		t.Fatalf("STATS table_id_bytes = %d (%d dead), /metrics has %v (%v dead)", st.TableIDBytes, st.TableIDDeadBytes, b, d)
 	}
 
-	// Locked reads keep one index: nothing is shared, nothing is reported.
-	locked, _ := newObsStack(t, Options{DisableSnapshot: true})
+	// Locked reads — over shards of a baseline — keep one index: nothing is
+	// shared, nothing is reported.
+	locked, _ := newObsStackOf(t, func(dims int, _ geom.Box) core.Index { return core.NewBruteForce(dims) }, Options{})
 	lc := dialT(t, locked)
 	if err := lc.Set("a", []int64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if lst, err := lc.Stats(); err != nil || lst.Cow != nil {
-		t.Fatalf("locked-reads STATS cow block = %+v (err %v), want none", lst.Cow, err)
+		t.Fatalf("locked STATS cow block = %+v (err %v), want none", lst.Cow, err)
 	}
 	_, _, body = httpGet(t, "http://"+locked.HTTPAddr().String()+"/metrics")
 	if samples, err = obs.ParseText(strings.NewReader(body)); err != nil {

@@ -53,14 +53,6 @@ type Options struct {
 	// endpoints can stall the world and do not belong on an unguarded
 	// production port.
 	EnablePprof bool
-	// DisableSnapshot keeps the Collection on the locked read path. By
-	// default, over a copy-on-write index (core.Adopter: the SPaC family
-	// and P-Orth, as trees or sharded), queries read the published version
-	// of one shared tree and never wait behind the index apply, at most
-	// for a window's drain and table step; the baselines (Pkd, Zd,
-	// Boost-R, Log, BHL, BruteForce) serve locked reads either way. Set
-	// this to benchmark the locked baseline.
-	DisableSnapshot bool
 	// Obs is the metric registry the server records into and serves at
 	// /metrics. The same registry is handed to the Collection (and should
 	// be the one the wrapped Sharded was built with) so one scrape covers
@@ -229,13 +221,13 @@ type Server struct {
 // collection.New, the Server takes ownership of idx — the recommended
 // serving stack is a Sharded over the per-workload index choice, so each
 // netted flush fans out across shards in parallel while connections keep
-// enqueueing. When idx is copy-on-write (core.Adopter, and
-// DisableSnapshot is unset), queries ride the epoch-pinned snapshot path:
-// NEARBY/WITHIN never wait behind the index apply, and /stats reports the
-// epoch counters. A SET whose point lies outside the Collection's stored
-// range (int32 coordinates), or outside idx's universe when it has a fixed
-// one (core.Bounded), is refused before it is enqueued or journaled, and so
-// is a recovered, bootstrapped or replicated one (inUniverse).
+// enqueueing. When idx is copy-on-write (core.Adopter), queries ride the
+// epoch-pinned snapshot path: NEARBY/WITHIN never wait behind the index
+// apply, and /stats reports the epoch counters. A SET whose point lies
+// outside the Collection's stored range (int32 coordinates), or outside
+// idx's universe when it has a fixed one (core.Bounded), is refused before
+// it is enqueued or journaled, and so is a recovered, bootstrapped or
+// replicated one (inUniverse).
 //
 // New panics if WAL setup fails — only possible with Options.WALDir set
 // (an unreadable directory, a corrupt snapshot, a logged point outside the

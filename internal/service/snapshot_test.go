@@ -46,29 +46,9 @@ func TestSnapshotAutoEnabled(t *testing.T) {
 	}
 }
 
-// TestSnapshotDisableOption: DisableSnapshot forces the classic locked
-// path even for a copy-on-write index — one version, epoch pinned at 0.
-func TestSnapshotDisableOption(t *testing.T) {
-	s := startServer(t, orthtree.NewDefault(2, testUniverse()), Options{DisableSnapshot: true})
-	c := dialT(t, s)
-	if err := c.Set("a", []int64{10, 10}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Versions != 1 || st.Epoch != 0 || st.Cow != nil {
-		t.Fatalf("locked stats = versions %d epoch %d cow %v, want 1 version at epoch 0", st.Versions, st.Epoch, st.Cow)
-	}
-}
-
 // TestLockedReadsOverABaseline: over an index that cannot share its tree
-// (a baseline: here the brute-force oracle) the server runs locked reads
-// with DisableSnapshot unset, rather than failing construction.
+// (a baseline: here the brute-force oracle) the server runs locked reads —
+// one version, epoch pinned at 0 — rather than failing construction.
 func TestLockedReadsOverABaseline(t *testing.T) {
 	s := startServer(t, core.NewBruteForce(2), Options{})
 	c := dialT(t, s)

@@ -57,7 +57,6 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 		MaxBatch:      opts.MaxBatch,
 		FlushInterval: opts.FlushInterval,
 		Obs:           opts.Obs,
-		Snapshot:      !opts.DisableSnapshot,
 	}
 	s := &Server{
 		opts:     opts,

@@ -16,7 +16,9 @@ import (
 // updates into windows, whose applies then fan out across the shards in
 // parallel. Writers stream new objects and removals while readers query;
 // afterwards the Sharded itself must hold its invariants and answer the
-// full query suite exactly.
+// full query suite exactly. The Sharded's copy-on-write capability is
+// hidden, so the Collection keeps it as its one locked copy (the twin
+// composition is snapshot_test.go's).
 func TestCollectionOverSharded(t *testing.T) {
 	const (
 		nBase   = 5000
@@ -25,7 +27,7 @@ func TestCollectionOverSharded(t *testing.T) {
 	)
 	all := uniquePoints(nBase+writers*perG, 51)
 	sh := New(testOptions(2, 8, spacH))
-	c := collection.New(sh, collection.Options{MaxBatch: 256})
+	c := collection.New(struct{ core.Index }{sh}, collection.Options{MaxBatch: 256})
 	c.Load(nBase, func(yield func(string, geom.Point) bool) {
 		for id := 0; id < nBase && yield(strconv.Itoa(id), all[id]); id++ {
 		}

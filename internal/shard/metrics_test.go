@@ -146,7 +146,7 @@ func TestReplicaSharesMetrics(t *testing.T) {
 	reg = obs.New()
 	opts = testOptions(2, 4, spacH)
 	opts.Obs = reg
-	c := collection.New(New(opts), collection.Options{Snapshot: true})
+	c := collection.New(New(opts), collection.Options{})
 	for id, p := range pts {
 		c.Set(strconv.Itoa(id), p)
 	}

@@ -270,9 +270,10 @@ func TestAdaptiveRebalance(t *testing.T) {
 
 // TestConcurrentUpdatesAndQueries is the -race acceptance test: several
 // goroutines commit windows (disjoint fresh inserts, reserved doomed
-// removals, one Flush per round) through a locked-reads Collection over the
+// removals, one Flush per round) through a locked Collection over the
 // Sharded — the front-end's concurrency control; the Sharded itself is
-// single-writer — while queriers hammer both query kinds through the same
+// single-writer, and hiding its copy-on-write capability keeps the
+// Collection on one copy — while queriers hammer both query kinds through the same
 // Collection, so shard-parallel applies interleave with fan-out queries.
 // After the storm the result must match the oracle exactly.
 func TestConcurrentUpdatesAndQueries(t *testing.T) {
@@ -290,7 +291,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	doomed := base[:writers*rounds*batch]
 
 	sh := New(testOptions(2, 8, spacH))
-	c := collection.New(sh, collection.Options{MaxBatch: 1 << 20})
+	c := collection.New(struct{ core.Index }{sh}, collection.Options{MaxBatch: 1 << 20})
 	c.Load(nBase, func(yield func(string, geom.Point) bool) {
 		for id := 0; id < nBase && yield(strconv.Itoa(id), base[id]); id++ {
 		}

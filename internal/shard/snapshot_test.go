@@ -33,7 +33,7 @@ func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box) core.Index, pts []geom.Point, n int) {
 	side := workload.Uniform.Side(2)
 	sh := New(testOptions(2, 8, family))
-	c := collection.New(sh, collection.Options{MaxBatch: 1 << 20, Snapshot: true})
+	c := collection.New(sh, collection.Options{MaxBatch: 1 << 20})
 	if c.Stats().Versions != 2 {
 		t.Fatal("the Collection keeps no twin of the Sharded")
 	}

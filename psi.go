@@ -244,12 +244,9 @@ type Collection = collection.Collection
 type CollectionEntry[_ ~string] = collection.Entry
 
 // CollectionOptions tunes a Collection: MaxBatch is the coalescing
-// threshold that triggers a synchronous flush, FlushInterval (optional)
-// runs a background flusher bounding query staleness, and Snapshot
-// (optional) switches Get/NearbyIDs/WithinIDs over a copy-on-write index
-// (the SPaC family and P-Orth, bare or sharded) to the epoch-pinned
-// snapshot path — readers never wait behind the index apply, at most for
-// a window's short ID-table step. The zero value is usable (locked reads).
+// threshold that triggers a synchronous flush, and FlushInterval
+// (optional) runs a background flusher bounding query staleness. The
+// zero value is usable.
 type CollectionOptions = collection.Options
 
 // CollectionStats is a snapshot of a Collection's lifetime counters.
@@ -258,7 +255,12 @@ type CollectionStats = collection.Stats
 // NewCollection wraps idx (which must start empty) in a Collection keyed
 // by string IDs. The Collection takes ownership of idx; do not touch it
 // directly afterwards. If opts.FlushInterval is set, pair with Close to
-// stop the background flusher.
+// stop the background flusher. The index decides how reads are kept off
+// the flush: over a copy-on-write index (the SPaC family and P-Orth, bare
+// or sharded) Get/NearbyIDs/WithinIDs read an epoch-pinned snapshot and
+// never wait behind the index apply, at most for a window's short
+// ID-table step; over the baselines a flush holds them off while it
+// applies.
 func NewCollection(idx Index, opts CollectionOptions) *Collection { return collection.New(idx, opts) }
 
 // Server is psid, the network serving layer: it exposes a
@@ -270,11 +272,10 @@ func NewCollection(idx Index, opts CollectionOptions) *Collection { return colle
 type Server = service.Server
 
 // ServerOptions tunes a Server: the Collection coalescing knobs
-// (MaxBatch, FlushInterval), the request line-length cap,
-// DisableSnapshot to fall back to locked reads, and the WAL knobs
-// (WALDir, WALFsync, WALSnapshotInterval — see NewDurableServer). The
-// zero value is usable and, unlike a bare Collection, defaults to a 2ms
-// background flush so acknowledged writes never stay invisible.
+// (MaxBatch, FlushInterval), the request line-length cap, and the WAL
+// knobs (WALDir, WALFsync, WALSnapshotInterval — see NewDurableServer).
+// The zero value is usable and, unlike a bare Collection, defaults to a
+// 2ms background flush so acknowledged writes never stay invisible.
 type ServerOptions = service.Options
 
 // ServerStats is the STATS/GET-/stats payload: collection counters plus
@@ -283,12 +284,11 @@ type ServerStats = service.StatsPayload
 
 // NewServer wraps idx (which must start empty) in a psid Server. The
 // Server takes ownership of idx; bind it with Start, stop it with
-// Shutdown. When idx is copy-on-write (the SPaC family and P-Orth, bare
-// or under NewSharded) the server defaults to epoch-pinned snapshot reads
-// from one shared tree — NEARBY/WITHIN/GET never wait behind the index
-// apply, at most for a window's short ID-table step; opt out with
-// ServerOptions.DisableSnapshot. Over the baselines it serves locked
-// reads. The recommended serving stack wraps a Sharded index:
+// Shutdown. It reads the way NewCollection does: when idx is
+// copy-on-write (the SPaC family and P-Orth, bare or under NewSharded)
+// NEARBY/WITHIN/GET read an epoch-pinned snapshot of one shared tree;
+// over the baselines they take locked reads. The recommended serving
+// stack wraps a Sharded index:
 //
 //	s := psi.NewServer(psi.NewSharded(psi.NewSPaCH, 2, u, 0), psi.ServerOptions{})
 //	s.Start(":7501", ":7502")
