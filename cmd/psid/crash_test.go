@@ -259,8 +259,8 @@ func TestKillRecoveryOracle(t *testing.T) {
 // TestProbeWiring pins what main wires between flags and layers, on the
 // real binary: -http binds the probe listener the serving line reports,
 // -pprof mounts the profiles and the gc block of /stats, -slowlog arms the
-// ring, and one registry reaches the shard layer, the Collection and the
-// server, so a single /metrics scrape carries all three. The endpoints'
+// ring, and one registry reaches the Collection and the server, so a
+// single /metrics scrape carries both. The endpoints'
 // own behaviour is internal/service's to test; here each must merely be
 // reachable and fed.
 func TestProbeWiring(t *testing.T) {
@@ -322,7 +322,6 @@ func TestProbeWiring(t *testing.T) {
 		t.Error(`/metrics: psi_flush_total{layer="collection"} did not advance over a FLUSH`)
 	}
 	for _, series := range []string{
-		`psi_shard_ops_total{shard="`, // the registry reached the shard layer
 		`psi_query_duration_ns_bucket{op="SET"`,
 		`# TYPE psi_query_duration_ns histogram`,
 	} {
@@ -344,12 +343,25 @@ func TestProbeWiring(t *testing.T) {
 	if len(slow) == 0 || slow[0]["cmd"] == nil || slow[0]["shards"] == nil {
 		t.Errorf("/debug/slowlog = %v, want entries with cmd and shards under -slowlog 1ns", slow)
 	}
+	// psid serves one tree: a query visits one shard.
+	nearby := 0
+	for _, e := range slow {
+		if e["cmd"] == "NEARBY" {
+			nearby++
+			if e["shards"] != 1.0 {
+				t.Errorf("/debug/slowlog NEARBY entry %v, want shards 1", e)
+			}
+		}
+	}
+	if nearby == 0 {
+		t.Errorf("/debug/slowlog = %v, want the NEARBY under -slowlog 1ns", slow)
+	}
 }
 
-// TestServingLineNamesTheReadMode: psid's serving line names the read mode
-// the server runs, not the one the flags ask for, and /stats agrees — two
-// versions sharing one tree over a copy-on-write family (P-Orth, sharded
-// here), one version and no cow block over a baseline.
+// TestServingLineNamesTheReadMode: psid's serving line names the index it
+// serves, bare, and the read mode the server runs, and /stats agrees — two
+// versions sharing one tree over a copy-on-write family (P-Orth here), one
+// version and no cow block over a baseline.
 func TestServingLineNamesTheReadMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real server processes")
@@ -359,8 +371,8 @@ func TestServingLineNamesTheReadMode(t *testing.T) {
 		reads    string
 		versions int
 	}{
-		{[]string{"-index", "P-Orth", "-shards", "2"}, "(snapshot reads)", 2},
-		{[]string{"-index", "Pkd-Tree"}, "(locked reads)", 1},
+		{[]string{"-index", "P-Orth"}, "serving P-Orth (snapshot reads)", 2},
+		{[]string{"-index", "Pkd-Tree"}, "serving Pkd-Tree (locked reads)", 1},
 	} {
 		cmd, _, serving := startPsid(t, "", append([]string{"-http", "127.0.0.1:0"}, tc.args...)...)
 		if !strings.Contains(serving, tc.reads) {
@@ -400,17 +412,12 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-dims", "4"},
 		{"-index", "no-such-tree"},
 		{"-fsync", "sometimes"},
-		{"-shards", "5000"},
-		{"-shards", "-7"}, // not an alias of -1
 		{"-side", "-5"},
 		{"-side", "4000000000000"},
-		{"-side", "4000000000000", "-shards", "0"},
 		{"-index", "P-Orth", "-side", "3000000000"}, // past int32, P-Orth's stored range
-		{"-index", "P-Orth", "-side", "3000000000", "-shards", "0"},
 		// Past int32, the Collection's stored range: every family, the
 		// baselines too.
 		{"-index", "Pkd-Tree", "-side", "3000000000"},
-		{"-index", "Pkd-Tree", "-side", "3000000000", "-shards", "0"},
 		// Inside int32, but with a squared diagonal past int64.
 		{"-dims", "3", "-index", "P-Orth", "-side", "2000000000"},
 		{"-dims", "3", "-index", "Zd-Tree"}, // the default side is past 21 bits
@@ -424,19 +431,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-max-lag", "-1"},     // not "off"
 		{"-slowlog", "-1s"},    // not "off"
 	} {
-		enc, err := json.Marshal(append([]string{"-addr", "127.0.0.1:0", "-http", ""}, args...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmd := exec.Command(os.Args[0], "-test.run=TestCrashHelperProcess$")
-		cmd.Env = append(os.Environ(), "PSID_CRASH_HELPER=1", "PSID_CRASH_ARGS="+string(enc))
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err = cmd.Run()
-		msg := strings.TrimSuffix(stderr.String(), "\n")
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Errorf("psid %v: %v, want exit status 2; stderr:\n%s", args, err, msg)
-		}
+		msg := runPsidExpectingTwo(t, args)
 		if !strings.HasPrefix(msg, "psid: ") || strings.Contains(msg, "\n") ||
 			strings.Contains(msg, "goroutine ") || strings.Contains(msg, "panic") {
 			t.Errorf("psid %v: stderr is not one psid: line:\n%s", args, msg)
@@ -444,9 +439,51 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	}
 }
 
+// TestRemovedFlagsUndefined: psid serves one index and has no read-mode
+// switch, so -shards and -locked-reads are unknown flags — exit status 2
+// with the flag package's complaint naming them, not a server quietly
+// started on a configuration that no longer exists.
+func TestRemovedFlagsUndefined(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	for _, args := range [][]string{
+		{"-shards", "2"},
+		{"-locked-reads"},
+	} {
+		// The trailing bad -dims stops a psid that still knew the flag
+		// before it binds, with a different complaint.
+		msg := runPsidExpectingTwo(t, append(args, "-dims", "4"))
+		if want := "flag provided but not defined: " + args[0]; !strings.HasPrefix(msg, want) {
+			t.Errorf("psid %v: stderr does not start %q:\n%s", args, want, msg)
+		}
+	}
+}
+
+// runPsidExpectingTwo runs psid with args on loopback with no HTTP
+// listener, fails the test unless it exits with status 2, and returns its
+// stderr without the final newline.
+func runPsidExpectingTwo(t *testing.T, args []string) string {
+	t.Helper()
+	enc, err := json.Marshal(append([]string{"-addr", "127.0.0.1:0", "-http", ""}, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=TestCrashHelperProcess$")
+	cmd.Env = append(os.Environ(), "PSID_CRASH_HELPER=1", "PSID_CRASH_ARGS="+string(enc))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	msg := strings.TrimSuffix(stderr.String(), "\n")
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("psid %v: %v, want exit status 2; stderr:\n%s", args, err, msg)
+	}
+	return msg
+}
+
 // TestSetPastInt32Refused: the Collection stores int32 coordinates over
 // every family, so psid refuses a SET past that range with bad_request
-// before it is journaled — over an unsharded baseline too, whose index
+// before it is journaled — over a baseline too, whose index
 // has no universe of its own. After a drain the log holds the one point
 // that was taken, and a restart serves it alone.
 func TestSetPastInt32Refused(t *testing.T) {
@@ -454,7 +491,7 @@ func TestSetPastInt32Refused(t *testing.T) {
 		t.Skip("spawns real server processes")
 	}
 	dir := t.TempDir()
-	args := []string{"-index", "Pkd-Tree", "-shards", "0"}
+	args := []string{"-index", "Pkd-Tree"}
 	cmd, addr, _ := startPsid(t, dir, args...)
 	c, err := service.Dial(addr)
 	if err != nil {

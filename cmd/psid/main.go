@@ -19,15 +19,13 @@
 //	              '{"op":"NEARBY","p":[0,0],"k":1}' | nc 127.0.0.1 7501
 //	curl -s http://127.0.0.1:7502/metrics
 //
-// The serving stack is chosen by flags: -index picks the per-shard index
-// family (any psibench table name), -shards wraps it in the sharded
-// fan-out layer so every coalesced flush applies across shards in
-// parallel. The index decides the read mode: the SPaC family and P-Orth
-// serve snapshot reads from one tree their two versions share, the
-// baselines serve locked reads. -pprof mounts net/http/pprof under
-// /debug/pprof/ on the -http listener and adds GC counters to /stats, so
-// allocation and CPU profiles can be captured from a live server (README
-// "Performance").
+// psid serves one index, picked by -index (any psibench table name), and
+// each coalesced flush applies to it as one parallel batch. The index
+// decides the read mode: the SPaC family and P-Orth serve snapshot reads
+// from one tree their two versions share, the baselines serve locked
+// reads. -pprof mounts net/http/pprof under /debug/pprof/ on the -http
+// listener and adds GC counters to /stats, so allocation and CPU profiles
+// can be captured from a live server (README "Performance").
 //
 // -wal DIR makes acknowledged writes survive restarts: every committed
 // flush window is journaled to DIR before it is applied, a periodic full
@@ -82,7 +80,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/service"
-	"repro/internal/shard"
 	"repro/internal/wal"
 
 	psi "repro"
@@ -102,7 +99,6 @@ func run() int {
 	addr := flag.String("addr", ":7501", "TCP command listener address")
 	httpAddr := flag.String("http", ":7502", "HTTP probe listener address (/healthz, /stats, /metrics, /debug/flushtrace, /debug/slowlog); empty disables")
 	index := flag.String("index", "SPaC-H", "index family (a psibench table name, e.g. SPaC-H, P-Orth, Pkd-Tree); it decides the read mode: the SPaC family and P-Orth serve snapshot reads from one tree their versions share, the baselines serve locked reads")
-	shards := flag.Int("shards", -1, "shard count: -1 = one per core, 0 = unsharded, N = N shards")
 	dims := flag.Int("dims", 2, "point dimensionality (2 or 3)")
 	side := flag.Int64("side", 1_000_000_000, "coordinate universe [0, side]^dims; at most 2^31-1, the stored int32 range, for every index family in 2-D; in 3-D P-Orth takes at most 1753413056 and the SPaC family and the Zd-tree 2^21-1")
 	maxBatch := flag.Int("maxbatch", 4096, "coalescing threshold: pending ops that trigger a synchronous flush")
@@ -127,10 +123,6 @@ func run() int {
 	}
 	if top := collection.StoredRange(*dims).Hi[0]; *side < 1 || *side > top {
 		fmt.Fprintf(os.Stderr, "psid: -side must be between 1 and %d, the stored int32 range, got %d\n", top, *side)
-		return 2
-	}
-	if *shards < -1 || *shards > shard.MaxShards {
-		fmt.Fprintf(os.Stderr, "psid: -shards must be between -1 and %d, got %d\n", shard.MaxShards, *shards)
 		return 2
 	}
 	// A negative interval would reach service.Options as "no background
@@ -169,20 +161,19 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: -max-lag must not be negative, got %d\n", *maxLag)
 		return 2
 	}
-	universe := geom.UniverseBox(*dims, *side)
-	mk := func(dims int, u geom.Box) core.Index { return psi.ByName(*index, dims, u) }
-	// The probe also runs the family's own universe check (the curve-keyed
-	// trees bound the coordinates they can encode). Constructors panic on
-	// that, as on programmer error; here the universe is command-line input.
-	probe, refused := func() (idx core.Index, refused any) {
+	// The constructor also runs the family's own universe check (the
+	// curve-keyed trees bound the coordinates they can encode). It panics
+	// on that, as on programmer error; here the universe is command-line
+	// input.
+	idx, refused := func() (idx core.Index, refused any) {
 		defer func() { refused = recover() }()
-		return mk(*dims, universe), nil
+		return psi.ByName(*index, *dims, geom.UniverseBox(*dims, *side)), nil
 	}()
 	if refused != nil {
 		fmt.Fprintf(os.Stderr, "psid: -index %s cannot cover -side %d in %d dimensions: %v\n", *index, *side, *dims, refused)
 		return 2
 	}
-	if probe == nil {
+	if idx == nil {
 		fmt.Fprintf(os.Stderr, "psid: unknown index %q (see psibench table names)\n", *index)
 		return 2
 	}
@@ -191,24 +182,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: %v\n", err)
 		return 2
 	}
-	reg := psi.NewMetrics()
-	var idx core.Index
-	stack := *index
-	if *shards != 0 {
-		// Handing the registry to the shard layer adds per-shard load
-		// accounting (psi_shard_ops_total and friends) to /metrics.
-		idx = psi.NewShardedOpts(psi.ShardedOptions{
-			Dims:     *dims,
-			Universe: universe,
-			Shards:   *shards,
-			New:      mk,
-			Obs:      reg,
-		})
-		stack = fmt.Sprintf("Sharded(%s)", *index)
-	} else {
-		idx = mk(*dims, universe)
-	}
-
 	if *pprofOn && *httpAddr == "" {
 		fmt.Fprintln(os.Stderr, "psid: -pprof requires the -http listener")
 		return 2
@@ -218,7 +191,6 @@ func run() int {
 		FlushInterval:       *flushEvery,
 		MaxLineBytes:        *maxLine,
 		EnablePprof:         *pprofOn,
-		Obs:                 reg,
 		SlowLog:             *slowlog,
 		WALDir:              *walDir,
 		WALFsync:            fsyncPolicy,
@@ -260,7 +232,7 @@ func run() int {
 	if s.Stats().Versions == 2 {
 		reads = "snapshot"
 	}
-	fmt.Printf("psid: serving %s (%s reads) on %s", stack, reads, s.Addr())
+	fmt.Printf("psid: serving %s (%s reads) on %s", *index, reads, s.Addr())
 	if h := s.HTTPAddr(); h != nil {
 		fmt.Printf(" (http %s)", h)
 	}

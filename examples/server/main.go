@@ -3,13 +3,13 @@
 // A fleet of vehicles streams position updates from N writer goroutines
 // while M reader goroutines answer "nearest vehicles" and "vehicles in
 // area" queries — the tile38-style geo-serving scenario. The stack is the
-// one psid serves: a Collection over a Sharded SPaC-H. The raw indexes
-// are batch-synchronous (not safe for concurrent mutation); the Collection
-// coalesces the concurrent moves into batch diffs, each flush fans its
-// diff out across the shards in parallel, and every query sees a
-// consistent view. Each vehicle's ID is its index in the fleet, spelled
-// as a string once up front so that the hot loops allocate none. The demo
-// exits 1 if a move or the final retirement is lost or duplicated.
+// one psid serves: a Collection over one SPaC-H tree. The raw index is
+// batch-synchronous (not safe for concurrent mutation); the Collection
+// coalesces the concurrent moves into batch diffs, each flush applies its
+// diff as one parallel batch update, and every query sees a consistent
+// view. Each vehicle's ID is its index in the fleet, spelled as a string
+// once up front so that the hot loops allocate none. The demo exits 1 if
+// a move or the final retirement is lost or duplicated.
 //
 //	go run ./examples/server
 package main
@@ -42,9 +42,9 @@ var (
 
 func main() {
 	// SPaC-H has the fastest batch updates — the right engine under a
-	// write-heavy stream — and Sharded applies each batch across one
-	// region per core. The Collection makes the stack safe to share.
-	fleet := psi.NewCollection(psi.NewSharded(psi.NewSPaCH, 2, psi.Universe2D(side), 0), psi.CollectionOptions{
+	// write-heavy stream — and runs each batch in parallel inside the
+	// tree. The Collection makes it safe to share.
+	fleet := psi.NewCollection(psi.NewSPaCH(2, psi.Universe2D(side)), psi.CollectionOptions{
 		MaxBatch:      4096,
 		FlushInterval: 2 * time.Millisecond, // readers lag writers by at most ~2ms
 	})

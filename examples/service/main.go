@@ -1,13 +1,13 @@
 // Service: serving the spatial stack over a socket with psid.
 //
 // Every other example calls the library in process; this one puts the
-// full stack — Collection over Sharded SPaC-H — behind the psid network
-// protocol and talks to it like a remote client would: newline-delimited
-// JSON commands over TCP (docs/protocol.md), with HTTP probe endpoints
-// on the side. The demo starts an in-process server on a loopback port,
-// streams vehicle positions from several connections in parallel, and
-// answers dispatcher queries over the wire, then shuts down gracefully
-// (drain + final flush).
+// full stack — a Collection over one SPaC-H tree, as psid serves it —
+// behind the psid network protocol and talks to it like a remote client
+// would: newline-delimited JSON commands over TCP (docs/protocol.md), with
+// HTTP probe endpoints on the side. The demo starts an in-process server
+// on a loopback port, streams vehicle positions from several connections
+// in parallel, and answers dispatcher queries over the wire, then shuts
+// down gracefully (drain + final flush).
 //
 //	go run ./examples/service            # full size
 //	PSI_EXAMPLE_N=2000 go run ./examples/service   # smoke scale
@@ -39,7 +39,7 @@ func main() {
 
 	// The server owns the serving stack; ":0" picks free loopback ports.
 	srv := psi.NewServer(
-		psi.NewSharded(psi.NewSPaCH, 2, psi.Universe2D(side), 0),
+		psi.NewSPaCH(2, psi.Universe2D(side)),
 		psi.ServerOptions{MaxBatch: 4096},
 	)
 	if err := srv.Start("127.0.0.1:0", "127.0.0.1:0"); err != nil {

@@ -8,9 +8,9 @@
 // region distance. A Sharded is batch-synchronous like the trees under
 // it, so the demo drives it from this one goroutine: it contrasts an
 // unsharded SPaC-H with the sharded fan-out on the same workload and
-// prints the shard load balance on clustered data. A Collection in front
-// of a Sharded is what admits concurrent moves; examples/server runs that
-// stack.
+// prints the shard load balance on clustered data. Sharded is a library
+// layer: a Collection in front of it admits concurrent moves as it does
+// over a bare tree, which is the stack psid and examples/server run.
 //
 //	go run ./examples/sharded
 package main

@@ -58,10 +58,11 @@
 // and Load replaces index and table by bulk construction (recovery, a
 // follower's bootstrap).
 //
-// Composition: the inner index may be a raw tree or a shard.Sharded
-// (each flush fans out across shards in parallel — the recommended
-// high-churn stack); both are single-writer indexes, and the Collection's
-// version cell is the one place readers are kept off the writer.
+// Composition: the inner index may be a raw tree (psid's stack: the
+// tree's batch update runs each flush in parallel) or a shard.Sharded
+// (each flush fans out across shards in parallel); both are single-writer
+// indexes, and the Collection's version cell is the one place readers are
+// kept off the writer.
 package collection
 
 import (

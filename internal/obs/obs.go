@@ -3,16 +3,15 @@
 // histogram shared with the service layer) with Prometheus text
 // exposition, a preallocated flush-span ring tracing the flush pipeline
 // stage by stage, and a slow-query ring capturing individual outlier
-// queries with their per-shard cost.
+// queries with their cost.
 //
 // Design rules, in priority order:
 //
 //  1. Recording is atomics into preallocated storage. Counter.Add,
 //     Hist.Record, FlushTrace.Record and SlowLog.Record never allocate
 //     and never take a registry-wide lock, so instrumented hot paths
-//     (collection flushes, shard sub-batches, the serving loop)
-//     keep their AllocsPerRun == 0 guarantees with a live registry
-//     attached.
+//     (collection flushes, the serving loop) keep their AllocsPerRun
+//     == 0 guarantees with a live registry attached.
 //  2. Everything is optional. Every layer takes an optional *Registry;
 //     nil disables all recording, and the nil receiver is safe on every
 //     record-side method (a nil *Counter, *Hist, *FlushTrace, *SlowLog or

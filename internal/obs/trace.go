@@ -2,20 +2,17 @@ package obs
 
 import "time"
 
-// Flush-pipeline tracing: each Collection/Shard flush records one
-// FlushSpan — per-stage wall times plus window statistics — into a
-// preallocated ring (ring.go), so concurrent recorders (per-shard
-// flushes, independent layers) never contend beyond the ring's sequence
-// counter and recording a span allocates nothing. /debug/flushtrace
-// reads it oldest first.
+// Flush-pipeline tracing: each Collection flush records one FlushSpan —
+// per-stage wall times plus window statistics — into a preallocated ring
+// (ring.go), so concurrent recorders never contend beyond the ring's
+// sequence counter and recording a span allocates nothing.
+// /debug/flushtrace reads it oldest first.
 
 // Flush stage indices into FlushSpan.Stages. Stages a mode does not run
-// stay zero: locked-mode flushes have no replay/publish/drain, the shard
-// layer nets nothing (its window was already netted a layer up).
+// stay zero: locked-mode flushes have no replay/publish/drain.
 const (
 	// StageNet is window netting and planning: reducing the raw op log
-	// to the surviving (ins, del) batches — for the shard layer, the
-	// parallel partitioning of the batch into per-shard sub-batches.
+	// to the surviving (ins, del) batches.
 	StageNet = iota
 	// StageLog is the durability commit: encoding the netted window
 	// into the write-ahead log and (policy permitting) fsyncing it —
@@ -42,7 +39,7 @@ const (
 var StageNames = [NumStages]string{"net", "log", "replay", "apply", "publish", "drain"}
 
 // FlushSpan is one recorded flush. Layer identifies the recorder
-// ("collection", "shard"); Stages holds per-stage wall time in
+// ("collection"); Stages holds per-stage wall time in
 // nanoseconds; RawOps/NettedOps/Cancelled describe the window before and
 // after netting (RawOps - Cancelled mutations survived netting as
 // NettedOps index mutations); Epoch is the published epoch after the

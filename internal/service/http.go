@@ -80,8 +80,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the Prometheus text exposition of the server's
 // registry: per-command latency histograms, flush counters and stage
-// timings, per-shard load series, epoch gauges (docs/observability.md
-// has the catalog).
+// timings, epoch gauges (docs/observability.md has the catalog).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)

@@ -11,32 +11,19 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/sfc"
-	"repro/internal/shard"
-	"repro/internal/spactree"
 )
 
-// newObsStack builds the full observable serving stack the way cmd/psid
-// does: one registry threaded through the shard layer and the server.
-func newObsStack(t *testing.T, opts Options) (*Server, *obs.Registry) {
+// newObsStack builds the observable serving stack the way cmd/psid does:
+// one SPaC-H tree behind a server whose registry every layer records into.
+func newObsStack(t *testing.T, opts Options) *Server {
 	t.Helper()
-	return newObsStackOf(t, func(dims int, u geom.Box) core.Index { return spactree.NewSPaC(sfc.Hilbert, dims, u) }, opts)
+	return newObsStackOf(t, newTestIndex(), opts)
 }
 
-// newObsStackOf is newObsStack over four shards of family.
-func newObsStackOf(t *testing.T, family func(int, geom.Box) core.Index, opts Options) (*Server, *obs.Registry) {
+// newObsStackOf is newObsStack over idx.
+func newObsStackOf(t *testing.T, idx core.Index, opts Options) *Server {
 	t.Helper()
-	reg := obs.New()
-	idx := shard.New(shard.Options{
-		Dims:     2,
-		Universe: testUniverse(),
-		Shards:   4,
-		New:      family,
-		Obs:      reg,
-	})
-	opts.Obs = reg
 	if opts.FlushInterval == 0 {
 		opts.FlushInterval = -1
 	}
@@ -49,7 +36,7 @@ func newObsStackOf(t *testing.T, family func(int, geom.Box) core.Index, opts Opt
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	return s, reg
+	return s
 }
 
 func httpGet(t *testing.T, url string) (int, string, string) {
@@ -65,10 +52,10 @@ func httpGet(t *testing.T, url string) (int, string, string) {
 
 // TestMetricsEndpoint drives traffic through a fully observable stack
 // and checks /metrics exposes the cross-layer series: per-command
-// latency histograms, collection flush counters, per-shard load, epoch
-// gauges — in valid, parseable Prometheus text.
+// latency histograms, collection flush counters, epoch gauges — in valid,
+// parseable Prometheus text.
 func TestMetricsEndpoint(t *testing.T) {
-	s, _ := newObsStack(t, Options{})
+	s := newObsStack(t, Options{})
 	c := dialT(t, s)
 	for i, p := range []([]int64){{10, 10}, {900, 900}, {50, 800}, {800, 60}} {
 		if err := c.Set(string(rune('a'+i)), p); err != nil {
@@ -121,48 +108,23 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %v (present=%v), want >= %v", key, v, ok, min)
 		}
 	}
-	// Snapshot reads: the epoch advanced past 0 and per-shard load
-	// series exist for all four shards.
+	// Snapshot reads: the epoch advanced past 0.
 	if samples[`psi_epoch{layer="collection"}`] < 1 {
 		t.Errorf("epoch = %v, want >= 1", samples[`psi_epoch{layer="collection"}`])
-	}
-	var shardSeries int
-	for k := range samples {
-		if strings.HasPrefix(k, `psi_shard_ops_total{shard="`) {
-			shardSeries++
-		}
-	}
-	if shardSeries != 4 {
-		t.Errorf("found %d psi_shard_ops_total series, want 4", shardSeries)
 	}
 	if !strings.Contains(body, "# TYPE psi_query_duration_ns histogram") {
 		t.Error("missing histogram TYPE line")
 	}
 }
 
-// TestSharedIndexAccounting: over Sharded(SPaC-H) the two snapshot
-// versions are one copy-on-write index, so a window reaches the shards
-// once — psi_shard_ops_total advances by the logical rate, one insert per
-// new object and a delete plus an insert per move, not twice that — and
-// what the windows copied of the shared trees is on /metrics and in the
-// cow block of /stats.
+// TestSharedIndexAccounting: over SPaC-H the two snapshot versions are
+// one copy-on-write tree, and what the windows copied of it is on
+// /metrics and in the cow block of /stats, beside the table-wait and ID
+// arena counters, which the two surfaces must agree on too.
 func TestSharedIndexAccounting(t *testing.T) {
-	s, _ := newObsStack(t, Options{})
+	s := newObsStack(t, Options{})
 	c := dialT(t, s)
-	shardOps := func() (sum float64) {
-		_, _, body := httpGet(t, "http://"+s.HTTPAddr().String()+"/metrics")
-		samples, err := obs.ParseText(strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range samples {
-			if strings.HasPrefix(k, `psi_shard_ops_total{shard="`) {
-				sum += v
-			}
-		}
-		return sum
-	}
-	const n = 600 // past the leaf wrap in every shard
+	const n = 600 // past the leaf wrap
 	set := func(off int64) {
 		for i := 0; i < n; i++ {
 			p := []int64{int64(i%25)*40 + off, int64(i/25)*40 + off}
@@ -175,14 +137,8 @@ func TestSharedIndexAccounting(t *testing.T) {
 		}
 	}
 	set(1)
-	if got := shardOps(); got != n {
-		t.Fatalf("psi_shard_ops_total = %v after inserting %d objects, want the logical %d", got, n, n)
-	}
 	set(2) // every object moves: one delete and one insert each
 	set(3)
-	if got := shardOps(); got != 5*n {
-		t.Fatalf("psi_shard_ops_total = %v after two windows of %d moves, want %d", got, n, 5*n)
-	}
 
 	_, _, body := httpGet(t, "http://"+s.HTTPAddr().String()+"/metrics")
 	samples, err := obs.ParseText(strings.NewReader(body))
@@ -210,9 +166,9 @@ func TestSharedIndexAccounting(t *testing.T) {
 		t.Fatalf("STATS table_id_bytes = %d (%d dead), /metrics has %v (%v dead)", st.TableIDBytes, st.TableIDDeadBytes, b, d)
 	}
 
-	// Locked reads — over shards of a baseline — keep one index: nothing is
-	// shared, nothing is reported.
-	locked, _ := newObsStackOf(t, func(dims int, _ geom.Box) core.Index { return core.NewBruteForce(dims) }, Options{})
+	// Locked reads — over a baseline — keep one index: nothing is shared,
+	// nothing is reported.
+	locked := newObsStackOf(t, core.NewBruteForce(2), Options{})
 	lc := dialT(t, locked)
 	if err := lc.Set("a", []int64{1, 1}); err != nil {
 		t.Fatal(err)
@@ -232,11 +188,12 @@ func TestSharedIndexAccounting(t *testing.T) {
 }
 
 // TestSlowQueryLog gates every command into the slow log (threshold
-// 1ns) and checks a fanned-out NEARBY lands in the ring with its true
-// cost: all four shards visited, every live object scanned as a
-// candidate, and the pinned epoch.
+// 1ns) and checks a NEARBY fanned out over a four-shard Sharded (which
+// reports its own cost) lands in the ring with its true cost: all four
+// shards visited, every live object scanned as a candidate, and the
+// pinned epoch.
 func TestSlowQueryLog(t *testing.T) {
-	s, _ := newObsStack(t, Options{SlowLog: time.Nanosecond})
+	s := newObsStackOf(t, newTestSharded(), Options{SlowLog: time.Nanosecond})
 	c := dialT(t, s)
 	pts := []([]int64){{10, 10}, {900, 900}, {50, 800}, {800, 60}, {400, 400}, {600, 300}}
 	for i, p := range pts {
@@ -310,7 +267,7 @@ func TestSlowQueryLog(t *testing.T) {
 // command errors with bad_request, and /debug/slowlog serves an empty
 // array rather than failing.
 func TestSlowlogDisabled(t *testing.T) {
-	s, _ := newObsStack(t, Options{})
+	s := newObsStack(t, Options{})
 	c := dialT(t, s)
 	resp, err := c.Do(Request{Op: OpSlowlog})
 	if err != nil {
@@ -328,7 +285,7 @@ func TestSlowlogDisabled(t *testing.T) {
 // TestFlushTraceEndpoint checks /debug/flushtrace serves the recorded
 // spans as JSON with per-stage fields, and serves [] before any flush.
 func TestFlushTraceEndpoint(t *testing.T) {
-	s, _ := newObsStack(t, Options{})
+	s := newObsStack(t, Options{})
 	base := "http://" + s.HTTPAddr().String()
 	code, _, body := httpGet(t, base+"/debug/flushtrace")
 	if code != http.StatusOK || strings.TrimSpace(body) != "[]" {
@@ -359,7 +316,7 @@ func TestFlushTraceEndpoint(t *testing.T) {
 			}
 		}
 	}
-	if !layers["collection"] || !layers["shard"] {
-		t.Fatalf("span layers = %v, want collection and shard", layers)
+	if !layers["collection"] || len(layers) != 1 {
+		t.Fatalf("span layers = %v, want collection alone", layers)
 	}
 }

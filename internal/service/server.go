@@ -54,10 +54,9 @@ type Options struct {
 	// production port.
 	EnablePprof bool
 	// Obs is the metric registry the server records into and serves at
-	// /metrics. The same registry is handed to the Collection (and should
-	// be the one the wrapped Sharded was built with) so one scrape covers
-	// every layer. Leave nil and the server creates a private registry —
-	// /metrics then carries the serving and collection series only.
+	// /metrics. The same registry is handed to the Collection, the WAL and
+	// replication, so one scrape covers every layer. Leave nil and the
+	// server creates a private registry.
 	Obs *obs.Registry
 	// SlowLog, when positive, is the slow-query threshold: any command
 	// slower than this is captured — command, request line, duration,
@@ -218,10 +217,9 @@ type Server struct {
 }
 
 // New wraps idx (which must start empty) in a Server. Like
-// collection.New, the Server takes ownership of idx — the recommended
-// serving stack is a Sharded over the per-workload index choice, so each
-// netted flush fans out across shards in parallel while connections keep
-// enqueueing. When idx is copy-on-write (core.Adopter), queries ride the
+// collection.New, the Server takes ownership of idx — psid serves one
+// tree (SPaC-H by default), whose batch update runs each netted flush in
+// parallel while connections keep enqueueing. When idx is copy-on-write (core.Adopter), queries ride the
 // epoch-pinned snapshot path: NEARBY/WITHIN never wait behind the index
 // apply, and /stats reports the epoch counters. A SET whose point lies
 // outside the Collection's stored range (int32 coordinates), or outside

@@ -49,7 +49,6 @@ func (p *partition) overlapping(box geom.Box, dst []int) []int {
 func (s *Sharded) RangeCount(box geom.Box) int {
 	sc := s.queryPool.Get().(*queryScratch)
 	ids := s.part.overlapping(box, sc.ids[:0])
-	s.met.recordQuery(ids)
 	n := parallel.Reduce(len(ids), 1, 0,
 		func(i int) int { return s.shards[ids[i]].RangeCount(box) },
 		func(a, b int) int { return a + b })
@@ -73,7 +72,6 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 	defer s.queryPool.Put(sc)
 	ids := s.part.overlapping(box, sc.ids[:0])
 	sc.ids = ids[:0]
-	s.met.recordQuery(ids)
 	if cost != nil {
 		cost.Shards += len(ids)
 	}
@@ -150,7 +148,6 @@ func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.Query
 
 	h := geom.GetKNNHeap(k)
 	buf := sc.buf
-	m := s.met
 	expanded := 0
 	for _, e := range frontier {
 		// Push takes only distances below Bound, so a region at exactly
@@ -160,19 +157,12 @@ func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.Query
 		}
 		buf = s.shards[e.id].KNN(q, k, buf[:0])
 		expanded++
-		if m != nil {
-			m.queries[e.id].Inc()
-			m.knnExp[e.id].Inc()
-		}
 		if cost != nil {
 			cost.Candidates += len(buf)
 		}
 		for _, p := range buf {
 			h.Push(p, geom.Dist2(p, q, dims))
 		}
-	}
-	if m != nil {
-		m.fanout.Observe(int64(expanded))
 	}
 	if cost != nil {
 		cost.Shards += expanded

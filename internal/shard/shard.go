@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -34,16 +32,6 @@ type Options struct {
 	// after a rebalance, and space-partitioning children need the
 	// universe fixed for history independence).
 	New func(dims int, universe geom.Box) core.Index
-	// Obs, when set, registers per-shard load metrics (batch ops applied,
-	// queries touched, KNN expansions — all labeled
-	// shard="i"), the query fan-out histogram, and records a
-	// flush-pipeline span per batch into the registry's trace ring.
-	// Replicas made by NewReplica share the originals' series, so a
-	// window applied to the off-line twin and then adopted counts once.
-	// Recording is atomics only, so the zero-alloc batch and query
-	// guarantees hold. Leave nil to pay nothing. Register at most one
-	// Sharded (plus its replicas) per registry.
-	Obs *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -102,11 +90,6 @@ type Sharded struct {
 	// readers each borrow.
 	diff      diffScratch
 	queryPool sync.Pool
-
-	// met is the observability hook set, nil unless Options.Obs was
-	// given. Replicas share their original's met (NewReplica), so one
-	// logical index registers its per-shard series exactly once.
-	met *shardMetrics
 }
 
 var _ core.Index = (*Sharded)(nil)
@@ -117,16 +100,11 @@ var _ core.Bounded = (*Sharded)(nil)
 func New(opts Options) *Sharded {
 	opts = opts.withDefaults()
 	opts.validate()
-	s := newSharded(opts)
-	if opts.Obs != nil {
-		s.met = newShardMetrics(opts.Obs, s)
-	}
-	return s
+	return newSharded(opts)
 }
 
-// newSharded builds the index without touching the registry — replicas
-// go through here so their series register exactly once, on the
-// original. opts must already carry defaults and have been validated.
+// newSharded builds the index from opts, which must already carry
+// defaults and have been validated.
 func newSharded(opts Options) *Sharded {
 	s := &Sharded{
 		opts:   opts,
@@ -150,15 +128,8 @@ func newSharded(opts Options) *Sharded {
 }
 
 // NewReplica implements core.Adopter: a fresh, empty, identically
-// configured twin. It shares the original's metric series rather than
-// re-registering them: a window reaches one twin and is adopted by the
-// other, so per-shard op counts stay exact, and so do query counts,
-// because only the published twin is queried.
-func (s *Sharded) NewReplica() core.Index {
-	r := newSharded(s.opts)
-	r.met = s.met
-	return r
-}
+// configured twin.
+func (s *Sharded) NewReplica() core.Index { return newSharded(s.opts) }
 
 // Adopt implements core.Adopter when the shard family does: every shard's
 // index adopts its counterpart in src and the partition — immutable,
@@ -332,16 +303,6 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 		return
 	}
 	part := s.part
-	m := s.met
-	var sp *obs.FlushSpan
-	var clk time.Time
-	if m != nil {
-		clk = time.Now()
-		// The shard layer nets nothing — its window was already netted a
-		// layer up — so raw equals netted; StageNet is the parallel
-		// partitioning of the batch into per-shard sub-batches.
-		sp = &obs.FlushSpan{Layer: "shard", Start: clk.UnixNano(), RawOps: len(ins) + len(del), NettedOps: len(ins) + len(del)}
-	}
 	sc := &s.diff
 	sc.ins = grown(sc.ins, len(ins))
 	sc.del = grown(sc.del, len(del))
@@ -350,21 +311,11 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 		func() { insOff = parallel.SieveWith(&sc.insSieve, ins, sc.ins, part.shards, part.shardOf) },
 		func() { delOff = parallel.SieveWith(&sc.delSieve, del, sc.del, part.shards, part.shardOf) },
 	)
-	clk = sp.Stamp(obs.StageNet, clk)
 	parallel.ForEach(part.shards, 1, func(i int) {
 		subIns, subDel := sc.ins[insOff[i]:insOff[i+1]], sc.del[delOff[i]:delOff[i+1]]
 		if len(subIns) == 0 && len(subDel) == 0 {
 			return
 		}
-		if m != nil {
-			m.ops[i].Add(uint64(len(subIns) + len(subDel)))
-		}
 		s.shards[i].BatchDiff(subIns, subDel)
 	})
-	if m != nil {
-		sp.Stamp(obs.StageApply, clk)
-		m.flushes.Add(1)
-		m.flushDur.Record(sp.Dur())
-		m.trace.Record(*sp)
-	}
 }

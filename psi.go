@@ -205,14 +205,9 @@ func ByName(name string, dims int, universe Box) Index {
 // it in a Collection for concurrent use (see README "Scaling out").
 type Sharded = shard.Sharded
 
-// ShardedOptions configures a Sharded index: dimensions, universe, shard
-// count S, the per-shard index constructor and the metrics registry.
-type ShardedOptions = shard.Options
-
 // NewSharded partitions the universe into shards regions (Hilbert-range
 // partitioning; shards <= 0 selects one per core) and builds one index
 // per region with newIndex — e.g. psi.NewSharded(psi.NewSPaCH, 2, u, 0).
-// Use NewShardedOpts to attach a metrics registry.
 func NewSharded(newIndex func(dims int, universe Box) Index, dims int, universe Box, shards int) *Sharded {
 	return shard.New(shard.Options{
 		Dims:     dims,
@@ -221,9 +216,6 @@ func NewSharded(newIndex func(dims int, universe Box) Index, dims int, universe 
 		New:      newIndex,
 	})
 }
-
-// NewShardedOpts builds a Sharded index from its options struct.
-func NewShardedOpts(opts ShardedOptions) *Sharded { return shard.New(opts) }
 
 // Collection is a concurrent moving-object layer keyed by string IDs over
 // any Index (a tree or a Sharded of trees): it tracks one point per
@@ -287,10 +279,10 @@ type ServerStats = service.StatsPayload
 // Shutdown. It reads the way NewCollection does: when idx is
 // copy-on-write (the SPaC family and P-Orth, bare or under NewSharded)
 // NEARBY/WITHIN/GET read an epoch-pinned snapshot of one shared tree;
-// over the baselines they take locked reads. The recommended serving
-// stack wraps a Sharded index:
+// over the baselines they take locked reads. psid serves one tree, whose
+// batch update already runs each flush in parallel:
 //
-//	s := psi.NewServer(psi.NewSharded(psi.NewSPaCH, 2, u, 0), psi.ServerOptions{})
+//	s := psi.NewServer(psi.NewSPaCH(2, u), psi.ServerOptions{})
 //	s.Start(":7501", ":7502")
 func NewServer(idx Index, opts ServerOptions) *Server { return service.New(idx, opts) }
 
@@ -337,8 +329,8 @@ func ParseWALFsync(s string) (WALFsyncPolicy, time.Duration, error) {
 // Metrics is a process-wide observability registry (internal/obs): a
 // zero-allocation metric surface — atomic counters, gauges, power-of-two
 // latency histograms, a flush-span trace ring — that every layer records
-// into when handed one via its Options.Obs field (ShardedOptions,
-// CollectionOptions, ServerOptions). A Server exposes its
+// into when handed one via its Options.Obs field (CollectionOptions,
+// ServerOptions). A Server exposes its
 // registry as Prometheus text on /metrics; see docs/observability.md for
 // the metric catalog.
 type Metrics = obs.Registry
