@@ -507,13 +507,20 @@ func TestSetPastInt32Refused(t *testing.T) {
 	c.Close()
 	sigtermWait(t, cmd)
 
-	l, rec, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever})
+	logged := make(map[string]geom.Point)
+	l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever}, func(o wal.Op) {
+		if o.Del {
+			delete(logged, o.ID)
+		} else {
+			logged[strings.Clone(o.ID)] = o.P
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	if len(rec.Entries) != 1 || rec.Entries["near"] != geom.Pt2(5, 7) {
-		t.Fatalf("the log holds %v, want near at [5 7] alone", rec.Entries)
+	if len(logged) != 1 || logged["near"] != geom.Pt2(5, 7) {
+		t.Fatalf("the log holds %v, want near at [5 7] alone", logged)
 	}
 	cmd, addr, _ = startPsid(t, dir, args...)
 	defer sigtermWait(t, cmd)

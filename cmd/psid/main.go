@@ -209,7 +209,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "psid: %v\n", err)
 		return 1
 	}
-	// Collect WAL recovery's garbage: a GC that marked it mid-recovery doubles the heap goal.
+	// Collect recovery's garbage — the Build's sort scratch, the points it
+	// took, the ID arena's outgrown copies — before serving: a GC that
+	// marked them mid-recovery would leave the heap goal at twice their size.
 	runtime.GC()
 	// From here on every exit goes through shutdown: the final flush
 	// (and WAL snapshot + close) must run on fatal errors too, or the
@@ -239,12 +241,11 @@ func run() int {
 	fmt.Printf(", %d cores", runtime.NumCPU())
 	if *walDir != "" {
 		rec := s.WALRecovered()
-		fmt.Printf(", wal %s (fsync %s, recovered %d objects from %d records",
-			*walDir, fsyncPolicy, rec.Objects, rec.Records)
+		fmt.Printf(", wal %s (fsync %s", *walDir, fsyncPolicy)
 		if rec.TruncatedBytes > 0 {
 			fmt.Printf(", truncated %d-byte torn tail", rec.TruncatedBytes)
 		}
-		fmt.Printf(")")
+		fmt.Printf("), recovered %d objects from %d records in %.1f ms", rec.Objects, rec.Records, rec.RecoverMs)
 	}
 	fmt.Println()
 	// The replication role gets its own line: subprocess tests and ops

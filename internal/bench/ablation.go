@@ -19,8 +19,11 @@ import (
 //	(c) partial vs total leaf order (SPaC vs CPAM) under small-batch
 //	    insertion — the paper's headline relaxation — including how many
 //	    leaves actually go unsorted;
-//	(d) HybridSort vs precompute-then-sort construction (SPaC vs CPAM
-//	    build on identical data, §4.1).
+//	(d) SPaC vs CPAM construction on identical data (§4.1). Both sort
+//	    ⟨code, point⟩ entries (a packed 2-D entry is the 16 bytes of
+//	    HybridSort's ⟨code, id⟩ pair) and split them alike, so the two
+//	    differ only in leaf layout: a CPAM leaf writes each point's code
+//	    beside it.
 func (s *Suite) ablations() {
 	s.printf("Ablations — n=%d\n", s.cfg.N)
 	sp := space{workload.Uniform, 2}
@@ -72,9 +75,9 @@ func (s *Suite) ablations() {
 	}
 	s.write(tb)
 
-	tb = newTable("(d) HybridSort vs plain construction (build seconds)", "uniform", "varden")
+	tb = newTable("(d) construction, SPaC vs CPAM leaf layout (build seconds)", "uniform", "varden")
 	for _, mode := range modes {
-		label := map[spactree.Mode]string{spactree.PartialOrder: "hybrid", spactree.TotalOrder: "plain"}[mode]
+		label := map[spactree.Mode]string{spactree.PartialOrder: "points", spactree.TotalOrder: "codes"}[mode]
 		var vals []float64
 		for _, dist := range []workload.Dist{workload.Uniform, workload.Varden} {
 			dsp := space{dist, 2}

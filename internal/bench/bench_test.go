@@ -81,7 +81,7 @@ func TestFig9Smoke(t *testing.T) {
 func TestFig10Smoke(t *testing.T) { smoke(t, "fig10", "ins-0.0001", "del-1", "single batch updates") }
 
 func TestAblationsSmoke(t *testing.T) {
-	smoke(t, "ablation", "lambda=3", "phi=40", "SPaC(part)", "hybrid", "plain")
+	smoke(t, "ablation", "lambda=3", "phi=40", "SPaC(part)", "points", "codes")
 }
 
 // TestJSONDocument parses the psibench/v1 document of a figure run: the

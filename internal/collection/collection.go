@@ -70,6 +70,7 @@ import (
 	"iter"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -688,44 +689,117 @@ func (c *Collection) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (appli
 
 // Load replaces the whole committed state with entries — n of them, a
 // later entry for an ID winning over an earlier one — by bulk
-// construction: a fresh table is filled (entries is ranged exactly once, so
-// a single-use iterator is fine), the index is rebuilt with Index.Build (a
-// Sharded rebalances its regions to the loaded data) through the cell, and
-// the filled table takes the old one's place as the rebuild's table step,
-// which frees the old one's arrays: no reader can reach them any more.
-// Pending ops, and what Get remembered of them, are discarded; nothing is
-// journaled — the caller loads what is already durable (recovery) or makes
-// it so itself (a follower's bootstrap snapshot). In snapshot mode readers
-// keep the old state until the new one is published whole. An entry
-// outside the stored range panics, as in Set, before the index is touched.
+// construction, as Recover does with Sets of entries (which are ranged
+// exactly once, so a single-use iterator is fine). A final state with a
+// point outside the stored range panics, as in Set, before the index is
+// touched.
 func (c *Collection) Load(n int, entries iter.Seq2[string, geom.Point]) {
+	err := c.load(n, func(fold func(wal.Op)) error {
+		for id, p := range entries {
+			fold(wal.Op{ID: id, P: p})
+		}
+		return nil
+	}, nil)
+	if err != nil {
+		panic(err.Error())
+	}
+}
+
+// Recover replaces c's whole committed state with the fold of the ops
+// stream hands its argument, in order — a Set puts its ID at its point
+// whether the ID was live or not, a delete frees the ID's slot — by bulk
+// construction: the ops go into a fresh slot table, and only once stream
+// has returned nil and check has passed every object of the final state
+// does the index get one Build over the table's live slots, through the
+// cell, with the table taking the old one's place as the rebuild's table
+// step, which frees the old one's arrays: no reader can reach them any
+// more. A fold may pass an ID that is a view of a buffer it reuses: the
+// table copies what it keeps.
+//
+// An error from stream or check, or a final state with a point outside
+// the stored range (which check, if set, sees first), is returned and
+// leaves c as it was. On success pending ops, and what Get remembered of
+// them, are discarded; nothing is journaled — the caller loads what is
+// already durable (WAL recovery: stream is wal.Open) or makes it so
+// itself (a follower's bootstrap snapshot). In snapshot mode readers keep
+// the old state until the new one is published whole. Recover is a
+// function rather than a method so that the library's Collection keeps
+// Load as its one bulk entry point.
+func Recover(c *Collection, stream func(fold func(wal.Op)) error, check func(id string, p geom.Point) error) error {
+	return c.load(0, stream, check)
+}
+
+// load is Load and Recover, sizing the fresh table for n objects.
+func (c *Collection) load(n int, stream func(fold func(wal.Op)) error, check func(id string, p geom.Point) error) error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
+	tab := newTable(c.dims, n)
+	defer tab.release() // empty unless the state was refused before the step took it
+	// Ops leave the point index alone; one relink builds it at the end.
+	tab.unlinked = true
+	stored := StoredRange(c.dims)
+	// outside holds the IDs whose last Set put them where the table cannot:
+	// they are not in it, and refuse the final state unless a later op
+	// moves or removes them.
+	var outside map[string]geom.Point
+	err := stream(func(o wal.Op) {
+		delete(outside, o.ID)
+		slot, hash := tab.lookup(o.ID)
+		switch {
+		case o.Del || !stored.Contains(o.P, geom.MaxDims):
+			if slot != 0 {
+				tab.remove(slot, hash)
+			}
+			if !o.Del {
+				if outside == nil {
+					outside = make(map[string]geom.Point)
+				}
+				outside[strings.Clone(o.ID)] = o.P
+			}
+		case slot != 0:
+			tab.move(slot, o.P)
+		default:
+			// Room for n IDs of this one's length at first, then the arena
+			// doubles: a fresh table fills it in a few allocations.
+			if need := entryBytes(o.ID); len(tab.ids)+need > cap(tab.ids) {
+				tab.reserveIDs(max(n*need, len(tab.ids)+need))
+			}
+			tab.insert(o.ID, hash, o.P)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for id, p := range outside {
+		if check != nil {
+			if err := check(id, p); err != nil {
+				return err
+			}
+		}
+		return fmt.Errorf("collection: %q: point %v outside the stored range %v", id, p, stored)
+	}
+	// The live points, widened into the slice Build takes (and neither
+	// writes nor retains), vetted on the way.
+	pts := make([]geom.Point, 0, tab.live)
+	for s, nx := range tab.next {
+		if nx&freeSlot != 0 {
+			continue
+		}
+		p := tab.at(uint32(s))
+		if check != nil {
+			if err := check(tab.id(uint32(s)), p); err != nil {
+				return err
+			}
+		}
+		pts = append(pts, p)
+	}
+	tab.relink()
 	c.pend.Lock()
 	clear(c.tape)
 	c.tape = c.tape[:0]
 	clear(c.overlay)
 	c.pend.Unlock()
 	was := c.tab.live
-	tab := newTable(c.dims, n)
-	defer tab.release() // empty unless an entry panicked before the step took it
-	for id, p := range entries {
-		c.mustStore(p)
-		if len(tab.ids) == 1 {
-			tab.reserveIDs(n * entryBytes(id)) // IDs are mostly of one length
-		}
-		if slot, hash := tab.lookup(id); slot != 0 {
-			tab.move(slot, p)
-		} else {
-			tab.insert(id, hash, p)
-		}
-	}
-	// Nothing above frees a slot, so the live points are slots 1 on,
-	// widened into the slice Build takes (and neither writes nor retains).
-	pts := make([]geom.Point, tab.live)
-	for i := range pts {
-		pts[i] = tab.at(uint32(i + 1))
-	}
 	c.cell.Rebuild(pts, func() {
 		c.tab.release()
 		*c.tab = tab
@@ -734,6 +808,7 @@ func (c *Collection) Load(n int, entries iter.Seq2[string, geom.Point]) {
 	c.noteSlots()
 	c.inserted.Add(uint64(len(pts)))
 	c.removed.Add(uint64(was))
+	return nil
 }
 
 // noteSlots publishes the table's slot counts, mapped bytes and arena size

@@ -4,6 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -192,7 +196,7 @@ func journalIDs(n int) []string {
 // test's cleanup closes after c.
 func journalTo(t *testing.T, c *Collection) {
 	t.Helper()
-	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.FsyncNever})
+	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.FsyncNever}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,4 +206,83 @@ func journalTo(t *testing.T, c *Collection) {
 		return err
 	})
 	t.Cleanup(c.Close)
+}
+
+// TestRecoverFromWAL: Recover with wal.Open as its stream folds the
+// snapshot and the log tail into the table — a later op for an ID wins, a
+// delete frees its slot, a view of the read buffer is copied — and a
+// snapshot whose checksum fails hands the fold nothing: Open fails, and
+// the Collection keeps its state, pending ops included, as it does for a
+// stream that fails after it folded some ops.
+func TestRecoverFromWAL(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]geom.Point)
+	for i := 0; i < 300; i++ {
+		want[key(i)] = geom.Pt2(int64(i), int64(i%5))
+	}
+	if err := l.WriteSnapshotAt(1, len(want), maps.All(want)); err != nil {
+		t.Fatal(err)
+	}
+	window := []wal.Op{{ID: key(0), Del: true}, {ID: key(1), P: geom.Pt2(500, 500)}, {ID: "late", P: geom.Pt2(9, 9)}}
+	if _, err := l.AppendWindowAt(0, window); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, key(0))
+	want[key(1)], want["late"] = geom.Pt2(500, 500), geom.Pt2(9, 9)
+	open := func(fold func(wal.Op)) error {
+		l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever}, fold)
+		if err == nil {
+			err = l.Close()
+		}
+		return err
+	}
+
+	c := New(newSPaCH(), readOpts)
+	defer c.Close()
+	if err := Recover(c, open, nil); err != nil {
+		t.Fatal(err)
+	}
+	verifyAgainstOracle(t, c, want, 301) // Validates too
+
+	c.Set("pending", geom.Pt2(1, 1))
+	folded := 0
+	refused := func(fold func(wal.Op)) error {
+		return open(func(o wal.Op) { folded++; fold(o) })
+	}
+	snap := filepath.Join(dir, "wal.snap")
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-5] ^= 0x40 // the last coordinate: the entry decodes, the checksum fails
+	if err := os.WriteFile(snap, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Recover(c, refused, nil); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("Recover over a snapshot that fails its checksum: %v", err)
+	}
+	if folded != 0 {
+		t.Fatalf("a snapshot that fails its checksum handed the fold %d ops", folded)
+	}
+	broken := errors.New("stream broke")
+	if err := Recover(c, func(fold func(wal.Op)) error {
+		fold(wal.Op{ID: key(2), Del: true})
+		fold(wal.Op{ID: "new", P: geom.Pt2(3, 3)})
+		return broken
+	}, nil); err != broken {
+		t.Fatalf("Recover over a broken stream: %v", err)
+	}
+	if c.Pending() != 1 {
+		t.Fatalf("a refused recovery left %d ops pending, want the 1 it found", c.Pending())
+	}
+	c.Flush()
+	want["pending"] = geom.Pt2(1, 1)
+	verifyAgainstOracle(t, c, want, 302)
 }

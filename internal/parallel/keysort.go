@@ -33,8 +33,8 @@ func SortShortByKey[T any](a []T, key func(T) uint64, tie func(x, y T) int) {
 }
 
 // SortByKey sorts a by key ascending — the sort inside the paper's
-// HybridSort (Alg. 3), which moves ⟨code, id⟩ pairs and compares nothing
-// but codes. Large inputs are split on sampled keys with a branch-free
+// HybridSort (Alg. 3), which compares nothing but codes; the trees here
+// move ⟨code, point⟩ entries through it. Large inputs are split on sampled keys with a branch-free
 // search and scattered by Sieve; every bucket is then sorted by
 // most-significant-digit radix passes over the bits in which its keys
 // actually differ, and short runs by insertion.

@@ -195,7 +195,7 @@ func TestReplApplyRefusesUnnettedWindow(t *testing.T) {
 func TestOutOfUniversePointsRefused(t *testing.T) {
 	far := wal.Op{ID: "far", P: geom.Pt2(5_000_000_000, 1)}
 	dir := t.TempDir()
-	l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncAlways})
+	l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncAlways}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

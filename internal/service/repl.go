@@ -47,6 +47,7 @@ import (
 	"iter"
 	"net"
 
+	"repro/internal/collection"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/repl"
@@ -567,18 +568,17 @@ func (a replApplier) Bootstrap(seq, term uint64, entries []wal.Op) error {
 	if s.walFailed.Load() {
 		return errors.New("local wal failed; refusing to bootstrap")
 	}
-	if err := s.windowInUniverse(entries); err != nil {
+	err := collection.Recover(s.coll, func(fold func(wal.Op)) error {
+		for _, e := range entries {
+			fold(e)
+		}
+		return nil
+	}, s.inUniverse)
+	if err != nil {
 		return fmt.Errorf("bootstrap at %d: %w", seq, err)
 	}
-	s.coll.Load(len(entries), func(yield func(string, geom.Point) bool) {
-		for _, e := range entries {
-			if !yield(e.ID, e.P) {
-				return
-			}
-		}
-	})
 	s.wal.SetTerm(term)
-	err := s.checkpoint(func() uint64 { return seq })
+	err = s.checkpoint(func() uint64 { return seq })
 	if err != nil {
 		s.walFail(err)
 	}

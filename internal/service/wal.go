@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
 	"net"
 	"time"
 
@@ -41,6 +40,10 @@ type WALRecovery struct {
 	// and harmless (nothing in the tail was ever acknowledged under
 	// fsync=always).
 	TruncatedBytes int64 `json:"truncated_bytes"`
+	// RecoverMs is the wall time of recovery in milliseconds: reading
+	// the snapshot and the log, folding them into the slot table and the
+	// Build of the index.
+	RecoverMs float64 `json:"recover_ms"`
 }
 
 // NewDurable is New with the WAL error surfaced: when Options.WALDir is
@@ -84,35 +87,38 @@ func NewDurable(idx core.Index, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// openWAL opens the log, loads the recovered state into the Collection
-// by bulk construction (Collection.Load: nothing is journaled, and a
-// Sharded index rebalances its regions to the recovered data), and
-// installs the journal hook. A recovered point outside the universe — a
-// log written before SETs were checked — fails it before the Load, which
-// the index could not survive.
+// openWAL opens the log, folding what it recovers straight into the
+// Collection (collection.Recover: a fresh slot table and one Build, nothing
+// journaled), and installs the journal hook. A recovered final state with
+// a point outside the universe — a log written before SETs were checked —
+// fails it and loads nothing: the index could not survive the Build.
 func (s *Server) openWAL() error {
 	opts := s.opts
-	l, rec, err := wal.Open(opts.WALDir, wal.Options{
-		Fsync:    opts.WALFsync,
-		Interval: opts.WALFsyncInterval,
-		Obs:      opts.Obs,
-		OnError:  s.walFail,
-	})
-	if err != nil {
+	t0 := time.Now()
+	var l *wal.Log
+	var rec *wal.Recovery
+	err := collection.Recover(s.coll, func(fold func(wal.Op)) (err error) {
+		l, rec, err = wal.Open(opts.WALDir, wal.Options{
+			Fsync:    opts.WALFsync,
+			Interval: opts.WALFsyncInterval,
+			Obs:      opts.Obs,
+			OnError:  s.walFail,
+		}, fold)
+		return err
+	}, s.inUniverse)
+	switch {
+	case l == nil:
 		return fmt.Errorf("psid: wal: %w", err)
+	case err != nil:
+		l.Close()
+		return fmt.Errorf("psid: wal: recovered %v", err)
 	}
-	for id, p := range rec.Entries {
-		if err := s.inUniverse(id, p); err != nil {
-			l.Close()
-			return fmt.Errorf("psid: wal: recovered %v", err)
-		}
-	}
-	s.coll.Load(len(rec.Entries), maps.All(rec.Entries))
 	s.wal = l
 	s.recovered = WALRecovery{
-		Objects:        len(rec.Entries),
+		Objects:        s.coll.Len(),
 		Records:        rec.Records,
 		TruncatedBytes: rec.TruncatedBytes,
+		RecoverMs:      float64(time.Since(t0).Microseconds()) / 1e3,
 	}
 	if s.roleIs(roleLeader) {
 		// The hub's head starts at the recovered sequence, so a follower

@@ -2,12 +2,17 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // startDurable runs a Server with a WAL in dir. The background flusher
@@ -273,5 +278,121 @@ func TestNewDurableRejectsCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := NewDurable(newTestIndex(), Options{WALDir: dir, FlushInterval: -1}); err == nil {
 		t.Fatal("NewDurable accepted a corrupt snapshot")
+	}
+}
+
+// TestRecoveryAllocationBudget bounds what NewDurable allocates on the
+// heap per recovered object, at 10⁵ objects recovered from a log and then
+// from a snapshot: at most 128 B and a quarter of an allocation. Recovery
+// folds the WAL's ops, IDs viewed in its read buffers, straight into a
+// fresh slot table whose arrays are mapped, so what remains is the ID
+// arena, the widened points and the Build; a map of the dataset, or a
+// string per replayed ID, costs twice the bytes and an allocation per
+// object (246–260 B and 1.22 allocations when recovery folded into a map
+// first).
+func TestRecoveryAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds keep the slot table's arrays on the heap")
+	}
+	const n, window = 100_000, 1000
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := workload.Generate(workload.Uniform, n, 2, testSide, 7)
+	ops := make([]wal.Op, 0, window)
+	for i, p := range pts {
+		ops = append(ops, wal.Op{ID: fmt.Sprintf("veh-%07d", i), P: p})
+		if len(ops) == window {
+			if _, err := l.AppendWindowAt(0, ops); err != nil {
+				t.Fatal(err)
+			}
+			ops = ops[:0]
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []string{"log", "snapshot"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, err := NewDurable(newTestIndex(), Options{WALDir: dir, WALFsync: wal.FsyncNever, FlushInterval: -1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := s.WALRecovered()
+		if rec.Objects != n || (from == "log") != (rec.Records == n/window) {
+			t.Fatalf("%s: recovered %+v, want %d objects", from, rec, n)
+		}
+		perObj := float64(after.TotalAlloc-before.TotalAlloc) / n
+		allocs := float64(after.Mallocs-before.Mallocs) / n
+		t.Logf("recovery from the %s: %.1f B and %.3f allocations per object, %.1f ms", from, perObj, allocs, rec.RecoverMs)
+		if perObj > 128 || allocs > 0.25 {
+			t.Errorf("recovery from the %s allocates %.1f B and %.3f allocations per object, budget 128 B and 0.25", from, perObj, allocs)
+		}
+		shutdownT(t, s) // the closing snapshot is the next round's input
+	}
+}
+
+// TestRecoveryVetsTheFinalState: recovery checks the universe on the state
+// the log folds to, not on each op. A point outside it that a later op
+// moved back in recovers; a final state outside it fails psid's recovery
+// with the point named, and loads nothing: the Collection keeps what it
+// held, in its table and in its index.
+func TestRecoveryVetsTheFinalState(t *testing.T) {
+	writeLog := func(windows ...[]wal.Op) string {
+		t.Helper()
+		dir := t.TempDir()
+		l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range windows {
+			if _, err := l.AppendWindowAt(0, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	past := geom.Pt2(5_000_000_000, 1) // past the stored int32 range
+	beyond := geom.Pt2(testSide+5, 1)  // stored, but outside the universe
+	healed := writeLog(
+		[]wal.Op{{ID: "a", P: past}, {ID: "b", P: beyond}, {ID: "c", P: geom.Pt2(3, 3)}},
+		[]wal.Op{{ID: "a", P: geom.Pt2(1, 1)}, {ID: "b", Del: true}},
+	)
+	s := startDurable(t, healed, Options{WALFsync: wal.FsyncNever})
+	if p, ok := s.coll.Get("a"); !ok || p != geom.Pt2(1, 1) || s.coll.Len() != 2 || s.WALRecovered().Objects != 2 {
+		t.Fatalf("healed log: a at %v (%t), %d objects; want a at [1 1] and c", p, ok, s.coll.Len())
+	}
+	shutdownT(t, s)
+
+	for _, leave := range []geom.Point{past, beyond} {
+		dir := writeLog(
+			[]wal.Op{{ID: "x", P: geom.Pt2(7, 7)}, {ID: "y", P: geom.Pt2(8, 8)}},
+			[]wal.Op{{ID: "y", P: leave}},
+		)
+		// psid's recovery path on a Collection that already holds a state.
+		s := New(newTestIndex(), Options{FlushInterval: -1})
+		s.coll.Set("held", geom.Pt2(4, 4))
+		s.coll.Flush()
+		s.opts.WALDir = dir
+		want := fmt.Sprintf(`"y": point %v outside the universe %v`, leave[:2], testUniverse())
+		if err := s.openWAL(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("recovery of a final state at %v: %v, want an error containing %s", leave, err, want)
+		}
+		hits := s.coll.WithinIDs(testUniverse())
+		if s.coll.Len() != 1 || len(hits) != 1 || hits[0].ID != "held" || s.wal != nil {
+			t.Fatalf("refused recovery loaded something: %d objects, index holds %v", s.coll.Len(), hits)
+		}
+		if err := s.coll.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		shutdownT(t, s)
 	}
 }

@@ -7,71 +7,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// pair is HybridSort's sort element: only the code and the point's index
-// move through the sort; coordinates stay put until the final gather
-// (Alg. 3 line 13 — "we only sort the ⟨code, id⟩ pairs, without the
-// coordinates").
-type pair struct {
-	code uint64
-	id   int32
-}
-
-// buildHybrid is the SPaC-tree construction (Alg. 3): the SFC code of each
-// point is computed once, ⟨code, id⟩ pairs are sorted by code alone
-// (coordinates are read only to order points whose codes collide), and
-// BuildSorted gathers coordinates into leaves, narrowed to S.
-func (t *tree[S]) buildHybrid(pts []geom.Point) *node[S] {
-	n := len(pts)
-	if n == 0 {
-		return nil
-	}
-	pairs := make([]pair, n)
-	t.encodeEach(pts, func(i int) {
-		pairs[i] = pair{code: t.encode(pts[i]).Code, id: int32(i)}
-	})
-	// Equal codes tie-break by coordinates, so the total order matches
-	// cmpEntry.
-	parallel.SortByKey(pairs, func(pr pair) uint64 { return pr.code }, func(a, b pair) int {
-		return geom.ComparePacked(geom.Pack[S](pts[a.id]), geom.Pack[S](pts[b.id]))
-	})
-	return t.buildSortedPairs(pts, pairs)
-}
-
-// buildSortedPairs is BuildSorted (Alg. 3 lines 20-31): perfectly balanced
-// recursion; leaves gather their points by id (line 23), paying the cache
-// misses here instead of moving coordinates through every sorting round.
-func (t *tree[S]) buildSortedPairs(pts []geom.Point, pairs []pair) *node[S] {
-	n := len(pairs)
-	if n == 0 {
-		return nil
-	}
-	if n <= t.opts.LeafWrap {
-		blk := make([]S, n)
-		for i, pr := range pairs {
-			blk[i] = geom.Pack[S](pts[pr.id])
-		}
-		return &node[S]{size: n, gen: t.gen, bbox: geom.PackedBounds(blk), pts: blk, sorted: true}
-	}
-	m := n / 2
-	var l, r *node[S]
-	parallel.DoIf(n >= seqCutoff,
-		func() { l = t.buildSortedPairs(pts, pairs[:m]) },
-		func() { r = t.buildSortedPairs(pts, pairs[m+1:]) })
-	k := Entry[S]{Code: pairs[m].code, P: geom.Pack[S](pts[pairs[m].id])}
-	return t.rawNode(l, k, r)
-}
-
-// buildPlain is the CPAM construction the paper measures as the "plain
-// adaptation": precompute full ⟨code, point⟩ entries in a separate pass,
-// sort the entries, build. The extra reads/writes of whole entries through
-// every sorting round are the overhead HybridSort removes (§4.1).
-func (t *tree[S]) buildPlain(pts []geom.Point) *node[S] {
-	if len(pts) == 0 {
-		return nil
-	}
-	return t.buildSortedEnts(t.encodeAndSort(pts))
-}
-
 // buildSortedEnts builds a perfectly balanced tree over sorted entries.
 // Every leaf copies its run into a block of its own (newLeaf): the tree
 // keeps no part of ents — a batch, or a rebuild's scratch — alive, and no

@@ -4,19 +4,22 @@
 //
 // Both are join-based weight-balanced binary search trees over
 // space-filling-curve codes with block-wrapped leaves and bounding-box
-// augmentation (i.e. parallel R-trees). They differ in exactly the two
-// design points the paper isolates:
-//
-//   - Construction. SPaC mode uses HybridSort (Alg. 3): codes are computed
-//     when a point is first touched by the sort, and only ⟨code, id⟩ pairs
-//     move through the sort, with coordinates gathered into leaves at the
-//     end. CPAM mode is the "plain adaptation": precompute ⟨code, point⟩
-//     pairs, sort the full pairs, build.
+// augmentation (i.e. parallel R-trees). Both build alike: ⟨code, point⟩
+// entries are sorted by code and split into a perfectly balanced tree.
+// The paper's HybridSort (Alg. 3) sorts ⟨code, id⟩ pairs instead, so that
+// coordinates do not move through the sort, and gathers them into leaves
+// at the end; with points packed into int32s an entry is the same 16
+// bytes as a pair in 2-D, so sorting entries saves the gather. The modes
+// differ in the design point of the paper that remains, leaf layout:
 //
 //   - Leaf order. SPaC mode relaxes the total order inside leaves (Alg. 4):
 //     batch inserts append to leaves and mark them unsorted; the order is
 //     restored lazily, only when a join must expose or redistribute the
 //     leaf. CPAM mode maintains fully sorted leaves on every update.
+//
+//   - Leaf codes. A CPAM leaf keeps each point's code beside it; a SPaC
+//     leaf stores its points alone and recomputes codes where it needs
+//     its order.
 //
 // Spatial queries never read the in-leaf order — a leaf is scanned wholesale
 // either way — which is the observation that makes the relaxation free for

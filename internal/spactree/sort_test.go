@@ -66,8 +66,8 @@ func TestSortEntriesMatchesComparatorSort(t *testing.T) {
 	}
 }
 
-// The ⟨code, id⟩ path of buildHybrid must leave the tree in the same
-// order: its in-order traversal is the comparator-sorted entry list.
+// Build's keyed sort must leave the tree in the comparator's order: its
+// in-order traversal is the comparator-sorted entry list.
 func TestHybridBuildOrderMatchesComparatorSort(t *testing.T) {
 	for _, curve := range []sfc.Curve{sfc.Hilbert, sfc.Morton} {
 		for _, n := range []int{sortSeqCutoff - 1, sortSeqCutoff + 1, 5 * sortSeqCutoff} {

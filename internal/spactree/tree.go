@@ -12,9 +12,9 @@ import (
 type Mode int
 
 const (
-	// PartialOrder is the SPaC-tree (§4): unsorted leaves, HybridSort.
+	// PartialOrder is the SPaC-tree (§4): leaves unsorted between joins, points alone.
 	PartialOrder Mode = iota
-	// TotalOrder is the CPAM baseline: sorted leaves, precomputed codes.
+	// TotalOrder is the CPAM baseline: sorted leaves that keep their codes.
 	TotalOrder
 )
 
@@ -103,14 +103,15 @@ func (t *tree[S]) Curve() sfc.Curve { return t.curve }
 // Universe implements core.Bounded: the universe New was given.
 func (t *tree[S]) Universe() geom.Box { return t.opts.Universe }
 
-// Build implements core.Index: Alg. 3 for SPaC mode, the plain
-// precompute-sort-build for CPAM mode.
+// Build implements core.Index in both modes alike: the points' entries,
+// coded and sorted, are split into a perfectly balanced tree (Alg. 3
+// lines 20-31). Alg. 3 sorts ⟨code, id⟩ pairs so that coordinates do not
+// move through the sort and gathers them into leaves at the end; with a
+// point packed into 8 bytes in 2-D an entry ⟨code, point⟩ is the same 16
+// bytes as a pair, so sorting entries moves no more and leaves nothing to
+// gather.
 func (t *tree[S]) Build(pts []geom.Point) {
-	if t.mode == PartialOrder {
-		t.root = t.buildHybrid(pts)
-	} else {
-		t.root = t.buildPlain(pts)
-	}
+	t.root = t.buildSortedEnts(t.encodeAndSort(pts))
 }
 
 // BatchInsert implements core.Index (Alg. 4).

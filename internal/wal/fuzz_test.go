@@ -6,14 +6,16 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 )
 
 // FuzzWALReplay throws arbitrary bytes at the log decoder as a wal.log
-// file. The contract under attack: Open never panics; whatever it
-// salvages is stable (a second recovery finds the same state and
+// file. The contract under attack: Open never panics; it streams its fold
+// exactly the ops of oracleOps, the whole-file decoder, op for op, whether
+// it then succeeds or refuses the file; whatever it salvages is stable (a second recovery finds the same state and
 // truncates nothing further — recovery-by-truncation converges in one
 // pass); and the recovered log accepts appends. Corrupt, torn, and
 // truncated tails all land here; seeds cover the interesting shapes
@@ -46,14 +48,25 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir, Options{Fsync: FsyncNever})
+		want, _ := oracleOps(dir)
+		l, streamed, err := streamOps(dir)
+		if !slices.Equal(streamed, want) {
+			t.Fatalf("Open streamed %v (error %v), the oracle decodes %v", streamed, err, want)
+		}
 		if err != nil {
-			return // rejected outright (bad header, I/O): fine, just no panic
+			return // rejected outright (bad header, corruption, I/O): fine, just no panic
 		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		l2, rec2, err := Open(dir, Options{Fsync: FsyncNever})
+		l, rec, err := openMap(dir, Options{Fsync: FsyncNever})
+		if err != nil {
+			t.Fatalf("Open after recovery: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		l2, rec2, err := openMap(dir, Options{Fsync: FsyncNever})
 		if err != nil {
 			t.Fatalf("second Open after recovery: %v", err)
 		}
@@ -72,7 +85,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := l2.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		l3, rec3, err := Open(dir, Options{Fsync: FsyncNever})
+		l3, rec3, err := openMap(dir, Options{Fsync: FsyncNever})
 		if err != nil {
 			t.Fatalf("Open after post-recovery append: %v", err)
 		}
@@ -86,8 +99,10 @@ func FuzzWALReplay(f *testing.F) {
 // FuzzWALSnapshot throws arbitrary bytes at the wal.snap decoder. The
 // harness seals the fuzzed body between the PSISNP2 magic and a valid
 // CRC, so every input gets past the checksum to the term, seq, count
-// and entry decoding. The contract under attack: Open never panics, and
-// whatever it recovers round-trips — WriteSnapshotAt of the recovered
+// and entry decoding. The contract under attack: Open never panics; it
+// streams its fold the entries oracleOps decodes, op for op — all of them
+// when it succeeds, those before the malformed one when it refuses the
+// file; and whatever it recovers round-trips — WriteSnapshotAt of the recovered
 // state, then a second Open, gives the same entries, seq and term. The
 // committed seeds under testdata/fuzz are a valid snapshot, an empty
 // one, a truncated varint, a count past the body, and an ID length that
@@ -100,9 +115,20 @@ func FuzzWALSnapshot(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir, Options{Fsync: FsyncNever})
+		want, werr := oracleOps(dir)
+		l, streamed, err := streamOps(dir)
+		if (err == nil) != (werr == nil) || !slices.Equal(streamed, want) {
+			t.Fatalf("Open streamed %v (error %v), the oracle decodes %v (error %v)", streamed, err, want, werr)
+		}
 		if err != nil {
 			return // a malformed body is refused: fine, just no panic
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		l, rec, err := openMap(dir, Options{Fsync: FsyncNever})
+		if err != nil {
+			t.Fatalf("Open after recovery: %v", err)
 		}
 		if err := l.WriteSnapshotAt(rec.Seq, len(rec.Entries), maps.All(rec.Entries)); err != nil {
 			t.Fatalf("WriteSnapshotAt of the recovered state: %v", err)
@@ -110,7 +136,7 @@ func FuzzWALSnapshot(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		l2, rec2, err := Open(dir, Options{Fsync: FsyncNever})
+		l2, rec2, err := openMap(dir, Options{Fsync: FsyncNever})
 		if err != nil {
 			t.Fatalf("Open of the rewritten snapshot: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -95,6 +96,13 @@ func EncodeWindowPayload(dst []byte, seq uint64, ops []Op) []byte {
 // error, never a panic: a checksum only proves the bytes are what was
 // written, not that a well-formed writer wrote them.
 func DecodeWindowPayload(payload []byte, dst []Op) (seq uint64, ops []Op, err error) {
+	return decodeWindow(payload, dst, false)
+}
+
+// decodeWindow is DecodeWindowPayload; with views set, each op's ID is a
+// view into payload instead of a string of its own, valid only until the
+// caller reuses payload.
+func decodeWindow(payload []byte, dst []Op, views bool) (seq uint64, ops []Op, err error) {
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return 0, dst, fmt.Errorf("wal: truncated window seq")
@@ -121,7 +129,7 @@ func DecodeWindowPayload(payload []byte, dst []Op) (seq uint64, ops []Op, err er
 		var o Op
 		o.Del = flags == 1
 		var idLen int
-		o.ID, idLen, err = decodeID(rest)
+		o.ID, idLen, err = decodeID(rest, views)
 		if err != nil {
 			return 0, dst, err
 		}
@@ -157,8 +165,9 @@ func appendID(dst []byte, id string) []byte {
 }
 
 // decodeID decodes one ID from the front of src, returning it and the
-// bytes consumed. Malformed input is an error, never a panic.
-func decodeID(src []byte) (string, int, error) {
+// bytes consumed; with view set the ID is a view into src (see view).
+// Malformed input is an error, never a panic.
+func decodeID(src []byte, view bool) (string, int, error) {
 	ln, n := binary.Uvarint(src)
 	if n <= 0 {
 		return "", 0, fmt.Errorf("wal: truncated ID length")
@@ -166,5 +175,14 @@ func decodeID(src []byte) (string, int, error) {
 	if ln > uint64(len(src)-n) {
 		return "", 0, fmt.Errorf("wal: ID length %d overruns the record", ln)
 	}
-	return string(src[n : n+int(ln)]), n + int(ln), nil
+	b := src[n : n+int(ln)]
+	if view {
+		return viewOf(b), n + int(ln), nil
+	}
+	return string(b), n + int(ln), nil
 }
+
+// viewOf returns b's bytes as a string without copying them: what recovery
+// hands its fold, which must copy whatever it keeps, because the buffer
+// under the view is overwritten by the next record or entry.
+func viewOf(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }

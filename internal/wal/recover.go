@@ -14,13 +14,9 @@ import (
 	"repro/internal/geom"
 )
 
-// Recovery is what Open salvaged from disk: the folded state plus
-// enough accounting to log and assert on. Entries is the ready-to-load
-// dataset — the snapshot with the replayed log tail already applied.
+// Recovery is Open's account of what it salvaged: the ops themselves went
+// to the fold Open was given, in order.
 type Recovery struct {
-	// Entries maps every surviving live ID to its last durable
-	// position.
-	Entries map[string]geom.Point
 	// Seq is the highest recovered window sequence number (appends
 	// continue from Seq+1).
 	Seq uint64
@@ -48,21 +44,39 @@ type Recovery struct {
 // written in a snapshot format version this build does not read.
 var ErrSnapshotVersion = errors.New("unsupported snapshot version")
 
-// readSnapshot loads the snapshot file into rec, if one exists. The
-// file is rename-atomic, so any validation failure here is bit rot or
-// foreign data — a hard error, never a truncation.
-func readSnapshot(path string, rec *Recovery) error {
-	b, err := os.ReadFile(path)
+// ioBuf is the size of the buffer recovery reads each file through and of
+// the one a Log writes its snapshots through.
+const ioBuf = 64 << 10
+
+// readSnapshot streams the snapshot file's entries to fold, as Sets, if
+// the file exists. It reads the file twice through one buffer: once to
+// check the CRC, so that nothing unverified reaches fold, and once to
+// decode. The file is rename-atomic, so any validation failure here is bit
+// rot or foreign data — a hard error, never a truncation — and a
+// malformed entry after others went to fold fails Open, whose caller drops
+// what it folded.
+func readSnapshot(path string, rec *Recovery, fold func(Op)) error {
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if len(b) < magicLen+4 {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if st.Size() < magicLen+4 {
 		return fmt.Errorf("wal: %s: bad snapshot header", path)
 	}
-	if magic := string(b[:magicLen]); magic != snapMagic {
+	br := bufio.NewReaderSize(f, ioBuf)
+	var magic [magicLen]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if magic := string(magic[:]); magic != snapMagic {
 		// Same family, other version digit: a real snapshot this build
 		// cannot read — never a foreign file, let alone a tear.
 		if family := len(snapMagic) - 2; magic[:family] == snapMagic[:family] {
@@ -70,45 +84,49 @@ func readSnapshot(path string, rec *Recovery) error {
 		}
 		return fmt.Errorf("wal: %s: bad snapshot header", path)
 	}
-	body, trailer := b[magicLen:len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
+	body := st.Size() - magicLen - 4
+	sum := uint32(0)
+	for left := body; left > 0; {
+		b, err := br.Peek(int(min(left, ioBuf)))
+		if err != nil {
+			return fmt.Errorf("wal: %s: %w", path, err)
+		}
+		sum = crc32.Update(sum, crc32.IEEETable, b)
+		br.Discard(len(b))
+		left -= int64(len(b))
+	}
+	var trailer [4]byte
+	if _, err := io.ReadFull(br, trailer[:]); err != nil {
+		return fmt.Errorf("wal: %s: %w", path, err)
+	}
+	if sum != binary.LittleEndian.Uint32(trailer[:]) {
 		return fmt.Errorf("wal: %s: snapshot checksum mismatch", path)
 	}
-	term, n := binary.Uvarint(body)
-	if n <= 0 {
+	if _, err := f.Seek(magicLen, io.SeekStart); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	br.Reset(f)
+	d := snapDecoder{br: br, left: body}
+	term, ok := d.uvarint()
+	if !ok {
 		return fmt.Errorf("wal: %s: truncated snapshot term", path)
 	}
-	body = body[n:]
 	rec.Term = term
-	seq, n := binary.Uvarint(body)
-	if n <= 0 {
+	seq, ok := d.uvarint()
+	if !ok {
 		return fmt.Errorf("wal: %s: truncated snapshot seq", path)
 	}
-	body = body[n:]
-	count, n := binary.Uvarint(body)
-	if n <= 0 {
+	count, ok := d.uvarint()
+	if !ok {
 		return fmt.Errorf("wal: %s: truncated snapshot count", path)
 	}
-	body = body[n:]
 	for i := uint64(0); i < count; i++ {
-		id, idLen, err := decodeID(body)
-		if err != nil {
+		if err := d.entry(fold); err != nil {
 			return fmt.Errorf("wal: %s: entry %d: %w", path, i, err)
 		}
-		body = body[idLen:]
-		var p geom.Point
-		for d := 0; d < geom.MaxDims; d++ {
-			v, n := binary.Varint(body)
-			if n <= 0 {
-				return fmt.Errorf("wal: %s: entry %d: truncated coordinate", path, i)
-			}
-			p[d] = v
-			body = body[n:]
-		}
-		rec.Entries[id] = p
 	}
-	if len(body) != 0 {
-		return fmt.Errorf("wal: %s: %d trailing bytes after %d entries", path, len(body), count)
+	if d.left != 0 {
+		return fmt.Errorf("wal: %s: %d trailing bytes after %d entries", path, d.left, count)
 	}
 	rec.SnapshotSeq = seq
 	rec.Seq = seq
@@ -116,7 +134,91 @@ func readSnapshot(path string, rec *Recovery) error {
 	return nil
 }
 
-// replayLog folds the log tail into rec, creating the file when absent.
+// snapDecoder decodes a snapshot body from a buffered reader; left is the
+// body's unread length. An entry is decoded where it lies in the reader's
+// buffer, so its ID reaches the fold as a view of that buffer; only an ID
+// longer than the buffer is copied out, into id.
+type snapDecoder struct {
+	br   *bufio.Reader
+	left int64
+	id   []byte
+}
+
+// maxEntryTail bounds what follows an ID in an entry: its coordinates.
+const maxEntryTail = geom.MaxDims * binary.MaxVarintLen64
+
+// peek returns up to n buffered bytes of the body, fewer only at its end.
+func (d *snapDecoder) peek(n int) []byte {
+	b, _ := d.br.Peek(int(min(int64(n), d.left)))
+	return b
+}
+
+func (d *snapDecoder) discard(n int) {
+	d.br.Discard(n)
+	d.left -= int64(n)
+}
+
+func (d *snapDecoder) uvarint() (uint64, bool) {
+	v, n := binary.Uvarint(d.peek(binary.MaxVarintLen64))
+	if n <= 0 {
+		return 0, false
+	}
+	d.discard(n)
+	return v, true
+}
+
+// entry decodes one entry and hands it to fold as a Set. Malformed input
+// is an error, never a panic.
+func (d *snapDecoder) entry(fold func(Op)) error {
+	ln, n := binary.Uvarint(d.peek(binary.MaxVarintLen64))
+	if n <= 0 {
+		return fmt.Errorf("truncated ID length")
+	}
+	// No ID above the record bound was ever journaled, and under it the
+	// lengths below fit an int even on 32-bit platforms.
+	if ln > maxRecordBytes || ln > uint64(d.left-int64(n)) {
+		return fmt.Errorf("ID length %d overruns the snapshot", ln)
+	}
+	// skip is what precedes the coordinates and is still in the buffer.
+	skip := n + int(ln)
+	var id, tail []byte
+	if skip+maxEntryTail <= d.br.Size() {
+		b := d.peek(skip + maxEntryTail)
+		if len(b) < skip {
+			return fmt.Errorf("truncated ID")
+		}
+		id, tail = b[n:skip], b[skip:]
+	} else {
+		d.discard(n)
+		if cap(d.id) < int(ln) {
+			d.id = make([]byte, ln)
+		}
+		id = d.id[:ln]
+		if _, err := io.ReadFull(d.br, id); err != nil {
+			return err
+		}
+		d.left -= int64(ln)
+		skip = 0
+		tail = d.peek(maxEntryTail)
+	}
+	var p geom.Point
+	used := 0
+	for k := range p {
+		v, w := binary.Varint(tail[used:])
+		if w <= 0 {
+			return fmt.Errorf("truncated coordinate")
+		}
+		p[k] = v
+		used += w
+	}
+	fold(Op{ID: viewOf(id), P: p})
+	d.discard(skip + used)
+	return nil
+}
+
+// replayLog streams the log tail to fold, one CRC-valid record at a time
+// with its IDs as views into the record buffer, and accounts for it in
+// rec, creating the file when absent.
 // Records must carry strictly increasing seqs; those at or below the
 // snapshot seq are already folded and skipped (a crash between the
 // snapshot rename and the log rotation leaves exactly that overlap).
@@ -129,7 +231,7 @@ func readSnapshot(path string, rec *Recovery) error {
 // Otherwise it is the expected crash tear and the file is truncated
 // there: recovery keeps the longest valid prefix and the log is again
 // append-clean.
-func replayLog(path string, rec *Recovery) error {
+func replayLog(path string, rec *Recovery, fold func(Op)) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if os.IsNotExist(err) {
 		nf, err := createLogFile(path)
@@ -149,7 +251,7 @@ func replayLog(path string, rec *Recovery) error {
 	if _, err := f.Seek(0, 0); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(f, ioBuf)
 	var magic [magicLen]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != logMagic {
 		// The log is created and rotated rename-atomically, so a short
@@ -197,7 +299,7 @@ func replayLog(path string, rec *Recovery) error {
 			torn = true
 			break
 		}
-		seq, decoded, err := DecodeWindowPayload(payload, ops[:0])
+		seq, decoded, err := decodeWindow(payload, ops[:0], true)
 		if err != nil || seq == 0 || seq <= lastSeq {
 			torn = true // CRC-valid but malformed or out of order: same treatment
 			break
@@ -207,11 +309,7 @@ func replayLog(path string, rec *Recovery) error {
 		rec.Records++
 		if seq > rec.SnapshotSeq {
 			for i := range ops {
-				if ops[i].Del {
-					delete(rec.Entries, ops[i].ID)
-				} else {
-					rec.Entries[ops[i].ID] = ops[i].P
-				}
+				fold(ops[i])
 			}
 			rec.Seq = seq
 		}
@@ -265,7 +363,7 @@ func scanForValidRecord(f *os.File, from, size int64, lastSeq uint64) (int64, bo
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(tail[off+4:off+8]) {
 			continue
 		}
-		seq, decoded, err := DecodeWindowPayload(payload, ops[:0])
+		seq, decoded, err := decodeWindow(payload, ops[:0], true)
 		ops = decoded[:0]
 		if err != nil || seq <= lastSeq {
 			continue
@@ -308,19 +406,24 @@ func createLogFile(path string) (*os.File, error) {
 }
 
 // writeSnapshotFile streams one snapshot to path atomically, always in
-// the v2 format (term before seq).
-func writeSnapshotFile(path string, term, seq uint64, n int, entries iter.Seq2[string, geom.Point]) error {
+// the v2 format (term before seq), through bw, which it resets onto the
+// new file.
+func writeSnapshotFile(path string, bw *bufio.Writer, term, seq uint64, n int, entries iter.Seq2[string, geom.Point]) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp) // no-op after the rename succeeds
-	bw := bufio.NewWriterSize(f, 1<<20)
-	crc := crc32.NewIEEE()
-	// Everything after the magic flows through the writer and the
-	// checksum together; the trailer seals it.
-	mw := io.MultiWriter(bw, crc)
+	bw.Reset(f)
+	// Everything after the magic is written and checksummed together;
+	// the trailer seals it.
+	sum := uint32(0)
+	write := func(b []byte) error {
+		sum = crc32.Update(sum, crc32.IEEETable, b)
+		_, err := bw.Write(b)
+		return err
+	}
 	if _, err := bw.WriteString(snapMagic); err != nil {
 		f.Close()
 		return err
@@ -329,7 +432,7 @@ func writeSnapshotFile(path string, term, seq uint64, n int, entries iter.Seq2[s
 	buf = binary.AppendUvarint(buf, term)
 	buf = binary.AppendUvarint(buf, seq)
 	buf = binary.AppendUvarint(buf, uint64(n))
-	if _, err := mw.Write(buf); err != nil {
+	if err := write(buf); err != nil {
 		f.Close()
 		return err
 	}
@@ -340,7 +443,7 @@ func writeSnapshotFile(path string, term, seq uint64, n int, entries iter.Seq2[s
 		for d := 0; d < geom.MaxDims; d++ {
 			buf = binary.AppendVarint(buf, p[d])
 		}
-		if _, werr = mw.Write(buf); werr != nil {
+		if werr = write(buf); werr != nil {
 			break
 		}
 		count++
@@ -354,7 +457,7 @@ func writeSnapshotFile(path string, term, seq uint64, n int, entries iter.Seq2[s
 		return fmt.Errorf("wal: snapshot iterator yielded %d entries, want %d", count, n)
 	}
 	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
+	binary.LittleEndian.PutUint32(trailer[:], sum)
 	if _, err := bw.Write(trailer[:]); err != nil {
 		f.Close()
 		return err
@@ -363,6 +466,7 @@ func writeSnapshotFile(path string, term, seq uint64, n int, entries iter.Seq2[s
 		f.Close()
 		return err
 	}
+	bw.Reset(nil) // the Log keeps the buffer, not the file
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return err

@@ -11,9 +11,10 @@
 //	wal.snap  full state at some window seq S: every live (ID, point)
 //	wal.log   the windows committed after S, one record each
 //
-// Recovery (Open) loads the latest valid snapshot, replays the log tail
-// with seq > S, and — because a crash can land mid-write — truncates a
-// torn or corrupt final record instead of failing: everything before
+// Recovery (Open) streams the latest valid snapshot and then the log tail
+// with seq > S to a fold its caller supplies, one op at a time — the
+// package never holds the dataset — and, because a crash can land
+// mid-write, truncates a torn or corrupt final record instead of failing: everything before
 // the tear is intact by CRC, everything after it was never
 // acknowledged under the always-fsync policy. A bad record with a
 // valid record after it is not a tear — it is corruption of journaled
@@ -31,6 +32,7 @@
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"iter"
@@ -147,11 +149,14 @@ type Log struct {
 	opts      Options
 	maxRecord int // append bound on one record payload: maxRecordBytes; a test lowers it
 
-	mu     sync.Mutex // guards f, buf, err, closed, and file mutation order
+	mu     sync.Mutex // guards f, buf, snapBuf, err, closed, and file mutation order
 	f      *os.File
 	buf    []byte
 	err    error // sticky: after a failed write/fsync, durability is gone
 	closed bool
+	// snapBuf is the buffer every snapshot is written through, made by the
+	// first one.
+	snapBuf *bufio.Writer
 
 	seq      atomic.Uint64 // last appended window seq
 	snapSeq  atomic.Uint64 // window seq covered by the durable snapshot
@@ -177,23 +182,34 @@ const (
 	snapName = "wal.snap"
 )
 
-// Open opens (creating if absent) the WAL in dir and runs recovery:
-// the returned Recovery holds the surviving state — snapshot plus
-// replayed log tail, with any torn final record truncated — and the
-// Log is positioned to append the next window. A hard error (an
-// unreadable directory, a corrupt snapshot, a log with a foreign
-// header) fails Open rather than silently serving an empty dataset.
-func Open(dir string, opts Options) (*Log, *Recovery, error) {
+// Open opens (creating if absent) the WAL in dir and runs recovery: it
+// hands fold the surviving state as a stream of ops, in order — the
+// snapshot's entries as Sets, then the ops of every log record past the
+// snapshot's seq, with any torn final record truncated — so that folding
+// them last-write-wins per ID gives the state; the returned Recovery
+// accounts for them, and the Log is positioned to append the next window.
+// Only checksummed data reaches fold, and an op's ID is a view of a read
+// buffer that the next op may overwrite: fold copies what it keeps. A nil
+// fold discards the ops.
+//
+// A hard error (an unreadable directory, a corrupt snapshot, a log with a
+// foreign header, a bad record with valid ones after it) fails Open rather
+// than silently serving an empty dataset — possibly after some ops went to
+// fold, which its caller then drops.
+func Open(dir string, opts Options, fold func(Op)) (*Log, *Recovery, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec := &Recovery{Entries: make(map[string]geom.Point)}
-	if err := readSnapshot(filepath.Join(dir, snapName), rec); err != nil {
+	if fold == nil {
+		fold = func(Op) {}
+	}
+	rec := &Recovery{}
+	if err := readSnapshot(filepath.Join(dir, snapName), rec, fold); err != nil {
 		return nil, nil, err
 	}
 	logPath := filepath.Join(dir, logName)
-	if err := replayLog(logPath, rec); err != nil {
+	if err := replayLog(logPath, rec, fold); err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -385,7 +401,10 @@ func (l *Log) WriteSnapshotAt(seq uint64, n int, entries iter.Seq2[string, geom.
 	if l.err != nil {
 		return l.err
 	}
-	if err := writeSnapshotFile(filepath.Join(l.dir, snapName), l.term.Load(), seq, n, entries); err != nil {
+	if l.snapBuf == nil {
+		l.snapBuf = bufio.NewWriterSize(nil, ioBuf)
+	}
+	if err := writeSnapshotFile(filepath.Join(l.dir, snapName), l.snapBuf, l.term.Load(), seq, n, entries); err != nil {
 		l.fail(err)
 		return l.err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"maps"
 	"os"
@@ -15,9 +16,9 @@ import (
 	"repro/internal/geom"
 )
 
-func openT(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
+func openT(t *testing.T, dir string, opts Options) (*Log, recovered) {
 	t.Helper()
-	l, rec, err := Open(dir, opts)
+	l, rec, err := openMap(dir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -176,7 +177,7 @@ func TestCorruptMidRecord(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{Fsync: FsyncNever}); err == nil ||
+	if _, _, err := Open(dir, Options{Fsync: FsyncNever}, nil); err == nil ||
 		!strings.Contains(err.Error(), "corruption") {
 		t.Fatalf("Open on mid-log corruption with a valid record after it: %v, want corruption error", err)
 	}
@@ -291,6 +292,40 @@ func TestSnapshotRotation(t *testing.T) {
 	}
 }
 
+// TestSnapshotStreamsThroughItsBuffer: recovery decodes a snapshot in
+// place in a 64 KiB read buffer, so entries straddle its refills, and an
+// ID longer than the buffer takes the copying path. Every one must come
+// back as written, over a snapshot and a log that both carry them.
+func TestSnapshotStreamsThroughItsBuffer(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Fsync: FsyncNever})
+	model := map[string]geom.Point{}
+	for i := 0; i < 20_000; i++ {
+		model[fmt.Sprintf("obj-%d", i)] = geom.Pt3(int64(i), -int64(i)<<20, int64(i%7))
+	}
+	for _, n := range []int{ioBuf - maxEntryTail - 3, ioBuf - 1, ioBuf, 2*ioBuf + 5} {
+		model[strings.Repeat("L", n)] = geom.Pt2(int64(n), 1)
+	}
+	snapped := len(model)
+	if err := l.WriteSnapshotAt(1, snapped, maps.All(model)); err != nil {
+		t.Fatal(err)
+	}
+	w := []Op{{ID: strings.Repeat("M", 3*ioBuf), P: geom.Pt2(3, 3)}, {ID: "obj-7", Del: true}}
+	if _, err := l.AppendWindowAt(0, w); err != nil {
+		t.Fatal(err)
+	}
+	fold(model, w)
+	closeT(t, l)
+	l2, rec := openT(t, dir, Options{Fsync: FsyncNever})
+	defer closeT(t, l2)
+	if !maps.Equal(rec.Entries, model) {
+		t.Fatalf("recovered %d entries, want the %d written", len(rec.Entries), len(model))
+	}
+	if rec.SnapshotObjects != snapped || rec.Records != 1 {
+		t.Fatalf("recovery accounting: %+v", rec.Recovery)
+	}
+}
+
 // TestSnapshotLogOverlap simulates a crash between the snapshot rename
 // and the log rotation: the log still holds records at or below the
 // snapshot seq. Replay must skip them (they are already folded in) and
@@ -347,7 +382,7 @@ func TestBadHeaders(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, logName), []byte("NOTAWAL\nxxxx"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(dir, Options{}); err == nil {
+		if _, _, err := Open(dir, Options{}, nil); err == nil {
 			t.Fatal("Open accepted a foreign log file")
 		}
 	})
@@ -356,7 +391,7 @@ func TestBadHeaders(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, snapName), []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(dir, Options{}); err == nil {
+		if _, _, err := Open(dir, Options{}, nil); err == nil {
 			t.Fatal("Open accepted a corrupt snapshot")
 		}
 	})
@@ -381,10 +416,15 @@ func TestBadHeaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A snapshot is rename-atomic, so corruption is bit rot: hard
-		// error, never a silent empty dataset.
-		if _, _, err := Open(dir, Options{}); err == nil ||
+		// error, never a silent empty dataset — and the CRC is checked
+		// before any entry reaches the fold.
+		folded := 0
+		if _, _, err := Open(dir, Options{}, func(Op) { folded++ }); err == nil ||
 			!strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("Open on rotted snapshot: %v", err)
+		}
+		if folded != 0 {
+			t.Fatalf("Open on rotted snapshot handed the fold %d ops, want none", folded)
 		}
 	})
 }
@@ -494,7 +534,7 @@ func TestWALAppendZeroAllocWarm(t *testing.T) {
 func BenchmarkAppendWindowAt(b *testing.B) {
 	for _, policy := range []FsyncPolicy{FsyncNever, FsyncAlways} {
 		b.Run(policy.String(), func(b *testing.B) {
-			l, _, err := Open(b.TempDir(), Options{Fsync: policy})
+			l, _, err := Open(b.TempDir(), Options{Fsync: policy}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -721,7 +761,7 @@ func TestV1SnapshotRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(dir, Options{})
+	_, _, err = Open(dir, Options{}, nil)
 	if !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("Open over a v1 snapshot: err = %v, want ErrSnapshotVersion", err)
 	}

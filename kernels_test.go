@@ -47,8 +47,8 @@ func TestEveryIndexValidatesAfterBuildAndDiff(t *testing.T) {
 // (the parent's figure and the measured one in the comment, a little slack
 // on top). P-Orth allocates the tree and two arrays of int32 points, the
 // narrowed input and the sieve's destination. The sort-built trees
-// allocate the tree, the ⟨code, id⟩ pairs or entries and one sort buffer
-// of the same size.
+// allocate the tree, the ⟨code, point⟩ entries and one sort buffer of the
+// same size.
 func TestBuildAllocationBudget(t *testing.T) {
 	const n = 200_000
 	pts := Generate(Uniform, n, 2, itSide, 5)
@@ -57,7 +57,7 @@ func TestBuildAllocationBudget(t *testing.T) {
 		budget uint64
 	}{
 		{"P-Orth", 64},   // was 130; 58 with int32 points
-		{"SPaC-H", 60},   // was 82; 62 with int32 points, 54 with point-only leaves
+		{"SPaC-H", 60},   // was 82; 62 with int32 points, 54 with point-only leaves, 49 sorting entries
 		{"CPAM-H", 63},   // was 82; 57 with int32 points
 		{"Zd-Tree", 117}, // was 115
 	} {
