@@ -102,22 +102,51 @@ func (t *tree[S]) assemble(subs []*node[S], level, prefix, lam int, region geom.
 	return nd
 }
 
-// newLeaf copies pts into an owned leaf node.
+// buildSmall is build for fewer than smallBatch points on one goroutine,
+// as an update's leaf overflow needs it: the canonical subtree over pts,
+// split one level at a time by splitSmall, with no sieve, grid or
+// skeleton to allocate. pts and buf are scratch of equal length.
+func (t *tree[S]) buildSmall(pts, buf []S, region geom.Box) *node[S] {
+	if len(pts) == 0 {
+		return nil
+	}
+	dims := t.opts.Dims
+	if len(pts) <= t.opts.LeafWrap || !region.Splittable(dims) {
+		return t.newLeaf(pts)
+	}
+	offs := t.splitSmall(pts, buf, region)
+	nd := t.newNode(node[S]{gen: t.gen, kids: make([]*node[S], t.nway)})
+	for q := range t.nway {
+		nd.kids[q] = t.buildSmall(buf[offs[q]:offs[q+1]], pts[offs[q]:offs[q+1]], region.Child(q, dims))
+	}
+	recompute(nd)
+	return nd
+}
+
+// newLeaf copies pts into an owned leaf node, its block recycled in an
+// update.
 func (t *tree[S]) newLeaf(pts []S) *node[S] {
-	own := make([]S, len(pts))
+	own := t.blocks().Make(len(pts))
 	copy(own, pts)
-	return &node[S]{
+	return t.newNode(node[S]{
 		gen:  t.gen,
 		size: len(own),
 		bbox: geom.PackedBounds(own),
 		pts:  own,
-	}
+	})
 }
 
-// flatten collapses a subtree into a single leaf holding all its points.
+// flatten collapses a subtree, whose root is t's own, into a single leaf
+// holding all its points: the root itself, which becomes a leaf in place.
+// Under an update the leaf's block is recycled, and so are the blocks of
+// the owned leaves it gathers from.
 func (t *tree[S]) flatten(nd *node[S]) *node[S] {
-	pts := gather(nd, make([]S, 0, nd.size))
-	return &node[S]{gen: t.gen, size: len(pts), bbox: nd.bbox, pts: pts}
+	pts := gather(nd, t.blocks().Make(nd.size)[:0])
+	for _, c := range nd.kids {
+		t.drop(c)
+	}
+	nd.kids, nd.pts, nd.size = nil, pts, len(pts)
+	return nd
 }
 
 // gather appends every stored point of the subtree to dst.

@@ -3,6 +3,7 @@ package orthtree
 import (
 	"slices"
 	"unsafe"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -22,6 +23,16 @@ import (
 // every stamp either can reach, so neither writes a node the other can
 // see; Validate checks that no node is newer than the tree that reaches it
 // and no child newer than its parent.
+//
+// What a tree owns it may also reuse: the block a leaf's grow or fit
+// leaves, and the blocks of owned leaves that a split, a flatten or an
+// emptied leaf replaces, go to the update's spare (drop), and the blocks
+// the update builds next come from there (newLeaf and the grows, through
+// core.Recycler). A leaf that overflows with few points splits on the
+// stack (buildSmall); a flattened subtree's root becomes the leaf in
+// place. With the batch's narrowed points, the sieve buffer and the
+// skeletons also kept in the spare, a steady stream of batches on a tree
+// that never adopts allocates next to nothing. Build takes no spare.
 
 // own returns nd when t may write it in place, and otherwise a copy
 // stamped with t's generation, counted in Copied.
@@ -32,7 +43,8 @@ func (t *tree[S]) own(nd *node[S]) *node[S] {
 	cp := &node[S]{gen: t.gen, size: nd.size, bbox: nd.bbox, kids: slices.Clone(nd.kids)}
 	if nd.isLeaf() {
 		var s S
-		cp.pts = slices.Clone(nd.pts)
+		cp.pts = t.blocks().Make(len(nd.pts))
+		copy(cp.pts, nd.pts)
 		t.cowBytes.Add(uint64(len(nd.pts)) * uint64(unsafe.Sizeof(s)))
 	}
 	t.cowNodes.Add(1)
@@ -82,4 +94,71 @@ func (t *tree[S]) Shares(o core.Index) bool {
 // this tree has copied on first touch since it was made.
 func (t *tree[S]) Copied() (nodes, bytes uint64) {
 	return t.cowNodes.Load(), t.cowBytes.Load()
+}
+
+// spare is what a tree's updates reuse from one to the next: a batch's
+// narrowed points and the sieve's buffer (core.Scratch), the skeletons of
+// large batches with their sieve scratch, and the nodes and leaf blocks
+// the tree owned and displaced (core.Recycler for the blocks). Between updates
+// the tree holds it weakly: the collector takes it back at its next cycle,
+// so what a tree keeps for its updates is never part of its live heap.
+type spare[S geom.Packed] struct {
+	ins, del, buf []S
+	skels         core.FreeList[skeleton[S]]
+	nodes         core.FreeList[node[S]]
+	blocks        core.Recycler[S]
+}
+
+// begin hands the update about to run the tree's spare, a new one if the
+// collector has taken the last; end lets go of it.
+func (t *tree[S]) begin() {
+	sp := t.spare.Value()
+	if sp == nil {
+		sp = new(spare[S])
+		t.spare = weak.Make(sp)
+	}
+	t.sp = sp
+}
+
+func (t *tree[S]) end() { t.sp = nil }
+
+// blocks is the running update's recycler, nil outside an update.
+func (t *tree[S]) blocks() *core.Recycler[S] {
+	if t.sp == nil {
+		return nil
+	}
+	return &t.sp.blocks
+}
+
+// newNode returns a node holding v: one the running update recycled, or
+// a new one.
+func (t *tree[S]) newNode(v node[S]) *node[S] {
+	var nd *node[S]
+	if t.sp != nil {
+		nd = t.sp.nodes.Get()
+	} else {
+		nd = new(node[S])
+	}
+	*nd = v
+	return nd
+}
+
+// drop gives every node of the subtree nd that t owns, with a leaf's
+// block, to the running update for reuse, for a caller that has copied
+// their points out and replaces the subtree: no reader and no other
+// handle can reach an owned node. Owned nodes hang only below owned ones,
+// so the walk stops at the first shared node.
+func (t *tree[S]) drop(nd *node[S]) {
+	sp := t.sp
+	if nd == nil || nd.gen != t.gen || sp == nil {
+		return
+	}
+	if nd.isLeaf() {
+		sp.blocks.Put(nd.pts)
+	}
+	for _, c := range nd.kids {
+		t.drop(c)
+	}
+	*nd = node[S]{} // pins nothing while it waits
+	sp.nodes.Put(nd)
 }

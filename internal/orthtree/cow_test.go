@@ -296,3 +296,56 @@ func TestValidateChecksStamps(t *testing.T) {
 		t.Fatal("a child newer than its parent passed Validate")
 	}
 }
+
+// TestOwnedAndSharedUpdatesAgree: updates that write the nodes they own in
+// place and recycle the blocks they displace build the canonical tree, as
+// do updates that find every node shared and copy what they touch. A raw
+// tree and a twin whose replica adopts it before every batch take the same
+// batches — from a few points to past seqCutoff, where forked branches draw
+// from one recycler, with runs of a repeated point — and after each both
+// must equal a fresh Build of the live points; the replica, left holding
+// the tree of before the batch, must still equal a Build of the points of
+// then: nothing it reaches was written or recycled.
+func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
+	for _, dims := range []int{2, 3} {
+		u := geom.UniverseBox(dims, testSide)
+		rng := rand.New(rand.NewSource(int64(40 + dims)))
+		pts := workload.GenVarden(12000, dims, testSide, 5)
+		raw, twin := NewDefault(dims, u), NewDefault(dims, u)
+		raw.Build(pts)
+		twin.Build(pts)
+		live := core.NewBruteForce(dims)
+		live.Build(pts)
+		replica := twin.NewReplica().(*Tree)
+		for round, n := range []int{30, 300, 3000, 60, 2500, 10, 600, 4000, 200, 5000, 1} {
+			ins, del := churn(rng, dims, live.Points(), n)
+			apply := func(idx core.Index) {
+				switch round % 3 {
+				case 0:
+					idx.BatchDiff(ins, del)
+				case 1:
+					idx.BatchInsert(ins)
+				default:
+					idx.BatchDelete(del)
+				}
+			}
+			replica.Adopt(twin)
+			before := New(twin.Options())
+			before.Build(live.Points())
+			apply(raw)
+			apply(twin)
+			apply(live)
+			after := New(twin.Options())
+			after.Build(live.Points())
+			for _, c := range []struct {
+				what      string
+				got, want *Tree
+			}{{"raw tree", raw, after}, {"twin", twin, after}, {"replica", replica, before}} {
+				validateOrFail(t, c.got)
+				if !StructuralEqual(c.got, c.want) {
+					t.Fatalf("%dD round %d (%d points): the %s differs from a Build of its points", dims, round, n, c.what)
+				}
+			}
+		}
+	}
+}

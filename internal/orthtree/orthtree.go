@@ -27,6 +27,7 @@ package orthtree
 import (
 	"math"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -67,6 +68,11 @@ type tree[S geom.Packed] struct {
 	// on first touch, from parallel branches (cow.go).
 	gen                uint64
 	cowNodes, cowBytes atomic.Uint64
+	// spare is what updates reuse, held between them only weakly, and sp
+	// the running update's hold on it — nil outside an update, in Build
+	// too (cow.go).
+	spare weak.Pointer[spare[S]]
+	sp    *spare[S]
 }
 
 // node is either a leaf (kids == nil, points in pts) or an interior node
@@ -142,19 +148,22 @@ func (t *tree[S]) Universe() geom.Box { return t.opts.Universe }
 // the universe as they go, and the sieve rounds ping-pong between it and
 // one more of the same length.
 func (t *tree[S]) Build(pts []geom.Point) {
-	work := t.pack(pts)
+	work := t.pack(pts, make([]S, len(pts)))
 	t.root = t.build(work, make([]S, len(work)), t.opts.Universe)
 }
 
 // BatchInsert implements core.Index (Alg. 2). The input slice is not
 // modified.
 func (t *tree[S]) BatchInsert(pts []geom.Point) {
-	t.insertPacked(t.pack(pts))
+	t.begin()
+	defer t.end()
+	t.insertPacked(t.pack(pts, core.Scratch(&t.sp.ins, len(pts))))
 }
 
+// insertPacked inserts a narrowed batch, in an update begin started.
 func (t *tree[S]) insertPacked(work []S) {
 	if len(work) > 0 {
-		t.root = t.insert(t.root, work, make([]S, len(work)), t.opts.Universe)
+		t.root = t.insert(t.root, work, core.Scratch(&t.sp.buf, len(work)), t.opts.Universe)
 	}
 }
 
@@ -165,18 +174,25 @@ func (t *tree[S]) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
+	t.begin()
+	defer t.end()
+	t.deletePacked(pts)
+}
+
+// deletePacked is BatchDelete in an update begin started.
+func (t *tree[S]) deletePacked(pts []geom.Point) {
 	u, dims := t.opts.Universe, t.opts.Dims
-	work := t.pack(geom.Keep(pts, func(p geom.Point) bool { return u.Contains(p, dims) }))
+	pts = geom.Keep(pts, func(p geom.Point) bool { return u.Contains(p, dims) })
+	work := t.pack(pts, core.Scratch(&t.sp.del, len(pts)))
 	if len(work) > 0 {
-		t.root = t.delete(t.root, work, make([]S, len(work)), u)
+		t.root = t.delete(t.root, work, core.Scratch(&t.sp.buf, len(work)), u)
 	}
 }
 
-// pack narrows pts into a new slice of stored points and panics, before
-// the tree has changed, if one of them lies outside the universe: it
-// would silently corrupt the split hierarchy.
-func (t *tree[S]) pack(pts []geom.Point) []S {
-	out := make([]S, len(pts))
+// pack narrows pts into out, of their length, and panics, before the tree
+// has changed, if one of them lies outside the universe: it would silently
+// corrupt the split hierarchy.
+func (t *tree[S]) pack(pts []geom.Point, out []S) []S {
 	u, dims := t.opts.Universe, t.opts.Dims
 	var outside atomic.Bool
 	parallel.Blocks(len(pts), 4096, func(lo, hi int) {
@@ -206,7 +222,11 @@ const seqCutoff = 2048
 // either applies. History independence makes the two-pass form
 // canonical — the result is identical to any fused application.
 func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
-	work := t.pack(ins)
-	t.BatchDelete(del)
+	t.begin()
+	defer t.end()
+	work := t.pack(ins, core.Scratch(&t.sp.ins, len(ins)))
+	if len(del) > 0 && t.root != nil {
+		t.deletePacked(del)
+	}
 	t.insertPacked(work)
 }

@@ -38,6 +38,7 @@ type skeleton[S geom.Packed] struct {
 	slots []slot[S]
 	table []int32
 	nway  int
+	sieve parallel.SieveScratch
 }
 
 type skelNode[S geom.Packed] struct {
@@ -53,24 +54,59 @@ type slot[S geom.Packed] struct {
 	region   geom.Box
 }
 
-// retrieve builds the skeleton of interior node nd down to depth lam,
-// preallocating for the worst-case fan-out so enumeration never regrows.
-// nd and every skeleton node below it are t's own (cow.go).
-func (t *tree[S]) retrieve(nd *node[S], region geom.Box, lam int) *skeleton[S] {
-	maxSlots := 1
-	for i := 0; i < lam; i++ {
-		maxSlots *= t.nway
-	}
-	maxNodes := (maxSlots - 1) / (t.nway - 1)
-	sk := &skeleton[S]{
-		nodes: make([]skelNode[S], 0, maxNodes),
-		mids:  make([]geom.Point, 0, maxNodes),
-		slots: make([]slot[S], 0, maxSlots),
-		table: make([]int32, 0, maxNodes*t.nway),
-		nway:  t.nway,
+// retrieve builds the skeleton of interior node nd down to depth lam into
+// sk, its arrays sized at the first use for the worst-case fan-out of the
+// tree's λ so that enumeration never regrows them. nd and every skeleton
+// node below it are t's own (cow.go).
+func (t *tree[S]) retrieve(sk *skeleton[S], nd *node[S], region geom.Box, lam int) {
+	if sk.nodes == nil {
+		maxSlots := 1
+		for i := 0; i < t.opts.SkeletonLevels; i++ {
+			maxSlots *= t.nway
+		}
+		maxNodes := (maxSlots - 1) / (t.nway - 1)
+		sk.nodes = make([]skelNode[S], 0, maxNodes)
+		sk.mids = make([]geom.Point, 0, maxNodes)
+		sk.slots = make([]slot[S], 0, maxSlots)
+		sk.table = make([]int32, 0, maxNodes*t.nway)
+		sk.nway = t.nway
 	}
 	sk.enumerate(t, nd, region, 0, lam, -1, 0)
+}
+
+// skeletonFor retrieves the update skeleton with a depth adapted to the
+// batch size (same canonicalization argument as effLambda: depth choice
+// affects only the fan-out of one sieve round, never the final structure).
+// It comes from the update's spare when that holds one, and release hands
+// it back.
+func (t *tree[S]) skeletonFor(nd *node[S], region geom.Box, batch int) *skeleton[S] {
+	lam := t.opts.SkeletonLevels
+	for lam > 1 && 1<<(lam*t.opts.Dims) > batch {
+		lam--
+	}
+	var sk *skeleton[S]
+	if t.sp != nil {
+		sk = t.sp.skels.Get()
+	} else {
+		sk = new(skeleton[S])
+	}
+	t.retrieve(sk, nd, region, lam)
 	return sk
+}
+
+// release ends a branch's use of sk: it forgets the nodes it reached, so a
+// kept skeleton pins none, drops a sieve scratch grown past
+// core.ScratchCap, and gives it to the update's spare.
+func (t *tree[S]) release(sk *skeleton[S]) {
+	clear(sk.nodes)
+	clear(sk.slots)
+	sk.nodes, sk.mids, sk.slots, sk.table = sk.nodes[:0], sk.mids[:0], sk.slots[:0], sk.table[:0]
+	if sk.sieve.Held() > core.ScratchCap {
+		sk.sieve = parallel.SieveScratch{}
+	}
+	if t.sp != nil {
+		t.sp.skels.Put(sk)
+	}
 }
 
 func (sk *skeleton[S]) enumerate(t *tree[S], nd *node[S], region geom.Box, level, lam int, parentSkel, childIdx int32) int32 {
@@ -134,13 +170,22 @@ func (t *tree[S]) insert(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 			if !splittable {
 				limit = math.MaxInt
 			}
-			nd.pts = append(core.GrowBlock(nd.pts, len(pts), limit), pts...)
+			nd.pts = append(t.blocks().Grow(nd.pts, len(pts), limit, true), pts...)
 			nd.size = len(nd.pts)
 			return nd
+		}
+		if n := nd.size + len(pts); n <= smallBatch {
+			// The common overflow: a leaf and a few points split on the
+			// stack, the leaf's block recycled if it was t's.
+			var a, b [smallBatch]S
+			combined := append(append(a[:0], nd.pts...), pts...)
+			t.drop(nd)
+			return t.buildSmall(combined, b[:n], region)
 		}
 		combined := make([]S, 0, nd.size+len(pts))
 		combined = append(combined, nd.pts...)
 		combined = append(combined, pts...)
+		t.drop(nd)
 		return t.build(combined, make([]S, len(combined)), region)
 	}
 	if len(pts) < smallBatch {
@@ -150,7 +195,8 @@ func (t *tree[S]) insert(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	// Lines 5-7: retrieve the skeleton and sieve the batch through it.
 	nd = t.own(nd)
 	sk := t.skeletonFor(nd, region, len(pts))
-	offsets := parallel.Sieve(pts, buf, len(sk.slots), sk.route)
+	defer t.release(sk)
+	offsets := parallel.SieveWith(&sk.sieve, pts, buf, len(sk.slots), sk.route)
 
 	// Lines 8-10: recurse into every external slot in parallel. Distinct
 	// slots write distinct child pointers, so the writes do not race.
@@ -228,6 +274,7 @@ func (t *tree[S]) delete(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	if nd.isLeaf() {
 		nd = t.removeFromLeaf(nd, pts)
 		if nd.size == 0 {
+			t.drop(nd)
 			return nil
 		}
 		return nd
@@ -237,7 +284,8 @@ func (t *tree[S]) delete(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	}
 	nd = t.own(nd)
 	sk := t.skeletonFor(nd, region, len(pts))
-	offsets := parallel.Sieve(pts, buf, len(sk.slots), sk.route)
+	defer t.release(sk)
+	offsets := parallel.SieveWith(&sk.sieve, pts, buf, len(sk.slots), sk.route)
 	rec := func(i int) {
 		lo, hi := offsets[i], offsets[i+1]
 		if lo == hi {
@@ -301,17 +349,6 @@ func (t *tree[S]) deleteSmall(nd *node[S], pts, buf []S, region geom.Box) *node[
 	return nd
 }
 
-// skeletonFor retrieves the update skeleton with a depth adapted to the
-// batch size (same canonicalization argument as effLambda: depth choice
-// affects only the fan-out of one sieve round, never the final structure).
-func (t *tree[S]) skeletonFor(nd *node[S], region geom.Box, batch int) *skeleton[S] {
-	lam := t.opts.SkeletonLevels
-	for lam > 1 && 1<<(lam*t.opts.Dims) > batch {
-		lam--
-	}
-	return t.retrieve(nd, region, lam)
-}
-
 // recompute refreshes an owned interior node's size and bbox from its children.
 func recompute[S geom.Packed](nd *node[S]) {
 	size := 0
@@ -331,7 +368,7 @@ func recompute[S geom.Packed](nd *node[S]) {
 // a leaf left with less than half its block moves into a fitted one.
 func (t *tree[S]) removeFromLeaf(nd *node[S], pts []S) *node[S] {
 	nd = t.own(nd)
-	nd.pts = core.FitBlock(geom.RemoveEach(nd.pts, pts))
+	nd.pts = t.blocks().Fit(geom.RemoveEach(nd.pts, pts), true)
 	nd.size = len(nd.pts)
 	nd.bbox = geom.PackedBounds(nd.pts)
 	return nd

@@ -45,12 +45,26 @@ func SortShortByKey[T any](a []T, key func(T) uint64, tie func(x, y T) int) {
 // assume equality of whatever the key encodes. A nil tie leaves equal-key
 // elements in unspecified order. key must be pure; the sort is not stable.
 func SortByKey[T any](a []T, key func(T) uint64, tie func(x, y T) int) {
+	SortByKeyWith(a, nil, key, tie)
+}
+
+// SortByKeyWith is SortByKey with a caller-provided buffer: buf, when it
+// is at least as long as a, is the sort's scratch, and a nil or shorter
+// one is replaced by a fresh buffer (equivalent to SortByKey). With a
+// sufficient buffer a sort on the calling goroutine — an input below
+// seqSortThreshold, or one processor — allocates nothing; the parallel
+// path still allocates its splitters and bucket offsets. The result is
+// SortByKey's, element for element; buf's contents are left undefined.
+func SortByKeyWith[T any](a, buf []T, key func(T) uint64, tie func(x, y T) int) {
 	n := len(a)
 	if n <= ShortSortLen {
 		SortShortByKey(a, key, tie)
 		return
 	}
-	buf := make([]T, n)
+	if len(buf) < n {
+		buf = make([]T, n)
+	}
+	buf = buf[:n]
 	if n < seqSortThreshold || maxProcs() == 1 {
 		sortRun(a, buf, true, key, tie)
 		return

@@ -3,6 +3,7 @@ package parallel
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -104,6 +105,53 @@ func TestSortByKeyLeafSizedNoAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("sorting %d elements allocated %.0f times, want 0", len(a), allocs)
 	}
+}
+
+// SortByKeyWith sorts exactly as SortByKey does, nil tie included, on
+// either side of the short-sort and the parallel thresholds, and with a
+// buffer at least as long as the input a sort on the calling goroutine
+// allocates nothing.
+func TestSortByKeyWithBuffer(t *testing.T) {
+	sizes := []int{0, 1, insertionLen + 1, ShortSortLen, ShortSortLen + 1, 5000,
+		seqSortThreshold - 1, seqSortThreshold, seqSortThreshold + 1, 100_000}
+	for name, gen := range keyedInputs {
+		for _, n := range sizes {
+			rng := rand.New(rand.NewSource(int64(n)))
+			a := make([]keyed, n)
+			for i := range a {
+				a[i] = keyed{key: gen(rng, i), id: int32(i)}
+			}
+			b := slices.Clone(a)
+			SortByKey(a, keyOf, nil)
+			SortByKeyWith(b, make([]keyed, n+3), keyOf, nil)
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s n=%d: SortByKeyWith differs from SortByKey", name, n)
+			}
+		}
+	}
+	check := func(n int) {
+		rng := rand.New(rand.NewSource(2))
+		a, buf := make([]keyed, n), make([]keyed, n)
+		allocs := testing.AllocsPerRun(5, func() {
+			for i := range a {
+				a[i] = keyed{key: rng.Uint64() >> 2, id: int32(i)}
+			}
+			SortByKeyWith(a, buf, keyOf, cmpID)
+		})
+		if allocs != 0 {
+			t.Errorf("sorting %d elements with a buffer allocated %.0f times, want 0", n, allocs)
+		}
+		if !slices.IsSortedFunc(a, cmpKeyed) {
+			t.Errorf("n=%d: not sorted", n)
+		}
+	}
+	for _, n := range []int{ShortSortLen, ShortSortLen + 1, 5000, seqSortThreshold - 1} {
+		check(n)
+	}
+	// Past the threshold the sort stays on the calling goroutine only on
+	// one processor.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	check(seqSortThreshold + 1)
 }
 
 // BenchmarkSortPairs is HybridSort's inner sort at construction scale:

@@ -31,6 +31,9 @@ type SieveScratch struct {
 	counts  []int
 }
 
+// Held is the input length the scratch sieves without growing.
+func (sc *SieveScratch) Held() int { return cap(sc.ids) }
+
 // grab returns scratch slices of the requested lengths, reusing capacity.
 func (sc *SieveScratch) grab(nOffsets, nIDs, nCounts int) (offsets []int, ids []uint16, counts []int) {
 	if cap(sc.offsets) < nOffsets {

@@ -3,6 +3,7 @@ package spactree
 import (
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/parallel"
 )
@@ -39,19 +40,32 @@ func (t *tree[S]) buildSmall(ents []Entry[S]) *node[S] {
 	return t.rawNode(t.buildSmall(ents[:m]), ents[m], t.buildSmall(ents[m+1:]))
 }
 
-// encodeAndSort turns an update batch into sorted entries (Alg. 4 line 2).
+// encodeAndSort turns points into sorted entries (Alg. 4 line 2) in a
+// slice of their own: Build's form, which keeps nothing.
 func (t *tree[S]) encodeAndSort(pts []geom.Point) []Entry[S] {
-	ents := make([]Entry[S], len(pts))
+	return t.encodeInto(pts, make([]Entry[S], len(pts)), nil)
+}
+
+// encodeInto encodes pts into ents, which has their length, and sorts
+// them with buf as the sort's scratch.
+func (t *tree[S]) encodeInto(pts []geom.Point, ents, buf []Entry[S]) []Entry[S] {
 	t.encodeEach(pts, func(i int) { ents[i] = t.encode(pts[i]) })
-	sortEntries(ents)
+	sortEntries(ents, buf)
 	return ents
 }
 
-// encodeDeletes is encodeAndSort for a delete batch, less its points that
+// encodeBatch is encodeAndSort for an update batch: into the running
+// update's spare slot keep, sorted with the spare's buffer.
+func (t *tree[S]) encodeBatch(pts []geom.Point, keep *[]Entry[S]) []Entry[S] {
+	sp := t.sp
+	return t.encodeInto(pts, core.Scratch(keep, len(pts)), core.Scratch(&sp.sort, len(pts)))
+}
+
+// encodeDeletes is encodeBatch for a delete batch, less its points that
 // do not fit int32: no stored entry can match one.
 func (t *tree[S]) encodeDeletes(pts []geom.Point) []Entry[S] {
 	dims := t.opts.Dims
-	return t.encodeAndSort(geom.Keep(pts, func(p geom.Point) bool { return geom.Packable(p, dims) }))
+	return t.encodeBatch(geom.Keep(pts, func(p geom.Point) bool { return geom.Packable(p, dims) }), &t.sp.del)
 }
 
 // errUnpackable is the panic of an update whose point does not fit the

@@ -2,6 +2,7 @@ package spactree
 
 import (
 	"unsafe"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -11,21 +12,35 @@ import (
 // Copy-on-write by generation stamp. The join-based updates of Alg. 4 are
 // one step from persistent: every rebalancing step already builds fresh
 // nodes, and only three sites write a node that exists — the SPaC leaf
-// absorb and swap-delete, and joinInto's interior update (the lazy leaf
-// sort of expose sorts a copy in scratch, and CPAM leaves are rebuilt on
-// every touch). Each of them first asks owns: a Tree carries a
+// absorb and swap-delete, and joinInto's interior update, which keeps an
+// interior node whose children stayed balanced and whose subtree holds
+// more than φ points, exactly where Join would rebuild it unchanged (the
+// lazy leaf sort of expose sorts a copy in scratch, and CPAM leaves are
+// rebuilt on every touch). Each of them first asks owns: a Tree carries a
 // generation, a node the generation of the tree that created it, and a
 // node is written in place only when the two are equal. Anything else is
-// copied (a leaf with its block of points), the copy stamped, and from
-// then on owned for as long as the tree keeps its generation.
+// copied (a leaf with its block of points), the copy stamped, counted,
+// and from then on owned for as long as the tree keeps its generation.
+//
+// What a tree owns it may also reuse. A node that an update reads and
+// replaces — an exposed node, a leaf split, merged or flattened, an
+// interior node Join rebuilds, a leaf block a grow or a fit leaves — goes
+// to the update's spare when it is owned (free, drop), and the nodes and
+// blocks the update builds next come from there (newNode, and newLeaf and
+// the grows through core.Recycler). An owned node was never published: no
+// reader and no other handle can reach it, exactly why it may be written.
+// The spare also keeps a batch's entries and their sort buffer, so a
+// steady stream of batches on a tree that never adopts allocates next to
+// nothing. Build takes no spare and recycles nothing.
 //
 // A tree that never adopts keeps one generation for life, owns every node
 // it reaches and runs the in-place path exactly as before. Adopt makes two
 // trees handles on one structure and moves both to generations above every
 // stamp either can reach, so neither owns a node the other can see: each
 // copies the paths it touches, once, and shares the rest. What a window
-// displaces is reclaimed by the garbage collector when the last handle or
-// pinned reader lets go of it.
+// displaces is shared with the other handle, so it is not recycled: the
+// garbage collector reclaims it when the last handle or pinned reader lets
+// go of it.
 //
 // Stamps only ever compare against the tree that is writing, so there is no
 // global counter: after Adopt the pair sits at max+1 and max+2 of their old
@@ -130,4 +145,79 @@ func (t *tree[S]) forked(del bool, ln *node[S], lb []Entry[S], rn *node[S], rb [
 	c.nodes += cr.nodes
 	c.bytes += cr.bytes
 	return l, r
+}
+
+// spare is what a tree's updates reuse from one to the next: a batch's
+// entries and their sort buffer (core.Scratch), and the nodes and leaf
+// blocks the tree owned and displaced (core.Recycler for the blocks).
+// Between updates the tree holds it weakly: the collector takes it back at
+// its next cycle, so what a tree keeps for its updates is never part of
+// its live heap.
+type spare[S geom.Packed] struct {
+	ins, del, sort []Entry[S]
+	blocks         core.Recycler[S]
+	nodes          core.FreeList[node[S]]
+}
+
+// begin hands the update about to run the tree's spare, a new one if the
+// collector has taken the last; end lets go of it.
+func (t *tree[S]) begin() {
+	sp := t.spare.Value()
+	if sp == nil {
+		sp = new(spare[S])
+		t.spare = weak.Make(sp)
+	}
+	t.sp = sp
+}
+
+func (t *tree[S]) end() { t.sp = nil }
+
+// blocks is the running update's recycler, nil outside an update.
+func (t *tree[S]) blocks() *core.Recycler[S] {
+	if t.sp == nil {
+		return nil
+	}
+	return &t.sp.blocks
+}
+
+// newNode returns a node holding v: one the running update recycled, or
+// a new one.
+func (t *tree[S]) newNode(v node[S]) *node[S] {
+	var nd *node[S]
+	if t.sp != nil {
+		nd = t.sp.nodes.Get()
+	} else {
+		nd = new(node[S])
+	}
+	*nd = v
+	return nd
+}
+
+// free gives nd — a node the caller has read and replaces — to the
+// running update for reuse, with a leaf's block, when t owns it: no
+// reader and no other handle can reach it.
+func (t *tree[S]) free(nd *node[S]) {
+	sp := t.sp
+	if nd == nil || sp == nil || !t.owns(nd) {
+		return
+	}
+	if nd.isLeaf() {
+		sp.blocks.Put(nd.pts)
+	}
+	*nd = node[S]{} // pins nothing while it waits
+	sp.nodes.Put(nd)
+}
+
+// drop frees every node of the subtree nd that t owns, for a caller that
+// has copied its entries out and replaces it. Owned nodes hang only below
+// owned ones, so the walk stops at the first shared node.
+func (t *tree[S]) drop(nd *node[S]) {
+	if nd == nil || t.sp == nil || !t.owns(nd) {
+		return
+	}
+	if !nd.isLeaf() {
+		t.drop(nd.left)
+		t.drop(nd.right)
+	}
+	t.free(nd)
 }

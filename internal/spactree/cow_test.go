@@ -1,7 +1,9 @@
 package spactree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,16 +24,27 @@ func countNodes[S geom.Packed](nd *node[S]) int {
 	return 1 + countNodes(nd.left) + countNodes(nd.right)
 }
 
-// churn returns a batch pair against live: del samples it (with repeats
-// and a few misses), ins is fresh points plus runs of one repeated point,
-// the input that drives splitRun and join2.
+// churn returns a 2-D batch pair against live: del samples it (with
+// repeats and a few misses), ins is fresh points plus runs of one repeated
+// point, the input that drives splitRun and join2.
 func churn(rng *rand.Rand, live []geom.Point, n int) (ins, del []geom.Point) {
+	return churnIn(rng, 2, live, n)
+}
+
+// churnIn is churn in dims dimensions.
+func churnIn(rng *rand.Rand, dims int, live []geom.Point, n int) (ins, del []geom.Point) {
+	fresh := func() (p geom.Point) {
+		for d := 0; d < dims; d++ {
+			p[d] = rng.Int63n(testSide)
+		}
+		return p
+	}
 	for i := 0; i < n; i++ {
-		ins = append(ins, geom.Pt2(rng.Int63n(testSide), rng.Int63n(testSide)))
+		ins = append(ins, fresh())
 		if len(live) > 0 && rng.Intn(10) != 0 {
 			del = append(del, live[rng.Intn(len(live))])
 		} else {
-			del = append(del, geom.Pt2(rng.Int63n(testSide), rng.Int63n(testSide)))
+			del = append(del, fresh())
 		}
 	}
 	if len(live) > 0 {
@@ -262,6 +275,132 @@ func TestCopiedCountsLeafPoints(t *testing.T) {
 			}
 			if tr.Size() != m+5 || shadow.Size() != m-1 {
 				t.Fatalf("%s %dD: sizes %d and %d after the updates", tr.Name(), dims, tr.Size(), shadow.Size())
+			}
+		}
+	}
+}
+
+// shapeOf appends the structure under nd in preorder: per interior node
+// its size, box and pivot, per leaf its size, box and points as a sorted
+// multiset — everything but the order inside a leaf and the stamps.
+func shapeOf[S geom.Packed](nd *node[S], out []string) []string {
+	if nd == nil {
+		return append(out, "nil")
+	}
+	if nd.isLeaf() {
+		pts := slices.Clone(nd.points())
+		slices.SortFunc(pts, geom.ComparePacked[S])
+		return append(out, fmt.Sprint("leaf ", nd.size, nd.bbox, pts))
+	}
+	out = append(out, fmt.Sprint("node ", nd.size, nd.bbox, nd.pivot))
+	out = shapeOf(nd.left, out)
+	return shapeOf(nd.right, out)
+}
+
+// shape is shapeOf the whole tree, in either dimensionality.
+func shape(tr *Tree) []string {
+	switch in := tr.body.(type) {
+	case *tree[[2]int32]:
+		return shapeOf(in.root, nil)
+	case *tree[[3]int32]:
+		return shapeOf(in.root, nil)
+	}
+	panic("unknown tree")
+}
+
+// TestOwnedAndSharedUpdatesAgree: updates that write the nodes they own
+// in place and recycle the nodes and blocks they displace build the same
+// tree as updates that find every node shared and copy what they touch. A
+// raw tree and a twin whose replica adopts it before every batch take the
+// same batches — from a few points to past seqCutoff, where forked
+// branches draw from one recycler, with runs of a repeated point — and
+// must match node by node after each. The replica, left holding the tree
+// of before the batch, must not have changed: nothing it reaches was
+// written or recycled.
+func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
+	for _, dims := range []int{2, 3} {
+		u := geom.UniverseBox(dims, testSide)
+		for _, mk := range []func() *Tree{
+			func() *Tree { return NewSPaC(sfc.Hilbert, dims, u) },
+			func() *Tree { return NewSPaC(sfc.Morton, dims, u) },
+			func() *Tree { return NewCPAM(sfc.Hilbert, dims, u) },
+		} {
+			raw, twin := mk(), mk()
+			name := fmt.Sprintf("%s %dD", raw.Name(), dims)
+			rng := rand.New(rand.NewSource(int64(40 + dims)))
+			pts := workload.GenVarden(12000, dims, testSide, 5)
+			raw.Build(pts)
+			twin.Build(pts)
+			live := core.NewBruteForce(dims)
+			live.Build(pts)
+			replica := twin.NewReplica().(*Tree)
+			for round, n := range []int{30, 300, 3000, 60, 2500, 10, 600, 4000, 200, 5000, 1} {
+				ins, del := churnIn(rng, dims, live.Points(), n)
+				apply := func(idx core.Index) {
+					switch round % 3 {
+					case 0:
+						idx.BatchDiff(ins, del)
+					case 1:
+						idx.BatchInsert(ins)
+					default:
+						idx.BatchDelete(del)
+					}
+				}
+				replica.Adopt(twin)
+				before := shape(replica)
+				apply(raw)
+				apply(twin)
+				apply(live)
+				validateOrFail(t, raw)
+				validateOrFail(t, twin)
+				validateOrFail(t, replica)
+				if raw.Size() != live.Size() {
+					t.Fatalf("%s round %d: size %d, oracle %d", name, round, raw.Size(), live.Size())
+				}
+				if !slices.Equal(shape(raw), shape(twin)) {
+					t.Fatalf("%s round %d (%d points): the raw tree and the twin differ", name, round, n)
+				}
+				if !slices.Equal(shape(replica), before) {
+					t.Fatalf("%s round %d (%d points): the twin's update changed the tree its replica holds", name, round, n)
+				}
+			}
+		}
+	}
+}
+
+// TestCopiedCountsSmallInteriorNodes: a shared interior node whose
+// subtree holds more than φ points but at most 2φ is copied on first touch
+// and counted like a larger one. Built from 2·30+1 points at φ = 40, a
+// tree is one interior node over two 30-point leaves; after Adopt, one
+// point absorbed into a leaf copies the root too. A SPaC tree copies the
+// leaf's 30 points and the root, a CPAM tree rebuilds the leaf and copies
+// the root.
+func TestCopiedCountsSmallInteriorNodes(t *testing.T) {
+	for _, dims := range []int{2, 3} {
+		u := geom.UniverseBox(dims, testSide)
+		pts := workload.GenUniform(62, dims, testSide, 9)
+		width := uint64(4 * dims)
+		for _, tr := range []*Tree{NewSPaC(sfc.Hilbert, dims, u), NewCPAM(sfc.Hilbert, dims, u)} {
+			tr.Build(pts[:61])
+			if tr.Height() != 2 {
+				t.Fatalf("%s %dD: 61 points built a tree of height %d, want a root over two leaves", tr.Name(), dims, tr.Height())
+			}
+			shadow := tr.NewReplica().(*Tree)
+			shadow.Adopt(tr)
+			tr.BatchInsert(pts[61:])
+			nodes, bytes := tr.Copied()
+			wantNodes, wantBytes := uint64(2), 30*width
+			if tr.Name() == "CPAM-H" {
+				wantNodes, wantBytes = 1, 0
+			}
+			if nodes != wantNodes || bytes != wantBytes {
+				t.Errorf("%s %dD: an insert below a shared 61-point root counted %d nodes, %d bytes; want %d, %d",
+					tr.Name(), dims, nodes, bytes, wantNodes, wantBytes)
+			}
+			validateOrFail(t, tr)
+			validateOrFail(t, shadow)
+			if tr.Shares(shadow) || shadow.Size() != 61 || tr.Size() != 62 {
+				t.Fatalf("%s %dD: sizes %d and %d after the insert", tr.Name(), dims, tr.Size(), shadow.Size())
 			}
 		}
 	}

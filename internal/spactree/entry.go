@@ -35,10 +35,12 @@
 // 24 bytes; a node takes 96 bytes in 2-D.
 //
 // Updates are copy-on-write by generation stamp (cow.go): a tree that never
-// shares its structure writes nodes in place, as the paper's C++ trees do;
-// two trees made handles on one structure by Adopt each copy only the
-// paths they go on to change — what lets the snapshot-read layers keep one
-// tree under both of their versions.
+// shares its structure writes nodes in place, as the paper's C++ trees do,
+// and reuses the nodes and leaf blocks it displaces and its batch scratch,
+// so that steady batch updates allocate next to nothing; two trees made
+// handles on one structure by Adopt each copy only the paths they go on to
+// change — what lets the snapshot-read layers keep one tree under both of
+// their versions.
 package spactree
 
 import (
@@ -69,11 +71,12 @@ func cmpEntry[S geom.Packed](a, b Entry[S]) int {
 }
 
 // sortEntries sorts ents into the tree's total order: by code with the
-// keyed sort, by coordinates only among entries of one code. Batches and
-// CPAM construction sort through here; a leaf-sized run in scratch sorts
+// keyed sort, by coordinates only among entries of one code, with buf as
+// the sort's scratch when it is long enough (parallel.SortByKeyWith).
+// Builds and batches sort through here; a leaf-sized run in scratch sorts
 // with sortLeaf, which keeps the scratch on the stack.
-func sortEntries[S geom.Packed](ents []Entry[S]) {
-	parallel.SortByKey(ents, func(e Entry[S]) uint64 { return e.Code }, func(a, b Entry[S]) int {
+func sortEntries[S geom.Packed](ents, buf []Entry[S]) {
+	parallel.SortByKeyWith(ents, buf, func(e Entry[S]) uint64 { return e.Code }, func(a, b Entry[S]) int {
 		return geom.ComparePacked(a.P, b.P)
 	})
 }

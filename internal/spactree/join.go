@@ -76,18 +76,21 @@ func (t *tree[S]) splitLast(nd *node[S]) (*node[S], Entry[S]) {
 				}
 			}
 		}
-		last := t.encodePacked(ents[i].P)
+		last, srt := t.encodePacked(ents[i].P), nd.sorted
+		t.free(nd)
 		if len(ents) == 1 {
 			return nil, last
 		}
 		ents[i] = ents[len(ents)-1]
-		return t.newLeaf(ents[:len(ents)-1], nd.sorted), last
+		return t.newLeaf(ents[:len(ents)-1], srt), last
 	}
-	if nd.right == nil {
-		return nd.left, nd.pivot
+	l, k, r := nd.left, nd.pivot, nd.right
+	t.free(nd)
+	if r == nil {
+		return l, k
 	}
-	rest, last := t.splitLast(nd.right)
-	return t.join(nd.left, nd.pivot, rest), last
+	rest, last := t.splitLast(r)
+	return t.join(l, k, rest), last
 }
 
 // join2 joins two trees with no middle entry (used when a batch deletion
@@ -122,33 +125,38 @@ func (t *tree[S]) splitRun(nd *node[S], e Entry[S]) (*node[S], int) {
 				kept = append(kept, x)
 			}
 		}
-		switch n := len(ents) - len(kept); {
-		case n == 0:
+		n, srt := len(ents)-len(kept), nd.sorted
+		if n == 0 {
 			return nd, 0
-		case len(kept) == 0:
+		}
+		t.free(nd)
+		if len(kept) == 0 {
 			return nil, n
-		default:
-			return t.newLeaf(kept, nd.sorted), n
 		}
+		return t.newLeaf(kept, srt), n
 	}
-	switch o := cmpEntry(e, nd.pivot); {
+	l, k, r := nd.left, nd.pivot, nd.right
+	switch o := cmpEntry(e, k); {
 	case o < 0:
-		l, n := t.splitRun(nd.left, e)
+		nl, n := t.splitRun(l, e)
 		if n == 0 {
 			return nd, 0
 		}
-		return t.join(l, nd.pivot, nd.right), n
+		t.free(nd)
+		return t.join(nl, k, r), n
 	case o > 0:
-		r, n := t.splitRun(nd.right, e)
+		nr, n := t.splitRun(r, e)
 		if n == 0 {
 			return nd, 0
 		}
-		return t.join(nd.left, nd.pivot, r), n
+		t.free(nd)
+		return t.join(l, k, nr), n
 	default:
 		// The pivot itself is a copy; copies may extend into both
 		// subtrees (left holds <= pivot, right holds >= pivot).
-		l, nl := t.splitRun(nd.left, e)
-		r, nr := t.splitRun(nd.right, e)
-		return t.join2(l, r), nl + nr + 1
+		t.free(nd)
+		nl, cl := t.splitRun(l, e)
+		nr, cr := t.splitRun(r, e)
+		return t.join2(nl, nr), cl + cr + 1
 	}
 }

@@ -61,11 +61,12 @@ func (t *tree[S]) balancedNodes(l, r *node[S]) bool {
 	return t.likeWeights(weight(l), weight(r))
 }
 
-// newLeaf makes a leaf of ents in a block of its own: their points, and
-// in TotalOrder mode their codes after them. ents is not kept.
+// newLeaf makes a leaf of ents in a block of its own, recycled in an
+// update: their points, and in TotalOrder mode their codes after them.
+// ents is not kept.
 func (t *tree[S]) newLeaf(ents []Entry[S], isSorted bool) *node[S] {
 	n := len(ents)
-	blk := make([]S, t.blockLen(n))
+	blk := t.blocks().Make(t.blockLen(n))
 	bbox := geom.EmptyPacked[S]()
 	for i := range ents {
 		blk[i] = ents[i].P
@@ -77,7 +78,7 @@ func (t *tree[S]) newLeaf(ents []Entry[S], isSorted bool) *node[S] {
 			codes[i] = codeSlot[S](ents[i].Code)
 		}
 	}
-	return &node[S]{size: n, gen: t.gen, bbox: bbox, pts: blk, sorted: isSorted}
+	return t.newNode(node[S]{size: n, gen: t.gen, bbox: bbox, pts: blk, sorted: isSorted})
 }
 
 // blockLen is the length of a fitted block for a leaf of n points.
@@ -127,14 +128,14 @@ func (t *tree[S]) interiorBBox(l *node[S], k Entry[S], r *node[S]) geom.PackedBo
 // rawNode creates an interior node with no leaf-wrap checks (used by the
 // perfectly balanced builder, where sizes are known to be large enough).
 func (t *tree[S]) rawNode(l *node[S], k Entry[S], r *node[S]) *node[S] {
-	return &node[S]{
+	return t.newNode(node[S]{
 		size:  sizeOf(l) + sizeOf(r) + 1,
 		gen:   t.gen,
 		bbox:  t.interiorBBox(l, k, r),
 		pivot: k,
 		left:  l,
 		right: r,
-	}
+	})
 }
 
 // mkNode is the Node() smart constructor of Alg. 4 (lines 38-48): it
@@ -156,6 +157,8 @@ func (t *tree[S]) mkNode(l *node[S], k Entry[S], r *node[S]) *node[S] {
 		ents, srt := t.collectOrdered(l, ents, true, false)
 		ents = append(ents, k)
 		ents, srt = t.collectOrdered(r, ents, srt, false)
+		t.drop(l)
+		t.drop(r)
 		return t.newLeaf(ents, srt)
 	}
 	if n <= 2*phi && !t.balancedNodes(l, r) {
@@ -165,6 +168,8 @@ func (t *tree[S]) mkNode(l *node[S], k Entry[S], r *node[S]) *node[S] {
 		ents, srt := t.collectOrdered(l, ents, true, true)
 		ents = append(ents, k)
 		ents, srt = t.collectOrdered(r, ents, srt, true)
+		t.drop(l)
+		t.drop(r)
 		if !srt {
 			sortLeaf(ents)
 		}
@@ -214,15 +219,19 @@ func (t *tree[S]) collectOrdered(nd *node[S], dst []Entry[S], sortedSoFar, coded
 // leaf is split around its middle entry — its order restored first if it
 // was relaxed (line 34); this lazy sort is where the SPaC-tree pays back
 // its deferred work, on the rare join path instead of on every update.
-// The leaf itself is left as it is: its halves are new leaves.
+// The leaf itself is left as it is, its halves new leaves. The caller
+// replaces nd, so an owned one is recycled.
 func (t *tree[S]) expose(nd *node[S]) (*node[S], Entry[S], *node[S]) {
 	if !nd.isLeaf() {
-		return nd.left, nd.pivot, nd.right
+		l, k, r := nd.left, nd.pivot, nd.right
+		t.free(nd)
+		return l, k, r
 	}
 	ents := t.leafEnts(make([]Entry[S], 0, leafScratch), nd, true)
 	if !nd.sorted {
 		sortLeaf(ents)
 	}
+	t.free(nd)
 	m := len(ents) / 2
 	var l, r *node[S]
 	if m > 0 {

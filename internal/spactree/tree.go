@@ -2,6 +2,7 @@ package spactree
 
 import (
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -52,6 +53,11 @@ type tree[S geom.Packed] struct {
 	// cowNodes and cowBytes total what updates copied on first touch;
 	// atomics only because a metrics scrape may read them mid-update.
 	cowNodes, cowBytes atomic.Uint64
+	// spare is what updates reuse, held between them only weakly, and sp
+	// the running update's hold on it — nil outside an update, in Build
+	// too (cow.go).
+	spare weak.Pointer[spare[S]]
+	sp    *spare[S]
 }
 
 // New returns an empty tree. The universe must fit the curve's precision
@@ -119,8 +125,10 @@ func (t *tree[S]) BatchInsert(pts []geom.Point) {
 	if len(pts) == 0 {
 		return
 	}
+	t.begin()
+	defer t.end()
 	var c cow
-	t.root = t.insertSorted(t.root, t.encodeAndSort(pts), &c)
+	t.root = t.insertSorted(t.root, t.encodeBatch(pts, &t.sp.ins), &c)
 	t.note(c)
 }
 
@@ -130,6 +138,8 @@ func (t *tree[S]) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
+	t.begin()
+	defer t.end()
 	var c cow
 	t.root = t.deleteSorted(t.root, t.encodeDeletes(pts), &c)
 	t.note(c)
@@ -141,10 +151,12 @@ const seqCutoff = 2048
 // The insertions are encoded first, so one that does not fit int32 is
 // refused before the deletions change the tree.
 func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
+	t.begin()
+	defer t.end()
 	var c cow
 	var ie []Entry[S]
 	if len(ins) > 0 {
-		ie = t.encodeAndSort(ins)
+		ie = t.encodeBatch(ins, &t.sp.ins)
 	}
 	if len(del) > 0 && t.root != nil {
 		t.root = t.deleteSorted(t.root, t.encodeDeletes(del), &c)

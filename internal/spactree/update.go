@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 )
 
@@ -50,6 +49,7 @@ func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 				all = append(all, batch...)
 				sortLeaf(all)
 			}
+			t.free(nd)
 			return t.buildSmall(all)
 		}
 		// §C heuristic, large side: expose the leaf and distribute the
@@ -67,17 +67,18 @@ func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 }
 
 // joinInto is Join(l, pivot, r) with an in-place fast path: when the
-// children stayed balanced and no leaf-wrap action applies, the existing
-// interior node is kept rather than reallocated — updated in place when
-// the tree owns it, copied once when it is shared (the copy is owned for
-// the rest of the generation), and returned as it is when it is shared and
-// both recursions came back with the children it already has: no child is
-// newer than its parent, so those were not written either. Only the
-// rebalancing path pays for fresh nodes; the joins are semantically
-// identical.
+// children stayed balanced and the subtree is too large to flatten (more
+// than φ), Join would build exactly rawNode(l, pivot, r) — mkNode
+// redistributes only a pair out of balance — so the existing interior
+// node is kept rather than reallocated: updated in place when the tree
+// owns it, copied once when it is shared (the copy is owned for the rest
+// of the generation, and counted), and returned as it is when it is shared
+// and both recursions came back with the children it already has: no
+// child is newer than its parent, so those were not written either. Only
+// the rebalancing path pays for fresh nodes; the trees are identical.
 func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
 	if t.balancedNodes(l, r) {
-		if n := sizeOf(l) + sizeOf(r) + 1; n > 2*t.opts.LeafWrap {
+		if n := sizeOf(l) + sizeOf(r) + 1; n > t.opts.LeafWrap {
 			if !t.owns(nd) {
 				if l == nd.left && r == nd.right {
 					return nd
@@ -91,7 +92,9 @@ func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
 			return nd
 		}
 	}
-	return t.join(l, nd.pivot, r)
+	k := nd.pivot
+	t.free(nd)
+	return t.join(l, k, r)
 }
 
 // absorb appends a batch to a PartialOrder leaf's block and marks the
@@ -99,12 +102,13 @@ func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
 func (t *tree[S]) absorb(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	bbox := nd.bbox
 	pts := nd.pts
-	if !t.owns(nd) {
+	mine := t.owns(nd)
+	if !mine {
 		copied(c, pts)
 		pts = slices.Clip(pts)
-		nd = &node[S]{gen: t.gen}
+		nd = t.newNode(node[S]{gen: t.gen})
 	}
-	pts = core.GrowBlock(pts, len(batch), t.opts.LeafWrap)
+	pts = t.blocks().Grow(pts, len(batch), t.opts.LeafWrap, mine)
 	for _, e := range batch {
 		pts = append(pts, e.P)
 		bbox = bbox.Extend(e.P)
@@ -121,7 +125,7 @@ func (t *tree[S]) absorb(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 func (t *tree[S]) mergeLeaf(nd *node[S], batch []Entry[S]) *node[S] {
 	pts, codes := nd.points(), nd.pts[nd.size:]
 	n := len(pts) + len(batch)
-	blk := make([]S, 2*n)
+	blk := t.blocks().Make(2 * n)
 	bbox := nd.bbox
 	for k, i, j := 0, 0, 0; k < n; k++ {
 		if j == len(batch) || i < len(pts) && cmpEntry(Entry[S]{slotCode(codes[i]), pts[i]}, batch[j]) <= 0 {
@@ -133,7 +137,8 @@ func (t *tree[S]) mergeLeaf(nd *node[S], batch []Entry[S]) *node[S] {
 			j++
 		}
 	}
-	return &node[S]{size: n, gen: t.gen, bbox: bbox, pts: blk, sorted: true}
+	t.free(nd)
+	return t.newNode(node[S]{size: n, gen: t.gen, bbox: bbox, pts: blk, sorted: true})
 }
 
 // mergeSorted appends to out the merge of two entry slices sorted by
@@ -176,9 +181,11 @@ func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	// identical entry may sit on both sides of the pivot, so plain
 	// routing cannot find them all: extract the whole run, then put back
 	// whatever the batch did not consume.
+	k := nd.pivot
+	t.free(nd)
 	req := hi - lo
-	l, cl := t.splitRun(l, nd.pivot)
-	r, cr := t.splitRun(r, nd.pivot)
+	l, cl := t.splitRun(l, k)
+	r, cr := t.splitRun(r, k)
 	avail := cl + cr + 1 // + the pivot itself
 	leftover := avail - req
 	if leftover < 0 {
@@ -188,7 +195,7 @@ func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	if leftover > 0 {
 		run := make([]Entry[S], leftover)
 		for i := range run {
-			run[i] = nd.pivot
+			run[i] = k
 		}
 		res = t.insertSorted(res, run, c)
 	}
@@ -214,7 +221,9 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 						// A shared leaf: the first match moves the removal
 						// to a copy of the block.
 						copied(c, pts)
-						pts, mine = slices.Clone(pts), true
+						cp := t.blocks().Make(len(pts))
+						copy(cp, pts)
+						pts, mine = cp, true
 					}
 					pts[i] = pts[len(pts)-1]
 					pts = pts[:len(pts)-1]
@@ -225,16 +234,22 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 		if len(pts) == nd.size {
 			return nd
 		}
+		// pts is t's own now: the leaf's block or the copy.
 		if len(pts) == 0 {
+			if t.owns(nd) {
+				t.free(nd)
+			} else {
+				t.blocks().Put(pts)
+			}
 			return nil
 		}
 		if !t.owns(nd) {
-			nd = &node[S]{gen: t.gen}
+			nd = t.newNode(node[S]{gen: t.gen})
 		}
-		nd.pts = core.FitBlock(pts)
-		nd.size = len(pts)
+		nd.pts = t.blocks().Fit(pts, true) // pts may be recycled now
+		nd.size = len(nd.pts)
 		nd.sorted = false
-		nd.bbox = geom.PackedBounds(pts)
+		nd.bbox = geom.PackedBounds(nd.pts)
 		return nd
 	}
 	// Leaf and batch are both sorted: one merge pass matches each batch
@@ -243,7 +258,7 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 	// their number is known.
 	pts, codes := nd.points(), nd.pts[nd.size:]
 	m := len(pts)
-	blk := make([]S, 2*m)
+	blk := t.blocks().Make(2 * m)
 	n, j := 0, 0
 	for i, p := range pts {
 		e := Entry[S]{Code: slotCode(codes[i]), P: p}
@@ -257,15 +272,18 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 		blk[n], blk[m+n] = p, codes[i]
 		n++
 	}
-	if n == 0 {
-		return nil
-	}
 	if n == m {
+		t.blocks().Put(blk)
 		return nd
 	}
+	t.free(nd)
+	if n == 0 {
+		t.blocks().Put(blk)
+		return nil
+	}
 	copy(blk[n:], blk[m:m+n])
-	blk = core.FitBlock(blk[:2*n])
-	return &node[S]{size: n, gen: t.gen, bbox: geom.PackedBounds(blk[:n]), pts: blk, sorted: true}
+	blk = t.blocks().Fit(blk[:2*n], true)
+	return t.newNode(node[S]{size: n, gen: t.gen, bbox: geom.PackedBounds(blk[:n]), pts: blk, sorted: true})
 }
 
 // LeafStats reports how many leaves exist and how many are currently
