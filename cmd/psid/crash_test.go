@@ -340,16 +340,20 @@ func TestProbeWiring(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/debug/slowlog")), &slow); err != nil {
 		t.Fatal(err)
 	}
-	if len(slow) == 0 || slow[0]["cmd"] == nil || slow[0]["shards"] == nil {
-		t.Errorf("/debug/slowlog = %v, want entries with cmd and shards under -slowlog 1ns", slow)
+	if len(slow) == 0 || slow[0]["cmd"] == nil {
+		t.Errorf("/debug/slowlog = %v, want entries with cmd under -slowlog 1ns", slow)
 	}
-	// psid serves one tree: a query visits one shard.
+	// The NEARBY carries the cost the Collection saw: its three hits and
+	// the snapshot epoch it pinned.
 	nearby := 0
 	for _, e := range slow {
+		if _, ok := e["shards"]; ok {
+			t.Errorf("/debug/slowlog entry %v has a shards key", e)
+		}
 		if e["cmd"] == "NEARBY" {
 			nearby++
-			if e["shards"] != 1.0 {
-				t.Errorf("/debug/slowlog NEARBY entry %v, want shards 1", e)
+			if epoch, _ := e["epoch"].(float64); e["candidates"] != 3.0 || epoch < 1 {
+				t.Errorf("/debug/slowlog NEARBY entry %v, want candidates 3 and epoch >= 1", e)
 			}
 		}
 	}
@@ -427,9 +431,8 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-maxbatch", "0"}, // not the Collection's default
 		{"-maxline", "-1"},
 		{"-snapshot-interval", "0s"},
-		{"-repl-retain", "-1"}, // not "default"
-		{"-max-lag", "-1"},     // not "off"
-		{"-slowlog", "-1s"},    // not "off"
+		{"-max-lag", "-1"},  // not "off"
+		{"-slowlog", "-1s"}, // not "off"
 	} {
 		msg := runPsidExpectingTwo(t, args)
 		if !strings.HasPrefix(msg, "psid: ") || strings.Contains(msg, "\n") ||
@@ -439,10 +442,11 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	}
 }
 
-// TestRemovedFlagsUndefined: psid serves one index and has no read-mode
-// switch, so -shards and -locked-reads are unknown flags — exit status 2
-// with the flag package's complaint naming them, not a server quietly
-// started on a configuration that no longer exists.
+// TestRemovedFlagsUndefined: psid serves one index, has no read-mode
+// switch and keeps its catch-up ring's bounds constant, so -shards,
+// -locked-reads and -repl-retain are unknown flags — exit status 2 with
+// the flag package's complaint naming them, not a server quietly started
+// on a configuration that no longer exists.
 func TestRemovedFlagsUndefined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real server processes")
@@ -450,6 +454,7 @@ func TestRemovedFlagsUndefined(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shards", "2"},
 		{"-locked-reads"},
+		{"-repl-retain", "2"},
 	} {
 		// The trailing bad -dims stops a psid that still knew the flag
 		// before it binds, with a different complaint.

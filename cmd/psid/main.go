@@ -110,7 +110,6 @@ func run() int {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (ack = on disk), never, or a sync interval like 100ms (bounded loss window)")
 	snapEvery := flag.Duration("snapshot-interval", service.DefaultWALSnapshotInterval, "WAL snapshot-and-truncate cadence bounding restart replay time")
 	replListen := flag.String("repl", "", "replication listener address: stream committed WAL windows to followers (docs/replication.md); requires -wal")
-	replRetain := flag.Int("repl-retain", 0, "committed windows retained in memory for follower catch-up; a follower further behind re-bootstraps from a snapshot (0 = default)")
 	replicaOf := flag.String("replica-of", "", "run as a read-only follower of the leader's -repl listener at host:port; requires -wal (combine with -repl for a hot standby: PROMOTE binds that address)")
 	replID := flag.String("repl-id", "", "stable follower identity reported to the leader (defaults to the connection's remote address)")
 	maxLag := flag.Int("max-lag", 0, "follower readiness gate: /healthz serves 503 when the replication lag exceeds this many windows (or the leader is unreachable); 0 keeps /healthz always-200")
@@ -147,10 +146,6 @@ func run() int {
 	}
 	if *snapEvery <= 0 {
 		fmt.Fprintf(os.Stderr, "psid: -snapshot-interval must be positive, got %s\n", *snapEvery)
-		return 2
-	}
-	if *replRetain < 0 {
-		fmt.Fprintf(os.Stderr, "psid: -repl-retain must not be negative, got %d\n", *replRetain)
 		return 2
 	}
 	if *slowlog < 0 {
@@ -197,7 +192,6 @@ func run() int {
 		WALFsyncInterval:    fsyncInterval,
 		WALSnapshotInterval: *snapEvery,
 		ReplListen:          *replListen,
-		ReplRetainWindows:   *replRetain,
 		ReplicaOf:           *replicaOf,
 		ReplID:              *replID,
 		MaxLagWindows:       *maxLag,

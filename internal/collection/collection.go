@@ -911,17 +911,11 @@ func (c *Collection) NearbyIDsAppend(q geom.Point, k int, dst []Entry) []Entry {
 	return c.NearbyIDsAppendCost(q, k, dst, nil)
 }
 
-// NearbyIDsAppendCost is NearbyIDsAppend that additionally accounts the
-// query's work into cost when non-nil: the pinned epoch, and — when the
-// inner index reports per-query cost (shard.Sharded) — the shards
-// visited and candidates scanned; otherwise the whole index counts as
-// one shard and every geometric hit as a candidate. The slow-query log
-// is the intended caller.
+// NearbyIDsAppendCost is NearbyIDsAppend that also fills cost, when
+// non-nil, with the query's work: the pinned epoch and the geometric hits
+// before ID resolution. The slow-query log is the intended caller.
 func (c *Collection) NearbyIDsAppendCost(q geom.Point, k int, dst []Entry, cost *obs.QueryCost) []Entry {
-	return c.query(dst, cost, func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point {
-		if costed != nil {
-			return costed.KNNCost(q, k, pts, cost)
-		}
+	return c.query(dst, cost, func(idx core.Index, pts []geom.Point) []geom.Point {
 		return idx.KNN(q, k, pts)
 	})
 }
@@ -941,10 +935,7 @@ func (c *Collection) WithinIDsAppend(box geom.Box, dst []Entry) []Entry {
 // WithinIDsAppendCost is WithinIDsAppend with query-cost accounting
 // (see NearbyIDsAppendCost for the contract).
 func (c *Collection) WithinIDsAppendCost(box geom.Box, dst []Entry, cost *obs.QueryCost) []Entry {
-	return c.query(dst, cost, func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point {
-		if costed != nil {
-			return costed.RangeListCost(box, pts, cost)
-		}
+	return c.query(dst, cost, func(idx core.Index, pts []geom.Point) []geom.Point {
 		return idx.RangeList(box, pts)
 	})
 }
@@ -953,24 +944,15 @@ func (c *Collection) WithinIDsAppendCost(box geom.Box, dst []Entry, cost *obs.Qu
 // against the acquired version into pooled scratch, and resolve the hits
 // through the table under the same read lock. The Release is deferred so a
 // panicking inner index never wedges the flush writer.
-func (c *Collection) query(dst []Entry, cost *obs.QueryCost, run func(idx core.Index, costed obs.CostedIndex, pts []geom.Point) []geom.Point) []Entry {
+func (c *Collection) query(dst []Entry, cost *obs.QueryCost, run func(idx core.Index, pts []geom.Point) []geom.Point) []Entry {
 	sc := c.queryPool.Get().(*queryScratch)
 	defer c.queryPool.Put(sc)
 	v := c.cell.Acquire()
 	defer c.cell.Release()
-	// costed is the index's cost-reporting query interface when the caller
-	// wants the cost and the index has one (shard.Sharded does).
-	var costed obs.CostedIndex
-	if cost != nil {
-		costed, _ = v.Index.(obs.CostedIndex)
-	}
-	sc.pts = run(v.Index, costed, sc.pts[:0])
+	sc.pts = run(v.Index, sc.pts[:0])
 	if cost != nil {
 		cost.Epoch = v.Epoch()
-		if costed == nil {
-			cost.Shards++
-			cost.Candidates += len(sc.pts)
-		}
+		cost.Candidates = len(sc.pts)
 	}
 	return resolveAppend(c.tab, sc, dst)
 }

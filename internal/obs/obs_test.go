@@ -193,7 +193,7 @@ func TestSlowLogRing(t *testing.T) {
 	l := NewSlowLog(3)
 	long := bytes.Repeat([]byte("x"), SlowArgsCap+10)
 	l.Record("NEARBY", []byte(`{"op":"NEARBY"}`), 5*time.Millisecond,
-		QueryCost{Shards: 4, Candidates: 123, Epoch: 9})
+		QueryCost{Candidates: 123, Epoch: 9})
 	l.Record("WITHIN", long, time.Millisecond, QueryCost{})
 	for i := 0; i < 3; i++ {
 		l.Record("SET", []byte("s"), time.Millisecond, QueryCost{})
@@ -216,12 +216,12 @@ func TestSlowLogRing(t *testing.T) {
 	}
 	// Truncation (overwritten here, so re-test on a fresh ring).
 	l2 := NewSlowLog(2)
-	l2.Record("WITHIN", long, time.Millisecond, QueryCost{Shards: 1, Candidates: 2, Epoch: 3})
+	l2.Record("WITHIN", long, time.Millisecond, QueryCost{Candidates: 2, Epoch: 3})
 	e := l2.Snapshot()[0]
 	if !e.Truncated || len(e.Args) != SlowArgsCap {
 		t.Fatalf("truncated=%v len(args)=%d, want true and %d", e.Truncated, len(e.Args), SlowArgsCap)
 	}
-	if e.Shards != 1 || e.Candidates != 2 || e.Epoch != 3 {
+	if e.Candidates != 2 || e.Epoch != 3 {
 		t.Fatalf("cost = %+v", e)
 	}
 }
@@ -275,7 +275,7 @@ func TestRecordAllocFree(t *testing.T) {
 		{"Counter.Inc", func() { c.Inc() }},
 		{"Hist.Record", func() { h.Record(time.Microsecond) }},
 		{"FlushTrace.Record", func() { tr.Record(span) }},
-		{"SlowLog.Record", func() { sl.Record("NEARBY", args, time.Millisecond, QueryCost{Shards: 2}) }},
+		{"SlowLog.Record", func() { sl.Record("NEARBY", args, time.Millisecond, QueryCost{Candidates: 2}) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
@@ -308,7 +308,7 @@ func TestRegistryRace(t *testing.T) {
 				c.Inc()
 				h.Observe(int64(i%1000 + 1))
 				tr.Record(FlushSpan{Layer: "shard", RawOps: i})
-				sl.Record("SET", []byte("x"), time.Duration(i), QueryCost{Shards: g})
+				sl.Record("SET", []byte("x"), time.Duration(i), QueryCost{Candidates: g})
 			}
 		}(g)
 	}

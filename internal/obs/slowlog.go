@@ -3,38 +3,24 @@ package obs
 import (
 	"slices"
 	"time"
-
-	"repro/internal/geom"
 )
 
 // Slow-query log: the serving layer records every command slower than
 // its -slowlog threshold into a preallocated ring, capturing the
 // command, its raw request line, the duration, and the query's cost
-// (shards visited, candidate points scanned, pinned epoch). It is the
+// (candidate points scanned, pinned epoch). It is the
 // ring FlushTrace records into (ring.go), arguments copied into a fixed
 // in-entry buffer, so a burst of slow queries from many connections
 // records without shared locking or allocation. Snapshots back
 // /debug/slowlog and the SLOWLOG protocol command, newest first.
 
-// QueryCost is the per-query work accounting threaded down the query
-// path: Shards is the number of shards the query actually visited,
-// Candidates the geometric candidate points the shards reported before
-// ID resolution, Epoch the published epoch the query pinned (0 in
-// locked mode). Implementations of CostedIndex fill Shards and
-// Candidates only; the layer that pins the epoch fills Epoch.
+// QueryCost is one query's work, filled by the Collection that ran it:
+// Candidates counts the geometric hits the index reported before ID
+// resolution, Epoch the epoch of the version the query pinned (always 0
+// over a single copy).
 type QueryCost struct {
-	Shards     int
 	Candidates int
 	Epoch      uint64
-}
-
-// CostedIndex is implemented by indexes that can report per-query cost
-// alongside the result. The dst-append contract matches core.Index
-// (KNN/RangeList); cost may not be nil and is incremented, not reset —
-// callers zero it per query. shard.Sharded implements it.
-type CostedIndex interface {
-	KNNCost(q geom.Point, k int, dst []geom.Point, cost *QueryCost) []geom.Point
-	RangeListCost(box geom.Box, dst []geom.Point, cost *QueryCost) []geom.Point
 }
 
 // SlowArgsCap is the per-entry argument capture limit: request lines
@@ -51,7 +37,6 @@ type SlowQuery struct {
 	Cmd        string `json:"cmd"`
 	Args       string `json:"args"`
 	Truncated  bool   `json:"truncated,omitempty"`
-	Shards     int    `json:"shards"`
 	Candidates int    `json:"candidates"`
 	Epoch      uint64 `json:"epoch"`
 }
@@ -121,7 +106,6 @@ func (l *SlowLog) Snapshot() []SlowQuery {
 			Cmd:        e.cmd,
 			Args:       string(e.args[:e.nArgs]),
 			Truncated:  e.trunc,
-			Shards:     e.cost.Shards,
 			Candidates: e.cost.Candidates,
 			Epoch:      e.cost.Epoch,
 		}

@@ -18,14 +18,15 @@ import (
 
 // connState is one connection's reusable serving buffers: the request
 // struct (slice fields keep their capacity across parses), the
-// resolved-hit scratch the Collection appends into, and the response
-// encode buffer (the long-line accumulation scratch stays a handleConn
-// local). One goroutine owns each conn, so
-// nothing here is locked; a warm connection serves GET/NEARBY/WITHIN
-// round trips with no per-line allocations at all.
+// resolved-hit scratch the Collection appends into, the last query's cost
+// for the slow-query log, and the response encode buffer (the long-line
+// accumulation scratch stays a handleConn local). One goroutine owns each
+// conn, so nothing here is locked; a warm connection serves
+// GET/NEARBY/WITHIN round trips with no per-line allocations at all.
 type connState struct {
 	req     Request
 	entries []collection.Entry
+	cost    obs.QueryCost
 	out     []byte
 }
 
@@ -58,12 +59,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(countedConn{conn, &s.met.socketWrites}, 64<<10)
 	cs := new(connState)
-	var cost *obs.QueryCost
-	if s.slow != nil {
-		// One cost recorder per connection (dispatch resets it per line):
-		// the slow-query path never allocates per command.
-		cost = new(obs.QueryCost)
-	}
 	var lineScratch []byte
 	var replies uint64 // encoded since the last flush
 	for {
@@ -90,7 +85,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// Empty lines flow through dispatch and fail JSON parsing: the
 			// protocol promises exactly one response per request line, so a
 			// blank line gets its bad_request rather than silence.
-			cs.out = s.serve(line, cs, cost)
+			cs.out = s.serve(line, cs)
 		}
 		bw.Write(cs.out)
 		replies++
@@ -124,13 +119,17 @@ func lineBuffered(br *bufio.Reader) bool {
 }
 
 // serve executes one request line and returns its encoded reply, in
-// cs.out: the path a socket connection and a LineConn share.
-func (s *Server) serve(line []byte, cs *connState, cost *obs.QueryCost) []byte {
+// cs.out: the path a socket connection and a LineConn share. A command
+// that crossed the slow-query threshold is recorded with its cost;
+// protocol rejects (op < 0) are not queries and are skipped.
+func (s *Server) serve(line []byte, cs *connState) []byte {
 	t0 := time.Now()
-	op, res := s.dispatch(line, cs, cost)
+	op, res := s.dispatch(line, cs)
 	d := time.Since(t0)
 	s.met.record(op, d, res.ok)
-	s.recordSlow(op, line, d, cost)
+	if s.slow != nil && op >= 0 && d >= s.opts.SlowLog {
+		s.slow.Record(opOrder[op], line, d, cs.cost)
+	}
 	return appendResult(cs.out[:0], &res, s.dims)
 }
 
@@ -206,25 +205,18 @@ func discardLine(br *bufio.Reader) error {
 // in isolation. A LineConn is owned by one goroutine, like a socket
 // connection; open one per serving goroutine.
 type LineConn struct {
-	s    *Server
-	cs   connState
-	cost *obs.QueryCost // non-nil when the slow-query log is enabled
+	s  *Server
+	cs connState
 }
 
 // NewLineConn returns a virtual connection on the server. The server
 // does not need to be Started.
-func (s *Server) NewLineConn() *LineConn {
-	lc := &LineConn{s: s}
-	if s.slow != nil {
-		lc.cost = new(obs.QueryCost)
-	}
-	return lc
-}
+func (s *Server) NewLineConn() *LineConn { return &LineConn{s: s} }
 
 // Serve executes one protocol line and returns the newline-terminated
 // response line. The returned slice is reused by the next Serve call on
 // this LineConn; callers that retain it must copy.
 func (lc *LineConn) Serve(line []byte) []byte {
-	lc.cs.out = lc.s.serve(line, &lc.cs, lc.cost)
+	lc.cs.out = lc.s.serve(line, &lc.cs)
 	return lc.cs.out
 }

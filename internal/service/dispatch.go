@@ -2,7 +2,6 @@ package service
 
 import (
 	"strings"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -14,13 +13,10 @@ import (
 // strings alias line, so whatever outlives the call is cloned here) and
 // query hits land in the connection's entry scratch; result.entries then
 // aliases cs.entries and is valid until the next dispatch on the same
-// connection. cost, when non-nil, is reset and filled
-// with the query's work accounting (slow-query log connections pass a
-// per-connection recorder; everything else passes nil).
-func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int, result) {
-	if cost != nil {
-		*cost = obs.QueryCost{}
-	}
+// connection. cs.cost is reset and, by NEARBY and WITHIN, filled with the
+// query's work for the slow-query log.
+func (s *Server) dispatch(line []byte, cs *connState) (int, result) {
+	cs.cost = obs.QueryCost{}
 	req := &cs.req
 	if err := parseRequest(line, req); err != nil {
 		return -1, errResultf(CodeBadRequest, "parse: %v", err)
@@ -88,7 +84,7 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		if req.K > MaxNearbyK {
 			return idx, errResultf(CodeBadRequest, "NEARBY: k %d exceeds the maximum %d", req.K, MaxNearbyK)
 		}
-		cs.entries = s.coll.NearbyIDsAppendCost(p, req.K, cs.entries[:0], cost)
+		cs.entries = s.coll.NearbyIDsAppendCost(p, req.K, cs.entries[:0], &cs.cost)
 		return idx, result{ok: true, hasHits: true, entries: cs.entries}
 	case OpWithin:
 		lo, err := point(req.Lo, s.dims)
@@ -104,7 +100,7 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 				return idx, errResultf(CodeBadRequest, "WITHIN: inverted box on dim %d (%d > %d)", d, lo[d], hi[d])
 			}
 		}
-		cs.entries = s.coll.WithinIDsAppendCost(geom.BoxOf(lo, hi), cs.entries[:0], cost)
+		cs.entries = s.coll.WithinIDsAppendCost(geom.BoxOf(lo, hi), cs.entries[:0], &cs.cost)
 		return idx, result{ok: true, hasHits: true, entries: cs.entries}
 	case OpStats:
 		st := s.Stats()
@@ -142,15 +138,4 @@ func (s *Server) dispatch(line []byte, cs *connState, cost *obs.QueryCost) (int,
 		return idx, result{ok: true}
 	}
 	return -1, errResultf(CodeBadRequest, "unknown op %q", req.Op) // unreachable
-}
-
-// recordSlow captures one served command into the slow-query ring when
-// the log is enabled and the command crossed the threshold. Protocol
-// rejects (op < 0) are not queries and are skipped; cost is non-nil
-// whenever the log is enabled (the connection allocates one recorder).
-func (s *Server) recordSlow(op int, line []byte, d time.Duration, cost *obs.QueryCost) {
-	if s.slow == nil || op < 0 || d < s.opts.SlowLog {
-		return
-	}
-	s.slow.Record(opOrder[op], line, d, *cost)
 }

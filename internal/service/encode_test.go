@@ -44,7 +44,7 @@ func slowEncodeCases() []result {
 		{ok: true, hasSlow: true, slow: nil}, // empty slow log: omitted
 		{ok: true, hasSlow: true, slow: []obs.SlowQuery{
 			{Seq: 2, UnixNano: 1700000000000, DurNs: 5_000_000, Cmd: OpNearby,
-				Args: `{"op":"NEARBY","p":[1,2],"k":10}`, Shards: 3, Candidates: 17, Epoch: 9},
+				Args: `{"op":"NEARBY","p":[1,2],"k":10}`, Candidates: 17, Epoch: 9},
 			{Seq: 1, Cmd: OpWithin, Args: "trunc", Truncated: true},
 		}},
 	}
@@ -155,7 +155,7 @@ func TestLineConnMatchesJSON(t *testing.T) {
 	}
 	for i, line := range lines {
 		got := fast.Serve([]byte(line))
-		_, res := oracle.dispatch([]byte(line), &cs, nil)
+		_, res := oracle.dispatch([]byte(line), &cs)
 		want := marshalLine(res.response(oracle.dims))
 		if !bytes.Equal(got, want) {
 			t.Errorf("line %d (%s):\n append: %s json:   %s", i, line, got, want)

@@ -188,10 +188,9 @@ func TestSharedIndexAccounting(t *testing.T) {
 }
 
 // TestSlowQueryLog gates every command into the slow log (threshold
-// 1ns) and checks a NEARBY fanned out over a four-shard Sharded (which
-// reports its own cost) lands in the ring with its true cost: all four
-// shards visited, every live object scanned as a candidate, and the
-// pinned epoch.
+// 1ns) and checks a NEARBY over a four-shard Sharded lands in the ring
+// with the cost the Collection saw: every live object a candidate, and
+// the pinned epoch.
 func TestSlowQueryLog(t *testing.T) {
 	s := newObsStackOf(t, newTestSharded(), Options{SlowLog: time.Nanosecond})
 	c := dialT(t, s)
@@ -204,7 +203,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if _, err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// k >= objects: the KNN must expand every shard and scan everything.
+	// k >= objects: every object is a hit.
 	if _, err := c.Nearby([]int64{500, 500}, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +224,6 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if nearby == nil {
 		t.Fatalf("no NEARBY entry in %+v", resp.Slow)
-	}
-	if nearby.Shards != 4 {
-		t.Errorf("shards = %d, want 4 (k >= objects expands every shard)", nearby.Shards)
 	}
 	if nearby.Candidates != len(pts) {
 		t.Errorf("candidates = %d, want %d", nearby.Candidates, len(pts))
@@ -254,12 +250,18 @@ func TestSlowQueryLog(t *testing.T) {
 	if code != http.StatusOK || !strings.HasPrefix(ctype, "application/json") {
 		t.Fatalf("/debug/slowlog = %d %q", code, ctype)
 	}
-	var entries []obs.SlowQuery
+	var entries []map[string]any
 	if err := json.Unmarshal([]byte(body), &entries); err != nil {
 		t.Fatalf("/debug/slowlog body %s: %v", body, err)
 	}
 	if len(entries) == 0 {
 		t.Fatal("/debug/slowlog is empty")
+	}
+	for _, e := range entries {
+		_, shards := e["shards"]
+		if e["cmd"] == nil || e["candidates"] == nil || e["epoch"] == nil || shards {
+			t.Errorf("/debug/slowlog entry %v, want cmd, candidates and epoch and no shards", e)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // dirtyLine fills every Request field, so that a parse following it shows
@@ -130,30 +131,37 @@ var (
 // nothing, a write allocates the one ID string the tape must own. The
 // index is a single tree on the snapshot path: a WITHIN that fans out over
 // several shards allocates in the shard layer, which is not this budget.
+// The second leg records every line in the slow-query log, which must
+// cost no allocation either.
 func TestServeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates the query closures")
 	}
-	s := New(newTestIndex(), Options{FlushInterval: -1, MaxBatch: 1 << 20})
-	lc := s.NewLineConn()
-	for i := 0; i < 64; i++ {
-		lc.Serve([]byte(fmt.Sprintf(`{"op":"SET","id":"veh-%06d","p":[%d,%d]}`, i, 400+i, 500+i)))
-	}
-	lc.Serve([]byte(`{"op":"FLUSH"}`))
-	for _, tc := range []struct {
-		line   []byte
-		budget float64
-	}{
-		{benchGET, 0}, {benchNEARBY, 0}, {benchWITHIN, 0}, {benchSET, 1}, {benchDEL, 1},
-	} {
-		lc.Serve(tc.line) // warm: scratch grown, ID in the pending overlay
-		allocs := testing.AllocsPerRun(200, func() {
-			if reply := lc.Serve(tc.line); reply[6] != 't' { // {"ok":true
-				t.Fatalf("%s -> %s", tc.line, reply)
+	for _, slow := range []time.Duration{0, time.Nanosecond} {
+		s := New(newTestIndex(), Options{FlushInterval: -1, MaxBatch: 1 << 20, SlowLog: slow})
+		lc := s.NewLineConn()
+		for i := 0; i < 64; i++ {
+			lc.Serve([]byte(fmt.Sprintf(`{"op":"SET","id":"veh-%06d","p":[%d,%d]}`, i, 400+i, 500+i)))
+		}
+		lc.Serve([]byte(`{"op":"FLUSH"}`))
+		for _, tc := range []struct {
+			line   []byte
+			budget float64
+		}{
+			{benchGET, 0}, {benchNEARBY, 0}, {benchWITHIN, 0}, {benchSET, 1}, {benchDEL, 1},
+		} {
+			lc.Serve(tc.line) // warm: scratch grown, ID in the pending overlay
+			allocs := testing.AllocsPerRun(200, func() {
+				if reply := lc.Serve(tc.line); reply[6] != 't' { // {"ok":true
+					t.Fatalf("%s -> %s", tc.line, reply)
+				}
+			})
+			if allocs > tc.budget {
+				t.Errorf("slowlog %v: %s: %.2f allocs per served line, budget %v", slow, tc.line, allocs, tc.budget)
 			}
-		})
-		if allocs > tc.budget {
-			t.Errorf("%s: %.2f allocs per served line, budget %v", tc.line, allocs, tc.budget)
+		}
+		if slow > 0 && s.slow.Total() == 0 {
+			t.Errorf("slowlog %v recorded nothing", slow)
 		}
 	}
 }

@@ -165,9 +165,11 @@ func (s *Server) journalHook(l *wal.Log) func(seq uint64, ops []wal.Op) error {
 
 // newHub builds the leader's catch-up ring with its head at the WAL's
 // recovered sequence, so a follower already there resumes with an empty
-// tail instead of a snapshot.
+// tail instead of a snapshot. The ring keeps at most
+// repl.DefaultRetainWindows windows and repl.DefaultRetainBytes bytes; a
+// follower whose resume point has left it re-bootstraps from a snapshot.
 func (s *Server) newHub() *repl.Hub {
-	return repl.NewHub(s.wal.LastSeq(), s.opts.ReplRetainWindows, repl.DefaultRetainBytes)
+	return repl.NewHub(s.wal.LastSeq(), repl.DefaultRetainWindows, repl.DefaultRetainBytes)
 }
 
 // newLeader builds the leader endpoint over the current hub. Its series

@@ -210,17 +210,23 @@ func TestReplConvergence(t *testing.T) {
 	}
 }
 
-// TestReplSnapshotBootstrap forces the snapshot path: the leader
-// retains almost no tail, so a follower arriving after the history is
-// evicted must bootstrap — and then ride the live tail.
+// TestReplSnapshotBootstrap forces the snapshot path: a leader restarted
+// over its WAL directory starts its catch-up ring empty at the recovered
+// sequence, so a follower arriving afterwards finds none of the history
+// in the ring and must bootstrap — and then ride the live tail.
 func TestReplSnapshotBootstrap(t *testing.T) {
-	leader := startLeader(t, t.TempDir(), Options{ReplRetainWindows: 2})
-	lc := dialT(t, leader)
+	dir := t.TempDir()
+	first := startLeader(t, dir, Options{})
+	fc := dialT(t, first)
 	for i := 0; i < 30; i++ {
-		if err := lc.Set(fmt.Sprintf("pre%02d", i), []int64{int64(i), 0}); err != nil {
+		if err := fc.Set(fmt.Sprintf("pre%02d", i), []int64{int64(i), 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	fc.Close()
+	shutdownT(t, first)
+	leader := startLeader(t, dir, Options{})
+	lc := dialT(t, leader)
 
 	follower := startFollowerOf(t, t.TempDir(), leader, "late")
 	waitConverged(t, leader, follower)

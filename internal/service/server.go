@@ -97,11 +97,6 @@ type Options struct {
 	// -replica-of for the current leader, -repl for the address it will
 	// serve followers on after promotion).
 	ReplListen string
-	// ReplRetainWindows bounds the leader's in-memory catch-up ring in
-	// windows (repl.DefaultRetainBytes bounds it in bytes): a follower
-	// whose resume point has been evicted re-bootstraps from a full
-	// snapshot instead. <= 0 selects repl.DefaultRetainWindows.
-	ReplRetainWindows int
 	// ReplicaOf, when non-empty, makes this server a read-only follower
 	// of the leader's replication listener at this host:port: it
 	// bootstraps or resumes over the wire, commits each of the leader's

@@ -4,14 +4,8 @@ import (
 	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
-
-// Sharded reports per-query cost (shards visited, candidates scanned)
-// through the obs.CostedIndex variants below; the plain core.Index
-// methods delegate with a nil cost.
-var _ obs.CostedIndex = (*Sharded)(nil)
 
 // queryScratch is one query's fan-out state, recycled through
 // Sharded.queryPool: the overlapping-shard id list, the KNN frontier, and
@@ -61,30 +55,15 @@ func (s *Sharded) RangeCount(box geom.Box) int {
 // per-shard buffers in parallel (no contended append), which are then
 // concatenated into dst. The buffers are recycled across queries.
 func (s *Sharded) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
-	return s.RangeListCost(box, dst, nil)
-}
-
-// RangeListCost implements obs.CostedIndex: RangeList that additionally
-// accounts the shards visited and candidate points reported into cost
-// (when non-nil; counts are added, not reset).
-func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryCost) []geom.Point {
 	sc := s.queryPool.Get().(*queryScratch)
 	defer s.queryPool.Put(sc)
 	ids := s.part.overlapping(box, sc.ids[:0])
 	sc.ids = ids[:0]
-	if cost != nil {
-		cost.Shards += len(ids)
-	}
 	if len(ids) == 0 {
 		return dst
 	}
 	if len(ids) == 1 {
-		before := len(dst)
-		dst = s.shards[ids[0]].RangeList(box, dst)
-		if cost != nil {
-			cost.Candidates += len(dst) - before
-		}
-		return dst
+		return s.shards[ids[0]].RangeList(box, dst)
 	}
 	for len(sc.bufs) < len(ids) {
 		sc.bufs = append(sc.bufs, nil)
@@ -95,9 +74,6 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 	})
 	for _, b := range bufs {
 		dst = append(dst, b...)
-		if cost != nil {
-			cost.Candidates += len(b)
-		}
 	}
 	return dst
 }
@@ -108,13 +84,6 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 // as soon as the k-th candidate so far beats the next shard's lower
 // bound — distant shards are never touched.
 func (s *Sharded) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
-	return s.KNNCost(q, k, dst, nil)
-}
-
-// KNNCost implements obs.CostedIndex: KNN that additionally accounts
-// the shards expanded and candidate points merged into cost (when
-// non-nil; counts are added, not reset).
-func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.QueryCost) []geom.Point {
 	if k <= 0 {
 		return dst
 	}
@@ -148,7 +117,6 @@ func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.Query
 
 	h := geom.GetKNNHeap(k)
 	buf := sc.buf
-	expanded := 0
 	for _, e := range frontier {
 		// Push takes only distances below Bound, so a region at exactly
 		// the bound cannot contribute.
@@ -156,16 +124,9 @@ func (s *Sharded) KNNCost(q geom.Point, k int, dst []geom.Point, cost *obs.Query
 			break
 		}
 		buf = s.shards[e.id].KNN(q, k, buf[:0])
-		expanded++
-		if cost != nil {
-			cost.Candidates += len(buf)
-		}
 		for _, p := range buf {
 			h.Push(p, geom.Dist2(p, q, dims))
 		}
-	}
-	if cost != nil {
-		cost.Shards += expanded
 	}
 	sc.buf = buf
 	dst = h.Append(dst)
