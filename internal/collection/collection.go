@@ -10,19 +10,23 @@
 //
 //	Set(id, p1) on an object at p0  →  BatchDiff{ins: p1, del: p0}
 //
-// Mutations go through an ID-keyed coalescing log: Set/Remove calls from
-// any number of goroutines append to an ordered tape, and a flush nets the
-// tape by last-write-wins per ID — an object moved five times in one
+// Mutations go through an ID-keyed coalescing window (window.go): Set and
+// Remove calls from any number of goroutines add to it, netted as they
+// arrive by last-write-wins per ID — an object moved five times in one
 // window costs the index one delete and one insert, and a Set followed by
 // Remove in the same window costs nothing. Identity makes this netting
 // exact: no order-aware insert/delete matching of anonymous points is
-// needed. Enqueuers append under a short pending lock, a flush swaps the
-// tape out and hands the emptied one back at the next swap, the Set that
-// brings it to MaxBatch flushes it, and an optional background goroutine
-// flushes every FlushInterval. The tape order
-// is the order appends take the pending lock, which is consistent with
-// every goroutine's program order; flushes are serialized and each takes
-// the whole tape, so the applied state is always a prefix of the enqueue
+// needed. The window is pointer-free — an ID byte arena, one fixed-size
+// record per ID and an open-addressed index over the records — and copies
+// each ID it is handed, so a Set keeps nothing of its caller's and, warm,
+// allocates nothing. Enqueuers add under a short pending lock, the Set
+// that brings the window to MaxBatch ops flushes it, and an optional
+// background goroutine flushes every FlushInterval. A flush swaps the
+// window out for the spare one, commits it, and clears it and hands it
+// back at the next swap: two windows, double-buffered. The window's order
+// is the order adds take the pending lock, which is consistent with every
+// goroutine's program order; flushes are serialized and each takes the
+// whole window, so the applied state is always a prefix of the enqueue
 // history.
 //
 // Consistency: the geometric index, the forward table (ID → point), and
@@ -48,15 +52,16 @@
 // a window's applyTable, or a Load's swap to the table it filled — which
 // the cell runs under its write lock, and a query that arrives meanwhile
 // waits for that step (ARCHITECTURE.md "Epochs & snapshot reads"). Get is
-// the exception either way: it reads the caller's own pending tail
-// (read-your-writes), so Get(id) after Set(id, p) returns p even before the
-// flush makes p visible to geometric queries.
+// the exception either way: it reads the caller's own pending ops
+// (read-your-writes) in the pending window, then in the window being
+// committed until every reader sees it, so Get(id) after Set(id, p)
+// returns p even before the flush makes p visible to geometric queries.
 //
 // Committed state has two more ways in, both writer-side and both beside
-// the tape rather than through it: CommitWindow applies a window that is
-// already netted (a replicated one) through the commit body Flush uses,
-// and Load replaces index and table by bulk construction (recovery, a
-// follower's bootstrap).
+// the pending window rather than through it: CommitWindow applies a
+// window that is already netted (a replicated one) through the commit
+// body Flush uses, and Load replaces index and table by bulk construction
+// (recovery, a follower's bootstrap).
 //
 // Composition: the inner index may be a raw tree (psid's stack: the
 // tree's batch update runs each flush in parallel) or a shard.Sharded
@@ -145,6 +150,10 @@ type Stats struct {
 	// its next compaction drops and room to append — and TableIDDeadBytes
 	// the removed IDs' share of it.
 	TableIDBytes, TableIDDeadBytes uint64
+	// PendingBytes is what the two pending windows hold on the heap — the
+	// one enqueues add to and the one being committed or kept spare: their
+	// records, ID bytes and indexes, at the capacity they have grown to.
+	PendingBytes uint64
 }
 
 // Entry is one resolved query hit: a live object and its indexed
@@ -164,26 +173,26 @@ type Collection struct {
 	name string
 	dims int
 
-	// pend guards the ordered op tape, seq and overlay — the latest
-	// pending op per ID, what Get reads — so the overlay always agrees
-	// with the tape order. It is held only for appends, overlay lookups,
-	// the tape swap and the post-commit purge, never while a window is
-	// applied.
-	pend     sync.Mutex
-	tape     []op
-	maxBatch int
-	seq      uint64
-	overlay  map[string]tailOp
+	// wins are the two pending windows (window.go). pend guards pending, the
+	// one enqueues add to, and committing, the one a Flush swapped out, until
+	// the commit publishes it: Get reads both, the newer first. It is held
+	// only for an add, those lookups, the swap and the handback, never while
+	// a window is applied.
+	wins       [2]window
+	pend       sync.Mutex
+	pending    *window
+	committing *window
+	maxBatch   int
 
 	// flushMu serializes everything that writes committed state: Flush,
 	// CommitWindow, Load, and the sections of SetJournal, Checkpoint and
-	// Validate. spare is the previous window's emptied tape, handed to the
-	// enqueuers at the next swap: the tape double-buffers instead of
-	// re-growing every window. span is the flush span's persistent scratch,
-	// which keeps recording allocation-free; trace and flushDur are nil
-	// without Options.Obs.
+	// Validate. spare is the window that is neither pending nor committing,
+	// empty: handed to the enqueuers at the next swap, and CommitWindow's
+	// scratch meanwhile. span is the flush span's persistent scratch, which
+	// keeps recording allocation-free; trace and flushDur are nil without
+	// Options.Obs.
 	flushMu  sync.Mutex
-	spare    []op
+	spare    *window
 	span     obs.FlushSpan
 	trace    *obs.FlushTrace
 	flushDur *obs.Hist
@@ -196,14 +205,11 @@ type Collection struct {
 	closeOnce  sync.Once
 
 	// cell owns the committed index — every copy of it — and how queries
-	// are kept off the flush writer; win is the netted window being
-	// committed, netAt and netOps the netting scratch behind a flushed one
-	// (all guarded by the flush lock). queryPool recycles per-query
+	// are kept off the flush writer; plan is the commit body's scratch
+	// (guarded by the flush lock). queryPool recycles per-query
 	// hit-resolution scratch across concurrent readers.
 	cell      cell
-	win       collWindow
-	netAt     map[string]int
-	netOps    []wal.Op
+	plan      plan
 	queryPool sync.Pool
 
 	// tab is the committed slot table — one, in either read mode. Readers
@@ -230,48 +236,17 @@ type Collection struct {
 	slots, freeSlots, mapped, idBytes, idDead atomic.Int64
 }
 
-// op is one logged mutation: Set (del=false) or Remove (del=true) of id.
-// seq is the global enqueue sequence number, used to purge overlay
-// entries once their window commits.
-type op struct {
-	id  string
-	p   geom.Point
-	del bool
-	seq uint64
-}
-
-// tailOp is the overlay value: the latest pending op for an ID.
-type tailOp struct {
-	p   geom.Point
-	del bool
-	seq uint64
-}
-
-// collWindow is one netted window on its way through the commit body.
-type collWindow struct {
-	// ops is the window: at most one op per ID — the tape netted by
-	// last-write-wins, or a replicated window that arrived that way.
-	ops []wal.Op
-	// upTo is the enqueue sequence of the newest tape op netted into
-	// ops: pending-overlay entries up to it are superseded once the
-	// window is visible. Zero for a window that did not come off the
-	// tape, which supersedes none.
-	upTo uint64
-	// at, ins and del are planned from ops against the committed table
-	// (recycled scratch, grown to the window high-water mark): at[i] is
-	// where ops[i]'s ID was found, ins and del the index diff.
-	at       []resolved
+// plan is a window's commit scratch, recycled and grown to the window
+// high-water mark. at and ins and del are planned from the window against
+// the committed table: at[i] is the slot its i-th record's ID owns (0 when
+// it is not live), ins and del the index diff. Only commits write the table
+// and a window holds an ID once, so what planDiff resolved still holds when
+// applyTable gets there. ops is the window spelled for the journal hook,
+// filled only when one is installed.
+type plan struct {
+	at       []uint32
 	ins, del []geom.Point
-}
-
-// resolved is one op's ID looked up in the committed table before its
-// window is applied: the slot it owns (0 when it is not live) and its
-// hash. Only commits write the table and a window holds an ID once (net
-// makes it so, CommitWindow refuses one that does not), so what planDiff
-// resolved still holds when applyTable gets there.
-type resolved struct {
-	hash uint64
-	slot uint32
+	ops      []wal.Op
 }
 
 // queryScratch is one query's resolution state: the raw geometric hits
@@ -292,9 +267,8 @@ func New(idx core.Index, opts Options) *Collection {
 		name:     fmt.Sprintf("Collection(%s)", idx.Name()),
 		dims:     idx.Dims(),
 		maxBatch: opts.MaxBatch,
-		overlay:  make(map[string]tailOp),
-		netAt:    make(map[string]int),
 	}
+	c.pending, c.spare = &c.wins[0], &c.wins[1]
 	tab := newTable(c.dims, 0)
 	c.tab = &tab
 	if arraysMapped {
@@ -348,6 +322,9 @@ func New(idx core.Index, opts Options) *Collection {
 	opts.Obs.GaugeFunc("psi_collection_table_id_dead_bytes",
 		"Bytes of the committed object table's ID arena held by removed IDs until its next compaction.",
 		func() float64 { return float64(c.idDead.Load()) }, layer)
+	opts.Obs.GaugeFunc("psi_collection_pending_bytes",
+		"Bytes of heap the two pending windows hold: their records, ID bytes and indexes, at capacity.",
+		func() float64 { return float64(c.pendingBytes()) }, layer)
 	opts.Obs.CounterFunc("psi_flush_total",
 		"Flush windows applied to the index.", c.flushes.Load, layer)
 	opts.Obs.CounterFunc("psi_flush_ops_raw_total",
@@ -401,11 +378,14 @@ func (c *Collection) Close() {
 // SetJournal installs (or, with nil, removes) the durability commit
 // hook: every subsequent window calls fn under the flush lock with the
 // committed netted window — at most one op per ID — before the window
-// is applied or published. seq is 0 for a window Flush netted off the
-// tape (the journal assigns the next sequence) and the caller's
+// is applied or published. seq is 0 for a window Flush took off the
+// pending ops (the journal assigns the next sequence) and the caller's
 // sequence for a CommitWindow; wal.Log.AppendWindowAt is the intended
-// hook. The slice is reused across windows and must not be retained.
-// Load journals nothing. Hook errors are counted in
+// hook. The slice is reused across windows and must not be retained,
+// and the IDs of a flushed window are views into the window's ID arena,
+// valid only during the call: a hook that keeps one copies it
+// (AppendWindowAt encodes them, and the replication hub copies that
+// encoding). Load journals nothing. Hook errors are counted in
 // Stats.JournalErrors; see commit for why they do not abort the commit.
 func (c *Collection) SetJournal(fn func(seq uint64, ops []wal.Op) error) {
 	c.flushMu.Lock()
@@ -440,7 +420,8 @@ func (c *Collection) Dims() int { return c.dims }
 // Set enqueues a move: id is (re)located to p. The relocation becomes
 // visible to geometric queries at the flush that applies it, netted with
 // any other pending ops on the same ID; Get(id) sees it immediately. Set
-// panics if p is outside the stored range (see mustStore).
+// copies id, so a caller may reuse the bytes behind it. Set panics if p is
+// outside the stored range (see mustStore).
 func (c *Collection) Set(id string, p geom.Point) {
 	c.mustStore(p)
 	c.enqueue(id, p, false)
@@ -466,16 +447,18 @@ func (c *Collection) mustStore(p geom.Point) {
 	}
 }
 
-// Remove enqueues the removal of id. Removing an absent ID is a no-op
-// when its window flushes.
+// Remove enqueues the removal of id, which it copies, as Set does.
+// Removing an absent ID is a no-op when its window flushes.
 func (c *Collection) Remove(id string) { c.enqueue(id, geom.Point{}, true) }
 
+// enqueue adds one op to the pending window, which copies id's bytes: the
+// caller keeps id. The ID is hashed before the pending lock is taken, and
+// the window carries the hash to the commit.
 func (c *Collection) enqueue(id string, p geom.Point, del bool) {
+	h := hashID(id)
 	c.pend.Lock()
-	c.seq++
-	c.tape = append(c.tape, op{id: id, p: p, del: del, seq: c.seq})
-	c.overlay[id] = tailOp{p: p, del: del, seq: c.seq}
-	full := len(c.tape) >= c.maxBatch
+	c.pending.add(id, h, p, del)
+	full := c.pending.ops >= c.maxBatch
 	c.pend.Unlock()
 	if full {
 		c.Flush() // the caller that fills the window pays for applying it
@@ -483,23 +466,27 @@ func (c *Collection) enqueue(id string, p geom.Point, del bool) {
 }
 
 // Get returns id's position. It observes the caller's latest enqueued op
-// for id even before a flush (read-your-writes): the pending overlay is
-// consulted first, the committed table second. The overlay is purged
-// only after its window is visible to every reader, so a Get that misses
-// the overlay is guaranteed to see a committed state at least as new as
-// every purged op.
+// for id even before a flush (read-your-writes): the pending window is
+// consulted first, the window being committed second, the committed table
+// last. A committing window stops being consulted only after it is
+// visible to every reader, so a Get that misses both windows is
+// guaranteed to see a committed state at least as new as every op it
+// held.
 func (c *Collection) Get(id string) (geom.Point, bool) {
+	h := hashID(id)
 	c.pend.Lock()
-	tail, ok := c.overlay[id]
-	c.pend.Unlock()
-	if ok {
-		if tail.del {
-			return geom.Point{}, false
-		}
-		return tail.p, true
+	r := c.pending.find(id, h)
+	if r == nil && c.committing != nil {
+		r = c.committing.find(id, h)
 	}
+	if r != nil {
+		p, live := r.point(), !r.del
+		c.pend.Unlock()
+		return p, live
+	}
+	c.pend.Unlock()
 	c.cell.Acquire()
-	p, live := c.tab.get(id)
+	p, live := c.tab.get(id, h)
 	c.cell.Release()
 	return p, live
 }
@@ -519,35 +506,36 @@ func (c *Collection) Len() int {
 // flush history.
 func (c *Collection) Epoch() uint64 { return c.cell.Epoch() }
 
-// Flush nets every pending op by last-write-wins per ID, applies the
-// resulting diff to the index as one BatchDiff, and advances the object
-// table in the same commit. It returns the number of index mutations
-// applied (inserts + deletes). Flush is a synchronization barrier: on
-// return, every op enqueued before the call is visible to geometric
-// queries. The tape is swapped out under the pending lock, so concurrent
-// flushes and enqueues never double-apply or drop an op.
+// Flush applies the pending window — every pending op, netted by
+// last-write-wins per ID — to the index as one BatchDiff, and advances the
+// object table in the same commit. It returns the number of index
+// mutations applied (inserts + deletes). Flush is a synchronization
+// barrier: on return, every op enqueued before the call is visible to
+// geometric queries. The window is swapped out under the pending lock, so
+// concurrent flushes and enqueues never double-apply or drop an op.
 func (c *Collection) Flush() int {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	c.pend.Lock()
-	ops := c.tape
-	if len(ops) == 0 {
+	w := c.pending
+	if w.ops == 0 {
 		c.pend.Unlock()
 		return 0
 	}
-	c.tape, c.spare = c.spare, nil
+	c.pending, c.committing, c.spare = c.spare, w, nil
 	c.pend.Unlock()
 
 	sp, clk := c.begin()
-	cancelled := c.net(ops)
-	clk = sp.Stamp(obs.StageNet, clk)
-	applied, _ := c.commit(0, sp, clk) // a hook failure is counted; see commit
-	clear(c.netOps)
-	c.finish(sp, len(ops), applied, cancelled)
-	// Clear the tape before recycling it, so idle capacity never pins the
-	// window's ID strings.
-	clear(ops)
-	c.spare = ops[:0]
+	applied, _ := c.commit(0, w, nil, sp, clk) // a hook failure is counted; see commit
+	// Stop Get consulting the window only now that every reader sees it: a
+	// Get that misses the pending window then reads a committed state that
+	// already includes every op of this one.
+	c.pend.Lock()
+	c.committing = nil
+	c.pend.Unlock()
+	c.finish(sp, w.ops, applied, w.ops-len(w.recs))
+	w.reset()
+	c.spare = w
 	return applied
 }
 
@@ -576,35 +564,11 @@ func (c *Collection) finish(sp *obs.FlushSpan, raw, applied, cancelled int) {
 	}
 }
 
-// net is Flush's netting step: the last op per ID wins, every earlier op
-// on that ID is superseded. Identity makes this exact — no order-aware
-// matching needed. The window keeps first-appearance order, so the same
-// tape always nets to the same window.
-func (c *Collection) net(ops []op) (cancelled int) {
-	at, netted := c.netAt, c.netOps[:0]
-	for _, o := range ops {
-		w := wal.Op{ID: o.id, P: o.p, Del: o.del}
-		if i, seen := at[o.id]; seen {
-			netted[i] = w
-		} else {
-			at[o.id] = len(netted)
-			netted = append(netted, w)
-		}
-	}
-	// Clear the scratch map now it has done its work, so recycled capacity
-	// never pins the window's ID strings while the collection idles; Flush
-	// does the same for the slice.
-	clear(at)
-	c.netOps = netted
-	c.win.ops, c.win.upTo = netted, ops[len(ops)-1].seq
-	return len(ops) - len(netted)
-}
-
 // CommitWindow applies one window that is already netted — at most one
 // op per ID, the invariant of a WAL record and of a replication frame —
 // under sequence seq: the journal hook is called with seq, and its error
-// is returned. It is Flush from the netting step on (same flush lock,
-// same commit body, same counters and spans); the pending tape is
+// is returned. It is Flush from the swap on (same flush lock,
+// same commit body, same counters and spans); the pending window is
 // neither consulted nor flushed, so a follower's state advances by
 // exactly the leader's windows whatever else is going on. ops is not
 // retained.
@@ -623,38 +587,28 @@ func (c *Collection) CommitWindow(seq uint64, ops []wal.Op) (err error) {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	sp, clk := c.begin()
-	applied := 0
-	if id, repeated := c.repeatedID(ops); repeated {
-		err = fmt.Errorf("collection: window %d is not netted: it repeats ID %q", seq, id)
-	} else {
-		c.win.ops, c.win.upTo = ops, 0
-		applied, err = c.commit(seq, sp, clk)
-		c.win.ops = nil
+	// The spare window is CommitWindow's scratch: its index finds a
+	// repeated ID, and its records carry the hashes to the plan.
+	w, applied := c.spare, 0
+	for i := range ops {
+		if o := &ops[i]; w.add(o.ID, hashID(o.ID), o.P, o.Del) {
+			err = fmt.Errorf("collection: window %d is not netted: it repeats ID %q", seq, o.ID)
+			break
+		}
 	}
+	if err == nil {
+		applied, err = c.commit(seq, w, ops, sp, clk)
+	}
+	w.reset()
 	c.finish(sp, len(ops), applied, 0)
 	return err
 }
 
-// repeatedID reports an ID that ops holds more than once, if there is one
-// (the flush lock is held: netAt is the netting scratch).
-func (c *Collection) repeatedID(ops []wal.Op) (id string, repeated bool) {
-	at := c.netAt
-	for i := range ops {
-		if at[ops[i].ID] = i; len(at) <= i {
-			id, repeated = ops[i].ID, true
-			break
-		}
-	}
-	clear(at)
-	return id, repeated
-}
-
-// commit is the one commit body, run under the flush lock on c.win:
-// journal the window, plan the index diff, and commit both through the
-// cell. It returns the number of index mutations applied and the journal
-// hook's error.
-func (c *Collection) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (applied int, err error) {
-	w := &c.win
+// commit is the one commit body, run under the flush lock on a netted
+// window: journal it — as ops, or spelled from w when ops is nil — plan
+// the index diff, and commit both through the cell. It returns the number
+// of index mutations applied and the journal hook's error.
+func (c *Collection) commit(seq uint64, w *window, ops []wal.Op, sp *obs.FlushSpan, clk time.Time) (applied int, err error) {
 	// Journal the committed window before applying it (write-ahead):
 	// under the always-fsync policy a caller's Flush returns — and the
 	// service acknowledges — only after the window is on disk. A hook
@@ -663,28 +617,29 @@ func (c *Collection) commit(seq uint64, sp *obs.FlushSpan, clk time.Time) (appli
 	// decides whether to keep acknowledging or applying (it does not; see
 	// internal/service).
 	if c.journal != nil {
-		if err = c.journal(seq, w.ops); err != nil {
+		if ops == nil {
+			c.plan.ops = w.appendOps(c.plan.ops[:0])
+			ops = c.plan.ops
+		}
+		if err = c.journal(seq, ops); err != nil {
 			c.journalErrs.Add(1)
 		}
+		clear(c.plan.ops) // no view into the window outlives it
 		clk = sp.Stamp(obs.StageLog, clk)
 	}
 	// Planning counts toward the net stage.
 	nIns, nMove, nDel := c.planDiff(w)
 	clk = sp.Stamp(obs.StageNet, clk)
-	clk = c.cell.Commit(w.ins, w.del, func() { c.applyTable(w) }, sp, clk)
+	pl := &c.plan
+	clk = c.cell.Commit(pl.ins, pl.del, func() { c.applyTable(w) }, sp, clk)
 	c.noteSlots()
-	// Purge the overlay only now that every reader sees the window: a Get
-	// that misses the overlay then reads a committed state that already
-	// includes every purged op. Doing it last also leaves the overlay's
-	// buckets warm for the enqueues that follow the flush.
-	c.purgeOverlay(w)
 	sp.Stamp(obs.StageApply, clk)
 	c.inserted.Add(nIns)
 	c.moved.Add(nMove)
 	c.removed.Add(nDel)
 	// The index must not have retained the batch slices (the core.Index
 	// contract), so everything is reusable next window.
-	return len(w.ins) + len(w.del), err
+	return len(pl.ins) + len(pl.del), err
 }
 
 // Load replaces the whole committed state with entries — n of them, a
@@ -795,9 +750,7 @@ func (c *Collection) load(n int, stream func(fold func(wal.Op)) error, check fun
 	}
 	tab.relink()
 	c.pend.Lock()
-	clear(c.tape)
-	c.tape = c.tape[:0]
-	clear(c.overlay)
+	c.pending.reset()
 	c.pend.Unlock()
 	was := c.tab.live
 	c.cell.Rebuild(pts, func() {
@@ -821,77 +774,64 @@ func (c *Collection) noteSlots() {
 	c.idDead.Store(int64(c.tab.dead))
 }
 
-// planDiff resolves every op of the netted window against the table
-// (callers hold the flush lock; only flushes write it, so no reader lock
-// is needed) and turns the window into its (ins, del) index batches.
-func (c *Collection) planDiff(w *collWindow) (nIns, nMove, nDel uint64) {
-	t := c.tab
-	at, ins, del := w.at[:0], w.ins[:0], w.del[:0]
-	for i := range w.ops {
-		o := &w.ops[i]
-		slot, hash := t.lookup(o.ID)
-		at = append(at, resolved{hash: hash, slot: slot})
-		old, live := t.at(slot), slot != 0
+// planDiff resolves every record of the netted window against the table
+// by the hash it carries (callers hold the flush lock; only flushes write
+// the table, so no reader lock is needed) and turns the window into its
+// (ins, del) index batches.
+func (c *Collection) planDiff(w *window) (nIns, nMove, nDel uint64) {
+	t, pl := c.tab, &c.plan
+	at, ins, del := pl.at[:0], pl.ins[:0], pl.del[:0]
+	for i := range w.recs {
+		r := &w.recs[i]
+		slot := t.slotOf(w.id(r), r.hash)
+		at = append(at, slot)
+		old, live, p := t.at(slot), slot != 0, r.point()
 		switch {
-		case o.Del && live:
+		case r.del && live:
 			del = append(del, old)
 			nDel++
-		case o.Del:
+		case r.del:
 			// Remove of an absent ID: nothing to do.
-		case live && old == o.P:
+		case live && old == p:
 			// Same-position Set: the index is already right.
 		case live:
 			del = append(del, old)
-			ins = append(ins, o.P)
+			ins = append(ins, p)
 			nMove++
 		default:
-			ins = append(ins, o.P)
+			ins = append(ins, p)
 			nIns++
 		}
 	}
-	w.at, w.ins, w.del = at, ins, del
+	pl.at, pl.ins, pl.del = at, ins, del
 	return nIns, nMove, nDel
 }
 
 // applyTable is a window's table step, run under the cell's write lock:
-// every netted op of the planned window goes through the table, by the
-// slots planDiff resolved. A window that touches over a quarter of
-// the slots goes wholesale: its ops leave the point index alone and one
-// relink rebuilds it at the end.
-func (c *Collection) applyTable(w *collWindow) {
+// every record of the planned window goes through the table, by the slots
+// planDiff resolved. A window that touches over a quarter of the slots
+// goes wholesale: its ops leave the point index alone and one relink
+// rebuilds it at the end.
+func (c *Collection) applyTable(w *window) {
 	t := c.tab
-	wholesale := 4*len(w.ops) > t.slots()
+	wholesale := 4*len(w.recs) > t.slots()
 	t.unlinked = wholesale
-	for i := range w.ops {
-		o, at := &w.ops[i], w.at[i]
+	for i, slot := range c.plan.at {
+		r := &w.recs[i]
 		switch {
-		case at.slot == 0 && !o.Del:
-			t.insert(o.ID, at.hash, o.P)
-		case at.slot == 0:
+		case slot == 0 && !r.del:
+			t.insert(w.id(r), r.hash, r.point())
+		case slot == 0:
 			// Remove of an absent ID.
-		case o.Del:
-			t.remove(at.slot, at.hash)
+		case r.del:
+			t.remove(slot, r.hash)
 		default:
-			t.move(at.slot, o.P)
+			t.move(slot, r.point())
 		}
 	}
 	if wholesale {
 		t.relink()
 	}
-}
-
-// purgeOverlay drops overlay entries the committed window supersedes:
-// the tape ops netted into it. Ops enqueued after the tape swap carry
-// higher sequence numbers and survive.
-func (c *Collection) purgeOverlay(w *collWindow) {
-	c.pend.Lock()
-	for i := range w.ops {
-		id := w.ops[i].ID
-		if tail, ok := c.overlay[id]; ok && tail.seq <= w.upTo {
-			delete(c.overlay, id)
-		}
-	}
-	c.pend.Unlock()
 }
 
 // NearbyIDs returns the k objects nearest q (nearest first), resolved to
@@ -997,7 +937,13 @@ func resolveAppend(t *table, sc *queryScratch, dst []Entry) []Entry {
 func (c *Collection) Pending() int {
 	c.pend.Lock()
 	defer c.pend.Unlock()
-	return len(c.tape)
+	return c.pending.ops
+}
+
+// pendingBytes is what the two windows hold on the heap, read without a
+// lock.
+func (c *Collection) pendingBytes() int64 {
+	return c.wins[0].size.Load() + c.wins[1].size.Load()
 }
 
 // Stats returns a snapshot of the Collection's counters. Counters are
@@ -1024,6 +970,7 @@ func (c *Collection) Stats() Stats {
 	st.CowNodes, st.CowBytes = c.cell.Copied()
 	st.TableMappedBytes = uint64(c.mapped.Load())
 	st.TableIDBytes, st.TableIDDeadBytes = uint64(c.idBytes.Load()), uint64(c.idDead.Load())
+	st.PendingBytes = uint64(c.pendingBytes())
 	return st
 }
 

@@ -34,7 +34,11 @@ func TestCommitWindowBesideTheTape(t *testing.T) {
 			}
 			var calls []call
 			c.SetJournal(func(seq uint64, ops []wal.Op) error {
-				calls = append(calls, call{seq, slices.Clone(ops)})
+				kept := slices.Clone(ops)
+				for i := range kept {
+					kept[i].ID = strings.Clone(kept[i].ID) // a view, valid only during the call
+				}
+				calls = append(calls, call{seq, kept})
 				return nil
 			})
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -291,7 +292,7 @@ func TestTapeFlushSpanAndCounters(t *testing.T) {
 	var window []string
 	c.SetJournal(func(_ uint64, ops []wal.Op) error {
 		for _, o := range ops {
-			window = append(window, o.ID)
+			window = append(window, strings.Clone(o.ID)) // a view, valid only during the call
 		}
 		return nil
 	})

@@ -34,6 +34,7 @@ func TestJournalReceivesNettedWindow(t *testing.T) {
 			if _, dup := got[o.ID]; dup {
 				t.Errorf("journal window has duplicate ID %q", o.ID)
 			}
+			o.ID = strings.Clone(o.ID) // a view, valid only during the call
 			got[o.ID] = o
 		}
 		return nil

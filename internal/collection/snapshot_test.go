@@ -279,8 +279,10 @@ func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
 // TestStatsDuringFlushDoesNotStall holds a flush open inside the index
 // apply, in both read modes, and requires what never takes the writer
 // lock to complete meanwhile: Stats, which reports the committed counters
-// and not the held window; a Set, since the tape is the pending lock's;
-// and Pending and Get, which read the tape and its overlay. (Snapshot
+// and not the held window; a Set, since the pending window is the pending
+// lock's; and Pending and Get, which read the pending window — and Get the
+// held one too, whose ops it answers until they are published, while a
+// Set made meanwhile wins over them before and after the commit. (Snapshot
 // mode's queries are TestSnapshotReadDuringFlushDoesNotStall's; under
 // locked reads they wait the apply out, the mode's documented cost.)
 func TestStatsDuringFlushDoesNotStall(t *testing.T) {
@@ -291,9 +293,10 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 		c.Flush()
 
 		ctl.hold(1) // the next window blocks in its first apply
+		p2, p2moved := geom.Pt2(20, 20), geom.Pt2(25, 25)
 		flushed := make(chan struct{})
 		go func() {
-			c.Set("2", geom.Pt2(20, 20))
+			c.Set("2", p2)
 			c.Flush()
 			close(flushed)
 		}()
@@ -313,6 +316,13 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 			if p, ok := c.Get("3"); !ok || p != p3 {
 				t.Errorf("snapshot=%t: Get(3) during the flush = (%v, %t), want (%v, true)", snapshot, p, ok, p3)
 			}
+			if p, ok := c.Get("2"); !ok || p != p2 {
+				t.Errorf("snapshot=%t: Get(2) during the flush that holds it = (%v, %t), want (%v, true) from the committing window", snapshot, p, ok, p2)
+			}
+			c.Set("2", p2moved)
+			if p, ok := c.Get("2"); !ok || p != p2moved {
+				t.Errorf("snapshot=%t: Get(2) after a Set during its flush = (%v, %t), want (%v, true)", snapshot, p, ok, p2moved)
+			}
 		}()
 		select {
 		case <-done:
@@ -321,8 +331,14 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 		}
 		close(ctl.release)
 		<-flushed
+		if p, ok := c.Get("2"); !ok || p != p2moved {
+			t.Fatalf("snapshot=%t: Get(2) once its first window committed = (%v, %t), want the later Set's (%v, true)", snapshot, p, ok, p2moved)
+		}
 		if got := c.Len(); got != 3 {
 			t.Fatalf("snapshot=%t: Len after the flush = %d, want 3", snapshot, got)
+		}
+		if p, ok := c.Get("2"); !ok || p != p2moved {
+			t.Fatalf("snapshot=%t: Get(2) after both windows = (%v, %t), want (%v, true)", snapshot, p, ok, p2moved)
 		}
 		c.Close()
 	}

@@ -242,26 +242,31 @@ func (t *table) idHashAt(s uint32) uint64 { return hashID(t.id(s)) }
 func (t *table) ptHashAt(s uint32) uint64 { return hashPt(t.at(s), t.dims) }
 
 // lookup resolves id to its slot (0 when id is not live) and returns the
-// ID's hash, which insert and remove take so that a window hashes each ID
-// once, when it is planned.
+// ID's hash, which insert and remove take.
 func (t *table) lookup(id string) (slot uint32, hash uint64) {
 	hash = hashID(id)
+	return t.slotOf(id, hash), hash
+}
+
+// slotOf resolves id, whose hash is hash, to its slot (0 when id is not
+// live): a window hashes each ID once, when it is enqueued.
+func (t *table) slotOf(id string, hash uint64) uint32 {
 	mask := uint32(len(t.byID) - 1)
 	tag := tagOf(hash, mask)
 	for i := uint32(hash) & mask; ; i = (i + 1) & mask {
 		b := t.byID[i]
 		if b == 0 {
-			return 0, hash
+			return 0
 		}
 		if s := b & mask; b&^mask == tag && t.id(s) == id {
-			return s, hash
+			return s
 		}
 	}
 }
 
-// get returns id's position.
-func (t *table) get(id string) (geom.Point, bool) {
-	s, _ := t.lookup(id)
+// get returns id's position; hash is id's.
+func (t *table) get(id string, hash uint64) (geom.Point, bool) {
+	s := t.slotOf(id, hash)
 	return t.at(s), s != 0 // slot 0 is at the zero point
 }
 

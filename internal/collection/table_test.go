@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/wal"
 )
 
 // withTable calls fn, under the flush lock, with the committed table.
@@ -36,7 +35,7 @@ func checkTable(tb testing.TB, t *table, oracle map[string]geom.Point, ids []str
 	}
 	owners := make(map[geom.Point][]string)
 	for _, id := range ids {
-		p, ok := t.get(id)
+		p, ok := t.get(id, hashID(id))
 		want, wok := oracle[id]
 		if ok != wok || p != want {
 			tb.Fatalf("%s: get(%q) = (%v, %t), oracle (%v, %t)", where, id, p, ok, want, wok)
@@ -217,25 +216,29 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 // 62 B each for the table — the one there is, in snapshot mode too: what
 // dropping the Collection gives back to the heap while the ID strings,
 // which the caller keeps, stay (the twin indexes hold a count each), plus
-// what its table maps outside the heap. It measures 59.2 with the IDs in
-// the arena and the slot arrays mapped; 59.6 with a string header per slot,
+// what its table maps outside the heap, and what the Collection's emptied
+// pending windows keep. It measures 55.4 with flat pending windows; 59.2
+// with a Go string tape and map overlay beside the arena and the mapped
+// slot arrays; 59.6 with a string header per slot,
 // 58.5 with the arrays on the heap and int32 positions, 79.2 with
 // geom.Point ones; a table per snapshot copy measured 153, the twin Go maps
 // before that 310.
 func TestTableBytesPerObject(t *testing.T) { tableBytesPerObject(t, 2, false, 62, 0) }
 
 // TestTableBytesPerObject3D is the same guard in 3-D, where a position
-// costs 12 B instead of 8: it measures 64.6 B per object; 64.9 with a
-// string header per slot, 61.7 with the arrays on the heap.
+// costs 12 B instead of 8: it measures 60.8 B per object; 64.6 with a Go
+// string tape and map overlay, 64.9 with a string header per slot, 61.7
+// with the arrays on the heap.
 func TestTableBytesPerObject3D(t *testing.T) { tableBytesPerObject(t, 3, false, 68, 0) }
 
 // TestTableBytesPerObjectOwnedIDs is the guard where the table owns its
 // IDs, as in psid: each Set gets a fresh string that nobody else keeps, so
 // what dropping the Collection gives back includes the IDs. It bounds the
 // total, heap and mapped, and the heap part alone, which the collector's
-// goal doubles: 59.3 and 64.6 B per object in 2-D and 3-D, 19.1 of it heap
-// (the arena, 13.7), against 75.6 and 80.9, 40.3 of it heap, with a string
-// header per slot and a string per ID.
+// goal doubles: 55.4 and 60.8 B per object in 2-D and 3-D, 15.3 of it heap
+// (the arena, 13.7); 59.3 and 64.6, 19.1 of it heap, with a Go string tape
+// and map overlay; 75.6 and 80.9, 40.3 of it heap, with a string header per
+// slot and a string per ID.
 func TestTableBytesPerObjectOwnedIDs(t *testing.T) {
 	t.Run("2-D", func(t *testing.T) { tableBytesPerObject(t, 2, true, 62, 21) })
 	t.Run("3-D", func(t *testing.T) { tableBytesPerObject(t, 3, true, 68, 21) })
@@ -422,7 +425,7 @@ func BenchmarkTableResolve(b *testing.B) {
 	var sink int
 	for b.Loop() {
 		i := rng.Intn(benchN)
-		if _, ok := tab.get(ids[i]); ok {
+		if _, ok := tab.get(ids[i], hashID(ids[i])); ok {
 			sink++
 		}
 		sink += len(tab.id(tab.head(pts[i])))
@@ -449,14 +452,14 @@ func BenchmarkTableStep(b *testing.B) {
 				}
 			})
 			rng := rand.New(rand.NewSource(5))
-			w := &c.win
+			w := new(window)
 			for _, i := range rng.Perm(tc.objects)[:tc.ops] {
-				w.ops = append(w.ops, wal.Op{ID: ids[i]})
+				w.add(ids[i], hashID(ids[i]), geom.Point{}, false)
 			}
 			for b.Loop() {
 				b.StopTimer()
-				for i := range w.ops {
-					w.ops[i].P = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+				for i := range w.recs {
+					w.recs[i].set(geom.Pt2(rng.Int63n(side), rng.Int63n(side)), false)
 				}
 				c.planDiff(w)
 				b.StartTimer()

@@ -10,7 +10,8 @@ import (
 // dispatch parses and executes one command line, returning the metrics
 // slot (-1 for protocol-level rejects) and the pre-wire result. The parse
 // reuses the connection's Request (slice fields keep their capacity; its
-// strings alias line, so whatever outlives the call is cloned here) and
+// strings alias line, so whatever outlives the call is copied — cloned
+// here, or a SET or DEL's ID by the Collection's pending window) and
 // query hits land in the connection's entry scratch; result.entries then
 // aliases cs.entries and is valid until the next dispatch on the same
 // connection. cs.cost is reset and, by NEARBY and WITHIN, filled with the
@@ -44,7 +45,7 @@ func (s *Server) dispatch(line []byte, cs *connState) (int, result) {
 		if err := s.inUniverse(req.ID, p); err != nil {
 			return idx, errResultf(CodeBadRequest, "SET %v", err)
 		}
-		s.coll.Set(strings.Clone(req.ID), p) // the tape keeps the ID
+		s.coll.Set(req.ID, p) // the pending window copies the ID
 		if r := s.commitDurable(); r != nil {
 			return idx, *r
 		}
@@ -56,7 +57,7 @@ func (s *Server) dispatch(line []byte, cs *connState) (int, result) {
 		if req.ID == "" {
 			return idx, errResult(CodeBadRequest, "DEL: missing id")
 		}
-		s.coll.Remove(strings.Clone(req.ID))
+		s.coll.Remove(req.ID)
 		if r := s.commitDurable(); r != nil {
 			return idx, *r
 		}

@@ -93,6 +93,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		// The empty entry, then four one-byte IDs of two bytes each.
 		`psi_collection_table_id_bytes{layer="collection"}`:      9,
 		`psi_collection_table_id_dead_bytes{layer="collection"}`: 0,
+		// The window the four SETs grew, kept for the next ones.
+		`psi_collection_pending_bytes{layer="collection"}`: 1,
 		// Present from the start; they move only when a read arrives while a
 		// commit drains or runs its table step (collection tests hold one up).
 		`psi_collection_table_wait_total{layer="collection"}`:    0,
@@ -164,6 +166,9 @@ func TestSharedIndexAccounting(t *testing.T) {
 	}
 	if b, d := samples[`psi_collection_table_id_bytes{layer="collection"}`], samples[`psi_collection_table_id_dead_bytes{layer="collection"}`]; float64(st.TableIDBytes) != b || float64(st.TableIDDeadBytes) != d {
 		t.Fatalf("STATS table_id_bytes = %d (%d dead), /metrics has %v (%v dead)", st.TableIDBytes, st.TableIDDeadBytes, b, d)
+	}
+	if b := samples[`psi_collection_pending_bytes{layer="collection"}`]; st.PendingBytes == 0 || float64(st.PendingBytes) != b {
+		t.Fatalf("STATS pending_bytes = %d, /metrics has %v; want them equal and nonzero", st.PendingBytes, b)
 	}
 
 	// Locked reads — over a baseline — keep one index: nothing is shared,

@@ -214,10 +214,14 @@ type StatsPayload struct {
 	// TableIDBytes is the size of the slot table's ID arena on the heap —
 	// live IDs, removed ones awaiting compaction and room to append — and
 	// TableIDDeadBytes the removed IDs' share (collection.Stats).
-	TableIDBytes     uint64  `json:"table_id_bytes"`
-	TableIDDeadBytes uint64  `json:"table_id_dead_bytes"`
-	Conns            int     `json:"conns"`    // currently open client connections
-	UptimeS          float64 `json:"uptime_s"` // seconds since Start
+	TableIDBytes     uint64 `json:"table_id_bytes"`
+	TableIDDeadBytes uint64 `json:"table_id_dead_bytes"`
+	// PendingBytes is what the Collection's two pending windows hold on
+	// the heap — records, ID bytes and indexes, at the capacity they have
+	// grown to (collection.Stats).
+	PendingBytes uint64  `json:"pending_bytes"`
+	Conns        int     `json:"conns"`    // currently open client connections
+	UptimeS      float64 `json:"uptime_s"` // seconds since Start
 	// BadLines counts protocol-level rejects (unparseable or oversized
 	// lines) that never reached a command handler.
 	BadLines uint64 `json:"bad_lines"`

@@ -451,6 +451,7 @@ func (s *Server) Stats() StatsPayload {
 		TableMappedBytes: cs.TableMappedBytes,
 		TableIDBytes:     cs.TableIDBytes,
 		TableIDDeadBytes: cs.TableIDDeadBytes,
+		PendingBytes:     cs.PendingBytes,
 		Conns:            conns,
 		UptimeS:          time.Since(s.start).Seconds(),
 		BadLines:         s.met.badLines.Load(),
