@@ -35,8 +35,15 @@ import (
 // A query therefore never waits on the index apply over twins; one that
 // arrives during a drain waits for it and for the table step. Twins are
 // identical whenever no commit is in flight, and both versions live as
-// long as the cell, so steady-state commits allocate nothing. The zero
-// cell is not usable; call Init.
+// long as the cell. What a window's apply copies off the shared structure
+// displaces the originals, which only the displaced handle and its
+// readers can still reach; the drain ends those readers and the adopt
+// ends the handle's hold, so the adopt hands the originals, nodes and leaf
+// blocks, to the twins' shared spare, and the next window copies into
+// them (reclaim at adopt, internal/core adopt.go). So steady-state commits
+// allocate nothing: not the versions, not the copies (a large window's
+// forked branches still start goroutines). The zero cell is not usable;
+// call Init.
 type cell struct {
 	// wmu serializes Commit and Rebuild, and guards standby.
 	wmu sync.Mutex
@@ -149,7 +156,8 @@ func (c *cell) advance(build bool, ins, del []geom.Point, tableStep func(), sp *
 	clk = c.publish(next, tableStep, sp, clk)
 	// The displaced handle has no reader left and no way to get one: it
 	// adopts the published contents, so both agree again before the next
-	// window arrives.
+	// window arrives, and takes back for reuse what this window retired
+	// from the contents it lets go of.
 	if !prev.Index.(core.Adopter).Adopt(next.Index) {
 		// The pair adopted at Init, and for a pair the answer never changes.
 		panic("collection: " + prev.Index.Name() + " stopped adopting its twin")

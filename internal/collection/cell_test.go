@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -523,6 +524,47 @@ func TestCellQueryZeroAllocWarm(t *testing.T) {
 		warm()
 		if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
 			t.Errorf("%s: a warm read through the cell allocates %.2f/op, want 0", mode.name, allocs)
+		}
+	}
+}
+
+// TestTwinCommitZeroAllocWarm pins a warm commit over adopting twins of
+// a real tree at zero allocations: each window copies the shared paths it
+// touches into the nodes and blocks the window before it retired, which
+// came back when the displaced handle adopted. Windows of 256 moves
+// alternate over two point sets, so every commit copies and retires.
+func TestTwinCommitZeroAllocWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const side, n, moves = 1 << 20, 20000, 256
+	universe := geom.UniverseBox(2, side)
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]geom.Point, n)
+	alt := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+		alt[i] = geom.Pt2(rng.Int63n(side), rng.Int63n(side))
+	}
+	for _, idx := range []core.Index{spactree.NewSPaC(sfc.Hilbert, 2, universe), orthtree.NewDefault(2, universe)} {
+		var c cell
+		c.Init(idx)
+		c.Rebuild(pts, noStep)
+		w := 0
+		window := func() {
+			lo := w % (n / moves) * moves
+			from, to := pts, alt
+			if w/(n/moves)%2 == 1 {
+				from, to = alt, pts
+			}
+			c.Commit(to[lo:lo+moves], from[lo:lo+moves], noStep, nil, time.Time{})
+			w++
+		}
+		for range 2 * n / moves {
+			window()
+		}
+		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+			t.Errorf("%s: a warm commit of %d moves over adopting twins allocates %.2f/op, want 0", idx.Name(), moves, allocs)
 		}
 	}
 }

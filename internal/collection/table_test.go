@@ -260,7 +260,7 @@ func tableBytesPerObject(t *testing.T, dims int, owned bool, bound, heapBound fl
 			ids[i] = fmt.Sprintf("veh-%06d", i)
 		}
 	}
-	heap := heapAfterGC
+	heap := settledHeap
 	c := New(newNullTwinsIn(dims), Options{MaxBatch: 1024})
 	for i := range n {
 		p := geom.Pt2(int64(i)*3, int64(i)*5)

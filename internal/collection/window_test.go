@@ -3,7 +3,6 @@ package collection
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -60,21 +59,4 @@ func TestPendingWindowBytes(t *testing.T) {
 	if perOp > 77 {
 		t.Fatalf("pending state costs %.1f B of heap per op, want at most 77", perOp)
 	}
-}
-
-// settledHeap is heapAfterGC once what earlier tests left behind is gone:
-// a dropped Collection's cleanup runs after the collection that found it,
-// and what it held goes at the next one, so it collects until two readings
-// agree.
-func settledHeap() uint64 {
-	h := heapAfterGC()
-	for range 20 {
-		time.Sleep(time.Millisecond)
-		next := heapAfterGC()
-		if next == h {
-			break
-		}
-		h = next
-	}
-	return h
 }

@@ -15,14 +15,18 @@ import "sync"
 // or a fit, the block of a leaf that a split, a merge or a flatten
 // replaced — gives it to the tree's Recycler, and the blocks the update
 // needs next come from there before they come from the allocator. A block
-// a reader or another handle may still reach is never given back; the
-// caller, which knows whose block it is, decides. The methods below take a
-// nil Recycler, which recycles nothing: Build passes nil.
+// a reader or another handle may still reach is given back only once
+// nothing reaches it: the block of a shared leaf an update displaced
+// waits, retired with its leaf, for the other handle to adopt the updated
+// one (adopt.go). The caller, which knows whose block it is, decides. The
+// methods below take a nil Recycler, which recycles nothing: Build passes
+// nil.
 
-// Recycler is a bounded, size-classed free list of leaf blocks: a block
-// of capacity c waits in class c, for c up to maxRecycledCap, a class
-// holds at most maxRecycledPerClass blocks — so that a size the tree
-// displaces more often than it asks for does not crowd out the others —
+// Recycler is a bounded, size-classed free list of leaf blocks (and of
+// P-Orth's child arrays): a block of capacity c waits in class c, for c up
+// to maxRecycledCap, a class holds at most maxRecycledClassElems elements
+// — so that a size the tree displaces more often than it asks for, such
+// as the sizes of a fresh Build's leaves, does not crowd out the others —
 // and the blocks held total at most maxRecycledElems elements; past any
 // of these, a block goes to the garbage collector. Blocks are handed out
 // with length 0 or the length asked for and undefined contents, so E must
@@ -41,11 +45,18 @@ const (
 	// elements); only a P-Orth leaf over a region too small to split
 	// outgrows it.
 	maxRecycledCap = 256
-	// maxRecycledPerClass and maxRecycledElems bound what a Recycler
-	// holds: a batch of a few thousand moved points displaces about this
-	// many elements.
-	maxRecycledPerClass = 64
-	maxRecycledElems    = 1 << 15
+	// maxRecycledClassElems and maxRecycledElems bound what a Recycler
+	// holds — 2 MiB of 2-D points in all — sized for what one commit
+	// of a 4096-op window displaces between twins over 3·10⁵ points
+	// (≈ 6000 leaf blocks, ≈ 1.7·10⁵ elements), which comes back at the
+	// next Adopt all at once: at 2¹⁴ elements a class, such a window
+	// allocated 9 B per moved object where it allocates 1. A class of c
+	// elements holds at most 2¹⁵/c blocks: 819 at the leaf wrap φ = 40,
+	// 8192 child arrays of a 2-D P-Orth node. Much past that, a raw
+	// tree's recycler fills with the sizes its Build left and its churn
+	// never asks for again.
+	maxRecycledClassElems = 1 << 15
+	maxRecycledElems      = 1 << 18
 )
 
 // Put gives blk to r. The caller asserts that nothing else reaches it.
@@ -58,7 +69,7 @@ func (r *Recycler[E]) Put(blk []E) {
 	for len(r.free) <= c {
 		r.free = append(r.free, nil)
 	}
-	if r.held+c <= maxRecycledElems && len(r.free[c]) < maxRecycledPerClass {
+	if r.held+c <= maxRecycledElems && (len(r.free[c])+1)*c <= maxRecycledClassElems {
 		r.free[c] = append(r.free[c], blk[:0])
 		r.held += c
 		r.limit = max(r.limit, c)
@@ -160,9 +171,10 @@ type FreeList[T any] struct {
 	free []*T
 }
 
-// maxFreeList bounds a FreeList: about the nodes a batch of a few thousand
-// moved points displaces.
-const maxFreeList = 1024
+// maxFreeList bounds a FreeList: above the nodes one commit of a 4096-op
+// window displaces between twins over 3·10⁵ points, which come back at the
+// next Adopt all at once (≈ 10⁴ SPaC nodes, 96 B each in 2-D).
+const maxFreeList = 1 << 15
 
 // Get returns an object put before, or a new zero one.
 func (f *FreeList[T]) Get() *T {

@@ -56,19 +56,25 @@ func TestRecyclerGrowAndFit(t *testing.T) {
 	}
 }
 
-// Put keeps at most maxRecycledPerClass blocks of one size, no block past
-// maxRecycledCap and at most maxRecycledElems elements in all.
+// Put keeps at most maxRecycledClassElems elements of blocks of one size,
+// no block past maxRecycledCap and at most maxRecycledElems elements in
+// all.
 func TestRecyclerBounds(t *testing.T) {
 	var r Recycler[int]
-	for range maxRecycledPerClass + 5 {
-		r.Put(make([]int, 0, 8))
+	for _, c := range []int{8, 40} {
+		for range maxRecycledClassElems/c + 5 {
+			r.Put(make([]int, 0, c))
+		}
+		if got, want := len(r.free[c]), maxRecycledClassElems/c; got != want {
+			t.Fatalf("%d blocks of capacity %d held, want %d", got, c, want)
+		}
 	}
 	r.Put(make([]int, 0, maxRecycledCap+1))
-	if r.held != maxRecycledPerClass*8 {
-		t.Fatalf("%d elements held, want %d", r.held, maxRecycledPerClass*8)
+	if want := maxRecycledClassElems/8*8 + maxRecycledClassElems/40*40; r.held != want {
+		t.Fatalf("%d elements held, want %d", r.held, want)
 	}
 	for c := maxRecycledCap; c > 0; c-- {
-		for range maxRecycledPerClass {
+		for range maxRecycledClassElems/c + 1 {
 			r.Put(make([]int, 0, c))
 		}
 	}

@@ -85,7 +85,14 @@ type Index interface {
 //     for a given pair the answer never changes.
 //   - Queries may run on src and on the receiver's old contents during
 //     Adopt. Updates and other Adopt calls on either index must not: the
-//     caller serializes them, as it does updates.
+//     caller serializes them, as it does updates — the two share what their
+//     updates reuse from then on, so their updates stay serialized with
+//     each other.
+//   - Queries on the receiver's old contents must have ended before either
+//     index is next updated: Adopt may hand what src's updates displaced
+//     from those contents to the next update for reuse (reclaim at adopt,
+//     adopt.go). The version cell's drain ends them before the displaced
+//     handle adopts.
 //   - Shares(o) reports whether the two are still handles on one
 //     structure: true after Adopt until either is updated.
 //   - Copied returns the running totals of nodes, and bytes of stored

@@ -95,7 +95,7 @@ func (t *tree[S]) assemble(subs []*node[S], level, prefix, lam int, region geom.
 	if size == 0 {
 		return nil
 	}
-	nd := &node[S]{gen: t.gen, size: size, bbox: bbox, kids: kids}
+	nd := &node[S]{gen: t.Gen, size: size, bbox: bbox, kids: kids}
 	if size <= t.opts.LeafWrap || !region.Splittable(dims) {
 		return t.flatten(nd)
 	}
@@ -115,7 +115,7 @@ func (t *tree[S]) buildSmall(pts, buf []S, region geom.Box) *node[S] {
 		return t.newLeaf(pts)
 	}
 	offs := t.splitSmall(pts, buf, region)
-	nd := t.newNode(node[S]{gen: t.gen, kids: make([]*node[S], t.nway)})
+	nd := t.newNode(node[S]{gen: t.Gen, kids: t.newKids()})
 	for q := range t.nway {
 		nd.kids[q] = t.buildSmall(buf[offs[q]:offs[q+1]], pts[offs[q]:offs[q+1]], region.Child(q, dims))
 	}
@@ -129,7 +129,7 @@ func (t *tree[S]) newLeaf(pts []S) *node[S] {
 	own := t.blocks().Make(len(pts))
 	copy(own, pts)
 	return t.newNode(node[S]{
-		gen:  t.gen,
+		gen:  t.Gen,
 		size: len(own),
 		bbox: geom.PackedBounds(own),
 		pts:  own,
@@ -138,12 +138,16 @@ func (t *tree[S]) newLeaf(pts []S) *node[S] {
 
 // flatten collapses a subtree, whose root is t's own, into a single leaf
 // holding all its points: the root itself, which becomes a leaf in place.
-// Under an update the leaf's block is recycled, and so are the blocks of
-// the owned leaves it gathers from.
+// Under an update the leaf's block is recycled, the subtree below it
+// dropped and the root's child array recycled.
 func (t *tree[S]) flatten(nd *node[S]) *node[S] {
 	pts := gather(nd, t.blocks().Make(nd.size)[:0])
 	for _, c := range nd.kids {
 		t.drop(c)
+	}
+	if t.sp != nil {
+		clear(nd.kids)
+		t.sp.kids.Put(nd.kids)
 	}
 	nd.kids, nd.pts, nd.size = nil, pts, len(pts)
 	return nd

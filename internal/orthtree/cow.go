@@ -1,7 +1,6 @@
 package orthtree
 
 import (
-	"slices"
 	"unsafe"
 	"weak"
 
@@ -25,29 +24,43 @@ import (
 // and no child newer than its parent.
 //
 // What a tree owns it may also reuse: the block a leaf's grow or fit
-// leaves, and the blocks of owned leaves that a split, a flatten or an
-// emptied leaf replaces, go to the update's spare (drop), and the blocks
-// the update builds next come from there (newLeaf and the grows, through
-// core.Recycler). A leaf that overflows with few points splits on the
-// stack (buildSmall); a flattened subtree's root becomes the leaf in
-// place. With the batch's narrowed points, the sieve buffer and the
-// skeletons also kept in the spare, a steady stream of batches on a tree
-// that never adopts allocates next to nothing. Build takes no spare.
+// leaves, and the nodes, blocks and child arrays of owned nodes that a
+// split, a flatten or an emptied leaf replaces, go to the update's spare
+// (drop), and the ones the update builds next come from there (newNode,
+// newLeaf, the grows and the child arrays, through core.Recycler). A leaf
+// that overflows with few points splits on the stack (buildSmall); a
+// flattened subtree's root becomes the leaf in place. With the batch's
+// narrowed points, the sieve buffer and the skeletons also kept in the
+// spare, a steady stream of batches on a tree that never adopts allocates
+// next to nothing. Build takes no spare.
+//
+// Between adopting twins, what an update displaces of the structure the
+// two share — the original that own copies, and the shared subtrees that
+// drop replaces — is still reachable from the other handle. It is
+// retired, with its block or child array, into the spare, which the pair
+// shares, and reused only once the other handle has adopted this one
+// (reclaim at adopt, internal/core adopt.go). A node stamped before the
+// pair formed is never retired, and drop stops at it: no child is newer
+// than its parent.
 
 // own returns nd when t may write it in place, and otherwise a copy
-// stamped with t's generation, counted in Copied.
+// stamped with t's generation, counted in Copied, retiring nd.
 func (t *tree[S]) own(nd *node[S]) *node[S] {
-	if nd.gen == t.gen {
+	if t.Owns(nd.gen) {
 		return nd
 	}
-	cp := &node[S]{gen: t.gen, size: nd.size, bbox: nd.bbox, kids: slices.Clone(nd.kids)}
+	cp := t.newNode(node[S]{gen: t.Gen, size: nd.size, bbox: nd.bbox})
 	if nd.isLeaf() {
 		var s S
 		cp.pts = t.blocks().Make(len(nd.pts))
 		copy(cp.pts, nd.pts)
 		t.cowBytes.Add(uint64(len(nd.pts)) * uint64(unsafe.Sizeof(s)))
+	} else {
+		cp.kids = t.newKids()
+		copy(cp.kids, nd.kids)
 	}
 	t.cowNodes.Add(1)
+	t.retire(nd)
 	return cp
 }
 
@@ -69,6 +82,10 @@ func (t *tree[S]) NewReplica() core.Index { return New(t.opts) }
 // handle on src's, in O(1) and without allocating. It refuses — false,
 // nothing changed — unless src is a P-Orth tree over the same options.
 // Queries may run on either tree throughout; updates of either must not.
+// The nodes src's updates retired go to the spare the two share from now
+// on, when t and src are partners and t still roots what those updates
+// began from: queries on t's old contents must have ended before either
+// tree is next updated.
 func (t *tree[S]) Adopt(src core.Index) bool {
 	o, ok := unwrap[S](src)
 	if !ok || o.opts != t.opts {
@@ -77,9 +94,11 @@ func (t *tree[S]) Adopt(src core.Index) bool {
 	if o == t {
 		return true
 	}
-	t.root = o.root
-	g := max(t.gen, o.gen)
-	t.gen, o.gen = g+1, g+2
+	partners := core.Adopt(&t.Twin, &o.Twin)
+	if sp := o.spare.Value(); sp != nil {
+		sp.retired.Reclaim(o, t.root, partners, func(nd *node[S]) { sp.recycle(nd) })
+	}
+	t.root, t.spare = o.root, o.spare
 	return true
 }
 
@@ -98,15 +117,19 @@ func (t *tree[S]) Copied() (nodes, bytes uint64) {
 
 // spare is what a tree's updates reuse from one to the next: a batch's
 // narrowed points and the sieve's buffer (core.Scratch), the skeletons of
-// large batches with their sieve scratch, and the nodes and leaf blocks
-// the tree owned and displaced (core.Recycler for the blocks). Between updates
+// large batches with their sieve scratch, and the nodes, leaf blocks and
+// child arrays the tree owned and displaced (core.Recycler for the blocks
+// and arrays), or that its partner's last update retired. Between updates
 // the tree holds it weakly: the collector takes it back at its next cycle,
 // so what a tree keeps for its updates is never part of its live heap.
+// Two trees Adopt made a pair share one.
 type spare[S geom.Packed] struct {
 	ins, del, buf []S
 	skels         core.FreeList[skeleton[S]]
 	nodes         core.FreeList[node[S]]
 	blocks        core.Recycler[S]
+	kids          core.Recycler[*node[S]]
+	retired       core.Retired[tree[S], node[S]]
 }
 
 // begin hands the update about to run the tree's spare, a new one if the
@@ -117,6 +140,7 @@ func (t *tree[S]) begin() {
 		sp = new(spare[S])
 		t.spare = weak.Make(sp)
 	}
+	sp.retired.Begin(t, t.root)
 	t.sp = sp
 }
 
@@ -128,6 +152,15 @@ func (t *tree[S]) blocks() *core.Recycler[S] {
 		return nil
 	}
 	return &t.sp.blocks
+}
+
+// newKids returns an interior node's child array, of nil children: one
+// the running update recycled, or a new one.
+func (t *tree[S]) newKids() []*node[S] {
+	if t.sp == nil {
+		return make([]*node[S], t.nway)
+	}
+	return t.sp.kids.Make(t.nway)
 }
 
 // newNode returns a node holding v: one the running update recycled, or
@@ -143,21 +176,44 @@ func (t *tree[S]) newNode(v node[S]) *node[S] {
 	return nd
 }
 
-// drop gives every node of the subtree nd that t owns, with a leaf's
-// block, to the running update for reuse, for a caller that has copied
-// their points out and replaces the subtree: no reader and no other
-// handle can reach an owned node. Owned nodes hang only below owned ones,
-// so the walk stops at the first shared node.
+// drop takes every node of the subtree nd, for a caller that has copied
+// their points out and replaces the subtree, from the running update: for
+// reuse, with a leaf's block or an interior node's child array, when t
+// owns it, since no reader and no other handle can reach it; into the
+// retired record when it is shared and stamped since the pair formed, for
+// Adopt to reclaim. Owned nodes hang only below owned ones, and a node
+// stamped since the pair formed only below one too, so the walk stops at
+// the first node it would neither reuse nor retire.
 func (t *tree[S]) drop(nd *node[S]) {
-	sp := t.sp
-	if nd == nil || nd.gen != t.gen || sp == nil {
+	if nd == nil || t.sp == nil || !t.Owns(nd.gen) && !t.Retires(nd.gen) {
 		return
-	}
-	if nd.isLeaf() {
-		sp.blocks.Put(nd.pts)
 	}
 	for _, c := range nd.kids {
 		t.drop(c)
+	}
+	t.retire(nd)
+}
+
+// retire takes nd, which the running update replaced, as drop does, but
+// not its subtree.
+func (t *tree[S]) retire(nd *node[S]) {
+	switch sp := t.sp; {
+	case sp == nil:
+	case t.Owns(nd.gen):
+		sp.recycle(nd)
+	case t.Retires(nd.gen):
+		sp.retired.Add(nd)
+	}
+}
+
+// recycle gives nd, with its block or child array, to the free lists;
+// nothing else may reach it.
+func (sp *spare[S]) recycle(nd *node[S]) {
+	if nd.isLeaf() {
+		sp.blocks.Put(nd.pts)
+	} else {
+		clear(nd.kids)
+		sp.kids.Put(nd.kids)
 	}
 	*nd = node[S]{} // pins nothing while it waits
 	sp.nodes.Put(nd)

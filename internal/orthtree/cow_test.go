@@ -281,7 +281,7 @@ func TestValidateChecksStamps(t *testing.T) {
 	validateOrFail(t, tr)
 	validateOrFail(t, shadow)
 
-	in2(tr).root.gen = in2(tr).gen
+	in2(tr).root.gen = in2(tr).Gen
 	if shadow.Validate() == nil {
 		t.Fatal("a node newer than its tree passed Validate")
 	}

@@ -63,10 +63,11 @@ type tree[S geom.Packed] struct {
 	nway   int                   // 2^dims children per interior node
 	spread [][geom.MaxDims][]int // spread[λ] is grid.spread for λ levels
 	root   *node[S]
-	// gen is the generation the tree stamps on its nodes and the only one
-	// it writes in place; cowNodes and cowBytes total what updates copied
-	// on first touch, from parallel branches (cow.go).
-	gen                uint64
+	// Twin holds the generation the tree stamps on its nodes and the only
+	// one it writes in place, and the pair Adopt last made it one of;
+	// cowNodes and cowBytes total what updates copied on first touch, from
+	// parallel branches (cow.go).
+	core.Twin
 	cowNodes, cowBytes atomic.Uint64
 	// spare is what updates reuse, held between them only weakly, and sp
 	// the running update's hold on it — nil outside an update, in Build
@@ -191,24 +192,38 @@ func (t *tree[S]) deletePacked(pts []geom.Point) {
 
 // pack narrows pts into out, of their length, and panics, before the tree
 // has changed, if one of them lies outside the universe: it would silently
-// corrupt the split hierarchy.
+// corrupt the split hierarchy. A batch of one block is narrowed without a
+// closure, so it allocates nothing.
 func (t *tree[S]) pack(pts []geom.Point, out []S) []S {
-	u, dims := t.opts.Universe, t.opts.Dims
-	var outside atomic.Bool
-	parallel.Blocks(len(pts), 4096, func(lo, hi int) {
-		in := true
-		for i := lo; i < hi; i++ {
-			in = in && u.Contains(pts[i], dims)
-			out[i] = geom.Pack[S](pts[i])
-		}
-		if !in {
-			outside.Store(true)
-		}
-	})
-	if outside.Load() {
+	const grain = 4096
+	in := true
+	if len(pts) <= grain {
+		in = t.packRange(pts, out, 0, len(pts))
+	} else {
+		var outside atomic.Bool
+		parallel.Blocks(len(pts), grain, func(lo, hi int) {
+			if !t.packRange(pts, out, lo, hi) {
+				outside.Store(true)
+			}
+		})
+		in = !outside.Load()
+	}
+	if !in {
 		panic(errOutside)
 	}
 	return out
+}
+
+// packRange narrows pts[lo:hi] into out and reports whether all of them
+// lie in the universe.
+func (t *tree[S]) packRange(pts []geom.Point, out []S, lo, hi int) bool {
+	u, dims := t.opts.Universe, t.opts.Dims
+	in := true
+	for i := lo; i < hi; i++ {
+		in = in && u.Contains(pts[i], dims)
+		out[i] = geom.Pack[S](pts[i])
+	}
+	return in
 }
 
 const errOutside = "orthtree: point outside universe box"

@@ -39,6 +39,9 @@ type skeleton[S geom.Packed] struct {
 	table []int32
 	nway  int
 	sieve parallel.SieveScratch
+	// routeFn is route as a func value, made once per skeleton: a method
+	// value passed to the sieve would be made at every batch.
+	routeFn func(p S) int
 }
 
 type skelNode[S geom.Packed] struct {
@@ -70,6 +73,7 @@ func (t *tree[S]) retrieve(sk *skeleton[S], nd *node[S], region geom.Box, lam in
 		sk.slots = make([]slot[S], 0, maxSlots)
 		sk.table = make([]int32, 0, maxNodes*t.nway)
 		sk.nway = t.nway
+		sk.routeFn = sk.route
 	}
 	sk.enumerate(t, nd, region, 0, lam, -1, 0)
 }
@@ -196,25 +200,11 @@ func (t *tree[S]) insert(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	nd = t.own(nd)
 	sk := t.skeletonFor(nd, region, len(pts))
 	defer t.release(sk)
-	offsets := parallel.SieveWith(&sk.sieve, pts, buf, len(sk.slots), sk.route)
+	offsets := parallel.SieveWith(&sk.sieve, pts, buf, len(sk.slots), sk.routeFn)
 
 	// Lines 8-10: recurse into every external slot in parallel. Distinct
 	// slots write distinct child pointers, so the writes do not race.
-	rec := func(i int) {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo == hi {
-			return
-		}
-		s := &sk.slots[i]
-		s.parent.kids[s.childIdx] = t.insert(s.child, buf[lo:hi], pts[lo:hi], s.region)
-	}
-	if len(pts) >= seqCutoff {
-		parallel.ForEach(len(sk.slots), 1, rec)
-	} else {
-		for i := range sk.slots {
-			rec(i)
-		}
-	}
+	t.eachSlot(false, sk, offsets, pts, buf)
 
 	// Line 11: refresh sizes and bounding boxes of the skeleton's
 	// interior nodes, children before parents (reverse preorder).
@@ -222,6 +212,34 @@ func (t *tree[S]) insert(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 		recompute(sk.nodes[j].tn)
 	}
 	return nd
+}
+
+// eachSlot recurses — delete when del is set, else insert — into every
+// external slot of sk with the points the sieve moved to buf there
+// (offsets), on the slots in parallel when the batch is worth it. The
+// sequential case builds no closure, so a small batch allocates none.
+func (t *tree[S]) eachSlot(del bool, sk *skeleton[S], offsets []int, pts, buf []S) {
+	if len(pts) >= seqCutoff {
+		parallel.ForEach(len(sk.slots), 1, func(i int) { t.slot(del, sk, offsets, pts, buf, i) })
+		return
+	}
+	for i := range sk.slots {
+		t.slot(del, sk, offsets, pts, buf, i)
+	}
+}
+
+// slot is eachSlot's step for slot i.
+func (t *tree[S]) slot(del bool, sk *skeleton[S], offsets []int, pts, buf []S, i int) {
+	lo, hi := offsets[i], offsets[i+1]
+	if lo == hi {
+		return
+	}
+	s := &sk.slots[i]
+	if del {
+		s.parent.kids[s.childIdx] = t.delete(s.child, buf[lo:hi], pts[lo:hi], s.region)
+	} else {
+		s.parent.kids[s.childIdx] = t.insert(s.child, buf[lo:hi], pts[lo:hi], s.region)
+	}
 }
 
 // splitSmall is the depth-1 skeleton of the small-batch paths: it
@@ -285,22 +303,8 @@ func (t *tree[S]) delete(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 	nd = t.own(nd)
 	sk := t.skeletonFor(nd, region, len(pts))
 	defer t.release(sk)
-	offsets := parallel.SieveWith(&sk.sieve, pts, buf, len(sk.slots), sk.route)
-	rec := func(i int) {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo == hi {
-			return
-		}
-		s := &sk.slots[i]
-		s.parent.kids[s.childIdx] = t.delete(s.child, buf[lo:hi], pts[lo:hi], s.region)
-	}
-	if len(pts) >= seqCutoff {
-		parallel.ForEach(len(sk.slots), 1, rec)
-	} else {
-		for i := range sk.slots {
-			rec(i)
-		}
-	}
+	offsets := parallel.SieveWith(&sk.sieve, pts, buf, len(sk.slots), sk.routeFn)
+	t.eachSlot(true, sk, offsets, pts, buf)
 
 	// Collapse pass: recompute each skeleton node bottom-up; nodes that
 	// fell to zero become nil, nodes at or below the leaf wrap flatten
@@ -313,7 +317,7 @@ func (t *tree[S]) delete(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 		var repl *node[S]
 		switch {
 		case sn.tn.size == 0:
-			repl = nil
+			t.retire(sn.tn) // t's own, its children all gone
 		case sn.tn.size <= t.opts.LeafWrap:
 			repl = t.flatten(sn.tn)
 		default:
@@ -342,6 +346,7 @@ func (t *tree[S]) deleteSmall(nd *node[S], pts, buf []S, region geom.Box) *node[
 	recompute(nd)
 	switch {
 	case nd.size == 0:
+		t.retire(nd) // t's own, its children all gone
 		return nil
 	case nd.size <= t.opts.LeafWrap:
 		return t.flatten(nd)

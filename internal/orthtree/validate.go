@@ -21,7 +21,7 @@ import (
 //  6. generation stamps (cow.go): no node newer than the tree, no child
 //     newer than its parent.
 func (t *tree[S]) Validate() error {
-	_, err := t.validate(t.root, t.opts.Universe, t.gen)
+	_, err := t.validate(t.root, t.opts.Universe, t.Gen)
 	return err
 }
 

@@ -137,7 +137,10 @@ func (s *Sharded) NewReplica() core.Index { return newSharded(s.opts) }
 // handle on src's contents in O(S) without allocating. It refuses unless
 // src is a Sharded of the same shape over the same family. src is only
 // read, so its queries keep running; the caller keeps everything off the
-// receiver and updates off src (the core.Adopter contract).
+// receiver and updates off src, and ends the queries on the receiver's old
+// contents before either is next updated, since each shard's Adopt may
+// hand what src's shard displaced from them to the next update (the
+// core.Adopter contract).
 func (s *Sharded) Adopt(src core.Index) bool {
 	o, ok := src.(*Sharded)
 	if !ok || s.cow == nil || o.cow == nil || o.childName != s.childName ||

@@ -47,11 +47,40 @@ func (t *tree[S]) encodeAndSort(pts []geom.Point) []Entry[S] {
 }
 
 // encodeInto encodes pts into ents, which has their length, and sorts
-// them with buf as the sort's scratch.
+// them with buf as the sort's scratch. It panics if one of the points does
+// not fit int32 — before the tree has changed. A batch of one block is
+// encoded without a closure, so an update's batch allocates nothing here.
 func (t *tree[S]) encodeInto(pts []geom.Point, ents, buf []Entry[S]) []Entry[S] {
-	t.encodeEach(pts, func(i int) { ents[i] = t.encode(pts[i]) })
-	sortEntries(ents, buf)
+	const grain = 4096
+	ok := true
+	if len(pts) <= grain {
+		ok = t.encodeRange(pts, ents, 0, len(pts))
+	} else {
+		var bad atomic.Bool
+		parallel.Blocks(len(pts), grain, func(lo, hi int) {
+			if !t.encodeRange(pts, ents, lo, hi) {
+				bad.Store(true)
+			}
+		})
+		ok = !bad.Load()
+	}
+	if !ok {
+		panic(errUnpackable)
+	}
+	t.order.sort(ents, buf)
 	return ents
+}
+
+// encodeRange encodes pts[lo:hi] into ents and reports whether all of
+// them fit int32.
+func (t *tree[S]) encodeRange(pts []geom.Point, ents []Entry[S], lo, hi int) bool {
+	dims := t.opts.Dims
+	ok := true
+	for i := lo; i < hi; i++ {
+		ok = ok && geom.Packable(pts[i], dims)
+		ents[i] = t.encode(pts[i])
+	}
+	return ok
 }
 
 // encodeBatch is encodeAndSort for an update batch: into the running
@@ -71,24 +100,3 @@ func (t *tree[S]) encodeDeletes(pts []geom.Point) []Entry[S] {
 // errUnpackable is the panic of an update whose point does not fit the
 // stored form.
 const errUnpackable = "spactree: point coordinate outside int32"
-
-// encodeEach runs f on the index of every point of pts, in parallel
-// blocks, then panics if one of the points does not fit int32 — before
-// the tree has changed.
-func (t *tree[S]) encodeEach(pts []geom.Point, f func(i int)) {
-	dims := t.opts.Dims
-	var bad atomic.Bool
-	parallel.Blocks(len(pts), 4096, func(lo, hi int) {
-		ok := true
-		for i := lo; i < hi; i++ {
-			ok = ok && geom.Packable(pts[i], dims)
-			f(i)
-		}
-		if !ok {
-			bad.Store(true)
-		}
-	})
-	if bad.Load() {
-		panic(errUnpackable)
-	}
-}

@@ -38,19 +38,25 @@ import (
 // trees handles on one structure and moves both to generations above every
 // stamp either can reach, so neither owns a node the other can see: each
 // copies the paths it touches, once, and shares the rest. What a window
-// displaces is shared with the other handle, so it is not recycled: the
-// garbage collector reclaims it when the last handle or pinned reader lets
-// go of it.
+// displaces there — the shared nodes free and drop see, drop walking into
+// shared subtrees too, the shared leaves absorb and deleteFromLeaf copy,
+// the shared interior node joinInto copies — is still reachable from the
+// other handle, so it is not reused: it is retired, leaf block and all,
+// into the spare, which the pair shares. When the other handle adopts this
+// one, nothing reaches those nodes any more, and Adopt hands them to the
+// spare's free lists for the next window (reclaim at adopt, internal/core
+// adopt.go, which also says when Adopt leaves them to the collector).
 //
 // Stamps only ever compare against the tree that is writing, so there is no
-// global counter: after Adopt the pair sits at max+1 and max+2 of their old
-// generations. Two invariants follow and Validate checks both — no node is
-// newer than the tree that reaches it, and no child is newer than its
-// parent — and the second is what lets an update return a shared interior
-// node untouched when both recursions handed back the children it has.
+// global counter of them: after Adopt the pair sits at max+1 and max+2 of
+// their old generations. Two invariants follow and Validate checks both —
+// no node is newer than the tree that reaches it, and no child is newer
+// than its parent — and the second is what lets an update return a shared
+// interior node untouched when both recursions handed back the children it
+// has, and what stops drop at the first node stamped before the pair.
 
 // owns reports whether t may write nd in place.
-func (t *tree[S]) owns(nd *node[S]) bool { return nd.gen == t.gen }
+func (t *tree[S]) owns(nd *node[S]) bool { return t.Owns(nd.gen) }
 
 // unwrap returns the tree[S] behind idx, when idx is a Tree storing S.
 func unwrap[S geom.Packed](idx core.Index) (*tree[S], bool) {
@@ -70,7 +76,10 @@ func (t *tree[S]) NewReplica() core.Index { return New(t.curve, t.mode, t.opts) 
 // handle on src's, in O(1) and without allocating. It refuses — false,
 // nothing changed — unless src is a Tree over the same curve, mode and
 // options. Queries may run on either tree throughout; updates of either
-// must not.
+// must not. The nodes src's updates retired go to the spare the two share
+// from now on, when t and src are partners and t still roots what those
+// updates began from: queries on t's old contents must have ended before
+// either tree is next updated.
 func (t *tree[S]) Adopt(src core.Index) bool {
 	o, ok := unwrap[S](src)
 	if !ok || o.curve != t.curve || o.mode != t.mode || o.opts != t.opts {
@@ -79,9 +88,11 @@ func (t *tree[S]) Adopt(src core.Index) bool {
 	if o == t {
 		return true
 	}
-	t.root = o.root
-	g := max(t.gen, o.gen)
-	t.gen, o.gen = g+1, g+2
+	partners := core.Adopt(&t.Twin, &o.Twin)
+	if sp := o.spare.Value(); sp != nil {
+		sp.retired.Reclaim(o, t.root, partners, func(nd *node[S]) { sp.recycle(nd) })
+	}
+	t.root, t.spare = o.root, o.spare
 	return true
 }
 
@@ -149,14 +160,16 @@ func (t *tree[S]) forked(del bool, ln *node[S], lb []Entry[S], rn *node[S], rb [
 
 // spare is what a tree's updates reuse from one to the next: a batch's
 // entries and their sort buffer (core.Scratch), and the nodes and leaf
-// blocks the tree owned and displaced (core.Recycler for the blocks).
-// Between updates the tree holds it weakly: the collector takes it back at
-// its next cycle, so what a tree keeps for its updates is never part of
-// its live heap.
+// blocks the tree owned and displaced (core.Recycler for the blocks), or
+// that its partner's last update retired. Between updates the tree holds
+// it weakly: the collector takes it back at its next cycle, so what a tree
+// keeps for its updates is never part of its live heap. Two trees Adopt
+// made a pair share one.
 type spare[S geom.Packed] struct {
 	ins, del, sort []Entry[S]
 	blocks         core.Recycler[S]
 	nodes          core.FreeList[node[S]]
+	retired        core.Retired[tree[S], node[S]]
 }
 
 // begin hands the update about to run the tree's spare, a new one if the
@@ -167,6 +180,7 @@ func (t *tree[S]) begin() {
 		sp = new(spare[S])
 		t.spare = weak.Make(sp)
 	}
+	sp.retired.Begin(t, t.root)
 	t.sp = sp
 }
 
@@ -193,14 +207,24 @@ func (t *tree[S]) newNode(v node[S]) *node[S] {
 	return nd
 }
 
-// free gives nd — a node the caller has read and replaces — to the
-// running update for reuse, with a leaf's block, when t owns it: no
-// reader and no other handle can reach it.
+// free takes nd — a node the caller has read and replaces — from the
+// running update: for reuse, with a leaf's block, when t owns it, since no
+// reader and no other handle can reach it; into the retired record when it
+// is shared and stamped since the pair formed, for Adopt to reclaim.
 func (t *tree[S]) free(nd *node[S]) {
 	sp := t.sp
-	if nd == nil || sp == nil || !t.owns(nd) {
-		return
+	switch {
+	case nd == nil || sp == nil:
+	case t.owns(nd):
+		sp.recycle(nd)
+	case t.Retires(nd.gen):
+		sp.retired.Add(nd)
 	}
+}
+
+// recycle gives nd, with a leaf's block, to the free lists; nothing else
+// may reach it.
+func (sp *spare[S]) recycle(nd *node[S]) {
 	if nd.isLeaf() {
 		sp.blocks.Put(nd.pts)
 	}
@@ -208,11 +232,12 @@ func (t *tree[S]) free(nd *node[S]) {
 	sp.nodes.Put(nd)
 }
 
-// drop frees every node of the subtree nd that t owns, for a caller that
-// has copied its entries out and replaces it. Owned nodes hang only below
-// owned ones, so the walk stops at the first shared node.
+// drop frees every node of the subtree nd, for a caller that has copied
+// its entries out and replaces it. Owned nodes hang only below owned
+// ones, and a node stamped since the pair formed only below one too, so
+// the walk stops at the first node free would neither recycle nor retire.
 func (t *tree[S]) drop(nd *node[S]) {
-	if nd == nil || t.sp == nil || !t.owns(nd) {
+	if nd == nil || t.sp == nil || !t.owns(nd) && !t.Retires(nd.gen) {
 		return
 	}
 	if !nd.isLeaf() {

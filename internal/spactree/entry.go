@@ -70,16 +70,26 @@ func cmpEntry[S geom.Packed](a, b Entry[S]) int {
 	return geom.ComparePacked(a.P, b.P)
 }
 
-// sortEntries sorts ents into the tree's total order: by code with the
-// keyed sort, by coordinates only among entries of one code, with buf as
+// order sorts entries into the tree's total order: by code with the keyed
+// sort, by coordinates only among entries of one code, with a buffer as
 // the sort's scratch when it is long enough (parallel.SortByKeyWith).
-// Builds and batches sort through here; a leaf-sized run in scratch sorts
-// with sortLeaf, which keeps the scratch on the stack.
-func sortEntries[S geom.Packed](ents, buf []Entry[S]) {
-	parallel.SortByKeyWith(ents, buf, func(e Entry[S]) uint64 { return e.Code }, func(a, b Entry[S]) int {
-		return geom.ComparePacked(a.P, b.P)
-	})
+// Builds and batches sort with their tree's; a leaf-sized run in scratch
+// sorts with sortLeaf, which keeps the scratch on the stack. Its key and
+// tie are made once per tree: a func literal in a generic function is
+// built, with its dictionary, at every call.
+type order[S geom.Packed] struct {
+	code func(Entry[S]) uint64
+	tie  func(a, b Entry[S]) int
 }
+
+func newOrder[S geom.Packed]() order[S] {
+	return order[S]{
+		code: func(e Entry[S]) uint64 { return e.Code },
+		tie:  func(a, b Entry[S]) int { return geom.ComparePacked(a.P, b.P) },
+	}
+}
+
+func (o order[S]) sort(ents, buf []Entry[S]) { parallel.SortByKeyWith(ents, buf, o.code, o.tie) }
 
 // encode computes the entry for a point under the tree's curve, narrowing
 // the point to its stored form.

@@ -47,7 +47,7 @@ func (t *tree[S]) buildSortedPairs(pts []geom.Point, pairs []pair) *node[S] {
 		for i, pr := range pairs {
 			blk[i] = geom.Pack[S](pts[pr.id])
 		}
-		return &node[S]{size: n, gen: t.gen, bbox: geom.PackedBounds(blk), pts: blk, sorted: true}
+		return &node[S]{size: n, gen: t.Gen, bbox: geom.PackedBounds(blk), pts: blk, sorted: true}
 	}
 	m := n / 2
 	k := Entry[S]{Code: pairs[m].code, P: geom.Pack[S](pts[pairs[m].id])}

@@ -78,7 +78,7 @@ func (t *tree[S]) newLeaf(ents []Entry[S], isSorted bool) *node[S] {
 			codes[i] = codeSlot[S](ents[i].Code)
 		}
 	}
-	return t.newNode(node[S]{size: n, gen: t.gen, bbox: bbox, pts: blk, sorted: isSorted})
+	return t.newNode(node[S]{size: n, gen: t.Gen, bbox: bbox, pts: blk, sorted: isSorted})
 }
 
 // blockLen is the length of a fitted block for a leaf of n points.
@@ -130,7 +130,7 @@ func (t *tree[S]) interiorBBox(l *node[S], k Entry[S], r *node[S]) geom.PackedBo
 func (t *tree[S]) rawNode(l *node[S], k Entry[S], r *node[S]) *node[S] {
 	return t.newNode(node[S]{
 		size:  sizeOf(l) + sizeOf(r) + 1,
-		gen:   t.gen,
+		gen:   t.Gen,
 		bbox:  t.interiorBBox(l, k, r),
 		pivot: k,
 		left:  l,
@@ -186,9 +186,9 @@ func (t *tree[S]) mkNode(l *node[S], k Entry[S], r *node[S]) *node[S] {
 const leafScratch = 40
 
 // sortLeaf sorts a leaf-sized run of entries into the tree's total order,
-// as sortEntries does but without moving ents to the heap: with the short
-// keyed sort, or the comparator sort past its length (a leaf wrap above
-// the paper's).
+// as the tree's order does but without moving ents to the heap: with the
+// short keyed sort, or the comparator sort past its length (a leaf wrap
+// above the paper's).
 func sortLeaf[S geom.Packed](ents []Entry[S]) {
 	if len(ents) > parallel.ShortSortLen {
 		slices.SortFunc(ents, cmpEntry[S])

@@ -50,7 +50,7 @@ func TestSortEntriesMatchesComparatorSort(t *testing.T) {
 			check := func(label string, ents []Entry[[2]int32]) {
 				want := slices.Clone(ents)
 				slices.SortFunc(want, cmpEntry[[2]int32])
-				sortEntries(ents, nil)
+				in2(tr).order.sort(ents, nil)
 				if !slices.Equal(ents, want) {
 					t.Fatalf("%s/%s n=%d: keyed sort differs from slices.SortFunc(cmpEntry[[2]int32])", name, label, n)
 				}

@@ -46,10 +46,12 @@ type tree[S geom.Packed] struct {
 	opts  core.Options
 	curve sfc.Curve
 	mode  Mode
+	order order[S] // how batches and Build sort their entries
 	root  *node[S]
-	// gen is the generation the tree stamps on the nodes it creates and
-	// the only one whose nodes it writes in place (cow.go).
-	gen uint64
+	// Twin holds the generation the tree stamps on the nodes it creates
+	// and the only one whose nodes it writes in place, and the pair Adopt
+	// last made it one of (cow.go).
+	core.Twin
 	// cowNodes and cowBytes total what updates copied on first touch;
 	// atomics only because a metrics scrape may read them mid-update.
 	cowNodes, cowBytes atomic.Uint64
@@ -67,9 +69,9 @@ func New(curve sfc.Curve, mode Mode, opts core.Options) *Tree {
 	opts.Validate()
 	opts.RequireUniverse("spactree", 0, sfc.MaxCoord(curve, opts.Dims))
 	if opts.Dims == 2 {
-		return &Tree{&tree[[2]int32]{opts: opts, curve: curve, mode: mode}}
+		return &Tree{&tree[[2]int32]{opts: opts, curve: curve, mode: mode, order: newOrder[[2]int32]()}}
 	}
-	return &Tree{&tree[[3]int32]{opts: opts, curve: curve, mode: mode}}
+	return &Tree{&tree[[3]int32]{opts: opts, curve: curve, mode: mode, order: newOrder[[3]int32]()}}
 }
 
 // NewSPaC returns a SPaC-tree with the paper's parameters (§C: leaf wrap

@@ -72,7 +72,8 @@ func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 // redistributes only a pair out of balance — so the existing interior
 // node is kept rather than reallocated: updated in place when the tree
 // owns it, copied once when it is shared (the copy is owned for the rest
-// of the generation, and counted), and returned as it is when it is shared
+// of the generation, and counted; the original retired), and returned as
+// it is when it is shared
 // and both recursions came back with the children it already has: no
 // child is newer than its parent, so those were not written either. Only
 // the rebalancing path pays for fresh nodes; the trees are identical.
@@ -84,7 +85,9 @@ func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
 					return nd
 				}
 				c.nodes++
-				return t.rawNode(l, nd.pivot, r)
+				k := nd.pivot
+				t.free(nd)
+				return t.rawNode(l, k, r)
 			}
 			nd.left, nd.right = l, r
 			nd.size = n
@@ -98,7 +101,8 @@ func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
 }
 
 // absorb appends a batch to a PartialOrder leaf's block and marks the
-// leaf unsorted; a shared leaf's points move to a block of its own first.
+// leaf unsorted; a shared leaf's points move to a block of its own first,
+// and the leaf is retired.
 func (t *tree[S]) absorb(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	bbox := nd.bbox
 	pts := nd.pts
@@ -106,7 +110,8 @@ func (t *tree[S]) absorb(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	if !mine {
 		copied(c, pts)
 		pts = slices.Clip(pts)
-		nd = t.newNode(node[S]{gen: t.gen})
+		t.free(nd)
+		nd = t.newNode(node[S]{gen: t.Gen})
 	}
 	pts = t.blocks().Grow(pts, len(batch), t.opts.LeafWrap, mine)
 	for _, e := range batch {
@@ -138,7 +143,7 @@ func (t *tree[S]) mergeLeaf(nd *node[S], batch []Entry[S]) *node[S] {
 		}
 	}
 	t.free(nd)
-	return t.newNode(node[S]{size: n, gen: t.gen, bbox: bbox, pts: blk, sorted: true})
+	return t.newNode(node[S]{size: n, gen: t.Gen, bbox: bbox, pts: blk, sorted: true})
 }
 
 // mergeSorted appends to out the merge of two entry slices sorted by
@@ -234,17 +239,18 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 		if len(pts) == nd.size {
 			return nd
 		}
-		// pts is t's own now: the leaf's block or the copy.
+		// pts is t's own now: the leaf's block or the copy. A shared leaf
+		// is retired (free).
 		if len(pts) == 0 {
-			if t.owns(nd) {
-				t.free(nd)
-			} else {
+			if !t.owns(nd) {
 				t.blocks().Put(pts)
 			}
+			t.free(nd)
 			return nil
 		}
 		if !t.owns(nd) {
-			nd = t.newNode(node[S]{gen: t.gen})
+			t.free(nd)
+			nd = t.newNode(node[S]{gen: t.Gen})
 		}
 		nd.pts = t.blocks().Fit(pts, true) // pts may be recycled now
 		nd.size = len(nd.pts)
@@ -283,7 +289,7 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 	}
 	copy(blk[n:], blk[m:m+n])
 	blk = t.blocks().Fit(blk[:2*n], true)
-	return t.newNode(node[S]{size: n, gen: t.gen, bbox: geom.PackedBounds(blk[:n]), pts: blk, sorted: true})
+	return t.newNode(node[S]{size: n, gen: t.Gen, bbox: geom.PackedBounds(blk[:n]), pts: blk, sorted: true})
 }
 
 // LeafStats reports how many leaves exist and how many are currently

@@ -22,7 +22,7 @@ import (
 //  7. stored codes — every pivot's, and a CPAM leaf's — are the codes of
 //     their points.
 func (t *tree[S]) Validate() error {
-	_, _, _, err := t.validate(t.root, t.gen)
+	_, _, _, err := t.validate(t.root, t.Gen)
 	return err
 }
 
