@@ -143,7 +143,7 @@ func TestSteadyFlushAllocation(t *testing.T) {
 			}
 			col.Flush()
 		}
-		// A collection takes back the twins' spare, to be refilled by the
+		// A collection takes back the twins' pool, to be refilled by the
 		// windows after it: one now, with the heap far below its next
 		// goal, keeps one out of the windows measured.
 		runtime.GC()

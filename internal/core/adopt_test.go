@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Adopt moves a pair above every stamp either can reach, and a pair stays
 // one across its own Adopts — its floor with it — until a third handle
@@ -30,52 +33,101 @@ func TestTwinPairs(t *testing.T) {
 	}
 }
 
-// Reclaim hands the retired nodes on only when the Adopt is the partner's,
-// the source alone retired them, and the receiver roots what the source's
-// updates began from; in every case it ends the record.
-func TestRetiredReclaim(t *testing.T) {
-	type tree struct{ _ int }
-	type node struct{ v int }
-	src, other := new(tree), new(tree)
+// Free recycles an owned node at once and retires a shared one stamped
+// above the pair's floor, which the partner's Adopt reclaims only when the
+// partner still roots what the retiring updates began from and they alone
+// retired; a node at or below the floor, or one freed outside an update,
+// stays where it is; a pool the collector took is replaced at the next
+// Begin.
+func TestHandleFree(t *testing.T) {
+	type node struct {
+		gen uint64
+		blk []int
+	}
+	type H = Handle[node, int, struct{}]
 	root, elsewhere := new(node), new(node)
+	own := func(b *H) uint64 { return b.Gen }
+	shared := func(b *H) uint64 { return b.Gen - 1 } // the partner's
+	floor := func(b *H) uint64 { return b.floor }
+	partner := func(a, b, _ *H) (*H, *H) { return a, b }
 	for _, c := range []struct {
-		name     string
-		second   *tree // begins an update after src's, when set
-		source   *tree
-		root     *node
-		partners bool
-		want     int
+		name         string
+		gen          func(b *H) uint64 // the stamp of the node b frees
+		build        bool              // b frees it outside an update, as Build does
+		first, after bool              // a begins an update before b's, or after
+		adopt        func(a, b, c *H) (receiver, source *H)
+		root         *node // the receiver's contents at the adopt
+		recycled     bool  // by Free
+		retired      bool
+		reclaimed    bool // by the adopt
 	}{
-		{"the partner's adopt", nil, src, root, true, 2},
-		{"not partners", nil, src, root, false, 0},
-		{"another source", nil, other, root, true, 0},
-		{"another root", nil, src, elsewhere, true, 0},
-		{"two handles retired", other, src, root, true, 0},
+		{name: "owned", gen: own, adopt: partner, root: root, recycled: true},
+		{name: "the partner's adopt", gen: shared, adopt: partner, root: root, retired: true, reclaimed: true},
+		{name: "at the floor", gen: floor, adopt: partner, root: root},
+		{name: "outside an update", gen: shared, build: true, adopt: partner, root: root},
+		{name: "not partners", gen: shared, adopt: func(_, b, c *H) (*H, *H) { return c, b }, root: root, retired: true},
+		{name: "another source", gen: shared, adopt: func(a, b, _ *H) (*H, *H) { return b, a }, root: root, retired: true},
+		{name: "another root", gen: shared, adopt: partner, root: elsewhere, retired: true},
+		{name: "two handles retired", gen: shared, after: true, adopt: partner, root: root, retired: true},
+		{name: "after an update that retired nothing", gen: shared, first: true, adopt: partner, root: root, retired: true, reclaimed: true},
 	} {
-		var r Retired[tree, node]
-		r.Begin(src, root)
-		r.Add(&node{1})
-		r.Add(&node{2})
-		if c.second != nil {
-			r.Begin(c.second, elsewhere)
+		var a, b, third H
+		a.Gen = 5
+		b.Begin(nil)
+		pool := b.Pool() // held until the case ends, so the collector leaves it
+		b.End()
+		a.Adopt(&b, nil, nil) // a pair with floor 5, at 6 and 7, sharing pool
+		gave := 0
+		give := func(p *Pool[node, int, struct{}], nd *node) { p.Blocks.Put(nd.blk); gave++ }
+		nd := &node{gen: c.gen(&b), blk: make([]int, 0, 8)}
+		if c.first {
+			a.Begin(elsewhere)
+			a.End()
 		}
-		got := 0
-		r.Reclaim(c.source, c.root, c.partners, func(*node) { got++ })
-		if got != c.want {
-			t.Errorf("%s: %d nodes reclaimed, want %d", c.name, got, c.want)
+		if !c.build {
+			b.Begin(root)
 		}
-		if !r.empty() || r.by != nil || r.from != nil || r.mixed {
+		b.Free(nd, nd.gen, give)
+		if reused := b.NewNode(node{}) == nd; gave == 1 != c.recycled || reused != c.recycled {
+			t.Errorf("%s: recycled %v, reused at once %v, want %v", c.name, gave == 1, reused, c.recycled)
+		}
+		if pool.retired.empty() == c.retired {
+			t.Errorf("%s: retired %v, want %v", c.name, !c.retired, c.retired)
+		}
+		b.End()
+		if c.after {
+			a.Begin(elsewhere)
+			a.End()
+		}
+		gave = 0
+		r, s := c.adopt(&a, &b, &third)
+		r.Adopt(s, c.root, give)
+		if gave == 1 != c.reclaimed {
+			t.Errorf("%s: reclaimed %v, want %v", c.name, gave == 1, c.reclaimed)
+		}
+		if !pool.retired.empty() {
 			t.Errorf("%s: the record outlived the Adopt", c.name)
 		}
+		r.Begin(root)
+		if reused := r.NewNode(node{}) == nd; reused != c.reclaimed {
+			t.Errorf("%s: reused after the adopt %v, want %v", c.name, reused, c.reclaimed)
+		}
+		r.End()
+		runtime.KeepAlive(pool)
 	}
-	// A handle whose updates retired nothing hands the record over whole.
-	var r Retired[tree, node]
-	r.Begin(other, elsewhere)
-	r.Begin(src, root)
-	r.Add(&node{3})
-	got := 0
-	r.Reclaim(src, root, true, func(*node) { got++ })
-	if got != 1 {
-		t.Fatalf("after an update that retired nothing: %d reclaimed, want 1", got)
+
+	var h H
+	h.Begin(root)
+	nd := h.NewNode(node{gen: h.Gen})
+	h.Free(nd, nd.gen, func(*Pool[node, int, struct{}], *node) {})
+	h.End()
+	runtime.GC()
+	if h.pool.Value() != nil {
+		t.Fatal("the pool outlived a collection with no update running")
 	}
+	h.Begin(root)
+	if h.Pool() == nil || h.NewNode(node{}) == nd {
+		t.Fatal("Begin after a collection did not start a fresh pool")
+	}
+	h.End()
 }

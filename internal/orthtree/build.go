@@ -115,7 +115,7 @@ func (t *tree[S]) buildSmall(pts, buf []S, region geom.Box) *node[S] {
 		return t.newLeaf(pts)
 	}
 	offs := t.splitSmall(pts, buf, region)
-	nd := t.newNode(node[S]{gen: t.Gen, kids: t.newKids()})
+	nd := t.NewNode(node[S]{gen: t.Gen, kids: t.newKids()})
 	for q := range t.nway {
 		nd.kids[q] = t.buildSmall(buf[offs[q]:offs[q+1]], pts[offs[q]:offs[q+1]], region.Child(q, dims))
 	}
@@ -126,9 +126,9 @@ func (t *tree[S]) buildSmall(pts, buf []S, region geom.Box) *node[S] {
 // newLeaf copies pts into an owned leaf node, its block recycled in an
 // update.
 func (t *tree[S]) newLeaf(pts []S) *node[S] {
-	own := t.blocks().Make(len(pts))
+	own := t.Blocks().Make(len(pts))
 	copy(own, pts)
-	return t.newNode(node[S]{
+	return t.NewNode(node[S]{
 		gen:  t.Gen,
 		size: len(own),
 		bbox: geom.PackedBounds(own),
@@ -141,13 +141,13 @@ func (t *tree[S]) newLeaf(pts []S) *node[S] {
 // Under an update the leaf's block is recycled, the subtree below it
 // dropped and the root's child array recycled.
 func (t *tree[S]) flatten(nd *node[S]) *node[S] {
-	pts := gather(nd, t.blocks().Make(nd.size)[:0])
+	pts := gather(nd, t.Blocks().Make(nd.size)[:0])
 	for _, c := range nd.kids {
 		t.drop(c)
 	}
-	if t.sp != nil {
+	if p := t.Pool(); p != nil {
 		clear(nd.kids)
-		t.sp.kids.Put(nd.kids)
+		p.X.kids.Put(nd.kids)
 	}
 	nd.kids, nd.pts, nd.size = nil, pts, len(pts)
 	return nd

@@ -27,7 +27,6 @@ package orthtree
 import (
 	"math"
 	"sync/atomic"
-	"weak"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -63,17 +62,10 @@ type tree[S geom.Packed] struct {
 	nway   int                   // 2^dims children per interior node
 	spread [][geom.MaxDims][]int // spread[λ] is grid.spread for λ levels
 	root   *node[S]
-	// Twin holds the generation the tree stamps on its nodes and the only
-	// one it writes in place, and the pair Adopt last made it one of;
-	// cowNodes and cowBytes total what updates copied on first touch, from
-	// parallel branches (cow.go).
-	core.Twin
-	cowNodes, cowBytes atomic.Uint64
-	// spare is what updates reuse, held between them only weakly, and sp
-	// the running update's hold on it — nil outside an update, in Build
-	// too (cow.go).
-	spare weak.Pointer[spare[S]]
-	sp    *spare[S]
+	// Handle holds the generation the tree stamps on its nodes and the
+	// only one it writes in place, what its updates copied, and the pool
+	// they reuse (cow.go).
+	core.Handle[node[S], S, scratch[S]]
 }
 
 // node is either a leaf (kids == nil, points in pts) or an interior node
@@ -82,8 +74,8 @@ type tree[S geom.Packed] struct {
 // bounding box of the subtree's points — queries prune on it, while the
 // *region* (the orthant assigned by the split hierarchy) is recomputed on
 // the way down during structural operations and never stored. A leaf's
-// points sit in a block of its own, sized as core.GrowBlock and
-// core.FitBlock say.
+// points sit in a block of its own, sized as core.Recycler's Grow and Fit
+// say.
 type node[S geom.Packed] struct {
 	gen  uint64
 	size int
@@ -156,15 +148,15 @@ func (t *tree[S]) Build(pts []geom.Point) {
 // BatchInsert implements core.Index (Alg. 2). The input slice is not
 // modified.
 func (t *tree[S]) BatchInsert(pts []geom.Point) {
-	t.begin()
-	defer t.end()
-	t.insertPacked(t.pack(pts, core.Scratch(&t.sp.ins, len(pts))))
+	t.Begin(t.root)
+	defer t.End()
+	t.insertPacked(t.pack(pts, core.Scratch(&t.Pool().X.ins, len(pts))))
 }
 
 // insertPacked inserts a narrowed batch, in an update begin started.
 func (t *tree[S]) insertPacked(work []S) {
 	if len(work) > 0 {
-		t.root = t.insert(t.root, work, core.Scratch(&t.sp.buf, len(work)), t.opts.Universe)
+		t.root = t.insert(t.root, work, core.Scratch(&t.Pool().X.buf, len(work)), t.opts.Universe)
 	}
 }
 
@@ -175,8 +167,8 @@ func (t *tree[S]) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
-	t.begin()
-	defer t.end()
+	t.Begin(t.root)
+	defer t.End()
 	t.deletePacked(pts)
 }
 
@@ -184,9 +176,9 @@ func (t *tree[S]) BatchDelete(pts []geom.Point) {
 func (t *tree[S]) deletePacked(pts []geom.Point) {
 	u, dims := t.opts.Universe, t.opts.Dims
 	pts = geom.Keep(pts, func(p geom.Point) bool { return u.Contains(p, dims) })
-	work := t.pack(pts, core.Scratch(&t.sp.del, len(pts)))
+	work := t.pack(pts, core.Scratch(&t.Pool().X.del, len(pts)))
 	if len(work) > 0 {
-		t.root = t.delete(t.root, work, core.Scratch(&t.sp.buf, len(work)), u)
+		t.root = t.delete(t.root, work, core.Scratch(&t.Pool().X.buf, len(work)), u)
 	}
 }
 
@@ -237,9 +229,9 @@ const seqCutoff = 2048
 // either applies. History independence makes the two-pass form
 // canonical — the result is identical to any fused application.
 func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
-	t.begin()
-	defer t.end()
-	work := t.pack(ins, core.Scratch(&t.sp.ins, len(ins)))
+	t.Begin(t.root)
+	defer t.End()
+	work := t.pack(ins, core.Scratch(&t.Pool().X.ins, len(ins)))
 	if len(del) > 0 && t.root != nil {
 		t.deletePacked(del)
 	}

@@ -81,7 +81,7 @@ func (t *tree[S]) retrieve(sk *skeleton[S], nd *node[S], region geom.Box, lam in
 // skeletonFor retrieves the update skeleton with a depth adapted to the
 // batch size (same canonicalization argument as effLambda: depth choice
 // affects only the fan-out of one sieve round, never the final structure).
-// It comes from the update's spare when that holds one, and release hands
+// It comes from the update's pool when that holds one, and release hands
 // it back.
 func (t *tree[S]) skeletonFor(nd *node[S], region geom.Box, batch int) *skeleton[S] {
 	lam := t.opts.SkeletonLevels
@@ -89,8 +89,8 @@ func (t *tree[S]) skeletonFor(nd *node[S], region geom.Box, batch int) *skeleton
 		lam--
 	}
 	var sk *skeleton[S]
-	if t.sp != nil {
-		sk = t.sp.skels.Get()
+	if p := t.Pool(); p != nil {
+		sk = p.X.skels.Get()
 	} else {
 		sk = new(skeleton[S])
 	}
@@ -100,7 +100,7 @@ func (t *tree[S]) skeletonFor(nd *node[S], region geom.Box, batch int) *skeleton
 
 // release ends a branch's use of sk: it forgets the nodes it reached, so a
 // kept skeleton pins none, drops a sieve scratch grown past
-// core.ScratchCap, and gives it to the update's spare.
+// core.ScratchCap, and gives it to the update's pool.
 func (t *tree[S]) release(sk *skeleton[S]) {
 	clear(sk.nodes)
 	clear(sk.slots)
@@ -108,8 +108,8 @@ func (t *tree[S]) release(sk *skeleton[S]) {
 	if sk.sieve.Held() > core.ScratchCap {
 		sk.sieve = parallel.SieveScratch{}
 	}
-	if t.sp != nil {
-		t.sp.skels.Put(sk)
+	if p := t.Pool(); p != nil {
+		p.X.skels.Put(sk)
 	}
 }
 
@@ -174,7 +174,7 @@ func (t *tree[S]) insert(nd *node[S], pts, buf []S, region geom.Box) *node[S] {
 			if !splittable {
 				limit = math.MaxInt
 			}
-			nd.pts = append(t.blocks().Grow(nd.pts, len(pts), limit, true), pts...)
+			nd.pts = append(t.Blocks().Grow(nd.pts, len(pts), limit, true), pts...)
 			nd.size = len(nd.pts)
 			return nd
 		}
@@ -373,7 +373,7 @@ func recompute[S geom.Packed](nd *node[S]) {
 // a leaf left with less than half its block moves into a fitted one.
 func (t *tree[S]) removeFromLeaf(nd *node[S], pts []S) *node[S] {
 	nd = t.own(nd)
-	nd.pts = t.blocks().Fit(geom.RemoveEach(nd.pts, pts), true)
+	nd.pts = t.Blocks().Fit(geom.RemoveEach(nd.pts, pts), true)
 	nd.size = len(nd.pts)
 	nd.bbox = geom.PackedBounds(nd.pts)
 	return nd

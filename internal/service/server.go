@@ -60,10 +60,9 @@ type Options struct {
 	Obs *obs.Registry
 	// SlowLog, when positive, is the slow-query threshold: any command
 	// slower than this is captured — command, request line, duration,
-	// shards visited, candidates scanned, pinned epoch — into a
-	// preallocated ring of DefaultSlowLogSize entries served at
-	// /debug/slowlog and by the SLOWLOG command. Zero disables the log
-	// (SLOWLOG then errors).
+	// candidates scanned, pinned epoch — into a preallocated ring of
+	// DefaultSlowLogSize entries served at /debug/slowlog and by the
+	// SLOWLOG command. Zero disables the log (SLOWLOG then errors).
 	SlowLog time.Duration
 	// WALDir, when non-empty, puts a write-ahead log under the
 	// Collection: every committed flush window is journaled to

@@ -84,17 +84,16 @@ func (t *tree[S]) encodeRange(pts []geom.Point, ents []Entry[S], lo, hi int) boo
 }
 
 // encodeBatch is encodeAndSort for an update batch: into the running
-// update's spare slot keep, sorted with the spare's buffer.
+// update's scratch slot keep, sorted with the pool's buffer.
 func (t *tree[S]) encodeBatch(pts []geom.Point, keep *[]Entry[S]) []Entry[S] {
-	sp := t.sp
-	return t.encodeInto(pts, core.Scratch(keep, len(pts)), core.Scratch(&sp.sort, len(pts)))
+	return t.encodeInto(pts, core.Scratch(keep, len(pts)), core.Scratch(&t.Pool().X.sort, len(pts)))
 }
 
 // encodeDeletes is encodeBatch for a delete batch, less its points that
 // do not fit int32: no stored entry can match one.
 func (t *tree[S]) encodeDeletes(pts []geom.Point) []Entry[S] {
 	dims := t.opts.Dims
-	return t.encodeBatch(geom.Keep(pts, func(p geom.Point) bool { return geom.Packable(p, dims) }), &t.sp.del)
+	return t.encodeBatch(geom.Keep(pts, func(p geom.Point) bool { return geom.Packable(p, dims) }), &t.Pool().X.del)
 }
 
 // errUnpackable is the panic of an update whose point does not fit the

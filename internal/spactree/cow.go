@@ -1,59 +1,40 @@
 package spactree
 
 import (
-	"unsafe"
-	"weak"
-
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/parallel"
 )
 
-// Copy-on-write by generation stamp. The join-based updates of Alg. 4 are
-// one step from persistent: every rebalancing step already builds fresh
-// nodes, and only three sites write a node that exists — the SPaC leaf
-// absorb and swap-delete, and joinInto's interior update, which keeps an
-// interior node whose children stayed balanced and whose subtree holds
-// more than φ points, exactly where Join would rebuild it unchanged (the
-// lazy leaf sort of expose sorts a copy in scratch, and CPAM leaves are
-// rebuilt on every touch). Each of them first asks owns: a Tree carries a
-// generation, a node the generation of the tree that created it, and a
-// node is written in place only when the two are equal. Anything else is
-// copied (a leaf with its block of points), the copy stamped, counted,
-// and from then on owned for as long as the tree keeps its generation.
+// Copy-on-write by generation stamp, under internal/core's Handle, which
+// holds the protocol: the generations, the pool, the retire rule and
+// Adopt's reclaim. The join-based updates of Alg. 4 are one step from
+// persistent: every rebalancing step already builds fresh nodes, and only
+// three sites write a node that exists — the SPaC leaf absorb and
+// swap-delete, and joinInto's interior update, which keeps an interior
+// node whose children stayed balanced and whose subtree holds more than φ
+// points, exactly where Join would rebuild it unchanged (the lazy leaf
+// sort of expose sorts a copy in scratch, and CPAM leaves are rebuilt on
+// every touch). Each of them first asks owns, and copies anything else (a
+// leaf with its block of points), the copy stamped, counted, and from then
+// on owned for as long as the tree keeps its generation.
 //
-// What a tree owns it may also reuse. A node that an update reads and
-// replaces — an exposed node, a leaf split, merged or flattened, an
-// interior node Join rebuilds, a leaf block a grow or a fit leaves — goes
-// to the update's spare when it is owned (free, drop), and the nodes and
-// blocks the update builds next come from there (newNode, and newLeaf and
-// the grows through core.Recycler). An owned node was never published: no
-// reader and no other handle can reach it, exactly why it may be written.
-// The spare also keeps a batch's entries and their sort buffer, so a
-// steady stream of batches on a tree that never adopts allocates next to
-// nothing. Build takes no spare and recycles nothing.
+// The nodes an update reads and replaces — an exposed node, a leaf split,
+// merged or flattened, an interior node Join rebuilds, the shared leaves
+// absorb and deleteFromLeaf copy, the shared interior node joinInto
+// copies — go to free, and whole subtrees to drop; NewNode, newLeaf and
+// the grows through core.Recycler build from the pool. The pool's scratch
+// keeps a batch's entries and their sort buffer.
 //
-// A tree that never adopts keeps one generation for life, owns every node
-// it reaches and runs the in-place path exactly as before. Adopt makes two
-// trees handles on one structure and moves both to generations above every
-// stamp either can reach, so neither owns a node the other can see: each
-// copies the paths it touches, once, and shares the rest. What a window
-// displaces there — the shared nodes free and drop see, drop walking into
-// shared subtrees too, the shared leaves absorb and deleteFromLeaf copy,
-// the shared interior node joinInto copies — is still reachable from the
-// other handle, so it is not reused: it is retired, leaf block and all,
-// into the spare, which the pair shares. When the other handle adopts this
-// one, nothing reaches those nodes any more, and Adopt hands them to the
-// spare's free lists for the next window (reclaim at adopt, internal/core
-// adopt.go, which also says when Adopt leaves them to the collector).
-//
-// Stamps only ever compare against the tree that is writing, so there is no
-// global counter of them: after Adopt the pair sits at max+1 and max+2 of
-// their old generations. Two invariants follow and Validate checks both —
-// no node is newer than the tree that reaches it, and no child is newer
-// than its parent — and the second is what lets an update return a shared
-// interior node untouched when both recursions handed back the children it
-// has, and what stops drop at the first node stamped before the pair.
+// Validate checks that no node is newer than the tree that reaches it and
+// no child newer than its parent; the second is what lets an update return
+// a shared interior node untouched when both recursions handed back the
+// children it has, and what stops drop at the first node stamped before
+// the pair.
+
+// scratch is a SPaC tree's part of its pool: a batch's entries and their
+// sort buffer (core.Scratch).
+type scratch[S geom.Packed] struct{ ins, del, sort []Entry[S] }
 
 // owns reports whether t may write nd in place.
 func (t *tree[S]) owns(nd *node[S]) bool { return t.Owns(nd.gen) }
@@ -76,23 +57,17 @@ func (t *tree[S]) NewReplica() core.Index { return New(t.curve, t.mode, t.opts) 
 // handle on src's, in O(1) and without allocating. It refuses — false,
 // nothing changed — unless src is a Tree over the same curve, mode and
 // options. Queries may run on either tree throughout; updates of either
-// must not. The nodes src's updates retired go to the spare the two share
-// from now on, when t and src are partners and t still roots what those
-// updates began from: queries on t's old contents must have ended before
-// either tree is next updated.
+// must not, and queries on t's old contents must have ended before either
+// is next updated (core.Handle.Adopt).
 func (t *tree[S]) Adopt(src core.Index) bool {
 	o, ok := unwrap[S](src)
 	if !ok || o.curve != t.curve || o.mode != t.mode || o.opts != t.opts {
 		return false
 	}
-	if o == t {
-		return true
+	if o != t {
+		t.Handle.Adopt(&o.Handle, t.root, recycle)
+		t.root = o.root
 	}
-	partners := core.Adopt(&t.Twin, &o.Twin)
-	if sp := o.spare.Value(); sp != nil {
-		sp.retired.Reclaim(o, t.root, partners, func(nd *node[S]) { sp.recycle(nd) })
-	}
-	t.root, t.spare = o.root, o.spare
 	return true
 }
 
@@ -103,30 +78,17 @@ func (t *tree[S]) Shares(o core.Index) bool {
 	return ok && ot.root == t.root
 }
 
-// Copied implements core.Adopter: the nodes, and the bytes of leaf
-// points, this tree has copied on first touch since it was made.
-func (t *tree[S]) Copied() (nodes, bytes uint64) {
-	return t.cowNodes.Load(), t.cowBytes.Load()
-}
-
-// cow counts the first-touch copies of one update. Every branch of the
-// recursion adds to the counter it was handed and a fork hands its second
-// branch a counter of its own, so the copy path shares no atomic; the
-// update's total reaches the tree's counters once, in note.
-type cow struct{ nodes, bytes uint64 }
+// cow counts the first-touch copies of one update, and the leaf points
+// copied with them. Every branch of the recursion adds to the counter it
+// was handed and a fork hands its second branch a counter of its own, so
+// the copy path shares no atomic; the update's total reaches the tree's
+// Copied once, through NoteCopies.
+type cow struct{ nodes, elems uint64 }
 
 // copied counts a leaf copied on first touch, with its block of points.
-func copied[S geom.Packed](c *cow, pts []S) {
+func (c *cow) copied(pts int) {
 	c.nodes++
-	c.bytes += uint64(len(pts)) * uint64(unsafe.Sizeof(*new(S)))
-}
-
-// note adds one update's count to the tree's totals.
-func (t *tree[S]) note(c cow) {
-	if c.nodes != 0 {
-		t.cowNodes.Add(c.nodes)
-		t.cowBytes.Add(c.bytes)
-	}
+	c.elems += uint64(pts)
 }
 
 // both runs one step — deleteSorted when del is set, else insertSorted —
@@ -154,90 +116,30 @@ func (t *tree[S]) forked(del bool, ln *node[S], lb []Entry[S], rn *node[S], rb [
 		func() { l = t.step(del, ln, lb, c) },
 		func() { r = t.step(del, rn, rb, &cr) })
 	c.nodes += cr.nodes
-	c.bytes += cr.bytes
+	c.elems += cr.elems
 	return l, r
 }
 
-// spare is what a tree's updates reuse from one to the next: a batch's
-// entries and their sort buffer (core.Scratch), and the nodes and leaf
-// blocks the tree owned and displaced (core.Recycler for the blocks), or
-// that its partner's last update retired. Between updates the tree holds
-// it weakly: the collector takes it back at its next cycle, so what a tree
-// keeps for its updates is never part of its live heap. Two trees Adopt
-// made a pair share one.
-type spare[S geom.Packed] struct {
-	ins, del, sort []Entry[S]
-	blocks         core.Recycler[S]
-	nodes          core.FreeList[node[S]]
-	retired        core.Retired[tree[S], node[S]]
-}
-
-// begin hands the update about to run the tree's spare, a new one if the
-// collector has taken the last; end lets go of it.
-func (t *tree[S]) begin() {
-	sp := t.spare.Value()
-	if sp == nil {
-		sp = new(spare[S])
-		t.spare = weak.Make(sp)
-	}
-	sp.retired.Begin(t, t.root)
-	t.sp = sp
-}
-
-func (t *tree[S]) end() { t.sp = nil }
-
-// blocks is the running update's recycler, nil outside an update.
-func (t *tree[S]) blocks() *core.Recycler[S] {
-	if t.sp == nil {
-		return nil
-	}
-	return &t.sp.blocks
-}
-
-// newNode returns a node holding v: one the running update recycled, or
-// a new one.
-func (t *tree[S]) newNode(v node[S]) *node[S] {
-	var nd *node[S]
-	if t.sp != nil {
-		nd = t.sp.nodes.Get()
-	} else {
-		nd = new(node[S])
-	}
-	*nd = v
-	return nd
-}
-
 // free takes nd — a node the caller has read and replaces — from the
-// running update: for reuse, with a leaf's block, when t owns it, since no
-// reader and no other handle can reach it; into the retired record when it
-// is shared and stamped since the pair formed, for Adopt to reclaim.
+// running update (core.Handle.Free).
 func (t *tree[S]) free(nd *node[S]) {
-	sp := t.sp
-	switch {
-	case nd == nil || sp == nil:
-	case t.owns(nd):
-		sp.recycle(nd)
-	case t.Retires(nd.gen):
-		sp.retired.Add(nd)
+	if nd != nil {
+		t.Free(nd, nd.gen, recycle)
 	}
 }
 
-// recycle gives nd, with a leaf's block, to the free lists; nothing else
-// may reach it.
-func (sp *spare[S]) recycle(nd *node[S]) {
+// recycle gives the pool a leaf's block; nothing else may reach it.
+func recycle[S geom.Packed](p *core.Pool[node[S], S, scratch[S]], nd *node[S]) {
 	if nd.isLeaf() {
-		sp.blocks.Put(nd.pts)
+		p.Blocks.Put(nd.pts)
 	}
-	*nd = node[S]{} // pins nothing while it waits
-	sp.nodes.Put(nd)
 }
 
 // drop frees every node of the subtree nd, for a caller that has copied
-// its entries out and replaces it. Owned nodes hang only below owned
-// ones, and a node stamped since the pair formed only below one too, so
-// the walk stops at the first node free would neither recycle nor retire.
+// its entries out and replaces it, down to the first node the update does
+// not take (core.Handle.Takes).
 func (t *tree[S]) drop(nd *node[S]) {
-	if nd == nil || t.sp == nil || !t.owns(nd) && !t.Retires(nd.gen) {
+	if nd == nil || !t.Takes(nd.gen) {
 		return
 	}
 	if !nd.isLeaf() {

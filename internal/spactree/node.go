@@ -17,8 +17,8 @@ import (
 // point) order; interior nodes ignore it. In TotalOrder mode every leaf
 // stays sorted; in PartialOrder (SPaC) mode leaves go unsorted on append
 // and are sorted lazily, into scratch, by expose/redistribute (Alg. 4
-// lines 34, 43). A leaf's block is its own, sized as core.GrowBlock and
-// core.FitBlock say.
+// lines 34, 43). A leaf's block is its own, sized as core.Recycler's Grow
+// and Fit say.
 //
 // gen is the generation of the Tree that created the node (cow.go): only
 // a tree whose own generation equals it may write the node or its block;
@@ -66,7 +66,7 @@ func (t *tree[S]) balancedNodes(l, r *node[S]) bool {
 // ents is not kept.
 func (t *tree[S]) newLeaf(ents []Entry[S], isSorted bool) *node[S] {
 	n := len(ents)
-	blk := t.blocks().Make(t.blockLen(n))
+	blk := t.Blocks().Make(t.blockLen(n))
 	bbox := geom.EmptyPacked[S]()
 	for i := range ents {
 		blk[i] = ents[i].P
@@ -78,7 +78,7 @@ func (t *tree[S]) newLeaf(ents []Entry[S], isSorted bool) *node[S] {
 			codes[i] = codeSlot[S](ents[i].Code)
 		}
 	}
-	return t.newNode(node[S]{size: n, gen: t.Gen, bbox: bbox, pts: blk, sorted: isSorted})
+	return t.NewNode(node[S]{size: n, gen: t.Gen, bbox: bbox, pts: blk, sorted: isSorted})
 }
 
 // blockLen is the length of a fitted block for a leaf of n points.
@@ -128,7 +128,7 @@ func (t *tree[S]) interiorBBox(l *node[S], k Entry[S], r *node[S]) geom.PackedBo
 // rawNode creates an interior node with no leaf-wrap checks (used by the
 // perfectly balanced builder, where sizes are known to be large enough).
 func (t *tree[S]) rawNode(l *node[S], k Entry[S], r *node[S]) *node[S] {
-	return t.newNode(node[S]{
+	return t.NewNode(node[S]{
 		size:  sizeOf(l) + sizeOf(r) + 1,
 		gen:   t.Gen,
 		bbox:  t.interiorBBox(l, k, r),

@@ -1,9 +1,6 @@
 package spactree
 
 import (
-	"sync/atomic"
-	"weak"
-
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/sfc"
@@ -48,18 +45,10 @@ type tree[S geom.Packed] struct {
 	mode  Mode
 	order order[S] // how batches and Build sort their entries
 	root  *node[S]
-	// Twin holds the generation the tree stamps on the nodes it creates
-	// and the only one whose nodes it writes in place, and the pair Adopt
-	// last made it one of (cow.go).
-	core.Twin
-	// cowNodes and cowBytes total what updates copied on first touch;
-	// atomics only because a metrics scrape may read them mid-update.
-	cowNodes, cowBytes atomic.Uint64
-	// spare is what updates reuse, held between them only weakly, and sp
-	// the running update's hold on it — nil outside an update, in Build
-	// too (cow.go).
-	spare weak.Pointer[spare[S]]
-	sp    *spare[S]
+	// Handle holds the generation the tree stamps on the nodes it creates
+	// and the only one whose nodes it writes in place, what its updates
+	// copied, and the pool they reuse (cow.go).
+	core.Handle[node[S], S, scratch[S]]
 }
 
 // New returns an empty tree. The universe must fit the curve's precision
@@ -127,11 +116,11 @@ func (t *tree[S]) BatchInsert(pts []geom.Point) {
 	if len(pts) == 0 {
 		return
 	}
-	t.begin()
-	defer t.end()
+	t.Begin(t.root)
+	defer t.End()
 	var c cow
-	t.root = t.insertSorted(t.root, t.encodeBatch(pts, &t.sp.ins), &c)
-	t.note(c)
+	t.root = t.insertSorted(t.root, t.encodeBatch(pts, &t.Pool().X.ins), &c)
+	t.NoteCopies(c.nodes, c.elems)
 }
 
 // BatchDelete implements core.Index (multiset semantics, §4.2 last
@@ -140,11 +129,11 @@ func (t *tree[S]) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
-	t.begin()
-	defer t.end()
+	t.Begin(t.root)
+	defer t.End()
 	var c cow
 	t.root = t.deleteSorted(t.root, t.encodeDeletes(pts), &c)
-	t.note(c)
+	t.NoteCopies(c.nodes, c.elems)
 }
 
 const seqCutoff = 2048
@@ -153,12 +142,12 @@ const seqCutoff = 2048
 // The insertions are encoded first, so one that does not fit int32 is
 // refused before the deletions change the tree.
 func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
-	t.begin()
-	defer t.end()
+	t.Begin(t.root)
+	defer t.End()
 	var c cow
 	var ie []Entry[S]
 	if len(ins) > 0 {
-		ie = t.encodeBatch(ins, &t.sp.ins)
+		ie = t.encodeBatch(ins, &t.Pool().X.ins)
 	}
 	if len(del) > 0 && t.root != nil {
 		t.root = t.deleteSorted(t.root, t.encodeDeletes(del), &c)
@@ -166,5 +155,5 @@ func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
 	if len(ie) > 0 {
 		t.root = t.insertSorted(t.root, ie, &c)
 	}
-	t.note(c)
+	t.NoteCopies(c.nodes, c.elems)
 }

@@ -108,12 +108,12 @@ func (t *tree[S]) absorb(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 	pts := nd.pts
 	mine := t.owns(nd)
 	if !mine {
-		copied(c, pts)
+		c.copied(len(pts))
 		pts = slices.Clip(pts)
 		t.free(nd)
-		nd = t.newNode(node[S]{gen: t.Gen})
+		nd = t.NewNode(node[S]{gen: t.Gen})
 	}
-	pts = t.blocks().Grow(pts, len(batch), t.opts.LeafWrap, mine)
+	pts = t.Blocks().Grow(pts, len(batch), t.opts.LeafWrap, mine)
 	for _, e := range batch {
 		pts = append(pts, e.P)
 		bbox = bbox.Extend(e.P)
@@ -130,7 +130,7 @@ func (t *tree[S]) absorb(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 func (t *tree[S]) mergeLeaf(nd *node[S], batch []Entry[S]) *node[S] {
 	pts, codes := nd.points(), nd.pts[nd.size:]
 	n := len(pts) + len(batch)
-	blk := t.blocks().Make(2 * n)
+	blk := t.Blocks().Make(2 * n)
 	bbox := nd.bbox
 	for k, i, j := 0, 0, 0; k < n; k++ {
 		if j == len(batch) || i < len(pts) && cmpEntry(Entry[S]{slotCode(codes[i]), pts[i]}, batch[j]) <= 0 {
@@ -143,7 +143,7 @@ func (t *tree[S]) mergeLeaf(nd *node[S], batch []Entry[S]) *node[S] {
 		}
 	}
 	t.free(nd)
-	return t.newNode(node[S]{size: n, gen: t.Gen, bbox: bbox, pts: blk, sorted: true})
+	return t.NewNode(node[S]{size: n, gen: t.Gen, bbox: bbox, pts: blk, sorted: true})
 }
 
 // mergeSorted appends to out the merge of two entry slices sorted by
@@ -225,8 +225,8 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 					if !mine {
 						// A shared leaf: the first match moves the removal
 						// to a copy of the block.
-						copied(c, pts)
-						cp := t.blocks().Make(len(pts))
+						c.copied(len(pts))
+						cp := t.Blocks().Make(len(pts))
 						copy(cp, pts)
 						pts, mine = cp, true
 					}
@@ -243,16 +243,16 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 		// is retired (free).
 		if len(pts) == 0 {
 			if !t.owns(nd) {
-				t.blocks().Put(pts)
+				t.Blocks().Put(pts)
 			}
 			t.free(nd)
 			return nil
 		}
 		if !t.owns(nd) {
 			t.free(nd)
-			nd = t.newNode(node[S]{gen: t.Gen})
+			nd = t.NewNode(node[S]{gen: t.Gen})
 		}
-		nd.pts = t.blocks().Fit(pts, true) // pts may be recycled now
+		nd.pts = t.Blocks().Fit(pts, true) // pts may be recycled now
 		nd.size = len(nd.pts)
 		nd.sorted = false
 		nd.bbox = geom.PackedBounds(nd.pts)
@@ -264,7 +264,7 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 	// their number is known.
 	pts, codes := nd.points(), nd.pts[nd.size:]
 	m := len(pts)
-	blk := t.blocks().Make(2 * m)
+	blk := t.Blocks().Make(2 * m)
 	n, j := 0, 0
 	for i, p := range pts {
 		e := Entry[S]{Code: slotCode(codes[i]), P: p}
@@ -279,17 +279,17 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 		n++
 	}
 	if n == m {
-		t.blocks().Put(blk)
+		t.Blocks().Put(blk)
 		return nd
 	}
 	t.free(nd)
 	if n == 0 {
-		t.blocks().Put(blk)
+		t.Blocks().Put(blk)
 		return nil
 	}
 	copy(blk[n:], blk[m:m+n])
-	blk = t.blocks().Fit(blk[:2*n], true)
-	return t.newNode(node[S]{size: n, gen: t.Gen, bbox: geom.PackedBounds(blk[:n]), pts: blk, sorted: true})
+	blk = t.Blocks().Fit(blk[:2*n], true)
+	return t.NewNode(node[S]{size: n, gen: t.Gen, bbox: geom.PackedBounds(blk[:n]), pts: blk, sorted: true})
 }
 
 // LeafStats reports how many leaves exist and how many are currently
