@@ -17,10 +17,10 @@ import (
 // at the end of the tape. The largest k, 50, exceeds the leaf wrap, so a
 // best-first search holds several leaves before its heap fills; on short
 // tapes it exceeds the index size. A sixth opcode forks every
-// copy-on-write index (core.Adopter: P-Orth, the SPaC and CPAM trees, the
-// Shardeds): a fresh replica adopts it and must from then on answer from
-// the contents frozen at that moment, whatever the tape goes on to do to
-// the original — checked, with Validate on both sides, after every op. Deletions are biased toward
+// copy-on-write index (core.Versioned: P-Orth, the SPaC and CPAM trees,
+// the Shardeds of them): a view it pins must from then on answer from the
+// contents frozen at that moment, whatever the tape goes on to do to the
+// writer — checked, with Validate on both sides, after every op. Deletions are biased toward
 // stored points so multiset-delete paths are actually exercised, and the
 // coordinate domain is kept tiny so duplicate points, same-cell collisions
 // and equal-distance KNN ties are routine. Seed corpus lives in
@@ -214,8 +214,8 @@ func verifyAll(t *testing.T, idxs []core.Index, oracle *core.BruteForce, tp *fuz
 	}
 }
 
-// fork is one adopt step's outcome for one copy-on-write index: the
-// replica that adopted it and the oracle frozen at that moment.
+// fork is one pin's outcome for one copy-on-write index: the view it
+// pinned and the oracle frozen at that moment.
 type fork struct {
 	shadow, orig core.Index
 	frozen       *core.BruteForce
@@ -226,7 +226,7 @@ type fork struct {
 func (f fork) check(t *testing.T, dims int) {
 	t.Helper()
 	if f.shadow.Size() != f.frozen.Size() {
-		t.Fatalf("%s: adopted copy holds %d points, %d when it adopted", f.orig.Name(), f.shadow.Size(), f.frozen.Size())
+		t.Fatalf("%s: a pinned view holds %d points, %d when it was pinned", f.orig.Name(), f.shadow.Size(), f.frozen.Size())
 	}
 	hi := geom.UniverseBox(dims, fuzzSide).Hi
 	queries := []geom.Point{{}, hi}
@@ -237,7 +237,7 @@ func (f fork) check(t *testing.T, dims int) {
 		boxes = append(boxes, geom.BoxOf(geom.Point{}, mid), geom.BoxOf(mid, hi))
 	}
 	if err := core.VerifyQueries(f.shadow, f.frozen, queries, []int{1, 3, 10, 50}, boxes); err != nil {
-		t.Fatalf("adopted copy of %s drifted from its frozen contents: %v", f.orig.Name(), err)
+		t.Fatalf("a pinned view of %s drifted from its frozen contents: %v", f.orig.Name(), err)
 	}
 	for _, side := range []core.Index{f.shadow, f.orig} {
 		if err := side.(interface{ Validate() error }).Validate(); err != nil {
@@ -310,13 +310,16 @@ func runIndexOracleTape(t *testing.T, data []byte) {
 			frozen := core.NewBruteForce(dims)
 			frozen.Build(oracle.Points())
 			for _, idx := range idxs {
-				a, ok := idx.(core.Adopter)
+				v, ok := idx.(core.Versioned)
 				if !ok {
 					continue
 				}
-				shadow := a.NewReplica()
-				if !shadow.(core.Adopter).Adopt(idx) || !shadow.(core.Adopter).Shares(idx) {
-					t.Fatalf("%s: a fresh replica did not adopt it", idx.Name())
+				shadow := v.Pin()
+				if shadow == nil {
+					continue
+				}
+				if !v.Current(shadow) {
+					t.Fatalf("%s: a view it pinned is not its contents", idx.Name())
 				}
 				forks = append(forks, fork{shadow, idx, frozen})
 			}

@@ -20,40 +20,41 @@ import (
 //   - Locked reads (every other index: the baselines, or a decorator that
 //     hides the capability): one copy. A commit takes the write lock,
 //     applies the window, runs the caller's table step and unlocks.
-//   - Adopting twins (snapshot reads, over a copy-on-write index whose
-//     fresh replica adopts it — core.Adopter: the SPaC family and P-Orth,
-//     as trees or sharded): two handles on one structure. The
-//     paper's batch updates rebuild only the paths a batch reaches, so a
-//     commit applies the window to the off-line handle with no lock held —
-//     that handle copies what it touches and the published one stays
-//     intact under its readers — then takes the write lock: the drain,
-//     which waits out the reads in flight. Holding it, the commit runs the
-//     table step and publishes the applied handle under a new epoch; it
-//     unlocks and has the displaced handle, which no reader can reach any
-//     more, adopt the published one. A window is applied, a Build run, once.
+//   - Snapshot reads (over a copy-on-write index that pins read-only
+//     views of itself — core.Versioned: the SPaC family and P-Orth, as
+//     trees or sharded): one writer and the published view. The paper's
+//     batch updates rebuild only the paths a batch reaches, so a commit
+//     applies the window to the writer with no lock held — it copies what
+//     it touches and the published view stays intact under its readers —
+//     and pins a view of the result. Then it takes the write lock: the
+//     drain, which waits out the reads in flight. Holding it, the commit
+//     runs the table step and publishes the new view under a new epoch; it
+//     unlocks and unpins the displaced view, which no reader can reach any
+//     more. A window is applied, a Build run, once.
 //
-// A query therefore never waits on the index apply over twins; one that
-// arrives during a drain waits for it and for the table step. Twins are
-// identical whenever no commit is in flight, and both versions live as
-// long as the cell. What a window's apply copies off the shared structure
-// displaces the originals, which only the displaced handle and its
-// readers can still reach; the drain ends those readers and the adopt
-// ends the handle's hold, so the adopt hands the originals, nodes and leaf
-// blocks, to the twins' shared spare, and the next window copies into
-// them (reclaim at adopt, internal/core adopt.go). So steady-state commits
-// allocate nothing: not the versions, not the copies (a large window's
-// forked branches still start goroutines). The zero cell is not usable;
-// call Init.
+// A query therefore never waits on the index apply over views; one that
+// arrives during a drain waits for it and for the table step. Between
+// commits the published view is the writer's contents. What a window's
+// apply copies off the published view displaces the originals, which only
+// that view's readers can still reach; the drain ends those readers, so
+// the unpin hands the originals, nodes and leaf blocks, to the writer's
+// pool, and the next window copies into them (reclaim at unpin,
+// internal/core handle.go). So steady-state commits allocate nothing: not
+// the versions, not the views, not the copies (a large window's forked
+// branches still start goroutines). The zero cell is not usable; call
+// Init.
 type cell struct {
-	// wmu serializes Commit and Rebuild, and guards standby.
+	// wmu serializes Commit and Rebuild — the writer's updates, pins and
+	// unpins — and guards spare.
 	wmu sync.Mutex
 	// mu is the readers' lock: held shared by every read, and exclusively
 	// by a commit for the apply over one copy, for the table step and the
-	// swap of cur over twins.
-	mu      sync.RWMutex
-	cur     *version     // the published version, swapped under mu
-	standby *version     // the off-line twin
-	copies  []core.Index // one (locked reads) or two (twins), fixed at Init
+	// swap of cur over views.
+	mu    sync.RWMutex
+	cur   *version       // the published version, swapped under mu
+	spare *version       // the version the next commit over views publishes
+	idx   core.Index     // the writer: every commit applies to it
+	ver   core.Versioned // idx when it pins views (snapshot reads), else nil; fixed at Init
 
 	epoch atomic.Uint64 // the published epoch
 	// draining is 1 while a commit waits for the write lock; waits and
@@ -62,8 +63,9 @@ type cell struct {
 	draining, waits, waitNs atomic.Uint64
 }
 
-// version is one publishable index and the epoch at which it was last
-// published. A reader owns it shared from cell.Acquire to cell.Release.
+// version is one publishable index — a pinned view, or the one copy — and
+// the epoch at which it was published. A reader owns it shared from
+// cell.Acquire to cell.Release.
 type version struct {
 	Index core.Index
 	epoch uint64
@@ -73,26 +75,19 @@ type version struct {
 // published (0 for the initial version).
 func (v *version) Epoch() uint64 { return v.epoch }
 
-// Init builds the cell over idx and a fresh replica of it when that
-// replica adopts idx, and over idx alone otherwise. A non-empty index or
-// replica panics: every stored point must have an owning ID.
+// Init builds the cell over idx, publishing a view of it when idx pins
+// one and idx itself otherwise. A non-empty index panics: every stored
+// point must have an owning ID.
 func (c *cell) Init(idx core.Index) {
 	if idx.Size() != 0 {
 		panic("collection: the wrapped index must start empty")
 	}
+	c.idx = idx
 	c.cur = &version{Index: idx}
-	c.copies = []core.Index{idx}
-	a, ok := idx.(core.Adopter)
-	if !ok {
-		return
-	}
-	twin := a.NewReplica()
-	if twin == nil || twin.Size() != 0 {
-		panic("collection: NewReplica must return a fresh, empty index")
-	}
-	if t, ok := twin.(core.Adopter); ok && t.Adopt(idx) {
-		c.standby = &version{Index: twin}
-		c.copies = append(c.copies, twin)
+	if v, ok := idx.(core.Versioned); ok {
+		if view := v.Pin(); view != nil {
+			c.ver, c.cur.Index, c.spare = v, view, new(version)
+		}
 	}
 }
 
@@ -118,8 +113,8 @@ func (c *cell) Release() { c.mu.RUnlock() }
 // can still see the state before it. The slices may alias the committer's
 // recycled scratch: indexes do not retain batch slices (the core.Index
 // contract). sp and clk thread the caller's flush span through the stages
-// (apply over one copy; apply, drain, publish, replay over twins); a nil sp
-// records nothing.
+// (apply over one copy; apply, drain, publish, replay — the unpin — over
+// views); a nil sp records nothing.
 func (c *cell) Commit(ins, del []geom.Point, tableStep func(), sp *obs.FlushSpan, clk time.Time) time.Time {
 	return c.advance(false, ins, del, tableStep, sp, clk)
 }
@@ -131,38 +126,34 @@ func (c *cell) Rebuild(pts []geom.Point, tableStep func()) {
 	c.advance(true, pts, nil, tableStep, nil, time.Time{})
 }
 
-// applyTo brings one copy forward: a Build of ins, or a BatchDiff.
-func applyTo(idx core.Index, build bool, ins, del []geom.Point) {
-	if build {
-		idx.Build(ins)
-		return
-	}
-	idx.BatchDiff(ins, del)
-}
-
+// advance brings the index forward — a Build of ins, or a BatchDiff — and
+// runs tableStep, in either mode.
 func (c *cell) advance(build bool, ins, del []geom.Point, tableStep func(), sp *obs.FlushSpan, clk time.Time) time.Time {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if len(c.copies) == 1 {
+	if c.ver == nil {
 		c.drain()
 		defer c.mu.Unlock()
-		applyTo(c.cur.Index, build, ins, del)
+	}
+	if build {
+		c.idx.Build(ins)
+	} else {
+		c.idx.BatchDiff(ins, del)
+	}
+	if c.ver == nil {
 		tableStep()
 		return sp.Stamp(obs.StageApply, clk)
 	}
-	next, prev := c.standby, c.cur
-	applyTo(next.Index, build, ins, del)
 	clk = sp.Stamp(obs.StageApply, clk)
+	next, prev := c.spare, c.cur
+	next.Index = c.ver.Pin()
 	clk = c.publish(next, tableStep, sp, clk)
-	// The displaced handle has no reader left and no way to get one: it
-	// adopts the published contents, so both agree again before the next
-	// window arrives, and takes back for reuse what this window retired
-	// from the contents it lets go of.
-	if !prev.Index.(core.Adopter).Adopt(next.Index) {
-		// The pair adopted at Init, and for a pair the answer never changes.
-		panic("collection: " + prev.Index.Name() + " stopped adopting its twin")
-	}
-	c.standby = prev
+	// The displaced view has no reader left and no way to get one: unpinned,
+	// it gives the writer back for reuse what this window displaced from
+	// it.
+	c.ver.Unpin(prev.Index)
+	prev.Index = nil
+	c.spare = prev
 	return sp.Stamp(obs.StageReplay, clk)
 }
 
@@ -190,7 +181,7 @@ func (c *cell) drain() {
 }
 
 // Epoch returns the published epoch: the number of commits and rebuilds
-// so far over twins, always 0 over a single copy.
+// so far over views, always 0 over a single copy.
 func (c *cell) Epoch() uint64 { return c.epoch.Load() }
 
 // RetireLag is 1 while a commit waits for the reads in flight to leave —
@@ -201,27 +192,30 @@ func (c *cell) RetireLag() uint64 { return c.draining.Load() }
 // write lock, and the nanoseconds they spent blocked.
 func (c *cell) Waits() (n, ns uint64) { return c.waits.Load(), c.waitNs.Load() }
 
-// Versions returns the number of live copies: 1, or 2 twins that are
-// handles on one copy-on-write structure.
-func (c *cell) Versions() int { return len(c.copies) }
-
-// Copied sums what the twins have copied on first touch
-// (core.Adopter.Copied; zero under locked reads). It takes no lock.
-func (c *cell) Copied() (nodes, bytes uint64) {
-	if c.Versions() == 2 {
-		for _, idx := range c.copies {
-			n, b := idx.(core.Adopter).Copied()
-			nodes, bytes = nodes+n, bytes+b
-		}
+// Versions returns the number of live versions: 1 (one copy), or 2 over
+// views — the writer and the published view, one copy-on-write structure.
+func (c *cell) Versions() int {
+	if c.ver != nil {
+		return 2
 	}
-	return nodes, bytes
+	return 1
 }
 
-// Validate checks that twins still share — no second whole structure has
-// come into being. The caller excludes Commit and Rebuild.
+// Copied is what the writer has copied on first touch because a view
+// reached it (core.Versioned.Copied; zero under locked reads). It takes no
+// lock.
+func (c *cell) Copied() (nodes, bytes uint64) {
+	if c.ver != nil {
+		return c.ver.Copied()
+	}
+	return 0, 0
+}
+
+// Validate checks that the published view is the writer's contents — no
+// commit has left them apart. The caller excludes Commit and Rebuild.
 func (c *cell) Validate() error {
-	if c.Versions() == 2 && !c.copies[0].(core.Adopter).Shares(c.copies[1]) {
-		return errors.New("collection: the index copies no longer share one structure")
+	if c.ver != nil && !c.ver.Current(c.cur.Index) {
+		return errors.New("collection: the published view is not the index's contents")
 	}
 	return nil
 }

@@ -18,42 +18,59 @@ import (
 	"repro/internal/spactree"
 )
 
-// The twin protocol — readers never wait on the apply, never see a torn
-// window, the displaced copy is untouched until drained, both copies
-// converge — is tested here, once, against a cell over a fake index. The
-// Collection's other tests check that its queries go through the cell and
-// what its windows mean.
+// The view protocol — readers never wait on the apply, never see a torn
+// window, the displaced view is untouched until drained, the published
+// view is the writer's contents — is tested here, once, against a cell
+// over a fake index. The Collection's other tests check that its queries
+// go through the cell and what its windows mean.
 
 // pair is the fake index: a window adds its number of inserts to both
 // halves, so a torn read shows up as x != y, and a Build sets both to its
-// number of points. applies and builds count what reached this copy; the
-// atomics let a test watch a copy the writer owns. A pair is a core.Index
-// and nothing more, so a cell over one alone reads under its lock; twins
-// are pairs wrapped as twinPairs.
+// number of points. applies and builds count what reached it; the atomics
+// let a test watch the writer. A pair is a core.Index and nothing more, so
+// a cell over one alone reads under its lock; a versioned pair pins views.
 type pair struct {
 	core.Index // the queries, which no test here calls
 	name       string
-	*counts    // mine, or after a sharing Adopt the source's
-	mine       counts
-	replica    *pair // what NewReplica hands out
+	*counts    // its own, or the ones it shares with views until its next write
 	applies    atomic.Int64
 	builds     atomic.Int64
 	copies     atomic.Uint64
-	gate       *applyGate // optional: blocks BatchDiff on this copy while armed
-	log        *[]string  // optional: the steps that reached this copy, in order
+	gate       *applyGate // optional: blocks BatchDiff while armed
+	log        *[]string  // optional: the steps that reached the pair, in order
+	// views and free are what Unpin left for the next Pin and the next
+	// write: views and counts no view holds.
+	views []*view
+	free  []*counts
 }
 
-type counts struct{ x, y int }
+// counts are the two halves, and how many of a pair and its views hold
+// them: the writer alone reads and writes refs.
+type counts struct{ x, y, refs int }
 
-// twinPair is a pair whose twins adopt. With share set, Adopt makes the
-// adopter a second handle on the source's counts, and its next write
-// copies them into its own first — the copy-on-write of the real trees,
-// whose writer never touches what the published handle reads. Without,
-// Adopt copies the published counts into the adopter's own.
-type twinPair struct {
+func (c *counts) xy() (x, y int) { return c.x, c.y }
+
+// versioned is a pair that pins views (core.Versioned). With share set, a
+// view shares the pair's counts, and the pair's next write copies them
+// into counts of its own first — the copy-on-write of the real trees,
+// whose writer never touches what a view reads. Without, Pin copies the
+// counts into the view.
+type versioned struct {
 	*pair
 	share bool
 }
+
+// view is a pinned view of a pair: read-only, and its counts are gone
+// once it is unpinned.
+type view struct {
+	core.Index
+	of      *pair
+	*counts // the pair's, when shared, or own
+	own     counts
+	held    bool
+}
+
+func (v *view) Size() int { return v.x }
 
 type applyGate struct{ armed, entered, release chan struct{} }
 
@@ -61,7 +78,6 @@ func newApplyGate() *applyGate {
 	return &applyGate{make(chan struct{}), make(chan struct{}, 1), make(chan struct{})}
 }
 
-func (p *pair) state() *pair { return p }
 func (p *pair) Name() string { return p.name }
 func (p *pair) Size() int    { return p.x }
 
@@ -71,13 +87,21 @@ func (p *pair) record(step string) {
 	}
 }
 
-// own points p at counts of its own before a write (see twinPair).
+// own gives p counts of its own before a write (see versioned).
 func (p *pair) own() {
-	if p.counts != &p.mine {
-		p.mine = *p.counts
-		p.counts = &p.mine
-		p.copies.Add(1)
+	if p.refs == 1 {
+		return
 	}
+	p.refs--
+	var c *counts
+	if n := len(p.free); n > 0 {
+		c, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		c = new(counts)
+	}
+	*c = counts{p.x, p.y, 1}
+	p.counts = c
+	p.copies.Add(1)
 }
 
 func (p *pair) Build(pts []geom.Point) {
@@ -108,60 +132,69 @@ func (p *pair) BatchDiff(ins, del []geom.Point) {
 	p.y += w
 }
 
-// NewReplica, Adopt, Shares and Copied make a twinPair a core.Adopter.
-// Adopt only reads src, which has readers.
-func (p twinPair) NewReplica() core.Index {
-	if p.replica == nil {
-		return nil
+// Pin, Unpin, Current and Copied make a versioned pair a core.Versioned.
+func (p versioned) Pin() core.Index {
+	p.record("pin")
+	var v *view
+	if n := len(p.views); n > 0 {
+		v, p.views = p.views[n-1], p.views[:n-1]
+	} else {
+		v = &view{of: p.pair}
 	}
-	return twinPair{p.replica, p.share}
+	v.held = true
+	if p.share {
+		v.counts = p.counts
+		p.refs++
+	} else {
+		v.own = counts{p.x, p.y, 1}
+		v.counts = &v.own
+	}
+	return v
 }
 
-func (p twinPair) Adopt(src core.Index) bool {
-	s, ok := src.(twinPair)
-	if ok {
-		p.record("adopt")
-		if p.share {
-			p.counts = s.counts
-		} else {
-			p.mine = *s.counts
+func (p versioned) Unpin(idx core.Index) {
+	v, ok := idx.(*view)
+	if !ok || v.of != p.pair || !v.held {
+		panic("collection test: Unpin of a view that is not pinned from this pair")
+	}
+	p.record("unpin")
+	if p.share {
+		if v.refs--; v.refs == 0 {
+			p.free = append(p.free, v.counts)
 		}
 	}
-	return ok
+	v.counts, v.held = nil, false
+	p.views = append(p.views, v)
 }
 
-func (p twinPair) Shares(o core.Index) bool {
-	q := o.(twinPair)
-	return q.counts == p.counts || !p.share && *q.counts == *p.counts
+func (p versioned) Current(idx core.Index) bool {
+	v, ok := idx.(*view)
+	return ok && v.of == p.pair && v.held && v.x == p.x && v.y == p.y
 }
 
-func (p twinPair) Copied() (nodes, bytes uint64) { return p.copies.Load(), 0 }
+func (p versioned) Copied() (nodes, bytes uint64) { return p.copies.Load(), 0 }
 
-// newCell builds a cell over the given copies: one pair stays locked, two
-// are twins that adopt — sharing their counts when share is set.
-func newCell(share bool, copies ...*pair) *cell {
-	for i, p := range copies {
-		p.counts = &p.mine
-		if i > 0 {
-			copies[i-1].replica = p
-		}
-	}
-	var idx core.Index = copies[0]
-	if len(copies) == 2 {
-		idx = twinPair{copies[0], share}
+// newCell builds a cell over p: read under its lock unless pin is set,
+// over views of p otherwise — views that share its counts when share is
+// set.
+func newCell(p *pair, pin, share bool) *cell {
+	p.counts = &counts{refs: 1}
+	var idx core.Index = p
+	if pin {
+		idx = versioned{p, share}
 	}
 	c := new(cell)
 	c.Init(idx)
 	return c
 }
 
-// modes runs f over a one-copy (locked) cell and two two-copy cells: the
-// twin whose displaced copy adopts by copying the published counts, and
-// the one whose displaced copy shares them until its next write.
-func modes(t *testing.T, f func(t *testing.T, c *cell, twin bool)) {
-	t.Run("locked", func(t *testing.T) { f(t, newCell(false, &pair{}), false) })
-	t.Run("twin", func(t *testing.T) { f(t, newCell(false, &pair{}, &pair{}), true) })
-	t.Run("adopting", func(t *testing.T) { f(t, newCell(true, &pair{}, &pair{}), true) })
+// modes runs f over a locked cell and two cells over views: views that
+// copy the writer's counts ("twin"), and views that share them until the
+// writer's next write ("adopting").
+func modes(t *testing.T, f func(t *testing.T, c *cell, pinned bool)) {
+	t.Run("locked", func(t *testing.T) { f(t, newCell(&pair{}, false, false), false) })
+	t.Run("twin", func(t *testing.T) { f(t, newCell(&pair{}, true, false), true) })
+	t.Run("adopting", func(t *testing.T) { f(t, newCell(&pair{}, true, true), true) })
 }
 
 // points is what the windows of these tests are cut from: commit(c, w)
@@ -175,14 +208,14 @@ func commit(c *cell, w int) { c.Commit(points[:w], nil, noStep, nil, time.Time{}
 func read(c *cell) (x, y int, epoch uint64) {
 	v := c.Acquire()
 	defer c.Release()
-	p := v.Index.(interface{ state() *pair }).state()
-	return p.x, p.y, v.Epoch()
+	x, y = v.Index.(interface{ xy() (int, int) }).xy()
+	return x, y, v.Epoch()
 }
 
 func TestSnapshotCommitAndCounters(t *testing.T) {
-	modes(t, func(t *testing.T, c *cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, pinned bool) {
 		wantVersions, perCommit := 1, uint64(0)
-		if twin {
+		if pinned {
 			wantVersions, perCommit = 2, 1
 		}
 		if c.Versions() != wantVersions || c.Epoch() != 0 || c.RetireLag() != 0 {
@@ -205,15 +238,14 @@ func TestSnapshotCommitAndCounters(t *testing.T) {
 }
 
 // TestSnapshotReadDuringCommitDoesNotStall holds a commit open inside
-// the apply of the off-line copy and requires reads to complete against
-// the still-published state. (Over one copy the same probe would block —
+// the apply to the writer and requires reads to complete against the
+// still-published view. (Over one copy the same probe would block —
 // readers wait out the writer — which is the mode's documented cost.)
 func TestSnapshotReadDuringCommitDoesNotStall(t *testing.T) {
 	g := newApplyGate()
-	a, b := &pair{}, &pair{gate: g}
-	c := newCell(false, a, b)
-	commit(c, 1) // b published, a caught up and standing by
-	commit(c, 1) // a published; the next commit writes b first
+	c := newCell(&pair{gate: g}, true, true)
+	commit(c, 1)
+	commit(c, 1)
 	close(g.armed)
 	committed := make(chan struct{})
 	go func() { commit(c, 1); close(committed) }()
@@ -246,7 +278,7 @@ func TestSnapshotReadDuringCommitDoesNotStall(t *testing.T) {
 // it. A missing drain, a broken pin or a catch-up on a copy that still has
 // readers shows up as a mismatch and as a data race.
 func TestCellNeverTorn(t *testing.T) {
-	modes(t, func(t *testing.T, c *cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, pinned bool) {
 		var stop atomic.Bool
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {
@@ -277,7 +309,7 @@ func TestCellNeverTorn(t *testing.T) {
 			t.Fatalf("quiescent lag %d, want 0", c.RetireLag())
 		}
 	})
-	// The same discipline over twins of a real copy-on-write tree: readers
+	// The same discipline over views of a real copy-on-write tree: readers
 	// of a P-Orth version count its points from the root and from the
 	// leaves while commits insert and move points, so a root that is not
 	// the one of its subtrees shows up as a mismatch, and a write to a node
@@ -317,7 +349,7 @@ func TestCellNeverTorn(t *testing.T) {
 		stop.Store(true)
 		wg.Wait()
 		if c.Versions() != 2 || c.Validate() != nil {
-			t.Fatalf("%d versions, Validate %v: want twins that still share", c.Versions(), c.Validate())
+			t.Fatalf("%d versions, Validate %v: want the writer and its published view", c.Versions(), c.Validate())
 		}
 	})
 }
@@ -353,31 +385,34 @@ func lateRead(t *testing.T, c *cell) <-chan [2]int {
 }
 
 // TestSnapshotDisplacedCopyUntouchedUntilDrained holds a reader, commits,
-// and watches the held copy: the commit must apply the window to the other
-// copy and then wait for the reader — RetireLag 1 — neither touching the
-// held copy nor publishing nor returning meanwhile. A read that arrives
-// during the wait blocks, is counted, and gets the window once the held
-// reader lets go; then both copies hold the window.
+// and watches the held view: the commit must apply the window to the
+// writer and pin a view of it, then wait for the reader — RetireLag 1 —
+// neither touching the held view nor publishing, unpinning or returning
+// meanwhile. A read that arrives during the wait blocks, is counted, and
+// gets the window once the held reader lets go; then the held view is
+// unpinned.
 func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
-	a, b := &pair{}, &pair{}
-	c := newCell(false, a, b)
-	if held := c.Acquire(); held.Index.(twinPair).pair != a {
-		t.Fatal("the first copy is not the initially published one")
-	}
+	var log []string
+	w := &pair{name: "w", log: &log}
+	c := newCell(w, true, true)
+	held := c.Acquire()
 	committed := make(chan struct{})
 	go func() { commit(c, 7); close(committed) }()
 	waitDrain(t, c)
-	if b.applies.Load() != 1 || c.Epoch() != 0 {
-		t.Fatalf("draining commit: the off-line copy applied %d windows at epoch %d, want 1 window, unpublished", b.applies.Load(), c.Epoch())
+	if w.applies.Load() != 1 || c.Epoch() != 0 {
+		t.Fatalf("draining commit: the writer applied %d windows at epoch %d, want 1 window, unpublished", w.applies.Load(), c.Epoch())
 	}
 	late := lateRead(t, c)
-	time.Sleep(2 * time.Millisecond) // room for a buggy catch-up to run
-	if a.applies.Load() != 0 || c.RetireLag() != 1 {
-		t.Fatalf("held copy applied %d windows, lag %d: want untouched and lag 1", a.applies.Load(), c.RetireLag())
+	time.Sleep(2 * time.Millisecond) // room for a buggy unpin to run
+	if x, y := held.Index.(*view).xy(); x != 0 || y != 0 || c.RetireLag() != 1 {
+		t.Fatalf("held view reads (%d, %d), lag %d: want untouched and lag 1", x, y, c.RetireLag())
+	}
+	if want := []string{"pin w", "apply w", "pin w"}; !slices.Equal(log, want) {
+		t.Fatalf("steps %q before the drain ended, want %q", log, want)
 	}
 	select {
 	case <-committed:
-		t.Fatal("Commit returned while a reader still held the displaced copy")
+		t.Fatal("Commit returned while a reader still held the displaced view")
 	case <-late:
 		t.Fatal("a read went past the draining commit")
 	default:
@@ -387,31 +422,35 @@ func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 		t.Fatalf("read that waited out the drain got %v, want the window applied", got)
 	}
 	<-committed
-	if a.x != 7 || b.x != 7 || c.RetireLag() != 0 || c.Epoch() != 1 {
-		t.Fatalf("after the drain: copies hold %d and %d, lag %d, epoch %d; want 7, 7, 0, 1", a.x, b.x, c.RetireLag(), c.Epoch())
+	if w.x != 7 || c.RetireLag() != 0 || c.Epoch() != 1 || log[len(log)-1] != "unpin w" || held.Index != nil {
+		t.Fatalf("after the drain: writer holds %d, lag %d, epoch %d, last step %q; want 7, 0, 1 and the held view unpinned",
+			w.x, c.RetireLag(), c.Epoch(), log[len(log)-1])
 	}
 	if n, ns := c.Waits(); n != 1 || ns == 0 {
 		t.Fatalf("Waits = %d reads, %d ns; want the one read and its time", n, ns)
 	}
 }
 
+// writer returns the pair a cell of these tests applies its windows to.
+func writer(c *cell) *pair {
+	if v, ok := c.idx.(versioned); ok {
+		return v.pair
+	}
+	return c.idx.(*pair)
+}
+
 func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
-	modes(t, func(t *testing.T, c *cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, pinned bool) {
 		commit(c, 3)
 		before := c.Epoch()
 		c.Rebuild(points[:100], noStep)
-		builds := 0
-		for _, idx := range c.copies {
-			builds += int(idx.(interface{ state() *pair }).state().builds.Load())
+		if builds := writer(c).builds.Load(); builds != 1 {
+			t.Fatalf("Rebuild ran Build %d times", builds)
 		}
-		if builds != 1 {
-			t.Fatalf("Rebuild ran Build %d times over %d copies", builds, c.Versions())
-		}
-		if twin && c.Epoch() != before+1 {
+		if pinned && c.Epoch() != before+1 {
 			t.Fatalf("Rebuild published epoch %d, want %d", c.Epoch(), before+1)
 		}
-		// Consecutive commits alternate which copy is read: both must
-		// have restarted from the rebuilt contents.
+		// The commits after it start from the rebuilt contents.
 		for i := 1; i <= 4; i++ {
 			commit(c, 1)
 			if x, y, _ := read(c); x != 100+i || y != 100+i {
@@ -424,11 +463,11 @@ func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
 // TestSnapshotSpanStages pins which flush-span stages each mode stamps
 // and that the span carries the published epoch.
 func TestSnapshotSpanStages(t *testing.T) {
-	modes(t, func(t *testing.T, c *cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, pinned bool) {
 		var sp obs.FlushSpan
 		c.Commit(points[:5], nil, noStep, &sp, time.Now())
 		stamped := func(stage int) bool { return sp.Stages[stage] > 0 }
-		if !stamped(obs.StageApply) || stamped(obs.StagePublish) != twin || stamped(obs.StageReplay) != twin {
+		if !stamped(obs.StageApply) || stamped(obs.StagePublish) != pinned || stamped(obs.StageReplay) != pinned {
 			t.Fatalf("stages %v", sp.Stages)
 		}
 		if want := c.Epoch(); sp.Epoch != want {
@@ -441,7 +480,7 @@ func TestSnapshotSpanStages(t *testing.T) {
 // itself — many goroutines commit to one cell with no outer lock, readers
 // alongside.
 func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
-	modes(t, func(t *testing.T, c *cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, pinned bool) {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -457,7 +496,6 @@ func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		// Consecutive commits alternate which copy is read: check both.
 		for i := 0; i < 2; i++ {
 			commit(c, 0)
 			if x, y, _ := read(c); x != 1600 || y != 1600 {
@@ -471,7 +509,7 @@ func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
 // allocations: the Versions are permanent, a commit and a read allocate
 // nothing in either mode.
 func TestSnapshotCommitZeroAlloc(t *testing.T) {
-	modes(t, func(t *testing.T, c *cell, twin bool) {
+	modes(t, func(t *testing.T, c *cell, pinned bool) {
 		var sp obs.FlushSpan
 		if allocs := testing.AllocsPerRun(100, func() {
 			c.Commit(points[:1], nil, noStep, &sp, time.Time{})
@@ -484,8 +522,8 @@ func TestSnapshotCommitZeroAlloc(t *testing.T) {
 
 // TestCellQueryZeroAllocWarm pins a read through the cell over a real
 // index at zero steady-state allocations with reused result buffers, in
-// every mode: read-locked, and pinned on twins that adopt — SPaC-H, whose
-// KNN search state comes from pools, and P-Orth.
+// every mode: read-locked, and on pinned views — SPaC-H, whose KNN search
+// state comes from pools, and P-Orth.
 func TestCellQueryZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -501,8 +539,8 @@ func TestCellQueryZeroAllocWarm(t *testing.T) {
 		idx  core.Index
 	}{
 		{"locked", core.NewBruteForce(2)},
-		{"adopting", spactree.NewSPaC(sfc.Hilbert, 2, universe)},
-		{"adopting P-Orth", orthtree.NewDefault(2, universe)},
+		{"views", spactree.NewSPaC(sfc.Hilbert, 2, universe)},
+		{"P-Orth views", orthtree.NewDefault(2, universe)},
 	} {
 		var c cell
 		c.Init(mode.idx)
@@ -528,11 +566,11 @@ func TestCellQueryZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestTwinCommitZeroAllocWarm pins a warm commit over adopting twins of
-// a real tree at zero allocations: each window copies the shared paths it
-// touches into the nodes and blocks the window before it retired, which
-// came back when the displaced handle adopted. Windows of 256 moves
-// alternate over two point sets, so every commit copies and retires.
+// TestTwinCommitZeroAllocWarm pins a warm commit over pinned views of a
+// real tree at zero allocations: each window copies the shared paths it
+// touches into the nodes and blocks the window before it displaced, which
+// came back when the displaced view was unpinned. Windows of 256 moves
+// alternate over two point sets, so every commit copies and reclaims.
 func TestTwinCommitZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -564,34 +602,26 @@ func TestTwinCommitZeroAllocWarm(t *testing.T) {
 			window()
 		}
 		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
-			t.Errorf("%s: a warm commit of %d moves over adopting twins allocates %.2f/op, want 0", idx.Name(), moves, allocs)
+			t.Errorf("%s: a warm commit of %d moves over pinned views allocates %.2f/op, want 0", idx.Name(), moves, allocs)
 		}
 	}
 }
 
 // TestCellRequiresEmptyIndexes documents the construction contract: Init
-// refuses an index that starts non-empty, copy-on-write or not, and twins
-// that could never agree — a replica that is non-empty or missing — and
-// names the package in the panic. An empty index that is not
-// copy-on-write stays on one copy.
+// refuses an index that starts non-empty, versioned or not, and names the
+// package in the panic. An empty index that does not pin stays on one
+// copy.
 func TestCellRequiresEmptyIndexes(t *testing.T) {
-	twins := func(idxSize int, replica *pair) core.Index {
-		p := &pair{replica: replica}
-		p.counts = &p.mine
-		p.x = idxSize
-		if replica != nil {
-			replica.counts = &replica.mine
-		}
-		return twinPair{pair: p}
+	full := func() *pair {
+		p := &pair{counts: &counts{x: 1, refs: 1}}
+		return p
 	}
 	for _, tc := range []struct {
 		name string
 		idx  core.Index
 	}{
-		{"non-empty index", twins(1, &pair{})},
-		{"non-empty locked index", struct{ core.Index }{twins(1, &pair{})}},
-		{"non-empty twin", twins(0, &pair{mine: counts{x: 1}})},
-		{"no twin", twins(0, nil)},
+		{"non-empty index", versioned{pair: full()}},
+		{"non-empty locked index", full()},
 	} {
 		func() {
 			defer func() {
@@ -605,25 +635,25 @@ func TestCellRequiresEmptyIndexes(t *testing.T) {
 	var c cell
 	c.Init(core.NewBruteForce(2))
 	if c.Versions() != 1 {
-		t.Fatalf("an index that cannot adopt: %d versions, want 1", c.Versions())
+		t.Fatalf("an index that cannot pin: %d versions, want 1", c.Versions())
 	}
 }
 
 // TestStepOrder states the contract the Collection's table step relies
 // on, with a reader held across the commit. Over one copy: drain, then
-// apply and the table step under the write lock. Over twins: apply to the
-// off-line copy, drain, the table step and the publish under the write
-// lock, then the displaced copy adopts. Either way the table step runs
-// under the write lock, before the publish, and never while a reader still
-// holds the displaced copy; and a read that arrived during the drain gets
-// the published window.
+// apply and the table step under the write lock. Over views: apply to the
+// writer, pin a view of it, drain, the table step and the publish under
+// the write lock, then unpin the displaced view. Either way the table step
+// runs under the write lock, before the publish, and never while a reader
+// still holds the displaced view; and a read that arrived during the drain
+// gets the published window.
 func TestStepOrder(t *testing.T) {
 	for _, mode := range []struct {
-		name string
-		twin bool
+		name   string
+		pinned bool
 	}{
 		{name: "locked"},
-		{name: "adopting twin", twin: true},
+		{name: "adopting twin", pinned: true},
 	} {
 		for _, op := range []struct {
 			name, step string
@@ -647,13 +677,9 @@ func TestStepOrder(t *testing.T) {
 						t.Error("the table step ran after the publish")
 					}
 				}
-				copies := []*pair{{name: "a", log: &log}}
-				if mode.twin {
-					copies = append(copies, &pair{name: "b", log: &log})
-				}
-				c = newCell(true, copies...)
-				log = nil   // an adopting pair adopts once at Init
-				c.Acquire() // copy a, which a twin commit displaces
+				c = newCell(&pair{name: "a", log: &log}, mode.pinned, true)
+				log = nil   // a versioned pair pins once at Init
+				c.Acquire() // the view a commit over views displaces
 				done := make(chan struct{})
 				go func() { op.run(c, tableStep); close(done) }()
 				waitDrain(t, c)
@@ -666,8 +692,8 @@ func TestStepOrder(t *testing.T) {
 				c.Release()
 				<-done
 				want := []string{"drain", op.step + " a", "table"}
-				if mode.twin {
-					want = []string{op.step + " b", "drain", "table", "adopt a"}
+				if mode.pinned {
+					want = []string{op.step + " a", "pin a", "drain", "table", "unpin a"}
 				}
 				if !slices.Equal(log, want) {
 					t.Fatalf("steps %q, want %q", log, want)

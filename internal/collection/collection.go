@@ -43,11 +43,12 @@
 // the flush writer is the version cell's job (cell.go), and nothing else
 // here asks it how: every query holds the cell's read lock, and the table
 // is read under it. The index decides the mode: over a copy-on-write
-// index (core.Adopter: the SPaC family and P-Orth, and a Sharded of
-// either) the index is versioned — two handles on one tree — the window
-// is applied to the off-line handle outside the lock, and the write lock
-// covers only the publish, so a query never waits on the index apply;
-// over any other index a commit holds the write lock across the apply.
+// index (core.Versioned: the SPaC family and P-Orth, and a Sharded of
+// either) the index is versioned — one writer and a pinned read-only view
+// of it — the window is applied to the writer outside the lock, and the
+// write lock covers only the publish of a view of the result, so a query
+// never waits on the index apply; over any other index a commit holds the
+// write lock across the apply.
 // The table stays single: each commit hands the cell its own table step —
 // a window's applyTable, or a Load's swap to the table it filled — which
 // the cell runs under its write lock, and a query that arrives meanwhile
@@ -292,10 +293,10 @@ func New(idx core.Index, opts Options) *Collection {
 		func() float64 { return float64(c.cell.RetireLag()) }, layer)
 	if c.cell.Versions() == 2 {
 		opts.Obs.CounterFunc("psi_index_cow_nodes_total",
-			"Index nodes copied on first touch because the snapshot copies share them.",
+			"Index nodes copied on first touch because a snapshot view shares them.",
 			func() uint64 { nodes, _ := c.cell.Copied(); return nodes }, layer)
 		opts.Obs.CounterFunc("psi_index_cow_bytes_total",
-			"Bytes of index leaf points copied on first touch because the snapshot copies share them.",
+			"Bytes of index leaf points copied on first touch because a snapshot view shares them.",
 			func() uint64 { _, bytes := c.cell.Copied(); return bytes }, layer)
 	}
 	opts.Obs.CounterFunc("psi_collection_table_wait_total",
@@ -977,9 +978,9 @@ func (c *Collection) Stats() Stats {
 // Validate flushes, then checks, under the flush lock, the
 // transactional-consistency invariant between the committed structures:
 // the index holds exactly one point per live object, the table's forward
-// and reverse sides are exact inverses, and index copies that share their
-// structure still do — no second whole tree has come into being. Tests and
-// the fuzz harness call it after every tape.
+// and reverse sides are exact inverses, and the published view of a
+// versioned index is the writer's contents. Tests and the fuzz harness
+// call it after every tape.
 func (c *Collection) Validate() error {
 	c.Flush()
 	c.flushMu.Lock()

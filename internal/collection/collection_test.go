@@ -66,7 +66,7 @@ func sharded(family func(dims int, u geom.Box) core.Index) func() core.Index {
 }
 
 // innerStacks enumerates the index stacks a Collection is documented to
-// compose over: the two copy-on-write trees, whose snapshot twins share
+// compose over: the two copy-on-write trees, whose snapshot views share
 // them, the brute-force oracle, which stays on locked reads when snapshot
 // reads are asked for, and a Sharded fan-out over each.
 func innerStacks() map[string]func() core.Index {
@@ -82,31 +82,38 @@ func innerStacks() map[string]func() core.Index {
 	}
 }
 
-// nullTwins is the zero-cost index of the allocation guards made a
-// core.Adopter, so that snapshot reads run over it: all a NullIndex holds
-// is its count, and a twin adopts by taking it.
-type nullTwins struct{ *core.NullIndex }
+// nullViews is the zero-cost index of the allocation guards made a
+// core.Versioned, so that snapshot reads run over it: all a NullIndex
+// holds is its count, and a view is a NullIndex holding a copy of it.
+// Unpinned views wait in spare for the next Pin.
+type nullViews struct {
+	*core.NullIndex
+	spare []*core.NullIndex
+}
 
-func newNullTwins() core.Index { return newNullTwinsIn(2) }
+func newNullViews() core.Index { return newNullViewsIn(2) }
 
-func newNullTwinsIn(dims int) core.Index { return nullTwins{core.NewNull(dims)} }
+func newNullViewsIn(dims int) core.Index { return &nullViews{NullIndex: core.NewNull(dims)} }
 
-func (x nullTwins) NewReplica() core.Index { return newNullTwinsIn(x.Dims()) }
-
-func (x nullTwins) Adopt(src core.Index) bool {
-	s, ok := src.(nullTwins)
-	if ok {
-		*x.NullIndex = *s.NullIndex
+func (x *nullViews) Pin() core.Index {
+	var v *core.NullIndex
+	if n := len(x.spare); n > 0 {
+		v, x.spare = x.spare[n-1], x.spare[:n-1]
+	} else {
+		v = new(core.NullIndex)
 	}
-	return ok
+	*v = *x.NullIndex
+	return v
 }
 
-func (x nullTwins) Shares(o core.Index) bool {
-	_, ok := o.(nullTwins)
-	return ok && o.Size() == x.Size()
+func (x *nullViews) Unpin(v core.Index) { x.spare = append(x.spare, v.(*core.NullIndex)) }
+
+func (x *nullViews) Current(v core.Index) bool {
+	n, ok := v.(*core.NullIndex)
+	return ok && *n == *x.NullIndex
 }
 
-func (x nullTwins) Copied() (nodes, bytes uint64) { return 0, 0 }
+func (x *nullViews) Copied() (nodes, bytes uint64) { return 0, 0 }
 
 func TestGetReadsOwnWritesBeforeFlush(t *testing.T) {
 	c := New(core.NewBruteForce(2), Options{MaxBatch: 1 << 20})
@@ -198,7 +205,7 @@ var readOpts = Options{MaxBatch: 1 << 20}
 
 // inMode returns idx for the read mode a test asks of it: as it is for
 // snapshot reads, which a copy-on-write index takes by itself, or with its
-// copy-on-write capability (core.Adopter) hidden for locked reads.
+// copy-on-write capability (core.Versioned) hidden for locked reads.
 func inMode(idx core.Index, snapshot bool) core.Index {
 	if snapshot {
 		return idx
@@ -1001,13 +1008,13 @@ func TestFlushZeroAllocWarm(t *testing.T) {
 			c.Flush()
 		}
 		window()
-		window() // over twins, each copy has now been written first
+		window() // over views, the writer has now copied what the first view shared
 		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
 			t.Fatalf("warm insert and remove windows allocate %.2f/op, want 0", allocs)
 		}
 	}
 	t.Run("single-kind windows", func(t *testing.T) { singleKind(t, null) })
-	t.Run("snapshot single-kind windows", func(t *testing.T) { singleKind(t, newNullTwins) })
+	t.Run("snapshot single-kind windows", func(t *testing.T) { singleKind(t, newNullViews) })
 	t.Run("netted mixed window", func(t *testing.T) {
 		c := New(null(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		window := func() {

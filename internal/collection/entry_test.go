@@ -210,7 +210,7 @@ func TestCommitWindowZeroAllocWarm(t *testing.T) {
 }
 
 // countBuilds wraps idx in a gate (snapshot_test.go) that is never held,
-// for the Build counter it shares with its replicas.
+// for its Build counter.
 func countBuilds(idx core.Index) (core.Index, *atomic.Int32) {
 	ctl := new(gates)
 	return newGate(idx, ctl), &ctl.builds
@@ -220,8 +220,8 @@ func countBuilds(idx core.Index) (core.Index, *atomic.Int32) {
 // read exactly like one that took the same entries through Set + Flush —
 // in both read modes, with several IDs sharing a point and an ID listed
 // twice — after discarding what was committed and pending before,
-// journaling nothing, and running Index.Build once in all: the second copy
-// of a snapshot Collection adopts what the first built (recovery and a
+// journaling nothing, and running Index.Build once in all: a snapshot
+// Collection publishes a view of what the writer built (recovery and a
 // follower's bootstrap pay for one Build, not two).
 func TestLoadEqualsSetAllFlush(t *testing.T) {
 	const nIDs = 300
@@ -273,10 +273,10 @@ func TestLoadEqualsSetAllFlush(t *testing.T) {
 			if journaled != 0 {
 				t.Fatalf("%s: Load journaled %d windows, want none", where, journaled)
 			}
-			// Copy-on-write: two fresh indexes of the stack adopt (a Sharded
-			// adopts only when its shard family does).
-			a, cow := mk().(core.Adopter)
-			cow = cow && a.Adopt(mk())
+			// Copy-on-write: a fresh index of the stack pins a view (a
+			// Sharded pins only when its shard family does).
+			v, cow := mk().(core.Versioned)
+			cow = cow && v.Pin() != nil
 			if n := builds.Load(); shared != (cow && snapshot) || n != 1 {
 				t.Fatalf("%s: sharing %t (copy-on-write index: %t), %d Builds in all; want one", where, shared, cow, n)
 			}

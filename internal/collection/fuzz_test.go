@@ -26,7 +26,7 @@ import (
 //
 // The high bit of the second input byte picks the read mode: clear, the
 // stack's copy-on-write capability is hidden and it runs locked reads;
-// set, it runs as built, and a stack that shares its twins gets a
+// set, it runs as built, and a stack that pins views gets a
 // concurrent epoch-pinned reader: the writer records the
 // oracle contents at every published epoch, and the reader scans the
 // universe, bracketing each scan with Epoch() loads — when the epoch did
@@ -83,7 +83,7 @@ var fuzzKeys = func() (ids [fuzzIDs]string) {
 
 // fuzzStacks lists the inner stacks the low bits of the first input byte
 // select from, in a fixed order so corpus entries stay reproducible. Slot
-// 0 runs locked reads in either mode; the others share their twins'
+// 0 runs locked reads in either mode; the others publish views of their
 // trees when the tape asks for snapshot reads.
 var fuzzStacks = []func(dims int) core.Index{
 	func(dims int) core.Index { return core.NewBruteForce(dims) },

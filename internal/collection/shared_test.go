@@ -13,9 +13,10 @@ import (
 )
 
 // Snapshot mode over a copy-on-write index: the two committed versions are
-// two handles on one tree, beside the one slot table. These tests pin what
-// that is for (memory), what it must not change (a pinned reader's answers)
-// and how it can be observed (Shares, the copy counts in Stats), over the
+// the writer and its published view of one tree, beside the one slot
+// table. These tests pin what that is for (memory), what it must not
+// change (a pinned reader's answers) and how it can be observed (Current,
+// the copy counts in Stats), over the
 // stack psid serves, one SPaC-H tree, and over Sharded(SPaC-H) and
 // Sharded(P-Orth).
 var sharedStacks = []string{"SPaC-H", "Sharded(SPaC-H)", "Sharded(P-Orth)"}
@@ -75,7 +76,7 @@ func churned(t *testing.T, mk func() core.Index, n int, snapshot bool) (*Collect
 // the shared stacks: after a load and twenty 4096-move windows a stack
 // holds at most 8 B per object more than the same stack built with locked
 // reads (measured: 1 B less over SPaC-H, 1 B more over Sharded(SPaC-H) and
-// over Sharded(P-Orth)) — room for the second handle's first-touch copies,
+// over Sharded(P-Orth)) — room for the writer's first-touch copies,
 // not for a second slot table (58–62 B per object) and far from a second
 // tree.
 func TestSharedIndexBytesPerObject(t *testing.T) {
@@ -103,13 +104,13 @@ func TestSharedIndexBytesPerObject(t *testing.T) {
 }
 
 // TestSteadyFlushAllocation is the allocation guard of psid's own path: a
-// Collection over one SPaC-H or P-Orth tree, read through adopting twins,
+// Collection over one SPaC-H or P-Orth tree, read through pinned views,
 // holds track-ingest's n = 3·10⁵ objects and, after warm-up windows, takes
 // 60 windows of 4096 Sets of random objects to random points, each
 // flushed; per object the windows moved, it allocates at most its ceiling
-// in bytes and in objects. Each window's copies of shared paths are
-// retired and come back at the Adopt that ends its commit, so the next
-// window copies into them. Before they did, the windows allocated SPaC-H
+// in bytes and in objects. What each window's copies of shared paths
+// displace comes back at the Unpin that ends its commit, so the next
+// window copies into it. Before they did, the windows allocated SPaC-H
 // 723 B and 5.1 allocations and P-Orth 533 B and 5.6 per moved object (at
 // n = 10⁵, 373 and 316 B); with the recycler's classes bounded at 2¹⁴
 // elements instead of 2¹⁵ they allocated 7–9 B. The ceilings are the
@@ -143,7 +144,7 @@ func TestSteadyFlushAllocation(t *testing.T) {
 			}
 			col.Flush()
 		}
-		// A collection takes back the twins' pool, to be refilled by the
+		// A collection takes back the writer's pool, to be refilled by the
 		// windows after it: one now, with the heap far below its next
 		// goal, keeps one out of the windows measured.
 		runtime.GC()
@@ -250,11 +251,11 @@ func TestOneTablePerCollection(t *testing.T) {
 	}
 }
 
-// TestSharedIndexStaysOneTree: between commits the two copies of a shared
-// index are one structure — Shares, which for the trees is pointer
-// equality of every shard's root — and answer alike; a window copies the
-// paths it touches and no more; Load builds once and leaves them sharing
-// again.
+// TestSharedIndexStaysOneTree: between commits the writer of a shared
+// index and its published view are one structure — Current, which for the
+// trees is pointer equality of every shard's root — and answer alike; a
+// window copies the paths it touches and no more; Load builds once and
+// leaves them one structure again.
 func TestSharedIndexStaysOneTree(t *testing.T) {
 	for _, name := range sharedStacks {
 		t.Run(name, func(t *testing.T) { sharedIndexStaysOneTree(t, innerStacks()[name]) })
@@ -273,23 +274,20 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 		c.Set(key(i), pos[key(i)])
 	}
 	c.Flush()
-	// The first commit publishes the replica the cell made of idx.
-	v := c.cell.Acquire()
-	inner := []core.Index{idx, v.Index}
-	c.cell.Release()
-	a, b := inner[0].(core.Adopter), inner[1].(core.Adopter)
 	check := func(when string) {
 		t.Helper()
-		if !a.Shares(inner[1]) || !b.Shares(inner[0]) {
-			t.Fatalf("%s: the two index copies are not one structure", when)
+		v := c.cell.Acquire()
+		defer c.cell.Release()
+		if !idx.(core.Versioned).Current(v.Index) {
+			t.Fatalf("%s: the writer and the published view are not one structure", when)
 		}
 		q := geom.Pt2(rng.Int63n(side), rng.Int63n(side))
 		box := geom.BoxOf(geom.Pt2(q[0]/2, q[1]/2), q)
-		if !slices.Equal(inner[0].KNN(q, 8, nil), inner[1].KNN(q, 8, nil)) ||
-			inner[0].RangeCount(box) != inner[1].RangeCount(box) {
-			t.Fatalf("%s: the two index copies answer differently", when)
+		if !slices.Equal(idx.KNN(q, 8, nil), v.Index.KNN(q, 8, nil)) ||
+			idx.RangeCount(box) != v.Index.RangeCount(box) {
+			t.Fatalf("%s: the writer and the published view answer differently", when)
 		}
-		if err := c.Validate(); err != nil {
+		if err := c.cell.Validate(); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
 	}

@@ -79,8 +79,8 @@ func TestSnapshotOracleAgreementAcrossStacks(t *testing.T) {
 }
 
 // TestSnapshotSequentialEquivalence re-runs the crowded-domain flush
-// contract over copy-on-write twins: windows published through the epoch
-// pointer and adopted by the displaced copy must leave the Collection
+// contract over pinned views: windows published through the epoch pointer
+// as a view, the displaced view unpinned, must leave the Collection
 // where one-at-a-time execution leaves a map.
 func TestSnapshotSequentialEquivalence(t *testing.T) { sequentialEquivalence(t, true) }
 
@@ -104,9 +104,9 @@ func TestSnapshotMaxBatchMakesWindowVisible(t *testing.T) {
 }
 
 // TestSnapshotLoadAndEpochCounters checks Load's whole-epoch swap and the
-// Stats counter contract in snapshot mode, over SPaC-H and P-Orth twins: a
+// Stats counter contract in snapshot mode, over SPaC-H and P-Orth views: a
 // Load publishes one epoch as a window does, and a Load after windows
-// restarts both copies from the loaded contents.
+// restarts the index from the loaded contents.
 func TestSnapshotLoadAndEpochCounters(t *testing.T) {
 	entries := func(n int) iter.Seq2[string, geom.Point] {
 		return func(yield func(string, geom.Point) bool) {
@@ -148,12 +148,12 @@ func TestSnapshotLoadAndEpochCounters(t *testing.T) {
 	}
 }
 
-// gates is the control the gate decorators of one Collection's index
-// copies share: it holds the at-th BatchDiff or Adopt made on either copy
-// after hold(at) until release is closed, so a test can stop a commit at a
-// chosen step — 1 is the apply to the standby, before the publish; 2 is the
-// displaced copy's Adopt, after the table step — and probe what readers
-// can do meanwhile. builds counts the Builds of every copy.
+// gates is the control of the gate decorator of one Collection's index:
+// it holds the at-th BatchDiff or Unpin made on it after hold(at) until
+// release is closed, so a test can stop a commit at a chosen step — 1 is
+// the apply to the writer, before the publish; 2 is the displaced view's
+// Unpin, after the table step — and probe what readers can do meanwhile.
+// builds counts the Builds.
 type gates struct {
 	at, calls atomic.Int32
 	builds    atomic.Int32
@@ -175,8 +175,8 @@ func (g *gates) pass() {
 }
 
 // gate forwards core.Index alone, so a Collection over it reads under its
-// lock; adoptingGate is the gate over a copy-on-write index, whose
-// capability it passes through, replicas behind gates of their own.
+// lock; pinningGate is the gate over a copy-on-write index, whose
+// capability it passes through.
 type gate struct {
 	core.Index
 	ctl *gates
@@ -192,30 +192,24 @@ func (g *gate) Build(pts []geom.Point) {
 	g.Index.Build(pts)
 }
 
-type adoptingGate struct{ gate }
+type pinningGate struct{ gate }
 
-func (g *adoptingGate) NewReplica() core.Index {
-	return newGate(g.Index.(core.Adopter).NewReplica(), g.ctl)
-}
+func (g *pinningGate) Pin() core.Index { return g.Index.(core.Versioned).Pin() }
 
-func (g *adoptingGate) Adopt(src core.Index) bool {
+func (g *pinningGate) Unpin(v core.Index) {
 	g.ctl.pass()
-	o, ok := src.(*adoptingGate)
-	return ok && g.Index.(core.Adopter).Adopt(o.Index)
+	g.Index.(core.Versioned).Unpin(v)
 }
 
-func (g *adoptingGate) Shares(o core.Index) bool {
-	og, ok := o.(*adoptingGate)
-	return ok && g.Index.(core.Adopter).Shares(og.Index)
-}
+func (g *pinningGate) Current(v core.Index) bool { return g.Index.(core.Versioned).Current(v) }
 
-func (g *adoptingGate) Copied() (nodes, bytes uint64) { return g.Index.(core.Adopter).Copied() }
+func (g *pinningGate) Copied() (nodes, bytes uint64) { return g.Index.(core.Versioned).Copied() }
 
 // newGate puts idx behind a gate under ctl that shows as much of idx as
 // idx has.
 func newGate(idx core.Index, ctl *gates) core.Index {
-	g := &adoptingGate{gate{Index: idx, ctl: ctl}}
-	if _, ok := idx.(core.Adopter); ok {
+	g := &pinningGate{gate{Index: idx, ctl: ctl}}
+	if _, ok := idx.(core.Versioned); ok {
 		return g
 	}
 	return &g.gate
@@ -373,8 +367,8 @@ func byID(es []Entry) []Entry {
 // published version keeps the pre-window answer while the window is
 // applied beside it, and keeps the commit in its drain; readers that
 // arrive meanwhile wait — counted — and return the post-window answer,
-// whole, as soon as it lets go, which is before the displaced copy has
-// adopted the published one.
+// whole, as soon as it lets go, which is before the displaced view is
+// unpinned.
 func TestTableStepRunsInTheDrainGap(t *testing.T) {
 	for name, mk := range map[string]func() core.Index{"SPaC-H, adopting": newSPaCH, "P-Orth, adopting": newPOrth} {
 		t.Run(name, func(t *testing.T) { tableStepInTheGap(t, mk) })
@@ -431,8 +425,8 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 		c.Flush()
 	}()
 	waitFor(t, "the drain", func() bool { return c.Stats().RetireLag == 1 })
-	// The window is applied to the off-line copy and its writer waits for
-	// the held reader: the published version and the table are still the
+	// The window is applied to the writer, and the commit waits for the
+	// held reader: the published version and the table are still the
 	// reader's.
 	if got := scanAt(c, held); !slices.Equal(got, old) || c.Epoch() != held.Epoch() {
 		t.Fatalf("held reader during the drain: %v at epoch %d; want %v at epoch %d", got, c.Epoch(), old, held.Epoch())
@@ -472,12 +466,12 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 	if !slices.Equal(scan, fresh) {
 		t.Fatalf("reader that waited out the drain: %v, want the whole post-window answer %v", scan, fresh)
 	}
-	// The waiting readers are back while the displaced copy's Adopt is still
-	// held: they waited for the table step, not for the replay stage.
+	// The waiting readers are back while the displaced view's Unpin is
+	// still held: they waited for the table step, not for the replay stage.
 	<-ctl.entered
 	select {
 	case <-committed:
-		t.Fatal("the commit finished with its Adopt held")
+		t.Fatal("the commit finished with its Unpin held")
 	default:
 	}
 	unhold()
@@ -575,9 +569,9 @@ func loadIsWhole(t *testing.T, mk func() core.Index) {
 // all at their B positions. A half-applied window leaking through the epoch
 // pointer, or a table read on the wrong side of its step, shows up here as
 // a mixed or short scan (and, under -race, as a data race). It runs over
-// both copy-on-write trees, whose copies share one structure, over a
-// Sharded of each (where a window that wrote a node its twin can reach is
-// the bug to catch), and with four objects to a point, so that every hit
+// both copy-on-write trees, whose views share one structure with the
+// writer, over a Sharded of each (where a window that wrote a node a view
+// can reach is the bug to catch), and with four objects to a point, so that every hit
 // resolves through an owner chain.
 func TestSnapshotNeverTorn(t *testing.T) {
 	for _, name := range []string{"SPaC-H", "Sharded(SPaC-H)", "P-Orth", "Sharded(P-Orth)"} {
@@ -730,7 +724,7 @@ func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 		pos[i] = geom.Pt2(int64(i)*17, int64(i)*29)
 	}
 	ids := keys(n)
-	c := New(newNullTwins(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
+	c := New(newNullViews(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 	for i, p := range pos {
 		c.Set(ids[i], p)
 	}
@@ -742,24 +736,15 @@ func TestSnapshotFlushZeroAllocWarm(t *testing.T) {
 		c.Flush()
 	}
 	window()
-	window() // both twins warmed through one full publish cycle each
+	window() // the writer and its views warmed through two publish cycles
 	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
 		t.Fatalf("warm snapshot same-position window allocates %.2f/op, want 0", allocs)
 	}
 }
 
-// fullReplica is nullTwins whose replicas are not empty.
-type fullReplica struct{ nullTwins }
-
-func (x fullReplica) NewReplica() core.Index {
-	r := newNullTwins()
-	r.Build(make([]geom.Point, 1))
-	return r
-}
-
 // TestSnapshotRequiresEmptyIndexes documents the construction contract
-// over a copy-on-write index: New panics when the inner index or its
-// replica starts non-empty, since the twins could then never agree.
+// over a copy-on-write index: New panics when the inner index starts
+// non-empty, whose points would have no owning ID.
 func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		t.Helper()
@@ -774,8 +759,5 @@ func TestSnapshotRequiresEmptyIndexes(t *testing.T) {
 		idx := newSPaCH()
 		idx.Build([]geom.Point{geom.Pt2(1, 1)})
 		New(idx, Options{})
-	})
-	assertPanics("non-empty twin", func() {
-		New(fullReplica{nullTwins{core.NewNull(2)}}, Options{})
 	})
 }

@@ -143,7 +143,7 @@ func TestTableAgainstMapOracle(t *testing.T) {
 func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 	const live, pool, windows = 10_000, 1_000_000, 60
 	for _, snapshot := range []bool{false, true} {
-		c := New(inMode(newNullTwins(), snapshot), Options{MaxBatch: 1 << 30})
+		c := New(inMode(newNullViews(), snapshot), Options{MaxBatch: 1 << 30})
 		rng := rand.New(rand.NewSource(3))
 		name := func(i int) string { return fmt.Sprintf("obj-%07d", i) }
 		var ids []int // the live IDs
@@ -215,7 +215,7 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 // objects ingested through 1024-op windows in snapshot mode cost at most
 // 62 B each for the table — the one there is, in snapshot mode too: what
 // dropping the Collection gives back to the heap while the ID strings,
-// which the caller keeps, stay (the twin indexes hold a count each), plus
+// which the caller keeps, stay (the index and its views hold a count each), plus
 // what its table maps outside the heap, and what the Collection's emptied
 // pending windows keep. It measures 55.4 with flat pending windows; 59.2
 // with a Go string tape and map overlay beside the arena and the mapped
@@ -261,7 +261,7 @@ func tableBytesPerObject(t *testing.T, dims int, owned bool, bound, heapBound fl
 		}
 	}
 	heap := settledHeap
-	c := New(newNullTwinsIn(dims), Options{MaxBatch: 1024})
+	c := New(newNullViewsIn(dims), Options{MaxBatch: 1024})
 	for i := range n {
 		p := geom.Pt2(int64(i)*3, int64(i)*5)
 		if dims == 3 {
@@ -490,7 +490,7 @@ func TestChurnAllocatesOnlyArenas(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
 		mk := func() core.Index { return core.NewNull(2) }
 		if snapshot {
-			mk = newNullTwins
+			mk = newNullViews
 		}
 		c := New(mk(), Options{MaxBatch: 1 << 20, Obs: obs.New()})
 		window := func() {

@@ -11,14 +11,13 @@ import "sync"
 // its leaves can never fill.
 //
 // Blocks recycle. An update that displaces a block its tree owns — one
-// never published to a reader or another handle: the old block of a grow
-// or a fit, the block of a leaf that a split, a merge or a flatten
-// replaced — gives it to the tree's Recycler, and the blocks the update
-// needs next come from there before they come from the allocator. A block
-// a reader or another handle may still reach is given back only once
-// nothing reaches it: the block of a shared leaf an update displaced
-// waits, retired with its leaf, for the other handle to adopt the updated
-// one (adopt.go). The caller, which knows whose block it is, decides. The
+// never published to a reader: the old block of a grow or a fit, the block
+// of a leaf that a split, a merge or a flatten replaced — gives it to the
+// tree's Recycler, and the blocks the update needs next come from there
+// before they come from the allocator. A block a pinned view may still
+// reach is given back only once nothing reaches it: the block of a shared
+// leaf an update displaced waits, with its leaf, for the views that reach
+// it to be unpinned (handle.go). The caller, which knows whose block it is, decides. The
 // methods below take a nil Recycler, which recycles nothing: Build passes
 // nil.
 
@@ -47,9 +46,9 @@ const (
 	maxRecycledCap = 256
 	// maxRecycledClassElems and maxRecycledElems bound what a Recycler
 	// holds — 2 MiB of 2-D points in all — sized for what one commit
-	// of a 4096-op window displaces between twins over 3·10⁵ points
+	// of a 4096-op window displaces from a pinned view over 3·10⁵ points
 	// (≈ 6000 leaf blocks, ≈ 1.7·10⁵ elements), which comes back at the
-	// next Adopt all at once: at 2¹⁴ elements a class, such a window
+	// view's Unpin all at once: at 2¹⁴ elements a class, such a window
 	// allocated 9 B per moved object where it allocates 1. A class of c
 	// elements holds at most 2¹⁵/c blocks: 819 at the leaf wrap φ = 40,
 	// 8192 child arrays of a 2-D P-Orth node. Much past that, a raw
@@ -172,8 +171,8 @@ type FreeList[T any] struct {
 }
 
 // maxFreeList bounds a FreeList: above the nodes one commit of a 4096-op
-// window displaces between twins over 3·10⁵ points, which come back at the
-// next Adopt all at once (≈ 10⁴ SPaC nodes, 96 B each in 2-D).
+// window displaces from a pinned view over 3·10⁵ points, which come back
+// at the view's Unpin all at once (≈ 10⁴ SPaC nodes, 96 B each in 2-D).
 const maxFreeList = 1 << 15
 
 // Get returns an object put before, or a new zero one.

@@ -62,46 +62,43 @@ type Index interface {
 	RangeList(box geom.Box, dst []geom.Point) []geom.Point
 }
 
-// Adopter is the capability behind the library's snapshot reads
-// (ARCHITECTURE.md "Epochs & snapshot reads"): a copy-on-write index, two
-// replicas of which can be handles on one structure, each copying only
-// what it goes on to change (internal/spactree and internal/orthtree
-// cow.go). The version cell applies each window to the off-line handle,
-// waits out the displaced handle's readers, publishes the applied one, and
-// has the displaced one adopt it: a window is applied, and a Build run,
-// once.
+// Versioned is the capability behind the library's snapshot reads
+// (ARCHITECTURE.md "Epochs & snapshot reads"): a copy-on-write index, one
+// writer whose updates copy only what they go on to change (internal/
+// spactree and internal/orthtree cow.go), so that the contents before an
+// update stay intact as a read-only view. The version cell applies each
+// window to the writer, pins a view of the result, waits out the readers
+// of the view it displaces, publishes the new one and unpins the old: a
+// window is applied, and a Build run, once.
 //
 // Contract (normative):
 //
-//   - NewReplica returns a NEW, empty index configured identically to the
-//     receiver, sharing no mutable state with it until it adopts it.
-//   - Adopt(src) makes the receiver's contents src's without copying
-//     them: O(1) for a tree, O(shards) for a composite, no allocation.
-//     Afterwards the two answer every query alike, and an update of
-//     either is invisible to the other and to any query still running on
-//     the structure they shared. It reports false, having changed
-//     nothing, when src is not a replica of the receiver (another family
-//     or configuration, or a composite whose children are not Adopters);
-//     for a given pair the answer never changes.
-//   - Queries may run on src and on the receiver's old contents during
-//     Adopt. Updates and other Adopt calls on either index must not: the
-//     caller serializes them, as it does updates — the two share what their
-//     updates reuse from then on, so their updates stay serialized with
-//     each other.
-//   - Queries on the receiver's old contents must have ended before either
-//     index is next updated: Adopt may hand what src's updates displaced
-//     from those contents to the next update for reuse (reclaim at adopt,
-//     adopt.go). The version cell's drain ends them before the displaced
-//     handle adopts.
-//   - Shares(o) reports whether the two are still handles on one
-//     structure: true after Adopt until either is updated.
+//   - Pin returns a read-only view of the receiver's contents, in O(1)
+//     and, once a view has been pinned and unpinned before, without
+//     allocating: an Index that answers every query as the receiver does
+//     now, until it is unpinned, whatever updates the receiver runs
+//     meanwhile; an update of the view panics. Pin returns nil when the
+//     index cannot pin (a composite whose children are not Versioned);
+//     for a given index the answer never changes.
+//   - Queries may run on the views and on the receiver during Pin and
+//     Unpin. Updates, Pin and Unpin must not overlap one another: the
+//     caller serializes them.
+//   - Unpin(v) ends a view the receiver pinned, which must not be read
+//     again: its queries must have ended, since Unpin may hand what the
+//     receiver's updates displaced from it to the next update for reuse
+//     (reclaim at unpin, handle.go). The version cell's drain ends them
+//     before it unpins. It panics when v is not a view pinned from the
+//     receiver.
+//   - Current(v) reports whether v is a pinned view of the receiver's
+//     contents as they are: true after Pin until the receiver's next
+//     update.
 //   - Copied returns the running totals of nodes, and bytes of stored
-//     entries, the receiver has copied because it shared them — the cost
-//     of sharing, against the size of the whole index.
-type Adopter interface {
-	NewReplica() Index
-	Adopt(src Index) bool
-	Shares(o Index) bool
+//     entries, the receiver has copied because a view reached them — the
+//     cost of the views, against the size of the whole index.
+type Versioned interface {
+	Pin() Index
+	Unpin(v Index)
+	Current(v Index) bool
 	Copied() (nodes, bytes uint64)
 }
 

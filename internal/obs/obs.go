@@ -193,8 +193,8 @@ type family struct {
 
 // Registry holds metric families and the shared flush-trace ring. Create
 // one with New and hand it to every layer of one stack (each layer
-// registers its series once — snapshot-mode twins share their metrics
-// instead of re-registering). Registration takes a registry lock;
+// registers its series once, however many versions of its index a
+// snapshot-mode stack keeps). Registration takes a registry lock;
 // recording through the returned handles never does. The nil *Registry
 // is safe on every method: registration returns nil handles (whose
 // record methods no-op) and exposition writes nothing.

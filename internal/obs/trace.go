@@ -18,8 +18,8 @@ const (
 	// into the write-ahead log and (policy permitting) fsyncing it —
 	// zero when the layer runs without a WAL.
 	StageLog
-	// StageReplay is the displaced twin's adoption of the published index,
-	// after the write lock is released (snapshot mode only).
+	// StageReplay is the unpin of the displaced view, after the write lock
+	// is released (snapshot mode only).
 	StageReplay
 	// StageApply is the new window's index application (plus, for a
 	// Collection under locked reads, the wait for the write lock and the

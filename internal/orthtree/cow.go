@@ -6,8 +6,8 @@ import (
 )
 
 // Copy-on-write by generation stamp, under internal/core's Handle, which
-// holds the protocol: the generations, the pool, the retire rule and
-// Adopt's reclaim. Alg. 2 writes only nodes on the paths a batch reaches,
+// holds the protocol: the generations, the pool, the pinned views and the
+// reclaim at unpin. Alg. 2 writes only nodes on the paths a batch reaches,
 // and each of them is one own has handed back: a node of another
 // generation comes back as a stamped copy — an interior node with its
 // child slots, a leaf with its points — which the caller links where the
@@ -52,43 +52,43 @@ func (t *tree[S]) own(nd *node[S]) *node[S] {
 	return cp
 }
 
-// unwrap returns the tree[S] behind idx, when idx is a Tree storing S.
-func unwrap[S geom.Packed](idx core.Index) (*tree[S], bool) {
-	w, ok := idx.(*Tree)
-	if !ok {
-		return nil, false
+// Pin implements core.Versioned: a read-only view of t's contents.
+func (t *tree[S]) Pin() core.Index {
+	p := t.Handle.Pin()
+	if p.View == nil {
+		p.View = &Tree{&tree[S]{opts: t.opts, nway: t.nway}}
 	}
-	t, ok := w.body.(*tree[S])
-	return t, ok
+	v := p.View.(*Tree).body.(*tree[S])
+	v.Viewing(p)
+	v.root = t.root
+	return p.View
 }
 
-// NewReplica implements core.Adopter: a fresh, empty tree over the same
-// options.
-func (t *tree[S]) NewReplica() core.Index { return New(t.opts) }
-
-// Adopt implements core.Adopter: t drops its contents and becomes a second
-// handle on src's, in O(1) and without allocating. It refuses — false,
-// nothing changed — unless src is a P-Orth tree over the same options.
-// Queries may run on either tree throughout; updates of either must not,
-// and queries on t's old contents must have ended before either is next
-// updated (core.Handle.Adopt).
-func (t *tree[S]) Adopt(src core.Index) bool {
-	o, ok := unwrap[S](src)
-	if !ok || o.opts != t.opts {
-		return false
+// Unpin implements core.Versioned: v, a view t pinned, is read no more.
+func (t *tree[S]) Unpin(v core.Index) {
+	vt := t.viewOf(v)
+	if vt == nil {
+		panic("orthtree: Unpin of an index that is not a view")
 	}
-	if o != t {
-		t.Handle.Adopt(&o.Handle, t.root, recycle)
-		t.root = o.root
-	}
-	return true
+	vt.root = nil
+	t.Handle.Unpin(vt.Viewed(), recycle)
 }
 
-// Shares implements core.Adopter: whether t and o are handles on one
-// structure right now — the state Adopt leaves, until either is updated.
-func (t *tree[S]) Shares(o core.Index) bool {
-	ot, ok := unwrap[S](o)
-	return ok && ot.root == t.root
+// Current implements core.Versioned: whether v is a view t pinned of its
+// contents as they are.
+func (t *tree[S]) Current(v core.Index) bool {
+	vt := t.viewOf(v)
+	return vt != nil && t.Holds(vt.Viewed()) && vt.root == t.root
+}
+
+// viewOf returns the tree behind v when v is a view storing S.
+func (t *tree[S]) viewOf(v core.Index) *tree[S] {
+	if w, ok := v.(*Tree); ok {
+		if vt, ok := w.body.(*tree[S]); ok && vt.Viewed() != nil {
+			return vt
+		}
+	}
+	return nil
 }
 
 // newKids returns an interior node's child array, of nil children: one
@@ -101,10 +101,9 @@ func (t *tree[S]) newKids() []*node[S] {
 }
 
 // drop retires every node of the subtree nd, for a caller that has copied
-// their points out and replaces the subtree, down to the first node the
-// update does not take (core.Handle.Takes).
+// their points out and replaces the subtree, in an update.
 func (t *tree[S]) drop(nd *node[S]) {
-	if nd == nil || !t.Takes(nd.gen) {
+	if nd == nil || t.Pool() == nil {
 		return
 	}
 	for _, c := range nd.kids {

@@ -2,6 +2,7 @@ package orthtree
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -82,12 +83,12 @@ func verifyAgainst(t *testing.T, what string, tr *Tree, ref *core.BruteForce) {
 	}
 }
 
-// TestAdoptIsolatesTheFork: after Adopt the two trees are one structure;
-// whatever either goes on to do — batches below and above smallBatch (the
-// depth-1 split and the skeleton), leaf absorbs and leaf splits, deletes
-// that collapse subtrees into leaves or empty them — the other keeps
-// answering from the contents it had, and both stay valid and canonical.
-// A tree that never adopted copies nothing.
+// TestAdoptIsolatesTheFork: a pinned view is the tree's contents, one
+// structure with it; whatever the tree goes on to do — batches below and
+// above smallBatch (the depth-1 split and the skeleton), leaf absorbs and
+// leaf splits, deletes that collapse subtrees into leaves or empty them —
+// the view keeps answering from the contents it had, and both stay valid
+// and canonical. A tree that never pinned copies nothing.
 func TestAdoptIsolatesTheFork(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		rng := rand.New(rand.NewSource(31))
@@ -100,27 +101,27 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 		tr.BatchDiff(ins, del)
 		live.BatchDiff(ins, del)
 		if nodes, bytes := tr.Copied(); nodes != 0 || bytes != 0 {
-			t.Fatalf("%dD: a tree that never adopted copied %d nodes, %d bytes", dims, nodes, bytes)
+			t.Fatalf("%dD: a tree that never pinned copied %d nodes, %d bytes", dims, nodes, bytes)
 		}
 
-		shadow := tr.NewReplica().(*Tree)
-		if !shadow.Adopt(tr) || !shadow.Shares(tr) || !tr.Shares(shadow) {
-			t.Fatalf("%dD: Adopt did not leave the two sharing", dims)
+		shadow := tr.Pin().(*Tree)
+		if !tr.Current(shadow) || fingerprint(shadow) != fingerprint(tr) {
+			t.Fatalf("%dD: the pinned view is not the tree's contents", dims)
 		}
 		frozen := core.NewBruteForce(dims)
 		frozen.Build(live.Points())
 		total := nodeCount(tr)
 
-		// step applies one diff to a, ref and checks both sides of the fork.
+		// step applies one diff to the writer and checks it and the view.
 		step := func(what string, a *Tree, ref *core.BruteForce, ins, del []geom.Point) {
 			t.Helper()
 			a.BatchDiff(ins, del)
 			ref.BatchDiff(ins, del)
-			verifyAgainst(t, what+": original", tr, live)
-			verifyAgainst(t, what+": shadow", shadow, frozen)
+			verifyAgainst(t, what+": writer", tr, live)
+			verifyAgainst(t, what+": view", shadow, frozen)
 		}
-		// The first update of either side finds its root shared: here a
-		// pure insert through the skeleton, later a pure delete.
+		// The first update finds its root shared: a pure insert through
+		// the skeleton.
 		ins, _ = churn(rng, dims, nil, 400)
 		step("insert", tr, live, ins, nil)
 		for _, n := range []int{40, 400, 10, 1000, 100} {
@@ -139,68 +140,130 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 		for _, n := range []int{10, 20, 30, 300} {
 			step("split", tr, live, cluster(q, dims, n), nil)
 		}
-		if tr.Shares(shadow) {
-			t.Fatalf("%dD: still sharing the root after updates", dims)
+		if tr.Current(shadow) {
+			t.Fatalf("%dD: the view is still current after updates", dims)
 		}
 		nodes, bytes := tr.Copied()
 		if nodes == 0 || bytes == 0 || int(nodes) > total {
 			t.Fatalf("%dD: updates of a shared %d-node tree copied %d nodes, %d bytes", dims, total, nodes, bytes)
 		}
 
-		// The other direction: the shadow's updates leave the original alone.
-		ins, del = churn(rng, dims, frozen.Points(), 400)
-		step("shadow delete", shadow, frozen, nil, del)
-		step("shadow insert", shadow, frozen, ins, nil)
-		step("shadow collapse", shadow, frozen, nil, shadow.KNN(q, 200, nil))
+		// A second view, pinned now and unpinned first: the collapse and
+		// the emptying below free what both views reach, and the first
+		// view must keep it.
+		second := tr.Pin()
+		step("second view", tr, live, nil, tr.KNN(q, 200, nil))
+		tr.Unpin(second)
 
-		// Emptying one side does not empty the other.
-		step("original emptied", tr, live, nil, live.Points())
+		// Emptying the tree does not empty the view.
+		step("writer emptied", tr, live, nil, live.Points())
 		if tr.Size() != 0 {
 			t.Fatalf("%dD: %d points left after deleting all", dims, tr.Size())
 		}
+		tr.Unpin(shadow)
 	}
 }
 
-// TestAdoptRefusesStrangers: only a replica is adopted — same family, same
-// options; a refusal changes nothing.
+// TestAdoptRefusesStrangers: Unpin refuses, and Current denies, an index
+// the tree did not pin — another tree, a view of another tree, a view
+// already unpinned — and a refusal changes nothing.
 func TestAdoptRefusesStrangers(t *testing.T) {
 	tr := newTest2D()
 	pts := workload.GenUniform(500, 2, testSide, 1)
 	tr.Build(pts)
-	other := workload.GenUniform(300, 2, testSide, 2)
-	wrap := tr.Options()
-	wrap.LeafWrap = 16
-	for _, src := range []core.Index{
-		New(wrap),
-		NewDefault(2, geom.UniverseBox(2, 2*testSide)),
-		core.NewBruteForce(2),
+	other := newTest2D()
+	other.Build(workload.GenUniform(300, 2, testSide, 2))
+	view := tr.Pin()
+	unpinned := tr.Pin() // its record waits for view's: Pin does not reuse it
+	tr.Unpin(unpinned)
+	for _, c := range []struct {
+		name string
+		idx  core.Index
+	}{
+		{"another tree", other},
+		{"a view of another tree", other.Pin()},
+		{"an unpinned view", unpinned},
+		{"the tree itself", tr},
+		{"a brute-force index", core.NewBruteForce(2)},
 	} {
-		src.Build(other)
-		if tr.Adopt(src) {
-			t.Fatalf("adopted a %s", src.Name())
+		if tr.Current(c.idx) {
+			t.Fatalf("%s is current", c.name)
 		}
-		if tr.Size() != len(pts) || tr.Shares(src) {
-			t.Fatalf("refusing a %s changed the tree", src.Name())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("unpinned %s", c.name)
+				}
+			}()
+			tr.Unpin(c.idx)
+		}()
+		if tr.Size() != len(pts) || !tr.Current(view) {
+			t.Fatalf("refusing %s changed the tree", c.name)
 		}
-	}
-	if !tr.Adopt(tr) || tr.Size() != len(pts) {
-		t.Fatal("adopting itself must be a no-op")
 	}
 	validateOrFail(t, tr)
 }
 
+// TestViewRefusesUpdates: an update or a Pin of a pinned view panics and
+// leaves it as it was.
+func TestViewRefusesUpdates(t *testing.T) {
+	tr := newTest2D()
+	pts := workload.GenUniform(500, 2, testSide, 1)
+	tr.Build(pts)
+	view := tr.Pin().(*Tree)
+	for name, update := range map[string]func(){
+		"BatchDiff":   func() { view.BatchDiff(pts[:3], pts[3:6]) },
+		"Build":       func() { view.Build(pts[:3]) },
+		"BatchInsert": func() { view.BatchInsert(pts[:3]) },
+		"BatchDelete": func() { view.BatchDelete(pts[:3]) },
+		"Pin":         func() { view.Pin() },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "read-only") {
+					t.Fatalf("%s of a view: panic %q, want one that names it read-only", name, msg)
+				}
+			}()
+			update()
+		}()
+		if view.Size() != len(pts) || !tr.Current(view) {
+			t.Fatalf("a refused %s changed the view", name)
+		}
+	}
+	validateOrFail(t, view)
+}
+
+// TestPinZeroAllocWarm: the version cell's Pin and Unpin, a new view
+// pinned before the old one is unpinned, allocate nothing once warm.
+func TestPinZeroAllocWarm(t *testing.T) {
+	for _, dims := range []int{2, 3} {
+		tr := NewDefault(dims, geom.UniverseBox(dims, testSide))
+		tr.Build(workload.GenUniform(500, dims, testSide, 1))
+		cur := tr.Pin()
+		cycle := func() {
+			next := tr.Pin()
+			tr.Unpin(cur)
+			cur = next
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Fatalf("%dD: a warm Pin and Unpin allocate %.1f times, want 0", dims, allocs)
+		}
+	}
+}
+
 // TestAdoptedSideReadsWhileWriterApplies is the -race half of fork
-// isolation: readers query the adopted side with no lock at all while the
-// writer applies 1 % batches to the original — and hands its structure to
-// a third tree every few batches, so the writer keeps losing ownership of
-// what it copied. The only memory both touch is what neither writes.
+// isolation: readers query a pinned view with no lock at all while the
+// writer applies 1 % batches — and pins a newer view every few batches,
+// unpinning the one before, so the writer keeps losing ownership of what
+// it copied while the readers' older view stays pinned. The only memory
+// both touch is what neither writes.
 func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 	const n = 40000
 	tr := newTest2D()
 	pts := workload.GenVarden(n, 2, testSide, 17)
 	tr.Build(pts)
-	shadow := tr.NewReplica().(*Tree)
-	shadow.Adopt(tr)
+	shadow := tr.Pin().(*Tree)
 
 	queries := workload.GenUniform(16, 2, testSide, 19)
 	boxes := workload.RangeQueries(16, 2, testSide, 0.01, 23)
@@ -244,7 +307,7 @@ func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(29))
 	live := append([]geom.Point(nil), pts...)
-	third := tr.NewReplica().(*Tree)
+	var third core.Index
 	for round := 0; round < 30; round++ {
 		b := n / 100
 		if round%2 == 1 {
@@ -258,14 +321,18 @@ func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 		}
 		tr.BatchDiff(ins, del)
 		if round%4 == 3 {
-			third.Adopt(tr)
+			next := tr.Pin()
+			if third != nil {
+				tr.Unpin(third)
+			}
+			third = next
 		}
 	}
 	close(stop)
 	wg.Wait()
 	validateOrFail(t, tr)
 	validateOrFail(t, shadow)
-	validateOrFail(t, third)
+	validateOrFail(t, third.(*Tree))
 	if tr.Size() != n || shadow.Size() != n {
 		t.Fatalf("sizes %d / %d after even exchanges, want %d", tr.Size(), shadow.Size(), n)
 	}
@@ -276,8 +343,7 @@ func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 func TestValidateChecksStamps(t *testing.T) {
 	tr := newTest2D()
 	tr.Build(workload.GenUniform(2000, 2, testSide, 7))
-	shadow := tr.NewReplica().(*Tree)
-	shadow.Adopt(tr) // tr at generation 2, shadow at 1
+	shadow := tr.Pin().(*Tree) // tr at generation 1, its view at 0
 	validateOrFail(t, tr)
 	validateOrFail(t, shadow)
 
@@ -300,12 +366,12 @@ func TestValidateChecksStamps(t *testing.T) {
 // TestOwnedAndSharedUpdatesAgree: updates that write the nodes they own in
 // place and recycle the blocks they displace build the canonical tree, as
 // do updates that find every node shared and copy what they touch. A raw
-// tree and a twin whose replica adopts it before every batch take the same
-// batches — from a few points to past seqCutoff, where forked branches draw
-// from one recycler, with runs of a repeated point — and after each both
-// must equal a fresh Build of the live points; the replica, left holding
-// the tree of before the batch, must still equal a Build of the points of
-// then: nothing it reaches was written or recycled.
+// tree and a twin that pins a view before every batch, unpinning the one
+// before, take the same batches — from a few points to past seqCutoff,
+// where forked branches draw from one recycler, with runs of a repeated
+// point — and after each both must equal a fresh Build of the live points;
+// the view, holding the tree of before the batch, must still equal a Build
+// of the points of then: nothing it reaches was written or recycled.
 func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		u := geom.UniverseBox(dims, testSide)
@@ -316,7 +382,7 @@ func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 		twin.Build(pts)
 		live := core.NewBruteForce(dims)
 		live.Build(pts)
-		replica := twin.NewReplica().(*Tree)
+		var replica *Tree
 		for round, n := range []int{30, 300, 3000, 60, 2500, 10, 600, 4000, 200, 5000, 1} {
 			ins, del := churn(rng, dims, live.Points(), n)
 			apply := func(idx core.Index) {
@@ -329,7 +395,10 @@ func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 					idx.BatchDelete(del)
 				}
 			}
-			replica.Adopt(twin)
+			if replica != nil {
+				twin.Unpin(replica)
+			}
+			replica = twin.Pin().(*Tree)
 			before := New(twin.Options())
 			before.Build(live.Points())
 			apply(raw)
@@ -340,7 +409,7 @@ func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 			for _, c := range []struct {
 				what      string
 				got, want *Tree
-			}{{"raw tree", raw, after}, {"twin", twin, after}, {"replica", replica, before}} {
+			}{{"raw tree", raw, after}, {"twin", twin, after}, {"view", replica, before}} {
 				validateOrFail(t, c.got)
 				if !StructuralEqual(c.got, c.want) {
 					t.Fatalf("%dD round %d (%d points): the %s differs from a Build of its points", dims, round, n, c.what)

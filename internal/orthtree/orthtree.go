@@ -42,7 +42,7 @@ type Tree struct{ body }
 // body is the method set of a tree[S], for either S.
 type body interface {
 	core.Index
-	core.Adopter
+	core.Versioned
 	core.Bounded
 	Options() core.Options
 	Validate() error
@@ -51,9 +51,9 @@ type body interface {
 }
 
 var (
-	_ core.Index   = (*Tree)(nil)
-	_ core.Adopter = (*Tree)(nil)
-	_ core.Bounded = (*Tree)(nil)
+	_ core.Index     = (*Tree)(nil)
+	_ core.Versioned = (*Tree)(nil)
+	_ core.Bounded   = (*Tree)(nil)
 )
 
 // tree is a P-Orth tree storing its points as S.
@@ -63,8 +63,8 @@ type tree[S geom.Packed] struct {
 	spread [][geom.MaxDims][]int // spread[λ] is grid.spread for λ levels
 	root   *node[S]
 	// Handle holds the generation the tree stamps on its nodes and the
-	// only one it writes in place, what its updates copied, and the pool
-	// they reuse (cow.go).
+	// only one it writes in place, what its updates copied, the pool they
+	// reuse, and its pinned views — or, on a view, the pin it is (cow.go).
 	core.Handle[node[S], S, scratch[S]]
 }
 
@@ -141,6 +141,7 @@ func (t *tree[S]) Universe() geom.Box { return t.opts.Universe }
 // the universe as they go, and the sieve rounds ping-pong between it and
 // one more of the same length.
 func (t *tree[S]) Build(pts []geom.Point) {
+	t.MustWrite()
 	work := t.pack(pts, make([]S, len(pts)))
 	t.root = t.build(work, make([]S, len(work)), t.opts.Universe)
 }
@@ -148,7 +149,7 @@ func (t *tree[S]) Build(pts []geom.Point) {
 // BatchInsert implements core.Index (Alg. 2). The input slice is not
 // modified.
 func (t *tree[S]) BatchInsert(pts []geom.Point) {
-	t.Begin(t.root)
+	t.Begin()
 	defer t.End()
 	t.insertPacked(t.pack(pts, core.Scratch(&t.Pool().X.ins, len(pts))))
 }
@@ -167,7 +168,7 @@ func (t *tree[S]) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
-	t.Begin(t.root)
+	t.Begin()
 	defer t.End()
 	t.deletePacked(pts)
 }
@@ -229,7 +230,7 @@ const seqCutoff = 2048
 // either applies. History independence makes the two-pass form
 // canonical — the result is identical to any fused application.
 func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
-	t.Begin(t.root)
+	t.Begin()
 	defer t.End()
 	work := t.pack(ins, core.Scratch(&t.Pool().X.ins, len(ins)))
 	if len(del) > 0 && t.root != nil {

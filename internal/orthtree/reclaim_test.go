@@ -13,32 +13,30 @@ import (
 	"repro/internal/workload"
 )
 
-// TestReclaimAtAdoptSparesEveryHandle churns twins under the version
-// cell's protocol — each window applied to the off-line handle while
-// readers query the published one, which then adopts it — so that every
-// Adopt reclaims what the window retired, and checks that no node a handle
-// can still reach is ever reused. Windows are BatchDiffs of 2048 moves, so
-// the skeleton's slots are updated in parallel and retire at once. Midway
-// a third handle adopts the published one and is never updated again: that
-// breaks the pair, so the next window's retirements must go to the
-// collector, and the pair that forms at the Adopt after it must never
-// retire the nodes the third handle holds. After every window the handle
-// it updated must pass Validate, the published handle of before the window
-// must be node by node what it was, and the third handle node by node a
-// Build of its points and as it was when it adopted; readers on both run
-// throughout, for -race. A stale partner, a missing generation floor or a
-// node reused before the Adopt each fail it.
-func TestReclaimAtAdoptSparesEveryHandle(t *testing.T) {
+// TestReclaimAtUnpinSparesEveryView churns a writer under the version
+// cell's protocol — each window applied to the writer while readers query
+// the published view, then a view of the result pinned and the old one
+// unpinned — so that every Unpin reclaims what the window displaced, and
+// checks that no node a view can still reach is ever reused. Windows are
+// BatchDiffs of 2048 moves, so the skeleton's slots are updated in
+// parallel and free at once. Midway a third view is pinned and held to the
+// end: the lists of every view pinned after it must wait for it, since
+// they hold nodes it reaches. After every window the writer must pass
+// Validate, the published view of before the window must be node by node
+// what it was, and the third view node by node a Build of its points and
+// as it was when pinned; readers on both run throughout, for -race. A
+// shared node recycled at once, or a list reclaimed while an older view is
+// still pinned, each fail it.
+func TestReclaimAtUnpinSparesEveryView(t *testing.T) {
 	const n, moves, windows = 16000, 2048, 120
 	for _, dims := range []int{2, 3} {
 		u := geom.UniverseBox(dims, testSide)
-		cur := NewDefault(dims, u)
+		tr := NewDefault(dims, u)
 		rng := rand.New(rand.NewSource(int64(60 + dims)))
 		pts := workload.GenVarden(n, dims, testSide, 7)
-		cur.Build(pts)
+		tr.Build(pts)
 		live := slices.Clone(pts)
-		standby := cur.NewReplica().(*Tree)
-		standby.Adopt(cur)
+		cur := tr.Pin().(*Tree)
 
 		var third, thirdBuilt *Tree
 		var thirdPrint uint64
@@ -55,20 +53,20 @@ func TestReclaimAtAdoptSparesEveryHandle(t *testing.T) {
 			}
 			before := fingerprint(cur)
 			done := readWhile(t, cur, dims)
-			standby.BatchDiff(ins, del)
+			tr.BatchDiff(ins, del)
+			next := tr.Pin().(*Tree)
 			done()
-			validateOrFail(t, standby)
+			validateOrFail(t, tr)
 			if fingerprint(cur) != before {
-				t.Fatalf("%dD window %d: applying it to the off-line handle changed the published one", dims, w)
+				t.Fatalf("%dD window %d: applying it to the writer changed the published view", dims, w)
 			}
-			// The published handle's readers have ended: it adopts.
-			cur.Adopt(standby)
-			cur, standby = standby, cur
+			// The published view's readers have ended: it is unpinned.
+			tr.Unpin(cur)
+			cur = next
 			if w == windows/2 {
-				third = cur.NewReplica().(*Tree)
-				third.Adopt(cur)
+				third = tr.Pin().(*Tree)
 				thirdPrint = fingerprint(third)
-				thirdBuilt = New(third.Options())
+				thirdBuilt = New(tr.Options())
 				thirdBuilt.Build(live)
 				readers.Add(1)
 				go func() {
@@ -78,16 +76,18 @@ func TestReclaimAtAdoptSparesEveryHandle(t *testing.T) {
 			}
 			if third != nil {
 				if fingerprint(third) != thirdPrint || !StructuralEqual(third, thirdBuilt) {
-					t.Fatalf("%dD window %d: the third handle changed after adopting at window %d", dims, w, windows/2)
+					t.Fatalf("%dD window %d: the third view changed after it was pinned at window %d", dims, w, windows/2)
 				}
 			}
 		}
 		close(stop)
 		readers.Wait()
 		validateOrFail(t, third)
+		tr.Unpin(third)
 		ref := core.NewBruteForce(dims)
 		ref.Build(live)
 		verifyAgainst(t, fmt.Sprintf("%dD after the churn", dims), cur, ref)
+		verifyAgainst(t, fmt.Sprintf("%dD writer after the churn", dims), tr, ref)
 	}
 }
 

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"slices"
-	"sort"
 )
 
 // seqSortThreshold is the size below which Sort and SortByKey run on the
@@ -67,7 +66,3 @@ func Sort[T any](a []T, cmp func(x, y T) int) {
 		copy(a[offsets[b]:offsets[b+1]], seg)
 	})
 }
-
-// SearchInts is re-exported sort.Search specialised for int ranges; several
-// indexes binary-search batch boundaries with it.
-func SearchInts(n int, f func(int) bool) int { return sort.Search(n, f) }

@@ -213,8 +213,8 @@ type Server struct {
 // New wraps idx (which must start empty) in a Server. Like
 // collection.New, the Server takes ownership of idx — psid serves one
 // tree (SPaC-H by default), whose batch update runs each netted flush in
-// parallel while connections keep enqueueing. When idx is copy-on-write (core.Adopter), queries ride the
-// epoch-pinned snapshot path: NEARBY/WITHIN never wait behind the index
+// parallel while connections keep enqueueing. When idx is copy-on-write (core.Versioned: it pins
+// read-only views of itself), queries ride the epoch-pinned snapshot path: NEARBY/WITHIN never wait behind the index
 // apply, and /stats reports the epoch counters. A SET whose point lies
 // outside the Collection's stored range (int32 coordinates), or outside
 // idx's universe when it has a fixed one (core.Bounded), is refused before

@@ -8,13 +8,13 @@ import (
 )
 
 // The service layer enables epoch-pinned snapshot reads automatically
-// when the configured index is copy-on-write (core.Adopter: the SPaC
+// when the configured index is copy-on-write (core.Versioned: the SPaC
 // family and P-Orth), and reports the epoch counters over the wire in
 // STATS.
 
 // TestSnapshotAutoEnabled: a copy-on-write index — here a P-Orth tree —
 // puts the Collection on the snapshot path: STATS reports two resident
-// versions sharing one tree, the epoch advances with every non-empty
+// versions, the writer and its published view of one tree, the epoch advances with every non-empty
 // flush, and queries observe flushed state as usual.
 func TestSnapshotAutoEnabled(t *testing.T) {
 	s := startServer(t, orthtree.NewDefault(2, testUniverse()), Options{})

@@ -17,8 +17,8 @@ import (
 // parallel. Writers stream new objects and removals while readers query;
 // afterwards the Sharded itself must hold its invariants and answer the
 // full query suite exactly. The Sharded's copy-on-write capability is
-// hidden, so the Collection keeps it as its one locked copy (the twin
-// composition is snapshot_test.go's).
+// hidden, so the Collection keeps it as its one locked copy (the pinned
+// views are snapshot_test.go's).
 func TestCollectionOverSharded(t *testing.T) {
 	const (
 		nBase   = 5000

@@ -25,7 +25,7 @@ import (
 )
 
 // partition is the immutable cell-grid → shard mapping. Sharded swaps the
-// whole value on Build (rebalancing), so handles that adopted one another
+// whole value on Build (rebalancing), so the views pinned from a Sharded
 // can share it.
 type partition struct {
 	dims     int

@@ -67,23 +67,29 @@ func (o Options) validate() {
 //
 // Concurrent use is the front-end's: a Collection holds the Sharded
 // behind its version cell (see the "Scaling out" section of
-// the README). Over copy-on-write children (core.Adopter: the SPaC family
-// and P-Orth) the front-end's snapshot reads keep two Shardeds
-// (NewReplica) that are handles on one set of trees (Adopt) and read the
-// published one (ARCHITECTURE.md "Epochs & snapshot reads"); over any
-// other family Adopt refuses and the front-end reads under its lock.
+// the README). Over copy-on-write children (core.Versioned: the SPaC
+// family and P-Orth) the front-end's snapshot reads pin read-only views of
+// the Sharded — a Sharded over a view of every shard's tree and the
+// partition as it was — and read the published one (ARCHITECTURE.md
+// "Epochs & snapshot reads"); over any other family Pin returns nil and
+// the front-end reads under its lock.
 type Sharded struct {
 	opts Options
 
-	// part is swapped whole by Build (rebalancing) and by Adopt.
+	// part is swapped whole by Build (rebalancing); a view keeps the one
+	// it was pinned with.
 	part   *partition
 	shards []core.Index
 	// childName is the shard index family's name, for Name.
 	childName string
-	// cow is every shard's index as a core.Adopter, in shard order, or nil
-	// when the family is not copy-on-write; fixed at construction, like
-	// the indexes themselves.
-	cow []core.Adopter
+	// cow is every shard's index as a core.Versioned, in shard order, or
+	// nil when the family is not copy-on-write; fixed at construction,
+	// like the indexes themselves.
+	cow []core.Versioned
+	// of is, on a view, the Sharded that pinned it; views are the writer's
+	// unpinned views, which its next Pins hand out again.
+	of    *Sharded
+	views []*Sharded
 
 	// diff is BatchDiff's partitioning scratch (there is one writer);
 	// queryPool recycles the query fan-out scratch, which concurrent
@@ -93,7 +99,7 @@ type Sharded struct {
 }
 
 var _ core.Index = (*Sharded)(nil)
-var _ core.Adopter = (*Sharded)(nil)
+var _ core.Versioned = (*Sharded)(nil)
 var _ core.Bounded = (*Sharded)(nil)
 
 // New returns an empty Sharded index.
@@ -112,12 +118,12 @@ func newSharded(opts Options) *Sharded {
 		shards: make([]core.Index, opts.Shards),
 	}
 	s.queryPool.New = func() any { return new(queryScratch) }
-	cow := make([]core.Adopter, 0, len(s.shards))
+	cow := make([]core.Versioned, 0, len(s.shards))
 	for i := range s.shards {
 		child := opts.New(opts.Dims, opts.Universe)
 		s.shards[i] = child
 		s.childName = child.Name() // the same for every shard
-		if a, ok := child.(core.Adopter); ok {
+		if a, ok := child.(core.Versioned); ok {
 			cow = append(cow, a)
 		}
 	}
@@ -127,57 +133,62 @@ func newSharded(opts Options) *Sharded {
 	return s
 }
 
-// NewReplica implements core.Adopter: a fresh, empty, identically
-// configured twin.
-func (s *Sharded) NewReplica() core.Index { return newSharded(s.opts) }
-
-// Adopt implements core.Adopter when the shard family does: every shard's
-// index adopts its counterpart in src and the partition — immutable,
-// swapped whole by Build — is shared, so the receiver becomes a second
-// handle on src's contents in O(S) without allocating. It refuses unless
-// src is a Sharded of the same shape over the same family. src is only
-// read, so its queries keep running; the caller keeps everything off the
-// receiver and updates off src, and ends the queries on the receiver's old
-// contents before either is next updated, since each shard's Adopt may
-// hand what src's shard displaced from them to the next update (the
-// core.Adopter contract).
-func (s *Sharded) Adopt(src core.Index) bool {
-	o, ok := src.(*Sharded)
-	if !ok || s.cow == nil || o.cow == nil || o.childName != s.childName ||
-		o.opts.Dims != s.opts.Dims || o.opts.Universe != s.opts.Universe || o.opts.Shards != s.opts.Shards {
-		return false
+// Pin implements core.Versioned when the shard family does: a Sharded
+// over a view of every shard's index and the partition — immutable,
+// swapped whole by Build — in O(S), and without allocating once a view has
+// been unpinned. It returns nil over any other family.
+func (s *Sharded) Pin() core.Index {
+	s.mustWrite()
+	if s.cow == nil {
+		return nil
 	}
-	if o == s {
-		return true
+	var v *Sharded
+	if n := len(s.views); n > 0 {
+		v, s.views = s.views[n-1], s.views[:n-1]
+	} else {
+		v = &Sharded{opts: s.opts, shards: make([]core.Index, len(s.shards)), childName: s.childName, of: s}
+		v.queryPool.New = s.queryPool.New
 	}
-	for i := range s.cow {
-		if !s.cow[i].Adopt(o.shards[i]) {
-			if i == 0 {
-				return false // same family name, another configuration
-			}
-			panic("shard: " + s.childName + " shards of one index disagree about Adopt")
+	for i, a := range s.cow {
+		if v.shards[i] = a.Pin(); v.shards[i] == nil {
+			s.cow = nil // composite children that cannot pin
+			return nil
 		}
 	}
-	s.part = o.part
-	return true
+	v.part = s.part
+	return v
 }
 
-// Shares implements core.Adopter: every shard's index shares its
-// counterpart's structure, and the partition is the same one.
-func (s *Sharded) Shares(o core.Index) bool {
-	os, ok := o.(*Sharded)
-	if !ok || s.cow == nil || len(os.cow) != len(s.cow) {
+// Unpin implements core.Versioned: every shard's index unpins its view.
+func (s *Sharded) Unpin(v core.Index) {
+	o, ok := v.(*Sharded)
+	if !ok || o.of != s {
+		panic("shard: Unpin of an index that is not a view of this Sharded")
+	}
+	for i, a := range s.cow {
+		a.Unpin(o.shards[i])
+		o.shards[i] = nil
+	}
+	o.part = nil
+	s.views = append(s.views, o)
+}
+
+// Current implements core.Versioned: v is a view of s whose every shard
+// is a current view of its counterpart, over s's partition.
+func (s *Sharded) Current(v core.Index) bool {
+	o, ok := v.(*Sharded)
+	if !ok || o.of != s || o.part != s.part {
 		return false
 	}
-	for i := range s.cow {
-		if !s.cow[i].Shares(os.shards[i]) {
+	for i, a := range s.cow {
+		if !a.Current(o.shards[i]) {
 			return false
 		}
 	}
-	return s.part == os.part
+	return true
 }
 
-// Copied implements core.Adopter: the shards' totals, summed. The shard
+// Copied implements core.Versioned: the shards' totals, summed. The shard
 // indexes are fixed and keep their counts atomically, so a scrape may call
 // it at any time.
 func (s *Sharded) Copied() (nodes, bytes uint64) {
@@ -227,6 +238,7 @@ func (s *Sharded) ShardSizes(dst []int) []int {
 // ~len(pts)/S points (equi-depth over the cell histogram), then builds all
 // shard indexes in parallel.
 func (s *Sharded) Build(pts []geom.Point) {
+	s.mustWrite()
 	s.part = s.part.rebalanced(s.cellHistogram(pts))
 	part := s.part
 	scratch := make([]geom.Point, len(pts))
@@ -234,6 +246,13 @@ func (s *Sharded) Build(pts []geom.Point) {
 	parallel.ForEach(part.shards, 1, func(i int) {
 		s.shards[i].Build(scratch[offsets[i]:offsets[i+1]])
 	})
+}
+
+// mustWrite panics on a view: a pinned view is read-only.
+func (s *Sharded) mustWrite() {
+	if s.of != nil {
+		panic("shard: a pinned view is read-only")
+	}
 }
 
 // cellHistogram counts pts per grid cell (row-major ids) in parallel.
@@ -302,6 +321,7 @@ func grown(buf []geom.Point, n int) []geom.Point {
 // sub-diff independently preserves the BatchDiff contract exactly, and
 // sub-diffs for different shards run with no contention at all.
 func (s *Sharded) BatchDiff(ins, del []geom.Point) {
+	s.mustWrite()
 	if len(ins) == 0 && len(del) == 0 {
 		return
 	}

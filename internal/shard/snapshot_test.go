@@ -11,17 +11,17 @@ import (
 	"repro/internal/workload"
 )
 
-// A Sharded's part in snapshot reads is to be the twin: over a
-// copy-on-write family a snapshot-mode Collection or Server keeps two
-// Shardeds (NewReplica) in its version cell, handles on one set of trees
-// (Adopt), applies a window once and reads the published one. These tests
-// cover that role.
+// A Sharded's part in snapshot reads is to be the writer: over a
+// copy-on-write family a snapshot-mode Collection or Server applies each
+// window once to the Sharded in its version cell and publishes a pinned
+// view of it — a Sharded over a view of every shard's tree (Pin). These
+// tests cover that role.
 
 // TestSnapshotConcurrentUpdatesAndQueries hammers a snapshot-mode
-// Collection over Sharded twins of either copy-on-write family with a
-// window writer and concurrent readers (run under -race): readers pin one
-// twin while the other takes its sub-batches, and the final contents must
-// match a sequential oracle.
+// Collection over a Sharded of either copy-on-write family with a window
+// writer and concurrent readers (run under -race): readers query the
+// published view while the writer takes its sub-batches, and the final
+// contents must match a sequential oracle.
 func TestSnapshotConcurrentUpdatesAndQueries(t *testing.T) {
 	const n = 4000
 	pts := uniquePoints(n, 11)
@@ -35,7 +35,7 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 	sh := New(testOptions(2, 8, family))
 	c := collection.New(sh, collection.Options{MaxBatch: 1 << 20})
 	if c.Stats().Versions != 2 {
-		t.Fatal("the Collection keeps no twin of the Sharded")
+		t.Fatal("the Collection publishes no view of the Sharded")
 	}
 	c.Load(n/2, func(yield func(string, geom.Point) bool) {
 		for id := 0; id < n/2 && yield(strconv.Itoa(id), pts[id]); id++ {
@@ -85,41 +85,43 @@ func snapshotConcurrentUpdatesAndQueries(t *testing.T, family func(int, geom.Box
 	}
 }
 
-// TestSnapshotReplica checks the replica half of core.Adopter: over any
-// shard family, NewReplica returns a fresh empty Sharded with the same
-// configuration — the twin a version cell tries, which over a family that
-// is not copy-on-write refuses to adopt.
+// TestSnapshotReplica checks that a Sharded pins only over a family that
+// can: over BruteForce shards Pin returns nil, for good, and the Sharded
+// is a plain single-writer index, so a version cell reads it under its
+// lock.
 func TestSnapshotReplica(t *testing.T) {
 	s := New(testOptions(2, 4, brute))
 	s.Build(uniquePoints(100, 3))
-	r, ok := core.Index(s).(core.Adopter)
-	if !ok {
-		t.Fatal("Sharded does not implement core.Adopter")
+	var v core.Versioned = s
+	for range 2 {
+		if view := v.Pin(); view != nil {
+			t.Fatal("a Sharded over BruteForce shards pinned a view")
+		}
 	}
-	twin := r.NewReplica()
-	if twin.Size() != 0 {
-		t.Fatalf("NewReplica starts with %d points, want 0", twin.Size())
+	if s.Current(s) {
+		t.Fatal("a Sharded over BruteForce shards calls itself a current view")
 	}
-	if twin.Name() != s.Name() {
-		t.Fatalf("NewReplica Name = %q, original %q", twin.Name(), s.Name())
+	if nodes, bytes := s.Copied(); nodes != 0 || bytes != 0 {
+		t.Fatal("a Sharded over BruteForce shards reports copies")
 	}
-	if twin.(core.Adopter).Adopt(s) {
-		t.Fatal("a replica over BruteForce shards adopted the original")
+	s.BatchDiff(uniquePoints(10, 4), nil)
+	if s.Size() != 110 {
+		t.Fatalf("size %d after an update, want 110", s.Size())
 	}
 }
 
-// TestAdoptShared: a replica that adopts a Sharded of copy-on-write trees
-// is the same contents and the same partition, tree for tree, until either
-// side is updated — and then the other side keeps what it had, across a
-// Build that moves the region boundaries too. A Sharded over a family
-// that cannot share refuses, as does one of another shape.
+// TestAdoptShared: a view pinned from a Sharded of copy-on-write trees is
+// the same contents and the same partition, tree for tree, until the
+// Sharded is updated — and then the view keeps what it had, across a
+// Build that moves the region boundaries too. A view refuses updates, and
+// Unpin refuses what the Sharded did not pin. Warm Pins allocate nothing.
 func TestAdoptShared(t *testing.T) {
 	pts := uniquePoints(6000, 5)
 	s := New(testOptions(2, 4, spacH))
 	s.Build(pts[:4000])
-	twin := s.NewReplica().(*Sharded)
-	if !twin.Adopt(s) || !twin.Shares(s) || !s.Shares(twin) {
-		t.Fatal("a replica over SPaC-H shards did not adopt the original")
+	view := s.Pin().(*Sharded)
+	if !s.Current(view) || view.part != s.part || view.Name() != s.Name() {
+		t.Fatal("the pinned view is not the Sharded's contents")
 	}
 	side := workload.Uniform.Side(2)
 	queries := workload.GenUniform(12, 2, side, 7)
@@ -135,48 +137,64 @@ func TestAdoptShared(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 	}
-	verify("twin after Adopt", twin, frozen)
+	verify("view after Pin", view, frozen)
 
 	s.BatchDiff(pts[4000:5000], pts[:1000])
 	live := core.NewBruteForce(2)
 	live.Build(pts[1000:5000])
-	if twin.Shares(s) {
-		t.Fatal("still sharing after an update of one side")
+	if s.Current(view) {
+		t.Fatal("the view is still current after an update")
 	}
-	verify("original after its update", s, live)
-	verify("twin after the original's update", twin, frozen)
+	verify("writer after its update", s, live)
+	verify("view after the writer's update", view, frozen)
 	if nodes, bytes := s.Copied(); nodes == 0 || bytes == 0 {
 		t.Fatalf("an update of shared trees copied %d nodes, %d bytes", nodes, bytes)
 	}
-	if nodes, _ := twin.Copied(); nodes != 0 {
-		t.Fatalf("the untouched twin copied %d nodes", nodes)
-	}
 
-	// A Build rebalances the original's regions: the twin keeps the
-	// partition it adopted, and its contents.
+	// A Build rebalances the writer's regions: the view keeps the
+	// partition it was pinned with, and its contents.
 	s.Build(pts[3000:])
 	live.Build(pts[3000:])
-	verify("original after Build", s, live)
-	verify("twin after the original's Build", twin, frozen)
-	if !s.Adopt(twin) || !s.Shares(twin) {
-		t.Fatal("the original did not adopt its twin back")
-	}
-	verify("original after adopting back", s, frozen)
+	verify("writer after Build", s, live)
+	verify("view after the writer's Build", view, frozen)
 
-	plain := New(testOptions(2, 4, brute))
-	if plain.Adopt(plain.NewReplica()) || plain.Shares(plain) {
-		t.Fatal("a Sharded over BruteForce shards claims to share")
-	}
-	if nodes, bytes := plain.Copied(); nodes != 0 || bytes != 0 {
-		t.Fatal("a Sharded over BruteForce shards reports copies")
-	}
-	for name, other := range map[string]*Sharded{
-		"another shard count": New(testOptions(2, 8, spacH)),
-		"another family":      plain,
+	for name, update := range map[string]func(){
+		"BatchDiff": func() { view.BatchDiff(pts[:3], nil) },
+		"Build":     func() { view.Build(pts[:3]) },
+		"Pin":       func() { view.Pin() },
 	} {
-		if s.Adopt(other) {
-			t.Fatalf("adopted a Sharded of %s", name)
-		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "shard: a pinned view is read-only" {
+					t.Fatalf("%s of a view: panic %q", name, msg)
+				}
+			}()
+			update()
+		}()
 	}
-	verify("original after the refusals", s, frozen)
+	other := New(testOptions(2, 4, spacH))
+	for name, idx := range map[string]core.Index{"the Sharded itself": s, "a view of another Sharded": other.Pin()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("unpinned %s", name)
+				}
+			}()
+			s.Unpin(idx)
+		}()
+	}
+	verify("view after the refusals", view, frozen)
+	s.Unpin(view)
+
+	cur := s.Pin()
+	cycle := func() {
+		next := s.Pin()
+		s.Unpin(cur)
+		cur = next
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm Pin and Unpin allocate %.1f times, want 0", allocs)
+	}
+	verify("view after warm pins", cur.(*Sharded), live)
 }

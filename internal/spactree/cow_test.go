@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -69,10 +70,10 @@ func verifyAgainst(t *testing.T, what string, tr *Tree, ref *core.BruteForce) {
 	}
 }
 
-// TestAdoptIsolatesTheFork: after Adopt the two trees are one structure;
-// whatever either goes on to do, the other keeps answering from the
-// contents it had, and both stay valid. A tree that never adopted copies
-// nothing.
+// TestAdoptIsolatesTheFork: a pinned view is the tree's contents, one
+// structure with it; whatever the tree goes on to do, the view keeps
+// answering from the contents it had, and both stay valid. A tree that
+// never pinned copies nothing.
 func TestAdoptIsolatesTheFork(t *testing.T) {
 	for _, tr := range allVariants() {
 		rng := rand.New(rand.NewSource(31))
@@ -84,12 +85,12 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 		tr.BatchDiff(ins, del)
 		live.BatchDiff(ins, del)
 		if nodes, bytes := tr.Copied(); nodes != 0 || bytes != 0 {
-			t.Fatalf("%s: a tree that never adopted copied %d nodes, %d bytes", tr.Name(), nodes, bytes)
+			t.Fatalf("%s: a tree that never pinned copied %d nodes, %d bytes", tr.Name(), nodes, bytes)
 		}
 
-		shadow := tr.NewReplica().(*Tree)
-		if !shadow.Adopt(tr) || !shadow.Shares(tr) || !tr.Shares(shadow) {
-			t.Fatalf("%s: Adopt did not leave the two sharing", tr.Name())
+		view := tr.Pin().(*Tree)
+		if !tr.Current(view) || in2(view).root != in2(tr).root {
+			t.Fatalf("%s: the pinned view is not the tree's contents", tr.Name())
 		}
 		frozen := core.NewBruteForce(2)
 		frozen.Build(live.Points())
@@ -99,11 +100,11 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 			ins, del := churn(rng, live.Points(), 150)
 			tr.BatchDiff(ins, del)
 			live.BatchDiff(ins, del)
-			verifyAgainst(t, "original", tr, live)
-			verifyAgainst(t, "shadow", shadow, frozen)
+			verifyAgainst(t, "writer", tr, live)
+			verifyAgainst(t, "view", view, frozen)
 		}
-		if tr.Shares(shadow) {
-			t.Fatalf("%s: still sharing the root after updates", tr.Name())
+		if tr.Current(view) {
+			t.Fatalf("%s: the view is still current after updates", tr.Name())
 		}
 		// CPAM leaves are rebuilt on every touch, shared or not: only its
 		// interior nodes are ever copied.
@@ -117,73 +118,125 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 			t.Fatalf("%s: copied %d nodes of a %d-node tree", tr.Name(), nodes, total)
 		}
 
-		// The other direction: the shadow's updates leave the original alone.
-		ins, del = churn(rng, frozen.Points(), 400)
-		shadow.BatchDiff(ins, del)
-		frozen.BatchDiff(ins, del)
-		verifyAgainst(t, "original after shadow update", tr, live)
-		verifyAgainst(t, "shadow after own update", shadow, frozen)
-
-		// Emptying one side does not empty the other.
+		// Emptying the tree does not empty the view.
 		tr.BatchDelete(live.Points())
 		if tr.Size() != 0 {
 			t.Fatalf("%s: %d points left after deleting all", tr.Name(), tr.Size())
 		}
-		verifyAgainst(t, "shadow after original emptied", shadow, frozen)
+		verifyAgainst(t, "view after the writer emptied", view, frozen)
+		tr.Unpin(view)
 	}
 }
 
-// TestAdoptRefusesStrangers: only a replica is adopted; a refusal changes
-// nothing.
+// TestAdoptRefusesStrangers: Unpin refuses, and Current denies, an index
+// the tree did not pin — another tree, a view of another tree, a view
+// already unpinned — and a refusal changes nothing.
 func TestAdoptRefusesStrangers(t *testing.T) {
 	tr := NewSPaC(sfc.Hilbert, 2, universe())
 	pts := workload.GenUniform(500, 2, testSide, 1)
 	tr.Build(pts)
-	other := workload.GenUniform(300, 2, testSide, 2)
-	opts := in2(tr).opts
-	opts.LeafWrap = 16
-	for _, src := range []core.Index{
-		NewSPaC(sfc.Morton, 2, universe()),
-		NewCPAM(sfc.Hilbert, 2, universe()),
-		New(sfc.Hilbert, PartialOrder, opts),
-		core.NewBruteForce(2),
+	other := NewSPaC(sfc.Hilbert, 2, universe())
+	other.Build(workload.GenUniform(300, 2, testSide, 2))
+	view := tr.Pin()
+	unpinned := tr.Pin() // its record waits for view's: Pin does not reuse it
+	tr.Unpin(unpinned)
+	for _, c := range []struct {
+		name string
+		idx  core.Index
+	}{
+		{"another tree", other},
+		{"a view of another tree", other.Pin()},
+		{"an unpinned view", unpinned},
+		{"the tree itself", tr},
+		{"a brute-force index", core.NewBruteForce(2)},
 	} {
-		src.Build(other)
-		if tr.Adopt(src) {
-			t.Fatalf("adopted a %s", src.Name())
+		if tr.Current(c.idx) {
+			t.Fatalf("%s is current", c.name)
 		}
-		if tr.Size() != len(pts) || tr.Shares(src) {
-			t.Fatalf("refusing a %s changed the tree", src.Name())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("unpinned %s", c.name)
+				}
+			}()
+			tr.Unpin(c.idx)
+		}()
+		if tr.Size() != len(pts) || !tr.Current(view) {
+			t.Fatalf("refusing %s changed the tree", c.name)
 		}
-	}
-	if !tr.Adopt(tr) || tr.Size() != len(pts) {
-		t.Fatal("adopting itself must be a no-op")
 	}
 	validateOrFail(t, tr)
 }
 
+// TestViewRefusesUpdates: an update or a Pin of a pinned view panics and
+// leaves it as it was.
+func TestViewRefusesUpdates(t *testing.T) {
+	tr := NewSPaC(sfc.Hilbert, 2, universe())
+	pts := workload.GenUniform(500, 2, testSide, 1)
+	tr.Build(pts)
+	view := tr.Pin().(*Tree)
+	for name, update := range map[string]func(){
+		"BatchDiff":   func() { view.BatchDiff(pts[:3], pts[3:6]) },
+		"Build":       func() { view.Build(pts[:3]) },
+		"BatchInsert": func() { view.BatchInsert(pts[:3]) },
+		"BatchDelete": func() { view.BatchDelete(pts[:3]) },
+		"Pin":         func() { view.Pin() },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "read-only") {
+					t.Fatalf("%s of a view: panic %q, want one that names it read-only", name, msg)
+				}
+			}()
+			update()
+		}()
+		if view.Size() != len(pts) || !tr.Current(view) {
+			t.Fatalf("a refused %s changed the view", name)
+		}
+	}
+	validateOrFail(t, view)
+}
+
+// TestPinZeroAllocWarm: the version cell's Pin and Unpin, a new view
+// pinned before the old one is unpinned, allocate nothing once warm.
+func TestPinZeroAllocWarm(t *testing.T) {
+	for _, tr := range allVariants() {
+		tr.Build(workload.GenUniform(500, 2, testSide, 1))
+		cur := tr.Pin()
+		cycle := func() {
+			next := tr.Pin()
+			tr.Unpin(cur)
+			cur = next
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Fatalf("%s: a warm Pin and Unpin allocate %.1f times, want 0", tr.Name(), allocs)
+		}
+	}
+}
+
 // TestAdoptedSideReadsWhileWriterApplies is the -race half of fork
-// isolation: readers query the adopted side with no lock at all while the
-// writer applies 1 % batches to the original — and hands its structure to
-// a third tree every few batches, so the writer keeps losing ownership of
-// what it copied. The only memory both touch is what neither writes.
+// isolation: readers query a pinned view with no lock at all while the
+// writer applies 1 % batches — and pins a newer view every few batches,
+// unpinning the one before, so the writer keeps losing ownership of what
+// it copied while the readers' older view stays pinned. The only memory
+// both touch is what neither writes.
 func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 	const n = 40000
 	tr := NewSPaC(sfc.Hilbert, 2, universe())
 	pts := workload.GenVarden(n, 2, testSide, 17)
 	tr.Build(pts)
-	shadow := tr.NewReplica().(*Tree)
-	shadow.Adopt(tr)
+	view := tr.Pin().(*Tree)
 
 	queries := workload.GenUniform(16, 2, testSide, 19)
 	boxes := workload.RangeQueries(16, 2, testSide, 0.01, 23)
 	wantNN := make([][]geom.Point, len(queries))
 	wantCount := make([]int, len(boxes))
 	for i, q := range queries {
-		wantNN[i] = shadow.KNN(q, 5, nil)
+		wantNN[i] = view.KNN(q, 5, nil)
 	}
 	for i, b := range boxes {
-		wantCount[i] = shadow.RangeCount(b)
+		wantCount[i] = view.RangeCount(b)
 	}
 
 	stop := make(chan struct{})
@@ -200,14 +253,14 @@ func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 				default:
 				}
 				j := i % len(queries)
-				nn = shadow.KNN(queries[j], 5, nn[:0])
+				nn = view.KNN(queries[j], 5, nn[:0])
 				for k := range nn {
 					if geom.Dist2(nn[k], queries[j], 2) != geom.Dist2(wantNN[j][k], queries[j], 2) {
 						t.Errorf("reader: KNN %d changed under the writer", j)
 						return
 					}
 				}
-				if got := shadow.RangeCount(boxes[j]); got != wantCount[j] {
+				if got := view.RangeCount(boxes[j]); got != wantCount[j] {
 					t.Errorf("reader: RangeCount %d = %d, was %d", j, got, wantCount[j])
 					return
 				}
@@ -217,7 +270,7 @@ func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(29))
 	live := append([]geom.Point(nil), pts...)
-	third := tr.NewReplica().(*Tree)
+	var third core.Index
 	for round := 0; round < 30; round++ {
 		b := n / 100
 		ins := make([]geom.Point, b)
@@ -228,53 +281,66 @@ func TestAdoptedSideReadsWhileWriterApplies(t *testing.T) {
 		}
 		tr.BatchDiff(ins, del)
 		if round%4 == 3 {
-			third.Adopt(tr)
+			next := tr.Pin()
+			if third != nil {
+				tr.Unpin(third)
+			}
+			third = next
 		}
 	}
 	close(stop)
 	wg.Wait()
 	validateOrFail(t, tr)
-	validateOrFail(t, shadow)
-	validateOrFail(t, third)
-	if tr.Size() != n || shadow.Size() != n {
-		t.Fatalf("sizes %d / %d after even exchanges, want %d", tr.Size(), shadow.Size(), n)
+	validateOrFail(t, view)
+	validateOrFail(t, third.(*Tree))
+	if tr.Size() != n || view.Size() != n {
+		t.Fatalf("sizes %d / %d after even exchanges, want %d", tr.Size(), view.Size(), n)
 	}
 }
 
 // TestCopiedCountsLeafPoints: Copied counts the leaf element actually
 // copied, a stored point — 8 bytes in 2-D, 12 in 3-D. A SPaC tree of one
-// leaf of m points, shared by Adopt, copies that leaf once when a batch is
-// absorbed into it, and its replica copies it once when a delete removes a
-// point from it; a CPAM leaf is rebuilt on every touch and never copied.
+// leaf of m points, shared with a pinned view, copies that leaf once when
+// a batch is absorbed into it, and once when a delete removes a point from
+// it; a CPAM leaf is rebuilt on every touch and never copied.
 func TestCopiedCountsLeafPoints(t *testing.T) {
 	const m = 25
 	for _, dims := range []int{2, 3} {
 		u := geom.UniverseBox(dims, testSide)
 		pts := workload.GenUniform(m+5, dims, testSide, 7)
 		width := uint64(4 * dims)
-		for _, tr := range []*Tree{NewSPaC(sfc.Hilbert, dims, u), NewCPAM(sfc.Hilbert, dims, u)} {
-			tr.Build(pts[:m])
-			if tr.Height() != 1 {
-				t.Fatalf("%s %dD: %d points built a tree of height %d, want one leaf", tr.Name(), dims, m, tr.Height())
-			}
-			shadow := tr.NewReplica().(*Tree)
-			shadow.Adopt(tr)
-			tr.BatchInsert(pts[m:])
-			shadow.BatchDelete(pts[:1])
-			want := width * m
-			if tr.Name() == "CPAM-H" {
-				want = 0
-			}
-			for _, side := range []*Tree{tr, shadow} {
-				nodes, bytes := side.Copied()
+		for _, mk := range []func() *Tree{
+			func() *Tree { return NewSPaC(sfc.Hilbert, dims, u) },
+			func() *Tree { return NewCPAM(sfc.Hilbert, dims, u) },
+		} {
+			for _, side := range []struct {
+				update func(*Tree)
+				size   int
+			}{
+				{func(tr *Tree) { tr.BatchInsert(pts[m:]) }, m + 5},
+				{func(tr *Tree) { tr.BatchDelete(pts[:1]) }, m - 1},
+			} {
+				tr := mk()
+				tr.Build(pts[:m])
+				if tr.Height() != 1 {
+					t.Fatalf("%s %dD: %d points built a tree of height %d, want one leaf", tr.Name(), dims, m, tr.Height())
+				}
+				view := tr.Pin().(*Tree)
+				side.update(tr)
+				want := width * m
+				if tr.Name() == "CPAM-H" {
+					want = 0
+				}
+				nodes, bytes := tr.Copied()
 				if bytes != want || nodes != min(want, 1) {
 					t.Errorf("%s %dD: copying a shared %d-point leaf counted %d nodes, %d bytes; want %d, %d",
-						side.Name(), dims, m, nodes, bytes, min(want, 1), want)
+						tr.Name(), dims, m, nodes, bytes, min(want, 1), want)
 				}
-				validateOrFail(t, side)
-			}
-			if tr.Size() != m+5 || shadow.Size() != m-1 {
-				t.Fatalf("%s %dD: sizes %d and %d after the updates", tr.Name(), dims, tr.Size(), shadow.Size())
+				validateOrFail(t, tr)
+				validateOrFail(t, view)
+				if tr.Size() != side.size || view.Size() != m {
+					t.Fatalf("%s %dD: sizes %d and %d after the update", tr.Name(), dims, tr.Size(), view.Size())
+				}
 			}
 		}
 	}
@@ -311,12 +377,12 @@ func shape(tr *Tree) []string {
 // TestOwnedAndSharedUpdatesAgree: updates that write the nodes they own
 // in place and recycle the nodes and blocks they displace build the same
 // tree as updates that find every node shared and copy what they touch. A
-// raw tree and a twin whose replica adopts it before every batch take the
-// same batches — from a few points to past seqCutoff, where forked
-// branches draw from one recycler, with runs of a repeated point — and
-// must match node by node after each. The replica, left holding the tree
-// of before the batch, must not have changed: nothing it reaches was
-// written or recycled.
+// raw tree and a twin that pins a view before every batch, unpinning the
+// one before, take the same batches — from a few points to past
+// seqCutoff, where forked branches draw from one recycler, with runs of a
+// repeated point — and must match node by node after each. The view,
+// holding the tree of before the batch, must not have changed: nothing it
+// reaches was written or recycled.
 func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		u := geom.UniverseBox(dims, testSide)
@@ -333,7 +399,7 @@ func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 			twin.Build(pts)
 			live := core.NewBruteForce(dims)
 			live.Build(pts)
-			replica := twin.NewReplica().(*Tree)
+			var replica *Tree
 			for round, n := range []int{30, 300, 3000, 60, 2500, 10, 600, 4000, 200, 5000, 1} {
 				ins, del := churnIn(rng, dims, live.Points(), n)
 				apply := func(idx core.Index) {
@@ -346,7 +412,10 @@ func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 						idx.BatchDelete(del)
 					}
 				}
-				replica.Adopt(twin)
+				if replica != nil {
+					twin.Unpin(replica)
+				}
+				replica = twin.Pin().(*Tree)
 				before := shape(replica)
 				apply(raw)
 				apply(twin)
@@ -361,7 +430,7 @@ func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 					t.Fatalf("%s round %d (%d points): the raw tree and the twin differ", name, round, n)
 				}
 				if !slices.Equal(shape(replica), before) {
-					t.Fatalf("%s round %d (%d points): the twin's update changed the tree its replica holds", name, round, n)
+					t.Fatalf("%s round %d (%d points): the twin's update changed the tree its view holds", name, round, n)
 				}
 			}
 		}
@@ -371,8 +440,8 @@ func TestOwnedAndSharedUpdatesAgree(t *testing.T) {
 // TestCopiedCountsSmallInteriorNodes: a shared interior node whose
 // subtree holds more than φ points but at most 2φ is copied on first touch
 // and counted like a larger one. Built from 2·30+1 points at φ = 40, a
-// tree is one interior node over two 30-point leaves; after Adopt, one
-// point absorbed into a leaf copies the root too. A SPaC tree copies the
+// tree is one interior node over two 30-point leaves; with a view pinned,
+// one point absorbed into a leaf copies the root too. A SPaC tree copies the
 // leaf's 30 points and the root, a CPAM tree rebuilds the leaf and copies
 // the root.
 func TestCopiedCountsSmallInteriorNodes(t *testing.T) {
@@ -385,8 +454,7 @@ func TestCopiedCountsSmallInteriorNodes(t *testing.T) {
 			if tr.Height() != 2 {
 				t.Fatalf("%s %dD: 61 points built a tree of height %d, want a root over two leaves", tr.Name(), dims, tr.Height())
 			}
-			shadow := tr.NewReplica().(*Tree)
-			shadow.Adopt(tr)
+			shadow := tr.Pin().(*Tree)
 			tr.BatchInsert(pts[61:])
 			nodes, bytes := tr.Copied()
 			wantNodes, wantBytes := uint64(2), 30*width
@@ -399,7 +467,7 @@ func TestCopiedCountsSmallInteriorNodes(t *testing.T) {
 			}
 			validateOrFail(t, tr)
 			validateOrFail(t, shadow)
-			if tr.Shares(shadow) || shadow.Size() != 61 || tr.Size() != 62 {
+			if tr.Current(shadow) || shadow.Size() != 61 || tr.Size() != 62 {
 				t.Fatalf("%s %dD: sizes %d and %d after the insert", tr.Name(), dims, tr.Size(), shadow.Size())
 			}
 		}

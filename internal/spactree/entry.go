@@ -37,10 +37,10 @@
 // Updates are copy-on-write by generation stamp (cow.go): a tree that never
 // shares its structure writes nodes in place, as the paper's C++ trees do,
 // and reuses the nodes and leaf blocks it displaces and its batch scratch,
-// so that steady batch updates allocate next to nothing; two trees made
-// handles on one structure by Adopt each copy only the paths they go on to
-// change — what lets the snapshot-read layers keep one tree under both of
-// their versions.
+// so that steady batch updates allocate next to nothing; once it pins a
+// read-only view of itself it copies only the paths it goes on to change —
+// what lets the snapshot-read layers keep one tree under both of their
+// versions.
 package spactree
 
 import (

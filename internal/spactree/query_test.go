@@ -76,43 +76,46 @@ func assertCollected(t *testing.T, gone []weak.Pointer[node2]) {
 }
 
 // TestQueriesPinNoRetiredVersion: a version's queries leave nothing behind
-// that keeps the version alive once its handle has moved on. The old
-// handle is queried after the adopter displaced its root, then adopts the
-// new version itself — the point where the version cell retires a version
-// — and the displaced nodes must go with the next collection.
+// that keeps the version alive once it is unpinned. A view is queried
+// after the writer displaced part of its contents, then unpinned — the
+// point where the version cell retires a version — and the displaced nodes
+// must go with the next collection.
 func TestQueriesPinNoRetiredVersion(t *testing.T) {
 	pts := workload.GenVarden(20000, 2, testSide, 41)
 	t.Run("tree", func(t *testing.T) {
-		old := NewSPaC(sfc.Hilbert, 2, universe())
-		old.Build(pts)
-		cur := old.NewReplica().(*Tree)
-		cur.Adopt(old)
-		cur.BatchDelete(pts[:len(pts)/2])
-		gone := retired(in2(old).root, in2(cur).root)
+		tr := NewSPaC(sfc.Hilbert, 2, universe())
+		tr.Build(pts)
+		old := tr.Pin().(*Tree)
+		tr.BatchDelete(pts[:len(pts)/2])
+		gone := retired(in2(old).root, in2(tr).root)
 		queryEverything(old)
-		old.Adopt(cur)
+		tr.Unpin(old)
 		assertCollected(t, gone)
 	})
 	// The same through a Sharded, whose KNN and RangeList fan out through
 	// its own pooled query scratch.
 	t.Run("sharded", func(t *testing.T) {
 		var trees []*Tree
-		old := shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 2,
+		s := shard.New(shard.Options{Dims: 2, Universe: universe(), Shards: 2,
 			New: func(dims int, u geom.Box) core.Index {
 				tr := NewSPaC(sfc.Hilbert, dims, u)
 				trees = append(trees, tr)
 				return tr
 			}})
-		old.Build(pts)
-		cur := old.NewReplica().(*shard.Sharded)
-		cur.Adopt(old)
-		cur.BatchDelete(pts[:len(pts)/2])
-		var gone []weak.Pointer[node2]
-		for i := range old.Shards() {
-			gone = append(gone, retired(in2(trees[i]).root, in2(trees[old.Shards()+i]).root)...)
+		s.Build(pts)
+		old := s.Pin()
+		roots := make([]*node2, len(trees)) // the view's, before the update
+		for i, tr := range trees {
+			roots[i] = in2(tr).root
 		}
+		s.BatchDelete(pts[:len(pts)/2])
+		var gone []weak.Pointer[node2]
+		for i, tr := range trees {
+			gone = append(gone, retired(roots[i], in2(tr).root)...)
+		}
+		clear(roots)
 		queryEverything(old)
-		old.Adopt(cur)
+		s.Unpin(old)
 		assertCollected(t, gone)
 	})
 }

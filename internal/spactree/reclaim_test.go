@@ -14,24 +14,23 @@ import (
 	"repro/internal/workload"
 )
 
-// TestReclaimAtAdoptSparesEveryHandle churns twins under the version
-// cell's protocol — each window applied to the off-line handle while
-// readers query the published one, which then adopts it — so that every
-// Adopt reclaims what the window retired, and checks that no node a handle
-// can still reach is ever reused. Windows are BatchDiffs of 2048 moves, so
-// the updates fork and retire from both branches at once. Midway a third
-// handle adopts the published one and is never updated again: that breaks
-// the pair, so the next window's retirements must go to the collector, and
-// the pair that forms at the Adopt after it must never retire the nodes
-// the third handle holds. After every window the handle it updated must
-// pass Validate, the published handle of before the window must be node by
-// node what it was, and the third handle what it was when it adopted (a
-// SPaC tree depends on its history, so that, not a Build of its points, is
-// the node-by-node reference; at the end it must also be valid and answer
-// as its points do); readers on both run throughout, for -race. A stale
-// partner, a missing generation floor or a node reused before the Adopt
-// each fail it.
-func TestReclaimAtAdoptSparesEveryHandle(t *testing.T) {
+// TestReclaimAtUnpinSparesEveryView churns a writer under the version
+// cell's protocol — each window applied to the writer while readers query
+// the published view, then a view of the result pinned and the old one
+// unpinned — so that every Unpin reclaims what the window displaced, and
+// checks that no node a view can still reach is ever reused. Windows are
+// BatchDiffs of 2048 moves, so the updates fork and free from both
+// branches at once. Midway a third view is pinned and held to the end:
+// the lists of every view pinned after it must wait for it, since they
+// hold nodes it reaches. After every window the writer must pass
+// Validate, the published view of before the window must be node by node
+// what it was, and the third view what it was when pinned (a SPaC tree
+// depends on its history, so that, not a Build of its points, is the
+// node-by-node reference; at the end it must also be valid and answer as
+// its points do); readers on both run throughout, for -race. A shared
+// node recycled at once, or a list reclaimed while an older view is still
+// pinned, each fail it.
+func TestReclaimAtUnpinSparesEveryView(t *testing.T) {
 	const n, moves, windows = 16000, 2048, 120
 	for _, dims := range []int{2, 3} {
 		u := geom.UniverseBox(dims, testSide)
@@ -39,14 +38,13 @@ func TestReclaimAtAdoptSparesEveryHandle(t *testing.T) {
 			func() *Tree { return NewSPaC(sfc.Hilbert, dims, u) },
 			func() *Tree { return NewCPAM(sfc.Hilbert, dims, u) },
 		} {
-			cur := mk()
-			name := fmt.Sprintf("%s %dD", cur.Name(), dims)
+			tr := mk()
+			name := fmt.Sprintf("%s %dD", tr.Name(), dims)
 			rng := rand.New(rand.NewSource(int64(60 + dims)))
 			pts := workload.GenUniform(n, dims, testSide, 7)
-			cur.Build(pts)
+			tr.Build(pts)
 			live := slices.Clone(pts)
-			standby := cur.NewReplica().(*Tree)
-			standby.Adopt(cur)
+			cur := tr.Pin().(*Tree)
 
 			var third *Tree
 			var thirdPrint uint64
@@ -64,18 +62,18 @@ func TestReclaimAtAdoptSparesEveryHandle(t *testing.T) {
 				}
 				before := fingerprint(cur)
 				done := readWhile(t, cur, dims)
-				standby.BatchDiff(ins, del)
+				tr.BatchDiff(ins, del)
+				next := tr.Pin().(*Tree)
 				done()
-				validateOrFail(t, standby)
+				validateOrFail(t, tr)
 				if fingerprint(cur) != before {
-					t.Fatalf("%s window %d: applying it to the off-line handle changed the published one", name, w)
+					t.Fatalf("%s window %d: applying it to the writer changed the published view", name, w)
 				}
-				// The published handle's readers have ended: it adopts.
-				cur.Adopt(standby)
-				cur, standby = standby, cur
+				// The published view's readers have ended: it is unpinned.
+				tr.Unpin(cur)
+				cur = next
 				if w == windows/2 {
-					third = cur.NewReplica().(*Tree)
-					third.Adopt(cur)
+					third = tr.Pin().(*Tree)
 					thirdPrint = fingerprint(third)
 					thirdRef.Build(live)
 					readers.Add(1)
@@ -86,17 +84,19 @@ func TestReclaimAtAdoptSparesEveryHandle(t *testing.T) {
 				}
 				if third != nil {
 					if fingerprint(third) != thirdPrint {
-						t.Fatalf("%s window %d: the third handle changed after adopting at window %d", name, w, windows/2)
+						t.Fatalf("%s window %d: the third view changed after it was pinned at window %d", name, w, windows/2)
 					}
 				}
 			}
 			close(stop)
 			readers.Wait()
 			validateOrFail(t, third)
-			verifyAgainstIn(t, dims, "third handle", third, thirdRef)
+			verifyAgainstIn(t, dims, "third view", third, thirdRef)
+			tr.Unpin(third)
 			ref := core.NewBruteForce(dims)
 			ref.Build(live)
 			verifyAgainstIn(t, dims, "after the churn", cur, ref)
+			verifyAgainstIn(t, dims, "the writer after the churn", tr, ref)
 		}
 	}
 }

@@ -24,7 +24,7 @@ type Tree struct{ body }
 // body is the method set of a tree[S], for either S.
 type body interface {
 	core.Index
-	core.Adopter
+	core.Versioned
 	core.Bounded
 	Curve() sfc.Curve
 	Validate() error
@@ -33,9 +33,9 @@ type body interface {
 }
 
 var (
-	_ core.Index   = (*Tree)(nil)
-	_ core.Adopter = (*Tree)(nil)
-	_ core.Bounded = (*Tree)(nil)
+	_ core.Index     = (*Tree)(nil)
+	_ core.Versioned = (*Tree)(nil)
+	_ core.Bounded   = (*Tree)(nil)
 )
 
 // tree is a SPaC-tree or CPAM tree storing its points as S.
@@ -47,7 +47,8 @@ type tree[S geom.Packed] struct {
 	root  *node[S]
 	// Handle holds the generation the tree stamps on the nodes it creates
 	// and the only one whose nodes it writes in place, what its updates
-	// copied, and the pool they reuse (cow.go).
+	// copied, the pool they reuse, and its pinned views — or, on a view,
+	// the pin it is (cow.go).
 	core.Handle[node[S], S, scratch[S]]
 }
 
@@ -108,6 +109,7 @@ func (t *tree[S]) Universe() geom.Box { return t.opts.Universe }
 // bytes as a pair, so sorting entries moves no more and leaves nothing to
 // gather.
 func (t *tree[S]) Build(pts []geom.Point) {
+	t.MustWrite()
 	t.root = t.buildSortedEnts(t.encodeAndSort(pts))
 }
 
@@ -116,11 +118,9 @@ func (t *tree[S]) BatchInsert(pts []geom.Point) {
 	if len(pts) == 0 {
 		return
 	}
-	t.Begin(t.root)
+	t.Begin()
 	defer t.End()
-	var c cow
-	t.root = t.insertSorted(t.root, t.encodeBatch(pts, &t.Pool().X.ins), &c)
-	t.NoteCopies(c.nodes, c.elems)
+	t.root = t.insertSorted(t.root, t.encodeBatch(pts, &t.Pool().X.ins))
 }
 
 // BatchDelete implements core.Index (multiset semantics, §4.2 last
@@ -129,11 +129,9 @@ func (t *tree[S]) BatchDelete(pts []geom.Point) {
 	if len(pts) == 0 || t.root == nil {
 		return
 	}
-	t.Begin(t.root)
+	t.Begin()
 	defer t.End()
-	var c cow
-	t.root = t.deleteSorted(t.root, t.encodeDeletes(pts), &c)
-	t.NoteCopies(c.nodes, c.elems)
+	t.root = t.deleteSorted(t.root, t.encodeDeletes(pts))
 }
 
 const seqCutoff = 2048
@@ -142,18 +140,16 @@ const seqCutoff = 2048
 // The insertions are encoded first, so one that does not fit int32 is
 // refused before the deletions change the tree.
 func (t *tree[S]) BatchDiff(ins, del []geom.Point) {
-	t.Begin(t.root)
+	t.Begin()
 	defer t.End()
-	var c cow
 	var ie []Entry[S]
 	if len(ins) > 0 {
 		ie = t.encodeBatch(ins, &t.Pool().X.ins)
 	}
 	if len(del) > 0 && t.root != nil {
-		t.root = t.deleteSorted(t.root, t.encodeDeletes(del), &c)
+		t.root = t.deleteSorted(t.root, t.encodeDeletes(del))
 	}
 	if len(ie) > 0 {
-		t.root = t.insertSorted(t.root, ie, &c)
+		t.root = t.insertSorted(t.root, ie)
 	}
-	t.NoteCopies(c.nodes, c.elems)
 }

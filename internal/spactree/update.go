@@ -19,7 +19,7 @@ func lowerBound[S geom.Packed](batch []Entry[S], e Entry[S]) int {
 
 // insertSorted is InsertSorted (Alg. 4): route the sorted batch down by
 // pivot codes, absorb or rebuild at leaves, Join on the way back up.
-func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
+func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S]) *node[S] {
 	if len(batch) == 0 {
 		return nd
 	}
@@ -36,7 +36,7 @@ func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 			if t.mode == TotalOrder {
 				return t.mergeLeaf(nd, batch)
 			}
-			return t.absorb(nd, batch, c)
+			return t.absorb(nd, batch)
 		}
 		if total <= 4*phi {
 			// §C heuristic, small side: localized rebuild. A sorted leaf
@@ -56,14 +56,14 @@ func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 		// batch across its halves instead of merging a huge run.
 		l, k, r := t.expose(nd)
 		i := upperBound(batch, k)
-		nl, nr := t.both(false, len(batch) >= seqCutoff, l, batch[:i], r, batch[i:], c)
+		nl, nr := t.both(false, len(batch) >= seqCutoff, l, batch[:i], r, batch[i:])
 		return t.join(nl, k, nr)
 	}
 	// Lines 13-19: binary-search the pivot in the batch, recurse in
 	// parallel, Join rebalances.
 	i := upperBound(batch, nd.pivot)
-	l, r := t.both(false, len(batch) >= seqCutoff, nd.left, batch[:i], nd.right, batch[i:], c)
-	return t.joinInto(nd, l, r, c)
+	l, r := t.both(false, len(batch) >= seqCutoff, nd.left, batch[:i], nd.right, batch[i:])
+	return t.joinInto(nd, l, r)
 }
 
 // joinInto is Join(l, pivot, r) with an in-place fast path: when the
@@ -77,14 +77,14 @@ func (t *tree[S]) insertSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 // and both recursions came back with the children it already has: no
 // child is newer than its parent, so those were not written either. Only
 // the rebalancing path pays for fresh nodes; the trees are identical.
-func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
+func (t *tree[S]) joinInto(nd *node[S], l, r *node[S]) *node[S] {
 	if t.balancedNodes(l, r) {
 		if n := sizeOf(l) + sizeOf(r) + 1; n > t.opts.LeafWrap {
 			if !t.owns(nd) {
 				if l == nd.left && r == nd.right {
 					return nd
 				}
-				c.nodes++
+				t.NoteCopies(1, 0)
 				k := nd.pivot
 				t.free(nd)
 				return t.rawNode(l, k, r)
@@ -103,12 +103,12 @@ func (t *tree[S]) joinInto(nd *node[S], l, r *node[S], c *cow) *node[S] {
 // absorb appends a batch to a PartialOrder leaf's block and marks the
 // leaf unsorted; a shared leaf's points move to a block of its own first,
 // and the leaf is retired.
-func (t *tree[S]) absorb(nd *node[S], batch []Entry[S], c *cow) *node[S] {
+func (t *tree[S]) absorb(nd *node[S], batch []Entry[S]) *node[S] {
 	bbox := nd.bbox
 	pts := nd.pts
 	mine := t.owns(nd)
 	if !mine {
-		c.copied(len(pts))
+		t.NoteCopies(1, uint64(len(pts)))
 		pts = slices.Clip(pts)
 		t.free(nd)
 		nd = t.NewNode(node[S]{gen: t.Gen})
@@ -168,19 +168,19 @@ func mergeSorted[S geom.Packed](out, a, b []Entry[S]) []Entry[S] {
 // it reaches a leaf, it removes the points there, marks the leaf as
 // unsorted if necessary, and updates the bounding box"; rebalancing via
 // Join/Join2 as in insertion).
-func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
+func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S]) *node[S] {
 	if nd == nil || len(batch) == 0 {
 		return nd
 	}
 	if nd.isLeaf() {
-		return t.deleteFromLeaf(nd, batch, c)
+		return t.deleteFromLeaf(nd, batch)
 	}
 	lo := lowerBound(batch, nd.pivot)
 	hi := upperBound(batch, nd.pivot)
-	l, r := t.both(true, len(batch) >= seqCutoff, nd.left, batch[:lo], nd.right, batch[hi:], c)
+	l, r := t.both(true, len(batch) >= seqCutoff, nd.left, batch[:lo], nd.right, batch[hi:])
 	if lo == hi {
 		// Pivot not targeted: plain split-recurse-join.
-		return t.joinInto(nd, l, r, c)
+		return t.joinInto(nd, l, r)
 	}
 	// The batch deletes copies of the pivot entry itself. Copies of an
 	// identical entry may sit on both sides of the pivot, so plain
@@ -202,7 +202,7 @@ func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 		for i := range run {
 			run[i] = k
 		}
-		res = t.insertSorted(res, run, c)
+		res = t.insertSorted(res, run)
 	}
 	return res
 }
@@ -215,7 +215,7 @@ func (t *tree[S]) deleteSorted(nd *node[S], batch []Entry[S], c *cow) *node[S] {
 // half its block moves into a fitted one. TotalOrder (CPAM) mode must keep
 // the leaf sorted, so it pays for an order-preserving compaction into a
 // new leaf, merging its stored entries with the sorted batch.
-func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S] {
+func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S]) *node[S] {
 	if t.mode == PartialOrder {
 		pts := nd.pts
 		mine := t.owns(nd) // pts may be written
@@ -225,7 +225,7 @@ func (t *tree[S]) deleteFromLeaf(nd *node[S], batch []Entry[S], c *cow) *node[S]
 					if !mine {
 						// A shared leaf: the first match moves the removal
 						// to a copy of the block.
-						c.copied(len(pts))
+						t.NoteCopies(1, uint64(len(pts)))
 						cp := t.Blocks().Make(len(pts))
 						copy(cp, pts)
 						pts, mine = cp, true

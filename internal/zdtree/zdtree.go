@@ -18,6 +18,8 @@
 package zdtree
 
 import (
+	"sort"
+
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -154,7 +156,7 @@ func (t *Tree) splitBounds(ents []Entry, shift int) []int {
 	bounds := make([]int, t.nway+1)
 	for q := 1; q < t.nway; q++ {
 		target := q
-		bounds[q] = parallel.SearchInts(len(ents), func(i int) bool {
+		bounds[q] = sort.Search(len(ents), func(i int) bool {
 			return t.digit(ents[i].Code, shift) >= target
 		})
 	}

@@ -178,12 +178,13 @@ func TestSteadyChurnHeap(t *testing.T) {
 // SPaC-H allocated 144 / 190 B per moved point in 2-D / 3-D and P-Orth
 // 59–81 / 86–108.
 //
-// The same churn runs under adopt-before-every-batch twins — every batch
-// copies the paths it touches on a shared structure — against ceilings of
-// its own: what a batch displaces there is retired and reclaimed when the
-// other handle adopts (reclaim at adopt). Before it was, the twins
-// allocated SPaC-H 474 / 621 B per moved point in 2-D / 3-D and P-Orth
-// 350–385 / 436–501 B, with 2.9–4.9 allocations.
+// The same churn runs with a view pinned before every batch, and the one
+// before unpinned — every batch copies the paths it touches on a shared
+// structure — against ceilings of its own: what a batch displaces there
+// waits on the view's list and is reclaimed when the view is unpinned
+// (reclaim at unpin). Before it was, such churn allocated SPaC-H 474 /
+// 621 B per moved point in 2-D / 3-D and P-Orth 350–385 / 436–501 B, with
+// 2.9–4.9 allocations.
 func TestSteadyChurnAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -193,15 +194,15 @@ func TestSteadyChurnAllocation(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		dims       int
-		raw, twins ceiling
+		raw, views ceiling
 	}{
-		// raw 4.2–4.5 B, 0.013–0.014; twins 4.2–4.3 B, 0.012–0.013
+		// raw 4.2–4.5 B, 0.013–0.014; views 4.2–4.3 B, 0.012–0.013
 		{"SPaC-H", 2, ceiling{5.0, 0.025}, ceiling{5.3, 0.016}},
-		// raw 5.9 B, 0.013; twins 5.8–6.5 B, 0.012–0.013
+		// raw 5.9 B, 0.013; views 5.8–6.5 B, 0.012–0.013
 		{"SPaC-H", 3, ceiling{7.5, 0.026}, ceiling{8.1, 0.016}},
-		// raw 1.1–2.2 B, 0.004–0.007; twins 0.8–0.9 B, 0.003–0.007
+		// raw 1.1–2.2 B, 0.004–0.007; views 0.8–0.9 B, 0.003–0.007
 		{"P-Orth", 2, ceiling{3.0, 0.032}, ceiling{1.1, 0.008}},
-		// raw 1.6–2.9 B, 0.004–0.007; twins 1.3–1.9 B, 0.005–0.017
+		// raw 1.6–2.9 B, 0.004–0.007; views 1.3–1.9 B, 0.005–0.017
 		{"P-Orth", 3, ceiling{4.8, 0.037}, ceiling{2.3, 0.021}},
 	} {
 		u := Universe2D(itSide)
@@ -213,7 +214,7 @@ func TestSteadyChurnAllocation(t *testing.T) {
 			// As batch-index does, so that a Varden batch samples the
 			// whole distribution and not one stretch of its walk.
 			rand.New(rand.NewSource(17)).Shuffle(len(ring), func(i, j int) { ring[i], ring[j] = ring[j], ring[i] })
-			for _, twins := range []bool{false, true} {
+			for _, views := range []bool{false, true} {
 				idx := ByName(c.name, c.dims, u)
 				idx.Build(ring[:n])
 				// A collection takes back what a tree keeps for its
@@ -221,23 +222,25 @@ func TestSteadyChurnAllocation(t *testing.T) {
 				// the heap far below its next goal, keeps one out of the
 				// rounds measured.
 				runtime.GC()
-				var shadow core.Adopter
-				if twins {
-					shadow = idx.(core.Adopter).NewReplica().(core.Adopter)
+				var view core.Index
+				pin := func() {
+					if views {
+						next := idx.(core.Versioned).Pin()
+						if view != nil {
+							idx.(core.Versioned).Unpin(view)
+						}
+						view = next
+					}
 				}
 				round := func(r int) {
 					ins, del := ring[n+r*b:n+(r+1)*b], ring[r*b:(r+1)*b]
-					if shadow != nil {
-						shadow.Adopt(idx)
-					}
+					pin()
 					if r%3 == 2 {
 						idx.BatchDiff(ins, del)
 						return
 					}
 					idx.BatchInsert(ins)
-					if shadow != nil {
-						shadow.Adopt(idx)
-					}
+					pin()
 					idx.BatchDelete(del)
 				}
 				for r := range warm {
@@ -256,8 +259,8 @@ func TestSteadyChurnAllocation(t *testing.T) {
 					t.Fatalf("%s %dD %s: size %d after churn, want %d", c.name, c.dims, dist, idx.Size(), n)
 				}
 				what, limit := "", c.raw
-				if twins {
-					what, limit = ", adopting twins", c.twins
+				if views {
+					what, limit = ", pinned views", c.views
 				}
 				t.Logf("%s %dD %s%s: %.1f B and %.3f allocations per moved point", c.name, c.dims, dist, what, bytes, objects)
 				if bytes > limit.bytes || objects > limit.objects {

@@ -95,8 +95,8 @@ func DefaultOptions(dims int, universe Box) Options {
 // NewPOrth returns a P-Orth tree (this paper, §3): the best
 // query/update trade-off on non-skewed data; history-independent, so
 // query performance does not degrade under sustained updates. Like the
-// SPaC family it is copy-on-write, so it serves snapshot reads from one
-// shared tree, and it stores coordinates as int32: it panics on a
+// SPaC family it is copy-on-write, so it serves snapshot reads from
+// read-only views of the tree it updates, and it stores coordinates as int32: it panics on a
 // universe outside that range.
 func NewPOrth(dims int, universe Box) Index { return orthtree.NewDefault(dims, universe) }
 
@@ -249,8 +249,9 @@ type CollectionStats = collection.Stats
 // directly afterwards. If opts.FlushInterval is set, pair with Close to
 // stop the background flusher. The index decides how reads are kept off
 // the flush: over a copy-on-write index (the SPaC family and P-Orth, bare
-// or sharded) Get/NearbyIDs/WithinIDs read an epoch-pinned snapshot and
-// never wait behind the index apply, at most for a window's short
+// or sharded) each flush updates the one tree and publishes a pinned
+// read-only view of the result, so Get/NearbyIDs/WithinIDs read that view
+// and never wait behind the index apply, at most for a window's short
 // ID-table step; over the baselines a flush holds them off while it
 // applies.
 func NewCollection(idx Index, opts CollectionOptions) *Collection { return collection.New(idx, opts) }
@@ -278,7 +279,8 @@ type ServerStats = service.StatsPayload
 // Server takes ownership of idx; bind it with Start, stop it with
 // Shutdown. It reads the way NewCollection does: when idx is
 // copy-on-write (the SPaC family and P-Orth, bare or under NewSharded)
-// NEARBY/WITHIN/GET read an epoch-pinned snapshot of one shared tree;
+// NEARBY/WITHIN/GET read the read-only view of the tree that the last
+// flush published;
 // over the baselines they take locked reads. psid serves one tree, whose
 // batch update already runs each flush in parallel:
 //

@@ -202,21 +202,22 @@ func TestCollectionWrapsEveryIndex(t *testing.T) {
 	// The Collection front-end makes concurrent mutation safe on every
 	// index in the library: four writers race Set/Remove over disjoint ID
 	// ranges, then the committed state must match the oracle exactly. The
-	// index alone decides the read mode: twins over the copy-on-write
-	// families, bare or sharded, one locked copy over the baselines.
+	// index alone decides the read mode: pinned views over the
+	// copy-on-write families, bare or sharded, one locked copy over the
+	// baselines.
 	const writers, perW = 4, 1000
 	pts := Generate(Uniform, writers*perW, 2, itSide, 59)
 	moved := Generate(Uniform, writers*perW, 2, itSide, 61)
 	queries := workload.GenUniform(8, 2, itSide, 67)
 	universe := Universe2D(itSide)
-	twins := map[string]bool{"P-Orth": true, "SPaC-H": true, "SPaC-Z": true, "CPAM-H": true, "CPAM-Z": true, "Sharded[2H](SPaC-H)": true}
+	views := map[string]bool{"P-Orth": true, "SPaC-H": true, "SPaC-Z": true, "CPAM-H": true, "CPAM-Z": true, "Sharded[2H](SPaC-H)": true}
 	stacks := append(All(2, universe),
 		NewSharded(NewSPaCH, 2, universe, 2),
 		NewSharded(func(dims int, _ Box) Index { return NewPkd(dims) }, 2, universe, 2))
 	for _, idx := range stacks {
 		c := NewCollection(idx, CollectionOptions{MaxBatch: 128})
 		want := 1
-		if twins[idx.Name()] {
+		if views[idx.Name()] {
 			want = 2
 		}
 		if got := c.Stats().Versions; got != want {
