@@ -40,40 +40,29 @@ import (
 // the unpin hands the originals, nodes and leaf blocks, to the writer's
 // pool, and the next window copies into them (reclaim at unpin,
 // internal/core handle.go). So steady-state commits allocate nothing: not
-// the versions, not the views, not the copies (a large window's forked
-// branches still start goroutines). The zero cell is not usable; call
-// Init.
+// the views, not the copies (a large window's forked branches still start
+// goroutines). What the cell publishes is a bare core.Index, the view or
+// the one copy, and the epoch is the cell's own counter, stepped under the
+// write lock, so a reader holding the read lock reads the epoch of the
+// index it holds. The zero cell is not usable; call Init.
 type cell struct {
 	// wmu serializes Commit and Rebuild — the writer's updates, pins and
-	// unpins — and guards spare.
+	// unpins.
 	wmu sync.Mutex
 	// mu is the readers' lock: held shared by every read, and exclusively
 	// by a commit for the apply over one copy, for the table step and the
 	// swap of cur over views.
-	mu    sync.RWMutex
-	cur   *version       // the published version, swapped under mu
-	spare *version       // the version the next commit over views publishes
-	idx   core.Index     // the writer: every commit applies to it
-	ver   core.Versioned // idx when it pins views (snapshot reads), else nil; fixed at Init
+	mu  sync.RWMutex
+	cur core.Index     // the published index — the view, or idx — swapped under mu
+	idx core.Index     // the writer: every commit applies to it
+	ver core.Versioned // idx when it pins views (snapshot reads), else nil; fixed at Init
 
-	epoch atomic.Uint64 // the published epoch
+	epoch atomic.Uint64 // the published epoch, stepped under mu
 	// draining is 1 while a commit waits for the write lock; waits and
 	// waitNs count the reads that found a commit holding or waiting for it,
 	// and the time they spent blocked.
 	draining, waits, waitNs atomic.Uint64
 }
-
-// version is one publishable index — a pinned view, or the one copy — and
-// the epoch at which it was published. A reader owns it shared from
-// cell.Acquire to cell.Release.
-type version struct {
-	Index core.Index
-	epoch uint64
-}
-
-// Epoch returns the epoch number at which this version was last
-// published (0 for the initial version).
-func (v *version) Epoch() uint64 { return v.epoch }
 
 // Init builds the cell over idx, publishing a view of it when idx pins
 // one and idx itself otherwise. A non-empty index panics: every stored
@@ -82,20 +71,20 @@ func (c *cell) Init(idx core.Index) {
 	if idx.Size() != 0 {
 		panic("collection: the wrapped index must start empty")
 	}
-	c.idx = idx
-	c.cur = &version{Index: idx}
+	c.idx, c.cur = idx, idx
 	if v, ok := idx.(core.Versioned); ok {
 		if view := v.Pin(); view != nil {
-			c.ver, c.cur.Index, c.spare = v, view, new(version)
+			c.ver, c.cur = v, view
 		}
 	}
 }
 
-// Acquire read-locks the cell and returns the published version, held
-// against the writer until Release. A read that finds a commit holding or
-// waiting for the write lock is counted, with the time it blocks (Waits).
-// Callers defer the Release so a panicking query never wedges a commit.
-func (c *cell) Acquire() *version {
+// Acquire read-locks the cell and returns the published index, held
+// against the writer until Release; Epoch is its epoch until then. A read
+// that finds a commit holding or waiting for the write lock is counted,
+// with the time it blocks (Waits). Callers defer the Release so a
+// panicking query never wedges a commit.
+func (c *cell) Acquire() core.Index {
 	if !c.mu.TryRLock() {
 		start := time.Now()
 		c.waits.Add(1)
@@ -112,23 +101,23 @@ func (c *cell) Release() { c.mu.RUnlock() }
 // del) — runs tableStep under the write lock, and returns once no reader
 // can still see the state before it. The slices may alias the committer's
 // recycled scratch: indexes do not retain batch slices (the core.Index
-// contract). sp and clk thread the caller's flush span through the stages
-// (apply over one copy; apply, drain, publish, replay — the unpin — over
-// views); a nil sp records nothing.
-func (c *cell) Commit(ins, del []geom.Point, tableStep func(), sp *obs.FlushSpan, clk time.Time) time.Time {
-	return c.advance(false, ins, del, tableStep, sp, clk)
+// contract). sp, the caller's flush span, is stamped at the end of each
+// stage (apply over one copy; apply, drain, publish, replay — the unpin —
+// over views); a nil sp records nothing.
+func (c *cell) Commit(ins, del []geom.Point, tableStep func(), sp *obs.FlushSpan) {
+	c.advance(false, ins, del, tableStep, sp)
 }
 
 // Rebuild replaces the contents of the index with pts (Index.Build) under
 // the same protocol as Commit: readers see the old contents and table or
 // the new, never a copy mid-build.
 func (c *cell) Rebuild(pts []geom.Point, tableStep func()) {
-	c.advance(true, pts, nil, tableStep, nil, time.Time{})
+	c.advance(true, pts, nil, tableStep, nil)
 }
 
 // advance brings the index forward — a Build of ins, or a BatchDiff — and
 // runs tableStep, in either mode.
-func (c *cell) advance(build bool, ins, del []geom.Point, tableStep func(), sp *obs.FlushSpan, clk time.Time) time.Time {
+func (c *cell) advance(build bool, ins, del []geom.Point, tableStep func(), sp *obs.FlushSpan) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.ver == nil {
@@ -142,34 +131,31 @@ func (c *cell) advance(build bool, ins, del []geom.Point, tableStep func(), sp *
 	}
 	if c.ver == nil {
 		tableStep()
-		return sp.Stamp(obs.StageApply, clk)
+		sp.Stamp(obs.StageApply)
+		return
 	}
-	clk = sp.Stamp(obs.StageApply, clk)
-	next, prev := c.spare, c.cur
-	next.Index = c.ver.Pin()
-	clk = c.publish(next, tableStep, sp, clk)
+	sp.Stamp(obs.StageApply)
+	prev := c.cur
+	c.publish(c.ver.Pin(), tableStep, sp)
 	// The displaced view has no reader left and no way to get one: unpinned,
 	// it gives the writer back for reuse what this window displaced from
 	// it.
-	c.ver.Unpin(prev.Index)
-	prev.Index = nil
-	c.spare = prev
-	return sp.Stamp(obs.StageReplay, clk)
+	c.ver.Unpin(prev)
+	sp.Stamp(obs.StageReplay)
 }
 
 // publish drains, then, under the write lock, runs tableStep and makes next
-// the published version under a new epoch.
-func (c *cell) publish(next *version, tableStep func(), sp *obs.FlushSpan, clk time.Time) time.Time {
+// the published index under a new epoch.
+func (c *cell) publish(next core.Index, tableStep func(), sp *obs.FlushSpan) {
 	c.drain()
 	defer c.mu.Unlock()
-	clk = sp.Stamp(obs.StageDrain, clk)
+	sp.Stamp(obs.StageDrain)
 	tableStep()
-	next.epoch = c.epoch.Add(1)
 	c.cur = next
-	if sp != nil {
-		sp.Epoch = next.epoch
+	if epoch := c.epoch.Add(1); sp != nil {
+		sp.Epoch = epoch
 	}
-	return sp.Stamp(obs.StagePublish, clk)
+	sp.Stamp(obs.StagePublish)
 }
 
 // drain takes the write lock, which waits out the reads in flight;
@@ -214,7 +200,7 @@ func (c *cell) Copied() (nodes, bytes uint64) {
 // Validate checks that the published view is the writer's contents — no
 // commit has left them apart. The caller excludes Commit and Rebuild.
 func (c *cell) Validate() error {
-	if c.ver != nil && !c.ver.Current(c.cur.Index) {
+	if c.ver != nil && !c.ver.Current(c.cur) {
 		return errors.New("collection: the published view is not the index's contents")
 	}
 	return nil

@@ -203,13 +203,13 @@ var points = make([]geom.Point, 100)
 
 func noStep() {}
 
-func commit(c *cell, w int) { c.Commit(points[:w], nil, noStep, nil, time.Time{}) }
+func commit(c *cell, w int) { c.Commit(points[:w], nil, noStep, nil) }
 
 func read(c *cell) (x, y int, epoch uint64) {
-	v := c.Acquire()
+	idx := c.Acquire()
 	defer c.Release()
-	x, y = v.Index.(interface{ xy() (int, int) }).xy()
-	return x, y, v.Epoch()
+	x, y = idx.(interface{ xy() (int, int) }).xy()
+	return x, y, c.Epoch()
 }
 
 func TestSnapshotCommitAndCounters(t *testing.T) {
@@ -230,7 +230,7 @@ func TestSnapshotCommitAndCounters(t *testing.T) {
 				t.Fatalf("after window %d: read (%d, %d), want %d", w, x, y, sum)
 			}
 			if want := uint64(w) * perCommit; ep != want || c.Epoch() != want || c.RetireLag() != 0 {
-				t.Fatalf("after window %d: version epoch %d, cell epoch %d, lag %d, want %d/%d/0",
+				t.Fatalf("after window %d: read epoch %d, cell epoch %d, lag %d, want %d/%d/0",
 					w, ep, c.Epoch(), c.RetireLag(), want, want)
 			}
 		}
@@ -327,9 +327,9 @@ func TestCellNeverTorn(t *testing.T) {
 				defer wg.Done()
 				var buf []geom.Point
 				for !stop.Load() {
-					v := c.Acquire()
-					n := v.Index.Size()
-					buf = v.Index.RangeList(universe, buf[:0])
+					idx := c.Acquire()
+					n := idx.Size()
+					buf = idx.RangeList(universe, buf[:0])
 					c.Release()
 					if n != len(buf) {
 						stop.Store(true)
@@ -344,7 +344,7 @@ func TestCellNeverTorn(t *testing.T) {
 			if i >= 1000 {
 				del = []geom.Point{at(i - 1000)}
 			}
-			c.Commit([]geom.Point{at(i)}, del, noStep, nil, time.Time{})
+			c.Commit([]geom.Point{at(i)}, del, noStep, nil)
 		}
 		stop.Store(true)
 		wg.Wait()
@@ -404,7 +404,7 @@ func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 	}
 	late := lateRead(t, c)
 	time.Sleep(2 * time.Millisecond) // room for a buggy unpin to run
-	if x, y := held.Index.(*view).xy(); x != 0 || y != 0 || c.RetireLag() != 1 {
+	if x, y := held.(*view).xy(); x != 0 || y != 0 || c.RetireLag() != 1 {
 		t.Fatalf("held view reads (%d, %d), lag %d: want untouched and lag 1", x, y, c.RetireLag())
 	}
 	if want := []string{"pin w", "apply w", "pin w"}; !slices.Equal(log, want) {
@@ -422,7 +422,7 @@ func TestSnapshotDisplacedCopyUntouchedUntilDrained(t *testing.T) {
 		t.Fatalf("read that waited out the drain got %v, want the window applied", got)
 	}
 	<-committed
-	if w.x != 7 || c.RetireLag() != 0 || c.Epoch() != 1 || log[len(log)-1] != "unpin w" || held.Index != nil {
+	if w.x != 7 || c.RetireLag() != 0 || c.Epoch() != 1 || log[len(log)-1] != "unpin w" || held.(*view).held {
 		t.Fatalf("after the drain: writer holds %d, lag %d, epoch %d, last step %q; want 7, 0, 1 and the held view unpinned",
 			w.x, c.RetireLag(), c.Epoch(), log[len(log)-1])
 	}
@@ -464,8 +464,8 @@ func TestSnapshotRebuildResetsEveryCopy(t *testing.T) {
 // and that the span carries the published epoch.
 func TestSnapshotSpanStages(t *testing.T) {
 	modes(t, func(t *testing.T, c *cell, pinned bool) {
-		var sp obs.FlushSpan
-		c.Commit(points[:5], nil, noStep, &sp, time.Now())
+		sp := obs.StartFlush("collection")
+		c.Commit(points[:5], nil, noStep, &sp)
 		stamped := func(stage int) bool { return sp.Stages[stage] > 0 }
 		if !stamped(obs.StageApply) || stamped(obs.StagePublish) != pinned || stamped(obs.StageReplay) != pinned {
 			t.Fatalf("stages %v", sp.Stages)
@@ -506,13 +506,13 @@ func TestSnapshotConcurrentCommitsSerialize(t *testing.T) {
 }
 
 // TestSnapshotCommitZeroAlloc pins the protocol itself at zero
-// allocations: the Versions are permanent, a commit and a read allocate
-// nothing in either mode.
+// allocations: a commit, stamping its span, and a read allocate nothing
+// in either mode.
 func TestSnapshotCommitZeroAlloc(t *testing.T) {
 	modes(t, func(t *testing.T, c *cell, pinned bool) {
-		var sp obs.FlushSpan
+		sp := obs.StartFlush("collection")
 		if allocs := testing.AllocsPerRun(100, func() {
-			c.Commit(points[:1], nil, noStep, &sp, time.Time{})
+			c.Commit(points[:1], nil, noStep, &sp)
 			read(c)
 		}); allocs != 0 {
 			t.Fatalf("commit+read allocates %.2f/op, want 0", allocs)
@@ -548,15 +548,15 @@ func TestCellQueryZeroAllocWarm(t *testing.T) {
 			t.Fatalf("%s: %d versions", mode.name, c.Versions())
 		}
 		c.Rebuild(pts, noStep)
-		c.Commit(pts[:1], pts[1:2], noStep, nil, time.Time{})
+		c.Commit(pts[:1], pts[1:2], noStep, nil)
 		q := geom.Pt2(side/2, side/2)
 		box := geom.BoxOf(geom.Pt2(0, 0), geom.Pt2(side/4, side/4))
 		var dst []geom.Point
 		warm := func() {
-			v := c.Acquire()
-			dst = v.Index.KNN(q, 10, dst[:0])
-			v.Index.RangeCount(box)
-			dst = v.Index.RangeList(box, dst[:0])
+			idx := c.Acquire()
+			dst = idx.KNN(q, 10, dst[:0])
+			idx.RangeCount(box)
+			dst = idx.RangeList(box, dst[:0])
 			c.Release()
 		}
 		warm()
@@ -595,7 +595,7 @@ func TestTwinCommitZeroAllocWarm(t *testing.T) {
 			if w/(n/moves)%2 == 1 {
 				from, to = alt, pts
 			}
-			c.Commit(to[lo:lo+moves], from[lo:lo+moves], noStep, nil, time.Time{})
+			c.Commit(to[lo:lo+moves], from[lo:lo+moves], noStep, nil)
 			w++
 		}
 		for range 2 * n / moves {
@@ -660,7 +660,7 @@ func TestStepOrder(t *testing.T) {
 			run        func(c *cell, tableStep func())
 		}{
 			{"Commit", "apply", func(c *cell, tableStep func()) {
-				c.Commit(points[:3], nil, tableStep, nil, time.Time{})
+				c.Commit(points[:3], nil, tableStep, nil)
 			}},
 			{"Rebuild", "build", func(c *cell, tableStep func()) { c.Rebuild(points[:3], tableStep) }},
 		} {

@@ -526,8 +526,8 @@ func (c *Collection) Flush() int {
 	c.pending, c.committing, c.spare = c.spare, w, nil
 	c.pend.Unlock()
 
-	sp, clk := c.begin()
-	applied, _ := c.commit(0, w, nil, sp, clk) // a hook failure is counted; see commit
+	sp := c.begin()
+	applied, _ := c.commit(0, w, nil, sp) // a hook failure is counted; see commit
 	// Stop Get consulting the window only now that every reader sees it: a
 	// Get that misses the pending window then reads a committed state that
 	// already includes every op of this one.
@@ -542,13 +542,12 @@ func (c *Collection) Flush() int {
 
 // begin opens a window's span (nil without a registry); the flush lock
 // is held.
-func (c *Collection) begin() (sp *obs.FlushSpan, clk time.Time) {
+func (c *Collection) begin() *obs.FlushSpan {
 	if c.trace == nil {
-		return nil, clk
+		return nil
 	}
-	clk = time.Now()
-	c.span = obs.FlushSpan{Layer: "collection", Start: clk.UnixNano()}
-	return &c.span, clk
+	c.span = obs.StartFlush("collection")
+	return &c.span
 }
 
 // finish accounts one window — raw ops in, index mutations applied, ops
@@ -587,7 +586,7 @@ func (c *Collection) CommitWindow(seq uint64, ops []wal.Op) (err error) {
 	}
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
-	sp, clk := c.begin()
+	sp := c.begin()
 	// The spare window is CommitWindow's scratch: its index finds a
 	// repeated ID, and its records carry the hashes to the plan.
 	w, applied := c.spare, 0
@@ -598,7 +597,7 @@ func (c *Collection) CommitWindow(seq uint64, ops []wal.Op) (err error) {
 		}
 	}
 	if err == nil {
-		applied, err = c.commit(seq, w, ops, sp, clk)
+		applied, err = c.commit(seq, w, ops, sp)
 	}
 	w.reset()
 	c.finish(sp, len(ops), applied, 0)
@@ -609,7 +608,7 @@ func (c *Collection) CommitWindow(seq uint64, ops []wal.Op) (err error) {
 // window: journal it — as ops, or spelled from w when ops is nil — plan
 // the index diff, and commit both through the cell. It returns the number
 // of index mutations applied and the journal hook's error.
-func (c *Collection) commit(seq uint64, w *window, ops []wal.Op, sp *obs.FlushSpan, clk time.Time) (applied int, err error) {
+func (c *Collection) commit(seq uint64, w *window, ops []wal.Op, sp *obs.FlushSpan) (applied int, err error) {
 	// Journal the committed window before applying it (write-ahead):
 	// under the always-fsync policy a caller's Flush returns — and the
 	// service acknowledges — only after the window is on disk. A hook
@@ -626,15 +625,15 @@ func (c *Collection) commit(seq uint64, w *window, ops []wal.Op, sp *obs.FlushSp
 			c.journalErrs.Add(1)
 		}
 		clear(c.plan.ops) // no view into the window outlives it
-		clk = sp.Stamp(obs.StageLog, clk)
+		sp.Stamp(obs.StageLog)
 	}
 	// Planning counts toward the net stage.
 	nIns, nMove, nDel := c.planDiff(w)
-	clk = sp.Stamp(obs.StageNet, clk)
+	sp.Stamp(obs.StageNet)
 	pl := &c.plan
-	clk = c.cell.Commit(pl.ins, pl.del, func() { c.applyTable(w) }, sp, clk)
+	c.cell.Commit(pl.ins, pl.del, func() { c.applyTable(w) }, sp)
 	c.noteSlots()
-	sp.Stamp(obs.StageApply, clk)
+	sp.Stamp(obs.StageApply)
 	c.inserted.Add(nIns)
 	c.moved.Add(nMove)
 	c.removed.Add(nDel)
@@ -882,17 +881,18 @@ func (c *Collection) WithinIDsAppendCost(box geom.Box, dst []Entry, cost *obs.Qu
 }
 
 // query is the shared body of the geometric queries: run the index query
-// against the acquired version into pooled scratch, and resolve the hits
-// through the table under the same read lock. The Release is deferred so a
-// panicking inner index never wedges the flush writer.
+// against the acquired index into pooled scratch, and resolve the hits
+// through the table, and read the epoch, under the same read lock. The
+// Release is deferred so a panicking inner index never wedges the flush
+// writer.
 func (c *Collection) query(dst []Entry, cost *obs.QueryCost, run func(idx core.Index, pts []geom.Point) []geom.Point) []Entry {
 	sc := c.queryPool.Get().(*queryScratch)
 	defer c.queryPool.Put(sc)
-	v := c.cell.Acquire()
+	idx := c.cell.Acquire()
 	defer c.cell.Release()
-	sc.pts = run(v.Index, sc.pts[:0])
+	sc.pts = run(idx, sc.pts[:0])
 	if cost != nil {
-		cost.Epoch = v.Epoch()
+		cost.Epoch = c.cell.Epoch()
 		cost.Candidates = len(sc.pts)
 	}
 	return resolveAppend(c.tab, sc, dst)
@@ -988,9 +988,9 @@ func (c *Collection) Validate() error {
 	if err := c.cell.Validate(); err != nil {
 		return err
 	}
-	v := c.cell.Acquire()
+	idx := c.cell.Acquire()
 	defer c.cell.Release()
-	if got, want := v.Index.Size(), c.tab.live; got != want {
+	if got, want := idx.Size(), c.tab.live; got != want {
 		return fmt.Errorf("collection: index stores %d points, %d live objects", got, want)
 	}
 	return c.tab.validate()

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -276,15 +277,15 @@ func sharedIndexStaysOneTree(t *testing.T, mk func() core.Index) {
 	c.Flush()
 	check := func(when string) {
 		t.Helper()
-		v := c.cell.Acquire()
+		view := c.cell.Acquire()
 		defer c.cell.Release()
-		if !idx.(core.Versioned).Current(v.Index) {
+		if !idx.(core.Versioned).Current(view) {
 			t.Fatalf("%s: the writer and the published view are not one structure", when)
 		}
 		q := geom.Pt2(rng.Int63n(side), rng.Int63n(side))
 		box := geom.BoxOf(geom.Pt2(q[0]/2, q[1]/2), q)
-		if !slices.Equal(idx.KNN(q, 8, nil), v.Index.KNN(q, 8, nil)) ||
-			idx.RangeCount(box) != v.Index.RangeCount(box) {
+		if !slices.Equal(idx.KNN(q, 8, nil), view.KNN(q, 8, nil)) ||
+			idx.RangeCount(box) != view.RangeCount(box) {
 			t.Fatalf("%s: the writer and the published view answer differently", when)
 		}
 		if err := c.cell.Validate(); err != nil {
@@ -353,7 +354,12 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 		return out
 	}
 	pinned := c.cell.Acquire()
-	before := answers(pinned.Index)
+	// Deferred too, and so run before Close: a failure or a panic while
+	// the reader holds the lock must not leave Close's flush draining
+	// against it.
+	release := sync.OnceFunc(c.cell.Release)
+	defer release()
+	before := answers(pinned)
 
 	committed := make(chan struct{})
 	go func() {
@@ -364,13 +370,13 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 		c.Flush()
 	}()
 	waitFor(t, "the drain", func() bool { return c.Stats().RetireLag == 1 })
-	during := answers(pinned.Index)
+	during := answers(pinned)
 	select {
 	case <-committed:
 		t.Fatal("the commit finished while a reader still held the displaced copy")
 	default:
 	}
-	c.cell.Release()
+	release()
 	<-committed
 
 	for i := range before {
@@ -378,9 +384,10 @@ func TestPinnedReaderKeepsItsAnswersAcrossACommit(t *testing.T) {
 			t.Fatalf("answer %d of the pinned reader changed under the commit", i)
 		}
 	}
-	fresh := c.cell.Acquire()
-	after := answers(fresh.Index)
-	c.cell.Release()
+	after := func() [][]geom.Point {
+		defer c.cell.Release()
+		return answers(c.cell.Acquire())
+	}()
 	same := true
 	for i := range before {
 		same = same && slices.Equal(before[i], after[i])

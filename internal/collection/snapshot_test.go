@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/rtree"
 )
 
 // The snapshot-read (epoch-pinned) variant of the Collection test suite:
@@ -338,10 +339,10 @@ func TestStatsDuringFlushDoesNotStall(t *testing.T) {
 	}
 }
 
-// scanAt is WithinIDs(universe) for a reader that already holds v, sorted
-// by ID.
-func scanAt(c *Collection, v *version) []Entry {
-	sc := &queryScratch{pts: v.Index.RangeList(universe(), nil)}
+// scanAt is WithinIDs(universe) for a reader that already holds idx,
+// sorted by ID.
+func scanAt(c *Collection, idx core.Index) []Entry {
+	sc := &queryScratch{pts: idx.RangeList(universe(), nil)}
 	return byID(resolveAppend(c.tab, sc, nil))
 }
 
@@ -400,7 +401,7 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 	}
 	c.Flush()
 
-	held := c.cell.Acquire()
+	held, heldEpoch := c.cell.Acquire(), c.Epoch()
 	ctl.hold(2)
 	// Deferred as well, so that a failure on the way does not leave the
 	// commit, and with it Close, waiting.
@@ -428,8 +429,8 @@ func tableStepInTheGap(t *testing.T, inner func() core.Index) {
 	// The window is applied to the writer, and the commit waits for the
 	// held reader: the published version and the table are still the
 	// reader's.
-	if got := scanAt(c, held); !slices.Equal(got, old) || c.Epoch() != held.Epoch() {
-		t.Fatalf("held reader during the drain: %v at epoch %d; want %v at epoch %d", got, c.Epoch(), old, held.Epoch())
+	if got := scanAt(c, held); !slices.Equal(got, old) || c.Epoch() != heldEpoch {
+		t.Fatalf("held reader during the drain: %v at epoch %d; want %v at epoch %d", got, c.Epoch(), old, heldEpoch)
 	}
 
 	// Two late readers, one per way into the table. The bystander is in no
@@ -666,10 +667,11 @@ func snapshotNeverTorn(t *testing.T, mk func() core.Index, perPoint int) {
 // contract at every layer of the serving stack: warm queries allocate
 // nothing. Under the Collection that is the SPaC-H tree's KNN, whose
 // search queue and result heap come from pools (k = 10 and the 20 of the
-// benchmark's WITHIN sizing), its RangeList, and a Sharded(SPaC-H)'s KNN
-// with its pooled fan-out scratch; on top, the epoch-pinned Collection
-// over P-Orth and over Sharded(SPaC-H), where a read holds the version
-// cell's read lock on a long-lived Version.
+// benchmark's WITHIN sizing), its RangeList, a Sharded(SPaC-H)'s KNN
+// with its pooled fan-out scratch, and the Boost-R baseline's KNN, whose
+// best-first queue is the same pooled geom.MinQueue; on top, the
+// epoch-pinned Collection over P-Orth and over Sharded(SPaC-H), where a
+// read holds the version cell's read lock on the published view.
 func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates the query closures and sync.Pool drops items at random")
@@ -696,6 +698,9 @@ func TestSnapshotQueryZeroAllocWarm(t *testing.T) {
 	guard("SPaC-H KNN k=20", func() { out = tree.KNN(q, 20, out[:0]) })
 	guard("SPaC-H RangeList", func() { out = tree.RangeList(box, out[:0]) })
 	guard("Sharded(SPaC-H) KNN", func() { out = sharded.KNN(q, 10, out[:0]) })
+	boostR := rtree.New(2)
+	boostR.Build(pts)
+	guard("Boost-R KNN k=10", func() { out = boostR.KNN(q, 10, out[:0]) })
 
 	for _, name := range []string{"P-Orth", "Sharded(SPaC-H)"} {
 		c := New(innerStacks()[name](), readOpts)

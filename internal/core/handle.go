@@ -43,11 +43,18 @@ import (
 // PAM (Sun, Ferizovic and Blelloch, PPoPP 2018) returns persistent nodes
 // to its own allocator the same way, by reference counts; here the pins'
 // order stands in for the counts.
+//
+// The handle runs the whole view lifecycle, for any tree: a pin record
+// keeps its view, the view's handle and the view's root slot, so Pin points
+// the view at the writer's root, Unpin finds the record by the view's
+// identity and lets go of its root, and Current compares the view's root
+// with the writer's. A tree gives Pin only a constructor for an empty view
+// of itself, the first time a record needs one; a stranger — another
+// tree's view, of whatever family or dimensionality — matches no record.
 
 // Handle is a copy-on-write tree handle — N the tree's node type, E the
 // element of its leaf blocks, X its own scratch: its generation, what its
-// updates copied, its pool, and on a writer its pinned views, on a view
-// the pin it is.
+// updates copied, its pool, and on a writer its pinned views.
 type Handle[N, E, X any] struct {
 	// Gen is the handle's generation: a writer writes a node in place
 	// only when the node's stamp equals it; on a view, the generation it
@@ -63,20 +70,20 @@ type Handle[N, E, X any] struct {
 	// it and every older one are unpinned; spare the records of those
 	// that were, for the next Pin. mu guards the newest pin's list, which
 	// an update's forked branches append to at once.
-	pins, spare []*Pin[N, E, X]
+	pins, spare []*pin[N, E, X]
 	mu          sync.Mutex
-	view        *Pin[N, E, X] // non-nil on a view: the pin it is
+	view        bool // a pinned view: it refuses updates and pins
 }
 
-// Pin is the record of one pinned view in its writer: whether the view is
-// still pinned, and the shared nodes the writer displaced while it was the
-// newest pin, which wait for it and every older pin to be unpinned.
-type Pin[N, E, X any] struct {
-	// View is the tree's view object, made at the record's first Pin and
-	// handed out again by every Pin that reuses the record.
-	View  Index
-	of    *Handle[N, E, X] // the writer
-	gen   uint64
+// pin is the record of one view in its writer: the view, made at the
+// record's first Pin and handed out again by every Pin that reuses the
+// record, with its handle and its root slot; whether it is still pinned;
+// and the shared nodes the writer displaced while it was the newest pin,
+// which wait for it and every older pin to be unpinned.
+type pin[N, E, X any] struct {
+	view  Index
+	h     *Handle[N, E, X]
+	root  **N
 	held  bool
 	nodes []*N
 }
@@ -107,7 +114,7 @@ func (h *Handle[N, E, X]) End() { h.run = nil }
 
 // MustWrite panics when h is a view: a pinned view is read-only.
 func (h *Handle[N, E, X]) MustWrite() {
-	if h.view != nil {
+	if h.view {
 		panic("core: a pinned view is read-only")
 	}
 }
@@ -165,40 +172,38 @@ func (p *Pool[N, E, X]) recycle(nd *N, give func(*Pool[N, E, X], *N)) {
 	p.Nodes.Put(nd)
 }
 
-// Pin records a new view of the writer's contents and steps its
-// generation, so that it owns nothing the view reaches; the tree hands out
-// the record's View, which it makes the first time and marks with Viewing.
-// O(1), and without allocating once a record is spare.
-func (h *Handle[N, E, X]) Pin() *Pin[N, E, X] {
+// Pin records a new view of the writer, whose root is root, and steps
+// its generation, so that it owns nothing the view reaches. The view is
+// the record's: newView makes it — an empty view of the tree, with its
+// handle and its root slot — the first time the record is used, and every
+// Pin points its root at the writer's and its handle at the pinned
+// generation. O(1), and without allocating once a record is spare.
+func (h *Handle[N, E, X]) Pin(root *N, newView func() (Index, *Handle[N, E, X], **N)) Index {
 	h.MustWrite()
-	var p *Pin[N, E, X]
+	var p *pin[N, E, X]
 	if n := len(h.spare); n > 0 {
 		p, h.spare = h.spare[n-1], h.spare[:n-1]
 	} else {
-		p = &Pin[N, E, X]{of: h}
+		p = new(pin[N, E, X])
+		p.view, p.h, p.root = newView()
+		p.h.view = true
 	}
-	p.gen, p.held = h.Gen, true
+	p.h.Gen, *p.root, p.held = h.Gen, root, true
 	h.pins = append(h.pins, p)
 	h.Gen++
-	return p
+	return p.view
 }
 
-// Viewing makes h, the handle of the tree p.View, the read-only view p
-// records, at the generation p pinned.
-func (h *Handle[N, E, X]) Viewing(p *Pin[N, E, X]) { h.view, h.Gen = p, p.gen }
-
-// Viewed returns the pin of a view, nil on a writer.
-func (h *Handle[N, E, X]) Viewed() *Pin[N, E, X] { return h.view }
-
-// Unpin ends the pin p of the writer, whose view's readers must have
-// ended, and gives the pool, through give, every list no pinned view can
-// reach any more: the lists of the oldest pins, up to the first still
-// held. It panics unless p is a held pin of h.
-func (h *Handle[N, E, X]) Unpin(p *Pin[N, E, X], give func(*Pool[N, E, X], *N)) {
-	if !h.Holds(p) {
-		panic("core: Unpin of a view that is not pinned from this tree")
+// Unpin ends the view v, whose readers must have ended: the view lets go
+// of its root, and the pool takes, through give, every list no pinned view
+// can reach any more — the lists of the oldest pins, up to the first still
+// held. It panics unless v is a view pinned from h.
+func (h *Handle[N, E, X]) Unpin(v Index, give func(*Pool[N, E, X], *N)) {
+	p := h.held(v)
+	if p == nil {
+		panic("core: Unpin of an index that is not a view pinned from this tree")
 	}
-	p.held = false
+	p.held, *p.root = false, nil
 	pool := h.pool.Value()
 	k := 0
 	for ; k < len(h.pins) && !h.pins[k].held; k++ {
@@ -217,8 +222,23 @@ func (h *Handle[N, E, X]) Unpin(p *Pin[N, E, X], give func(*Pool[N, E, X], *N)) 
 	h.pins = h.pins[:n]
 }
 
-// Holds reports whether p is a pin of the writer h, not yet unpinned.
-func (h *Handle[N, E, X]) Holds(p *Pin[N, E, X]) bool { return p != nil && p.of == h && p.held }
+// Current reports whether v is a view pinned from h whose root is root,
+// the writer's: its contents as they are.
+func (h *Handle[N, E, X]) Current(v Index, root *N) bool {
+	p := h.held(v)
+	return p != nil && *p.root == root
+}
+
+// held returns the record of v when v is a view pinned from h and not yet
+// unpinned, nil otherwise. A writer keeps a few records at most.
+func (h *Handle[N, E, X]) held(v Index) *pin[N, E, X] {
+	for _, p := range h.pins {
+		if p.held && p.view == v {
+			return p
+		}
+	}
+	return nil
+}
 
 // NoteCopies adds to Copied nodes copied on first touch, and elems leaf
 // elements copied with them.

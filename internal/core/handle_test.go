@@ -13,6 +13,19 @@ type testNode struct {
 
 type testHandle = Handle[testNode, int, struct{}]
 
+// testView is a view of a testHandle's tree: an index with a handle and a
+// root slot.
+type testView struct {
+	NullIndex
+	h    testHandle
+	root *testNode
+}
+
+func newTestView() (Index, *testHandle, **testNode) {
+	v := new(testView)
+	return v, &v.h, &v.root
+}
+
 // TestHandleFree: an update's Free recycles an owned node at once, and a
 // shared one too when no view is pinned; with views pinned a shared node
 // waits on the newest pin's list until that pin and every older one are
@@ -39,6 +52,13 @@ func TestHandleFree(t *testing.T) {
 		h.Free(nd, gen, give)
 		return nd
 	}
+	// list is the length of the list of v's record, -1 once v is unpinned.
+	list := func(v Index) int {
+		if p := h.held(v); p != nil {
+			return len(p.nodes)
+		}
+		return -1
+	}
 	// reused reports whether the next update's first node is nd.
 	reused := func(nd *testNode) bool {
 		h.Begin()
@@ -49,7 +69,8 @@ func TestHandleFree(t *testing.T) {
 	if nd := free(h.Gen, false); gave != 1 || !reused(nd) {
 		t.Fatalf("an owned node with no view pinned: recycled %v, want at once", gave == 1)
 	}
-	old := h.Pin()
+	oldGen := h.Gen
+	old := h.Pin(nil, newTestView)
 	if nd := free(h.Gen, false); gave != 1 || !reused(nd) {
 		t.Fatal("an owned node with a view pinned was not recycled at once")
 	}
@@ -58,15 +79,15 @@ func TestHandleFree(t *testing.T) {
 	}
 
 	// A shared node waits for its pin.
-	x := free(old.gen, false)
-	if gave != 0 || len(old.nodes) != 1 {
-		t.Fatalf("a shared node: recycled %v, on the pin's list %d, want waiting", gave == 1, len(old.nodes))
+	x := free(oldGen, false)
+	if gave != 0 || list(old) != 1 {
+		t.Fatalf("a shared node: recycled %v, on the pin's list %d, want waiting", gave == 1, list(old))
 	}
 	// A newer view, unpinned first: its list waits for the older view.
-	newer := h.Pin()
-	y := free(old.gen, false)
-	if len(newer.nodes) != 1 || len(old.nodes) != 1 {
-		t.Fatalf("lists %d and %d: a shared node goes to the newest pin's list", len(old.nodes), len(newer.nodes))
+	newer := h.Pin(nil, newTestView)
+	y := free(oldGen, false)
+	if list(newer) != 1 || list(old) != 1 {
+		t.Fatalf("lists %d and %d: a shared node goes to the newest pin's list", list(old), list(newer))
 	}
 	gave = 0
 	h.Unpin(newer, give)
@@ -85,10 +106,11 @@ func TestHandleFree(t *testing.T) {
 	}
 
 	// The older view unpinned first frees only its own list.
-	a := h.Pin()
-	free(a.gen, false)
-	b := h.Pin()
-	free(a.gen, false)
+	aGen := h.Gen
+	a := h.Pin(nil, newTestView)
+	free(aGen, false)
+	b := h.Pin(nil, newTestView)
+	free(aGen, false)
 	gave = 0
 	h.Unpin(a, give)
 	if gave != 1 || len(h.pins) != 1 {
@@ -101,7 +123,7 @@ func TestHandleFree(t *testing.T) {
 
 	// With no view pinned any more, a node stamped before the last Pin is
 	// recycled at once.
-	if nd := free(a.gen, false); gave != 1 || !reused(nd) {
+	if nd := free(aGen, false); gave != 1 || !reused(nd) {
 		t.Fatal("a shared node freed with no view pinned was not recycled at once")
 	}
 	runtime.KeepAlive(pool)
@@ -123,19 +145,24 @@ func TestHandleFree(t *testing.T) {
 }
 
 // TestPinSteps: Pin steps the writer's generation above every stamp the
-// view reaches and records the view's; a view refuses updates and pins,
-// an unpinned or foreign pin is refused, and warm Pins reuse the records
+// view reaches, points the view at the writer's root and puts its handle
+// at the pinned generation; the view is current until the writer's root
+// moves, and Unpin lets go of its root. A view refuses updates and pins,
+// an unpinned or foreign view is refused, and warm Pins reuse the records
 // Unpin left.
 func TestPinSteps(t *testing.T) {
 	var h, other testHandle
-	p := h.Pin()
-	if p.gen != 0 || h.Gen != 1 || !h.Holds(p) || other.Holds(p) {
-		t.Fatalf("Pin: view at %d, writer at %d; want 0 and 1, held by the writer alone", p.gen, h.Gen)
+	root := &testNode{}
+	v := h.Pin(root, newTestView)
+	view := v.(*testView)
+	if view.h.Gen != 0 || h.Gen != 1 || view.root != root {
+		t.Fatalf("Pin: view at %d, writer at %d; want 0 and 1, over the writer's root", view.h.Gen, h.Gen)
 	}
-	var view testHandle
-	view.Viewing(p)
-	if view.Gen != 0 || view.Viewed() != p || h.Viewed() != nil {
-		t.Fatal("Viewing did not make a view at the pinned generation")
+	if !h.Current(v, root) || other.Current(v, root) || h.Current(v, &testNode{}) {
+		t.Fatal("Current: want the view current in its writer alone, over the root it was pinned at")
+	}
+	if !view.h.view || h.view {
+		t.Fatal("Pin did not make a read-only view of a writer")
 	}
 	panics := func(what string, f func()) {
 		t.Helper()
@@ -146,12 +173,16 @@ func TestPinSteps(t *testing.T) {
 		}()
 		f()
 	}
-	panics("an update of a view", view.Begin)
-	panics("a Pin of a view", func() { view.Pin() })
-	panics("a foreign Unpin", func() { other.Unpin(p, nil) })
-	h.Unpin(p, nil)
-	panics("a second Unpin", func() { h.Unpin(p, nil) })
-	if allocs := testing.AllocsPerRun(100, func() { h.Unpin(h.Pin(), nil) }); allocs != 0 {
+	panics("an update of a view", view.h.Begin)
+	panics("a Pin of a view", func() { view.h.Pin(nil, newTestView) })
+	panics("a foreign Unpin", func() { other.Unpin(v, nil) })
+	panics("an Unpin of an index that is no view", func() { h.Unpin(NewNull(2), nil) })
+	h.Unpin(v, nil)
+	if view.root != nil || h.Current(v, root) {
+		t.Fatal("Unpin left the view its root, or current")
+	}
+	panics("a second Unpin", func() { h.Unpin(v, nil) })
+	if allocs := testing.AllocsPerRun(100, func() { h.Unpin(h.Pin(root, newTestView), nil) }); allocs != 0 {
 		t.Fatalf("a warm Pin and Unpin allocate %.1f times, want 0", allocs)
 	}
 }

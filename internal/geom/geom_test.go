@@ -280,6 +280,47 @@ func TestKNNHeapMatchesSort(t *testing.T) {
 	}
 }
 
+// TestMinQueueMatchesSort: pushes interleaved with pops hand out every key
+// least first, each with the element pushed under it.
+func TestMinQueueMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		var q MinQueue[int]
+		var keys, popped []int64
+		for i := 0; i < 1+rng.Intn(300); i++ {
+			d := rng.Int63n(100)
+			q = q.Push(d, int(d)*10)
+			keys = append(keys, d)
+			if rng.Intn(3) == 0 {
+				var e Keyed[int]
+				q, e = q.Pop()
+				if e.E != int(e.D)*10 {
+					t.Fatalf("trial %d: popped %d under key %d", trial, e.E, e.D)
+				}
+				popped = append(popped, e.D)
+				// Everything still queued is at least the key just popped.
+				for _, x := range q {
+					if x.D < e.D {
+						t.Fatalf("trial %d: popped %d with %d still queued", trial, e.D, x.D)
+					}
+				}
+			}
+		}
+		for len(q) > 0 {
+			var e Keyed[int]
+			q, e = q.Pop()
+			popped = append(popped, e.D)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		sort.Slice(popped, func(i, j int) bool { return popped[i] < popped[j] })
+		for i := range keys {
+			if keys[i] != popped[i] {
+				t.Fatalf("trial %d: popped keys %v, want %v", trial, popped, keys)
+			}
+		}
+	}
+}
+
 func TestKNNHeapReset(t *testing.T) {
 	h := GetKNNHeap(2)
 	h.Push(Pt2(1, 1), 2)

@@ -169,3 +169,61 @@ func (h *KNNHeap) Append(dst []Point) []Point {
 	h.n = 0
 	return dst
 }
+
+// MinQueue is a binary min-heap on an int64 key: the frontier of a
+// best-first search, each element keyed by its squared distance to the
+// query. Push and Pop carry a hole along the heap and write the moved
+// element once. A caller recycles the backing array across queries (a
+// pooled queue allocates nothing warm) and clears the entries it dirtied
+// before pooling it, since elements may point into an index.
+type MinQueue[E any] []Keyed[E]
+
+// Keyed is an element of a MinQueue and its key.
+type Keyed[E any] struct {
+	D int64
+	E E
+}
+
+// Push adds e under key d and returns the grown queue.
+func (q MinQueue[E]) Push(d int64, e E) MinQueue[E] {
+	q = append(q, Keyed[E]{})
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if q[parent].D <= d {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = Keyed[E]{d, e}
+	return q
+}
+
+// Pop removes the element of least key, which it returns with the shrunk
+// queue. The queue must not be empty.
+func (q MinQueue[E]) Pop() (MinQueue[E], Keyed[E]) {
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && q[r].D < q[l].D {
+			l = r
+		}
+		if q[l].D >= x.D {
+			break
+		}
+		q[i] = q[l]
+		i = l
+	}
+	if n > 0 {
+		q[i] = x
+	}
+	return q, top
+}

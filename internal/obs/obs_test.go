@@ -175,18 +175,29 @@ func TestFlushTraceRing(t *testing.T) {
 	}
 }
 
+// TestFlushSpanStamp: each stamp times its stage from the one before —
+// the first from the span's start — and a nil span records nothing.
 func TestFlushSpanStamp(t *testing.T) {
-	var sp FlushSpan
-	clk := time.Now()
+	before := time.Now().UnixNano()
+	sp := StartFlush("collection")
+	if sp.Layer != "collection" || sp.Start < before || sp.Start > time.Now().UnixNano() {
+		t.Fatalf("StartFlush: layer %q, start %d; want the layer, started now", sp.Layer, sp.Start)
+	}
 	time.Sleep(time.Millisecond)
-	clk = sp.Stamp(StageApply, clk)
-	if sp.Stages[StageApply] < int64(time.Millisecond/2) {
-		t.Fatalf("apply stage = %dns, want >= ~1ms", sp.Stages[StageApply])
+	sp.Stamp(StageApply)
+	apply := sp.Stages[StageApply]
+	if apply < int64(time.Millisecond/2) {
+		t.Fatalf("apply stage = %dns, want >= ~1ms", apply)
 	}
-	if sp.Dur() != time.Duration(sp.Stages[StageApply]) {
-		t.Fatalf("Dur = %v, want just the apply stage", sp.Dur())
+	sp.Stamp(StagePublish)
+	if publish := sp.Stages[StagePublish]; publish >= apply {
+		t.Fatalf("publish stage = %dns, want it timed from the apply stamp, not the start (apply %dns)", publish, apply)
 	}
-	_ = clk
+	if sp.Dur() != time.Duration(sp.Stages[StageApply]+sp.Stages[StagePublish]) {
+		t.Fatalf("Dur = %v, want the apply and publish stages", sp.Dur())
+	}
+	var none *FlushSpan
+	none.Stamp(StageApply)
 }
 
 func TestSlowLogRing(t *testing.T) {

@@ -43,7 +43,8 @@ var StageNames = [NumStages]string{"net", "log", "replay", "apply", "publish", "
 // nanoseconds; RawOps/NettedOps/Cancelled describe the window before and
 // after netting (RawOps - Cancelled mutations survived netting as
 // NettedOps index mutations); Epoch is the published epoch after the
-// flush (0 in locked mode). Seq is assigned by Record.
+// flush (0 in locked mode). Seq is assigned by Record. A recorder opens
+// a span with StartFlush and stamps each stage as it ends.
 type FlushSpan struct {
 	Seq       uint64
 	Layer     string
@@ -53,19 +54,26 @@ type FlushSpan struct {
 	NettedOps int
 	Cancelled int
 	Epoch     uint64
+	clk       time.Time // the last stage boundary: the next Stamp measures from it
 }
 
-// Stamp accumulates the wall time since t into Stages[stage] and returns
-// the current time, so a recorder threads one clock through consecutive
-// stage boundaries. A nil span records nothing and reads no clock, so
-// flush code stamps unconditionally and pays nothing without a registry.
-func (sp *FlushSpan) Stamp(stage int, t time.Time) time.Time {
+// StartFlush opens the span of a flush of layer that starts now.
+func StartFlush(layer string) FlushSpan {
+	now := time.Now()
+	return FlushSpan{Layer: layer, Start: now.UnixNano(), clk: now}
+}
+
+// Stamp accumulates the wall time since the span's last stamp — or its
+// start — into Stages[stage], so consecutive stamps time consecutive
+// stages. A nil span records nothing and reads no clock, so flush code
+// stamps unconditionally and pays nothing without a registry.
+func (sp *FlushSpan) Stamp(stage int) {
 	if sp == nil {
-		return t
+		return
 	}
 	now := time.Now()
-	sp.Stages[stage] += now.Sub(t).Nanoseconds()
-	return now
+	sp.Stages[stage] += now.Sub(sp.clk).Nanoseconds()
+	sp.clk = now
 }
 
 // Dur returns the span's total recorded stage time.

@@ -6,8 +6,8 @@ import (
 )
 
 // Copy-on-write by generation stamp, under internal/core's Handle, which
-// holds the protocol: the generations, the pool, the pinned views and the
-// reclaim at unpin. Alg. 2 writes only nodes on the paths a batch reaches,
+// holds the protocol: the generations, the pool, the view lifecycle and
+// the reclaim at unpin. Alg. 2 writes only nodes on the paths a batch reaches,
 // and each of them is one own has handed back: a node of another
 // generation comes back as a stamped copy — an interior node with its
 // child slots, a leaf with its points — which the caller links where the
@@ -23,6 +23,10 @@ import (
 // points splits on the stack (buildSmall); a flattened subtree's root
 // becomes the leaf in place. The pool's scratch keeps the batch's narrowed
 // points, the sieve buffer, the skeletons and the child arrays.
+//
+// A view is a tree of its own over the writer's root. The handle pins,
+// unpins and compares it (core.Handle.Pin); the tree only makes an empty
+// one, newView, the first time a pin record needs it.
 
 // scratch is a P-Orth tree's part of its pool: a batch's narrowed points
 // and the sieve's buffer (core.Scratch), the skeletons of large batches
@@ -52,43 +56,17 @@ func (t *tree[S]) own(nd *node[S]) *node[S] {
 	return cp
 }
 
-// Pin implements core.Versioned: a read-only view of t's contents.
-func (t *tree[S]) Pin() core.Index {
-	p := t.Handle.Pin()
-	if p.View == nil {
-		p.View = &Tree{&tree[S]{opts: t.opts, nway: t.nway}}
-	}
-	v := p.View.(*Tree).body.(*tree[S])
-	v.Viewing(p)
-	v.root = t.root
-	return p.View
-}
+// Pin, Unpin and Current implement core.Versioned: core.Handle runs the
+// view lifecycle, over views newView makes.
+func (t *tree[S]) Pin() core.Index           { return t.Handle.Pin(t.root, t.newView) }
+func (t *tree[S]) Unpin(v core.Index)        { t.Handle.Unpin(v, recycle) }
+func (t *tree[S]) Current(v core.Index) bool { return t.Handle.Current(v, t.root) }
 
-// Unpin implements core.Versioned: v, a view t pinned, is read no more.
-func (t *tree[S]) Unpin(v core.Index) {
-	vt := t.viewOf(v)
-	if vt == nil {
-		panic("orthtree: Unpin of an index that is not a view")
-	}
-	vt.root = nil
-	t.Handle.Unpin(vt.Viewed(), recycle)
-}
-
-// Current implements core.Versioned: whether v is a view t pinned of its
-// contents as they are.
-func (t *tree[S]) Current(v core.Index) bool {
-	vt := t.viewOf(v)
-	return vt != nil && t.Holds(vt.Viewed()) && vt.root == t.root
-}
-
-// viewOf returns the tree behind v when v is a view storing S.
-func (t *tree[S]) viewOf(v core.Index) *tree[S] {
-	if w, ok := v.(*Tree); ok {
-		if vt, ok := w.body.(*tree[S]); ok && vt.Viewed() != nil {
-			return vt
-		}
-	}
-	return nil
+// newView returns an empty read-only view of t, with its handle and its
+// root slot.
+func (t *tree[S]) newView() (core.Index, *core.Handle[node[S], S, scratch[S]], **node[S]) {
+	v := &tree[S]{opts: t.opts, nway: t.nway}
+	return &Tree{v}, &v.Handle, &v.root
 }
 
 // newKids returns an interior node's child array, of nil children: one

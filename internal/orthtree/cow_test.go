@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/sfc"
+	"repro/internal/spactree"
 	"repro/internal/workload"
 )
 
@@ -165,8 +167,9 @@ func TestAdoptIsolatesTheFork(t *testing.T) {
 }
 
 // TestAdoptRefusesStrangers: Unpin refuses, and Current denies, an index
-// the tree did not pin — another tree, a view of another tree, a view
-// already unpinned — and a refusal changes nothing.
+// the tree did not pin — another tree, a view of another tree of the same
+// family in either dimensionality or of the other family, a view already
+// unpinned — and a refusal changes nothing.
 func TestAdoptRefusesStrangers(t *testing.T) {
 	tr := newTest2D()
 	pts := workload.GenUniform(500, 2, testSide, 1)
@@ -182,6 +185,8 @@ func TestAdoptRefusesStrangers(t *testing.T) {
 	}{
 		{"another tree", other},
 		{"a view of another tree", other.Pin()},
+		{"a 3-D view of the same family", NewDefault(3, geom.UniverseBox(3, testSide)).Pin()},
+		{"a SPaC view", spactree.NewSPaC(sfc.Hilbert, 2, universe()).Pin()},
 		{"an unpinned view", unpinned},
 		{"the tree itself", tr},
 		{"a brute-force index", core.NewBruteForce(2)},

@@ -64,7 +64,8 @@ type tree[S geom.Packed] struct {
 	root   *node[S]
 	// Handle holds the generation the tree stamps on its nodes and the
 	// only one it writes in place, what its updates copied, the pool they
-	// reuse, and its pinned views — or, on a view, the pin it is (cow.go).
+	// reuse, and its pinned views — or, on a view, the generation it was
+	// pinned at (cow.go).
 	core.Handle[node[S], S, scratch[S]]
 }
 

@@ -9,34 +9,32 @@ import (
 
 // KNN implements core.Index with best-first search: a priority queue over
 // nodes and points ordered by minimum distance — the standard R-tree kNN,
-// which copes best with overlapping MBRs. The queue is a concrete min-heap
-// (container/heap would box every entry in an interface, allocating per
-// push) recycled across queries, so warm queries only allocate when dst
-// must grow.
+// which copes best with overlapping MBRs. The queue is geom.MinQueue, a
+// concrete min-heap (container/heap would box every entry in an
+// interface, allocating per push) recycled across queries, so warm
+// queries only allocate when dst must grow.
 func (t *Tree) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 	if t.root == nil || k <= 0 {
 		return dst
 	}
-	pqp := queuePool.Get().(*distQueue)
+	pqp := queuePool.Get().(*geom.MinQueue[entry])
 	pq := (*pqp)[:0]
-	pq = pq.push(distEntry{d: t.root.mbr.Dist2(q, t.dims), nd: t.root})
+	pq = pq.Push(t.root.mbr.Dist2(q, t.dims), entry{nd: t.root})
 	hi := 1 // high-water length: the only entries this query dirtied
 	found := 0
 	for len(pq) > 0 && found < k {
-		var e distEntry
-		pq, e = pq.pop()
-		if e.nd == nil {
-			dst = append(dst, e.pt)
+		var e geom.Keyed[entry]
+		pq, e = pq.Pop()
+		if nd := e.E.nd; nd == nil {
+			dst = append(dst, e.E.pt)
 			found++
-			continue
-		}
-		if e.nd.isLeaf() {
-			for _, p := range e.nd.pts {
-				pq = pq.push(distEntry{d: geom.Dist2(p, q, t.dims), pt: p})
+		} else if nd.isLeaf() {
+			for _, p := range nd.pts {
+				pq = pq.Push(geom.Dist2(p, q, t.dims), entry{pt: p})
 			}
 		} else {
-			for _, c := range e.nd.kids {
-				pq = pq.push(distEntry{d: c.mbr.Dist2(q, t.dims), nd: c})
+			for _, c := range nd.kids {
+				pq = pq.Push(c.mbr.Dist2(q, t.dims), entry{nd: c})
 			}
 		}
 		if len(pq) > hi {
@@ -52,55 +50,13 @@ func (t *Tree) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 	return dst
 }
 
-// distEntry is a queue element: a node when nd != nil, a point otherwise.
-type distEntry struct {
-	d  int64
+// entry is a queue element: a node when nd != nil, a point otherwise.
+type entry struct {
 	nd *rnode
 	pt geom.Point
 }
 
-// distQueue is a binary min-heap on d.
-type distQueue []distEntry
-
-var queuePool = sync.Pool{New: func() any { return new(distQueue) }}
-
-func (q distQueue) push(e distEntry) distQueue {
-	q = append(q, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent].d <= q[i].d {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-	return q
-}
-
-func (q distQueue) pop() (distQueue, distEntry) {
-	e := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && q[l].d < q[small].d {
-			small = l
-		}
-		if r < n && q[r].d < q[small].d {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[small], q[i] = q[i], q[small]
-		i = small
-	}
-	return q, e
-}
+var queuePool = sync.Pool{New: func() any { return new(geom.MinQueue[entry]) }}
 
 // RangeCount implements core.Index.
 func (t *Tree) RangeCount(box geom.Box) int { return t.count(t.root, box) }

@@ -7,8 +7,8 @@ import (
 )
 
 // Copy-on-write by generation stamp, under internal/core's Handle, which
-// holds the protocol: the generations, the pool, the pinned views and the
-// reclaim at unpin. The join-based updates of Alg. 4 are one step from
+// holds the protocol: the generations, the pool, the view lifecycle and
+// the reclaim at unpin. The join-based updates of Alg. 4 are one step from
 // persistent: every rebalancing step already builds fresh nodes, and only
 // three sites write a node that exists — the SPaC leaf absorb and
 // swap-delete, and joinInto's interior update, which keeps an interior
@@ -26,12 +26,13 @@ import (
 // the grows through core.Recycler build from the pool. The pool's scratch
 // keeps a batch's entries and their sort buffer.
 //
-// A view is a tree of its own over the writer's root, made at the first
-// Pin that needs one and handed out again by the Pins after it. Validate
-// checks that no node is newer than the tree that reaches it and no child
-// newer than its parent; the second is what lets an update return a shared
-// interior node untouched when both recursions handed back the children it
-// has.
+// A view is a tree of its own over the writer's root. The handle pins,
+// unpins and compares it (core.Handle.Pin); the tree only makes an empty
+// one, newView, the first time a pin record needs it. Validate checks
+// that no node is newer than the tree that reaches it and no child newer
+// than its parent; the second is what lets an update return a shared
+// interior node untouched when both recursions handed back the children
+// it has.
 
 // scratch is a SPaC tree's part of its pool: a batch's entries and their
 // sort buffer (core.Scratch).
@@ -40,43 +41,17 @@ type scratch[S geom.Packed] struct{ ins, del, sort []Entry[S] }
 // owns reports whether t may write nd in place.
 func (t *tree[S]) owns(nd *node[S]) bool { return t.Owns(nd.gen) }
 
-// Pin implements core.Versioned: a read-only view of t's contents.
-func (t *tree[S]) Pin() core.Index {
-	p := t.Handle.Pin()
-	if p.View == nil {
-		p.View = &Tree{&tree[S]{opts: t.opts, curve: t.curve, mode: t.mode}}
-	}
-	v := p.View.(*Tree).body.(*tree[S])
-	v.Viewing(p)
-	v.root = t.root
-	return p.View
-}
+// Pin, Unpin and Current implement core.Versioned: core.Handle runs the
+// view lifecycle, over views newView makes.
+func (t *tree[S]) Pin() core.Index           { return t.Handle.Pin(t.root, t.newView) }
+func (t *tree[S]) Unpin(v core.Index)        { t.Handle.Unpin(v, recycle) }
+func (t *tree[S]) Current(v core.Index) bool { return t.Handle.Current(v, t.root) }
 
-// Unpin implements core.Versioned: v, a view t pinned, is read no more.
-func (t *tree[S]) Unpin(v core.Index) {
-	vt := t.viewOf(v)
-	if vt == nil {
-		panic("spactree: Unpin of an index that is not a view")
-	}
-	vt.root = nil
-	t.Handle.Unpin(vt.Viewed(), recycle)
-}
-
-// Current implements core.Versioned: whether v is a view t pinned of its
-// contents as they are.
-func (t *tree[S]) Current(v core.Index) bool {
-	vt := t.viewOf(v)
-	return vt != nil && t.Holds(vt.Viewed()) && vt.root == t.root
-}
-
-// viewOf returns the tree behind v when v is a view storing S.
-func (t *tree[S]) viewOf(v core.Index) *tree[S] {
-	if w, ok := v.(*Tree); ok {
-		if vt, ok := w.body.(*tree[S]); ok && vt.Viewed() != nil {
-			return vt
-		}
-	}
-	return nil
+// newView returns an empty read-only view of t, with its handle and its
+// root slot.
+func (t *tree[S]) newView() (core.Index, *core.Handle[node[S], S, scratch[S]], **node[S]) {
+	v := &tree[S]{opts: t.opts, curve: t.curve, mode: t.mode}
+	return &Tree{v}, &v.Handle, &v.root
 }
 
 // both runs one step — deleteSorted when del is set, else insertSorted —

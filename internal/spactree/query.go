@@ -25,7 +25,7 @@ func (t *tree[S]) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 	}
 	h := geom.GetKNNHeap(k)
 	pool := queuePool[S]()
-	qp := pool.Get().(*subtreeQueue[S])
+	qp := pool.Get().(*queue[S])
 	pq := (*qp)[:0]
 	hi := 0 // high-water length: the only entries this query dirtied
 	for nd := t.root; nd != nil; {
@@ -50,14 +50,14 @@ func (t *tree[S]) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 			}
 			bound := h.Bound()
 			if df < bound {
-				pq = pq.push(subtree[S]{df, far})
+				pq = pq.Push(df, far)
 			}
 			if dn < bound {
-				if len(pq) == 0 || dn <= pq[0].d {
+				if len(pq) == 0 || dn <= pq[0].D {
 					nd = near
 					continue
 				}
-				pq = pq.push(subtree[S]{dn, near})
+				pq = pq.Push(dn, near)
 			}
 		}
 		// The queue only grows between pops, so its length here is the
@@ -65,12 +65,12 @@ func (t *tree[S]) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 		hi = max(hi, len(pq))
 		nd = nil
 		if len(pq) > 0 {
-			var e subtree[S]
-			pq, e = pq.pop()
+			var e geom.Keyed[*node[S]]
+			pq, e = pq.Pop()
 			// The queue is ordered: once its head cannot beat the bound,
 			// nothing left in it can, and the search ends.
-			if e.d < h.Bound() {
-				nd = e.nd
+			if e.D < h.Bound() {
+				nd = e.E
 			}
 		}
 	}
@@ -85,67 +85,20 @@ func (t *tree[S]) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 	return dst
 }
 
-// subtree is a queue element: a node and the squared distance from the
-// query to its bounding box.
-type subtree[S geom.Packed] struct {
-	d  int64
-	nd *node[S]
-}
-
-// subtreeQueue is a binary min-heap on d, recycled across queries through
+// queue is the search's min-queue of subtrees, keyed by the squared
+// distance from the query to their boxes, recycled across queries through
 // queuePools so that warm queries allocate nothing.
-type subtreeQueue[S geom.Packed] []subtree[S]
+type queue[S geom.Packed] = geom.MinQueue[*node[S]]
 
 // queuePools hold the queues of 2-D and of 3-D trees; queuePool picks S's.
 var queuePools = [2]sync.Pool{
-	{New: func() any { return new(subtreeQueue[[2]int32]) }},
-	{New: func() any { return new(subtreeQueue[[3]int32]) }},
+	{New: func() any { return new(queue[[2]int32]) }},
+	{New: func() any { return new(queue[[3]int32]) }},
 }
 
 func queuePool[S geom.Packed]() *sync.Pool {
 	var s S
 	return &queuePools[len(s)-2]
-}
-
-func (q subtreeQueue[S]) push(e subtree[S]) subtreeQueue[S] {
-	q = append(q, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent].d <= e.d {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = e
-	return q
-}
-
-func (q subtreeQueue[S]) pop() (subtreeQueue[S], subtree[S]) {
-	top := q[0]
-	n := len(q) - 1
-	x := q[n]
-	q = q[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && q[r].d < q[l].d {
-			l = r
-		}
-		if q[l].d >= x.d {
-			break
-		}
-		q[i] = q[l]
-		i = l
-	}
-	if n > 0 {
-		q[i] = x
-	}
-	return q, top
 }
 
 // RangeCount implements core.Index.

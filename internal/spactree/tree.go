@@ -48,7 +48,7 @@ type tree[S geom.Packed] struct {
 	// Handle holds the generation the tree stamps on the nodes it creates
 	// and the only one whose nodes it writes in place, what its updates
 	// copied, the pool they reuse, and its pinned views — or, on a view,
-	// the pin it is (cow.go).
+	// the generation it was pinned at (cow.go).
 	core.Handle[node[S], S, scratch[S]]
 }
 
