@@ -980,7 +980,7 @@ func (c *Collection) Stats() Stats {
 // the index holds exactly one point per live object, the table's forward
 // and reverse sides are exact inverses, and the published view of a
 // versioned index is the writer's contents. Tests and the fuzz harness
-// call it after every tape.
+// call it after every sequence of ops they apply.
 func (c *Collection) Validate() error {
 	c.Flush()
 	c.flushMu.Lock()

@@ -13,9 +13,9 @@ import (
 // netted as they arrive. It holds one record per ID, in the order the IDs
 // first appeared, and a later op on an ID overwrites that ID's record in
 // place, so the last write wins and the window is netted by the time a
-// flush takes it: the same tape always nets to the same window. ops counts
-// every op enqueued, netted or not — the MaxBatch trigger and the
-// cancelled count read it.
+// flush takes it: the same sequence of ops always nets to the same
+// window. ops counts every op enqueued, netted or not — the MaxBatch
+// trigger and the cancelled count read it.
 //
 // The window is pointer-free: the IDs sit back to back in one byte arena
 // (ids), each record keeps its ID's offset and length, its hash and its

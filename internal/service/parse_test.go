@@ -52,6 +52,10 @@ func protocolExamples(t testing.TB) []string {
 	return lines
 }
 
+// maxDepth is encoding/json's nesting limit; the request object itself is
+// level one.
+const maxDepth = 10000
+
 // parseCorners are the inputs on which a hand-written scanner and
 // encoding/json are most likely to part.
 var parseCorners = []string{
@@ -69,7 +73,7 @@ var parseCorners = []string{
 	`{"x":1.5e+3,"y":-0.0,"z":1E9}`, `{"x":01}`, `{"x":1.}`, `{"x":.5}`, `{"x":-}`, `{"x":1e}`, `{"x":+1}`,
 	`{"x":tru}`, `{"x":True}`, `{"x":"a\qb"}`, `{"x":"a\u12"}`, `{"x":"a\u12g4"}`, "{\"x\":\"a\x01b\"}", `{"x":"a\`,
 	// Strings: escapes, surrogates, invalid UTF-8.
-	`{"id":"a\"b\\c\/d\b\f\n\r\t"}`, `{"id":"\u00e9\u4e16\u0000"}`, `{"id":"é世界"}`, "{\"id\":\"\xff\xfe\"}", "{\"id\":\"ok\xc3\"}",
+	`{"id":"a\"b\\c\/d\b\f\n\r\t"}`, `{"id":"\u00e9\u4e16\u0000"}`, `{"id":"é世界"}`, "{\"id\":\"\xff\xfe\"}", "{\"id\":\"ok\xc3\"}", "{\"id\":\"a\x01b\"}", "{\"op\":\"GET\tx\"}",
 	`{"id":"\ud83d\ude00"}`, `{"id":"\ud83d"}`, `{"id":"\ude00"}`, `{"id":"\ud83d\u0041"}`, `{"id":"\ud83d\ud83d\ude00"}`,
 	`{"id":"\ud83dx"}`, `{"id":"\uD83D\uDE00"}`, `{"id":""}`, `{"id":5}`, `{"id":true}`, `{"id":["a"]}`, `{"id":{"a":1}}`,
 	`{"op":null,"id":null,"addr":null,"p":null,"lo":null,"hi":null,"k":null}`,
@@ -81,7 +85,7 @@ var parseCorners = []string{
 	`{"p":[]}`, `{"p":[ ]}`, `{"p":[1]}`, `{"p":[1,2,3,4,5,6,7,8,9]}`, `{"p":[1,]}`, `{"p":[,1]}`, `{"p":[1 2]}`, `{"p":[1,2`, `{"p":5}`, `{"p":"1,2"}`, `{"p":{"x":1}}`,
 	`{"p":[1.5,2]}`, `{"p":[1,"2"]}`, `{"p":[1,[2]]}`, `{"p":[1,true]}`, `{"p":[9223372036854775808]}`, `{"p":[-9223372036854775808,9223372036854775807]}`,
 	`{"p":[null]}`, `{"p":[null,5]}`, `{"p":[7,8],"p":[null]}`, `{"p":[7,8],"p":[1],"p":[null,null]}`, `{"p":[7,8,9],"p":[1],"p":[null,null,null,null,null]}`,
-	`{"p":[7,8],"p":[],"p":[null,null]}`, `{"p":[7,8],"p":null,"p":[null,null]}`, `{"p":[7,8],"P":[1]}`, `{"p":[7,8],"lo":[null,null],"hi":[3]}`,
+	`{"p":[7,8],"p":[1]}`, `{"lo":[1,2],"hi":[3,4],"lo":[5,6]}`, `{"p":[7,8],"p":[],"p":[null,null]}`, `{"p":[7,8],"p":null,"p":[null,null]}`, `{"p":[7,8],"P":[1]}`, `{"p":[7,8],"lo":[null,null],"hi":[3]}`,
 }
 
 // TestParseRequestMatchesJSON pins the scanner to encoding/json on the
@@ -116,6 +120,27 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("%q: %s", line, d)
 		}
 	})
+}
+
+// TestParseRequestAllocBudget holds every request line docs/protocol.md
+// shows, and the SET, GET, NEARBY, WITHIN and DEL shapes of the load
+// client, on the scanner: none allocates, so none is left to
+// encoding/json, which allocates on every line.
+func TestParseRequestAllocBudget(t *testing.T) {
+	lines := protocolExamples(t)
+	for _, line := range [][]byte{benchSET, benchGET, benchNEARBY, benchWITHIN, benchDEL} {
+		lines = append(lines, string(line))
+	}
+	var req Request
+	for _, line := range lines {
+		b := []byte(line)
+		if err := parseRequest(b, &req); err != nil { // warm: req's arrays grown
+			t.Fatalf("%s: %v", line, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = parseRequest(b, &req) }); allocs > 0 {
+			t.Errorf("%s: %.2f allocs per parse, budget 0", line, allocs)
+		}
+	}
 }
 
 var (
@@ -168,17 +193,24 @@ func TestServeAllocBudget(t *testing.T) {
 }
 
 func BenchmarkParseRequest(b *testing.B) {
-	var req Request
-	b.ReportAllocs()
-	for b.Loop() {
-		if err := parseRequest(benchSET, &req); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		line []byte
+	}{{"SET", benchSET}, {"GET", benchGET}, {"NEARBY", benchNEARBY}, {"WITHIN", benchWITHIN}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var req Request
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := parseRequest(bc.line, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkServeSET(b *testing.B) {
-	s := New(newTestSharded(), Options{FlushInterval: -1})
+	s := New(newTestIndex(), Options{FlushInterval: -1})
 	lc := s.NewLineConn()
 	b.ReportAllocs()
 	for b.Loop() {

@@ -17,12 +17,13 @@ package service
 // the hub sequence captured inside, the same lock-consistency trick.
 //
 // Follower: the repl.Follower session goroutine is the only writer, and
-// it never touches the client tape: each received window is one
+// it never touches the pending window: each received window is one
 // Collection.CommitWindow under the LEADER's sequence (journaled by
-// wal.Log.AppendWindowAt), a bootstrap is one Collection.Load. Client
-// SET/DEL/FLUSH are refused with CodeReadonly, so the tape stays empty
-// and the interval flusher ticks over nothing; GET/NEARBY/WITHIN serve
-// the replicated state through the usual epoch-pinned snapshot path.
+// wal.Log.AppendWindowAt), a bootstrap is one collection.Recover.
+// Client SET/DEL/FLUSH are refused with CodeReadonly, so the pending
+// window stays empty and the interval flusher ticks over nothing;
+// GET/NEARBY/WITHIN serve the replicated state through the usual
+// epoch-pinned snapshot path.
 //
 // Roles are a tiny state machine, driven by operators (and tested as a
 // table in repl_failover_test.go):
@@ -463,8 +464,8 @@ func (s *Server) Follow(addr string) error {
 		s.replPast.add(replTotals{lead: s.replLead.Stats()})
 		s.replLead = nil
 	}
-	// The tape has taken nothing since the fence; whatever it took before
-	// belongs to the old timeline and commits there, now.
+	// The pending window has taken nothing since the fence; whatever it
+	// took before belongs to the old timeline and commits there, now.
 	s.coll.Flush()
 	f := s.newFollower(addr)
 	s.replFoll = f
@@ -557,11 +558,11 @@ func (a replApplier) ApplyWindow(seq uint64, ops []wal.Op) error {
 }
 
 // Bootstrap replaces the full local state with the leader's snapshot —
-// one Load, pending ops of an earlier life discarded with it — then
-// persists the new baseline, and the leader term it belongs to, as a
-// WAL snapshot at the leader's sequence, which may regress below the
-// local one (a rebuilt or wiped leader), all the way to zero. Adopting
-// the term here, atomically with the state it governs, is the
+// one collection.Recover, pending ops of an earlier life discarded with
+// it — then persists the new baseline, and the leader term it belongs
+// to, as a WAL snapshot at the leader's sequence, which may regress
+// below the local one (a rebuilt or wiped leader), all the way to zero.
+// Adopting the term here, atomically with the state it governs, is the
 // follower's only term transition: after this snapshot lands, a restart
 // recovers both together and stale pre-promotion leaders are refused
 // from the first handshake.

@@ -198,14 +198,23 @@ func TestReplConvergence(t *testing.T) {
 		}
 	}
 
-	// The leader tracks both followers by identity, fully acked.
-	ls := leader.Stats().Repl.Leader
-	if len(ls.Followers) != 2 || ls.Connected != 2 {
-		t.Fatalf("leader follower view: %+v", ls)
-	}
-	for _, fi := range ls.Followers {
-		if fi.LagWindows != 0 || fi.AckedSeq != ls.LastSeq {
-			t.Fatalf("follower %s not fully acked: %+v (leader at %d)", fi.ID, fi, ls.LastSeq)
+	// The leader tracks both followers by identity, fully acked. A
+	// follower stores its applied position before it writes the ACK, so
+	// the leader's view may trail waitConverged by that frame: poll it.
+	deadline := time.Now().Add(10 * time.Second)
+	for acked := false; !acked; time.Sleep(2 * time.Millisecond) {
+		ls := leader.Stats().Repl.Leader
+		if len(ls.Followers) != 2 || ls.Connected != 2 {
+			t.Fatalf("leader follower view: %+v", ls)
+		}
+		acked = true
+		for _, fi := range ls.Followers {
+			if fi.LagWindows != 0 || fi.AckedSeq != ls.LastSeq {
+				acked = false
+				if time.Now().After(deadline) {
+					t.Fatalf("follower %s not fully acked: %+v (leader at %d)", fi.ID, fi, ls.LastSeq)
+				}
+			}
 		}
 	}
 }
