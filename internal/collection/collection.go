@@ -32,7 +32,7 @@
 // Consistency: the geometric index, the forward table (ID → point), and
 // the reverse multimap (point → IDs) all advance together at the flush
 // boundary. The two tables are one dense slot table (table.go): flat
-// point arrays and one append-only byte arena of IDs, found through
+// point arrays and an append-only arena of ID blocks, found through
 // open-addressed slot indexes — a few dozen pointer-free bytes per object
 // rather than two Go maps, and nothing for the collector to mark per
 // object. An ID a query or a checkpoint hands out is a view into that
@@ -147,9 +147,10 @@ type Stats struct {
 	// on the heap (race builds, and systems other than unix).
 	TableMappedBytes uint64
 	// TableIDBytes is the size of the committed slot table's ID arena at the
-	// last commit — one heap block holding every live ID, the removed IDs
-	// its next compaction drops and room to append — and TableIDDeadBytes
-	// the removed IDs' share of it.
+	// last commit — the heap blocks holding every live ID, the removed IDs
+	// its next compaction drops and room to append, within one 64 KiB
+	// block of the live IDs while the table only grows — and
+	// TableIDDeadBytes the removed IDs' share of it.
 	TableIDBytes, TableIDDeadBytes uint64
 	// PendingBytes is what the two pending windows hold on the heap — the
 	// one enqueues add to and the one being committed or kept spare: their
@@ -160,8 +161,9 @@ type Stats struct {
 // Entry is one resolved query hit: a live object and its indexed
 // position. ID is an immutable view into the slot table's ID arena, not a
 // copy: it stays valid however the Collection changes afterwards, and
-// while it is held it keeps the arena it points into alive — one arena
-// generation, about every ID the table held at the time.
+// while it is held it keeps the block it points into alive — at most
+// 64 KiB of IDs, or after a compaction one block of about every ID the
+// table held at the time.
 type Entry struct {
 	ID    string
 	Point geom.Point
@@ -232,7 +234,7 @@ type Collection struct {
 	removed  atomic.Uint64
 	// slots, freeSlots, mapped, idBytes and idDead mirror the committed
 	// table's slot count (live plus free), its free share, the bytes mapped
-	// behind its arrays and its ID arena's size and dead bytes at the last
+	// behind its arrays and its ID blocks' size and dead bytes at the last
 	// commit, for the gauges: like Stats, they never take a lock.
 	slots, freeSlots, mapped, idBytes, idDead atomic.Int64
 }
@@ -318,7 +320,7 @@ func New(idx core.Index, opts Options) *Collection {
 		"Bytes of the committed object table mapped outside the Go heap (0 where the build keeps it on the heap).",
 		func() float64 { return float64(c.mapped.Load()) }, layer)
 	opts.Obs.GaugeFunc("psi_collection_table_id_bytes",
-		"Bytes of the committed object table's ID arena on the heap: live IDs, removed ones awaiting compaction and room to append.",
+		"Bytes of the committed object table's ID blocks on the heap: live IDs, removed ones awaiting compaction and room to append.",
 		func() float64 { return float64(c.idBytes.Load()) }, layer)
 	opts.Obs.GaugeFunc("psi_collection_table_id_dead_bytes",
 		"Bytes of the committed object table's ID arena held by removed IDs until its next compaction.",
@@ -714,11 +716,6 @@ func (c *Collection) load(n int, stream func(fold func(wal.Op)) error, check fun
 		case slot != 0:
 			tab.move(slot, o.P)
 		default:
-			// Room for n IDs of this one's length at first, then the arena
-			// doubles: a fresh table fills it in a few allocations.
-			if need := entryBytes(o.ID); len(tab.ids)+need > cap(tab.ids) {
-				tab.reserveIDs(max(n*need, len(tab.ids)+need))
-			}
 			tab.insert(o.ID, hash, o.P)
 		}
 	})
@@ -764,13 +761,13 @@ func (c *Collection) load(n int, stream func(fold func(wal.Op)) error, check fun
 	return nil
 }
 
-// noteSlots publishes the table's slot counts, mapped bytes and arena size
-// to the gauges; the flush lock is held.
+// noteSlots publishes the table's slot counts, mapped bytes and the bytes
+// of its ID blocks to the gauges; the flush lock is held.
 func (c *Collection) noteSlots() {
 	c.slots.Store(int64(c.tab.slots()))
 	c.freeSlots.Store(int64(c.tab.slots() - c.tab.live))
 	c.mapped.Store(int64(c.tab.mapped()))
-	c.idBytes.Store(int64(cap(c.tab.ids)))
+	c.idBytes.Store(int64(c.tab.held))
 	c.idDead.Store(int64(c.tab.dead))
 }
 

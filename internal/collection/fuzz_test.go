@@ -72,11 +72,15 @@ const fuzzIDs = 16
 // slot table also leaves in its free slots: it must work as a live ID too.
 // The last is 20 KiB long, so that a tape that removes it four times
 // passes the ID arena's compaction threshold (minSpare) and one that
-// inserts it a few times overflows the arena; its length takes three bytes.
+// inserts it a few times fills the arena's blocks; its length takes three
+// bytes. The one before it is 80 KiB long, more than a 64 KiB window of
+// the arena, so that its entry takes a block of its own across windows,
+// and once compacted runs across windows inside a block.
 var fuzzKeys = func() (ids [fuzzIDs]string) {
 	for i := 1; i < fuzzIDs; i++ {
 		ids[i] = key(i)
 	}
+	ids[fuzzIDs-2] = strings.Repeat("+", 80<<10)
 	ids[fuzzIDs-1] = strings.Repeat("~", 20<<10)
 	return ids
 }()

@@ -17,26 +17,34 @@ import (
 // index into the flat off, pos and next arrays — and two open-addressed,
 // linear-probing indexes find slots by ID and by point. The indexes store
 // nothing but slots (under a few spare hash bits) and compare through the
-// arrays, and the IDs themselves sit in one byte arena, so the whole table
-// is pointer-free: the collector never scans it, and an object costs its
-// ID's bytes and a length byte, 16 bytes of slot in 2-D (20 in 3-D) and
-// three to five 4-byte buckets.
+// arrays, and the IDs themselves sit in pointer-free byte blocks, so the
+// collector scans nothing of the table but the short list of its blocks,
+// and an object costs its ID's bytes and a length byte, 16 bytes of slot
+// in 2-D (20 in 3-D) and three to five 4-byte buckets.
 //
 // A position is stored as dims int32 coordinates, the stored range of
 // every Collection whatever its index (geom.Packable): 8 bytes in 2-D and
 // 12 in 3-D, widened to a geom.Point on the way out (at). The point index
 // hashes and compares that stored form.
 //
-// ids is the ID arena: each ID that has been inserted, as a uvarint length
-// followed by its bytes, at the offset off holds for its slot. It is
-// append-only: an insert appends, a remove only counts the entry's bytes
-// dead, and live bytes are never overwritten, so an ID read out of it (id)
-// is an unsafe.String view that stays valid and unchanged for as long as
-// anyone holds it — a query's Entry, a checkpoint's iterator — and keeps
-// that arena alive. Once at least half the arena is dead, and at least
-// minSpare, its live IDs are copied into a fresh one in slot order
-// (compact); an append that would overflow the arena compacts it instead of
-// growing it. ids[0] is the empty entry, which free slots point at.
+// The IDs sit in an arena of heap blocks, each ID once as a uvarint length
+// followed by its bytes (an entry), at the offset off holds for its slot.
+// An offset is a uint32 that names a 64 KiB window of the arena (off>>16)
+// and a byte in it (off&0xFFFF); wins holds, for each window, its block
+// sliced from that window to the block's end, so an entry may run past
+// its window but never past its block. The arena is append-only: an insert
+// appends, a remove only counts the entry's bytes dead, and no block is
+// copied, resized or overwritten, so an ID read out of it (id) is an
+// unsafe.String view that stays valid and unchanged for as long as anyone
+// holds it — a query's Entry, a checkpoint's iterator — and keeps its
+// block alive. When the last block is full the next entry starts a new
+// one at the next window: as large as the blocks before it together, at
+// least the entry and, unless the entry is larger, at most one window. So
+// a growing table allocates its IDs' bytes and at most one window more,
+// and leaves no outgrown copy behind. Once at least half of the entry
+// bytes are dead, and at least minSpare, a remove copies the live IDs into
+// one fresh block in slot order (compact). wins[0][0] is the empty entry,
+// which free slots point at.
 //
 // Slots are stable for an object's lifetime (a move rewrites pos in place)
 // and slot 0 is reserved as "none". Objects sharing a point are chained
@@ -53,15 +61,18 @@ import (
 // more — the Collection in Load's table step for the table Load displaces,
 // and through a cleanup once the Collection itself is unreachable. So no
 // slice of these arrays may escape the table, and a table is not copied
-// except to hand its arrays over whole. The arena stays on the heap: its
-// views do escape, and a mapping could be unmapped under one.
+// except to hand its arrays over whole. The ID blocks stay on the heap:
+// their views do escape, and a mapping could be unmapped under one.
 type table struct {
 	dims int // coordinates per position: 2 or 3
-	// ids is the ID arena and dead the bytes of it that removed IDs hold;
+	// wins is the ID arena's window list. end is the offset the next
+	// entry goes to, size the bytes of entries appended since the last
+	// compaction (the empty one included), dead the share of them that
+	// removed IDs hold and held the bytes of the blocks wins reaches.
+	wins                  [][]byte
+	end, size, dead, held int
 	// off is slot → offset of its ID's entry, 0 in free slots.
-	ids  []byte
-	dead int
-	off  []uint32
+	off []uint32
 	// pos holds slot s's position at pos[s*dims:][:dims]; the zero point
 	// in free slots.
 	pos []int32
@@ -88,9 +99,14 @@ const (
 	// minBuckets is the smallest index; a power of two, like every size.
 	minBuckets = 8
 	// minSpare is the fewest dead bytes a remove compacts the arena for:
-	// a table under churn allocates one arena per minSpare of IDs removed,
+	// a table under churn allocates one block per minSpare of IDs removed,
 	// at most.
 	minSpare = 64 << 10
+	// An ID offset's high bits name a window of winSize bytes, its low
+	// winBits bits a byte in it.
+	winBits = 16
+	winSize = 1 << winBits
+	winMask = winSize - 1
 )
 
 // seedID and seedPt seed the table hashes, per process: IDs and
@@ -117,7 +133,6 @@ func newTable(dims, n int) table {
 	}
 	t := table{
 		dims: dims,
-		ids:  make([]byte, 1),
 		off:  makeArray[uint32](1, n+1),
 		pos:  makeArray[int32](dims, (n+1)*dims),
 		next: makeArray[uint32](1, n+1),
@@ -125,6 +140,8 @@ func newTable(dims, n int) table {
 		byPt: makeArray[uint32](b, b),
 	}
 	t.next[0] = freeSlot
+	t.addBlock(make([]byte, 1)) // the empty entry
+	t.end, t.size = 1, 1
 	return t
 }
 
@@ -147,72 +164,80 @@ func (t *table) mapped() int {
 // slots returns the number of slots ever handed out: live plus free.
 func (t *table) slots() int { return len(t.next) - 1 }
 
-// id returns slot s's ID, "" for a free slot: a view into the arena, which
+// id returns slot s's ID, "" for a free slot: a view into its block, which
 // it keeps alive.
 func (t *table) id(s uint32) string {
-	o := int(t.off[s])
-	n, w := uint64(t.ids[o]), 1
+	o := t.off[s]
+	b := t.wins[o>>winBits][o&winMask:]
+	n, w := uint64(b[0]), 1
 	if n >= 0x80 {
-		n, w = binary.Uvarint(t.ids[o:])
+		n, w = binary.Uvarint(b)
 	}
 	if n == 0 {
 		return ""
 	}
-	return unsafe.String(&t.ids[o+w], int(n))
+	return unsafe.String(&b[w], int(n))
 }
 
 // entryBytes is what id's entry takes in the arena.
 func entryBytes(id string) int { return (bits.Len(uint(len(id))|1)+6)/7 + len(id) }
 
-// reserveIDs makes room in the arena for bytes more bytes of entries, so
-// that appending them allocates nothing; Load sizes a fresh table with it.
-func (t *table) reserveIDs(bytes int) {
-	if len(t.ids)+bytes > cap(t.ids) {
-		t.ids = append(make([]byte, 0, len(t.ids)+bytes), t.ids...)
-	}
-}
-
 // putID appends id's entry to the arena and returns its offset.
 func (t *table) putID(id string) uint32 {
 	need := entryBytes(id)
-	if len(t.ids)+need > cap(t.ids) {
-		t.compact(need)
+	if last := len(t.wins) - 1; t.end+need > last<<winBits+len(t.wins[last]) {
+		t.grow(need)
 	}
-	o := len(t.ids)
-	if uint64(o+need) > math.MaxUint32 {
-		panic("collection: more than 4 GiB of live IDs") // offsets are uint32s
-	}
-	t.ids = binary.AppendUvarint(t.ids, uint64(len(id)))
-	t.ids = append(t.ids, id...)
+	o := t.end
+	b := t.wins[o>>winBits][o&winMask:]
+	copy(b[binary.PutUvarint(b, uint64(len(id))):], id)
+	t.end += need
+	t.size += need
 	return uint32(o)
 }
 
-// compact copies the live IDs into a fresh arena in slot order, with room
-// for need more bytes and spare beyond them: a quarter of what it holds, or
-// as much again while that is under minSpare. An arena with no dead bytes
-// is copied whole, offsets and all. When the old arena held dead bytes the
-// table is churning, and the spare is at least twice minSpare, so that the
-// arena fills up no sooner than remove's threshold is reached: a churning
-// table compacts once per minSpare of removed bytes, at most. The old
-// arena is left as it was, for the views still into it.
-func (t *table) compact(need int) {
-	used := len(t.ids) - t.dead + need
-	spare := max(used/4, min(used, minSpare))
-	if t.dead == 0 {
-		t.reserveIDs(need + spare)
-		return
+// grow starts a new block at the next window for an entry of need bytes:
+// as large as the blocks before it together, at least need and, unless
+// need is more, at most one window.
+func (t *table) grow(need int) {
+	n, w := max(need, min(t.held, winSize)), len(t.wins)
+	if uint64(w)<<winBits+uint64(n) > min(math.MaxUint32, math.MaxInt) {
+		panic("collection: more than 4 GiB of live IDs") // offsets are uint32s, and ints on 32-bit systems
 	}
-	spare = max(spare, 2*minSpare)
-	ids := make([]byte, 1, used+spare)
+	t.addBlock(make([]byte, n))
+	t.end = w << winBits
+}
+
+// addBlock lists blk's windows after the last ones, each sliced to the
+// block's end.
+func (t *table) addBlock(blk []byte) {
+	for o := 0; o < len(blk); o += winSize {
+		t.wins = append(t.wins, blk[o:])
+	}
+	t.held += len(blk)
+}
+
+// compact copies the live IDs into one fresh block in slot order, with
+// twice minSpare to spare beyond them, so that the block fills no sooner
+// than remove's threshold is reached again: a churning table compacts once
+// per minSpare of removed bytes, at most. The old blocks are left as they
+// were, for the views still into them; the window list, which no view
+// points into, is rewritten in place.
+func (t *table) compact() {
+	blk := make([]byte, t.size-t.dead+2*minSpare)
+	o := 1 // blk[0] is the empty entry
 	for s, nx := range t.next {
 		if nx&freeSlot == 0 {
-			o := int(t.off[s])
-			e := t.ids[o : o+entryBytes(t.id(uint32(s)))]
-			t.off[s] = uint32(len(ids))
-			ids = append(ids, e...)
+			id := t.id(uint32(s))
+			t.off[s] = uint32(o)
+			o += binary.PutUvarint(blk[o:], uint64(len(id)))
+			o += copy(blk[o:], id)
 		}
 	}
-	t.ids, t.dead = ids, 0
+	clear(t.wins) // the old blocks are the views' to keep alive, not the list's
+	t.wins, t.held = t.wins[:0], 0
+	t.addBlock(blk)
+	t.end, t.size, t.dead = o, o, 0
 }
 
 // at returns slot s's position, widened to a geom.Point.
@@ -342,8 +367,8 @@ func (t *table) remove(s uint32, hash uint64) {
 	t.next[s] = freeSlot | t.free
 	t.free = s
 	t.live--
-	if t.dead >= minSpare && 2*t.dead >= len(t.ids) {
-		t.compact(0)
+	if t.dead >= minSpare && 2*t.dead >= t.size {
+		t.compact()
 	}
 }
 
@@ -458,8 +483,8 @@ func (t *table) validate() error {
 	if len(t.pos) != t.dims*len(t.next) || len(t.off) != len(t.next) {
 		return fmt.Errorf("collection: slot arrays of %d, %d and %d", len(t.off), len(t.pos), len(t.next))
 	}
-	if len(t.ids) == 0 || t.ids[0] != 0 {
-		return fmt.Errorf("collection: ID arena of %d bytes does not start with the empty entry", len(t.ids))
+	if len(t.wins) == 0 || len(t.wins[0]) == 0 || t.wins[0][0] != 0 {
+		return fmt.Errorf("collection: ID arena of %d windows does not start with the empty entry", len(t.wins))
 	}
 	live, liveBytes := 0, 0
 	for s := 1; s < len(t.next); s++ {
@@ -468,17 +493,21 @@ func (t *table) validate() error {
 		}
 		live++
 		o := int(t.off[s])
-		n, w := binary.Uvarint(t.ids[min(o, len(t.ids)):])
-		if o == 0 || w <= 0 || n > uint64(len(t.ids)-o-w) {
-			return fmt.Errorf("collection: slot %d's ID entry at %d runs past the %d-byte arena", s, o, len(t.ids))
+		var b []byte
+		if w := o >> winBits; w < len(t.wins) {
+			b = t.wins[w][min(o&winMask, len(t.wins[w])):]
+		}
+		n, w := binary.Uvarint(b)
+		if o == 0 || w <= 0 || n > uint64(len(b)-w) || o+w+int(n) > t.end {
+			return fmt.Errorf("collection: slot %d's ID entry at %d runs past its block or the arena's end at %d", s, o, t.end)
 		}
 		liveBytes += w + int(n)
 		if got, _ := t.lookup(t.id(uint32(s))); got != uint32(s) {
 			return fmt.Errorf("collection: slot %d holds %q, which the ID index resolves to slot %d", s, t.id(uint32(s)), got)
 		}
 	}
-	if t.dead != len(t.ids)-1-liveBytes {
-		return fmt.Errorf("collection: %d dead ID bytes counted, the %d-byte arena holds %d live", t.dead, len(t.ids), liveBytes)
+	if t.dead != t.size-1-liveBytes {
+		return fmt.Errorf("collection: %d dead ID bytes counted, %d appended of which %d live", t.dead, t.size, liveBytes)
 	}
 	if live != t.live {
 		return fmt.Errorf("collection: %d live slots, %d counted", live, t.live)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // withTable calls fn, under the flush lock, with the committed table.
@@ -199,8 +201,8 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 					t.Fatalf("snapshot=%t: removed ID %q is still held by a slot", snapshot, name(i))
 				}
 			}
-			if tab.dead >= minSpare && 2*tab.dead >= len(tab.ids) {
-				t.Fatalf("snapshot=%t: %d of the arena's %d bytes are dead, past the compaction threshold", snapshot, tab.dead, len(tab.ids))
+			if tab.dead >= minSpare && 2*tab.dead >= tab.size {
+				t.Fatalf("snapshot=%t: %d of the arena's %d entry bytes are dead, past the compaction threshold", snapshot, tab.dead, tab.size)
 			}
 		})
 		if got, free := c.slots.Load(), c.freeSlots.Load(); got < live || got > 2*peak || free != got-live {
@@ -217,26 +219,28 @@ func TestSlotsRecycleUnderIDChurn(t *testing.T) {
 // dropping the Collection gives back to the heap while the ID strings,
 // which the caller keeps, stay (the index and its views hold a count each), plus
 // what its table maps outside the heap, and what the Collection's emptied
-// pending windows keep. It measures 55.4 with flat pending windows; 59.2
-// with a Go string tape and map overlay beside the arena and the mapped
-// slot arrays; 59.6 with a string header per slot,
-// 58.5 with the arrays on the heap and int32 positions, 79.2 with
+// pending windows keep. It measures 53.2 with the IDs in blocks that are
+// never copied; 55.4 with one ID arena grown by copying; 59.2 with a Go
+// string tape and map overlay beside the arena and the mapped slot arrays;
+// 59.6 with a string header per slot, 58.5 with the arrays on the heap and
+// int32 positions, 79.2 with
 // geom.Point ones; a table per snapshot copy measured 153, the twin Go maps
 // before that 310.
 func TestTableBytesPerObject(t *testing.T) { tableBytesPerObject(t, 2, false, 62, 0) }
 
 // TestTableBytesPerObject3D is the same guard in 3-D, where a position
-// costs 12 B instead of 8: it measures 60.8 B per object; 64.6 with a Go
-// string tape and map overlay, 64.9 with a string header per slot, 61.7
-// with the arrays on the heap.
+// costs 12 B instead of 8: it measures 58.6 B per object; 60.8 with one
+// ID arena grown by copying, 64.6 with a Go string tape and map overlay,
+// 64.9 with a string header per slot, 61.7 with the arrays on the heap.
 func TestTableBytesPerObject3D(t *testing.T) { tableBytesPerObject(t, 3, false, 68, 0) }
 
 // TestTableBytesPerObjectOwnedIDs is the guard where the table owns its
 // IDs, as in psid: each Set gets a fresh string that nobody else keeps, so
 // what dropping the Collection gives back includes the IDs. It bounds the
 // total, heap and mapped, and the heap part alone, which the collector's
-// goal doubles: 55.4 and 60.8 B per object in 2-D and 3-D, 15.3 of it heap
-// (the arena, 13.7); 59.3 and 64.6, 19.1 of it heap, with a Go string tape
+// goal doubles: 53.2 and 58.6 B per object in 2-D and 3-D, 13.1 of it heap
+// (the ID blocks, 11.5); 55.4 and 60.8, 15.3 of it heap, with one ID arena
+// grown by copying; 59.3 and 64.6, 19.1 of it heap, with a Go string tape
 // and map overlay; 75.6 and 80.9, 40.3 of it heap, with a string header per
 // slot and a string per ID.
 func TestTableBytesPerObjectOwnedIDs(t *testing.T) {
@@ -284,7 +288,7 @@ func tableBytesPerObject(t *testing.T, dims int, owned bool, bound, heapBound fl
 	runtime.KeepAlive(ids)
 	heapObj := float64(with-without) / n
 	perObj := heapObj + float64(st.TableMappedBytes)/n
-	t.Logf("%d-D: %.1f B per object, %.1f of it heap (%d B of heap with the collection, %d B without, %d B mapped, a %d-byte ID arena)",
+	t.Logf("%d-D: %.1f B per object, %.1f of it heap (%d B of heap with the collection, %d B without, %d B mapped, %d B of ID blocks)",
 		dims, perObj, heapObj, with, without, st.TableMappedBytes, st.TableIDBytes)
 	if perObj > bound {
 		t.Fatalf("%d-D: table costs %.1f B per object, want at most %.0f", dims, perObj, bound)
@@ -363,6 +367,169 @@ func TestTableMappingsReleased(t *testing.T) {
 	drop(t, c)
 }
 
+// TestTableGrowthAllocation inserts 3·10⁵ fresh IDs one at a time into an
+// empty table, as windows do, and counts the heap that allocates: the ID
+// entries' bytes and at most one 64 KiB block more, since growth starts a
+// new block and never copies one. Where the slot arrays are mappings, the
+// ID blocks and their short window list are all the heap the table takes;
+// the build that keeps the arrays on the heap skips. It read 9.0 B per
+// object, the 9-byte entries alone; 50.7 B when the arena was one
+// contiguous slice that grew by copying into a larger one.
+func TestTableGrowthAllocation(t *testing.T) {
+	if !arraysMapped {
+		t.Skip("the slot arrays are on the heap in this build")
+	}
+	ids := make([]string, benchN)
+	live := entryBytes("") // the empty entry
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%08d", i)
+		live += entryBytes(ids[i])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := newTable(2, 0)
+	for i, id := range ids {
+		_, h := tab.lookup(id)
+		tab.insert(id, h, geom.Pt2(int64(i), int64(i)))
+	}
+	runtime.ReadMemStats(&after)
+	defer tab.release()
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%.1f B of heap per object over %d inserts: %d B for %d B of ID entries in %d B of blocks",
+		float64(alloc)/benchN, benchN, alloc, live, tab.held)
+	if alloc > uint64(live+winSize) {
+		t.Fatalf("inserting %d IDs allocated %d B of heap, want at most their %d B of entries and one %d B block",
+			benchN, alloc, live, winSize)
+	}
+}
+
+// TestOversizedAndBoundaryIDs sets IDs at the edges of the arena's blocks,
+// in both read modes: one longer than a window, which takes a block of its
+// own across windows; one whose entry starts a new block; one whose entry
+// ends exactly where its window and block end; and one after it. Each
+// reads back through Get, NearbyIDsAppend, WithinIDs and Checkpoint, and
+// through a Recover from the checkpoint; removing the long one compacts
+// the arena, and set again it lands across windows inside the compacted
+// block; IDs handed out before the compaction still read as they were.
+// Validate passes after every step.
+func TestOversizedAndBoundaryIDs(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		c := New(inMode(newSPaCH(), snapshot), readOpts)
+		at := make(map[string]geom.Point)
+		check := func(c *Collection, what string) {
+			t.Helper()
+			if err := c.Validate(); err != nil {
+				t.Fatalf("snapshot=%t: after %s: %v", snapshot, what, err)
+			}
+			for id, p := range at {
+				if got, ok := c.Get(id); !ok || got != p {
+					t.Fatalf("snapshot=%t: after %s: Get of the %d-byte ID = (%v, %t), want (%v, true)", snapshot, what, len(id), got, ok, p)
+				}
+				if got := c.NearbyIDsAppend(p, 1, nil); len(got) != 1 || got[0].ID != id {
+					t.Fatalf("snapshot=%t: after %s: NearbyIDsAppend at %v found %d entries, want the %d-byte ID", snapshot, what, p, len(got), len(id))
+				}
+				if got := c.WithinIDs(geom.Box{Lo: p, Hi: p}); len(got) != 1 || got[0].ID != id {
+					t.Fatalf("snapshot=%t: after %s: WithinIDs at %v found %d entries, want the %d-byte ID", snapshot, what, p, len(got), len(id))
+				}
+			}
+			seen := 0
+			c.Checkpoint(func(_ int, entries iter.Seq2[string, geom.Point]) {
+				for id, p := range entries {
+					if want, ok := at[id]; !ok || p != want {
+						t.Fatalf("snapshot=%t: after %s: Checkpoint holds a %d-byte ID at %v, want (%v, %t)", snapshot, what, len(id), p, want, ok)
+					}
+					seen++
+				}
+			})
+			if seen != len(at) {
+				t.Fatalf("snapshot=%t: after %s: Checkpoint holds %d entries, want %d", snapshot, what, seen, len(at))
+			}
+		}
+		// set sets id at p and returns where its entry went.
+		set := func(id string, p geom.Point) (off, end int) {
+			t.Helper()
+			c.Set(id, p)
+			c.Flush()
+			at[id] = p
+			check(c, fmt.Sprintf("setting the %d-byte ID", len(id)))
+			c.withTable(func(tab *table) {
+				s, _ := tab.lookup(id)
+				off, end = int(tab.off[s]), tab.end
+			})
+			return off, end
+		}
+		long := strings.Repeat("L", 100<<10)
+		if off, end := set(long, geom.Pt2(1000, 1000)); off&winMask != 0 || end-off <= winSize {
+			t.Fatalf("snapshot=%t: the %d-byte entry runs from %d to %d, want a block of its own across windows", snapshot, entryBytes(long), off, end)
+		}
+		fresh := "fresh"
+		off, end := set(fresh, geom.Pt2(2000, 2000))
+		if off&winMask != 0 {
+			t.Fatalf("snapshot=%t: the entry after the long one is at %d, want the start of a new block", snapshot, off)
+		}
+		rest := winSize - end&winMask // to the end of fresh's window, and its block's
+		edge := strings.Repeat("E", rest-3)
+		if entryBytes(edge) != rest {
+			t.Fatalf("snapshot=%t: a %d-byte ID takes %d bytes of entry, want %d", snapshot, len(edge), entryBytes(edge), rest)
+		}
+		if _, end := set(edge, geom.Pt2(3000, 3000)); end&winMask != 0 {
+			t.Fatalf("snapshot=%t: the edge entry ends at %d, want a window boundary", snapshot, end)
+		}
+		if off, _ := set("after", geom.Pt2(4000, 4000)); off&winMask != 0 {
+			t.Fatalf("snapshot=%t: the entry after the edge is at %d, want the start of a new block", snapshot, off)
+		}
+		kept := c.NearbyIDsAppend(geom.Pt2(1000, 1000), len(at), nil)
+
+		var first *byte
+		c.withTable(func(tab *table) { first = unsafe.SliceData(tab.wins[0]) })
+		c.Remove(long)
+		c.Flush()
+		delete(at, long)
+		check(c, "removing the long ID")
+		c.withTable(func(tab *table) {
+			if tab.dead != 0 || unsafe.SliceData(tab.wins[0]) == first {
+				t.Fatalf("snapshot=%t: removing the long ID left %d dead bytes in the same blocks, want a compaction", snapshot, tab.dead)
+			}
+		})
+		runtime.GC()
+		if len(kept) != 4 || kept[0].ID != long || kept[1].ID != fresh || kept[2].ID != edge || kept[3].ID != "after" {
+			t.Fatalf("snapshot=%t: IDs handed out before the compaction read back as %d entries, not the four set", snapshot, len(kept))
+		}
+		if off, end := set(long, geom.Pt2(5000, 5000)); off>>winBits == (end-1)>>winBits {
+			t.Fatalf("snapshot=%t: the long entry set again runs from %d to %d, want it across windows of the compacted block", snapshot, off, end)
+		}
+
+		var ops []wal.Op
+		c.Checkpoint(func(_ int, entries iter.Seq2[string, geom.Point]) {
+			for id, p := range entries {
+				ops = append(ops, wal.Op{ID: id, P: p})
+			}
+		})
+		r := New(inMode(newSPaCH(), snapshot), readOpts)
+		if err := Recover(r, func(fold func(wal.Op)) error {
+			for _, o := range ops {
+				fold(o)
+			}
+			return nil
+		}, nil); err != nil {
+			t.Fatalf("snapshot=%t: Recover: %v", snapshot, err)
+		}
+		check(r, "recovering from the checkpoint")
+		r.Close()
+
+		for id := range at {
+			c.Remove(id)
+		}
+		c.Flush()
+		clear(at)
+		check(c, "removing every ID")
+		if c.Len() != 0 {
+			t.Fatalf("snapshot=%t: %d objects left after removing every ID", snapshot, c.Len())
+		}
+		c.Close()
+	}
+}
+
 // The table kernels at the track-ingest population: 3·10⁵ string IDs.
 const benchN = 300_000
 
@@ -378,7 +545,6 @@ func benchIDs() ([]string, []geom.Point) {
 
 func benchTable(ids []string, pts []geom.Point) table {
 	tab := newTable(2, len(ids))
-	tab.reserveIDs(len(ids) * entryBytes(ids[0]))
 	for i, id := range ids {
 		_, h := tab.lookup(id)
 		tab.insert(id, h, pts[i])
@@ -386,8 +552,9 @@ func benchTable(ids []string, pts []geom.Point) table {
 	return tab
 }
 
-// BenchmarkTableLoad fills a presized table and arena, as Collection.Load does;
-// ns/op is per table, so divide by 3·10⁵ for per object.
+// BenchmarkTableLoad fills a table sized for its objects, as
+// Collection.Load does; ns/op is per table, so divide by 3·10⁵ for per
+// object.
 func BenchmarkTableLoad(b *testing.B) {
 	ids, pts := benchIDs()
 	b.ReportAllocs()
@@ -437,7 +604,8 @@ func BenchmarkTableResolve(b *testing.B) {
 
 // BenchmarkTableStep is what a snapshot reader that arrives during a
 // commit's drain waits for beside it: one planned window of moves run through
-// the table (applyTable). ns/op is per window: psid's interactive windows,
+// the table (applyTable), cycling through four windows planned before the
+// timed loop. ns/op is per window: psid's interactive windows,
 // its largest (-maxbatch) at the track-ingest population, and two that take
 // the wholesale path: the window of the benchmark's
 // collection.reader_stall_us row and one that moves every object.
@@ -451,19 +619,19 @@ func BenchmarkTableStep(b *testing.B) {
 				for i := 0; i < tc.objects && yield(ids[i], pts[i]); i++ {
 				}
 			})
+			// The windows move the same objects in the same order, and a
+			// move keeps its slot, so one plan resolves every window.
 			rng := rand.New(rand.NewSource(5))
-			w := new(window)
-			for _, i := range rng.Perm(tc.objects)[:tc.ops] {
-				w.add(ids[i], hashID(ids[i]), geom.Point{}, false)
-			}
-			for b.Loop() {
-				b.StopTimer()
-				for i := range w.recs {
-					w.recs[i].set(geom.Pt2(rng.Int63n(side), rng.Int63n(side)), false)
+			moved := rng.Perm(tc.objects)[:tc.ops]
+			ws := make([]window, 4)
+			for k := range ws {
+				for _, i := range moved {
+					ws[k].add(ids[i], hashID(ids[i]), geom.Pt2(rng.Int63n(side), rng.Int63n(side)), false)
 				}
-				c.planDiff(w)
-				b.StartTimer()
-				c.applyTable(w)
+			}
+			c.planDiff(&ws[0])
+			for k := 0; b.Loop(); k++ {
+				c.applyTable(&ws[k%len(ws)])
 			}
 		})
 	}
@@ -472,11 +640,11 @@ func BenchmarkTableStep(b *testing.B) {
 // TestChurnAllocatesOnlyArenas counts every allocation over 1000 warm
 // windows that insert 512 objects and then remove them, in both read
 // modes. A window recycles all its scratch, so what may allocate is the ID
-// arena — at most one per minSpare of removed ID bytes, 86 here — and the
-// runtime itself: 9 with the IDs held as strings, about 18 with the GC
-// cycles the arenas bring.
+// arena's compaction — one block per minSpare of removed ID bytes at most,
+// 86 here, which is all it measures — and the runtime itself: 9 with the
+// IDs held as strings, about 18 with the GC cycles the blocks bring.
 // The zero-alloc guards use testing.AllocsPerRun, whose mean is truncated
-// to an integer, so they would pass an arena every other window;
+// to an integer, so they would pass a block every other window;
 // runtime.MemStats.Mallocs counts each one.
 func TestChurnAllocatesOnlyArenas(t *testing.T) {
 	if raceEnabled {
@@ -516,7 +684,7 @@ func TestChurnAllocatesOnlyArenas(t *testing.T) {
 		mallocs, bound := after.Mallocs-before.Mallocs, uint64(runtimeAllocs+removed/minSpare)
 		t.Logf("snapshot=%t: %d allocations over %d windows that removed %d ID bytes; at most %d", snapshot, mallocs, windows, removed, bound)
 		if mallocs > bound {
-			t.Fatalf("snapshot=%t: %d allocations over %d windows that removed %d ID bytes, want at most %d: %d of the runtime's and an arena per %d removed bytes",
+			t.Fatalf("snapshot=%t: %d allocations over %d windows that removed %d ID bytes, want at most %d: %d of the runtime's and a block per %d removed bytes",
 				snapshot, mallocs, windows, removed, bound, runtimeAllocs, minSpare)
 		}
 		c.Close()
@@ -525,10 +693,11 @@ func TestChurnAllocatesOnlyArenas(t *testing.T) {
 
 // TestEntryIDsOutliveCompaction keeps the IDs three readers were handed — a
 // NearbyIDsAppend, a WithinIDs and a Checkpoint pass — removes their
-// objects and churns other IDs through the table until its arena has been
-// replaced twice, collecting garbage on the way: every kept ID still reads
-// as it was set, in both read modes. The kept IDs are views into arenas the
-// table has let go of, which the views alone keep alive.
+// objects and churns other IDs through the table until a compaction has
+// replaced its first ID block twice, collecting garbage on the way: every
+// kept ID still reads as it was set, in both read modes. The kept IDs are
+// views into blocks the table has let go of, which the views alone keep
+// alive.
 func TestEntryIDsOutliveCompaction(t *testing.T) {
 	const n, churn = 2000, 1000
 	kept := func(i int) string { return fmt.Sprintf("kept-%06d", i) }
@@ -553,14 +722,14 @@ func TestEntryIDsOutliveCompaction(t *testing.T) {
 			c.Remove(kept(i))
 		}
 		c.Flush()
-		arena := func() (p *byte) {
-			c.withTable(func(tab *table) { p = unsafe.SliceData(tab.ids) })
+		firstBlock := func() (p *byte) {
+			c.withTable(func(tab *table) { p = unsafe.SliceData(tab.wins[0]) })
 			return p
 		}
-		last := arena()
+		last := firstBlock()
 		for replaced, round := 0, 0; replaced < 2; round++ {
 			if round == 100 {
-				t.Fatalf("snapshot=%t: the arena was replaced %d times in %d rounds of churn, want 2", snapshot, replaced, round)
+				t.Fatalf("snapshot=%t: the first ID block was replaced %d times in %d rounds of churn, want 2", snapshot, replaced, round)
 			}
 			for i := range churn {
 				c.Set(fmt.Sprintf("lost-%06d", i), at(i))
@@ -571,7 +740,7 @@ func TestEntryIDsOutliveCompaction(t *testing.T) {
 			}
 			c.Flush()
 			runtime.GC()
-			if p := arena(); p != last {
+			if p := firstBlock(); p != last {
 				replaced, last = replaced+1, p
 			}
 		}
