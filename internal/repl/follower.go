@@ -18,18 +18,20 @@ import (
 // Follower guarantees strict ordering into it: ApplyWindow is called
 // with contiguous ascending sequences (each exactly AppliedSeq()+1),
 // duplicates are dropped before reaching it, and a gap is a protocol
-// error that severs the connection instead of applying. Bootstrap
-// replaces the full state — its sequence may regress below AppliedSeq
-// (re-bootstrapping from a rebuilt leader), all the way to zero for an
-// empty leader — and must persist the leader term it carries: Term()
-// reports the highest term adopted so far, and the Follower refuses
-// sessions from leaders below it. Slices passed in are reused by the
-// Follower and must not be retained.
+// error that severs the connection instead of applying. ApplyWindow's ops
+// and their IDs view a buffer the Follower reuses: keep none of them.
+// Bootstrap replaces the full state with the wal.snap image snap streams,
+// read to io.EOF before anything changes; an image not at seq and term,
+// or any error, changes nothing. Its sequence may regress below
+// AppliedSeq (a rebuilt leader), all the way to zero for an empty leader,
+// and it must persist the leader term it carries: Term() reports the
+// highest term adopted so far, and the Follower refuses sessions from
+// leaders below it.
 type Applier interface {
 	AppliedSeq() uint64
 	Term() uint64
 	ApplyWindow(seq uint64, ops []wal.Op) error
-	Bootstrap(seq, term uint64, entries []wal.Op) error
+	Bootstrap(seq, term uint64, snap io.Reader) error
 }
 
 // FollowerOptions configures a Follower. Addr and the Applier (passed to
@@ -334,7 +336,6 @@ func (f *Follower) stream(r io.Reader, w io.Writer) error {
 	f.leaderSeq.Store(head)
 	f.connected.Store(true)
 
-	var snap *pendingSnap
 	for {
 		typ, payload, buf, err := readFrame(r, f.maxFrame, f.frameBuf)
 		f.frameBuf = buf
@@ -343,9 +344,6 @@ func (f *Follower) stream(r io.Reader, w io.Writer) error {
 		}
 		switch typ {
 		case fmPing:
-			if snap != nil {
-				return fmt.Errorf("repl: PING inside a snapshot stream")
-			}
 			head, err := parseSeq(payload)
 			if err != nil {
 				return err
@@ -355,67 +353,22 @@ func (f *Follower) stream(r io.Reader, w io.Writer) error {
 				return err
 			}
 		case fmSnapBegin:
-			if snap != nil {
-				return fmt.Errorf("repl: nested SNAP_BEGIN")
-			}
-			seq, count, err := parseSnapBegin(payload)
+			seq, err := parseSeq(payload)
 			if err != nil {
 				return err
 			}
-			// The count is a hostile-input allocation bound: entries are
-			// collected incrementally, but a stream claiming more than
-			// the frame data can carry is rejected up front.
-			if count > 1<<40 {
-				return fmt.Errorf("repl: snapshot claims %d entries", count)
-			}
-			snap = &pendingSnap{seq: seq, count: count}
-		case fmSnapData:
-			if snap == nil {
-				return fmt.Errorf("repl: SNAP_DATA outside a snapshot stream")
-			}
-			seq, entries, err := wal.DecodeWindowPayload(payload, snap.entries)
-			if err != nil {
-				return err
-			}
-			if seq != snap.seq {
-				return fmt.Errorf("repl: snapshot chunk at seq %d inside snapshot at %d", seq, snap.seq)
-			}
-			if uint64(len(entries)) > snap.count {
-				return fmt.Errorf("repl: snapshot overran its declared %d entries", snap.count)
-			}
-			for _, e := range entries[len(snap.entries):] {
-				if e.Del {
-					return fmt.Errorf("repl: delete op inside a snapshot")
-				}
-			}
-			snap.entries = entries
-		case fmSnapEnd:
-			if snap == nil {
-				return fmt.Errorf("repl: SNAP_END outside a snapshot stream")
-			}
-			count, err := parseSeq(payload)
-			if err != nil {
-				return err
-			}
-			if count != snap.count || uint64(len(snap.entries)) != count {
-				return fmt.Errorf("repl: snapshot tally mismatch: declared %d, ended with %d, received %d",
-					snap.count, count, len(snap.entries))
-			}
-			if err := f.app.Bootstrap(snap.seq, sessionTerm, snap.entries); err != nil {
+			snap := &snapStream{f: f, r: r}
+			if err := f.app.Bootstrap(seq, sessionTerm, snap); err != nil {
 				return fmt.Errorf("repl: bootstrap: %w", err)
 			}
-			f.applied.Store(snap.seq)
+			f.applied.Store(seq)
 			f.haveSum = false
 			f.bootstraps.Add(1)
-			f.logf("repl: bootstrapped %d objects at seq %d (term %d)", len(snap.entries), snap.seq, sessionTerm)
-			if err := f.ack(w, snap.seq); err != nil {
+			f.logf("repl: bootstrapped at seq %d (term %d)", seq, sessionTerm)
+			if err := f.ack(w, seq); err != nil {
 				return err
 			}
-			snap = nil
 		case fmWindow:
-			if snap != nil {
-				return fmt.Errorf("repl: window frame inside a snapshot stream")
-			}
 			winTerm, win, err := splitWindowTerm(payload)
 			if err != nil {
 				return err
@@ -460,11 +413,39 @@ func (f *Follower) stream(r io.Reader, w io.Writer) error {
 	}
 }
 
-// pendingSnap accumulates one in-flight snapshot bootstrap.
-type pendingSnap struct {
-	seq     uint64
-	count   uint64
-	entries []wal.Op
+// snapStream is the image a SNAP_BEGIN opens: the bytes of the SNAP_DATA
+// frames that follow, to io.EOF at SNAP_END. Any other frame, or the end
+// of r, inside it is an error.
+type snapStream struct {
+	f     *Follower
+	r     io.Reader
+	chunk []byte // unread rest of the current SNAP_DATA payload, in f.frameBuf
+	ended bool
+}
+
+func (s *snapStream) Read(p []byte) (int, error) {
+	for len(s.chunk) == 0 {
+		if s.ended {
+			return 0, io.EOF
+		}
+		typ, payload, buf, err := readFrame(s.r, s.f.maxFrame, s.f.frameBuf)
+		s.f.frameBuf = buf
+		switch {
+		case err == io.EOF:
+			return 0, io.ErrUnexpectedEOF // a closed stream is not the image's end
+		case err != nil:
+			return 0, err
+		case typ == fmSnapData:
+			s.chunk = payload
+		case typ == fmSnapEnd && len(payload) == 0:
+			s.ended = true
+		default:
+			return 0, fmt.Errorf("repl: frame type %#x inside a snapshot stream", typ)
+		}
+	}
+	n := copy(p, s.chunk)
+	s.chunk = s.chunk[n:]
+	return n, nil
 }
 
 func (f *Follower) ack(w io.Writer, seq uint64) error {

@@ -64,8 +64,8 @@ func readFrame(r io.Reader, maxFrame int, buf []byte) (typ byte, payload, nbuf [
 	return typ, payload, buf, nil
 }
 
-// seqPayload encodes the single-uvarint payload shared by HELLO, PING,
-// SNAP_END and ACK frames.
+// seqPayload encodes the single-uvarint payload shared by SNAP_BEGIN,
+// PING and ACK frames.
 func seqPayload(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst[:0], v)
 }
@@ -176,25 +176,4 @@ func splitWindowTerm(p []byte) (term uint64, win []byte, err error) {
 		return 0, nil, fmt.Errorf("repl: truncated WINDOW term")
 	}
 	return term, p[n:], nil
-}
-
-// snapBeginPayload encodes SNAP_BEGIN: the sequence the snapshot covers
-// and the total entry count (SNAP_END repeats the count as a tally).
-func snapBeginPayload(dst []byte, seq uint64, count int) []byte {
-	dst = binary.AppendUvarint(dst[:0], seq)
-	return binary.AppendUvarint(dst, uint64(count))
-}
-
-// parseSnapBegin decodes a SNAP_BEGIN payload.
-func parseSnapBegin(p []byte) (seq uint64, count uint64, err error) {
-	seq, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("repl: truncated SNAP_BEGIN seq")
-	}
-	p = p[n:]
-	count, n = binary.Uvarint(p)
-	if n <= 0 || n != len(p) {
-		return 0, 0, fmt.Errorf("repl: malformed SNAP_BEGIN count")
-	}
-	return seq, count, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -26,12 +27,13 @@ func fuzzSeeds() map[string][]byte {
 	valid = appendFrame(valid, fmWindow, win(1, 2, wal.Op{ID: "a", Del: true}, wal.Op{ID: "b", P: geom.Pt3(-1, 1<<40, 7)}))
 	valid = appendFrame(valid, fmPing, seqPayload(nil, 2))
 
+	img := snapImage(2, 9, wal.Op{ID: "x", P: geom.Pt2(1, 1)}, wal.Op{ID: "y", P: geom.Pt2(2, 2)}, wal.Op{ID: "z", P: geom.Pt2(3, 3)})
 	snap := append([]byte(nil), Magic...)
 	snap = appendFrame(snap, fmHello, seqTermPayload(nil, 9, 2))
-	snap = appendFrame(snap, fmSnapBegin, snapBeginPayload(nil, 9, 3))
-	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, 9, []wal.Op{{ID: "x", P: geom.Pt2(1, 1)}, {ID: "y", P: geom.Pt2(2, 2)}}))
-	snap = appendFrame(snap, fmSnapData, wal.EncodeWindowPayload(nil, 9, []wal.Op{{ID: "z", P: geom.Pt2(3, 3)}}))
-	snap = appendFrame(snap, fmSnapEnd, seqPayload(nil, 3))
+	snap = appendFrame(snap, fmSnapBegin, seqPayload(nil, 9))
+	snap = appendFrame(snap, fmSnapData, img[:len(img)/2])
+	snap = appendFrame(snap, fmSnapData, img[len(img)/2:])
+	snap = appendFrame(snap, fmSnapEnd, nil)
 	snap = appendFrame(snap, fmWindow, win(2, 10, wal.Op{ID: "x", P: geom.Pt2(5, 5)}))
 
 	crcFlip := append([]byte(nil), valid...)
@@ -52,11 +54,15 @@ func fuzzSeeds() map[string][]byte {
 	badType = appendFrame(badType, fmHello, seqTermPayload(nil, 0, 0))
 	badType = appendFrame(badType, 0x7f, []byte("junk"))
 
+	// A snapshot carries no deletes, so the image that must be refused
+	// is one whose CRC fails.
+	bad := snapImage(0, 1, wal.Op{ID: "gone", P: geom.Pt2(4, 4)})
+	bad[len(bad)-5] ^= 0x01
 	snapDel := append([]byte(nil), Magic...)
 	snapDel = appendFrame(snapDel, fmHello, seqTermPayload(nil, 1, 0))
-	snapDel = appendFrame(snapDel, fmSnapBegin, snapBeginPayload(nil, 1, 1))
-	snapDel = appendFrame(snapDel, fmSnapData, wal.EncodeWindowPayload(nil, 1, []wal.Op{{ID: "gone", Del: true}}))
-	snapDel = appendFrame(snapDel, fmSnapEnd, seqPayload(nil, 1))
+	snapDel = appendFrame(snapDel, fmSnapBegin, seqPayload(nil, 1))
+	snapDel = appendFrame(snapDel, fmSnapData, bad)
+	snapDel = appendFrame(snapDel, fmSnapEnd, nil)
 
 	// A window whose term disagrees with the session's HELLO term — the
 	// fencing check must sever before applying.
@@ -80,6 +86,22 @@ func fuzzSeeds() map[string][]byte {
 		"seed-snap-del":      snapDel,
 		"seed-term-mismatch": termMismatch,
 	}
+}
+
+// snapImage is the wal.snap image of ops, all Sets, in order.
+func snapImage(term, seq uint64, ops ...wal.Op) []byte {
+	var b bytes.Buffer
+	err := wal.WriteSnapshot(&b, term, seq, len(ops), func(yield func(string, geom.Point) bool) {
+		for _, o := range ops {
+			if !yield(o.ID, o.P) {
+				return
+			}
+		}
+	})
+	if err != nil {
+		panic(err)
+	}
+	return b.Bytes()
 }
 
 // FuzzReplStream throws arbitrary bytes at the follower's stream
@@ -111,6 +133,24 @@ func FuzzReplStream(f *testing.F) {
 			t.Fatalf("%d applies but applied seq %d with no bootstrap", applies, app.seq)
 		}
 	})
+}
+
+// TestSnapshotSeeds pins what the two snapshot seeds are: the
+// well-formed one bootstraps and rides on into its tail window, and the
+// one with a corrupt CRC is refused with nothing applied.
+func TestSnapshotSeeds(t *testing.T) {
+	seeds := fuzzSeeds()
+	app := newModelApplier()
+	err := NewFollower(app, FollowerOptions{}).stream(bytes.NewReader(seeds["seed-snapshot"]), io.Discard)
+	seq, state := app.snapshot()
+	if err != io.EOF || app.bootstraps != 1 || app.term != 2 || seq != 10 || len(state) != 3 || state["x"] != geom.Pt2(5, 5) {
+		t.Fatalf("seed-snapshot: %v; %d bootstraps, term %d, seq %d, state %v", err, app.bootstraps, app.term, seq, state)
+	}
+	app = newModelApplier()
+	err = NewFollower(app, FollowerOptions{}).stream(bytes.NewReader(seeds["seed-snap-del"]), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") || app.bootstraps != 0 || len(app.state) != 0 {
+		t.Fatalf("seed-snap-del: %v; %d bootstraps, state %v", err, app.bootstraps, app.state)
+	}
 }
 
 // TestWriteReplSeeds regenerates the committed corpus under

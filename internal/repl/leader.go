@@ -1,22 +1,22 @@
 package repl
 
 import (
+	"io"
 	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/wal"
 )
 
 // SnapshotFunc captures the leader's full committed state for a
 // follower bootstrap: the sequence the state folds (which must be
 // consistent with the hub — the service captures both under the
-// Collection's flush lock via Checkpoint) and one Set op per live
-// object. It may be called concurrently by several bootstrapping
-// followers; each call materializes its own entry slice.
-type SnapshotFunc func() (seq uint64, entries []wal.Op, err error)
+// Collection's flush lock via Checkpoint) and the state's wal.snap image
+// (wal.WriteSnapshot) at that sequence and the leader's term. It may be
+// called concurrently by several bootstrapping followers; each call
+// encodes its own image.
+type SnapshotFunc func() (seq uint64, image []byte, err error)
 
 // LeaderOptions configures a Leader. Hub and Snapshot are required.
 // Frames a follower sends are bounded by maxFrameBytes, reads and writes
@@ -234,7 +234,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 	rw := deadlineRW{c: conn, rt: readTimeout, wt: writeTimeout}
 
 	var magic [len(Magic)]byte
-	if _, err := readFull(rw, magic[:]); err != nil {
+	if _, err := io.ReadFull(rw, magic[:]); err != nil {
 		return
 	}
 	if string(magic[:]) != Magic {
@@ -350,29 +350,23 @@ func (l *Leader) handleConn(conn net.Conn) {
 // sendSnapshot captures and streams one full-state bootstrap, returning
 // the sequence the follower now stands at.
 func (l *Leader) sendSnapshot(rw deadlineRW, scratch *[]byte, followerID string) (uint64, error) {
-	seq, entries, err := l.opts.Snapshot()
+	seq, image, err := l.opts.Snapshot()
 	if err != nil {
 		return 0, err
 	}
-	total := len(entries)
-	l.logf("repl: follower %s: bootstrapping with %d objects at seq %d", followerID, total, seq)
-	if err := writeFrame(rw, scratch, fmSnapBegin, snapBeginPayload(nil, seq, total)); err != nil {
+	l.logf("repl: follower %s: bootstrapping with a %d-byte snapshot at seq %d", followerID, len(image), seq)
+	if err := writeFrame(rw, scratch, fmSnapBegin, seqPayload(nil, seq)); err != nil {
 		return 0, err
 	}
-	var payload []byte
-	for len(entries) > 0 {
-		chunk := entries
-		if len(chunk) > DefaultSnapChunkOps {
-			chunk = chunk[:DefaultSnapChunkOps]
-		}
-		entries = entries[len(chunk):]
-		payload = wal.EncodeWindowPayload(payload[:0], seq, chunk)
-		if err := writeFrame(rw, scratch, fmSnapData, payload); err != nil {
+	for len(image) > 0 {
+		chunk := image[:min(len(image), snapChunkBytes)]
+		image = image[len(chunk):]
+		if err := writeFrame(rw, scratch, fmSnapData, chunk); err != nil {
 			return 0, err
 		}
-		l.bytesSent.Add(uint64(len(payload)))
+		l.bytesSent.Add(uint64(len(chunk)))
 	}
-	if err := writeFrame(rw, scratch, fmSnapEnd, seqPayload(nil, uint64(total))); err != nil {
+	if err := writeFrame(rw, scratch, fmSnapEnd, nil); err != nil {
 		return 0, err
 	}
 	l.snapshotsSent.Add(1)
@@ -437,18 +431,4 @@ func (d deadlineRW) Write(p []byte) (int, error) {
 		d.c.SetWriteDeadline(time.Now().Add(d.wt))
 	}
 	return d.c.Write(p)
-}
-
-// readFull is io.ReadFull without the package alias noise at call
-// sites that already hold a deadlineRW.
-func readFull(rw deadlineRW, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := rw.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }

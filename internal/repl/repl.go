@@ -26,9 +26,10 @@
 // streams the retained log tail or, when the follower is behind the
 // retention horizon (or ahead of a rebuilt leader, or carries an older
 // term, or applied a different window at its sequence than the one the
-// leader retains there), a full snapshot (SNAP_BEGIN / SNAP_DATA* /
-// SNAP_END) captured under the Collection's flush lock, followed by the
-// tail. PING frames
+// leader retains there), a full snapshot — a wal.snap image encoded
+// under the Collection's flush lock, sent as SNAP_BEGIN / SNAP_DATA* /
+// SNAP_END and installed by the follower as its own wal.snap — followed
+// by the tail. PING frames
 // carry the leader's head sequence while idle; ACK frames flow back
 // with the follower's applied sequence and feed the leader's lag
 // gauges.
@@ -56,19 +57,19 @@ package repl
 import "time"
 
 // Magic opens both directions of a replication connection, versioning
-// the protocol: a follower pointed at a non-replication port (or an old
-// leader speaking the term-less v1 protocol) fails loudly at byte 8
-// instead of misparsing frames.
-const Magic = "PSIREPL2"
+// the protocol: a follower pointed at a non-replication port (or a leader
+// of an earlier version: v1 had no terms, v2 sent snapshots as window
+// payloads) fails loudly at byte 8 instead of misparsing frames.
+const Magic = "PSIREPL3"
 
 // Frame types. The zero value is invalid so a zeroed header never
 // passes for a frame.
 const (
 	fmFollow    byte = 1 + iota // f→l: uvarint lastSeq | uvarint term | uvarint idLen | id [| u32le crc32(window at lastSeq)]
 	fmHello                     // l→f: uvarint leaderSeq | uvarint leaderTerm
-	fmSnapBegin                 // l→f: uvarint snapSeq | uvarint entryCount
-	fmSnapData                  // l→f: window payload at snapSeq (a chunk of entries)
-	fmSnapEnd                   // l→f: uvarint entryCount (must match SNAP_BEGIN)
+	fmSnapBegin                 // l→f: uvarint snapSeq (the image's seq must match it)
+	fmSnapData                  // l→f: the next bytes of the wal.snap image
+	fmSnapEnd                   // l→f: empty; the image is complete
 	fmWindow                    // l→f: uvarint term | wal window payload (uvarint seq | uvarint nOps | ops)
 	fmPing                      // l→f: uvarint leaderSeq (idle heartbeat, lag source)
 	fmAck                       // f→l: uvarint appliedSeq
@@ -77,15 +78,14 @@ const (
 
 const (
 	// maxFrameBytes caps one frame's payload. Window frames track the
-	// WAL's own record bound; snapshot chunks are capped far below this
-	// by DefaultSnapChunkOps. The limit exists so a corrupt or hostile
-	// length prefix cannot make the decoder allocate gigabytes.
+	// WAL's own record bound; snapshot chunks are snapChunkBytes, far
+	// below it. The limit exists so a corrupt or hostile length prefix
+	// cannot make the decoder allocate gigabytes.
 	maxFrameBytes = 1 << 26
 
-	// DefaultSnapChunkOps is how many snapshot entries ride in one
-	// SNAP_DATA frame: big enough to amortize framing, small enough that
-	// a chunk never nears the frame limit.
-	DefaultSnapChunkOps = 4096
+	// snapChunkBytes is how many bytes of a snapshot image ride in one
+	// SNAP_DATA frame, and so the size of the leader's frame scratch.
+	snapChunkBytes = 64 << 10
 
 	// defaultPingInterval is the leader's idle heartbeat cadence.
 	defaultPingInterval = 2 * time.Second

@@ -7,6 +7,7 @@ import (
 	"io"
 	"maps"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,7 +57,7 @@ func (m *modelApplier) ApplyWindow(seq uint64, ops []wal.Op) error {
 		if o.Del {
 			delete(m.state, o.ID)
 		} else {
-			m.state[o.ID] = o.P
+			m.state[strings.Clone(o.ID)] = o.P // o.ID views the Follower's buffer
 		}
 	}
 	m.seq = seq
@@ -64,17 +65,27 @@ func (m *modelApplier) ApplyWindow(seq uint64, ops []wal.Op) error {
 	return nil
 }
 
-func (m *modelApplier) Bootstrap(seq, term uint64, entries []wal.Op) error {
+// Bootstrap reads the whole image and decodes it with the WAL's snapshot
+// decoder, refusing one at another seq or term, before it changes
+// anything.
+func (m *modelApplier) Bootstrap(seq, term uint64, snap io.Reader) error {
+	img, err := io.ReadAll(snap)
+	if err != nil {
+		return err
+	}
+	state := make(map[string]geom.Point)
+	rec, err := wal.ReadSnapshot(bytes.NewReader(img), func(o wal.Op) {
+		state[strings.Clone(o.ID)] = o.P
+	})
+	if err != nil {
+		return err
+	}
+	if rec.SnapshotSeq != seq || rec.Term != term {
+		return fmt.Errorf("model: snapshot at seq %d, term %d; want seq %d, term %d", rec.SnapshotSeq, rec.Term, seq, term)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.state = make(map[string]geom.Point, len(entries))
-	for _, e := range entries {
-		if e.Del {
-			m.violation = fmt.Sprintf("Bootstrap(%d) carried a delete", seq)
-			return fmt.Errorf("model: %s", m.violation)
-		}
-		m.state[e.ID] = e.P
-	}
+	m.state = state
 	m.seq = seq
 	m.term = term
 	m.bootstraps++
@@ -107,6 +118,7 @@ type leaderModel struct {
 	mu    sync.Mutex
 	state map[string]geom.Point
 	hub   *Hub
+	term  uint64 // what the leader's Term reports, set before it serves
 }
 
 // publish hands the hub one window the way the service's journal hook
@@ -135,21 +147,23 @@ func (lm *leaderModel) commit(ops []wal.Op) {
 	publish(lm.hub, lm.hub.LastSeq()+1, ops)
 }
 
-func (lm *leaderModel) snapshot() (uint64, []wal.Op, error) {
+func (lm *leaderModel) snapshot() (uint64, []byte, error) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	entries := make([]wal.Op, 0, len(lm.state))
-	for id, p := range lm.state {
-		entries = append(entries, wal.Op{ID: id, P: p})
-	}
-	return lm.hub.LastSeq(), entries, nil
+	var b bytes.Buffer
+	seq := lm.hub.LastSeq()
+	err := wal.WriteSnapshot(&b, lm.term, seq, len(lm.state), maps.All(lm.state))
+	return seq, b.Bytes(), err
 }
+
+func (lm *leaderModel) Term() uint64 { return lm.term }
 
 func startTestLeader(t *testing.T, lm *leaderModel) (*Leader, string) {
 	t.Helper()
 	l := NewLeader(LeaderOptions{
 		Hub:      lm.hub,
 		Snapshot: lm.snapshot,
+		Term:     lm.Term,
 		Logf:     t.Logf,
 	})
 	l.pingInterval = 20 * time.Millisecond
@@ -685,11 +699,12 @@ func TestLeaderDeposedByHigherTermFollow(t *testing.T) {
 // incremental resume would mix timelines.
 func TestCrossTermResumeForcesBootstrap(t *testing.T) {
 	lm := newLeaderModel(0, 0)
+	lm.term = 3
 	deposed := make(chan uint64, 1)
 	l := NewLeader(LeaderOptions{
 		Hub:       lm.hub,
 		Snapshot:  lm.snapshot,
-		Term:      func() uint64 { return 3 },
+		Term:      lm.Term,
 		OnDeposed: func(term uint64) { deposed <- term },
 		Logf:      t.Logf,
 	})

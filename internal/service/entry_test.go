@@ -2,8 +2,8 @@ package service
 
 // Committed state has one way into the Collection per producer — SET/DEL
 // through the tape, a replicated window through CommitWindow, recovery
-// and bootstrap through Load — and these tests pin what each of the
-// last three promises from the outside.
+// and bootstrap through collection.Recover — and these tests pin what
+// each of the last three promises from the outside.
 
 import (
 	"bytes"
@@ -47,6 +47,24 @@ func walRecords(t *testing.T, dir string) [][]byte {
 		b = b[8+n:]
 	}
 	return recs
+}
+
+// snapImage is the wal.snap image of ops, all Sets, in order: what a
+// leader sends a bootstrapping follower.
+func snapImage(t *testing.T, term, seq uint64, ops ...wal.Op) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	err := wal.WriteSnapshot(&b, term, seq, len(ops), func(yield func(string, geom.Point) bool) {
+		for _, o := range ops {
+			if !yield(o.ID, o.P) {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // TestReplFollowerLogIsTheLeadersLog: a follower commits each leader
@@ -229,7 +247,7 @@ func TestOutOfUniversePointsRefused(t *testing.T) {
 	app := replApplier{s}
 	before := app.AppliedSeq()
 	refused("ApplyWindow", app.ApplyWindow(before+1, []wal.Op{{ID: "b", P: geom.Pt2(2, 2)}, far}))
-	refused("Bootstrap", app.Bootstrap(before+1, app.Term(), []wal.Op{far}))
+	refused("Bootstrap", app.Bootstrap(before+1, app.Term(), bytes.NewReader(snapImage(t, app.Term(), before+1, far))))
 	// A 2-D Collection stores no Z, so a frame that carries one is refused
 	// the same way rather than reaching it.
 	zed := wal.Op{ID: "zed", P: geom.Point{2, 2, 3}}

@@ -43,8 +43,10 @@ package service
 // applying anything (internal/repl has the wire-level checks).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"iter"
 	"net"
 
@@ -508,21 +510,18 @@ func (s *Server) ReplAddr() net.Addr {
 }
 
 // replSnapshot is the leader's bootstrap capture: the full committed
-// state as Set ops, plus the hub sequence it folds. Checkpoint holds
-// the flush lock, and the hub only advances under that lock (the
-// journal hook), so reading the hub head inside the callback pins an
-// exactly-consistent (state, seq) pair.
-func (s *Server) replSnapshot() (uint64, []wal.Op, error) {
-	var seq uint64
-	var entries []wal.Op
-	s.coll.Checkpoint(func(objects int, it iter.Seq2[string, geom.Point]) {
+// state encoded as a wal.snap image at the leader's term and the hub
+// sequence it folds. Checkpoint holds the flush lock, and the hub only
+// advances under that lock (the journal hook), so reading the hub head
+// inside the callback pins an exactly-consistent (state, seq) pair; the
+// image is sent after the lock is released.
+func (s *Server) replSnapshot() (seq uint64, image []byte, err error) {
+	var b bytes.Buffer
+	s.coll.Checkpoint(func(objects int, entries iter.Seq2[string, geom.Point]) {
 		seq = s.hub.LastSeq()
-		entries = make([]wal.Op, 0, objects)
-		for id, p := range it {
-			entries = append(entries, wal.Op{ID: id, P: p})
-		}
+		err = wal.WriteSnapshot(&b, s.wal.Term(), seq, objects, entries)
 	})
-	return seq, entries, nil
+	return seq, b.Bytes(), err
 }
 
 // replApplier adapts the Server to repl.Applier: the follower session
@@ -557,35 +556,37 @@ func (a replApplier) ApplyWindow(seq uint64, ops []wal.Op) error {
 	return a.s.coll.CommitWindow(seq, ops)
 }
 
-// Bootstrap replaces the full local state with the leader's snapshot —
-// one collection.Recover, pending ops of an earlier life discarded with
-// it — then persists the new baseline, and the leader term it belongs
-// to, as a WAL snapshot at the leader's sequence, which may regress
-// below the local one (a rebuilt or wiped leader), all the way to zero.
-// Adopting the term here, atomically with the state it governs, is the
-// follower's only term transition: after this snapshot lands, a restart
-// recovers both together and stale pre-promotion leaders are refused
-// from the first handshake.
-func (a replApplier) Bootstrap(seq, term uint64, entries []wal.Op) error {
+// Bootstrap replaces the full local state with the leader's snapshot as
+// a restart recovers one: the image goes to the WAL's receive file, then
+// one collection.Recover over the WAL's snapshot decoder, and only then
+// does the image become wal.snap, at the leader's sequence (which may
+// regress, down to zero) and with the leader term it carries — the
+// follower's only term transition, atomic with the state it governs. A
+// refused snapshot changes nothing; an install that fails after the state
+// moved fails the WAL.
+func (a replApplier) Bootstrap(seq, term uint64, snap io.Reader) error {
 	s := a.s
 	if s.walFailed.Load() {
 		return errors.New("local wal failed; refusing to bootstrap")
 	}
-	err := collection.Recover(s.coll, func(fold func(wal.Op)) error {
-		for _, e := range entries {
-			fold(e)
-		}
-		return nil
-	}, s.inUniverse)
+	if err := s.wal.ReceiveSnapshot(snap); err != nil {
+		return err
+	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	loaded := false
+	err := s.wal.InstallSnapshot(seq, term, func(stream func(fold func(wal.Op)) error) error {
+		err := collection.Recover(s.coll, stream, s.inUniverse)
+		loaded = err == nil
+		return err
+	})
 	if err != nil {
+		if loaded {
+			s.walFail(err)
+		}
 		return fmt.Errorf("bootstrap at %d: %w", seq, err)
 	}
-	s.wal.SetTerm(term)
-	err = s.checkpoint(func() uint64 { return seq })
-	if err != nil {
-		s.walFail(err)
-	}
-	return err
+	return nil
 }
 
 // ReplPayload is the replication block of /stats: the role, the adopted

@@ -184,7 +184,8 @@ type Server struct {
 	fatal       chan error  // first WAL failure, for the binary's select loop
 	snapStop    chan struct{}
 	snapWG      sync.WaitGroup
-	walOnce     sync.Once // WAL teardown (Shutdown may be called twice)
+	snapMu      sync.Mutex // serializes checkpoints with a bootstrap's load and install
+	walOnce     sync.Once  // WAL teardown (Shutdown may be called twice)
 
 	// Replication state (internal/service/repl.go), nil/zero unless
 	// ReplListen or ReplicaOf is set. role/roleChanges are atomics read

@@ -190,21 +190,16 @@ func (s *Server) snapshotLoop(interval time.Duration) {
 // stall grows with dataset size (docs/durability.md, "Snapshots and log
 // truncation", covers sizing -snapshot-interval around it). Errors if
 // the server runs without a WAL.
-func (s *Server) SnapshotWAL() error {
+func (s *Server) SnapshotWAL() (err error) {
 	if s.wal == nil {
 		return errors.New("psid: no write-ahead log configured")
 	}
-	// Under the flush lock no window can append: the log's last seq is
-	// the one the committed state folds.
-	return s.checkpoint(s.wal.LastSeq)
-}
-
-// checkpoint writes the committed state as a WAL snapshot at seq(), both
-// read under the Collection's flush lock — the one way a WAL snapshot is
-// taken.
-func (s *Server) checkpoint(seq func() uint64) (err error) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	s.coll.Checkpoint(func(objects int, entries iter.Seq2[string, geom.Point]) {
-		err = s.wal.WriteSnapshotAt(seq(), objects, entries)
+		// Under the flush lock no window can append: the log's last seq
+		// is the one the committed state folds.
+		err = s.wal.WriteSnapshotAt(s.wal.LastSeq(), objects, entries)
 	})
 	return err
 }

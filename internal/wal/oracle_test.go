@@ -53,11 +53,11 @@ func streamOps(dir string) (*Log, []Op, error) {
 
 // oracleOps is recovery's op stream as recovery computed it before it
 // streamed: the snapshot read whole, its CRC checked before any entry is
-// decoded, each ID a string of its own; then the log read whole, record by
-// record, up to the first that is short, fails its CRC, does not decode or
-// does not raise the seq. Unlike Open it changes nothing on disk and does
-// not tell a torn tail from corruption. ops holds what it decoded before
-// any error.
+// decoded, each ID a view of the file's bytes, which it never reuses;
+// then the log read whole, record by record, up to the first that is
+// short, fails its CRC, does not decode or does not raise the seq. Unlike
+// Open it changes nothing on disk and does not tell a torn tail from
+// corruption. ops holds what it decoded before any error.
 func oracleOps(dir string) (ops []Op, err error) {
 	snapSeq := uint64(0)
 	b, err := os.ReadFile(filepath.Join(dir, snapName))
@@ -121,7 +121,7 @@ func oracleSnapshot(b []byte) (ops []Op, seq uint64, err error) {
 		head[i], body = v, body[n:]
 	}
 	for i := uint64(0); i < head[2]; i++ {
-		id, n, err := decodeID(body, false)
+		id, n, err := decodeID(body)
 		if err != nil {
 			return ops, 0, err
 		}

@@ -91,18 +91,13 @@ func EncodeWindowPayload(dst []byte, seq uint64, ops []Op) []byte {
 // DecodeWindowPayload decodes one window payload produced by
 // EncodeWindowPayload (or read CRC-valid from wal.log), appending the
 // ops to dst (reused across records during replay); a zero-op window is
-// valid and decodes to no ops. Every malformed shape — truncated
-// varints, overrunning IDs, unknown flag bits, trailing bytes — is an
-// error, never a panic: a checksum only proves the bytes are what was
-// written, not that a well-formed writer wrote them.
+// valid and decodes to no ops. Each op's ID is a view into payload, valid
+// only until the caller reuses payload: a caller that keeps an ID copies
+// it. Every malformed shape — truncated varints, overrunning IDs, unknown
+// flag bits, trailing bytes — is an error, never a panic: a checksum only
+// proves the bytes are what was written, not that a well-formed writer
+// wrote them.
 func DecodeWindowPayload(payload []byte, dst []Op) (seq uint64, ops []Op, err error) {
-	return decodeWindow(payload, dst, false)
-}
-
-// decodeWindow is DecodeWindowPayload; with views set, each op's ID is a
-// view into payload instead of a string of its own, valid only until the
-// caller reuses payload.
-func decodeWindow(payload []byte, dst []Op, views bool) (seq uint64, ops []Op, err error) {
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return 0, dst, fmt.Errorf("wal: truncated window seq")
@@ -129,7 +124,7 @@ func decodeWindow(payload []byte, dst []Op, views bool) (seq uint64, ops []Op, e
 		var o Op
 		o.Del = flags == 1
 		var idLen int
-		o.ID, idLen, err = decodeID(rest, views)
+		o.ID, idLen, err = decodeID(rest)
 		if err != nil {
 			return 0, dst, err
 		}
@@ -164,10 +159,10 @@ func appendID(dst []byte, id string) []byte {
 	return append(dst, id...)
 }
 
-// decodeID decodes one ID from the front of src, returning it and the
-// bytes consumed; with view set the ID is a view into src (see view).
-// Malformed input is an error, never a panic.
-func decodeID(src []byte, view bool) (string, int, error) {
+// decodeID decodes one ID from the front of src, returning it as a view
+// into src (see viewOf) and the bytes consumed. Malformed input is an
+// error, never a panic.
+func decodeID(src []byte) (string, int, error) {
 	ln, n := binary.Uvarint(src)
 	if n <= 0 {
 		return "", 0, fmt.Errorf("wal: truncated ID length")
@@ -175,11 +170,7 @@ func decodeID(src []byte, view bool) (string, int, error) {
 	if ln > uint64(len(src)-n) {
 		return "", 0, fmt.Errorf("wal: ID length %d overruns the record", ln)
 	}
-	b := src[n : n+int(ln)]
-	if view {
-		return viewOf(b), n + int(ln), nil
-	}
-	return string(b), n + int(ln), nil
+	return viewOf(src[n : n+int(ln)]), n + int(ln), nil
 }
 
 // viewOf returns b's bytes as a string without copying them: what recovery

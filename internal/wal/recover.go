@@ -14,8 +14,9 @@ import (
 	"repro/internal/geom"
 )
 
-// Recovery is Open's account of what it salvaged: the ops themselves went
-// to the fold Open was given, in order.
+// Recovery is Open's account of what it salvaged, or ReadSnapshot's of
+// one snapshot: the ops themselves went to the fold it was given, in
+// order.
 type Recovery struct {
 	// Seq is the highest recovered window sequence number (appends
 	// continue from Seq+1).
@@ -48,48 +49,56 @@ var ErrSnapshotVersion = errors.New("unsupported snapshot version")
 // the one a Log writes its snapshots through.
 const ioBuf = 64 << 10
 
-// readSnapshot streams the snapshot file's entries to fold, as Sets, if
-// the file exists. It reads the file twice through one buffer: once to
-// check the CRC, so that nothing unverified reaches fold, and once to
-// decode. The file is rename-atomic, so any validation failure here is bit
-// rot or foreign data — a hard error, never a truncation — and a
-// malformed entry after others went to fold fails Open, whose caller drops
-// what it folded.
+// readSnapshot streams the snapshot file at path to fold (ReadSnapshot)
+// and accounts for it in rec. Its errors name the path; a missing file is
+// one that errors.Is fs.ErrNotExist.
 func readSnapshot(path string, rec *Recovery, fold func(Op)) error {
 	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	if *rec, err = ReadSnapshot(f, fold); err != nil {
+		return fmt.Errorf("wal: %s: %w", path, err)
+	}
+	return nil
+}
+
+// ReadSnapshot decodes a wal.snap image from r, as Open does: a CRC pass
+// first, so nothing unverified reaches fold, then each entry to fold as a
+// Set, its ID a view of a read buffer the next entry may overwrite.
+// Malformed input is an error (bit rot or foreign data: the file is
+// replaced rename-atomically), never a panic, maybe after some folds.
+func ReadSnapshot(r io.ReadSeeker, fold func(Op)) (rec Recovery, err error) {
+	size, err := r.Seek(0, io.SeekEnd)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return rec, err
 	}
-	if st.Size() < magicLen+4 {
-		return fmt.Errorf("wal: %s: bad snapshot header", path)
+	if size < magicLen+4 {
+		return rec, errors.New("bad snapshot header")
 	}
-	br := bufio.NewReaderSize(f, ioBuf)
+	if _, err := r.Seek(0, io.SeekStart); err != nil {
+		return rec, err
+	}
+	br := bufio.NewReaderSize(r, ioBuf)
 	var magic [magicLen]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return rec, err
 	}
 	if magic := string(magic[:]); magic != snapMagic {
 		// Same family, other version digit: a real snapshot this build
 		// cannot read — never a foreign file, let alone a tear.
 		if family := len(snapMagic) - 2; magic[:family] == snapMagic[:family] {
-			return fmt.Errorf("wal: %s: %w %q", path, ErrSnapshotVersion, magic[:family+1])
+			return rec, fmt.Errorf("%w %q", ErrSnapshotVersion, magic[:family+1])
 		}
-		return fmt.Errorf("wal: %s: bad snapshot header", path)
+		return rec, errors.New("bad snapshot header")
 	}
-	body := st.Size() - magicLen - 4
+	body := size - magicLen - 4
 	sum := uint32(0)
 	for left := body; left > 0; {
 		b, err := br.Peek(int(min(left, ioBuf)))
 		if err != nil {
-			return fmt.Errorf("wal: %s: %w", path, err)
+			return rec, err
 		}
 		sum = crc32.Update(sum, crc32.IEEETable, b)
 		br.Discard(len(b))
@@ -97,41 +106,37 @@ func readSnapshot(path string, rec *Recovery, fold func(Op)) error {
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(br, trailer[:]); err != nil {
-		return fmt.Errorf("wal: %s: %w", path, err)
+		return rec, err
 	}
 	if sum != binary.LittleEndian.Uint32(trailer[:]) {
-		return fmt.Errorf("wal: %s: snapshot checksum mismatch", path)
+		return rec, errors.New("snapshot checksum mismatch")
 	}
-	if _, err := f.Seek(magicLen, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if _, err := r.Seek(magicLen, io.SeekStart); err != nil {
+		return rec, err
 	}
-	br.Reset(f)
+	br.Reset(r)
 	d := snapDecoder{br: br, left: body}
 	term, ok := d.uvarint()
 	if !ok {
-		return fmt.Errorf("wal: %s: truncated snapshot term", path)
+		return rec, errors.New("truncated snapshot term")
 	}
-	rec.Term = term
 	seq, ok := d.uvarint()
 	if !ok {
-		return fmt.Errorf("wal: %s: truncated snapshot seq", path)
+		return rec, errors.New("truncated snapshot seq")
 	}
 	count, ok := d.uvarint()
 	if !ok {
-		return fmt.Errorf("wal: %s: truncated snapshot count", path)
+		return rec, errors.New("truncated snapshot count")
 	}
 	for i := uint64(0); i < count; i++ {
 		if err := d.entry(fold); err != nil {
-			return fmt.Errorf("wal: %s: entry %d: %w", path, i, err)
+			return rec, fmt.Errorf("entry %d: %w", i, err)
 		}
 	}
 	if d.left != 0 {
-		return fmt.Errorf("wal: %s: %d trailing bytes after %d entries", path, d.left, count)
+		return rec, fmt.Errorf("%d trailing bytes after %d entries", d.left, count)
 	}
-	rec.SnapshotSeq = seq
-	rec.Seq = seq
-	rec.SnapshotObjects = int(count)
-	return nil
+	return Recovery{Seq: seq, SnapshotSeq: seq, SnapshotObjects: int(count), Term: term}, nil
 }
 
 // snapDecoder decodes a snapshot body from a buffered reader; left is the
@@ -299,7 +304,7 @@ func replayLog(path string, rec *Recovery, fold func(Op)) error {
 			torn = true
 			break
 		}
-		seq, decoded, err := decodeWindow(payload, ops[:0], true)
+		seq, decoded, err := DecodeWindowPayload(payload, ops[:0])
 		if err != nil || seq == 0 || seq <= lastSeq {
 			torn = true // CRC-valid but malformed or out of order: same treatment
 			break
@@ -363,7 +368,7 @@ func scanForValidRecord(f *os.File, from, size int64, lastSeq uint64) (int64, bo
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(tail[off+4:off+8]) {
 			continue
 		}
-		seq, decoded, err := decodeWindow(payload, ops[:0], true)
+		seq, decoded, err := DecodeWindowPayload(payload, ops[:0])
 		ops = decoded[:0]
 		if err != nil || seq <= lastSeq {
 			continue
@@ -405,27 +410,21 @@ func createLogFile(path string) (*os.File, error) {
 	return f, nil
 }
 
-// writeSnapshotFile streams one snapshot to path atomically, always in
-// the v2 format (term before seq), through bw, which it resets onto the
-// new file.
-func writeSnapshotFile(path string, bw *bufio.Writer, term, seq uint64, n int, entries iter.Seq2[string, geom.Point]) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+// WriteSnapshot writes a snapshot image — the bytes of a wal.snap — to
+// w: the magic, then the term, the seq and the n entries the iterator
+// pushes, then the CRC of everything after the magic. Every wal.snap is
+// written with it, and a replication leader sends a follower what it
+// writes, for the follower to install as its own wal.snap.
+func WriteSnapshot(w io.Writer, term, seq uint64, n int, entries iter.Seq2[string, geom.Point]) error {
+	if _, err := io.WriteString(w, snapMagic); err != nil {
 		return err
 	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-	bw.Reset(f)
 	// Everything after the magic is written and checksummed together;
 	// the trailer seals it.
 	sum := uint32(0)
 	write := func(b []byte) error {
 		sum = crc32.Update(sum, crc32.IEEETable, b)
-		_, err := bw.Write(b)
-		return err
-	}
-	if _, err := bw.WriteString(snapMagic); err != nil {
-		f.Close()
+		_, err := w.Write(b)
 		return err
 	}
 	var buf []byte
@@ -433,51 +432,50 @@ func writeSnapshotFile(path string, bw *bufio.Writer, term, seq uint64, n int, e
 	buf = binary.AppendUvarint(buf, seq)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	if err := write(buf); err != nil {
-		f.Close()
 		return err
 	}
 	count := 0
-	werr := error(nil)
 	for id, p := range entries {
 		buf = appendID(buf[:0], id)
 		for d := 0; d < geom.MaxDims; d++ {
 			buf = binary.AppendVarint(buf, p[d])
 		}
-		if werr = write(buf); werr != nil {
-			break
+		if err := write(buf); err != nil {
+			return err
 		}
 		count++
 	}
-	if werr != nil {
-		f.Close()
-		return werr
-	}
 	if count != n {
-		f.Close()
 		return fmt.Errorf("wal: snapshot iterator yielded %d entries, want %d", count, n)
 	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], sum)
-	if _, err := bw.Write(trailer[:]); err != nil {
-		f.Close()
+	_, err := w.Write(binary.LittleEndian.AppendUint32(buf[:0], sum))
+	return err
+}
+
+// writeFile writes a new file at path with write, through bw, which it
+// resets onto the file and detaches again, and syncs the file; on
+// failure it removes the file.
+func writeFile(path string, bw *bufio.Writer, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
+	bw.Reset(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	bw.Reset(nil) // the Log keeps the buffer, not the file
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	bw.Reset(nil)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
+	if err != nil {
+		os.Remove(path)
 	}
-	return syncDir(filepath.Dir(path))
+	return err
 }
 
 // syncDir fsyncs a directory so a completed rename survives power loss.

@@ -11,6 +11,10 @@
 //	wal.snap  full state at some window seq S: every live (ID, point)
 //	wal.log   the windows committed after S, one record each
 //
+// A wal.snap image is also what a replication leader sends a follower
+// (WriteSnapshot), which receives it beside its own files and installs it
+// once it has recovered from it (ReceiveSnapshot, InstallSnapshot).
+//
 // Recovery (Open) streams the latest valid snapshot and then the log tail
 // with seq > S to a fold its caller supplies, one op at a time — the
 // package never holds the dataset — and, because a crash can land
@@ -35,6 +39,8 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"iter"
 	"os"
 	"path/filepath"
@@ -180,6 +186,7 @@ type Log struct {
 const (
 	logName  = "wal.log"
 	snapName = "wal.snap"
+	recvName = "wal.snap.recv" // ReceiveSnapshot's, until InstallSnapshot
 )
 
 // Open opens (creating if absent) the WAL in dir and runs recovery: it
@@ -205,7 +212,7 @@ func Open(dir string, opts Options, fold func(Op)) (*Log, *Recovery, error) {
 		fold = func(Op) {}
 	}
 	rec := &Recovery{}
-	if err := readSnapshot(filepath.Join(dir, snapName), rec, fold); err != nil {
+	if err := readSnapshot(filepath.Join(dir, snapName), rec, fold); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, err
 	}
 	logPath := filepath.Join(dir, logName)
@@ -277,13 +284,8 @@ func (l *Log) AppendWindowAt(seq uint64, ops []Op) (payload []byte, err error) {
 	case seq <= last:
 		return nil, fmt.Errorf("wal: AppendWindowAt seq %d not above last seq %d", seq, last)
 	}
-	if l.closed {
-		return nil, ErrClosed
-	}
-	if l.err != nil {
-		// A previous write or fsync failed: the tail of the log is in an
-		// unknown state, so no further append may claim durability.
-		return nil, l.err
+	if err := l.usable(); err != nil {
+		return nil, err
 	}
 	buf := l.buf
 	if cap(buf) < frameLen {
@@ -325,6 +327,15 @@ func (l *Log) AppendWindowAt(seq uint64, ops []Op) (payload []byte, err error) {
 		l.dirty.Store(true)
 	}
 	return payload, nil
+}
+
+// usable returns why the log takes no more writes (mu held): it is closed,
+// or a write or fsync failed, so no further write may claim durability.
+func (l *Log) usable() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.err
 }
 
 // syncLocked fsyncs the log file and records the latency (mu held).
@@ -383,36 +394,45 @@ func (l *Log) fsyncLoop() {
 // any point leaves a recoverable pair: both replacements are write-temp,
 // fsync, rename.
 //
-// The state must be exactly the fold of every window up to seq. A
+// The state must be exactly the fold of every window up to seq: a
 // checkpoint passes LastSeq from inside Collection.Checkpoint, whose
-// flush lock keeps any window from committing mid-snapshot. A
-// replication follower installing a leader-sent bootstrap passes the
-// leader's seq, which belongs to the leader's history, not this log's:
-// it can regress, down to 0 for an empty leader. The log's seq is reset
-// to seq, even backwards; the rotation makes that safe, because the log
-// is empty afterwards, so recovery sees only the snapshot seq and
-// records above it.
+// flush lock keeps any window from committing mid-snapshot.
 func (l *Log) WriteSnapshotAt(seq uint64, n int, entries iter.Seq2[string, geom.Point]) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return l.err
+	if err := l.usable(); err != nil {
+		return err
 	}
 	if l.snapBuf == nil {
 		l.snapBuf = bufio.NewWriterSize(nil, ioBuf)
 	}
-	if err := writeSnapshotFile(filepath.Join(l.dir, snapName), l.snapBuf, l.term.Load(), seq, n, entries); err != nil {
+	tmp, term := filepath.Join(l.dir, snapName+".tmp"), l.term.Load()
+	err := writeFile(tmp, l.snapBuf, func(w io.Writer) error {
+		return WriteSnapshot(w, term, seq, n, entries)
+	})
+	if err != nil {
 		l.fail(err)
 		return l.err
 	}
-	// The snapshot at seq is durable: every logged window is now
-	// redundant, so rotate in an empty log. A crash before the rotation
-	// rename replays the old log over the snapshot — records with
-	// seq <= snapSeq are skipped, so the overlap is harmless.
-	nf, err := createLogFile(filepath.Join(l.dir, logName))
+	return l.install(tmp, seq, term)
+}
+
+// install makes the synced snapshot file at path the log's wal.snap at
+// seq and term, and rotates in an empty log (mu held). A crash before the
+// rotation replays the old log over the snapshot, which skips records
+// with seq <= snapSeq; the log's seq is reset to seq, even backwards (a
+// received snapshot's seq is the leader's), which the empty log makes
+// safe. A failure is sticky.
+func (l *Log) install(path string, seq, term uint64) error {
+	defer os.Remove(path) // no-op after the rename
+	err := os.Rename(path, filepath.Join(l.dir, snapName))
+	if err == nil {
+		err = syncDir(l.dir)
+	}
+	var nf *os.File
+	if err == nil {
+		nf, err = createLogFile(filepath.Join(l.dir, logName))
+	}
 	if err != nil {
 		l.fail(err)
 		return l.err
@@ -422,8 +442,55 @@ func (l *Log) WriteSnapshotAt(seq uint64, n int, entries iter.Seq2[string, geom.
 	l.logBytes.Store(magicLen)
 	l.seq.Store(seq)
 	l.snapSeq.Store(seq)
+	l.term.Store(term)
 	l.snapshots.Add(1)
 	return nil
+}
+
+// ReceiveSnapshot copies a snapshot image (WriteSnapshot's bytes) from r
+// into the log's receive file and syncs it, for InstallSnapshot. It checks
+// nothing: Open never reads the receive file, whose name no other file
+// shares, and a failure, an error of r included, removes it.
+func (l *Log) ReceiveSnapshot(r io.Reader) error {
+	err := writeFile(filepath.Join(l.dir, recvName), bufio.NewWriterSize(nil, ioBuf), func(w io.Writer) error {
+		_, err := io.Copy(w, r)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("wal: receiving a snapshot: %w", err)
+	}
+	return nil
+}
+
+// InstallSnapshot hands load the stream of the received snapshot that
+// Open reads wal.snap with, which also refuses a snapshot not at seq and
+// term. Only if load returns nil does the receive file become wal.snap,
+// installed as WriteSnapshotAt installs its own. A failure of load leaves
+// the log as it was, one of the install is sticky, and either removes the
+// receive file.
+func (l *Log) InstallSnapshot(seq, term uint64, load func(stream func(fold func(Op)) error) error) error {
+	path := filepath.Join(l.dir, recvName)
+	defer os.Remove(path) // no-op after the install renames it
+	err := load(func(fold func(Op)) error {
+		var rec Recovery
+		if err := readSnapshot(path, &rec, fold); err != nil {
+			return err
+		}
+		if rec.SnapshotSeq != seq || rec.Term != term {
+			return fmt.Errorf("wal: received a snapshot at seq %d, term %d; want seq %d, term %d",
+				rec.SnapshotSeq, rec.Term, seq, term)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.usable(); err != nil {
+		return err
+	}
+	return l.install(path, seq, term)
 }
 
 // AppendsSinceSnapshot returns the number of windows appended since the

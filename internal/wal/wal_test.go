@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/geom"
@@ -671,6 +673,78 @@ func TestWriteSnapshotAt(t *testing.T) {
 	}
 	if _, err := l3.AppendWindowAt(1, []Op{{ID: "z", P: geom.Pt2(2, 2)}}); err != nil {
 		t.Fatalf("AppendWindowAt(1) from empty bootstrap: %v", err)
+	}
+}
+
+// TestInstallSnapshot: a received image becomes wal.snap only through
+// InstallSnapshot and only when load accepts it; a receive cut short, an
+// image at another seq or term, or a load that refuses the state leaves
+// wal.snap, wal.log, LastSeq and Term byte for byte as they were, and no
+// receive file. An installed image regresses the seq and adopts the term.
+func TestInstallSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{})
+	defer closeT(t, l)
+	for i := 0; i < 5; i++ {
+		if _, err := l.AppendWindowAt(0, []Op{{ID: "old", P: geom.Pt2(int64(i), 0)}}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			if err := l.WriteSnapshotAt(l.LastSeq(), 1, maps.All(map[string]geom.Point{"old": geom.Pt2(2, 0)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	files := func() (b [2]string) {
+		for i, name := range []string{snapName, logName} {
+			f, _ := os.ReadFile(filepath.Join(dir, name))
+			b[i] = string(f)
+		}
+		if _, err := os.Stat(filepath.Join(dir, recvName)); !os.IsNotExist(err) {
+			t.Fatalf("receive file left behind: %v", err)
+		}
+		return b
+	}
+	before := files()
+	state := map[string]geom.Point{"x": geom.Pt2(9, 9), "y": geom.Pt2(1, 1)}
+	var img bytes.Buffer
+	if err := WriteSnapshot(&img, 4, 2, len(state), maps.All(state)); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]geom.Point{}
+	load := func(stream func(func(Op)) error) error { return stream(foldInto(got)) }
+	refuse := func(stream func(func(Op)) error) error { return errors.New("refused") }
+	unchanged := func(what string, err error) {
+		t.Helper()
+		if err == nil || files() != before || l.LastSeq() != 5 || l.Term() != 0 {
+			t.Fatalf("%s: err %v, seq %d, term %d, files changed %t", what, err, l.LastSeq(), l.Term(), files() != before)
+		}
+	}
+
+	cut := io.MultiReader(bytes.NewReader(img.Bytes()[:10]), iotest.ErrReader(io.ErrUnexpectedEOF))
+	unchanged("cut receive", l.ReceiveSnapshot(cut))
+	for _, c := range []struct {
+		what      string
+		seq, term uint64
+		load      func(func(func(Op)) error) error
+	}{{"other seq", 3, 4, load}, {"other term", 2, 5, load}, {"refused state", 2, 4, refuse}} {
+		if err := l.ReceiveSnapshot(bytes.NewReader(img.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		unchanged(c.what, l.InstallSnapshot(c.seq, c.term, c.load))
+	}
+
+	clear(got)
+	if err := l.ReceiveSnapshot(bytes.NewReader(img.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.InstallSnapshot(2, 4, load); err != nil {
+		t.Fatalf("InstallSnapshot: %v", err)
+	}
+	if after := files(); !maps.Equal(got, state) || l.LastSeq() != 2 || l.Term() != 4 ||
+		after[0] != img.String() || after[1] != logMagic {
+		t.Fatalf("installed: loaded %v, seq %d, term %d; wal.snap is the image %t, wal.log %d bytes",
+			got, l.LastSeq(), l.Term(), after[0] == img.String(), len(after[1]))
 	}
 }
 
