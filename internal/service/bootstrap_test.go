@@ -201,11 +201,20 @@ func TestInterruptedBootstrap(t *testing.T) {
 	}
 	image := snapImage(t, 1, 5, ops...)
 	lead := serveSnapshot(t, image)
-	reached, decide := make(chan struct{}), make(chan bool)
-	t.Cleanup(func() { close(decide) }) // a relay still held cuts
+	reached, decide, quit := make(chan struct{}), make(chan bool), make(chan struct{})
+	t.Cleanup(func() { close(quit) }) // a relay held at mid, now or later, cuts and exits
 	addr := relay(t, lead.Addr().String(), len(image)/2, func() bool {
-		reached <- struct{}{}
-		return <-decide
+		select {
+		case reached <- struct{}{}:
+		case <-quit:
+			return true
+		}
+		select {
+		case cut := <-decide:
+			return cut
+		case <-quit:
+			return true
+		}
 	})
 	dir := ownState(t)
 

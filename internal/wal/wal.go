@@ -414,16 +414,18 @@ func (l *Log) WriteSnapshotAt(seq uint64, n int, entries iter.Seq2[string, geom.
 		l.fail(err)
 		return l.err
 	}
-	return l.install(tmp, seq, term)
+	return l.install(tmp, seq)
 }
 
 // install makes the synced snapshot file at path the log's wal.snap at
-// seq and term, and rotates in an empty log (mu held). A crash before the
-// rotation replays the old log over the snapshot, which skips records
-// with seq <= snapSeq; the log's seq is reset to seq, even backwards (a
+// seq, and rotates in an empty log (mu held). A crash before the rotation
+// replays the old log over the snapshot, which skips records with
+// seq <= snapSeq; the log's seq is reset to seq, even backwards (a
 // received snapshot's seq is the leader's), which the empty log makes
-// safe. A failure is sticky.
-func (l *Log) install(path string, seq, term uint64) error {
+// safe. A failure is sticky. It leaves the term alone: a SetTerm that
+// lands while WriteSnapshotAt writes its file must outlive it, for the
+// next snapshot to journal.
+func (l *Log) install(path string, seq uint64) error {
 	defer os.Remove(path) // no-op after the rename
 	err := os.Rename(path, filepath.Join(l.dir, snapName))
 	if err == nil {
@@ -442,7 +444,6 @@ func (l *Log) install(path string, seq, term uint64) error {
 	l.logBytes.Store(magicLen)
 	l.seq.Store(seq)
 	l.snapSeq.Store(seq)
-	l.term.Store(term)
 	l.snapshots.Add(1)
 	return nil
 }
@@ -490,7 +491,11 @@ func (l *Log) InstallSnapshot(seq, term uint64, load func(stream func(fold func(
 	if err := l.usable(); err != nil {
 		return err
 	}
-	return l.install(path, seq, term)
+	if err := l.install(path, seq); err != nil {
+		return err
+	}
+	l.term.Store(term)
+	return nil
 }
 
 // AppendsSinceSnapshot returns the number of windows appended since the

@@ -804,6 +804,35 @@ func TestTermPersistence(t *testing.T) {
 	closeT(t, l2)
 }
 
+// TestSetTermDuringSnapshot bumps the term while WriteSnapshotAt writes
+// its file at the old one, as a promotion does beside a timed checkpoint.
+// The bump outlives the write, and the next snapshot journals it.
+func TestSetTermDuringSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Fsync: FsyncAlways})
+	l.SetTerm(3)
+	entries := func(yield func(string, geom.Point) bool) {
+		l.SetTerm(4)
+		yield("a", geom.Pt2(1, 2))
+	}
+	if err := l.WriteSnapshotAt(l.LastSeq(), 1, entries); err != nil {
+		t.Fatalf("WriteSnapshotAt: %v", err)
+	}
+	if got := l.Term(); got != 4 {
+		t.Fatalf("Term() after a snapshot written at term 3 = %d, want the bump to 4", got)
+	}
+	state := map[string]geom.Point{"a": geom.Pt2(1, 2)}
+	if err := l.WriteSnapshotAt(l.LastSeq(), len(state), maps.All(state)); err != nil {
+		t.Fatalf("WriteSnapshotAt: %v", err)
+	}
+	closeT(t, l)
+	l2, rec := openT(t, dir, Options{})
+	if rec.Term != 4 {
+		t.Fatalf("recovered term %d, want 4", rec.Term)
+	}
+	closeT(t, l2)
+}
+
 // TestV1SnapshotRejected builds a v1 snapshot by hand (the term-less
 // format nothing writes any more) next to a log holding one later window,
 // and checks that Open refuses the directory with the distinct
